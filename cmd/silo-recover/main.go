@@ -74,7 +74,7 @@ func main() {
 				maxTID = t.TID
 			}
 		}
-		fmt.Printf("%s: logger %d seq %d: %d txns, %.1f KB, last durable epoch d=%d, max TID epoch=%d\n",
+		fmt.Printf("%s: logger %d seq %d: %d txns, %.1f KB, durable epoch d=%d, max TID epoch=%d\n",
 			fi.Path, fi.Logger, fi.Seq, len(files[i]), float64(size)/1024, durables[i], tid.Word(maxTID).Epoch())
 	}
 	d := wal.DurableBound(infos, durables)

@@ -467,6 +467,58 @@ func (t *Tree) InsertIfAbsent(key []byte, rec *record.Record) (cur *record.Recor
 	}
 }
 
+// GetOrInsert returns the record stored under key; if there is none it
+// inserts the one mk returns and reports inserted. It is the loading entry
+// point for recovery, which owns the store: one descent decides between
+// "compare with what is there" and "allocate and insert", mk runs only when
+// the key is missing, and no version changes are reported because no
+// transaction exists to track them. Concurrent callers must use distinct
+// keys.
+func (t *Tree) GetOrInsert(key []byte, mk func() *record.Record) (rec *record.Record, inserted bool) {
+	t.raceLock()
+	defer t.raceUnlock()
+	checkKey(key)
+	var fresh *record.Record
+	for spins := 0; ; spins++ {
+		lf, v := t.descend(key)
+		idx, eq := lf.search(key)
+		if eq {
+			existing := lf.val(idx)
+			if lf.version.Load() == v && existing != nil {
+				return existing, false
+			}
+			backoff(spins)
+			continue
+		}
+		if fresh == nil {
+			// Validate the miss first, so that mk — caller code, run
+			// outside any node lock — is not called for a torn read.
+			if lf.version.Load() != v {
+				backoff(spins)
+				continue
+			}
+			fresh = mk()
+		}
+		if int(lf.nkeys.Load()) < fanout {
+			// The upgrade succeeds only if the leaf is unchanged since v,
+			// so idx is still where key belongs.
+			if !lf.tryUpgrade(v) {
+				backoff(spins)
+				continue
+			}
+			lf.insertAt(idx, key, fresh)
+			lf.unlockBump()
+			t.count.Add(1)
+			return fresh, true
+		}
+		cur, inserted, _, ok := t.insertSplit(key, fresh)
+		if ok {
+			return cur, inserted
+		}
+		backoff(spins)
+	}
+}
+
 // insertAt shifts slots right and installs (key, rec) at position idx.
 // Caller holds the leaf lock and has verified there is room.
 func (lf *leaf) insertAt(idx int, key []byte, rec *record.Record) {

@@ -14,9 +14,12 @@
 //     writer reads the same consistent image (core.SnapshotScanAt), so the
 //     partition files compose into exactly the sequential image.
 //
-//   - Replay installs entries under the TID-max rule (wal.ApplyEntry): any
-//     interleaving of entries converges on the newest version per record,
-//     so workers need no coordination beyond the epoch ≤ D filter.
+//   - Replay follows the paper's recovery rule: the recovered version of a
+//     record is the logged one with the largest TID ≤ D. Which segment or
+//     worker saw it first is irrelevant, so segments are decoded
+//     concurrently and only each key's newest version is installed
+//     (wal.ApplyFinal); workers need no coordination beyond the epoch ≤ D
+//     filter and the partition of keys among them.
 //
 // # Partitioned checkpoint layout
 //
@@ -544,7 +547,8 @@ func loadPart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (rows
 	if epoch != wantEpoch {
 		return 0, fmt.Errorf("%w: %s: part epoch %d, manifest %d", errTorn, path, epoch, wantEpoch)
 	}
-	rowTID := uint64(tid.Make(saturatingSub(epoch, 1), tid.MaxSeq))
+	rowWord := tid.Make(saturatingSub(epoch, 1), tid.MaxSeq).WithLatest(true)
+	var tbl *core.Table
 	off := hdr
 	for off < len(body) {
 		if body[off] != 'R' {
@@ -570,16 +574,22 @@ func loadPart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (rows
 		val := body[off : off+vlen]
 		off += vlen
 
-		tbl := store.TableByID(table)
-		if tbl == nil {
-			// The manifest catalog is checked before any part is loaded,
-			// so this indicates a part/manifest mismatch.
-			return rows, fmt.Errorf(
-				"recovery: checkpoint part %s references table id %d, but only %d tables are declared%s",
-				path, table, len(store.Tables()), declareHint(store))
+		// A part holds each table's rows contiguously: resolve the table
+		// once per run of rows, not once per row.
+		if tbl == nil || tbl.ID != table {
+			if tbl = store.TableByID(table); tbl == nil {
+				// The manifest catalog is checked before any part is loaded,
+				// so this indicates a part/manifest mismatch.
+				return rows, fmt.Errorf(
+					"recovery: checkpoint part %s references table id %d, but only %d tables are declared%s",
+					path, table, len(store.Tables()), declareHint(store))
+			}
 		}
-		rec := record.New(tid.Word(rowTID).WithLatest(true), append([]byte(nil), val...))
-		if _, inserted, _ := tbl.Tree.InsertIfAbsent(append([]byte(nil), key...), rec); inserted {
+		// The tree copies the key into its own slot; only the value needs
+		// a buffer that outlives the part file's.
+		if _, inserted := tbl.Tree.GetOrInsert(key, func() *record.Record {
+			return record.New(rowWord, append([]byte(nil), val...))
+		}); inserted {
 			rows++
 		}
 	}

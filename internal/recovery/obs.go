@@ -34,8 +34,8 @@ func (d *Daemon) CollectObs(snap *obs.Snapshot) {
 	snap.Histogram("silo_ckpt_bytes", "", "", d.obs.bytes.Snapshot())
 }
 
-// ReplayBytesPerSec is the log-replay throughput of the pass: parsed log
-// bytes over the parse+apply wall clock (0 when nothing was replayed).
+// ReplayBytesPerSec is the log-replay throughput of the pass: log bytes
+// over the wall clock of both replay passes (0 when nothing was replayed).
 func (r Result) ReplayBytesPerSec() uint64 {
 	d := r.LogRead + r.LogApply
 	if d <= 0 || r.LogBytes <= 0 {
@@ -55,6 +55,7 @@ func (r Result) CollectObs(snap *obs.Snapshot) {
 	snap.Gauge("silo_recovery_txns_applied", "", "", uint64(r.TxnsApplied))
 	snap.Gauge("silo_recovery_txns_skipped", "", "", uint64(r.TxnsSkipped))
 	snap.Gauge("silo_recovery_entries_applied", "", "", uint64(r.EntriesApplied))
+	snap.Gauge("silo_recovery_entries_superseded", "", "", uint64(r.EntriesSuperseded))
 	snap.Gauge("silo_recovery_log_bytes", "", "", uint64(r.LogBytes))
 	snap.Gauge("silo_recovery_log_files", "", "", uint64(r.LogFiles))
 	snap.Gauge("silo_recovery_stage_ns", "stage", "checkpoint_load", uint64(r.CheckpointLoad.Nanoseconds()))
@@ -80,11 +81,11 @@ func (r Result) WriteReport(w io.Writer, total time.Duration) {
 	} else {
 		fmt.Fprintf(w, "  checkpoint: none (full log replay)\n")
 	}
-	fmt.Fprintf(w, "  log: %d segments, %.1f MB, parsed in %v\n",
+	fmt.Fprintf(w, "  log: %d segments, %.1f MB, read and verified in %v\n",
 		r.LogFiles, float64(r.LogBytes)/(1<<20), r.LogRead.Round(time.Microsecond))
-	fmt.Fprintf(w, "  replay: D=%d, %d txns applied (%d beyond D, %d below checkpoint), %d entries, applied in %v\n",
+	fmt.Fprintf(w, "  replay: D=%d, %d txns applied (%d beyond D, %d below checkpoint), %d keys installed (%d entries superseded), applied in %v\n",
 		r.DurableEpoch, r.TxnsApplied, r.TxnsSkipped, r.TxnsBelowCheckpoint,
-		r.EntriesApplied, r.LogApply.Round(time.Microsecond))
+		r.EntriesApplied, r.EntriesSuperseded, r.LogApply.Round(time.Microsecond))
 	secs := total.Seconds()
 	if secs > 0 {
 		fmt.Fprintf(w, "  throughput: %.0f txns/s, %.1f MB/s over %v total (checkpoint %.0f%%, log %.0f%%)\n",

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"silo/internal/btree"
 	"silo/internal/core"
 	"silo/internal/tid"
 	"silo/internal/vfs"
@@ -18,7 +19,7 @@ import (
 // manifest's schema section first, then the catalog-table entries found in
 // the log (epoch ≤ D), in sequence-key order, all before any data row is
 // installed — so every table and index exists, at its original id, by the
-// time the first data entry is dispatched. The applier must tolerate
+// time the first logged data entry is installed. The applier must tolerate
 // overlap: rows already applied from the manifest reappear in the log
 // around the checkpoint epoch and must be skipped by sequence number.
 type SchemaApplier interface {
@@ -31,9 +32,10 @@ const CatalogTableID = 0
 
 // Options configures a parallel recovery pass.
 type Options struct {
-	// Workers is the number of replay applier goroutines (and the
-	// checkpoint part-load concurrency). 1 replays on a single goroutine;
-	// values above the partition/file counts add no parallelism.
+	// Workers is the number of replay applier goroutines, and the number
+	// of checkpoint parts loaded, and of log segments read or decoded, at
+	// a time. 1 is the least parallel replay: one segment after the other
+	// feeding one applier.
 	Workers int
 	// Compressed marks logs written with wal.Config.Compress.
 	Compressed bool
@@ -70,9 +72,22 @@ type Result struct {
 	// Workers is the applier parallelism actually used.
 	Workers int
 
+	// EntriesSuperseded counts log entries that were decoded, in range
+	// (CE ≤ epoch ≤ D), and lost to a newer TID for the same key — in the
+	// log or, rarely, already in the store. EntriesApplied (in the embedded
+	// RecoveryResult) counts the distinct (table, key) installs that
+	// changed the store, so superseded / (applied + superseded) is the
+	// log's rewrite ratio: the share of replay work that coalescing
+	// removes. DeletesDropped counts the remaining case, a key whose newest
+	// logged version is a delete and which the store does not hold: nothing
+	// is installed for it. The three sum to the in-range entries decoded.
+	EntriesSuperseded int
+	DeletesDropped    int
+
 	// CheckpointLoad, LogRead, and LogApply are the wall-clock durations
-	// of the three stages: installing the checkpoint image, parsing log
-	// segments, and applying entries.
+	// of the three stages: installing the checkpoint image; pass 1 of
+	// replay (reading the segments and verifying their frames, which
+	// yields D); and pass 2 (decoding, coalescing and installing entries).
 	CheckpointLoad time.Duration
 	LogRead        time.Duration
 	LogApply       time.Duration
@@ -96,8 +111,8 @@ func missingTableErr(store *core.Store, id uint32) error {
 
 // Recover restores a store from the newest complete checkpoint in dir (if
 // any) plus the log segments in dir: checkpoint rows first (part files
-// loaded in parallel), then log transactions with CE ≤ epoch ≤ D applied
-// by opts.Workers goroutines under the TID-max install rule. The store
+// loaded in parallel), then, of the log transactions with CE ≤ epoch ≤ D,
+// the newest version of every record they wrote (see replay). The store
 // must contain the schema's tables, created in their original order, and
 // must otherwise be empty; a log or checkpoint referencing an undeclared
 // table fails with an error naming it. The caller should restart the
@@ -125,21 +140,32 @@ func Recover(store *core.Store, dir string, opts Options) (Result, error) {
 	return res, nil
 }
 
-// applyItem is one routed log entry: the table is resolved at dispatch so
-// appliers never touch the store's table mutex.
-type applyItem struct {
-	tbl *core.Table
-	e   *wal.Entry
-	tid uint64
+// item is one in-range log entry on its way to the applier that owns its
+// key, and then that key's newest version in the applier's table. key and
+// value alias the segment buffer.
+type item struct {
+	hash  uint64
+	tid   uint64
+	key   []byte
+	value []byte
+	table uint32
+	del   bool
 }
 
 const applyBatch = 256
 
-// replay is the two-stage parallel replay: parse every log segment
-// concurrently, compute D (grouped by logger), then fan entries out to
-// applier goroutines hashed by (table, key). Entries for one key always
-// route to one applier, so per-key apply order matches log order — though
-// even cross-worker races would converge under TID-max.
+// replay is the two-pass log replay. Pass 1 reads every segment and walks
+// its frame headers and CRCs, in parallel, which yields each segment's
+// usable prefix and durable bound — so D is known before a single entry is
+// decoded. Pass 2 decodes: each segment's goroutine walks its transactions
+// in place (wal.Segment.Walk: no TxnRecord, no copy), drops those outside
+// CE ≤ epoch ≤ D, and routes the rest by hash(table, key) straight to the
+// applier owning that hash. An applier keeps only the newest TID per key;
+// once every segment is decoded — and the schema pre-pass has run — it
+// installs each key's winner with one tree operation (wal.ApplyFinal). The
+// paper's recovery rule (§4.10) is what makes this sound: the recovered
+// state is, per record, the version with the largest TID ≤ D, so versions
+// that lose the comparison need never reach the tree.
 func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, res *Result) error {
 	infos, err := wal.ListLogFilesFS(opts.FS, logDir)
 	if err != nil {
@@ -150,154 +176,308 @@ func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, re
 	}
 	res.LogFiles = len(infos)
 
-	// Stage 1: parse segments concurrently.
-	t0 := time.Now()
-	files := make([][]wal.TxnRecord, len(infos))
-	durables := make([]uint64, len(infos))
-	sizes := make([]int64, len(infos))
-	errs := make([]error, len(infos))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.Workers)
-	for i := range infos {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			files[i], durables[i], sizes[i], errs[i] = wal.ParseLogFileFS(opts.FS, infos[i].Path, opts.Compressed)
-		}(i)
+	// eachSegment runs fn(i) for every segment, opts.Workers at a time.
+	eachSegment := func(fn func(i int)) {
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, opts.Workers)
+		for i := range infos {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				fn(i)
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	for i := range errs {
+
+	// Pass 1.
+	t0 := time.Now()
+	segs := make([]wal.Segment, len(infos))
+	errs := make([]error, len(infos))
+	eachSegment(func(i int) {
+		data, err := opts.FS.ReadFile(infos[i].Path)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		segs[i] = wal.ScanSegment(data, opts.Compressed)
+	})
+	durables := make([]uint64, len(infos))
+	for i := range segs {
 		if errs[i] != nil {
 			return errs[i]
 		}
-		res.LogBytes += sizes[i]
+		res.LogBytes += segs[i].Size
+		durables[i] = segs[i].Durable
 	}
-	res.LogRead = time.Since(t0)
 	d := wal.DurableBound(infos, durables)
 	res.DurableEpoch = d
+	res.LogRead = time.Since(t0)
+
+	// Pass 2: decode and coalesce.
+	t1 := time.Now()
+	defer func() { res.LogApply = time.Since(t1) }()
+	appliers := make([]*applier, opts.Workers)
+	// Recycled batches: an applier offers each one back once it has copied
+	// the winners out, so the batches in flight are all pass 2 allocates
+	// for routing. Room for every applier's queue, so none is dropped while
+	// the decoders are the slower side.
+	free := make(chan []item, queuedBatches*len(appliers))
+	var absorb sync.WaitGroup
+	for k := range appliers {
+		a := &applier{in: make(chan []item, queuedBatches)}
+		appliers[k] = a
+		absorb.Add(1)
+		go func() {
+			defer absorb.Done()
+			for batch := range a.in {
+				a.absorb(batch)
+				select {
+				case free <- batch:
+				default:
+				}
+			}
+		}()
+	}
+	routers := make([]router, len(infos))
+	eachSegment(func(i int) {
+		r := &routers[i]
+		*r = router{d: d, minEpoch: minEpoch, wantSchema: opts.Schema != nil,
+			appliers: appliers, free: free, batches: make([][]item, len(appliers))}
+		segs[i].Walk(r)
+		r.flush()
+	})
+	for _, a := range appliers {
+		close(a.in)
+	}
+	absorb.Wait()
+
+	var schema []schemaRow
+	for i := range routers {
+		r := &routers[i]
+		if r.err != nil {
+			return fmt.Errorf("%s: %w", infos[i].Path, r.err)
+		}
+		res.TxnsApplied += r.applied
+		res.TxnsSkipped += r.skipped
+		res.TxnsBelowCheckpoint += r.below
+		schema = append(schema, r.schema...)
+	}
 
 	// Schema pre-pass: apply the log's DDL-catalog entries (in sequence-
 	// key order, which is commit order — DDL appends are serialized) so
-	// every table a data entry references exists before dispatch. Entries
-	// beyond D are skipped like any other; entries the checkpoint manifest
-	// already applied are deduplicated by the applier.
-	if opts.Schema != nil {
-		if err := applySchemaEntries(files, d, opts.Schema); err != nil {
-			return err
-		}
-	}
-
-	// Stage 2: fan out to appliers.
-	t1 := time.Now()
-	w := opts.Workers
-	chans := make([]chan []applyItem, w)
-	counts := make([]int, w)
-	var apply sync.WaitGroup
-	for i := 0; i < w; i++ {
-		chans[i] = make(chan []applyItem, 64)
-		apply.Add(1)
-		go func(i int) {
-			defer apply.Done()
-			n := 0
-			for batch := range chans[i] {
-				for j := range batch {
-					it := &batch[j]
-					if wal.ApplyEntryTable(it.tbl, it.e, it.tid) {
-						n++
-					}
-				}
-			}
-			counts[i] = n
-		}(i)
-	}
-
-	tables := store.Tables()
-	batches := make([][]applyItem, w)
-	var dispatchErr error
-dispatch:
-	for _, f := range files {
-		for ti := range f {
-			t := &f[ti]
-			ep := tid.Word(t.TID).Epoch()
-			if ep > d {
-				res.TxnsSkipped++
-				continue
-			}
-			if ep < minEpoch {
-				res.TxnsBelowCheckpoint++
-				continue
-			}
-			res.TxnsApplied++
-			for j := range t.Entries {
-				e := &t.Entries[j]
-				if int(e.Table) >= len(tables) {
-					dispatchErr = missingTableErr(store, e.Table)
-					break dispatch
-				}
-				k := int(entryHash(e.Table, e.Key) % uint64(w))
-				if batches[k] == nil {
-					batches[k] = make([]applyItem, 0, applyBatch)
-				}
-				batches[k] = append(batches[k], applyItem{tables[e.Table], e, t.TID})
-				if len(batches[k]) >= applyBatch {
-					chans[k] <- batches[k]
-					batches[k] = nil
-				}
-			}
-		}
-	}
-	for k := 0; k < w; k++ {
-		if dispatchErr == nil && len(batches[k]) > 0 {
-			chans[k] <- batches[k]
-		}
-		close(chans[k])
-	}
-	apply.Wait()
-	for _, n := range counts {
-		res.EntriesApplied += n
-	}
-	res.LogApply = time.Since(t1)
-	return dispatchErr
-}
-
-// applySchemaEntries collects the durable catalog-table entries from every
-// parsed segment and feeds them to the schema applier in key order.
-// Catalog rows are insert-only with monotone 8-byte sequence keys, so key
-// order is append order; deletes never appear (drops are themselves
-// records).
-func applySchemaEntries(files [][]wal.TxnRecord, d uint64, schema SchemaApplier) error {
-	type row struct {
-		key, val []byte
-	}
-	var rows []row
-	for _, f := range files {
-		for ti := range f {
-			t := &f[ti]
-			if tid.Word(t.TID).Epoch() > d {
-				continue
-			}
-			for j := range t.Entries {
-				e := &t.Entries[j]
-				if e.Table != CatalogTableID || e.Delete {
-					continue
-				}
-				rows = append(rows, row{e.Key, e.Value})
-			}
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i].key, rows[j].key) < 0 })
-	for i := range rows {
-		if err := schema.ApplyCatalogRow(rows[i].key, rows[i].val); err != nil {
+	// every table a data entry references exists before the first install.
+	// Entries beyond D were dropped like any other; entries the checkpoint
+	// manifest already applied are deduplicated by the applier.
+	sort.Slice(schema, func(i, j int) bool { return bytes.Compare(schema[i].key, schema[j].key) < 0 })
+	for i := range schema {
+		if err := opts.Schema.ApplyCatalogRow(schema[i].key, schema[i].val); err != nil {
 			return fmt.Errorf("recovery: log schema replay: %w", err)
 		}
+	}
+
+	// Install the winners.
+	tables := store.Tables()
+	var install sync.WaitGroup
+	for _, a := range appliers {
+		install.Add(1)
+		go func() {
+			defer install.Done()
+			a.install(store, tables)
+		}()
+	}
+	install.Wait()
+	for _, a := range appliers {
+		if a.err != nil {
+			return a.err
+		}
+		res.EntriesApplied += a.applied
+		res.EntriesSuperseded += a.superseded
+		res.DeletesDropped += a.dropped
 	}
 	return nil
 }
 
-// entryHash routes an entry to an applier: FNV-1a over the table id and
-// key, so one key's entries always share an applier.
+// queuedBatches is the depth of an applier's input queue: enough that a
+// decoder whose entries bunch on one applier keeps running while that
+// applier catches up, small enough that the batches in flight stay a few
+// hundred kilobytes.
+const queuedBatches = 8
+
+// router is one segment's wal.Visitor in pass 2: it filters transactions
+// by epoch, collects DDL-catalog rows for the schema pre-pass, and batches
+// in-range entries to the appliers. One goroutine owns it.
+type router struct {
+	d, minEpoch uint64
+	wantSchema  bool
+	appliers    []*applier
+	free        <-chan []item
+	batches     [][]item // open batch per applier
+
+	tid     uint64 // transaction being decoded
+	inRange bool   // CE ≤ its epoch ≤ D
+	applied int
+	skipped int
+	below   int
+	schema  []schemaRow
+	err     error
+}
+
+func (r *router) Txn(t uint64, writes int) bool {
+	ep := tid.Word(t).Epoch()
+	if ep > r.d {
+		r.skipped++
+		return false
+	}
+	r.tid = t
+	r.inRange = ep >= r.minEpoch
+	if r.inRange {
+		r.applied++
+		return true
+	}
+	r.below++
+	// A checkpoint covers the data below CE, and its manifest the schema;
+	// the catalog rows are still collected so that a checkpoint without a
+	// schema section (the single-file format) recovers as it always did.
+	return r.wantSchema
+}
+
+func (r *router) Entry(table uint32, key, value []byte, del bool) {
+	if r.wantSchema && table == CatalogTableID && !del {
+		// Copied: the catalog may keep what it is given.
+		r.schema = append(r.schema, schemaRow{
+			key: append([]byte(nil), key...),
+			val: append([]byte(nil), value...),
+		})
+	}
+	if !r.inRange {
+		return
+	}
+	if len(key) == 0 || len(key) > btree.MaxKeyLen {
+		if r.err == nil {
+			r.err = fmt.Errorf("recovery: logged key of %d bytes for table id %d (keys are 1 to %d bytes)", len(key), table, btree.MaxKeyLen)
+		}
+		return
+	}
+	h := entryHash(table, key)
+	k := int(h % uint64(len(r.appliers)))
+	b := r.batches[k]
+	if b == nil {
+		select {
+		case b = <-r.free:
+			b = b[:0]
+		default:
+			b = make([]item, 0, applyBatch)
+		}
+	}
+	b = append(b, item{hash: h, tid: r.tid, key: key, value: value, table: table, del: del})
+	if len(b) == cap(b) {
+		r.appliers[k].in <- b
+		b = nil
+	}
+	r.batches[k] = b
+}
+
+// flush sends the partly filled batches.
+func (r *router) flush() {
+	for k, b := range r.batches {
+		if len(b) > 0 {
+			r.appliers[k].in <- b
+		}
+	}
+}
+
+// applier owns the keys whose hash routes to it. While segments are being
+// decoded it keeps, per key, the entry with the largest TID (absorb); then
+// it installs those winners (install). wins is append-only, so winners are
+// installed in the order their keys first appeared in the log — for a
+// loaded table, the order the rows were inserted in. index is an
+// open-addressing table over wins: a slot holds the position in wins plus
+// one, tagged with the hash's high half so that most mismatches are
+// rejected without touching wins.
+type applier struct {
+	in    chan []item
+	wins  []item
+	index []uint64
+
+	superseded int // decoded in range, lost to a newer TID (here or in the store)
+	applied    int // winners that changed the store
+	dropped    int // delete winners with no row to delete
+	err        error
+}
+
+func (a *applier) absorb(batch []item) {
+	for i := range batch {
+		it := &batch[i]
+		if 2*len(a.wins) >= len(a.index) {
+			a.grow()
+		}
+		mask := uint64(len(a.index) - 1)
+		tag := it.hash &^ 0xffffffff
+		for p := (it.hash >> 16) & mask; ; p = (p + 1) & mask {
+			slot := a.index[p]
+			if slot == 0 {
+				a.wins = append(a.wins, *it)
+				a.index[p] = tag | uint64(len(a.wins))
+				break
+			}
+			if slot&^0xffffffff != tag {
+				continue
+			}
+			w := &a.wins[uint32(slot)-1]
+			if w.hash == it.hash && w.table == it.table && bytes.Equal(w.key, it.key) {
+				a.superseded++
+				if it.tid > w.tid {
+					w.tid, w.value, w.del = it.tid, it.value, it.del
+				}
+				break
+			}
+		}
+	}
+}
+
+// grow doubles the index and re-enters every winner.
+func (a *applier) grow() {
+	n := 2 * len(a.index)
+	if n == 0 {
+		n = 1 << 10
+	}
+	a.index = make([]uint64, n)
+	mask := uint64(n - 1)
+	for i := range a.wins {
+		h := a.wins[i].hash
+		p := (h >> 16) & mask
+		for a.index[p] != 0 {
+			p = (p + 1) & mask
+		}
+		a.index[p] = h&^0xffffffff | uint64(i+1)
+	}
+}
+
+func (a *applier) install(store *core.Store, tables []*core.Table) {
+	for i := range a.wins {
+		w := &a.wins[i]
+		if int(w.table) >= len(tables) {
+			a.err = missingTableErr(store, w.table)
+			return
+		}
+		switch wal.ApplyFinal(tables[w.table], w.tid, w.key, w.value, w.del) {
+		case wal.Applied:
+			a.applied++
+		case wal.Superseded:
+			a.superseded++
+		case wal.Dropped:
+			a.dropped++
+		}
+	}
+}
+
+// entryHash routes an entry to an applier and places it in that applier's
+// table: FNV-1a over the table id and key, then a finalizer so that every
+// bit range of the result is usable (the applier is picked from the low
+// bits, the slot from the middle, the tag from the top).
 func entryHash(table uint32, key []byte) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -312,5 +492,8 @@ func entryHash(table uint32, key []byte) uint64 {
 		h ^= uint64(b)
 		h *= prime
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
 	return h
 }

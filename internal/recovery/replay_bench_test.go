@@ -1,120 +1,177 @@
 package recovery
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"silo/internal/core"
-	"silo/internal/tid"
 	"silo/internal/wal"
 )
 
-// benchLog builds one log directory for all replay benchmarks: ~40k
-// transactions over two tables from four concurrent workers.
-var benchLog struct {
-	once sync.Once
-	dir  string
-	err  error
+// replayShape is one log shape BenchmarkReplay recovers. What separates the
+// shapes is the rewrite ratio — the share of logged entries that a newer
+// entry for the same key supersedes — because that is the property the
+// coalescing replay exploits: it decodes every entry but touches the tree
+// once per distinct key.
+type replayShape struct {
+	name string
+	// rows are checkpointed before the log starts; txns two-write
+	// transactions are then logged, over the rows (rewriting them) or, with
+	// no rows, as inserts of fresh ascending keys.
+	rows, txns int
 }
 
-func buildBenchLog() {
-	dir, err := os.MkdirTemp("", "silo-replay-bench")
-	if err != nil {
-		benchLog.err = err
-		return
+var replayShapes = []replayShape{
+	// The shape of the repository benchmark's recovery.replay workload at a
+	// fifth of its size: five logged writes per checkpointed row, rewrite
+	// ratio about 0.8.
+	{name: "rewrite", rows: 20_000, txns: 50_000},
+	// Every entry creates its key: rewrite ratio 0, nothing to coalesce.
+	// Replay must cost no more here than applying entry by entry would.
+	{name: "insert-only", rows: 0, txns: 50_000},
+}
+
+const (
+	benchValueBytes = 100
+	benchLoggers    = 2
+	benchFrameTxns  = 64
+	benchSegBytes   = 2 << 20
+)
+
+func benchKey(i int) []byte { return binary.BigEndian.AppendUint64(nil, uint64(i)) }
+
+// benchLogs holds each shape's durability directory, built on first use.
+var benchLogs struct {
+	sync.Mutex
+	dirs map[string]string
+}
+
+// buildReplayShape writes the shape's checkpoint and log: two loggers, the
+// transactions dealt to them alternately, frames of benchFrameTxns
+// transactions, a new segment every benchSegBytes.
+func buildReplayShape(b *testing.B, sh replayShape) string {
+	benchLogs.Lock()
+	defer benchLogs.Unlock()
+	if dir, ok := benchLogs.dirs[sh.name]; ok {
+		return dir
 	}
-	benchLog.dir = dir
-	const workers = 4
-	const rounds = 10000
-	opts := core.DefaultOptions(workers)
-	opts.EpochInterval = time.Millisecond
-	s := core.NewStore(opts)
-	m, err := wal.Attach(s, wal.Config{Dir: dir, Loggers: 2, PollInterval: time.Millisecond, SegmentBytes: 4 << 20})
+	dir, err := os.MkdirTemp("", "silo-replay-bench-"+sh.name)
 	if err != nil {
-		benchLog.err = err
-		return
+		b.Fatal(err)
 	}
-	a := s.CreateTable("a")
-	b := s.CreateTable("b")
-	m.Start()
-	var wg sync.WaitGroup
-	for wid := 0; wid < workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			w := s.Worker(wid)
-			val := make([]byte, 100)
-			for r := 0; r < rounds; r++ {
-				i := wid*rounds + r
-				copy(val, fmt.Sprintf("w%d-%d", wid, r))
-				if err := w.Run(func(tx *core.Tx) error {
-					if err := tx.Insert(a, binKey(i), val); err != nil {
+	val := make([]byte, benchValueBytes)
+	epoch := uint64(1)
+	if sh.rows > 0 {
+		s := manualStore(b, "t")
+		tbl := s.Tables()[0]
+		for lo := 0; lo < sh.rows; lo += 512 {
+			if err := s.Worker(0).Run(func(tx *core.Tx) error {
+				for i := lo; i < min(lo+512, sh.rows); i++ {
+					if err := tx.Insert(tbl, benchKey(i), val); err != nil {
 						return err
 					}
-					if r%4 == 0 {
-						k := binKey(i % 512)
-						if err := tx.Insert(b, k, val); err == core.ErrKeyExists {
-							return tx.Put(b, k, val)
-						} else if err != nil {
-							return err
-						}
-					}
-					return nil
-				}); err != nil {
-					benchLog.err = err
-					return
 				}
+				return nil
+			}); err != nil {
+				b.Fatal(err)
 			}
-		}(wid)
+		}
+		for i := 0; i < 10; i++ {
+			s.AdvanceEpoch()
+		}
+		ck, err := WriteCheckpoint(s, s.Maintenance(), dir, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		epoch = ck.Epoch
 	}
-	wg.Wait()
-	var target uint64
-	for w := 0; w < workers; w++ {
-		if e := tid.Word(s.Worker(w).LastCommitTID()).Epoch(); e > target {
-			target = e
+	rng := rand.New(rand.NewSource(1))
+	var segs [benchLoggers][]byte
+	var seqs [benchLoggers]uint64
+	var frames [benchLoggers][]logTxn
+	flush := func(l int, end bool) {
+		if len(frames[l]) > 0 {
+			segs[l] = appendBufferFrame(segs[l], frames[l], false)
+			segs[l] = appendDurableFrame(segs[l], epoch)
+			frames[l] = frames[l][:0]
+		}
+		if end || len(segs[l]) >= benchSegBytes {
+			writeSegment(b, dir, l, seqs[l], segs[l])
+			seqs[l]++
+			segs[l] = nil
 		}
 	}
-	for m.DurableEpoch() < target {
-		time.Sleep(time.Millisecond)
+	for i := 0; i < sh.txns; i++ {
+		k0, k1 := 2*i, 2*i+1
+		if sh.rows > 0 {
+			k0, k1 = rng.Intn(sh.rows), rng.Intn(sh.rows)
+		}
+		v0, v1 := make([]byte, benchValueBytes), make([]byte, benchValueBytes)
+		binary.BigEndian.PutUint64(v0, rng.Uint64())
+		binary.BigEndian.PutUint64(v1, rng.Uint64())
+		l := i % benchLoggers
+		frames[l] = append(frames[l], logTxn{tid: tidAt(epoch, uint64(i+1)),
+			entries: []wal.Entry{put(0, benchKey(k0), v0), put(0, benchKey(k1), v1)}})
+		if len(frames[l]) == benchFrameTxns {
+			flush(l, false)
+		}
 	}
-	m.Stop()
-	s.Close()
+	for l := range segs {
+		flush(l, true)
+	}
+	if benchLogs.dirs == nil {
+		benchLogs.dirs = map[string]string{}
+	}
+	benchLogs.dirs[sh.name] = dir
+	return dir
 }
 
-// BenchmarkReplay compares single-goroutine and multicore log replay over
-// the same log directory (no checkpoint: pure replay). Run with
+// BenchmarkReplay prices a whole Recover (checkpoint load included, where
+// the shape has one) for each log shape and worker count. Beside txns/s and
+// MB/s (over the log bytes, the denominator of
+// silo_recovery_replay_bytes_per_sec) it reports allocs/entry — heap
+// allocations per decoded log entry — which is a count, repeats exactly,
+// and is what CI gates: under 1 on rewrite, where most entries never reach
+// the tree, and at most 4 on insert-only, where each entry costs its
+// record, the record's slice header, its value and an amortized share of a
+// leaf. Run with
 //
-//	go test -bench Replay -benchtime 5x ./internal/recovery
+//	go test -bench 'Replay$' -benchtime 5x -benchmem ./internal/recovery
 func BenchmarkReplay(b *testing.B) {
-	benchLog.once.Do(buildBenchLog)
-	if benchLog.err != nil {
-		b.Fatal(benchLog.err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var txns int
-			var logBytes int64
-			for i := 0; i < b.N; i++ {
-				s := core.NewStore(core.DefaultOptions(1))
-				s.CreateTable("a")
-				s.CreateTable("b")
-				res, err := Recover(s, benchLog.dir, Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
+	for _, sh := range replayShapes {
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers=%d", sh.name, workers), func(b *testing.B) {
+				dir := buildReplayShape(b, sh)
+				b.ReportAllocs()
+				var res Result
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s := core.NewStore(core.DefaultOptions(1))
+					s.CreateTable("t")
+					var err error
+					if res, err = Recover(s, dir, Options{Workers: workers}); err != nil {
+						b.Fatal(err)
+					}
+					s.Close()
 				}
-				txns = res.TxnsApplied
-				logBytes = res.LogBytes
-				s.Close()
-			}
-			// txns/s and MB/s are the trajectory numbers BENCH_RECOVERY.json
-			// tracks (MB/s over the parsed log bytes, the same denominator
-			// as silo_recovery_replay_bytes_per_sec).
-			b.ReportMetric(float64(txns)*float64(b.N)/b.Elapsed().Seconds(), "txns/s")
-			b.ReportMetric(float64(logBytes)*float64(b.N)/(1e6*b.Elapsed().Seconds()), "MB/s")
-		})
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				if res.TxnsApplied != sh.txns {
+					b.Fatalf("replayed %d transactions, logged %d", res.TxnsApplied, sh.txns)
+				}
+				entries := float64(2 * sh.txns * b.N)
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/entries, "allocs/entry")
+				b.ReportMetric(float64(sh.txns*b.N)/b.Elapsed().Seconds(), "txns/s")
+				b.ReportMetric(float64(res.LogBytes)*float64(b.N)/(1e6*b.Elapsed().Seconds()), "MB/s")
+			})
+		}
 	}
 }
 

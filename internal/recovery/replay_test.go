@@ -2,11 +2,15 @@ package recovery
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"silo/internal/core"
+	"silo/internal/race"
 	"silo/internal/tid"
 	"silo/internal/wal"
 )
@@ -179,9 +183,9 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 
 // TestReplayCrossLoggerDeleteOrder is the regression test for the
 // delete-resurrection bug: with per-worker loggers, a delete can sit in an
-// earlier-dispatched log file than the insert it supersedes (file order is
-// not TID order). Replay must install a tombstone for the delete so the
-// later-arriving older insert cannot resurrect the key.
+// earlier-read log file than the insert it supersedes (file order is not
+// TID order). The delete must win on its TID however the two arrive, so
+// that the older insert cannot resurrect the key.
 func TestReplayCrossLoggerDeleteOrder(t *testing.T) {
 	dir := t.TempDir()
 	s := core.NewStore(fastOpts(2))
@@ -194,8 +198,8 @@ func TestReplayCrossLoggerDeleteOrder(t *testing.T) {
 	t.Cleanup(func() { m.Stop(); s.Close() })
 
 	// Worker 1 (→ logger 1, log.1) inserts; worker 0 (→ logger 0, log.0)
-	// then deletes K and overwrites L. The dispatcher walks log.0 before
-	// log.1, so the delete and overwrite replay before the inserts they
+	// then deletes K and overwrites L: the delete and the overwrite sit in
+	// the file that sorts before the one holding the inserts they
 	// supersede.
 	k, l := []byte("k"), []byte("l")
 	if err := s.Worker(1).Run(func(tx *core.Tx) error {
@@ -274,5 +278,333 @@ func TestRecoverMissingTableNamed(t *testing.T) {
 		if !contains(err.Error(), wantSub) {
 			t.Errorf("error %q does not mention %q", err, wantSub)
 		}
+	}
+}
+
+// randomLog is a generated durability directory and what recovering it
+// must produce.
+type randomLog struct {
+	dir                    string
+	ce                     uint64
+	below, inRange, beyond int // transactions by epoch: < CE, CE..D, > D
+	inRangeEntries         int
+	want                   [2]map[string]string // per table: the fold of every transaction ≤ D in TID order
+}
+
+// buildRandomLog writes a partitioned checkpoint at some epoch CE and,
+// around it, a log from three loggers: transactions below CE (the
+// checkpoint already holds their effect), in CE..D, and beyond D, over a
+// key space small enough that most keys are written many times, by
+// several loggers, with deletes and re-inserts. Within a logger the
+// transactions are shuffled — replay may assume nothing about order — and
+// cut into segments and frames at random; durable frames are not monotone
+// (the largest is followed by small ones, as after a re-Open), and one
+// segment ends in a torn frame whose transaction must not be applied.
+func buildRandomLog(t *testing.T, rng *rand.Rand, compressed bool) randomLog {
+	const nKeys = 40
+	const loggers = 3
+	lg := randomLog{dir: t.TempDir()}
+	model := [2]map[string]string{{}, {}}
+	key := func(i int) []byte { return binKey(i) }
+	valCounter := 0
+	// genTxn draws a transaction of 0–3 writes and applies it to the model.
+	genTxn := func(apply bool) []wal.Entry {
+		var es []wal.Entry
+		seen := map[string]bool{}
+		for n := rng.Intn(4); n > 0; n-- {
+			tbl := uint32(rng.Intn(2))
+			k := key(rng.Intn(nKeys))
+			if id := fmt.Sprint(tbl, k); seen[id] {
+				continue // one write per key per transaction, as the engine logs
+			} else {
+				seen[id] = true
+			}
+			if rng.Intn(4) == 0 {
+				es = append(es, del(tbl, k))
+				if apply {
+					delete(model[tbl], string(k))
+				}
+				continue
+			}
+			valCounter++
+			v := []byte(fmt.Sprintf("v%d-%s", valCounter, strings.Repeat("x", rng.Intn(3)*7)))
+			es = append(es, put(tbl, k, v))
+			if apply {
+				model[tbl][string(k)] = string(v)
+			}
+		}
+		return es
+	}
+
+	// Below the checkpoint: generate, then load the resulting state into a
+	// store and checkpoint it.
+	lg.below = 60 + rng.Intn(40)
+	var txns []logTxn
+	for i := 0; i < lg.below; i++ {
+		txns = append(txns, logTxn{entries: genTxn(true)})
+	}
+	src := manualStore(t, "a", "b")
+	for ti, tbl := range src.Tables() {
+		for k, v := range model[ti] {
+			if err := src.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(tbl, []byte(k), []byte(v)) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 10; i++ {
+		src.AdvanceEpoch()
+	}
+	ck, err := WriteCheckpoint(src, src.Maintenance(), lg.dir, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg.ce = ck.Epoch
+	if lg.ce < 4 {
+		t.Fatalf("checkpoint epoch %d leaves no room below it", lg.ce)
+	}
+	d := lg.ce + 3
+	seq := uint64(0)
+	stamp := func(t *logTxn, lo, hi uint64, i, n int) {
+		seq++
+		t.tid = tidAt(lo+(hi-lo+1)*uint64(i)/uint64(n), seq)
+	}
+	for i := range txns {
+		stamp(&txns[i], lg.ce-3, lg.ce-1, i, lg.below)
+	}
+	lg.inRange = 150 + rng.Intn(100)
+	for i := 0; i < lg.inRange; i++ {
+		tx := logTxn{entries: genTxn(true)}
+		stamp(&tx, lg.ce, d, i, lg.inRange)
+		lg.inRangeEntries += len(tx.entries)
+		txns = append(txns, tx)
+	}
+	lg.want = [2]map[string]string{maps.Clone(model[0]), maps.Clone(model[1])}
+	lg.beyond = 20 + rng.Intn(20)
+	for i := 0; i < lg.beyond; i++ {
+		tx := logTxn{entries: genTxn(false)}
+		stamp(&tx, d+1, d+2, i, lg.beyond)
+		txns = append(txns, tx)
+	}
+
+	// Deal the transactions to the loggers and write each logger's share.
+	perLogger := make([][]logTxn, loggers)
+	for _, tx := range txns {
+		l := rng.Intn(loggers)
+		perLogger[l] = append(perLogger[l], tx)
+	}
+	tornLogger := rng.Intn(loggers)
+	for l, share := range perLogger {
+		rng.Shuffle(len(share), func(i, j int) { share[i], share[j] = share[j], share[i] })
+		// This logger's bound: D for logger 0 (which makes it the global
+		// minimum), at least D for the others.
+		dl := d
+		if l > 0 {
+			dl += uint64(rng.Intn(3))
+		}
+		nseg := 1 + rng.Intn(3)
+		boundSeg := rng.Intn(nseg) // the segment holding the largest durable frame
+		for s := 0; s < nseg; s++ {
+			var data []byte
+			part := share[len(share)*s/nseg : len(share)*(s+1)/nseg]
+			for len(part) > 0 {
+				n := min(1+rng.Intn(5), len(part))
+				data = appendBufferFrame(data, part[:n], compressed)
+				part = part[n:]
+				if rng.Intn(2) == 0 {
+					data = appendDurableFrame(data, uint64(1+rng.Intn(int(lg.ce))))
+				}
+			}
+			if s == boundSeg {
+				data = appendDurableFrame(data, dl)
+			}
+			// What a process that opened this directory, ticked, and died
+			// before recovering leaves behind.
+			data = appendDurableFrame(data, 1)
+			if l == tornLogger && s == nseg-1 {
+				seq++
+				torn := appendBufferFrame(nil, []logTxn{{tid: tidAt(d, seq), entries: []wal.Entry{
+					put(0, key(0), []byte("torn")), put(1, key(1), []byte("torn"))}}}, compressed)
+				data = append(data, torn[:len(torn)-1-rng.Intn(len(torn)-10)]...)
+			}
+			writeSegment(t, lg.dir, l, uint64(s), data)
+		}
+	}
+	return lg
+}
+
+// TestReplayEquivalenceRandomLogs is the property test of the replay
+// pipeline: on generated logs (see buildRandomLog), plain and compressed,
+// the coalescing replay at every worker count, the sequential reference
+// wal.Recover (which replays the whole log, in TID order, onto an empty
+// store) and the generator's own model all agree on the recovered rows;
+// the transaction counters match the generated mix exactly; every in-range
+// entry is accounted for as installed, superseded or a dropped delete; and
+// the trees hold live rows only.
+func TestReplayEquivalenceRandomLogs(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		compressed := seed%3 == 0
+		t.Run(fmt.Sprintf("seed=%d,compressed=%v", seed, compressed), func(t *testing.T) {
+			lg := buildRandomLog(t, rand.New(rand.NewSource(seed)), compressed)
+			checkRows := func(label string, s *core.Store) {
+				t.Helper()
+				for ti, tbl := range s.Tables() {
+					if got := dump(t, s, tbl); !maps.Equal(got, lg.want[ti]) {
+						t.Fatalf("%s: table %s diverges from the model:\n got %v\nwant %v", label, tbl.Name, got, lg.want[ti])
+					}
+					if tbl.Tree.Len() != len(lg.want[ti]) {
+						t.Errorf("%s: table %s tree holds %d keys for %d live rows", label, tbl.Name, tbl.Tree.Len(), len(lg.want[ti]))
+					}
+				}
+			}
+
+			ref := manualStore(t, "a", "b")
+			rres, err := wal.Recover(ref, lg.dir, compressed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRows("wal.Recover", ref)
+			if rres.TxnsApplied != lg.below+lg.inRange || rres.TxnsSkipped != lg.beyond {
+				t.Errorf("wal.Recover applied %d skipped %d, want %d and %d", rres.TxnsApplied, rres.TxnsSkipped, lg.below+lg.inRange, lg.beyond)
+			}
+
+			for _, workers := range []int{1, 2, 3, 8} {
+				label := fmt.Sprintf("workers=%d", workers)
+				s := manualStore(t, "a", "b")
+				res, err := Recover(s, lg.dir, Options{Workers: workers, Compressed: compressed})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				checkRows(label, s)
+				if res.DurableEpoch != rres.DurableEpoch || res.CheckpointEpoch != lg.ce {
+					t.Errorf("%s: D=%d CE=%d, want D=%d CE=%d", label, res.DurableEpoch, res.CheckpointEpoch, rres.DurableEpoch, lg.ce)
+				}
+				if res.TxnsApplied != lg.inRange || res.TxnsBelowCheckpoint != lg.below || res.TxnsSkipped != lg.beyond {
+					t.Errorf("%s: applied %d below %d skipped %d, want %d %d %d", label,
+						res.TxnsApplied, res.TxnsBelowCheckpoint, res.TxnsSkipped, lg.inRange, lg.below, lg.beyond)
+				}
+				if sum := res.EntriesApplied + res.EntriesSuperseded + res.DeletesDropped; sum != lg.inRangeEntries {
+					t.Errorf("%s: %d installed + %d superseded + %d dropped deletes = %d, but %d in-range entries were logged", label,
+						res.EntriesApplied, res.EntriesSuperseded, res.DeletesDropped, sum, lg.inRangeEntries)
+				}
+			}
+		})
+	}
+}
+
+// TestReplayLeavesNoTombstones checks that recovery builds trees of live
+// rows only. Replaying entry by entry in arbitrary order had to install an
+// absent record for a delete whose key it had not seen yet, and nothing
+// ever collected those records; with the final version of every key known
+// before anything is installed, a deleted key simply is not there. Covered:
+// a key inserted and deleted within the log (the delete in the logger that
+// is read first), a checkpointed row deleted by the log, and — the live
+// cases around them — a delete followed by a re-insert, a checkpointed row
+// overwritten, and rows only the checkpoint or only the log knows.
+func TestReplayLeavesNoTombstones(t *testing.T) {
+	dir := t.TempDir()
+	src := manualStore(t, "t")
+	for _, k := range []string{"ckpt-deleted", "ckpt-kept", "ckpt-overwritten"} {
+		if err := src.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(src.Tables()[0], []byte(k), []byte("from-checkpoint")) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		src.AdvanceEpoch()
+	}
+	ck, err := WriteCheckpoint(src, src.Maintenance(), dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := ck.Epoch
+	// Logger 0 holds the deletes, logger 1 the inserts they supersede.
+	log0 := appendBufferFrame(nil, []logTxn{
+		{tid: tidAt(e, 5), entries: []wal.Entry{del(0, []byte("log-deleted")), del(0, []byte("ckpt-deleted"))}},
+		{tid: tidAt(e, 6), entries: []wal.Entry{del(0, []byte("log-reinserted"))}},
+	}, false)
+	log1 := appendBufferFrame(nil, []logTxn{
+		{tid: tidAt(e, 1), entries: []wal.Entry{put(0, []byte("log-deleted"), []byte("doomed")), put(0, []byte("log-kept"), []byte("from-log"))}},
+		{tid: tidAt(e, 2), entries: []wal.Entry{put(0, []byte("log-reinserted"), []byte("first"))}},
+		{tid: tidAt(e, 7), entries: []wal.Entry{put(0, []byte("log-reinserted"), []byte("second")), put(0, []byte("ckpt-overwritten"), []byte("from-log"))}},
+	}, false)
+	writeSegment(t, dir, 0, 0, appendDurableFrame(log0, e))
+	writeSegment(t, dir, 1, 0, appendDurableFrame(log1, e))
+	want := map[string]string{
+		"ckpt-kept": "from-checkpoint", "ckpt-overwritten": "from-log",
+		"log-kept": "from-log", "log-reinserted": "second",
+	}
+
+	for _, workers := range []int{1, 4} {
+		s := manualStore(t, "t")
+		tbl := s.Tables()[0]
+		res, err := Recover(s, dir, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dump(t, s, tbl); !maps.Equal(got, want) {
+			t.Errorf("workers=%d: recovered %v, want %v", workers, got, want)
+		}
+		if tbl.Tree.Len() != len(want) {
+			t.Errorf("workers=%d: tree holds %d keys for %d live rows", workers, tbl.Tree.Len(), len(want))
+		}
+		for _, k := range []string{"log-deleted", "ckpt-deleted"} {
+			if rec, _, _ := tbl.Tree.Get([]byte(k)); rec != nil {
+				t.Errorf("workers=%d: deleted key %s still has a record in the tree (word %x)", workers, k, uint64(rec.Word()))
+			}
+			if err := s.Worker(0).Run(func(tx *core.Tx) error { _, err := tx.Get(tbl, []byte(k)); return err }); err != core.ErrNotFound {
+				t.Errorf("workers=%d: Get(%s) = %v, want ErrNotFound", workers, k, err)
+			}
+		}
+		// 4 keys installed (log-kept, log-reinserted, ckpt-overwritten, and
+		// the removal of ckpt-deleted), 3 entries superseded, 1 delete with
+		// nothing to delete.
+		if res.EntriesApplied != 4 || res.EntriesSuperseded != 3 || res.DeletesDropped != 1 {
+			t.Errorf("workers=%d: %d installed, %d superseded, %d dropped deletes; want 4, 3, 1",
+				workers, res.EntriesApplied, res.EntriesSuperseded, res.DeletesDropped)
+		}
+	}
+}
+
+// TestReplayAllocatesPerWinnerNotPerEntry checks the allocation shape of
+// pass 2: decoding and routing allocate nothing per entry (batches are
+// recycled, keys and values alias the segment buffer), so two logs that
+// write the same keys — one ten times as often — differ by a handful of
+// allocations, not by a multiple of the extra entries. The comparison of
+// two whole Recover calls cancels what they share: the store, the
+// goroutines, the winners' records.
+func TestReplayAllocatesPerWinnerNotPerEntry(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const keys = 200
+	build := func(entries int) string {
+		dir := t.TempDir()
+		var data []byte
+		var frame []logTxn
+		for i := 0; i < entries; i++ {
+			frame = append(frame, logTxn{tid: tidAt(1, uint64(i+1)), entries: []wal.Entry{put(0, binKey(i%keys), make([]byte, 64))}})
+			if len(frame) == 100 {
+				data = appendBufferFrame(data, frame, false)
+				frame = frame[:0]
+			}
+		}
+		writeSegment(t, dir, 0, 0, appendDurableFrame(data, 1))
+		return dir
+	}
+	allocs := func(dir string, entries int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			s := core.NewStore(core.DefaultOptions(1))
+			defer s.Close()
+			s.CreateTable("t")
+			res, err := Recover(s, dir, Options{Workers: 2})
+			if err != nil || res.EntriesApplied != keys || res.EntriesSuperseded != entries-keys {
+				t.Fatalf("recovered %+v, err %v", res.RecoveryResult, err)
+			}
+		})
+	}
+	const small, large = 4_000, 40_000
+	a, b := allocs(build(small), small), allocs(build(large), large)
+	t.Logf("%d entries: %.0f allocations; %d entries: %.0f", small, a, large, b)
+	if extra := b - a; extra > (large-small)/64 {
+		t.Errorf("%d more entries over the same %d keys cost %.0f more allocations", large-small, keys, extra)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -253,5 +254,61 @@ func TestDDLTruncationSweep(t *testing.T) {
 	}
 	if interrupted == 0 {
 		t.Fatal("the byte sweep never landed between the index's create and ready records")
+	}
+}
+
+// TestDurableBoundSurvivesReopenCrash pins the history Open → tick → power
+// cut → Open → tick → Recover. A process that opens a durability directory
+// starts its loggers at once; they append to the newest segments, and each
+// epoch tick before recovery writes a durable frame from the fresh epoch
+// counter (d = 1, 2, …) behind the frames of the run to be recovered. If
+// that process loses power before recovering — or simply recovers a few
+// epochs late — the log must still recover in full: a logger's bound is
+// its largest durable frame. (Reading the last frame instead made D = 1
+// here, and recovery silently discarded every transaction.)
+func TestDurableBoundSurvivesReopenCrash(t *testing.T) {
+	fs, clock := NewFS(), NewClock()
+	db := openSimDB(t, fs, clock)
+	tbl := db.CreateTable("t")
+	want := map[string]string{}
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 5; i++ {
+			k, v := fmt.Sprintf("k%d", i+round), fmt.Sprintf("r%d-%d", round, i)
+			mustPut(t, db, tbl, k, v)
+			want[k] = v
+		}
+		clock.Advance(30 * time.Millisecond)
+	}
+	bound := db.DurableEpoch()
+	db.Close()
+	img := fs.Clone()
+
+	// The process that never got to recover: it ticks, its loggers fsync
+	// their small durable frames, and the power goes.
+	clock2 := NewClock()
+	doomed := openSimDB(t, img, clock2)
+	clock2.Advance(30 * time.Millisecond)
+	img.CutPower()
+	crashed := img.Crash(rand.New(rand.NewSource(1)))
+	doomed.Close()
+
+	clock3 := NewClock()
+	db3 := openSimDB(t, crashed, clock3)
+	defer db3.Close()
+	clock3.Advance(30 * time.Millisecond)
+	res, err := db3.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DurableEpoch < bound {
+		t.Fatalf("recovered D=%d, but the first run had made epoch %d durable before it closed", res.DurableEpoch, bound)
+	}
+	if res.TxnsSkipped != 0 {
+		t.Errorf("%d transactions skipped as beyond D=%d; a clean shutdown leaves none", res.TxnsSkipped, res.DurableEpoch)
+	}
+	for k, v := range want {
+		if got, ok := simGet(t, db3, "t", k); !ok || got != v {
+			t.Errorf("%s = %q (found %v), want %q", k, got, ok, v)
+		}
 	}
 }

@@ -103,7 +103,153 @@ func writeDurableFrame(w io.Writer, epoch uint64) error {
 	return err
 }
 
-// Reader iterates over the frames of one log file.
+// frameAt parses the frame starting at data[off]: its kind, its buffer
+// payload or durable epoch, and the offset of the following frame. A
+// truncated frame — or, with verify, one whose CRC does not match — yields
+// ErrCorrupt. It is the one place that knows frame headers; payload
+// contents are walkPayload's business.
+func frameAt(data []byte, off int, verify bool) (kind byte, payload []byte, epoch uint64, next int, err error) {
+	kind = data[off]
+	switch kind {
+	case frameBuffer:
+		if len(data)-off < 9 {
+			return 0, nil, 0, 0, ErrCorrupt
+		}
+		n := binary.LittleEndian.Uint32(data[off+1 : off+5])
+		if uint64(n) > uint64(len(data)-off-9) {
+			return 0, nil, 0, 0, ErrCorrupt
+		}
+		next = off + 9 + int(n)
+		payload = data[off+9 : next]
+		if verify && crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+5:off+9]) {
+			return 0, nil, 0, 0, ErrCorrupt
+		}
+		return kind, payload, 0, next, nil
+	case frameDurable:
+		if len(data)-off < 13 {
+			return 0, nil, 0, 0, ErrCorrupt
+		}
+		eb := data[off+1 : off+9]
+		if verify && crc32.ChecksumIEEE(eb) != binary.LittleEndian.Uint32(data[off+9:off+13]) {
+			return 0, nil, 0, 0, ErrCorrupt
+		}
+		return kind, nil, binary.LittleEndian.Uint64(eb), off + 13, nil
+	default:
+		return 0, nil, 0, 0, fmt.Errorf("%w: unknown frame kind %q", ErrCorrupt, kind)
+	}
+}
+
+// Visitor receives a segment's decoded contents from Segment.Walk, in log
+// order. Txn is called once per transaction record, before its entries;
+// returning false skips them (replay's epoch filter never pays for
+// decoding what it discards). Entry is called once per logged record
+// modification of the transaction last announced. key and value alias the
+// segment's buffer (or, for compressed logs, the inflated payload): they
+// stay valid as long as the visitor holds them, but must be copied before
+// they are stored anywhere that outlives recovery. value is nil for a
+// delete.
+type Visitor interface {
+	Txn(tid uint64, writes int) bool
+	Entry(table uint32, key, value []byte, del bool)
+}
+
+// skipEntries hops over n entries starting at p[off], returning the offset
+// past them, or false if they run off the end of p.
+func skipEntries(p []byte, off int, n uint32) (int, bool) {
+	for ; n > 0; n-- {
+		if len(p)-off < 6 {
+			return 0, false
+		}
+		klen := int(binary.LittleEndian.Uint16(p[off+4:]))
+		off += 6
+		if len(p)-off < klen+4 {
+			return 0, false
+		}
+		vlen := binary.LittleEndian.Uint32(p[off+klen:])
+		off += klen + 4
+		if vlen == deleteMarker {
+			continue
+		}
+		if uint64(vlen) > uint64(len(p)-off) {
+			return 0, false
+		}
+		off += int(vlen)
+	}
+	return off, true
+}
+
+// checkPayload reports whether p is a well-formed sequence of transaction
+// records. walkPayload runs only on payloads that passed, so a visitor never
+// sees part of a frame whose remainder is malformed.
+func checkPayload(p []byte) bool {
+	for off := 0; off < len(p); {
+		if len(p)-off < 12 {
+			return false
+		}
+		var ok bool
+		if off, ok = skipEntries(p, off+12, binary.LittleEndian.Uint32(p[off+8:])); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// walkPayload is the decoder of the transaction-record format: it feeds
+// every record of a checked payload to v without copying or allocating.
+func walkPayload(p []byte, v Visitor) {
+	for off := 0; off < len(p); {
+		tid := binary.LittleEndian.Uint64(p[off:])
+		n := binary.LittleEndian.Uint32(p[off+8:])
+		off += 12
+		if !v.Txn(tid, int(n)) {
+			off, _ = skipEntries(p, off, n)
+			continue
+		}
+		for ; n > 0; n-- {
+			table := binary.LittleEndian.Uint32(p[off:])
+			klen := int(binary.LittleEndian.Uint16(p[off+4:]))
+			key := p[off+6 : off+6+klen : off+6+klen]
+			off += 6 + klen
+			vlen := binary.LittleEndian.Uint32(p[off:])
+			off += 4
+			if vlen == deleteMarker {
+				v.Entry(table, key, nil, true)
+				continue
+			}
+			v.Entry(table, key, p[off:off+int(vlen):off+int(vlen)], false)
+			off += int(vlen)
+		}
+	}
+}
+
+// txnCollector materializes what it is shown as TxnRecords that own their
+// bytes — the copying form of the decoder, for callers that keep records
+// beyond the segment buffer (Reader, ParseLogFile*).
+type txnCollector struct {
+	txns []TxnRecord
+}
+
+func (c *txnCollector) Txn(tid uint64, writes int) bool {
+	rec := TxnRecord{TID: tid}
+	if writes > 0 {
+		rec.Entries = make([]Entry, 0, writes)
+	}
+	c.txns = append(c.txns, rec)
+	return true
+}
+
+func (c *txnCollector) Entry(table uint32, key, value []byte, del bool) {
+	t := &c.txns[len(c.txns)-1]
+	t.Entries = append(t.Entries, Entry{
+		Table:  table,
+		Key:    append([]byte(nil), key...),
+		Value:  append([]byte(nil), value...),
+		Delete: del,
+	})
+}
+
+// Reader iterates over the frames of one uncompressed log file,
+// materializing each buffer frame's transactions.
 type Reader struct {
 	data []byte
 	off  int
@@ -125,125 +271,19 @@ func (r *Reader) Next() (Frame, error) {
 	if r.off >= len(r.data) {
 		return Frame{}, io.EOF
 	}
-	kind := r.data[r.off]
-	switch kind {
-	case frameBuffer:
-		if r.off+9 > len(r.data) {
-			return Frame{}, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(r.data[r.off+1 : r.off+5]))
-		sum := binary.LittleEndian.Uint32(r.data[r.off+5 : r.off+9])
-		if r.off+9+n > len(r.data) {
-			return Frame{}, ErrCorrupt
-		}
-		payload := r.data[r.off+9 : r.off+9+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return Frame{}, ErrCorrupt
-		}
-		txns, err := parsePayload(payload)
-		if err != nil {
-			return Frame{}, err
-		}
-		r.off += 9 + n
-		return Frame{Txns: txns}, nil
-	case frameDurable:
-		if r.off+13 > len(r.data) {
-			return Frame{}, ErrCorrupt
-		}
-		eb := r.data[r.off+1 : r.off+9]
-		sum := binary.LittleEndian.Uint32(r.data[r.off+9 : r.off+13])
-		if crc32.ChecksumIEEE(eb) != sum {
-			return Frame{}, ErrCorrupt
-		}
-		r.off += 13
-		return Frame{Durable: true, DurableEpoch: binary.LittleEndian.Uint64(eb)}, nil
-	default:
-		return Frame{}, fmt.Errorf("%w: unknown frame kind %q", ErrCorrupt, kind)
+	kind, payload, epoch, next, err := frameAt(r.data, r.off, true)
+	if err != nil {
+		return Frame{}, err
 	}
-}
-
-// rawReader walks frames yielding raw payloads (no transaction parsing),
-// for logs whose payloads are compressed.
-type rawReader struct {
-	data []byte
-	off  int
-}
-
-func (r *rawReader) next() (kind byte, payload []byte, durableEpoch uint64, err error) {
-	if r.off >= len(r.data) {
-		return 0, nil, 0, io.EOF
+	if kind == frameDurable {
+		r.off = next
+		return Frame{Durable: true, DurableEpoch: epoch}, nil
 	}
-	kind = r.data[r.off]
-	switch kind {
-	case frameBuffer:
-		if r.off+9 > len(r.data) {
-			return 0, nil, 0, ErrCorrupt
-		}
-		n := int(binary.LittleEndian.Uint32(r.data[r.off+1 : r.off+5]))
-		sum := binary.LittleEndian.Uint32(r.data[r.off+5 : r.off+9])
-		if r.off+9+n > len(r.data) {
-			return 0, nil, 0, ErrCorrupt
-		}
-		payload = r.data[r.off+9 : r.off+9+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return 0, nil, 0, ErrCorrupt
-		}
-		r.off += 9 + n
-		return kind, payload, 0, nil
-	case frameDurable:
-		if r.off+13 > len(r.data) {
-			return 0, nil, 0, ErrCorrupt
-		}
-		eb := r.data[r.off+1 : r.off+9]
-		sum := binary.LittleEndian.Uint32(r.data[r.off+9 : r.off+13])
-		if crc32.ChecksumIEEE(eb) != sum {
-			return 0, nil, 0, ErrCorrupt
-		}
-		r.off += 13
-		return kind, nil, binary.LittleEndian.Uint64(eb), nil
-	default:
-		return 0, nil, 0, fmt.Errorf("%w: unknown frame kind %q", ErrCorrupt, kind)
+	if !checkPayload(payload) {
+		return Frame{}, ErrCorrupt
 	}
-}
-
-func parsePayload(p []byte) ([]TxnRecord, error) {
-	var txns []TxnRecord
-	off := 0
-	for off < len(p) {
-		if off+12 > len(p) {
-			return nil, ErrCorrupt
-		}
-		tid := binary.LittleEndian.Uint64(p[off : off+8])
-		n := int(binary.LittleEndian.Uint32(p[off+8 : off+12]))
-		off += 12
-		rec := TxnRecord{TID: tid}
-		for i := 0; i < n; i++ {
-			if off+6 > len(p) {
-				return nil, ErrCorrupt
-			}
-			table := binary.LittleEndian.Uint32(p[off : off+4])
-			klen := int(binary.LittleEndian.Uint16(p[off+4 : off+6]))
-			off += 6
-			if off+klen+4 > len(p) {
-				return nil, ErrCorrupt
-			}
-			key := append([]byte(nil), p[off:off+klen]...)
-			off += klen
-			vlen := binary.LittleEndian.Uint32(p[off : off+4])
-			off += 4
-			e := Entry{Table: table, Key: key}
-			if vlen == deleteMarker {
-				e.Delete = true
-			} else {
-				if off+int(vlen) > len(p) {
-					return nil, ErrCorrupt
-				}
-				e.Value = append([]byte(nil), p[off:off+int(vlen)]...)
-				off += int(vlen)
-			}
-			rec.Entries = append(rec.Entries, e)
-		}
-		txns = append(txns, rec)
-	}
-	return txns, nil
+	var c txnCollector
+	walkPayload(payload, &c)
+	r.off = next
+	return Frame{Txns: c.txns}, nil
 }

@@ -1,0 +1,275 @@
+package wal
+
+import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"os"
+	"reflect"
+	"testing"
+
+	"silo/internal/core"
+)
+
+// refSegment is what a segment holds according to refParse.
+type refSegment struct {
+	txns    []TxnRecord
+	durable uint64
+	ends    []int // offset after each well-formed frame
+}
+
+// refParse is a second, deliberately plain reading of the on-disk format
+// (see the comment at the top of format.go) for the fuzz target to compare
+// the decoder with: it copies everything, checks every length before it
+// uses it, and shares no code with frameAt, checkPayload or walkPayload.
+// The segment's durable epoch is the largest durable frame before the
+// first frame with a bad header or CRC; its transactions are those of the
+// buffer frames before that point, up to the first one whose payload does
+// not inflate or decode.
+func refParse(data []byte, compressed bool) refSegment {
+	var out refSegment
+	decoding := true
+	for off := 0; off < len(data); {
+		switch data[off] {
+		case 'D':
+			if off+13 > len(data) || crc32.ChecksumIEEE(data[off+1:off+9]) != binary.LittleEndian.Uint32(data[off+9:]) {
+				return out
+			}
+			out.durable = max(out.durable, binary.LittleEndian.Uint64(data[off+1:]))
+			off += 13
+		case 'B':
+			if off+9 > len(data) {
+				return out
+			}
+			n := int(binary.LittleEndian.Uint32(data[off+1:]))
+			if n > len(data)-off-9 {
+				return out
+			}
+			p := data[off+9 : off+9+n]
+			if crc32.ChecksumIEEE(p) != binary.LittleEndian.Uint32(data[off+5:]) {
+				return out
+			}
+			off += 9 + n
+			if decoding {
+				txns, ok := refPayload(p, compressed)
+				if decoding = ok; ok {
+					out.txns = append(out.txns, txns...)
+				}
+			}
+		default:
+			return out
+		}
+		out.ends = append(out.ends, off)
+	}
+	return out
+}
+
+func refPayload(p []byte, compressed bool) ([]TxnRecord, bool) {
+	if compressed {
+		var err error
+		if p, err = io.ReadAll(flate.NewReader(bytes.NewReader(p))); err != nil {
+			return nil, false
+		}
+	}
+	var txns []TxnRecord
+	for len(p) > 0 {
+		if len(p) < 12 {
+			return nil, false
+		}
+		t := TxnRecord{TID: binary.LittleEndian.Uint64(p)}
+		n := binary.LittleEndian.Uint32(p[8:])
+		p = p[12:]
+		for ; n > 0; n-- {
+			if len(p) < 6 {
+				return nil, false
+			}
+			e := Entry{Table: binary.LittleEndian.Uint32(p)}
+			klen := int(binary.LittleEndian.Uint16(p[4:]))
+			p = p[6:]
+			if len(p) < klen+4 {
+				return nil, false
+			}
+			e.Key = append([]byte(nil), p[:klen]...)
+			vlen := binary.LittleEndian.Uint32(p[klen:])
+			p = p[klen+4:]
+			if vlen == ^uint32(0) {
+				e.Delete = true
+			} else {
+				if uint64(vlen) > uint64(len(p)) {
+					return nil, false
+				}
+				e.Value = append([]byte(nil), p[:vlen]...)
+				p = p[vlen:]
+			}
+			t.Entries = append(t.Entries, e)
+		}
+		txns = append(txns, t)
+	}
+	return txns, true
+}
+
+// aliasRecorder is a Visitor that keeps what it is shown without copying,
+// as replay does, and checks the visitor contract as it goes.
+type aliasRecorder struct {
+	t    *testing.T
+	txns []TxnRecord
+	left int // entries still owed for the last transaction
+}
+
+func (r *aliasRecorder) Txn(tid uint64, writes int) bool {
+	if r.left != 0 {
+		r.t.Fatalf("transaction %x announced with %d entries of the previous one outstanding", tid, r.left)
+	}
+	// Every third transaction is skipped, which must not disturb the rest.
+	r.txns = append(r.txns, TxnRecord{TID: tid})
+	if len(r.txns)%3 == 0 {
+		return false
+	}
+	r.left = writes
+	return true
+}
+
+func (r *aliasRecorder) Entry(table uint32, key, value []byte, del bool) {
+	r.left--
+	if del != (value == nil) {
+		r.t.Fatalf("entry with delete=%v carries value %v", del, value)
+	}
+	cur := &r.txns[len(r.txns)-1]
+	cur.Entries = append(cur.Entries, Entry{Table: table, Key: key, Value: value, Delete: del})
+}
+
+// sameEntries compares decoded entries, treating nil and empty alike (the
+// copying forms turn an empty value into nil; the aliasing one does not).
+func sameEntries(a, b []Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Table != b[i].Table || a[i].Delete != b[i].Delete ||
+			!bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// realSegments runs a small workload through real loggers — rotating
+// segments, updates and deletes — and returns the segments they wrote.
+func realSegments(tb testing.TB, compress bool) [][]byte {
+	dir := tb.TempDir()
+	s, m := attachedStore(tb, 1, Config{Dir: dir, Compress: compress, SegmentBytes: 512})
+	tbl := s.CreateTable("t")
+	w := s.Worker(0)
+	for i := 0; i < 24; i++ {
+		if err := w.Run(func(tx *core.Tx) error {
+			k := []byte(fmt.Sprintf("key%02d", i%10))
+			switch {
+			case i < 10:
+				return tx.Insert(tbl, k, bytes.Repeat([]byte{byte(i)}, 40))
+			case i%4 == 0:
+				return tx.Delete(tbl, k)
+			default:
+				err := tx.Put(tbl, k, bytes.Repeat([]byte{byte(i)}, i))
+				if err == core.ErrNotFound {
+					return tx.Insert(tbl, k, nil)
+				}
+				return err
+			}
+		}); err != nil {
+			tb.Fatal(err)
+		}
+		waitDurableFor(tb, s, m, 1) // one logger pass per transaction, so the segments rotate
+	}
+	m.Stop()
+	infos, err := ListLogFiles(dir)
+	if err != nil || len(infos) < 2 {
+		tb.Fatalf("want rotated segments, got %d (err %v)", len(infos), err)
+	}
+	var segs [][]byte
+	for _, fi := range infos {
+		data, err := os.ReadFile(fi.Path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		segs = append(segs, data)
+	}
+	return segs
+}
+
+// FuzzWalkSegment fuzzes the log decoder — the first parser in the system
+// to read bytes from disk. Seeds are segments written by real loggers,
+// plain and compressed, whole and cut at and around every frame boundary.
+// For any input, ScanSegment and Segment.Walk must not panic or read out of
+// bounds, must report exactly the transactions, entries and durable epoch
+// that the plain reading of the format (refParse) finds — in particular
+// nothing from the first corrupt frame on — and must agree with the copying
+// forms built on top of them (ParseLogFile*'s collector, Reader.Next).
+func FuzzWalkSegment(f *testing.F) {
+	for _, compressed := range []bool{false, true} {
+		for _, seg := range realSegments(f, compressed) {
+			f.Add(seg, compressed)
+			for _, end := range refParse(seg, compressed).ends {
+				for _, cut := range []int{end - 1, end, end + 1, end + 5} {
+					if cut < len(seg) {
+						f.Add(seg[:cut], compressed)
+					}
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, compressed bool) {
+		want := refParse(data, compressed)
+		seg := ScanSegment(data, compressed)
+		if seg.Durable != want.durable || seg.Size != int64(len(data)) {
+			t.Fatalf("ScanSegment: durable %d size %d, want %d and %d", seg.Durable, seg.Size, want.durable, len(data))
+		}
+
+		rec := &aliasRecorder{t: t}
+		seg.Walk(rec)
+		if rec.left != 0 {
+			t.Fatalf("walk ended with %d entries outstanding", rec.left)
+		}
+		if len(rec.txns) != len(want.txns) {
+			t.Fatalf("walk yields %d transactions, the format holds %d", len(rec.txns), len(want.txns))
+		}
+		for i, got := range rec.txns {
+			w := want.txns[i]
+			if (i+1)%3 == 0 {
+				w.Entries = nil // skipped by the recorder
+			}
+			if got.TID != w.TID || !sameEntries(got.Entries, w.Entries) {
+				t.Fatalf("transaction %d: walk yields %+v, the format holds %+v", i, got, w)
+			}
+		}
+
+		var c txnCollector
+		seg.Walk(&c)
+		if len(c.txns) != len(want.txns) {
+			t.Fatalf("collector holds %d transactions, want %d", len(c.txns), len(want.txns))
+		}
+		for i := range c.txns {
+			if c.txns[i].TID != want.txns[i].TID || !sameEntries(c.txns[i].Entries, want.txns[i].Entries) {
+				t.Fatalf("transaction %d: collector holds %+v, want %+v", i, c.txns[i], want.txns[i])
+			}
+		}
+
+		if !compressed {
+			// Reader.Next stops at the first frame it cannot decode, so it
+			// sees the same transactions.
+			var txns []TxnRecord
+			for r := NewReader(data); ; {
+				fr, err := r.Next()
+				if err != nil {
+					break
+				}
+				txns = append(txns, fr.Txns...)
+			}
+			if !reflect.DeepEqual(txns, c.txns) {
+				t.Fatalf("Reader yields %d transactions that differ from the collector's %d", len(txns), len(c.txns))
+			}
+		}
+	})
+}

@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"compress/flate"
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -82,9 +81,78 @@ func ListLogFilesFS(fs vfs.FS, dir string) ([]LogFileInfo, error) {
 	return infos, nil
 }
 
+// Segment is the verified prefix of one log segment: every frame in it has a
+// well-formed header and a matching CRC (pass 1 of recovery, ScanSegment).
+// Only a Segment can be decoded (Walk), so entries are never read from bytes
+// that were not checked, and the frames are checksummed exactly once.
+type Segment struct {
+	// Durable is the largest durable-epoch frame in the prefix: this
+	// segment's contribution to its logger's bound d_l. It is the maximum,
+	// not the last: d_l only advances within a run, but a process that
+	// opens an existing directory appends to its newest segments, and until
+	// it has recovered, its fresh epoch counter writes small d values after
+	// the large ones of the run being recovered. Taking the last frame
+	// would let such a run — one epoch tick between Open and Recover, or a
+	// crash between them — shrink D to 1 and silently discard the log.
+	Durable uint64
+	// Size is the length of the whole file, torn tail included.
+	Size int64
+
+	data       []byte
+	compressed bool
+}
+
+// ScanSegment walks data's frame headers and CRCs — no payload is decoded —
+// and returns the prefix that is usable: everything before the first torn
+// or damaged frame (as with any write-ahead log, what follows one is
+// discarded). compressed records that buffer payloads are deflated
+// (Config.Compress); frames are shaped the same either way.
+func ScanSegment(data []byte, compressed bool) Segment {
+	s := Segment{Size: int64(len(data)), compressed: compressed}
+	off := 0
+	for off < len(data) {
+		kind, _, epoch, next, err := frameAt(data, off, true)
+		if err != nil {
+			break
+		}
+		if kind == frameDurable && epoch > s.Durable {
+			s.Durable = epoch
+		}
+		off = next
+	}
+	s.data = data[:off]
+	return s
+}
+
+// Walk decodes the segment's transactions into v, in log order, without
+// copying or allocating (compressed payloads are inflated first). A buffer
+// frame whose payload does not decode ends the walk before any of it is
+// shown: such a frame cannot come from a torn write (its CRC matched), so
+// nothing after it is trusted either.
+func (s Segment) Walk(v Visitor) {
+	for off := 0; off < len(s.data); {
+		// The prefix is verified: no error, and no second checksum.
+		kind, payload, _, next, _ := frameAt(s.data, off, false)
+		off = next
+		if kind == frameDurable {
+			continue
+		}
+		if s.compressed {
+			var err error
+			if payload, err = decompress(payload); err != nil {
+				return
+			}
+		}
+		if !checkPayload(payload) {
+			return
+		}
+		walkPayload(payload, v)
+	}
+}
+
 // ParseLogFilePath reads and parses one log segment, tolerating a torn
-// tail. It returns the segment's transactions, its last durable epoch, and
-// its size in bytes.
+// tail. It returns the segment's transactions, its durable epoch (see
+// Segment.Durable), and its size in bytes.
 func ParseLogFilePath(path string, compressed bool) (txns []TxnRecord, durable uint64, size int64, err error) {
 	return ParseLogFileFS(vfs.OS, path, compressed)
 }
@@ -95,19 +163,14 @@ func ParseLogFileFS(fs vfs.FS, path string, compressed bool) (txns []TxnRecord, 
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if compressed {
-		txns, durable, err = parseCompressedFile(data)
-	} else {
-		txns, durable, err = parseFile(data, false)
-	}
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return txns, durable, int64(len(data)), nil
+	seg := ScanSegment(data, compressed)
+	var c txnCollector
+	seg.Walk(&c)
+	return c.txns, seg.Durable, seg.Size, nil
 }
 
-// DurableBound computes the global durable epoch D from per-segment last
-// durable epochs: segments of one logger share that logger's bound (its
+// DurableBound computes the global durable epoch D from per-segment
+// durable epochs (Segment.Durable): segments of one logger share that logger's bound (its
 // maximum — d_l only advances), and D is the minimum over loggers. With
 // one segment per logger this is the plain minimum over files.
 func DurableBound(infos []LogFileInfo, durables []uint64) uint64 {
@@ -131,7 +194,7 @@ func DurableBound(infos []LogFileInfo, durables []uint64) uint64 {
 
 // ReadLogDir parses every log file in dir, tolerating a torn tail (a
 // truncated final frame is treated as end-of-log). It returns the per-file
-// transaction records and each file's final durable epoch, ordered by
+// transaction records and each file's durable epoch, ordered by
 // (logger, segment).
 func ReadLogDir(dir string) (files [][]TxnRecord, durables []uint64, err error) {
 	return readLogDir(dir, false)
@@ -168,33 +231,6 @@ func readLogDirInfos(dir string, compressed bool) ([][]TxnRecord, []uint64, []Lo
 	return files, durables, infos, nil
 }
 
-// parseFile walks frames until EOF or a torn frame, returning all parsed
-// transactions and the last durable epoch seen.
-func parseFile(data []byte, compressed bool) ([]TxnRecord, uint64, error) {
-	r := NewReader(data)
-	var txns []TxnRecord
-	var durable uint64
-	for {
-		f, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if errors.Is(err, ErrCorrupt) {
-			// Torn tail from a crash: everything up to here is usable.
-			break
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		if f.Durable {
-			durable = f.DurableEpoch
-			continue
-		}
-		txns = append(txns, f.Txns...)
-	}
-	return txns, durable, nil
-}
-
 // decompress inflates one buffer-frame payload written with Config.Compress.
 func decompress(p []byte) ([]byte, error) {
 	fr := flate.NewReader(bytes.NewReader(p))
@@ -209,9 +245,10 @@ func decompress(p []byte) ([]byte, error) {
 // (§4.10: transactions with epochs after D are ignored — replaying a subset
 // of an epoch could produce an inconsistent state).
 //
-// Recover is the sequential reference implementation; internal/recovery
-// provides the partitioned parallel path, which must produce identical
-// state.
+// Recover is the sequential reference implementation: it materializes every
+// transaction and applies them one by one in TID order, the paper's
+// description taken literally. internal/recovery provides the coalescing
+// parallel path, which must produce identical state.
 func Recover(store *core.Store, dir string, compressed bool) (RecoveryResult, error) {
 	var res RecoveryResult
 	files, durables, infos, err := readLogDirInfos(dir, compressed)
@@ -221,11 +258,6 @@ func Recover(store *core.Store, dir string, compressed bool) (RecoveryResult, er
 	res.DurableEpoch = DurableBound(infos, durables)
 	d := res.DurableEpoch
 
-	// Replay: log records for the same key must be applied in TID order;
-	// replaying entire transactions in TID order trivially satisfies that
-	// and matches the paper's description. (The paper notes replay can
-	// otherwise be concurrent; correctness needs only per-record TID
-	// order, which ApplyEntry enforces with a compare anyway.)
 	var all []TxnRecord
 	for _, f := range files {
 		all = append(all, f...)
@@ -240,7 +272,12 @@ func Recover(store *core.Store, dir string, compressed bool) (RecoveryResult, er
 		}
 		res.TxnsApplied++
 		for j := range t.Entries {
-			if ApplyEntry(store, &t.Entries[j], t.TID) {
+			e := &t.Entries[j]
+			tbl := store.TableByID(e.Table)
+			if tbl == nil {
+				continue // undeclared table: skipped, as the schema is the caller's
+			}
+			if ApplyFinal(tbl, t.TID, e.Key, e.Value, e.Delete) == Applied {
 				res.EntriesApplied++
 			}
 		}
@@ -248,94 +285,59 @@ func Recover(store *core.Store, dir string, compressed bool) (RecoveryResult, er
 	return res, nil
 }
 
-func parseCompressedFile(data []byte) ([]TxnRecord, uint64, error) {
-	// Frame structure is shared; only buffer payloads differ. Walk frames
-	// manually so payloads can be decompressed before parsing.
-	var txns []TxnRecord
-	var durable uint64
-	r := &rawReader{data: data}
-	for {
-		kind, payload, depoch, err := r.next()
-		if err == io.EOF || errors.Is(err, ErrCorrupt) {
-			break
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		if kind == frameDurable {
-			durable = depoch
-			continue
-		}
-		raw, err := decompress(payload)
-		if err != nil {
-			break // torn compressed tail
-		}
-		ts, err := parsePayload(raw)
-		if err != nil {
-			break
-		}
-		txns = append(txns, ts...)
-	}
-	return txns, durable, nil
-}
+// Outcome says what ApplyFinal did with a logged modification.
+type Outcome int
 
-// ApplyEntry installs one logged modification if its TID is newer than what
-// the store already holds for the key — the TID-max install rule that makes
-// replay order-free: any interleaving of entries converges on the newest
-// version per record. It uses the normal record lock protocol, so parallel
-// replay workers (internal/recovery) may apply entries concurrently, even
-// for the same key. It reports whether the entry changed the store; entries
-// for unknown table IDs are skipped (callers that require a complete schema
-// must check the table ID themselves first).
-func ApplyEntry(store *core.Store, e *Entry, txnTID uint64) bool {
-	tbl := store.TableByID(e.Table)
-	if tbl == nil {
-		return false
-	}
-	return ApplyEntryTable(tbl, e, txnTID)
-}
+const (
+	// Applied: the store changed — a row was inserted, overwritten or
+	// removed.
+	Applied Outcome = iota
+	// Superseded: the store already holds a version of the key at least as
+	// new; nothing changed.
+	Superseded
+	// Dropped: a delete of a key the store does not hold; nothing to do.
+	Dropped
+)
 
-// ApplyEntryTable is ApplyEntry with the table already resolved, so
-// parallel replay workers skip the store's table-registry lookup on every
-// entry. Replay is insert-mostly (a fresh store), so puts go straight
-// through insert-if-absent — one tree descent for new keys — and fall
-// back to the lock-and-compare path only when the key already exists.
-func ApplyEntryTable(tbl *core.Table, e *Entry, txnTID uint64) bool {
-	if e.Delete {
-		rec, _, _ := tbl.Tree.Get(e.Key)
+// ApplyFinal installs a logged modification of key under the paper's
+// recovery rule — the newest TID per record wins — for a caller that knows
+// no older modification of the same key is still to come: the sequential
+// replay, which applies in TID order, and the parallel one, which hands over
+// only each key's newest logged version. That knowledge is what lets a
+// delete simply remove the row (or do nothing) where an order-free replay
+// would have to leave a tombstone behind to fend off a late-arriving older
+// insert — tombstones that nothing would ever collect.
+//
+// The key is looked up and its TID compared before anything is allocated;
+// only a put that wins allocates, and a put over a value of the same length
+// (a checkpoint row, typically) reuses the record's buffer. value is copied,
+// never retained. Recovery owns the store: callers may run concurrently for
+// different keys, not for the same one.
+func ApplyFinal(tbl *core.Table, txnTID uint64, key, value []byte, del bool) Outcome {
+	if del {
+		rec, _, _ := tbl.Tree.Get(key)
 		if rec == nil {
-			// A delete of a key not yet seen must install an absent
-			// tombstone, not no-op: parallel replay applies entries in
-			// arbitrary cross-file order, so this transaction's insert may
-			// not have arrived yet — without the tombstone it would
-			// resurrect the key, breaking TID-max convergence.
-			nr := record.New(tid.Word(txnTID).WithLatest(true).WithAbsent(true), nil)
-			cur, inserted, _ := tbl.Tree.InsertIfAbsent(e.Key, nr)
-			if inserted {
-				return true
-			}
-			rec = cur
+			return Dropped
 		}
-		w := rec.Lock()
-		if w.TID() >= txnTID {
-			rec.Unlock(w)
-			return false
+		if rec.Word().TID() >= txnTID {
+			return Superseded
 		}
-		rec.SetDataLocked(nil, false)
-		rec.Unlock(tid.Word(txnTID).WithLatest(true).WithAbsent(true))
-		return true
+		tbl.Tree.Remove(key)
+		return Applied
 	}
-	nr := record.New(tid.Word(txnTID).WithLatest(true), append([]byte(nil), e.Value...))
-	rec, inserted, _ := tbl.Tree.InsertIfAbsent(e.Key, nr)
+	word := tid.Word(txnTID).WithLatest(true)
+	rec, inserted := tbl.Tree.GetOrInsert(key, func() *record.Record {
+		return record.New(word, append(make([]byte, 0, len(value)), value...))
+	})
 	if inserted {
-		return true
+		return Applied
 	}
 	w := rec.Lock()
 	if w.TID() >= txnTID {
 		rec.Unlock(w)
-		return false
+		return Superseded
 	}
-	rec.SetDataLocked(e.Value, false)
-	rec.Unlock(tid.Word(txnTID).WithLatest(true).WithAbsent(false))
-	return true
+	rec.SetDataLocked(value, true)
+	rec.Unlock(word)
+	return Applied
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -274,5 +275,40 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 	}
 	if res.TxnsApplied != 1 {
 		t.Fatalf("recovered %d txns after truncation, want 1 (only the post-checkpoint write)", res.TxnsApplied)
+	}
+}
+
+// TestSegmentDurableIsMaxFrame pins the rule for a segment's durable
+// epoch: the largest durable frame, not the last. A process that opens an
+// existing directory appends to its newest segments, and before it has
+// recovered, its fresh epoch counter writes d = 1, 2, … after the large
+// values of the run it is about to recover; reading the last frame would
+// make D = 1 and recovery would discard the whole log as not durable.
+func TestSegmentDurableIsMaxFrame(t *testing.T) {
+	var buf bytes.Buffer
+	writeBufferFrame(&buf, appendTxn(nil, uint64(tid.Make(99, 1)), []Entry{{Table: 0, Key: []byte("k"), Value: []byte("v")}}))
+	writeDurableFrame(&buf, 100)
+	writeDurableFrame(&buf, 1)
+	if seg := ScanSegment(buf.Bytes(), false); seg.Durable != 100 {
+		t.Fatalf("segment …D100, D1 has durable epoch %d, want 100", seg.Durable)
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, SegmentName(0, 0))
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, durable, _, err := ParseLogFilePath(path, false); err != nil || durable != 100 {
+		t.Fatalf("ParseLogFilePath: durable %d err %v, want 100", durable, err)
+	}
+	s := core.NewStore(core.DefaultOptions(1))
+	defer s.Close()
+	s.CreateTable("t")
+	res, err := Recover(s, dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DurableEpoch != 100 || res.TxnsApplied != 1 || res.TxnsSkipped != 0 {
+		t.Fatalf("recovered D=%d applied=%d skipped=%d, want D=100 with the epoch-99 transaction applied", res.DurableEpoch, res.TxnsApplied, res.TxnsSkipped)
 	}
 }

@@ -151,7 +151,7 @@ func TestTornFrameDetection(t *testing.T) {
 
 // ---- Logging + durable epoch ----
 
-func attachedStore(t *testing.T, workers int, cfg Config) (*core.Store, *Manager) {
+func attachedStore(t testing.TB, workers int, cfg Config) (*core.Store, *Manager) {
 	t.Helper()
 	opts := core.DefaultOptions(workers)
 	opts.EpochInterval = time.Millisecond
@@ -236,7 +236,7 @@ func TestWaitDurable(t *testing.T) {
 }
 
 // waitDurableFor spins heartbeats until D covers every worker's last commit.
-func waitDurableFor(t *testing.T, s *core.Store, m *Manager, workers int) {
+func waitDurableFor(t testing.TB, s *core.Store, m *Manager, workers int) {
 	t.Helper()
 	var target uint64
 	for w := 0; w < workers; w++ {
