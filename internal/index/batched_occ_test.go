@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"testing"
 
 	"silo/internal/core"
@@ -35,7 +36,10 @@ func batchedSetup(t *testing.T) (*core.Store, *core.Table, *Index) {
 
 // TestBatchedResolveRowDeletedInGap: the concurrent writer deletes a
 // collected row; resolution finds the entry's row gone and must report
-// ErrConflict (retryable), not fabricate or skip a row.
+// ErrConflict (retryable), not fabricate or skip a row. The batch is in
+// primary-key order, so it is emitted as it resolves: the callback has
+// seen exactly the rows before the missing one when the conflict
+// surfaces — the prefix a re-executed transaction body must discard.
 func TestBatchedResolveRowDeletedInGap(t *testing.T) {
 	s, users, byCity := batchedSetup(t)
 	w0, w1 := s.Worker(0), s.Worker(1)
@@ -49,12 +53,18 @@ func TestBatchedResolveRowDeletedInGap(t *testing.T) {
 	})
 
 	tx := w0.Begin()
-	err := ScanBatched(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(_, _, _ []byte) bool { return true })
+	var emitted []string
+	err := ScanBatched(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(_, pk, _ []byte) bool {
+		emitted = append(emitted, string(pk))
+		return true
+	})
+	tx.Abort()
 	if err != core.ErrConflict {
-		tx.Abort()
 		t.Fatalf("batched scan over deleted row err = %v, want ErrConflict", err)
 	}
-	tx.Abort()
+	if got, want := fmt.Sprint(emitted), "[u000 u001 u002]"; got != want {
+		t.Fatalf("rows emitted before the conflict: %s, want %s", got, want)
+	}
 }
 
 // TestBatchedResolveRowMovedInGap: the concurrent writer moves a row's

@@ -1,0 +1,248 @@
+package index
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"silo/internal/core"
+	"silo/internal/race"
+)
+
+// batched_stream_test.go covers ScanBatched's two emission orders. A
+// batch whose collected primary keys are already ascending is emitted
+// from inside the multi-get, row by row as it resolves; any other batch
+// is resolved in primary order into a staging arena and emitted after.
+// Both must be indistinguishable from the per-entry Scan — in full, and
+// when the caller stops at any position — and neither may allocate.
+
+// TestBatchedEmissionOrdersAgree runs the property-test workload under
+// two indexes: one keyed by a random spec (secondary order scrambles
+// primary order: staged) and one keyed by the primary key itself
+// (parallel: streamed). On each, ScanBatched ≡ Scan for the whole range
+// and for a stop after every k-th row.
+func TestBatchedEmissionOrdersAgree(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 4
+	}
+	sawStaged := false
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)*104729 + 5))
+		s := newStore(t, 1)
+		tbl := s.CreateTable("rows")
+		w := s.Worker(0)
+		scrambled, err := CompileSpec(propSpec(rng, 3, 12))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := CompileSpec([]Seg{{Off: 0, Len: 5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes := []*Index{
+			New(s, tbl, "rows_scrambled", false, scrambled),
+			New(s, tbl, "rows_parallel", false, parallel),
+		}
+		for i := 0; i < 200; i++ {
+			k := []byte(fmt.Sprintf("p%04d", rng.Intn(60)))
+			v := make([]byte, propRowWidth)
+			rng.Read(v)
+			if err := w.Run(func(tx *core.Tx) error {
+				if rng.Intn(5) == 0 {
+					if err := tx.Delete(tbl, k); err != core.ErrNotFound {
+						return err
+					}
+					return nil
+				}
+				if err := tx.Insert(tbl, k, v); err != core.ErrKeyExists {
+					return err
+				}
+				return tx.Put(tbl, k, v)
+			}); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, i, err)
+			}
+		}
+
+		for _, ix := range indexes {
+			if err := w.Run(func(tx *core.Tx) error {
+				var ref []propTriple
+				if err := Scan(tx, ix, []byte{0}, nil, func(sk, pk, val []byte) bool {
+					ref = append(ref, propTriple{string(sk), string(pk), string(val)})
+					return true
+				}); err != nil {
+					return err
+				}
+				if len(ref) <= 8 {
+					t.Fatalf("seed %d: only %d rows; the batched path needs more than 8", seed, len(ref))
+				}
+				ascending := sort.SliceIsSorted(ref, func(a, b int) bool { return ref[a].pk < ref[b].pk })
+				if ascending != (ix == indexes[1]) {
+					if ix == indexes[1] {
+						t.Fatalf("seed %d: the pk-keyed index did not collect in pk order", seed)
+					}
+					return nil // a random spec that happens to parallel pk order: nothing staged to check
+				}
+				sawStaged = sawStaged || !ascending
+				// Stop after row k, for every k; max 0 and max k must agree.
+				for k := 1; k <= len(ref); k++ {
+					for _, max := range []int{0, k} {
+						var got []propTriple
+						if err := ScanBatched(tx, ix, []byte{0}, nil, max, func(sk, pk, val []byte) bool {
+							got = append(got, propTriple{string(sk), string(pk), string(val)})
+							return len(got) < k
+						}); err != nil {
+							return err
+						}
+						if fmt.Sprint(got) != fmt.Sprint(ref[:k]) {
+							t.Fatalf("seed %d %s stop at %d (max %d):\n got %v\nwant %v", seed, ix.Name, k, max, got, ref[:k])
+						}
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, ix.Name, err)
+			}
+		}
+	}
+	if !sawStaged {
+		t.Fatal("no seed produced an out-of-order batch: the staged emission was never exercised")
+	}
+}
+
+// allocSetup is benchSetup's table under three indexes: ascending on the
+// row counter (batches stream), descending on it (batches are reversed:
+// sorted and staged), and covering.
+func allocSetup(t *testing.T) (w *core.Worker, tbl *core.Table, asc, desc, cov *Index) {
+	s, asc := benchSetup(t, nil)
+	tbl = asc.On
+	key, err := CompileSpec([]Seg{{FromValue: true, Off: 0, Len: 8, Xform: XformInvert}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc = New(s, tbl, "rows_desc", false, key)
+	key, err = CompileSpec([]Seg{{FromValue: true, Off: 0, Len: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cov, err = NewCovering(s, tbl, "rows_cov", false, key, []Seg{{FromValue: true, Off: 0, Len: 16}}); err != nil {
+		t.Fatal(err)
+	}
+	w = s.Worker(0)
+	for _, ix := range []*Index{desc, cov} {
+		if err := ix.Backfill(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w, tbl, asc, desc, cov
+}
+
+// TestMirroredIndexes runs the two checks that need allocSetup's 100k-row
+// table on one load of it.
+func TestMirroredIndexes(t *testing.T) {
+	w, tbl, asc, desc, cov := allocSetup(t)
+	t.Run("staged page is the streamed page reversed", func(t *testing.T) {
+		testBatchedStagedMatchesStreamed(t, w, asc, desc)
+	})
+	t.Run("scans allocate nothing", func(t *testing.T) {
+		if race.Enabled {
+			t.Skip("race builds allocate in the engine's read path by design")
+		}
+		testScansAllocateNothing(t, w, tbl, asc, desc, cov)
+	})
+}
+
+// testScansAllocateNothing: in steady state the scans allocate nothing of
+// their own. For ScanBatched that means exactly what the engine's ordered
+// multi-get allocates resolving the same keys (its leaf-run buffers,
+// inside btree.Tree.GetBatch) — whether the batch streams or is sorted
+// and staged first.
+func testScansAllocateNothing(t *testing.T, w *core.Worker, tbl *core.Table, asc, desc, cov *Index) {
+	const start = 5000
+	lo := binary.BigEndian.AppendUint64(nil, start)
+	// The same rows through the descending index: ^i for i in [start, start+len).
+	loDesc := binary.BigEndian.AppendUint64(nil, ^uint64(start+benchScanLen-1))
+	hiDesc := binary.BigEndian.AppendUint64(nil, ^uint64(start-1))
+	var keys [][]byte
+	for i := start; i < start+benchScanLen; i++ {
+		keys = append(keys, binary.BigEndian.AppendUint64(nil, uint64(i)))
+	}
+	n := 0
+	visit := func(_, _, _ []byte) bool { n++; return true }
+	visitRow := func(int, []byte, error) bool { return true }
+	measure := func(name string, rows int, body func(tx *core.Tx) error) float64 {
+		run := func() {
+			n = 0
+			if err := w.Run(body); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if n != rows {
+				t.Fatalf("%s visited %d rows, want %d", name, n, rows)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			run() // grow the pooled scratch and the transaction's buffers
+		}
+		return testing.AllocsPerRun(100, run)
+	}
+	engine := measure("GetBatch", 0, func(tx *core.Tx) error { return tx.GetBatch(tbl, keys, visitRow) })
+
+	for _, c := range []struct {
+		name string
+		want float64
+		body func(tx *core.Tx) error
+	}{
+		{"Scan", 0, func(tx *core.Tx) error {
+			return Scan(tx, asc, lo, nil, func(_, _, _ []byte) bool { n++; return n < benchScanLen })
+		}},
+		{"ScanCovering", 0, func(tx *core.Tx) error {
+			return ScanCovering(tx, cov, lo, nil, func(_, _, _ []byte) bool { n++; return n < benchScanLen })
+		}},
+		{"ScanBatched streamed", engine, func(tx *core.Tx) error {
+			return ScanBatched(tx, asc, lo, nil, benchScanLen, visit)
+		}},
+		{"ScanBatched staged", engine, func(tx *core.Tx) error {
+			return ScanBatched(tx, desc, loDesc, hiDesc, 0, visit)
+		}},
+	} {
+		if got := measure(c.name, benchScanLen, c.body); got != c.want {
+			t.Errorf("%s: %.1f allocs per %d-row scan, want %.1f (the engine's multi-get alone: %.1f)",
+				c.name, got, benchScanLen, c.want, engine)
+		}
+	}
+}
+
+// testBatchedStagedMatchesStreamed pins the two orders against each other
+// on allocSetup's mirrored indexes: the descending index's page is the
+// ascending one's, reversed.
+func testBatchedStagedMatchesStreamed(t *testing.T, w *core.Worker, asc, desc *Index) {
+	page := func(ix *Index, lo, hi []byte) (pks [][]byte) {
+		if err := w.Run(func(tx *core.Tx) error {
+			pks = pks[:0]
+			return ScanBatched(tx, ix, lo, hi, 0, func(sk, pk, val []byte) bool {
+				if !bytes.Equal(pk, val[:8]) {
+					t.Errorf("%s: pk %x resolved to row %x", ix.Name, pk, val[:8])
+				}
+				pks = append(pks, append([]byte(nil), pk...))
+				return true
+			})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return pks
+	}
+	be := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+	up := page(asc, be(7000), be(7100))
+	down := page(desc, be(^uint64(7099)), be(^uint64(6999)))
+	if len(up) != 100 || len(down) != 100 {
+		t.Fatalf("pages of %d and %d rows, want 100", len(up), len(down))
+	}
+	for i := range up {
+		if !bytes.Equal(up[i], down[len(down)-1-i]) {
+			t.Fatalf("row %d: streamed %x, staged (reversed) %x", i, up[i], down[len(down)-1-i])
+		}
+	}
+}

@@ -3,7 +3,7 @@ package index
 import (
 	"bytes"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 
 	"silo/internal/core"
@@ -37,8 +37,9 @@ var ErrNotCovering = errors.New("silo: index is not covering (declared without a
 // (ScanCovering).
 func Scan(tx *core.Tx, ix *Index, lo, hi []byte, fn func(sk, pk, val []byte) bool) error {
 	ix.obs.scanPerEntry.Inc()
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
 	var inner error
-	var pkb, vbuf []byte
 	err := tx.Scan(ix.Entries, lo, hi, func(ek, ev []byte) bool {
 		pk, perr := ix.EntryValuePK(ev)
 		if perr != nil {
@@ -47,9 +48,9 @@ func Scan(tx *core.Tx, ix *Index, lo, hi []byte, fn func(sk, pk, val []byte) boo
 		}
 		// The entry value aliases the transaction's read buffer, which the
 		// nested primary read reuses: copy the primary key out first.
-		pkb = append(pkb[:0], pk...)
-		v, gerr := tx.GetAppend(ix.On, pkb, vbuf[:0])
-		vbuf = v
+		sc.buf = append(sc.buf[:0], pk...)
+		v, gerr := tx.GetAppend(ix.On, sc.buf, sc.vals[:0])
+		sc.vals = v
 		if gerr == core.ErrNotFound {
 			ix.obs.lookupConflicts.Inc()
 			inner = core.ErrConflict
@@ -59,7 +60,7 @@ func Scan(tx *core.Tx, ix *Index, lo, hi []byte, fn func(sk, pk, val []byte) boo
 			inner = gerr
 			return false
 		}
-		return fn(ix.SecondaryKey(ek, pkb), pkb, v)
+		return fn(ix.SecondaryKey(ek, sc.buf), sc.buf, v)
 	})
 	if err != nil {
 		return err
@@ -81,14 +82,15 @@ type batchedEnt struct {
 	pkEnd int // primary key bytes end at this offset
 }
 
-// batchScratch is the reusable working state of one ScanBatched call,
-// pooled so steady-state batched scans allocate nothing: the collection
-// buffer, the sort permutation, the sorted key views, and the resolved-
-// value arena all reuse prior capacity.
+// batchScratch is the reusable working state of one resolving scan,
+// pooled so steady-state scans allocate nothing of their own: the
+// collection buffer, the sort permutation, the sorted key views, and the
+// resolved-value arena all reuse prior capacity. (Scan borrows buf and
+// vals as its key and row buffers.)
 type batchScratch struct {
 	buf   []byte       // entry keys ‖ primary keys, concatenated
 	ents  []batchedEnt // offsets into buf
-	order []int        // sort permutation (empty when already sorted)
+	order []int        // sort permutation (unsorted batches only)
 	keys  [][]byte     // primary keys in sorted order (views into buf)
 	vals  []byte       // resolved row bytes, appended in sorted order
 	valAt [][2]int     // per-entry [start, end) into vals
@@ -96,25 +98,52 @@ type batchScratch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
+// entry returns collected entry i's entry key and primary key.
+func (sc *batchScratch) entry(i int) (ek, pk []byte) {
+	start := 0
+	if i > 0 {
+		start = sc.ents[i-1].pkEnd
+	}
+	e := sc.ents[i]
+	return sc.buf[start:e.ekEnd], sc.buf[e.ekEnd:e.pkEnd]
+}
+
+func (sc *batchScratch) pkOf(i int) []byte {
+	return sc.buf[sc.ents[i].ekEnd:sc.ents[i].pkEnd]
+}
+
 // ScanBatched is Scan with batched primary-row resolution: it first
 // collects up to max matching entries (0 means no bound) from the entry
 // tree, then resolves their primary keys in sorted order with a single
 // ordered multi-get pass over the primary tree (one descent per leaf run
-// instead of one per entry), and finally emits results to fn in entry-key
-// order. The batched pass is adaptive: a sample of the first collected
-// primary keys estimates whether the range clusters in the primary tree,
-// and a scattered range (hash-like pks, nothing for sorted descents to
-// share) falls back to streaming per-entry resolution of the collected
-// entries instead — same results, same OCC guarantees, no wasted sort. OCC semantics are identical to Scan: collected entries and
-// resolved rows join the read-set, entry leaves join the node-set, and a
+// instead of one per entry), emitting results to fn in entry-key order.
+// The batched pass is adaptive: a sample of the first collected primary
+// keys estimates whether the range clusters in the primary tree, and a
+// scattered range (hash-like pks, nothing for sorted descents to share)
+// falls back to streaming per-entry resolution of the collected entries
+// instead — same results, same OCC guarantees, no wasted sort.
+//
+// OCC semantics are identical to Scan: collected entries and resolved
+// rows join the read-set, entry leaves join the node-set, and a
 // concurrent write landing between collection and resolution either
 // surfaces as ErrConflict here (a resolved row gone missing) or aborts
 // the transaction at commit (read-set/node-set validation) — never as a
 // torn row in a committed transaction.
 //
-// Unlike Scan it buffers the entire result before emitting, so fn
-// returning false saves callback work but not resolution work; pass max
-// when the caller wants a bounded prefix.
+// Emission is as-resolved. When the collected primary keys are already
+// in ascending order (secondary order parallels primary order: clustered
+// indexes, TPC-C composites) the multi-get visits rows in emission order,
+// so fn is called from inside it, on the transaction's own read buffer —
+// no row is staged. Two consequences for fn. It may have seen a prefix of
+// the page when ScanBatched returns ErrConflict: like any transaction
+// body it must tolerate re-execution (restart its output, as the network
+// server's scan visitor does). And it runs inside the transaction's read
+// of the primary table, on slices valid only for the callback: copy what
+// it keeps and act on it after ScanBatched returns, not through tx from
+// inside fn. Unsorted batches resolve in primary order into a staging
+// arena and emit once the whole page is resolved. Either way fn
+// returning false stops emission but not collection, so pass max when
+// the caller wants a bounded prefix.
 func ScanBatched(tx *core.Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk, val []byte) bool) error {
 	ix.obs.scanBatched.Inc()
 	sc := batchPool.Get().(*batchScratch)
@@ -124,12 +153,9 @@ func ScanBatched(tx *core.Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk,
 	// Phase 1: collect the matching entries. Entry keys and primary keys
 	// are copied into one grow-only buffer; entries are offsets into it.
 	// Sortedness is tracked as we go — a secondary order that parallels
-	// primary order (clustered indexes, TPC-C composites) skips the
-	// permutation entirely.
+	// primary order skips the permutation, and the staging, entirely.
 	var inner error
 	sorted := true
-	prevPK := 0     // buf offset where the previous pk starts
-	prevPKLen := -1 // previous pk's length; -1 before the first entry
 	err := tx.Scan(ix.Entries, lo, hi, func(ek, ev []byte) bool {
 		pk, perr := ix.EntryValuePK(ev)
 		if perr != nil {
@@ -139,10 +165,9 @@ func ScanBatched(tx *core.Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk,
 		sc.buf = append(sc.buf, ek...)
 		ekEnd := len(sc.buf)
 		sc.buf = append(sc.buf, pk...)
-		if prevPKLen >= 0 && sorted {
-			sorted = bytes.Compare(sc.buf[prevPK:prevPK+prevPKLen], pk) <= 0
+		if n := len(sc.ents); sorted && n > 0 {
+			sorted = bytes.Compare(sc.pkOf(n-1), pk) <= 0
 		}
-		prevPK, prevPKLen = ekEnd, len(pk)
 		sc.ents = append(sc.ents, batchedEnt{ekEnd: ekEnd, pkEnd: len(sc.buf)})
 		return max <= 0 || len(sc.ents) < max
 	})
@@ -160,8 +185,6 @@ func ScanBatched(tx *core.Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk,
 		testHookAfterCollect()
 	}
 
-	pkOf := func(i int) []byte { return sc.buf[sc.ents[i].ekEnd:sc.ents[i].pkEnd] }
-
 	// The ordered multi-get only beats per-entry resolution when the
 	// sorted primary keys actually cluster into shared leaf descents.
 	// Sample the first collected pks: a clustered range (TPC-C composites,
@@ -169,36 +192,36 @@ func ScanBatched(tx *core.Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk,
 	// scattered across the primary key space share almost none — there the
 	// sort and permutation buy nothing, so resolve the collected entries
 	// one point read each instead, already in emission order.
-	if !clusteredSample(pkOf, n) {
+	if !sc.clusteredSample() {
 		ix.obs.scanStreamed.Inc()
-		return streamResolve(tx, ix, sc, n, fn)
+		return streamResolve(tx, ix, sc, fn)
 	}
 
 	// Phase 2: resolve primary keys in sorted order; order maps sorted
-	// positions back to collected entries (identity when already sorted).
-	sc.order = sc.order[:0]
-	if !sorted {
+	// positions back to collected entries (identity, and unused, when the
+	// batch is already sorted).
+	sc.keys = sc.keys[:0]
+	if sorted {
+		for i := 0; i < n; i++ {
+			sc.keys = append(sc.keys, sc.pkOf(i))
+		}
+	} else {
+		sc.order = sc.order[:0]
 		for i := 0; i < n; i++ {
 			sc.order = append(sc.order, i)
 		}
-		sort.Slice(sc.order, func(a, b int) bool {
-			return bytes.Compare(pkOf(sc.order[a]), pkOf(sc.order[b])) < 0
+		slices.SortFunc(sc.order, func(a, b int) int {
+			return bytes.Compare(sc.pkOf(a), sc.pkOf(b))
 		})
-	}
-	sc.keys = sc.keys[:0]
-	for i := 0; i < n; i++ {
-		e := i
-		if !sorted {
-			e = sc.order[i]
+		for _, e := range sc.order {
+			sc.keys = append(sc.keys, sc.pkOf(e))
 		}
-		sc.keys = append(sc.keys, pkOf(e))
-	}
-	if cap(sc.valAt) < n {
-		sc.valAt = make([][2]int, n)
-	} else {
+		if cap(sc.valAt) < n {
+			sc.valAt = make([][2]int, n)
+		}
 		sc.valAt = sc.valAt[:n]
+		sc.vals = sc.vals[:0]
 	}
-	sc.vals = sc.vals[:0]
 	gerr := tx.GetBatch(ix.On, sc.keys, func(i int, val []byte, err error) bool {
 		if err == core.ErrNotFound {
 			// Entry without its row: a concurrent writer got between the
@@ -211,30 +234,28 @@ func ScanBatched(tx *core.Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk,
 			inner = err
 			return false
 		}
-		e := i
-		if !sorted {
-			e = sc.order[i]
+		if sorted {
+			// Sorted position = entry position, and val stays valid for
+			// the callback: emit now.
+			ek, pk := sc.entry(i)
+			return fn(ix.SecondaryKey(ek, pk), pk, val)
 		}
 		start := len(sc.vals)
 		sc.vals = append(sc.vals, val...)
-		sc.valAt[e] = [2]int{start, len(sc.vals)}
+		sc.valAt[sc.order[i]] = [2]int{start, len(sc.vals)}
 		return true
 	})
 	if gerr != nil {
 		return gerr
 	}
-	if inner != nil {
+	if inner != nil || sorted {
 		return inner
 	}
 
-	// Phase 3: emit in entry-key (secondary) order.
-	prev := 0
+	// Phase 3 (unsorted batches): emit in entry-key (secondary) order.
 	for i := 0; i < n; i++ {
-		ek := sc.buf[prev:sc.ents[i].ekEnd]
-		pk := sc.buf[sc.ents[i].ekEnd:sc.ents[i].pkEnd]
-		prev = sc.ents[i].pkEnd
-		v := sc.vals[sc.valAt[i][0]:sc.valAt[i][1]]
-		if !fn(ix.SecondaryKey(ek, pk), pk, v) {
+		ek, pk := sc.entry(i)
+		if !fn(ix.SecondaryKey(ek, pk), pk, sc.vals[sc.valAt[i][0]:sc.valAt[i][1]]) {
 			return nil
 		}
 	}
@@ -244,12 +265,13 @@ func ScanBatched(tx *core.Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk,
 // clusterSample bounds how many collected pks clusteredSample inspects.
 const clusterSample = 16
 
-// clusteredSample guesses whether a collected primary-key set clusters in
-// the primary tree, from the shared prefix of its first clusterSample
+// clusteredSample guesses whether the collected primary-key set clusters
+// in the primary tree, from the shared prefix of its first clusterSample
 // keys: clustered ranges share at least half of their shortest sampled
 // key. Batches too small to amortize a wrong guess are always called
 // clustered (the batched path is the well-tested default).
-func clusteredSample(pkOf func(int) []byte, n int) bool {
+func (sc *batchScratch) clusteredSample() bool {
+	n := len(sc.ents)
 	if n <= 8 {
 		return true
 	}
@@ -257,10 +279,10 @@ func clusteredSample(pkOf func(int) []byte, n int) bool {
 	if s > clusterSample {
 		s = clusterSample
 	}
-	p := pkOf(0)
+	p := sc.pkOf(0)
 	lcp, minLen := len(p), len(p)
 	for i := 1; i < s; i++ {
-		q := pkOf(i)
+		q := sc.pkOf(i)
 		if len(q) < minLen {
 			minLen = len(q)
 		}
@@ -285,12 +307,9 @@ func clusteredSample(pkOf func(int) []byte, n int) bool {
 // order, skipping the sort and the multi-get descent. OCC semantics are
 // unchanged — each resolved row joins the read-set, and a missing row
 // still surfaces as ErrConflict.
-func streamResolve(tx *core.Tx, ix *Index, sc *batchScratch, n int, fn func(sk, pk, val []byte) bool) error {
-	prev := 0
-	for i := 0; i < n; i++ {
-		ek := sc.buf[prev:sc.ents[i].ekEnd]
-		pk := sc.buf[sc.ents[i].ekEnd:sc.ents[i].pkEnd]
-		prev = sc.ents[i].pkEnd
+func streamResolve(tx *core.Tx, ix *Index, sc *batchScratch, fn func(sk, pk, val []byte) bool) error {
+	for i := range sc.ents {
+		ek, pk := sc.entry(i)
 		v, gerr := tx.GetAppend(ix.On, pk, sc.vals[:0])
 		sc.vals = v[:0]
 		if gerr == core.ErrNotFound {

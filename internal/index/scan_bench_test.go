@@ -21,7 +21,7 @@ const (
 	benchRowSize = 100
 )
 
-func benchSetup(b *testing.B, include []Seg) (*core.Store, *Index) {
+func benchSetup(b testing.TB, include []Seg) (*core.Store, *Index) {
 	b.Helper()
 	opts := core.DefaultOptions(1)
 	opts.ManualEpochs = true
@@ -67,20 +67,25 @@ func benchSetup(b *testing.B, include []Seg) (*core.Store, *Index) {
 	return s, ix
 }
 
-func benchLo(i int) []byte {
+// benchLo writes scan i's lower bound into dst, so the benchmarks count
+// the scan's allocations and not the key's.
+func benchLo(dst []byte, i int) []byte {
 	start := (i * 37) % (benchRows - benchScanLen)
-	return binary.BigEndian.AppendUint64(nil, uint64(start))
+	return binary.BigEndian.AppendUint64(dst[:0], uint64(start))
 }
 
 func BenchmarkScanResolvePerEntry(b *testing.B) {
 	s, ix := benchSetup(b, nil)
 	w := s.Worker(0)
+	var lo []byte
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
+		lo = benchLo(lo, i)
 		if err := w.Run(func(tx *core.Tx) error {
 			n = 0
-			return Scan(tx, ix, benchLo(i), nil, func(_, _, _ []byte) bool {
+			return Scan(tx, ix, lo, nil, func(_, _, _ []byte) bool {
 				n++
 				return n < benchScanLen
 			})
@@ -96,12 +101,15 @@ func BenchmarkScanResolvePerEntry(b *testing.B) {
 func BenchmarkScanResolveBatched(b *testing.B) {
 	s, ix := benchSetup(b, nil)
 	w := s.Worker(0)
+	var lo []byte
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
+		lo = benchLo(lo, i)
 		if err := w.Run(func(tx *core.Tx) error {
 			n = 0
-			return ScanBatched(tx, ix, benchLo(i), nil, benchScanLen, func(_, _, _ []byte) bool {
+			return ScanBatched(tx, ix, lo, nil, benchScanLen, func(_, _, _ []byte) bool {
 				n++
 				return true
 			})
@@ -119,12 +127,15 @@ func BenchmarkScanResolveCovering(b *testing.B) {
 	// shape a field-serving query would declare.
 	s, ix := benchSetup(b, []Seg{{FromValue: true, Off: 0, Len: 16}})
 	w := s.Worker(0)
+	var lo []byte
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
+		lo = benchLo(lo, i)
 		if err := w.Run(func(tx *core.Tx) error {
 			n = 0
-			return ScanCovering(tx, ix, benchLo(i), nil, func(_, _, _ []byte) bool {
+			return ScanCovering(tx, ix, lo, nil, func(_, _, _ []byte) bool {
 				n++
 				return n < benchScanLen
 			})

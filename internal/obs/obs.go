@@ -102,7 +102,8 @@ func bucketLower(i int) uint64 {
 	return 1 << uint(i-1)
 }
 
-// Observe records one value.
+// Observe records one value. The count is bumped before the bucket;
+// Snapshot relies on that order.
 func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
@@ -118,14 +119,18 @@ func (h *Histogram) ObserveDuration(ns int64) {
 	h.Observe(uint64(ns))
 }
 
-// Snapshot captures the histogram's current contents.
+// Snapshot captures the histogram's current contents. It reads in the
+// reverse of Observe's order — buckets, then sum, then count — so every
+// bucket hit it holds is also in Sum and Count even while recorders run:
+// ΣBuckets ≤ Count always, and a quantile never ranks past the last
+// bucket. (Count may run ahead by the observations in flight.)
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
+	s.Sum = h.sum.Load()
+	s.Count = h.count.Load()
 	return s
 }
 

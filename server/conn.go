@@ -50,7 +50,7 @@ func (s *Server) handleConn(c net.Conn, id uint64) {
 			// answer it and hang up.
 			s.errors64.Add(1)
 			er := wire.Err(wire.CodeProto, derr.Error())
-			j.done <- s.encodeResp(&er)
+			j.done <- s.encodeResp(&er, nil)
 			pending <- j
 			break
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"time"
 
 	"silo"
@@ -18,10 +17,7 @@ func (s *Server) workerLoop(w int) {
 	defer s.workerWG.Done()
 	o := s.wobs[w]
 	slowAt := s.opts.SlowThreshold
-	var st *execState
-	if !s.opts.noReuse {
-		st = newExecState(s, w)
-	}
+	st := newExecState(s, w)
 	for j := range s.jobs {
 		start := time.Now()
 		if !j.enq.IsZero() {
@@ -50,7 +46,7 @@ func (s *Server) workerLoop(w int) {
 				tc.sp.Queue = q
 			}
 		}
-		resp := s.exec(w, st, &j.req, tc)
+		resp, rb := s.exec(w, st, &j.req, tc)
 		if tc != nil {
 			elapsed := s.now() - t0
 			sp := tc.sp
@@ -88,7 +84,7 @@ func (s *Server) workerLoop(w int) {
 			s.errors64.Add(1)
 		}
 		s.requests64.Add(1)
-		s.respond(w, &j.req, resp, j.done)
+		s.respond(w, &j.req, resp, rb, j.done)
 	}
 }
 
@@ -97,16 +93,17 @@ func (s *Server) workerLoop(w int) {
 // recycled buffer — the response may alias the worker's exec state and
 // the job's payload, both reused for the next job, so the bytes must be
 // captured before this function returns (TRACER responses are the one
-// exception, see encodeResp). Write responses carry their commit epoch
-// to the release pipeline (or, in the per-request baseline, block this
-// worker until it is durable); reads, snapshot scans, and errors release
-// immediately — an ERR frame acknowledges nothing (the transaction
-// aborted), and reads have nothing to make durable. Auto-created tables
-// are covered by the data epoch: the catalog record commits (on the DDL
-// worker) before the data write's commit, and epochs are monotone, so a
-// durable data epoch implies the creation record is durable too.
-func (s *Server) respond(w int, req *wire.Request, resp wire.Response, done chan<- outMsg) {
-	m := s.encodeResp(&resp)
+// exception, see encodeResp; a scan arrives already framed in rb). Write
+// responses carry their commit epoch to the release pipeline (or, in the
+// per-request baseline, block this worker until it is durable); reads,
+// snapshot scans, and errors release immediately — an ERR frame
+// acknowledges nothing (the transaction aborted), and reads have nothing
+// to make durable. Auto-created tables are covered by the data epoch: the
+// catalog record commits (on the DDL worker) before the data write's
+// commit, and epochs are monotone, so a durable data epoch implies the
+// creation record is durable too.
+func (s *Server) respond(w int, req *wire.Request, resp wire.Response, rb *respBuf, done chan<- outMsg) {
+	m := s.encodeResp(&resp, rb)
 	if s.ackMode == AckImmediate || resp.Kind == wire.KindErr || !writesData(req) {
 		done <- m
 		return
@@ -130,19 +127,23 @@ func (s *Server) respond(w int, req *wire.Request, resp wire.Response, done chan
 }
 
 // encodeResp turns an executor's response into the writer-bound outMsg.
-// The steady state encodes into a pooled buffer immediately; a response
-// carrying spans (a TRACER) instead travels decoded in a private copy,
-// because the group-commit releaser patches its Fsync span between park
-// and release — encoding it now would freeze a lie. Traced execution
-// uses the allocating paths, so the copy shares nothing with the
-// worker's recycled exec state.
-func (s *Server) encodeResp(resp *wire.Response) outMsg {
+// A scan's frame was built in place by execScan and passes through in
+// rb. Otherwise the steady state encodes into a pooled buffer
+// immediately; a response carrying spans (a TRACER) instead travels
+// decoded in a private copy, because the group-commit releaser patches
+// its Fsync span between park and release — encoding it now would freeze
+// a lie. Traced execution uses the allocating paths, so the copy shares
+// nothing with the worker's recycled exec state.
+func (s *Server) encodeResp(resp *wire.Response, rb *respBuf) outMsg {
+	if rb != nil {
+		return outMsg{rb: rb}
+	}
 	if resp.Spans != nil {
 		rp := new(wire.Response)
 		*rp = *resp
 		return outMsg{resp: rp}
 	}
-	rb := s.getBuf()
+	rb = s.getBuf()
 	b, err := wire.AppendResponse(rb.b[:0], resp)
 	if err != nil {
 		// Encoding failure is a server bug; degrade to an ERR frame rather
@@ -280,7 +281,9 @@ func errResponse(err error) wire.Response {
 		code = wire.CodeKeyExists
 	case errors.Is(err, silo.ErrConflict):
 		code = wire.CodeConflict
-	case errors.Is(err, silo.ErrKeyInvalid):
+	case errors.Is(err, silo.ErrKeyInvalid), errors.Is(err, wire.ErrFrameTooLarge):
+		// The latter is a scan page that outgrew Options.MaxFrame: like an
+		// over-cap limit, the request asked for more than one frame holds.
 		code = wire.CodeInvalid
 	case errors.Is(err, silo.ErrNoTable):
 		code = wire.CodeNoTable
@@ -318,17 +321,29 @@ func addValue(tx *silo.Tx, t *silo.Table, key []byte, delta int64) (uint64, erro
 	return n, tx.Put(t, key, v)
 }
 
-// exec runs one decoded request on worker w and builds its response.
-// Untraced data ops (tc nil) run on the worker's recycled exec state —
-// the allocation-free steady state, whose response slices alias st and
-// stay valid only until the next exec on this worker; respond encodes
-// them before that. Traced requests and everything below the first
-// switch use the historical allocating paths, whose response slices are
-// freshly owned (required for TRACER responses, which outlive the
-// executor while parked). With tc set, transactional paths run traced;
-// DDL, SCHEMA, STATS, and snapshot reads have no commit phases to time
-// and ignore it.
-func (s *Server) exec(w int, st *execState, req *wire.Request, tc *traceCtx) wire.Response {
+// exec runs one decoded request on worker w and builds its response:
+// a Response for encodeResp to frame, or — for SCAN and ISCAN — the
+// finished frame itself in a response buffer (execScan), with only the
+// Response's Kind set. Untraced data ops (tc nil) on a recycling server
+// run on the worker's exec state — the allocation-free steady state,
+// whose response slices alias st and stay valid only until the next exec
+// on this worker; respond encodes them before that. Traced requests,
+// noReuse servers and everything below the first switch use the
+// historical allocating paths, whose response slices are freshly owned
+// (required for TRACER responses, which outlive the executor while
+// parked). With tc set, transactional paths run traced; DDL, SCHEMA,
+// STATS, and snapshot reads have no commit phases to time and ignore it.
+func (s *Server) exec(w int, st *execState, req *wire.Request, tc *traceCtx) (wire.Response, *respBuf) {
+	if !req.Txn {
+		if op := &req.Ops[0]; op.Kind == wire.KindScan || op.Kind == wire.KindIScan {
+			return s.execScan(st, op, tc)
+		}
+	}
+	return s.execOp(w, st, req, tc), nil
+}
+
+// execOp is exec for everything that answers with a decoded Response.
+func (s *Server) execOp(w int, st *execState, req *wire.Request, tc *traceCtx) wire.Response {
 	if req.Txn {
 		return s.execTxn(w, st, req.Ops, tc)
 	}
@@ -339,8 +354,6 @@ func (s *Server) exec(w int, st *execState, req *wire.Request, tc *traceCtx) wir
 		return s.execCreateIndex(w, op)
 	case wire.KindDropIndex:
 		return s.execDropIndex(op)
-	case wire.KindIScan:
-		return s.execIScan(w, op, tc)
 	case wire.KindSchema:
 		return s.execSchema()
 	case wire.KindStats:
@@ -356,7 +369,7 @@ func (s *Server) exec(w int, st *execState, req *wire.Request, tc *traceCtx) wir
 			return errResponse(err)
 		}
 	}
-	if st != nil && tc == nil {
+	if tc == nil && !s.opts.noReuse {
 		return s.execFast(st, op, t)
 	}
 	switch op.Kind {
@@ -412,36 +425,6 @@ func (s *Server) exec(w int, st *execState, req *wire.Request, tc *traceCtx) wir
 		var v [8]byte
 		binary.BigEndian.PutUint64(v[:], n)
 		return wire.Response{Kind: wire.KindValue, Value: v[:]}
-
-	case wire.KindScan:
-		// Like ISCAN, a limit beyond the server's cap is rejected rather
-		// than silently clamped (the historical behavior): truncating to
-		// fewer results than requested is indistinguishable from the
-		// range really ending.
-		if op.Limit != 0 && int64(op.Limit) > int64(s.opts.MaxScan) {
-			return wire.Err(wire.CodeInvalid,
-				fmt.Sprintf("server: scan limit %d exceeds server maximum %d", op.Limit, s.opts.MaxScan))
-		}
-		limit := s.opts.MaxScan
-		if op.Limit != 0 {
-			limit = int(op.Limit)
-		}
-		var pairs []wire.KV
-		err := s.run(w, tc, func(tx *silo.Tx) error {
-			pairs = pairs[:0] // retried transactions restart the scan
-			return tx.Scan(t, op.Key, hiBound(op), func(k, v []byte) bool {
-				// Keys and values are only valid during the callback.
-				pairs = append(pairs, wire.KV{
-					Key:   append([]byte(nil), k...),
-					Value: append([]byte(nil), v...),
-				})
-				return len(pairs) < limit
-			})
-		})
-		if err != nil {
-			return errResponse(err)
-		}
-		return wire.Response{Kind: wire.KindScanR, Pairs: pairs}
 	}
 	return wire.Err(wire.CodeProto, "unexecutable kind "+op.Kind.String())
 }
@@ -537,71 +520,6 @@ func (s *Server) execSchema() wire.Response {
 	return wire.Response{Kind: wire.KindSchemaR, Schema: sch}
 }
 
-// execIScan runs an index scan. A covering frame is served from entry
-// values alone (the response values are the included fields); otherwise
-// entries resolve to primary rows — serializably with batched resolution
-// (entries collected, primary keys sorted, rows fetched with ordered
-// multi-get descents) and phantom protection on both trees, or against a
-// recent consistent snapshot when the frame asks for one.
-func (s *Server) execIScan(w int, op *wire.Op, tc *traceCtx) wire.Response {
-	ix := s.db.Index(op.Index)
-	if ix == nil {
-		return errResponse(fmt.Errorf("%w: %q", silo.ErrNoIndex, op.Index))
-	}
-	// A limit beyond the server's cap is rejected outright (SCAN rejects
-	// identically): truncating to fewer results than requested would be
-	// indistinguishable from the range really ending.
-	if op.Limit != 0 && int64(op.Limit) > int64(s.opts.MaxScan) {
-		return wire.Err(wire.CodeInvalid,
-			fmt.Sprintf("server: iscan limit %d exceeds server maximum %d", op.Limit, s.opts.MaxScan))
-	}
-	limit := s.opts.MaxScan
-	if op.Limit != 0 {
-		limit = int(op.Limit)
-	}
-	lo := op.Key
-	if len(lo) == 0 {
-		lo = []byte{0} // smallest valid entry key
-	}
-	var entries []wire.IndexEntry
-	collect := func(sk, pk, val []byte) bool {
-		// Slices are only valid during the callback.
-		entries = append(entries, wire.IndexEntry{
-			SK:    append([]byte(nil), sk...),
-			PK:    append([]byte(nil), pk...),
-			Value: append([]byte(nil), val...),
-		})
-		return len(entries) < limit
-	}
-	var err error
-	switch {
-	case op.Covering && op.Snapshot:
-		err = s.db.RunSnapshot(w, func(stx *silo.SnapTx) error {
-			entries = entries[:0]
-			return silo.ScanIndexSnapshotCovering(stx, ix, lo, hiBound(op), collect)
-		})
-	case op.Covering:
-		err = s.run(w, tc, func(tx *silo.Tx) error {
-			entries = entries[:0] // retried transactions restart the scan
-			return silo.ScanIndexCovering(tx, ix, lo, hiBound(op), collect)
-		})
-	case op.Snapshot:
-		err = s.db.RunSnapshot(w, func(stx *silo.SnapTx) error {
-			entries = entries[:0]
-			return silo.ScanIndexSnapshot(stx, ix, lo, hiBound(op), collect)
-		})
-	default:
-		err = s.run(w, tc, func(tx *silo.Tx) error {
-			entries = entries[:0] // retried transactions restart the scan
-			return silo.ScanIndexBatched(tx, ix, lo, hiBound(op), limit, collect)
-		})
-	}
-	if err != nil {
-		return errResponse(err)
-	}
-	return wire.Response{Kind: wire.KindIScanR, Entries: entries}
-}
-
 // hiBound maps the wire scan bound to the engine's: nil means +inf, and an
 // explicit empty upper bound means an empty range.
 func hiBound(op *wire.Op) []byte {
@@ -621,7 +539,7 @@ func hiBound(op *wire.Op) []byte {
 // recycled exec state (execTxnFast); traced ones take the allocating
 // path below.
 func (s *Server) execTxn(w int, st *execState, ops []wire.Op, tc *traceCtx) wire.Response {
-	if st != nil && tc == nil {
+	if tc == nil && !s.opts.noReuse {
 		return s.execTxnFast(st, ops)
 	}
 	// Resolve tables outside the transaction: creation is not

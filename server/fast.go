@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"silo"
 	"silo/wire"
@@ -11,19 +10,22 @@ import (
 
 // execState is one executor's recycled scratch for the allocation-free
 // steady state: value buffers, a response arena, resolved-table and
-// result slices, and the transaction closures pre-bound once so s.run
-// never allocates a closure per request. Response slices built here
-// alias the state and are valid only until the worker's next exec;
-// respond encodes them into a wire frame before that (the lifecycle
-// respond documents). Traced requests bypass it entirely.
+// result slices, the scan encoder, and the transaction closures pre-bound
+// once so s.run never allocates a closure per request. Response slices
+// built here alias the state and are valid only until the worker's next
+// exec; respond encodes them into a wire frame before that (the lifecycle
+// respond documents). Traced and noReuse requests use it for scans only
+// (see execScan); their other ops take the allocating paths in exec.
 type execState struct {
 	s *Server
 	w int
 
-	// Per-request inputs the pre-bound closures read (set by the fast
-	// paths before s.run, stable across OCC retries).
+	// Per-request inputs the pre-bound closures read (set before s.run,
+	// stable across OCC retries).
 	op    *wire.Op
 	t     *silo.Table
+	ix    *silo.Index
+	lo    []byte
 	limit int
 	ops   []wire.Op
 
@@ -32,24 +34,23 @@ type execState struct {
 	num [8]byte
 	n   uint64
 
-	// arena backs every response byte a request produces (scan pairs,
-	// txn results); offs/resOff record offsets into it because the arena
-	// may move while growing, and the Response slices are materialized
-	// only after the transaction commits.
+	// arena backs every byte a TXN's results carry; resOff records
+	// offsets into it because the arena may move while growing, and the
+	// Response slices are materialized only after the transaction commits.
 	arena  []byte
-	offs   []kvOff
-	pairs  []wire.KV
 	tables []*silo.Table
 	result []wire.TxnResult
 	resOff [][2]int
 
-	fnGet, fnPut, fnInsert, fnDelete, fnAdd, fnScan, fnTxn func(tx *silo.Tx) error
-	fnVisit                                                func(k, v []byte) bool
-}
+	// enc frames a scan's rows straight into the response buffer the
+	// connection writer will send (execScan).
+	enc wire.ScanEncoder
 
-// kvOff is one scan pair as offsets into the arena: key in [k0,k1),
-// value in [k1,v1).
-type kvOff struct{ k0, k1, v1 int }
+	fnGet, fnPut, fnInsert, fnDelete, fnAdd, fnScan, fnTxn func(tx *silo.Tx) error
+	fnSnapScan                                             func(stx *silo.SnapTx) error
+	fnPair                                                 func(k, v []byte) bool
+	fnEntry                                                func(sk, pk, v []byte) bool
+}
 
 func newExecState(s *Server, w int) *execState {
 	st := &execState{s: s, w: w}
@@ -60,7 +61,9 @@ func newExecState(s *Server, w int) *execState {
 	st.fnAdd = st.doAdd
 	st.fnScan = st.doScan
 	st.fnTxn = st.doTxn
-	st.fnVisit = st.scanVisit
+	st.fnSnapScan = st.doSnapScan
+	st.fnPair = st.visitPair
+	st.fnEntry = st.visitEntry
 	return st
 }
 
@@ -100,30 +103,6 @@ func (s *Server) execFast(st *execState, op *wire.Op, t *silo.Table) wire.Respon
 		}
 		binary.BigEndian.PutUint64(st.num[:], st.n)
 		return wire.Response{Kind: wire.KindValue, Value: st.num[:]}
-
-	case wire.KindScan:
-		// Like ISCAN, a limit beyond the server's cap is rejected rather
-		// than silently clamped: truncating to fewer results than
-		// requested is indistinguishable from the range really ending.
-		if op.Limit != 0 && int64(op.Limit) > int64(s.opts.MaxScan) {
-			return wire.Err(wire.CodeInvalid,
-				fmt.Sprintf("server: scan limit %d exceeds server maximum %d", op.Limit, s.opts.MaxScan))
-		}
-		st.limit = s.opts.MaxScan
-		if op.Limit != 0 {
-			st.limit = int(op.Limit)
-		}
-		if err := s.run(st.w, nil, st.fnScan); err != nil {
-			return errResponse(err)
-		}
-		st.pairs = st.pairs[:0]
-		for _, o := range st.offs {
-			st.pairs = append(st.pairs, wire.KV{
-				Key:   st.arena[o.k0:o.k1:o.k1],
-				Value: st.arena[o.k1:o.v1:o.v1],
-			})
-		}
-		return wire.Response{Kind: wire.KindScanR, Pairs: st.pairs}
 	}
 	return wire.Err(wire.CodeProto, "unexecutable kind "+op.Kind.String())
 }
@@ -162,25 +141,6 @@ func (st *execState) doAdd(tx *silo.Tx) error {
 	binary.BigEndian.PutUint64(v, n)
 	st.n = n
 	return tx.Put(st.t, st.op.Key, v)
-}
-
-func (st *execState) doScan(tx *silo.Tx) error {
-	st.offs = st.offs[:0] // retried transactions restart the scan
-	st.arena = st.arena[:0]
-	return tx.Scan(st.t, st.op.Key, hiBound(st.op), st.fnVisit)
-}
-
-// scanVisit copies one pair into the arena. Offsets, not slices: the
-// arena reallocates as it grows, and execFast materializes the KV
-// slices only once the scan's transaction has committed.
-func (st *execState) scanVisit(k, v []byte) bool {
-	o := kvOff{k0: len(st.arena)}
-	st.arena = append(st.arena, k...)
-	o.k1 = len(st.arena)
-	st.arena = append(st.arena, v...)
-	o.v1 = len(st.arena)
-	st.offs = append(st.offs, o)
-	return len(st.offs) < st.limit
 }
 
 // execTxnFast is execTxn on the recycled exec state: same table

@@ -51,10 +51,16 @@ func startRecycleServer(t *testing.T, noReuse bool) (addr string, stop func()) {
 	}
 }
 
-// recycleScript builds connection c's deterministic frame sequence:
-// rounds of TXN-insert, GET, PUT, ADD, SCAN, and a mixed TXN, all within
-// the connection's own key prefix so concurrent connections never
-// interact. Excludes TRACE/STATS/SCHEMA, whose responses carry timings.
+// recycleScript builds connection c's deterministic frame sequence: two
+// CREATE_INDEX frames (identical on every connection, so idempotent),
+// then rounds of TXN-insert, GET, PUT, ADD, SCAN, three ISCANs, and a
+// mixed TXN, all within the connection's own key prefix so concurrent
+// connections never interact. The scans are the frames a worker builds
+// in place in a response buffer and hands to the writer as is; between
+// them the ISCANs cover the covering visitor and both batched emission
+// orders (bench_by_tag's secondary order scrambles primary order, so its
+// pages are staged; bench_by_key's parallels it, so they stream).
+// Excludes TRACE/STATS/SCHEMA, whose responses carry timings.
 func recycleScript(c int) [][]byte {
 	prefix := byte('A' + c)
 	key := func(i int) []byte { return []byte{prefix, byte(i >> 8), byte(i)} }
@@ -72,6 +78,15 @@ func recycleScript(c int) [][]byte {
 			panic(err)
 		}
 		frames = append(frames, f)
+	}
+	add(&wire.Request{Ops: []wire.Op{{Kind: wire.KindCreateIndex, Table: "bench", Index: "bench_by_tag",
+		Segs: []wire.IndexSeg{{Off: 0, Len: 1}, {FromValue: true, Off: 8, Len: 2}}}}})
+	add(&wire.Request{Ops: []wire.Op{{Kind: wire.KindCreateIndex, Table: "bench", Index: "bench_by_key",
+		Segs: []wire.IndexSeg{{Off: 0, Len: 3}},
+		Incs: []wire.IndexSeg{{FromValue: true, Off: 0, Len: 8}}}}})
+	iscan := func(index string, limit uint32, covering bool) {
+		add(&wire.Request{Ops: []wire.Op{{Kind: wire.KindIScan, Index: index,
+			Key: []byte{prefix}, HasHi: true, Hi: []byte{prefix + 1}, Limit: limit, Covering: covering}}})
 	}
 	const rounds = 40
 	for i := 0; i < rounds; i++ {
@@ -93,6 +108,9 @@ func recycleScript(c int) [][]byte {
 		add(&wire.Request{Ops: []wire.Op{
 			{Kind: wire.KindScan, Table: "bench", Key: []byte{prefix}, HasHi: true, Hi: []byte{prefix + 1}, Limit: 8},
 		}})
+		iscan("bench_by_tag", 0, false)
+		iscan("bench_by_key", 8, true)
+		iscan("bench_by_key", 200, false)
 		add(&wire.Request{Txn: true, Ops: []wire.Op{
 			{Kind: wire.KindGet, Table: "bench", Key: k0},
 			{Kind: wire.KindAdd, Table: "bench", Key: k1, Delta: 7},

@@ -29,14 +29,17 @@ import (
 type Options struct {
 	// Addr is the listen address for ListenAndServe (e.g. ":4555").
 	Addr string
-	// MaxFrame caps accepted request payloads (default wire.MaxFrame).
+	// MaxFrame caps accepted request payloads and the scan responses the
+	// server will build: a SCAN or ISCAN whose page would not fit is
+	// answered with CodeInvalid instead of a frame a client with the same
+	// cap must reject (default wire.MaxFrame, the client's default too).
 	MaxFrame int
 	// Pipeline is the per-connection cap on in-flight requests; a reader
 	// that runs ahead of its writer by this many requests blocks (default
 	// 128).
 	Pipeline int
-	// MaxScan caps the pairs returned by one SCAN, also bounding response
-	// frames; requests may ask for less, never more (default 65536).
+	// MaxScan caps the rows returned by one SCAN or ISCAN; requests may
+	// ask for less, never more (default 65536).
 	MaxScan int
 	// DisableAutoCreate makes requests against unknown tables fail with
 	// CodeNoTable instead of creating the table on first use. Durability

@@ -493,14 +493,19 @@ func ScanIndex(tx *Tx, ix *Index, lo, hi []byte, fn func(sk, pk, value []byte) b
 // matching entries are collected first (up to max; 0 means unbounded),
 // their primary keys sorted, and the rows resolved with ordered
 // multi-get descents over the primary tree — one descent per leaf run
-// instead of one point read per entry — before fn receives the results
-// in entry-key order. OCC read-set and node-set semantics are identical
+// instead of one point read per entry; fn receives the results in
+// entry-key order. OCC read-set and node-set semantics are identical
 // to ScanIndex: a concurrent write landing between collection and
 // resolution either surfaces as ErrConflict or aborts the transaction at
-// commit, never as a torn row in a committed transaction. Prefer it over
-// ScanIndex for large ranges consumed in full (it is what the network
-// server runs for ISCAN); prefer ScanIndex when stopping after a few
-// entries.
+// commit, never as a torn row in a committed transaction. Results are
+// emitted as they resolve when the collected primary keys are already in
+// ascending order, so fn may have run for a prefix of the page when
+// ErrConflict is returned (a re-executed transaction body must restart
+// its output), and fn then runs inside the transaction's read of the
+// primary table: copy what you keep and use tx after ScanIndexBatched
+// returns, not from inside fn. Prefer it over ScanIndex for
+// large ranges consumed in full (it is what the network server runs for
+// ISCAN); prefer ScanIndex when stopping after a few entries.
 func ScanIndexBatched(tx *Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk, value []byte) bool) error {
 	return index.ScanBatched(tx, ix, lo, hi, max, fn)
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -114,6 +115,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	for i := range seedResps {
 		frame, err := AppendResponse(nil, &seedResps[i])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[4:])
+	}
+	// The frames a server actually sends for scans come from the streaming
+	// encoder, not AppendResponse.
+	for _, page := range scanPages(rand.New(rand.NewSource(5)))[:12] {
+		frame, err := streamScan(nil, &page, 0)
 		if err != nil {
 			f.Fatal(err)
 		}

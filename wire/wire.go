@@ -1036,7 +1036,7 @@ func decodeRequestInto(payload []byte, req *Request, sc *DecodeScratch) error {
 			return err
 		}
 	case KindIScan:
-		if err := decodeIScan(&rd, op); err != nil {
+		if err := decodeIScan(&rd, op, sc); err != nil {
 			return err
 		}
 	case KindSchema, KindStats:
@@ -1146,7 +1146,7 @@ func decodeSegs(rd *reader, what string, min int) ([]IndexSeg, error) {
 	return segs, nil
 }
 
-func decodeIScan(rd *reader, op *Op) error {
+func decodeIScan(rd *reader, op *Op, sc *DecodeScratch) error {
 	name, err := rd.bytes8()
 	if err != nil {
 		return err
@@ -1154,7 +1154,9 @@ func decodeIScan(rd *reader, op *Op) error {
 	if len(name) == 0 {
 		return malformed("empty index name")
 	}
-	op.Index = string(name)
+	// Interned like table names: a scan-heavy connection names the same
+	// index frame after frame.
+	op.Index = tableString(name, sc)
 	if op.Key, err = rd.bytes8(); err != nil {
 		return err
 	}
