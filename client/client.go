@@ -4,7 +4,8 @@
 // A Client multiplexes requests over a small pool of TCP connections.
 // Each connection pipelines: any number of goroutines may issue requests
 // concurrently, requests are written back-to-back without waiting for
-// responses, and the server answers in order, so one connection sustains
+// responses — frames from callers that arrive together leave in one
+// write — and the server answers in order, so one connection sustains
 // many in-flight one-shot transactions. Calls block until their response
 // arrives (closed loop per calling goroutine).
 //
@@ -18,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,7 +146,7 @@ func (cl *Client) conn() *conn {
 }
 
 func (cl *Client) roundTrip(req *wire.Request) (wire.Response, error) {
-	return cl.conn().roundTrip(req, cl.opts.MaxFrame)
+	return cl.conn().roundTrip(req)
 }
 
 // ---------------------------------------------------------------------------
@@ -460,20 +462,35 @@ func (t *Txn) Trace() ([]Result, *silo.TxnSpans, error) {
 // ---------------------------------------------------------------------------
 // Connection
 
-// conn is one pipelined TCP connection. The mutex makes
-// write-frame + enqueue-waiter atomic, so the FIFO of waiters matches the
-// order requests hit the wire; a single reader goroutine delivers
-// responses to waiters in that order.
+// conn is one pipelined TCP connection. Callers append their frame to
+// wbuf and enqueue their waiter under the mutex, so the FIFO of waiters
+// matches the order requests hit the wire; whichever caller finds no
+// flush running becomes the flusher and writes everything that has
+// accumulated — its own frame and any appended meanwhile — one nc.Write
+// per pass, so a burst of concurrent callers costs one syscall. A single
+// reader goroutine delivers responses to waiters in order.
 type conn struct {
 	nc net.Conn
 
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	wbuf    []byte
-	pending chan chan wire.Response
-	broken  bool
-	err     error
+	mu       sync.Mutex
+	wbuf     []byte // frames appended, not yet handed to nc.Write
+	spare    []byte // the other half of the double buffer
+	flushing bool   // a caller is in flush; it will write wbuf
+	pending  chan *waiter
+	broken   bool
+	err      error
 }
+
+// waiter is one caller's parked round trip: the reader (or fail) fills
+// the slot and signals done exactly once, the caller takes the result
+// and returns the waiter to the pool.
+type waiter struct {
+	done chan struct{} // buffered, so the reader never blocks on a caller
+	resp wire.Response
+	err  error
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{done: make(chan struct{}, 1)} }}
 
 func dialConn(addr string, opts Options) (*conn, error) {
 	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
@@ -483,59 +500,85 @@ func dialConn(addr string, opts Options) (*conn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	c := &conn{
-		nc:      nc,
-		bw:      bufio.NewWriterSize(nc, 64<<10),
-		pending: make(chan chan wire.Response, 1024),
-	}
-	go c.readLoop(opts.MaxFrame)
-	return c, nil
+	return newConn(nc, opts.MaxFrame), nil
 }
 
-func (c *conn) roundTrip(req *wire.Request, maxFrame int) (wire.Response, error) {
-	ch := make(chan wire.Response, 1)
+func newConn(nc net.Conn, maxFrame int) *conn {
+	// 1024 waiters: the pipeline depth at which a call fails fast instead
+	// of queueing deeper (see roundTrip).
+	c := &conn{nc: nc, pending: make(chan *waiter, 1024)}
+	go c.readLoop(maxFrame)
+	return c
+}
 
+func (c *conn) roundTrip(req *wire.Request) (wire.Response, error) {
 	c.mu.Lock()
 	if c.broken {
 		err := c.err
 		c.mu.Unlock()
 		return wire.Response{}, err
 	}
-	buf, err := wire.AppendRequest(c.wbuf[:0], req)
+	buf, err := wire.AppendRequest(c.wbuf, req)
 	if err != nil {
 		c.mu.Unlock()
 		return wire.Response{}, err
 	}
-	c.wbuf = buf
 	// The waiter must be enqueued before any request byte can reach the
 	// wire, or a fast server could respond while no waiter is queued. The
-	// send is non-blocking: hitting the cap means thousands of in-flight
+	// send is non-blocking: hitting the cap means a thousand in-flight
 	// requests on one connection, where failing fast (without poisoning
-	// the connection — nothing was written) beats queueing deeper.
+	// the connection — the frame is dropped from wbuf again) beats
+	// queueing deeper.
+	w := waiterPool.Get().(*waiter)
 	select {
-	case c.pending <- ch:
+	case c.pending <- w:
 	default:
 		c.mu.Unlock()
+		waiterPool.Put(w)
 		return wire.Response{}, errors.New("client: pipeline depth exceeded")
 	}
-	_, err = c.bw.Write(buf)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.mu.Unlock()
-	if err != nil {
-		c.fail(err)
-		return wire.Response{}, err
+	c.wbuf = buf
+	if c.flushing {
+		c.mu.Unlock()
+	} else {
+		c.flush()
 	}
 
-	resp, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.err
+	<-w.done
+	resp, err := w.resp, w.err
+	w.resp, w.err = wire.Response{}, nil
+	waiterPool.Put(w)
+	return resp, err
+}
+
+// flush writes wbuf until it is empty; called with c.mu held, returns
+// with it released. While the write runs outside the mutex, callers
+// append to the other buffer. When other requests are already in flight
+// their callers tend to wake together (the server answers a burst with
+// one write), so the flusher yields once to let the just-woken ones
+// append first; a lone request never pays the yield.
+func (c *conn) flush() {
+	c.flushing = true
+	if len(c.pending) > 1 {
 		c.mu.Unlock()
-		return wire.Response{}, err
+		runtime.Gosched()
+		c.mu.Lock()
 	}
-	return resp, nil
+	for len(c.wbuf) > 0 && !c.broken {
+		out := c.wbuf
+		c.wbuf = c.spare[:0]
+		c.mu.Unlock()
+		_, err := c.nc.Write(out)
+		if err != nil {
+			// Every queued waiter fails, this caller's own and those whose
+			// bytes were only buffered; fail pops each from pending once.
+			c.fail(err)
+		}
+		c.mu.Lock()
+		c.spare = out
+	}
+	c.flushing = false
+	c.mu.Unlock()
 }
 
 func (c *conn) readLoop(maxFrame int) {
@@ -552,8 +595,9 @@ func (c *conn) readLoop(maxFrame int) {
 			return
 		}
 		select {
-		case ch := <-c.pending:
-			ch <- resp
+		case w := <-c.pending:
+			w.resp = resp
+			w.done <- struct{}{}
 		default:
 			c.fail(errors.New("client: response without matching request"))
 			return
@@ -561,8 +605,8 @@ func (c *conn) readLoop(maxFrame int) {
 	}
 }
 
-// fail marks the connection broken, closes it, and wakes every waiter.
-// Waiters see a closed channel and report c.err.
+// fail marks the connection broken, closes it, and wakes every waiter
+// with the connection's error.
 func (c *conn) fail(err error) {
 	c.mu.Lock()
 	if c.broken {
@@ -573,10 +617,13 @@ func (c *conn) fail(err error) {
 	c.err = err
 	c.mu.Unlock()
 	c.nc.Close()
+	// No waiter joins pending once broken is set, and each is received
+	// here or by the reader, never both: exactly one signal per waiter.
 	for {
 		select {
-		case ch := <-c.pending:
-			close(ch)
+		case w := <-c.pending:
+			w.err = err
+			w.done <- struct{}{}
 		default:
 			return
 		}

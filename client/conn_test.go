@@ -1,0 +1,294 @@
+package client
+
+import (
+	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"silo"
+	"silo/server"
+	"silo/wire"
+)
+
+// countConn counts Write calls, the client's syscalls per request.
+type countConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// wireEnv is an in-process server on loopback and one client whose
+// connections count their writes.
+type wireEnv struct {
+	db    *silo.DB
+	srv   *server.Server
+	cl    *Client
+	conns []*countConn
+}
+
+func newWireEnv(tb testing.TB, conns int) *wireEnv {
+	tb.Helper()
+	db, err := silo.Open(silo.Options{Workers: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := &wireEnv{db: db, srv: server.New(db, server.Options{}), cl: &Client{}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go e.srv.Serve(ln)
+	tb.Cleanup(func() {
+		e.cl.Close()
+		e.srv.Close()
+		db.Close()
+	})
+	for i := 0; i < conns; i++ {
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cc := &countConn{Conn: nc}
+		e.conns = append(e.conns, cc)
+		e.cl.conns = append(e.cl.conns, newConn(cc, wire.MaxFrame))
+	}
+	return e
+}
+
+func (e *wireEnv) writes() int64 {
+	var n int64
+	for _, c := range e.conns {
+		n += c.writes.Load()
+	}
+	return n
+}
+
+func (e *wireEnv) dispatches() uint64 {
+	snap := e.db.Observe()
+	e.srv.CollectObs(snap)
+	return snap.Value("silo_server_dispatches_total", "")
+}
+
+// BenchmarkPipelinedRoundTrip counts what one request costs on the wire
+// path besides its execution: client write syscalls (writes/op) and
+// server reader→worker hand-offs (dispatch/op). Shapes are conns×window,
+// window closed-loop callers per connection issuing 80% GET / 20% ADD;
+// serial is one caller on one connection, where both counts are exactly
+// one. CI gates the counts and keeps ns/op as trajectory.
+func BenchmarkPipelinedRoundTrip(b *testing.B) {
+	for _, shape := range []struct {
+		name          string
+		conns, window int
+	}{{"serial", 1, 1}, {"1x8", 1, 8}, {"2x8", 2, 8}, {"1x64", 1, 64}} {
+		b.Run(shape.name, func(b *testing.B) {
+			e := newWireEnv(b, shape.conns)
+			keys := make([][]byte, 1024)
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("key%05d", i))
+				if err := e.cl.Insert("t", keys[i], make([]byte, 100)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			callers := shape.conns * shape.window
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			w0, d0 := e.writes(), e.dispatches()
+			b.ResetTimer()
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					// One connection per caller group: the window is the
+					// number of callers parked on a connection.
+					cn := e.cl.conns[c%shape.conns]
+					for {
+						i := int(next.Add(1))
+						if i > b.N {
+							return
+						}
+						op := wire.Op{Kind: wire.KindGet, Table: "t", Key: keys[i*7%len(keys)]}
+						if i%5 == 0 {
+							op.Kind, op.Delta = wire.KindAdd, 1
+						}
+						resp, err := cn.roundTrip(&wire.Request{Ops: []wire.Op{op}})
+						if err != nil || resp.Kind != wire.KindValue {
+							b.Errorf("request %d: %v, %v", i, resp.Kind, err)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(e.writes()-w0)/float64(b.N), "writes/op")
+			b.ReportMetric(float64(e.dispatches()-d0)/float64(b.N), "dispatch/op")
+		})
+	}
+}
+
+// TestCallAllocations gates the client's garbage per request: a Get keeps
+// the response payload its value aliases, and nothing else — no channel,
+// no request on the heap, no frame. AllocsPerRun counts the whole process,
+// so the peer is a stub that answers every frame with one canned VALUE
+// and allocates nothing itself.
+func TestCallAllocations(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		reply, _ := wire.AppendResponse(nil, &wire.Response{Kind: wire.KindValue, Value: make([]byte, 8)})
+		// Requests here are all shorter than the buffer, and arrive one at
+		// a time: one Read is one frame.
+		buf := make([]byte, 256)
+		for {
+			if _, err := nc.Read(buf); err != nil {
+				return
+			}
+			if _, err := nc.Write(reply); err != nil {
+				return
+			}
+		}
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &Client{conns: []*conn{newConn(nc, wire.MaxFrame)}}
+	defer cl.Close()
+
+	key := []byte("counter")
+	get := testing.AllocsPerRun(2000, func() {
+		if _, err := cl.Get("t", key); err != nil {
+			t.Fatal(err)
+		}
+	})
+	add := testing.AllocsPerRun(2000, func() {
+		if _, err := cl.Add("t", key, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/op: Get %.2f, Add %.2f", get, add)
+	if get > 2 || add > 2 {
+		t.Errorf("Get allocates %.2f times per call, Add %.2f; want at most 2 each", get, add)
+	}
+}
+
+// stalledConn returns a connection whose peer reads nothing, so the first
+// caller's Write blocks and later callers only buffer their frames, and
+// the peer's end of the pipe.
+func stalledConn() (*conn, net.Conn) {
+	near, far := net.Pipe()
+	return newConn(near, wire.MaxFrame), far
+}
+
+// park starts n callers on c and returns once all of them have their
+// waiter queued; their results arrive on the returned channel.
+func park(t *testing.T, c *conn, n int) chan error {
+	t.Helper()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			_, err := c.roundTrip(&wire.Request{Ops: []wire.Op{{Kind: wire.KindGet, Table: "t", Key: []byte{byte(i), byte(i >> 8)}}}})
+			errs <- err
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(c.pending) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callers queued", len(c.pending), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return errs
+}
+
+// TestWriteErrorFailsEveryWaiterOnce: when the flusher's write fails,
+// every queued caller gets the error — the flusher, and the callers whose
+// bytes never left the buffer — and gets it once: a second signal would
+// sit in a pooled waiter and wake some later call early with an empty
+// response.
+func TestWriteErrorFailsEveryWaiterOnce(t *testing.T) {
+	c, far := stalledConn()
+	const callers = 32
+	errs := park(t, c, callers)
+	c.mu.Lock()
+	buffered, flushing := len(c.wbuf), c.flushing
+	c.mu.Unlock()
+	if !flushing || buffered == 0 {
+		t.Fatalf("flushing=%v with %d bytes buffered; want one caller blocked in Write and the rest buffered", flushing, buffered)
+	}
+	far.Close() // the blocked Write fails
+
+	for i := 0; i < callers; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a call on a failed connection returned success")
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d callers never woke", callers-i, callers)
+		}
+	}
+	if n := len(c.pending); n != 0 {
+		t.Errorf("%d waiters still queued after the failure", n)
+	}
+	if _, err := c.roundTrip(&wire.Request{Ops: []wire.Op{{Kind: wire.KindGet, Table: "t", Key: []byte("k")}}}); err == nil {
+		t.Error("a call after the failure returned success")
+	}
+	// Every waiter went back to the pool drained.
+	for i := 0; i < 4*callers; i++ {
+		w := waiterPool.Get().(*waiter)
+		if len(w.done) != 0 || w.err != nil || w.resp.Kind != 0 {
+			t.Fatalf("pooled waiter holds a result: signal=%d err=%v resp=%v", len(w.done), w.err, w.resp.Kind)
+		}
+	}
+}
+
+// TestPipelineDepthExceededAppendsNothing: the call that finds the waiter
+// queue full fails without leaving its frame in the write buffer, where
+// it would go out with no waiter to match its response.
+func TestPipelineDepthExceededAppendsNothing(t *testing.T) {
+	c, far := stalledConn()
+	defer far.Close()
+	errs := park(t, c, cap(c.pending))
+
+	c.mu.Lock()
+	before := len(c.wbuf)
+	c.mu.Unlock()
+	_, err := c.roundTrip(&wire.Request{Ops: []wire.Op{{Kind: wire.KindGet, Table: "t", Key: []byte("one too many")}}})
+	if err == nil || err == ErrClosed {
+		t.Fatalf("call past the pipeline cap: %v, want the depth error", err)
+	}
+	c.mu.Lock()
+	after, broken := len(c.wbuf), c.broken
+	c.mu.Unlock()
+	if after != before {
+		t.Errorf("refused call left %d bytes in the write buffer", after-before)
+	}
+	if broken {
+		t.Error("refused call broke the connection")
+	}
+
+	c.fail(ErrClosed)
+	for i := 0; i < cap(c.pending); i++ {
+		select {
+		case <-errs:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d callers never woke after close", cap(c.pending)-i)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"silo/internal/trace"
 )
 
 func TestEmptyTransactionCommits(t *testing.T) {
@@ -219,5 +221,80 @@ func TestGetAppendSemantics(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScannedKeysOutliveTheScanBuffer: the key a scan callback sees lives
+// in the tree's pooled leaf buffer, which the next scan — this worker's or
+// another's — rewrites. The read-set must hold its own copy, or the abort
+// that blames a scanned record names whatever key landed in that slot
+// later (and, across workers, reads it while it is being written). Range
+// and batched reads both copy, and the copy allocates nothing once the
+// arena has grown (a batched read's remaining allocations are the tree's
+// own leaf-run buffers).
+func TestScannedKeysOutliveTheScanBuffer(t *testing.T) {
+	s := manualStore(t, 2, nil)
+	tbl, other := s.CreateTable("t"), s.CreateTable("other")
+	w0, w1 := s.Worker(0), s.Worker(1)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("row%04d", i)) }
+	const rows = 200 // several leaves
+	if err := w0.Run(func(tx *Tx) error {
+		for i := 0; i < rows; i++ {
+			if err := tx.Insert(tbl, key(i), []byte("v")); err != nil {
+				return err
+			}
+			if err := tx.Insert(other, []byte(fmt.Sprintf("zzz%04d", i)), []byte("v")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sorted := make([][]byte, rows)
+	for i := range sorted {
+		sorted[i] = key(i)
+	}
+	reads := map[string]func(tx *Tx) error{
+		"Scan": func(tx *Tx) error {
+			return tx.Scan(tbl, []byte{0}, nil, func(_, _ []byte) bool { return true })
+		},
+		"GetBatch": func(tx *Tx) error {
+			return tx.GetBatch(tbl, sorted, func(int, []byte, error) bool { return true })
+		},
+	}
+	for name, read := range reads {
+		victim := key(150)
+		tx := w0.Begin()
+		if err := read(tx); err != nil {
+			t.Fatal(err)
+		}
+		// The same goroutine scans another table: the pool hands the same
+		// leaf buffer back and the scan fills it with other keys.
+		if err := tx.Scan(other, []byte{0}, nil, func(_, _ []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		if err := w1.Run(func(tx *Tx) error { return tx.Put(tbl, victim, []byte("w")) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != ErrConflict {
+			t.Fatalf("%s: commit over a concurrent update: %v, want ErrConflict", name, err)
+		}
+		if id, hash, ok := w0.LastAbort(); !ok || id != tbl.ID || hash != trace.HashKey(victim) {
+			t.Errorf("%s: abort blames table %d key hash %#x (ok=%v); want table %d, %q = %#x",
+				name, id, hash, ok, tbl.ID, victim, trace.HashKey(victim))
+		}
+		if name != "Scan" {
+			continue
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			tx := w0.Begin()
+			if err := read(tx); err != nil {
+				t.Fatal(err)
+			}
+			tx.Abort()
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per transaction in steady state, want 0", name, n)
+		}
 	}
 }

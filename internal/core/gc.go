@@ -42,7 +42,8 @@ type gcItem struct {
 	table     *Table
 	key       []byte
 	rec       *record.Record
-	expect    uint64 // pure TID the absent record must still carry to unhook
+	head      *record.Record // snapshot version: the live record rec hangs from
+	expect    uint64         // pure TID the absent record must still carry to unhook
 	bytes     int
 }
 
@@ -51,12 +52,15 @@ type gcState struct {
 	unhookList []gcItem
 }
 
-func (g *gcState) registerSnapshotVersion(w *Worker, rec *record.Record, reclaimEpoch uint64) {
+// registerSnapshotVersion schedules the release of rec, a superseded
+// version just linked behind the live record head.
+func (g *gcState) registerSnapshotVersion(w *Worker, head, rec *record.Record, reclaimEpoch uint64) {
 	n := rec.DataLen() + recordOverheadBytes
 	g.snapList = append(g.snapList, gcItem{
 		kind:  gcSnapshotVersion,
 		epoch: reclaimEpoch,
 		rec:   rec,
+		head:  head,
 		bytes: n,
 	})
 	w.stats.SnapshotBytesRetained += uint64(n)
@@ -94,7 +98,9 @@ func (g *gcState) reap(w *Worker) {
 		it := &g.snapList[i]
 		w.stats.SnapshotBytesRetained -= uint64(it.bytes)
 		w.stats.SnapshotVersionsReaped++
-		it.rec = nil
+		// Dropping the list's pointer frees nothing while the version is
+		// still linked behind its live record; cut the chain there.
+		it.head.CutVersion(it.rec)
 	}
 	if i > 0 {
 		g.snapList = sliceDrop(g.snapList, i)

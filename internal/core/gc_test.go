@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -299,5 +300,89 @@ func TestSnapshotSeesDeletedState(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chainLen counts the superseded versions linked behind the live record
+// of key.
+func chainLen(tbl *Table, key []byte) int {
+	rec, _, _ := tbl.Tree.Get(key)
+	n := 0
+	for p := rec.Prev(); p != nil; p = p.Prev() {
+		n++
+	}
+	return n
+}
+
+// TestReapCutsVersionChains: reaping a superseded version must unlink it
+// from its live record, or every version ever preserved stays reachable
+// and SnapshotBytesRetained falls while the bytes stay. A snapshot pinned
+// across several snapshot groups of updates keeps its version readable
+// (nothing is cut early); once it ends, a reap leaves at most one version
+// behind each key, where without the cut it leaves one per group.
+func TestReapCutsVersionChains(t *testing.T) {
+	s := manualStore(t, 2, func(o *Options) { o.SnapshotK = 2 })
+	tbl := s.CreateTable("t")
+	w, pinner := s.Worker(0), s.Worker(1)
+	keys := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
+	putAll := func(v string) {
+		t.Helper()
+		if err := w.Run(func(tx *Tx) error {
+			for _, k := range keys {
+				if err := tx.Put(tbl, k, []byte(v)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Run(func(tx *Tx) error {
+		for _, k := range keys {
+			if err := tx.Insert(tbl, k, []byte("v0")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	advanceEpochs(s, 6)
+	stx := pinner.BeginSnapshot()
+
+	const groups = 4
+	for g := 1; g <= groups; g++ {
+		// SnapshotK epochs on: every round of updates is its own group. The
+		// long-running snapshot refreshes so the epoch can advance at all.
+		for i := 0; i < 2; i++ {
+			s.AdvanceEpoch()
+			pinner.RefreshEpoch()
+		}
+		putAll(fmt.Sprintf("v%d", g))
+		w.ReapNow()
+	}
+	for _, k := range keys {
+		if v, err := stx.Get(tbl, k); err != nil || string(v) != "v0" {
+			t.Fatalf("pinned snapshot reads %q, %v for %s; want v0", v, err, k)
+		}
+		if n := chainLen(tbl, k); n != groups {
+			t.Fatalf("%s: %d versions behind the live record while a snapshot pins them, want %d", k, n, groups)
+		}
+	}
+	stx.finish()
+
+	advanceEpochs(s, 20)
+	w.ReapNow()
+	if sv, _ := w.PendingGarbage(); sv != 0 {
+		t.Fatalf("%d snapshot versions still pending after the horizon passed", sv)
+	}
+	for _, k := range keys {
+		if n := chainLen(tbl, k); n > 1 {
+			t.Errorf("%s: %d versions still reachable after reap, want at most 1", k, n)
+		}
+	}
+	if st := w.Stats(); st.SnapshotBytesRetained != 0 {
+		t.Errorf("SnapshotBytesRetained = %d after everything was reaped", st.SnapshotBytesRetained)
 	}
 }

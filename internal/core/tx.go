@@ -34,10 +34,10 @@ const (
 // readEntry is one read-set observation. table and key identify the
 // record for abort forensics: when Phase 2 validation fails on the
 // entry, the flight recorder captures the conflicting table id and key
-// prefix/hash from here. key aliases the caller's slice — it is only
-// dereferenced at validation-failure time, and a caller mutating its
-// key buffer mid-transaction at worst smears the forensic label, never
-// correctness.
+// prefix/hash from here. key is a copy in the transaction's key arena:
+// the caller's slice may be a view of a buffer that is recycled before
+// the transaction ends (a scan callback's key lives in the tree's pooled
+// leaf buffer, which another worker's scan rewrites).
 type readEntry struct {
 	rec   *record.Record
 	word  tid.Word
@@ -76,6 +76,8 @@ type Tx struct {
 	reads  []readEntry
 	writes []writeEntry
 	nodes  []nodeEntry
+	keys   []byte       // arena backing the read-set's keys
+	widx   []int32      // open hash over writes, kept once the write-set outgrows a linear scan
 	rbuf   []byte       // scratch buffer for record reads
 	hbuf   []byte       // scratch buffer for hook old-value snapshots
 	tally  []tableTally // per-table read/write counts, flushed to the obs shard
@@ -88,6 +90,7 @@ func (tx *Tx) reset() {
 	tx.reads = tx.reads[:0]
 	tx.writes = tx.writes[:0]
 	tx.nodes = tx.nodes[:0]
+	tx.keys = tx.keys[:0]
 	tx.tally = tx.tally[:0]
 	tx.fail = nil
 	tx.spans = nil
@@ -96,8 +99,18 @@ func (tx *Tx) reset() {
 // Worker returns the executing worker.
 func (tx *Tx) Worker() *Worker { return tx.w }
 
+// maxKeyArena is the largest key arena a Tx keeps between transactions:
+// thousands of reads, so ordinary transactions never re-grow it, while one
+// whole-table scan does not pin its keys (and the read-set whose entries
+// point into them) to the worker for good. See Worker.finishTx.
+const maxKeyArena = 64 << 10
+
 func (tx *Tx) addRead(t *Table, key []byte, rec *record.Record, w tid.Word) {
-	tx.reads = append(tx.reads, readEntry{rec: rec, word: w, table: t, key: key})
+	// When the arena grows, earlier entries keep the old backing array;
+	// at its high-water mark the copy allocates nothing.
+	n := len(tx.keys)
+	tx.keys = append(tx.keys, key...)
+	tx.reads = append(tx.reads, readEntry{rec: rec, word: w, table: t, key: tx.keys[n:len(tx.keys):len(tx.keys)]})
 }
 
 func (tx *Tx) addNode(t *Table, n *btree.Node, version uint64) {
@@ -136,15 +149,68 @@ func (tx *Tx) applyNodeChanges(t *Table, changes []btree.VersionChange) error {
 	return nil
 }
 
+// writeScanMax is the largest write-set findWrite scans linearly. Every
+// statement looks its key up in the write-set, so a bulk transaction of n
+// writes would cost n²/2 key comparisons; past this size the lookups go
+// through a hash index instead. TPC-C's transactions stay below it.
+const writeScanMax = 32
+
 // findWrite returns the index of this transaction's pending write to
 // (table, key), or -1.
 func (tx *Tx) findWrite(t *Table, key []byte) int {
-	for i := range tx.writes {
+	if len(tx.writes) <= writeScanMax {
+		for i := range tx.writes {
+			if tx.writes[i].table == t && bytes.Equal(tx.writes[i].key, key) {
+				return i
+			}
+		}
+		return -1
+	}
+	mask := uint64(len(tx.widx) - 1)
+	for s := writeHash(t, key) & mask; ; s = (s + 1) & mask {
+		i := int(tx.widx[s]) - 1
+		if i < 0 {
+			return -1
+		}
 		if tx.writes[i].table == t && bytes.Equal(tx.writes[i].key, key) {
 			return i
 		}
 	}
-	return -1
+}
+
+func writeHash(t *Table, key []byte) uint64 {
+	return trace.HashKey(key) + uint64(t.ID)*0x9E3779B97F4A7C15
+}
+
+// indexWrite enters the newest write into the hash index: slots hold the
+// write's position plus one, zero is empty. The table is built when the
+// write-set first outgrows writeScanMax and rebuilt at four times the size
+// whenever it would pass half full; its backing array stays with the Tx,
+// so a worker that has run one bulk transaction runs the next without
+// allocating.
+func (tx *Tx) indexWrite() {
+	n := len(tx.writes)
+	first := n - 1
+	if n == writeScanMax+1 || 2*n > len(tx.widx) {
+		size := 4 * writeScanMax
+		for size < 4*n {
+			size *= 2
+		}
+		if cap(tx.widx) < size {
+			tx.widx = make([]int32, size)
+		}
+		tx.widx = tx.widx[:size]
+		clear(tx.widx)
+		first = 0
+	}
+	mask := uint64(len(tx.widx) - 1)
+	for i := first; i < n; i++ {
+		s := writeHash(tx.writes[i].table, tx.writes[i].key) & mask
+		for tx.widx[s] != 0 {
+			s = (s + 1) & mask
+		}
+		tx.widx[s] = int32(i + 1)
+	}
 }
 
 // pushWrite extends the write-set by one entry, recycling the previous
@@ -168,6 +234,9 @@ func (tx *Tx) pushWrite(t *Table, rec *record.Record, key, value []byte, kind wr
 	we.ours = ours
 	we.prelock = 0
 	we.seq = uint32(len(tx.writes) - 1)
+	if len(tx.writes) > writeScanMax {
+		tx.indexWrite()
+	}
 	tx.tallyWrite(t)
 }
 
@@ -810,7 +879,7 @@ func (tx *Tx) installWrite(we *writeEntry, commit tid.Word, e uint64) {
 		// reclamation at snap(e).
 		snapCopy := rec.CopyForSnapshot(old)
 		rec.SetPrev(snapCopy)
-		w.gc.registerSnapshotVersion(w, snapCopy, s.epochs.Snap(e))
+		w.gc.registerSnapshotVersion(w, rec, snapCopy, s.epochs.Snap(e))
 	}
 
 	switch we.kind {

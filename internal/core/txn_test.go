@@ -616,3 +616,96 @@ func (r *testRNG) next() uint64 {
 }
 
 func (r *testRNG) Intn(n int) int { return int(r.next() % uint64(n)) }
+
+// TestBulkWriteSetLookups drives a write-set far past writeScanMax, where
+// findWrite switches from the linear scan to the hash index, and checks
+// every lookup shape against a map: reads of pending writes, overwrites
+// of them, delete-then-insert, two tables sharing keys, and keys never
+// written. A second run on the same worker must reuse the index without
+// allocating for it.
+func TestBulkWriteSetLookups(t *testing.T) {
+	s := manualStore(t, 1, nil)
+	a, b := s.CreateTable("a"), s.CreateTable("b")
+	w := s.Worker(0)
+	const n = 20 * writeScanMax
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
+
+	bulk := func(round int) {
+		t.Helper()
+		want := map[string]string{} // "a/k00001" → pending value; "" = deleted
+		err := w.Run(func(tx *Tx) error {
+			clear(want)
+			for i := 0; i < n; i++ {
+				for _, tbl := range []*Table{a, b} {
+					v := fmt.Sprintf("%s-%d-%d", tbl.Name, round, i)
+					var err error
+					if round == 0 {
+						err = tx.Insert(tbl, key(i), []byte(v))
+					} else {
+						err = tx.Put(tbl, key(i), []byte(v))
+					}
+					if err != nil {
+						return fmt.Errorf("write %s/%s: %w", tbl.Name, key(i), err)
+					}
+					want[tbl.Name+"/"+string(key(i))] = v
+				}
+				switch i % 7 {
+				case 1: // overwrite an earlier pending write
+					j := i / 2
+					if err := tx.Put(a, key(j), []byte("again")); err != nil {
+						return fmt.Errorf("re-put %s: %w", key(j), err)
+					}
+					want["a/"+string(key(j))] = "again"
+				case 3: // delete a pending write, then bring it back
+					if err := tx.Delete(b, key(i)); err != nil {
+						return fmt.Errorf("delete %s: %w", key(i), err)
+					}
+					if _, err := tx.Get(b, key(i)); err != ErrNotFound {
+						return fmt.Errorf("get of a pending delete: %v", err)
+					}
+					if err := tx.Insert(b, key(i), []byte("back")); err != nil {
+						return fmt.Errorf("re-insert %s: %w", key(i), err)
+					}
+					want["b/"+string(key(i))] = "back"
+				}
+			}
+			for i := 0; i < n; i++ {
+				for _, tbl := range []*Table{a, b} {
+					got, err := tx.Get(tbl, key(i))
+					if err != nil || string(got) != want[tbl.Name+"/"+string(key(i))] {
+						return fmt.Errorf("pending %s/%s = %q, %v; want %q", tbl.Name, key(i), got, err, want[tbl.Name+"/"+string(key(i))])
+					}
+				}
+			}
+			if _, err := tx.Get(a, []byte("never-written")); err != ErrNotFound {
+				return fmt.Errorf("get of an unwritten key: %v", err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Committed state equals the pending state the lookups reported.
+		if err := w.Run(func(tx *Tx) error {
+			for k, v := range want {
+				tbl := a
+				if k[0] == 'b' {
+					tbl = b
+				}
+				got, err := tx.Get(tbl, []byte(k[2:]))
+				if err != nil || string(got) != v {
+					return fmt.Errorf("committed %s = %q, %v; want %q", k, got, err, v)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk(0)
+	idx := &w.tx.widx[0]
+	bulk(1)
+	if &w.tx.widx[0] != idx {
+		t.Error("the second bulk transaction allocated a new write index")
+	}
+}

@@ -166,6 +166,9 @@ func (w *Worker) RunSnapshot(fn func(stx *SnapTx) error) error {
 // the workers avoids helper threads and cross-core data movement).
 func (w *Worker) finishTx() {
 	w.slot.Exit()
+	if tx := &w.tx; !tx.active && cap(tx.keys) > maxKeyArena {
+		tx.keys, tx.reads = nil, nil
+	}
 	if w.store.opts.GC {
 		w.gc.reap(w)
 	}

@@ -200,6 +200,28 @@ func (r *Record) CopyForSnapshot(w tid.Word) *Record {
 	return c
 }
 
+// CutVersion detaches the superseded version v, and with it every older
+// version, from r's chain, by clearing the link that leads into v. It is
+// the reclamation step for v: the caller has established that no snapshot
+// can need v anymore, and the versions behind it are older still. A
+// writer may be preserving r's current version concurrently, and
+// CopyForSnapshot copies r's link before the new copy is published; the
+// walk therefore starts over after every cut, and ends only once a pass
+// finds no link into v. A copy published after that last pass keeps v
+// reachable until the copy itself is cut — one version, for one
+// reclamation round.
+func (r *Record) CutVersion(v *Record) {
+	for p := r; p != nil; {
+		next := p.prev.Load()
+		if next == v {
+			p.prev.CompareAndSwap(v, nil)
+			p = r
+			continue
+		}
+		p = next
+	}
+}
+
 // DataLen returns the current value length (unvalidated; for statistics).
 func (r *Record) DataLen() int { return len(*r.data.Load()) }
 

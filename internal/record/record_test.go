@@ -244,3 +244,43 @@ func TestReadWordSpinsWhileLocked(t *testing.T) {
 	}
 	_ = w
 }
+
+// TestCutVersionAgainstConcurrentCopies: a writer keeps preserving the
+// record's current version (copy the chain link, publish the copy) while
+// a reclaimer cuts every preserved version as soon as it hears of it —
+// often the very version the writer's next copy is linking to. A copy
+// published just after its predecessor was cut re-attaches that one
+// version until the copy is cut in turn, so the chain never grows past
+// the writer's lead, and once the last copy is cut nothing is left.
+func TestCutVersionAgainstConcurrentCopies(t *testing.T) {
+	r := New(tid.Make(1, 1).WithLatest(true), []byte("v"))
+	const versions, lead = 20000, 8
+	preserved := make(chan *Record, lead)
+	go func() {
+		defer close(preserved)
+		for i := uint64(2); i < versions+2; i++ {
+			w := r.Lock()
+			c := r.CopyForSnapshot(w)
+			r.SetPrev(c)
+			r.Unlock(tid.Make(i, 1).WithLatest(true))
+			preserved <- c
+		}
+	}()
+	chain := func() (n int) {
+		for p := r.Prev(); p != nil; p = p.Prev() {
+			n++
+		}
+		return n
+	}
+	for c := range preserved {
+		r.CutVersion(c)
+		// Uncut: the copies in the channel, the one being sent, the one
+		// being made, and one straggler behind the oldest of them.
+		if n := chain(); n > lead+3 {
+			t.Fatalf("%d versions behind the record with the reclaimer at most %d behind", n, lead+2)
+		}
+	}
+	if n := chain(); n != 0 {
+		t.Fatalf("%d versions still linked after every one was cut", n)
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"net"
 	"time"
 
@@ -9,11 +10,20 @@ import (
 	"silo/wire"
 )
 
+// maxChain caps how many requests of one pipelined burst travel as a
+// single chain: long enough that a burst costs one dispatch, short enough
+// that a deep pipeline is cut into several chains for several workers
+// from the start.
+const maxChain = 16
+
 // handleConn runs one connection: a reader loop (this goroutine) that
-// decodes frames and dispatches jobs, and a writer goroutine that sends
-// responses back in request order. The reader pushes each job onto the
-// in-order pending queue before dispatching it, so wire order always
-// matches request order even though jobs complete on different workers.
+// decodes frames and dispatches them a burst at a time, and a writer
+// goroutine that sends responses back in request order. A burst is every
+// request already sitting complete in the read buffer (a lone request is
+// a burst of one): its jobs are linked into a chain, handed to a worker
+// with one send, and then queued in order on the connection's pending
+// FIFO, so wire order always matches request order even though chains
+// complete on different workers.
 func (s *Server) handleConn(c net.Conn, id uint64) {
 	defer s.connWG.Done()
 	s.db.Flight().RecordShared(trace.EvConnOpen, 0, 0, id, nil)
@@ -37,36 +47,82 @@ func (s *Server) handleConn(c net.Conn, id uint64) {
 	}()
 
 	br := bufio.NewReaderSize(c, 64<<10)
-	for {
-		j := s.getJob()
-		payload, err := wire.ReadFrameInto(br, s.opts.MaxFrame, j.payload)
-		if err != nil {
-			s.putJob(j)
-			break
+	var burst [maxChain]*job
+	for open := true; open; {
+		n := 0
+		var refused *job // a malformed frame, already answered
+		for {
+			j := s.getJob()
+			payload, err := wire.ReadFrameInto(br, s.opts.MaxFrame, j.payload)
+			if err != nil {
+				s.putJob(j)
+				open = false
+				break
+			}
+			j.payload = payload
+			if derr := wire.DecodeRequestInto(payload, &j.req, &j.scratch); derr != nil {
+				// A malformed frame poisons the stream (framing may be lost):
+				// answer it, after the requests ahead of it, and hang up.
+				s.errors64.Add(1)
+				er := wire.Err(wire.CodeProto, derr.Error())
+				j.done <- s.encodeResp(&er, nil)
+				refused, open = j, false
+				break
+			}
+			burst[n] = j
+			n++
+			if n == maxChain || !frameBuffered(br) {
+				break
+			}
 		}
-		j.payload = payload
-		if derr := wire.DecodeRequestInto(payload, &j.req, &j.scratch); derr != nil {
-			// A malformed frame poisons the stream (framing may be lost):
-			// answer it and hang up.
-			s.errors64.Add(1)
-			er := wire.Err(wire.CodeProto, derr.Error())
-			j.done <- s.encodeResp(&er, nil)
+		// Dispatch before queueing on pending: the chain must be runnable
+		// before this reader can block on a full pending queue, or a
+		// Pipeline smaller than the burst would wait on responses nobody
+		// is computing. After dispatch the jobs belong to the workers and
+		// the writer; only the pointers are used here. Both sends can
+		// block — jobs when all workers are busy, pending for
+		// per-connection backpressure — but never forever: executors
+		// outlive every connection handler, and the writer drains pending
+		// as long as they run.
+		s.dispatch(burst[:n])
+		for _, j := range burst[:n] {
 			pending <- j
-			break
+			s.obs.depth.Observe(uint64(len(pending)))
 		}
-		// Order matters: enqueue on pending (FIFO with the writer) before
-		// the job becomes runnable. Both sends can block — pending for
-		// per-connection backpressure, jobs when all workers are busy —
-		// but never forever: the writer drains pending as long as
-		// executors run, and executors outlive every connection handler.
-		j.enq = time.Now()
-		j.enqTS = s.now()
-		pending <- j
-		s.obs.depth.Observe(uint64(len(pending)))
-		s.jobs <- j
+		if refused != nil {
+			pending <- refused
+		}
 	}
 	close(pending)
 	<-writerDone
+}
+
+// frameBuffered reports whether the next frame is already complete in
+// br, so reading it cannot block. A length the frame reader will refuse
+// (zero, oversized) counts as buffered: the refusal needs no more bytes.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(br.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(hdr))
+}
+
+// dispatch hands one burst to the executors as a chain: one send,
+// whatever the burst's length.
+func (s *Server) dispatch(burst []*job) {
+	if len(burst) == 0 {
+		return
+	}
+	enq, enqTS := time.Now(), s.now()
+	for i, j := range burst {
+		j.enq, j.enqTS = enq, enqTS
+		if i+1 < len(burst) {
+			j.next = burst[i+1]
+		}
+	}
+	s.obs.dispatches.Inc()
+	s.jobs <- burst[0]
 }
 
 // flushBytes caps how many encoded bytes the writer queues before

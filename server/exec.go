@@ -9,83 +9,121 @@ import (
 	"silo/wire"
 )
 
+// chainShare is how long a worker keeps a chain to itself. Handing the
+// rest of a chain to another worker costs a channel send and a wake-up,
+// a few microseconds: not worth it between point requests, which finish
+// a whole chain sooner than that, and well worth it once scans, large
+// transactions, retries or a durability wait have held the worker for
+// tens of microseconds while the requests behind them wait.
+const chainShare = 50 * time.Microsecond
+
 // workerLoop is the executor for worker w: it owns that worker context for
-// the server's lifetime and runs each dispatched request as a one-shot
-// transaction, exactly the paper's model of requests arriving over the
-// network and executing to completion on a worker core.
+// the server's lifetime and runs each dispatched chain, in order, every
+// request as a one-shot transaction — exactly the paper's model of
+// requests arriving over the network and executing to completion on a
+// worker core. While it waits for a chain it counts as idle; a worker
+// that has spent chainShare on its chain and sees an idle peer passes the
+// rest of the chain on, so one deeply pipelined connection still uses
+// every core.
 func (s *Server) workerLoop(w int) {
 	defer s.workerWG.Done()
+	st := newExecState(s, w)
+	for {
+		s.idle.Add(1)
+		j, ok := <-s.jobs
+		s.idle.Add(-1)
+		if !ok {
+			return
+		}
+		began := time.Now()
+		for j != nil {
+			// Responding hands j to the connection writer, which recycles
+			// it; the link is read first.
+			next := j.next
+			s.runJob(w, st, j)
+			if next != nil && s.idle.Load() > 0 && time.Since(began) >= chainShare {
+				select {
+				case s.jobs <- next:
+					s.obs.dispatches.Inc()
+					next = nil
+				default:
+				}
+			}
+			j = next
+		}
+	}
+}
+
+// runJob executes one request and responds to it.
+func (s *Server) runJob(w int, st *execState, j *job) {
 	o := s.wobs[w]
 	slowAt := s.opts.SlowThreshold
-	st := newExecState(s, w)
-	for j := range s.jobs {
-		start := time.Now()
-		if !j.enq.IsZero() {
-			o.queue.ObserveDuration(start.Sub(j.enq).Nanoseconds())
-		}
-		kind := wire.KindTxn
-		switch {
-		case j.req.Trace:
-			kind = wire.KindTrace
-		case !j.req.Txn:
-			kind = j.req.Ops[0].Kind
-		}
-		// A TRACE frame is traced because the client asked; with slow-op
-		// capture armed, everything is traced so a slow op's timeline is
-		// already in hand when it crosses the threshold. With the group
-		// release pipeline active a traced write must not block this
-		// worker on durability — the releaser accounts the park-to-release
-		// wait to the Fsync span instead, so the timeline still covers the
-		// client-visible commit point.
-		var tc *traceCtx
-		var t0 time.Duration
-		if j.req.Trace || slowAt > 0 {
-			tc = &traceCtx{sp: &silo.TxnSpans{}, durable: j.req.Trace && s.rel == nil}
-			t0 = s.now()
-			if q := t0 - j.enqTS; q > 0 && !j.enq.IsZero() {
-				tc.sp.Queue = q
-			}
-		}
-		resp, rb := s.exec(w, st, &j.req, tc)
-		if tc != nil {
-			elapsed := s.now() - t0
-			sp := tc.sp
-			// The engine timed execute/validate/log/fsync-wait; what is
-			// left of the frame's wall time is table resolution and
-			// result assembly — the respond span.
-			if r := elapsed - (sp.Exec + sp.Validate + sp.Log + sp.Fsync); r > 0 {
-				sp.Respond = r
-			}
-			if j.req.Trace && resp.Kind == wire.KindTxnR {
-				resp.Kind = wire.KindTraceR
-				resp.Spans = sp
-			}
-			if total := sp.Queue + elapsed; slowAt > 0 && total >= slowAt {
-				op := slowOp{
-					At:    t0 + elapsed,
-					Kind:  kind,
-					Ops:   len(j.req.Ops),
-					Total: total,
-					Spans: *sp,
-				}
-				op.Table, op.Tables, op.Counts = slowAttr(j.req.Ops)
-				if resp.Kind == wire.KindErr {
-					op.Err = resp.Msg
-				}
-				s.slow.add(op)
-			}
-		}
-		// Latency and counters are recorded at execution time: the
-		// latency histogram prices the exec path (queue wait excluded,
-		// retries included), while the wait from commit to durable
-		// release is the releaser's own release-lag histogram.
-		o.latency[latIdx(kind)].ObserveDuration(time.Since(start).Nanoseconds())
-		if resp.Kind == wire.KindErr {
-			s.errors64.Add(1)
-		}
-		s.requests64.Add(1)
-		s.respond(w, &j.req, resp, rb, j.done)
+	start := time.Now()
+	if !j.enq.IsZero() {
+		o.queue.ObserveDuration(start.Sub(j.enq).Nanoseconds())
 	}
+	kind := wire.KindTxn
+	switch {
+	case j.req.Trace:
+		kind = wire.KindTrace
+	case !j.req.Txn:
+		kind = j.req.Ops[0].Kind
+	}
+	// A TRACE frame is traced because the client asked; with slow-op
+	// capture armed, everything is traced so a slow op's timeline is
+	// already in hand when it crosses the threshold. With the group
+	// release pipeline active a traced write must not block this
+	// worker on durability — the releaser accounts the park-to-release
+	// wait to the Fsync span instead, so the timeline still covers the
+	// client-visible commit point.
+	var tc *traceCtx
+	var t0 time.Duration
+	if j.req.Trace || slowAt > 0 {
+		tc = &traceCtx{sp: &silo.TxnSpans{}, durable: j.req.Trace && s.rel == nil}
+		t0 = s.now()
+		if q := t0 - j.enqTS; q > 0 && !j.enq.IsZero() {
+			tc.sp.Queue = q
+		}
+	}
+	resp, rb := s.exec(w, st, &j.req, tc)
+	if tc != nil {
+		elapsed := s.now() - t0
+		sp := tc.sp
+		// The engine timed execute/validate/log/fsync-wait; what is
+		// left of the frame's wall time is table resolution and
+		// result assembly — the respond span.
+		if r := elapsed - (sp.Exec + sp.Validate + sp.Log + sp.Fsync); r > 0 {
+			sp.Respond = r
+		}
+		if j.req.Trace && resp.Kind == wire.KindTxnR {
+			resp.Kind = wire.KindTraceR
+			resp.Spans = sp
+		}
+		if total := sp.Queue + elapsed; slowAt > 0 && total >= slowAt {
+			op := slowOp{
+				At:    t0 + elapsed,
+				Kind:  kind,
+				Ops:   len(j.req.Ops),
+				Total: total,
+				Spans: *sp,
+			}
+			op.Table, op.Tables, op.Counts = slowAttr(j.req.Ops)
+			if resp.Kind == wire.KindErr {
+				op.Err = resp.Msg
+			}
+			s.slow.add(op)
+		}
+	}
+	// Latency and counters are recorded at execution time: the
+	// latency histogram prices the exec path (queue wait excluded,
+	// retries included), while the wait from commit to durable
+	// release is the releaser's own release-lag histogram.
+	o.latency[latIdx(kind)].ObserveDuration(time.Since(start).Nanoseconds())
+	if resp.Kind == wire.KindErr {
+		s.errors64.Add(1)
+	}
+	s.requests64.Add(1)
+	s.respond(w, &j.req, resp, rb, j.done)
 }
 
 // respond encodes and releases one completed response according to the

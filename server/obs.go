@@ -25,9 +25,12 @@ type workerObs struct {
 
 // serverObs holds the cells shared across connections: the per-connection
 // pipeline depth observed at each enqueue (how far readers run ahead of
-// their writers — the wire's analogue of queue length).
+// their writers — the wire's analogue of queue length), and the number of
+// chains readers sent to the executors (requests per dispatch is the
+// burst size the server actually saw).
 type serverObs struct {
-	depth obs.Histogram
+	depth      obs.Histogram
+	dispatches obs.Counter
 }
 
 // statsKinds are the request kinds CollectObs reports latency series for.
@@ -62,6 +65,7 @@ func (s *Server) CollectObs(snap *obs.Snapshot) {
 	}
 	snap.Histogram("silo_server_queue_ns", "", "", q)
 	snap.Histogram("silo_server_pipeline_depth", "", "", s.obs.depth.Snapshot())
+	snap.Counter("silo_server_dispatches_total", "", "", s.obs.dispatches.Load())
 	if s.bo != nil {
 		// The backoff policy's behavior: how many conflicts it saw, how
 		// many retries actually waited (zero under incidental conflicts —

@@ -13,13 +13,18 @@ import (
 // (encoded frames on their way to a connection writer). The lifecycle is
 // strict single-ownership passed along the pipeline:
 //
-//	reader  — takes a job from the pool, reads the frame into its payload,
-//	          decodes into its request/scratch, enqueues it on the
-//	          connection's pending queue and the dispatch queue
-//	worker  — executes the request, encodes the response into a pooled
-//	          respBuf (steady state) and sends it on the job's done
-//	          channel, possibly via the group-commit releaser
-//	writer  — queues the buffer as one writev segment, and after the
+//	reader  — takes a job from the pool per frame already buffered, reads
+//	          the frame into its payload, decodes into its request/scratch,
+//	          links the burst's jobs into a chain (job.next), sends the
+//	          chain's head on the dispatch queue, then enqueues every job
+//	          on the connection's pending queue
+//	worker  — walks the chain in order; per job it reads the link, executes
+//	          the request, encodes the response into a pooled respBuf
+//	          (steady state) and sends it on that job's done channel,
+//	          possibly via the group-commit releaser. The send releases
+//	          the job: a worker never touches a job it has responded to
+//	writer  — takes jobs off pending in request order, waits on each done,
+//	          queues the buffer as one writev segment, and after the
 //	          segments are flushed returns buffers and job to their pools
 //
 // Race-enabled builds poison recycled memory on return to the pool, so
@@ -38,12 +43,16 @@ type outMsg struct {
 	resp *wire.Response
 }
 
-// job is one in-flight request. The reader owns it until dispatch, the
-// executor until the done send, the writer until it returns it to the
-// pool; the pooled pieces (payload backing, decode scratch, the buffered
-// done channel) are recycled across requests and connections.
+// job is one in-flight request. The reader owns it until its chain is
+// dispatched, the executor until the done send, the writer until it
+// returns it to the pool; the pooled pieces (payload backing, decode
+// scratch, the buffered done channel) are recycled across requests and
+// connections.
 type job struct {
 	req wire.Request
+	// next is the request after this one in the same dispatched chain, nil
+	// at the chain's end.
+	next *job
 	// payload is the frame payload backing req; key/value/table slices in
 	// req alias it until the response is encoded.
 	payload []byte
@@ -102,6 +111,7 @@ func (s *Server) putJob(j *job) {
 		j.scratch.Drop()
 	}
 	j.req = wire.Request{}
+	j.next = nil
 	j.enq = time.Time{}
 	j.enqTS = 0
 	jobPool.Put(j)

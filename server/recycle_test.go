@@ -208,6 +208,7 @@ func TestPoolDropsOversizedBuffers(t *testing.T) {
 
 	j := s.getJob()
 	j.payload = make([]byte, maxPooled+1)
+	j.next = s.getJob() // a recycled job must not stay linked into its old chain
 	var req wire.Request
 	frame, err := wire.AppendRequest(nil, &wire.Request{Ops: []wire.Op{
 		{Kind: wire.KindGet, Table: "bench", Key: []byte("k")},
@@ -221,6 +222,9 @@ func TestPoolDropsOversizedBuffers(t *testing.T) {
 	s.putJob(j)
 	if j.payload != nil {
 		t.Errorf("putJob kept a %d-byte payload past the %d cap", maxPooled+1, maxPooled)
+	}
+	if j.next != nil {
+		t.Error("putJob kept the chain link")
 	}
 	if !reflect.DeepEqual(j.scratch, wire.DecodeScratch{}) {
 		t.Error("putJob dropped the payload but kept the scratch aliasing it")

@@ -5,13 +5,28 @@
 // the database's workers. The server runs one executor goroutine per
 // worker (Silo's one-worker-per-core model); requests from all connections
 // funnel into a shared dispatch queue, so an idle worker picks up the next
-// request regardless of which connection it arrived on, and conflicts are
+// work regardless of which connection it arrived on, and conflicts are
 // retried transparently by DB.Run before a response is sent.
 //
+// The unit of work on that queue is a pipelined burst, not a request. A
+// connection's reader decodes every frame already complete in its read
+// buffer, links the jobs into a chain and hands the chain to a worker
+// with one send (a lone request is a chain of one; a chain holds at most
+// 16 jobs; a worker that a chain has kept busy for a while passes the
+// rest to an idle peer). The worker runs the chain in order and
+// completes each job individually, so everything
+// downstream still sees requests: the per-connection in-order queue the
+// writer drains, writev batching of ready responses, durable-ack parking,
+// TRACE and slow-op capture. The path is
+//
+//	reader → chain → worker → per-job done → writer
+//
+// and a request's queue time (silo_server_queue_ns) runs from its
+// chain's dispatch to its own start, so it includes the time spent behind
+// earlier jobs of the same chain.
+//
 // Responses are written back on each connection in request order, which
-// lets clients pipeline: a connection's reader enqueues work and its
-// writer drains an in-order queue of pending results, batching frame
-// writes while responses are ready.
+// lets clients pipeline.
 package server
 
 import (
@@ -85,7 +100,10 @@ type Stats struct {
 type Server struct {
 	db   *silo.DB
 	opts Options
+	// jobs carries chains of requests (see job.next) from connection
+	// readers to executors; idle counts the executors blocked on it.
 	jobs chan *job
+	idle atomic.Int32
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
