@@ -60,8 +60,7 @@ func main() {
 		stats     = flag.Duration("stats", 0, "print stats every interval (0 = off)")
 		admin     = flag.String("admin", "", "admin HTTP listen address serving /metrics, /debug/vars, /debug/flight, /debug/slow and /debug/pprof (empty = off)")
 		slowMs    = flag.Int("slow-ms", 0, "force-trace every request and capture ops slower than this many milliseconds at /debug/slow (0 = off)")
-		ackMode   = flag.String("ack-mode", "auto", "when write responses are released to clients: auto (group under -sync, immediate otherwise), group (park each response until its commit epoch is durable — an OK frame then guarantees the write survives a crash), immediate (ack at in-memory commit; the pre-pipeline behavior, opt-out for -sync), request (block the executing worker per write; the naive baseline group release is benchmarked against)")
-		backoff   = flag.Bool("backoff", false, "contention-aware retry backoff: retries against keys the flight recorder calls hot wait exponentially (with jitter) instead of spinning")
+		ackMode   = flag.String("ack-mode", "auto", "when write responses are released to clients: auto (group under -sync, immediate otherwise), group (park each response until its commit epoch is durable — an OK frame then guarantees the write survives a crash), immediate (ack at in-memory commit; the pre-pipeline behavior, opt-out for -sync)")
 	)
 	flag.Parse()
 
@@ -110,27 +109,9 @@ func main() {
 		}
 	}
 
-	// -sync promises clients durability, so it implies durable acks: an
-	// OK frame is withheld until the write's epoch is durable (group
-	// release keeps the workers pipelined). -ack-mode immediate opts back
-	// into the historical ack-at-memory-commit behavior.
-	var acks server.AckMode
-	switch *ackMode {
-	case "auto":
-		if *doSync && *logDir != "" {
-			acks = server.AckGroup
-		}
-	case "group":
-		acks = server.AckGroup
-	case "immediate":
-		acks = server.AckImmediate
-	case "request":
-		acks = server.AckPerRequest
-	default:
-		fatal(fmt.Errorf("unknown -ack-mode %q (auto, group, immediate, request)", *ackMode))
-	}
-	if acks != server.AckImmediate && *logDir == "" {
-		fatal(fmt.Errorf("-ack-mode %s requires -logdir (durable acks need a log)", acks))
+	acks, err := parseAckMode(*ackMode, *doSync, *logDir != "")
+	if err != nil {
+		fatal(err)
 	}
 
 	srv := server.New(db, server.Options{
@@ -139,7 +120,6 @@ func main() {
 		DisableAutoCreate: *noCreate || *logDir != "",
 		SlowThreshold:     time.Duration(*slowMs) * time.Millisecond,
 		Acks:              acks,
-		Backoff:           *backoff,
 	})
 
 	// The flight recorder's last seconds are the forensic record of how
@@ -204,6 +184,29 @@ func main() {
 	ss := srv.Stats()
 	fmt.Printf("served %d requests on %d connections (%d errors)\n",
 		ss.Requests, ss.Conns, ss.Errors)
+}
+
+// parseAckMode maps -ack-mode to the server's ack mode. -sync promises
+// clients durability, so auto implies durable acks under it: an OK frame
+// is withheld until the write's epoch is durable (group release keeps the
+// workers pipelined). immediate opts back into ack-at-memory-commit.
+func parseAckMode(mode string, sync, hasLog bool) (server.AckMode, error) {
+	acks := server.AckImmediate
+	switch mode {
+	case "auto":
+		if sync && hasLog {
+			acks = server.AckGroup
+		}
+	case "group":
+		acks = server.AckGroup
+	case "immediate":
+	default:
+		return 0, fmt.Errorf("unknown -ack-mode %q (auto, group, immediate)", mode)
+	}
+	if acks != server.AckImmediate && !hasLog {
+		return 0, fmt.Errorf("-ack-mode %s requires -logdir (durable acks need a log)", acks)
+	}
+	return acks, nil
 }
 
 // dumpFlight writes the flight recorder's merged event timeline — with

@@ -280,9 +280,11 @@ func TestScannedKeysOutliveTheScanBuffer(t *testing.T) {
 		if err := tx.Commit(); err != ErrConflict {
 			t.Fatalf("%s: commit over a concurrent update: %v, want ErrConflict", name, err)
 		}
-		if id, hash, ok := w0.LastAbort(); !ok || id != tbl.ID || hash != trace.HashKey(victim) {
-			t.Errorf("%s: abort blames table %d key hash %#x (ok=%v); want table %d, %q = %#x",
-				name, id, hash, ok, tbl.ID, victim, trace.HashKey(victim))
+		// The flight recorder's newest event is that abort's forensics.
+		events := s.Flight().Dump()
+		if ev := events[len(events)-1]; ev.Kind != trace.EvAbort || ev.Table != tbl.ID || ev.A != trace.HashKey(victim) {
+			t.Errorf("%s: abort recorded as %v table %d key hash %#x; want abort, table %d, %q = %#x",
+				name, ev.Kind, ev.Table, ev.A, tbl.ID, victim, trace.HashKey(victim))
 		}
 		if name != "Scan" {
 			continue

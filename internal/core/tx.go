@@ -849,9 +849,6 @@ func (tx *Tx) abortCommit(reason abortReason, t *Table, key []byte) error {
 	if len(key) > 0 {
 		hash = trace.HashKey(key)
 	}
-	if len(key) > 0 {
-		tx.w.lastAbortTable, tx.w.lastAbortHash, tx.w.lastAbortSet = tableID, hash, true
-	}
 	if tx.w.ring != nil {
 		tx.w.ring.Record(trace.EvAbort, uint16(reason), tableID, hash, key)
 	}

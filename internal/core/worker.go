@@ -25,14 +25,6 @@ type Worker struct {
 	tx   Tx     // reusable transaction
 	stx  SnapTx // reusable snapshot transaction
 	wbuf []LoggedWrite
-
-	// Conflict forensics for the most recent abort on this worker,
-	// cleared by Begin: which table and key hash the commit protocol
-	// blamed. Retry policies (package server's contention-aware backoff)
-	// read it to decide whether the conflict hit a known-hot key.
-	lastAbortTable uint32
-	lastAbortHash  uint64
-	lastAbortSet   bool
 }
 
 func newWorker(s *Store, id int) *Worker {
@@ -62,18 +54,6 @@ func (w *Worker) SetLogFunc(fn LogFunc) { w.logFn = fn }
 // LastCommitTID returns the pure TID of the worker's most recent commit.
 func (w *Worker) LastCommitTID() uint64 { return w.gen.Last() }
 
-// LastAbort reports the conflict forensics of the worker's most recent
-// aborted commit — the table and key hash (trace.HashKey) validation
-// blamed — with ok false when the last transaction did not abort at
-// commit or the abort carried no key (an epoch-boundary or node-only
-// abort). Begin clears it, so between transactions it describes exactly
-// the attempt that just failed; read-time conflicts (a Get observing an
-// in-flight version) surface as ErrConflict without passing through
-// commit and leave it unset.
-func (w *Worker) LastAbort() (table uint32, keyHash uint64, ok bool) {
-	return w.lastAbortTable, w.lastAbortHash, w.lastAbortSet
-}
-
 // Begin starts a read/write transaction on this worker. The returned
 // transaction is owned by the worker and is reset by Commit/Abort; at most
 // one may be active per worker.
@@ -82,7 +62,6 @@ func (w *Worker) Begin() *Tx {
 	if tx.active {
 		panic("core: worker already has an active transaction")
 	}
-	w.lastAbortSet = false
 	tx.reset()
 	tx.epoch = w.slot.Enter(w.store.epochs)
 	tx.active = true

@@ -475,9 +475,17 @@ type logger struct {
 // the current pass). All callers run on the logger goroutine (iterate,
 // rotation, and Stop after the ticker has halted), so the single-writer
 // ring discipline holds.
+//
+// A failed fsync is fail-stop, exactly like a failed log write: the kernel
+// may have dropped the dirty pages it could not write and marked them
+// clean, so a retry on the same descriptor can report success for data
+// that never reached the disk. Panicking before d_l is published means no
+// epoch covered only by the failed fsync is ever reported durable.
 func (lg *logger) syncFile() {
 	t0 := time.Now()
-	lg.file.Sync()
+	if err := lg.file.Sync(); err != nil {
+		panic(fmt.Sprintf("wal: log fsync failed: %v", err))
+	}
 	lg.m.obs.fsync.ObserveDuration(time.Since(t0).Nanoseconds())
 	lg.ring.Record(trace.EvFsync, uint16(lg.id), 0, uint64(lg.passBytes), nil)
 }

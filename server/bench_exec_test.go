@@ -14,7 +14,8 @@ import (
 // exec state, encode into a pooled response buffer — without a socket in
 // the way. The claim under test is the zero-allocation wire hot path:
 // after warmup, a non-DDL GET/PUT/TXN/SCAN/ISCAN costs 0 allocs/op end to
-// end in package server (TestServerExecAllocs enforces it; CI's
+// end in package server, traced (a TRACE frame, or everything under
+// slow-op capture) or not (TestServerExecAllocs enforces it; CI's
 // bench-exec job gates on the benchmark output). BENCH_EXEC.json holds
 // the reference snapshot.
 
@@ -70,27 +71,32 @@ func benchExec(tb testing.TB) (*Server, *execState, func()) {
 	}
 }
 
-// execEncode is the exec → encode cycle one request pays on a worker,
-// through the pooled response buffers the connection writer recycles; the
-// returned frame length keeps the compiler honest.
-func execEncode(s *Server, st *execState, req *wire.Request) int {
-	resp, rb := s.exec(0, st, req, nil)
-	m := s.encodeResp(&resp, rb)
-	n := len(m.rb.b)
-	s.putBuf(m.rb)
+// newBenchJob is the job a benchmark cycle decodes into and runs, with
+// the buffered done channel a connection reader would have pooled.
+func newBenchJob() *job { return &job{done: make(chan *respBuf, 1)} }
+
+// runCycle is the decode → execute → encode → release cycle one request
+// pays between a connection's reader and its writer: exactly runJob, with
+// the response taken off the job's done channel and its buffer recycled
+// as the writer would. The returned frame length keeps the compiler
+// honest.
+func runCycle(tb testing.TB, s *Server, st *execState, j *job, frame []byte) int {
+	if err := wire.DecodeRequestInto(frame[4:], &j.req, &j.scratch); err != nil {
+		tb.Fatal(err)
+	}
+	s.runJob(st, j)
+	rb := <-j.done
+	n := len(rb.b)
+	s.putBuf(rb)
 	return n
 }
 
 func benchLoop(b *testing.B, s *Server, st *execState, frame []byte) {
-	var sc wire.DecodeScratch
-	var req wire.Request
+	j := newBenchJob()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := wire.DecodeRequestInto(frame[4:], &req, &sc); err != nil {
-			b.Fatal(err)
-		}
-		execEncode(s, st, &req)
+		runCycle(b, s, st, j, frame)
 	}
 }
 
@@ -115,12 +121,44 @@ func BenchmarkServerExecPut(b *testing.B) {
 func BenchmarkServerExecTxn(b *testing.B) {
 	s, st, stop := benchExec(b)
 	defer stop()
-	frame, _ := wire.AppendRequest(nil, &wire.Request{Txn: true, Ops: []wire.Op{
+	frame, _ := wire.AppendRequest(nil, &wire.Request{Txn: true, Ops: txnOps()})
+	benchLoop(b, s, st, frame)
+}
+
+// txnOps is the 4-op transaction the TXN and TRACE shapes share.
+func txnOps() []wire.Op {
+	return []wire.Op{
 		{Kind: wire.KindGet, Table: "bench", Key: []byte{'k', 1, 2}},
 		{Kind: wire.KindPut, Table: "bench", Key: []byte{'k', 1, 2}, Value: make([]byte, 100)},
 		{Kind: wire.KindAdd, Table: "bench", Key: []byte{'k', 2, 4}, Delta: 1},
 		{Kind: wire.KindGet, Table: "bench", Key: []byte{'k', 9, 9}},
-	}})
+	}
+}
+
+// The traced shapes: a TRACE frame runs on the same exec state as a TXN
+// and its TRACER is encoded into the same pooled buffer, so asking for a
+// timeline costs clock reads, not allocations.
+func BenchmarkServerExecTraceGet(b *testing.B) {
+	s, st, stop := benchExec(b)
+	defer stop()
+	frame, _ := wire.AppendRequest(nil, &wire.Request{Trace: true, Ops: txnOps()[:1]})
+	benchLoop(b, s, st, frame)
+}
+
+func BenchmarkServerExecTraceTxn(b *testing.B) {
+	s, st, stop := benchExec(b)
+	defer stop()
+	frame, _ := wire.AppendRequest(nil, &wire.Request{Trace: true, Ops: txnOps()})
+	benchLoop(b, s, st, frame)
+}
+
+// BenchmarkServerExecSlowCaptureGet prices slow-op capture when armed and
+// not firing: every request is traced, none crosses the threshold.
+func BenchmarkServerExecSlowCaptureGet(b *testing.B) {
+	s, st, stop := benchExec(b)
+	defer stop()
+	s.opts.SlowThreshold = time.Hour // read per job; the server's own executors are idle
+	frame, _ := wire.AppendRequest(nil, &wire.Request{Ops: txnOps()[:1]})
 	benchLoop(b, s, st, frame)
 }
 
@@ -203,37 +241,35 @@ func TestServerExecAllocs(t *testing.T) {
 			{Kind: wire.KindAdd, Table: "bench", Key: []byte{'k', 2, 4}, Delta: 1}}}, 0, false},
 		{"scan", wire.Request{Ops: []wire.Op{
 			{Kind: wire.KindScan, Table: "bench", Key: []byte{'k', 2, 0}, HasHi: true, Hi: []byte{'k', 8, 0}, Limit: 64}}}, 0, false},
-		{"txn", wire.Request{Txn: true, Ops: []wire.Op{
-			{Kind: wire.KindGet, Table: "bench", Key: []byte{'k', 1, 2}},
-			{Kind: wire.KindPut, Table: "bench", Key: []byte{'k', 1, 2}, Value: make([]byte, 100)},
-			{Kind: wire.KindAdd, Table: "bench", Key: []byte{'k', 2, 4}, Delta: 1}}}, 0, false},
+		{"txn", wire.Request{Txn: true, Ops: txnOps()[:3]}, 0, false},
+		{"trace-get", wire.Request{Trace: true, Ops: txnOps()[:1]}, 0, false},
+		{"trace-txn", wire.Request{Trace: true, Ops: txnOps()}, 0, false},
 		{"iscan-batched", wire.Request{Ops: []wire.Op{iscanOp("rows_ix", false, false)}}, engine, false},
 		{"iscan-covering", wire.Request{Ops: []wire.Op{iscanOp("rows_cov", true, false)}}, 0, false},
 		{"iscan-snapshot", wire.Request{Ops: []wire.Op{iscanOp("rows_ix", false, true)}}, 0, true},
 		{"iscan-snapshot-covering", wire.Request{Ops: []wire.Op{iscanOp("rows_cov", true, true)}}, 0, true},
 	}
-	var sc wire.DecodeScratch
-	var req wire.Request
-	for _, sh := range shapes {
-		frame, err := wire.AppendRequest(nil, &sh.req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cycle := func() {
-			if err := wire.DecodeRequestInto(frame[4:], &req, &sc); err != nil {
+	j := newBenchJob()
+	// Every shape runs twice: plain, and with slow-op capture armed (and
+	// never firing), which traces whatever the client did not.
+	for _, slowAt := range []time.Duration{0, time.Hour} {
+		s.opts.SlowThreshold = slowAt // read per job; the server's own executors are idle
+		for _, sh := range shapes {
+			frame, err := wire.AppendRequest(nil, &sh.req)
+			if err != nil {
 				t.Fatal(err)
 			}
-			execEncode(s, st, &req)
-		}
-		for i := 0; i < 32; i++ {
-			cycle() // warm scratch, arenas, and engine-side buffers
-		}
-		n := testing.AllocsPerRun(200, cycle)
-		switch {
-		case sh.report:
-			t.Logf("%s: %.1f allocs/op (reported, not gated)", sh.name, n)
-		case n > sh.allow:
-			t.Errorf("%s: %.1f allocs/op on the steady-state exec path, want %.0f", sh.name, n, sh.allow)
+			cycle := func() { runCycle(t, s, st, j, frame) }
+			for i := 0; i < 32; i++ {
+				cycle() // warm scratch, arenas, and engine-side buffers
+			}
+			n := testing.AllocsPerRun(200, cycle)
+			switch {
+			case sh.report:
+				t.Logf("%s (slow capture %v): %.1f allocs/op (reported, not gated)", sh.name, slowAt, n)
+			case n > sh.allow:
+				t.Errorf("%s (slow capture %v): %.1f allocs/op on the steady-state exec path, want %.0f", sh.name, slowAt, n, sh.allow)
+			}
 		}
 	}
 }

@@ -65,7 +65,7 @@ func (s *Server) handleConn(c net.Conn, id uint64) {
 				// answer it, after the requests ahead of it, and hang up.
 				s.errors64.Add(1)
 				er := wire.Err(wire.CodeProto, derr.Error())
-				j.done <- s.encodeResp(&er, nil)
+				j.done <- s.encodeResp(&er)
 				refused, open = j, false
 				break
 			}
@@ -132,8 +132,7 @@ func (s *Server) dispatch(burst []*job) {
 const flushBytes = 1 << 20
 
 // writeLoop drains the pending queue in order. Each response arrives
-// already encoded in a recycled buffer (TRACER frames, patched at
-// release time, are encoded here) and is queued as one scatter-gather
+// already encoded in a recycled buffer and is queued as one scatter-gather
 // segment; the batch is flushed with a single writev when no further
 // response is immediately ready, so a pipelined burst costs one syscall
 // and large pages go to the socket without a coalescing copy. Buffers
@@ -163,30 +162,15 @@ func (s *Server) writeLoop(c net.Conn, pending chan *job) {
 		queued = 0
 	}
 	for j := range pending {
-		m := <-j.done
+		rb := <-j.done
 		s.putJob(j)
-		if m.resp != nil {
-			// Late-encoded path: the response stayed decoded past the
-			// executor (a TRACER whose Fsync span the releaser patched).
-			rb := s.getBuf()
-			b, err := wire.AppendResponse(rb.b[:0], m.resp)
-			if err != nil {
-				// Encoding failure is a server bug; degrade to an ERR frame
-				// rather than desynchronizing the stream.
-				b, _ = wire.AppendResponse(rb.b[:0], &wire.Response{
-					Kind: wire.KindErr, Code: wire.CodeInternal, Msg: err.Error(),
-				})
-			}
-			rb.b = b
-			m = outMsg{rb: rb}
-		}
 		if broken {
-			s.putBuf(m.rb)
+			s.putBuf(rb)
 			continue
 		}
-		segs = append(segs, m.rb.b)
-		owned = append(owned, m.rb)
-		queued += len(m.rb.b)
+		segs = append(segs, rb.b)
+		owned = append(owned, rb)
+		queued += len(rb.b)
 		if len(pending) == 0 || queued >= flushBytes {
 			flush()
 		}

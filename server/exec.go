@@ -40,7 +40,10 @@ func (s *Server) workerLoop(w int) {
 			// Responding hands j to the connection writer, which recycles
 			// it; the link is read first.
 			next := j.next
-			s.runJob(w, st, j)
+			if s.opts.noReuse {
+				st = newExecState(s, w)
+			}
+			s.runJob(st, j)
 			if next != nil && s.idle.Load() > 0 && time.Since(began) >= chainShare {
 				select {
 				case s.jobs <- next:
@@ -55,8 +58,8 @@ func (s *Server) workerLoop(w int) {
 }
 
 // runJob executes one request and responds to it.
-func (s *Server) runJob(w int, st *execState, j *job) {
-	o := s.wobs[w]
+func (s *Server) runJob(st *execState, j *job) {
+	o := s.wobs[st.w]
 	slowAt := s.opts.SlowThreshold
 	start := time.Now()
 	if !j.enq.IsZero() {
@@ -71,28 +74,27 @@ func (s *Server) runJob(w int, st *execState, j *job) {
 	}
 	// A TRACE frame is traced because the client asked; with slow-op
 	// capture armed, everything is traced so a slow op's timeline is
-	// already in hand when it crosses the threshold. With the group
-	// release pipeline active a traced write must not block this
-	// worker on durability — the releaser accounts the park-to-release
-	// wait to the Fsync span instead, so the timeline still covers the
-	// client-visible commit point.
-	var tc *traceCtx
+	// already in hand when it crosses the threshold. Tracing only selects
+	// DB.RunTraced over DB.Run: the request runs on the same exec state,
+	// into the span block that lives there.
+	var sp *silo.TxnSpans
 	var t0 time.Duration
 	if j.req.Trace || slowAt > 0 {
-		tc = &traceCtx{sp: &silo.TxnSpans{}, durable: j.req.Trace && s.rel == nil}
+		sp = &st.spans
+		*sp = silo.TxnSpans{}
 		t0 = s.now()
 		if q := t0 - j.enqTS; q > 0 && !j.enq.IsZero() {
-			tc.sp.Queue = q
+			sp.Queue = q
 		}
 	}
-	resp, rb := s.exec(w, st, &j.req, tc)
-	if tc != nil {
+	resp, rb := s.exec(st, &j.req, sp)
+	if sp != nil {
 		elapsed := s.now() - t0
-		sp := tc.sp
-		// The engine timed execute/validate/log/fsync-wait; what is
-		// left of the frame's wall time is table resolution and
-		// result assembly — the respond span.
-		if r := elapsed - (sp.Exec + sp.Validate + sp.Log + sp.Fsync); r > 0 {
+		// The engine timed execute/validate/log; what is left of the
+		// frame's wall time is table resolution and result assembly — the
+		// respond span. Fsync is zero here: no worker waits for
+		// durability, and the releaser adds the wait of a parked TRACER.
+		if r := elapsed - (sp.Exec + sp.Validate + sp.Log); r > 0 {
 			sp.Respond = r
 		}
 		if j.req.Trace && resp.Kind == wire.KindTxnR {
@@ -123,65 +125,43 @@ func (s *Server) runJob(w int, st *execState, j *job) {
 		s.errors64.Add(1)
 	}
 	s.requests64.Add(1)
-	s.respond(w, &j.req, resp, rb, j.done)
+	s.respond(st.w, &j.req, &resp, rb, j.done)
 }
 
 // respond encodes and releases one completed response according to the
 // server's ack mode. Encoding happens here, on the executor, into a
-// recycled buffer — the response may alias the worker's exec state and
-// the job's payload, both reused for the next job, so the bytes must be
-// captured before this function returns (TRACER responses are the one
-// exception, see encodeResp; a scan arrives already framed in rb). Write
-// responses carry their commit epoch to the release pipeline (or, in the
-// per-request baseline, block this worker until it is durable); reads,
-// snapshot scans, and errors release immediately — an ERR frame
-// acknowledges nothing (the transaction aborted), and reads have nothing
-// to make durable. Auto-created tables are covered by the data epoch: the
-// catalog record commits (on the DDL worker) before the data write's
-// commit, and epochs are monotone, so a durable data epoch implies the
-// creation record is durable too.
-func (s *Server) respond(w int, req *wire.Request, resp wire.Response, rb *respBuf, done chan<- outMsg) {
-	m := s.encodeResp(&resp, rb)
-	if s.ackMode == AckImmediate || resp.Kind == wire.KindErr || !writesData(req) {
-		done <- m
+// recycled buffer: the response aliases the worker's exec state and the
+// job's payload, both reused for the next job, so the bytes must be
+// captured before this function returns (a scan arrives already framed in
+// rb). Under AckGroup a write's frame carries its commit epoch to the
+// release pipeline — no worker ever blocks on fsync; reads, snapshot
+// scans, and errors release immediately — an ERR frame acknowledges
+// nothing (the transaction aborted), and reads have nothing to make
+// durable. Auto-created tables are covered by the data epoch: the catalog
+// record commits (on the DDL worker) before the data write's commit, and
+// epochs are monotone, so a durable data epoch implies the creation record
+// is durable too.
+func (s *Server) respond(w int, req *wire.Request, resp *wire.Response, rb *respBuf, done chan<- *respBuf) {
+	if rb == nil {
+		rb = s.encodeResp(resp)
+	}
+	if s.rel == nil || resp.Kind == wire.KindErr || !writesData(req) {
+		done <- rb
 		return
 	}
-	var e uint64
-	if isDDLFrame(req) {
-		// DDL commits on the hidden catalog worker, whose commit epoch is
-		// not visible here; it committed before this point, so the current
-		// global epoch is a conservative upper bound.
-		e = s.db.Epoch()
-	} else {
+	// DDL commits on the hidden catalog worker, whose commit epoch is not
+	// visible here; it committed before this point, so the current global
+	// epoch is a conservative upper bound.
+	e := s.db.Epoch()
+	if !isDDLFrame(req) {
 		e = s.db.LastCommitEpoch(w)
 	}
-	if s.ackMode == AckPerRequest {
-		s.db.FlushLog(w)
-		s.db.WaitDurable(e)
-		done <- m
-		return
-	}
-	s.rel.park(m, done, e)
+	s.rel.park(rb, done, e)
 }
 
-// encodeResp turns an executor's response into the writer-bound outMsg.
-// A scan's frame was built in place by execScan and passes through in
-// rb. Otherwise the steady state encodes into a pooled buffer
-// immediately; a response carrying spans (a TRACER) instead travels
-// decoded in a private copy, because the group-commit releaser patches
-// its Fsync span between park and release — encoding it now would freeze
-// a lie. Traced execution uses the allocating paths, so the copy shares
-// nothing with the worker's recycled exec state.
-func (s *Server) encodeResp(resp *wire.Response, rb *respBuf) outMsg {
-	if rb != nil {
-		return outMsg{rb: rb}
-	}
-	if resp.Spans != nil {
-		rp := new(wire.Response)
-		*rp = *resp
-		return outMsg{resp: rp}
-	}
-	rb = s.getBuf()
+// encodeResp frames resp into a pooled buffer.
+func (s *Server) encodeResp(resp *wire.Response) *respBuf {
+	rb := s.getBuf()
 	b, err := wire.AppendResponse(rb.b[:0], resp)
 	if err != nil {
 		// Encoding failure is a server bug; degrade to an ERR frame rather
@@ -191,7 +171,7 @@ func (s *Server) encodeResp(resp *wire.Response, rb *respBuf) outMsg {
 		})
 	}
 	rb.b = b
-	return outMsg{rb: rb}
+	return rb
 }
 
 // writesData reports whether a frame's success implies a committed write
@@ -340,131 +320,183 @@ func errResponse(err error) wire.Response {
 	return wire.Err(code, err.Error())
 }
 
-// addValue applies an ADD: read the big-endian counter in the value's
-// first 8 bytes, add delta (two's complement, so negative deltas
-// subtract), write the record back, and return the new counter. Trailing
-// bytes ride along unchanged, so ADD doubles as YCSB's read-modify-write
-// on 100-byte records. Concurrent ADDs on the same key conflict and
-// retry, making it a serializable read-modify-write over the wire.
-func addValue(tx *silo.Tx, t *silo.Table, key []byte, delta int64) (uint64, error) {
-	v, err := tx.Get(t, key)
-	if err != nil {
-		return 0, err
-	}
-	if len(v) < 8 {
-		return 0, errBadValue
-	}
-	n := binary.BigEndian.Uint64(v) + uint64(delta)
-	binary.BigEndian.PutUint64(v, n)
-	return n, tx.Put(t, key, v)
+// execState is one executor's recycled scratch — the only memory a
+// request's execution touches besides its job and its response buffer:
+// value buffers, a response arena, resolved-table and result slices, the
+// span block of a traced request, the scan encoder, and the transaction
+// closures pre-bound once so s.run never allocates a closure per request.
+// Response slices built here alias the state and are valid only until the
+// worker's next exec; respond encodes them into a wire frame before that.
+// The recycling tests' golden server runs the same code on a fresh state
+// per job.
+type execState struct {
+	s *Server
+	w int
+
+	// Per-request inputs the pre-bound closures read (set before s.run,
+	// stable across OCC retries).
+	op    *wire.Op
+	t     *silo.Table
+	ix    *silo.Index
+	lo    []byte
+	limit int
+	ops   []wire.Op
+
+	// val is the GET/ADD read buffer; after an ADD its first 8 bytes are
+	// the new counter.
+	val []byte
+
+	// arena backs every byte a TXN's results carry; resOff records
+	// offsets into it because the arena may move while growing, and the
+	// Response slices are materialized only after the transaction commits.
+	arena  []byte
+	tables []*silo.Table
+	result []wire.TxnResult
+	resOff [][2]int
+
+	// spans is the timeline of the request being traced (TRACE frames,
+	// everything under slow-op capture).
+	spans silo.TxnSpans
+
+	// enc frames a scan's rows straight into the response buffer the
+	// connection writer will send (execScan).
+	enc wire.ScanEncoder
+
+	fnGet, fnPut, fnInsert, fnDelete, fnAdd, fnScan, fnTxn func(tx *silo.Tx) error
+	fnSnapScan                                             func(stx *silo.SnapTx) error
+	fnPair                                                 func(k, v []byte) bool
+	fnEntry                                                func(sk, pk, v []byte) bool
 }
 
-// exec runs one decoded request on worker w and builds its response:
-// a Response for encodeResp to frame, or — for SCAN and ISCAN — the
+func newExecState(s *Server, w int) *execState {
+	st := &execState{s: s, w: w}
+	st.fnGet = st.doGet
+	st.fnPut = st.doPut
+	st.fnInsert = st.doInsert
+	st.fnDelete = st.doDelete
+	st.fnAdd = st.doAdd
+	st.fnScan = st.doScan
+	st.fnTxn = st.doTxn
+	st.fnSnapScan = st.doSnapScan
+	st.fnPair = st.visitPair
+	st.fnEntry = st.visitEntry
+	return st
+}
+
+// run executes fn as a one-shot transaction on worker w, timing its
+// phases into sp when the request is traced. Conflicts retry inside
+// DB.Run / DB.RunTraced; there is no retry policy here.
+func (s *Server) run(w int, sp *silo.TxnSpans, fn func(tx *silo.Tx) error) error {
+	if sp != nil {
+		return s.db.RunTraced(w, sp, fn)
+	}
+	return s.db.Run(w, fn)
+}
+
+// exec runs one decoded request on st's worker and builds its response: a
+// Response for respond to frame, whose slices alias st and stay valid only
+// until the next exec on this worker, or — for SCAN and ISCAN — the
 // finished frame itself in a response buffer (execScan), with only the
-// Response's Kind set. Untraced data ops (tc nil) on a recycling server
-// run on the worker's exec state — the allocation-free steady state,
-// whose response slices alias st and stay valid only until the next exec
-// on this worker; respond encodes them before that. Traced requests,
-// noReuse servers and everything below the first switch use the
-// historical allocating paths, whose response slices are freshly owned
-// (required for TRACER responses, which outlive the executor while
-// parked). With tc set, transactional paths run traced; DDL, SCHEMA,
-// STATS, and snapshot reads have no commit phases to time and ignore it.
-func (s *Server) exec(w int, st *execState, req *wire.Request, tc *traceCtx) (wire.Response, *respBuf) {
-	if !req.Txn {
-		if op := &req.Ops[0]; op.Kind == wire.KindScan || op.Kind == wire.KindIScan {
-			return s.execScan(st, op, tc)
-		}
-	}
-	return s.execOp(w, st, req, tc), nil
-}
-
-// execOp is exec for everything that answers with a decoded Response.
-func (s *Server) execOp(w int, st *execState, req *wire.Request, tc *traceCtx) wire.Response {
+// Response's Kind set. With sp set, transactional paths run traced; DDL,
+// SCHEMA, STATS, and snapshot reads have no commit phases to time and
+// ignore it.
+func (s *Server) exec(st *execState, req *wire.Request, sp *silo.TxnSpans) (wire.Response, *respBuf) {
 	if req.Txn {
-		return s.execTxn(w, st, req.Ops, tc)
+		return s.execTxn(st, req.Ops, sp), nil
 	}
 	op := &req.Ops[0]
-	// Index frames resolve an index name, not a table name.
+	// Scans, index DDL and introspection resolve their own names (an index,
+	// or nothing), not op.Table.
 	switch op.Kind {
+	case wire.KindScan, wire.KindIScan:
+		return s.execScan(st, op, sp)
 	case wire.KindCreateIndex:
-		return s.execCreateIndex(w, op)
+		return s.execCreateIndex(st.w, op), nil
 	case wire.KindDropIndex:
-		return s.execDropIndex(op)
+		return s.execDropIndex(op), nil
 	case wire.KindSchema:
-		return s.execSchema()
+		return s.execSchema(), nil
 	case wire.KindStats:
-		return s.execStats()
+		return s.execStats(), nil
 	}
 	t, err := s.table(op.Table)
 	if err != nil {
-		return errResponse(err)
+		return errResponse(err), nil
 	}
+	st.op, st.t = op, t
+	var fn func(tx *silo.Tx) error
 	switch op.Kind {
-	case wire.KindPut, wire.KindInsert, wire.KindDelete, wire.KindAdd:
+	case wire.KindGet:
+		fn = st.fnGet
+	case wire.KindPut:
+		fn = st.fnPut
+	case wire.KindInsert:
+		fn = st.fnInsert
+	case wire.KindDelete:
+		fn = st.fnDelete
+	case wire.KindAdd:
+		fn = st.fnAdd
+	default:
+		return wire.Err(wire.CodeProto, "unexecutable kind "+op.Kind.String()), nil
+	}
+	if op.Kind != wire.KindGet {
 		if err := s.writable(op.Table); err != nil {
-			return errResponse(err)
+			return errResponse(err), nil
 		}
 	}
-	if tc == nil && !s.opts.noReuse {
-		return s.execFast(st, op, t)
+	if err := s.run(st.w, sp, fn); err != nil {
+		return errResponse(err), nil
 	}
 	switch op.Kind {
 	case wire.KindGet:
-		var val []byte
-		err := s.run(w, tc, func(tx *silo.Tx) error {
-			var err error
-			val, err = tx.Get(t, op.Key)
-			return err
-		})
-		if err != nil {
-			return errResponse(err)
-		}
-		return wire.Response{Kind: wire.KindValue, Value: val}
-
-	case wire.KindPut:
-		err := s.run(w, tc, func(tx *silo.Tx) error {
-			return tx.Put(t, op.Key, op.Value)
-		})
-		if err != nil {
-			return errResponse(err)
-		}
-		return wire.Response{Kind: wire.KindOK}
-
-	case wire.KindInsert:
-		err := s.run(w, tc, func(tx *silo.Tx) error {
-			return tx.Insert(t, op.Key, op.Value)
-		})
-		if err != nil {
-			return errResponse(err)
-		}
-		return wire.Response{Kind: wire.KindOK}
-
-	case wire.KindDelete:
-		err := s.run(w, tc, func(tx *silo.Tx) error {
-			return tx.Delete(t, op.Key)
-		})
-		if err != nil {
-			return errResponse(err)
-		}
-		return wire.Response{Kind: wire.KindOK}
-
+		return wire.Response{Kind: wire.KindValue, Value: st.val}, nil
 	case wire.KindAdd:
-		var n uint64
-		err := s.run(w, tc, func(tx *silo.Tx) error {
-			var err error
-			n, err = addValue(tx, t, op.Key, op.Delta)
-			return err
-		})
-		if err != nil {
-			return errResponse(err)
-		}
-		var v [8]byte
-		binary.BigEndian.PutUint64(v[:], n)
-		return wire.Response{Kind: wire.KindValue, Value: v[:]}
+		return wire.Response{Kind: wire.KindValue, Value: st.val[:8]}, nil
 	}
-	return wire.Err(wire.CodeProto, "unexecutable kind "+op.Kind.String())
+	return wire.Response{Kind: wire.KindOK}, nil
+}
+
+func (st *execState) doGet(tx *silo.Tx) error {
+	v, err := tx.GetAppend(st.t, st.op.Key, st.val[:0])
+	st.val = v
+	return err
+}
+
+func (st *execState) doPut(tx *silo.Tx) error {
+	return tx.Put(st.t, st.op.Key, st.op.Value)
+}
+
+func (st *execState) doInsert(tx *silo.Tx) error {
+	return tx.Insert(st.t, st.op.Key, st.op.Value)
+}
+
+func (st *execState) doDelete(tx *silo.Tx) error {
+	return tx.Delete(st.t, st.op.Key)
+}
+
+// doAdd applies an ADD: read the record, add delta to the big-endian
+// counter in its first 8 bytes (two's complement, so negative deltas
+// subtract), write the record back. Trailing bytes ride along unchanged,
+// so ADD doubles as YCSB's read-modify-write on 100-byte records.
+// Concurrent ADDs on the same key conflict and retry, making it a
+// serializable read-modify-write over the wire. The rewrite happens in
+// place in st.val and Put copies it into the write set.
+func (st *execState) doAdd(tx *silo.Tx) error {
+	v, err := tx.GetAppend(st.t, st.op.Key, st.val[:0])
+	st.val = v
+	if err != nil {
+		return err
+	}
+	return addInPlace(tx, st.t, st.op.Key, v, st.op.Delta)
+}
+
+// addInPlace is the ADD step on a record already read into v.
+func addInPlace(tx *silo.Tx, t *silo.Table, key, v []byte, delta int64) error {
+	if len(v) < 8 {
+		return errBadValue
+	}
+	binary.BigEndian.PutUint64(v, binary.BigEndian.Uint64(v)+uint64(delta))
+	return tx.Put(t, key, v)
 }
 
 // execCreateIndex creates (idempotently) a secondary index from a
@@ -573,16 +605,18 @@ func hiBound(op *wire.Op) []byte {
 // execTxn runs a multi-op frame as one serializable transaction. Any op
 // error aborts the whole transaction (no partial effects) and is reported
 // as a single ERR frame; on commit, GET and ADD ops report values
-// positionally in a TXNR frame. Untraced frames run on the worker's
-// recycled exec state (execTxnFast); traced ones take the allocating
-// path below.
-func (s *Server) execTxn(w int, st *execState, ops []wire.Op, tc *traceCtx) wire.Response {
-	if tc == nil && !s.opts.noReuse {
-		return s.execTxnFast(st, ops)
-	}
+// positionally in a TXNR frame, accumulated in the exec state's arena.
+func (s *Server) execTxn(st *execState, ops []wire.Op, sp *silo.TxnSpans) wire.Response {
 	// Resolve tables outside the transaction: creation is not
 	// transactional and must not be retried into the log out of order.
-	tables := make([]*silo.Table, len(ops))
+	if cap(st.tables) < len(ops) {
+		st.tables = make([]*silo.Table, len(ops))
+		st.result = make([]wire.TxnResult, len(ops))
+		st.resOff = make([][2]int, len(ops))
+	}
+	st.tables = st.tables[:len(ops)]
+	st.result = st.result[:len(ops)]
+	st.resOff = st.resOff[:len(ops)]
 	for i := range ops {
 		t, err := s.table(ops[i].Table)
 		if err != nil {
@@ -593,50 +627,55 @@ func (s *Server) execTxn(w int, st *execState, ops []wire.Op, tc *traceCtx) wire
 				return errResponse(err)
 			}
 		}
-		tables[i] = t
+		st.tables[i] = t
 	}
-	results := make([]wire.TxnResult, len(ops))
-	err := s.run(w, tc, func(tx *silo.Tx) error {
-		for i := range results {
-			results[i] = wire.TxnResult{} // retried transactions restart
-		}
-		for i := range ops {
-			op := &ops[i]
-			switch op.Kind {
-			case wire.KindGet:
-				v, err := tx.Get(tables[i], op.Key)
-				if err != nil {
-					return err
-				}
-				results[i] = wire.TxnResult{HasValue: true, Value: v}
-			case wire.KindPut:
-				if err := tx.Put(tables[i], op.Key, op.Value); err != nil {
-					return err
-				}
-			case wire.KindInsert:
-				if err := tx.Insert(tables[i], op.Key, op.Value); err != nil {
-					return err
-				}
-			case wire.KindDelete:
-				if err := tx.Delete(tables[i], op.Key); err != nil {
-					return err
-				}
-			case wire.KindAdd:
-				n, err := addValue(tx, tables[i], op.Key, op.Delta)
-				if err != nil {
-					return err
-				}
-				v := make([]byte, 8)
-				binary.BigEndian.PutUint64(v, n)
-				results[i] = wire.TxnResult{HasValue: true, Value: v}
-			default:
-				return errors.New("server: bad txn op " + op.Kind.String())
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	st.ops = ops
+	if err := s.run(st.w, sp, st.fnTxn); err != nil {
 		return errResponse(err)
 	}
-	return wire.Response{Kind: wire.KindTxnR, Results: results}
+	for i := range st.result {
+		st.result[i] = wire.TxnResult{}
+		if o := st.resOff[i]; o[0] >= 0 {
+			st.result[i] = wire.TxnResult{HasValue: true, Value: st.arena[o[0]:o[1]:o[1]]}
+		}
+	}
+	return wire.Response{Kind: wire.KindTxnR, Results: st.result}
+}
+
+func (st *execState) doTxn(tx *silo.Tx) error {
+	ops, tables := st.ops, st.tables
+	st.arena = st.arena[:0] // retried transactions restart
+	for i := range st.resOff {
+		st.resOff[i] = [2]int{-1, -1}
+	}
+	for i := range ops {
+		op := &ops[i]
+		var err error
+		switch op.Kind {
+		case wire.KindGet, wire.KindAdd:
+			// The whole record lands in the arena. A GET reports it; an ADD
+			// rewrites its counter there and reports the record's first 8
+			// bytes, the new counter.
+			start := len(st.arena)
+			st.arena, err = tx.GetAppend(tables[i], op.Key, st.arena)
+			end := len(st.arena)
+			if err == nil && op.Kind == wire.KindAdd {
+				err = addInPlace(tx, tables[i], op.Key, st.arena[start:], op.Delta)
+				end = start + 8
+			}
+			st.resOff[i] = [2]int{start, end}
+		case wire.KindPut:
+			err = tx.Put(tables[i], op.Key, op.Value)
+		case wire.KindInsert:
+			err = tx.Insert(tables[i], op.Key, op.Value)
+		case wire.KindDelete:
+			err = tx.Delete(tables[i], op.Key)
+		default:
+			err = errors.New("server: bad txn op " + op.Kind.String())
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -66,23 +66,6 @@ func (s *Server) CollectObs(snap *obs.Snapshot) {
 	snap.Histogram("silo_server_queue_ns", "", "", q)
 	snap.Histogram("silo_server_pipeline_depth", "", "", s.obs.depth.Snapshot())
 	snap.Counter("silo_server_dispatches_total", "", "", s.obs.dispatches.Load())
-	if s.bo != nil {
-		// The backoff policy's behavior: how many conflicts it saw, how
-		// many retries actually waited (zero under incidental conflicts —
-		// the policy's whole point), the total wait, and how many keys the
-		// flight recorder currently calls hot.
-		var retries, sleeps, sleepNs uint64
-		for i := range s.bo.workers {
-			sh := &s.bo.workers[i]
-			retries += sh.retries.Load()
-			sleeps += sh.sleeps.Load()
-			sleepNs += sh.sleepNs.Load()
-		}
-		snap.Counter("silo_server_backoff_retries_total", "", "", retries)
-		snap.Counter("silo_server_backoff_sleeps_total", "", "", sleeps)
-		snap.Counter("silo_server_backoff_sleep_ns_total", "", "", sleepNs)
-		snap.Gauge("silo_server_backoff_hot_keys", "", "", uint64(s.bo.hotKeys()))
-	}
 	if s.rel != nil {
 		// The release pipeline's health: how many write responses are
 		// parked awaiting their epoch right now, how many have been

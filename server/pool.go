@@ -19,9 +19,10 @@ import (
 //	          chain's head on the dispatch queue, then enqueues every job
 //	          on the connection's pending queue
 //	worker  — walks the chain in order; per job it reads the link, executes
-//	          the request, encodes the response into a pooled respBuf
-//	          (steady state) and sends it on that job's done channel,
-//	          possibly via the group-commit releaser. The send releases
+//	          the request on its exec state, encodes the response into a
+//	          pooled respBuf and sends it on that job's done channel,
+//	          possibly via the group-commit releaser (which may add a
+//	          TRACER's fsync wait to the frame in place). The send releases
 //	          the job: a worker never touches a job it has responded to
 //	writer  — takes jobs off pending in request order, waits on each done,
 //	          queues the buffer as one writev segment, and after the
@@ -30,18 +31,9 @@ import (
 // Race-enabled builds poison recycled memory on return to the pool, so
 // any stage that holds a view past its release reads garbage and the
 // byte-exact e2e tests fail loudly instead of silently serving another
-// request's bytes.
-
-// outMsg is one response travelling from executor to connection writer:
-// either an encoded frame in a recycled buffer (the steady-state path)
-// or a still-decoded Response the writer must encode. TRACER responses
-// stay decoded because the group-commit releaser patches their Fsync
-// span at release time — after the worker moved on, before the writer
-// encodes.
-type outMsg struct {
-	rb   *respBuf
-	resp *wire.Response
-}
+// request's bytes. A noReuse server (the tests' golden reference) runs the
+// same pipeline on fresh memory: a new job, response buffer and exec state
+// per request, nothing returned to a pool.
 
 // job is one in-flight request. The reader owns it until its chain is
 // dispatched, the executor until the done send, the writer until it
@@ -65,13 +57,14 @@ type job struct {
 	// enqTS is the same instant on the store clock, so a traced job's
 	// queue-wait span shares a clock with its commit-phase spans.
 	enqTS time.Duration
-	// done receives exactly one response; it is buffered so the executor
-	// never blocks on a connection that died.
-	done chan outMsg
+	// done receives exactly one encoded response frame; it is buffered so
+	// the executor never blocks on a connection that died.
+	done chan *respBuf
 }
 
-// respBuf is a pooled response-frame buffer. The wrapper (rather than a
-// bare []byte) keeps pool round trips allocation-free: the same *respBuf
+// respBuf is a pooled response-frame buffer, the one form a response
+// takes between executor and connection writer. The wrapper (rather than
+// a bare []byte) keeps pool round trips allocation-free: the same *respBuf
 // travels worker → writer → pool with the byte slice updated in place.
 type respBuf struct{ b []byte }
 
@@ -81,7 +74,7 @@ type respBuf struct{ b []byte }
 // are dropped and the next use re-allocates.
 const maxPooled = 256 << 10
 
-var jobPool = sync.Pool{New: func() any { return &job{done: make(chan outMsg, 1)} }}
+var jobPool = sync.Pool{New: func() any { return &job{done: make(chan *respBuf, 1)} }}
 
 var respBufPool = sync.Pool{New: func() any { return new(respBuf) }}
 
@@ -89,13 +82,13 @@ var respBufPool = sync.Pool{New: func() any { return new(respBuf) }}
 // golden baseline the recycling e2e test compares against).
 func (s *Server) getJob() *job {
 	if s.opts.noReuse {
-		return &job{done: make(chan outMsg, 1)}
+		return &job{done: make(chan *respBuf, 1)}
 	}
 	return jobPool.Get().(*job)
 }
 
-// putJob recycles a fully consumed job: its response was encoded (or
-// copied) and handed to the writer, so nothing references the payload,
+// putJob recycles a fully consumed job: its response was encoded and
+// handed to the writer, so nothing references the payload,
 // the scratch, or the request anymore.
 func (s *Server) putJob(j *job) {
 	if s.opts.noReuse {

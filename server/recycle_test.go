@@ -11,6 +11,7 @@ import (
 
 	"silo"
 	"silo/internal/race"
+	"silo/internal/trace"
 	"silo/wire"
 )
 
@@ -53,14 +54,17 @@ func startRecycleServer(t *testing.T, noReuse bool) (addr string, stop func()) {
 
 // recycleScript builds connection c's deterministic frame sequence: two
 // CREATE_INDEX frames (identical on every connection, so idempotent),
-// then rounds of TXN-insert, GET, PUT, ADD, SCAN, three ISCANs, and a
-// mixed TXN, all within the connection's own key prefix so concurrent
-// connections never interact. The scans are the frames a worker builds
+// then rounds of TXN-insert, GET, PUT, ADD, SCAN, three ISCANs, a mixed
+// TXN, and a mixed TRACE, all within the connection's own key prefix so
+// concurrent connections never interact. The scans are the frames a worker builds
 // in place in a response buffer and hands to the writer as is; between
 // them the ISCANs cover the covering visitor and both batched emission
 // orders (bench_by_tag's secondary order scrambles primary order, so its
-// pages are staged; bench_by_key's parallels it, so they stream).
-// Excludes TRACE/STATS/SCHEMA, whose responses carry timings.
+// pages are staged; bench_by_key's parallels it, so they stream). A
+// TRACER's span block is timings; runRecycleTraffic masks it, and the rest
+// of the frame — results built in the exec state's arena, encoded into a
+// pooled buffer, parked and patched by the releaser — is compared like
+// any other. Excludes STATS/SCHEMA.
 func recycleScript(c int) [][]byte {
 	prefix := byte('A' + c)
 	key := func(i int) []byte { return []byte{prefix, byte(i >> 8), byte(i)} }
@@ -116,6 +120,11 @@ func recycleScript(c int) [][]byte {
 			{Kind: wire.KindAdd, Table: "bench", Key: k1, Delta: 7},
 			{Kind: wire.KindPut, Table: "bench", Key: k0, Value: val(2000 + i)},
 		}})
+		add(&wire.Request{Trace: true, Ops: []wire.Op{
+			{Kind: wire.KindAdd, Table: "bench", Key: k2, Delta: -3},
+			{Kind: wire.KindGet, Table: "bench", Key: k1},
+			{Kind: wire.KindGet, Table: "bench", Key: k0},
+		}})
 	}
 	return frames
 }
@@ -123,7 +132,7 @@ func recycleScript(c int) [][]byte {
 // runRecycleTraffic replays the scripted traffic over conns concurrent
 // raw TCP connections, each fully pipelined (all requests written before
 // all responses are read), and returns each connection's concatenated
-// response payload bytes.
+// response payload bytes, TRACER span blocks zeroed.
 func runRecycleTraffic(t *testing.T, addr string, conns int) [][]byte {
 	t.Helper()
 	out := make([][]byte, conns)
@@ -153,6 +162,9 @@ func runRecycleTraffic(t *testing.T, addr string, conns int) [][]byte {
 				if err != nil {
 					t.Errorf("conn %d response %d: %v", c, i, err)
 					return
+				}
+				if wire.Kind(p[0]) == wire.KindTraceR {
+					clear(p[1 : 1+trace.SpansEncodedLen])
 				}
 				got = append(got, p...)
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"silo/internal/obs"
+	"silo/wire"
 )
 
 // AckMode selects when a write's response is released to the connection
@@ -27,12 +28,6 @@ const (
 	// every connection's parked responses for that epoch. Reads, snapshot
 	// scans, and errors release immediately.
 	AckGroup
-	// AckPerRequest blocks the executing worker until the write's epoch
-	// is durable before responding (a per-request RunDurable). It gives
-	// the same guarantee as AckGroup but stalls the worker for a full
-	// group-commit cycle per write; it exists as the naive baseline the
-	// release pipeline is benchmarked against.
-	AckPerRequest
 )
 
 func (m AckMode) String() string {
@@ -41,19 +36,15 @@ func (m AckMode) String() string {
 		return "immediate"
 	case AckGroup:
 		return "group"
-	case AckPerRequest:
-		return "per-request"
 	}
 	return "unknown"
 }
 
-// parkedResp is one completed write response waiting for its commit epoch
-// to become durable. The steady state parks encoded frames (outMsg.rb);
-// TRACER responses park decoded (outMsg.resp) so releaseUpTo can patch
-// their Fsync span with the wait the client actually experienced.
+// parkedResp is one completed write's encoded response frame waiting for
+// its commit epoch to become durable.
 type parkedResp struct {
-	m    outMsg
-	done chan<- outMsg
+	rb   *respBuf
+	done chan<- *respBuf
 	at   time.Duration // store clock at park, for the release-lag histogram
 }
 
@@ -91,24 +82,24 @@ func newReleaser(s *Server, notify <-chan uint64) *releaser {
 	return r
 }
 
-// park holds resp until D covers epoch e, then sends it to done. If e is
+// park holds rb until D covers epoch e, then sends it to done. If e is
 // already durable the response is released inline. The durable check and
 // the queue insert share r.mu with the drain: if D advances past e after
 // the check, the advance's notification is still undelivered (the notify
 // channel coalesces but never drops the newest value), so the notifier's
 // next drain — which must acquire r.mu after this insert — releases the
 // entry. Nothing can park forever behind an already-durable epoch.
-func (r *releaser) park(m outMsg, done chan<- outMsg, e uint64) {
+func (r *releaser) park(rb *respBuf, done chan<- *respBuf, e uint64) {
 	at := r.s.now()
 	r.mu.Lock()
 	if r.s.db.DurableEpoch() >= e {
 		r.mu.Unlock()
 		r.lag.ObserveDuration(0)
 		r.released.Add(1)
-		done <- m
+		done <- rb
 		return
 	}
-	r.queue[e] = append(r.queue[e], parkedResp{m: m, done: done, at: at})
+	r.queue[e] = append(r.queue[e], parkedResp{rb: rb, done: done, at: at})
 	r.parked.Add(1)
 	r.mu.Unlock()
 }
@@ -166,14 +157,12 @@ func (r *releaser) releaseUpTo(d uint64) {
 			lag = 0
 		}
 		r.lag.ObserveDuration(lag.Nanoseconds())
-		if p.m.resp != nil && p.m.resp.Spans != nil {
-			// The park-to-release wait is the group-commit fsync wait as
-			// the client experiences it: account it to the Fsync span, so
-			// a traced write's timeline covers its true commit point even
-			// though no worker ever blocked on it.
-			p.m.resp.Spans.Fsync += lag
-		}
-		p.done <- p.m
+		// The park-to-release wait is the group-commit fsync wait as the
+		// client experiences it: a parked TRACER gets it added to its
+		// Fsync span, so a traced write's timeline covers its true commit
+		// point even though no worker ever blocked on it.
+		wire.AddTraceFsync(p.rb.b, lag)
+		p.done <- p.rb
 		r.parked.Add(-1)
 		r.released.Add(1)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"silo"
 	"silo/client"
+	"silo/internal/obs"
 	"silo/server"
 	"silo/wire"
 )
@@ -138,39 +139,11 @@ func TestGroupAcksAreDurable(t *testing.T) {
 	}
 }
 
-// TestPerRequestAcksAreDurable is the same contract through the naive
-// baseline path: the worker blocks per write until its epoch is durable.
-func TestPerRequestAcksAreDurable(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "log")
-	db, srv, cl := startServer(t, durableOpts(dir),
-		server.Options{Acks: server.AckPerRequest, DisableAutoCreate: true},
-		client.Options{})
-	db.CreateTable("t")
-	if got := srv.AckMode(); got != server.AckPerRequest {
-		t.Fatalf("AckMode = %v, want per-request", got)
-	}
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if err := cl.Insert("t", []byte(k), []byte(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db2 := recoverInto(t, copyDir(t, dir))
-	tbl := db2.Table("t")
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if err := db2.Run(0, func(tx *silo.Tx) error {
-			_, err := tx.Get(tbl, []byte(k))
-			return err
-		}); err != nil {
-			t.Fatalf("acknowledged write %s lost: %v", k, err)
-		}
-	}
-}
-
 // TestGroupAcksPreserveWireOrder pipelines a parked write followed by an
 // immediately-releasable read on one raw connection: the read's response
-// must wait behind the write's durable release, never overtake it.
+// must wait behind the write's durable release, never overtake it. A
+// traced write parks like any other: its TRACER keeps its place in wire
+// order, and its Fsync span is the wait the releaser recorded for it.
 func TestGroupAcksPreserveWireOrder(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log")
 	db, err := silo.Open(durableOpts(dir))
@@ -263,13 +236,101 @@ func TestGroupAcksPreserveWireOrder(t *testing.T) {
 			t.Fatalf("get response %d = %+v, %v", i, resp, err)
 		}
 	}
+
+	// Phase 3: a parked write with a TRACE write behind it. The TRACER was
+	// encoded when its worker finished, before anyone knew how long it
+	// would park; it must still arrive second, carrying its results.
+	tracePut := func(out []byte, i int) []byte {
+		out, err := wire.AppendRequest(out, &wire.Request{Trace: true, Ops: []wire.Op{
+			{Kind: wire.KindPut, Table: "t", Key: []byte{byte(i)}, Value: []byte{byte(i), 3}},
+			{Kind: wire.KindGet, Table: "t", Key: []byte{byte(i)}},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	readTracer := func() wire.Response {
+		payload, err := wire.ReadFrame(nc, 0)
+		if err != nil {
+			t.Fatalf("trace response: %v", err)
+		}
+		resp, err := wire.DecodeResponse(payload)
+		if err != nil || resp.Kind != wire.KindTraceR || resp.Spans == nil ||
+			len(resp.Results) != 2 || !resp.Results[1].HasValue || resp.Results[1].Value[1] != 3 {
+			t.Fatalf("trace response = %+v, %v", resp, err)
+		}
+		return resp
+	}
+	out, err = wire.AppendRequest(out[:0], &wire.Request{Ops: []wire.Op{{
+		Kind: wire.KindPut, Table: "t", Key: []byte{0}, Value: []byte{0, 0},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(tracePut(out, 1)); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.ReadFrame(nc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := wire.DecodeResponse(payload); err != nil || resp.Kind != wire.KindOK {
+		t.Fatalf("put response = %+v, %v; a TRACER overtook a parked write", resp, err)
+	}
+	readTracer()
+
+	// Phase 4: a lone TRACE write between two readings of the release-lag
+	// histogram, so the lag recorded in between is its own. The releaser
+	// added exactly that wait to the frame's Fsync span.
+	lagSum := func() (sum, count uint64) {
+		var snap obs.Snapshot
+		srv.CollectObs(&snap)
+		h := snap.Get("silo_server_release_lag_ns", "").Hist
+		return h.Sum, h.Count
+	}
+	sum0, n0 := lagSum()
+	if _, err := nc.Write(tracePut(nil, 2)); err != nil {
+		t.Fatal(err)
+	}
+	sp := readTracer().Spans
+	sum1, n1 := lagSum()
+	if n1 != n0+1 {
+		t.Fatalf("release pipeline handled %d responses for one traced write", n1-n0)
+	}
+	if lag := time.Duration(sum1 - sum0); sp.Fsync < lag {
+		t.Errorf("TRACER Fsync = %v, below the %v the releaser held it", sp.Fsync, lag)
+	}
 }
 
-// TestAckModesDegradeWithoutDurability: group and per-request acks need a
-// durable epoch to wait for; on a MemSilo database the server falls back
-// to immediate acks rather than wedging every write forever.
+// TestTraceNeverWaitsOnImmediateAcks: on a durable server that acks at
+// in-memory commit, a TRACE write is acknowledged like any other write —
+// at once, with Fsync = 0, because the client waited for no fsync. It
+// used to block its worker until the epoch was durable, which let any
+// client stall a worker for a whole epoch per frame.
+func TestTraceNeverWaitsOnImmediateAcks(t *testing.T) {
+	opts := durableOpts(filepath.Join(t.TempDir(), "log"))
+	opts.EpochInterval = time.Second
+	db, _, cl := startServer(t, opts, server.Options{DisableAutoCreate: true}, client.Options{})
+	db.CreateTable("t")
+	start := time.Now()
+	_, sp, err := cl.Txn().Insert("t", []byte("k"), []byte("v")).Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 200*time.Millisecond {
+		t.Errorf("TRACE write took %v on an immediate-ack server with a 1s epoch: it waited for durability", took)
+	}
+	if sp.Fsync != 0 {
+		t.Errorf("Fsync = %v, want 0: nothing waited for an fsync", sp.Fsync)
+	}
+}
+
+// TestAckModesDegradeWithoutDurability: group acks need a durable epoch to
+// wait for; on a MemSilo database the server falls back to immediate acks
+// rather than wedging every write forever.
 func TestAckModesDegradeWithoutDurability(t *testing.T) {
-	for _, mode := range []server.AckMode{server.AckGroup, server.AckPerRequest} {
+	for _, mode := range []server.AckMode{server.AckImmediate, server.AckGroup} {
 		_, srv, cl := startServer(t, silo.Options{}, server.Options{Acks: mode}, client.Options{})
 		if got := srv.AckMode(); got != server.AckImmediate {
 			t.Fatalf("AckMode(%v without durability) = %v, want immediate", mode, got)

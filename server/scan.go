@@ -11,9 +11,8 @@ import (
 // bound starts there.
 var minKey = []byte{0}
 
-// execScan is the one scan path: SCAN and every ISCAN variant (batched,
-// covering, snapshot, snapshot+covering), untraced, traced and noReuse
-// alike. It takes the response buffer before the transaction starts, and
+// execScan runs SCAN and every ISCAN variant (batched, covering,
+// snapshot, snapshot+covering). It takes the response buffer before the transaction starts, and
 // the visitors frame each row into it as the scan produces it, so a row
 // is copied once between the transaction's read buffer and the socket and
 // nothing is allocated per row or per page. The finished frame goes to
@@ -30,7 +29,7 @@ var minKey = []byte{0}
 // Options.MaxFrame (the client would drop the connection on it): being
 // handed fewer rows than asked for is indistinguishable from the range
 // really ending.
-func (s *Server) execScan(st *execState, op *wire.Op, tc *traceCtx) (wire.Response, *respBuf) {
+func (s *Server) execScan(st *execState, op *wire.Op, sp *silo.TxnSpans) (wire.Response, *respBuf) {
 	kind, what := wire.KindScanR, "scan"
 	st.op, st.lo = op, op.Key
 	if op.Kind == wire.KindIScan {
@@ -63,7 +62,7 @@ func (s *Server) execScan(st *execState, op *wire.Op, tc *traceCtx) (wire.Respon
 	if op.Snapshot {
 		err = s.db.RunSnapshot(st.w, st.fnSnapScan)
 	} else {
-		err = s.run(st.w, tc, st.fnScan)
+		err = s.run(st.w, sp, st.fnScan)
 	}
 	// A row the encoder refused stopped the scan early and cleanly; the
 	// refusal is the error.

@@ -27,7 +27,7 @@ func rowKey(i int) []byte { return []byte{'k', byte(i >> 4), byte(i & 15)} }
 // payload (decoded from the worker-built buffer when there is one).
 func execFrame(t *testing.T, s *Server, st *execState, op wire.Op) wire.Response {
 	t.Helper()
-	resp, rb := s.exec(0, st, &wire.Request{Ops: []wire.Op{op}}, nil)
+	resp, rb := s.exec(st, &wire.Request{Ops: []wire.Op{op}}, nil)
 	if (rb != nil) != (resp.Kind == wire.KindScanR || resp.Kind == wire.KindIScanR) {
 		t.Fatalf("%v answered %v with buffer %v: a scan page, and only a scan page, arrives framed", op.Kind, resp.Kind, rb != nil)
 	}

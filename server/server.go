@@ -25,6 +25,19 @@
 // chain's dispatch to its own start, so it includes the time spent behind
 // earlier jobs of the same chain.
 //
+// There is one way through that path. Every request — plain, sent as a
+// TRACE frame, or force-traced by slow-op capture — runs on its worker's
+// recycled exec state (exec.go) and leaves the worker as an encoded frame
+// in a pooled buffer, the only form a response takes on its way to the
+// writer. Writes are acknowledged in one of two modes (AckMode): at
+// in-memory commit, or, on a durable database, once the commit epoch is
+// durable — by parking the finished frame in the release pipeline
+// (release.go), never by making a worker wait for an fsync. A TRACER's
+// Fsync span is therefore what its client waited, not what a worker did:
+// the time the frame sat parked, added to it in place at release, and
+// zero under immediate acks. Conflicts retry inside DB.Run; there is no
+// other retry policy.
+//
 // Responses are written back on each connection in request order, which
 // lets clients pipeline.
 package server
@@ -71,21 +84,16 @@ type Options struct {
 	// AckMode). The zero value, AckImmediate, keeps the historical
 	// ack-at-memory-commit behavior; AckGroup gives the paper's §4.10
 	// guarantee — an OK frame means the write's epoch is durable —
-	// without blocking workers. AckGroup and AckPerRequest require the
-	// database to have durability; without it they degrade to
-	// AckImmediate (there is no durable epoch to wait for).
+	// without blocking workers. AckGroup requires the database to have
+	// durability; without it it degrades to AckImmediate (there is no
+	// durable epoch to wait for).
 	Acks AckMode
-	// Backoff enables the contention-aware retry policy: conflicted
-	// transactions whose blamed key is in the flight recorder's current
-	// hot set (or whose aborts compound) wait an exponentially growing,
-	// jittered delay before retrying instead of spinning. Uncontended
-	// transactions never consult it past a nil check. See backoff.go.
-	Backoff bool
-	// noReuse disables every recycling path — pooled jobs, response
-	// buffers, decode scratch, per-worker exec state — so each request
-	// allocates fresh memory end to end. It exists for the recycling
-	// safety tests, which compare a recycled server's response bytes
-	// against this build's, and is deliberately unexported.
+	// noReuse selects memory, not code: a fresh job, response buffer and
+	// exec state per request instead of the recycled ones, so each
+	// request runs the one executor on memory nothing else has touched.
+	// It exists for the recycling safety tests, which compare a recycled
+	// server's response bytes against this build's, and is deliberately
+	// unexported.
 	noReuse bool
 }
 
@@ -131,10 +139,6 @@ type Server struct {
 	// group-commit release pipeline, non-nil only under AckGroup.
 	ackMode AckMode
 	rel     *releaser
-
-	// bo is the contention-aware retry policy, non-nil only when
-	// Options.Backoff is set.
-	bo *backoffPolicy
 }
 
 // New creates a server for db and starts its per-worker executors. The
@@ -168,11 +172,6 @@ func New(db *silo.DB, opts Options) *Server {
 		} else {
 			s.ackMode = AckImmediate
 		}
-	} else if s.ackMode == AckPerRequest && !db.HasDurability() {
-		s.ackMode = AckImmediate
-	}
-	if opts.Backoff {
-		s.bo = newBackoffPolicy(s)
 	}
 	for i := 0; i < db.Workers(); i++ {
 		s.workerWG.Add(1)
@@ -268,9 +267,6 @@ func (s *Server) Close() error {
 	// the database first.
 	if s.rel != nil {
 		s.rel.stop()
-	}
-	if s.bo != nil {
-		s.bo.stop()
 	}
 	return nil
 }

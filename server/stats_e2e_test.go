@@ -6,13 +6,18 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"silo"
 	"silo/client"
+	"silo/internal/obs"
 	"silo/server"
+	"silo/wire"
 )
 
 // TestE2EStatsLifecycle walks the STATS frame through a server's life:
@@ -178,4 +183,90 @@ func httpGet(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// readmeMetric matches a server metric name as README writes it:
+// optionally with {a,b} shorthand for several families and a trailing
+// {label}.
+var readmeMetric = regexp.MustCompile(`silo_server_[a-z0-9_]*(\{[a-z0-9_,]+\}[a-z0-9_]*)*`)
+
+// readmeServerFamilies returns every silo_server_* family README names.
+func readmeServerFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	text, err := os.ReadFile("../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, tok := range readmeMetric.FindAllString(string(text), -1) {
+		if i := strings.LastIndexByte(tok, '{'); i >= 0 && strings.HasSuffix(tok, "}") && !strings.Contains(tok[i:], ",") {
+			tok = tok[:i] // the series' label, not part of the family name
+		}
+		pre, rest, shorthand := strings.Cut(tok, "{")
+		if !shorthand {
+			out[tok] = true
+			continue
+		}
+		alts, post, _ := strings.Cut(rest, "}")
+		for _, a := range strings.Split(alts, ",") {
+			out[pre+a+post] = true
+		}
+	}
+	return out
+}
+
+// TestServerMetricFamiliesMatchREADME: the metric families a durable
+// group-ack server registers after one request of each kind are exactly
+// the silo_server_* names README documents — a family added, renamed or
+// removed without its documentation (or the reverse) fails here.
+func TestServerMetricFamiliesMatchREADME(t *testing.T) {
+	db, srv, cl := startServer(t, durableOpts(filepath.Join(t.TempDir(), "log")),
+		server.Options{Acks: server.AckGroup, DisableAutoCreate: true}, client.Options{})
+	db.CreateTable("t")
+	k := []byte("k")
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(cl.Insert("t", k, be64(0)))
+	must(cl.Put("t", k, be64(1)))
+	_, err := cl.Add("t", k, 1)
+	must(err)
+	_, err = cl.Get("t", k)
+	must(err)
+	_, err = cl.Scan("t", nil, nil, 1)
+	must(err)
+	_, err = cl.Txn().Get("t", k).Exec()
+	must(err)
+	_, _, err = cl.Txn().Put("t", k, be64(2)).Trace()
+	must(err)
+	must(cl.CreateIndex("t_ix", "t", false, []wire.IndexSeg{{Off: 0, Len: 1}}))
+	_, err = cl.IndexScan("t_ix", nil, nil, 1, false)
+	must(err)
+	_, err = cl.Schema()
+	must(err)
+	_, err = cl.Stats()
+	must(err)
+	must(cl.DropIndex("t_ix"))
+	must(cl.Delete("t", k))
+
+	var snap obs.Snapshot
+	srv.CollectObs(&snap)
+	registered := map[string]bool{}
+	for _, m := range snap.Samples {
+		registered[m.Name] = true
+	}
+	documented := readmeServerFamilies(t)
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("%s is registered by the server but README does not mention it", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("README documents %s but a durable group-ack server does not register it", name)
+		}
+	}
 }

@@ -12,37 +12,10 @@ import (
 	"silo/wire"
 )
 
-// traceCtx carries span capture through one request's execution. A nil
-// context means the request runs untraced on the plain fast path; a
-// non-nil context routes transactional work through DB.RunTraced, which
-// times the commit phases into sp. durable is set for TRACE frames,
-// whose timeline must cover the group-commit fsync wait (the true
-// client-visible commit point on a durable server); slow-op capture
-// traces everything else without the durability wait, so it prices the
-// phases a normal request actually pays.
-type traceCtx struct {
-	sp      *silo.TxnSpans
-	durable bool
-}
-
 // now reads the database's clock — the same clock the commit phases are
 // timed on, so server-side spans (queue wait, respond) and engine-side
 // spans (execute, validate, log) form one coherent timeline.
 func (s *Server) now() time.Duration { return s.db.Store().Now() }
-
-// run executes fn as a one-shot transaction on worker w, traced when tc
-// is set. Untraced transactions go through the contention-aware backoff
-// policy when one is configured (traced ones keep DB.RunTraced's own
-// retry loop, which counts retries into the span timeline).
-func (s *Server) run(w int, tc *traceCtx, fn func(tx *silo.Tx) error) error {
-	if tc != nil {
-		return s.db.RunTraced(w, tc.sp, tc.durable, fn)
-	}
-	if s.bo != nil {
-		return s.bo.run(w, fn)
-	}
-	return s.db.Run(w, fn)
-}
 
 // opCounts is a frame's per-kind op breakdown, indexed by request kind.
 type opCounts [int(wire.KindRequestMax) + 1]uint32

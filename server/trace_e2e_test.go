@@ -14,15 +14,16 @@ import (
 	"silo/server"
 )
 
-// TestTraceOverTheWire sends a TRACE frame through a durable server and
-// checks the TRACER response: correct transaction results plus a span
-// timeline whose execute phase is non-zero and whose fsync-wait covers
-// the group-commit durability point.
+// TestTraceOverTheWire sends a TRACE frame through a durable group-ack
+// server and checks the TRACER response: correct transaction results plus
+// a span timeline whose execute phase is non-zero and whose fsync-wait
+// covers the group-commit durability point. (The epoch is long enough
+// that the write cannot already be durable when it parks.)
 func TestTraceOverTheWire(t *testing.T) {
 	dir := t.TempDir()
 	db, err := silo.Open(silo.Options{
 		Workers:       2,
-		EpochInterval: time.Millisecond,
+		EpochInterval: 10 * time.Millisecond,
 		Durability:    &silo.DurabilityOptions{Dir: dir, Loggers: 1, Sync: true},
 	})
 	if err != nil {
@@ -30,7 +31,7 @@ func TestTraceOverTheWire(t *testing.T) {
 	}
 	defer db.Close()
 	db.CreateTable("acct")
-	srv := server.New(db, server.Options{DisableAutoCreate: true})
+	srv := server.New(db, server.Options{DisableAutoCreate: true, Acks: server.AckGroup})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -63,7 +64,7 @@ func TestTraceOverTheWire(t *testing.T) {
 		t.Errorf("execute span = %v, want > 0", sp.Exec)
 	}
 	if sp.Fsync <= 0 {
-		t.Errorf("fsync-wait span = %v, want > 0 on a sync durable server", sp.Fsync)
+		t.Errorf("fsync-wait span = %v, want > 0 on a group-ack server", sp.Fsync)
 	}
 	for _, d := range []time.Duration{sp.Queue, sp.Validate, sp.Log, sp.Respond} {
 		if d < 0 {

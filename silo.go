@@ -610,11 +610,10 @@ type TxnSpans = trace.Spans
 
 // RunTraced is Run with span capture: statement execution and the
 // commit phases are force-timed into sp (Exec accumulates across
-// conflict retries, which sp.Retries counts). With waitDurable set and
-// durability configured it also waits for the transaction's epoch to
-// become durable, timing the wait into sp.Fsync — the traced equivalent
-// of RunDurable's client-visible commit point.
-func (db *DB) RunTraced(worker int, sp *TxnSpans, waitDurable bool, fn func(tx *Tx) error) error {
+// conflict retries, which sp.Retries counts). It never waits for
+// durability — sp.Fsync belongs to whoever holds the result back until
+// its epoch is durable (package server's release pipeline).
+func (db *DB) RunTraced(worker int, sp *TxnSpans, fn func(tx *Tx) error) error {
 	w := db.store.Worker(worker)
 	var err error
 	for {
@@ -623,13 +622,6 @@ func (db *DB) RunTraced(worker int, sp *TxnSpans, waitDurable bool, fn func(tx *
 			break
 		}
 		sp.Retries++
-	}
-	if err == nil && waitDurable && db.wal != nil {
-		t0 := db.store.Now()
-		wl := db.wal.WorkerLog(worker)
-		wl.Heartbeat() // flush our own buffer so we never wait on ourselves
-		db.wal.WaitDurable(tidEpoch(w.LastCommitTID()))
-		sp.Fsync += db.store.Now() - t0
 	}
 	db.heartbeat(worker)
 	return err
@@ -699,17 +691,6 @@ func (db *DB) DurableNotify() (<-chan uint64, bool) {
 // gates releasing the result to the client.
 func (db *DB) LastCommitEpoch(worker int) uint64 {
 	return tidEpoch(db.store.Worker(worker).LastCommitTID())
-}
-
-// LastAbort reports the conflict forensics of the worker's most recent
-// aborted commit: the table ID and key hash (trace.HashKey) validation
-// blamed, with ok false when the last transaction committed or the
-// abort carried no key. Called on the worker's own goroutine right
-// after a conflicted RunNoRetry, it describes exactly the attempt that
-// failed; retry policies use it to tell a hot-key collision from
-// incidental interleaving.
-func (db *DB) LastAbort(worker int) (table uint32, keyHash uint64, ok bool) {
-	return db.store.Worker(worker).LastAbort()
 }
 
 // WaitDurable blocks until the durable epoch D covers e; without

@@ -86,6 +86,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"time"
 
 	"silo/internal/obs"
 	"silo/internal/trace"
@@ -745,6 +747,33 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 		return dst[:at], fmt.Errorf("wire: cannot encode response kind %v", r.Kind)
 	}
 	return endFrame(dst, at), nil
+}
+
+// traceFsyncOff is where an encoded TRACER frame keeps its Fsync span:
+// past the length prefix and the kind byte, the fifth u64 of the span
+// block (trace.AppendSpans order).
+const traceFsyncOff = 4 + 1 + 4*8
+
+// AddTraceFsync adds wait to the Fsync span of an encoded TRACER frame
+// (length prefix included) in place, saturating at the largest
+// time.Duration, and reports whether frame was one. A server that holds a
+// traced write until its epoch is durable learns that wait only after the
+// frame was encoded; this is the one place that knows where the span sits.
+func AddTraceFsync(frame []byte, wait time.Duration) bool {
+	if len(frame) < 4+1+trace.SpansEncodedLen || Kind(frame[4]) != KindTraceR {
+		return false
+	}
+	if wait > 0 {
+		p := frame[traceFsyncOff : traceFsyncOff+8]
+		v := binary.BigEndian.Uint64(p)
+		if v > math.MaxInt64-uint64(wait) {
+			v = math.MaxInt64
+		} else {
+			v += uint64(wait)
+		}
+		binary.BigEndian.PutUint64(p, v)
+	}
+	return true
 }
 
 // appendTxnResults encodes the shared TXNR/TRACER result list.

@@ -280,6 +280,52 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAddTraceFsync: the in-place patch of an encoded TRACER's Fsync span
+// agrees with the decoder for frames with and without results, touches no
+// other byte's meaning, leaves anything that is not a whole TRACER alone,
+// and saturates instead of wrapping past the largest time.Duration.
+func TestAddTraceFsync(t *testing.T) {
+	sp := trace.Spans{Queue: 1, Exec: 2, Validate: 3, Log: 4, Fsync: 5 * time.Microsecond, Respond: 6, Retries: 7, TID: 8}
+	for _, results := range [][]TxnResult{nil, {{}, {HasValue: true, Value: []byte("value")}, {HasValue: true, Value: []byte{}}}} {
+		frame := encodeResp(t, &Response{Kind: KindTraceR, Spans: &sp, Results: results})
+		if !AddTraceFsync(frame, 40*time.Millisecond) {
+			t.Fatalf("AddTraceFsync refused a TRACER with %d results", len(results))
+		}
+		AddTraceFsync(frame, -time.Second) // a clock anomaly adds nothing
+		got, err := DecodeResponse(frame[4:])
+		if err != nil {
+			t.Fatalf("patched TRACER with %d results: %v", len(results), err)
+		}
+		want := sp
+		want.Fsync += 40 * time.Millisecond
+		if *got.Spans != want {
+			t.Errorf("patched spans = %+v, want %+v", *got.Spans, want)
+		}
+		if len(got.Results) != len(results) || (len(results) > 1 && string(got.Results[1].Value) != "value") {
+			t.Errorf("patch disturbed the results: %+v", got.Results)
+		}
+
+		AddTraceFsync(frame, 1<<63-1)
+		AddTraceFsync(frame, 1<<63-1)
+		if got, err := DecodeResponse(frame[4:]); err != nil || got.Spans.Fsync != 1<<63-1 {
+			t.Errorf("overflowing patch decodes as %+v, %v; want Fsync saturated at max Duration", got.Spans, err)
+		}
+	}
+
+	tracer := encodeResp(t, &Response{Kind: KindTraceR, Spans: &sp})
+	for name, frame := range map[string][]byte{
+		"TXNR":            encodeResp(t, &Response{Kind: KindTxnR, Results: make([]TxnResult, 80)}),
+		"VALUE":           encodeResp(t, &Response{Kind: KindValue, Value: make([]byte, 100)}),
+		"truncated spans": tracer[:4+1+trace.SpansEncodedLen-1],
+		"empty":           nil,
+	} {
+		before := append([]byte(nil), frame...)
+		if AddTraceFsync(frame, time.Second) || !bytes.Equal(frame, before) {
+			t.Errorf("AddTraceFsync patched a %s frame", name)
+		}
+	}
+}
+
 func TestEncodeRejects(t *testing.T) {
 	bad := []Request{
 		{},                          // no ops
