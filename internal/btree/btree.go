@@ -26,6 +26,24 @@
 //     themselves generate no garbage; record versions are the only garbage,
 //     handled by the epoch GC in internal/core.
 //
+//   - A full leaf splits where its inserts say a run is going (insertSplit).
+//     An insert into the slot right after the leaf's previous insert
+//     continues an ascending run, and the split falls at the insertion
+//     point: the run keeps its leaf and the keys beyond it move right
+//     (InnoDB's last-insert rule). When the run owns the leaf's tail that
+//     moves nothing and the new key starts the right sibling — Masstree's
+//     sequential-insert rule, here for any leaf, because TPC-C's runs end
+//     at district boundaries inside the tree, not at its right edge.
+//     Anything else splits in half. Ascending runs therefore leave full
+//     leaves behind them, whether one run or many interleaved, and uniform
+//     random inserts, which hit the slot by chance once in seventeen, keep
+//     their fill to within 0.01. The "previous insert" is a per-leaf hint,
+//     and only a hint: writers set and read it under the leaf lock,
+//     optimistic readers never look at it, and a stale value picks a worse
+//     split point — it costs fill, never correctness. Every split still
+//     bumps both leaves and reports the right one Created, including the
+//     split that moves no key: the left leaf's range shrank all the same.
+//
 // Keys are byte strings up to MaxKeyLen bytes, stored inline in fixed-size
 // slots so that racy (validated-after) readers can never tear a pointer.
 // Values are *record.Record pointers stored with atomic loads/stores.
@@ -150,6 +168,7 @@ type leaf struct {
 	keys [fanout]ikey
 	vals [fanout]unsafe.Pointer // *record.Record
 	next unsafe.Pointer         // *leaf
+	hint int32                  // slot after the last insert; see insertSplit
 }
 
 func (in *inner) child(i int) *node {
@@ -217,6 +236,10 @@ type VersionChange struct {
 type Tree struct {
 	root  unsafe.Pointer // *node
 	count atomic.Int64
+	// Shape counters behind Shape: leaves moves only in a split, empty only
+	// when a leaf's key count crosses zero.
+	leaves atomic.Int64
+	empty  atomic.Int64
 
 	// raceMu serializes readers against structural writers in race-detector
 	// builds only. The hand-over-hand version protocol makes torn reads of
@@ -255,6 +278,8 @@ func (t *Tree) raceUnlock() {
 func New() *Tree {
 	t := &Tree{}
 	atomic.StorePointer(&t.root, unsafe.Pointer(&leaf{}))
+	t.leaves.Store(1)
+	t.empty.Store(1)
 	return t
 }
 
@@ -262,6 +287,25 @@ func New() *Tree {
 // are in the absent state; logical liveness is the transaction layer's
 // concern).
 func (t *Tree) Len() int { return int(t.count.Load()) }
+
+// Shape is a tree's size and occupancy, read from counters the write paths
+// maintain; taken while writers run it is a monitoring view, not a cut.
+type Shape struct {
+	Keys, Leaves, EmptyLeaves, Height int
+}
+
+// Fill is the fraction of leaf slots holding a key.
+func (s Shape) Fill() float64 { return float64(s.Keys) / float64(s.Leaves*fanout) }
+
+// Shape returns the tree's current shape in O(1).
+func (t *Tree) Shape() Shape {
+	return Shape{
+		Keys:        t.Len(),
+		Leaves:      int(t.leaves.Load()),
+		EmptyLeaves: int(t.empty.Load()),
+		Height:      int(t.loadRoot().level) + 1,
+	}
+}
 
 func (t *Tree) loadRoot() *node {
 	return (*node)(atomic.LoadPointer(&t.root))
@@ -357,8 +401,10 @@ func (t *Tree) GetBatch(keys [][]byte, fn func(i int, rec *record.Record, n *Nod
 	// recs[j] holds the record found for keys[i+j] of the current leaf run
 	// (nil for absent); hits remembers whether the slot search matched, to
 	// distinguish "absent" from a torn value read that must retry.
-	var recs []*record.Record
-	var hits []bool
+	// A leaf holds fanout keys, so the buffers are leaf-sized and live on
+	// the stack; duplicate keys that would overflow them end the run.
+	var recs [fanout]*record.Record
+	var hits [fanout]bool
 	i := 0
 	for i < len(keys) {
 		var lf *leaf
@@ -367,7 +413,6 @@ func (t *Tree) GetBatch(keys [][]byte, fn func(i int, rec *record.Record, n *Nod
 	retry:
 		for spins := 0; ; spins++ {
 			lf, v = t.descend(keys[i])
-			recs, hits = recs[:0], hits[:0]
 			// The run extends while keys stay ≤ the leaf's last key: the
 			// leaf's separator range contains its own keys, so any sorted
 			// key between the descent key and the last key routes here.
@@ -375,25 +420,18 @@ func (t *Tree) GetBatch(keys [][]byte, fn func(i int, rec *record.Record, n *Nod
 			// the slots, so a concurrent split cannot extend a run into
 			// keys the leaf no longer owns.
 			nk := clampKeys(lf.nkeys.Load())
-			run = 1
-			idx, eq := lf.search(keys[i])
-			if eq {
-				recs = append(recs, lf.val(idx))
-			} else {
-				recs = append(recs, nil)
-			}
-			hits = append(hits, eq)
+			var last []byte
 			if nk > 0 {
-				last := lf.keys[nk-1].get()
-				for i+run < len(keys) && bytes.Compare(keys[i+run], last) <= 0 {
-					idx, eq := lf.search(keys[i+run])
-					if eq {
-						recs = append(recs, lf.val(idx))
-					} else {
-						recs = append(recs, nil)
-					}
-					hits = append(hits, eq)
-					run++
+				last = lf.keys[nk-1].get()
+			}
+			for run = 0; run < fanout && i+run < len(keys); run++ {
+				if run > 0 && bytes.Compare(keys[i+run], last) > 0 {
+					break
+				}
+				idx, eq := lf.search(keys[i+run])
+				recs[run], hits[run] = nil, eq
+				if eq {
+					recs[run] = lf.val(idx)
 				}
 			}
 			if lf.version.Load() != v {
@@ -452,10 +490,9 @@ func (t *Tree) InsertIfAbsent(key []byte, rec *record.Record) (cur *record.Recor
 				lf.unlock()
 				return existing, false, nil
 			}
-			lf.insertAt(idx, key, rec)
+			t.insertAt(lf, idx, key, rec)
 			newV := (lf.version.Load() + versionInc) &^ lockBit
 			lf.unlockBump()
-			t.count.Add(1)
 			return rec, true, []VersionChange{{Node: &lf.node, Old: v, New: newV}}
 		}
 		// Leaf full: pessimistic split path.
@@ -506,9 +543,8 @@ func (t *Tree) GetOrInsert(key []byte, mk func() *record.Record) (rec *record.Re
 				backoff(spins)
 				continue
 			}
-			lf.insertAt(idx, key, fresh)
+			t.insertAt(lf, idx, key, fresh)
 			lf.unlockBump()
-			t.count.Add(1)
 			return fresh, true
 		}
 		cur, inserted, _, ok := t.insertSplit(key, fresh)
@@ -519,9 +555,10 @@ func (t *Tree) GetOrInsert(key []byte, mk func() *record.Record) (rec *record.Re
 	}
 }
 
-// insertAt shifts slots right and installs (key, rec) at position idx.
-// Caller holds the leaf lock and has verified there is room.
-func (lf *leaf) insertAt(idx int, key []byte, rec *record.Record) {
+// insertAt shifts slots right and installs (key, rec) at position idx,
+// leaving the leaf's hint on the slot after it. Caller holds the leaf lock
+// and has verified there is room.
+func (t *Tree) insertAt(lf *leaf, idx int, key []byte, rec *record.Record) {
 	nk := int(lf.nkeys.Load())
 	for i := nk; i > idx; i-- {
 		lf.keys[i] = lf.keys[i-1]
@@ -530,6 +567,11 @@ func (lf *leaf) insertAt(idx int, key []byte, rec *record.Record) {
 	lf.keys[idx].set(key)
 	atomic.StorePointer(&lf.vals[idx], unsafe.Pointer(rec))
 	lf.nkeys.Store(int32(nk + 1))
+	lf.hint = int32(idx + 1)
+	if nk == 0 {
+		t.empty.Add(-1)
+	}
+	t.count.Add(1)
 }
 
 // insertSplit handles inserts that require splitting. It locks the path
@@ -576,7 +618,7 @@ func (t *Tree) insertSplit(key []byte, rec *record.Record) (cur *record.Record, 
 	}
 	if int(lf.nkeys.Load()) < fanout {
 		// A concurrent remove made room; no split after all.
-		lf.insertAt(idx, key, rec)
+		t.insertAt(lf, idx, key, rec)
 		for i, a := range locked {
 			if a == n {
 				changes = append(changes, VersionChange{Node: a, Old: preV[i], New: (a.version.Load() + versionInc) &^ lockBit})
@@ -585,14 +627,23 @@ func (t *Tree) insertSplit(key []byte, rec *record.Record) (cur *record.Record, 
 				a.unlock()
 			}
 		}
-		t.count.Add(1)
 		return rec, true, changes, true
 	}
 
-	// Split the leaf: upper half moves to a fresh (locked) right sibling.
+	// Split the leaf: keys[mid:] move to a fresh (locked) right sibling. A
+	// key landing in the slot right after the leaf's previous insert
+	// continues an ascending run, so the split falls at the insertion point:
+	// the run keeps the left leaf and goes on filling it, the foreign keys
+	// beyond it move right — and when there are none (the run owns the
+	// leaf's tail) nothing moves and the new key starts the right sibling.
+	// Anything else halves.
+	mid := fanout / 2
+	if idx > 0 && idx == int(lf.hint) {
+		mid = idx
+	}
 	right := &leaf{}
 	right.version.Store(lockBit)
-	mid := fanout / 2
+	t.leaves.Add(1)
 	for i := mid; i < fanout; i++ {
 		right.keys[i-mid] = lf.keys[i]
 		atomic.StorePointer(&right.vals[i-mid], atomic.LoadPointer(&lf.vals[i]))
@@ -602,16 +653,16 @@ func (t *Tree) insertSplit(key []byte, rec *record.Record) (cur *record.Record, 
 	lf.nkeys.Store(int32(mid))
 	atomic.StorePointer(&right.next, atomic.LoadPointer(&lf.next))
 	atomic.StorePointer(&lf.next, unsafe.Pointer(right))
-	sep := make([]byte, len(right.keys[0].get()))
-	copy(sep, right.keys[0].get())
-
-	if bytes.Compare(key, sep) >= 0 {
-		i, _ := right.search(key)
-		right.insertAt(i, key, rec)
-	} else {
-		i, _ := lf.search(key)
-		lf.insertAt(i, key, rec)
+	lf.hint = 0
+	if mid == fanout {
+		t.empty.Add(1) // right is born empty; insertAt takes it back
 	}
+	if idx > mid || mid == fanout {
+		t.insertAt(right, idx-mid, key, rec)
+	} else {
+		t.insertAt(lf, idx, key, rec)
+	}
+	sep := append([]byte(nil), right.keys[0].get()...)
 
 	// Record changes for the two leaves; they are unlocked after the
 	// separator is linked into the parent chain.
@@ -620,7 +671,6 @@ func (t *Tree) insertSplit(key []byte, rec *record.Record) (cur *record.Record, 
 		{n: &right.node, bump: true, created: true},
 	}
 	changes = t.propagateSplit(locked, preV, &lf.node, sep, &right.node, pending)
-	t.count.Add(1)
 	return rec, true, changes, true
 }
 
@@ -746,43 +796,10 @@ func markBump(pending []pendingUnlock, n *node) []pendingUnlock {
 }
 
 // Remove deletes key from the tree, returning whether it was present and
-// the leaf's version change. Only the GC's unhook step (§4.9) and tests
-// call this; transactional deletes mark records absent instead.
+// the leaf's version change. Transactional deletes mark records absent
+// instead and leave the unhooking to the GC, which uses RemoveIf.
 func (t *Tree) Remove(key []byte) (removed bool, change VersionChange) {
-	t.raceLock()
-	defer t.raceUnlock()
-	checkKey(key)
-	for spins := 0; ; spins++ {
-		lf, v := t.descend(key)
-		idx, eq := lf.search(key)
-		if !eq {
-			if lf.version.Load() == v {
-				return false, VersionChange{}
-			}
-			backoff(spins)
-			continue
-		}
-		if !lf.tryUpgrade(v) {
-			backoff(spins)
-			continue
-		}
-		idx, eq = lf.search(key)
-		if !eq {
-			lf.unlock()
-			return false, VersionChange{}
-		}
-		nk := int(lf.nkeys.Load())
-		for i := idx; i < nk-1; i++ {
-			lf.keys[i] = lf.keys[i+1]
-			atomic.StorePointer(&lf.vals[i], atomic.LoadPointer(&lf.vals[i+1]))
-		}
-		atomic.StorePointer(&lf.vals[nk-1], nil)
-		lf.nkeys.Store(int32(nk - 1))
-		newV := (lf.version.Load() + versionInc) &^ lockBit
-		lf.unlockBump()
-		t.count.Add(-1)
-		return true, VersionChange{Node: &lf.node, Old: v, New: newV}
-	}
+	return t.RemoveIf(key, func(*record.Record) bool { return true })
 }
 
 // RemoveIf deletes key only while pred(current record) holds, atomically
@@ -818,6 +835,12 @@ func (t *Tree) RemoveIf(key []byte, pred func(*record.Record) bool) (removed boo
 		}
 		atomic.StorePointer(&lf.vals[nk-1], nil)
 		lf.nkeys.Store(int32(nk - 1))
+		if idx < int(lf.hint) {
+			lf.hint-- // the slot after the last insert moved down with it
+		}
+		if nk == 1 {
+			t.empty.Add(1)
+		}
 		newV := (lf.version.Load() + versionInc) &^ lockBit
 		lf.unlockBump()
 		t.count.Add(-1)

@@ -10,9 +10,9 @@ import (
 
 // CheckInvariants walks the tree single-threadedly and verifies structural
 // invariants: keys sorted within nodes, separators routing correctly, all
-// leaves at level 0, and the leaf chain agreeing with the in-order
-// traversal. It exists for tests; it must not run concurrently with
-// writers.
+// leaves at level 0, the leaf chain agreeing with the in-order traversal,
+// and the Shape counters agreeing with the walk. It exists for tests; it
+// must not run concurrently with writers.
 func (t *Tree) CheckInvariants() error {
 	t.raceRLock()
 	defer t.raceRUnlock()
@@ -40,13 +40,20 @@ func (t *Tree) CheckInvariants() error {
 			return fmt.Errorf("leaf chain has %d leaves, in-order traversal has %d", i, len(leaves))
 		}
 	}
-	// Count must match.
-	n := 0
+	// Counts must match.
+	walked := Shape{Leaves: len(leaves), Height: int(root.level) + 1}
 	for _, lf := range leaves {
-		n += int(lf.nkeys.Load())
+		nk := int(lf.nkeys.Load())
+		walked.Keys += nk
+		if nk == 0 {
+			walked.EmptyLeaves++
+		}
+		if lf.hint < 0 || int(lf.hint) > nk {
+			return fmt.Errorf("leaf %p hint %d outside its %d keys", lf, lf.hint, nk)
+		}
 	}
-	if n != t.Len() {
-		return fmt.Errorf("key count %d != tree.Len() %d", n, t.Len())
+	if got := t.Shape(); got != walked {
+		return fmt.Errorf("tree.Shape() %+v != walked %+v", got, walked)
 	}
 	return nil
 }

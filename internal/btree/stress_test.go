@@ -40,6 +40,18 @@ func TestScanDuringSplits(t *testing.T) {
 		}(g)
 	}
 
+	// An ascending run between the two: "b!" sorts after every stable key
+	// and before every random one, so its splits — at the insertion point
+	// first, then with nothing moved — start in the leaf that holds the
+	// tail of the "a" prefix.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			tr.InsertIfAbsent([]byte(fmt.Sprintf("b!%08d", i)), mkrec(byte(i)))
+		}
+	}()
+
 	lo, hi := []byte("a"), []byte("b")
 	for iter := 0; iter < 300; iter++ {
 		var keys []string

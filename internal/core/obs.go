@@ -62,6 +62,7 @@ type workerObs struct {
 	commits obs.Counter
 	aborts  [numObsAbortReasons]obs.Counter
 	phase   [numObsPhases]obs.Histogram
+	nodeset obs.Histogram // node-set length at commit, sampled with the phases
 
 	tick   uint64 // owner-only sampling counter, never read by snapshots
 	tables atomic.Pointer[[]*tableObs]
@@ -164,10 +165,11 @@ func (s *Store) obsShards() []*workerObs {
 }
 
 // CollectObs appends the engine's metric families to snap: commit and
-// abort-reason totals, per-table read/write counters, sampled
-// commit-phase latency histograms (1 in 64 commits per worker), and the
-// current global/snapshot epochs. Safe to call while workers run; the
-// result is a racy-but-race-clean monitoring view, not a consistent cut.
+// abort-reason totals, per-table read/write counters and tree shape,
+// sampled commit-phase latency and node-set length histograms (1 in 64
+// commits per worker), and the current global/snapshot epochs. Safe to
+// call while workers run; the result is a racy-but-race-clean monitoring
+// view, not a consistent cut.
 func (s *Store) CollectObs(snap *obs.Snapshot) {
 	shards := s.obsShards()
 
@@ -175,6 +177,7 @@ func (s *Store) CollectObs(snap *obs.Snapshot) {
 	var aborts [numObsAbortReasons]uint64
 	var reads, writes uint64
 	var phase [numObsPhases]obs.HistSnapshot
+	var nodeset obs.HistSnapshot
 	for _, o := range shards {
 		commits += o.commits.Load()
 		for i := range aborts {
@@ -189,6 +192,7 @@ func (s *Store) CollectObs(snap *obs.Snapshot) {
 		for i := range phase {
 			phase[i].Merge(o.phase[i].Snapshot())
 		}
+		nodeset.Merge(o.nodeset.Snapshot())
 	}
 	snap.Counter("silo_core_commits_total", "", "", commits)
 	for i, n := range aborts {
@@ -199,6 +203,7 @@ func (s *Store) CollectObs(snap *obs.Snapshot) {
 	for i := range phase {
 		snap.Histogram("silo_core_commit_phase_ns", "phase", ObsPhaseNames[i], phase[i])
 	}
+	snap.Histogram("silo_core_nodeset_len", "", "", nodeset)
 
 	for _, t := range s.Tables() {
 		var tr, tw uint64
@@ -210,6 +215,11 @@ func (s *Store) CollectObs(snap *obs.Snapshot) {
 		}
 		snap.Counter("silo_table_reads_total", "table", t.Name, tr)
 		snap.Counter("silo_table_writes_total", "table", t.Name, tw)
+		sh := t.Tree.Shape()
+		snap.Gauge("silo_table_leaves", "table", t.Name, uint64(sh.Leaves))
+		snap.Gauge("silo_table_empty_leaves", "table", t.Name, uint64(sh.EmptyLeaves))
+		snap.Gauge("silo_table_height", "table", t.Name, uint64(sh.Height))
+		snap.Gauge("silo_table_leaf_fill_permille", "table", t.Name, uint64(1000*sh.Fill()))
 	}
 
 	snap.Gauge("silo_core_epoch", "", "", s.epochs.Global())

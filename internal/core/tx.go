@@ -6,6 +6,7 @@ import (
 	"errors"
 	"slices"
 	"time"
+	"unsafe"
 
 	"silo/internal/btree"
 	"silo/internal/record"
@@ -77,7 +78,8 @@ type Tx struct {
 	writes []writeEntry
 	nodes  []nodeEntry
 	keys   []byte       // arena backing the read-set's keys
-	widx   []int32      // open hash over writes, kept once the write-set outgrows a linear scan
+	widx   posIndex     // open hash over writes, kept once the write-set outgrows a linear scan
+	nidx   posIndex     // the same over nodes
 	rbuf   []byte       // scratch buffer for record reads
 	hbuf   []byte       // scratch buffer for hook old-value snapshots
 	tally  []tableTally // per-table read/write counts, flushed to the obs shard
@@ -102,8 +104,12 @@ func (tx *Tx) Worker() *Worker { return tx.w }
 // maxKeyArena is the largest key arena a Tx keeps between transactions:
 // thousands of reads, so ordinary transactions never re-grow it, while one
 // whole-table scan does not pin its keys (and the read-set whose entries
-// point into them) to the worker for good. See Worker.finishTx.
-const maxKeyArena = 64 << 10
+// point into them) to the worker for good. maxNodeSet is the same bound for
+// the node-set and its index, in entries. See Worker.finishTx.
+const (
+	maxKeyArena = 64 << 10
+	maxNodeSet  = 4 << 10
+)
 
 func (tx *Tx) addRead(t *Table, key []byte, rec *record.Record, w tid.Word) {
 	// When the arena grows, earlier entries keep the old backing array;
@@ -114,15 +120,53 @@ func (tx *Tx) addRead(t *Table, key []byte, rec *record.Record, w tid.Word) {
 }
 
 func (tx *Tx) addNode(t *Table, n *btree.Node, version uint64) {
-	for i := range tx.nodes {
-		if tx.nodes[i].n == n {
-			// Re-observation of a leaf we already depend on. If the version
-			// moved, commit-time validation would abort anyway; keep the
-			// first observation (the earliest dependency).
-			return
+	// A re-observed leaf keeps its first version (the earliest dependency):
+	// if the version moved, commit-time validation would abort anyway.
+	if tx.findNode(n) < 0 {
+		tx.pushNode(nodeEntry{n: n, version: version, table: t})
+	}
+}
+
+// nodeScanMax is the largest node-set findNode scans linearly; a scan over
+// n leaves would otherwise cost n²/2 pointer compares.
+const nodeScanMax = 32
+
+// findNode returns n's position in the node-set, or -1.
+func (tx *Tx) findNode(n *btree.Node) int {
+	last := len(tx.nodes) - 1
+	if last < 0 {
+		return -1
+	}
+	if tx.nodes[last].n == n {
+		// Consecutive misses and batched reads land on the leaf just seen.
+		return last
+	}
+	if last < nodeScanMax {
+		for i := range tx.nodes[:last] {
+			if tx.nodes[i].n == n {
+				return i
+			}
+		}
+		return -1
+	}
+	mask := uint64(len(tx.nidx) - 1)
+	for s := nodeHash(n) & mask; ; s = (s + 1) & mask {
+		i := int(tx.nidx[s]) - 1
+		if i < 0 || tx.nodes[i].n == n {
+			return i
 		}
 	}
-	tx.nodes = append(tx.nodes, nodeEntry{n: n, version: version, table: t})
+}
+
+func nodeHash(n *btree.Node) uint64 {
+	return uint64(uintptr(unsafe.Pointer(n))) * 0x9E3779B97F4A7C15 >> 32
+}
+
+func (tx *Tx) pushNode(e nodeEntry) {
+	tx.nodes = append(tx.nodes, e)
+	if len(tx.nodes) > nodeScanMax {
+		tx.nidx.add(len(tx.nodes), nodeScanMax, func(i int) uint64 { return nodeHash(tx.nodes[i].n) })
+	}
 }
 
 // applyNodeChanges implements §4.6's node-set maintenance after an insert by
@@ -133,17 +177,12 @@ func (tx *Tx) addNode(t *Table, n *btree.Node, version uint64) {
 func (tx *Tx) applyNodeChanges(t *Table, changes []btree.VersionChange) error {
 	for _, ch := range changes {
 		if ch.Created {
-			tx.nodes = append(tx.nodes, nodeEntry{n: ch.Node, version: ch.New, table: t})
-			continue
-		}
-		for i := range tx.nodes {
-			if tx.nodes[i].n == ch.Node {
-				if tx.nodes[i].version != ch.Old {
-					return ErrConflict
-				}
-				tx.nodes[i].version = ch.New
-				break
+			tx.pushNode(nodeEntry{n: ch.Node, version: ch.New, table: t})
+		} else if i := tx.findNode(ch.Node); i >= 0 {
+			if tx.nodes[i].version != ch.Old {
+				return ErrConflict
 			}
+			tx.nodes[i].version = ch.New
 		}
 	}
 	return nil
@@ -182,34 +221,36 @@ func writeHash(t *Table, key []byte) uint64 {
 	return trace.HashKey(key) + uint64(t.ID)*0x9E3779B97F4A7C15
 }
 
-// indexWrite enters the newest write into the hash index: slots hold the
-// write's position plus one, zero is empty. The table is built when the
-// write-set first outgrows writeScanMax and rebuilt at four times the size
-// whenever it would pass half full; its backing array stays with the Tx,
-// so a worker that has run one bulk transaction runs the next without
-// allocating.
-func (tx *Tx) indexWrite() {
-	n := len(tx.writes)
+// posIndex is an open hash from an entry's hash to its position in one of
+// the transaction's sets: slots hold the position plus one, zero is empty.
+type posIndex []int32
+
+// add enters position n-1 of a set that has just grown to n entries. The
+// table is built when the set first outgrows scanMax and rebuilt at four
+// times the size whenever it would pass half full; its backing array stays
+// with the Tx, so a worker that has run one bulk transaction runs the next
+// without allocating.
+func (ix *posIndex) add(n, scanMax int, hash func(i int) uint64) {
 	first := n - 1
-	if n == writeScanMax+1 || 2*n > len(tx.widx) {
-		size := 4 * writeScanMax
+	if n == scanMax+1 || 2*n > len(*ix) {
+		size := 4 * scanMax
 		for size < 4*n {
 			size *= 2
 		}
-		if cap(tx.widx) < size {
-			tx.widx = make([]int32, size)
+		if cap(*ix) < size {
+			*ix = make(posIndex, size)
 		}
-		tx.widx = tx.widx[:size]
-		clear(tx.widx)
+		*ix = (*ix)[:size]
+		clear(*ix)
 		first = 0
 	}
-	mask := uint64(len(tx.widx) - 1)
+	mask := uint64(len(*ix) - 1)
 	for i := first; i < n; i++ {
-		s := writeHash(tx.writes[i].table, tx.writes[i].key) & mask
-		for tx.widx[s] != 0 {
+		s := hash(i) & mask
+		for (*ix)[s] != 0 {
 			s = (s + 1) & mask
 		}
-		tx.widx[s] = int32(i + 1)
+		(*ix)[s] = int32(i + 1)
 	}
 }
 
@@ -235,7 +276,7 @@ func (tx *Tx) pushWrite(t *Table, rec *record.Record, key, value []byte, kind wr
 	we.prelock = 0
 	we.seq = uint32(len(tx.writes) - 1)
 	if len(tx.writes) > writeScanMax {
-		tx.indexWrite()
+		tx.widx.add(len(tx.writes), writeScanMax, func(i int) uint64 { return writeHash(tx.writes[i].table, tx.writes[i].key) })
 	}
 	tx.tallyWrite(t)
 }
@@ -776,6 +817,7 @@ func (tx *Tx) Commit() error {
 			o.phase[obsPhaseLock].ObserveDuration(t1.Sub(t0).Nanoseconds())
 			o.phase[obsPhaseValidate].ObserveDuration(t2.Sub(t1).Nanoseconds())
 			o.phase[obsPhaseInstall].ObserveDuration(t3.Sub(t2).Nanoseconds())
+			o.nodeset.Observe(uint64(len(tx.nodes)))
 		}
 	}
 	if tx.spans != nil {

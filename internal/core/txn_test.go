@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"silo/internal/btree"
 )
 
 func manualStore(t *testing.T, workers int, mutate func(*Options)) *Store {
@@ -707,5 +709,95 @@ func TestBulkWriteSetLookups(t *testing.T) {
 	bulk(1)
 	if &w.tx.widx[0] != idx {
 		t.Error("the second bulk transaction allocated a new write index")
+	}
+}
+
+// TestNodeSetLookupsAcrossThreshold checks findNode's three regimes — the
+// last-node fast path, the linear scan up to nodeScanMax entries, the hash
+// index beyond — against a map, at every size around the switch: a
+// re-observed node keeps its first version, this transaction's own insert
+// advances exactly the entry it matches, and a stale Old is a conflict
+// wherever the entry sits.
+func TestNodeSetLookupsAcrossThreshold(t *testing.T) {
+	s := manualStore(t, 1, nil)
+	tbl := s.CreateTable("t")
+	w := s.Worker(0)
+	for _, n := range []int{1, 2, nodeScanMax - 1, nodeScanMax, nodeScanMax + 1, nodeScanMax + 2, 2*nodeScanMax + 1, 20 * nodeScanMax} {
+		nodes := make([]btree.Node, n)
+		want := map[*btree.Node]uint64{}
+		tx := w.Begin()
+		check := func(when string) {
+			t.Helper()
+			if len(tx.nodes) != len(want) {
+				t.Fatalf("n=%d %s: node-set has %d entries, want %d", n, when, len(tx.nodes), len(want))
+			}
+			for i := range tx.nodes {
+				if e := tx.nodes[i]; want[e.n] != e.version || tx.findNode(e.n) != i {
+					t.Fatalf("n=%d %s: entry %d has version %d (want %d), found at %d", n, when, i, e.version, want[e.n], tx.findNode(e.n))
+				}
+			}
+			if i := tx.findNode(new(btree.Node)); i != -1 {
+				t.Fatalf("n=%d %s: a node never observed was found at %d", n, when, i)
+			}
+		}
+		for i := range nodes {
+			tx.addNode(tbl, &nodes[i], uint64(2*i))
+			want[&nodes[i]] = uint64(2 * i)
+			tx.addNode(tbl, &nodes[i], 999) // the leaf just seen, again
+			tx.addNode(tbl, &nodes[i/2], 999)
+		}
+		check("after observing")
+		for i := range nodes {
+			ch := []btree.VersionChange{{Node: &nodes[i], Old: uint64(2 * i), New: uint64(2*i + 2)}}
+			if err := tx.applyNodeChanges(tbl, ch); err != nil {
+				t.Fatalf("n=%d: own insert under entry %d: %v", n, i, err)
+			}
+			want[&nodes[i]] += 2
+			if err := tx.applyNodeChanges(tbl, ch); err != ErrConflict {
+				t.Fatalf("n=%d: stale Old under entry %d: %v, want ErrConflict", n, i, err)
+			}
+		}
+		check("after own inserts")
+		created := new(btree.Node)
+		if err := tx.applyNodeChanges(tbl, []btree.VersionChange{{Node: created, New: 2, Created: true}}); err != nil {
+			t.Fatal(err)
+		}
+		want[created] = 2
+		check("after a created sibling")
+		tx.Abort()
+	}
+}
+
+// TestNodeSetCapacityReleased is TestBulkWriteSetLookups' capacity check
+// for the node-set: a worker keeps the arrays of an ordinary scan between
+// transactions and gives back those of a 100k-leaf one.
+func TestNodeSetCapacityReleased(t *testing.T) {
+	s := manualStore(t, 1, nil)
+	tbl := s.CreateTable("t")
+	w := s.Worker(0)
+	observe := func(n int) {
+		t.Helper()
+		nodes := make([]btree.Node, n)
+		if err := w.Run(func(tx *Tx) error {
+			for i := range nodes {
+				tx.addNode(tbl, &nodes[i], 0)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	observe(maxNodeSet / 2)
+	set, idx := &w.tx.nodes[:1][0], &w.tx.nidx[:1][0]
+	observe(maxNodeSet / 2)
+	if &w.tx.nodes[:1][0] != set || &w.tx.nidx[:1][0] != idx {
+		t.Error("the second scan of the same width allocated a new node-set or index")
+	}
+	observe(100_000)
+	if c := cap(w.tx.nodes); c > maxNodeSet {
+		t.Errorf("node-set capacity %d kept after a 100k-leaf scan, limit %d", c, maxNodeSet)
+	}
+	if c := cap(w.tx.nidx); c > 4*maxNodeSet {
+		t.Errorf("node index capacity %d kept after a 100k-leaf scan", c)
 	}
 }

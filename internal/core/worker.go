@@ -145,8 +145,13 @@ func (w *Worker) RunSnapshot(fn func(stx *SnapTx) error) error {
 // the workers avoids helper threads and cross-core data movement).
 func (w *Worker) finishTx() {
 	w.slot.Exit()
-	if tx := &w.tx; !tx.active && cap(tx.keys) > maxKeyArena {
-		tx.keys, tx.reads = nil, nil
+	if tx := &w.tx; !tx.active {
+		if cap(tx.keys) > maxKeyArena {
+			tx.keys, tx.reads = nil, nil
+		}
+		if cap(tx.nodes) > maxNodeSet {
+			tx.nodes, tx.nidx = nil, nil
+		}
 	}
 	if w.store.opts.GC {
 		w.gc.reap(w)

@@ -175,13 +175,18 @@ func TestSegmentRotationRecovery(t *testing.T) {
 // log cannot churn out empty segments.
 func TestCheckpointTriggeredRotation(t *testing.T) {
 	dir := t.TempDir()
+	// Nothing here runs on the real clock: epochs advance and logger passes
+	// run when the test says so, on its own goroutine. With real tickers
+	// the test could list the next segment's file before the logger had
+	// published its sequence number, and TruncateCovered rightly refused
+	// to touch a segment it still had to consider open.
 	opts := core.DefaultOptions(1)
-	opts.EpochInterval = time.Millisecond
+	opts.ManualEpochs = true
 	s := core.NewStore(opts)
 	defer s.Close()
 	// SegmentBytes 0: size-based rotation off — only forced rotation can
 	// close a segment.
-	m, err := Attach(s, Config{Dir: dir, PollInterval: time.Millisecond})
+	m, err := Attach(s, Config{Dir: dir, Clock: heldClock{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,25 +195,29 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 	defer m.Stop()
 	w := s.Worker(0)
 
-	write := func(k string) {
+	// durablePass closes the current epoch and runs every logger once: the
+	// pass that publishes the closed epoch and, after it, rotates.
+	durablePass := func() uint64 {
+		t.Helper()
+		closed := s.Epochs().Global()
+		s.Epochs().AdvanceTo(closed + 1)
+		for _, lg := range m.loggers {
+			lg.iterate()
+		}
+		if d := m.DurableEpoch(); d != closed {
+			t.Fatalf("durable epoch %d after the pass that closes %d", d, closed)
+		}
+		return closed
+	}
+	write := func(k string) uint64 {
+		t.Helper()
 		if err := w.Run(func(tx *core.Tx) error {
 			return tx.Insert(tbl, []byte(k), []byte("v"))
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	waitDurable := func() uint64 {
-		t.Helper()
-		target := tid.Word(w.LastCommitTID()).Epoch()
 		m.WorkerLog(0).Heartbeat()
-		deadline := time.Now().Add(10 * time.Second)
-		for m.DurableEpoch() < target {
-			if time.Now().After(deadline) {
-				t.Fatalf("durable epoch %d never reached %d", m.DurableEpoch(), target)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return target
+		return durablePass()
 	}
 	segments := func() int {
 		t.Helper()
@@ -219,20 +228,16 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 		return len(infos)
 	}
 
-	write("a")
-	covered := waitDurable()
+	covered := write("a")
 	if n := segments(); n != 1 {
 		t.Fatalf("%d segments before any rotation, want 1", n)
 	}
 
 	// Force the rotation a checkpoint at epoch > covered would request.
 	m.RequestRotate()
-	deadline := time.Now().Add(10 * time.Second)
-	for segments() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("forced rotation never closed the open segment")
-		}
-		time.Sleep(time.Millisecond)
+	durablePass()
+	if n := segments(); n != 2 {
+		t.Fatalf("%d segments after the forced rotation's durable pass, want 2", n)
 	}
 
 	// The closed segment is now truncatable by a checkpoint covering its
@@ -250,7 +255,7 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 	// segment) must not create empty segments.
 	before := segments()
 	m.RequestRotate()
-	time.Sleep(20 * time.Millisecond)
+	durablePass()
 	if n := segments(); n != before {
 		t.Fatalf("idle rotation churned segments: %d -> %d", before, n)
 	}
@@ -258,13 +263,8 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 	// New data after the idle request still rotates (the request is
 	// sticky), and the log keeps recovering across the whole chain.
 	write("b")
-	waitDurable()
-	deadline = time.Now().Add(10 * time.Second)
-	for segments() < before+1 {
-		if time.Now().After(deadline) {
-			t.Fatal("sticky rotation request never honoured after new data")
-		}
-		time.Sleep(time.Millisecond)
+	if n := segments(); n != before+1 {
+		t.Fatalf("sticky rotation request not honoured after new data: %d -> %d segments", before, n)
 	}
 	s2 := core.NewStore(core.DefaultOptions(1))
 	defer s2.Close()
