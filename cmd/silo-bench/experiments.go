@@ -11,6 +11,7 @@ import (
 	"silo/internal/bench"
 	"silo/internal/core"
 	"silo/internal/kvstore"
+	"silo/internal/obs"
 	"silo/internal/tid"
 	"silo/internal/wal"
 	"silo/internal/workload/tpcc"
@@ -190,7 +191,7 @@ func fig7(cfg config) {
 			}
 			t := tpcc.LoadStore(s, sc)
 			m.Start()
-			hist := &bench.Histogram{}
+			hist := &obs.Histogram{}
 			ccfg := tpcc.StandardConfig()
 			r := bench.Run(mode.name, workers, cfg.warmup, cfg.seconds,
 				func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
@@ -219,7 +220,7 @@ func fig7(cfg config) {
 						if n++; n%32 == 0 {
 							wl.Heartbeat()
 							m.WaitDurable(tid.Word(s.Worker(wid).LastCommitTID()).Epoch())
-							hist.Record(time.Since(start))
+							hist.ObserveDuration(time.Since(start).Nanoseconds())
 						}
 					}
 				})

@@ -11,11 +11,9 @@
 // record's counter field instead of the primary key space, exercising
 // CREATE_INDEX/ISCAN over the wire and the index subsystem embedded
 // (-snapshot-scans reads the index at a consistent snapshot). Index scans
-// resolve rows with batched multi-get descents by default;
-// -per-entry-resolve (embedded only) restores the one-point-read-per-
-// entry baseline for comparison, and -covering declares the index with an
-// include list so scans are served from entry values alone, never
-// touching the primary table.
+// resolve rows with batched multi-get descents; -covering declares the
+// index with an include list so scans are served from entry values alone,
+// never touching the primary table.
 //
 // Usage:
 //
@@ -90,7 +88,6 @@ func main() {
 		hotKeys   = flag.Int("hot-keys", 8, "size of the hot key set -hot-frac draws from")
 		useIndex  = flag.Bool("index", false, "route scans through a secondary index on the counter field")
 		covering  = flag.Bool("covering", false, "make the scan index covering and serve scans from entry values only (implies -index)")
-		perEntry  = flag.Bool("per-entry-resolve", false, "resolve embedded index scans with per-entry point reads instead of batched multi-get (comparison baseline)")
 		snapScan  = flag.Bool("snapshot-scans", false, "run index scans against a consistent snapshot")
 		table     = flag.String("table", ycsb.TableName, "table name")
 		load      = flag.Bool("load", false, "preload the key space before the run")
@@ -120,15 +117,6 @@ func main() {
 	if *snapScan && !*useIndex {
 		fatal(fmt.Errorf("-snapshot-scans requires -index"))
 	}
-	if *perEntry && !*useIndex {
-		fatal(fmt.Errorf("-per-entry-resolve requires -index"))
-	}
-	if *perEntry && !*embedded {
-		fatal(fmt.Errorf("-per-entry-resolve is an embedded-only baseline (the server always batches ISCAN resolution)"))
-	}
-	if *perEntry && *covering {
-		fatal(fmt.Errorf("-per-entry-resolve and -covering are exclusive (a covering scan resolves nothing)"))
-	}
 	if (*ckptEvery > 0 || *logDir != "") && !*embedded {
 		fatal(fmt.Errorf("-checkpoint-interval and -logdir drive an in-process database: add -embedded (use silo-server's flags for a remote daemon)"))
 	}
@@ -139,7 +127,7 @@ func main() {
 		fatal(fmt.Errorf("-trace-frac samples TRACE frames over the wire; it has no embedded mode"))
 	}
 
-	scanMode := scanModeOf(*useIndex, *covering, *perEntry)
+	scanMode := scanModeOf(*useIndex, *covering)
 	if *snapScan && scanMode == scanBatched {
 		// Snapshot index scans resolve per-entry (there is no batched
 		// snapshot variant — snapshots never abort, so batching buys no
@@ -323,7 +311,7 @@ type scanMode int
 const (
 	scanPrimary  scanMode = iota // no index: primary range scans
 	scanBatched                  // index scan, batched multi-get resolution (default)
-	scanPerEntry                 // index scan, one point read per entry (baseline)
+	scanPerEntry                 // index scan, one point read per entry (snapshot scans)
 	scanCovering                 // covering index scan, no resolution at all
 )
 
@@ -339,14 +327,12 @@ func (m scanMode) String() string {
 	return "primary"
 }
 
-func scanModeOf(useIndex, covering, perEntry bool) scanMode {
+func scanModeOf(useIndex, covering bool) scanMode {
 	switch {
 	case !useIndex:
 		return scanPrimary
 	case covering:
 		return scanCovering
-	case perEntry:
-		return scanPerEntry
 	}
 	return scanBatched
 }
@@ -619,9 +605,9 @@ func setupEmbedded(cfg ycsb.Config, clients int, mode scanMode, snapScan bool, l
 }
 
 // runEmbeddedIndexScan reads up to n entries through the counter index
-// starting at entry key lo — resolving rows per entry or with batched
-// multi-get, or serving the covering projection straight from entry
-// values — serializably or at a snapshot.
+// starting at entry key lo — resolving rows with batched multi-get (per
+// entry at a snapshot), or serving the covering projection straight from
+// entry values — serializably or at a snapshot.
 func runEmbeddedIndexScan(db *silo.DB, worker int, ix *silo.Index, lo []byte, n int, mode scanMode, snapshot bool) bool {
 	count := 0
 	visit := func(_, _, _ []byte) bool {
@@ -645,15 +631,10 @@ func runEmbeddedIndexScan(db *silo.DB, worker int, ix *silo.Index, lo []byte, n 
 			count = 0
 			return silo.ScanIndexCovering(tx, ix, lo, nil, visit)
 		})
-	case mode == scanBatched:
-		err = db.RunNoRetry(worker, func(tx *silo.Tx) error {
-			count = 0
-			return silo.ScanIndexBatched(tx, ix, lo, nil, n, visit)
-		})
 	default:
 		err = db.RunNoRetry(worker, func(tx *silo.Tx) error {
 			count = 0
-			return silo.ScanIndex(tx, ix, lo, nil, visit)
+			return silo.ScanIndexBatched(tx, ix, lo, nil, n, visit)
 		})
 	}
 	return err == nil

@@ -5,10 +5,13 @@
 //	silo-recover -dir /path/to/logs -verbose   # dump every transaction
 //	silo-recover -dir /path/to/logs -replay    # parallel checkpoint+log
 //	                                           # recovery with a report
-//	silo-recover -dir /path/to/logs -replay -parallel 1   # sequential
+//	silo-recover -dir /path/to/logs -replay -parallel 1   # one applier
+//	silo-recover -dir /path/to/logs -truncate CE   # delete the segments a
+//	                                               # checkpoint at CE covers
 //
-// Replay restores from the newest complete checkpoint plus the log suffix
-// and prints a recovery report — txns/s and MB/s replayed, checkpoint load
+// Replay restores from the newest complete checkpoint set (a
+// checkpoint.<CE>/ directory whose manifest verifies — the one checkpoint
+// format) plus the log suffix and prints a recovery report — txns/s and MB/s replayed, checkpoint load
 // time versus log replay time — so BENCH runs can track recovery speed
 // over time, followed by the recovered schema. Directories written by
 // silo.DB are self-describing: the durable schema catalog reconstructs
@@ -48,7 +51,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	infos, err := wal.ListLogFiles(*dir)
+	infos, err := wal.ListLogFiles(nil, *dir)
 	if err != nil {
 		fatal(err)
 	}
@@ -61,7 +64,7 @@ func main() {
 	totalTxns, totalEntries := 0, 0
 	for i, fi := range infos {
 		var size int64
-		files[i], durables[i], size, err = wal.ParseLogFilePath(fi.Path, *compressed)
+		files[i], durables[i], size, err = wal.ParseLogFile(nil, fi.Path, *compressed)
 		if err != nil {
 			fatal(err)
 		}

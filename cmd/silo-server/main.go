@@ -320,7 +320,7 @@ func printSchema(db *silo.DB) {
 // dirHasLogs reports whether dir holds non-empty log segments from a
 // previous run.
 func dirHasLogs(dir string) bool {
-	infos, err := wal.ListLogFiles(dir)
+	infos, err := wal.ListLogFiles(nil, dir)
 	if err != nil {
 		return false
 	}

@@ -1,15 +1,16 @@
 // Package bench is the shared measurement harness behind cmd/silo-bench and
 // bench_test.go: fixed-duration concurrent runs with warmup, per-worker
-// operation counting, and log-bucketed latency histograms. Every figure and
+// operation counting, and an optional latency histogram. Every figure and
 // table of the paper's evaluation is regenerated through it.
 package bench
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"silo/internal/obs"
 )
 
 // WorkerFn executes operations until stop becomes true, reporting each
@@ -23,7 +24,7 @@ type Result struct {
 	Ops      uint64
 	Aborts   uint64
 	Duration time.Duration
-	Lat      *Histogram // nil unless latency was sampled
+	Lat      *obs.Histogram // nanoseconds; nil unless latency was sampled
 }
 
 // TPS returns operations per second.
@@ -40,7 +41,8 @@ func (r Result) String() string {
 	s := fmt.Sprintf("%-28s workers=%-3d txns/sec=%-12.0f txns/sec/worker=%-10.0f aborts/sec=%.0f",
 		r.Name, r.Workers, r.TPS(), r.PerCore(), r.AbortRate())
 	if r.Lat != nil {
-		s += fmt.Sprintf("  lat p50=%v p99=%v", r.Lat.Quantile(0.50), r.Lat.Quantile(0.99))
+		lat := r.Lat.Snapshot()
+		s += fmt.Sprintf("  lat p50=%v p99=%v", time.Duration(lat.Quantile(0.50)), time.Duration(lat.Quantile(0.99)))
 	}
 	return s
 }
@@ -103,73 +105,4 @@ func Median(n int, run func() Result) Result {
 		}
 	}
 	return rs[len(rs)/2]
-}
-
-// Histogram is a concurrent log-bucketed latency histogram (2% resolution
-// buckets, 1 µs to ~70 s).
-type Histogram struct {
-	buckets [1024]atomic.Uint64
-	count   atomic.Uint64
-}
-
-const histGamma = 1.02
-
-var invLogGamma = 1 / math.Log(histGamma)
-
-func bucketOf(d time.Duration) int {
-	us := d.Microseconds()
-	if us < 1 {
-		return 0
-	}
-	b := int(math.Log(float64(us)) * invLogGamma)
-	if b < 0 {
-		b = 0
-	}
-	if b > 1023 {
-		b = 1023
-	}
-	return b
-}
-
-// Record adds one observation.
-func (h *Histogram) Record(d time.Duration) {
-	h.buckets[bucketOf(d)].Add(1)
-	h.count.Add(1)
-}
-
-// Quantile returns the approximate q-quantile (0 ≤ q ≤ 1).
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(total))
-	var cum uint64
-	f := 1.0
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum > target {
-			return time.Duration(f) * time.Microsecond
-		}
-		f *= histGamma
-	}
-	return time.Duration(f) * time.Microsecond
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Mean returns the approximate mean.
-func (h *Histogram) Mean() time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	var sum float64
-	f := 1.0
-	for i := range h.buckets {
-		sum += f * float64(h.buckets[i].Load())
-		f *= histGamma
-	}
-	return time.Duration(sum/float64(total)) * time.Microsecond
 }

@@ -6,42 +6,6 @@ import (
 	"time"
 )
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := &Histogram{}
-	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count=%d", h.Count())
-	}
-	p50 := h.Quantile(0.5)
-	if p50 < 400*time.Microsecond || p50 > 650*time.Microsecond {
-		t.Fatalf("p50=%v", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 900*time.Microsecond || p99 > 1200*time.Microsecond {
-		t.Fatalf("p99=%v", p99)
-	}
-	if m := h.Mean(); m < 400*time.Microsecond || m > 650*time.Microsecond {
-		t.Fatalf("mean=%v", m)
-	}
-}
-
-func TestHistogramEdges(t *testing.T) {
-	h := &Histogram{}
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram nonzero")
-	}
-	h.Record(0)                 // below 1µs clamps to bucket 0
-	h.Record(100 * time.Second) // above range clamps to the top bucket
-	if h.Count() != 2 {
-		t.Fatal("count")
-	}
-	if h.Quantile(0) == 0 && h.Quantile(1.0) == 0 {
-		t.Fatal("quantiles collapsed")
-	}
-}
-
 func TestRunCountsOps(t *testing.T) {
 	r := Run("test", 2, 10*time.Millisecond, 50*time.Millisecond,
 		func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {

@@ -5,10 +5,9 @@
 // both checkpointing and replay must be parallelized or recovery time
 // dwarfs runtime performance).
 //
-// The sequential reference paths live in internal/wal (WriteCheckpoint,
-// Recover); everything here must produce state identical to them, which
-// the equivalence tests assert. Two properties make the parallelism
-// order-free:
+// The sequential reference replay lives in internal/wal (Recover);
+// recovery here must produce state identical to it, which the equivalence
+// tests assert. Two properties make the parallelism order-free:
 //
 //   - Checkpoints are cut from one snapshot epoch CE: every partition
 //     writer reads the same consistent image (core.SnapshotScanAt), so the
@@ -21,9 +20,10 @@
 //     (wal.ApplyFinal); workers need no coordination beyond the epoch ≤ D
 //     filter and the partition of keys among them.
 //
-// # Partitioned checkpoint layout
+// # Checkpoint layout
 //
-// A partitioned checkpoint at snapshot epoch CE is the directory
+// There is one checkpoint format. A checkpoint at snapshot epoch CE is the
+// directory
 //
 //	checkpoint.<CE>/
 //	    part.0 … part.<N−1>   one disjoint key-range slice of every table
@@ -34,7 +34,8 @@
 // tables. Part files and the manifest carry CRC32 footers. Because the
 // manifest is written only after every part is durable, a crash
 // mid-checkpoint leaves a directory without a manifest, which loading
-// ignores — recovery falls back to the previous complete set.
+// ignores — recovery falls back to the previous complete set. Anything
+// else named checkpoint.* (a regular file, a temporary) is not a candidate.
 //
 //	part.<k>:  "SPC1" | u64 CE | u32 part
 //	           rows: 'R' | u32 table | u16 klen | key | u64 tid-slot |
@@ -49,15 +50,13 @@
 //
 // The manifest records the table catalog (id → name) so that loading can
 // verify the declared schema matches the one checkpointed, and name the
-// offending table when it does not. The schema section (v2) embeds the
-// rows of the silo-level DDL catalog table as of CE: recovery applies
-// them before loading any part, which is what lets a checkpointed store
-// reconstruct its full schema — tables and index declarations — with zero
-// re-declarations even after the pre-checkpoint log segments carrying the
-// original DDL records have been truncated. The v1 manifest format (no
-// schema section) still parses; note that directories written before the
-// catalog existed are nevertheless incompatible at the silo layer, where
-// the catalog now claims table id 0 (see the README's format note).
+// offending table when it does not. The schema section embeds the rows of
+// the silo-level DDL catalog table as of CE: recovery applies them before
+// loading any part, which is what lets a checkpointed store reconstruct its
+// full schema — tables and index declarations — with zero re-declarations
+// even after the pre-checkpoint log segments carrying the original DDL
+// records have been truncated, and what lets replay skip the log below CE
+// without looking inside it.
 package recovery
 
 import (
@@ -72,18 +71,21 @@ import (
 	"sync"
 	"time"
 
+	"silo/internal/btree"
 	"silo/internal/core"
 	"silo/internal/record"
 	"silo/internal/tid"
 	"silo/internal/vfs"
-	"silo/internal/wal"
 )
 
 const (
-	partMagic       = "SPC1"
-	manifestMagicV1 = "SPM1"
-	manifestMagicV2 = "SPM2"
-	manifestName    = "MANIFEST"
+	partMagic     = "SPC1"
+	manifestMagic = "SPM2"
+	manifestName  = "MANIFEST"
+
+	// maxParts caps the partitions of one checkpoint, for the writer and
+	// for what a manifest may claim.
+	maxParts = 64
 )
 
 // errTorn marks an incomplete or corrupt checkpoint set; loading falls
@@ -130,32 +132,23 @@ func partBound(k, n int) []byte {
 // writers on other workers are not blocked (§4.9: snapshot reads never
 // abort). The worker must be otherwise idle — the checkpoint daemon uses
 // the store's dedicated maintenance worker.
-func WriteCheckpoint(s *core.Store, w *core.Worker, dir string, parts int) (CheckpointResult, error) {
-	return WriteCheckpointFS(vfs.OS, s, w, dir, parts, nil)
-}
-
-// WriteCheckpointSchema is WriteCheckpoint with a schema catalog: when
-// catalog is non-nil, its rows as of the snapshot epoch are embedded in
+//
+// When catalog is non-nil, its rows as of the snapshot epoch are embedded in
 // the manifest's schema section, making the checkpoint self-describing
 // (recovery reconstructs tables and index declarations from the manifest
 // before loading a single part). silo.DB passes its DDL catalog table;
 // stores managed below the silo layer pass nil and keep the
-// declare-before-recover contract.
-func WriteCheckpointSchema(s *core.Store, w *core.Worker, dir string, parts int, catalog *core.Table) (CheckpointResult, error) {
-	return WriteCheckpointFS(vfs.OS, s, w, dir, parts, catalog)
-}
-
-// WriteCheckpointFS is WriteCheckpointSchema against an explicit
-// filesystem (the simulation harness passes its fault-injecting one).
-func WriteCheckpointFS(fs vfs.FS, s *core.Store, w *core.Worker, dir string, parts int, catalog *core.Table) (CheckpointResult, error) {
+// declare-before-recover contract. A nil fs is the real filesystem (the
+// simulation harness passes its fault-injecting one).
+//
+// The checkpoint is complete — and WriteCheckpoint returns nil — only once
+// the manifest, the set's directory and the entry for it in dir have all
+// been fsynced: callers go on to truncate the log the set covers.
+func WriteCheckpoint(fs vfs.FS, s *core.Store, w *core.Worker, dir string, parts int, catalog *core.Table) (CheckpointResult, error) {
 	var res CheckpointResult
 	start := time.Now()
-	if parts <= 0 {
-		parts = 1
-	}
-	if parts > 64 {
-		parts = 64
-	}
+	fs = vfs.DefaultFS(fs)
+	parts = min(max(parts, 1), maxParts)
 	res.Partitions = parts
 	if err := fs.MkdirAll(dir); err != nil {
 		return res, err
@@ -170,15 +163,25 @@ func WriteCheckpointFS(fs vfs.FS, s *core.Store, w *core.Worker, dir string, par
 		res.Epoch = sew
 		ckptDir := filepath.Join(dir, fmt.Sprintf("checkpoint.%d", sew))
 		res.Path = ckptDir
+		// commit makes the set reachable after a crash: the entries of its
+		// files, then its own entry in dir.
+		commit := func() error {
+			if err := fs.SyncDir(ckptDir); err != nil {
+				return err
+			}
+			return fs.SyncDir(dir)
+		}
 		// A complete set at this epoch is kept, never rewritten: the
 		// snapshot image at a given CE is deterministic, and destroying
 		// the only complete set before its replacement's manifest is
 		// durable would leave a crash window with nothing to fall back to
-		// (fatal if covered log segments were already truncated).
+		// (fatal if covered log segments were already truncated). Its
+		// directories are synced again: the attempt that wrote it may be
+		// the one whose sync failed.
 		if m, err := readManifest(fs, filepath.Join(ckptDir, manifestName)); err == nil && m.epoch == sew {
 			res.Rows = int(m.rows)
 			res.Partitions = m.parts
-			return nil
+			return commit()
 		}
 		// A torn attempt at this epoch (no valid manifest) is replaced.
 		if err := fs.RemoveAll(ckptDir); err != nil {
@@ -214,60 +217,55 @@ func WriteCheckpointFS(fs vfs.FS, s *core.Store, w *core.Worker, dir string, par
 		// on any other filesystem (the deterministic simulation's, notably)
 		// the parts are written sequentially so the byte stream reaching
 		// the filesystem is a pure function of the store state.
-		if fs != vfs.OS {
-			for k := 0; k < parts; k++ {
-				rows, n, err := writePart(fs, ckptDir, k, sew, tables, partBound(k, parts), partBound(k+1, parts))
-				if err != nil {
-					return err
-				}
-				res.Rows += rows
-				res.Bytes += n
-			}
-			n, err := writeManifest(fs, ckptDir, sew, parts, tables, uint64(res.Rows), schema)
-			if err != nil {
-				return err
-			}
-			res.Bytes += n
-			return syncDir(fs, ckptDir)
-		}
-
 		outs := make([]partOut, parts)
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		for k := 0; k < parts; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				rows, n, err := writePart(fs, ckptDir, k, sew, tables, partBound(k, parts), partBound(k+1, parts))
-				outs[k] = partOut{rows, n, err}
-			}(k)
+		writeOne := func(k int) {
+			rows, n, err := writePart(fs, ckptDir, k, sew, tables, partBound(k, parts), partBound(k+1, parts))
+			outs[k] = partOut{rows, n, err}
 		}
-		go func() { wg.Wait(); close(done) }()
-		// Keep the pinned slot's local epoch fresh while the writers run:
-		// Refresh advances e_w (so E keeps moving) without touching the
-		// snapshot epoch that protects the versions being scanned.
-		t := time.NewTicker(time.Millisecond)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				for k := range outs {
-					if outs[k].err != nil {
-						return outs[k].err
-					}
-					res.Rows += outs[k].rows
-					res.Bytes += outs[k].bytes
+		if fs != vfs.OS {
+			for k := range outs {
+				if writeOne(k); outs[k].err != nil {
+					break
 				}
-				n, err := writeManifest(fs, ckptDir, sew, parts, tables, uint64(res.Rows), schema)
-				if err != nil {
-					return err
-				}
-				res.Bytes += n
-				return syncDir(fs, ckptDir)
-			case <-t.C:
-				w.RefreshEpoch()
 			}
+		} else {
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			for k := range outs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					writeOne(k)
+				}()
+			}
+			go func() { wg.Wait(); close(done) }()
+			// Keep the pinned slot's local epoch fresh while the writers
+			// run: Refresh advances e_w (so E keeps moving) without touching
+			// the snapshot epoch that protects the versions being scanned.
+			t := time.NewTicker(time.Millisecond)
+			for running := true; running; {
+				select {
+				case <-done:
+					running = false
+				case <-t.C:
+					w.RefreshEpoch()
+				}
+			}
+			t.Stop()
 		}
+		for k := range outs {
+			if outs[k].err != nil {
+				return outs[k].err
+			}
+			res.Rows += outs[k].rows
+			res.Bytes += outs[k].bytes
+		}
+		n, err := writeManifest(fs, ckptDir, sew, parts, tables, uint64(res.Rows), schema)
+		if err != nil {
+			return err
+		}
+		res.Bytes += n
+		return commit()
 	})
 	if err != nil {
 		return res, err
@@ -356,7 +354,7 @@ type schemaRow struct {
 // checkpoint.
 func writeManifest(fs vfs.FS, ckptDir string, sew uint64, parts int, tables []*core.Table, totalRows uint64, schema []schemaRow) (int64, error) {
 	buf := make([]byte, 0, 256)
-	buf = append(buf, manifestMagicV2...)
+	buf = append(buf, manifestMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, sew)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(parts))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tables)))
@@ -390,21 +388,13 @@ func writeManifest(fs vfs.FS, ckptDir string, sew uint64, parts int, tables []*c
 	return int64(len(buf)), f.Close()
 }
 
-// syncDir fsyncs a directory so the files created in it are reachable
-// after a crash (best-effort on platforms where directories cannot be
-// opened for sync).
-func syncDir(fs vfs.FS, dir string) error {
-	fs.SyncDir(dir)
-	return nil
-}
-
 // manifest is the parsed MANIFEST of a partitioned checkpoint.
 type manifest struct {
 	epoch  uint64
 	parts  int
 	tables []manifestTable
 	rows   uint64
-	schema []schemaRow // DDL catalog rows at CE (v2 manifests; nil for v1)
+	schema []schemaRow // DDL catalog rows at CE
 }
 
 type manifestTable struct {
@@ -417,11 +407,7 @@ func readManifest(fs vfs.FS, path string) (*manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errTorn, err)
 	}
-	if len(data) < len(manifestMagicV1)+8+4+4+8+5 {
-		return nil, fmt.Errorf("%w: %s: bad manifest header", errTorn, path)
-	}
-	magic := string(data[:4])
-	if magic != manifestMagicV1 && magic != manifestMagicV2 {
+	if len(data) < len(manifestMagic)+8+4+4+8+4+5 || string(data[:4]) != manifestMagic {
 		return nil, fmt.Errorf("%w: %s: bad manifest header", errTorn, path)
 	}
 	body, foot := data[:len(data)-5], data[len(data)-5:]
@@ -434,6 +420,9 @@ func readManifest(fs vfs.FS, path string) (*manifest, error) {
 	off += 8
 	m.parts = int(binary.LittleEndian.Uint32(body[off:]))
 	off += 4
+	if m.parts < 1 || m.parts > maxParts {
+		return nil, fmt.Errorf("%w: %s: manifest claims %d parts", errTorn, path, m.parts)
+	}
 	ntables := int(binary.LittleEndian.Uint32(body[off:]))
 	off += 4
 	for i := 0; i < ntables; i++ {
@@ -454,9 +443,6 @@ func readManifest(fs vfs.FS, path string) (*manifest, error) {
 	}
 	m.rows = binary.LittleEndian.Uint64(body[off:])
 	off += 8
-	if magic == manifestMagicV1 {
-		return m, nil
-	}
 	if off+4 > len(body) {
 		return nil, fmt.Errorf("%w: %s: truncated schema section", errTorn, path)
 	}
@@ -480,6 +466,9 @@ func readManifest(fs vfs.FS, path string) (*manifest, error) {
 		}
 		m.schema = append(m.schema, schemaRow{key: key, val: body[off : off+vlen]})
 		off += vlen
+	}
+	if off != len(body) {
+		return nil, fmt.Errorf("%w: %s: %d bytes after the schema section", errTorn, path, len(body)-off)
 	}
 	return m, nil
 }
@@ -524,12 +513,37 @@ func declareHint(store *core.Store) string {
 		strings.Join(names, ", "))
 }
 
-// loadPart reads, verifies, and installs one partition file. Verification
-// (footer CRC) completes before any row is installed, so a torn part never
-// contaminates the store. Rows are installed with a synthetic TID at the
-// last slot of epoch CE−1 — the checkpoint image holds exactly the
-// versions with epoch < CE, so a logged write with epoch ≥ CE must win the
-// replay's TID comparison and one with epoch < CE must lose.
+// partRow decodes the row at body[off:] and returns the offset of the next
+// one; ok is false when the row is malformed: a bad marker, a length that
+// runs past the body, or a key the tree cannot hold.
+func partRow(body []byte, off int) (table uint32, key, val []byte, next int, ok bool) {
+	if len(body)-off < 7 || body[off] != 'R' {
+		return 0, nil, nil, 0, false
+	}
+	table = binary.LittleEndian.Uint32(body[off+1:])
+	klen := int(binary.LittleEndian.Uint16(body[off+5:]))
+	off += 7
+	if klen == 0 || klen > btree.MaxKeyLen || len(body)-off < klen+12 {
+		return 0, nil, nil, 0, false
+	}
+	key = body[off : off+klen]
+	off += klen + 8 // skip reserved TID slot
+	vlen := binary.LittleEndian.Uint32(body[off:])
+	off += 4
+	if uint64(vlen) > uint64(len(body)-off) {
+		return 0, nil, nil, 0, false
+	}
+	return table, key, body[off : off+int(vlen)], off + int(vlen), true
+}
+
+// loadPart reads, verifies, and installs one partition file. Verification —
+// the footer CRC, then the shape of every row (a malformed one makes the
+// part torn), then the tables the rows name (an undeclared one is a schema
+// mismatch) — completes before any row is installed, so a part that is
+// rejected never contaminates the store. Rows are installed with a
+// synthetic TID at the last slot of epoch CE−1 — the checkpoint image holds
+// exactly the versions with epoch < CE, so a logged write with epoch ≥ CE
+// must win the replay's TID comparison and one with epoch < CE must lose.
 func loadPart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (rows int, err error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
@@ -547,43 +561,36 @@ func loadPart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (rows
 	if epoch != wantEpoch {
 		return 0, fmt.Errorf("%w: %s: part epoch %d, manifest %d", errTorn, path, epoch, wantEpoch)
 	}
-	rowWord := tid.Make(saturatingSub(epoch, 1), tid.MaxSeq).WithLatest(true)
+	// A part holds each table's rows contiguously: both passes resolve the
+	// table once per run of rows, not once per row.
 	var tbl *core.Table
-	off := hdr
-	for off < len(body) {
-		if body[off] != 'R' {
-			return rows, fmt.Errorf("%w: %s: bad row marker at %d", errTorn, path, off)
+	undeclared := int64(-1)
+	for off := hdr; off < len(body); {
+		table, _, _, next, ok := partRow(body, off)
+		if !ok {
+			return 0, fmt.Errorf("%w: %s: malformed row at %d", errTorn, path, off)
 		}
-		off++
-		if off+6 > len(body) {
-			return rows, fmt.Errorf("%w: %s: truncated row", errTorn, path)
-		}
-		table := binary.LittleEndian.Uint32(body[off:])
-		klen := int(binary.LittleEndian.Uint16(body[off+4:]))
-		off += 6
-		if off+klen+12 > len(body) {
-			return rows, fmt.Errorf("%w: %s: truncated row", errTorn, path)
-		}
-		key := body[off : off+klen]
-		off += klen + 8 // skip reserved TID slot
-		vlen := int(binary.LittleEndian.Uint32(body[off:]))
-		off += 4
-		if off+vlen > len(body) {
-			return rows, fmt.Errorf("%w: %s: truncated row", errTorn, path)
-		}
-		val := body[off : off+vlen]
-		off += vlen
-
-		// A part holds each table's rows contiguously: resolve the table
-		// once per run of rows, not once per row.
 		if tbl == nil || tbl.ID != table {
-			if tbl = store.TableByID(table); tbl == nil {
-				// The manifest catalog is checked before any part is loaded,
-				// so this indicates a part/manifest mismatch.
-				return rows, fmt.Errorf(
-					"recovery: checkpoint part %s references table id %d, but only %d tables are declared%s",
-					path, table, len(store.Tables()), declareHint(store))
+			if tbl = store.TableByID(table); tbl == nil && undeclared < 0 {
+				undeclared = int64(table)
 			}
+		}
+		off = next
+	}
+	if undeclared >= 0 {
+		// The manifest catalog is checked before any part is loaded, so
+		// this indicates a part/manifest mismatch.
+		return 0, fmt.Errorf(
+			"recovery: checkpoint part %s references table id %d, but only %d tables are declared%s",
+			path, undeclared, len(store.Tables()), declareHint(store))
+	}
+
+	rowWord := tid.Make(max(epoch, 1)-1, tid.MaxSeq).WithLatest(true)
+	for off := hdr; off < len(body); {
+		table, key, val, next, _ := partRow(body, off)
+		off = next
+		if tbl.ID != table {
+			tbl = store.TableByID(table)
 		}
 		// The tree copies the key into its own slot; only the value needs
 		// a buffer that outlives the part file's.
@@ -596,22 +603,16 @@ func loadPart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (rows
 	return rows, nil
 }
 
-func saturatingSub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
-// foundCheckpoint is one checkpoint candidate in a durability directory:
-// either a partitioned set (directory) or a pre-partitioning single file.
+// foundCheckpoint is one checkpoint candidate in a durability directory: a
+// directory named checkpoint.<epoch>.
 type foundCheckpoint struct {
 	path  string
 	epoch uint64
-	isDir bool
 }
 
-// findCheckpoints lists checkpoint candidates in dir, oldest first.
+// findCheckpoints lists checkpoint candidates in dir, oldest first. Only a
+// directory can be a checkpoint set; whether one is complete is for its
+// manifest to say, never for its name.
 func findCheckpoints(fs vfs.FS, dir string) ([]foundCheckpoint, error) {
 	names, err := fs.Glob(filepath.Join(dir, "checkpoint.*"))
 	if err != nil {
@@ -624,11 +625,10 @@ func findCheckpoints(fs vfs.FS, dir string) ([]foundCheckpoint, error) {
 		if err != nil {
 			continue // temp or foreign file
 		}
-		_, isDir, err := fs.Stat(n)
-		if err != nil {
+		if _, isDir, err := fs.Stat(n); err != nil || !isDir {
 			continue
 		}
-		found = append(found, foundCheckpoint{path: n, epoch: e, isDir: isDir})
+		found = append(found, foundCheckpoint{path: n, epoch: e})
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].epoch < found[j].epoch })
 	return found, nil
@@ -663,19 +663,10 @@ func loadPartitioned(fs vfs.FS, store *core.Store, ckptDir string, workers int, 
 		err  error
 	}
 	outs := make([]out, m.parts)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for k := 0; k < m.parts; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			r, err := loadPart(fs, store, filepath.Join(ckptDir, fmt.Sprintf("part.%d", k)), m.epoch)
-			outs[k] = out{r, err}
-		}(k)
-	}
-	wg.Wait()
+	each(m.parts, workers, func(k int) {
+		r, err := loadPart(fs, store, filepath.Join(ckptDir, fmt.Sprintf("part.%d", k)), m.epoch)
+		outs[k] = out{r, err}
+	})
 	for k := range outs {
 		if outs[k].err != nil {
 			return m.epoch, rows, outs[k].err
@@ -685,27 +676,16 @@ func loadPartitioned(fs vfs.FS, store *core.Store, ckptDir string, workers int, 
 	return m.epoch, rows, nil
 }
 
-// loadNewestCheckpoint installs the newest complete checkpoint in dir —
-// partitioned sets and pre-partitioning single files alike — falling back
-// past torn or corrupt sets. It returns CE 0 when no usable checkpoint
-// exists. Schema mismatches abort immediately.
+// loadNewestCheckpoint installs the newest complete checkpoint in dir,
+// falling back past torn or corrupt sets. It returns CE 0 when no usable
+// checkpoint exists. Schema mismatches abort immediately.
 func loadNewestCheckpoint(fs vfs.FS, store *core.Store, dir string, workers int, schema SchemaApplier) (epoch uint64, rows int, err error) {
 	found, err := findCheckpoints(fs, dir)
 	if err != nil {
 		return 0, 0, err
 	}
 	for i := len(found) - 1; i >= 0; i-- {
-		f := found[i]
-		var e uint64
-		var r int
-		if f.isDir {
-			e, r, err = loadPartitioned(fs, store, f.path, workers, schema)
-		} else {
-			e, r, err = wal.LoadCheckpointFile(store, f.path)
-			if err != nil {
-				err = fmt.Errorf("%w: %v", errTorn, err)
-			}
-		}
+		e, r, err := loadPartitioned(fs, store, found[i].path, workers, schema)
 		if err == nil {
 			return e, r, nil
 		}
@@ -719,13 +699,9 @@ func loadNewestCheckpoint(fs vfs.FS, store *core.Store, dir string, workers int,
 // PruneCheckpoints removes all checkpoint sets in dir except the keep
 // newest complete ones; torn sets older than the newest complete one are
 // removed as well. It returns the removed paths. The daemon calls this
-// after each successful checkpoint.
-func PruneCheckpoints(dir string, keep int) (removed []string, err error) {
-	return PruneCheckpointsFS(vfs.OS, dir, keep)
-}
-
-// PruneCheckpointsFS is PruneCheckpoints against an explicit filesystem.
-func PruneCheckpointsFS(fs vfs.FS, dir string, keep int) (removed []string, err error) {
+// after each successful checkpoint. A nil fs is the real filesystem.
+func PruneCheckpoints(fs vfs.FS, dir string, keep int) (removed []string, err error) {
+	fs = vfs.DefaultFS(fs)
 	if keep < 1 {
 		keep = 1
 	}
@@ -734,9 +710,6 @@ func PruneCheckpointsFS(fs vfs.FS, dir string, keep int) (removed []string, err 
 		return nil, err
 	}
 	complete := func(f foundCheckpoint) bool {
-		if !f.isDir {
-			return true // single files are renamed into place atomically
-		}
 		_, err := readManifest(fs, filepath.Join(f.path, manifestName))
 		return err == nil
 	}

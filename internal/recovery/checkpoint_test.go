@@ -2,7 +2,10 @@ package recovery
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +14,7 @@ import (
 
 	"silo/internal/core"
 	"silo/internal/vfs"
+	"silo/internal/wal"
 )
 
 // binKey spreads keys across the whole first-byte space so a partitioned
@@ -64,47 +68,83 @@ func dump(t *testing.T, s *core.Store, tbl *core.Table) map[string]string {
 	return out
 }
 
-func TestPartitionedCheckpointRoundTrip(t *testing.T) {
-	const n = 500
-	s, tbl := ckptStore(t, n)
-	dir := t.TempDir()
-	res, err := WriteCheckpoint(s, s.Maintenance(), dir, 4)
-	if err != nil {
-		t.Fatal(err)
+// randomImage draws database content the way a property test would: a few
+// tables, binary keys of 1 to 30 arbitrary bytes, values of 0 to 39 — empty
+// ones included.
+func randomImage(rng *rand.Rand) []map[string]string {
+	img := make([]map[string]string, 1+rng.Intn(4))
+	for ti := range img {
+		img[ti] = map[string]string{}
 	}
-	if res.Rows != n {
-		t.Fatalf("rows=%d want %d", res.Rows, n)
+	for n := 50 + rng.Intn(100); n > 0; n-- {
+		k := make([]byte, 1+rng.Intn(30))
+		v := make([]byte, rng.Intn(40))
+		rng.Read(k)
+		rng.Read(v)
+		img[rng.Intn(len(img))][string(k)] = string(v)
 	}
-	if res.Partitions != 4 {
-		t.Fatalf("partitions=%d", res.Partitions)
-	}
-	if res.Epoch == 0 {
-		t.Fatal("checkpoint epoch 0")
-	}
-	for k := 0; k < 4; k++ {
-		if _, err := os.Stat(filepath.Join(res.Path, fmt.Sprintf("part.%d", k))); err != nil {
-			t.Fatalf("part %d: %v", k, err)
-		}
-	}
+	return img
+}
 
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	tbl2 := s2.CreateTable("t")
-	ce, rows, err := loadNewestCheckpoint(vfs.OS, s2, dir, 4, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestPartitionedCheckpointRoundTrip: any database content survives a
+// checkpoint round trip exactly — 500 keys spread over every partition,
+// then random images.
+func TestPartitionedCheckpointRoundTrip(t *testing.T) {
+	spread := map[string]string{}
+	for i := 0; i < 500; i++ {
+		spread[string(binKey(i))] = fmt.Sprintf("v%d", i)
 	}
-	if ce != res.Epoch || rows != n {
-		t.Fatalf("loaded ce=%d rows=%d, want ce=%d rows=%d", ce, rows, res.Epoch, n)
+	images := map[string][]map[string]string{"spread": {spread}}
+	for seed := int64(1); seed <= 8; seed++ {
+		images[fmt.Sprintf("random-%d", seed)] = randomImage(rand.New(rand.NewSource(seed)))
 	}
-	want, got := dump(t, s, tbl), dump(t, s2, tbl2)
-	if len(got) != len(want) {
-		t.Fatalf("loaded %d keys, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %x: got %q want %q", k, got[k], v)
-		}
+	for name, img := range images {
+		t.Run(name, func(t *testing.T) {
+			var names []string
+			total := 0
+			for ti := range img {
+				names = append(names, fmt.Sprintf("t%d", ti))
+				total += len(img[ti])
+			}
+			s := manualStore(t, names...)
+			for ti, tbl := range s.Tables() {
+				for k, v := range img[ti] {
+					if err := s.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(tbl, []byte(k), []byte(v)) }); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 10; i++ {
+				s.AdvanceEpoch()
+			}
+			dir := t.TempDir()
+			res, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows != total || res.Partitions != 4 || res.Epoch == 0 {
+				t.Fatalf("checkpoint %+v, want %d rows in 4 partitions at a nonzero epoch", res, total)
+			}
+			for k := 0; k < 4; k++ {
+				if _, err := os.Stat(filepath.Join(res.Path, fmt.Sprintf("part.%d", k))); err != nil {
+					t.Fatalf("part %d: %v", k, err)
+				}
+			}
+
+			s2 := manualStore(t, names...)
+			ce, rows, err := loadNewestCheckpoint(vfs.OS, s2, dir, 4, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ce != res.Epoch || rows != total {
+				t.Fatalf("loaded ce=%d rows=%d, want ce=%d rows=%d", ce, rows, res.Epoch, total)
+			}
+			for ti, tbl := range s2.Tables() {
+				if got := dump(t, s2, tbl); !maps.Equal(got, img[ti]) {
+					t.Fatalf("table %d: loaded %d rows that differ from the %d checkpointed", ti, len(got), len(img[ti]))
+				}
+			}
+		})
 	}
 }
 
@@ -114,7 +154,7 @@ func TestCheckpointNoSnapshotEpochYet(t *testing.T) {
 	s := core.NewStore(opts)
 	defer s.Close()
 	s.CreateTable("t")
-	if _, err := WriteCheckpoint(s, s.Maintenance(), t.TempDir(), 2); err == nil {
+	if _, err := WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), 2, nil); err == nil {
 		t.Fatal("checkpoint at snapshot epoch 0 succeeded")
 	}
 }
@@ -126,7 +166,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	const n = 200
 	s, tbl := ckptStore(t, n)
 	dir := t.TempDir()
-	first, err := WriteCheckpoint(s, s.Maintenance(), dir, 4)
+	first, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +184,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.AdvanceEpoch()
 	}
-	second, err := WriteCheckpoint(s, s.Maintenance(), dir, 4)
+	second, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +234,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 func TestCheckpointSchemaMismatch(t *testing.T) {
 	s, _ := ckptStore(t, 10)
 	dir := t.TempDir()
-	if _, err := WriteCheckpoint(s, s.Maintenance(), dir, 2); err != nil {
+	if _, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -225,7 +265,7 @@ func TestPruneCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	var epochs []uint64
 	for round := 0; round < 3; round++ {
-		res, err := WriteCheckpoint(s, s.Maintenance(), dir, 2)
+		res, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +280,7 @@ func TestPruneCheckpoints(t *testing.T) {
 			s.AdvanceEpoch()
 		}
 	}
-	removed, err := PruneCheckpoints(dir, 1)
+	removed, err := PruneCheckpoints(nil, dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +290,136 @@ func TestPruneCheckpoints(t *testing.T) {
 	found, _ := findCheckpoints(vfs.OS, dir)
 	if len(found) != 1 || found[0].epoch != epochs[2] {
 		t.Fatalf("left %+v, want only epoch %d", found, epochs[2])
+	}
+}
+
+// TestStrayEntriesAreNotCheckpoints: only a directory with a valid manifest
+// is a checkpoint, whatever else is called checkpoint.<N>. A stray entry
+// with a huge N beside one real set must not be what recovery loads, what
+// pruning keeps in the real set's place, or what the daemon resumes from.
+func TestStrayEntriesAreNotCheckpoints(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		plant func(path string) error
+		stray string
+	}{
+		{"regular file", func(p string) error { return os.WriteFile(p, []byte("x"), 0o644) }, "checkpoint.999999999"},
+		{"temporary file", func(p string) error { return os.WriteFile(p, []byte("x"), 0o644) }, "checkpoint.tmp123"},
+		{"directory without a manifest", func(p string) error { return os.Mkdir(p, 0o755) }, "checkpoint.999999999"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const n = 50
+			s, tbl := ckptStore(t, n)
+			dir := t.TempDir()
+			real, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.plant(filepath.Join(dir, c.stray)); err != nil {
+				t.Fatal(err)
+			}
+			writeSegment(t, dir, 0, 0, appendDurableFrame(nil, 1))
+
+			res, err := Recover(manualStore(t, "t"), dir, Options{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CheckpointEpoch != real.Epoch || res.CheckpointRows != n {
+				t.Errorf("recovery loaded checkpoint %d with %d rows, want the real set at %d with %d", res.CheckpointEpoch, res.CheckpointRows, real.Epoch, n)
+			}
+
+			removed, err := PruneCheckpoints(nil, dir, 1)
+			if err != nil || len(removed) != 0 {
+				t.Errorf("prune removed %v (err %v), want nothing", removed, err)
+			}
+			if _, err := readManifest(vfs.OS, filepath.Join(real.Path, manifestName)); err != nil {
+				t.Fatalf("the real set did not survive pruning: %v", err)
+			}
+
+			if err := s.Worker(0).Run(func(tx *core.Tx) error { return tx.Put(tbl, binKey(0), []byte("later")) }); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				s.AdvanceEpoch()
+			}
+			d := NewDaemon(s, nil, DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2})
+			if err := d.RunOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if st := d.Stats(); st.Checkpoints != 1 || st.Skipped != 0 || st.LastEpoch <= real.Epoch {
+				t.Errorf("daemon beside the stray entry: %+v, want one checkpoint beyond epoch %d", st, real.Epoch)
+			}
+		})
+	}
+}
+
+// failSyncDirFS is the real filesystem with directory syncs that fail
+// where the test says so.
+type failSyncDirFS struct {
+	vfs.FS
+	fail func(dir string) bool
+}
+
+var errSyncDir = errors.New("injected directory sync failure")
+
+func (f failSyncDirFS) SyncDir(dir string) error {
+	if f.fail(dir) {
+		return errSyncDir
+	}
+	return f.FS.SyncDir(dir)
+}
+
+// TestCheckpointFailsWhenDirSyncFails: a checkpoint set whose directory, or
+// whose entry in the durability directory, was not made durable is not a
+// checkpoint the log may be truncated against. Both syncs are part of the
+// commit point: WriteCheckpoint fails, the daemon tick fails and moves
+// nothing, and a retry at the same epoch — which finds the set complete —
+// still has to get the syncs through.
+func TestCheckpointFailsWhenDirSyncFails(t *testing.T) {
+	for _, where := range []string{"the set's directory", "the durability directory"} {
+		t.Run(where, func(t *testing.T) {
+			s, _ := ckptStore(t, 50)
+			dir := t.TempDir()
+			// A closed segment every checkpoint covers, and the one the
+			// manager has open.
+			covered := filepath.Join(dir, wal.SegmentName(0, 0))
+			writeSegment(t, dir, 0, 0, appendDurableFrame(appendBufferFrame(nil,
+				[]logTxn{{tid: tidAt(1, 1), entries: []wal.Entry{put(0, binKey(0), []byte("v"))}}}, false), 1))
+			writeSegment(t, dir, 0, 1, appendDurableFrame(nil, 1))
+			m, err := wal.Attach(s, wal.Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Stop()
+
+			failing := true
+			fs := failSyncDirFS{FS: vfs.OS, fail: func(d string) bool {
+				return failing && (d == dir) == (where == "the durability directory")
+			}}
+			d := NewDaemon(s, m, DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2, FS: fs})
+			if _, err := WriteCheckpoint(fs, s, s.Maintenance(), dir, 2, nil); !errors.Is(err, errSyncDir) {
+				t.Fatalf("WriteCheckpoint: %v, want the directory sync failure", err)
+			}
+			for range 2 { // each tick finds the set already complete
+				if err := d.RunOnce(); !errors.Is(err, errSyncDir) {
+					t.Fatalf("RunOnce: %v, want the directory sync failure", err)
+				}
+				if st := d.Stats(); st.Checkpoints != 0 || st.TruncatedSegments != 0 || st.LastEpoch != 0 || !errors.Is(st.LastErr, errSyncDir) {
+					t.Fatalf("failed tick moved the daemon: %+v", st)
+				}
+				if _, err := os.Stat(covered); err != nil {
+					t.Fatalf("log truncated against a checkpoint that was never committed: %v", err)
+				}
+			}
+
+			failing = false
+			if err := d.RunOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if st := d.Stats(); st.Checkpoints != 1 || st.TruncatedSegments != 1 || st.LastErr != nil {
+				t.Fatalf("tick after the disk recovered: %+v, want one checkpoint and one truncated segment", st)
+			}
+		})
 	}
 }
 

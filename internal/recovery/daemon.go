@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -22,9 +23,9 @@ type DaemonOptions struct {
 	// newest complete set is always kept).
 	Keep int
 	// Catalog, when non-nil, is the silo-level DDL catalog table: its rows
-	// are embedded in each checkpoint manifest's schema section
-	// (WriteCheckpointSchema), keeping checkpoints self-describing so log
-	// truncation can never strand the schema.
+	// are embedded in each checkpoint manifest's schema section, keeping
+	// checkpoints self-describing so log truncation can never strand the
+	// schema.
 	Catalog *core.Table
 	// FS is the filesystem checkpoints are written to; nil means the real
 	// one. Clock drives the background loop; nil means real time. The
@@ -91,15 +92,10 @@ func NewDaemon(store *core.Store, m *wal.Manager, opts DaemonOptions) *Daemon {
 	// immediately rewrite an up-to-date checkpoint.
 	if found, err := findCheckpoints(opts.FS, opts.Dir); err == nil {
 		for i := len(found) - 1; i >= 0; i-- {
-			if found[i].isDir {
-				if m, err := readManifest(opts.FS, found[i].path+"/"+manifestName); err == nil {
-					d.lastCE = m.epoch
-					break
-				}
-				continue
+			if m, err := readManifest(opts.FS, filepath.Join(found[i].path, manifestName)); err == nil {
+				d.lastCE = m.epoch
+				break
 			}
-			d.lastCE = found[i].epoch
-			break
 		}
 	}
 	return d
@@ -151,7 +147,7 @@ func (d *Daemon) RunOnce() error {
 	// carry the completed checkpoint's epoch.
 	d.store.Flight().RecordShared(trace.EvCheckpoint, trace.CkptStageBegin, 0, sew, nil)
 
-	res, err := WriteCheckpointFS(d.opts.FS, d.store, d.store.Maintenance(), d.opts.Dir, d.opts.Partitions, d.opts.Catalog)
+	res, err := WriteCheckpoint(d.opts.FS, d.store, d.store.Maintenance(), d.opts.Dir, d.opts.Partitions, d.opts.Catalog)
 	if err != nil {
 		d.mu.Lock()
 		d.stats.LastErr = err
@@ -161,7 +157,7 @@ func (d *Daemon) RunOnce() error {
 	d.store.Flight().RecordShared(trace.EvCheckpoint, trace.CkptStageWritten, 0, res.Epoch, nil)
 
 	var truncated int
-	if _, err = PruneCheckpointsFS(d.opts.FS, d.opts.Dir, d.opts.Keep); err == nil && d.wal != nil {
+	if _, err = PruneCheckpoints(d.opts.FS, d.opts.Dir, d.opts.Keep); err == nil && d.wal != nil {
 		// Checkpoint-triggered rotation: ask every logger to close its open
 		// segment so the pre-checkpoint prefix becomes truncatable on the
 		// next tick, tightening the log-space bound to roughly one

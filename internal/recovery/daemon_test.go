@@ -90,7 +90,7 @@ func TestDaemonCheckpointsTruncatesRecovers(t *testing.T) {
 	s.Close()
 
 	// Fewer log files than a full history: truncation really removed some.
-	infos, err := wal.ListLogFiles(dir)
+	infos, err := wal.ListLogFiles(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,12 @@ import (
 // SchemaApplier reconstructs a store's schema from replayed DDL-catalog
 // rows (internal/catalog implements it). Recovery feeds it the checkpoint
 // manifest's schema section first, then the catalog-table entries found in
-// the log (epoch ≤ D), in sequence-key order, all before any data row is
-// installed — so every table and index exists, at its original id, by the
-// time the first logged data entry is installed. The applier must tolerate
-// overlap: rows already applied from the manifest reappear in the log
-// around the checkpoint epoch and must be skipped by sequence number.
+// the log (CE ≤ epoch ≤ D), in sequence-key order, all before any data row
+// is installed — so every table and index exists, at its original id, by
+// the time the first logged data entry is installed. The applier must
+// tolerate overlap: when a set is abandoned for an older one after its
+// manifest was applied, the same rows reappear in the log and must be
+// skipped by sequence number.
 type SchemaApplier interface {
 	ApplyCatalogRow(key, val []byte) error
 }
@@ -140,6 +141,23 @@ func Recover(store *core.Store, dir string, opts Options) (Result, error) {
 	return res, nil
 }
 
+// each runs fn(0) … fn(n−1) on their own goroutines, at most workers at a
+// time, and waits for them all.
+func each(n, workers int, fn func(i int)) {
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // item is one in-range log entry on its way to the applier that owns its
 // key, and then that key's newest version in the applier's table. key and
 // value alias the segment buffer.
@@ -167,7 +185,7 @@ const applyBatch = 256
 // state is, per record, the version with the largest TID ≤ D, so versions
 // that lose the comparison need never reach the tree.
 func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, res *Result) error {
-	infos, err := wal.ListLogFilesFS(opts.FS, logDir)
+	infos, err := wal.ListLogFiles(opts.FS, logDir)
 	if err != nil {
 		return err
 	}
@@ -176,27 +194,11 @@ func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, re
 	}
 	res.LogFiles = len(infos)
 
-	// eachSegment runs fn(i) for every segment, opts.Workers at a time.
-	eachSegment := func(fn func(i int)) {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opts.Workers)
-		for i := range infos {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				fn(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-
 	// Pass 1.
 	t0 := time.Now()
 	segs := make([]wal.Segment, len(infos))
 	errs := make([]error, len(infos))
-	eachSegment(func(i int) {
+	each(len(infos), opts.Workers, func(i int) {
 		data, err := opts.FS.ReadFile(infos[i].Path)
 		if err != nil {
 			errs[i] = err
@@ -242,7 +244,7 @@ func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, re
 		}()
 	}
 	routers := make([]router, len(infos))
-	eachSegment(func(i int) {
+	each(len(infos), opts.Workers, func(i int) {
 		r := &routers[i]
 		*r = router{d: d, minEpoch: minEpoch, wantSchema: opts.Schema != nil,
 			appliers: appliers, free: free, batches: make([][]item, len(appliers))}
@@ -316,8 +318,7 @@ type router struct {
 	free        <-chan []item
 	batches     [][]item // open batch per applier
 
-	tid     uint64 // transaction being decoded
-	inRange bool   // CE ≤ its epoch ≤ D
+	tid     uint64 // transaction being decoded (CE ≤ its epoch ≤ D)
 	applied int
 	skipped int
 	below   int
@@ -331,17 +332,15 @@ func (r *router) Txn(t uint64, writes int) bool {
 		r.skipped++
 		return false
 	}
-	r.tid = t
-	r.inRange = ep >= r.minEpoch
-	if r.inRange {
-		r.applied++
-		return true
+	if ep < r.minEpoch {
+		// The checkpoint covers the data below CE, and its manifest's
+		// schema section the catalog rows: nothing in here is needed.
+		r.below++
+		return false
 	}
-	r.below++
-	// A checkpoint covers the data below CE, and its manifest the schema;
-	// the catalog rows are still collected so that a checkpoint without a
-	// schema section (the single-file format) recovers as it always did.
-	return r.wantSchema
+	r.tid = t
+	r.applied++
+	return true
 }
 
 func (r *router) Entry(table uint32, key, value []byte, del bool) {
@@ -351,9 +350,6 @@ func (r *router) Entry(table uint32, key, value []byte, del bool) {
 			key: append([]byte(nil), key...),
 			val: append([]byte(nil), value...),
 		})
-	}
-	if !r.inRange {
-		return
 	}
 	if len(key) == 0 || len(key) > btree.MaxKeyLen {
 		if r.err == nil {

@@ -84,7 +84,7 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 		for i := 0; i < 10; i++ {
 			s.AdvanceEpoch()
 		}
-		ck, err := WriteCheckpoint(s, s.Maintenance(), dir, 4)
+		ck, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dir := b.TempDir()
-				if _, err := WriteCheckpoint(s, s.Maintenance(), dir, parts); err != nil {
+				if _, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, parts, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

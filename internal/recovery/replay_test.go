@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -99,7 +100,7 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 					for s.Epochs().SnapshotGlobal() < 4 {
 						time.Sleep(time.Millisecond)
 					}
-					ckptRes, ckptErr = WriteCheckpoint(s, s.Maintenance(), dir, 4)
+					ckptRes, ckptErr = WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
 				}
 			}
 		}(wid)
@@ -119,7 +120,7 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 
 	// Segments must actually have rotated, or the test is not exercising
 	// grouped durable bounds.
-	infos, err := wal.ListLogFiles(dir)
+	infos, err := wal.ListLogFiles(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +245,95 @@ func TestReplayCrossLoggerDeleteOrder(t *testing.T) {
 	}
 }
 
+// TestCheckpointEpochBoundaryReplay pins the TID boundary between a
+// checkpoint image and log replay. A checkpoint taken at snapshot epoch CE
+// holds exactly the versions with epoch < CE (snapshot visibility is
+// strict), and commits with epoch == CE can land before the checkpoint is
+// even possible (CE lags the global epoch by SnapshotK). Such commits
+// exist only in the log, so replay must apply them over the checkpoint
+// rows: the synthetic row TID sits at the end of epoch CE−1. A row TID at
+// the end of CE itself silently discards every epoch-CE transaction —
+// updates revert and deletes resurrect after recovery.
+func TestCheckpointEpochBoundaryReplay(t *testing.T) {
+	dir := t.TempDir()
+	opts := core.DefaultOptions(1)
+	opts.ManualEpochs = true
+	opts.SnapshotK = 2
+	s := core.NewStore(opts)
+	m, err := wal.Attach(s, wal.Config{Dir: dir, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := s.CreateTable("t")
+	m.Start()
+	t.Cleanup(func() { m.Stop(); s.Close() })
+	w := s.Worker(0)
+
+	// Epoch 1: two keys.
+	if err := w.Run(func(tx *core.Tx) error {
+		if err := tx.Insert(tbl, []byte("k"), []byte("v0")); err != nil {
+			return err
+		}
+		return tx.Insert(tbl, []byte("doomed"), []byte("v0"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for s.Epochs().Global() < 6 {
+		s.AdvanceEpoch()
+	}
+	// Epoch 6: update one key, delete the other. These are the commits at
+	// the future checkpoint's own epoch.
+	if err := w.Run(func(tx *core.Tx) error {
+		if err := tx.Put(tbl, []byte("k"), []byte("new")); err != nil {
+			return err
+		}
+		return tx.Delete(tbl, []byte("doomed"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.AdvanceEpoch() // 7
+	s.AdvanceEpoch() // 8: SE = snap(8−2) = 6
+	ck, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Epoch != 6 || ck.Rows != 2 {
+		t.Fatalf("checkpoint at epoch %d with %d rows, want the two epoch-1 rows at epoch 6", ck.Epoch, ck.Rows)
+	}
+	waitDurable(t, s, m)
+	m.Stop()
+
+	for _, workers := range []int{1, 4} {
+		s2 := manualStore(t, "t")
+		tbl2 := s2.Tables()[0]
+		res, err := Recover(s2, dir, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CheckpointEpoch != ck.Epoch || res.CheckpointRows != 2 {
+			t.Fatalf("workers=%d: loaded checkpoint %d with %d rows, want %d with 2", workers, res.CheckpointEpoch, res.CheckpointRows, ck.Epoch)
+		}
+		if res.TxnsApplied != 1 || res.TxnsBelowCheckpoint != 1 {
+			t.Errorf("workers=%d: %d transactions applied, %d below the checkpoint; want the epoch-6 one applied and the epoch-1 one covered", workers, res.TxnsApplied, res.TxnsBelowCheckpoint)
+		}
+		if err := s2.Worker(0).Run(func(tx *core.Tx) error {
+			v, err := tx.Get(tbl2, []byte("k"))
+			if err != nil {
+				return err
+			}
+			if string(v) != "new" {
+				t.Errorf("workers=%d: recovered k=%q, want %q (epoch-CE log update lost to checkpoint row TID)", workers, v, "new")
+			}
+			if _, err := tx.Get(tbl2, []byte("doomed")); !errors.Is(err, core.ErrNotFound) {
+				t.Errorf("workers=%d: recovered doomed key: err=%v, want ErrNotFound (epoch-CE delete resurrected)", workers, err)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRecoverMissingTableNamed(t *testing.T) {
 	dir := t.TempDir()
 	s := core.NewStore(fastOpts(1))
@@ -354,7 +444,7 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, compressed bool) randomLog {
 	for i := 0; i < 10; i++ {
 		src.AdvanceEpoch()
 	}
-	ck, err := WriteCheckpoint(src, src.Maintenance(), lg.dir, 3)
+	ck, err := WriteCheckpoint(nil, src, src.Maintenance(), lg.dir, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +601,7 @@ func TestReplayLeavesNoTombstones(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		src.AdvanceEpoch()
 	}
-	ck, err := WriteCheckpoint(src, src.Maintenance(), dir, 2)
+	ck, err := WriteCheckpoint(nil, src, src.Maintenance(), dir, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestMultiLoggerAssignment(t *testing.T) {
 	m.Stop()
 	s.Close()
 
-	files, durables, err := ReadLogDir(dir)
+	_, files, durables, err := readLogDir(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDurableNeverExceedsLogged(t *testing.T) {
 	m.Stop()
 	s.Close()
 
-	files, _, err := ReadLogDir(dir)
+	_, files, _, err := readLogDir(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,7 @@ func walkPayload(p []byte, v Visitor) {
 
 // txnCollector materializes what it is shown as TxnRecords that own their
 // bytes — the copying form of the decoder, for callers that keep records
-// beyond the segment buffer (Reader, ParseLogFile*).
+// beyond the segment buffer (ParseLogFile).
 type txnCollector struct {
 	txns []TxnRecord
 }
@@ -246,44 +246,4 @@ func (c *txnCollector) Entry(table uint32, key, value []byte, del bool) {
 		Value:  append([]byte(nil), value...),
 		Delete: del,
 	})
-}
-
-// Reader iterates over the frames of one uncompressed log file,
-// materializing each buffer frame's transactions.
-type Reader struct {
-	data []byte
-	off  int
-}
-
-// NewReader reads frames from an in-memory copy of a log file.
-func NewReader(data []byte) *Reader { return &Reader{data: data} }
-
-// Frame is either a parsed buffer payload or a durable-epoch marker.
-type Frame struct {
-	Durable      bool
-	DurableEpoch uint64
-	Txns         []TxnRecord
-}
-
-// Next returns the next frame, io.EOF at the end, or ErrCorrupt for a torn
-// or damaged frame.
-func (r *Reader) Next() (Frame, error) {
-	if r.off >= len(r.data) {
-		return Frame{}, io.EOF
-	}
-	kind, payload, epoch, next, err := frameAt(r.data, r.off, true)
-	if err != nil {
-		return Frame{}, err
-	}
-	if kind == frameDurable {
-		r.off = next
-		return Frame{Durable: true, DurableEpoch: epoch}, nil
-	}
-	if !checkPayload(payload) {
-		return Frame{}, ErrCorrupt
-	}
-	var c txnCollector
-	walkPayload(payload, &c)
-	r.off = next
-	return Frame{Txns: c.txns}, nil
 }

@@ -110,10 +110,10 @@ type Manager struct {
 
 	// segEpochs caches each closed segment's maximum transaction epoch
 	// (closed segments are immutable), so repeated TruncateCovered calls
-	// from the checkpoint daemon do not re-parse not-yet-covered segments
+	// from the checkpoint daemon do not re-read not-yet-covered segments
 	// on every tick. Guarded by segMu.
 	segMu     sync.Mutex
-	segEpochs map[string]uint64
+	segEpochs map[string]maxEpoch
 
 	stopOnce sync.Once
 
@@ -519,7 +519,7 @@ func newLogger(m *Manager, id int) (*logger, error) {
 	// the same files (the epoch counter restarts above D, so appended TIDs
 	// sort after recovered ones).
 	seq := uint64(0)
-	infos, err := ListLogFilesFS(fs, m.cfg.Dir)
+	infos, err := ListLogFiles(fs, m.cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -727,12 +727,70 @@ func (lg *logger) writeDurable(d uint64) {
 	lg.m.stats.BytesWritten.Add(13)
 }
 
-// TruncateCovered deletes closed log segments whose every transaction has
-// epoch < ce (they are fully covered by a checkpoint at epoch ce). It is
-// safe to call while loggers run: each logger's open segment is never
-// touched, and closed segments are immutable. It is a no-op for in-memory
-// logs. The checkpoint daemon calls this after each completed checkpoint;
-// use the package-level TruncateLogs for offline truncation between runs.
+// maxEpoch is the Visitor both truncation paths learn a segment's coverage
+// from: the largest epoch among its transactions (0 when it holds none). It
+// declines every transaction's entries, so nothing is decoded or copied.
+type maxEpoch uint64
+
+func (m *maxEpoch) Txn(t uint64, _ int) bool {
+	if e := tid.Word(t).Epoch(); e > uint64(*m) {
+		*m = maxEpoch(e)
+	}
+	return false
+}
+
+func (m *maxEpoch) Entry(uint32, []byte, []byte, bool) {}
+
+// removeCovered is the truncation rule. A checkpoint at epoch ce covers a
+// segment, which is then deleted, when
+//
+//   - the segment is closed: its sequence number is below open[logger], the
+//     segment its logger appends to — a running logger's open one, or the
+//     newest on disk, where the next run resumes. That segment is never
+//     deleted: nothing else is sure to hold the logger's durable bound d_l
+//     (a rotation carries it forward), and recovery computes D from the
+//     bounds of the loggers it finds; and
+//   - every transaction in it has epoch < ce. (The image holds the versions
+//     with epoch strictly below its snapshot epoch — see core.SnapTx — so
+//     epoch-ce transactions are not in it and their segments must survive.)
+//
+// seen, when non-nil, remembers each segment's largest epoch across calls
+// (closed segments are immutable). It returns the deleted paths.
+func removeCovered(fs vfs.FS, infos []LogFileInfo, open map[int]uint64, ce uint64, compressed bool, seen map[string]maxEpoch) (removed []string, err error) {
+	for _, fi := range infos {
+		if cur, ours := open[fi.Logger]; !ours || fi.Seq >= cur {
+			continue
+		}
+		last, cached := seen[fi.Path]
+		if !cached {
+			data, err := fs.ReadFile(fi.Path)
+			if err != nil {
+				return removed, err
+			}
+			ScanSegment(data, compressed).Walk(&last)
+			if seen != nil {
+				seen[fi.Path] = last
+			}
+		}
+		if uint64(last) >= ce {
+			continue // not covered yet
+		}
+		if err := fs.Remove(fi.Path); err != nil {
+			return removed, err
+		}
+		delete(seen, fi.Path)
+		removed = append(removed, fi.Path)
+	}
+	return removed, nil
+}
+
+// TruncateCovered deletes the closed log segments that a checkpoint at epoch
+// ce covers (see removeCovered). It is safe to call while loggers run: each
+// logger's open segment is never touched, nor is a segment of a logger this
+// manager does not run, and closed segments are immutable. It is a no-op
+// for in-memory logs. The checkpoint daemon calls this after each completed
+// checkpoint; TruncateLogs is the same rule for a directory no logger has
+// open.
 func (m *Manager) TruncateCovered(ce uint64) (removed []string, err error) {
 	if m.cfg.InMemory || ce == 0 {
 		return nil, nil
@@ -741,44 +799,29 @@ func (m *Manager) TruncateCovered(ce uint64) (removed []string, err error) {
 	for _, lg := range m.loggers {
 		open[lg.id] = lg.seq.Load()
 	}
-	infos, err := ListLogFilesFS(m.cfg.FS, m.cfg.Dir)
+	infos, err := ListLogFiles(m.cfg.FS, m.cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	for _, fi := range infos {
-		if cur, ours := open[fi.Logger]; !ours || fi.Seq >= cur {
-			continue // open (or another process's) segment: never delete
-		}
-		m.segMu.Lock()
-		maxEpoch, cached := m.segEpochs[fi.Path]
-		m.segMu.Unlock()
-		if !cached {
-			txns, _, _, err := ParseLogFileFS(m.cfg.FS, fi.Path, m.cfg.Compress)
-			if err != nil {
-				return removed, err
-			}
-			for i := range txns {
-				if e := tid.Word(txns[i].TID).Epoch(); e > maxEpoch {
-					maxEpoch = e
-				}
-			}
-			m.segMu.Lock()
-			if m.segEpochs == nil {
-				m.segEpochs = make(map[string]uint64)
-			}
-			m.segEpochs[fi.Path] = maxEpoch
-			m.segMu.Unlock()
-		}
-		if maxEpoch >= ce {
-			continue // not covered yet
-		}
-		if err := m.cfg.FS.Remove(fi.Path); err != nil {
-			return removed, err
-		}
-		m.segMu.Lock()
-		delete(m.segEpochs, fi.Path)
-		m.segMu.Unlock()
-		removed = append(removed, fi.Path)
+	m.segMu.Lock()
+	defer m.segMu.Unlock()
+	if m.segEpochs == nil {
+		m.segEpochs = make(map[string]maxEpoch)
 	}
-	return removed, nil
+	return removeCovered(m.cfg.FS, infos, open, ce, m.cfg.Compress, m.segEpochs)
+}
+
+// TruncateLogs deletes the log segments in logDir that a checkpoint at epoch
+// ce covers (see removeCovered). Loggers must be stopped: every segment but
+// each logger's newest is a candidate.
+func TruncateLogs(logDir string, ce uint64, compressed bool) (removed []string, err error) {
+	infos, err := ListLogFiles(nil, logDir)
+	if err != nil {
+		return nil, err
+	}
+	open := make(map[int]uint64)
+	for _, fi := range infos { // sorted by (logger, seq): the newest comes last
+		open[fi.Logger] = fi.Seq
+	}
+	return removeCovered(vfs.OS, infos, open, ce, compressed, nil)
 }

@@ -41,14 +41,10 @@ type LogFileInfo struct {
 
 // ListLogFiles returns the log segments in dir sorted by (logger, seq).
 // Files not matching the log.<id>[.<seq>] naming are ignored. An empty
-// directory yields an empty slice and no error.
-func ListLogFiles(dir string) ([]LogFileInfo, error) {
-	return ListLogFilesFS(vfs.OS, dir)
-}
-
-// ListLogFilesFS is ListLogFiles against an explicit filesystem.
-func ListLogFilesFS(fs vfs.FS, dir string) ([]LogFileInfo, error) {
-	names, err := fs.Glob(filepath.Join(dir, "log.*"))
+// directory yields an empty slice and no error. A nil fs is the real
+// filesystem, here and in every function of this package that takes one.
+func ListLogFiles(fs vfs.FS, dir string) ([]LogFileInfo, error) {
+	names, err := vfs.DefaultFS(fs).Glob(filepath.Join(dir, "log.*"))
 	if err != nil {
 		return nil, err
 	}
@@ -150,16 +146,11 @@ func (s Segment) Walk(v Visitor) {
 	}
 }
 
-// ParseLogFilePath reads and parses one log segment, tolerating a torn
-// tail. It returns the segment's transactions, its durable epoch (see
+// ParseLogFile reads and parses one log segment, tolerating a torn tail. It
+// returns the segment's transactions, its durable epoch (see
 // Segment.Durable), and its size in bytes.
-func ParseLogFilePath(path string, compressed bool) (txns []TxnRecord, durable uint64, size int64, err error) {
-	return ParseLogFileFS(vfs.OS, path, compressed)
-}
-
-// ParseLogFileFS is ParseLogFilePath against an explicit filesystem.
-func ParseLogFileFS(fs vfs.FS, path string, compressed bool) (txns []TxnRecord, durable uint64, size int64, err error) {
-	data, err := fs.ReadFile(path)
+func ParseLogFile(fs vfs.FS, path string, compressed bool) (txns []TxnRecord, durable uint64, size int64, err error) {
+	data, err := vfs.DefaultFS(fs).ReadFile(path)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -192,43 +183,27 @@ func DurableBound(infos []LogFileInfo, durables []uint64) uint64 {
 	return d
 }
 
-// ReadLogDir parses every log file in dir, tolerating a torn tail (a
-// truncated final frame is treated as end-of-log). It returns the per-file
-// transaction records and each file's durable epoch, ordered by
-// (logger, segment).
-func ReadLogDir(dir string) (files [][]TxnRecord, durables []uint64, err error) {
-	return readLogDir(dir, false)
-}
-
-// ReadLogDirCompressed is ReadLogDir for logs written with Config.Compress.
-func ReadLogDirCompressed(dir string) (files [][]TxnRecord, durables []uint64, err error) {
-	return readLogDir(dir, true)
-}
-
-func readLogDir(dir string, compressed bool) ([][]TxnRecord, []uint64, error) {
-	files, durables, _, err := readLogDirInfos(dir, compressed)
-	return files, durables, err
-}
-
-func readLogDirInfos(dir string, compressed bool) ([][]TxnRecord, []uint64, []LogFileInfo, error) {
-	infos, err := ListLogFiles(dir)
+// readLogDir parses every log file in dir, tolerating a torn tail (a
+// truncated final frame is treated as end-of-log). It returns the segments
+// ordered by (logger, segment), each one's transaction records, and each
+// one's durable epoch.
+func readLogDir(dir string, compressed bool) (infos []LogFileInfo, files [][]TxnRecord, durables []uint64, err error) {
+	infos, err = ListLogFiles(nil, dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if len(infos) == 0 {
 		return nil, nil, nil, fmt.Errorf("wal: no log files in %s", dir)
 	}
-	var files [][]TxnRecord
-	var durables []uint64
 	for _, fi := range infos {
-		txns, d, _, err := ParseLogFilePath(fi.Path, compressed)
+		txns, d, _, err := ParseLogFile(nil, fi.Path, compressed)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		files = append(files, txns)
 		durables = append(durables, d)
 	}
-	return files, durables, infos, nil
+	return infos, files, durables, nil
 }
 
 // decompress inflates one buffer-frame payload written with Config.Compress.
@@ -251,7 +226,7 @@ func decompress(p []byte) ([]byte, error) {
 // parallel path, which must produce identical state.
 func Recover(store *core.Store, dir string, compressed bool) (RecoveryResult, error) {
 	var res RecoveryResult
-	files, durables, infos, err := readLogDirInfos(dir, compressed)
+	infos, files, durables, err := readLogDir(dir, compressed)
 	if err != nil {
 		return res, err
 	}

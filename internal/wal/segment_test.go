@@ -17,7 +17,7 @@ func TestListLogFilesNamingAndOrder(t *testing.T) {
 	for _, name := range []string{"log.0", "log.0.2", "log.0.10", "log.1", "log.x", "log.0.abc", "log", "checkpoint.5"} {
 		os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644)
 	}
-	infos, err := ListLogFiles(dir)
+	infos, err := ListLogFiles(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSegmentRotationRecovery(t *testing.T) {
 	// treats each logger's newest segment as open and spares it.
 	m.Stop()
 
-	infos, err := ListLogFiles(dir)
+	infos, err := ListLogFiles(nil, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +105,13 @@ func TestSegmentRotationRecovery(t *testing.T) {
 	if len(removed) != len(infos)-1 {
 		t.Fatalf("removed %d of %d segments, want all but the open one", len(removed), len(infos))
 	}
-	left, _ := ListLogFiles(dir)
+	left, _ := ListLogFiles(nil, dir)
 	if len(left) != 1 {
 		t.Fatalf("%d segments left, want 1", len(left))
 	}
 	// The open segment keeps receiving durable frames, so D recomputed
 	// from it alone must not regress below the pre-truncation bound.
-	_, durable, _, err := ParseLogFilePath(left[0].Path, false)
+	_, durable, _, err := ParseLogFile(nil, left[0].Path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 	}
 	segments := func() int {
 		t.Helper()
-		infos, err := ListLogFiles(dir)
+		infos, err := ListLogFiles(nil, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,8 +298,8 @@ func TestSegmentDurableIsMaxFrame(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, durable, _, err := ParseLogFilePath(path, false); err != nil || durable != 100 {
-		t.Fatalf("ParseLogFilePath: durable %d err %v, want 100", durable, err)
+	if _, durable, _, err := ParseLogFile(nil, path, false); err != nil || durable != 100 {
+		t.Fatalf("ParseLogFile: durable %d err %v, want 100", durable, err)
 	}
 	s := core.NewStore(core.DefaultOptions(1))
 	defer s.Close()
@@ -311,4 +311,94 @@ func TestSegmentDurableIsMaxFrame(t *testing.T) {
 	if res.DurableEpoch != 100 || res.TxnsApplied != 1 || res.TxnsSkipped != 0 {
 		t.Fatalf("recovered D=%d applied=%d skipped=%d, want D=100 with the epoch-99 transaction applied", res.DurableEpoch, res.TxnsApplied, res.TxnsSkipped)
 	}
+}
+
+// TestTruncateLogs pins the truncation rule (removeCovered) from both of its
+// callers — offline TruncateLogs and live Manager.TruncateCovered — over the
+// same hand-built directory: a checkpoint at epoch CE covers a segment when a
+// newer one of its logger exists and none of its transactions has epoch ≥ CE.
+func TestTruncateLogs(t *testing.T) {
+	const ce = 5
+	// Logger 0's segments, oldest first; the last is the one a manager
+	// attached to the directory has open.
+	cases := []struct {
+		name    string
+		epochs  []uint64 // one transaction each
+		covered bool
+	}{
+		{"every epoch below CE", []uint64{1, 2, 4}, true},
+		{"straddling CE", []uint64{2, 9}, false},
+		{"a transaction at CE itself", []uint64{3, 5}, false},
+		{"durable frames only", nil, true},
+		{"every epoch below CE, but the logger's newest", []uint64{1}, false},
+	}
+	segment := func(epochs []uint64) []byte {
+		var buf bytes.Buffer
+		for i, e := range epochs {
+			writeBufferFrame(&buf, appendTxn(nil, uint64(tid.Make(e, uint64(i+1))),
+				[]Entry{{Table: 0, Key: []byte{byte(i + 1)}, Value: []byte("v")}}))
+		}
+		writeDurableFrame(&buf, 9)
+		return buf.Bytes()
+	}
+	build := func(t *testing.T) string {
+		dir := t.TempDir()
+		for seq, c := range cases {
+			if err := os.WriteFile(filepath.Join(dir, SegmentName(0, uint64(seq))), segment(c.epochs), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Logger 1's only segment: its newest, and to a manager that runs
+		// one logger, someone else's.
+		if err := os.WriteFile(filepath.Join(dir, SegmentName(1, 0)), segment([]uint64{1}), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	check := func(t *testing.T, dir string, removed []string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for seq, c := range cases {
+			_, statErr := os.Stat(filepath.Join(dir, SegmentName(0, uint64(seq))))
+			if gone := os.IsNotExist(statErr); gone != c.covered {
+				t.Errorf("segment with %s: removed=%v, want %v", c.name, gone, c.covered)
+			}
+			if c.covered {
+				want++
+			}
+		}
+		if len(removed) != want {
+			t.Errorf("removed %v, want %d segments", removed, want)
+		}
+		if _, err := os.Stat(filepath.Join(dir, SegmentName(1, 0))); err != nil {
+			t.Errorf("logger 1's only segment: %v", err)
+		}
+	}
+	t.Run("TruncateLogs", func(t *testing.T) {
+		dir := build(t)
+		removed, err := TruncateLogs(dir, ce, false)
+		check(t, dir, removed, err)
+	})
+	t.Run("TruncateCovered", func(t *testing.T) {
+		dir := build(t)
+		opts := core.DefaultOptions(1)
+		opts.ManualEpochs = true
+		s := core.NewStore(opts)
+		defer s.Close()
+		m, err := Attach(s, Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Stop()
+		removed, err := m.TruncateCovered(ce)
+		check(t, dir, removed, err)
+		// What a segment held is remembered, not what was decided about it:
+		// a later checkpoint covers the segments this one could not.
+		if removed, err := m.TruncateCovered(10); err != nil || len(removed) != 2 {
+			t.Errorf("checkpoint at 10 removed %v (err %v), want the two segments ending at 9 and 5", removed, err)
+		}
+	})
 }

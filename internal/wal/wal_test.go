@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -16,6 +15,15 @@ import (
 )
 
 // ---- Format ----
+
+// decode reads data the way recovery does: the verified prefix's
+// transactions, copied out, and its durable epoch.
+func decode(data []byte) ([]TxnRecord, uint64) {
+	seg := ScanSegment(data, false)
+	var c txnCollector
+	seg.Walk(&c)
+	return c.txns, seg.Durable
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -31,15 +39,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewReader(buf.Bytes())
-	f1, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
+	txns, durable := decode(buf.Bytes())
+	if len(txns) != 2 || durable != 42 {
+		t.Fatalf("decoded %+v with durable epoch %d, want 2 transactions and 42", txns, durable)
 	}
-	if f1.Durable || len(f1.Txns) != 2 {
-		t.Fatalf("frame 1: %+v", f1)
-	}
-	tx := f1.Txns[0]
+	tx := txns[0]
 	if tid.Word(tx.TID).Seq() != 7 || len(tx.Entries) != 2 {
 		t.Fatalf("txn: %+v", tx)
 	}
@@ -49,18 +53,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !tx.Entries[1].Delete || tx.Entries[1].Value != nil {
 		t.Fatalf("entry 1: %+v", tx.Entries[1])
 	}
-	if len(f1.Txns[1].Entries) != 0 {
+	if len(txns[1].Entries) != 0 {
 		t.Fatalf("txn 2 has entries")
-	}
-	f2, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f2.Durable || f2.DurableEpoch != 42 {
-		t.Fatalf("frame 2: %+v", f2)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("want EOF, got %v", err)
 	}
 }
 
@@ -89,12 +83,11 @@ func TestFormatProperty(t *testing.T) {
 		if err := writeBufferFrame(&buf, payload); err != nil {
 			return false
 		}
-		r := NewReader(buf.Bytes())
-		fr, err := r.Next()
-		if err != nil || fr.Durable || len(fr.Txns) != 1 {
+		txns, _ := decode(buf.Bytes())
+		if len(txns) != 1 {
 			return false
 		}
-		got := fr.Txns[0]
+		got := txns[0]
 		if got.TID != tidv&^tid.StatusMask || len(got.Entries) != len(entries) {
 			return false
 		}
@@ -121,30 +114,31 @@ func TestTornFrameDetection(t *testing.T) {
 	writeDurableFrame(&buf, 1)
 	full := buf.Bytes()
 
-	// Any truncation inside the last frame yields ErrCorrupt (or clean EOF
-	// at a frame boundary), never garbage.
+	// Any truncation inside the last frame ends the log there: the first
+	// frame survives, the torn one yields nothing, never garbage.
 	for cut := len(full) - 1; cut > len(full)-13; cut-- {
-		r := NewReader(full[:cut])
-		if _, err := r.Next(); err != nil {
-			t.Fatalf("first frame broken by tail truncation at %d: %v", cut, err)
-		}
-		if _, err := r.Next(); err != ErrCorrupt && err != io.EOF {
-			t.Fatalf("cut=%d: want ErrCorrupt/EOF, got %v", cut, err)
+		if txns, durable := decode(full[:cut]); len(txns) != 1 || durable != 0 {
+			t.Fatalf("cut=%d: decoded %d transactions and durable epoch %d, want the first frame alone", cut, len(txns), durable)
 		}
 	}
+	if _, _, _, _, err := frameAt(full[:len(full)-1], len(full)-13, true); err != ErrCorrupt {
+		t.Fatalf("torn durable frame: %v, want ErrCorrupt", err)
+	}
 
-	// Corrupt a payload byte: CRC must catch it.
+	// Corrupt a payload byte: CRC must catch it, and nothing after it is
+	// trusted either.
 	mid := make([]byte, len(full))
 	copy(mid, full)
 	mid[10] ^= 0xFF
-	r := NewReader(mid)
-	if _, err := r.Next(); err != ErrCorrupt {
-		t.Fatalf("corrupt payload: %v", err)
+	if _, _, _, _, err := frameAt(mid, 0, true); err != ErrCorrupt {
+		t.Fatalf("corrupt payload: %v, want ErrCorrupt", err)
+	}
+	if txns, durable := decode(mid); len(txns) != 0 || durable != 0 {
+		t.Fatalf("corrupt payload: decoded %d transactions and durable epoch %d", len(txns), durable)
 	}
 
 	// Unknown frame kind.
-	r = NewReader([]byte{'Z', 1, 2, 3})
-	if _, err := r.Next(); err == nil {
+	if _, _, _, _, err := frameAt([]byte{'Z', 1, 2, 3}, 0, true); err == nil {
 		t.Fatal("unknown frame kind accepted")
 	}
 }

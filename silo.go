@@ -269,7 +269,7 @@ func Open(opts Options) (*DB, error) {
 		hadLogs := false
 		fs := vfs.DefaultFS(d.FS)
 		if !d.InMemory && d.Dir != "" {
-			if infos, err := wal.ListLogFilesFS(fs, d.Dir); err == nil {
+			if infos, err := wal.ListLogFiles(fs, d.Dir); err == nil {
 				for _, fi := range infos {
 					if size, isDir, err := fs.Stat(fi.Path); err == nil && !isDir && size > 0 {
 						hadLogs = true
@@ -725,8 +725,8 @@ func (db *DB) Stats() core.Stats { return db.store.Stats() }
 type RecoveryResult = recovery.Result
 
 // Recover restores this database from its durability directory: the newest
-// complete checkpoint (if one exists, partitioned or legacy single-file),
-// then the log suffix beyond it, up to the durable epoch D. Checkpoint
+// complete checkpoint set (if one exists), then the log suffix beyond it,
+// up to the durable epoch D. Checkpoint
 // partitions load in parallel and log replay fans out across
 // Durability.RecoveryWorkers goroutines (default GOMAXPROCS) — per-record
 // TID-max installation makes replay order-free, so recovery scales with
@@ -844,7 +844,7 @@ func (db *DB) Checkpoint(worker int) (CheckpointResult, error) {
 	if parts <= 0 {
 		parts = 4
 	}
-	return recovery.WriteCheckpointFS(vfs.DefaultFS(db.opts.Durability.FS), db.store, db.store.Worker(worker), db.opts.Durability.Dir, parts, db.catalog.Table())
+	return recovery.WriteCheckpoint(db.opts.Durability.FS, db.store, db.store.Worker(worker), db.opts.Durability.Dir, parts, db.catalog.Table())
 }
 
 // CheckpointDaemonStats is a snapshot of the background checkpoint
@@ -861,9 +861,11 @@ func (db *DB) CheckpointDaemon() (stats CheckpointDaemonStats, ok bool) {
 }
 
 // TruncateLogs deletes log files entirely covered by a checkpoint at epoch
-// ce (as returned in CheckpointResult.Epoch). Loggers must be stopped:
-// call it between Close and a subsequent Open, from an administrative
-// process, or via cmd/silo-recover.
+// ce (as returned in CheckpointResult.Epoch): those that hold no
+// transaction with epoch ≥ ce, except each logger's newest file, which
+// carries the logger's durable bound. Loggers must be stopped: call it
+// between Close and a subsequent Open, from an administrative process, or
+// via cmd/silo-recover.
 func TruncateLogs(dir string, ce uint64, compressed bool) ([]string, error) {
 	return wal.TruncateLogs(dir, ce, compressed)
 }
