@@ -1,8 +1,10 @@
 // Command silo-bench regenerates every table and figure of the paper's
 // evaluation (§5) at laptop scale. Each experiment prints the same rows or
-// series the paper plots; absolute numbers depend on hardware (see
-// EXPERIMENTS.md), but the shapes — who wins, by what factor, where the
-// crossovers fall — are the reproduction target.
+// series the paper plots; absolute numbers depend on hardware, but the
+// shapes — who wins, by what factor, where the crossovers fall — are the
+// reproduction target. It is the only harness of those experiments, and
+// every store it measures is opened with silo.Open (README, "Reproducing
+// the paper's experiments").
 //
 // Usage:
 //

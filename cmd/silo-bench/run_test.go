@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"sync/atomic"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunCountsOps(t *testing.T) {
-	r := Run("test", 2, 10*time.Millisecond, 50*time.Millisecond,
+	r := run("test", 2, 10*time.Millisecond, 50*time.Millisecond,
 		func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
 			for !stop.Load() {
 				ops.Add(1)
@@ -17,13 +17,13 @@ func TestRunCountsOps(t *testing.T) {
 				time.Sleep(100 * time.Microsecond)
 			}
 		})
-	if r.Ops == 0 {
+	if r.ops == 0 {
 		t.Fatal("no ops counted")
 	}
-	if r.Aborts == 0 {
+	if r.aborts == 0 {
 		t.Fatal("no aborts counted")
 	}
-	if r.TPS() <= 0 || r.PerCore() <= 0 {
+	if r.tps() <= 0 {
 		t.Fatal("rates non-positive")
 	}
 	if r.String() == "" {
@@ -34,16 +34,16 @@ func TestRunCountsOps(t *testing.T) {
 func TestMedianPicksMiddle(t *testing.T) {
 	i := 0
 	tps := []uint64{100, 300, 200}
-	r := Median(3, func() Result {
-		res := Result{Ops: tps[i], Duration: time.Second}
+	r := median(3, func() result {
+		res := result{ops: tps[i], duration: time.Second}
 		i++
 		return res
 	})
-	if r.Ops != 200 {
-		t.Fatalf("median ops=%d", r.Ops)
+	if r.ops != 200 {
+		t.Fatalf("median ops=%d", r.ops)
 	}
-	one := Median(1, func() Result { return Result{Ops: 7, Duration: time.Second} })
-	if one.Ops != 7 {
+	one := median(1, func() result { return result{ops: 7, duration: time.Second} })
+	if one.ops != 7 {
 		t.Fatal("n=1 short-circuit")
 	}
 }

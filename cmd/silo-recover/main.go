@@ -11,9 +11,11 @@
 //
 // Replay restores from the newest complete checkpoint set (a
 // checkpoint.<CE>/ directory whose manifest verifies — the one checkpoint
-// format) plus the log suffix and prints a recovery report — txns/s and MB/s replayed, checkpoint load
-// time versus log replay time — so BENCH runs can track recovery speed
-// over time, followed by the recovered schema. Directories written by
+// format) plus the log suffix and prints a recovery report — txns/s and
+// MB/s replayed, checkpoint load time versus log replay time — so BENCH
+// runs can track recovery speed over time, followed by the recovered
+// schema. Logs written with compression need no flag: compressed frames
+// carry their own frame kind. Directories written by
 // silo.DB are self-describing: the durable schema catalog reconstructs
 // every table and index (ids, uniqueness, key-spec transforms, covering
 // include lists), so no schema flags exist. Replay is read-only: an index
@@ -38,12 +40,11 @@ import (
 
 func main() {
 	var (
-		dir        = flag.String("dir", "", "log directory (required)")
-		verbose    = flag.Bool("verbose", false, "dump every logged transaction")
-		replay     = flag.Bool("replay", false, "replay checkpoint+log into a fresh in-memory store")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "recovery workers for -replay (1 = single goroutine)")
-		compressed = flag.Bool("compressed", false, "logs were written with compression")
-		truncate   = flag.Uint64("truncate", 0, "delete log files fully covered by a checkpoint at this epoch")
+		dir      = flag.String("dir", "", "log directory (required)")
+		verbose  = flag.Bool("verbose", false, "dump every logged transaction")
+		replay   = flag.Bool("replay", false, "replay checkpoint+log into a fresh in-memory store")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "recovery workers for -replay (1 = single goroutine)")
+		truncate = flag.Uint64("truncate", 0, "delete log files fully covered by a checkpoint at this epoch")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -64,7 +65,7 @@ func main() {
 	totalTxns, totalEntries := 0, 0
 	for i, fi := range infos {
 		var size int64
-		files[i], durables[i], size, err = wal.ParseLogFile(nil, fi.Path, *compressed)
+		files[i], durables[i], size, err = wal.ParseLogFile(nil, fi.Path)
 		if err != nil {
 			fatal(err)
 		}
@@ -111,9 +112,8 @@ func main() {
 		cat := catalog.New(s, reg)
 		start := time.Now()
 		res, err := recovery.Recover(s, *dir, recovery.Options{
-			Workers:    *parallel,
-			Compressed: *compressed,
-			Schema:     cat,
+			Workers: *parallel,
+			Schema:  cat,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -151,13 +151,14 @@ func main() {
 	}
 
 	if *truncate > 0 {
-		removed, err := wal.TruncateLogs(*dir, *truncate, *compressed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		// A segment that could not be read to its end is kept and reported;
+		// the covered ones are removed all the same.
+		removed, err := wal.TruncateLogs(*dir, *truncate)
 		fmt.Printf("truncated %d log files covered by checkpoint epoch %d: %v\n",
 			len(removed), *truncate, removed)
+		if err != nil {
+			fatal(err)
+		}
 	}
 }
 

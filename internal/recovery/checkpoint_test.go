@@ -384,7 +384,7 @@ func TestCheckpointFailsWhenDirSyncFails(t *testing.T) {
 			// manager has open.
 			covered := filepath.Join(dir, wal.SegmentName(0, 0))
 			writeSegment(t, dir, 0, 0, appendDurableFrame(appendBufferFrame(nil,
-				[]logTxn{{tid: tidAt(1, 1), entries: []wal.Entry{put(0, binKey(0), []byte("v"))}}}, false), 1))
+				[]logTxn{{tid: tidAt(1, 1), entries: []wal.Entry{put(0, binKey(0), []byte("v"))}}}, 'B'), 1))
 			writeSegment(t, dir, 0, 1, appendDurableFrame(nil, 1))
 			m, err := wal.Attach(s, wal.Config{Dir: dir})
 			if err != nil {

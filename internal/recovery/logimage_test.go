@@ -27,8 +27,9 @@ type logTxn struct {
 	entries []wal.Entry
 }
 
-// appendBufferFrame appends one buffer frame holding txns.
-func appendBufferFrame(dst []byte, txns []logTxn, compressed bool) []byte {
+// appendBufferFrame appends one frame holding txns: a buffer frame (kind
+// 'B') or a deflated one (kind 'C').
+func appendBufferFrame(dst []byte, txns []logTxn, kind byte) []byte {
 	var p []byte
 	for _, t := range txns {
 		p = binary.LittleEndian.AppendUint64(p, t.tid)
@@ -45,14 +46,14 @@ func appendBufferFrame(dst []byte, txns []logTxn, compressed bool) []byte {
 			p = append(p, e.Value...)
 		}
 	}
-	if compressed {
+	if kind == 'C' {
 		var cb bytes.Buffer
 		fw, _ := flate.NewWriter(&cb, flate.BestSpeed)
 		fw.Write(p)
 		fw.Close()
 		p = cb.Bytes()
 	}
-	dst = append(dst, 'B')
+	dst = append(dst, kind)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(p))
 	return append(dst, p...)

@@ -38,8 +38,6 @@ type Options struct {
 	// a time. 1 is the least parallel replay: one segment after the other
 	// feeding one applier.
 	Workers int
-	// Compressed marks logs written with wal.Config.Compress.
-	Compressed bool
 	// Schema, when non-nil, makes recovery self-describing: table
 	// CatalogTableID holds DDL records that are applied — manifest schema
 	// section first, then the log's catalog entries — before data replay,
@@ -204,7 +202,7 @@ func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, re
 			errs[i] = err
 			return
 		}
-		segs[i] = wal.ScanSegment(data, opts.Compressed)
+		segs[i] = wal.ScanSegment(data)
 	})
 	durables := make([]uint64, len(infos))
 	for i := range segs {

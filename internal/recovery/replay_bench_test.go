@@ -96,7 +96,7 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 	var frames [benchLoggers][]logTxn
 	flush := func(l int, end bool) {
 		if len(frames[l]) > 0 {
-			segs[l] = appendBufferFrame(segs[l], frames[l], false)
+			segs[l] = appendBufferFrame(segs[l], frames[l], 'B')
 			segs[l] = appendDurableFrame(segs[l], epoch)
 			frames[l] = frames[l][:0]
 		}

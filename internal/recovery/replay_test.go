@@ -157,7 +157,7 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 	}
 
 	check("sequential wal.Recover", func(s2 *core.Store) error {
-		_, err := wal.Recover(s2, dir, false)
+		_, err := wal.Recover(s2, dir)
 		return err
 	})
 	var res1, res4 Result
@@ -390,7 +390,7 @@ type randomLog struct {
 // cut into segments and frames at random; durable frames are not monotone
 // (the largest is followed by small ones, as after a re-Open), and one
 // segment ends in a torn frame whose transaction must not be applied.
-func buildRandomLog(t *testing.T, rng *rand.Rand, compressed bool) randomLog {
+func buildRandomLog(t *testing.T, rng *rand.Rand, kinds string) randomLog {
 	const nKeys = 40
 	const loggers = 3
 	lg := randomLog{dir: t.TempDir()}
@@ -483,6 +483,7 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, compressed bool) randomLog {
 		perLogger[l] = append(perLogger[l], tx)
 	}
 	tornLogger := rng.Intn(loggers)
+	frames := 0
 	for l, share := range perLogger {
 		rng.Shuffle(len(share), func(i, j int) { share[i], share[j] = share[j], share[i] })
 		// This logger's bound: D for logger 0 (which makes it the global
@@ -498,7 +499,8 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, compressed bool) randomLog {
 			part := share[len(share)*s/nseg : len(share)*(s+1)/nseg]
 			for len(part) > 0 {
 				n := min(1+rng.Intn(5), len(part))
-				data = appendBufferFrame(data, part[:n], compressed)
+				data = appendBufferFrame(data, part[:n], kinds[frames%len(kinds)])
+				frames++
 				part = part[n:]
 				if rng.Intn(2) == 0 {
 					data = appendDurableFrame(data, uint64(1+rng.Intn(int(lg.ce))))
@@ -513,7 +515,7 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, compressed bool) randomLog {
 			if l == tornLogger && s == nseg-1 {
 				seq++
 				torn := appendBufferFrame(nil, []logTxn{{tid: tidAt(d, seq), entries: []wal.Entry{
-					put(0, key(0), []byte("torn")), put(1, key(1), []byte("torn"))}}}, compressed)
+					put(0, key(0), []byte("torn")), put(1, key(1), []byte("torn"))}}}, kinds[0])
 				data = append(data, torn[:len(torn)-1-rng.Intn(len(torn)-10)]...)
 			}
 			writeSegment(t, lg.dir, l, uint64(s), data)
@@ -523,7 +525,8 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, compressed bool) randomLog {
 }
 
 // TestReplayEquivalenceRandomLogs is the property test of the replay
-// pipeline: on generated logs (see buildRandomLog), plain and compressed,
+// pipeline: on generated logs (see buildRandomLog) of buffer frames, of
+// deflated frames, and of both kinds alternating within every segment,
 // the coalescing replay at every worker count, the sequential reference
 // wal.Recover (which replays the whole log, in TID order, onto an empty
 // store) and the generator's own model all agree on the recovered rows;
@@ -532,9 +535,9 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, compressed bool) randomLog {
 // the trees hold live rows only.
 func TestReplayEquivalenceRandomLogs(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		compressed := seed%3 == 0
-		t.Run(fmt.Sprintf("seed=%d,compressed=%v", seed, compressed), func(t *testing.T) {
-			lg := buildRandomLog(t, rand.New(rand.NewSource(seed)), compressed)
+		kinds := []string{"C", "BC", "B"}[seed%3]
+		t.Run(fmt.Sprintf("seed=%d,frames=%s", seed, kinds), func(t *testing.T) {
+			lg := buildRandomLog(t, rand.New(rand.NewSource(seed)), kinds)
 			checkRows := func(label string, s *core.Store) {
 				t.Helper()
 				for ti, tbl := range s.Tables() {
@@ -548,7 +551,7 @@ func TestReplayEquivalenceRandomLogs(t *testing.T) {
 			}
 
 			ref := manualStore(t, "a", "b")
-			rres, err := wal.Recover(ref, lg.dir, compressed)
+			rres, err := wal.Recover(ref, lg.dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -560,7 +563,7 @@ func TestReplayEquivalenceRandomLogs(t *testing.T) {
 			for _, workers := range []int{1, 2, 3, 8} {
 				label := fmt.Sprintf("workers=%d", workers)
 				s := manualStore(t, "a", "b")
-				res, err := Recover(s, lg.dir, Options{Workers: workers, Compressed: compressed})
+				res, err := Recover(s, lg.dir, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -610,12 +613,12 @@ func TestReplayLeavesNoTombstones(t *testing.T) {
 	log0 := appendBufferFrame(nil, []logTxn{
 		{tid: tidAt(e, 5), entries: []wal.Entry{del(0, []byte("log-deleted")), del(0, []byte("ckpt-deleted"))}},
 		{tid: tidAt(e, 6), entries: []wal.Entry{del(0, []byte("log-reinserted"))}},
-	}, false)
+	}, 'B')
 	log1 := appendBufferFrame(nil, []logTxn{
 		{tid: tidAt(e, 1), entries: []wal.Entry{put(0, []byte("log-deleted"), []byte("doomed")), put(0, []byte("log-kept"), []byte("from-log"))}},
 		{tid: tidAt(e, 2), entries: []wal.Entry{put(0, []byte("log-reinserted"), []byte("first"))}},
 		{tid: tidAt(e, 7), entries: []wal.Entry{put(0, []byte("log-reinserted"), []byte("second")), put(0, []byte("ckpt-overwritten"), []byte("from-log"))}},
-	}, false)
+	}, 'B')
 	writeSegment(t, dir, 0, 0, appendDurableFrame(log0, e))
 	writeSegment(t, dir, 1, 0, appendDurableFrame(log1, e))
 	want := map[string]string{
@@ -673,7 +676,7 @@ func TestReplayAllocatesPerWinnerNotPerEntry(t *testing.T) {
 		for i := 0; i < entries; i++ {
 			frame = append(frame, logTxn{tid: tidAt(1, uint64(i+1)), entries: []wal.Entry{put(0, binKey(i%keys), make([]byte, 64))}})
 			if len(frame) == 100 {
-				data = appendBufferFrame(data, frame, false)
+				data = appendBufferFrame(data, frame, 'B')
 				frame = frame[:0]
 			}
 		}

@@ -34,7 +34,7 @@ func TestSmallBufferForcesPublish(t *testing.T) {
 	s2 := core.NewStore(core.DefaultOptions(1))
 	defer s2.Close()
 	tbl2 := s2.CreateTable("t")
-	if _, err := Recover(s2, dir, false); err != nil {
+	if _, err := Recover(s2, dir); err != nil {
 		t.Fatal(err)
 	}
 	if tbl2.Tree.Len() != 100 {
@@ -69,7 +69,7 @@ func TestMultiLoggerAssignment(t *testing.T) {
 	m.Stop()
 	s.Close()
 
-	_, files, durables, err := readLogDir(dir, false)
+	_, files, durables, err := readLogDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMultiLoggerAssignment(t *testing.T) {
 	s2 := core.NewStore(core.DefaultOptions(1))
 	defer s2.Close()
 	tbl2 := s2.CreateTable("t")
-	if _, err := Recover(s2, dir, false); err != nil {
+	if _, err := Recover(s2, dir); err != nil {
 		t.Fatal(err)
 	}
 	if tbl2.Tree.Len() != 200 {
@@ -167,7 +167,7 @@ func TestDurableNeverExceedsLogged(t *testing.T) {
 	m.Stop()
 	s.Close()
 
-	_, files, _, err := readLogDir(dir, false)
+	_, files, _, err := readLogDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

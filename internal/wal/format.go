@@ -16,6 +16,8 @@
 package wal
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,8 +27,9 @@ import (
 
 // On-disk format. A log file is a sequence of frames:
 //
-//	buffer frame:  'B' | u32 payloadLen | u32 crc32(payload) | payload
-//	durable frame: 'D' | u64 epoch | u32 crc32(epoch bytes)
+//	buffer frame:   'B' | u32 payloadLen | u32 crc32(payload) | payload
+//	deflated frame: 'C' | u32 payloadLen | u32 crc32(payload) | payload
+//	durable frame:  'D' | u64 epoch | u32 crc32(epoch bytes)
 //
 // A buffer-frame payload is a sequence of transaction records:
 //
@@ -35,11 +38,26 @@ import (
 //
 // valueLen = deleteMarker encodes a delete (no value bytes follow). In
 // TID-only mode (the Figure 11 "+SmallRecs" factor) nWrites is zero.
+//
+// A deflated frame is a buffer frame whose payload went through DEFLATE
+// (Config.Compress, the "+Compress" factor); length and CRC describe the
+// bytes on disk. The kind is all a reader needs, so a log says for itself
+// how it was written, and frames of both kinds may share a segment (a
+// restart that toggles Compress, or a buffer past maxInflated). A log
+// written without Compress holds no 'C' frame.
 const (
-	frameBuffer  = 'B'
-	frameDurable = 'D'
+	frameBuffer   = 'B'
+	frameDeflated = 'C'
+	frameDurable  = 'D'
 
 	deleteMarker = ^uint32(0)
+
+	// maxInflated bounds what one deflated frame may inflate to: DEFLATE
+	// reaches about 1000:1, so without a bound a CRC-valid frame of a few
+	// megabytes could make recovery allocate gigabytes. Loggers write
+	// larger buffers as plain buffer frames (a worker buffer is
+	// Config.BufferBytes plus at most one transaction).
+	maxInflated = 4 << 20
 )
 
 // ErrCorrupt reports a malformed or torn log frame; recovery treats it as
@@ -80,10 +98,11 @@ func appendTxn(buf []byte, tid uint64, entries []Entry) []byte {
 	return buf
 }
 
-// writeBufferFrame writes payload as a buffer frame.
-func writeBufferFrame(w io.Writer, payload []byte) error {
+// writeBufferFrame writes payload as a frame of the given kind: frameBuffer,
+// or frameDeflated for a payload that deflate produced.
+func writeBufferFrame(w io.Writer, kind byte, payload []byte) error {
 	var hdr [9]byte
-	hdr[0] = frameBuffer
+	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -107,11 +126,11 @@ func writeDurableFrame(w io.Writer, epoch uint64) error {
 // payload or durable epoch, and the offset of the following frame. A
 // truncated frame — or, with verify, one whose CRC does not match — yields
 // ErrCorrupt. It is the one place that knows frame headers; payload
-// contents are walkPayload's business.
+// contents are Segment.Walk's (inflating) and walkPayload's business.
 func frameAt(data []byte, off int, verify bool) (kind byte, payload []byte, epoch uint64, next int, err error) {
 	kind = data[off]
 	switch kind {
-	case frameBuffer:
+	case frameBuffer, frameDeflated:
 		if len(data)-off < 9 {
 			return 0, nil, 0, 0, ErrCorrupt
 		}
@@ -144,7 +163,7 @@ func frameAt(data []byte, off int, verify bool) (kind byte, payload []byte, epoc
 // returning false skips them (replay's epoch filter never pays for
 // decoding what it discards). Entry is called once per logged record
 // modification of the transaction last announced. key and value alias the
-// segment's buffer (or, for compressed logs, the inflated payload): they
+// segment's buffer (or, for a deflated frame, the inflated payload): they
 // stay valid as long as the visitor holds them, but must be copied before
 // they are stored anywhere that outlives recovery. value is nil for a
 // delete.
@@ -176,6 +195,27 @@ func skipEntries(p []byte, off int, n uint32) (int, bool) {
 		off += int(vlen)
 	}
 	return off, true
+}
+
+// deflate compresses one buffer-frame payload (Config.Compress).
+func deflate(p []byte) []byte {
+	var cb bytes.Buffer
+	fw, _ := flate.NewWriter(&cb, flate.BestSpeed)
+	fw.Write(p)
+	fw.Close()
+	return cb.Bytes()
+}
+
+// inflate is deflate's inverse, refusing anything that does not inflate
+// cleanly or inflates past maxInflated.
+func inflate(p []byte) ([]byte, error) {
+	fr := flate.NewReader(bytes.NewReader(p))
+	defer fr.Close()
+	out, err := io.ReadAll(io.LimitReader(fr, maxInflated+1))
+	if err == nil && len(out) > maxInflated {
+		err = ErrCorrupt
+	}
+	return out, err
 }
 
 // checkPayload reports whether p is a well-formed sequence of transaction

@@ -8,6 +8,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"silo/internal/core"
@@ -18,6 +21,7 @@ type refSegment struct {
 	txns    []TxnRecord
 	durable uint64
 	ends    []int // offset after each well-formed frame
+	decoded bool  // every well-formed frame's payload decoded
 }
 
 // refParse is a second, deliberately plain reading of the on-disk format
@@ -26,11 +30,11 @@ type refSegment struct {
 // uses it, and shares no code with frameAt, checkPayload or walkPayload.
 // The segment's durable epoch is the largest durable frame before the
 // first frame with a bad header or CRC; its transactions are those of the
-// buffer frames before that point, up to the first one whose payload does
-// not inflate or decode.
-func refParse(data []byte, compressed bool) refSegment {
-	var out refSegment
-	decoding := true
+// buffer ('B') and deflated ('C') frames before that point, up to the first
+// one whose payload does not inflate — to at most 4 MiB — or decode. What a
+// payload is comes from the frame's kind alone.
+func refParse(data []byte) refSegment {
+	out := refSegment{decoded: true}
 	for off := 0; off < len(data); {
 		switch data[off] {
 		case 'D':
@@ -39,7 +43,8 @@ func refParse(data []byte, compressed bool) refSegment {
 			}
 			out.durable = max(out.durable, binary.LittleEndian.Uint64(data[off+1:]))
 			off += 13
-		case 'B':
+		case 'B', 'C':
+			deflated := data[off] == 'C'
 			if off+9 > len(data) {
 				return out
 			}
@@ -52,9 +57,9 @@ func refParse(data []byte, compressed bool) refSegment {
 				return out
 			}
 			off += 9 + n
-			if decoding {
-				txns, ok := refPayload(p, compressed)
-				if decoding = ok; ok {
+			if out.decoded {
+				txns, ok := refPayload(p, deflated)
+				if out.decoded = ok; ok {
 					out.txns = append(out.txns, txns...)
 				}
 			}
@@ -66,12 +71,14 @@ func refParse(data []byte, compressed bool) refSegment {
 	return out
 }
 
-func refPayload(p []byte, compressed bool) ([]TxnRecord, bool) {
-	if compressed {
-		var err error
-		if p, err = io.ReadAll(flate.NewReader(bytes.NewReader(p))); err != nil {
+func refPayload(p []byte, deflated bool) ([]TxnRecord, bool) {
+	if deflated {
+		// One byte past the bound is enough to know it was exceeded.
+		out, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(p)), 4<<20+1))
+		if err != nil || len(out) > 4<<20 {
 			return nil, false
 		}
+		p = out
 	}
 	var txns []TxnRecord
 	for len(p) > 0 {
@@ -200,34 +207,43 @@ func realSegments(tb testing.TB, compress bool) [][]byte {
 
 // FuzzWalkSegment fuzzes the log decoder — the first parser in the system
 // to read bytes from disk. Seeds are segments written by real loggers,
-// plain and compressed, whole and cut at and around every frame boundary.
+// plain and compressed, whole and cut at and around every frame boundary,
+// and one of each glued together (a directory reopened with Compress
+// toggled appends to the same segment).
 // For any input, ScanSegment and Segment.Walk must not panic or read out of
 // bounds, must report exactly the transactions, entries and durable epoch
 // that the plain reading of the format (refParse) finds — in particular
 // nothing from the first corrupt frame on — and must agree with the copying
 // form built on top of them (ParseLogFile's collector).
 func FuzzWalkSegment(f *testing.F) {
-	for _, compressed := range []bool{false, true} {
-		for _, seg := range realSegments(f, compressed) {
-			f.Add(seg, compressed)
-			for _, end := range refParse(seg, compressed).ends {
+	var mixed []byte
+	for _, compress := range []bool{false, true} {
+		segs := realSegments(f, compress)
+		mixed = append(mixed, segs[0]...)
+		for _, seg := range segs {
+			f.Add(seg)
+			for _, end := range refParse(seg).ends {
 				for _, cut := range []int{end - 1, end, end + 1, end + 5} {
 					if cut < len(seg) {
-						f.Add(seg[:cut], compressed)
+						f.Add(seg[:cut])
 					}
 				}
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, compressed bool) {
-		want := refParse(data, compressed)
-		seg := ScanSegment(data, compressed)
+	f.Add(mixed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := refParse(data)
+		seg := ScanSegment(data)
 		if seg.Durable != want.durable || seg.Size != int64(len(data)) {
 			t.Fatalf("ScanSegment: durable %d size %d, want %d and %d", seg.Durable, seg.Size, want.durable, len(data))
 		}
 
 		rec := &aliasRecorder{t: t}
-		seg.Walk(rec)
+		complete := seg.Walk(rec)
+		if complete != want.decoded {
+			t.Fatalf("walk complete = %v, the format says %v", complete, want.decoded)
+		}
 		if rec.left != 0 {
 			t.Fatalf("walk ended with %d entries outstanding", rec.left)
 		}
@@ -255,4 +271,60 @@ func FuzzWalkSegment(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCorpusDecodesAsPinned holds the decoder to what it made of every
+// checked-in corpus entry when the entry was added. The entries of the first
+// block predate the deflated frame kind and hold 'B' and 'D' frames only,
+// byte for byte what they were: their rows are the proof that the on-disk
+// format of ordinary logs did not move when the kind was added.
+func TestCorpusDecodesAsPinned(t *testing.T) {
+	pinned := []struct {
+		name                   string
+		txns, entries, durable int
+		complete               bool
+	}{
+		{"bad-crc-middle", 3, 4, 7, true},
+		{"compressed-read-as-plain", 0, 0, 7, false},
+		{"durable-not-monotone", 4, 5, 100, true},
+		{"empty", 0, 0, 0, true},
+		{"unknown-kind-after-good", 3, 4, 7, true},
+		{"valid-crc-key-overruns", 0, 0, 1, false},
+		{"valid-crc-payload-cut-mid-entry", 1, 1, 9, false},
+		{"valid-crc-short-txn-header", 0, 0, 3, false},
+		{"valid-crc-value-overruns", 0, 0, 1, false},
+		{"valid-crc-writes-4g", 0, 0, 0, false},
+		{"well-formed", 4, 5, 9, true},
+
+		{"compressed-valid-crc-inflates-to-garbage", 0, 0, 9, false},
+		{"compressed-valid-crc-not-deflate", 1, 1, 9, false},
+		{"compressed-well-formed", 4, 5, 9, true},
+		{"deflated-kind-on-plain-payload", 0, 0, 7, false},
+		{"mixed-kinds", 5, 7, 5, true},
+		{"deflated-inflates-to-bound", 3, 4, 7, true},
+		{"deflated-inflates-past-bound", 1, 2, 7, false},
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzWalkSegment")
+	if files, err := os.ReadDir(dir); err != nil || len(files) != len(pinned) {
+		t.Fatalf("%d corpus entries (err %v), %d pinned: pin the new one", len(files), err, len(pinned))
+	}
+	for _, p := range pinned {
+		raw, _ := os.ReadFile(filepath.Join(dir, p.name))
+		// "go test fuzz v1", then the one argument as a Go literal.
+		lit := strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(raw), "\n")[1], "[]byte("), ")")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		seg := ScanSegment([]byte(data))
+		var c txnCollector
+		got, entries := p, 0
+		got.complete = seg.Walk(&c)
+		for _, txn := range c.txns {
+			entries += len(txn.Entries)
+		}
+		if got.txns, got.entries, got.durable = len(c.txns), entries, int(seg.Durable); got != p {
+			t.Errorf("decodes as %+v, pinned %+v", got, p)
+		}
+	}
 }

@@ -1,8 +1,7 @@
 package wal
 
 import (
-	"bytes"
-	"compress/flate"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -14,19 +13,6 @@ import (
 	"silo/internal/tid"
 	"silo/internal/trace"
 	"silo/internal/vfs"
-)
-
-// Mode selects what each log record contains (the Figure 11 persistence
-// factors).
-type Mode int
-
-const (
-	// ModeFull logs the TID and every modified record (Silo proper,
-	// "+FullRecs").
-	ModeFull Mode = iota
-	// ModeTIDOnly logs eight bytes per transaction ("+SmallRecs"), an upper
-	// bound on any logging scheme's performance. Recovery is impossible.
-	ModeTIDOnly
 )
 
 // Config parameterizes the durability subsystem.
@@ -43,14 +29,14 @@ type Config struct {
 	PollInterval time.Duration
 	// Sync issues an fsync after each logger iteration that wrote data.
 	Sync bool
-	// InMemory keeps "files" in memory instead of on disk, reproducing the
-	// paper's Silo+tmpfs configuration (separating logging overhead from
-	// device overhead, Figure 7).
-	InMemory bool
-	// Mode selects full or TID-only records.
-	Mode Mode
+	// TIDOnly logs each transaction's TID and none of the records it
+	// modified ("+SmallRecs" where the full record is "+FullRecs"): an upper
+	// bound on any logging scheme's performance. Recovery is impossible.
+	TIDOnly bool
 	// Compress DEFLATE-compresses each buffer frame's payload before
-	// writing ("+Compress"; the paper used LZ4 — see DESIGN.md).
+	// writing ("+Compress"; the paper used LZ4). It is a write-side choice
+	// only: deflated frames carry their own frame kind, so readers need not
+	// be told, and it may change between runs over one directory.
 	Compress bool
 	// SegmentBytes rotates a logger to a fresh segment (log.<id>.<seq>)
 	// once its current segment exceeds this size. Rotation is what makes
@@ -63,7 +49,9 @@ type Config struct {
 	// FS is the filesystem the loggers write through; nil means the real
 	// one. Clock drives the logger poll loop; nil means real time. The
 	// simulation harness (internal/sim) substitutes both to explore crash
-	// interleavings deterministically.
+	// interleavings deterministically; its in-memory FS alone is the paper's
+	// Silo+tmpfs configuration (logging overhead without device overhead,
+	// Figure 7).
 	FS    vfs.FS
 	Clock vfs.Clock
 
@@ -196,11 +184,8 @@ func (m *Manager) Stop() {
 				lg.ticker.Stop()
 			}
 			lg.iterate()
-			if lg.file != nil {
-				lg.syncFile()
-				lg.file.Close()
-				lg.file = nil
-			}
+			lg.syncFile()
+			lg.file.Close()
 		}
 		// Close the durable subscriptions after the final pass: D now
 		// covers every committed epoch (the advance above plus the final
@@ -221,10 +206,6 @@ func (m *Manager) Stop() {
 // WorkerLog returns worker i's log handle (for heartbeats and waits).
 func (m *Manager) WorkerLog(i int) *WorkerLog { return m.byWkr[i] }
 
-// DDLLog returns the hidden DDL worker's log handle, so catalog appends
-// can be pushed toward the log eagerly.
-func (m *Manager) DDLLog() *WorkerLog { return m.ddlLog }
-
 // RequestRotate asks every logger to rotate its open segment at the next
 // opportunity (right after its next durable-frame write), regardless of
 // size. The checkpoint daemon calls this after each successful checkpoint
@@ -235,9 +216,6 @@ func (m *Manager) DDLLog() *WorkerLog { return m.ddlLog }
 // frames are not rotated (nothing to truncate). It is asynchronous: the
 // rotation happens on each logger's own goroutine.
 func (m *Manager) RequestRotate() {
-	if m.cfg.InMemory {
-		return
-	}
 	for _, lg := range m.loggers {
 		lg.rotateReq.Store(true)
 	}
@@ -364,7 +342,7 @@ func (wl *WorkerLog) onCommit(commit tid.Word, writes []core.LoggedWrite) {
 		wl.publishLocked()
 	}
 	wl.scratch = wl.scratch[:0]
-	if wl.m.cfg.Mode == ModeFull {
+	if !wl.m.cfg.TIDOnly {
 		for i := range writes {
 			wl.scratch = append(wl.scratch, Entry{
 				Table:  writes[i].Table,
@@ -440,9 +418,7 @@ type logger struct {
 	m       *Manager
 	id      int
 	workers []*WorkerLog
-	file    vfs.File      // nil when in-memory
-	mem     *bytes.Buffer // in-memory "file" (Silo+tmpfs)
-	memMu   sync.Mutex
+	file    vfs.File
 	dl      atomic.Uint64
 	ticker  vfs.Stopper
 	wrote   bool
@@ -503,12 +479,8 @@ func SegmentName(id int, seq uint64) string {
 func newLogger(m *Manager, id int) (*logger, error) {
 	lg := &logger{m: m, id: id}
 	lg.ring = m.flight.NewRing(uint8(id), trace.DefaultRingEvents)
-	if m.cfg.InMemory {
-		lg.mem = &bytes.Buffer{}
-		return lg, nil
-	}
 	if m.cfg.Dir == "" {
-		return nil, fmt.Errorf("wal: Config.Dir required unless InMemory")
+		return nil, fmt.Errorf("wal: Config.Dir required")
 	}
 	fs := m.cfg.FS
 	if err := fs.MkdirAll(m.cfg.Dir); err != nil {
@@ -557,7 +529,7 @@ func (lg *logger) maybeRotate() {
 	// Segments holding only durable frames never rotate: an idle logger
 	// would otherwise slowly churn out empty segments (this also makes a
 	// pending rotation request a no-op until there is data worth closing).
-	if lg.file == nil || !lg.segHasData {
+	if !lg.segHasData {
 		return
 	}
 	forced := lg.rotateReq.Load()
@@ -649,14 +621,14 @@ func (lg *logger) iterate() {
 		}
 	}
 	if d == 0 || d <= lg.dl.Load() {
-		if lg.m.cfg.Sync && lg.file != nil && lg.wrote {
+		if lg.m.cfg.Sync && lg.wrote {
 			lg.syncFile()
 			lg.wrote = false
 		}
 		return
 	}
 	lg.writeDurable(d)
-	if lg.m.cfg.Sync && lg.file != nil && lg.wrote {
+	if lg.m.cfg.Sync && lg.wrote {
 		lg.syncFile()
 		lg.wrote = false
 	}
@@ -680,25 +652,12 @@ func (lg *logger) iterate() {
 }
 
 func (lg *logger) writeBuffer(payload []byte) {
-	if lg.m.cfg.Compress {
-		var cb bytes.Buffer
-		fw, _ := flate.NewWriter(&cb, flate.BestSpeed)
-		fw.Write(payload)
-		fw.Close()
-		// The compressed payload is framed as-is; recovery detects
-		// compression by config. (The paper's takeaway — compression does
-		// not pay for TPC-C — needs only the CPU and byte accounting.)
-		payload = cb.Bytes()
+	kind := byte(frameBuffer)
+	// A buffer the reader would refuse to inflate stays plain.
+	if lg.m.cfg.Compress && len(payload) <= maxInflated {
+		kind, payload = frameDeflated, deflate(payload)
 	}
-	var err error
-	if lg.file != nil {
-		err = writeBufferFrame(lg.file, payload)
-	} else {
-		lg.memMu.Lock()
-		err = writeBufferFrame(lg.mem, payload)
-		lg.memMu.Unlock()
-	}
-	if err != nil {
+	if err := writeBufferFrame(lg.file, kind, payload); err != nil {
 		panic(fmt.Sprintf("wal: log write failed: %v", err))
 	}
 	lg.wrote = true
@@ -710,15 +669,7 @@ func (lg *logger) writeBuffer(payload []byte) {
 }
 
 func (lg *logger) writeDurable(d uint64) {
-	var err error
-	if lg.file != nil {
-		err = writeDurableFrame(lg.file, d)
-	} else {
-		lg.memMu.Lock()
-		err = writeDurableFrame(lg.mem, d)
-		lg.memMu.Unlock()
-	}
-	if err != nil {
+	if err := writeDurableFrame(lg.file, d); err != nil {
 		panic(fmt.Sprintf("wal: log write failed: %v", err))
 	}
 	lg.wrote = true
@@ -741,6 +692,10 @@ func (m *maxEpoch) Txn(t uint64, _ int) bool {
 
 func (m *maxEpoch) Entry(uint32, []byte, []byte, bool) {}
 
+// unreadable is what removeCovered remembers of a segment whose walk stopped
+// early: no checkpoint epoch covers it.
+const unreadable = ^maxEpoch(0)
+
 // removeCovered is the truncation rule. A checkpoint at epoch ce covers a
 // segment, which is then deleted, when
 //
@@ -753,46 +708,55 @@ func (m *maxEpoch) Entry(uint32, []byte, []byte, bool) {}
 //   - every transaction in it has epoch < ce. (The image holds the versions
 //     with epoch strictly below its snapshot epoch — see core.SnapTx — so
 //     epoch-ce transactions are not in it and their segments must survive.)
+//     That has to be known, not assumed: a segment whose walk stops at a
+//     CRC-valid frame that does not inflate or decode holds transactions
+//     nobody has seen, so it is kept, whatever ce is, and named in the
+//     error; the other segments are still dealt with.
 //
 // seen, when non-nil, remembers each segment's largest epoch across calls
 // (closed segments are immutable). It returns the deleted paths.
-func removeCovered(fs vfs.FS, infos []LogFileInfo, open map[int]uint64, ce uint64, compressed bool, seen map[string]maxEpoch) (removed []string, err error) {
+func removeCovered(fs vfs.FS, infos []LogFileInfo, open map[int]uint64, ce uint64, seen map[string]maxEpoch) (removed []string, err error) {
 	for _, fi := range infos {
 		if cur, ours := open[fi.Logger]; !ours || fi.Seq >= cur {
 			continue
 		}
 		last, cached := seen[fi.Path]
 		if !cached {
-			data, err := fs.ReadFile(fi.Path)
-			if err != nil {
-				return removed, err
+			data, rerr := fs.ReadFile(fi.Path)
+			if rerr != nil {
+				return removed, errors.Join(err, rerr)
 			}
-			ScanSegment(data, compressed).Walk(&last)
+			if !ScanSegment(data).Walk(&last) {
+				last = unreadable
+			}
 			if seen != nil {
 				seen[fi.Path] = last
 			}
 		}
+		if last == unreadable {
+			err = errors.Join(err, fmt.Errorf("wal: %s: a frame with a valid checksum does not decode; segment kept", fi.Path))
+			continue
+		}
 		if uint64(last) >= ce {
 			continue // not covered yet
 		}
-		if err := fs.Remove(fi.Path); err != nil {
-			return removed, err
+		if rerr := fs.Remove(fi.Path); rerr != nil {
+			return removed, errors.Join(err, rerr)
 		}
 		delete(seen, fi.Path)
 		removed = append(removed, fi.Path)
 	}
-	return removed, nil
+	return removed, err
 }
 
 // TruncateCovered deletes the closed log segments that a checkpoint at epoch
 // ce covers (see removeCovered). It is safe to call while loggers run: each
 // logger's open segment is never touched, nor is a segment of a logger this
-// manager does not run, and closed segments are immutable. It is a no-op
-// for in-memory logs. The checkpoint daemon calls this after each completed
-// checkpoint; TruncateLogs is the same rule for a directory no logger has
-// open.
+// manager does not run, and closed segments are immutable. The checkpoint
+// daemon calls this after each completed checkpoint; TruncateLogs is the
+// same rule for a directory no logger has open.
 func (m *Manager) TruncateCovered(ce uint64) (removed []string, err error) {
-	if m.cfg.InMemory || ce == 0 {
+	if ce == 0 {
 		return nil, nil
 	}
 	open := make(map[int]uint64, len(m.loggers))
@@ -808,13 +772,13 @@ func (m *Manager) TruncateCovered(ce uint64) (removed []string, err error) {
 	if m.segEpochs == nil {
 		m.segEpochs = make(map[string]maxEpoch)
 	}
-	return removeCovered(m.cfg.FS, infos, open, ce, m.cfg.Compress, m.segEpochs)
+	return removeCovered(m.cfg.FS, infos, open, ce, m.segEpochs)
 }
 
 // TruncateLogs deletes the log segments in logDir that a checkpoint at epoch
 // ce covers (see removeCovered). Loggers must be stopped: every segment but
 // each logger's newest is a candidate.
-func TruncateLogs(logDir string, ce uint64, compressed bool) (removed []string, err error) {
+func TruncateLogs(logDir string, ce uint64) (removed []string, err error) {
 	infos, err := ListLogFiles(nil, logDir)
 	if err != nil {
 		return nil, err
@@ -823,5 +787,5 @@ func TruncateLogs(logDir string, ce uint64, compressed bool) (removed []string, 
 	for _, fi := range infos { // sorted by (logger, seq): the newest comes last
 		open[fi.Logger] = fi.Seq
 	}
-	return removeCovered(vfs.OS, infos, open, ce, compressed, nil)
+	return removeCovered(vfs.OS, infos, open, ce, nil)
 }

@@ -1,10 +1,7 @@
 package wal
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -94,17 +91,15 @@ type Segment struct {
 	// Size is the length of the whole file, torn tail included.
 	Size int64
 
-	data       []byte
-	compressed bool
+	data []byte
 }
 
 // ScanSegment walks data's frame headers and CRCs — no payload is decoded —
 // and returns the prefix that is usable: everything before the first torn
 // or damaged frame (as with any write-ahead log, what follows one is
-// discarded). compressed records that buffer payloads are deflated
-// (Config.Compress); frames are shaped the same either way.
-func ScanSegment(data []byte, compressed bool) Segment {
-	s := Segment{Size: int64(len(data)), compressed: compressed}
+// discarded).
+func ScanSegment(data []byte) Segment {
+	s := Segment{Size: int64(len(data))}
 	off := 0
 	for off < len(data) {
 		kind, _, epoch, next, err := frameAt(data, off, true)
@@ -121,40 +116,43 @@ func ScanSegment(data []byte, compressed bool) Segment {
 }
 
 // Walk decodes the segment's transactions into v, in log order, without
-// copying or allocating (compressed payloads are inflated first). A buffer
-// frame whose payload does not decode ends the walk before any of it is
+// copying or allocating (deflated frames are inflated first). A frame whose
+// payload does not inflate or decode ends the walk before any of it is
 // shown: such a frame cannot come from a torn write (its CRC matched), so
-// nothing after it is trusted either.
-func (s Segment) Walk(v Visitor) {
+// nothing after it is trusted either. complete reports whether the walk
+// reached the end of the verified prefix; when it is false the segment holds
+// transactions v was not shown.
+func (s Segment) Walk(v Visitor) (complete bool) {
 	for off := 0; off < len(s.data); {
 		// The prefix is verified: no error, and no second checksum.
 		kind, payload, _, next, _ := frameAt(s.data, off, false)
 		off = next
-		if kind == frameDurable {
+		switch kind {
+		case frameDurable:
 			continue
-		}
-		if s.compressed {
+		case frameDeflated:
 			var err error
-			if payload, err = decompress(payload); err != nil {
-				return
+			if payload, err = inflate(payload); err != nil {
+				return false
 			}
 		}
 		if !checkPayload(payload) {
-			return
+			return false
 		}
 		walkPayload(payload, v)
 	}
+	return true
 }
 
 // ParseLogFile reads and parses one log segment, tolerating a torn tail. It
 // returns the segment's transactions, its durable epoch (see
 // Segment.Durable), and its size in bytes.
-func ParseLogFile(fs vfs.FS, path string, compressed bool) (txns []TxnRecord, durable uint64, size int64, err error) {
+func ParseLogFile(fs vfs.FS, path string) (txns []TxnRecord, durable uint64, size int64, err error) {
 	data, err := vfs.DefaultFS(fs).ReadFile(path)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	seg := ScanSegment(data, compressed)
+	seg := ScanSegment(data)
 	var c txnCollector
 	seg.Walk(&c)
 	return c.txns, seg.Durable, seg.Size, nil
@@ -187,7 +185,7 @@ func DurableBound(infos []LogFileInfo, durables []uint64) uint64 {
 // truncated final frame is treated as end-of-log). It returns the segments
 // ordered by (logger, segment), each one's transaction records, and each
 // one's durable epoch.
-func readLogDir(dir string, compressed bool) (infos []LogFileInfo, files [][]TxnRecord, durables []uint64, err error) {
+func readLogDir(dir string) (infos []LogFileInfo, files [][]TxnRecord, durables []uint64, err error) {
 	infos, err = ListLogFiles(nil, dir)
 	if err != nil {
 		return nil, nil, nil, err
@@ -196,7 +194,7 @@ func readLogDir(dir string, compressed bool) (infos []LogFileInfo, files [][]Txn
 		return nil, nil, nil, fmt.Errorf("wal: no log files in %s", dir)
 	}
 	for _, fi := range infos {
-		txns, d, _, err := ParseLogFile(nil, fi.Path, compressed)
+		txns, d, _, err := ParseLogFile(nil, fi.Path)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -204,13 +202,6 @@ func readLogDir(dir string, compressed bool) (infos []LogFileInfo, files [][]Txn
 		durables = append(durables, d)
 	}
 	return infos, files, durables, nil
-}
-
-// decompress inflates one buffer-frame payload written with Config.Compress.
-func decompress(p []byte) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(p))
-	defer fr.Close()
-	return io.ReadAll(fr)
 }
 
 // Recover replays the logs in dir into store, which must contain the
@@ -224,9 +215,9 @@ func decompress(p []byte) ([]byte, error) {
 // transaction and applies them one by one in TID order, the paper's
 // description taken literally. internal/recovery provides the coalescing
 // parallel path, which must produce identical state.
-func Recover(store *core.Store, dir string, compressed bool) (RecoveryResult, error) {
+func Recover(store *core.Store, dir string) (RecoveryResult, error) {
 	var res RecoveryResult
-	infos, files, durables, err := readLogDir(dir, compressed)
+	infos, files, durables, err := readLogDir(dir)
 	if err != nil {
 		return res, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,7 +112,7 @@ func TestSegmentRotationRecovery(t *testing.T) {
 	}
 	// The open segment keeps receiving durable frames, so D recomputed
 	// from it alone must not regress below the pre-truncation bound.
-	_, durable, _, err := ParseLogFile(nil, left[0].Path, false)
+	_, durable, _, err := ParseLogFile(nil, left[0].Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestSegmentRotationRecovery(t *testing.T) {
 	s3 := core.NewStore(core.DefaultOptions(1))
 	defer s3.Close()
 	tbl3 := s3.CreateTable("t")
-	res, err := Recover(s3, dir2, false)
+	res, err := Recover(s3, dir2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 	s2 := core.NewStore(core.DefaultOptions(1))
 	defer s2.Close()
 	s2.CreateTable("t")
-	res, err := Recover(s2, dir, false)
+	res, err := Recover(s2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +287,10 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 // make D = 1 and recovery would discard the whole log as not durable.
 func TestSegmentDurableIsMaxFrame(t *testing.T) {
 	var buf bytes.Buffer
-	writeBufferFrame(&buf, appendTxn(nil, uint64(tid.Make(99, 1)), []Entry{{Table: 0, Key: []byte("k"), Value: []byte("v")}}))
+	writeBufferFrame(&buf, frameBuffer, appendTxn(nil, uint64(tid.Make(99, 1)), []Entry{{Table: 0, Key: []byte("k"), Value: []byte("v")}}))
 	writeDurableFrame(&buf, 100)
 	writeDurableFrame(&buf, 1)
-	if seg := ScanSegment(buf.Bytes(), false); seg.Durable != 100 {
+	if seg := ScanSegment(buf.Bytes()); seg.Durable != 100 {
 		t.Fatalf("segment …D100, D1 has durable epoch %d, want 100", seg.Durable)
 	}
 
@@ -298,13 +299,13 @@ func TestSegmentDurableIsMaxFrame(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, durable, _, err := ParseLogFile(nil, path, false); err != nil || durable != 100 {
+	if _, durable, _, err := ParseLogFile(nil, path); err != nil || durable != 100 {
 		t.Fatalf("ParseLogFile: durable %d err %v, want 100", durable, err)
 	}
 	s := core.NewStore(core.DefaultOptions(1))
 	defer s.Close()
 	s.CreateTable("t")
-	res, err := Recover(s, dir, false)
+	res, err := Recover(s, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,27 +317,46 @@ func TestSegmentDurableIsMaxFrame(t *testing.T) {
 // TestTruncateLogs pins the truncation rule (removeCovered) from both of its
 // callers — offline TruncateLogs and live Manager.TruncateCovered — over the
 // same hand-built directory: a checkpoint at epoch CE covers a segment when a
-// newer one of its logger exists and none of its transactions has epoch ≥ CE.
+// newer one of its logger exists and none of its transactions has epoch ≥ CE
+// — which must be known: a segment that cannot be read to its end is kept and
+// named in the error, while the rest are dealt with as usual.
 func TestTruncateLogs(t *testing.T) {
 	const ce = 5
+	// What follows a segment's transactions: a frame with a valid checksum
+	// that the walk cannot get past. The transactions behind it are unseen,
+	// so "no epoch ≥ CE seen" proves nothing.
+	payload := appendTxn(nil, uint64(tid.Make(9, 1)), []Entry{{Table: 0, Key: []byte("unseen"), Value: []byte("v")}})
+	type frame struct {
+		kind    byte
+		payload []byte
+	}
 	// Logger 0's segments, oldest first; the last is the one a manager
 	// attached to the directory has open.
 	cases := []struct {
-		name    string
-		epochs  []uint64 // one transaction each
-		covered bool
+		name       string
+		epochs     []uint64 // one transaction each
+		undecoded  *frame
+		covered    bool
+		unreadable bool
 	}{
-		{"every epoch below CE", []uint64{1, 2, 4}, true},
-		{"straddling CE", []uint64{2, 9}, false},
-		{"a transaction at CE itself", []uint64{3, 5}, false},
-		{"durable frames only", nil, true},
-		{"every epoch below CE, but the logger's newest", []uint64{1}, false},
+		{name: "every epoch below CE", epochs: []uint64{1, 2, 4}, covered: true},
+		{name: "straddling CE", epochs: []uint64{2, 9}},
+		{name: "a transaction at CE itself", epochs: []uint64{3, 5}},
+		{name: "durable frames only", covered: true},
+		// How every segment of a compressed log looked to a reader that was
+		// not told so, before deflated frames had their own kind.
+		{name: "a buffer frame holding deflate output", epochs: []uint64{1}, undecoded: &frame{frameBuffer, deflate(payload)}, unreadable: true},
+		{name: "a deflated frame that does not inflate", undecoded: &frame{frameDeflated, bytes.Repeat([]byte{0xff}, 16)}, unreadable: true},
+		{name: "every epoch below CE, but the logger's newest", epochs: []uint64{1}},
 	}
-	segment := func(epochs []uint64) []byte {
+	segment := func(epochs []uint64, undecoded *frame) []byte {
 		var buf bytes.Buffer
 		for i, e := range epochs {
-			writeBufferFrame(&buf, appendTxn(nil, uint64(tid.Make(e, uint64(i+1))),
+			writeBufferFrame(&buf, frameBuffer, appendTxn(nil, uint64(tid.Make(e, uint64(i+1))),
 				[]Entry{{Table: 0, Key: []byte{byte(i + 1)}, Value: []byte("v")}}))
+		}
+		if undecoded != nil {
+			writeBufferFrame(&buf, undecoded.kind, undecoded.payload)
 		}
 		writeDurableFrame(&buf, 9)
 		return buf.Bytes()
@@ -344,22 +364,33 @@ func TestTruncateLogs(t *testing.T) {
 	build := func(t *testing.T) string {
 		dir := t.TempDir()
 		for seq, c := range cases {
-			if err := os.WriteFile(filepath.Join(dir, SegmentName(0, uint64(seq))), segment(c.epochs), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, SegmentName(0, uint64(seq))), segment(c.epochs, c.undecoded), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Logger 1's only segment: its newest, and to a manager that runs
 		// one logger, someone else's.
-		if err := os.WriteFile(filepath.Join(dir, SegmentName(1, 0)), segment([]uint64{1}), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, SegmentName(1, 0)), segment([]uint64{1}, nil), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return dir
 	}
+	// namesUnreadable: the error is there because of the unreadable segments,
+	// and says which they are.
+	namesUnreadable := func(t *testing.T, dir string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("no error although segments could not be read to their end")
+		}
+		for seq, c := range cases {
+			if named := strings.Contains(err.Error(), filepath.Join(dir, SegmentName(0, uint64(seq)))+":"); named != c.unreadable {
+				t.Errorf("segment with %s: named in the error = %v, want %v (%v)", c.name, named, c.unreadable, err)
+			}
+		}
+	}
 	check := func(t *testing.T, dir string, removed []string, err error) {
 		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+		namesUnreadable(t, dir, err)
 		want := 0
 		for seq, c := range cases {
 			_, statErr := os.Stat(filepath.Join(dir, SegmentName(0, uint64(seq))))
@@ -379,7 +410,7 @@ func TestTruncateLogs(t *testing.T) {
 	}
 	t.Run("TruncateLogs", func(t *testing.T) {
 		dir := build(t)
-		removed, err := TruncateLogs(dir, ce, false)
+		removed, err := TruncateLogs(dir, ce)
 		check(t, dir, removed, err)
 	})
 	t.Run("TruncateCovered", func(t *testing.T) {
@@ -396,9 +427,12 @@ func TestTruncateLogs(t *testing.T) {
 		removed, err := m.TruncateCovered(ce)
 		check(t, dir, removed, err)
 		// What a segment held is remembered, not what was decided about it:
-		// a later checkpoint covers the segments this one could not.
-		if removed, err := m.TruncateCovered(10); err != nil || len(removed) != 2 {
+		// a later checkpoint covers the segments this one could not — except
+		// those it could not read, which no epoch covers.
+		removed, err = m.TruncateCovered(10)
+		if len(removed) != 2 {
 			t.Errorf("checkpoint at 10 removed %v (err %v), want the two segments ending at 9 and 5", removed, err)
 		}
+		namesUnreadable(t, dir, err)
 	})
 }

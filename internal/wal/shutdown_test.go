@@ -47,7 +47,7 @@ func TestStopDrainsFinalEpoch(t *testing.T) {
 	s2 := core.NewStore(core.DefaultOptions(1))
 	defer s2.Close()
 	tbl := s2.CreateTable("t")
-	res, err := Recover(s2, dir, false)
+	res, err := Recover(s2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLegacyStopDrainLosesFinalEpoch(t *testing.T) {
 	s2 := core.NewStore(core.DefaultOptions(1))
 	defer s2.Close()
 	tbl := s2.CreateTable("t")
-	res, err := Recover(s2, dir, false)
+	res, err := Recover(s2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

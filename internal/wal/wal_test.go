@@ -19,7 +19,7 @@ import (
 // decode reads data the way recovery does: the verified prefix's
 // transactions, copied out, and its durable epoch.
 func decode(data []byte) ([]TxnRecord, uint64) {
-	seg := ScanSegment(data, false)
+	seg := ScanSegment(data)
 	var c txnCollector
 	seg.Walk(&c)
 	return c.txns, seg.Durable
@@ -32,7 +32,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Table: 2, Key: []byte("k2"), Delete: true},
 	})
 	payload = appendTxn(payload, uint64(tid.Make(3, 8)), nil)
-	if err := writeBufferFrame(&buf, payload); err != nil {
+	if err := writeBufferFrame(&buf, frameBuffer, payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeDurableFrame(&buf, 42); err != nil {
@@ -80,7 +80,7 @@ func TestFormatProperty(t *testing.T) {
 		}
 		payload := appendTxn(nil, tidv&^tid.StatusMask, entries)
 		var buf bytes.Buffer
-		if err := writeBufferFrame(&buf, payload); err != nil {
+		if err := writeBufferFrame(&buf, frameBuffer, payload); err != nil {
 			return false
 		}
 		txns, _ := decode(buf.Bytes())
@@ -110,7 +110,7 @@ func TestFormatProperty(t *testing.T) {
 func TestTornFrameDetection(t *testing.T) {
 	var buf bytes.Buffer
 	payload := appendTxn(nil, uint64(tid.Make(1, 1)), []Entry{{Table: 0, Key: []byte("k"), Value: []byte("v")}})
-	writeBufferFrame(&buf, payload)
+	writeBufferFrame(&buf, frameBuffer, payload)
 	writeDurableFrame(&buf, 1)
 	full := buf.Bytes()
 
@@ -150,7 +150,7 @@ func attachedStore(t testing.TB, workers int, cfg Config) (*core.Store, *Manager
 	opts := core.DefaultOptions(workers)
 	opts.EpochInterval = time.Millisecond
 	s := core.NewStore(opts)
-	if cfg.Dir == "" && !cfg.InMemory {
+	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
 	if cfg.PollInterval == 0 {
@@ -314,7 +314,7 @@ func TestCommitRecoverRoundTrip(t *testing.T) {
 	defer s2.Close()
 	ta2 := s2.CreateTable("a")
 	s2.CreateTable("b")
-	res, err := Recover(s2, dir, false)
+	res, err := Recover(s2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,16 +352,16 @@ func TestRecoveryIgnoresBeyondD(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1 := appendTxn(nil, uint64(tid.Make(2, 1)), []Entry{{Table: 0, Key: []byte("a"), Value: []byte("1")}})
-	writeBufferFrame(f, p1)
+	writeBufferFrame(f, frameBuffer, p1)
 	writeDurableFrame(f, 2)
 	p2 := appendTxn(nil, uint64(tid.Make(5, 1)), []Entry{{Table: 0, Key: []byte("b"), Value: []byte("2")}})
-	writeBufferFrame(f, p2)
+	writeBufferFrame(f, frameBuffer, p2)
 	f.Close()
 
 	s := core.NewStore(core.DefaultOptions(1))
 	defer s.Close()
 	tbl := s.CreateTable("t")
-	res, err := Recover(s, dir, false)
+	res, err := Recover(s, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,14 +386,14 @@ func TestRecoveryTIDOrderPerKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		val := []byte(fmt.Sprintf("seq%d", tid.Word(tv).Seq()))
-		writeBufferFrame(f, appendTxn(nil, tv, []Entry{{Table: 0, Key: []byte("k"), Value: val}}))
+		writeBufferFrame(f, frameBuffer, appendTxn(nil, tv, []Entry{{Table: 0, Key: []byte("k"), Value: val}}))
 		writeDurableFrame(f, 1)
 		f.Close()
 	}
 	s := core.NewStore(core.DefaultOptions(1))
 	defer s.Close()
 	tbl := s.CreateTable("t")
-	if _, err := Recover(s, dir, false); err != nil {
+	if _, err := Recover(s, dir); err != nil {
 		t.Fatal(err)
 	}
 	var got string
@@ -413,9 +413,9 @@ func TestRecoveryTIDOrderPerKey(t *testing.T) {
 func TestRecoveryDeleteReplay(t *testing.T) {
 	dir := t.TempDir()
 	f, _ := os.Create(filepath.Join(dir, "log.0"))
-	writeBufferFrame(f, appendTxn(nil, uint64(tid.Make(1, 1)),
+	writeBufferFrame(f, frameBuffer, appendTxn(nil, uint64(tid.Make(1, 1)),
 		[]Entry{{Table: 0, Key: []byte("k"), Value: []byte("v")}}))
-	writeBufferFrame(f, appendTxn(nil, uint64(tid.Make(1, 2)),
+	writeBufferFrame(f, frameBuffer, appendTxn(nil, uint64(tid.Make(1, 2)),
 		[]Entry{{Table: 0, Key: []byte("k"), Delete: true}}))
 	writeDurableFrame(f, 1)
 	f.Close()
@@ -423,7 +423,7 @@ func TestRecoveryDeleteReplay(t *testing.T) {
 	s := core.NewStore(core.DefaultOptions(1))
 	defer s.Close()
 	tbl := s.CreateTable("t")
-	if _, err := Recover(s, dir, false); err != nil {
+	if _, err := Recover(s, dir); err != nil {
 		t.Fatal(err)
 	}
 	err := s.Worker(0).RunOnce(func(tx *core.Tx) error {
@@ -441,10 +441,10 @@ func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "log.0")
 	f, _ := os.Create(path)
-	writeBufferFrame(f, appendTxn(nil, uint64(tid.Make(1, 1)),
+	writeBufferFrame(f, frameBuffer, appendTxn(nil, uint64(tid.Make(1, 1)),
 		[]Entry{{Table: 0, Key: []byte("good"), Value: []byte("v")}}))
 	writeDurableFrame(f, 1)
-	writeBufferFrame(f, appendTxn(nil, uint64(tid.Make(2, 1)),
+	writeBufferFrame(f, frameBuffer, appendTxn(nil, uint64(tid.Make(2, 1)),
 		[]Entry{{Table: 0, Key: []byte("lost"), Value: []byte("v")}}))
 	f.Close()
 	data, _ := os.ReadFile(path)
@@ -453,7 +453,7 @@ func TestTornTailRecovery(t *testing.T) {
 	s := core.NewStore(core.DefaultOptions(1))
 	defer s.Close()
 	tbl := s.CreateTable("t")
-	res, err := Recover(s, dir, false)
+	res, err := Recover(s, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,25 +465,6 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 	if rec, _, _ := tbl.Tree.Get([]byte("lost")); rec != nil {
 		t.Fatal("torn txn recovered")
-	}
-}
-
-func TestTIDOnlyMode(t *testing.T) {
-	s, m := attachedStore(t, 1, Config{Mode: ModeTIDOnly})
-	tbl := s.CreateTable("t")
-	w := s.Worker(0)
-	for i := 0; i < 20; i++ {
-		if err := w.Run(func(tx *core.Tx) error {
-			return tx.Insert(tbl, []byte(fmt.Sprintf("k%d", i)), []byte("v"))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.WorkerLog(0).Heartbeat()
-	time.Sleep(20 * time.Millisecond)
-	m.Stop()
-	if m.Stats().BytesWritten.Load() == 0 {
-		t.Fatal("TID-only mode wrote nothing")
 	}
 }
 
@@ -506,7 +487,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 	s2 := core.NewStore(core.DefaultOptions(1))
 	defer s2.Close()
 	tbl2 := s2.CreateTable("t")
-	res, err := Recover(s2, dir, true)
+	res, err := Recover(s2, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,23 +497,4 @@ func TestCompressedRoundTrip(t *testing.T) {
 	if tbl2.Tree.Len() != 50 {
 		t.Fatalf("recovered %d keys", tbl2.Tree.Len())
 	}
-}
-
-func TestInMemoryMode(t *testing.T) {
-	s, m := attachedStore(t, 1, Config{InMemory: true})
-	tbl := s.CreateTable("t")
-	w := s.Worker(0)
-	if err := w.Run(func(tx *core.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("v")) }); err != nil {
-		t.Fatal(err)
-	}
-	epoch := tid.Word(w.LastCommitTID()).Epoch()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.DurableEpoch() < epoch {
-		if time.Now().After(deadline) {
-			t.Fatal("in-memory durable epoch stuck")
-		}
-		m.WorkerLog(0).Heartbeat()
-		time.Sleep(time.Millisecond)
-	}
-	m.Stop()
 }

@@ -36,7 +36,7 @@ func BenchmarkWalkSegment(b *testing.B) {
 				{Table: 1, Key: binary.BigEndian.AppendUint64(nil, uint64(2*i+1)), Value: val},
 			})
 		}
-		writeBufferFrame(&seg, payload)
+		writeBufferFrame(&seg, frameBuffer, payload)
 		writeDurableFrame(&seg, 3)
 	}
 	data := seg.Bytes()
@@ -46,7 +46,7 @@ func BenchmarkWalkSegment(b *testing.B) {
 	var v countingVisitor
 	for i := 0; i < b.N; i++ {
 		v = countingVisitor{}
-		ScanSegment(data, false).Walk(&v)
+		ScanSegment(data).Walk(&v)
 	}
 	if v.entries != 2*v.txns || v.txns == 0 {
 		b.Fatalf("walked %d transactions, %d entries", v.txns, v.entries)

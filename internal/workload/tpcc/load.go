@@ -112,57 +112,6 @@ func Handles(db *silo.DB) *Tables {
 	}
 }
 
-// CreateTablesStore is CreateTables for a bare core.Store, bypassing the
-// schema catalog: table IDs are assigned by creation order and nothing is
-// logged as DDL, so a recovery over this schema must re-declare it first.
-// It exists for harnesses that attach logging manually (wal.Attach) to
-// measure the raw subsystems; everything else uses CreateTables.
-func CreateTablesStore(s *core.Store) *Tables {
-	t := &Tables{}
-	for _, name := range TableNames {
-		switch name {
-		case TWarehouse:
-			t.Warehouse = s.CreateTable(name)
-		case TDistrict:
-			t.District = s.CreateTable(name)
-		case TCustomer:
-			t.Customer = s.CreateTable(name)
-		case TCustomerName:
-			key, err := index.CompileSpec(CustomerNameIndexSpec())
-			if err != nil {
-				panic("tpcc: customer-name index spec: " + err.Error())
-			}
-			// Covering: entry values carry (balance, credit, first) so
-			// order-status by name never resolves customer rows.
-			t.CustomerName, err = index.NewCovering(s, t.Customer, name, false, key, CustomerNameIncludeSpec())
-			if err != nil {
-				panic("tpcc: customer-name include spec: " + err.Error())
-			}
-			t.CustomerName.Spec = CustomerNameIndexSpec()
-		case THistory:
-			t.History = s.CreateTable(name)
-		case TNewOrder:
-			t.NewOrder = s.CreateTable(name)
-		case TOrder:
-			t.Order = s.CreateTable(name)
-		case TOrderCust:
-			key, err := index.CompileSpec(OrderCustIndexSpec())
-			if err != nil {
-				panic("tpcc: order-cust index spec: " + err.Error())
-			}
-			t.OrderCust = index.New(s, t.Order, name, true, key)
-			t.OrderCust.Spec = OrderCustIndexSpec()
-		case TOrderLine:
-			t.OrderLine = s.CreateTable(name)
-		case TItem:
-			t.Item = s.CreateTable(name)
-		case TStock:
-			t.Stock = s.CreateTable(name)
-		}
-	}
-	return t
-}
-
 // Load declares the schema on db (see CreateTables) and populates it at
 // the given scale, committing in batches on worker 0. The initial
 // population mirrors TPC-C 4.3.3 at the configured cardinalities: every
@@ -172,13 +121,6 @@ func CreateTablesStore(s *core.Store) *Tables {
 func Load(db *silo.DB, sc Scale) *Tables {
 	t := CreateTables(db)
 	loadRows(db.Store(), t, sc)
-	return t
-}
-
-// LoadStore is Load over a bare core.Store (see CreateTablesStore).
-func LoadStore(s *core.Store, sc Scale) *Tables {
-	t := CreateTablesStore(s)
-	loadRows(s, t, sc)
 	return t
 }
 

@@ -207,7 +207,7 @@ func TestOneConnectionUsesEveryWorker(t *testing.T) {
 // so a job run after its release would answer with the wrong row).
 func TestCloseMidBurst(t *testing.T) {
 	s, first := startChainServer(t, 2, Options{Pipeline: 4})
-	addr := s.Addr()
+	addr := first.RemoteAddr().String() // s.Addr() is empty until Serve has registered the listener
 	const conns, n = 8, 256
 	done := make(chan int, conns)
 	var answered atomic.Int64

@@ -156,12 +156,15 @@ type DurabilityOptions struct {
 	Loggers int
 	// Sync fsyncs after each logger pass that wrote data.
 	Sync bool
-	// InMemory logs to memory instead of files (the paper's Silo+tmpfs).
-	InMemory bool
-	// TIDOnly logs 8 bytes per transaction (Figure 11 "+SmallRecs";
-	// recovery impossible).
+	// TIDOnly logs each transaction's TID and none of its writes (Figure 11
+	// "+SmallRecs", an upper bound on any logging scheme). Such a log cannot
+	// be replayed: Recover returns an error, and Open refuses it together
+	// with CheckpointInterval.
 	TIDOnly bool
-	// Compress DEFLATE-compresses log buffers (Figure 11 "+Compress").
+	// Compress DEFLATE-compresses log buffers (Figure 11 "+Compress"). It
+	// configures writing only: compressed frames say so themselves, so
+	// Recover, TruncateLogs and cmd/silo-recover read any mix of both, and a
+	// directory may be reopened with the setting changed.
 	Compress bool
 
 	// SegmentBytes rotates each logger to a fresh log segment
@@ -175,11 +178,11 @@ type DurabilityOptions struct {
 	// interval it writes a partitioned checkpoint off a snapshot epoch
 	// (never blocking writers), prunes superseded checkpoint sets, and
 	// deletes log segments whose transactions all predate the checkpoint.
-	// Requires snapshots and an on-disk Dir. On a fresh database the
-	// daemon starts with Open; over an existing log directory it starts
-	// only after Recover succeeds, so an early checkpoint can never
-	// truncate data that has not been replayed yet. 0 disables the daemon
-	// (checkpoints are taken manually with DB.Checkpoint).
+	// Requires snapshots and a replayable log (not TIDOnly). On a fresh
+	// database the daemon starts with Open; over an existing log directory
+	// it starts only after Recover succeeds, so an early checkpoint can
+	// never truncate data that has not been replayed yet. 0 disables the
+	// daemon (checkpoints are taken manually with DB.Checkpoint).
 	CheckpointInterval time.Duration
 	// CheckpointPartitions is the number of concurrent partition writers
 	// per checkpoint (both for the daemon and DB.Checkpoint). Default 4.
@@ -193,8 +196,10 @@ type DurabilityOptions struct {
 	RecoveryWorkers int
 
 	// FS is the filesystem the log, checkpoints, and recovery go through;
-	// nil means the real one. The simulation harness substitutes a
-	// fault-injecting in-memory filesystem.
+	// nil means the real one. The simulation harness substitutes its
+	// fault-injecting in-memory filesystem (internal/sim); with no fault
+	// armed that is also the paper's Silo+tmpfs configuration — the same
+	// logger without the device (Figure 7).
 	FS vfs.FS
 
 	// LegacyStopDrain reverts Close's log drain to its historical behavior,
@@ -250,31 +255,25 @@ func Open(opts Options) (*DB, error) {
 	db.catalog = catalog.New(db.store, db.indexes)
 	if opts.Durability != nil {
 		d := opts.Durability
-		mode := wal.ModeFull
-		if d.TIDOnly {
-			mode = wal.ModeTIDOnly
-		}
 		if d.CheckpointInterval > 0 {
 			if opts.DisableSnapshots {
 				db.store.Close()
 				return nil, errors.New("silo: CheckpointInterval requires snapshots")
 			}
-			if d.InMemory || d.Dir == "" {
+			if d.TIDOnly {
 				db.store.Close()
-				return nil, errors.New("silo: CheckpointInterval requires an on-disk Durability.Dir")
+				return nil, errors.New("silo: CheckpointInterval would truncate a TIDOnly log that cannot be replayed")
 			}
 		}
 		// Before Attach creates this run's (empty) log files: does the
 		// directory already hold data to recover?
 		hadLogs := false
 		fs := vfs.DefaultFS(d.FS)
-		if !d.InMemory && d.Dir != "" {
-			if infos, err := wal.ListLogFiles(fs, d.Dir); err == nil {
-				for _, fi := range infos {
-					if size, isDir, err := fs.Stat(fi.Path); err == nil && !isDir && size > 0 {
-						hadLogs = true
-						break
-					}
+		if infos, err := wal.ListLogFiles(fs, d.Dir); err == nil {
+			for _, fi := range infos {
+				if size, isDir, err := fs.Stat(fi.Path); err == nil && !isDir && size > 0 {
+					hadLogs = true
+					break
 				}
 			}
 		}
@@ -282,8 +281,7 @@ func Open(opts Options) (*DB, error) {
 			Dir:             d.Dir,
 			Loggers:         d.Loggers,
 			Sync:            d.Sync,
-			InMemory:        d.InMemory,
-			Mode:            mode,
+			TIDOnly:         d.TIDOnly,
 			Compress:        d.Compress,
 			SegmentBytes:    d.SegmentBytes,
 			FS:              d.FS,
@@ -767,15 +765,17 @@ func (db *DB) Recover() (RecoveryResult, error) {
 		return RecoveryResult{}, errors.New("silo: Recover requires Options.Durability")
 	}
 	d := db.opts.Durability
+	if d.TIDOnly {
+		return RecoveryResult{}, errors.New("silo: a TIDOnly log records no writes and cannot be recovered")
+	}
 	workers := d.RecoveryWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	res, err := recovery.Recover(db.store, d.Dir, recovery.Options{
-		Workers:    workers,
-		Compressed: d.Compress,
-		Schema:     db.catalog,
-		FS:         d.FS,
+		Workers: workers,
+		Schema:  db.catalog,
+		FS:      d.FS,
 	})
 	if err != nil {
 		return res, err
@@ -837,9 +837,6 @@ func (db *DB) Checkpoint(worker int) (CheckpointResult, error) {
 	if db.opts.DisableSnapshots {
 		return CheckpointResult{}, errors.New("silo: Checkpoint requires snapshots")
 	}
-	if db.opts.Durability.InMemory || db.opts.Durability.Dir == "" {
-		return CheckpointResult{}, errors.New("silo: Checkpoint requires an on-disk Durability.Dir")
-	}
 	parts := db.opts.Durability.CheckpointPartitions
 	if parts <= 0 {
 		parts = 4
@@ -863,11 +860,12 @@ func (db *DB) CheckpointDaemon() (stats CheckpointDaemonStats, ok bool) {
 // TruncateLogs deletes log files entirely covered by a checkpoint at epoch
 // ce (as returned in CheckpointResult.Epoch): those that hold no
 // transaction with epoch ≥ ce, except each logger's newest file, which
-// carries the logger's durable bound. Loggers must be stopped: call it
-// between Close and a subsequent Open, from an administrative process, or
-// via cmd/silo-recover.
-func TruncateLogs(dir string, ce uint64, compressed bool) ([]string, error) {
-	return wal.TruncateLogs(dir, ce, compressed)
+// carries the logger's durable bound. A file that cannot be read to its end
+// (a frame with a valid checksum that does not decode) is kept and named in
+// the error. Loggers must be stopped: call it between Close and a subsequent
+// Open, from an administrative process, or via cmd/silo-recover.
+func TruncateLogs(dir string, ce uint64) ([]string, error) {
+	return wal.TruncateLogs(dir, ce)
 }
 
 // Store exposes the underlying engine for benchmarks and tests that need

@@ -303,7 +303,7 @@ func TestCheckpointRecoverTruncate(t *testing.T) {
 	// Truncation between sessions: pre-checkpoint-only log files go away
 	// (here there is one log file containing post-checkpoint data too, so
 	// nothing is removed — the call must still be safe).
-	if _, err := silo.TruncateLogs(dir, ck.Epoch, false); err != nil {
+	if _, err := silo.TruncateLogs(dir, ck.Epoch); err != nil {
 		t.Fatal(err)
 	}
 }
