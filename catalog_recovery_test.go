@@ -70,7 +70,7 @@ func TestSelfDescribingRecoverySchemaEquivalence(t *testing.T) {
 
 	users := db.CreateTable("users")
 	orders := db.CreateTable("orders")
-	if _, err := db.CreateCoveringIndexSpec(0, users, "users_city", false, citySpec(), cityInclude()); err != nil {
+	if _, err := db.CreateIndexSpec(0, users, "users_city", false, citySpec(), cityInclude()...); err != nil {
 		t.Fatal(err)
 	}
 	// Transform spec: owner little-endian in the row, order id inverted —
@@ -190,7 +190,7 @@ func TestSelfDescribingRecoverySchemaEquivalence(t *testing.T) {
 		n := 0
 		if err := db2.Run(0, func(tx *silo.Tx) error {
 			n = 0
-			return silo.ScanIndexCovering(tx, db2.Index("users_city"), []byte{0}, nil, func(_, _, fields []byte) bool {
+			return silo.ScanIndexCovering(tx, db2.Index("users_city"), []byte{0}, nil, 0, func(_, _, fields []byte) bool {
 				if len(fields) != 4 {
 					t.Errorf("%s: covering fields %d bytes, want 4", name, len(fields))
 				}
@@ -218,7 +218,7 @@ func TestSelfDescribingRecoverySchemaEquivalence(t *testing.T) {
 	defer db3.Close()
 	u3 := db3.CreateTable("users")
 	o3 := db3.CreateTable("orders")
-	if _, err := db3.CreateCoveringIndexSpec(0, u3, "users_city", false, citySpec(), cityInclude()); err != nil {
+	if _, err := db3.CreateIndexSpec(0, u3, "users_city", false, citySpec(), cityInclude()...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db3.CreateIndexSpec(0, o3, "orders_by_owner", true, []silo.IndexSeg{

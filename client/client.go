@@ -235,23 +235,13 @@ func (cl *Client) Scan(table string, lo, hi []byte, limit int) ([]wire.KV, error
 // row value). The server backfills existing rows before replying; from
 // then on the index is maintained inside every transaction that writes the
 // table. Creation is idempotent for an identical declaration.
-func (cl *Client) CreateIndex(index, table string, unique bool, segs []wire.IndexSeg) error {
-	return cl.expectOK(&wire.Request{Ops: []wire.Op{{
-		Kind:   wire.KindCreateIndex,
-		Index:  index,
-		Table:  table,
-		Unique: unique,
-		Segs:   segs,
-	}}})
-}
-
-// CreateCoveringIndex is CreateIndex for a covering index: the include
-// segments name fixed-position row fields whose bytes ride in every index
-// entry, so IndexScanCovering serves them without the server touching the
-// primary table. The include list is part of the declaration — recovery
-// on the server rejects a re-declaration whose include list no longer
-// matches the logged entries.
-func (cl *Client) CreateCoveringIndex(index, table string, unique bool, segs, include []wire.IndexSeg) error {
+//
+// Include segments make the index covering: they name fixed-position row
+// fields whose bytes ride in every index entry, so IndexScanCovering
+// serves them without the server touching the primary table. The include
+// list is part of the declaration — recovery on the server rejects a
+// re-declaration whose include list no longer matches the logged entries.
+func (cl *Client) CreateIndex(index, table string, unique bool, segs []wire.IndexSeg, include ...wire.IndexSeg) error {
 	return cl.expectOK(&wire.Request{Ops: []wire.Op{{
 		Kind:   wire.KindCreateIndex,
 		Index:  index,

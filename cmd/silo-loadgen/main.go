@@ -128,12 +128,6 @@ func main() {
 	}
 
 	scanMode := scanModeOf(*useIndex, *covering)
-	if *snapScan && scanMode == scanBatched {
-		// Snapshot index scans resolve per-entry (there is no batched
-		// snapshot variant — snapshots never abort, so batching buys no
-		// validation-window shrinkage); label the report with what runs.
-		scanMode = scanPerEntry
-	}
 	var db *silo.DB
 	var run func(c int, gen *ycsb.Generator, stop *atomic.Bool) (clientResult, error)
 	if *embedded {
@@ -310,8 +304,7 @@ type scanMode int
 
 const (
 	scanPrimary  scanMode = iota // no index: primary range scans
-	scanBatched                  // index scan, batched multi-get resolution (default)
-	scanPerEntry                 // index scan, one point read per entry (snapshot scans)
+	scanBatched                  // index scan resolving rows (default)
 	scanCovering                 // covering index scan, no resolution at all
 )
 
@@ -319,8 +312,6 @@ func (m scanMode) String() string {
 	switch m {
 	case scanBatched:
 		return "batched"
-	case scanPerEntry:
-		return "per-entry"
 	case scanCovering:
 		return "covering"
 	}
@@ -353,7 +344,7 @@ func setupWire(cfg ycsb.Config, addr, table string, conns, txnOps int, load bool
 			fatal(fmt.Errorf("dial: %w", err))
 		}
 		if mode == scanCovering {
-			err = cl.CreateCoveringIndex(indexName+"_cov", table, false, toWireSegs(indexSegs()), toWireSegs(coveringIncs()))
+			err = cl.CreateIndex(indexName+"_cov", table, false, toWireSegs(indexSegs()), toWireSegs(coveringIncs())...)
 		} else {
 			err = cl.CreateIndex(indexName, table, false, toWireSegs(indexSegs()))
 		}
@@ -441,7 +432,7 @@ func runWireScan(cl *client.Client, table string, op ycsb.Op, kb *[]byte, mode s
 		*kb = indexScanLo(*kb, op)
 		_, err := cl.IndexScanCovering(indexName+"_cov", *kb, nil, op.Len, snapshot)
 		return err
-	case scanBatched, scanPerEntry:
+	case scanBatched:
 		*kb = indexScanLo(*kb, op)
 		_, err := cl.IndexScan(indexName, *kb, nil, op.Len, snapshot)
 		return err
@@ -570,7 +561,7 @@ func setupEmbedded(cfg ycsb.Config, clients int, mode scanMode, snapScan bool, l
 	var ix *silo.Index
 	if mode != scanPrimary {
 		if mode == scanCovering {
-			ix, err = db.CreateCoveringIndexSpec(0, tbl, indexName+"_cov", false, indexSegs(), coveringIncs())
+			ix, err = db.CreateIndexSpec(0, tbl, indexName+"_cov", false, indexSegs(), coveringIncs()...)
 		} else {
 			ix, err = db.CreateIndexSpec(0, tbl, indexName, false, indexSegs())
 		}
@@ -605,39 +596,20 @@ func setupEmbedded(cfg ycsb.Config, clients int, mode scanMode, snapScan bool, l
 }
 
 // runEmbeddedIndexScan reads up to n entries through the counter index
-// starting at entry key lo — resolving rows with batched multi-get (per
-// entry at a snapshot), or serving the covering projection straight from
-// entry values — serializably or at a snapshot.
+// starting at entry key lo — resolving rows, or serving the covering
+// projection straight from entry values — serializably or at a snapshot.
 func runEmbeddedIndexScan(db *silo.DB, worker int, ix *silo.Index, lo []byte, n int, mode scanMode, snapshot bool) bool {
-	count := 0
-	visit := func(_, _, _ []byte) bool {
-		count++
-		return count < n
+	visit := func(_, _, _ []byte) bool { return true }
+	scan := func(r silo.Reader) error {
+		if mode == scanCovering {
+			return silo.ScanIndexCovering(r, ix, lo, nil, n, visit)
+		}
+		return silo.ScanIndexBatched(r, ix, lo, nil, n, visit)
 	}
-	var err error
-	switch {
-	case snapshot && mode == scanCovering:
-		err = db.RunSnapshot(worker, func(stx *silo.SnapTx) error {
-			count = 0
-			return silo.ScanIndexSnapshotCovering(stx, ix, lo, nil, visit)
-		})
-	case snapshot:
-		err = db.RunSnapshot(worker, func(stx *silo.SnapTx) error {
-			count = 0
-			return silo.ScanIndexSnapshot(stx, ix, lo, nil, visit)
-		})
-	case mode == scanCovering:
-		err = db.RunNoRetry(worker, func(tx *silo.Tx) error {
-			count = 0
-			return silo.ScanIndexCovering(tx, ix, lo, nil, visit)
-		})
-	default:
-		err = db.RunNoRetry(worker, func(tx *silo.Tx) error {
-			count = 0
-			return silo.ScanIndexBatched(tx, ix, lo, nil, n, visit)
-		})
+	if snapshot {
+		return db.RunSnapshot(worker, func(stx *silo.SnapTx) error { return scan(stx) }) == nil
 	}
-	return err == nil
+	return db.RunNoRetry(worker, func(tx *silo.Tx) error { return scan(tx) }) == nil
 }
 
 func fatal(err error) {

@@ -29,7 +29,7 @@ func TestRecoverRejectsChangedIncludeList(t *testing.T) {
 			t.Fatal(err)
 		}
 		users := db.CreateTable("users")
-		if _, err := db.CreateCoveringIndexSpec(0, users, "users_city", false, citySpec(), include); err != nil {
+		if _, err := db.CreateIndexSpec(0, users, "users_city", false, citySpec(), include...); err != nil {
 			db.Close()
 			t.Fatalf("declare covering index: %v", err)
 		}
@@ -89,7 +89,7 @@ func TestRecoverRejectsChangedIncludeList(t *testing.T) {
 	n := 0
 	if err := db4.Run(0, func(tx *silo.Tx) error {
 		n = 0
-		return silo.ScanIndexCovering(tx, db4.Index("users_city"), []byte{0}, nil, func(_, pk, fields []byte) bool {
+		return silo.ScanIndexCovering(tx, db4.Index("users_city"), []byte{0}, nil, 0, func(_, pk, fields []byte) bool {
 			n++
 			return true
 		})
@@ -118,7 +118,7 @@ func TestRecoverRejectsAddedIncludeList(t *testing.T) {
 			t.Fatal(err)
 		}
 		users := db.CreateTable("users")
-		if _, err := db.CreateCoveringIndexSpec(0, users, "users_city", false, citySpec(), include); err != nil {
+		if _, err := db.CreateIndexSpec(0, users, "users_city", false, citySpec(), include...); err != nil {
 			db.Close()
 			t.Fatalf("declare index: %v", err)
 		}

@@ -95,9 +95,10 @@ func main() {
 	time.Sleep(100 * time.Millisecond) // let the writers get going
 
 	analyst := writers // the last worker
-	scanAll := func(get func(fn func(k, v []byte) bool) error) (uint64, error) {
+	// One report body for both transaction kinds: each is a silo.Reader.
+	scanAll := func(r silo.Reader) (uint64, error) {
 		var sum uint64
-		err := get(func(k, v []byte) bool {
+		err := r.Scan(metrics, key(0), nil, func(k, v []byte) bool {
 			sum += binary.LittleEndian.Uint64(v)
 			return true
 		})
@@ -112,9 +113,7 @@ func main() {
 		time.Sleep(2 * time.Millisecond)
 		for {
 			err := db.RunNoRetry(analyst, func(tx *silo.Tx) error {
-				_, err := scanAll(func(fn func(k, v []byte) bool) error {
-					return tx.Scan(metrics, key(0), nil, fn)
-				})
+				_, err := scanAll(tx)
 				return err
 			})
 			if err == silo.ErrConflict {
@@ -134,9 +133,7 @@ func main() {
 	for r := 0; r < reports; r++ {
 		time.Sleep(2 * time.Millisecond)
 		err := db.RunSnapshot(analyst, func(stx *silo.SnapTx) error {
-			sum, err := scanAll(func(fn func(k, v []byte) bool) error {
-				return stx.Scan(metrics, key(0), nil, fn)
-			})
+			sum, err := scanAll(stx)
 			lastSum = sum
 			return err
 		})

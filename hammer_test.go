@@ -391,7 +391,7 @@ func cityInclude() []silo.IndexSeg { return []silo.IndexSeg{{FromValue: true, Of
 
 func createCityIndex(db *silo.DB, covering bool) (*silo.Index, error) {
 	if covering {
-		return db.CreateCoveringIndexSpec(0, db.Table("users"), "users_city", false, citySpec(), cityInclude())
+		return db.CreateIndexSpec(0, db.Table("users"), "users_city", false, citySpec(), cityInclude()...)
 	}
 	return db.CreateIndex(0, db.Table("users"), "users_city", false, cityIndexKey)
 }

@@ -369,13 +369,9 @@ func (c *Catalog) replayIndex(rec *Record) error {
 	if err != nil {
 		return c.markBroken(rec, err)
 	}
-	var ix *index.Index
-	if rec.Include != nil {
-		if ix, err = index.NewCovering(c.store, on, rec.Name, rec.Unique, key, rec.Include); err != nil {
-			return c.markBroken(rec, err)
-		}
-	} else {
-		ix = index.New(c.store, on, rec.Name, rec.Unique, key)
+	ix, err := index.New(c.store, on, rec.Name, rec.Unique, key, rec.Include...)
+	if err != nil {
+		return c.markBroken(rec, err)
 	}
 	ix.Spec = append([]index.Seg(nil), rec.Spec...)
 	c.reg.Register(ix)

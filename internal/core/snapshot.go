@@ -34,7 +34,8 @@ func (stx *SnapTx) finish() {
 
 // snapshotVersion resolves the version of rec visible at epoch sew,
 // returning its value (appended to buf) and whether the key is visible
-// (present and not absent). The current version's word may change
+// (present and not absent); a miss returns buf emptied, so the caller's
+// read buffer survives it. The current version's word may change
 // concurrently and is read with the validation protocol; superseded chain
 // versions are immutable.
 //
@@ -52,7 +53,7 @@ func snapshotVersion(rec *record.Record, sew uint64, buf []byte) (val []byte, vi
 	v, w := rec.Read(buf)
 	if w.Epoch() < sew {
 		if w.Absent() || w.TID() == 0 {
-			return nil, false
+			return buf[:0], false
 		}
 		return v, true
 	}
@@ -62,36 +63,66 @@ func snapshotVersion(rec *record.Record, sew uint64, buf []byte) (val []byte, vi
 		pw := p.Word()
 		if pw.Epoch() < sew {
 			if pw.Absent() || pw.TID() == 0 {
-				return nil, false
+				return buf[:0], false
 			}
 			return append(buf[:0], p.DataUnsafe()...), true
 		}
 	}
-	return nil, false
+	return buf[:0], false
 }
 
 // Get returns the value for key at the snapshot epoch, or ErrNotFound. The
 // returned slice is owned by the caller.
 func (stx *SnapTx) Get(t *Table, key []byte) ([]byte, error) {
+	return stx.GetAppend(t, key, nil)
+}
+
+// GetAppend is Get appending the value to buf instead of allocating,
+// returning the extended buffer.
+func (stx *SnapTx) GetAppend(t *Table, key, buf []byte) ([]byte, error) {
 	if !stx.active {
-		return nil, ErrTxDone
+		return buf, ErrTxDone
 	}
 	if !validKey(key) {
-		return nil, ErrKeyInvalid
+		return buf, ErrKeyInvalid
 	}
 	rec, _, _ := t.Tree.Get(key)
 	if rec == nil {
-		return nil, ErrNotFound
+		return buf, ErrNotFound
 	}
 	val, ok := snapshotVersion(rec, stx.sew, stx.rbuf)
+	stx.rbuf = val[:0]
 	stx.w.stats.Reads++
 	if !ok {
-		stx.rbuf = val[:0]
-		return nil, ErrNotFound
+		return buf, ErrNotFound
 	}
-	out := append([]byte(nil), val...)
-	stx.rbuf = val[:0]
-	return out, nil
+	return append(buf, val...), nil
+}
+
+// GetBatch is Tx.GetBatch at the snapshot epoch: keys sorted ascending, fn
+// called once per key in order with the value (valid only during the
+// callback) or ErrNotFound, one tree descent per leaf run. Nothing is
+// recorded.
+func (stx *SnapTx) GetBatch(t *Table, keys [][]byte, fn func(i int, val []byte, err error) bool) error {
+	if !stx.active {
+		return ErrTxDone
+	}
+	if err := checkBatch(keys); err != nil {
+		return err
+	}
+	t.Tree.GetBatch(keys, func(i int, rec *record.Record, _ *btree.Node, _ uint64) bool {
+		if rec == nil {
+			return fn(i, nil, ErrNotFound)
+		}
+		val, ok := snapshotVersion(rec, stx.sew, stx.rbuf)
+		stx.rbuf = val[:0]
+		stx.w.stats.Reads++
+		if !ok {
+			return fn(i, nil, ErrNotFound)
+		}
+		return fn(i, val, nil)
+	})
+	return nil
 }
 
 // SnapshotScanAt visits keys in [lo, hi) of t at snapshot epoch sew,
@@ -105,21 +136,9 @@ func (stx *SnapTx) Get(t *Table, key []byte) ([]byte, error) {
 // worker's epoch slot holds the snapshot reclamation horizon below sew).
 // Scanning at an unpinned epoch may miss versions that were reclaimed.
 func SnapshotScanAt(t *Table, sew uint64, lo, hi []byte, fn func(key, value []byte) bool) error {
-	if !validKey(lo) || (hi != nil && len(hi) > btree.MaxKeyLen) {
-		return ErrKeyInvalid
-	}
 	var rbuf []byte
-	t.Tree.Scan(lo, hi,
-		func(*btree.Node, uint64) {},
-		func(key []byte, rec *record.Record) bool {
-			val, ok := snapshotVersion(rec, sew, rbuf)
-			rbuf = val[:0]
-			if !ok {
-				return true
-			}
-			return fn(key, val)
-		})
-	return nil
+	var reads uint64
+	return snapshotScan(t, sew, lo, hi, &rbuf, &reads, fn)
 }
 
 // Scan visits keys in [lo, hi) at the snapshot epoch. Values are valid only
@@ -129,19 +148,23 @@ func (stx *SnapTx) Scan(t *Table, lo, hi []byte, fn func(key, value []byte) bool
 	if !stx.active {
 		return ErrTxDone
 	}
+	return snapshotScan(t, stx.sew, lo, hi, &stx.rbuf, &stx.w.stats.Reads, fn)
+}
+
+// snapshotScan is the one snapshot range walk: it reads through *rbuf and
+// counts each record it examines in *reads.
+func snapshotScan(t *Table, sew uint64, lo, hi []byte, rbuf *[]byte, reads *uint64, fn func(key, value []byte) bool) error {
 	if !validKey(lo) || (hi != nil && len(hi) > btree.MaxKeyLen) {
 		return ErrKeyInvalid
 	}
-	t.Tree.Scan(lo, hi,
-		func(*btree.Node, uint64) {},
-		func(key []byte, rec *record.Record) bool {
-			val, ok := snapshotVersion(rec, stx.sew, stx.rbuf)
-			stx.rbuf = val[:0]
-			stx.w.stats.Reads++
-			if !ok {
-				return true
-			}
-			return fn(key, val)
-		})
+	t.Tree.Scan(lo, hi, nil, func(key []byte, rec *record.Record) bool {
+		val, ok := snapshotVersion(rec, sew, *rbuf)
+		*rbuf = val[:0]
+		*reads++
+		if !ok {
+			return true
+		}
+		return fn(key, val)
+	})
 	return nil
 }

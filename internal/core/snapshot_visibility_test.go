@@ -120,7 +120,16 @@ func TestSnapshotGroupBoundaryVisibility(t *testing.T) {
 				t.Errorf("snapshot %s = %d, want 100", k, got)
 			}
 		}
-		return nil
+		// GetBatch resolves every key, present or not, exactly as Get does.
+		keys := [][]byte{key("A"), key("B"), key("C"), key("D")}
+		return stx.GetBatch(tbl, keys, func(i int, val []byte, err error) bool {
+			got := string(val) // val is only valid until the next read
+			want, werr := stx.Get(tbl, keys[i])
+			if err != werr || got != string(want) {
+				t.Errorf("GetBatch %s = %x, %v; Get = %x, %v", keys[i], got, err, want, werr)
+			}
+			return true
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}

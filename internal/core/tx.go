@@ -66,6 +66,17 @@ type nodeEntry struct {
 	table   *Table
 }
 
+// Reader is what both transaction kinds read through. A *Tx records what
+// it reads and validates it at commit; a *SnapTx reads at its snapshot
+// epoch and never validates. Either way a read is the same invisible
+// operation (§4.4, §4.9), so code that only reads — index scans, read-only
+// transaction bodies — takes a Reader and runs unchanged under both.
+type Reader interface {
+	GetAppend(t *Table, key, buf []byte) ([]byte, error)
+	GetBatch(t *Table, keys [][]byte, fn func(i int, val []byte, err error) bool) error
+	Scan(t *Table, lo, hi []byte, fn func(key, value []byte) bool) error
+}
+
 // Tx is a serializable read/write transaction (§4.4). It tracks a read-set
 // (records read, with the TID word observed), a write-set (new record
 // states), and a node-set (B+-tree leaves whose versions guard range and
@@ -322,36 +333,7 @@ func (tx *Tx) hookDelete(hooks []WriteHook, pk, oldVal []byte) error {
 // ErrNotFound; both register the observation so commit-time validation
 // preserves serializability (§4.5, §4.6).
 func (tx *Tx) Get(t *Table, key []byte) ([]byte, error) {
-	if !tx.active {
-		return nil, ErrTxDone
-	}
-	if !validKey(key) {
-		return nil, ErrKeyInvalid
-	}
-	if i := tx.findWrite(t, key); i >= 0 {
-		if tx.writes[i].kind == writeDelete {
-			return nil, ErrNotFound
-		}
-		return append([]byte(nil), tx.writes[i].value...), nil
-	}
-	rec, n, ver := t.Tree.Get(key)
-	if rec == nil {
-		tx.addNode(t, n, ver)
-		return nil, ErrNotFound
-	}
-	val, w := rec.Read(tx.rbuf)
-	tx.rbuf = val[:0]
-	tx.addRead(t, key, rec, w)
-	tx.tallyRead(t)
-	if w.Absent() {
-		return nil, ErrNotFound
-	}
-	if !w.Latest() {
-		// Superseded version reached through the tree: a concurrent
-		// structural change is in flight; not serializable to use it.
-		return nil, ErrConflict
-	}
-	return append([]byte(nil), val...), nil
+	return tx.GetAppend(t, key, nil)
 }
 
 // GetAppend is Get appending the value to buf instead of allocating,
@@ -383,9 +365,24 @@ func (tx *Tx) GetAppend(t *Table, key, buf []byte) ([]byte, error) {
 		return buf, ErrNotFound
 	}
 	if !w.Latest() {
+		// Superseded version reached through the tree: a concurrent
+		// structural change is in flight; not serializable to use it.
 		return buf, ErrConflict
 	}
 	return append(buf, val...), nil
+}
+
+// checkBatch screens a GetBatch key list: every key valid, ascending.
+func checkBatch(keys [][]byte) error {
+	for i, k := range keys {
+		if !validKey(k) {
+			return ErrKeyInvalid
+		}
+		if i > 0 && bytes.Compare(keys[i-1], k) > 0 {
+			return errors.New("silo: GetBatch keys not sorted")
+		}
+	}
+	return nil
 }
 
 // GetBatch reads many keys in one pass. keys must be sorted ascending
@@ -403,13 +400,8 @@ func (tx *Tx) GetBatch(t *Table, keys [][]byte, fn func(i int, val []byte, err e
 	if !tx.active {
 		return ErrTxDone
 	}
-	for i, k := range keys {
-		if !validKey(k) {
-			return ErrKeyInvalid
-		}
-		if i > 0 && bytes.Compare(keys[i-1], k) > 0 {
-			return errors.New("silo: GetBatch keys not sorted")
-		}
+	if err := checkBatch(keys); err != nil {
+		return err
 	}
 	var inner error
 	t.Tree.GetBatch(keys, func(i int, rec *record.Record, n *btree.Node, ver uint64) bool {

@@ -7,11 +7,11 @@ import (
 	"silo/internal/core"
 )
 
-// batched_adaptive_test.go pins ScanBatched's resolution-mode choice: a
-// sample of the first collected primary keys decides between the ordered
-// multi-get (clustered pks) and the streaming per-entry fallback
-// (scattered pks). Either way the results must match the per-entry
-// reference scan exactly.
+// batched_adaptive_test.go pins Scan's resolution-mode choice: a sample
+// of the first collected primary keys decides between the ordered
+// multi-get (clustered pks) and one point read per entry (scattered pks).
+// Either way the results must match the entries-plus-point-reads
+// reference exactly.
 
 // scatterPK derives a hash-like primary key: a SplitMix64 step renders as
 // hex, so consecutive ids share essentially no prefix.
@@ -24,7 +24,7 @@ func scatterPK(i int) []byte {
 }
 
 func scanModes(ix *Index) (batched, streamed uint64) {
-	return ix.obs.scanBatched.Load(), ix.obs.scanStreamed.Load()
+	return ix.obs.modes[modeBatched].Load(), ix.obs.modes[modeStreamed].Load()
 }
 
 func runBatched(t *testing.T, w *core.Worker, ix *Index, lo, hi []byte) []string {
@@ -32,7 +32,7 @@ func runBatched(t *testing.T, w *core.Worker, ix *Index, lo, hi []byte) []string
 	var got []string
 	if err := w.Run(func(tx *core.Tx) error {
 		got = got[:0]
-		return ScanBatched(tx, ix, lo, hi, 0, func(sk, pk, val []byte) bool {
+		return Scan(tx, ix, lo, hi, 0, func(sk, pk, val []byte) bool {
 			got = append(got, fmt.Sprintf("%s/%s=%s", sk, pk, val[12:]))
 			return true
 		})
@@ -43,12 +43,12 @@ func runBatched(t *testing.T, w *core.Worker, ix *Index, lo, hi []byte) []string
 }
 
 // TestBatchedScatteredFallsBackToStreaming: hash-like pks share no
-// prefix, so the clustering sample must route resolution through the
-// streaming fallback — with results identical to the per-entry scan.
+// prefix, so the clustering sample must route resolution through one
+// point read per entry — with results identical to the reference.
 func TestBatchedScatteredFallsBackToStreaming(t *testing.T) {
 	s := newStore(t, 1)
 	users := s.CreateTable("users")
-	byCity := New(s, users, "users_by_city", false, cityKey)
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 	w := s.Worker(0)
 	for i := 0; i < 32; i++ {
 		pk := scatterPK(i)
@@ -62,7 +62,11 @@ func TestBatchedScatteredFallsBackToStreaming(t *testing.T) {
 	var ref []string
 	if err := w.Run(func(tx *core.Tx) error {
 		ref = ref[:0]
-		return Scan(tx, byCity, []byte("AMS"), []byte("AMT"), func(sk, pk, val []byte) bool {
+		return ScanEntries(tx, byCity, []byte("AMS"), []byte("AMT"), func(sk, pk []byte) bool {
+			val, err := tx.Get(users, pk)
+			if err != nil {
+				t.Fatalf("reference resolve %s: %v", pk, err)
+			}
 			ref = append(ref, fmt.Sprintf("%s/%s=%s", sk, pk, val[12:]))
 			return true
 		})
@@ -88,7 +92,7 @@ func TestBatchedScatteredFallsBackToStreaming(t *testing.T) {
 func TestBatchedClusteredKeepsMultiGet(t *testing.T) {
 	s := newStore(t, 1)
 	users := s.CreateTable("users")
-	byCity := New(s, users, "users_by_city", false, cityKey)
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 	w := s.Worker(0)
 	for i := 0; i < 32; i++ {
 		insertUser(t, w, users, i, "AMS", uint64(i), name(i))

@@ -9,8 +9,8 @@ import (
 
 // batched_occ_test.go pins down the batched-resolution OCC path
 // deterministically: testHookAfterCollect lands a concurrent committed
-// write exactly between ScanBatched's entry collection and its batched
-// primary resolution. The scanning transaction must abort — at resolution
+// write exactly between Scan's entry collection and its batched primary
+// resolution. The scanning transaction must abort — at resolution
 // (row vanished) or at commit (read-/node-set validation) — and never
 // commit a torn result. A same-key update, which is serializable as
 // writer-before-scanner, is the positive control: it must commit and show
@@ -26,7 +26,7 @@ func batchedSetup(t *testing.T) (*core.Store, *core.Table, *Index) {
 	t.Helper()
 	s := newStore(t, 2)
 	users := s.CreateTable("users")
-	byCity := New(s, users, "users_by_city", false, cityKey)
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 	w := s.Worker(0)
 	for i := 0; i < 8; i++ {
 		insertUser(t, w, users, i, "AMS", uint64(i), name(i))
@@ -36,10 +36,10 @@ func batchedSetup(t *testing.T) (*core.Store, *core.Table, *Index) {
 
 // TestBatchedResolveRowDeletedInGap: the concurrent writer deletes a
 // collected row; resolution finds the entry's row gone and must report
-// ErrConflict (retryable), not fabricate or skip a row. The batch is in
-// primary-key order, so it is emitted as it resolves: the callback has
-// seen exactly the rows before the missing one when the conflict
-// surfaces — the prefix a re-executed transaction body must discard.
+// ErrConflict (retryable), not fabricate or skip a row. Rows are emitted
+// in entry order up to the first missing one: the callback has seen
+// exactly the rows before it when the conflict surfaces — the prefix a
+// re-executed transaction body must discard.
 func TestBatchedResolveRowDeletedInGap(t *testing.T) {
 	s, users, byCity := batchedSetup(t)
 	w0, w1 := s.Worker(0), s.Worker(1)
@@ -54,7 +54,7 @@ func TestBatchedResolveRowDeletedInGap(t *testing.T) {
 
 	tx := w0.Begin()
 	var emitted []string
-	err := ScanBatched(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(_, pk, _ []byte) bool {
+	err := Scan(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(_, pk, _ []byte) bool {
 		emitted = append(emitted, string(pk))
 		return true
 	})
@@ -85,7 +85,7 @@ func TestBatchedResolveRowMovedInGap(t *testing.T) {
 
 	tx := w0.Begin()
 	torn := false
-	err := ScanBatched(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(sk, pk, val []byte) bool {
+	err := Scan(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(sk, pk, val []byte) bool {
 		if string(sk) != string(val[:len(sk)]) {
 			torn = true // AMS entry paired with a BER row: must not commit
 		}
@@ -125,7 +125,7 @@ func TestBatchedResolveSameKeyUpdateInGap(t *testing.T) {
 	tx := w0.Begin()
 	sawNew := false
 	n := 0
-	err := ScanBatched(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(sk, pk, val []byte) bool {
+	err := Scan(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(sk, pk, val []byte) bool {
 		n++
 		if string(pk) == "u003" {
 			var u uint64

@@ -12,18 +12,18 @@ import (
 	"silo/internal/race"
 )
 
-// batched_stream_test.go covers ScanBatched's two emission orders. A
-// batch whose collected primary keys are already ascending is emitted
-// from inside the multi-get, row by row as it resolves; any other batch
-// is resolved in primary order into a staging arena and emitted after.
-// Both must be indistinguishable from the per-entry Scan — in full, and
-// when the caller stops at any position — and neither may allocate.
+// batched_stream_test.go covers Scan's two staging orders. A window whose
+// collected primary keys already ascend is resolved in entry order; any
+// other window is sorted by primary key first. Both must be
+// indistinguishable from the naive reference — in full, and when the
+// caller stops at any position — and neither may allocate.
 
 // TestBatchedEmissionOrdersAgree runs the property-test workload under
 // two indexes: one keyed by a random spec (secondary order scrambles
-// primary order: staged) and one keyed by the primary key itself
-// (parallel: streamed). On each, ScanBatched ≡ Scan for the whole range
-// and for a stop after every k-th row.
+// primary order: sorted before resolution) and one keyed by the primary
+// key itself (parallel: resolved as collected). On each, Scan matches the
+// reference for the whole range and for a stop after every k-th row, with
+// max 0 and with max k.
 func TestBatchedEmissionOrdersAgree(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
@@ -44,8 +44,8 @@ func TestBatchedEmissionOrdersAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		indexes := []*Index{
-			New(s, tbl, "rows_scrambled", false, scrambled),
-			New(s, tbl, "rows_parallel", false, parallel),
+			mustNew(t, s, tbl, "rows_scrambled", false, scrambled),
+			mustNew(t, s, tbl, "rows_parallel", false, parallel),
 		}
 		for i := 0; i < 200; i++ {
 			k := []byte(fmt.Sprintf("p%04d", rng.Intn(60)))
@@ -69,11 +69,8 @@ func TestBatchedEmissionOrdersAgree(t *testing.T) {
 
 		for _, ix := range indexes {
 			if err := w.Run(func(tx *core.Tx) error {
-				var ref []propTriple
-				if err := Scan(tx, ix, []byte{0}, nil, func(sk, pk, val []byte) bool {
-					ref = append(ref, propTriple{string(sk), string(pk), string(val)})
-					return true
-				}); err != nil {
+				ref, err := propReference(tx, ix, tbl, []byte{0}, nil)
+				if err != nil {
 					return err
 				}
 				if len(ref) <= 8 {
@@ -84,14 +81,14 @@ func TestBatchedEmissionOrdersAgree(t *testing.T) {
 					if ix == indexes[1] {
 						t.Fatalf("seed %d: the pk-keyed index did not collect in pk order", seed)
 					}
-					return nil // a random spec that happens to parallel pk order: nothing staged to check
+					return nil // a random spec that happens to parallel pk order: nothing sorted to check
 				}
 				sawStaged = sawStaged || !ascending
 				// Stop after row k, for every k; max 0 and max k must agree.
 				for k := 1; k <= len(ref); k++ {
 					for _, max := range []int{0, k} {
 						var got []propTriple
-						if err := ScanBatched(tx, ix, []byte{0}, nil, max, func(sk, pk, val []byte) bool {
+						if err := Scan(tx, ix, []byte{0}, nil, max, func(sk, pk, val []byte) bool {
 							got = append(got, propTriple{string(sk), string(pk), string(val)})
 							return len(got) < k
 						}); err != nil {
@@ -109,26 +106,26 @@ func TestBatchedEmissionOrdersAgree(t *testing.T) {
 		}
 	}
 	if !sawStaged {
-		t.Fatal("no seed produced an out-of-order batch: the staged emission was never exercised")
+		t.Fatal("no seed produced an out-of-order batch: the sorted resolution was never exercised")
 	}
 }
 
 // allocSetup is benchSetup's table under three indexes: ascending on the
-// row counter (batches stream), descending on it (batches are reversed:
-// sorted and staged), and covering.
+// row counter (windows resolve as collected), descending on it (windows
+// are reversed: sorted first), and covering.
 func allocSetup(t *testing.T) (w *core.Worker, tbl *core.Table, asc, desc, cov *Index) {
-	s, asc := benchSetup(t, nil)
+	s, asc := benchSetup(t, nil, false)
 	tbl = asc.On
 	key, err := CompileSpec([]Seg{{FromValue: true, Off: 0, Len: 8, Xform: XformInvert}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc = New(s, tbl, "rows_desc", false, key)
+	desc = mustNew(t, s, tbl, "rows_desc", false, key)
 	key, err = CompileSpec([]Seg{{FromValue: true, Off: 0, Len: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cov, err = NewCovering(s, tbl, "rows_cov", false, key, []Seg{{FromValue: true, Off: 0, Len: 16}}); err != nil {
+	if cov, err = New(s, tbl, "rows_cov", false, key, Seg{FromValue: true, Off: 0, Len: 16}); err != nil {
 		t.Fatal(err)
 	}
 	w = s.Worker(0)
@@ -137,6 +134,7 @@ func allocSetup(t *testing.T) (w *core.Worker, tbl *core.Table, asc, desc, cov *
 			t.Fatal(err)
 		}
 	}
+	coverWithSnapshot(s)
 	return w, tbl, asc, desc, cov
 }
 
@@ -156,8 +154,8 @@ func TestMirroredIndexes(t *testing.T) {
 }
 
 // testScansAllocateNothing: in steady state the scans allocate nothing,
-// and neither does the engine's ordered multi-get under ScanBatched —
-// whether the batch streams or is sorted and staged first.
+// under either reader, and neither does the engine's ordered multi-get —
+// whether the window resolves as collected or is sorted first.
 func testScansAllocateNothing(t *testing.T, w *core.Worker, tbl *core.Table, asc, desc, cov *Index) {
 	const start = 5000
 	lo := binary.BigEndian.AppendUint64(nil, start)
@@ -171,43 +169,48 @@ func testScansAllocateNothing(t *testing.T, w *core.Worker, tbl *core.Table, asc
 	n := 0
 	visit := func(_, _, _ []byte) bool { n++; return true }
 	visitRow := func(int, []byte, error) bool { return true }
-	measure := func(name string, rows int, body func(tx *core.Tx) error) float64 {
-		run := func() {
-			n = 0
-			if err := w.Run(body); err != nil {
-				t.Fatalf("%s: %v", name, err)
+	measure := func(name string, rows int, body func(r core.Reader) error) {
+		for _, snapshot := range []bool{false, true} {
+			run := func() {
+				n = 0
+				var err error
+				if snapshot {
+					err = w.RunSnapshot(func(stx *core.SnapTx) error { return body(stx) })
+				} else {
+					err = w.Run(func(tx *core.Tx) error { return body(tx) })
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if n != rows {
+					t.Fatalf("%s (snapshot %v) visited %d rows, want %d", name, snapshot, n, rows)
+				}
 			}
-			if n != rows {
-				t.Fatalf("%s visited %d rows, want %d", name, n, rows)
+			for i := 0; i < 8; i++ {
+				run() // grow the pooled scratch and the transaction's buffers
+			}
+			if got := testing.AllocsPerRun(100, run); got != 0 {
+				t.Errorf("%s (snapshot %v): %.1f allocs per %d-row scan, want 0", name, snapshot, got, benchScanLen)
 			}
 		}
-		for i := 0; i < 8; i++ {
-			run() // grow the pooled scratch and the transaction's buffers
-		}
-		return testing.AllocsPerRun(100, run)
 	}
 	for _, c := range []struct {
 		name string
 		rows int
-		body func(tx *core.Tx) error
+		body func(r core.Reader) error
 	}{
-		{"GetBatch", 0, func(tx *core.Tx) error { return tx.GetBatch(tbl, keys, visitRow) }},
-		{"Scan", benchScanLen, func(tx *core.Tx) error {
-			return Scan(tx, asc, lo, nil, func(_, _, _ []byte) bool { n++; return n < benchScanLen })
+		{"GetBatch", 0, func(r core.Reader) error { return r.GetBatch(tbl, keys, visitRow) }},
+		{"Scan", benchScanLen, func(r core.Reader) error {
+			return Scan(r, asc, lo, nil, benchScanLen, func(_, _, _ []byte) bool { n++; return true })
 		}},
-		{"ScanCovering", benchScanLen, func(tx *core.Tx) error {
-			return ScanCovering(tx, cov, lo, nil, func(_, _, _ []byte) bool { n++; return n < benchScanLen })
+		{"ScanCovering", benchScanLen, func(r core.Reader) error {
+			return ScanCovering(r, cov, lo, nil, benchScanLen, func(_, _, _ []byte) bool { n++; return true })
 		}},
-		{"ScanBatched streamed", benchScanLen, func(tx *core.Tx) error {
-			return ScanBatched(tx, asc, lo, nil, benchScanLen, visit)
-		}},
-		{"ScanBatched staged", benchScanLen, func(tx *core.Tx) error {
-			return ScanBatched(tx, desc, loDesc, hiDesc, 0, visit)
+		{"Scan sorted first", benchScanLen, func(r core.Reader) error {
+			return Scan(r, desc, loDesc, hiDesc, 0, visit)
 		}},
 	} {
-		if got := measure(c.name, c.rows, c.body); got != 0 {
-			t.Errorf("%s: %.1f allocs per %d-row scan, want 0", c.name, got, benchScanLen)
-		}
+		measure(c.name, c.rows, c.body)
 	}
 }
 
@@ -218,7 +221,7 @@ func testBatchedStagedMatchesStreamed(t *testing.T, w *core.Worker, asc, desc *I
 	page := func(ix *Index, lo, hi []byte) (pks [][]byte) {
 		if err := w.Run(func(tx *core.Tx) error {
 			pks = pks[:0]
-			return ScanBatched(tx, ix, lo, hi, 0, func(sk, pk, val []byte) bool {
+			return Scan(tx, ix, lo, hi, 0, func(sk, pk, val []byte) bool {
 				if !bytes.Equal(pk, val[:8]) {
 					t.Errorf("%s: pk %x resolved to row %x", ix.Name, pk, val[:8])
 				}

@@ -11,13 +11,14 @@
 //     Silo's serializability, epoch-based durability, and recovery for
 //     free — entry writes are regular logged writes.
 //   - Existing rows are folded in by a transactional Backfill pass.
-//   - Scan and Lookup resolve secondary keys to primary rows with phantom
-//     protection on both trees: the entry-tree scan records leaf versions
-//     (node-set, §4.6) and every resolved primary read joins the read-set,
-//     so a committed index scan observed a consistent secondary range and
-//     its exact primary rows.
-//   - SnapScan reads the index at a snapshot epoch (§4.9). Entry and row
-//     versions are judged by the same epoch, so the view is consistent.
+//   - Scan and Lookup resolve secondary keys to primary rows through a
+//     core.Reader, so either transaction kind reads an index. Under a Tx
+//     phantom protection covers both trees: the entry-tree scan records
+//     leaf versions (node-set, §4.6) and every resolved primary read joins
+//     the read-set, so a committed index scan observed a consistent
+//     secondary range and its exact primary rows. Under a SnapTx entries
+//     and rows are judged by the same snapshot epoch (§4.9), so the view is
+//     consistent without validation.
 //
 // Entry encoding: a unique index stores entry key = secondary key with the
 // primary key as value; a non-unique index appends the primary key to the
@@ -26,10 +27,10 @@
 // against the full entry key; callers of non-unique indexes should use
 // fixed-width secondary keys (as TPC-C does) or full-width bounds.
 //
-// A covering index (NewCovering) additionally projects fixed-segment row
-// fields into its entry values, so ScanCovering can serve those fields
-// without touching the primary tree at all — the index-only scan of §4.7's
-// "index as ordinary table" taken to its logical end. Covering entry
+// A covering index (New with an include list) additionally projects
+// fixed-segment row fields into its entry values, so ScanCovering can serve
+// those fields without touching the primary tree at all — the index-only
+// scan of §4.7's "index as ordinary table" taken to its logical end. Covering entry
 // values are length-prefixed: u8 pklen ‖ pk ‖ included-fields, where the
 // included fields are the concatenation of the Include segments (fixed
 // total width). The maintenance hooks keep the projection current: an
@@ -91,41 +92,25 @@ type Index struct {
 // maintenance. It does not backfill; call Backfill if on already has rows.
 // Declare each index exactly once per store, before the table takes
 // writes that should be indexed.
-func New(s *core.Store, on *core.Table, name string, unique bool, key KeyFunc) *Index {
-	ix := &Index{
-		Name:    name,
-		On:      on,
-		Entries: s.CreateTable(name),
-		Unique:  unique,
-		Key:     key,
-	}
-	on.AddWriteHook(hook{ix})
-	return ix
-}
-
-// NewCovering is New for a covering index: entry values additionally carry
-// the concatenated Include segments of the row, kept current by the
-// maintenance hooks, so ScanCovering serves them without primary-tree
-// resolution. A row too short for any include segment is left unindexed
-// (exactly like a row too short for a declarative key segment), keeping
-// projection width fixed. The include list is part of the index's
+//
+// A non-nil include list makes the index covering: entry values
+// additionally carry the concatenated include segments of the row, kept
+// current by the maintenance hooks, so ScanCovering serves them without
+// primary-tree resolution. A row too short for any include segment is left
+// unindexed (exactly like a row too short for a declarative key segment),
+// keeping projection width fixed. The include list is part of the index's
 // declaration: recovery verifies recovered entries against it and rejects
 // a re-declaration whose projection no longer matches the logged entries.
-func NewCovering(s *core.Store, on *core.Table, name string, unique bool, key KeyFunc, include []Seg) (*Index, error) {
-	proj, err := CompileSpec(include)
-	if err != nil {
-		return nil, fmt.Errorf("index %q include list: %w", name, err)
+func New(s *core.Store, on *core.Table, name string, unique bool, key KeyFunc, include ...Seg) (*Index, error) {
+	ix := &Index{Name: name, On: on, Unique: unique, Key: key}
+	if include != nil {
+		proj, err := CompileSpec(include)
+		if err != nil {
+			return nil, fmt.Errorf("index %q include list: %w", name, err)
+		}
+		ix.Include, ix.include, ix.width = append([]Seg(nil), include...), proj, specWidth(include)
 	}
-	ix := &Index{
-		Name:    name,
-		On:      on,
-		Entries: s.CreateTable(name),
-		Unique:  unique,
-		Key:     key,
-		Include: append([]Seg(nil), include...),
-		include: proj,
-		width:   specWidth(include),
-	}
+	ix.Entries = s.CreateTable(name)
 	on.AddWriteHook(hook{ix})
 	return ix, nil
 }
@@ -195,15 +180,6 @@ func (ix *Index) extract(skdst, evdst, pk, val []byte) (sk, ev []byte, ok bool) 
 		return sk, ev[:len(evdst)], false
 	}
 	return sk, ev, true
-}
-
-// EntryValuePK returns the primary key held in an entry value.
-func (ix *Index) EntryValuePK(ev []byte) ([]byte, error) {
-	if !ix.Covering() {
-		return ev, nil
-	}
-	pk, _, err := ix.SplitEntryValue(ev)
-	return pk, err
 }
 
 // SplitEntryValue decomposes a covering entry value into its primary key
@@ -396,7 +372,7 @@ func backfillOne(tx *core.Tx, ix *Index, entryKey, pk, ev []byte) error {
 	case err != nil:
 		return err
 	}
-	curPK, err := ix.EntryValuePK(cur)
+	curPK, _, err := ix.SplitEntryValue(cur)
 	if err != nil {
 		// A malformed covering value cannot name its primary key; surface
 		// the shape mismatch rather than guessing.

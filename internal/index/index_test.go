@@ -38,9 +38,27 @@ func newStore(t *testing.T, workers int) *core.Store {
 	t.Helper()
 	opts := core.DefaultOptions(workers)
 	opts.ManualEpochs = true
+	opts.SnapshotK = 2
 	s := core.NewStore(opts)
 	t.Cleanup(s.Close)
 	return s
+}
+
+func mustNew(t *testing.T, s *core.Store, on *core.Table, name string, unique bool, key KeyFunc) *Index {
+	t.Helper()
+	ix, err := New(s, on, name, unique, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// coverWithSnapshot advances newStore's epochs until a snapshot begun now
+// sees every write committed so far.
+func coverWithSnapshot(s *core.Store) {
+	for i := 0; i < 6; i++ {
+		s.AdvanceEpoch()
+	}
 }
 
 func insertUser(t *testing.T, w *core.Worker, users *core.Table, id int, city string, score uint64, name string) {
@@ -58,7 +76,7 @@ func collect(t *testing.T, w *core.Worker, ix *Index, lo, hi []byte) []string {
 	var got []string
 	if err := w.Run(func(tx *core.Tx) error {
 		got = got[:0]
-		return Scan(tx, ix, lo, hi, func(sk, pk, val []byte) bool {
+		return Scan(tx, ix, lo, hi, 0, func(sk, pk, val []byte) bool {
 			if !bytes.Equal(sk, val[:len(sk)]) {
 				t.Errorf("entry %q resolved to row %q whose key field differs", sk, val)
 			}
@@ -75,7 +93,7 @@ func TestMaintenanceAndScan(t *testing.T) {
 	s := newStore(t, 1)
 	users := s.CreateTable("users")
 	w := s.Worker(0)
-	byCity := New(s, users, "users_by_city", false, cityKey)
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 
 	insertUser(t, w, users, 1, "AMS", 10, "ada")
 	insertUser(t, w, users, 2, "BER", 20, "bob")
@@ -155,8 +173,8 @@ func TestCoveringRewriteDuringBackfillWindow(t *testing.T) {
 	insertUser(t, w, users, 1, "AMS", 10, "ada")
 	insertUser(t, w, users, 2, "AMS", 20, "bob")
 
-	byCity, err := NewCovering(s, users, "users_by_city", false, cityKey,
-		[]Seg{{FromValue: true, Off: 4, Len: 8}}) // the score field
+	byCity, err := New(s, users, "users_by_city", false, cityKey,
+		Seg{FromValue: true, Off: 4, Len: 8}) // the score field
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +194,7 @@ func TestCoveringRewriteDuringBackfillWindow(t *testing.T) {
 	var got []string
 	if err := w.Run(func(tx *core.Tx) error {
 		got = got[:0]
-		return ScanCovering(tx, byCity, []byte("AMS"), []byte("AMT"), func(_, pk, fields []byte) bool {
+		return ScanCovering(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(_, pk, fields []byte) bool {
 			got = append(got, fmt.Sprintf("%s=%d", pk, binary.BigEndian.Uint64(fields)))
 			return true
 		})
@@ -207,7 +225,7 @@ func TestBackfillAndIdempotence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	byCity := New(s, users, "users_by_city", false, cityKey)
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 	if err := byCity.Backfill(w); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +255,7 @@ func TestUniqueIndex(t *testing.T) {
 	s := newStore(t, 1)
 	users := s.CreateTable("users")
 	w := s.Worker(0)
-	byName := New(s, users, "users_by_name", true, nameKey)
+	byName := mustNew(t, s, users, "users_by_name", true, nameKey)
 
 	insertUser(t, w, users, 1, "AMS", 1, "ada")
 	insertUser(t, w, users, 2, "BER", 2, "bob")
@@ -288,7 +306,7 @@ func TestHookFailurePoisonsCommit(t *testing.T) {
 	s := newStore(t, 1)
 	users := s.CreateTable("users")
 	w := s.Worker(0)
-	New(s, users, "users_by_name", true, nameKey)
+	mustNew(t, s, users, "users_by_name", true, nameKey)
 
 	insertUser(t, w, users, 1, "AMS", 1, "ada")
 
@@ -306,13 +324,14 @@ func TestHookFailurePoisonsCommit(t *testing.T) {
 
 // TestDanglingEntryConflicts plants an orphan entry (simulating a
 // concurrent writer between the two trees, or a corrupted index) and
-// checks the resolving scan reports a conflict instead of fabricating a
-// row.
+// checks the resolver's answer under each reader: a serializable scan
+// reports a conflict instead of fabricating a row, and a snapshot scan —
+// where no writer can be in between — skips the entry.
 func TestDanglingEntryConflicts(t *testing.T) {
 	s := newStore(t, 1)
 	users := s.CreateTable("users")
 	w := s.Worker(0)
-	byCity := New(s, users, "users_by_city", false, cityKey)
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 
 	insertUser(t, w, users, 1, "AMS", 1, "ada")
 	if err := w.Run(func(tx *core.Tx) error {
@@ -320,32 +339,39 @@ func TestDanglingEntryConflicts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	err := w.RunOnce(func(tx *core.Tx) error {
-		return Scan(tx, byCity, []byte("AMS"), []byte("AMT"), func(sk, pk, val []byte) bool { return true })
-	})
+	coverWithSnapshot(s)
+	var got []string
+	scan := func(r core.Reader) error {
+		got = got[:0]
+		return Scan(r, byCity, []byte("AMS"), []byte("AMT"), 0, func(sk, pk, val []byte) bool {
+			got = append(got, string(pk))
+			return true
+		})
+	}
+	err := w.RunOnce(func(tx *core.Tx) error { return scan(tx) })
 	if err != core.ErrConflict {
 		t.Fatalf("dangling entry scan err = %v, want ErrConflict", err)
+	}
+	if err := w.RunSnapshot(func(stx *core.SnapTx) error { return scan(stx) }); err != nil {
+		t.Fatalf("snapshot scan over a dangling entry: %v", err)
+	}
+	if fmt.Sprint(got) != "[u001]" {
+		t.Fatalf("snapshot scan over a dangling entry = %v, want [u001]", got)
 	}
 }
 
 func TestSnapshotScan(t *testing.T) {
-	opts := core.DefaultOptions(1)
-	opts.ManualEpochs = true
-	opts.SnapshotK = 2
-	s := core.NewStore(opts)
-	defer s.Close()
+	s := newStore(t, 1)
 	users := s.CreateTable("users")
 	w := s.Worker(0)
-	byCity := New(s, users, "users_by_city", false, cityKey)
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 
 	insertUser(t, w, users, 1, "AMS", 1, "ada")
 	insertUser(t, w, users, 2, "AMS", 2, "bob")
 
 	// Advance far enough that the snapshot epoch covers the inserts, then
 	// change the index; the snapshot must see the old index state.
-	for i := 0; i < 6; i++ {
-		s.AdvanceEpoch()
-	}
+	coverWithSnapshot(s)
 	if err := w.Run(func(tx *core.Tx) error {
 		if err := tx.Put(users, []byte("u001"), userVal("BER", 1, "ada")); err != nil {
 			return err
@@ -357,7 +383,7 @@ func TestSnapshotScan(t *testing.T) {
 
 	var snap []string
 	if err := w.RunSnapshot(func(stx *core.SnapTx) error {
-		return SnapScan(stx, byCity, []byte("AMS"), []byte("AMT"), func(sk, pk, val []byte) bool {
+		return Scan(stx, byCity, []byte("AMS"), []byte("AMT"), 0, func(sk, pk, val []byte) bool {
 			snap = append(snap, string(pk))
 			return true
 		})

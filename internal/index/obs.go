@@ -1,39 +1,46 @@
 package index
 
 import (
+	"silo/internal/core"
 	"silo/internal/obs"
 )
 
+// Scan resolution modes, one counter each.
+const (
+	modeBatched          = iota // Scan under a Tx
+	modeStreamed                // ... of which resolved one point read per entry (scattered pks)
+	modeCovering                // ScanCovering under a Tx: served from entry values
+	modeEntries                 // ScanEntries: no resolution, keys only
+	modeSnapshot                // Scan under a snapshot
+	modeSnapshotCovering        // ScanCovering under a snapshot
+	numModes
+)
+
+// scanModeNames are the silo_index_scans_total labels, in mode order.
+var scanModeNames = [numModes]string{
+	"batched", "batched_streamed", "covering", "entries", "snapshot", "snapshot_covering",
+}
+
 // indexObs counts how each index's reads resolve. The interesting signal
-// is the resolution-mode mix — per-entry point reads vs batched
-// multi-get descents vs covering (no resolution at all) — which tells an
+// is the resolution-mode mix — batched multi-get descents vs per-entry
+// point reads vs covering (no resolution at all) — which tells an
 // operator whether workloads are hitting the scan shape the index was
 // declared for. One counter increment per scan or lookup call (not per
 // entry), on the index the call targets.
 type indexObs struct {
-	scanPerEntry    obs.Counter // Scan: one point read per entry
-	scanBatched     obs.Counter // ScanBatched: ordered multi-get resolution
-	scanStreamed    obs.Counter // ScanBatched calls that fell back to streaming (scattered pks)
-	scanCovering    obs.Counter // ScanCovering: served from entry values
-	scanEntries     obs.Counter // ScanEntries: no resolution, keys only
-	snapScan        obs.Counter // SnapScan: per-entry against a snapshot
-	snapCovering    obs.Counter // SnapScanCovering: covering at a snapshot
+	modes           [numModes]obs.Counter
 	lookups         obs.Counter // Lookup: unique point resolution
 	lookupConflicts obs.Counter // Lookup/Scan resolutions that hit ErrConflict
 }
 
-// scanModes pairs each resolution-mode counter with its label, in the
-// order CollectObs emits them.
-var scanModeNames = [...]string{
-	"per_entry", "batched", "batched_streamed", "covering", "entries",
-	"snapshot", "snapshot_covering",
-}
-
-func (o *indexObs) modeCounters() [7]*obs.Counter {
-	return [7]*obs.Counter{
-		&o.scanPerEntry, &o.scanBatched, &o.scanStreamed, &o.scanCovering,
-		&o.scanEntries, &o.snapScan, &o.snapCovering,
+// count records one read in txMode, or in snapMode when r is a snapshot
+// transaction, and reports which.
+func (o *indexObs) count(r core.Reader, txMode, snapMode int) (snap bool) {
+	if _, snap = r.(*core.SnapTx); snap {
+		txMode = snapMode
 	}
+	o.modes[txMode].Inc()
+	return snap
 }
 
 // CollectObs appends the registry's scan-resolution metrics to snap,
@@ -42,12 +49,11 @@ func (o *indexObs) modeCounters() [7]*obs.Counter {
 // surfaced ErrConflict (a writer got between the two trees and the
 // caller had to retry).
 func (r *Registry) CollectObs(snap *obs.Snapshot) {
-	var modes [7]uint64
+	var modes [numModes]uint64
 	var lookups, conflicts uint64
 	for _, ix := range r.All() {
-		cs := ix.obs.modeCounters()
-		for i, c := range cs {
-			modes[i] += c.Load()
+		for i := range modes {
+			modes[i] += ix.obs.modes[i].Load()
 		}
 		lookups += ix.obs.lookups.Load()
 		conflicts += ix.obs.lookupConflicts.Load()

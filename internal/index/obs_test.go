@@ -11,22 +11,23 @@ func TestCollectObsScanModes(t *testing.T) {
 	s := newStore(t, 1)
 	users := s.CreateTable("users")
 	w := s.Worker(0)
-	byCity := New(s, users, "users_by_city", false, cityKey)
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 	r := NewRegistry()
 	r.Register(byCity)
 
 	insertUser(t, w, users, 1, "AMS", 10, "ada")
 	insertUser(t, w, users, 2, "BER", 20, "bob")
 
-	collect(t, w, byCity, []byte("AMS"), []byte("AMT")) // per-entry
-	collect(t, w, byCity, []byte("BER"), []byte("BES")) // per-entry
+	collect(t, w, byCity, []byte("AMS"), []byte("AMT"))
+	collect(t, w, byCity, []byte("BER"), []byte("BES"))
 	if err := w.Run(func(tx *core.Tx) error {
-		return ScanBatched(tx, byCity, []byte("A"), []byte("C"), 0, func(sk, pk, val []byte) bool { return true })
+		return ScanEntries(tx, byCity, []byte("A"), []byte("C"), func(sk, pk []byte) bool { return true })
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(func(tx *core.Tx) error {
-		return ScanEntries(tx, byCity, []byte("A"), []byte("C"), func(sk, pk []byte) bool { return true })
+	// The reader, not the function, makes a scan a snapshot scan.
+	if err := w.RunSnapshot(func(stx *core.SnapTx) error {
+		return Scan(stx, byCity, []byte("A"), []byte("C"), 0, func(sk, pk, val []byte) bool { return true })
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +35,14 @@ func TestCollectObsScanModes(t *testing.T) {
 	var snap obs.Snapshot
 	r.CollectObs(&snap)
 	for mode, want := range map[string]uint64{
-		"per_entry": 2, "batched": 1, "entries": 1, "covering": 0, "snapshot": 0,
+		"batched": 2, "batched_streamed": 0, "entries": 1, "covering": 0, "snapshot": 1,
 	} {
 		if got := snap.Value("silo_index_scans_total", mode); got != want {
 			t.Errorf("scans{mode=%s} = %d, want %d", mode, got, want)
 		}
+	}
+	if snap.Get("silo_index_scans_total", "per_entry") != nil {
+		t.Error("retired mode per_entry is still exported")
 	}
 	if got := snap.Value("silo_index_lookups_total", ""); got != 0 {
 		t.Errorf("lookups = %d, want 0", got)

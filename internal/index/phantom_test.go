@@ -27,7 +27,7 @@ func TestIndexScanPhantomProtection(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newStore(t, 2)
 			users := s.CreateTable("users")
-			byCity := New(s, users, "users_by_city", false, cityKey)
+			byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 			w0, w1 := s.Worker(0), s.Worker(1)
 
 			// Cities C000..C299, one user each, spreading entries over many
@@ -42,7 +42,7 @@ func TestIndexScanPhantomProtection(t *testing.T) {
 			// Reader: scan cities [C000, C010), resolving rows.
 			tx := w0.Begin()
 			n := 0
-			if err := Scan(tx, byCity, []byte("C000"), []byte("C010"), func(sk, pk, val []byte) bool {
+			if err := Scan(tx, byCity, []byte("C000"), []byte("C010"), 0, func(sk, pk, val []byte) bool {
 				n++
 				return true
 			}); err != nil {
@@ -77,13 +77,13 @@ func name(i int) string { return fmt.Sprintf("name%03d", i) }
 func TestIndexScanSeesConcurrentRowUpdate(t *testing.T) {
 	s := newStore(t, 2)
 	users := s.CreateTable("users")
-	byCity := New(s, users, "users_by_city", false, cityKey)
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 	w0, w1 := s.Worker(0), s.Worker(1)
 
 	insertUser(t, w0, users, 1, "AMS", 1, "ada")
 
 	tx := w0.Begin()
-	if err := Scan(tx, byCity, []byte("AMS"), []byte("AMT"), func(sk, pk, val []byte) bool {
+	if err := Scan(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(sk, pk, val []byte) bool {
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -95,5 +95,53 @@ func TestIndexScanSeesConcurrentRowUpdate(t *testing.T) {
 	}
 	if err := tx.Commit(); err != core.ErrConflict {
 		t.Fatalf("scanner committed despite row update: err = %v", err)
+	}
+}
+
+// TestBoundedScanObservesOnlyItsPrefix: max bounds what a scan observes,
+// not only what it emits. Over a 1 000-entry range, max = 1 reads one
+// entry and one row, and its node-set holds the first entry's leaf alone —
+// so an insert at the far end of the range commits under it, while the
+// unbounded scan of the same range reads everything and aborts on it.
+func TestBoundedScanObservesOnlyItsPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		max          int
+		wantReads    uint64
+		wantConflict bool
+	}{
+		{1, 2, false},
+		{0, 2000, true},
+	} {
+		t.Run(fmt.Sprintf("max=%d", tc.max), func(t *testing.T) {
+			s := newStore(t, 2)
+			users := s.CreateTable("users")
+			byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
+			w0, w1 := s.Worker(0), s.Worker(1)
+			for i := 0; i < 1000; i++ {
+				insertUser(t, w0, users, i, city(i), uint64(i), name(i))
+			}
+
+			tx := w0.Begin()
+			before := w0.Stats().Reads
+			n := 0
+			if err := Scan(tx, byCity, []byte("C000"), []byte("D"), tc.max, func(sk, pk, val []byte) bool {
+				n++
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if reads := w0.Stats().Reads - before; reads != tc.wantReads || n != int(tc.wantReads/2) {
+				t.Fatalf("scan read %d records and emitted %d rows, want %d and %d", reads, n, tc.wantReads, tc.wantReads/2)
+			}
+
+			insertUser(t, w1, users, 2000, city(999), 2000, "zed")
+			err := tx.Commit()
+			if tc.wantConflict && err != core.ErrConflict {
+				t.Fatalf("unbounded scan committed despite a phantom in its range: %v", err)
+			}
+			if !tc.wantConflict && err != nil {
+				t.Fatalf("max=1 scan aborted on a write outside its prefix: %v", err)
+			}
+		})
 	}
 }

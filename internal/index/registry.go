@@ -82,14 +82,9 @@ func (r *Registry) Create(s *core.Store, w *core.Worker, on *core.Table, name st
 	if s.Table(name) != nil && !r.orphans[name] {
 		return nil, fmt.Errorf("index %q: a table with that name already exists", name)
 	}
-	var ix *Index
-	if include != nil {
-		var err error
-		if ix, err = NewCovering(s, on, name, unique, key, include); err != nil {
-			return nil, err
-		}
-	} else {
-		ix = New(s, on, name, unique, key)
+	ix, err := New(s, on, name, unique, key, include...)
+	if err != nil {
+		return nil, err
 	}
 	ix.Spec = append([]Seg(nil), spec...)
 	if on.Tree.Len() == 0 {

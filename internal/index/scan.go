@@ -16,166 +16,43 @@ var ErrNotUnique = errors.New("silo: index lookup requires a unique index")
 // include list.
 var ErrNotCovering = errors.New("silo: index is not covering (declared without an include list)")
 
+// Every read here goes through a core.Reader, so the one body serves both
+// transaction kinds. Under a *core.Tx the entry-tree leaves join the
+// node-set and every entry and resolved row joins the read-set, so a
+// concurrent insert, delete or update anywhere in the scanned secondary
+// range — or of any resolved row — aborts the transaction at commit
+// (phantom-safe on both trees). Under a *core.SnapTx entries and rows are
+// read at the same snapshot epoch: consistent without validation, never
+// aborting.
+//
+// The Reader's methods take callbacks, and a closure handed to an interface
+// method escapes; the callbacks are therefore method values bound once on
+// pooled scratch, and the caller's fn is only ever called from this
+// package's own loops, after the Reader call that produced its rows has
+// returned — so it stays on the caller's stack, and may itself read
+// through the Reader (the slices it is handed live in the scratch).
+
 // Scan visits index entries with entry keys in [lo, hi) in order, resolving
 // each to its primary row and calling fn(secondaryKey, primaryKey, value);
-// fn returning false stops the scan. All three slices are valid only during
-// the callback.
+// fn returning false stops the scan. It collects up to max entries (0 means
+// the whole range) and then resolves them: with ordered multi-get descents
+// over the primary tree (one descent per leaf run), or with one point read
+// per entry when a sample of the collected primary keys says they are
+// scattered and share no descents. A caller that wants a bounded prefix
+// passes max; fn returning false stops emission, not collection. All three
+// slices are valid only during the callback.
 //
-// The scan is phantom-safe on both trees: entry-tree leaves join the
-// transaction's node-set, and every resolved primary read joins its
-// read-set, so a concurrent insert, delete, or update anywhere in the
-// scanned secondary range — or of any resolved row — aborts this
-// transaction at commit. An entry whose primary row is missing during
-// execution means a concurrent writer got between the two trees; the scan
-// returns ErrConflict so the caller retries.
-//
-// Scan resolves rows one point read per entry and streams results, which
-// is the right shape when the caller stops early (TPC-C's "most recent
-// order" reads one entry). For large ranges consumed in full, ScanBatched
-// resolves with ordered multi-get descents instead, and for queries that
-// only need included fields a covering index skips resolution entirely
-// (ScanCovering).
-func Scan(tx *core.Tx, ix *Index, lo, hi []byte, fn func(sk, pk, val []byte) bool) error {
-	ix.obs.scanPerEntry.Inc()
-	sc := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(sc)
-	var inner error
-	err := tx.Scan(ix.Entries, lo, hi, func(ek, ev []byte) bool {
-		pk, perr := ix.EntryValuePK(ev)
-		if perr != nil {
-			inner = perr
-			return false
-		}
-		// The entry value aliases the transaction's read buffer, which the
-		// nested primary read reuses: copy the primary key out first.
-		sc.buf = append(sc.buf[:0], pk...)
-		v, gerr := tx.GetAppend(ix.On, sc.buf, sc.vals[:0])
-		sc.vals = v
-		if gerr == core.ErrNotFound {
-			ix.obs.lookupConflicts.Inc()
-			inner = core.ErrConflict
-			return false
-		}
-		if gerr != nil {
-			inner = gerr
-			return false
-		}
-		return fn(ix.SecondaryKey(ek, sc.buf), sc.buf, v)
-	})
-	if err != nil {
+// An entry whose row is missing means, under a *core.Tx, that a concurrent
+// writer got between the two trees: Scan returns ErrConflict and the caller
+// retries. fn has then seen the entries before it, which a re-executed
+// transaction body must discard (as any output of an attempt that fails
+// commit). Under a snapshot the entry is skipped (see rowMissing).
+func Scan(r core.Reader, ix *Index, lo, hi []byte, max int, fn func(sk, pk, val []byte) bool) error {
+	snap := ix.obs.count(r, modeBatched, modeSnapshot)
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.walk(r, ix, lo, hi, max); err != nil {
 		return err
-	}
-	return inner
-}
-
-// testHookAfterCollect, when non-nil, runs between ScanBatched's entry
-// collection and its batched primary resolution. Tests use it to commit a
-// concurrent write deterministically inside that window and assert the
-// OCC machinery aborts the scanning transaction rather than returning a
-// torn row.
-var testHookAfterCollect func()
-
-// batchedEnt is one collected entry awaiting batched resolution; offsets
-// index the shared collection buffer.
-type batchedEnt struct {
-	ekEnd int // entry key bytes end at this offset (start = previous end)
-	pkEnd int // primary key bytes end at this offset
-}
-
-// batchScratch is the reusable working state of one resolving scan,
-// pooled so steady-state scans allocate nothing of their own: the
-// collection buffer, the sort permutation, the sorted key views, and the
-// resolved-value arena all reuse prior capacity. (Scan borrows buf and
-// vals as its key and row buffers.)
-type batchScratch struct {
-	buf   []byte       // entry keys ‖ primary keys, concatenated
-	ents  []batchedEnt // offsets into buf
-	order []int        // sort permutation (unsorted batches only)
-	keys  [][]byte     // primary keys in sorted order (views into buf)
-	vals  []byte       // resolved row bytes, appended in sorted order
-	valAt [][2]int     // per-entry [start, end) into vals
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// entry returns collected entry i's entry key and primary key.
-func (sc *batchScratch) entry(i int) (ek, pk []byte) {
-	start := 0
-	if i > 0 {
-		start = sc.ents[i-1].pkEnd
-	}
-	e := sc.ents[i]
-	return sc.buf[start:e.ekEnd], sc.buf[e.ekEnd:e.pkEnd]
-}
-
-func (sc *batchScratch) pkOf(i int) []byte {
-	return sc.buf[sc.ents[i].ekEnd:sc.ents[i].pkEnd]
-}
-
-// ScanBatched is Scan with batched primary-row resolution: it first
-// collects up to max matching entries (0 means no bound) from the entry
-// tree, then resolves their primary keys in sorted order with a single
-// ordered multi-get pass over the primary tree (one descent per leaf run
-// instead of one per entry), emitting results to fn in entry-key order.
-// The batched pass is adaptive: a sample of the first collected primary
-// keys estimates whether the range clusters in the primary tree, and a
-// scattered range (hash-like pks, nothing for sorted descents to share)
-// falls back to streaming per-entry resolution of the collected entries
-// instead — same results, same OCC guarantees, no wasted sort.
-//
-// OCC semantics are identical to Scan: collected entries and resolved
-// rows join the read-set, entry leaves join the node-set, and a
-// concurrent write landing between collection and resolution either
-// surfaces as ErrConflict here (a resolved row gone missing) or aborts
-// the transaction at commit (read-set/node-set validation) — never as a
-// torn row in a committed transaction.
-//
-// Emission is as-resolved. When the collected primary keys are already
-// in ascending order (secondary order parallels primary order: clustered
-// indexes, TPC-C composites) the multi-get visits rows in emission order,
-// so fn is called from inside it, on the transaction's own read buffer —
-// no row is staged. Two consequences for fn. It may have seen a prefix of
-// the page when ScanBatched returns ErrConflict: like any transaction
-// body it must tolerate re-execution (restart its output, as the network
-// server's scan visitor does). And it runs inside the transaction's read
-// of the primary table, on slices valid only for the callback: copy what
-// it keeps and act on it after ScanBatched returns, not through tx from
-// inside fn. Unsorted batches resolve in primary order into a staging
-// arena and emit once the whole page is resolved. Either way fn
-// returning false stops emission but not collection, so pass max when
-// the caller wants a bounded prefix.
-func ScanBatched(tx *core.Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk, val []byte) bool) error {
-	ix.obs.scanBatched.Inc()
-	sc := batchPool.Get().(*batchScratch)
-	defer batchPool.Put(sc)
-	sc.buf, sc.ents = sc.buf[:0], sc.ents[:0]
-
-	// Phase 1: collect the matching entries. Entry keys and primary keys
-	// are copied into one grow-only buffer; entries are offsets into it.
-	// Sortedness is tracked as we go — a secondary order that parallels
-	// primary order skips the permutation, and the staging, entirely.
-	var inner error
-	sorted := true
-	err := tx.Scan(ix.Entries, lo, hi, func(ek, ev []byte) bool {
-		pk, perr := ix.EntryValuePK(ev)
-		if perr != nil {
-			inner = perr
-			return false
-		}
-		sc.buf = append(sc.buf, ek...)
-		ekEnd := len(sc.buf)
-		sc.buf = append(sc.buf, pk...)
-		if n := len(sc.ents); sorted && n > 0 {
-			sorted = bytes.Compare(sc.pkOf(n-1), pk) <= 0
-		}
-		sc.ents = append(sc.ents, batchedEnt{ekEnd: ekEnd, pkEnd: len(sc.buf)})
-		return max <= 0 || len(sc.ents) < max
-	})
-	if err != nil {
-		return err
-	}
-	if inner != nil {
-		return inner
 	}
 	n := len(sc.ents)
 	if n == 0 {
@@ -185,81 +62,303 @@ func ScanBatched(tx *core.Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk,
 		testHookAfterCollect()
 	}
 
-	// The ordered multi-get only beats per-entry resolution when the
-	// sorted primary keys actually cluster into shared leaf descents.
-	// Sample the first collected pks: a clustered range (TPC-C composites,
-	// sequential ids) shares most of its key prefix, while hash-like pks
-	// scattered across the primary key space share almost none — there the
-	// sort and permutation buy nothing, so resolve the collected entries
-	// one point read each instead, already in emission order.
-	if !sc.clusteredSample() {
-		ix.obs.scanStreamed.Inc()
-		return streamResolve(tx, ix, sc, fn)
+	// Scattered primary keys share no sorted descents: resolve them one
+	// point read per entry instead.
+	scattered := !sc.clusteredSample()
+	if scattered && !snap {
+		ix.obs.modes[modeStreamed].Inc()
 	}
-
-	// Phase 2: resolve primary keys in sorted order; order maps sorted
-	// positions back to collected entries (identity, and unused, when the
-	// batch is already sorted).
-	sc.keys = sc.keys[:0]
-	if sorted {
-		for i := 0; i < n; i++ {
-			sc.keys = append(sc.keys, sc.pkOf(i))
+	// Resolve window by window, so a whole-range scan stages a bounded
+	// number of rows at a time.
+	for from := 0; from < n; from += resolveWindow {
+		to := min(from+resolveWindow, n)
+		if err := sc.resolve(r, ix, from, to, scattered); err != nil {
+			return err
 		}
-	} else {
-		sc.order = sc.order[:0]
-		for i := 0; i < n; i++ {
-			sc.order = append(sc.order, i)
-		}
-		slices.SortFunc(sc.order, func(a, b int) int {
-			return bytes.Compare(sc.pkOf(a), sc.pkOf(b))
-		})
-		for _, e := range sc.order {
-			sc.keys = append(sc.keys, sc.pkOf(e))
-		}
-		if cap(sc.valAt) < n {
-			sc.valAt = make([][2]int, n)
-		}
-		sc.valAt = sc.valAt[:n]
-		sc.vals = sc.vals[:0]
-	}
-	gerr := tx.GetBatch(ix.On, sc.keys, func(i int, val []byte, err error) bool {
-		if err == core.ErrNotFound {
-			// Entry without its row: a concurrent writer got between the
-			// two trees; the caller retries.
-			ix.obs.lookupConflicts.Inc()
-			inner = core.ErrConflict
-			return false
-		}
-		if err != nil {
-			inner = err
-			return false
-		}
-		if sorted {
-			// Sorted position = entry position, and val stays valid for
-			// the callback: emit now.
-			ek, pk := sc.entry(i)
-			return fn(ix.SecondaryKey(ek, pk), pk, val)
-		}
-		start := len(sc.vals)
-		sc.vals = append(sc.vals, val...)
-		sc.valAt[sc.order[i]] = [2]int{start, len(sc.vals)}
-		return true
-	})
-	if gerr != nil {
-		return gerr
-	}
-	if inner != nil || sorted {
-		return inner
-	}
-
-	// Phase 3 (unsorted batches): emit in entry-key (secondary) order.
-	for i := 0; i < n; i++ {
-		ek, pk := sc.entry(i)
-		if !fn(ix.SecondaryKey(ek, pk), pk, sc.vals[sc.valAt[i][0]:sc.valAt[i][1]]) {
-			return nil
+		for i := from; i < to; i++ {
+			ek, pk, _ := sc.entry(i)
+			at := sc.valAt[i-from]
+			if at[0] < 0 {
+				if err := ix.rowMissing(snap); err != nil {
+					return err
+				}
+				continue
+			}
+			if !fn(ix.SecondaryKey(ek, pk), pk, sc.vals[at[0]:at[1]]) {
+				return nil
+			}
 		}
 	}
 	return nil
+}
+
+// ScanCovering visits covering-index entries in [lo, hi), serving the
+// included row fields straight from the entry values: fn receives
+// (secondaryKey, primaryKey, includedFields) and the primary tree is
+// never touched. It collects up to max entries (0 means the whole range)
+// before the first call to fn. Under a *core.Tx phantom safety comes from
+// node-set validation on the index tree alone, and freshness from the
+// entries themselves joining the read-set — the maintenance hooks rewrite
+// an entry whenever an included field changes, so a committed covering
+// scan observed exactly the fields the serial order prescribes. Returns
+// ErrNotCovering for an index declared without an include list. Slices
+// are valid only during the callback.
+func ScanCovering(r core.Reader, ix *Index, lo, hi []byte, max int, fn func(sk, pk, fields []byte) bool) error {
+	if !ix.Covering() {
+		return ErrNotCovering
+	}
+	ix.obs.count(r, modeCovering, modeSnapshotCovering)
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.walk(r, ix, lo, hi, max); err != nil {
+		return err
+	}
+	for i := range sc.ents {
+		ek, pk, fields := sc.entry(i)
+		if !fn(ix.SecondaryKey(ek, pk), pk, fields) {
+			break
+		}
+	}
+	return nil
+}
+
+// ScanEntries visits index entries in [lo, hi) without resolving primary
+// rows, calling fn(secondaryKey, primaryKey) once the whole range is
+// collected. Under a *core.Tx it is phantom-safe on the entry tree only —
+// cheaper than Scan when the primary keys themselves are the answer (the
+// caller reads whichever rows it needs, which then join the read-set
+// individually). Both slices are valid only during the callback.
+func ScanEntries(r core.Reader, ix *Index, lo, hi []byte, fn func(sk, pk []byte) bool) error {
+	ix.obs.modes[modeEntries].Inc()
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.walk(r, ix, lo, hi, 0); err != nil {
+		return err
+	}
+	for i := range sc.ents {
+		ek, pk, _ := sc.entry(i)
+		if !fn(ix.SecondaryKey(ek, pk), pk) {
+			break
+		}
+	}
+	return nil
+}
+
+// Lookup resolves a secondary key on a unique index to its primary key and
+// row value (ErrNotFound if absent; under a *core.Tx the observation is
+// registered, so the absence is validated at commit). The returned slices
+// are owned by the caller.
+func Lookup(r core.Reader, ix *Index, sk []byte) (pk, val []byte, err error) {
+	if !ix.Unique {
+		return nil, nil, ErrNotUnique
+	}
+	ix.obs.lookups.Inc()
+	ev, err := r.GetAppend(ix.Entries, sk, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	pk, _, err = ix.SplitEntryValue(ev)
+	if err != nil {
+		return nil, nil, err
+	}
+	val, err = r.GetAppend(ix.On, pk, nil)
+	if err == core.ErrNotFound {
+		_, snap := r.(*core.SnapTx)
+		if err := ix.rowMissing(snap); err != nil {
+			return nil, nil, err
+		}
+		return nil, nil, core.ErrNotFound
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return pk, val, nil
+}
+
+// rowMissing is the resolver's one answer to an entry whose primary row is
+// not there. Under a serializable transaction a concurrent writer got
+// between the two trees: ErrConflict, and the caller retries. A snapshot
+// cannot see that race — maintenance is transactional, so an entry visible
+// at the snapshot has its row visible too — and a missing row can only
+// mean the index predates its table's rows (no Backfill): the entry is
+// skipped (nil).
+func (ix *Index) rowMissing(snap bool) error {
+	if snap {
+		return nil
+	}
+	ix.obs.lookupConflicts.Inc()
+	return core.ErrConflict
+}
+
+// testHookAfterCollect, when non-nil, runs between Scan's entry collection
+// and its primary resolution. Tests use it to commit a concurrent write
+// deterministically inside that window and assert the OCC machinery aborts
+// the scanning transaction rather than returning a torn row.
+var testHookAfterCollect func()
+
+// resolveWindow is how many collected entries Scan resolves and stages
+// before it emits them.
+const resolveWindow = 256
+
+// Scratch given back to the pool is bounded like a transaction's key arena
+// (core's maxKeyArena): a whole-index scan must not pin its collection.
+const (
+	maxPooledBytes   = 1 << 20 // collected keys plus staged rows
+	maxPooledEntries = 1 << 14
+)
+
+// scanEnt is one collected entry; offsets index the collection buffer,
+// where its entry key, primary key and (covering indexes) included fields
+// follow the previous entry's.
+type scanEnt struct {
+	ekEnd, pkEnd, end int
+}
+
+// scanScratch is the reusable working state of one index read, pooled so
+// steady-state scans allocate nothing of their own: the collection buffer,
+// the sort permutation, the sorted key views and the staged rows all reuse
+// prior capacity, and the two Reader callbacks are bound once.
+type scanScratch struct {
+	buf   []byte    // collected entries, concatenated
+	ents  []scanEnt // offsets into buf
+	order []int     // the window's entries in primary-key order (multi-get)
+	keys  [][]byte  // the window's primary keys in that order (views into buf)
+	vals  []byte    // the window's staged row bytes
+	valAt [][2]int  // per window entry: [start, end) into vals, or -1 if missing
+
+	// Inputs and results of the bound callbacks for the call in progress.
+	ix     *Index
+	max    int
+	sorted bool  // primary keys collected in ascending order so far
+	from   int   // first entry of the window being resolved
+	err    error // failure raised inside a callback
+
+	collectFn func(ek, ev []byte) bool
+	stageFn   func(i int, val []byte, err error) bool
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(scanScratch)
+	sc.collectFn = sc.collect
+	sc.stageFn = sc.stage
+	return sc
+}}
+
+func getScratch() *scanScratch { return scratchPool.Get().(*scanScratch) }
+
+func putScratch(sc *scanScratch) {
+	sc.ix = nil
+	if cap(sc.buf)+cap(sc.vals) <= maxPooledBytes && cap(sc.ents) <= maxPooledEntries {
+		scratchPool.Put(sc)
+	}
+}
+
+// walk is the one entry-tree walk: it collects up to max entries (0 for
+// all) of [lo, hi).
+func (sc *scanScratch) walk(r core.Reader, ix *Index, lo, hi []byte, max int) error {
+	sc.ix, sc.max, sc.sorted, sc.err = ix, max, true, nil
+	sc.buf, sc.ents = sc.buf[:0], sc.ents[:0]
+	if err := r.Scan(ix.Entries, lo, hi, sc.collectFn); err != nil {
+		return err
+	}
+	return sc.err
+}
+
+// collect copies one entry out of the reader's buffers, which the next
+// read reuses.
+func (sc *scanScratch) collect(ek, ev []byte) bool {
+	pk, fields, err := sc.ix.SplitEntryValue(ev)
+	if err != nil {
+		sc.err = err
+		return false
+	}
+	sc.buf = append(sc.buf, ek...)
+	ekEnd := len(sc.buf)
+	sc.buf = append(sc.buf, pk...)
+	pkEnd := len(sc.buf)
+	sc.buf = append(sc.buf, fields...)
+	if n := len(sc.ents); sc.sorted && n > 0 {
+		sc.sorted = bytes.Compare(sc.pkOf(n-1), pk) <= 0
+	}
+	sc.ents = append(sc.ents, scanEnt{ekEnd: ekEnd, pkEnd: pkEnd, end: len(sc.buf)})
+	return sc.max <= 0 || len(sc.ents) < sc.max
+}
+
+// entry returns collected entry i's entry key, primary key and included
+// fields (empty for a non-covering index).
+func (sc *scanScratch) entry(i int) (ek, pk, fields []byte) {
+	start := 0
+	if i > 0 {
+		start = sc.ents[i-1].end
+	}
+	e := sc.ents[i]
+	return sc.buf[start:e.ekEnd], sc.buf[e.ekEnd:e.pkEnd], sc.buf[e.pkEnd:e.end]
+}
+
+func (sc *scanScratch) pkOf(i int) []byte {
+	return sc.buf[sc.ents[i].ekEnd:sc.ents[i].pkEnd]
+}
+
+// resolve reads the rows of entries [from, to) — with one point read
+// each when scattered, else with one ordered multi-get — and stages them
+// in vals; valAt[i-from] locates entry i's row, or is -1 when the row is
+// missing — what that means is rowMissing's call, made when the entry is
+// emitted.
+func (sc *scanScratch) resolve(r core.Reader, ix *Index, from, to int, scattered bool) error {
+	n := to - from
+	if cap(sc.valAt) < n {
+		sc.valAt = make([][2]int, n)
+	}
+	sc.valAt = sc.valAt[:n]
+	for i := range sc.valAt {
+		sc.valAt[i] = [2]int{-1, -1}
+	}
+	sc.vals, sc.from, sc.err = sc.vals[:0], from, nil
+	if scattered {
+		for i := from; i < to; i++ {
+			v, err := r.GetAppend(ix.On, sc.pkOf(i), sc.vals)
+			if err == core.ErrNotFound {
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			sc.valAt[i-from] = [2]int{len(sc.vals), len(v)}
+			sc.vals = v
+		}
+		return nil
+	}
+	sc.order = sc.order[:0]
+	for i := from; i < to; i++ {
+		sc.order = append(sc.order, i)
+	}
+	if !sc.sorted {
+		slices.SortFunc(sc.order, func(a, b int) int {
+			return bytes.Compare(sc.pkOf(a), sc.pkOf(b))
+		})
+	}
+	sc.keys = sc.keys[:0]
+	for _, e := range sc.order {
+		sc.keys = append(sc.keys, sc.pkOf(e))
+	}
+	if err := r.GetBatch(ix.On, sc.keys, sc.stageFn); err != nil {
+		return err
+	}
+	return sc.err
+}
+
+func (sc *scanScratch) stage(i int, val []byte, err error) bool {
+	if err == core.ErrNotFound {
+		return true
+	}
+	if err != nil {
+		sc.err = err
+		return false
+	}
+	start := len(sc.vals)
+	sc.vals = append(sc.vals, val...)
+	sc.valAt[sc.order[i]-sc.from] = [2]int{start, len(sc.vals)}
+	return true
 }
 
 // clusterSample bounds how many collected pks clusteredSample inspects.
@@ -267,10 +366,11 @@ const clusterSample = 16
 
 // clusteredSample guesses whether the collected primary-key set clusters
 // in the primary tree, from the shared prefix of its first clusterSample
-// keys: clustered ranges share at least half of their shortest sampled
-// key. Batches too small to amortize a wrong guess are always called
-// clustered (the batched path is the well-tested default).
-func (sc *batchScratch) clusteredSample() bool {
+// keys: clustered ranges (TPC-C composites, sequential ids) share at least
+// half of their shortest sampled key, while hash-like pks scattered across
+// the key space share almost none. Batches too small to amortize a wrong
+// guess are always called clustered.
+func (sc *scanScratch) clusteredSample() bool {
 	n := len(sc.ents)
 	if n <= 8 {
 		return true
@@ -300,170 +400,4 @@ func (sc *batchScratch) clusteredSample() bool {
 		}
 	}
 	return lcp*2 >= minLen
-}
-
-// streamResolve is ScanBatched's scattered-range fallback: the collected
-// entries resolve with one point read each, in collection (= emission)
-// order, skipping the sort and the multi-get descent. OCC semantics are
-// unchanged — each resolved row joins the read-set, and a missing row
-// still surfaces as ErrConflict.
-func streamResolve(tx *core.Tx, ix *Index, sc *batchScratch, fn func(sk, pk, val []byte) bool) error {
-	for i := range sc.ents {
-		ek, pk := sc.entry(i)
-		v, gerr := tx.GetAppend(ix.On, pk, sc.vals[:0])
-		sc.vals = v[:0]
-		if gerr == core.ErrNotFound {
-			ix.obs.lookupConflicts.Inc()
-			return core.ErrConflict
-		}
-		if gerr != nil {
-			return gerr
-		}
-		if !fn(ix.SecondaryKey(ek, pk), pk, v) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// ScanCovering visits covering-index entries in [lo, hi), serving the
-// included row fields straight from the entry values: fn receives
-// (secondaryKey, primaryKey, includedFields) and the primary tree is
-// never touched. Phantom safety comes from node-set validation on the
-// index tree alone, and freshness from the entries themselves joining the
-// read-set — the maintenance hooks rewrite an entry whenever an included
-// field changes, so a committed covering scan observed exactly the fields
-// the serial order prescribes. Returns ErrNotCovering for an index
-// declared without an include list. Slices are valid only during the
-// callback.
-func ScanCovering(tx *core.Tx, ix *Index, lo, hi []byte, fn func(sk, pk, fields []byte) bool) error {
-	if !ix.Covering() {
-		return ErrNotCovering
-	}
-	ix.obs.scanCovering.Inc()
-	var inner error
-	err := tx.Scan(ix.Entries, lo, hi, func(ek, ev []byte) bool {
-		pk, fields, perr := ix.SplitEntryValue(ev)
-		if perr != nil {
-			inner = perr
-			return false
-		}
-		return fn(ix.SecondaryKey(ek, pk), pk, fields)
-	})
-	if err != nil {
-		return err
-	}
-	return inner
-}
-
-// ScanEntries visits index entries in [lo, hi) without resolving primary
-// rows, calling fn(secondaryKey, primaryKey). It is phantom-safe on the
-// entry tree only — cheaper than Scan when the primary keys themselves are
-// the answer (the caller reads whichever rows it needs, which then join the
-// read-set individually). Both slices are valid only during the callback
-// and alias transaction buffers: copy pk out before issuing further reads
-// on tx.
-func ScanEntries(tx *core.Tx, ix *Index, lo, hi []byte, fn func(sk, pk []byte) bool) error {
-	ix.obs.scanEntries.Inc()
-	var inner error
-	err := tx.Scan(ix.Entries, lo, hi, func(ek, ev []byte) bool {
-		pk, perr := ix.EntryValuePK(ev)
-		if perr != nil {
-			inner = perr
-			return false
-		}
-		return fn(ix.SecondaryKey(ek, pk), pk)
-	})
-	if err != nil {
-		return err
-	}
-	return inner
-}
-
-// Lookup resolves a secondary key on a unique index to its primary key and
-// row value (ErrNotFound if absent; the observation is registered, so the
-// absence is validated at commit). The returned slices are owned by the
-// caller.
-func Lookup(tx *core.Tx, ix *Index, sk []byte) (pk, val []byte, err error) {
-	if !ix.Unique {
-		return nil, nil, ErrNotUnique
-	}
-	ix.obs.lookups.Inc()
-	ev, err := tx.Get(ix.Entries, sk)
-	if err != nil {
-		return nil, nil, err
-	}
-	pk, err = ix.EntryValuePK(ev)
-	if err != nil {
-		return nil, nil, err
-	}
-	val, err = tx.Get(ix.On, pk)
-	if err == core.ErrNotFound {
-		// The entry exists but its row is gone: a concurrent writer got
-		// between the two reads; retry.
-		ix.obs.lookupConflicts.Inc()
-		return nil, nil, core.ErrConflict
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return pk, val, nil
-}
-
-// SnapScan is Scan against a snapshot transaction: entries and rows are
-// both read as of the snapshot epoch, so the view is consistent without
-// any validation (snapshot transactions never abort). Because maintenance
-// is transactional, an entry visible at the snapshot always has its row
-// visible too; a missing row can only mean the index predates its table's
-// rows (no Backfill) and is skipped.
-func SnapScan(stx *core.SnapTx, ix *Index, lo, hi []byte, fn func(sk, pk, val []byte) bool) error {
-	ix.obs.snapScan.Inc()
-	var inner error
-	var pkb []byte
-	err := stx.Scan(ix.Entries, lo, hi, func(ek, ev []byte) bool {
-		pk, perr := ix.EntryValuePK(ev)
-		if perr != nil {
-			inner = perr
-			return false
-		}
-		// As in Scan, the entry value aliases the snapshot read buffer that
-		// the nested row read reuses.
-		pkb = append(pkb[:0], pk...)
-		v, gerr := stx.Get(ix.On, pkb)
-		if gerr == core.ErrNotFound {
-			return true
-		}
-		if gerr != nil {
-			inner = gerr
-			return false
-		}
-		return fn(ix.SecondaryKey(ek, pkb), pkb, v)
-	})
-	if err != nil {
-		return err
-	}
-	return inner
-}
-
-// SnapScanCovering is ScanCovering against a snapshot transaction: the
-// included fields are served from entry values as of the snapshot epoch,
-// consistent by construction and never aborting.
-func SnapScanCovering(stx *core.SnapTx, ix *Index, lo, hi []byte, fn func(sk, pk, fields []byte) bool) error {
-	if !ix.Covering() {
-		return ErrNotCovering
-	}
-	ix.obs.snapCovering.Inc()
-	var inner error
-	err := stx.Scan(ix.Entries, lo, hi, func(ek, ev []byte) bool {
-		pk, fields, perr := ix.SplitEntryValue(ev)
-		if perr != nil {
-			inner = perr
-			return false
-		}
-		return fn(ix.SecondaryKey(ek, pk), pk, fields)
-	})
-	if err != nil {
-		return err
-	}
-	return inner
 }

@@ -8,12 +8,13 @@ import (
 )
 
 // scan_bench_test.go compares the three resolution strategies for a
-// 100-entry secondary-range scan over a 100k-row table whose secondary
-// order parallels primary order (the TPC-C-like clustered case batching
-// is built for): one primary point read per entry, one sorted multi-get
-// pass, and no resolution at all (covering). CI runs these on every push
-// and uploads the result as the scan-perf trajectory artifact
-// (BENCH_SCAN.json holds the reference snapshot).
+// 100-entry secondary-range scan over a 100k-row table: one sorted
+// multi-get pass where secondary order parallels primary order (the
+// TPC-C-like clustered case batching is built for), one primary point
+// read per entry where the primary keys are hash-like (the case Scan
+// resolves that way), and no resolution at all (covering). CI runs these
+// on every push and uploads the result as the scan-perf trajectory
+// artifact (BENCH_SCAN.json holds the reference snapshot).
 
 const (
 	benchRows    = 100000
@@ -21,10 +22,14 @@ const (
 	benchRowSize = 100
 )
 
-func benchSetup(b testing.TB, include []Seg) (*core.Store, *Index) {
+// benchSetup loads the table, keyed by the row number — big-endian, or
+// hashed (scatterPK) when scattered is set — and ends with a snapshot
+// covering the load.
+func benchSetup(b testing.TB, include []Seg, scattered bool) (*core.Store, *Index) {
 	b.Helper()
 	opts := core.DefaultOptions(1)
 	opts.ManualEpochs = true
+	opts.SnapshotK = 2
 	s := core.NewStore(opts)
 	b.Cleanup(s.Close)
 	tbl := s.CreateTable("rows")
@@ -35,13 +40,9 @@ func benchSetup(b testing.TB, include []Seg) (*core.Store, *Index) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var ix *Index
-	if include != nil {
-		if ix, err = NewCovering(s, tbl, "rows_ix", false, key, include); err != nil {
-			b.Fatal(err)
-		}
-	} else {
-		ix = New(s, tbl, "rows_ix", false, key)
+	ix, err := New(s, tbl, "rows_ix", false, key, include...)
+	if err != nil {
+		b.Fatal(err)
 	}
 	w := s.Worker(0)
 	var kb []byte
@@ -54,6 +55,9 @@ func benchSetup(b testing.TB, include []Seg) (*core.Store, *Index) {
 		if err := w.Run(func(tx *core.Tx) error {
 			for i := lo; i < hi; i++ {
 				kb = binary.BigEndian.AppendUint64(kb[:0], uint64(i))
+				if scattered {
+					kb = scatterPK(i)
+				}
 				binary.BigEndian.PutUint64(row, uint64(i))
 				if err := tx.Insert(tbl, kb, row); err != nil {
 					return err
@@ -64,6 +68,7 @@ func benchSetup(b testing.TB, include []Seg) (*core.Store, *Index) {
 			b.Fatal(err)
 		}
 	}
+	coverWithSnapshot(s)
 	return s, ix
 }
 
@@ -75,7 +80,7 @@ func benchLo(dst []byte, i int) []byte {
 }
 
 func BenchmarkScanResolvePerEntry(b *testing.B) {
-	s, ix := benchSetup(b, nil)
+	s, ix := benchSetup(b, nil, true)
 	w := s.Worker(0)
 	var lo []byte
 	b.ReportAllocs()
@@ -85,9 +90,9 @@ func BenchmarkScanResolvePerEntry(b *testing.B) {
 		lo = benchLo(lo, i)
 		if err := w.Run(func(tx *core.Tx) error {
 			n = 0
-			return Scan(tx, ix, lo, nil, func(_, _, _ []byte) bool {
+			return Scan(tx, ix, lo, nil, benchScanLen, func(_, _, _ []byte) bool {
 				n++
-				return n < benchScanLen
+				return true
 			})
 		}); err != nil {
 			b.Fatal(err)
@@ -99,7 +104,7 @@ func BenchmarkScanResolvePerEntry(b *testing.B) {
 }
 
 func BenchmarkScanResolveBatched(b *testing.B) {
-	s, ix := benchSetup(b, nil)
+	s, ix := benchSetup(b, nil, false)
 	w := s.Worker(0)
 	var lo []byte
 	b.ReportAllocs()
@@ -109,7 +114,7 @@ func BenchmarkScanResolveBatched(b *testing.B) {
 		lo = benchLo(lo, i)
 		if err := w.Run(func(tx *core.Tx) error {
 			n = 0
-			return ScanBatched(tx, ix, lo, nil, benchScanLen, func(_, _, _ []byte) bool {
+			return Scan(tx, ix, lo, nil, benchScanLen, func(_, _, _ []byte) bool {
 				n++
 				return true
 			})
@@ -125,7 +130,7 @@ func BenchmarkScanResolveBatched(b *testing.B) {
 func BenchmarkScanResolveCovering(b *testing.B) {
 	// Covering projection: the 16 leading row bytes (counter + tag), the
 	// shape a field-serving query would declare.
-	s, ix := benchSetup(b, []Seg{{FromValue: true, Off: 0, Len: 16}})
+	s, ix := benchSetup(b, []Seg{{FromValue: true, Off: 0, Len: 16}}, false)
 	w := s.Worker(0)
 	var lo []byte
 	b.ReportAllocs()
@@ -135,9 +140,9 @@ func BenchmarkScanResolveCovering(b *testing.B) {
 		lo = benchLo(lo, i)
 		if err := w.Run(func(tx *core.Tx) error {
 			n = 0
-			return ScanCovering(tx, ix, lo, nil, func(_, _, _ []byte) bool {
+			return ScanCovering(tx, ix, lo, nil, benchScanLen, func(_, _, _ []byte) bool {
 				n++
-				return n < benchScanLen
+				return true
 			})
 		}); err != nil {
 			b.Fatal(err)

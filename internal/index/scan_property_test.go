@@ -10,10 +10,12 @@ import (
 )
 
 // scan_property_test.go is the scan-equivalence property battery: for
-// randomized tables, specs, include lists, and workloads, the three scan
-// paths — per-entry resolving Scan, batched-resolution ScanBatched, and
-// index-only ScanCovering — must agree exactly with a naive reference
-// (entries-only scan + one Get per entry) at the same epoch.
+// randomized tables, specs, include lists, and workloads, every index read
+// — resolving Scan in full and bounded, ScanEntries, index-only
+// ScanCovering in full and bounded, and unique Lookup — must agree exactly
+// with a naive reference (entries-only scan + one point read per entry),
+// under a serializable transaction and under a snapshot that covers the
+// same writes.
 
 const propRowWidth = 24 // fixed row width; specs index fixed offsets
 
@@ -52,6 +54,9 @@ func minInt(a, b int) int {
 
 type propTriple struct{ sk, pk, val string }
 
+// propBound is the max of the bounded reads.
+const propBound = 5
+
 func TestScanEquivalenceProperty(t *testing.T) {
 	seeds := 24
 	if testing.Short() {
@@ -70,10 +75,15 @@ func TestScanEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := NewCovering(s, tbl, "rows_ix", false, keyFn, include)
+			ix, err := New(s, tbl, "rows_ix", false, keyFn, include...)
 			if err != nil {
 				t.Fatal(err)
 			}
+			pkFn, err := CompileSpec([]Seg{{Off: 0, Len: 5}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			byPK := mustNew(t, s, tbl, "rows_pk", true, pkFn)
 
 			// Random workload: inserts, updates, deletes over a small key
 			// space so updates and deletes hit existing rows often.
@@ -105,6 +115,7 @@ func TestScanEquivalenceProperty(t *testing.T) {
 					t.Fatalf("op %d: %v", i, err)
 				}
 			}
+			coverWithSnapshot(s)
 
 			// Random scan bounds over entry-key space (nil hi sometimes).
 			lo := []byte{0}
@@ -126,101 +137,94 @@ func TestScanEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			// All four paths inside one transaction: identical epoch and
-			// state by construction, and the whole comparison commits (so
-			// every observation validated).
-			if err := w.Run(func(tx *core.Tx) error {
-				// Naive reference: entries-only scan, then resolve each pk
-				// with an independent point read.
-				var ref []propTriple
-				var pks [][]byte
-				if err := ScanEntries(tx, ix, lo, hi, func(sk, pk []byte) bool {
-					ref = append(ref, propTriple{sk: string(sk), pk: string(pk)})
-					pks = append(pks, append([]byte(nil), pk...))
-					return true
-				}); err != nil {
+			// Every read of one reader runs inside one transaction:
+			// identical state by construction, and the serializable run
+			// commits, so every observation validated.
+			check := func(kind string, r core.Reader) error {
+				ref, err := propReference(r, ix, tbl, lo, hi)
+				if err != nil {
 					return err
 				}
-				for i := range ref {
-					v, err := tx.Get(tbl, pks[i])
-					if err != nil {
-						return fmt.Errorf("reference resolve %q: %w", pks[i], err)
+				bounded := ref[:minInt(propBound, len(ref))]
+				for _, max := range []int{0, propBound} {
+					var got []propTriple
+					if err := Scan(r, ix, lo, hi, max, func(sk, pk, val []byte) bool {
+						got = append(got, propTriple{string(sk), string(pk), string(val)})
+						return true
+					}); err != nil {
+						return err
 					}
-					ref[i].val = string(v)
-				}
+					want := ref
+					if max > 0 {
+						want = bounded
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s: scan (max %d) diverged from reference:\n got %v\nwant %v", kind, max, got, want)
+					}
 
-				var perEntry, batched []propTriple
-				if err := Scan(tx, ix, lo, hi, func(sk, pk, val []byte) bool {
-					perEntry = append(perEntry, propTriple{string(sk), string(pk), string(val)})
-					return true
-				}); err != nil {
-					return err
-				}
-				if err := ScanBatched(tx, ix, lo, hi, 0, func(sk, pk, val []byte) bool {
-					batched = append(batched, propTriple{string(sk), string(pk), string(val)})
-					return true
-				}); err != nil {
-					return err
-				}
-				var covering []propTriple
-				if err := ScanCovering(tx, ix, lo, hi, func(sk, pk, fields []byte) bool {
-					covering = append(covering, propTriple{string(sk), string(pk), string(fields)})
-					return true
-				}); err != nil {
-					return err
-				}
-
-				if fmt.Sprint(perEntry) != fmt.Sprint(ref) {
-					t.Errorf("per-entry scan diverged from reference:\n got %v\nwant %v", perEntry, ref)
-				}
-				if fmt.Sprint(batched) != fmt.Sprint(ref) {
-					t.Errorf("batched scan diverged from reference:\n got %v\nwant %v", batched, ref)
-				}
-				if len(covering) != len(ref) {
-					t.Errorf("covering scan returned %d entries, reference %d", len(covering), len(ref))
-					return nil
-				}
-				var pb []byte
-				for i := range ref {
-					want, ok := proj(pb[:0], []byte(ref[i].pk), []byte(ref[i].val))
-					pb = want
-					if !ok {
-						t.Errorf("entry %d: row no longer projects under the include list", i)
+					var covering []propTriple
+					if err := ScanCovering(r, ix, lo, hi, max, func(sk, pk, fields []byte) bool {
+						covering = append(covering, propTriple{string(sk), string(pk), string(fields)})
+						return true
+					}); err != nil {
+						return err
+					}
+					if len(covering) != len(want) {
+						t.Errorf("%s: covering scan (max %d) returned %d entries, reference %d", kind, max, len(covering), len(want))
 						continue
 					}
-					if covering[i].sk != ref[i].sk || covering[i].pk != ref[i].pk || covering[i].val != string(want) {
-						t.Errorf("covering entry %d = %+v, want sk=%q pk=%q fields=%x",
-							i, covering[i], ref[i].sk, ref[i].pk, want)
+					var pb []byte
+					for i := range want {
+						fields, ok := proj(pb[:0], []byte(want[i].pk), []byte(want[i].val))
+						pb = fields
+						if !ok {
+							t.Errorf("%s: entry %d: row no longer projects under the include list", kind, i)
+							continue
+						}
+						if covering[i].sk != want[i].sk || covering[i].pk != want[i].pk || covering[i].val != string(fields) {
+							t.Errorf("%s: covering entry %d = %+v, want sk=%q pk=%q fields=%x",
+								kind, i, covering[i], want[i].sk, want[i].pk, fields)
+						}
 					}
 				}
+
+				for _, e := range ref {
+					gotPK, val, err := Lookup(r, byPK, []byte(e.pk))
+					if err != nil || string(gotPK) != e.pk || string(val) != e.val {
+						t.Errorf("%s: Lookup(%q) = %q, %x, %v; want the row", kind, e.pk, gotPK, val, err)
+					}
+				}
+				if _, _, err := Lookup(r, byPK, pk(keys)); err != core.ErrNotFound {
+					t.Errorf("%s: Lookup of a key never written: %v, want ErrNotFound", kind, err)
+				}
 				return nil
-			}); err != nil {
+			}
+			if err := w.Run(func(tx *core.Tx) error { return check("tx", tx) }); err != nil {
 				t.Fatal(err)
 			}
-
-			// Bounded batched scans agree with a truncated reference.
-			if err := w.Run(func(tx *core.Tx) error {
-				var full, capped []propTriple
-				if err := Scan(tx, ix, lo, hi, func(sk, pk, val []byte) bool {
-					full = append(full, propTriple{string(sk), string(pk), string(val)})
-					return len(full) < 5
-				}); err != nil {
-					return err
-				}
-				if err := ScanBatched(tx, ix, lo, hi, 5, func(sk, pk, val []byte) bool {
-					capped = append(capped, propTriple{string(sk), string(pk), string(val)})
-					return true
-				}); err != nil {
-					return err
-				}
-				if fmt.Sprint(capped) != fmt.Sprint(full) {
-					t.Errorf("max-bounded batched scan:\n got %v\nwant %v", capped, full)
-				}
-				return nil
-			}); err != nil {
+			if err := w.RunSnapshot(func(stx *core.SnapTx) error { return check("snapshot", stx) }); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+}
+
+// propReference is the naive reading of ix over [lo, hi): its entries,
+// each resolved by its own point read.
+func propReference(r core.Reader, ix *Index, tbl *core.Table, lo, hi []byte) ([]propTriple, error) {
+	var ref []propTriple
+	if err := ScanEntries(r, ix, lo, hi, func(sk, pk []byte) bool {
+		ref = append(ref, propTriple{sk: string(sk), pk: string(pk)})
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	for i := range ref {
+		v, err := r.GetAppend(tbl, []byte(ref[i].pk), nil)
+		if err != nil {
+			return nil, fmt.Errorf("reference resolve %q: %w", ref[i].pk, err)
+		}
+		ref[i].val = string(v)
+	}
+	return ref, nil
 }

@@ -122,32 +122,26 @@ func VerifyCoveringFresh(tx *core.Tx, ix *Index, lo, hi []byte) error {
 	if !ix.Covering() {
 		return nil
 	}
-	type ent struct{ pk, fields []byte }
-	var ents []ent
-	if err := ScanCovering(tx, ix, lo, hi, func(_, pk, fields []byte) bool {
-		ents = append(ents, ent{
-			pk:     append([]byte(nil), pk...),
-			fields: append([]byte(nil), fields...),
-		})
+	var row, pb []byte
+	var fail error
+	if err := ScanCovering(tx, ix, lo, hi, 0, func(_, pk, fields []byte) bool {
+		row, fail = tx.GetAppend(ix.On, pk, row[:0])
+		if fail == core.ErrNotFound {
+			fail = core.ErrConflict
+		}
+		if fail != nil {
+			return false
+		}
+		want, ok := ix.include(pb[:0], pk, row)
+		pb = want
+		if !ok || !bytes.Equal(want, fields) {
+			fail = fmt.Errorf("index %q: covering fields %x for row %x are stale (want %x)",
+				ix.Name, fields, pk, want)
+			return false
+		}
 		return true
 	}); err != nil {
 		return err
 	}
-	var pb []byte
-	for _, e := range ents {
-		row, err := tx.Get(ix.On, e.pk)
-		if err == core.ErrNotFound {
-			return core.ErrConflict
-		}
-		if err != nil {
-			return err
-		}
-		want, ok := ix.include(pb[:0], e.pk, row)
-		pb = want
-		if !ok || !bytes.Equal(want, e.fields) {
-			return fmt.Errorf("index %q: covering fields %x for row %x are stale (want %x)",
-				ix.Name, e.fields, e.pk, want)
-		}
-	}
-	return nil
+	return fail
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"silo/internal/core"
+	"silo/internal/tid"
 )
 
 // refSegment is what a segment holds according to refParse.
@@ -164,12 +165,25 @@ func sameEntries(a, b []Entry) bool {
 
 // realSegments runs a small workload through real loggers — rotating
 // segments, updates and deletes — and returns the segments they wrote.
+// Epochs and logger passes run when the test says so — one of each per
+// transaction — so every run writes the same frames, and the fuzz target's
+// seeds, and with them the names of its seed subtests, are the same on
+// every run. With real tickers the number of durable frames followed the
+// scheduler.
 func realSegments(tb testing.TB, compress bool) [][]byte {
 	dir := tb.TempDir()
-	s, m := attachedStore(tb, 1, Config{Dir: dir, Compress: compress, SegmentBytes: 512})
+	opts := core.DefaultOptions(1)
+	opts.ManualEpochs = true
+	s := core.NewStore(opts)
+	tb.Cleanup(func() { s.Close() })
+	m, err := Attach(s, Config{Dir: dir, Compress: compress, SegmentBytes: 512, Clock: heldClock{}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m.Start()
 	tbl := s.CreateTable("t")
 	w := s.Worker(0)
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 36; i++ {
 		if err := w.Run(func(tx *core.Tx) error {
 			k := []byte(fmt.Sprintf("key%02d", i%10))
 			switch {
@@ -187,7 +201,16 @@ func realSegments(tb testing.TB, compress bool) [][]byte {
 		}); err != nil {
 			tb.Fatal(err)
 		}
-		waitDurableFor(tb, s, m, 1) // one logger pass per transaction, so the segments rotate
+		// Close the transaction's epoch and run one pass: a buffer frame, a
+		// durable frame, and a rotation once the segment has outgrown 512 B.
+		e := tid.Word(w.LastCommitTID()).Epoch()
+		s.Epochs().AdvanceTo(e + 1)
+		for _, lg := range m.loggers {
+			lg.iterate()
+		}
+		if d := m.DurableEpoch(); d != e {
+			tb.Fatalf("durable epoch %d after the pass that closes %d", d, e)
+		}
 	}
 	m.Stop()
 	infos, err := ListLogFiles(nil, dir)

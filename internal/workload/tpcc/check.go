@@ -182,7 +182,7 @@ func CheckIndexes(s *core.Store, t *Tables) error {
 			entries := 0
 			var skb []byte
 			var mismatch error
-			if err := index.Scan(tx, ix, []byte{0}, nil, func(sk, pk, val []byte) bool {
+			if err := index.Scan(tx, ix, []byte{0}, nil, 0, func(sk, pk, val []byte) bool {
 				entries++
 				want, ok := ix.Key(skb[:0], pk, val)
 				skb = want

@@ -48,8 +48,8 @@ func CreateTables(db *silo.DB) *Tables {
 		case TCustomerName:
 			// Covering: entry values carry (balance, credit, first) so
 			// order-status by name never resolves customer rows.
-			ix, err := db.CreateCoveringIndexSpec(0, t.Customer, name, false,
-				CustomerNameIndexSpec(), CustomerNameIncludeSpec())
+			ix, err := db.CreateIndexSpec(0, t.Customer, name, false,
+				CustomerNameIndexSpec(), CustomerNameIncludeSpec()...)
 			if err != nil {
 				panic("tpcc: customer-name index: " + err.Error())
 			}

@@ -199,7 +199,7 @@ func TestPaymentByNamePicksMiddleCustomer(t *testing.T) {
 		// covering length prefix.
 		var perr error
 		serr := tx.Scan(tb.CustomerName.Entries, lo, hi, func(_, v []byte) bool {
-			pk, err := tb.CustomerName.EntryValuePK(v)
+			pk, _, err := tb.CustomerName.SplitEntryValue(v)
 			if err != nil {
 				perr = err
 				return false
@@ -389,7 +389,7 @@ func TestStockLevelAgainstBruteForce(t *testing.T) {
 	cl := NewClient(tb, sc, w, 1, StandardConfig(), 3)
 	got := -1
 	err := w.RunOnce(func(tx *core.Tx) error {
-		r := txReader{tx}
+		r := tx
 		// stockLevelBody counts internally; reproduce with its reader to
 		// keep the check honest.
 		var di District

@@ -479,7 +479,7 @@ func (c *Client) lookupByNameCovering(tx *core.Tx, w, d int, last string) (int, 
 	var fbuf []byte
 	c.kb = CustomerNamePrefixLo(c.kb, w, d, last)
 	c.kb2 = CustomerNamePrefixHi(c.kb2, w, d, last)
-	err := index.ScanCovering(tx, c.T.CustomerName, c.kb, c.kb2, func(_, pk, fields []byte) bool {
+	err := index.ScanCovering(tx, c.T.CustomerName, c.kb, c.kb2, 0, func(_, pk, fields []byte) bool {
 		ids = append(ids, int(bigEndianU32(pk[8:12])))
 		fbuf = append(fbuf, fields...)
 		return true
@@ -538,7 +538,7 @@ func (c *Client) OrderStatus() error {
 		var ord Order
 		c.kb = OrderCustPrefixLo(c.kb, c.Home, d, id)
 		c.kb2 = OrderCustPrefixHi(c.kb2, c.Home, d, id)
-		err := index.Scan(tx, c.T.OrderCust, c.kb, c.kb2, func(_, pk, v []byte) bool {
+		err := index.Scan(tx, c.T.OrderCust, c.kb, c.kb2, 1, func(_, pk, v []byte) bool {
 			oid = int(bigEndianU32(pk[8:12]))
 			ord.Unmarshal(v)
 			return false
@@ -662,38 +662,19 @@ func (c *Client) StockLevel() error {
 
 	if c.Cfg.SnapshotStockLevel {
 		return c.W.RunSnapshot(func(stx *core.SnapTx) error {
-			return c.stockLevelBody(snapReader{stx}, d, threshold)
+			return c.stockLevelBody(stx, d, threshold)
 		})
 	}
 	return c.W.RunOnce(func(tx *core.Tx) error {
-		return c.stockLevelBody(txReader{tx}, d, threshold)
+		return c.stockLevelBody(tx, d, threshold)
 	})
 }
 
-// reader abstracts over Tx and SnapTx for read-only transaction bodies.
-type reader interface {
-	Get(t *core.Table, key []byte) ([]byte, error)
-	Scan(t *core.Table, lo, hi []byte, fn func(key, value []byte) bool) error
-}
-
-type txReader struct{ tx *core.Tx }
-
-func (r txReader) Get(t *core.Table, key []byte) ([]byte, error) { return r.tx.Get(t, key) }
-func (r txReader) Scan(t *core.Table, lo, hi []byte, fn func(k, v []byte) bool) error {
-	return r.tx.Scan(t, lo, hi, fn)
-}
-
-type snapReader struct{ stx *core.SnapTx }
-
-func (r snapReader) Get(t *core.Table, key []byte) ([]byte, error) { return r.stx.Get(t, key) }
-func (r snapReader) Scan(t *core.Table, lo, hi []byte, fn func(k, v []byte) bool) error {
-	return r.stx.Scan(t, lo, hi, fn)
-}
-
-func (c *Client) stockLevelBody(r reader, d int, threshold int32) error {
+func (c *Client) stockLevelBody(r core.Reader, d int, threshold int32) error {
 	var di District
+	var err error
 	c.kb = DistrictKey(c.kb, c.Home, d)
-	v, err := r.Get(c.T.District, c.kb)
+	c.vb, err = r.GetAppend(c.T.District, c.kb, c.vb[:0])
 	if err == core.ErrNotFound {
 		// A snapshot taken before the initial load sees an empty database;
 		// the query legitimately reports no stock below threshold.
@@ -702,7 +683,7 @@ func (c *Client) stockLevelBody(r reader, d int, threshold int32) error {
 	if err != nil {
 		return err
 	}
-	di.Unmarshal(v)
+	di.Unmarshal(c.vb)
 	next := int(di.NextOID)
 	lo := next - 20
 	if lo < 1 {
@@ -727,14 +708,14 @@ func (c *Client) stockLevelBody(r reader, d int, threshold int32) error {
 	var st Stock
 	for id := range seen {
 		c.kb = StockKey(c.kb, c.Home, int(id))
-		v, err := r.Get(c.T.Stock, c.kb)
+		c.vb, err = r.GetAppend(c.T.Stock, c.kb, c.vb[:0])
+		if err == core.ErrNotFound {
+			continue
+		}
 		if err != nil {
-			if err == core.ErrNotFound {
-				continue
-			}
 			return err
 		}
-		st.Unmarshal(v)
+		st.Unmarshal(c.vb)
 		if st.Quantity < threshold {
 			low++
 		}

@@ -22,7 +22,9 @@ import (
 // benchExec builds a paused-executor server over an in-memory database:
 // the server's own executors idle on the dispatch queue while the
 // benchmark drives worker 0's exec state directly, exactly the code a
-// dispatched job runs minus the channel hops.
+// dispatched job runs minus the channel hops. It returns once the snapshot
+// epoch covers the load, so snapshot ISCANs page the same rows as the
+// serializable ones.
 func benchExec(tb testing.TB) (*Server, *execState, func()) {
 	tb.Helper()
 	db, err := silo.Open(silo.Options{Workers: 2, EpochInterval: 2 * time.Millisecond})
@@ -60,9 +62,17 @@ func benchExec(tb testing.TB) (*Server, *execState, func()) {
 	if _, err := db.CreateIndexSpec(0, rows, "rows_ix", false, key); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := db.CreateCoveringIndexSpec(0, rows, "rows_cov", false, key,
-		[]silo.IndexSeg{{FromValue: true, Off: 0, Len: 16}}); err != nil {
+	if _, err := db.CreateIndexSpec(0, rows, "rows_cov", false, key,
+		silo.IndexSeg{FromValue: true, Off: 0, Len: 16}); err != nil {
 		tb.Fatal(err)
+	}
+	// Snapshot reads see versions from epochs before the snapshot epoch.
+	loaded := db.Epoch()
+	for deadline := time.Now().Add(5 * time.Second); db.Store().Epochs().SnapshotGlobal() <= loaded; {
+		if time.Now().After(deadline) {
+			tb.Fatal("snapshot epoch never passed the load")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	st := newExecState(s, 0)
 	return s, st, func() {
@@ -190,6 +200,13 @@ func BenchmarkServerExecIScanCovering(b *testing.B) {
 	benchLoop(b, s, st, frame)
 }
 
+func BenchmarkServerExecIScanSnapshot(b *testing.B) {
+	s, st, stop := benchExec(b)
+	defer stop()
+	frame, _ := wire.AppendRequest(nil, &wire.Request{Ops: []wire.Op{iscanOp("rows_ix", false, true)}})
+	benchLoop(b, s, st, frame)
+}
+
 // TestServerExecAllocs is the allocation gate behind the benchmarks:
 // after one warmup pass, the full decode→exec→encode cycle of each
 // steady-state shape must allocate nothing. It runs in ordinary test
@@ -208,24 +225,30 @@ func TestServerExecAllocs(t *testing.T) {
 	shapes := []struct {
 		name string
 		req  wire.Request
-		// report marks shapes that are logged, not gated.
-		report bool
 	}{
 		{"get", wire.Request{Ops: []wire.Op{
-			{Kind: wire.KindGet, Table: "bench", Key: []byte{'k', 3, 7}}}}, false},
+			{Kind: wire.KindGet, Table: "bench", Key: []byte{'k', 3, 7}}}}},
 		{"put", wire.Request{Ops: []wire.Op{
-			{Kind: wire.KindPut, Table: "bench", Key: []byte{'k', 3, 7}, Value: make([]byte, 100)}}}, false},
+			{Kind: wire.KindPut, Table: "bench", Key: []byte{'k', 3, 7}, Value: make([]byte, 100)}}}},
 		{"add", wire.Request{Ops: []wire.Op{
-			{Kind: wire.KindAdd, Table: "bench", Key: []byte{'k', 2, 4}, Delta: 1}}}, false},
+			{Kind: wire.KindAdd, Table: "bench", Key: []byte{'k', 2, 4}, Delta: 1}}}},
 		{"scan", wire.Request{Ops: []wire.Op{
-			{Kind: wire.KindScan, Table: "bench", Key: []byte{'k', 2, 0}, HasHi: true, Hi: []byte{'k', 8, 0}, Limit: 64}}}, false},
-		{"txn", wire.Request{Txn: true, Ops: txnOps()[:3]}, false},
-		{"trace-get", wire.Request{Trace: true, Ops: txnOps()[:1]}, false},
-		{"trace-txn", wire.Request{Trace: true, Ops: txnOps()}, false},
-		{"iscan-batched", wire.Request{Ops: []wire.Op{iscanOp("rows_ix", false, false)}}, false},
-		{"iscan-covering", wire.Request{Ops: []wire.Op{iscanOp("rows_cov", true, false)}}, false},
-		{"iscan-snapshot", wire.Request{Ops: []wire.Op{iscanOp("rows_ix", false, true)}}, true},
-		{"iscan-snapshot-covering", wire.Request{Ops: []wire.Op{iscanOp("rows_cov", true, true)}}, true},
+			{Kind: wire.KindScan, Table: "bench", Key: []byte{'k', 2, 0}, HasHi: true, Hi: []byte{'k', 8, 0}, Limit: 64}}}},
+		{"txn", wire.Request{Txn: true, Ops: txnOps()[:3]}},
+		{"trace-get", wire.Request{Trace: true, Ops: txnOps()[:1]}},
+		{"trace-txn", wire.Request{Trace: true, Ops: txnOps()}},
+		{"iscan-batched", wire.Request{Ops: []wire.Op{iscanOp("rows_ix", false, false)}}},
+		{"iscan-covering", wire.Request{Ops: []wire.Op{iscanOp("rows_cov", true, false)}}},
+		{"iscan-snapshot", wire.Request{Ops: []wire.Op{iscanOp("rows_ix", false, true)}}},
+		{"iscan-snapshot-covering", wire.Request{Ops: []wire.Op{iscanOp("rows_cov", true, true)}}},
+	}
+	// Each ISCAN shape prices a full page of visible rows.
+	for _, sh := range shapes {
+		if op := sh.req.Ops[0]; op.Kind == wire.KindIScan {
+			if page := execFrame(t, s, st, op); len(page.Entries) != 64 {
+				t.Fatalf("%s pages %d rows (%v %s), want 64", sh.name, len(page.Entries), page.Kind, page.Msg)
+			}
+		}
 	}
 	j := newBenchJob()
 	// Every shape runs twice: plain, and with slow-op capture armed (and
@@ -241,11 +264,7 @@ func TestServerExecAllocs(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				cycle() // warm scratch, arenas, and engine-side buffers
 			}
-			n := testing.AllocsPerRun(200, cycle)
-			switch {
-			case sh.report:
-				t.Logf("%s (slow capture %v): %.1f allocs/op (reported, not gated)", sh.name, slowAt, n)
-			case n > 0:
+			if n := testing.AllocsPerRun(200, cycle); n > 0 {
 				t.Errorf("%s (slow capture %v): %.1f allocs/op on the steady-state exec path, want 0", sh.name, slowAt, n)
 			}
 		}

@@ -363,7 +363,7 @@ type execState struct {
 	enc wire.ScanEncoder
 
 	fnGet, fnPut, fnInsert, fnDelete, fnAdd, fnScan, fnTxn func(tx *silo.Tx) error
-	fnSnapScan                                             func(stx *silo.SnapTx) error
+	fnSnapshotScan                                         func(stx *silo.SnapTx) error
 	fnPair                                                 func(k, v []byte) bool
 	fnEntry                                                func(sk, pk, v []byte) bool
 }
@@ -375,9 +375,9 @@ func newExecState(s *Server, w int) *execState {
 	st.fnInsert = st.doInsert
 	st.fnDelete = st.doDelete
 	st.fnAdd = st.doAdd
-	st.fnScan = st.doScan
+	st.fnScan = func(tx *silo.Tx) error { return st.doScan(tx) }
 	st.fnTxn = st.doTxn
-	st.fnSnapScan = st.doSnapScan
+	st.fnSnapshotScan = func(stx *silo.SnapTx) error { return st.doScan(stx) }
 	st.fnPair = st.visitPair
 	st.fnEntry = st.visitEntry
 	return st
@@ -508,14 +508,7 @@ func (s *Server) execCreateIndex(w int, op *wire.Op) wire.Response {
 	if err != nil {
 		return errResponse(err)
 	}
-	segs := wireSegs(op.Segs)
-	if len(op.Incs) > 0 {
-		if _, err := s.db.CreateCoveringIndexSpec(w, t, op.Index, op.Unique, segs, wireSegs(op.Incs)); err != nil {
-			return errResponse(err)
-		}
-		return wire.Response{Kind: wire.KindOK}
-	}
-	if _, err := s.db.CreateIndexSpec(w, t, op.Index, op.Unique, segs); err != nil {
+	if _, err := s.db.CreateIndexSpec(w, t, op.Index, op.Unique, wireSegs(op.Segs), wireSegs(op.Incs)...); err != nil {
 		return errResponse(err)
 	}
 	return wire.Response{Kind: wire.KindOK}

@@ -109,16 +109,16 @@ func TestCoveringIndexOverTheWire(t *testing.T) {
 	}
 	spec := []wire.IndexSeg{{FromValue: true, Off: 0, Len: 4}}
 	incs := []wire.IndexSeg{{FromValue: true, Off: 4, Len: 3}} // first 3 payload bytes
-	if err := cl.CreateCoveringIndex("users_by_city", "users", false, spec, incs); err != nil {
+	if err := cl.CreateIndex("users_by_city", "users", false, spec, incs...); err != nil {
 		t.Fatalf("create covering index: %v", err)
 	}
 	// Idempotent re-create with the identical declaration; a different
 	// include list is rejected.
-	if err := cl.CreateCoveringIndex("users_by_city", "users", false, spec, incs); err != nil {
+	if err := cl.CreateIndex("users_by_city", "users", false, spec, incs...); err != nil {
 		t.Fatalf("re-create covering index: %v", err)
 	}
-	if err := cl.CreateCoveringIndex("users_by_city", "users", false, spec,
-		[]wire.IndexSeg{{FromValue: true, Off: 4, Len: 5}}); err == nil {
+	if err := cl.CreateIndex("users_by_city", "users", false, spec,
+		wire.IndexSeg{FromValue: true, Off: 4, Len: 5}); err == nil {
 		t.Fatal("re-create with a different include list accepted")
 	}
 
@@ -329,7 +329,7 @@ func TestTransformIndexAndSchemaOverTheWire(t *testing.T) {
 		{Off: 4, Len: 4, Xform: wire.XformInvert},                   // ^seq
 	}
 	incs := []wire.IndexSeg{{FromValue: true, Off: 0, Len: 4}}
-	if err := cl.CreateCoveringIndex("events_by_owner", "events", true, segs, incs); err != nil {
+	if err := cl.CreateIndex("events_by_owner", "events", true, segs, incs...); err != nil {
 		t.Fatalf("create transform index: %v", err)
 	}
 

@@ -11,18 +11,19 @@ import (
 // bound starts there.
 var minKey = []byte{0}
 
-// execScan runs SCAN and every ISCAN variant (batched, covering,
-// snapshot, snapshot+covering). It takes the response buffer before the transaction starts, and
-// the visitors frame each row into it as the scan produces it, so a row
-// is copied once between the transaction's read buffer and the socket and
-// nothing is allocated per row or per page. The finished frame goes to
-// the connection writer as is.
+// execScan runs SCAN and every ISCAN variant. It takes the response
+// buffer before the transaction starts, and the visitors frame each row
+// into it as the scan produces it, so a row is copied once between the
+// reader's buffer and the socket and nothing is allocated per row or per
+// page. The finished frame goes to the connection writer as is. There is
+// one scan body (doScan); a snapshot ISCAN differs only in the reader
+// RunSnapshot hands it.
 //
-// A batched ISCAN calls its visitor while rows are still being resolved,
-// and s.run re-executes the scan after an OCC conflict, so an attempt
-// that aborts may already have framed a prefix of its page: doScan resets
-// the encoder at the top of every attempt, and the frame that is sent
-// holds the committed attempt's rows only.
+// s.run re-executes the scan after an OCC conflict, and an attempt that
+// aborts — at commit, or in the scan itself when a resolved row went
+// missing — may already have framed part of its page: doScan resets the
+// encoder at the top of every attempt, and the frame that is sent holds
+// the committed attempt's rows only.
 //
 // Two things bound a page. A limit beyond Options.MaxScan is rejected
 // rather than clamped, and so is a page whose frame would pass
@@ -60,7 +61,7 @@ func (s *Server) execScan(st *execState, op *wire.Op, sp *silo.TxnSpans) (wire.R
 	st.enc.Begin(rb.b[:0], kind, s.opts.MaxFrame)
 	var err error
 	if op.Snapshot {
-		err = s.db.RunSnapshot(st.w, st.fnSnapScan)
+		err = s.db.RunSnapshot(st.w, st.fnSnapshotScan)
 	} else {
 		err = s.run(st.w, sp, st.fnScan)
 	}
@@ -78,24 +79,16 @@ func (s *Server) execScan(st *execState, op *wire.Op, sp *silo.TxnSpans) (wire.R
 	return wire.Response{Kind: kind}, rb
 }
 
-func (st *execState) doScan(tx *silo.Tx) error {
+func (st *execState) doScan(r silo.Reader) error {
 	st.enc.Reset() // a retried transaction restarts its page
 	op := st.op
 	switch {
 	case op.Kind == wire.KindScan:
-		return tx.Scan(st.t, st.lo, hiBound(op), st.fnPair)
+		return r.Scan(st.t, st.lo, hiBound(op), st.fnPair)
 	case op.Covering:
-		return silo.ScanIndexCovering(tx, st.ix, st.lo, hiBound(op), st.fnEntry)
+		return silo.ScanIndexCovering(r, st.ix, st.lo, hiBound(op), st.limit, st.fnEntry)
 	}
-	return silo.ScanIndexBatched(tx, st.ix, st.lo, hiBound(op), st.limit, st.fnEntry)
-}
-
-func (st *execState) doSnapScan(stx *silo.SnapTx) error {
-	st.enc.Reset()
-	if st.op.Covering {
-		return silo.ScanIndexSnapshotCovering(stx, st.ix, st.lo, hiBound(st.op), st.fnEntry)
-	}
-	return silo.ScanIndexSnapshot(stx, st.ix, st.lo, hiBound(st.op), st.fnEntry)
+	return silo.ScanIndexBatched(r, st.ix, st.lo, hiBound(op), st.limit, st.fnEntry)
 }
 
 // visitPair and visitEntry frame one row and stop the scan at the limit

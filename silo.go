@@ -49,15 +49,19 @@
 // write-set with the matching index-table entries, so index consistency
 // inherits serializability, durability, and recovery. Existing rows are
 // folded in by a transactional backfill. ScanIndex resolves secondary keys
-// to rows with phantom protection on both trees; ScanIndexSnapshot reads
-// the index at a consistent snapshot.
+// to rows; it takes a Reader, so the same call reads the index with
+// phantom protection on both trees inside Run, or at a consistent snapshot
+// inside RunSnapshot.
 //
 //	users := db.CreateTable("users")
 //	byCity, _ := db.CreateIndex(0, users, "users_by_city", false,
 //	    func(dst, pk, val []byte) ([]byte, bool) { return append(dst, val[:4]...), true })
+//	visit := func(city, pk, row []byte) bool { ...; return true }
 //	err := db.Run(0, func(tx *silo.Tx) error {
-//	    return silo.ScanIndex(tx, byCity, []byte("AMS\x00"), []byte("AMT\x00"),
-//	        func(city, pk, row []byte) bool { ...; return true })
+//	    return silo.ScanIndex(tx, byCity, []byte("AMS\x00"), []byte("AMT\x00"), visit)
+//	})
+//	err = db.RunSnapshot(0, func(stx *silo.SnapTx) error {
+//	    return silo.ScanIndex(stx, byCity, []byte("AMS\x00"), []byte("AMT\x00"), visit)
 //	})
 package silo
 
@@ -424,24 +428,8 @@ const (
 // concurrently. Key functions are opaque, so re-creating an existing name
 // through this entry point is an error — use CreateIndexSpec when
 // idempotent re-creation matters.
-func (db *DB) CreateIndex(worker int, on *Table, name string, unique bool, key IndexKeyFunc) (*Index, error) {
-	return db.catalog.CreateIndex(db.store.Worker(worker), on, name, unique, key, nil, nil)
-}
-
-// CreateIndexSpec is CreateIndex with a declarative fixed-segment key spec
-// (the secondary key is the concatenation of the segments; rows too short
-// for a segment are left unindexed). This is the form clients can request
-// over the wire; re-creation with an identical declaration is idempotent,
-// while a different spec under an existing name is an error.
-func (db *DB) CreateIndexSpec(worker int, on *Table, name string, unique bool, segs []IndexSeg) (*Index, error) {
-	key, err := index.CompileSpec(segs)
-	if err != nil {
-		return nil, err
-	}
-	return db.catalog.CreateIndex(db.store.Worker(worker), on, name, unique, key, segs, nil)
-}
-
-// CreateCoveringIndex is CreateIndex for a covering index: include lists
+//
+// A non-empty include list makes the index covering: it names
 // fixed-position row segments whose bytes are projected into every entry
 // value and kept current by the maintenance hooks, so ScanIndexCovering
 // serves them without touching the primary table at all. A row too short
@@ -450,17 +438,27 @@ func (db *DB) CreateIndexSpec(worker int, on *Table, name string, unique bool, s
 // declaration: Recover verifies recovered entries against it and fails —
 // naming the index — if the index was re-declared with a different
 // include list than the one its logged entries were written under.
-func (db *DB) CreateCoveringIndex(worker int, on *Table, name string, unique bool, key IndexKeyFunc, include []IndexSeg) (*Index, error) {
-	return db.catalog.CreateIndex(db.store.Worker(worker), on, name, unique, key, nil, include)
+func (db *DB) CreateIndex(worker int, on *Table, name string, unique bool, key IndexKeyFunc, include ...IndexSeg) (*Index, error) {
+	return db.createIndex(worker, on, name, unique, key, nil, include)
 }
 
-// CreateCoveringIndexSpec is CreateIndexSpec with an include list (see
-// CreateCoveringIndex) — the fully wire-expressible covering form:
-// clients request it with include segments on CREATE_INDEX frames.
-func (db *DB) CreateCoveringIndexSpec(worker int, on *Table, name string, unique bool, segs, include []IndexSeg) (*Index, error) {
+// CreateIndexSpec is CreateIndex with a declarative fixed-segment key spec
+// (the secondary key is the concatenation of the segments; rows too short
+// for a segment are left unindexed). This is the form clients can request
+// over the wire, include list and all; re-creation with an identical
+// declaration is idempotent, while a different spec or include list under
+// an existing name is an error.
+func (db *DB) CreateIndexSpec(worker int, on *Table, name string, unique bool, segs []IndexSeg, include ...IndexSeg) (*Index, error) {
 	key, err := index.CompileSpec(segs)
 	if err != nil {
 		return nil, err
+	}
+	return db.createIndex(worker, on, name, unique, key, segs, include)
+}
+
+func (db *DB) createIndex(worker int, on *Table, name string, unique bool, key IndexKeyFunc, segs, include []IndexSeg) (*Index, error) {
+	if len(include) == 0 {
+		include = nil // an empty include list declares no covering projection
 	}
 	return db.catalog.CreateIndex(db.store.Worker(worker), on, name, unique, key, segs, include)
 }
@@ -479,66 +477,50 @@ func (db *DB) Index(name string) *Index { return db.indexes.Get(name) }
 func (db *DB) Indexes() []*Index { return db.indexes.All() }
 
 // ScanIndex visits index entries with keys in [lo, hi) in order, resolving
-// each to its primary row and calling fn(secondaryKey, primaryKey, value).
-// The scan is phantom-safe on both trees: a concurrent insert into the
-// scanned secondary range, or any change to a resolved row, aborts the
-// transaction at commit. Slices are valid only during the callback.
-func ScanIndex(tx *Tx, ix *Index, lo, hi []byte, fn func(sk, pk, value []byte) bool) error {
-	return index.Scan(tx, ix, lo, hi, fn)
+// each to its primary row and calling fn(secondaryKey, primaryKey, value);
+// fn returning false stops the scan. It is ScanIndexBatched over the whole
+// range. Slices are valid only during the callback.
+func ScanIndex(r Reader, ix *Index, lo, hi []byte, fn func(sk, pk, value []byte) bool) error {
+	return index.Scan(r, ix, lo, hi, 0, fn)
 }
 
-// ScanIndexBatched is ScanIndex with batched primary-row resolution:
-// matching entries are collected first (up to max; 0 means unbounded),
-// their primary keys sorted, and the rows resolved with ordered
-// multi-get descents over the primary tree — one descent per leaf run
-// instead of one point read per entry; fn receives the results in
-// entry-key order. OCC read-set and node-set semantics are identical
-// to ScanIndex: a concurrent write landing between collection and
-// resolution either surfaces as ErrConflict or aborts the transaction at
-// commit, never as a torn row in a committed transaction. Results are
-// emitted as they resolve when the collected primary keys are already in
-// ascending order, so fn may have run for a prefix of the page when
-// ErrConflict is returned (a re-executed transaction body must restart
-// its output), and fn then runs inside the transaction's read of the
-// primary table: copy what you keep and use tx after ScanIndexBatched
-// returns, not from inside fn. Prefer it over ScanIndex for
-// large ranges consumed in full (it is what the network server runs for
-// ISCAN); prefer ScanIndex when stopping after a few entries.
-func ScanIndexBatched(tx *Tx, ix *Index, lo, hi []byte, max int, fn func(sk, pk, value []byte) bool) error {
-	return index.ScanBatched(tx, ix, lo, hi, max, fn)
+// ScanIndexBatched is ScanIndex bounded to the first max entries (0 means
+// the whole range): it collects the entries, then resolves their rows —
+// with ordered multi-get descents over the primary tree, one per leaf run,
+// or with one point read per entry when the collected primary keys are
+// scattered — and calls fn in entry-key order. A caller that wants a
+// prefix passes max; fn returning false stops emission, not collection.
+//
+// Under a Tx the scan is phantom-safe on both trees: a concurrent insert
+// into the scanned secondary range, or any change to a resolved row,
+// aborts the transaction at commit, and an entry whose row a concurrent
+// writer removed returns ErrConflict — after fn has seen the rows before
+// it, which a re-executed transaction body must discard. Under a SnapTx
+// entries and rows are read at the same snapshot epoch: consistent, never
+// aborting. fn runs after the rows it is handed were read, so it may
+// itself read through r.
+func ScanIndexBatched(r Reader, ix *Index, lo, hi []byte, max int, fn func(sk, pk, value []byte) bool) error {
+	return index.Scan(r, ix, lo, hi, max, fn)
 }
 
 // ScanIndexCovering serves a covering index's included row fields straight
-// from its entry values: fn receives (secondaryKey, primaryKey,
-// includedFields) and the primary tree is never touched — no per-entry
-// shared-memory round trip at all. Phantom safety comes from node-set
-// validation on the index tree alone; freshness from the entries
-// themselves joining the read-set (maintenance rewrites an entry whenever
-// an included field changes). ErrNotCovering reports an index declared
-// without an include list.
-func ScanIndexCovering(tx *Tx, ix *Index, lo, hi []byte, fn func(sk, pk, fields []byte) bool) error {
-	return index.ScanCovering(tx, ix, lo, hi, fn)
+// from its entry values, for the first max entries (0 means the whole
+// range): fn receives (secondaryKey, primaryKey, includedFields) and the
+// primary tree is never touched — no per-entry shared-memory round trip at
+// all. Under a Tx phantom safety comes from node-set validation on the
+// index tree alone; freshness from the entries themselves joining the
+// read-set (maintenance rewrites an entry whenever an included field
+// changes). ErrNotCovering reports an index declared without an include
+// list.
+func ScanIndexCovering(r Reader, ix *Index, lo, hi []byte, max int, fn func(sk, pk, fields []byte) bool) error {
+	return index.ScanCovering(r, ix, lo, hi, max, fn)
 }
 
 // ScanIndexEntries is ScanIndex without resolving primary rows: fn
-// receives (secondaryKey, primaryKey) only, and only the entry tree is
-// phantom-protected. Copy pk before issuing further reads on tx.
-func ScanIndexEntries(tx *Tx, ix *Index, lo, hi []byte, fn func(sk, pk []byte) bool) error {
-	return index.ScanEntries(tx, ix, lo, hi, fn)
-}
-
-// ScanIndexSnapshot is ScanIndex against a snapshot transaction: entries
-// and rows are read at the same snapshot epoch, so the view is consistent
-// and never aborts.
-func ScanIndexSnapshot(stx *SnapTx, ix *Index, lo, hi []byte, fn func(sk, pk, value []byte) bool) error {
-	return index.SnapScan(stx, ix, lo, hi, fn)
-}
-
-// ScanIndexSnapshotCovering is ScanIndexCovering against a snapshot
-// transaction: included fields are served from entry values as of the
-// snapshot epoch, consistent by construction and never aborting.
-func ScanIndexSnapshotCovering(stx *SnapTx, ix *Index, lo, hi []byte, fn func(sk, pk, fields []byte) bool) error {
-	return index.SnapScanCovering(stx, ix, lo, hi, fn)
+// receives (secondaryKey, primaryKey) only, and under a Tx only the entry
+// tree is phantom-protected.
+func ScanIndexEntries(r Reader, ix *Index, lo, hi []byte, fn func(sk, pk []byte) bool) error {
+	return index.ScanEntries(r, ix, lo, hi, fn)
 }
 
 // VerifyIndexCovering re-derives the included fields of every covering
@@ -554,8 +536,8 @@ func VerifyIndexCovering(tx *Tx, ix *Index, lo, hi []byte) error {
 // LookupIndex resolves a secondary key on a unique index to its primary
 // key and row value (ErrNotFound if absent). The returned slices are owned
 // by the caller.
-func LookupIndex(tx *Tx, ix *Index, sk []byte) (pk, value []byte, err error) {
-	return index.Lookup(tx, ix, sk)
+func LookupIndex(r Reader, ix *Index, sk []byte) (pk, value []byte, err error) {
+	return index.Lookup(r, ix, sk)
 }
 
 // Workers returns the number of worker contexts. Networked front ends
@@ -568,6 +550,11 @@ type Tx = core.Tx
 
 // SnapTx is a read-only snapshot transaction.
 type SnapTx = core.SnapTx
+
+// Reader is what both transaction kinds read through (GetAppend, GetBatch,
+// Scan): the index reads take one, so the same call runs serializably in
+// Run or at a snapshot in RunSnapshot.
+type Reader = core.Reader
 
 // Run executes fn as a transaction on the given worker, committing if fn
 // returns nil and retrying automatically on conflict. fn must be
@@ -663,10 +650,6 @@ func (db *DB) DurableEpoch() uint64 {
 	return db.wal.DurableEpoch()
 }
 
-// HasDurability reports whether the database logs commits
-// (Options.Durability was set).
-func (db *DB) HasDurability() bool { return db.wal != nil }
-
 // DurableNotify subscribes to durable-epoch advances. The returned channel
 // carries D after each advance, coalesced to the newest value (a slow
 // receiver only ever misses intermediate epochs, never the latest), and is
@@ -745,9 +728,9 @@ type RecoveryResult = recovery.Result
 // — fails recovery with an error naming the table or index. The covering
 // audit is a constant-time comparison of declarations, not a walk of the
 // recovered entries. The one declaration the catalog cannot reconstruct
-// is an index created with an opaque Go KeyFunc (CreateIndex /
-// CreateCoveringIndex): re-declare those, in their original creation
-// order, before Recover — their recovered entries are then additionally
+// is an index created with an opaque Go KeyFunc (CreateIndex): re-declare
+// those, in their original creation order, before Recover — their
+// recovered entries are then additionally
 // shape-audited (covering ones in full, plain ones by a bounded resolved
 // sample), since byte records cannot vouch for an opaque function.
 //
