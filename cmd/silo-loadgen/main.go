@@ -42,6 +42,7 @@ import (
 	"silo"
 	"silo/client"
 	"silo/internal/obs"
+	"silo/internal/trace"
 	"silo/internal/workload/ycsb"
 	"silo/wire"
 )
@@ -280,7 +281,7 @@ func printAborts(db *silo.DB, addr string, embedded bool) {
 	}
 	var total uint64
 	line := "aborts:"
-	for _, reason := range []string{"read_validation", "node_validation", "hook_poisoned", "explicit"} {
+	for _, reason := range trace.AbortReasonNames {
 		v := snap.Value("silo_core_aborts_total", reason)
 		total += v
 		line += fmt.Sprintf(" %s=%d", reason, v)

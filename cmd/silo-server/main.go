@@ -45,7 +45,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":4555", "TCP listen address")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker contexts (one per core)")
-		epoch     = flag.Duration("epoch", 40*time.Millisecond, "epoch interval (paper: 40ms)")
+		epoch     = flag.Duration("epoch", 40*time.Millisecond, "epoch interval (paper: 40ms): the longest an epoch stays open; under durable group acks epochs close as soon as the previous one is durable")
 		tables    = flag.String("tables", "", "comma-separated tables to create at startup")
 		logDir    = flag.String("logdir", "", "durability directory (empty = no persistence)")
 		loggers   = flag.Int("loggers", 2, "logger threads when -logdir is set")
@@ -237,7 +237,7 @@ func statsLine(db *silo.DB, srv *server.Server) string {
 	snap := db.Observe()
 	srv.CollectObs(snap)
 	var aborts uint64
-	for _, reason := range []string{"read_validation", "node_validation", "hook_poisoned", "explicit"} {
+	for _, reason := range trace.AbortReasonNames {
 		aborts += snap.Value("silo_core_aborts_total", reason)
 	}
 	line := fmt.Sprintf("conns=%d requests=%d errors=%d commits=%d aborts=%d",
@@ -246,8 +246,10 @@ func statsLine(db *silo.DB, srv *server.Server) string {
 		snap.Value("silo_server_errors_total", ""),
 		snap.Value("silo_core_commits_total", ""), aborts)
 	if s := snap.Get("silo_wal_durable_epoch", ""); s != nil {
-		line += fmt.Sprintf(" durable_epoch=%d lag=%d",
-			s.Value, snap.Value("silo_wal_durable_lag_epochs", ""))
+		// demand = epochs closed early for a durability waiter.
+		line += fmt.Sprintf(" durable_epoch=%d lag=%d demand=%d",
+			s.Value, snap.Value("silo_wal_durable_lag_epochs", ""),
+			snap.Value("silo_epoch_advances_total", "demand"))
 		if h := snap.Get("silo_wal_fsync_ns", ""); h != nil && h.Hist.Count > 0 {
 			line += fmt.Sprintf(" fsync_p99=%v", time.Duration(h.Hist.Quantile(0.99)))
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"silo/internal/epoch"
 	"silo/internal/obs"
 	"silo/internal/trace"
 )
@@ -10,13 +11,15 @@ import (
 // Abort reasons for the observability breakdown. The first two mirror
 // the commit-protocol counters (Phase 2 read-set and node-set
 // validation); hook-poisoned covers transactions whose WriteHook failed
-// mid-execution (Commit refuses them), and explicit covers Abort calls
-// by the application or the Run retry loop.
+// mid-execution (Commit refuses them), explicit covers Abort calls by
+// the application or the Run retry loop, and epoch-full covers commits
+// that found no TID left in their epoch (they retry in the next one).
 const (
 	obsAbortReadValidation = iota
 	obsAbortNodeValidation
 	obsAbortHookPoisoned
 	obsAbortExplicit
+	obsAbortEpochFull
 	numObsAbortReasons
 )
 
@@ -167,7 +170,8 @@ func (s *Store) obsShards() []*workerObs {
 // CollectObs appends the engine's metric families to snap: commit and
 // abort-reason totals, per-table read/write counters and tree shape,
 // sampled commit-phase latency and node-set length histograms (1 in 64
-// commits per worker), and the current global/snapshot epochs. Safe to
+// commits per worker), the current global/snapshot epochs, and the
+// advancing thread's advances by cause (tick or demand). Safe to
 // call while workers run; the result is a racy-but-race-clean monitoring
 // view, not a consistent cut.
 func (s *Store) CollectObs(snap *obs.Snapshot) {
@@ -224,4 +228,7 @@ func (s *Store) CollectObs(snap *obs.Snapshot) {
 
 	snap.Gauge("silo_core_epoch", "", "", s.epochs.Global())
 	snap.Gauge("silo_core_snapshot_epoch", "", "", s.epochs.SnapshotGlobal())
+	for cause, name := range epoch.CauseNames {
+		snap.Counter("silo_epoch_advances_total", "cause", name, s.epochs.AdvancesBy(cause))
+	}
 }

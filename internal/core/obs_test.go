@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"silo/internal/obs"
+	"silo/internal/tid"
 )
 
 func TestCollectObsCountsAndTables(t *testing.T) {
@@ -118,5 +120,49 @@ func TestAbortBreakdownValidation(t *testing.T) {
 	s.CollectObs(&snap)
 	if got := snap.Value("silo_core_aborts_total", "read_validation"); got != 1 {
 		t.Errorf("read_validation aborts = %d, want 1", got)
+	}
+}
+
+// TestEpochFullAbortsAndClosesEpoch: a write whose epoch has no sequence
+// number left above what it observed is not given a TID of a later epoch.
+// Its commit aborts with reason epoch_full, asks for the epoch to close
+// (an hour-long tick cannot be what advances it here), and Run's retry
+// commits in the next epoch. A read-only transaction over the same record
+// installs nothing and commits in place.
+func TestEpochFullAbortsAndClosesEpoch(t *testing.T) {
+	opts := DefaultOptions(1)
+	opts.EpochInterval = time.Hour
+	s := NewStore(opts)
+	defer s.Close()
+	tab := s.CreateTable("t")
+	w := s.Worker(0)
+	key := []byte("k")
+	if err := w.Run(func(tx *Tx) error { return tx.Insert(tab, key, []byte("a")) }); err != nil {
+		t.Fatal(err)
+	}
+	e := s.Epochs().Global()
+	rec, _, _ := tab.Tree.Get(key)
+	rec.Lock()
+	rec.Unlock(tid.Make(e, tid.MaxSeq).WithLatest(true)) // the epoch's last TID
+
+	if err := w.Run(func(tx *Tx) error { _, err := tx.Get(tab, key); return err }); err != nil {
+		t.Fatalf("read-only transaction over a full epoch: %v", err)
+	}
+	if err := w.Run(func(tx *Tx) error { return tx.Put(tab, key, []byte("b")) }); err != nil {
+		t.Fatal(err)
+	}
+	if got, cur := tid.Word(w.LastCommitTID()).Epoch(), s.Epochs().Global(); got != e+1 || cur < got {
+		t.Fatalf("write committed with a TID of epoch %d while E = %d; want epoch %d, the one after the full epoch", got, cur, e+1)
+	}
+	var snap obs.Snapshot
+	s.CollectObs(&snap)
+	if got := snap.Value("silo_core_aborts_total", "epoch_full"); got == 0 {
+		t.Error("no epoch_full abort counted")
+	}
+	if got := snap.Value("silo_epoch_advances_total", "demand"); got == 0 {
+		t.Error("the full epoch was not closed on demand")
+	}
+	if got := snap.Value("silo_core_aborts_total", "read_validation") + snap.Value("silo_core_aborts_total", "explicit"); got != 0 {
+		t.Errorf("%d aborts for other reasons", got)
 	}
 }

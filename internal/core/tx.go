@@ -756,11 +756,22 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	var commit tid.Word
+	var ok bool
 	if s.opts.GlobalTID {
-		commit = s.globalGen.Generate(e, maxObserved)
+		commit, ok = s.globalGen.Generate(e, maxObserved)
 		w.gen.Generate(e, uint64(commit)) // keep the local generator monotone too
 	} else {
-		commit = w.gen.Generate(e, maxObserved)
+		commit, ok = w.gen.Generate(e, maxObserved)
+	}
+	if !ok && len(tx.writes) > 0 {
+		// Epoch e has no sequence number left above what this transaction
+		// observed. Its writes cannot be installed in e, and a TID of a
+		// later epoch would break the epoch order, so abort, have the epoch
+		// closed now rather than at its tick, and let the retry commit in
+		// the next one. (A read-only transaction installs and logs nothing;
+		// its TID is only reported, so it commits regardless.)
+		s.epochs.AdvanceSoon()
+		return tx.abortCommit(abortEpochFull, nil, nil)
 	}
 	if sample {
 		t2 = time.Now()
@@ -845,17 +856,20 @@ func (tx *Tx) inWriteSet(rec *record.Record) bool {
 	return lo < len(tx.writes) && tx.writes[lo].rec == rec
 }
 
+// abortReason is a reason Commit itself aborts for; its values index the
+// abort counters and trace.AbortReasonNames.
 type abortReason int
 
 const (
-	abortReadValidation abortReason = iota
-	abortNodeValidation
+	abortReadValidation abortReason = obsAbortReadValidation
+	abortNodeValidation abortReason = obsAbortNodeValidation
+	abortEpochFull      abortReason = obsAbortEpochFull
 )
 
 // abortCommit releases all Phase 1 locks (restoring pre-lock words) and
 // finishes the transaction as aborted. t and key name the conflicting
 // entry (key nil for node-set conflicts and other keyless reasons); the
-// flight recorder captures them with the OCC reason so the abort is
+// flight recorder captures them with the reason so the abort is
 // attributable to a table and key after the fact.
 func (tx *Tx) abortCommit(reason abortReason, t *Table, key []byte) error {
 	for i := range tx.writes {
@@ -868,12 +882,7 @@ func (tx *Tx) abortCommit(reason abortReason, t *Table, key []byte) error {
 		tx.w.stats.AbortsNodeValidation++
 	}
 	if o := tx.w.obs; o != nil {
-		switch reason {
-		case abortReadValidation:
-			o.aborts[obsAbortReadValidation].Inc()
-		case abortNodeValidation:
-			o.aborts[obsAbortNodeValidation].Inc()
-		}
+		o.aborts[reason].Inc()
 	}
 	var tableID uint32
 	if t != nil {

@@ -1,7 +1,11 @@
 // Package epoch implements Silo's epoch subsystem (§4.1, §4.8, §4.9).
 //
 // Time is divided into short epochs identified by a global epoch number E. A
-// designated thread periodically advances E; workers read E while committing.
+// designated thread advances E — on its tick, every Interval, or sooner on
+// demand (AdvanceSoon), when someone is waiting for the open epoch to close;
+// workers read E while committing. Both causes run the same Advance on the
+// same thread, so the invariant below holds whatever the cause, and the tick
+// stays the ceiling: an idle system advances exactly as often as before.
 // Epoch boundaries are the only points at which the serial order is
 // externally known, so epochs drive serializable recovery (group commit),
 // RCU-style garbage collection, and consistent read-only snapshots.
@@ -19,7 +23,8 @@
 //
 // Snapshot epochs advance more slowly than epochs: snap(e) = k·⌊e/k⌋, and
 // the global snapshot epoch is SE = snap(E − k), so a snapshot is always a
-// consistent, slightly stale prefix of the serial order.
+// consistent, slightly stale prefix of the serial order — at most about
+// k·Interval old, and fresher when demand closes epochs early.
 package epoch
 
 import (
@@ -34,8 +39,9 @@ import (
 const DefaultInterval = 40 * time.Millisecond
 
 // DefaultSnapshotK is the paper's snapshot-epoch divisor: a new snapshot is
-// taken every k epochs (k=25 gives about one snapshot per second at 40 ms
-// epochs).
+// taken every k epochs (k=25 gives one snapshot per second at 40 ms epochs,
+// and more often — every 25 fsync passes or so — while demand closes epochs
+// early).
 const DefaultSnapshotK = 25
 
 // pad prevents false sharing between per-worker slots on the assumption of
@@ -67,16 +73,35 @@ type Manager struct {
 
 	slots []*Slot
 
+	// onAdvance is called after every successful Advance (OnAdvance).
+	// want is the newest epoch AdvanceSoon was asked to close; the
+	// advancing thread's run attributes its advance to demand when the
+	// epoch it closes is wanted, and to the tick otherwise.
+	onAdvance atomic.Pointer[func()]
+	want      atomic.Uint64
+	advances  [numCauses]atomic.Uint64
+
 	mu      sync.Mutex
-	ticker  vfs.Stopper
+	ticker  vfs.Ticker
 	running bool
 }
+
+// Causes of an advance by the advancing thread, for AdvancesBy.
+const (
+	CauseTick   = iota // the Interval tick
+	CauseDemand        // an AdvanceSoon kick
+	numCauses
+)
+
+// CauseNames are the label values of the causes, indexed like AdvancesBy.
+var CauseNames = [numCauses]string{"tick", "demand"}
 
 // Config parameterizes a Manager.
 type Config struct {
 	// Workers is the number of worker slots to allocate.
 	Workers int
-	// Interval is the epoch advance period; DefaultInterval if zero.
+	// Interval is the epoch advance period — the longest an epoch stays
+	// open, since AdvanceSoon may close it sooner; DefaultInterval if zero.
 	Interval time.Duration
 	// SnapshotK is the snapshot-epoch divisor; DefaultSnapshotK if zero.
 	SnapshotK int
@@ -202,7 +227,57 @@ func (m *Manager) Advance() bool {
 	}
 	m.snapGlobal.Store(m.snap(saturatingSub(e, m.k)))
 	m.recompute()
+	if fn := m.onAdvance.Load(); advanced && fn != nil {
+		(*fn)()
+	}
 	return advanced
+}
+
+// OnAdvance registers fn to run after every successful Advance, on the
+// advancing goroutine, replacing any earlier registration. The durability
+// layer uses it to wake its loggers the moment an epoch closes. fn must
+// not block.
+func (m *Manager) OnAdvance(fn func()) { m.onAdvance.Store(&fn) }
+
+// AdvanceSoon asks the advancing thread to close the open epoch now rather
+// than at its next tick: it kicks the thread, whose run is the ordinary
+// Advance — a worker still in the open epoch holds it open exactly as on a
+// tick, and there is never a second advancer. The tick schedule is left
+// alone. Only the first request for an epoch kicks (later ones, from other
+// waiters of the same epoch, would queue a run that closes the next epoch
+// before anyone asked), unless a straggler refused the kicked run, in which
+// case the next request kicks again. It is a no-op when epochs are driven
+// manually or the thread is stopped.
+func (m *Manager) AdvanceSoon() {
+	e := m.global.Load()
+	if m.want.Load() >= e {
+		return // already asked for
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.running && m.want.Load() < e {
+		m.want.Store(e)
+		m.ticker.Kick()
+	}
+}
+
+// AdvancesBy returns how many times the advancing thread advanced E for
+// cause (CauseTick or CauseDemand). An advance of an epoch AdvanceSoon
+// asked to close counts as demand even if the tick fell due first.
+func (m *Manager) AdvancesBy(cause int) uint64 { return m.advances[cause].Load() }
+
+// step is one run of the advancing thread, on a tick or a kick.
+func (m *Manager) step() {
+	e := m.global.Load()
+	cause := CauseTick
+	if m.want.Load() >= e {
+		cause = CauseDemand
+	}
+	if m.Advance() {
+		m.advances[cause].Add(1)
+	} else if cause == CauseDemand {
+		m.want.CompareAndSwap(e, e-1) // refused: let the next request kick again
+	}
 }
 
 // minLocal returns min over active workers of e_w, treating quiescent
@@ -259,7 +334,8 @@ func (m *Manager) AdvanceTo(e uint64) {
 }
 
 // Start launches the epoch-advancing thread (a clock ticker calling
-// Advance every interval). It is idempotent.
+// Advance every interval and whenever AdvanceSoon kicks it). It is
+// idempotent.
 func (m *Manager) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -267,7 +343,7 @@ func (m *Manager) Start() {
 		return
 	}
 	m.running = true
-	m.ticker = m.clock.Ticker(m.interval, func() { m.Advance() })
+	m.ticker = m.clock.Ticker(m.interval, m.step)
 }
 
 // Stop halts the advancing thread and waits for an in-flight step to

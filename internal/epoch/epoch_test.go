@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"silo/internal/vfs"
 )
 
 func manual(workers int, k int) *Manager {
@@ -173,6 +175,71 @@ func TestBackgroundAdvancer(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	m.Stop() // idempotent with deferred Stop
+}
+
+// heldClock hands its ticker callback to the test, which runs it by hand,
+// and counts kicks instead of serving them.
+type heldClock struct {
+	fn    func()
+	kicks int
+}
+
+func (c *heldClock) Now() time.Duration { return 0 }
+func (c *heldClock) Ticker(_ time.Duration, fn func()) vfs.Ticker {
+	c.fn = fn
+	return c
+}
+func (c *heldClock) Stop() {}
+func (c *heldClock) Kick() { c.kicks++ }
+
+// TestAdvanceSoon: a demand kick reaches the advancing thread only while
+// it runs and only once per epoch, the run it causes is the ordinary
+// Advance (a straggler refuses it exactly as it refuses a tick, and the
+// next request kicks again), every successful advance calls the OnAdvance
+// hook, and AdvancesBy attributes each advance to its cause.
+func TestAdvanceSoon(t *testing.T) {
+	clk := &heldClock{}
+	m := NewManager(Config{Workers: 1, Interval: time.Hour, Clock: clk})
+	hooks := 0
+	m.OnAdvance(func() { hooks++ })
+
+	m.AdvanceSoon() // manual epochs: nothing to kick
+	if clk.kicks != 0 || m.Global() != 1 {
+		t.Fatalf("AdvanceSoon before Start: %d kicks, E=%d", clk.kicks, m.Global())
+	}
+	m.Start()
+	m.AdvanceSoon()
+	m.AdvanceSoon() // a second waiter of the same epoch
+	if clk.kicks != 1 {
+		t.Fatalf("two AdvanceSoon calls for one epoch kicked %d times, want 1", clk.kicks)
+	}
+	clk.fn() // the kicked run
+	if m.Global() != 2 || m.AdvancesBy(CauseDemand) != 1 || m.AdvancesBy(CauseTick) != 0 || hooks != 1 {
+		t.Fatalf("after a kicked run: E=%d demand=%d tick=%d hooks=%d",
+			m.Global(), m.AdvancesBy(CauseDemand), m.AdvancesBy(CauseTick), hooks)
+	}
+	clk.fn() // a tick
+	if m.Global() != 3 || m.AdvancesBy(CauseTick) != 1 || hooks != 2 {
+		t.Fatalf("after a tick: E=%d tick=%d hooks=%d", m.Global(), m.AdvancesBy(CauseTick), hooks)
+	}
+
+	// A straggler holds E ≤ e_w + 1 against demand as against the tick.
+	s := m.Slot(0)
+	ew := s.Enter(m)
+	for i := 0; i < 3; i++ {
+		m.AdvanceSoon()
+		clk.fn()
+	}
+	if m.Global() != ew+1 || m.AdvancesBy(CauseDemand) != 2 || hooks != 3 {
+		t.Fatalf("with a straggler at e_w=%d: E=%d demand=%d hooks=%d", ew, m.Global(), m.AdvancesBy(CauseDemand), hooks)
+	}
+	s.Exit()
+
+	m.Stop()
+	m.AdvanceSoon()
+	if clk.kicks != 4 {
+		t.Fatalf("AdvanceSoon after Stop kicked (%d kicks, want 4)", clk.kicks)
+	}
 }
 
 func TestConcurrentEnterExit(t *testing.T) {

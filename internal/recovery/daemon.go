@@ -64,7 +64,7 @@ type Daemon struct {
 	wal   *wal.Manager
 	opts  DaemonOptions
 
-	ticker  vfs.Stopper
+	ticker  vfs.Ticker
 	started bool
 
 	mu     sync.Mutex

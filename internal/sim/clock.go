@@ -14,6 +14,12 @@ import (
 // clock the epoch advancer, the logger passes, and the checkpoint daemon
 // have no goroutines at all — background activity becomes an explicit,
 // replayable event stream.
+//
+// A kicked ticker (vfs.Ticker.Kick) runs at the next Advance, at the
+// current virtual time, before any due ticker; several kicked tickers run
+// in registration order. A kick raised by a callback inside Advance is
+// served by that same Advance, right after the callback returns — the
+// simulated counterpart of "as soon as the ticker's goroutine is free".
 type Clock struct {
 	mu      sync.Mutex
 	now     time.Duration
@@ -22,10 +28,12 @@ type Clock struct {
 }
 
 type simTicker struct {
+	c       *Clock
 	id      int
 	period  time.Duration
 	next    time.Duration
 	fn      func()
+	kicked  bool
 	stopped bool
 }
 
@@ -33,16 +41,16 @@ type simTicker struct {
 func NewClock() *Clock { return &Clock{} }
 
 // Ticker implements vfs.Clock.
-func (c *Clock) Ticker(d time.Duration, fn func()) vfs.Stopper {
+func (c *Clock) Ticker(d time.Duration, fn func()) vfs.Ticker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if d <= 0 {
 		d = time.Nanosecond
 	}
-	t := &simTicker{id: c.nextID, period: d, next: c.now + d, fn: fn}
+	t := &simTicker{c: c, id: c.nextID, period: d, next: c.now + d, fn: fn}
 	c.nextID++
 	c.tickers = append(c.tickers, t)
-	return &simStopper{c: c, t: t}
+	return t
 }
 
 // Now returns the current virtual time.
@@ -52,28 +60,24 @@ func (c *Clock) Now() time.Duration {
 	return c.now
 }
 
-// Advance moves virtual time forward by d, firing every ticker that comes
-// due, in due-time order, synchronously. A callback may register or stop
-// tickers; it runs without the clock lock held.
+// Advance moves virtual time forward by d, running every kicked ticker and
+// then every ticker that comes due, synchronously. A callback may register,
+// stop or kick tickers; it runs without the clock lock held.
 func (c *Clock) Advance(d time.Duration) {
 	c.mu.Lock()
 	target := c.now + d
 	for {
-		var due *simTicker
-		for _, t := range c.tickers {
-			if t.stopped || t.next > target {
-				continue
-			}
-			if due == nil || t.next < due.next || (t.next == due.next && t.id < due.id) {
-				due = t
-			}
-		}
-		if due == nil {
+		next := c.nextLocked(target)
+		if next == nil {
 			break
 		}
-		c.now = due.next
-		due.next += due.period
-		fn := due.fn
+		if next.kicked {
+			next.kicked = false
+		} else {
+			c.now = next.next
+			next.next += next.period
+		}
+		fn := next.fn
 		c.mu.Unlock()
 		fn()
 		c.mu.Lock()
@@ -82,16 +86,41 @@ func (c *Clock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-type simStopper struct {
-	c *Clock
-	t *simTicker
+// nextLocked picks the callback Advance runs next: the lowest-id kicked
+// ticker, else the earliest ticker due by target. Caller holds mu.
+func (c *Clock) nextLocked(target time.Duration) *simTicker {
+	var due *simTicker
+	for _, t := range c.tickers {
+		if t.stopped {
+			continue
+		}
+		if t.kicked {
+			return t // tickers are in id order
+		}
+		if t.next > target {
+			continue
+		}
+		if due == nil || t.next < due.next || (t.next == due.next && t.id < due.id) {
+			due = t
+		}
+	}
+	return due
 }
 
-// Stop implements vfs.Stopper. Callbacks run synchronously from Advance,
+// Stop implements vfs.Ticker. Callbacks run synchronously from Advance,
 // so once Stop returns (on any goroutine that isn't inside Advance) no
 // callback is in flight.
-func (s *simStopper) Stop() {
-	s.c.mu.Lock()
-	defer s.c.mu.Unlock()
-	s.t.stopped = true
+func (t *simTicker) Stop() {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	t.stopped = true
+}
+
+// Kick implements vfs.Ticker: the callback runs at the next Advance.
+func (t *simTicker) Kick() {
+	t.c.mu.Lock()
+	defer t.c.mu.Unlock()
+	if !t.stopped {
+		t.kicked = true
+	}
 }

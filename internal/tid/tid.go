@@ -3,7 +3,7 @@
 //
 // A TID word packs three fields:
 //
-//	[ epoch : 29 bits ][ sequence : 32 bits ][ status : 3 bits ]
+//	[ epoch : 40 bits ][ sequence : 21 bits ][ status : 3 bits ]
 //
 // The high bits hold the epoch of the owning transaction's commit, the middle
 // bits distinguish transactions within an epoch, and the low three bits are
@@ -23,6 +23,24 @@
 // most recently chosen TID, and (c) in the current global epoch. The
 // GlobalGenerator implements the centralized alternative used by the
 // MemSilo+GlobalTID baseline in Figure 4.
+//
+// The split is a budget on both fields, sized for epochs that close on
+// demand (one fsync pass, ~1 ms) rather than only on the 40 ms tick:
+//
+//   - epochs: 2^40 of them last about 32 years at a sustained 1 100 epochs
+//     per second (29 bits would last 5.6 days);
+//   - sequence numbers: 2^21 − 1 ≈ 2.1 M per epoch, which is 52 M commits
+//     per second even at 40 ms epochs. Sequence numbers follow the largest
+//     TID a transaction observed, so the budget is per epoch across the
+//     workers that share records, not per worker.
+//
+// A commit that cannot get a TID in its epoch — the sequence field is full —
+// is refused by Generate rather than carried into the epoch field (which
+// would hand out a TID from a future epoch); the caller aborts it, gets the
+// epoch closed early, and retries in the next one.
+//
+// The layout is part of the log and checkpoint formats: a directory written
+// under another split is not recoverable.
 package tid
 
 import (
@@ -44,8 +62,8 @@ const (
 	StatusMask uint64 = LockBit | LatestBit | AbsentBit
 
 	statusBits = 3
-	seqBits    = 32
-	epochBits  = 29
+	seqBits    = 21
+	epochBits  = 40
 
 	seqShift   = statusBits
 	epochShift = statusBits + seqBits
@@ -141,20 +159,30 @@ func (g *Generator) Last() uint64 { return g.last }
 // the generator's previous output, and carries the given epoch (clamping the
 // sequence number into the epoch if required: a TID can never belong to an
 // epoch earlier than its commit epoch).
-func (g *Generator) Generate(epoch uint64, maxObserved uint64) Word {
-	cand := g.last
-	if maxObserved > cand {
-		cand = maxObserved
+//
+// ok is false when no such TID exists in the epoch: the smallest candidate
+// would carry into the next epoch's field, because the sequence numbers of
+// this epoch are used up (or an observed TID carries a later epoch, which
+// the protocol's fences rule out). The generator is then left unchanged; the
+// transaction must not commit in this epoch.
+func (g *Generator) Generate(epoch uint64, maxObserved uint64) (w Word, ok bool) {
+	cand, ok := next(g.last, epoch, maxObserved)
+	if ok {
+		g.last = cand
 	}
-	cand += SeqStep
+	return Word(cand), ok
+}
+
+// next is the TID rule shared by both generators: the smallest pure TID
+// above last and maxObserved with the given epoch, or ok=false if the
+// epoch has none left.
+func next(last, epoch, maxObserved uint64) (uint64, bool) {
+	cand := max(last, maxObserved) + SeqStep
 	if floor := uint64(Make(epoch, 0)); cand < floor {
 		cand = floor
 	}
-	// cand now has the largest epoch among (epoch, observed epochs); if an
-	// observed TID somehow carried a later epoch (cannot happen under the
-	// protocol's fences, but be defensive), keep it monotone anyway.
-	g.last = cand &^ StatusMask
-	return Word(g.last)
+	cand &^= StatusMask
+	return cand, Word(cand).Epoch() == epoch
 }
 
 // GlobalGenerator hands out TIDs from one shared atomic counter. It exists
@@ -165,21 +193,17 @@ type GlobalGenerator struct {
 }
 
 // Generate returns a fresh TID in the given epoch, strictly greater than
-// every TID previously returned by this generator and than maxObserved.
-func (g *GlobalGenerator) Generate(epoch uint64, maxObserved uint64) Word {
+// every TID previously returned by this generator and than maxObserved; ok
+// is false, as for Generator.Generate, when the epoch has none left.
+func (g *GlobalGenerator) Generate(epoch uint64, maxObserved uint64) (w Word, ok bool) {
 	for {
 		cur := g.last.Load()
-		cand := cur
-		if maxObserved > cand {
-			cand = maxObserved
+		cand, ok := next(cur, epoch, maxObserved)
+		if !ok {
+			return Word(cand), false
 		}
-		cand += SeqStep
-		if floor := uint64(Make(epoch, 0)); cand < floor {
-			cand = floor
-		}
-		cand &^= StatusMask
 		if g.last.CompareAndSwap(cur, cand) {
-			return Word(cand)
+			return Word(cand), true
 		}
 	}
 }

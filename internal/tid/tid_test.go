@@ -65,31 +65,78 @@ func TestOrderingAcrossEpochs(t *testing.T) {
 	}
 }
 
+// gen calls Generate and fails the test if the epoch had no TID left.
+func gen(t *testing.T, g *Generator, epoch, observed uint64) Word {
+	t.Helper()
+	w, ok := g.Generate(epoch, observed)
+	if !ok {
+		t.Fatalf("Generate(%d, %v) found the epoch full", epoch, Word(observed))
+	}
+	return w
+}
+
 func TestGeneratorMonotonicAndRules(t *testing.T) {
 	var g Generator
 	// (a) larger than any record TID observed, (b) larger than the last
 	// generated, (c) in the current epoch.
-	w1 := g.Generate(3, 0)
+	w1 := gen(t, &g, 3, 0)
 	if w1.Epoch() != 3 {
 		t.Fatalf("epoch=%d", w1.Epoch())
 	}
-	w2 := g.Generate(3, 0)
+	w2 := gen(t, &g, 3, 0)
 	if uint64(w2) <= uint64(w1) {
 		t.Fatal("not monotone")
 	}
 	// Observed TID larger than our last: must exceed it.
 	obs := uint64(Make(3, 1000))
-	w3 := g.Generate(3, obs)
+	w3 := gen(t, &g, 3, obs)
 	if uint64(w3) <= obs {
 		t.Fatal("did not exceed observed")
 	}
 	// New epoch: must move to it.
-	w4 := g.Generate(7, 0)
+	w4 := gen(t, &g, 7, 0)
 	if w4.Epoch() != 7 {
 		t.Fatalf("epoch=%d", w4.Epoch())
 	}
 	if uint64(w4) <= uint64(w3) {
 		t.Fatal("epoch bump not monotone")
+	}
+}
+
+// TestGenerateRefusesFullEpoch: once an epoch's sequence numbers are used
+// up, Generate refuses rather than carrying into the epoch field (which
+// would hand out a TID of a later epoch), leaves the generator as it was,
+// and succeeds again in the next epoch. Both generators share the rule.
+func TestGenerateRefusesFullEpoch(t *testing.T) {
+	const e = 9
+	last := uint64(Make(e, MaxSeq))
+	var g Generator
+	if w, ok := g.Generate(e, last); ok {
+		t.Fatalf("Generate past MaxSeq returned %v, ok; want a refusal", w)
+	}
+	if g.Last() != 0 {
+		t.Fatalf("a refused Generate moved the generator to %v", Word(g.Last()))
+	}
+	if w := gen(t, &g, e, uint64(Make(e, MaxSeq-1))); w.Epoch() != e || w.Seq() != MaxSeq {
+		t.Fatalf("the last TID of the epoch = %v, want seq %d", w, MaxSeq)
+	}
+	if w, ok := g.Generate(e, 0); ok {
+		t.Fatalf("Generate after the epoch's last TID returned %v, ok", w)
+	}
+	if w := gen(t, &g, e+1, 0); w.Epoch() != e+1 || w.Seq() != 0 {
+		t.Fatalf("first TID of the next epoch = %v", w)
+	}
+	// An observed TID of a later epoch is refused the same way.
+	if w, ok := g.Generate(e+1, uint64(Make(e+2, 0))); ok {
+		t.Fatalf("Generate under a later epoch's TID returned %v, ok", w)
+	}
+
+	var gg GlobalGenerator
+	if w, ok := gg.Generate(e, last); ok {
+		t.Fatalf("GlobalGenerator past MaxSeq returned %v, ok", w)
+	}
+	if w, ok := gg.Generate(e, 0); !ok || w != Make(e, 0) {
+		t.Fatalf("GlobalGenerator after a refusal = %v, %v; want %v", w, ok, Make(e, 0))
 	}
 }
 
@@ -100,11 +147,18 @@ func TestGeneratorProperty(t *testing.T) {
 		last := uint64(0)
 		for _, s := range seqs {
 			obs := uint64(Make(epoch, uint64(s)))
-			w := g.Generate(epoch, obs)
+			w, ok := g.Generate(epoch, obs)
+			if !ok {
+				// Only a full epoch is refused, and the generator stays put.
+				if max(obs, last) < uint64(Make(epoch, MaxSeq)) || g.Last() != last {
+					return false
+				}
+				continue
+			}
 			if uint64(w) <= last || uint64(w) <= obs {
 				return false
 			}
-			if w.Epoch() < epoch {
+			if w.Epoch() != epoch {
 				return false
 			}
 			if uint64(w)&StatusMask != 0 {
@@ -133,7 +187,12 @@ func TestGlobalGeneratorConcurrent(t *testing.T) {
 			defer wg.Done()
 			out := make([]Word, per)
 			for j := 0; j < per; j++ {
-				out[j] = g.Generate(2, 0)
+				w, ok := g.Generate(2, 0)
+				if !ok {
+					t.Errorf("epoch full after %d TIDs", j)
+					return
+				}
+				out[j] = w
 			}
 			results[i] = out
 		}(i)

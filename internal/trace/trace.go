@@ -39,7 +39,7 @@ const (
 	// reason (see AbortReasonNames), Table = the conflicting table id,
 	// Key = the conflicting key's first 8 bytes, A = its full 64-bit
 	// hash. Reasons without a conflicting record (hook_poisoned,
-	// explicit) carry zero Table/Key/A.
+	// explicit, epoch_full) carry zero Table/Key/A.
 	EvAbort
 	// EvFsync records one durable logger pass that reached stable
 	// storage: Aux = logger id, A = bytes appended in the pass.
@@ -70,7 +70,7 @@ func (k Kind) String() string {
 // by the Aux field of EvAbort events. internal/core aliases this array
 // for its metric labels, so the flight recorder and the abort counters
 // can never disagree on names.
-var AbortReasonNames = [4]string{"read_validation", "node_validation", "hook_poisoned", "explicit"}
+var AbortReasonNames = [5]string{"read_validation", "node_validation", "hook_poisoned", "explicit", "epoch_full"}
 
 // Checkpoint stages for EvCheckpoint.Aux.
 const (

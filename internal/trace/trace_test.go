@@ -113,11 +113,12 @@ type stepClock struct{ now time.Duration }
 
 func (c *stepClock) Now() time.Duration { return c.now }
 
-func (c *stepClock) Ticker(time.Duration, func()) vfs.Stopper { return nopStopper{} }
+func (c *stepClock) Ticker(time.Duration, func()) vfs.Ticker { return nopTicker{} }
 
-type nopStopper struct{}
+type nopTicker struct{}
 
-func (nopStopper) Stop() {}
+func (nopTicker) Stop() {}
+func (nopTicker) Kick() {}
 
 // TestConcurrentRecordAndDump hammers single-writer rings and the shared
 // ring while dumping and rendering concurrently — the seqlock read

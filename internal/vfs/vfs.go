@@ -57,19 +57,29 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// Stopper halts a ticker registered with Clock.Ticker. Stop waits for an
-// in-flight callback to return, so after Stop the callback never runs
-// again and the caller may touch the callback's state exclusively.
-type Stopper interface{ Stop() }
+// Ticker is a periodic callback registered with Clock.Ticker.
+type Ticker interface {
+	// Stop halts the ticker. It waits for an in-flight callback to return,
+	// so after Stop the callback never runs again and the caller may touch
+	// the callback's state exclusively.
+	Stop()
+	// Kick runs the callback once more, on the ticker's own goroutine, as
+	// soon as it is free. Kicks coalesce — any number of them before the
+	// callback starts cause one run — and do not reset the period. A kick
+	// after Stop is dropped. Kick never blocks and is safe from any
+	// goroutine, the callback's own included.
+	Kick()
+}
 
 // Clock abstracts time for the periodic loops of the durability subsystem:
 // the epoch advancer, the logger passes, and the checkpoint daemon — and,
 // since the flight recorder, for event timestamps.
 type Clock interface {
-	// Ticker arranges for fn to run about every d until Stop. The real
-	// clock runs fn serially on a dedicated goroutine; the simulation
-	// clock runs it synchronously from its manual Step.
-	Ticker(d time.Duration, fn func()) Stopper
+	// Ticker arranges for fn to run about every d, and whenever kicked,
+	// until Stop. The real clock runs fn serially on a dedicated
+	// goroutine; the simulation clock runs it synchronously from its
+	// manual Advance.
+	Ticker(d time.Duration, fn func()) Ticker
 	// Now reads the clock as an offset from an arbitrary but fixed
 	// origin. The real clock is monotonic from process start; the
 	// simulation clock returns its virtual time, which is what keeps
@@ -153,8 +163,12 @@ var processStart = time.Now()
 
 func (wallClock) Now() time.Duration { return time.Since(processStart) }
 
-func (wallClock) Ticker(d time.Duration, fn func()) Stopper {
-	t := &wallTicker{stop: make(chan struct{}), stopped: make(chan struct{})}
+func (wallClock) Ticker(d time.Duration, fn func()) Ticker {
+	t := &wallTicker{
+		stop:    make(chan struct{}),
+		stopped: make(chan struct{}),
+		kick:    make(chan struct{}, 1),
+	}
 	go func() {
 		defer close(t.stopped)
 		tk := time.NewTicker(d)
@@ -164,8 +178,9 @@ func (wallClock) Ticker(d time.Duration, fn func()) Stopper {
 			case <-t.stop:
 				return
 			case <-tk.C:
-				fn()
+			case <-t.kick:
 			}
+			fn()
 		}
 	}()
 	return t
@@ -175,9 +190,17 @@ type wallTicker struct {
 	once    sync.Once
 	stop    chan struct{}
 	stopped chan struct{}
+	kick    chan struct{} // one slot: pending kicks coalesce
 }
 
 func (t *wallTicker) Stop() {
 	t.once.Do(func() { close(t.stop) })
 	<-t.stopped
+}
+
+func (t *wallTicker) Kick() {
+	select {
+	case t.kick <- struct{}{}:
+	default:
+	}
 }

@@ -38,9 +38,10 @@ func (f *failSyncFile) Sync() error {
 // heldClock never fires its tickers: the test runs each logger pass itself.
 type heldClock struct{}
 
-func (heldClock) Now() time.Duration                       { return 0 }
-func (heldClock) Ticker(time.Duration, func()) vfs.Stopper { return heldClock{} }
-func (heldClock) Stop()                                    {}
+func (heldClock) Now() time.Duration                      { return 0 }
+func (heldClock) Ticker(time.Duration, func()) vfs.Ticker { return heldClock{} }
+func (heldClock) Stop()                                   {}
+func (heldClock) Kick()                                   {}
 
 // TestFailedFsyncNeverPublishesDurable is the fsyncgate contract: when
 // the fsync covering an epoch fails, that epoch is never reported durable

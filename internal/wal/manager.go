@@ -88,8 +88,14 @@ type Manager struct {
 	ddlLog  *WorkerLog
 
 	durable atomic.Uint64 // D = min d_l
-	dmu     sync.Mutex
-	dcond   *sync.Cond
+	// demand is the largest epoch someone waits to see durable: raised by
+	// WaitDurable, and by every commit while a durable subscription is
+	// live (subscribed — the group-ack release pipeline parks each write's
+	// response on its commit epoch). See closeIfDemanded.
+	demand     atomic.Uint64
+	subscribed atomic.Bool
+	dmu        sync.Mutex
+	dcond      *sync.Cond
 	// subs are durable-epoch subscription channels (SubscribeDurable);
 	// subsDown marks the post-Stop state in which new subscriptions are
 	// returned already closed. Both guarded by dmu.
@@ -150,11 +156,18 @@ func Attach(s *core.Store, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Start launches the logger loops (clock tickers at PollInterval).
+// Start launches the logger loops (clock tickers at PollInterval) and has
+// every epoch advance wake them: the pass that makes a closed epoch durable
+// then starts as soon as the epoch closes, not up to PollInterval later.
 func (m *Manager) Start() {
 	for _, lg := range m.loggers {
 		lg.ticker = m.cfg.Clock.Ticker(m.cfg.PollInterval, lg.iterate)
 	}
+	m.epochs.OnAdvance(func() {
+		for _, lg := range m.loggers {
+			lg.ticker.Kick()
+		}
+	})
 }
 
 // Stop drains and halts logging (callers must have quiesced the workers):
@@ -225,11 +238,14 @@ func (m *Manager) RequestRotate() {
 func (m *Manager) DurableEpoch() uint64 { return m.durable.Load() }
 
 // WaitDurable blocks until D ≥ e: the moment a transaction that committed
-// in epoch e may be released to its client (§4.10).
+// in epoch e may be released to its client (§4.10). The wait is demand:
+// if e is the open epoch it is closed as soon as the epochs before it are
+// durable, so the wait costs about one fsync pass, not one epoch interval.
 func (m *Manager) WaitDurable(e uint64) {
 	if m.durable.Load() >= e {
 		return
 	}
+	m.raiseDemand(e)
 	m.dmu.Lock()
 	for m.durable.Load() < e {
 		m.dcond.Wait()
@@ -244,12 +260,17 @@ func (m *Manager) WaitDurable(e uint64) {
 // committed epoch is durable, so a receiver may treat close as "release
 // everything". Subscriptions live for the manager's lifetime; there is
 // no unsubscribe. After Stop, new subscriptions return already closed.
+//
+// A live subscription makes every later commit demand: the subscriber is
+// assumed to hold the commit's result until its epoch is durable, so the
+// commit's epoch is closed early (see closeIfDemanded).
 func (m *Manager) SubscribeDurable() <-chan uint64 {
 	ch := make(chan uint64, 1)
 	m.dmu.Lock()
 	if m.subsDown {
 		close(ch)
 	} else {
+		m.subscribed.Store(true)
 		m.subs = append(m.subs, ch)
 		// Seed the current D so a subscriber never waits a full logger
 		// pass to learn about epochs that are already durable.
@@ -282,6 +303,43 @@ func (m *Manager) notifySubsLocked(d uint64) {
 
 // Stats returns logger-side counters.
 func (m *Manager) Stats() *ManagerStats { return &m.stats }
+
+// raiseDemand records that someone waits for epoch e to become durable.
+func (m *Manager) raiseDemand(e uint64) {
+	for {
+		cur := m.demand.Load()
+		if e <= cur {
+			break
+		}
+		if m.demand.CompareAndSwap(cur, e) {
+			break
+		}
+	}
+	m.closeIfDemanded()
+}
+
+// closeIfDemanded is the demand rule. A waiter can be released only once
+// its epoch is durable, and a logger pass makes an epoch durable only once
+// the epoch is closed (a pass publishes at most E−1), so when someone waits
+// for the open epoch E (demand ≥ E) there is no point leaving it open for
+// the rest of its interval: ask the epoch thread to close it now — but
+// only once every earlier epoch is durable (D ≥ E−1). That last condition
+// makes the rule self-clocking: at most one early-closed epoch waits for
+// its fsync at a time, so the epoch rate follows the fsync rate and needs
+// no knob of its own, and an idle, read-only or immediate-ack system never
+// advances early at all.
+//
+// It is checked wherever it can become true: when demand rises, and at
+// the end of every logger pass — after the pass has published D, and
+// again after a pass that could not, because a straggler kept the epoch
+// thread from advancing (it retries then at every pass until the
+// straggler refreshes).
+func (m *Manager) closeIfDemanded() {
+	e := m.epochs.Global()
+	if m.demand.Load() >= e && m.durable.Load()+1 >= e {
+		m.epochs.AdvanceSoon()
+	}
+}
 
 // publishDurable recomputes D after a logger advanced its d_l.
 func (m *Manager) publishDurable() {
@@ -325,6 +383,9 @@ type WorkerLog struct {
 	txns    atomic.Uint64 // transactions appended; loggers diff it per durable pass
 	queue   chan []byte
 	scratch []Entry
+	// epoch is the epoch of the worker's newest commit (worker goroutine
+	// only), so the demand bookkeeping runs once per epoch, not per commit.
+	epoch uint64
 }
 
 func newWorkerLog(m *Manager, lg *logger, id int) *WorkerLog {
@@ -362,6 +423,28 @@ func (wl *WorkerLog) onCommit(commit tid.Word, writes []core.LoggedWrite) {
 	}
 	wl.mu.Unlock()
 	wl.ctid.Store(commit.TID())
+	if e > wl.epoch {
+		wl.epoch = e
+		wl.firstInEpoch(e)
+	}
+}
+
+// firstInEpoch runs on the worker's first commit in epoch e. Under a live
+// durable subscription the commit is demand for e. And if the worker
+// entered this transaction before e opened, it was active through the
+// advance: every logger pass since then had to stop d_l below its entry
+// epoch, so epoch e−1 cannot have become durable through its logger. Its
+// commit is the moment that bound lifts (the worker leaves its slot right
+// after), so when someone waits for e−1 it wakes its logger now instead of
+// leaving the epoch to the next poll.
+func (wl *WorkerLog) firstInEpoch(e uint64) {
+	m := wl.m
+	if m.subscribed.Load() {
+		m.raiseDemand(e)
+	}
+	if m.demand.Load()+1 >= e && m.durable.Load()+1 < e && m.epochs.Slot(wl.id).Local() < e {
+		wl.lg.ticker.Kick()
+	}
 }
 
 // publishLocked hands the open buffer to the logger queue. Caller holds mu.
@@ -420,7 +503,7 @@ type logger struct {
 	workers []*WorkerLog
 	file    vfs.File
 	dl      atomic.Uint64
-	ticker  vfs.Stopper
+	ticker  vfs.Ticker
 	wrote   bool
 	ring    *trace.Ring // flight-recorder shard; nil when tracing is disabled
 
@@ -583,12 +666,16 @@ func (lg *logger) maybeRotate() {
 //     argument above.
 //  4. d = min(E0 − 1, min over active workers of e_w − 1); append the
 //     durable frame and publish d_l.
+//
+// Every pass ends by checking the demand rule (closeIfDemanded), which
+// publishing d_l may just have made true.
 func (lg *logger) iterate() {
 	lg.passBytes = 0
 	defer func() {
 		if lg.passBytes > 0 {
 			lg.m.obs.passBytes.Observe(uint64(lg.passBytes))
 		}
+		lg.m.closeIfDemanded()
 	}()
 	e0 := lg.m.epochs.Global()
 	if e0 == 0 {

@@ -326,6 +326,96 @@ func TestTraceNeverWaitsOnImmediateAcks(t *testing.T) {
 	}
 }
 
+// TestGroupAckClosesEpochOnDemand: a parked write is demand for its
+// epoch, so the epoch closes as soon as the one before it is durable
+// instead of at its tick. With a 1 s epoch, 20 sequential group-acked
+// writes used to take about 20 s (each ack waited for a tick); they now
+// take about 20 fsync passes.
+func TestGroupAckClosesEpochOnDemand(t *testing.T) {
+	opts := durableOpts(filepath.Join(t.TempDir(), "log"))
+	opts.EpochInterval = time.Second
+	db, _, cl := startServer(t, opts, server.Options{Acks: server.AckGroup, DisableAutoCreate: true}, client.Options{})
+	db.CreateTable("t")
+	start := time.Now()
+	for i := 0; i < 20; i++ {
+		if err := cl.Insert("t", []byte{byte(i)}, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("20 group-acked writes took %v under a 1s epoch: acks waited for the tick", took)
+	}
+	if n := db.Observe().Value("silo_epoch_advances_total", "demand"); n == 0 {
+		t.Error("no epoch was closed on demand")
+	}
+}
+
+// TestNoDemandWithoutWaiters: nothing advances the epoch early unless
+// someone waits for durability — not a durable server that acks writes
+// at in-memory commit, and not a group-ack server serving only reads
+// (reads park nothing). Their epochs advance on the tick alone.
+func TestNoDemandWithoutWaiters(t *testing.T) {
+	expectTicksOnly := func(t *testing.T, db *silo.DB) {
+		t.Helper()
+		snap := db.Observe()
+		if n := snap.Value("silo_epoch_advances_total", "demand"); n != 0 {
+			t.Errorf("%d epochs closed on demand with no durability waiter", n)
+		}
+		if n := snap.Value("silo_epoch_advances_total", "tick"); n == 0 {
+			t.Error("no tick advances either: the epoch thread did not run")
+		}
+	}
+
+	t.Run("immediate acks", func(t *testing.T) {
+		db, _, cl := startServer(t, durableOpts(filepath.Join(t.TempDir(), "log")),
+			server.Options{DisableAutoCreate: true}, client.Options{})
+		db.CreateTable("t")
+		if err := cl.Insert("t", []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); {
+			if err := cl.Put("t", []byte("k"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		expectTicksOnly(t, db)
+	})
+
+	t.Run("group acks, reads only", func(t *testing.T) {
+		db, err := silo.Open(durableOpts(filepath.Join(t.TempDir(), "log")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		tbl := db.CreateTable("t")
+		// Written before the server subscribes to durability: no waiter.
+		if err := db.Run(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("v")) }); err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(db, server.Options{Acks: server.AckGroup, DisableAutoCreate: true})
+		defer srv.Close()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		cl, err := client.Dial(ln.Addr().String(), client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); {
+			if _, err := cl.Get("t", []byte("k")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.Scan("t", []byte("a"), nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		expectTicksOnly(t, db)
+	})
+}
+
 // TestAckModesDegradeWithoutDurability: group acks need a durable epoch to
 // wait for; on a MemSilo database the server falls back to immediate acks
 // rather than wedging every write forever.

@@ -17,8 +17,10 @@ import (
 // TestTraceOverTheWire sends a TRACE frame through a durable group-ack
 // server and checks the TRACER response: correct transaction results plus
 // a span timeline whose execute phase is non-zero and whose fsync-wait
-// covers the group-commit durability point. (The epoch is long enough
-// that the write cannot already be durable when it parks.)
+// covers the group-commit durability point. (The write's epoch closes on
+// demand once the write has committed, and the fsync that makes it
+// durable starts after that: the worker's hop from commit to park is far
+// shorter, so the write is parked before it is durable.)
 func TestTraceOverTheWire(t *testing.T) {
 	dir := t.TempDir()
 	db, err := silo.Open(silo.Options{

@@ -108,9 +108,14 @@ type Options struct {
 	// Workers is the number of worker contexts, nominally one per core.
 	// Worker i is driven by at most one goroutine at a time.
 	Workers int
-	// EpochInterval is the epoch advance period; the paper uses 40 ms.
-	// Shorter epochs reduce commit latency under durability and make
-	// snapshots fresher.
+	// EpochInterval is the epoch advance period; the paper uses 40 ms. It
+	// is the ceiling on an epoch's length, not its length: while someone
+	// waits for durability (RunDurable, WaitDurable, a DurableNotify
+	// subscriber such as a group-ack server), the open epoch is closed as
+	// soon as the one before it is durable, so a durable commit costs about
+	// one fsync pass rather than one interval. Without a waiter epochs
+	// advance on the interval alone. Shorter intervals make snapshots
+	// fresher.
 	EpochInterval time.Duration
 	// SnapshotK is the number of epochs per snapshot epoch (paper: 25).
 	SnapshotK int
@@ -575,7 +580,8 @@ func (db *DB) RunNoRetry(worker int, fn func(tx *Tx) error) error {
 }
 
 // RunSnapshot executes fn against a recent consistent snapshot. Snapshot
-// transactions see slightly stale data (about EpochInterval × SnapshotK old),
+// transactions see slightly stale data (at most about EpochInterval ×
+// SnapshotK old — fresher while durability waiters close epochs early),
 // never abort, and perform no shared-memory writes.
 func (db *DB) RunSnapshot(worker int, fn func(stx *SnapTx) error) error {
 	if db.opts.DisableSnapshots {
@@ -619,8 +625,9 @@ func (db *DB) RunTraced(worker int, sp *TxnSpans, fn func(tx *Tx) error) error {
 func (db *DB) Flight() *trace.Recorder { return db.store.Flight() }
 
 // RunDurable is Run followed by a wait until the transaction's epoch is
-// durable — the point at which the paper releases results to clients. It
-// requires Durability.
+// durable — the point at which the paper releases results to clients. The
+// wait closes the transaction's epoch early (see EpochInterval), so it
+// lasts about one fsync pass. It requires Durability.
 func (db *DB) RunDurable(worker int, fn func(tx *Tx) error) error {
 	if db.wal == nil {
 		return errors.New("silo: RunDurable requires Options.Durability")
@@ -658,7 +665,9 @@ func (db *DB) DurableEpoch() uint64 {
 // Options.Durability. It is the hook for group-commit response release:
 // park a committed transaction's result keyed by its commit epoch and
 // hand it out once a received D covers it (§4.10), without ever blocking
-// a worker. Subscriptions live for the database's lifetime.
+// a worker. Subscriptions live for the database's lifetime, and while one
+// is live every commit counts as a durability waiter for its epoch (see
+// EpochInterval).
 func (db *DB) DurableNotify() (<-chan uint64, bool) {
 	if db.wal == nil {
 		return nil, false

@@ -111,6 +111,32 @@ func TestRunDurableRequiresDurability(t *testing.T) {
 	}
 }
 
+// TestRunDurableClosesEpochOnDemand: RunDurable's wait is demand for its
+// epoch, so it costs an fsync pass, not the rest of the epoch. Under a
+// 1 s epoch each of these used to wait up to a second.
+func TestRunDurableClosesEpochOnDemand(t *testing.T) {
+	db := openTestDB(t, silo.Options{
+		EpochInterval: time.Second,
+		Durability:    &silo.DurabilityOptions{Dir: t.TempDir(), Sync: true},
+	})
+	tbl := db.CreateTable("t")
+	start := time.Now()
+	for i := 0; i < 3; i++ {
+		if err := db.RunDurable(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte{byte(i)}, []byte("v")) }); err != nil {
+			t.Fatal(err)
+		}
+		if e, d := db.LastCommitEpoch(0), db.DurableEpoch(); d < e {
+			t.Fatalf("RunDurable returned with its epoch %d not durable (D = %d)", e, d)
+		}
+	}
+	if took := time.Since(start); took > 300*time.Millisecond {
+		t.Errorf("3 RunDurable calls took %v under a 1s epoch: the waits were not demand", took)
+	}
+	if n := db.Observe().Value("silo_epoch_advances_total", "demand"); n < 3 {
+		t.Errorf("%d epochs closed on demand, want one per RunDurable", n)
+	}
+}
+
 func TestDurableRoundTripAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	db := openTestDB(t, silo.Options{
