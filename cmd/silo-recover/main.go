@@ -15,12 +15,14 @@
 // MB/s replayed, checkpoint load time versus log replay time — so BENCH
 // runs can track recovery speed over time, followed by the recovered
 // schema. Logs written with compression need no flag: compressed frames
-// carry their own frame kind. Directories written by
-// silo.DB are self-describing: the durable schema catalog reconstructs
-// every table and index (ids, uniqueness, key-spec transforms, covering
-// include lists), so no schema flags exist. Replay is read-only: an index
-// creation the crash interrupted is reported as pending, not completed
-// (a real Recover through silo.Open rolls it forward).
+// carry their own frame kind. Directories written by silo.DB are
+// self-describing: the durable schema catalog reconstructs every table and
+// index (ids, uniqueness, key-spec transforms, covering include lists), so
+// no schema flags exist. Replay is the recovery silo.Open runs, minus
+// everything that writes: nothing is appended to the directory, and an
+// index creation the crash interrupted is reported as pending, not
+// completed (opening the directory with silo.Open rolls it forward or
+// back).
 package main
 
 import (
@@ -146,7 +148,7 @@ func main() {
 			fmt.Printf("  index %s on %s:%s\n", ix.Name, ix.On.Name, attrs)
 		}
 		for _, name := range cat.Pending() {
-			fmt.Printf("  index %s: creation interrupted mid-backfill; Recover through silo.Open will finish or roll it back\n", name)
+			fmt.Printf("  index %s: creation interrupted mid-backfill; opening the directory with silo.Open will finish or roll it back\n", name)
 		}
 	}
 

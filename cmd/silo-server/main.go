@@ -12,11 +12,12 @@
 // Without -logdir the server runs as MemSilo (no persistence). With it,
 // committed transactions are redo-logged and group-committed, and every
 // DDL action — table creation, CREATE_INDEX — is recorded in the durable
-// schema catalog, so a later run recovers with -recover alone: the full
-// schema (tables, indexes, covering include lists, key-spec transforms)
-// is reconstructed from disk and printed, no re-declaration flags needed.
-// -tables remains as a convenience for creating fresh tables at startup
-// (it runs after recovery and is idempotent for recovered names).
+// schema catalog. Starting over an existing -logdir recovers it before
+// serving: the full schema (tables, indexes, covering include lists,
+// key-spec transforms) is reconstructed from disk and printed with the
+// recovery report, no re-declaration flags needed. -tables remains as a
+// convenience for creating fresh tables at startup (it runs after recovery
+// and is idempotent for recovered names).
 // -checkpoint-interval additionally runs the background checkpoint
 // daemon: partitioned checkpoints off snapshot epochs while the server
 // keeps serving, a forced log rotation after each checkpoint, and
@@ -37,7 +38,6 @@ import (
 
 	"silo"
 	"silo/internal/trace"
-	"silo/internal/wal"
 	"silo/server"
 )
 
@@ -50,7 +50,6 @@ func main() {
 		logDir    = flag.String("logdir", "", "durability directory (empty = no persistence)")
 		loggers   = flag.Int("loggers", 2, "logger threads when -logdir is set")
 		doSync    = flag.Bool("sync", false, "fsync log writes")
-		doRecov   = flag.Bool("recover", false, "recover from -logdir before serving")
 		ckptEvery = flag.Duration("checkpoint-interval", 0, "background checkpoint daemon period (0 = off; requires -logdir)")
 		ckptParts = flag.Int("checkpoint-parts", 4, "partition writers per checkpoint")
 		segBytes  = flag.Int64("segment-bytes", 64<<20, "log segment rotation size when the daemon runs (0 = no rotation)")
@@ -76,28 +75,14 @@ func main() {
 	} else if *ckptEvery > 0 {
 		fatal(fmt.Errorf("-checkpoint-interval requires -logdir"))
 	}
+	// With -logdir, Open recovers the directory before it returns; the
+	// schema catalog reconstructs every table and index from disk.
 	db, err := silo.Open(opts)
 	if err != nil {
 		fatal(err)
 	}
 	defer db.Close()
-
-	if *ckptEvery > 0 && !*doRecov && dirHasLogs(*logDir) {
-		// The daemon only starts after recovery on an existing log
-		// directory (an early checkpoint must never truncate unreplayed
-		// data); without -recover it would silently never run.
-		fatal(fmt.Errorf("-checkpoint-interval over an existing log directory requires -recover"))
-	}
-	if *doRecov {
-		if *logDir == "" {
-			fatal(fmt.Errorf("-recover requires -logdir"))
-		}
-		// Recovery is self-describing: the schema catalog reconstructs
-		// every table and index from disk; nothing is declared beforehand.
-		res, err := db.Recover()
-		if err != nil {
-			fatal(fmt.Errorf("recover: %w", err))
-		}
+	if res, err := db.Recover(); err == nil {
 		res.WriteReport(os.Stdout, 0)
 		printSchema(db)
 	}
@@ -310,28 +295,9 @@ func printSchema(db *silo.DB) {
 		if ix.Covering() {
 			attrs += fmt.Sprintf(" covering(%d segs)", len(ix.Include))
 		}
-		if ix.Spec == nil {
-			attrs += " opaque-keyfunc"
-		} else {
-			attrs += fmt.Sprintf(" spec(%d segs)", len(ix.Spec))
-		}
+		attrs += fmt.Sprintf(" spec(%d segs)", len(ix.Spec))
 		fmt.Printf("  index %s on %s:%s\n", ix.Name, ix.On.Name, attrs)
 	}
-}
-
-// dirHasLogs reports whether dir holds non-empty log segments from a
-// previous run.
-func dirHasLogs(dir string) bool {
-	infos, err := wal.ListLogFiles(nil, dir)
-	if err != nil {
-		return false
-	}
-	for _, fi := range infos {
-		if st, err := os.Stat(fi.Path); err == nil && st.Size() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func fatal(err error) {

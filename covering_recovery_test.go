@@ -1,6 +1,7 @@
 package silo_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -8,35 +9,39 @@ import (
 	"silo"
 )
 
-// TestRecoverRejectsChangedIncludeList pins the covering half of the
-// declare-before-recover contract: logged covering entries embed the
-// include list they were written under, so recovering them into an index
-// re-declared with a different include list must fail with an error
-// naming the index — both when the projection width changes and when only
-// the offsets do (same width, different bytes). The correct
-// re-declaration must keep recovering cleanly before and after each
-// rejected attempt.
-func TestRecoverRejectsChangedIncludeList(t *testing.T) {
-	dir := t.TempDir()
-	open := func(include []silo.IndexSeg) *silo.DB {
-		t.Helper()
-		db, err := silo.Open(silo.Options{
-			Workers:       1,
-			EpochInterval: time.Millisecond,
-			Durability:    &silo.DurabilityOptions{Dir: dir, Loggers: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+// openCityDir opens a durability directory holding the users table and its
+// users_city index, creating both on first use (declared with include);
+// on later opens the catalog has already rebuilt them.
+func openCityDir(t *testing.T, dir string, include []silo.IndexSeg) *silo.DB {
+	t.Helper()
+	db, err := silo.Open(silo.Options{
+		Workers:       1,
+		EpochInterval: time.Millisecond,
+		Durability:    &silo.DurabilityOptions{Dir: dir, Loggers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Index("users_city") == nil {
 		users := db.CreateTable("users")
 		if _, err := db.CreateIndexSpec(0, users, "users_city", false, citySpec(), include...); err != nil {
 			db.Close()
-			t.Fatalf("declare covering index: %v", err)
+			t.Fatalf("declare index: %v", err)
 		}
-		return db
 	}
+	return db
+}
 
-	db := open(cityInclude())
+// TestRecoverRejectsChangedIncludeList pins the covering half of the one
+// schema contract: logged covering entries embed the include list they
+// were written under, and the catalog rebuilds the index with exactly that
+// list. Declaring it again after Open with the same list returns the
+// recovered index; with a different one — another width, the same width at
+// other offsets, or none — it fails naming the index and leaves the
+// recovered index serving what it served.
+func TestRecoverRejectsChangedIncludeList(t *testing.T) {
+	dir := t.TempDir()
+	db := openCityDir(t, dir, cityInclude())
 	users := db.Table("users")
 	if err := db.RunDurable(0, func(tx *silo.Tx) error {
 		for i := 0; i < 20; i++ {
@@ -50,13 +55,12 @@ func TestRecoverRejectsChangedIncludeList(t *testing.T) {
 	}
 	db.Close()
 
-	// The matching declaration recovers, and the per-entry covering audit
-	// inside Recover passes.
-	db2 := open(cityInclude())
-	if _, err := db2.Recover(); err != nil {
-		t.Fatalf("recover with matching include list: %v", err)
+	db2 := openCityDir(t, dir, nil)
+	defer db2.Close()
+	ix := db2.Index("users_city")
+	if again, err := db2.CreateIndexSpec(0, db2.Table("users"), "users_city", false, citySpec(), cityInclude()...); err != nil || again != ix {
+		t.Fatalf("re-declaration with the recovered include list: %v", err)
 	}
-	db2.Close()
 
 	for _, tc := range []struct {
 		name    string
@@ -67,11 +71,9 @@ func TestRecoverRejectsChangedIncludeList(t *testing.T) {
 		{"include list dropped (re-declared non-covering)", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db3 := open(tc.include)
-			defer db3.Close()
-			_, err := db3.Recover()
+			_, err := db2.CreateIndexSpec(0, db2.Table("users"), "users_city", false, citySpec(), tc.include...)
 			if err == nil {
-				t.Fatal("recovery accepted a covering index re-declared with a different include list")
+				t.Fatal("a covering index re-declared with a different include list was accepted")
 			}
 			if !strings.Contains(err.Error(), "users_city") {
 				t.Fatalf("rejection does not name the index: %v", err)
@@ -79,17 +81,11 @@ func TestRecoverRejectsChangedIncludeList(t *testing.T) {
 		})
 	}
 
-	// The original declaration still recovers after the failed attempts
-	// (rejection is read-only).
-	db4 := open(cityInclude())
-	defer db4.Close()
-	if _, err := db4.Recover(); err != nil {
-		t.Fatalf("recover after rejected attempts: %v", err)
-	}
+	// The rejected declarations changed nothing.
 	n := 0
-	if err := db4.Run(0, func(tx *silo.Tx) error {
+	if err := db2.Run(0, func(tx *silo.Tx) error {
 		n = 0
-		return silo.ScanIndexCovering(tx, db4.Index("users_city"), []byte{0}, nil, 0, func(_, pk, fields []byte) bool {
+		return silo.ScanIndexCovering(tx, db2.Index("users_city"), []byte{0}, nil, 0, func(_, pk, fields []byte) bool {
 			n++
 			return true
 		})
@@ -101,30 +97,12 @@ func TestRecoverRejectsChangedIncludeList(t *testing.T) {
 	}
 }
 
-// TestRecoverRejectsAddedIncludeList is the reverse direction: a log
-// written under a non-covering declaration, recovered into an index
-// re-declared as covering, must also fail naming the index (the raw
-// primary-key values cannot satisfy the covering shape).
+// TestRecoverRejectsAddedIncludeList is the reverse direction: an index
+// logged without an include list comes back non-covering, and declaring it
+// covering after Open fails naming the index.
 func TestRecoverRejectsAddedIncludeList(t *testing.T) {
 	dir := t.TempDir()
-	open := func(include []silo.IndexSeg) *silo.DB {
-		t.Helper()
-		db, err := silo.Open(silo.Options{
-			Workers:       1,
-			EpochInterval: time.Millisecond,
-			Durability:    &silo.DurabilityOptions{Dir: dir, Loggers: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		users := db.CreateTable("users")
-		if _, err := db.CreateIndexSpec(0, users, "users_city", false, citySpec(), include...); err != nil {
-			db.Close()
-			t.Fatalf("declare index: %v", err)
-		}
-		return db
-	}
-	db := open(nil) // non-covering
+	db := openCityDir(t, dir, nil)
 	if err := db.RunDurable(0, func(tx *silo.Tx) error {
 		for i := 0; i < 10; i++ {
 			if err := tx.Insert(db.Table("users"), userKey(i), userRow(i%cities, 0, i)); err != nil {
@@ -137,13 +115,18 @@ func TestRecoverRejectsAddedIncludeList(t *testing.T) {
 	}
 	db.Close()
 
-	db2 := open(cityInclude())
+	db2 := openCityDir(t, dir, cityInclude())
 	defer db2.Close()
-	_, err := db2.Recover()
+	_, err := db2.CreateIndexSpec(0, db2.Table("users"), "users_city", false, citySpec(), cityInclude()...)
 	if err == nil {
-		t.Fatal("recovery accepted covering re-declaration over a non-covering log")
+		t.Fatal("covering re-declaration of a non-covering index was accepted")
 	}
 	if !strings.Contains(err.Error(), "users_city") {
 		t.Fatalf("rejection does not name the index: %v", err)
+	}
+	if err := db2.Run(0, func(tx *silo.Tx) error {
+		return silo.ScanIndexCovering(tx, db2.Index("users_city"), []byte{0}, nil, 0, func(_, _, _ []byte) bool { return true })
+	}); !errors.Is(err, silo.ErrNotCovering) {
+		t.Fatalf("recovered index serves covering scans: %v", err)
 	}
 }

@@ -35,7 +35,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Kind: KindCreateIndex, Name: "cov", ID: 5, On: "users",
 			Spec:    []index.Seg{{FromValue: true, Off: 0, Len: 1}},
 			Include: []index.Seg{{FromValue: true, Off: 0, Len: 4}}},
-		{Kind: KindCreateIndex, Name: "opq", ID: 7, On: "users", Opaque: true},
 	} {
 		got, err := DecodeRecord(rec.Encode(nil))
 		if err != nil {
@@ -56,15 +55,28 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("malformed record %x decoded", bad)
 		}
 	}
+	// An index an earlier release declared with a Go key function: its
+	// record says so and carries no spec, and it no longer decodes.
+	if _, err := DecodeRecord(opaqueCreate("opq", 7, "users")); !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), `"opq"`) {
+		t.Fatalf("opaque create record: %v", err)
+	}
 }
 
-// TestLiveDDLAndReplay is the catalog's core contract: every DDL action on
-// a live catalog is recorded such that applying the recorded rows to a
-// fresh, empty store reconstructs the identical schema — ids, uniqueness,
-// specs with transforms, include lists, drops.
+// opaqueCreate encodes the create record an earlier release wrote for an
+// index declared with a Go key function: flag bit 1 set, no key spec.
+func opaqueCreate(name string, id uint32, on string) []byte {
+	rec := Record{Kind: KindCreateIndex, Name: name, ID: id, On: on}
+	b := rec.Encode(nil)
+	b[len(b)-3] |= flagOpaque // flags, then two empty segment lists
+	return b
+}
+
+// TestLiveDDLAndReplay is the catalog's core contract: every DDL action is
+// recorded such that applying the recorded rows to a fresh, empty store
+// reconstructs the identical schema — ids, uniqueness, specs with
+// transforms, include lists, drops.
 func TestLiveDDLAndReplay(t *testing.T) {
 	s, reg, c := newStore(t)
-	c.SetLive()
 	w := s.Worker(0)
 
 	users, err := c.CreateTable("users")
@@ -78,19 +90,17 @@ func TestLiveDDLAndReplay(t *testing.T) {
 		t.Fatal("reserved name accepted")
 	}
 	spec := []index.Seg{{FromValue: true, Off: 0, Len: 4, Xform: index.XformReverse}}
-	key, _ := index.CompileSpec(spec)
-	if _, err := c.CreateIndex(w, users, "users_ix", true, key, spec, nil); err != nil {
+	if _, err := c.CreateIndex(w, users, "users_ix", true, spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	inc := []index.Seg{{FromValue: true, Off: 0, Len: 2}}
-	covKey, _ := index.CompileSpec(spec)
-	if _, err := c.CreateIndex(w, users, "users_cov", false, covKey, spec, inc); err != nil {
+	if _, err := c.CreateIndex(w, users, "users_cov", false, spec, inc); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CreateTable("posts"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CreateIndex(w, users, "users_tmp", false, covKey, spec, nil); err != nil {
+	if _, err := c.CreateIndex(w, users, "users_tmp", false, spec, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.DropIndex("users_tmp"); err != nil {
@@ -117,7 +127,7 @@ func TestLiveDDLAndReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := c2.FinishRecovery(); err != nil {
+	if _, _, err := c2.FinishRecovery(nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,7 +143,7 @@ func TestLiveDDLAndReplay(t *testing.T) {
 			t.Fatalf("index %q not reconstructed", name)
 		}
 		if a.Unique != b.Unique || a.Entries.ID != b.Entries.ID || a.On.Name != b.On.Name ||
-			!index.SpecsEqual(a.Spec, b.Spec) || !index.IncludesEqual(a.Include, b.Include) {
+			!reflect.DeepEqual(a.Spec, b.Spec) || !reflect.DeepEqual(a.Include, b.Include) {
 			t.Fatalf("index %q declaration mismatch", name)
 		}
 	}
@@ -142,73 +152,29 @@ func TestLiveDDLAndReplay(t *testing.T) {
 	}
 }
 
-// TestReplayValidatesPreDeclarations: a pre-declared schema that deviates
-// from the catalog fails with an error naming the table or index.
-func TestReplayValidatesPreDeclarations(t *testing.T) {
-	s, _, c := newStore(t)
-	c.SetLive()
-	w := s.Worker(0)
-	users, _ := c.CreateTable("users")
-	spec := []index.Seg{{FromValue: true, Off: 0, Len: 4}}
-	key, _ := index.CompileSpec(spec)
-	if _, err := c.CreateIndex(w, users, "users_ix", false, key, spec, nil); err != nil {
+// TestReplayRejectsBadRows: the catalog is the only schema source, so a row
+// it cannot apply fails replay with an error naming the row — a sequence
+// gap, a table record whose id disagrees with the creation order, and an
+// index an earlier release declared with a Go key function (named too).
+func TestReplayRejectsBadRows(t *testing.T) {
+	users := Record{Kind: KindCreateTable, Name: "users", ID: 1}
+	_, _, c := newStore(t)
+	if err := c.ApplyCatalogRow(SeqKey(1), users.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
-	var rows [][2][]byte
-	if err := w.Run(func(tx *core.Tx) error {
-		rows = rows[:0]
-		return tx.Scan(c.Table(), []byte{0}, nil, func(k, v []byte) bool {
-			rows = append(rows, [2][]byte{append([]byte(nil), k...), append([]byte(nil), v...)})
-			return true
-		})
-	}); err != nil {
-		t.Fatal(err)
+	if err := c.ApplyCatalogRow(SeqKey(3), users.Encode(nil)); err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("sequence gap: %v", err)
 	}
-
-	apply := func(c2 *Catalog) error {
-		for _, kv := range rows {
-			if err := c2.ApplyCatalogRow(kv[0], kv[1]); err != nil {
-				return err
-			}
-		}
-		return nil
+	posts := Record{Kind: KindCreateTable, Name: "posts", ID: 5}
+	if err := c.ApplyCatalogRow(SeqKey(2), posts.Encode(nil)); err == nil || !strings.Contains(err.Error(), "record 2") || !strings.Contains(err.Error(), "posts") {
+		t.Fatalf("table at the wrong id: %v", err)
 	}
-
-	// Wrong table order.
-	s2, _, c2 := newStore(t)
-	if _, err := c2.CreateTable("other"); err != nil {
-		t.Fatal(err)
+	if err := c.ApplyCatalogRow(SeqKey(2), users.Encode(nil)); err == nil || !strings.Contains(err.Error(), "users") {
+		t.Fatalf("table created twice: %v", err)
 	}
-	_ = s2
-	if err := apply(c2); err == nil || !strings.Contains(err.Error(), "users") {
-		t.Fatalf("misordered pre-declaration not rejected naming the table: %v", err)
-	}
-
-	// Changed uniqueness on a pre-declared index.
-	s3, _, c3 := newStore(t)
-	u3, _ := c3.CreateTable("users")
-	k3, _ := index.CompileSpec(spec)
-	if _, err := c3.CreateIndex(s3.Worker(0), u3, "users_ix", true, k3, spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := apply(c3); err == nil || !strings.Contains(err.Error(), "users_ix") {
-		t.Fatalf("changed uniqueness not rejected naming the index: %v", err)
-	}
-
-	// Opaque catalog record without a pre-declaration is an explicit error.
-	s4, _, c4 := newStore(t)
-	_ = s4
-	opq := Record{Kind: KindCreateIndex, Name: "opq_ix", ID: 2, On: "users", Opaque: true}
-	var seq uint64 = uint64(len(rows)) + 1
-	if err := apply(c4); err != nil {
-		t.Fatal(err)
-	}
-	if err := c4.ApplyCatalogRow(SeqKey(seq+2), opq.Encode(nil)); err == nil {
-		t.Fatal("sequence gap accepted")
-	}
-	err := c4.ApplyCatalogRow(SeqKey(seq), opq.Encode(nil))
-	if err == nil || !strings.Contains(err.Error(), "opq_ix") {
-		t.Fatalf("opaque reconstruction not rejected naming the index: %v", err)
+	err := c.ApplyCatalogRow(SeqKey(2), opaqueCreate("opq_ix", 2, "users"))
+	if err == nil || !strings.Contains(err.Error(), "opq_ix") || !strings.Contains(err.Error(), "record 2") {
+		t.Fatalf("opaque create not rejected naming the index and the row: %v", err)
 	}
 }
 
@@ -216,7 +182,6 @@ func TestReplayValidatesPreDeclarations(t *testing.T) {
 // per DDL action, keyed by sequence number, decodable in order.
 func TestCatalogRecordsSurviveAsRows(t *testing.T) {
 	s, _, c := newStore(t)
-	c.SetLive()
 	if _, err := c.CreateTable("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +219,6 @@ func TestCatalogRecordsSurviveAsRows(t *testing.T) {
 // dropped index's entry table and wipe its rows.
 func TestCreateIndexNameCollisionLogsNothing(t *testing.T) {
 	s, _, c := newStore(t)
-	c.SetLive()
 	w := s.Worker(0)
 	users, _ := c.CreateTable("users")
 	orders, _ := c.CreateTable("orders")
@@ -265,12 +229,14 @@ func TestCreateIndexNameCollisionLogsNothing(t *testing.T) {
 	}
 
 	spec := []index.Seg{{FromValue: true, Off: 0, Len: 2}}
-	key, _ := index.CompileSpec(spec)
-	if _, err := c.CreateIndex(w, users, "orders", false, key, spec, nil); err == nil {
+	if _, err := c.CreateIndex(w, users, "orders", false, spec, nil); err == nil {
 		t.Fatal("index named after an existing table accepted")
 	}
-	// And a bad include list is rejected before logging, too.
-	if _, err := c.CreateIndex(w, users, "users_cov", false, key, spec, []index.Seg{{Off: 0, Len: 0}}); err == nil {
+	// And a bad key spec or include list is rejected before logging, too.
+	if _, err := c.CreateIndex(w, users, "users_ix", false, nil, nil); err == nil {
+		t.Fatal("empty key spec accepted")
+	}
+	if _, err := c.CreateIndex(w, users, "users_cov", false, spec, []index.Seg{{Off: 0, Len: 0}}); err == nil {
 		t.Fatal("invalid include list accepted")
 	}
 	// Nothing but the two table creates may be in the catalog.
@@ -311,7 +277,7 @@ func TestCreateIndexNameCollisionLogsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := c2.FinishRecovery(); err != nil {
+	if _, _, err := c2.FinishRecovery(nil); err != nil {
 		t.Fatal(err)
 	}
 	if tb := s2.Table("orders"); tb == nil || tb.ID != 2 {
@@ -343,7 +309,7 @@ func TestReplayToleratesBrokenCreateResolvedByDrop(t *testing.T) {
 	if err := c.ApplyCatalogRow(SeqKey(3), drop.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.FinishRecovery(); err != nil {
+	if _, _, err := c.FinishRecovery(nil); err != nil {
 		t.Fatalf("drop-resolved broken create failed recovery: %v", err)
 	}
 	// Entry-table id accounting must not have skewed.
@@ -359,7 +325,11 @@ func TestReplayToleratesBrokenCreateResolvedByDrop(t *testing.T) {
 	if err := c2.ApplyCatalogRow(SeqKey(2), bad.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c2.FinishRecovery(); err == nil || !strings.Contains(err.Error(), "bad_ix") {
+	started := false
+	if _, _, err := c2.FinishRecovery(func() error { started = true; return nil }); err == nil || !strings.Contains(err.Error(), "bad_ix") {
 		t.Fatalf("unresolved broken create not rejected naming the index: %v", err)
+	}
+	if started {
+		t.Fatal("FinishRecovery started logging before failing")
 	}
 }

@@ -13,11 +13,9 @@
 // the catalog rows as of the checkpoint epoch, the log carries the DDL
 // suffix, and replaying both in sequence order reconstructs every table
 // and index — ids, uniqueness, key specs, transforms, covering include
-// lists — with zero re-declarations. The one exception is an index
-// declared with an opaque Go KeyFunc, which no byte encoding can
-// reconstruct; such indexes are recorded as opaque and keep the old
-// declare-before-recover contract (the catalog still validates the
-// re-declaration's shape).
+// lists. The catalog is the only source of schema: nothing is declared
+// before recovery, and every index is declared by a key spec, which is
+// what lets its record rebuild it.
 //
 // Index creation is a two-record protocol: a create record is logged
 // before the backfill starts and a ready record after it completes, so a
@@ -64,18 +62,26 @@ type Record struct {
 	// kinds).
 	Name string
 	// ID is the table id the created table (or index entry table) holds.
-	// Recording it explicitly — rather than inferring it positionally —
-	// lets schemas that mix catalog-managed and store-level table creation
-	// recover, as long as the bypassed tables are re-declared in place.
+	// Replay checks it against the id the store assigns, so a record that
+	// disagrees with the creation order fails recovery instead of shifting
+	// every later table.
 	ID uint32
 
 	// Index declaration fields (KindCreateIndex only).
 	On      string // indexed table name
 	Unique  bool
-	Opaque  bool        // declared with a Go KeyFunc; spec not reconstructible
-	Spec    []index.Seg // declarative key spec (nil when opaque)
+	Spec    []index.Seg // declarative key spec
 	Include []index.Seg // covering include list (nil when not covering)
 }
+
+// Flag bits of a KindCreateIndex record. flagOpaque marked an index
+// declared with a Go key function, which earlier releases recorded but
+// could not rebuild; such a record no longer decodes.
+const (
+	flagUnique   = 1
+	flagOpaque   = 2
+	flagCovering = 4
+)
 
 // ErrBadRecord reports a catalog row that does not decode; test with
 // errors.Is.
@@ -116,13 +122,10 @@ func (r *Record) Encode(dst []byte) []byte {
 	dst = append(dst, r.On...)
 	var flags byte
 	if r.Unique {
-		flags |= 1
-	}
-	if r.Opaque {
-		flags |= 2
+		flags |= flagUnique
 	}
 	if r.Include != nil {
-		flags |= 4
+		flags |= flagCovering
 	}
 	dst = append(dst, flags)
 	dst = appendSegs(dst, r.Spec)
@@ -184,9 +187,11 @@ func DecodeRecord(val []byte) (Record, error) {
 	off += onlen
 	flags := val[off]
 	off++
-	r.Unique = flags&1 != 0
-	r.Opaque = flags&2 != 0
-	covering := flags&4 != 0
+	if flags&flagOpaque != 0 {
+		return r, fmt.Errorf("%w: index %q was declared with a Go key function, which the catalog cannot rebuild", ErrBadRecord, r.Name)
+	}
+	r.Unique = flags&flagUnique != 0
+	covering := flags&flagCovering != 0
 	var err error
 	if r.Spec, off, err = decodeSegs(val, off); err != nil {
 		return r, err

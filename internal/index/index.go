@@ -67,9 +67,10 @@ type Index struct {
 	Entries *core.Table // the entry table: secondary key → primary key
 	Unique  bool
 	Key     KeyFunc
-	// Spec is the declarative segment spec Key was compiled from, when
-	// there is one (nil for opaque KeyFuncs). Registries use it to decide
-	// whether a re-creation request matches the existing declaration.
+	// Spec is the declarative segment spec Key was compiled from (nil for
+	// an index declared with New and a Go KeyFunc). Registries use it to
+	// decide whether a re-creation request matches the existing
+	// declaration.
 	Spec []Seg
 	// Include is the covering projection: fixed-position row segments whose
 	// bytes ride in every entry value so ScanCovering never resolves the
@@ -98,9 +99,7 @@ type Index struct {
 // current by the maintenance hooks, so ScanCovering serves them without
 // primary-tree resolution. A row too short for any include segment is left
 // unindexed (exactly like a row too short for a declarative key segment),
-// keeping projection width fixed. The include list is part of the index's
-// declaration: recovery verifies recovered entries against it and rejects
-// a re-declaration whose projection no longer matches the logged entries.
+// keeping projection width fixed.
 func New(s *core.Store, on *core.Table, name string, unique bool, key KeyFunc, include ...Seg) (*Index, error) {
 	ix := &Index{Name: name, On: on, Unique: unique, Key: key}
 	if include != nil {
@@ -185,10 +184,9 @@ func (ix *Index) extract(skdst, evdst, pk, val []byte) (sk, ev []byte, ok bool) 
 // SplitEntryValue decomposes a covering entry value into its primary key
 // and included fields, validating the declared shape (u8 pklen ‖ pk ‖
 // exactly IncludeWidth field bytes). A mismatch means the entry was
-// written under a different include list than the index now declares —
-// recovery uses this to refuse a changed declaration — or the entry table
-// was written directly. For a non-covering index the value is the primary
-// key and fields is nil.
+// written under a different include list than the index declares, or the
+// entry table was written directly. For a non-covering index the value is
+// the primary key and fields is nil.
 func (ix *Index) SplitEntryValue(ev []byte) (pk, fields []byte, err error) {
 	if !ix.Covering() {
 		return ev, nil, nil
@@ -303,9 +301,9 @@ const backfillBatch = 256
 // — silently skipping it would leave the index quietly missing rows the
 // caller believes are covered. (Rows written after creation keep the
 // partial-index semantics: a too-short future row is simply unindexed.)
-// Opaque KeyFunc indexes keep skip semantics throughout — a KeyFunc
-// declining a row is an intentional predicate, indistinguishable from a
-// length check.
+// An index declared with New and a Go KeyFunc keeps skip semantics
+// throughout — a KeyFunc declining a row is an intentional predicate,
+// indistinguishable from a length check.
 func (ix *Index) Backfill(w *core.Worker) error {
 	var cursor []byte // last key processed; next batch rescans from it
 	for {

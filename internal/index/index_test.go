@@ -438,11 +438,7 @@ func TestRegistryCreate(t *testing.T) {
 
 	r := NewRegistry()
 	spec := []Seg{{FromValue: true, Off: 0, Len: 4}}
-	key, err := CompileSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := r.Create(s, w, users, "users_by_city", false, key, spec, nil)
+	ix, err := r.Create(s, w, users, "users_by_city", false, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,24 +451,28 @@ func TestRegistryCreate(t *testing.T) {
 	if r.Get("nope") != nil {
 		t.Fatal("registry returned a ghost")
 	}
-	// Idempotent re-create with the identical declaration; everything the
-	// registry cannot verify as identical is rejected.
-	if again, err := r.Create(s, w, users, "users_by_city", false, key, spec, nil); err != nil || again != ix {
+	// Idempotent re-create with the identical declaration; any difference
+	// is rejected.
+	if again, err := r.Create(s, w, users, "users_by_city", false, spec, nil); err != nil || again != ix {
 		t.Fatalf("re-create = %v, %v", again, err)
 	}
-	if _, err := r.Create(s, w, users, "users_by_city", true, key, spec, nil); err == nil {
+	if _, err := r.Create(s, w, users, "users_by_city", true, spec, nil); err == nil {
 		t.Fatal("mismatched uniqueness accepted")
 	}
 	other := []Seg{{FromValue: true, Off: 4, Len: 8}}
-	if _, err := r.Create(s, w, users, "users_by_city", false, key, other, nil); err == nil {
+	if _, err := r.Create(s, w, users, "users_by_city", false, other, nil); err == nil {
 		t.Fatal("mismatched spec accepted")
 	}
-	if _, err := r.Create(s, w, users, "users_by_city", false, cityKey, nil, nil); err == nil {
-		t.Fatal("opaque key function re-create accepted")
+	if _, err := r.Create(s, w, users, "users_by_city", false, spec, spec); err == nil {
+		t.Fatal("mismatched include list accepted")
 	}
-	// Name collisions with plain tables are rejected.
-	if _, err := r.Create(s, w, users, "users", false, cityKey, nil, nil); err == nil {
+	// Name collisions with plain tables are rejected, and so is a spec
+	// that does not compile.
+	if _, err := r.Create(s, w, users, "users", false, spec, nil); err == nil {
 		t.Fatal("index named after an existing table accepted")
+	}
+	if _, err := r.Create(s, w, users, "users_bad", false, nil, nil); err == nil {
+		t.Fatal("empty spec accepted")
 	}
 	if all := r.All(); len(all) != 1 || all[0] != ix {
 		t.Fatalf("All() = %v", all)
@@ -490,7 +490,8 @@ func TestCreateBackfillFailureCleansUp(t *testing.T) {
 	insertUser(t, w, users, 2, "BER", 2, "dup") // same name: unique violation
 
 	r := NewRegistry()
-	if _, err := r.Create(s, w, users, "users_by_name", true, nameKey, nil, nil); err == nil {
+	nameSpec := []Seg{{FromValue: true, Off: 12, Len: 3}}
+	if _, err := r.Create(s, w, users, "users_by_name", true, nameSpec, nil); err == nil {
 		t.Fatal("unique backfill over colliding rows succeeded")
 	}
 	if r.Get("users_by_name") != nil {
@@ -524,7 +525,7 @@ func TestCreateBackfillFailureCleansUp(t *testing.T) {
 	}
 	// The name is retryable with a workable declaration, adopting the
 	// orphaned entry table.
-	ix, err := r.Create(s, w, users, "users_by_name", false, nameKey, nil, nil)
+	ix, err := r.Create(s, w, users, "users_by_name", false, nameSpec, nil)
 	if err != nil {
 		t.Fatalf("retry after failed create: %v", err)
 	}

@@ -46,14 +46,12 @@ func (r *Registry) All() []*Index {
 // entry point used by silo.DB and the network server. Creations serialize
 // on the registry (normal transactions are unaffected).
 //
-// spec is the declarative segment spec key was compiled from, or nil for
-// an opaque KeyFunc. include, when non-nil, makes the index covering:
-// entry values carry the concatenated include segments of each row.
-// Re-creating an existing name returns the existing index only when the
-// declaration verifiably matches (same table, same uniqueness, equal
-// non-nil specs, and an identical include list — nil matching nil);
-// opaque key functions cannot be compared, so re-creating a KeyFunc index
-// is an error.
+// spec is the declarative segment spec the secondary key is compiled from.
+// include, when non-nil, makes the index covering: entry values carry the
+// concatenated include segments of each row. Re-creating an existing name
+// returns the existing index when the declaration matches (same table,
+// same uniqueness, equal specs, and an identical include list — nil
+// matching nil) and is an error naming the index otherwise.
 //
 // The backfill runs in batched transactions on worker w. Writes racing
 // the creation are handled: after the maintenance hook is registered,
@@ -64,15 +62,12 @@ func (r *Registry) All() []*Index {
 // backfill fails (e.g. a unique violation between existing rows), the
 // hook is withdrawn and the partially built entries wiped, so the table
 // keeps working and the name can be retried.
-func (r *Registry) Create(s *core.Store, w *core.Worker, on *core.Table, name string, unique bool, key KeyFunc, spec, include []Seg) (*Index, error) {
+func (r *Registry) Create(s *core.Store, w *core.Worker, on *core.Table, name string, unique bool, spec, include []Seg) (*Index, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ix := r.byName[name]; ix != nil {
 		if ix.On == on && ix.Unique == unique && specsEqual(ix.Spec, spec) && includesEqual(ix.Include, include) {
 			return ix, nil
-		}
-		if (ix.Spec == nil || spec == nil) && ix.On == on && ix.Unique == unique && includesEqual(ix.Include, include) {
-			return nil, fmt.Errorf("index %q already exists and its declaration cannot be compared (opaque key function)", name)
 		}
 		return nil, fmt.Errorf("index %q already exists with a different declaration", name)
 	}
@@ -82,6 +77,10 @@ func (r *Registry) Create(s *core.Store, w *core.Worker, on *core.Table, name st
 	if s.Table(name) != nil && !r.orphans[name] {
 		return nil, fmt.Errorf("index %q: a table with that name already exists", name)
 	}
+	key, err := CompileSpec(spec)
+	if err != nil {
+		return nil, fmt.Errorf("index %q: %w", name, err)
+	}
 	ix, err := New(s, on, name, unique, key, include...)
 	if err != nil {
 		return nil, err
@@ -89,10 +88,7 @@ func (r *Registry) Create(s *core.Store, w *core.Worker, on *core.Table, name st
 	ix.Spec = append([]Seg(nil), spec...)
 	if on.Tree.Len() == 0 {
 		// Nothing to backfill, so the pre-registration fence has nothing to
-		// protect either. Skipping both keeps the recovery idiom safe:
-		// schemas re-declare tables and indexes on an empty store before
-		// Recover, and must not run transactions (or wait around while the
-		// attached loggers stamp low durable epochs) before the replay.
+		// protect either.
 		delete(r.orphans, name)
 		r.byName[name] = ix
 		r.names = append(r.names, name)
@@ -168,15 +164,9 @@ func (r *Registry) Orphan(name string) bool {
 // already be withdrawn).
 func WipeEntries(w *core.Worker, t *core.Table) error { return wipeTable(w, t) }
 
-// SpecsEqual reports whether two declarative key specs are verifiably
-// equal. A nil spec means an opaque KeyFunc, which can never be proven
-// equal to anything — including another nil.
-func SpecsEqual(a, b []Seg) bool { return specsEqual(a, b) }
-
-// IncludesEqual compares two include lists. Unlike key specs, a nil
-// include list is a definite statement (not covering), so nil equals nil.
-func IncludesEqual(a, b []Seg) bool { return includesEqual(a, b) }
-
+// specsEqual reports whether two declarative key specs are equal. A nil
+// spec (an index declared with New and a Go KeyFunc) equals nothing, not
+// even another nil.
 func specsEqual(a, b []Seg) bool {
 	if a == nil || b == nil || len(a) != len(b) {
 		return false
@@ -189,9 +179,8 @@ func specsEqual(a, b []Seg) bool {
 	return true
 }
 
-// includesEqual compares two include lists. Unlike key specs — where nil
-// means "opaque, incomparable" — a nil include list is a definite
-// statement (not covering), so nil equals nil.
+// includesEqual compares two include lists. Unlike a key spec, a nil
+// include list is a definite statement (not covering), so nil equals nil.
 func includesEqual(a, b []Seg) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil

@@ -7,8 +7,7 @@ import (
 
 // Transform flags for declarative key-spec segments. A segment's extracted
 // bytes pass through its transform before joining the concatenated key, so
-// specs can express the byte-order conversions that previously forced an
-// opaque Go KeyFunc (and with it, a non-recoverable index declaration):
+// specs can express byte-order conversions:
 //
 //   - XformReverse reverses the segment's bytes, turning a little-endian
 //     row field into the big-endian form tree order wants.
@@ -28,13 +27,11 @@ const (
 
 // A Seg is one fixed-position segment of a declarative key spec: Len bytes
 // at offset Off of either the primary key or the row value, passed through
-// Xform. Declarative specs are how clients create indexes over the wire,
-// where a Go KeyFunc cannot travel — and how the schema catalog persists
-// index declarations, which a KeyFunc cannot. They cover fixed-offset row
-// encodings (TPC-C-style structs, counters in YCSB records) including
-// byte-order and sort-direction conversions; embedded callers with richer
-// needs (conditional indexing, variable-width fields) pass an arbitrary
-// KeyFunc instead, at the cost of having to re-declare it before recovery.
+// Xform. A spec is the one way an index is declared — embedded, over the
+// wire, and in the schema catalog, which persists it so recovery rebuilds
+// the index. Specs cover fixed-offset row encodings (TPC-C-style structs,
+// counters in YCSB records) including byte-order and sort-direction
+// conversions.
 type Seg struct {
 	FromValue bool // take bytes from the row value instead of the primary key
 	Off, Len  int

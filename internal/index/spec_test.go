@@ -88,7 +88,7 @@ func TestValidateSpecRejectsUnknownTransform(t *testing.T) {
 // TestBackfillShortRowFailsForSpecIndex pins the declarative-backfill
 // contract: a pre-existing row too short for the declared spec fails the
 // backfill with an error naming the offending key instead of silently
-// leaving the row unindexed. Opaque KeyFunc indexes keep skip semantics.
+// leaving the row unindexed. KeyFunc indexes keep skip semantics.
 func TestBackfillShortRowFailsForSpecIndex(t *testing.T) {
 	s := newStore(t, 1)
 	w := s.Worker(0)
@@ -101,12 +101,8 @@ func TestBackfillShortRowFailsForSpecIndex(t *testing.T) {
 	})
 
 	spec := []Seg{{FromValue: true, Off: 0, Len: 4}}
-	key, err := CompileSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := NewRegistry()
-	if _, err := r.Create(s, w, tbl, "rows_ix", false, key, spec, nil); err == nil {
+	if _, err := r.Create(s, w, tbl, "rows_ix", false, spec, nil); err == nil {
 		t.Fatal("backfill over a too-short row succeeded for a spec index")
 	} else if !bytes.Contains([]byte(err.Error()), []byte("73687274")) && !bytes.Contains([]byte(err.Error()), []byte("shrt")) {
 		t.Fatalf("error does not name the offending key: %v", err)
@@ -116,7 +112,7 @@ func TestBackfillShortRowFailsForSpecIndex(t *testing.T) {
 	mustRun(t, w, func(tx *core.Tx) error {
 		return tx.Put(tbl, []byte("shrt"), []byte{9, 9, 9, 9})
 	})
-	ix, err := r.Create(s, w, tbl, "rows_ix", false, key, spec, nil)
+	ix, err := r.Create(s, w, tbl, "rows_ix", false, spec, nil)
 	if err != nil {
 		t.Fatalf("retry after fixing the row: %v", err)
 	}
@@ -129,15 +125,20 @@ func TestBackfillShortRowFailsForSpecIndex(t *testing.T) {
 		t.Fatalf("retried backfill indexed %d rows, want 2", n)
 	}
 
-	// An opaque KeyFunc index over the same shapes keeps skip semantics.
+	// An index declared with New and a Go KeyFunc over the same shapes
+	// keeps skip semantics.
 	mustRun(t, w, func(tx *core.Tx) error { return tx.Put(tbl, []byte("shrt"), []byte{1}) })
-	opaque := func(dst, pk, val []byte) ([]byte, bool) {
+	keyFn := func(dst, pk, val []byte) ([]byte, bool) {
 		if len(val) < 4 {
 			return dst, false
 		}
 		return append(dst, val[:4]...), true
 	}
-	if _, err := r.Create(s, w, tbl, "rows_opaque", false, opaque, nil, nil); err != nil {
-		t.Fatalf("opaque backfill over a short row: %v", err)
+	fnIx, err := New(s, tbl, "rows_fn", false, keyFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fnIx.Backfill(w); err != nil {
+		t.Fatalf("KeyFunc backfill over a short row: %v", err)
 	}
 }

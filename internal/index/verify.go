@@ -9,29 +9,22 @@ import (
 	"silo/internal/record"
 )
 
-// verifySampleDeep is how many entries of a non-covering index recovery
-// resolves against their rows. A declaration mismatch (a covering index
-// re-declared without its include list, a changed key spec) corrupts
-// entries uniformly, so a bounded sample detects it deterministically
-// without making recovery pay one primary point read per entry of every
-// plain index; covering indexes are resolved in full, because their
-// headline guarantee is that every projected byte survives replay.
+// verifySampleDeep is how many entries of a non-covering index
+// VerifyEntries resolves against their rows: entries written under the
+// wrong declaration are wrong uniformly, so a bounded sample finds them
+// without one primary point read per entry of every plain index; covering
+// indexes are resolved in full, because their headline guarantee is that
+// every projected byte survives replay.
 const verifySampleDeep = 128
 
-// VerifyEntries audits the index's entries against its current
-// declaration and its primary table, walking both trees directly (no
-// transactions — the caller must be single-threaded, which is exactly
-// recovery's situation). Recovery runs it after log replay, before the
-// store takes traffic: replayed entry values were written under the
-// declaration in force when the log was produced, so a covering index
-// re-declared with a different include list — or with none at all, or a
-// non-covering index re-declared as covering — surfaces here as a shape
-// or content mismatch naming the index, instead of silently serving
-// misaligned bytes or resolving garbage primary keys. Every entry gets
-// the cheap shape validation; row resolution and recomputation run for
-// every entry of a covering index but only a verifySampleDeep-entry
-// prefix of a non-covering one (declaration mismatches are uniform, so
-// the sample suffices, and recovery stays cheap for big plain indexes).
+// VerifyEntries audits the index's entries against its declaration and
+// its primary table, walking both trees directly (no transactions — the
+// caller must be single-threaded, as a just-recovered store is). It is the
+// offline oracle the simulation harness runs over every recovered index:
+// every entry gets the cheap shape validation (a covering value that does
+// not split, a primary key the tree cannot hold); row resolution and
+// recomputation run for every entry of a covering index but only a
+// verifySampleDeep-entry prefix of a non-covering one.
 func (ix *Index) VerifyEntries() error {
 	var fail error
 	var rb, rowb, skb, evb []byte
@@ -44,16 +37,13 @@ func (ix *Index) VerifyEntries() error {
 		}
 		pk, _, err := ix.SplitEntryValue(val)
 		if err != nil {
-			fail = fmt.Errorf("%w — was the index re-declared with a different include list than the one the log was written under?", err)
+			fail = err
 			return false
 		}
 		// A non-covering declaration reads the whole value as the primary
-		// key. A covering-encoded value (length-prefixed, projection
-		// appended) read that way is not a usable key — catch the obvious
-		// impossibilities before they reach the tree, with the
-		// re-declaration hint.
+		// key; catch the impossible ones before they reach the tree.
 		if len(pk) == 0 || len(pk) > btree.MaxKeyLen || (!ix.Unique && len(pk) >= len(ek)) {
-			fail = fmt.Errorf("index %q: recovered entry %x carries a value that cannot be its primary key — was a covering index re-declared without its include list?",
+			fail = fmt.Errorf("index %q: recovered entry %x carries a value that cannot be its primary key",
 				ix.Name, ek)
 			return false
 		}
@@ -63,8 +53,8 @@ func (ix *Index) VerifyEntries() error {
 		deep++
 		rrec, _, _ := ix.On.Tree.Get(pk)
 		if rrec == nil {
-			fail = fmt.Errorf("index %q: recovered entry %x resolves to no row %x in table %q%s",
-				ix.Name, ek, pk, ix.On.Name, redeclareHint(ix))
+			fail = fmt.Errorf("index %q: recovered entry %x resolves to no row %x in table %q",
+				ix.Name, ek, pk, ix.On.Name)
 			return false
 		}
 		row, rw := rrec.Read(rowb)
@@ -90,23 +80,13 @@ func (ix *Index) VerifyEntries() error {
 			return false
 		}
 		if ix.Covering() && !bytes.Equal(ev, val) {
-			fail = fmt.Errorf("index %q: recovered entry %x carries included fields that differ from row %x — was the index re-declared with a different include list?",
+			fail = fmt.Errorf("index %q: recovered entry %x carries included fields that differ from row %x",
 				ix.Name, ek, pk)
 			return false
 		}
 		return true
 	})
 	return fail
-}
-
-// redeclareHint suffixes a non-covering index's resolution failure with
-// the likeliest cause: covering values replayed into a non-covering
-// declaration mostly look like garbage primary keys.
-func redeclareHint(ix *Index) string {
-	if ix.Covering() {
-		return ""
-	}
-	return " — was a covering index re-declared without its include list?"
 }
 
 // VerifyCoveringFresh re-derives the included fields of every covering

@@ -137,9 +137,9 @@ func partBound(k, n int) []byte {
 // the manifest's schema section, making the checkpoint self-describing
 // (recovery reconstructs tables and index declarations from the manifest
 // before loading a single part). silo.DB passes its DDL catalog table;
-// stores managed below the silo layer pass nil and keep the
-// declare-before-recover contract. A nil fs is the real filesystem (the
-// simulation harness passes its fault-injecting one).
+// the raw-store harnesses below the silo layer pass nil and create their
+// tables themselves. A nil fs is the real filesystem (the simulation
+// harness passes its fault-injecting one).
 //
 // The checkpoint is complete — and WriteCheckpoint returns nil — only once
 // the manifest, the set's directory and the entry for it in dir have all
@@ -490,27 +490,16 @@ func checkSchema(store *core.Store, path string, tables []manifestTable, lenient
 				continue
 			}
 			return fmt.Errorf(
-				"recovery: checkpoint %s contains table id %d (%q), but only %d tables are declared%s",
-				path, mt.id, mt.name, len(store.Tables()), declareHint(store))
+				"recovery: checkpoint %s contains table id %d (%q), but the store has only %d tables",
+				path, mt.id, mt.name, len(store.Tables()))
 		}
 		if tbl.Name != mt.name {
 			return fmt.Errorf(
-				"recovery: checkpoint %s declares table id %d as %q, but the store declares it as %q%s",
-				path, mt.id, mt.name, tbl.Name, declareHint(store))
+				"recovery: checkpoint %s names table id %d %q, but the store names it %q",
+				path, mt.id, mt.name, tbl.Name)
 		}
 	}
 	return nil
-}
-
-// declareHint is appended to schema-mismatch errors: the single statement
-// of the declare-before-recover contract.
-func declareHint(store *core.Store) string {
-	var names []string
-	for _, t := range store.Tables() {
-		names = append(names, t.Name)
-	}
-	return fmt.Sprintf(" (declared: %s); tables and indexes must be re-declared in their original creation order before recovery — table IDs are assigned in creation order and are part of the log and checkpoint formats",
-		strings.Join(names, ", "))
 }
 
 // partRow decodes the row at body[off:] and returns the offset of the next
@@ -581,8 +570,8 @@ func loadPart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (rows
 		// The manifest catalog is checked before any part is loaded, so
 		// this indicates a part/manifest mismatch.
 		return 0, fmt.Errorf(
-			"recovery: checkpoint part %s references table id %d, but only %d tables are declared%s",
-			path, undeclared, len(store.Tables()), declareHint(store))
+			"recovery: checkpoint part %s references table id %d, but the store has only %d tables",
+			path, undeclared, len(store.Tables()))
 	}
 
 	rowWord := tid.Make(max(epoch, 1)-1, tid.MaxSeq).WithLatest(true)

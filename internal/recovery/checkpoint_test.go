@@ -246,7 +246,7 @@ func TestCheckpointSchemaMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("schema mismatch not detected")
 	}
-	for _, want := range []string{`"t"`, `"wrong"`, "creation order"} {
+	for _, want := range []string{`"t"`, `"wrong"`, "table id 0"} {
 		if !contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %s", err, want)
 		}

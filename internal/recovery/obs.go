@@ -66,7 +66,7 @@ func (r Result) CollectObs(snap *obs.Snapshot) {
 
 // WriteReport renders the canonical human-readable recovery report — what
 // was restored, per-stage timings, and replay throughput. Every consumer
-// of a Result (cmd/silo-recover, the server's -recover path) prints this
+// of a Result (cmd/silo-recover, silo-server at startup) prints this
 // same rendering, so stage names and units never drift between tools.
 // total is the wall clock of the whole pass including open/close overhead;
 // pass <= 0 to use the stage sum.

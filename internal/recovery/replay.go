@@ -41,9 +41,9 @@ type Options struct {
 	// Schema, when non-nil, makes recovery self-describing: table
 	// CatalogTableID holds DDL records that are applied — manifest schema
 	// section first, then the log's catalog entries — before data replay,
-	// reconstructing the full schema with zero re-declarations. Nil keeps
-	// the declare-before-recover contract (the caller created every table
-	// in original order).
+	// reconstructing the full schema. Nil is for the raw-store harnesses
+	// that write logs below the silo layer: the caller has created every
+	// table, in its original order, before recovering.
 	Schema SchemaApplier
 	// FS is the filesystem to recover from; nil means the real one. The
 	// simulation harness recovers from its fault-injected in-memory
@@ -100,22 +100,22 @@ type Result struct {
 	IndexesRolledBack    []string
 }
 
-// missingTableErr names the undeclared table a log record references —
-// the log carries only table IDs, so the message lists the declared
-// schema and restates the ordering contract.
+// missingTableErr names the table id a log record references that the
+// store does not have.
 func missingTableErr(store *core.Store, id uint32) error {
-	return fmt.Errorf("recovery: log references table id %d, but only %d tables are declared%s",
-		id, len(store.Tables()), declareHint(store))
+	return fmt.Errorf("recovery: log references table id %d, but the store has only %d tables",
+		id, len(store.Tables()))
 }
 
 // Recover restores a store from the newest complete checkpoint in dir (if
 // any) plus the log segments in dir: checkpoint rows first (part files
 // loaded in parallel), then, of the log transactions with CE ≤ epoch ≤ D,
 // the newest version of every record they wrote (see replay). The store
-// must contain the schema's tables, created in their original order, and
-// must otherwise be empty; a log or checkpoint referencing an undeclared
-// table fails with an error naming it. The caller should restart the
-// epoch counter above max(D, CE).
+// must otherwise be empty and, without Options.Schema, must already hold
+// the schema's tables in their original order; a log or checkpoint
+// referencing a table the store lacks fails with an error naming its id.
+// A directory with no log (empty, or not there yet) recovers to D = 0.
+// The caller should restart the epoch counter above max(D, CE).
 func Recover(store *core.Store, dir string, opts Options) (Result, error) {
 	var res Result
 	if opts.Workers <= 0 {
@@ -186,9 +186,6 @@ func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, re
 	infos, err := wal.ListLogFiles(opts.FS, logDir)
 	if err != nil {
 		return err
-	}
-	if len(infos) == 0 {
-		return fmt.Errorf("recovery: no log files in %s", logDir)
 	}
 	res.LogFiles = len(infos)
 

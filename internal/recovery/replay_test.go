@@ -364,7 +364,7 @@ func TestRecoverMissingTableNamed(t *testing.T) {
 	if err == nil {
 		t.Fatal("recovery with missing table succeeded")
 	}
-	for _, wantSub := range []string{"table id 1", "declared: alpha", "creation order"} {
+	for _, wantSub := range []string{"table id 1", "only 1 tables"} {
 		if !contains(err.Error(), wantSub) {
 			t.Errorf("error %q does not mention %q", err, wantSub)
 		}

@@ -258,14 +258,13 @@ func TestDDLTruncationSweep(t *testing.T) {
 }
 
 // TestDurableBoundSurvivesReopenCrash pins the history Open → tick → power
-// cut → Open → tick → Recover. A process that opens a durability directory
-// starts its loggers at once; they append to the newest segments, and each
-// epoch tick before recovery writes a durable frame from the fresh epoch
-// counter (d = 1, 2, …) behind the frames of the run to be recovered. If
-// that process loses power before recovering — or simply recovers a few
-// epochs late — the log must still recover in full: a logger's bound is
-// its largest durable frame. (Reading the last frame instead made D = 1
-// here, and recovery silently discarded every transaction.)
+// cut → Open → tick. Open recovers before its loggers start, so the doomed
+// process's tick appends durable frames above the recovered bound; earlier
+// builds started the loggers first, and their ticks appended frames from a
+// fresh epoch counter (d = 1, 2, …) behind the frames of the run being
+// recovered. Either way the log must recover in full after the power cut.
+// (Reading each segment's last frame made D = 1 for the earlier builds,
+// and recovery silently discarded every transaction.)
 func TestDurableBoundSurvivesReopenCrash(t *testing.T) {
 	fs, clock := NewFS(), NewClock()
 	db := openSimDB(t, fs, clock)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"silo/internal/core"
 	"silo/internal/tid"
@@ -24,7 +23,7 @@ func TestSmallBufferForcesPublish(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitDurableFor(t, s, m, 1)
+	makeDurable(t, s, m, 1)
 	m.Stop()
 	if m.Stats().BuffersWritten.Load() < 10 {
 		t.Fatalf("expected many small buffers, wrote %d", m.Stats().BuffersWritten.Load())
@@ -48,6 +47,7 @@ func TestMultiLoggerAssignment(t *testing.T) {
 	dir := t.TempDir()
 	s, m := attachedStore(t, 4, Config{Dir: dir, Loggers: 3})
 	tbl := s.CreateTable("t")
+	stop := runPasses(s, m)
 	var wg sync.WaitGroup
 	for wid := 0; wid < 4; wid++ {
 		wg.Add(1)
@@ -65,7 +65,8 @@ func TestMultiLoggerAssignment(t *testing.T) {
 		}(wid)
 	}
 	wg.Wait()
-	waitDurableFor(t, s, m, 4)
+	stop()
+	makeDurable(t, s, m, 4)
 	m.Stop()
 	s.Close()
 
@@ -101,8 +102,9 @@ func TestMultiLoggerAssignment(t *testing.T) {
 }
 
 // TestDurableEpochAdvancesWithIdleWorker: the liveness refinement — one
-// worker commits, the other is permanently idle; D must still advance past
-// the commit's epoch without any heartbeat.
+// worker commits, the other is permanently idle; the first pass after the
+// commit's epoch closes must make it durable, with no heartbeat from
+// either worker.
 func TestDurableEpochAdvancesWithIdleWorker(t *testing.T) {
 	s, m := attachedStore(t, 2, Config{})
 	tbl := s.CreateTable("t")
@@ -113,27 +115,24 @@ func TestDurableEpochAdvancesWithIdleWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := tid.Word(w.LastCommitTID()).Epoch()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.DurableEpoch() < target {
-		if time.Now().After(deadline) {
-			t.Fatalf("D stuck at %d with an idle worker (liveness regression)", m.DurableEpoch())
-		}
-		time.Sleep(time.Millisecond)
+	pass(s, m)
+	if m.DurableEpoch() < target {
+		t.Fatalf("D stuck at %d < %d with an idle worker (liveness regression)", m.DurableEpoch(), target)
 	}
 	m.Stop()
 }
 
 // TestDurableNeverExceedsLogged: D must never claim an epoch whose
-// transactions are not on stable storage. Stress: commits race the logger;
-// at every instant, reading the log file back must show every transaction
-// with epoch ≤ the published D.
+// transactions are not on stable storage. Stress: commits race epoch
+// advances and logger passes; every transaction with epoch ≤ the published
+// D must be in the log.
 func TestDurableNeverExceedsLogged(t *testing.T) {
 	dir := t.TempDir()
 	s, m := attachedStore(t, 2, Config{Dir: dir})
 	tbl := s.CreateTable("t")
 
+	stop := runPasses(s, m)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	var mu sync.Mutex
 	commits := map[uint64]int{} // epoch → count committed
 	for wid := 0; wid < 2; wid++ {
@@ -141,12 +140,7 @@ func TestDurableNeverExceedsLogged(t *testing.T) {
 		go func(wid int) {
 			defer wg.Done()
 			w := s.Worker(wid)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < 3000; i++ {
 				if err := w.Run(func(tx *core.Tx) error {
 					return tx.Insert(tbl, []byte(fmt.Sprintf("w%d-%06d", wid, i)), []byte("v"))
 				}); err != nil {
@@ -159,17 +153,18 @@ func TestDurableNeverExceedsLogged(t *testing.T) {
 			}
 		}(wid)
 	}
-	time.Sleep(150 * time.Millisecond)
-	close(stop)
 	wg.Wait()
-	waitDurableFor(t, s, m, 2)
+	stop()
+	// Read the log as the passes left it, before Stop's drain writes the
+	// rest.
 	d := m.DurableEpoch()
-	m.Stop()
-	s.Close()
-
 	_, files, _, err := readLogDir(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	m.Stop()
+	if d == 0 {
+		t.Fatal("no epoch became durable while the workers ran")
 	}
 	logged := map[uint64]int{}
 	for _, f := range files {

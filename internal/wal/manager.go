@@ -569,10 +569,9 @@ func newLogger(m *Manager, id int) (*logger, error) {
 	if err := fs.MkdirAll(m.cfg.Dir); err != nil {
 		return nil, err
 	}
-	// Continue the newest existing segment: an existing log may be about
-	// to be recovered, and post-recovery logging legitimately appends to
-	// the same files (the epoch counter restarts above D, so appended TIDs
-	// sort after recovered ones).
+	// Continue the newest existing segment: post-recovery logging appends
+	// to the recovered files (the epoch counter restarts above D, so
+	// appended TIDs and durable bounds sort after recovered ones).
 	seq := uint64(0)
 	infos, err := ListLogFiles(fs, m.cfg.Dir)
 	if err != nil {

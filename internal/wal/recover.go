@@ -81,12 +81,13 @@ func ListLogFiles(fs vfs.FS, dir string) ([]LogFileInfo, error) {
 type Segment struct {
 	// Durable is the largest durable-epoch frame in the prefix: this
 	// segment's contribution to its logger's bound d_l. It is the maximum,
-	// not the last: d_l only advances within a run, but a process that
-	// opens an existing directory appends to its newest segments, and until
-	// it has recovered, its fresh epoch counter writes small d values after
-	// the large ones of the run being recovered. Taking the last frame
-	// would let such a run — one epoch tick between Open and Recover, or a
-	// crash between them — shrink D to 1 and silently discard the log.
+	// not the last. Today a process recovers a directory before its loggers
+	// start, and its epoch counter restarts above D, so the frames it appends
+	// only grow; but directories written by earlier builds — which started
+	// the loggers first and let each epoch tick before recovery append a
+	// small d behind the large ones of the run being recovered — and crash
+	// images of them hold such frames, and taking the last one would shrink
+	// D to 1 and silently discard the log.
 	Durable uint64
 	// Size is the length of the whole file, torn tail included.
 	Size int64

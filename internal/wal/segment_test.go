@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"silo/internal/core"
 	"silo/internal/tid"
@@ -55,35 +54,28 @@ func TestDurableBoundGroupsByLogger(t *testing.T) {
 // then checks the segment chain recovers completely and that live
 // truncation refuses to touch open segments.
 func TestSegmentRotationRecovery(t *testing.T) {
-	dir := t.TempDir()
-	opts := core.DefaultOptions(1)
-	opts.EpochInterval = time.Millisecond
-	s := core.NewStore(opts)
-	m, err := Attach(s, Config{Dir: dir, PollInterval: time.Millisecond, SegmentBytes: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := s.CreateTable("t")
-	m.Start()
-	w := s.Worker(0)
 	const n = 100
 	val := make([]byte, 64)
-	for i := 0; i < n; i++ {
-		if err := w.Run(func(tx *core.Tx) error {
-			return tx.Insert(tbl, []byte(fmt.Sprintf("k%04d", i)), val)
-		}); err != nil {
-			t.Fatal(err)
+	// load writes n rows with a pass after every fourth, so they span
+	// several epochs and — at 1 KiB segments — several segments.
+	load := func(dir string) (*core.Store, *Manager) {
+		s, m := attachedStore(t, 1, Config{Dir: dir, SegmentBytes: 1 << 10})
+		tbl := s.CreateTable("t")
+		for i := 0; i < n; i++ {
+			if err := s.Worker(0).Run(func(tx *core.Tx) error {
+				return tx.Insert(tbl, []byte(fmt.Sprintf("k%04d", i)), val)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if i%4 == 3 {
+				pass(s, m)
+			}
 		}
-		time.Sleep(time.Millisecond / 4) // span several epochs
+		makeDurable(t, s, m, 1)
+		return s, m
 	}
-	target := tid.Word(w.LastCommitTID()).Epoch()
-	deadline := time.Now().Add(10 * time.Second)
-	for m.DurableEpoch() < target {
-		if time.Now().After(deadline) {
-			t.Fatalf("durable epoch stuck at %d want %d", m.DurableEpoch(), target)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	dir := t.TempDir()
+	s, m := load(dir)
 
 	// Stop the loggers so segment counts are stable; TruncateCovered still
 	// treats each logger's newest segment as open and spares it.
@@ -125,29 +117,7 @@ func TestSegmentRotationRecovery(t *testing.T) {
 	// truncation) is covered by the equivalence tests; here check the
 	// rotated-but-untruncated case recovers everything.
 	dir2 := t.TempDir()
-	s2 := core.NewStore(core.DefaultOptions(1))
-	m2, err := Attach(s2, Config{Dir: dir2, PollInterval: time.Millisecond, SegmentBytes: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl2 := s2.CreateTable("t")
-	m2.Start()
-	w2 := s2.Worker(0)
-	for i := 0; i < n; i++ {
-		if err := w2.Run(func(tx *core.Tx) error {
-			return tx.Insert(tbl2, []byte(fmt.Sprintf("k%04d", i)), val)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	target = tid.Word(w2.LastCommitTID()).Epoch()
-	deadline = time.Now().Add(10 * time.Second)
-	for m2.DurableEpoch() < target {
-		if time.Now().After(deadline) {
-			t.Fatal("durable epoch stuck")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	s2, m2 := load(dir2)
 	m2.Stop()
 	s2.Close()
 
@@ -280,11 +250,12 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 }
 
 // TestSegmentDurableIsMaxFrame pins the rule for a segment's durable
-// epoch: the largest durable frame, not the last. A process that opens an
-// existing directory appends to its newest segments, and before it has
-// recovered, its fresh epoch counter writes d = 1, 2, … after the large
-// values of the run it is about to recover; reading the last frame would
-// make D = 1 and recovery would discard the whole log as not durable.
+// epoch: the largest durable frame, not the last. Earlier builds started a
+// reopened directory's loggers before recovering it, so their fresh epoch
+// counter wrote d = 1, 2, … after the large values of the run being
+// recovered; those directories, and crash images of them, must still
+// recover in full, where reading the last frame would make D = 1 and
+// discard the whole log as not durable.
 func TestSegmentDurableIsMaxFrame(t *testing.T) {
 	var buf bytes.Buffer
 	writeBufferFrame(&buf, frameBuffer, appendTxn(nil, uint64(tid.Make(99, 1)), []Entry{{Table: 0, Key: []byte("k"), Value: []byte("v")}}))

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"silo/internal/core"
 	"silo/internal/tid"
@@ -145,17 +144,18 @@ func TestTornFrameDetection(t *testing.T) {
 
 // ---- Logging + durable epoch ----
 
+// attachedStore is a store with a started manager in which nothing runs on
+// its own: epochs advance and logger passes run when the test says so
+// (makeDurable, runPasses).
 func attachedStore(t testing.TB, workers int, cfg Config) (*core.Store, *Manager) {
 	t.Helper()
 	opts := core.DefaultOptions(workers)
-	opts.EpochInterval = time.Millisecond
+	opts.ManualEpochs = true
 	s := core.NewStore(opts)
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
-	if cfg.PollInterval == 0 {
-		cfg.PollInterval = time.Millisecond
-	}
+	cfg.Clock = heldClock{}
 	m, err := Attach(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +163,53 @@ func attachedStore(t testing.TB, workers int, cfg Config) (*core.Store, *Manager
 	m.Start()
 	t.Cleanup(func() { s.Close() })
 	return s, m
+}
+
+// pass closes the open epoch and runs every logger once, as the epoch
+// thread and the logger tickers would; it reports whether the epoch
+// advanced (an active straggler holds it back).
+func pass(s *core.Store, m *Manager) bool {
+	advanced := s.AdvanceEpoch()
+	for _, lg := range m.loggers {
+		lg.iterate()
+	}
+	return advanced
+}
+
+// runPasses runs passes back to back on their own goroutine, concurrently
+// with the workers, until the returned stop is called; stop returns once
+// the last pass has finished.
+func runPasses(s *core.Store, m *Manager) (stop func()) {
+	done, finished := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				pass(s, m)
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-finished
+	}
+}
+
+// makeDurable runs one pass over quiescent workers, which makes every
+// commit so far durable, and checks that D covers each worker's last one.
+func makeDurable(t testing.TB, s *core.Store, m *Manager, workers int) {
+	t.Helper()
+	if !pass(s, m) {
+		t.Fatal("epoch did not advance over quiescent workers")
+	}
+	for w := 0; w < workers; w++ {
+		if e := tid.Word(s.Worker(w).LastCommitTID()).Epoch(); m.DurableEpoch() < e {
+			t.Fatalf("durable epoch %d after a pass over quiescent workers, worker %d committed in %d", m.DurableEpoch(), w, e)
+		}
+	}
 }
 
 func TestDurableEpochAdvances(t *testing.T) {
@@ -175,26 +222,23 @@ func TestDurableEpochAdvances(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if i%10 == 9 {
+			pass(s, m)
+		}
 	}
 	e := s.Epochs().Global()
-	m.WorkerLog(0).Heartbeat()
-	m.WorkerLog(1).Heartbeat()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.DurableEpoch() < e-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("durable epoch stuck at %d (E=%d)", m.DurableEpoch(), e)
-		}
-		time.Sleep(time.Millisecond)
-		m.WorkerLog(0).Heartbeat()
-		m.WorkerLog(1).Heartbeat()
+	makeDurable(t, s, m, 2)
+	if m.DurableEpoch() != e {
+		t.Fatalf("durable epoch %d after closing epoch %d", m.DurableEpoch(), e)
 	}
 	m.Stop()
-	if m.Stats().TxnsLogged.Load() != 0 {
-		// TxnsLogged is currently counted at recovery; no assertion.
-		t.Log("txns logged metric present")
+	if got := m.Stats().TxnsLogged.Load(); got != 50 {
+		t.Fatalf("%d transactions logged, want 50", got)
 	}
 }
 
+// TestWaitDurable: WaitDurable returns once, and only once, D covers the
+// epoch it waits for.
 func TestWaitDurable(t *testing.T) {
 	s, m := attachedStore(t, 1, Config{})
 	tbl := s.CreateTable("t")
@@ -203,51 +247,21 @@ func TestWaitDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := tid.Word(w.LastCommitTID()).Epoch()
-	done := make(chan struct{})
+	done := make(chan uint64)
 	go func() {
 		m.WaitDurable(epoch)
-		close(done)
+		done <- m.DurableEpoch()
 	}()
-	// Keep heartbeating from the worker's goroutine surrogate (worker is
-	// idle; test owns it).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		select {
-		case <-done:
-			if m.DurableEpoch() < epoch {
-				t.Fatalf("WaitDurable returned early: D=%d epoch=%d", m.DurableEpoch(), epoch)
-			}
-			m.Stop()
-			return
-		default:
-			if time.Now().After(deadline) {
-				t.Fatalf("WaitDurable stuck: D=%d want %d", m.DurableEpoch(), epoch)
-			}
-			m.WorkerLog(0).Heartbeat()
-			time.Sleep(time.Millisecond)
-		}
+	select {
+	case d := <-done:
+		t.Fatalf("WaitDurable(%d) returned before any logger pass (D=%d)", epoch, d)
+	default:
 	}
-}
-
-// waitDurableFor spins heartbeats until D covers every worker's last commit.
-func waitDurableFor(t testing.TB, s *core.Store, m *Manager, workers int) {
-	t.Helper()
-	var target uint64
-	for w := 0; w < workers; w++ {
-		if e := tid.Word(s.Worker(w).LastCommitTID()).Epoch(); e > target {
-			target = e
-		}
+	makeDurable(t, s, m, 1)
+	if d := <-done; d < epoch {
+		t.Fatalf("WaitDurable returned early: D=%d epoch=%d", d, epoch)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for m.DurableEpoch() < target {
-		if time.Now().After(deadline) {
-			t.Fatalf("durable epoch stuck at %d, want %d", m.DurableEpoch(), target)
-		}
-		for w := 0; w < workers; w++ {
-			m.WorkerLog(w).Heartbeat()
-		}
-		time.Sleep(time.Millisecond)
-	}
+	m.Stop()
 }
 
 // ---- Recovery ----
@@ -258,6 +272,7 @@ func TestCommitRecoverRoundTrip(t *testing.T) {
 	ta := s.CreateTable("a")
 	tb := s.CreateTable("b")
 
+	stop := runPasses(s, m)
 	var wg sync.WaitGroup
 	for wid := 0; wid < 2; wid++ {
 		wg.Add(1)
@@ -292,8 +307,8 @@ func TestCommitRecoverRoundTrip(t *testing.T) {
 		}(wid)
 	}
 	wg.Wait()
-	// Quiesce and flush everything.
-	waitDurableFor(t, s, m, 2)
+	stop()
+	makeDurable(t, s, m, 2)
 	m.Stop()
 
 	// Capture expected state.
@@ -480,7 +495,7 @@ func TestCompressedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitDurableFor(t, s, m, 1)
+	makeDurable(t, s, m, 1)
 	m.Stop()
 	s.Close()
 

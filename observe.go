@@ -18,17 +18,12 @@ type ObsSample = obs.Sample
 // 64 power-of-two buckets, with Quantile and Mean estimators.
 type ObsHistSnapshot = obs.HistSnapshot
 
-// recoveryResultBox wraps the most recent successful Recover pass for
-// atomic publication; its figures (replay throughput, stage timings)
-// appear in Observe snapshots for the life of the process.
-type recoveryResultBox struct{ res RecoveryResult }
-
 // Observe collects one metrics snapshot across every layer of the
 // database: engine commit/abort/read/write counters with abort-reason and
 // per-table breakdowns plus commit-phase latencies, index scan-resolution
 // modes, and — when durability is on — WAL fsync latency, group-commit
-// batch sizes, durable-epoch lag, checkpoint daemon figures, and the last
-// recovery pass. Snapshots are safe to take while transactions run
+// batch sizes, durable-epoch lag, checkpoint daemon figures, and the
+// recovery pass Open ran. Snapshots are safe to take while transactions run
 // (per-worker cells are read without coordination; totals may lag a
 // concurrent commit by a few increments) and are returned sorted, so two
 // quiesced snapshots of the same store are byte-identical in binary form.
@@ -42,8 +37,8 @@ func (db *DB) Observe() *ObsSnapshot {
 	if db.daemon != nil {
 		db.daemon.CollectObs(snap)
 	}
-	if box := db.recovered.Load(); box != nil {
-		box.res.CollectObs(snap)
+	if db.recovered != nil {
+		db.recovered.CollectObs(snap)
 	}
 	snap.Sort()
 	return snap

@@ -1,0 +1,166 @@
+package silo_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"silo"
+	"silo/internal/catalog"
+)
+
+// TestOpenRecoversBeforeFirstCommit is the lost-acknowledgement regression.
+// A process that opened a directory and committed before recovering it
+// used a fresh epoch counter: its acknowledged writes carried TIDs below
+// the old log's, so the next recovery kept the old value, and a table it
+// created took an id the old log already used. Open now recovers first, so
+// run 2 below can neither skip recovery nor lose to run 1.
+func TestOpenRecoversBeforeFirstCommit(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *silo.DB {
+		t.Helper()
+		db, err := silo.Open(silo.Options{
+			EpochInterval: time.Millisecond,
+			Durability:    &silo.DurabilityOptions{Dir: dir},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	durable := func(db *silo.DB, fn func(tx *silo.Tx) error) {
+		t.Helper()
+		if err := db.RunDurable(0, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db := open()
+	tbl := db.CreateTable("t")
+	durable(db, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("v1")) })
+	db.Close()
+
+	// Run 2 makes no Recover call: it creates a table, upserts k and
+	// inserts a row into the new table, each acknowledged durable.
+	db = open()
+	tbl, t2 := db.CreateTable("t"), db.CreateTable("t2")
+	durable(db, func(tx *silo.Tx) error {
+		if err := tx.Insert(tbl, []byte("k"), []byte("v2")); err != silo.ErrKeyExists {
+			return err
+		}
+		return tx.Put(tbl, []byte("k"), []byte("v2"))
+	})
+	durable(db, func(tx *silo.Tx) error { return tx.Insert(t2, []byte("r"), []byte("row")) })
+	db.Close()
+
+	db = open()
+	defer db.Close()
+	if _, err := db.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	tbl, t2 = db.Table("t"), db.Table("t2")
+	if tbl == nil || t2 == nil {
+		t.Fatalf("tables after the third open: t=%v t2=%v", tbl, t2)
+	}
+	if err := db.Run(0, func(tx *silo.Tx) error {
+		if v, err := tx.Get(tbl, []byte("k")); err != nil || string(v) != "v2" {
+			t.Errorf("k = %q (%v), want the acknowledged v2", v, err)
+		}
+		if v, err := tx.Get(t2, []byte("r")); err != nil || string(v) != "row" {
+			t.Errorf("t2 row = %q (%v), want the acknowledged insert", v, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedOpenLeavesDirectoryUntouched: a directory Open cannot recover —
+// here one whose catalog holds an index an earlier release declared with a
+// Go key function, and one whose catalog holds a row that does not decode
+// — fails Open with an error naming the index or the row, leaves no
+// goroutine behind, and leaves every file in the directory byte for byte
+// as it was, with none added.
+func TestFailedOpenLeavesDirectoryUntouched(t *testing.T) {
+	// An opaque create record, as earlier releases wrote it: the usual
+	// layout with flag bit 1 set and no key spec.
+	opaque := (&catalog.Record{Kind: catalog.KindCreateIndex, Name: "users_by_fn", ID: 2, On: "users"}).Encode(nil)
+	opaque[len(opaque)-3] |= 2 // flags, then two empty segment lists
+
+	for _, c := range []struct {
+		name string
+		row  []byte // catalog row 2, after users' create record
+		want string
+	}{
+		{"opaque index record", opaque, "users_by_fn"},
+		{"corrupt catalog row", []byte{1, catalog.KindCreateTable, 0}, "record 2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := silo.Options{EpochInterval: time.Millisecond, Durability: &silo.DurabilityOptions{Dir: dir, Loggers: 2}}
+			db, err := silo.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.CreateTable("users")
+			cat := db.Table(silo.CatalogTableName)
+			if err := db.RunDurable(0, func(tx *silo.Tx) error {
+				return tx.Insert(cat, binary.BigEndian.AppendUint64(nil, 2), c.row)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			db.Close()
+
+			before := dirFiles(t, dir)
+			goroutines := runtime.NumGoroutine()
+			db, err = silo.Open(opts)
+			if err == nil {
+				db.Close()
+				t.Fatal("Open recovered the directory")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not name %q", err, c.want)
+			}
+			t.Logf("Open: %v", err)
+			// A joined goroutine may still be counted for an instant after
+			// the join.
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; runtime.Gosched() {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the failed Open, %d before", runtime.NumGoroutine(), goroutines)
+				}
+			}
+			after := dirFiles(t, dir)
+			if len(after) != len(before) {
+				t.Errorf("%d files after the failed Open, %d before", len(after), len(before))
+			}
+			for name, data := range before {
+				if !bytes.Equal(after[name], data) {
+					t.Errorf("%s changed", name)
+				}
+			}
+		})
+	}
+}
+
+// dirFiles reads every file under dir, keyed by its path relative to dir.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	if err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = data
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return files
+}

@@ -185,13 +185,12 @@ func httpGet(t *testing.T, url string) string {
 	return string(b)
 }
 
-// readmeMetric matches a server metric name as README writes it:
-// optionally with {a,b} shorthand for several families and a trailing
-// {label}.
-var readmeMetric = regexp.MustCompile(`silo_server_[a-z0-9_]*(\{[a-z0-9_,]+\}[a-z0-9_]*)*`)
+// readmeMetric matches a metric name as README writes it: optionally with
+// {a,b} shorthand for several families and a trailing {label}.
+var readmeMetric = regexp.MustCompile(`silo_[a-z0-9_]*(\{[a-z0-9_,]+\}[a-z0-9_]*)*`)
 
-// readmeServerFamilies returns every silo_server_* family README names.
-func readmeServerFamilies(t *testing.T) map[string]bool {
+// readmeFamilies returns every silo_* family README names.
+func readmeFamilies(t *testing.T) map[string]bool {
 	t.Helper()
 	text, err := os.ReadFile("../README.md")
 	if err != nil {
@@ -216,9 +215,11 @@ func readmeServerFamilies(t *testing.T) map[string]bool {
 }
 
 // TestServerMetricFamiliesMatchREADME: the metric families a durable
-// group-ack server registers after one request of each kind are exactly
-// the silo_server_* names README documents — a family added, renamed or
-// removed without its documentation (or the reverse) fails here.
+// group-ack server registers after one request of each kind, together with
+// every family db.Observe() exports for a database reopened — recovered —
+// over a directory the checkpoint daemon has checkpointed, are exactly the
+// silo_* names README documents. A family added, renamed or removed without
+// its documentation (or the reverse) fails here.
 func TestServerMetricFamiliesMatchREADME(t *testing.T) {
 	db, srv, cl := startServer(t, durableOpts(filepath.Join(t.TempDir(), "log")),
 		server.Options{Acks: server.AckGroup, DisableAutoCreate: true}, client.Options{})
@@ -254,19 +255,56 @@ func TestServerMetricFamiliesMatchREADME(t *testing.T) {
 
 	var snap obs.Snapshot
 	srv.CollectObs(&snap)
+	snap.Samples = append(snap.Samples, reopenedEngineObs(t).Samples...)
 	registered := map[string]bool{}
 	for _, m := range snap.Samples {
 		registered[m.Name] = true
 	}
-	documented := readmeServerFamilies(t)
+	documented := readmeFamilies(t)
 	for name := range registered {
 		if !documented[name] {
-			t.Errorf("%s is registered by the server but README does not mention it", name)
+			t.Errorf("%s is registered but README does not mention it", name)
 		}
 	}
 	for name := range documented {
 		if !registered[name] {
-			t.Errorf("README documents %s but a durable group-ack server does not register it", name)
+			t.Errorf("README documents %s but neither the server nor the reopened engine registers it", name)
 		}
 	}
+}
+
+// reopenedEngineObs writes rows and an index under the checkpoint daemon
+// until it has checkpointed, closes the database, reopens the directory
+// with the daemon on, and returns the reopened database's snapshot.
+func reopenedEngineObs(t *testing.T) *silo.ObsSnapshot {
+	t.Helper()
+	opts := durableOpts(t.TempDir())
+	opts.SnapshotK = 2
+	opts.Durability.CheckpointInterval = 5 * time.Millisecond
+	db, err := silo.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := db.CreateTable("rows")
+	if _, err := db.CreateIndexSpec(0, tbl, "rows_ix", false, []silo.IndexSeg{{FromValue: true, Off: 0, Len: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RunDurable(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("v")) }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		st, _ := db.CheckpointDaemon()
+		return st.Checkpoints > 0
+	}, "the checkpoint daemon never checkpointed")
+	db.Close()
+
+	db, err = silo.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if res, err := db.Recover(); err != nil || res.CheckpointEpoch == 0 {
+		t.Fatalf("reopen recovered from checkpoint %d: %v", res.CheckpointEpoch, err)
+	}
+	return db.Observe()
 }

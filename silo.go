@@ -34,28 +34,28 @@
 // consistent snapshot, never blocks writers, and never aborts.
 //
 // With Options.Durability set, committed transactions are redo-logged by
-// background logger threads, group-committed at epoch granularity, and
-// recoverable with DB.Recover; DB.RunDurable does not return until the
-// transaction's epoch is durable, which is the paper's client-visible
-// commit point.
+// background logger threads and group-committed at epoch granularity, and
+// Open over an existing directory recovers it before returning;
+// DB.RunDurable does not return until the transaction's epoch is durable,
+// which is the paper's client-visible commit point.
 //
 // # Secondary indexes
 //
 // Following §4.7 of the paper, a secondary index is an ordinary table
 // mapping secondary keys to primary keys, maintained inside the same
-// commit. DB.CreateIndex automates the pattern: declare an index with a
-// key-extractor over (primary key, value), and from then on every
-// Put/Insert/Delete on the table transparently expands the transaction's
-// write-set with the matching index-table entries, so index consistency
-// inherits serializability, durability, and recovery. Existing rows are
-// folded in by a transactional backfill. ScanIndex resolves secondary keys
-// to rows; it takes a Reader, so the same call reads the index with
-// phantom protection on both trees inside Run, or at a consistent snapshot
-// inside RunSnapshot.
+// commit. DB.CreateIndexSpec automates the pattern: declare an index with
+// a key spec — fixed-position segments of the primary key or the value —
+// and from then on every Put/Insert/Delete on the table transparently
+// expands the transaction's write-set with the matching index-table
+// entries, so index consistency inherits serializability, durability, and
+// recovery. Existing rows are folded in by a transactional backfill.
+// ScanIndex resolves secondary keys to rows; it takes a Reader, so the same
+// call reads the index with phantom protection on both trees inside Run,
+// or at a consistent snapshot inside RunSnapshot.
 //
 //	users := db.CreateTable("users")
-//	byCity, _ := db.CreateIndex(0, users, "users_by_city", false,
-//	    func(dst, pk, val []byte) ([]byte, bool) { return append(dst, val[:4]...), true })
+//	byCity, _ := db.CreateIndexSpec(0, users, "users_by_city", false,
+//	    []silo.IndexSeg{{FromValue: true, Off: 0, Len: 4}})
 //	visit := func(city, pk, row []byte) bool { ...; return true }
 //	err := db.Run(0, func(tx *silo.Tx) error {
 //	    return silo.ScanIndex(tx, byCity, []byte("AMS\x00"), []byte("AMT\x00"), visit)
@@ -69,7 +69,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"silo/internal/catalog"
@@ -167,13 +166,13 @@ type DurabilityOptions struct {
 	Sync bool
 	// TIDOnly logs each transaction's TID and none of its writes (Figure 11
 	// "+SmallRecs", an upper bound on any logging scheme). Such a log cannot
-	// be replayed: Recover returns an error, and Open refuses it together
-	// with CheckpointInterval.
+	// be replayed, so Open refuses TIDOnly over a directory that already
+	// holds logged transactions, and together with CheckpointInterval.
 	TIDOnly bool
 	// Compress DEFLATE-compresses log buffers (Figure 11 "+Compress"). It
 	// configures writing only: compressed frames say so themselves, so
-	// Recover, TruncateLogs and cmd/silo-recover read any mix of both, and a
-	// directory may be reopened with the setting changed.
+	// recovery, TruncateLogs and cmd/silo-recover read any mix of both, and
+	// a directory may be reopened with the setting changed.
 	Compress bool
 
 	// SegmentBytes rotates each logger to a fresh log segment
@@ -187,11 +186,10 @@ type DurabilityOptions struct {
 	// interval it writes a partitioned checkpoint off a snapshot epoch
 	// (never blocking writers), prunes superseded checkpoint sets, and
 	// deletes log segments whose transactions all predate the checkpoint.
-	// Requires snapshots and a replayable log (not TIDOnly). On a fresh
-	// database the daemon starts with Open; over an existing log directory
-	// it starts only after Recover succeeds, so an early checkpoint can
-	// never truncate data that has not been replayed yet. 0 disables the
-	// daemon (checkpoints are taken manually with DB.Checkpoint).
+	// Requires snapshots and a replayable log (not TIDOnly). The daemon
+	// starts at the end of Open, after recovery, so a checkpoint can never
+	// truncate data that has not been replayed. 0 disables the daemon
+	// (checkpoints are taken manually with DB.Checkpoint).
 	CheckpointInterval time.Duration
 	// CheckpointPartitions is the number of concurrent partition writers
 	// per checkpoint (both for the daemon and DB.Checkpoint). Default 4.
@@ -199,9 +197,9 @@ type DurabilityOptions struct {
 	// KeepCheckpoints is how many complete checkpoint sets the daemon
 	// retains. Default 1 (the newest complete set).
 	KeepCheckpoints int
-	// RecoveryWorkers is the parallelism of Recover: checkpoint part
-	// loading and log replay both fan out across this many goroutines.
-	// Default GOMAXPROCS; 1 recovers on a single goroutine.
+	// RecoveryWorkers is the parallelism of the recovery Open runs:
+	// checkpoint part loading and log replay both fan out across this many
+	// goroutines. Default GOMAXPROCS; 1 recovers on a single goroutine.
 	RecoveryWorkers int
 
 	// FS is the filesystem the log, checkpoints, and recovery go through;
@@ -229,15 +227,29 @@ type DB struct {
 	daemon  *recovery.Daemon
 	opts    Options
 
-	// recovered publishes the last successful Recover pass for Observe.
-	recovered atomic.Pointer[recoveryResultBox]
+	// recovered is what the recovery pass Open ran did (nil without
+	// Durability), for Recover and Observe.
+	recovered *RecoveryResult
 }
 
-// Open creates a database. With Durability set, logging starts immediately.
-// An existing log directory is self-describing: call Recover before running
-// transactions and the schema catalog reconstructs every table and index
-// from disk — no re-declarations. (Indexes declared with an opaque Go
-// KeyFunc are the one exception; see Recover.)
+// Open creates a database. With Durability set it first recovers the
+// directory — empty or not — and only then starts logging: the newest
+// complete checkpoint and the log suffix beyond it are replayed up to the
+// durable epoch D (§4.10), the epoch counter is restarted above the
+// recovered epochs, the loggers start, DDL the crash interrupted is
+// finished, and the checkpoint daemon starts. No transaction can run
+// between opening a directory and recovering it.
+//
+// Recovery is self-describing: the schema catalog's logged DDL records —
+// the checkpoint manifest's schema section, then the log's catalog suffix
+// — are replayed before any data row is installed, reconstructing every
+// table and index (ids, uniqueness, key specs and transforms, covering
+// include lists); the catalog is the only source of schema, and nothing is
+// declared beforehand. An empty or missing directory recovers to D = 0.
+// If recovery fails — a catalog row that does not decode, an index an
+// earlier release declared with a Go key function — Open returns an error
+// naming the row or index, with nothing started and nothing written to the
+// directory. Recover returns what the pass did.
 func Open(opts Options) (*DB, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
@@ -262,71 +274,80 @@ func Open(opts Options) (*DB, error) {
 	// every DDL action routed through this DB is recorded there as an
 	// ordinary logged row, which is what makes recovery self-describing.
 	db.catalog = catalog.New(db.store, db.indexes)
-	if opts.Durability != nil {
-		d := opts.Durability
-		if d.CheckpointInterval > 0 {
-			if opts.DisableSnapshots {
-				db.store.Close()
-				return nil, errors.New("silo: CheckpointInterval requires snapshots")
-			}
-			if d.TIDOnly {
-				db.store.Close()
-				return nil, errors.New("silo: CheckpointInterval would truncate a TIDOnly log that cannot be replayed")
-			}
-		}
-		// Before Attach creates this run's (empty) log files: does the
-		// directory already hold data to recover?
-		hadLogs := false
-		fs := vfs.DefaultFS(d.FS)
-		if infos, err := wal.ListLogFiles(fs, d.Dir); err == nil {
-			for _, fi := range infos {
-				if size, isDir, err := fs.Stat(fi.Path); err == nil && !isDir && size > 0 {
-					hadLogs = true
-					break
-				}
-			}
-		}
-		m, err := wal.Attach(db.store, wal.Config{
-			Dir:             d.Dir,
-			Loggers:         d.Loggers,
-			Sync:            d.Sync,
-			TIDOnly:         d.TIDOnly,
-			Compress:        d.Compress,
-			SegmentBytes:    d.SegmentBytes,
-			FS:              d.FS,
-			Clock:           opts.Clock,
-			LegacyStopDrain: d.LegacyStopDrain,
-		})
-		if err != nil {
-			db.store.Close()
-			return nil, err
-		}
-		db.wal = m
-		m.Start()
-		if !hadLogs {
-			// Fresh directory: nothing to recover, record DDL from the
-			// first creation. Over an existing log the catalog goes live
-			// inside Recover, after the replayed records have been
-			// validated against (or have reconstructed) the schema.
-			db.catalog.SetLive()
-		}
-		if d.CheckpointInterval > 0 && !hadLogs {
-			// A fresh database checkpoints from the start; over an
-			// existing log the daemon starts inside Recover, after the
-			// data it would otherwise truncate has been replayed.
-			db.startDaemon()
-		}
-	} else {
-		db.catalog.SetLive()
+	if err := db.recoverDir(); err != nil {
+		db.Close()
+		return nil, err
 	}
 	return db, nil
 }
 
-// startDaemon launches the background checkpoint daemon (idempotent).
-func (db *DB) startDaemon() {
-	if db.daemon != nil {
-		return
+// recoverDir is Open's recovery pass (see Open); without Durability there
+// is nothing to recover.
+func (db *DB) recoverDir() error {
+	d := db.opts.Durability
+	if d == nil {
+		return nil
 	}
+	if d.Dir == "" {
+		return errors.New("silo: Durability.Dir required")
+	}
+	if d.CheckpointInterval > 0 && db.opts.DisableSnapshots {
+		return errors.New("silo: CheckpointInterval requires snapshots")
+	}
+	if d.CheckpointInterval > 0 && d.TIDOnly {
+		return errors.New("silo: CheckpointInterval would truncate a TIDOnly log that cannot be replayed")
+	}
+	workers := d.RecoveryWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	res, err := recovery.Recover(db.store, d.Dir, recovery.Options{
+		Workers: workers,
+		Schema:  db.catalog,
+		FS:      d.FS,
+	})
+	if err != nil {
+		return err
+	}
+	if d.TIDOnly && (res.TxnsApplied+res.TxnsSkipped+res.TxnsBelowCheckpoint > 0 || res.CheckpointEpoch > 0) {
+		return errors.New("silo: TIDOnly over a directory that holds logged transactions: a TID-only log cannot be recovered")
+	}
+	db.store.Epochs().AdvanceTo(max(res.DurableEpoch, res.CheckpointEpoch) + 1)
+	res.IndexesRolledForward, res.IndexesRolledBack, err = db.catalog.FinishRecovery(db.startLogging)
+	if err != nil {
+		return fmt.Errorf("silo: recovery: %w", err)
+	}
+	if d.CheckpointInterval > 0 {
+		db.startDaemon()
+	}
+	db.recovered = &res
+	return nil
+}
+
+// startLogging attaches the loggers to every worker and starts them.
+func (db *DB) startLogging() error {
+	d := db.opts.Durability
+	m, err := wal.Attach(db.store, wal.Config{
+		Dir:             d.Dir,
+		Loggers:         d.Loggers,
+		Sync:            d.Sync,
+		TIDOnly:         d.TIDOnly,
+		Compress:        d.Compress,
+		SegmentBytes:    d.SegmentBytes,
+		FS:              d.FS,
+		Clock:           db.opts.Clock,
+		LegacyStopDrain: d.LegacyStopDrain,
+	})
+	if err != nil {
+		return err
+	}
+	db.wal = m
+	m.Start()
+	return nil
+}
+
+// startDaemon launches the background checkpoint daemon.
+func (db *DB) startDaemon() {
 	d := db.opts.Durability
 	db.daemon = recovery.NewDaemon(db.store, db.wal, recovery.DaemonOptions{
 		Dir:        d.Dir,
@@ -397,17 +418,11 @@ func (db *DB) Tables() []*Table { return db.store.Tables() }
 // table is an ordinary table — it appears in Tables, is logged,
 // checkpointed, and recovered like any other — and its declaration is
 // recorded in the schema catalog, so recovery reconstructs it (entry
-// table id, uniqueness, key spec, include list) with no re-declaration.
-// Only opaque KeyFunc indexes still need re-declaring before Recover.
+// table id, uniqueness, key spec, include list).
 type Index = index.Index
 
-// IndexKeyFunc extracts a row's secondary key: it appends the key for
-// (pk, val) to dst, or reports ok=false to leave the row unindexed.
-type IndexKeyFunc = index.KeyFunc
-
-// IndexSeg is one fixed-position segment of a declarative index key spec —
-// the wire-friendly, catalog-persistable subset of IndexKeyFunc (see
-// CreateIndexSpec).
+// IndexSeg is one fixed-position segment of an index key spec or include
+// list (see CreateIndexSpec).
 type IndexSeg = index.Seg
 
 // Transform flags for IndexSeg.Xform: IndexXformReverse reverses the
@@ -415,57 +430,39 @@ type IndexSeg = index.Seg
 // tree-ordered key field); IndexXformInvert complements them (ascending
 // values sort descending — the most-recent-first trick). The flags
 // compose, reverse first. They make byte-order-converting indexes — like
-// TPC-C's order_cust — expressible without a Go KeyFunc, so they travel
-// over the wire and persist in the schema catalog.
+// TPC-C's order_cust — expressible as a key spec, so they travel over the
+// wire and persist in the schema catalog.
 const (
 	IndexXformReverse = index.XformReverse
 	IndexXformInvert  = index.XformInvert
 )
 
-// CreateIndex declares a secondary index named name over table on,
-// backfills any existing rows in batched transactions on the given worker
-// (waiting out transactions that began before the declaration, so none can
-// slip an unindexed write past the backfill), and keeps the index
-// maintained inside every future transaction that writes on. A unique
-// index rejects two rows with the same secondary key (the writing
-// transaction aborts with ErrKeyExists). Like CreateTable, creation is not
-// transactional; the worker must not be running a transaction
-// concurrently. Key functions are opaque, so re-creating an existing name
-// through this entry point is an error — use CreateIndexSpec when
-// idempotent re-creation matters.
+// CreateIndexSpec declares a secondary index named name over table on,
+// keyed by a declarative fixed-segment spec: the secondary key is the
+// concatenation of the segments (rows too short for a segment are left
+// unindexed). It backfills any existing rows in batched transactions on
+// the given worker (waiting out transactions that began before the
+// declaration, so none can slip an unindexed write past the backfill), and
+// keeps the index maintained inside every future transaction that writes
+// on. A unique index rejects two rows with the same secondary key (the
+// writing transaction aborts with ErrKeyExists). Like CreateTable,
+// creation is not transactional; the worker must not be running a
+// transaction concurrently. This is also the form clients request over the
+// wire. Re-creating an existing index — one recovery rebuilt, say — with
+// an identical declaration returns it; a different spec, uniqueness or
+// include list under an existing name is an error naming the index.
 //
 // A non-empty include list makes the index covering: it names
 // fixed-position row segments whose bytes are projected into every entry
 // value and kept current by the maintenance hooks, so ScanIndexCovering
 // serves them without touching the primary table at all. A row too short
 // for an include segment is left unindexed, exactly like a row too short
-// for a declarative key segment. The include list is part of the index's
-// declaration: Recover verifies recovered entries against it and fails —
-// naming the index — if the index was re-declared with a different
-// include list than the one its logged entries were written under.
-func (db *DB) CreateIndex(worker int, on *Table, name string, unique bool, key IndexKeyFunc, include ...IndexSeg) (*Index, error) {
-	return db.createIndex(worker, on, name, unique, key, nil, include)
-}
-
-// CreateIndexSpec is CreateIndex with a declarative fixed-segment key spec
-// (the secondary key is the concatenation of the segments; rows too short
-// for a segment are left unindexed). This is the form clients can request
-// over the wire, include list and all; re-creation with an identical
-// declaration is idempotent, while a different spec or include list under
-// an existing name is an error.
+// for a key segment.
 func (db *DB) CreateIndexSpec(worker int, on *Table, name string, unique bool, segs []IndexSeg, include ...IndexSeg) (*Index, error) {
-	key, err := index.CompileSpec(segs)
-	if err != nil {
-		return nil, err
-	}
-	return db.createIndex(worker, on, name, unique, key, segs, include)
-}
-
-func (db *DB) createIndex(worker int, on *Table, name string, unique bool, key IndexKeyFunc, segs, include []IndexSeg) (*Index, error) {
 	if len(include) == 0 {
 		include = nil // an empty include list declares no covering projection
 	}
-	return db.catalog.CreateIndex(db.store.Worker(worker), on, name, unique, key, segs, include)
+	return db.catalog.CreateIndex(db.store.Worker(worker), on, name, unique, segs, include)
 }
 
 // DropIndex withdraws a secondary index: maintenance stops, the entries
@@ -532,8 +529,7 @@ func ScanIndexEntries(r Reader, ix *Index, lo, hi []byte, fn func(sk, pk []byte)
 // entry in [lo, hi) from its primary row, inside tx, and fails on the
 // first divergence (a row vanished mid-audit returns ErrConflict, the
 // usual two-tree race — retry). Consistency audits and tests use it to
-// check covering freshness live; Recover runs the offline equivalent
-// automatically.
+// check covering freshness live.
 func VerifyIndexCovering(tx *Tx, ix *Index, lo, hi []byte) error {
 	return index.VerifyCoveringFresh(tx, ix, lo, hi)
 }
@@ -709,102 +705,23 @@ func (db *DB) Epoch() uint64 { return db.store.Epochs().Global() }
 // Stats returns aggregate engine counters.
 func (db *DB) Stats() core.Stats { return db.store.Stats() }
 
-// RecoveryResult reports what a Recover pass did: the replay counters plus
+// RecoveryResult reports what a recovery pass did: the replay counters plus
 // checkpoint usage and per-stage timing (checkpoint load, log read, log
 // apply).
 type RecoveryResult = recovery.Result
 
-// Recover restores this database from its durability directory: the newest
-// complete checkpoint set (if one exists), then the log suffix beyond it,
-// up to the durable epoch D. Checkpoint
-// partitions load in parallel and log replay fans out across
-// Durability.RecoveryWorkers goroutines (default GOMAXPROCS) — per-record
-// TID-max installation makes replay order-free, so recovery scales with
-// cores. The epoch counter is restarted above the recovered epochs, as
-// required for the paper's epoch-prefix durability guarantee.
-//
-// Recovery is self-describing: before any data row is installed, the
-// schema catalog's logged DDL records — the checkpoint manifest's schema
-// section, then the log's catalog suffix — are replayed in order,
-// reconstructing every table and index (ids, uniqueness, key specs and
-// transforms, covering include lists) with zero re-declarations. Call
-// Recover on a freshly opened database, before running any transactions.
-//
-// Re-declaring schema before Recover remains allowed and is validated: a
-// declaration that deviates from the catalog — wrong order, changed
-// uniqueness or key spec, a covering include list that differs from the
-// one the logged entries were written under (changed, dropped, or added)
-// — fails recovery with an error naming the table or index. The covering
-// audit is a constant-time comparison of declarations, not a walk of the
-// recovered entries. The one declaration the catalog cannot reconstruct
-// is an index created with an opaque Go KeyFunc (CreateIndex): re-declare
-// those, in their original creation order, before Recover — their
-// recovered entries are then additionally
-// shape-audited (covering ones in full, plain ones by a bounded resolved
-// sample), since byte records cannot vouch for an opaque function.
-//
-// A DDL action interrupted by the crash is finished here: an index whose
-// create record is durable but whose backfill never completed is rolled
-// forward (the backfill re-runs) or, if it cannot complete, rolled back
-// cleanly — entries wiped, drop recorded — with the outcome reported in
-// the result.
-//
-// With Durability.CheckpointInterval set, the background checkpoint
-// daemon starts once Recover succeeds (on an existing directory; a fresh
-// database starts it at Open).
+// Recover returns what the recovery pass Open ran did: the durable epoch D
+// and checkpoint epoch CE reached, transactions replayed and skipped, stage
+// timings, and the indexes whose interrupted creation it finished or
+// rolled back. Checkpoint partitions load in parallel and log replay fans
+// out across Durability.RecoveryWorkers goroutines — per-record TID-max
+// installation makes replay order-free, so recovery scales with cores. It
+// is an error without Durability.
 func (db *DB) Recover() (RecoveryResult, error) {
-	if db.opts.Durability == nil {
+	if db.recovered == nil {
 		return RecoveryResult{}, errors.New("silo: Recover requires Options.Durability")
 	}
-	d := db.opts.Durability
-	if d.TIDOnly {
-		return RecoveryResult{}, errors.New("silo: a TIDOnly log records no writes and cannot be recovered")
-	}
-	workers := d.RecoveryWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	res, err := recovery.Recover(db.store, d.Dir, recovery.Options{
-		Workers: workers,
-		Schema:  db.catalog,
-		FS:      d.FS,
-	})
-	if err != nil {
-		return res, err
-	}
-	// Declarative index declarations with a catalog record were validated
-	// record-for-record by the replay (constant time). Everything else —
-	// opaque KeyFunc declarations, whose bytes no record can vouch for,
-	// and indexes re-declared over a directory whose catalog never
-	// recorded them — gets the per-entry audit against the re-declared
-	// definition: covering ones in full, plain ones by shape plus a
-	// bounded resolved sample.
-	for _, ix := range db.indexes.All() {
-		if ix.Spec == nil || !db.catalog.Recorded(ix.Name) {
-			if err := ix.VerifyEntries(); err != nil {
-				return res, fmt.Errorf("silo: recovery: %w", err)
-			}
-		}
-	}
-	e := res.DurableEpoch
-	if res.CheckpointEpoch > e {
-		e = res.CheckpointEpoch
-	}
-	db.store.Epochs().AdvanceTo(e + 1)
-	// With the epoch counter restarted, the catalog can go live: roll
-	// interrupted DDL forward (or back), and record any schema this run
-	// declared that the catalog does not know yet.
-	completed, rolledBack, err := db.catalog.FinishRecovery()
-	res.IndexesRolledForward = completed
-	res.IndexesRolledBack = rolledBack
-	if err != nil {
-		return res, fmt.Errorf("silo: recovery: %w", err)
-	}
-	if d.CheckpointInterval > 0 {
-		db.startDaemon()
-	}
-	db.recovered.Store(&recoveryResultBox{res: res})
-	return res, nil
+	return *db.recovered, nil
 }
 
 // CheckpointResult describes a completed checkpoint.
@@ -817,7 +734,7 @@ type CheckpointResult = recovery.CheckpointResult
 // disjoint key range at the same snapshot epoch. The snapshot is pinned
 // by a snapshot transaction on the given worker (§4.10: checkpoints take
 // advantage of snapshots to avoid interfering with read/write
-// transactions); the worker must be otherwise idle. Recover prefers the
+// transactions); the worker must be otherwise idle. Recovery prefers the
 // newest complete checkpoint and replays only the log suffix beyond it;
 // TruncateLogs may then delete fully-covered log files. With
 // Durability.CheckpointInterval set, the background daemon does all of

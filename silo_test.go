@@ -3,7 +3,6 @@ package silo_test
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -174,12 +173,11 @@ func TestDurableRoundTripAndRecover(t *testing.T) {
 	}
 	db.Close()
 
-	// Recover into a new DB with the same schema order.
+	// Reopening recovers: the schema comes back from the catalog.
 	db2 := openTestDB(t, silo.Options{
 		Durability: &silo.DurabilityOptions{Dir: dir},
 	})
-	users2 := db2.CreateTable("users")
-	db2.CreateTable("posts")
+	users2 := db2.Table("users")
 	res, err := db2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -306,11 +304,11 @@ func TestCheckpointRecoverTruncate(t *testing.T) {
 	}
 	db.Close()
 
-	// Recover from checkpoint + log suffix.
+	// Reopening recovers from checkpoint + log suffix.
 	db2 := open()
-	tbl2 := db2.CreateTable("t")
-	if _, err := db2.Recover(); err != nil {
-		t.Fatal(err)
+	tbl2 := db2.Table("t")
+	if res, err := db2.Recover(); err != nil || res.CheckpointEpoch != ck.Epoch {
+		t.Fatalf("recovered from checkpoint %d (%v), want %d", res.CheckpointEpoch, err, ck.Epoch)
 	}
 	if err := db2.Run(0, func(tx *silo.Tx) error {
 		n := 0
@@ -354,73 +352,5 @@ func TestStatsThroughAPI(t *testing.T) {
 	db.Run(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("v")) })
 	if st := db.Stats(); st.Commits == 0 {
 		t.Fatal("no commits counted")
-	}
-}
-
-// TestRecoverAfterEpochTicksSinceOpen is the regression test for the
-// durable bound regressing on re-Open. Open starts this run's loggers,
-// which append to the directory's newest segments, and every epoch tick
-// before Recover appends a durable frame carrying the fresh epoch counter
-// (d = 1, 2, …) after the frames of the run being recovered. A recovery
-// that reads each segment's last durable frame then computes D from this
-// run's counter and discards the whole log; the bound is the largest
-// frame. Both ways of getting there are covered: a process that opened the
-// directory, ticked and went away without recovering, and a Recover that
-// runs several epochs after its own Open. The control is a copy of the
-// directory recovered under an epoch so long that it never ticks.
-func TestRecoverAfterEpochTicksSinceOpen(t *testing.T) {
-	dir := t.TempDir()
-	db := openTestDB(t, silo.Options{Durability: &silo.DurabilityOptions{Dir: dir, Loggers: 2}})
-	tbl := db.CreateTable("t")
-	const n = 50
-	for i := 0; i < n; i++ {
-		if err := db.RunDurable(0, func(tx *silo.Tx) error {
-			return tx.Insert(tbl, []byte(fmt.Sprintf("k%03d", i)), []byte("v"))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.Close()
-
-	control := t.TempDir()
-	if err := os.CopyFS(control, os.DirFS(dir)); err != nil {
-		t.Fatal(err)
-	}
-	cdb := openTestDB(t, silo.Options{EpochInterval: time.Hour, Durability: &silo.DurabilityOptions{Dir: control, Loggers: 2}})
-	want, err := cdb.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.TxnsApplied < n {
-		t.Fatalf("control recovery applied %d transactions, logged at least %d", want.TxnsApplied, n)
-	}
-
-	abandoned := openTestDB(t, silo.Options{Durability: &silo.DurabilityOptions{Dir: dir, Loggers: 2}})
-	time.Sleep(20 * time.Millisecond) // twenty 1 ms epochs
-	abandoned.Close()
-
-	db2 := openTestDB(t, silo.Options{Durability: &silo.DurabilityOptions{Dir: dir, Loggers: 2}})
-	time.Sleep(20 * time.Millisecond)
-	got, err := db2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.DurableEpoch != want.DurableEpoch || got.TxnsApplied != want.TxnsApplied || got.TxnsSkipped != want.TxnsSkipped {
-		t.Fatalf("recovered D=%d applied=%d skipped=%d after epoch ticks; the untouched copy gives D=%d applied=%d skipped=%d",
-			got.DurableEpoch, got.TxnsApplied, got.TxnsSkipped, want.DurableEpoch, want.TxnsApplied, want.TxnsSkipped)
-	}
-	tbl2 := db2.Table("t")
-	if tbl2 == nil {
-		t.Fatal("table t not recovered")
-	}
-	rows := 0
-	if err := db2.Run(0, func(tx *silo.Tx) error {
-		rows = 0
-		return tx.Scan(tbl2, []byte("k"), nil, func(k, v []byte) bool { rows++; return true })
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if rows != n {
-		t.Fatalf("recovered %d rows, want %d", rows, n)
 	}
 }
