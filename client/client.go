@@ -87,9 +87,10 @@ type Options struct {
 	Conns int
 	// MaxFrame caps accepted response payloads (default wire.MaxFrame).
 	MaxFrame int
-	// DialTimeout bounds each dial (default 5s).
-	DialTimeout time.Duration
 }
+
+// dialTimeout bounds each connection's dial.
+const dialTimeout = 5 * time.Second
 
 // Client is a pooled, pipelining connection to one server.
 type Client struct {
@@ -108,9 +109,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 	}
 	if opts.MaxFrame <= 0 {
 		opts.MaxFrame = wire.MaxFrame
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
 	}
 	cl := &Client{opts: opts}
 	for i := 0; i < opts.Conns; i++ {
@@ -483,7 +481,7 @@ type waiter struct {
 var waiterPool = sync.Pool{New: func() any { return &waiter{done: make(chan struct{}, 1)} }}
 
 func dialConn(addr string, opts Options) (*conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

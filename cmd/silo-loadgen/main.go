@@ -259,7 +259,7 @@ func pctl(s obs.HistSnapshot, q float64) time.Duration {
 // embedded runs read the in-process snapshot, wire runs fetch one STATS
 // frame. Silence means the breakdown was unavailable (server gone), not
 // zero aborts. Wire runs against a durable-group-ack server additionally
-// report the release pipeline's view of the run — when that line is
+// report the group-ack view of the run — when that line is
 // present, the throughput number above is durable throughput: every
 // counted write was epoch-durable before its ack arrived.
 func printAborts(db *silo.DB, addr string, embedded bool) {

@@ -59,7 +59,7 @@ func main() {
 		stats     = flag.Duration("stats", 0, "print stats every interval (0 = off)")
 		admin     = flag.String("admin", "", "admin HTTP listen address serving /metrics, /debug/vars, /debug/flight, /debug/slow and /debug/pprof (empty = off)")
 		slowMs    = flag.Int("slow-ms", 0, "force-trace every request and capture ops slower than this many milliseconds at /debug/slow (0 = off)")
-		ackMode   = flag.String("ack-mode", "auto", "when write responses are released to clients: auto (group under -sync, immediate otherwise), group (park each response until its commit epoch is durable — an OK frame then guarantees the write survives a crash), immediate (ack at in-memory commit; the pre-pipeline behavior, opt-out for -sync)")
+		ackMode   = flag.String("ack-mode", "auto", "when write responses are released to clients: auto (group under -sync, immediate otherwise), group (hold each write response until its commit epoch is durable — an OK frame then guarantees the write survives a crash), immediate (ack at in-memory commit; the historical behavior, opt-out for -sync)")
 	)
 	flag.Parse()
 
@@ -239,9 +239,8 @@ func statsLine(db *silo.DB, srv *server.Server) string {
 			line += fmt.Sprintf(" fsync_p99=%v", time.Duration(h.Hist.Quantile(0.99)))
 		}
 	}
-	// Group-release pipeline health (present only under durable group
-	// acks): responses parked awaiting their epoch and the wait released
-	// ones paid.
+	// Group-ack health (present only under durable group acks): write
+	// responses awaiting their epoch and the wait released ones paid.
 	if s := snap.Get("silo_server_parked_responses", ""); s != nil {
 		line += fmt.Sprintf(" parked=%d", s.Value)
 		if h := snap.Get("silo_server_release_lag_ns", ""); h != nil && h.Hist.Count > 0 {

@@ -50,9 +50,6 @@ type Options struct {
 	EpochInterval time.Duration
 	// SnapshotK is the snapshot-epoch divisor (§4.9).
 	SnapshotK int
-	// StartEpoch is the initial epoch (used by recovery to resume past the
-	// durable epoch).
-	StartEpoch uint64
 
 	// Snapshots maintains superseded record versions so read-only snapshot
 	// transactions can run (§4.9). Disabling it reproduces +NoSnapshots.
@@ -259,11 +256,10 @@ func NewStore(opts Options) *Store {
 	// (catalog appends) needs a transaction context callable from any
 	// goroutine without overlapping an application worker's.
 	s.epochs = epoch.NewManager(epoch.Config{
-		Workers:    opts.Workers + 2,
-		Interval:   opts.EpochInterval,
-		SnapshotK:  opts.SnapshotK,
-		StartEpoch: opts.StartEpoch,
-		Clock:      opts.Clock,
+		Workers:   opts.Workers + 2,
+		Interval:  opts.EpochInterval,
+		SnapshotK: opts.SnapshotK,
+		Clock:     opts.Clock,
 	})
 	s.workers = make([]*Worker, opts.Workers)
 	for i := range s.workers {

@@ -105,9 +105,6 @@ type Config struct {
 	Interval time.Duration
 	// SnapshotK is the snapshot-epoch divisor; DefaultSnapshotK if zero.
 	SnapshotK int
-	// StartEpoch is the initial value of E. Recovery starts the system at
-	// D+1; fresh databases start at 1 so that epoch 0 means "never".
-	StartEpoch uint64
 	// Clock drives the advancing thread started by Start; nil means real
 	// time. The simulation harness substitutes a manually stepped clock so
 	// epoch advancement becomes an explicit, replayable event.
@@ -124,9 +121,6 @@ func NewManager(cfg Config) *Manager {
 	if cfg.SnapshotK == 0 {
 		cfg.SnapshotK = DefaultSnapshotK
 	}
-	if cfg.StartEpoch == 0 {
-		cfg.StartEpoch = 1
-	}
 	m := &Manager{
 		k:        uint64(cfg.SnapshotK),
 		interval: cfg.Interval,
@@ -136,8 +130,10 @@ func NewManager(cfg Config) *Manager {
 	for i := range m.slots {
 		m.slots[i] = &Slot{}
 	}
-	m.global.Store(cfg.StartEpoch)
-	m.snapGlobal.Store(m.snap(saturatingSub(cfg.StartEpoch, m.k)))
+	// E starts at 1 so that epoch 0 means "never" (SE starts at 0);
+	// recovery restarts the system above the recovered epochs with
+	// AdvanceTo.
+	m.global.Store(1)
 	m.recompute()
 	return m
 }

@@ -19,9 +19,6 @@ type DaemonOptions struct {
 	Interval time.Duration
 	// Partitions is the partition count per checkpoint (default 4).
 	Partitions int
-	// Keep is how many complete checkpoint sets to retain (default 1; the
-	// newest complete set is always kept).
-	Keep int
 	// Catalog, when non-nil, is the silo-level DDL catalog table: its rows
 	// are embedded in each checkpoint manifest's schema section, keeping
 	// checkpoints self-describing so log truncation can never strand the
@@ -55,10 +52,11 @@ type DaemonStats struct {
 }
 
 // Daemon periodically takes partitioned checkpoints off snapshot epochs
-// while writers run, prunes superseded checkpoint sets, and truncates log
-// segments whose transactions all predate the checkpoint epoch. It runs
-// its snapshot transactions on the store's dedicated maintenance worker,
-// so application workers are never borrowed and never blocked.
+// while writers run, prunes every checkpoint set but the newest complete
+// one, and truncates log segments whose transactions all predate the
+// checkpoint epoch. It runs its snapshot transactions on the store's
+// dedicated maintenance worker, so application workers are never borrowed
+// and never blocked.
 type Daemon struct {
 	store *core.Store
 	wal   *wal.Manager
@@ -81,9 +79,6 @@ type Daemon struct {
 func NewDaemon(store *core.Store, m *wal.Manager, opts DaemonOptions) *Daemon {
 	if opts.Partitions <= 0 {
 		opts.Partitions = 4
-	}
-	if opts.Keep < 1 {
-		opts.Keep = 1
 	}
 	opts.FS = vfs.DefaultFS(opts.FS)
 	opts.Clock = vfs.DefaultClock(opts.Clock)
@@ -157,7 +152,7 @@ func (d *Daemon) RunOnce() error {
 	d.store.Flight().RecordShared(trace.EvCheckpoint, trace.CkptStageWritten, 0, res.Epoch, nil)
 
 	var truncated int
-	if _, err = PruneCheckpoints(d.opts.FS, d.opts.Dir, d.opts.Keep); err == nil && d.wal != nil {
+	if _, err = PruneCheckpoints(d.opts.FS, d.opts.Dir, 1); err == nil && d.wal != nil {
 		// Checkpoint-triggered rotation: ask every logger to close its open
 		// segment so the pre-checkpoint prefix becomes truncatable on the
 		// next tick, tightening the log-space bound to roughly one

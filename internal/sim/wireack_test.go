@@ -119,7 +119,7 @@ func TestCrashAfterAckRegression(t *testing.T) {
 		go func() { done <- cl.Insert("t", []byte("k"), []byte("v")) }()
 		// The OK frame cannot arrive until logger passes make the commit
 		// epoch durable — and those only run when we advance the clock.
-		// The worker and releaser are real goroutines, so interleave real
+		// The worker and writer are real goroutines, so interleave real
 		// sleeps with the virtual advances to let them make progress.
 		acked := false
 		for deadline := time.Now().Add(10 * time.Second); !acked; {

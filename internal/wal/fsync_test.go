@@ -45,7 +45,7 @@ func (heldClock) Kick()                                   {}
 
 // TestFailedFsyncNeverPublishesDurable is the fsyncgate contract: when
 // the fsync covering an epoch fails, that epoch is never reported durable
-// — not by the logger's d_l, not by D, not to a durable subscriber — and
+// — not by the logger's d_l, not by D, not to a WaitDurable caller — and
 // the failure surfaces as a fail-stop panic naming the fsync, exactly as
 // a failed log write does. Before, Sync's error was dropped and the pass
 // went on to publish.
@@ -61,7 +61,6 @@ func TestFailedFsyncNeverPublishesDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Start() // never stopped: a fail-stopped logger has no clean shutdown
-	sub := m.SubscribeDurable()
 	lg := m.loggers[0]
 	// commitAndPass commits one write in the current epoch, closes the
 	// epoch, and runs the logger pass that would make it durable.
@@ -83,9 +82,7 @@ func TestFailedFsyncNeverPublishesDurable(t *testing.T) {
 	if failure != nil || m.DurableEpoch() != good {
 		t.Fatalf("healthy pass: D = %d, panic %v; want D = %d", m.DurableEpoch(), failure, good)
 	}
-	if d := <-sub; d != good {
-		t.Fatalf("subscriber saw D = %d, want %d", d, good)
-	}
+	m.WaitDurable(good) // returns at once: good is durable
 
 	lost, failure := commitAndPass()
 	if msg, _ := failure.(string); !strings.Contains(msg, "fsync failed") || !strings.Contains(msg, "injected EIO") {
@@ -94,9 +91,14 @@ func TestFailedFsyncNeverPublishesDurable(t *testing.T) {
 	if d, dl := m.DurableEpoch(), lg.dl.Load(); d != good || dl != good {
 		t.Errorf("after the failed fsync of epoch %d: D = %d, d_l = %d; both must stay at %d", lost, d, dl, good)
 	}
+	released := make(chan struct{})
+	go func() {
+		m.WaitDurable(lost)
+		close(released)
+	}()
 	select {
-	case d := <-sub:
-		t.Errorf("subscriber was told D = %d after a failed fsync", d)
-	default:
+	case <-released:
+		t.Errorf("a WaitDurable(%d) caller was released after the failed fsync (D = %d)", lost, m.DurableEpoch())
+	case <-time.After(50 * time.Millisecond):
 	}
 }

@@ -88,19 +88,14 @@ type Manager struct {
 	ddlLog  *WorkerLog
 
 	durable atomic.Uint64 // D = min d_l
-	// demand is the largest epoch someone waits to see durable: raised by
-	// WaitDurable, and by every commit while a durable subscription is
-	// live (subscribed — the group-ack release pipeline parks each write's
-	// response on its commit epoch). See closeIfDemanded.
-	demand     atomic.Uint64
-	subscribed atomic.Bool
-	dmu        sync.Mutex
-	dcond      *sync.Cond
-	// subs are durable-epoch subscription channels (SubscribeDurable);
-	// subsDown marks the post-Stop state in which new subscriptions are
-	// returned already closed. Both guarded by dmu.
-	subs     []chan uint64
-	subsDown bool
+	// demand is the largest epoch a WaitDurable caller waits to see
+	// durable. See closeIfDemanded.
+	demand atomic.Uint64
+	dmu    sync.Mutex
+	dcond  *sync.Cond
+	// stopped marks Stop's final drain done: every committed epoch is as
+	// durable as it will get, so no waiter waits any longer. Guarded by dmu.
+	stopped bool
 
 	// segEpochs caches each closed segment's maximum transaction epoch
 	// (closed segments are immutable), so repeated TruncateCovered calls
@@ -200,19 +195,14 @@ func (m *Manager) Stop() {
 			lg.syncFile()
 			lg.file.Close()
 		}
-		// Close the durable subscriptions after the final pass: D now
-		// covers every committed epoch (the advance above plus the final
-		// iterate), so close is an accurate "everything is durable"
-		// signal. Clearing subs first keeps any straggling ticker pass
-		// from pinging a closed channel.
+		// Release every waiter after the final pass: D now covers every
+		// committed epoch (the advance above plus the final iterate), and
+		// an epoch above it — one read from E during the drain — will
+		// never be made durable by anyone.
 		m.dmu.Lock()
-		m.subsDown = true
-		subs := m.subs
-		m.subs = nil
+		m.stopped = true
+		m.dcond.Broadcast()
 		m.dmu.Unlock()
-		for _, ch := range subs {
-			close(ch)
-		}
 	})
 }
 
@@ -241,64 +231,18 @@ func (m *Manager) DurableEpoch() uint64 { return m.durable.Load() }
 // in epoch e may be released to its client (§4.10). The wait is demand:
 // if e is the open epoch it is closed as soon as the epochs before it are
 // durable, so the wait costs about one fsync pass, not one epoch interval.
+// Every publish of D wakes it. It also returns once Stop's final drain has
+// run, whatever e is.
 func (m *Manager) WaitDurable(e uint64) {
 	if m.durable.Load() >= e {
 		return
 	}
 	m.raiseDemand(e)
 	m.dmu.Lock()
-	for m.durable.Load() < e {
+	for m.durable.Load() < e && !m.stopped {
 		m.dcond.Wait()
 	}
 	m.dmu.Unlock()
-}
-
-// SubscribeDurable registers a durable-epoch subscription: the returned
-// channel carries D after each advance, coalesced to the newest value (a
-// slow receiver only ever misses intermediate epochs, never the latest),
-// and is closed by Stop after the final drain — at which point every
-// committed epoch is durable, so a receiver may treat close as "release
-// everything". Subscriptions live for the manager's lifetime; there is
-// no unsubscribe. After Stop, new subscriptions return already closed.
-//
-// A live subscription makes every later commit demand: the subscriber is
-// assumed to hold the commit's result until its epoch is durable, so the
-// commit's epoch is closed early (see closeIfDemanded).
-func (m *Manager) SubscribeDurable() <-chan uint64 {
-	ch := make(chan uint64, 1)
-	m.dmu.Lock()
-	if m.subsDown {
-		close(ch)
-	} else {
-		m.subscribed.Store(true)
-		m.subs = append(m.subs, ch)
-		// Seed the current D so a subscriber never waits a full logger
-		// pass to learn about epochs that are already durable.
-		if d := m.durable.Load(); d > 0 {
-			ch <- d
-		}
-	}
-	m.dmu.Unlock()
-	return ch
-}
-
-// notifySubsLocked pushes the new D to every subscription, replacing a
-// stale undelivered value rather than blocking. Caller holds dmu.
-func (m *Manager) notifySubsLocked(d uint64) {
-	for _, ch := range m.subs {
-		select {
-		case ch <- d:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- d:
-			default:
-			}
-		}
-	}
 }
 
 // Stats returns logger-side counters.
@@ -360,7 +304,6 @@ func (m *Manager) publishDurable() {
 		if m.durable.CompareAndSwap(cur, min) {
 			m.dmu.Lock()
 			m.dcond.Broadcast()
-			m.notifySubsLocked(min)
 			m.dmu.Unlock()
 			return
 		}
@@ -429,8 +372,7 @@ func (wl *WorkerLog) onCommit(commit tid.Word, writes []core.LoggedWrite) {
 	}
 }
 
-// firstInEpoch runs on the worker's first commit in epoch e. Under a live
-// durable subscription the commit is demand for e. And if the worker
+// firstInEpoch runs on the worker's first commit in epoch e. If the worker
 // entered this transaction before e opened, it was active through the
 // advance: every logger pass since then had to stop d_l below its entry
 // epoch, so epoch e−1 cannot have become durable through its logger. Its
@@ -439,9 +381,6 @@ func (wl *WorkerLog) onCommit(commit tid.Word, writes []core.LoggedWrite) {
 // leaving the epoch to the next poll.
 func (wl *WorkerLog) firstInEpoch(e uint64) {
 	m := wl.m
-	if m.subscribed.Load() {
-		m.raiseDemand(e)
-	}
 	if m.demand.Load()+1 >= e && m.durable.Load()+1 < e && m.epochs.Slot(wl.id).Local() < e {
 		wl.lg.ticker.Kick()
 	}

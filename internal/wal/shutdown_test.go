@@ -2,6 +2,7 @@ package wal
 
 import (
 	"testing"
+	"time"
 
 	"silo/internal/core"
 	"silo/internal/tid"
@@ -95,4 +96,37 @@ func TestLegacyStopDrainLosesFinalEpoch(t *testing.T) {
 	}); err != core.ErrNotFound {
 		t.Fatalf("want ErrNotFound under legacy drain, got %v", err)
 	}
+}
+
+// TestStopReleasesWaiters: a WaitDurable caller returns once Stop's final
+// drain has run, even for an epoch the drain did not make durable (one a
+// caller read from E while Stop advanced it), and a call after Stop
+// returns at once. A group-ack server's connection writers rely on it when
+// the database is closed before the server.
+func TestStopReleasesWaiters(t *testing.T) {
+	opts := core.DefaultOptions(1)
+	opts.ManualEpochs = true
+	s := core.NewStore(opts)
+	defer s.Close()
+	m, err := Attach(s, Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	beyond := s.Epochs().Global() + 5
+	released := make(chan struct{})
+	go func() {
+		m.WaitDurable(beyond)
+		close(released)
+	}()
+	m.Stop()
+	select {
+	case <-released:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("WaitDurable(%d) still blocked after Stop (D = %d)", beyond, m.DurableEpoch())
+	}
+	if d := m.DurableEpoch(); d >= beyond {
+		t.Fatalf("D = %d after Stop: the waiter's epoch %d was durable after all", d, beyond)
+	}
+	m.WaitDurable(beyond)
 }

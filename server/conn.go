@@ -135,7 +135,10 @@ const flushBytes = 1 << 20
 // already encoded in a recycled buffer and is queued as one scatter-gather
 // segment; the batch is flushed with a single writev when no further
 // response is immediately ready, so a pipelined burst costs one syscall
-// and large pages go to the socket without a coalescing copy. Buffers
+// and large pages go to the socket without a coalescing copy. A group-acked
+// write whose epoch is not yet durable flushes the batch ahead of it and
+// waits for D right here (awaitDurable): delaying it delays that response
+// and everything behind it on this connection, never reorders. Buffers
 // return to the pool only after the writev that covered them. On a
 // write error it keeps draining so executors and the reader never block
 // on a dead connection.
@@ -164,6 +167,9 @@ func (s *Server) writeLoop(c net.Conn, pending chan *job) {
 	for j := range pending {
 		rb := <-j.done
 		s.putJob(j)
+		if rb.epoch != 0 {
+			s.awaitDurable(rb, flush)
+		}
 		if broken {
 			s.putBuf(rb)
 			continue

@@ -93,7 +93,8 @@ func (s *Server) runJob(st *execState, j *job) {
 		// The engine timed execute/validate/log; what is left of the
 		// frame's wall time is table resolution and result assembly — the
 		// respond span. Fsync is zero here: no worker waits for
-		// durability, and the releaser adds the wait of a parked TRACER.
+		// durability, and the connection writer adds the wait of a
+		// group-acked TRACER.
 		if r := elapsed - (sp.Exec + sp.Validate + sp.Log); r > 0 {
 			sp.Respond = r
 		}
@@ -119,7 +120,7 @@ func (s *Server) runJob(st *execState, j *job) {
 	// Latency and counters are recorded at execution time: the
 	// latency histogram prices the exec path (queue wait excluded,
 	// retries included), while the wait from commit to durable
-	// release is the releaser's own release-lag histogram.
+	// release is the writer's release-lag histogram.
 	o.latency[latIdx(kind)].ObserveDuration(time.Since(start).Nanoseconds())
 	if resp.Kind == wire.KindErr {
 		s.errors64.Add(1)
@@ -128,35 +129,34 @@ func (s *Server) runJob(st *execState, j *job) {
 	s.respond(st.w, &j.req, &resp, rb, j.done)
 }
 
-// respond encodes and releases one completed response according to the
-// server's ack mode. Encoding happens here, on the executor, into a
-// recycled buffer: the response aliases the worker's exec state and the
-// job's payload, both reused for the next job, so the bytes must be
-// captured before this function returns (a scan arrives already framed in
-// rb). Under AckGroup a write's frame carries its commit epoch to the
-// release pipeline — no worker ever blocks on fsync; reads, snapshot
-// scans, and errors release immediately — an ERR frame acknowledges
-// nothing (the transaction aborted), and reads have nothing to make
-// durable. Auto-created tables are covered by the data epoch: the catalog
-// record commits (on the DDL worker) before the data write's commit, and
-// epochs are monotone, so a durable data epoch implies the creation record
-// is durable too.
+// respond encodes one completed response and hands it to the connection
+// writer. Encoding happens here, on the executor, into a recycled buffer:
+// the response aliases the worker's exec state and the job's payload, both
+// reused for the next job, so the bytes must be captured before this
+// function returns (a scan arrives already framed in rb). Under AckGroup a
+// write's frame is stamped with its commit epoch, which the writer waits
+// on — no worker ever blocks on fsync. Reads, snapshot scans, and errors
+// are not stamped: an ERR frame acknowledges nothing (the transaction
+// aborted), and reads have nothing to make durable. Auto-created tables
+// are covered by the data epoch: the catalog record commits (on the DDL
+// worker) before the data write's commit, and epochs are monotone, so a
+// durable data epoch implies the creation record is durable too.
 func (s *Server) respond(w int, req *wire.Request, resp *wire.Response, rb *respBuf, done chan<- *respBuf) {
 	if rb == nil {
 		rb = s.encodeResp(resp)
 	}
-	if s.rel == nil || resp.Kind == wire.KindErr || !writesData(req) {
-		done <- rb
-		return
+	if s.ackMode == AckGroup && resp.Kind != wire.KindErr && writesData(req) {
+		// DDL commits on the hidden catalog worker, whose commit epoch is
+		// not visible here; it committed before this point, so the current
+		// global epoch is a conservative upper bound.
+		rb.epoch = s.db.Epoch()
+		if !isDDLFrame(req) {
+			rb.epoch = s.db.LastCommitEpoch(w)
+		}
+		rb.at = s.now()
+		s.obs.parked.Add(1)
 	}
-	// DDL commits on the hidden catalog worker, whose commit epoch is not
-	// visible here; it committed before this point, so the current global
-	// epoch is a conservative upper bound.
-	e := s.db.Epoch()
-	if !isDDLFrame(req) {
-		e = s.db.LastCommitEpoch(w)
-	}
-	s.rel.park(rb, done, e)
+	done <- rb
 }
 
 // encodeResp frames resp into a pooled buffer.

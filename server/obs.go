@@ -27,10 +27,16 @@ type workerObs struct {
 // pipeline depth observed at each enqueue (how far readers run ahead of
 // their writers — the wire's analogue of queue length), and the number of
 // chains readers sent to the executors (requests per dispatch is the
-// burst size the server actually saw).
+// burst size the server actually saw). Under group acks, parked counts the
+// stamped write responses between their worker's finish and their
+// writer's release, released counts the releases, and releaseLag is the
+// wait between the two (ns).
 type serverObs struct {
 	depth      obs.Histogram
 	dispatches obs.Counter
+	parked     obs.Gauge
+	released   obs.Counter
+	releaseLag obs.Histogram
 }
 
 // statsKinds are the request kinds CollectObs reports latency series for.
@@ -66,14 +72,14 @@ func (s *Server) CollectObs(snap *obs.Snapshot) {
 	snap.Histogram("silo_server_queue_ns", "", "", q)
 	snap.Histogram("silo_server_pipeline_depth", "", "", s.obs.depth.Snapshot())
 	snap.Counter("silo_server_dispatches_total", "", "", s.obs.dispatches.Load())
-	if s.rel != nil {
-		// The release pipeline's health: how many write responses are
-		// parked awaiting their epoch right now, how many have been
-		// released durably, and the park-to-release wait (the group-commit
-		// latency each acknowledged write actually paid).
-		snap.Gauge("silo_server_parked_responses", "", "", uint64(s.rel.parked.Load()))
-		snap.Counter("silo_server_released_total", "", "", s.rel.released.Load())
-		snap.Histogram("silo_server_release_lag_ns", "", "", s.rel.lag.Snapshot())
+	if s.ackMode == AckGroup {
+		// Group acks' health: how many write responses await their epoch
+		// right now, how many have been released durably, and the wait
+		// from worker finish to writer release (the group-commit latency
+		// each acknowledged write actually paid).
+		snap.Gauge("silo_server_parked_responses", "", "", s.obs.parked.Load())
+		snap.Counter("silo_server_released_total", "", "", s.obs.released.Load())
+		snap.Histogram("silo_server_release_lag_ns", "", "", s.obs.releaseLag.Snapshot())
 	}
 }
 

@@ -20,13 +20,15 @@ import (
 //	          on the connection's pending queue
 //	worker  — walks the chain in order; per job it reads the link, executes
 //	          the request on its exec state, encodes the response into a
-//	          pooled respBuf and sends it on that job's done channel,
-//	          possibly via the group-commit releaser (which may add a
-//	          TRACER's fsync wait to the frame in place). The send releases
-//	          the job: a worker never touches a job it has responded to
-//	writer  — takes jobs off pending in request order, waits on each done,
-//	          queues the buffer as one writev segment, and after the
-//	          segments are flushed returns buffers and job to their pools
+//	          pooled respBuf (stamped with its commit epoch under group
+//	          acks) and sends it on that job's done channel. The send
+//	          releases the job: a worker never touches a job it has
+//	          responded to
+//	writer  — takes jobs off pending in request order, waits on each done
+//	          (and, for a stamped buffer, on D, adding a TRACER's fsync
+//	          wait to the frame in place), queues the buffer as one writev
+//	          segment, and after the segments are flushed returns buffers
+//	          and job to their pools
 //
 // Race-enabled builds poison recycled memory on return to the pool, so
 // any stage that holds a view past its release reads garbage and the
@@ -66,7 +68,14 @@ type job struct {
 // takes between executor and connection writer. The wrapper (rather than
 // a bare []byte) keeps pool round trips allocation-free: the same *respBuf
 // travels worker → writer → pool with the byte slice updated in place.
-type respBuf struct{ b []byte }
+type respBuf struct {
+	b []byte
+	// epoch is the commit epoch a group-acked write's frame waits on in the
+	// writer (0: send at once); at is the store-clock time the worker
+	// stamped it, for the release-lag histogram.
+	epoch uint64
+	at    time.Duration
+}
 
 // maxPooled caps the capacity a recycled payload or response buffer may
 // keep: a single huge frame (a multi-megabyte SCANR page, a bulk-load
@@ -129,6 +138,7 @@ func (s *Server) putBuf(rb *respBuf) {
 	if cap(rb.b) > maxPooled {
 		rb.b = nil
 	}
+	rb.epoch, rb.at = 0, 0
 	respBufPool.Put(rb)
 }
 

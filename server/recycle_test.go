@@ -27,8 +27,8 @@ import (
 
 // startRecycleServer serves a durable single-worker group-ack database:
 // one worker makes each connection's pipelined responses deterministic
-// (per-connection FIFO execution), group acks exercise the releaser's
-// park/release hand-off of pooled buffers.
+// (per-connection FIFO execution), group acks exercise the writer's
+// durability wait on stamped pooled buffers.
 func startRecycleServer(t *testing.T, noReuse bool) (addr string, stop func()) {
 	t.Helper()
 	db, err := silo.Open(silo.Options{
@@ -63,7 +63,7 @@ func startRecycleServer(t *testing.T, noReuse bool) (addr string, stop func()) {
 // pages are staged; bench_by_key's parallels it, so they stream). A
 // TRACER's span block is timings; runRecycleTraffic masks it, and the rest
 // of the frame — results built in the exec state's arena, encoded into a
-// pooled buffer, parked and patched by the releaser — is compared like
+// pooled buffer, held and patched by the writer — is compared like
 // any other. Excludes STATS/SCHEMA.
 func recycleScript(c int) [][]byte {
 	prefix := byte('A' + c)

@@ -13,6 +13,7 @@ import (
 	"silo"
 	"silo/client"
 	"silo/internal/obs"
+	"silo/internal/sim"
 	"silo/server"
 	"silo/wire"
 )
@@ -142,8 +143,8 @@ func TestGroupAcksAreDurable(t *testing.T) {
 // TestGroupAcksPreserveWireOrder pipelines a parked write followed by an
 // immediately-releasable read on one raw connection: the read's response
 // must wait behind the write's durable release, never overtake it. A
-// traced write parks like any other: its TRACER keeps its place in wire
-// order, and its Fsync span is the wait the releaser recorded for it.
+// traced write waits like any other: its TRACER keeps its place in wire
+// order, and its Fsync span is the wait the writer recorded for it.
 func TestGroupAcksPreserveWireOrder(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "log")
 	db, err := silo.Open(durableOpts(dir))
@@ -281,7 +282,7 @@ func TestGroupAcksPreserveWireOrder(t *testing.T) {
 	readTracer()
 
 	// Phase 4: a lone TRACE write between two readings of the release-lag
-	// histogram, so the lag recorded in between is its own. The releaser
+	// histogram, so the lag recorded in between is its own. The writer
 	// added exactly that wait to the frame's Fsync span.
 	lagSum := func() (sum, count uint64) {
 		var snap obs.Snapshot
@@ -296,10 +297,134 @@ func TestGroupAcksPreserveWireOrder(t *testing.T) {
 	sp := readTracer().Spans
 	sum1, n1 := lagSum()
 	if n1 != n0+1 {
-		t.Fatalf("release pipeline handled %d responses for one traced write", n1-n0)
+		t.Fatalf("the writer released %d responses for one traced write", n1-n0)
 	}
 	if lag := time.Duration(sum1 - sum0); sp.Fsync < lag {
-		t.Errorf("TRACER Fsync = %v, below the %v the releaser held it", sp.Fsync, lag)
+		t.Errorf("TRACER Fsync = %v, below the %v the writer held it", sp.Fsync, lag)
+	}
+}
+
+// serveFrozen opens a durable database on a simulated clock that is never
+// advanced — no logger pass runs and no epoch becomes durable, a stalled
+// disk as far as acks are concerned — with table t holding k, and serves
+// it with group acks. Cleanup closes the database first, which is what
+// releases a writer still waiting, then the server.
+func serveFrozen(t *testing.T) (*silo.DB, *server.Server, string) {
+	t.Helper()
+	db, err := silo.Open(silo.Options{
+		Workers: 2,
+		Clock:   sim.NewClock(),
+		Durability: &silo.DurabilityOptions{
+			Dir: "db", Sync: true, FS: sim.NewFS(),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := db.CreateTable("t")
+	if err := db.Run(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("v0")) }); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(db, server.Options{Acks: server.AckGroup, DisableAutoCreate: true})
+	t.Cleanup(func() {
+		db.Close()
+		srv.Close()
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	return db, srv, ln.Addr().String()
+}
+
+// TestReadAheadOfParkedWriteIsAnswered: a response ahead of a group-acked
+// write on the same connection is sent without waiting for the write's
+// epoch. One TCP write carries a GET and then a PUT of the same key; the
+// GET's answer must arrive while D is held, and the PUT's OK must not. The
+// writer used to hold the GET's encoded answer until the PUT was released
+// — one fsync pass at best, forever on a stalled disk.
+func TestReadAheadOfParkedWriteIsAnswered(t *testing.T) {
+	_, _, addr := serveFrozen(t)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	out, err := wire.AppendRequest(nil, &wire.Request{Ops: []wire.Op{{Kind: wire.KindGet, Table: "t", Key: []byte("k")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = wire.AppendRequest(out, &wire.Request{Ops: []wire.Op{{Kind: wire.KindPut, Table: "t", Key: []byte("k"), Value: []byte("v1")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(time.Second))
+	payload, err := wire.ReadFrame(nc, 0)
+	if err != nil {
+		t.Fatalf("GET answer: %v; it waited behind the PUT's durability", err)
+	}
+	if resp, err := wire.DecodeResponse(payload); err != nil || resp.Kind != wire.KindValue || string(resp.Value) != "v0" {
+		t.Fatalf("GET answer = %+v, %v", resp, err)
+	}
+	nc.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if payload, err := wire.ReadFrame(nc, 0); err == nil {
+		resp, _ := wire.DecodeResponse(payload)
+		t.Fatalf("PUT answered (%+v) while its epoch cannot be durable", resp)
+	}
+}
+
+// TestGroupAckCloseFirst: closing the database before the server never
+// strands a writer waiting for D. Its final log drain makes every
+// committed epoch durable, and WaitDurable returns once it has run — also
+// for the epoch a DDL frame reads from E — so the waiting writes are
+// answered OK and Server.Close returns.
+func TestGroupAckCloseFirst(t *testing.T) {
+	db, srv, addr := serveFrozen(t)
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	acks := make(chan error, 2)
+	go func() { acks <- cl.Put("t", []byte("k"), []byte("v1")) }()
+	go func() {
+		acks <- cl.CreateIndex("t_by_v", "t", false, []wire.IndexSeg{{FromValue: true, Off: 0, Len: 1}})
+	}()
+	// Close only once both writes committed and wait in the writer.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var snap obs.Snapshot
+		srv.CollectObs(&snap)
+		if snap.Value("silo_server_parked_responses", "") == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the writes never reached the writer's durability wait")
+		}
+	}
+	db.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-acks:
+			if err != nil {
+				t.Fatalf("group-acked write after the database closed: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a writer stayed stranded after the database closed")
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close hung after the database closed first")
 	}
 }
 
@@ -388,7 +513,7 @@ func TestNoDemandWithoutWaiters(t *testing.T) {
 		}
 		defer db.Close()
 		tbl := db.CreateTable("t")
-		// Written before the server subscribes to durability: no waiter.
+		// Written before the server exists: no waiter.
 		if err := db.Run(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("v")) }); err != nil {
 			t.Fatal(err)
 		}

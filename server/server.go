@@ -16,8 +16,8 @@
 // rest to an idle peer). The worker runs the chain in order and
 // completes each job individually, so everything
 // downstream still sees requests: the per-connection in-order queue the
-// writer drains, writev batching of ready responses, durable-ack parking,
-// TRACE and slow-op capture. The path is
+// writer drains, writev batching of ready responses, durable acks, TRACE
+// and slow-op capture. The path is
 //
 //	reader → chain → worker → per-job done → writer
 //
@@ -31,12 +31,14 @@
 // in a pooled buffer, the only form a response takes on its way to the
 // writer. Writes are acknowledged in one of two modes (AckMode): at
 // in-memory commit, or, on a durable database, once the commit epoch is
-// durable — by parking the finished frame in the release pipeline
-// (release.go), never by making a worker wait for an fsync. A TRACER's
-// Fsync span is therefore what its client waited, not what a worker did:
-// the time the frame sat parked, added to it in place at release, and
-// zero under immediate acks. Conflicts retry inside DB.Run; there is no
-// other retry policy.
+// durable. In the second mode the worker stamps the finished frame with
+// its commit epoch and moves on; the connection writer, which owns
+// response order, sends the frames ahead of it and then waits for the
+// durable epoch to cover the stamp (release.go). No worker ever waits for
+// an fsync. A TRACER's Fsync span is therefore what its client waited,
+// not what a worker did: the time from stamp to release, added to the
+// frame in place, and zero under immediate acks. Conflicts retry inside
+// DB.Run; there is no other retry policy.
 //
 // Responses are written back on each connection in request order, which
 // lets clients pipeline.
@@ -135,10 +137,8 @@ type Server struct {
 	slow slowBuf
 
 	// ackMode is the effective ack mode (Options.Acks degraded to
-	// AckImmediate when the database has no durability); rel is the
-	// group-commit release pipeline, non-nil only under AckGroup.
+	// AckImmediate when the database has no durability).
 	ackMode AckMode
-	rel     *releaser
 }
 
 // New creates a server for db and starts its per-worker executors. The
@@ -166,12 +166,9 @@ func New(db *silo.DB, opts Options) *Server {
 		s.wobs[i] = &workerObs{}
 	}
 	s.ackMode = opts.Acks
-	if s.ackMode == AckGroup {
-		if ch, ok := db.DurableNotify(); ok {
-			s.rel = newReleaser(s, ch)
-		} else {
-			s.ackMode = AckImmediate
-		}
+	if _, err := db.Recover(); err != nil {
+		// Recover fails only without durability: no durable epoch to wait for.
+		s.ackMode = AckImmediate
 	}
 	for i := 0; i < db.Workers(); i++ {
 		s.workerWG.Add(1)
@@ -229,7 +226,9 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops the server: listeners and connections are closed, in-flight
-// requests finish, executors exit. The database is left open.
+// requests finish, executors exit. The database is left open. It may also
+// have been closed first: a writer waiting for a group-acked write's epoch
+// returns once the database's final log drain has run.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -259,15 +258,6 @@ func (s *Server) Close() error {
 	s.connWG.Wait()
 	close(s.jobs)
 	s.workerWG.Wait()
-	// Stop the release pipeline after the executors: nothing can park
-	// anymore, and the flush hands any still-parked responses to their
-	// (buffered, possibly dead) result channels. The database is still
-	// open here, so in the normal close order those epochs were already
-	// durable and released; the flush matters only when the caller closed
-	// the database first.
-	if s.rel != nil {
-		s.rel.stop()
-	}
 	return nil
 }
 

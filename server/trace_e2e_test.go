@@ -18,9 +18,9 @@ import (
 // server and checks the TRACER response: correct transaction results plus
 // a span timeline whose execute phase is non-zero and whose fsync-wait
 // covers the group-commit durability point. (The write's epoch closes on
-// demand once the write has committed, and the fsync that makes it
-// durable starts after that: the worker's hop from commit to park is far
-// shorter, so the write is parked before it is durable.)
+// demand once the connection writer holds the stamped response and waits
+// for it, and the fsync that makes it durable starts after that, so the
+// writer's wait is never zero.)
 func TestTraceOverTheWire(t *testing.T) {
 	dir := t.TempDir()
 	db, err := silo.Open(silo.Options{

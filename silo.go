@@ -109,12 +109,12 @@ type Options struct {
 	Workers int
 	// EpochInterval is the epoch advance period; the paper uses 40 ms. It
 	// is the ceiling on an epoch's length, not its length: while someone
-	// waits for durability (RunDurable, WaitDurable, a DurableNotify
-	// subscriber such as a group-ack server), the open epoch is closed as
-	// soon as the one before it is durable, so a durable commit costs about
-	// one fsync pass rather than one interval. Without a waiter epochs
-	// advance on the interval alone. Shorter intervals make snapshots
-	// fresher.
+	// waits for durability (RunDurable, or WaitDurable — which is how a
+	// group-ack server's connection writers wait), the open epoch is closed
+	// as soon as the one before it is durable, so a durable commit costs
+	// about one fsync pass rather than one interval. Without a waiter
+	// epochs advance on the interval alone. Shorter intervals make
+	// snapshots fresher.
 	EpochInterval time.Duration
 	// SnapshotK is the number of epochs per snapshot epoch (paper: 25).
 	SnapshotK int
@@ -140,11 +140,6 @@ type Options struct {
 	// GlobalTID assigns commit TIDs from one shared counter (the paper's
 	// MemSilo+GlobalTID scalability strawman).
 	GlobalTID bool
-	// DisableTrace disables the always-on flight recorder (per-shard event
-	// rings recording commits, aborts with conflict forensics, fsync
-	// passes, checkpoint stages, DDL, and connection lifecycle). Exists to
-	// price the recorder in benchmarks; leave false in normal use.
-	DisableTrace bool
 
 	// Clock drives every background ticker — the epoch advancer, the logger
 	// poll loops, and the checkpoint daemon. Nil means real time. The
@@ -194,9 +189,6 @@ type DurabilityOptions struct {
 	// CheckpointPartitions is the number of concurrent partition writers
 	// per checkpoint (both for the daemon and DB.Checkpoint). Default 4.
 	CheckpointPartitions int
-	// KeepCheckpoints is how many complete checkpoint sets the daemon
-	// retains. Default 1 (the newest complete set).
-	KeepCheckpoints int
 	// RecoveryWorkers is the parallelism of the recovery Open runs:
 	// checkpoint part loading and log replay both fan out across this many
 	// goroutines. Default GOMAXPROCS; 1 recovers on a single goroutine.
@@ -266,7 +258,6 @@ func Open(opts Options) (*DB, error) {
 	copts.Overwrites = !opts.DisableOverwrites
 	copts.Arena = !opts.DisableArena
 	copts.GlobalTID = opts.GlobalTID
-	copts.DisableTrace = opts.DisableTrace
 	copts.Clock = opts.Clock
 
 	db := &DB{store: core.NewStore(copts), indexes: index.NewRegistry(), opts: opts}
@@ -353,7 +344,6 @@ func (db *DB) startDaemon() {
 		Dir:        d.Dir,
 		Interval:   d.CheckpointInterval,
 		Partitions: d.CheckpointPartitions,
-		Keep:       d.KeepCheckpoints,
 		Catalog:    db.catalog.Table(),
 		FS:         d.FS,
 		Clock:      db.opts.Clock,
@@ -599,7 +589,7 @@ type TxnSpans = trace.Spans
 // commit phases are force-timed into sp (Exec accumulates across
 // conflict retries, which sp.Retries counts). It never waits for
 // durability — sp.Fsync belongs to whoever holds the result back until
-// its epoch is durable (package server's release pipeline).
+// its epoch is durable (package server's connection writer).
 func (db *DB) RunTraced(worker int, sp *TxnSpans, fn func(tx *Tx) error) error {
 	w := db.store.Worker(worker)
 	var err error
@@ -614,10 +604,9 @@ func (db *DB) RunTraced(worker int, sp *TxnSpans, fn func(tx *Tx) error) error {
 	return err
 }
 
-// Flight returns the database's flight recorder, or nil when
-// Options.DisableTrace is set. Dump it for the recent event timeline —
-// commits, aborts with conflicting table and key forensics, fsync
-// passes, checkpoint stages, DDL, connection lifecycle.
+// Flight returns the database's flight recorder. Dump it for the recent
+// event timeline — commits, aborts with conflicting table and key
+// forensics, fsync passes, checkpoint stages, DDL, connection lifecycle.
 func (db *DB) Flight() *trace.Recorder { return db.store.Flight() }
 
 // RunDurable is Run followed by a wait until the transaction's epoch is
@@ -653,24 +642,6 @@ func (db *DB) DurableEpoch() uint64 {
 	return db.wal.DurableEpoch()
 }
 
-// DurableNotify subscribes to durable-epoch advances. The returned channel
-// carries D after each advance, coalesced to the newest value (a slow
-// receiver only ever misses intermediate epochs, never the latest), and is
-// closed when durability stops (DB.Close) — after the final log drain, at
-// which point every committed epoch is durable. ok is false without
-// Options.Durability. It is the hook for group-commit response release:
-// park a committed transaction's result keyed by its commit epoch and
-// hand it out once a received D covers it (§4.10), without ever blocking
-// a worker. Subscriptions live for the database's lifetime, and while one
-// is live every commit counts as a durability waiter for its epoch (see
-// EpochInterval).
-func (db *DB) DurableNotify() (<-chan uint64, bool) {
-	if db.wal == nil {
-		return nil, false
-	}
-	return db.wal.SubscribeDurable(), true
-}
-
 // LastCommitEpoch returns the epoch of the worker's most recent commit.
 // Called on the worker's own goroutine right after a successful Run, it
 // is the commit epoch of that transaction — the epoch whose durability
@@ -680,10 +651,11 @@ func (db *DB) LastCommitEpoch(worker int) uint64 {
 }
 
 // WaitDurable blocks until the durable epoch D covers e; without
-// durability it returns immediately. Combined with FlushLog and
-// LastCommitEpoch it is a per-request durability wait (RunDurable is
-// exactly that composition); the group-commit release path uses
-// DurableNotify instead so workers never block.
+// durability it returns immediately, and once Close has drained the log it
+// returns whatever e is. The wait is demand (see EpochInterval). Combined
+// with FlushLog and LastCommitEpoch it is a per-request durability wait
+// (RunDurable is exactly that composition); a group-ack server's
+// connection writers call it instead, so workers never block.
 func (db *DB) WaitDurable(e uint64) {
 	if db.wal != nil {
 		db.wal.WaitDurable(e)
