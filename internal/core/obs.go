@@ -8,26 +8,27 @@ import (
 	"silo/internal/trace"
 )
 
-// Abort reasons for the observability breakdown. The first two mirror
-// the commit-protocol counters (Phase 2 read-set and node-set
-// validation); hook-poisoned covers transactions whose WriteHook failed
-// mid-execution (Commit refuses them), explicit covers Abort calls by
-// the application or the Run retry loop, and epoch-full covers commits
-// that found no TID left in their epoch (they retry in the next one).
-const (
-	obsAbortReadValidation = iota
-	obsAbortNodeValidation
-	obsAbortHookPoisoned
-	obsAbortExplicit
-	obsAbortEpochFull
-	numObsAbortReasons
-)
+// abortReason says why a transaction aborted. Its values index the abort
+// counters and trace.AbortReasonNames, the flight recorder's vocabulary,
+// which labels the counters too, so metrics and abort events can never
+// disagree on names. The first two are Phase 2's read-set and node-set
+// validation; hook-poisoned covers transactions whose WriteHook failed,
+// explicit covers Abort calls and errors fn returned from a consistent
+// view, epoch-full covers commits that found no TID left in their epoch
+// (they retry in the next one), and doomed covers attempts whose error or
+// panic came from reads that do not validate (see Tx.abandon).
+type abortReason int
 
-// ObsAbortReasonNames are the label values emitted for the abort
-// breakdown, indexed like the workerObs counters. They alias the flight
-// recorder's canonical vocabulary so the metric labels and the abort
-// events can never disagree on names.
-var ObsAbortReasonNames = trace.AbortReasonNames
+const (
+	abortReadValidation abortReason = iota
+	abortNodeValidation
+	abortHookPoisoned
+	abortExplicit
+	abortEpochFull
+	abortDoomed
+
+	valid abortReason = -1 // validate found no conflict
+)
 
 // Commit phases for the sampled latency histograms.
 const (
@@ -41,7 +42,7 @@ const (
 var ObsPhaseNames = [numObsPhases]string{"lock", "validate", "install"}
 
 // phaseSampleInterval is the commit sampling period for phase timings:
-// every 64th commit per worker pays three clock reads; the other 63 pay
+// every 64th commit per worker pays four clock reads; the other 63 pay
 // one increment and a mask test. Keeping the clock off most commits is
 // what holds instrumented throughput within the ≤2% budget.
 const phaseSampleInterval = 64
@@ -63,7 +64,7 @@ type tableObs struct {
 // monitoring-grade copy a concurrent scraper may sum at any moment.
 type workerObs struct {
 	commits obs.Counter
-	aborts  [numObsAbortReasons]obs.Counter
+	aborts  [len(trace.AbortReasonNames)]obs.Counter
 	phase   [numObsPhases]obs.Histogram
 	nodeset obs.Histogram // node-set length at commit, sampled with the phases
 
@@ -178,7 +179,7 @@ func (s *Store) CollectObs(snap *obs.Snapshot) {
 	shards := s.obsShards()
 
 	var commits uint64
-	var aborts [numObsAbortReasons]uint64
+	var aborts [len(trace.AbortReasonNames)]uint64
 	var reads, writes uint64
 	var phase [numObsPhases]obs.HistSnapshot
 	var nodeset obs.HistSnapshot
@@ -200,7 +201,7 @@ func (s *Store) CollectObs(snap *obs.Snapshot) {
 	}
 	snap.Counter("silo_core_commits_total", "", "", commits)
 	for i, n := range aborts {
-		snap.Counter("silo_core_aborts_total", "reason", ObsAbortReasonNames[i], n)
+		snap.Counter("silo_core_aborts_total", "reason", trace.AbortReasonNames[i], n)
 	}
 	snap.Counter("silo_core_reads_total", "", "", reads)
 	snap.Counter("silo_core_writes_total", "", "", writes)

@@ -9,9 +9,6 @@ type Stats struct {
 	Reads   uint64
 	Writes  uint64
 
-	AbortsReadValidation uint64
-	AbortsNodeValidation uint64
-
 	SnapshotTxns            uint64
 	SnapshotVersionsCreated uint64
 	SnapshotVersionsReaped  uint64
@@ -28,8 +25,6 @@ func (s *Stats) add(o *Stats) {
 	s.Aborts += o.Aborts
 	s.Reads += o.Reads
 	s.Writes += o.Writes
-	s.AbortsReadValidation += o.AbortsReadValidation
-	s.AbortsNodeValidation += o.AbortsNodeValidation
 	s.SnapshotTxns += o.SnapshotTxns
 	s.SnapshotVersionsCreated += o.SnapshotVersionsCreated
 	s.SnapshotVersionsReaped += o.SnapshotVersionsReaped
@@ -46,8 +41,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Aborts:                  s.Aborts - o.Aborts,
 		Reads:                   s.Reads - o.Reads,
 		Writes:                  s.Writes - o.Writes,
-		AbortsReadValidation:    s.AbortsReadValidation - o.AbortsReadValidation,
-		AbortsNodeValidation:    s.AbortsNodeValidation - o.AbortsNodeValidation,
 		SnapshotTxns:            s.SnapshotTxns - o.SnapshotTxns,
 		SnapshotVersionsCreated: s.SnapshotVersionsCreated - o.SnapshotVersionsCreated,
 		SnapshotVersionsReaped:  s.SnapshotVersionsReaped - o.SnapshotVersionsReaped,

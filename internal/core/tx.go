@@ -631,42 +631,93 @@ func (tx *Tx) Scan(t *Table, lo, hi []byte, fn func(key, value []byte) bool) err
 // registered for garbage collection (§4.5: "the commit protocol registers
 // the absent record for future garbage collection").
 func (tx *Tx) Abort() {
-	if !tx.active {
-		return
+	if tx.active {
+		tx.abort(abortExplicit, nil, nil)
 	}
-	tx.abortCleanup()
-	tx.active = false
-	tx.w.stats.Aborts++
-	if o := tx.w.obs; o != nil {
-		// A poisoned transaction (failed WriteHook) aborts through here
-		// too — tx.fail distinguishes it from an application Abort.
-		if tx.fail != nil {
-			o.aborts[obsAbortHookPoisoned].Inc()
-		} else {
-			o.aborts[obsAbortExplicit].Inc()
-		}
-	}
-	reason := uint16(obsAbortExplicit)
-	if tx.fail != nil {
-		reason = uint16(obsAbortHookPoisoned)
-	}
-	tx.w.ring.Record(trace.EvAbort, reason, 0, 0, nil)
-	tx.flushTally()
-	tx.w.finishTx()
 }
 
-func (tx *Tx) abortCleanup() {
+// abort is the one way a transaction ends without committing: it registers
+// the placeholders its inserts installed for collection, counts the abort
+// under reason (an explicit abort of a transaction a WriteHook poisoned
+// counts as hook_poisoned), records it in the flight recorder with the
+// conflicting table and key (nil for keyless reasons), and finishes the
+// transaction. Commit's own aborts release their Phase 1 locks first
+// (abortCommit).
+func (tx *Tx) abort(reason abortReason, t *Table, key []byte) {
+	w := tx.w
 	for i := range tx.writes {
 		if tx.writes[i].ours {
-			tx.w.gc.registerUnhook(tx.w, tx.writes[i].table, tx.writes[i].key, tx.writes[i].rec, 0, tx.epoch, false)
+			w.gc.registerUnhook(w, tx.writes[i].table, tx.writes[i].key, tx.writes[i].rec, 0, tx.epoch, false)
 		}
 	}
+	if reason == abortExplicit && tx.fail != nil {
+		reason = abortHookPoisoned
+	}
+	tx.active = false
+	w.stats.Aborts++
+	if o := w.obs; o != nil {
+		o.aborts[reason].Inc()
+	}
+	var tableID uint32
+	if t != nil {
+		tableID = t.ID
+	}
+	var hash uint64
+	if len(key) > 0 {
+		hash = trace.HashKey(key)
+	}
+	w.ring.Record(trace.EvAbort, uint16(reason), tableID, hash, key)
+	tx.flushTally()
+	w.finishTx()
+}
+
+// abandon ends the transaction on err, an error fn returned or a failed
+// WriteHook's poison found at Commit. Reads are invisible and unvalidated
+// until Phase 2 (§4.4), so err may come from two records of different
+// serial points — an observation no serial execution allows. abandon
+// validates the reads first, as a read-only commit would: if they hold,
+// err is an observation and is returned; if not, or err is ErrConflict,
+// the attempt was doomed and aborts as one with ErrConflict.
+func (tx *Tx) abandon(err error) error {
+	if !tx.active {
+		return err
+	}
+	reason, t, key := tx.validate(false)
+	if reason == valid && err != ErrConflict {
+		tx.abort(abortExplicit, nil, nil)
+		return err
+	}
+	tx.abort(abortDoomed, t, key)
+	return ErrConflict
+}
+
+// validate is Phase 2's check (§4.4): every record read still has the TID
+// observed, is latest and is unlocked, and every leaf observed still has
+// its version. A record this transaction locked itself passes only when
+// Phase 1 holds the locks (locked). It returns valid, or the reason and the
+// entry that failed (key nil for a node-set entry).
+func (tx *Tx) validate(locked bool) (reason abortReason, t *Table, key []byte) {
+	for i := range tx.reads {
+		r := &tx.reads[i]
+		cur := r.rec.Word()
+		if cur.TID() != r.word.TID() || !cur.Latest() ||
+			(cur.Locked() && !(locked && tx.inWriteSet(r.rec))) {
+			return abortReadValidation, r.table, r.key
+		}
+	}
+	for i := range tx.nodes {
+		if tx.nodes[i].n.Version() != tx.nodes[i].version {
+			return abortNodeValidation, tx.nodes[i].table, nil
+		}
+	}
+	return valid, nil, nil
 }
 
 // Commit runs the paper's three-phase commit protocol (Figure 2). On
 // success it returns nil and the transaction's effects are visible and
 // ordered; on validation failure it releases all locks, aborts, and returns
-// ErrConflict.
+// ErrConflict. A transaction a write hook poisoned is abandoned instead
+// (see abandon): its hook's error, or ErrConflict if its reads were doomed.
 func (tx *Tx) Commit() error {
 	if !tx.active {
 		return ErrTxDone
@@ -675,31 +726,24 @@ func (tx *Tx) Commit() error {
 		// A write hook failed mid-transaction: the primary write may be
 		// staged without its hooked side effects. Committing would break
 		// the hook's invariant (e.g. index consistency), so abort.
-		err := tx.fail
-		tx.Abort()
-		return err
+		return tx.abandon(tx.fail)
 	}
 	w := tx.w
 	s := w.store
 
-	// Sampled phase timing: 1 in phaseSampleInterval commits per worker
-	// reads the clock at the three phase boundaries; all others pay one
-	// plain increment and a mask test, keeping instrumented throughput
-	// within the no-obs baseline's noise.
-	var t0, t1, t2 time.Time
+	// Phase timing: a traced commit and 1 in phaseSampleInterval commits
+	// per worker read the store clock (deterministic under simulation) at
+	// four points, t0–t3, from which both the sampled histograms and the
+	// spans are cut; all others pay one increment and a mask test.
 	sample := false
 	if o := w.obs; o != nil {
 		o.tick++
-		if o.tick&(phaseSampleInterval-1) == 0 {
-			sample = true
-			t0 = time.Now()
-		}
+		sample = o.tick&(phaseSampleInterval-1) == 0
 	}
-	// Traced transactions always time their phases, on the store clock so
-	// the timeline stays deterministic under the simulation harness.
-	var spStart, spMid time.Duration
-	if tx.spans != nil {
-		spStart = s.now()
+	timed := sample || tx.spans != nil
+	var t0, t1, t2, t3 time.Duration
+	if timed {
+		t0 = s.now()
 	}
 
 	// Phase 1: lock all written records, in the global order given by
@@ -714,8 +758,8 @@ func (tx *Tx) Commit() error {
 	for i := range tx.writes {
 		tx.writes[i].prelock = tx.writes[i].rec.Lock()
 	}
-	if sample {
-		t1 = time.Now()
+	if timed {
+		t1 = s.now()
 	}
 
 	// Serialization point: a single atomic read of the global epoch. Go's
@@ -728,18 +772,8 @@ func (tx *Tx) Commit() error {
 	// conflicting entry's table and key to abortCommit, which captures
 	// them — reason, table id, key prefix, key hash — in the flight
 	// recorder at the moment the conflict is discovered.
-	for i := range tx.reads {
-		cur := tx.reads[i].rec.Word()
-		if cur.TID() != tx.reads[i].word.TID() ||
-			!cur.Latest() ||
-			(cur.Locked() && !tx.inWriteSet(tx.reads[i].rec)) {
-			return tx.abortCommit(abortReadValidation, tx.reads[i].table, tx.reads[i].key)
-		}
-	}
-	for i := range tx.nodes {
-		if tx.nodes[i].n.Version() != tx.nodes[i].version {
-			return tx.abortCommit(abortNodeValidation, tx.nodes[i].table, nil)
-		}
+	if reason, t, key := tx.validate(true); reason != valid {
+		return tx.abortCommit(reason, t, key)
 	}
 
 	// Choose the commit TID: larger than every record read or written,
@@ -773,11 +807,8 @@ func (tx *Tx) Commit() error {
 		s.epochs.AdvanceSoon()
 		return tx.abortCommit(abortEpochFull, nil, nil)
 	}
-	if sample {
-		t2 = time.Now()
-	}
-	if tx.spans != nil {
-		spMid = s.now()
+	if timed {
+		t2 = s.now()
 	}
 
 	// Phase 3: install the writes and release each lock as soon as its
@@ -810,24 +841,25 @@ func (tx *Tx) Commit() error {
 		}
 		w.logFn(commit, w.wbuf)
 	}
+	if timed {
+		t3 = s.now()
+	}
 
 	tx.active = false
 	w.stats.Commits++
 	if o := w.obs; o != nil {
 		o.commits.Inc()
 		if sample {
-			t3 := time.Now()
-			o.phase[obsPhaseLock].ObserveDuration(t1.Sub(t0).Nanoseconds())
-			o.phase[obsPhaseValidate].ObserveDuration(t2.Sub(t1).Nanoseconds())
-			o.phase[obsPhaseInstall].ObserveDuration(t3.Sub(t2).Nanoseconds())
+			o.phase[obsPhaseLock].ObserveDuration(int64(t1 - t0))
+			o.phase[obsPhaseValidate].ObserveDuration(int64(t2 - t1))
+			o.phase[obsPhaseInstall].ObserveDuration(int64(t3 - t2))
 			o.nodeset.Observe(uint64(len(tx.nodes)))
 		}
 	}
-	if tx.spans != nil {
-		end := s.now()
-		tx.spans.Validate += spMid - spStart
-		tx.spans.Log += end - spMid
-		tx.spans.TID = uint64(commit)
+	if sp := tx.spans; sp != nil {
+		sp.Validate += t2 - t0
+		sp.Log += t3 - t2
+		sp.TID = uint64(commit)
 	}
 	nw := len(tx.writes)
 	if nw > 0xFFFF {
@@ -856,50 +888,16 @@ func (tx *Tx) inWriteSet(rec *record.Record) bool {
 	return lo < len(tx.writes) && tx.writes[lo].rec == rec
 }
 
-// abortReason is a reason Commit itself aborts for; its values index the
-// abort counters and trace.AbortReasonNames.
-type abortReason int
-
-const (
-	abortReadValidation abortReason = obsAbortReadValidation
-	abortNodeValidation abortReason = obsAbortNodeValidation
-	abortEpochFull      abortReason = obsAbortEpochFull
-)
-
 // abortCommit releases all Phase 1 locks (restoring pre-lock words) and
-// finishes the transaction as aborted. t and key name the conflicting
-// entry (key nil for node-set conflicts and other keyless reasons); the
-// flight recorder captures them with the reason so the abort is
-// attributable to a table and key after the fact.
+// aborts with ErrConflict. t and key name the conflicting entry (key nil
+// for node-set conflicts and other keyless reasons); the flight recorder
+// captures them with the reason so the abort is attributable to a table
+// and key after the fact.
 func (tx *Tx) abortCommit(reason abortReason, t *Table, key []byte) error {
 	for i := range tx.writes {
 		tx.writes[i].rec.Unlock(tx.writes[i].prelock)
 	}
-	switch reason {
-	case abortReadValidation:
-		tx.w.stats.AbortsReadValidation++
-	case abortNodeValidation:
-		tx.w.stats.AbortsNodeValidation++
-	}
-	if o := tx.w.obs; o != nil {
-		o.aborts[reason].Inc()
-	}
-	var tableID uint32
-	if t != nil {
-		tableID = t.ID
-	}
-	var hash uint64
-	if len(key) > 0 {
-		hash = trace.HashKey(key)
-	}
-	if tx.w.ring != nil {
-		tx.w.ring.Record(trace.EvAbort, uint16(reason), tableID, hash, key)
-	}
-	tx.abortCleanup()
-	tx.active = false
-	tx.w.stats.Aborts++
-	tx.flushTally()
-	tx.w.finishTx()
+	tx.abort(reason, t, key)
 	return ErrConflict
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"silo/internal/epoch"
 	"silo/internal/tid"
 	"silo/internal/trace"
@@ -82,53 +84,74 @@ func (w *Worker) BeginSnapshot() *SnapTx {
 	return stx
 }
 
-// Run executes fn inside a transaction, committing on nil return and
-// aborting otherwise. It retries automatically when fn or Commit reports
-// ErrConflict, which is the common way to run one-shot requests.
-func (w *Worker) Run(fn func(tx *Tx) error) error {
+// Run executes fn inside a transaction, committing on nil return, and
+// retries the attempt whenever it ends in ErrConflict — a failed commit
+// validation, or a doomed attempt (see RunOnce). It is the common way to
+// run one-shot requests.
+func (w *Worker) Run(fn func(tx *Tx) error) error { return w.run(fn, nil, true) }
+
+// RunOnce is one attempt of Run; conflicts surface as ErrConflict.
+// Benchmarks use it to count aborts explicitly. An error from fn (or a
+// write hook) is returned only if the reads it came from validate;
+// otherwise the attempt was doomed and ends as ErrConflict. A doomed
+// attempt's panic ends the same way; any other aborts the transaction,
+// leaving the worker usable, and continues with the original value.
+func (w *Worker) RunOnce(fn func(tx *Tx) error) error { return w.run(fn, nil, false) }
+
+// RunTraced is Run with span capture: statement execution time
+// accumulates into sp.Exec across attempts, sp.Retries counts the
+// conflicts, and every commit times its phases into sp.Validate and sp.Log.
+func (w *Worker) RunTraced(fn func(tx *Tx) error, sp *trace.Spans) error {
+	return w.run(fn, sp, true)
+}
+
+// run is the one transaction loop: Begin, fn (timed when traced), then the
+// epilogue — Commit on nil, abandon otherwise — again on ErrConflict when
+// retry is set.
+func (w *Worker) run(fn func(tx *Tx) error, sp *trace.Spans, retry bool) error {
 	for {
 		tx := w.Begin()
-		err := fn(tx)
+		tx.spans = sp
+		var start time.Duration
+		if sp != nil {
+			start = w.store.now()
+		}
+		err := tx.call(fn)
+		if sp != nil {
+			sp.Exec += w.store.now() - start
+		}
 		if err == nil {
 			err = tx.Commit()
 		} else {
-			tx.Abort()
+			err = tx.abandon(err)
 		}
-		if err == ErrConflict {
-			continue
+		if err != ErrConflict || !retry {
+			return err
 		}
-		return err
+		if sp != nil {
+			sp.Retries++
+		}
 	}
 }
 
-// RunOnce is Run without the retry loop; conflicts surface as ErrConflict.
-// Benchmarks use it to count aborts explicitly.
-func (w *Worker) RunOnce(fn func(tx *Tx) error) error {
-	tx := w.Begin()
-	err := fn(tx)
-	if err == nil {
-		return tx.Commit()
-	}
-	tx.Abort()
-	return err
-}
-
-// RunOnceTraced is RunOnce with span capture: statement execution time
-// accumulates into sp.Exec, and Commit force-times its phases into
-// sp.Validate and sp.Log (the sampled histograms normally skip 63 of 64
-// commits; a traced transaction always pays the clock reads). Callers
-// wanting retry semantics loop and count the conflicts into sp.Retries.
-func (w *Worker) RunOnceTraced(fn func(tx *Tx) error, sp *trace.Spans) error {
-	tx := w.Begin()
-	tx.spans = sp
-	start := w.store.now()
-	err := fn(tx)
-	sp.Exec += w.store.now() - start
-	if err == nil {
-		return tx.Commit()
-	}
-	tx.Abort()
-	return err
+// call runs fn on tx and settles a panic in it: a still-active transaction
+// whose reads do not validate was doomed, and the panic becomes
+// ErrConflict for the epilogue; any other is aborted and the panic
+// continues, from here so its trace keeps fn's frames.
+func (tx *Tx) call(fn func(tx *Tx) error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if tx.active {
+				if reason, _, _ := tx.validate(false); reason != valid {
+					err = ErrConflict
+					return
+				}
+				tx.Abort()
+			}
+			panic(p)
+		}
+	}()
+	return fn(tx)
 }
 
 // RunSnapshot executes fn inside a snapshot transaction. Snapshot

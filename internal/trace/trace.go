@@ -39,7 +39,9 @@ const (
 	// reason (see AbortReasonNames), Table = the conflicting table id,
 	// Key = the conflicting key's first 8 bytes, A = its full 64-bit
 	// hash. Reasons without a conflicting record (hook_poisoned,
-	// explicit, epoch_full) carry zero Table/Key/A.
+	// explicit, epoch_full) carry zero Table/Key/A; a doomed attempt
+	// carries the first read-set entry that failed its validation (the
+	// table alone for a node-set entry).
 	EvAbort
 	// EvFsync records one durable logger pass that reached stable
 	// storage: Aux = logger id, A = bytes appended in the pass.
@@ -67,10 +69,10 @@ func (k Kind) String() string {
 }
 
 // AbortReasonNames is the canonical OCC abort-reason vocabulary, indexed
-// by the Aux field of EvAbort events. internal/core aliases this array
-// for its metric labels, so the flight recorder and the abort counters
+// by the Aux field of EvAbort events. internal/core labels its abort
+// counters with this array, so the flight recorder and the abort counters
 // can never disagree on names.
-var AbortReasonNames = [5]string{"read_validation", "node_validation", "hook_poisoned", "explicit", "epoch_full"}
+var AbortReasonNames = [6]string{"read_validation", "node_validation", "hook_poisoned", "explicit", "epoch_full", "doomed"}
 
 // Checkpoint stages for EvCheckpoint.Aux.
 const (

@@ -206,8 +206,10 @@ func LoadKV(kv *kvstore.Store, cfg Config) {
 }
 
 // RunSiloOp executes one operation transactionally against a core worker.
-// RMW reads the record, increments its first 8 bytes as a counter, and
-// writes it back in the same transaction. It reports whether the
+// RMW reads the record, increments its first 8 bytes as a big-endian
+// counter — the wire ADD's encoding, so an embedded run moves the counter
+// and any index over it exactly as a wire run does — and writes it back in
+// the same transaction. It reports whether the
 // transaction committed (false = conflict abort). The key buffer is reused
 // across calls; reads go through the allocation-free GetAppend path, as a
 // tuned client would.
@@ -237,13 +239,14 @@ func RunSiloOp(w *core.Worker, tbl *core.Table, op Op, kb []byte) (ok bool, keyB
 		if op.Read {
 			return nil
 		}
-		binary.LittleEndian.PutUint64(v, binary.LittleEndian.Uint64(v)+1)
+		binary.BigEndian.PutUint64(v, binary.BigEndian.Uint64(v)+1)
 		return tx.Put(tbl, kb[:8], v)
 	})
 	return err == nil, kb[:8]
 }
 
-// RunKVOp executes one operation against the Key-Value baseline.
+// RunKVOp executes one operation against the Key-Value baseline; its RMW
+// increments the same big-endian counter as RunSiloOp's.
 func RunKVOp(kv *kvstore.Store, op Op, kb, vb []byte) (keyBuf, valBuf []byte) {
 	kb = Key(op.Key, kb)
 	if op.Read {
@@ -251,7 +254,7 @@ func RunKVOp(kv *kvstore.Store, op Op, kb, vb []byte) (keyBuf, valBuf []byte) {
 		return kb, vb
 	}
 	kv.ReadModifyWrite(kb, func(val []byte) {
-		binary.LittleEndian.PutUint64(val, binary.LittleEndian.Uint64(val)+1)
+		binary.BigEndian.PutUint64(val, binary.BigEndian.Uint64(val)+1)
 	})
 	return kb, vb
 }

@@ -1,11 +1,17 @@
 package ycsb
 
 import (
+	"bytes"
+	"encoding/binary"
+	"net"
 	"testing"
 	"time"
 
+	"silo"
+	"silo/client"
 	"silo/internal/core"
 	"silo/internal/kvstore"
+	"silo/server"
 )
 
 func TestKeyEncoding(t *testing.T) {
@@ -139,11 +145,7 @@ func TestRMWIncrements(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			var got uint64
-			for j := 7; j >= 0; j-- {
-				got = got<<8 | uint64(v[j])
-			}
-			if got != want {
+			if got := binary.BigEndian.Uint64(v); got != want {
 				t.Errorf("key %d: counter=%d want %d", k, got, want)
 			}
 			return nil
@@ -151,5 +153,52 @@ func TestRMWIncrements(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRMWMatchesWireAdd: one embedded RMW (and one Key-Value baseline RMW)
+// on a freshly loaded row leaves the same first 8 bytes as one wire ADD of
+// +1, so an index over the counter moves the same way in both modes.
+func TestRMWMatchesWireAdd(t *testing.T) {
+	db, err := silo.Open(silo.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	cfg := Config{Keys: 2, ValueSize: 100, ReadPct: 0}
+	tbl := LoadSilo(db.Store(), cfg)
+	if ok, _ := RunSiloOp(db.Store().Worker(0), tbl, Op{Key: 0}, nil); !ok {
+		t.Fatal("RMW aborted")
+	}
+	kv := kvstore.New()
+	LoadKV(kv, cfg)
+	RunKVOp(kv, Op{Key: 0}, nil, nil)
+
+	srv := server.New(db, server.Options{})
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	cl, err := client.Dial(ln.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Add(TableName, Key(1, nil), 1); err != nil {
+		t.Fatal(err)
+	}
+	added, err := cl.Get(TableName, Key(1, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmw, err := cl.Get(TableName, Key(0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvRMW, _ := kv.GetInto(nil, Key(0, nil))
+	if !bytes.Equal(rmw[:8], added[:8]) || !bytes.Equal(kvRMW[:8], added[:8]) {
+		t.Errorf("counter bytes after one RMW = %x (Key-Value %x), after one ADD of +1 = %x", rmw[:8], kvRMW[:8], added[:8])
 	}
 }

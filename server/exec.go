@@ -74,9 +74,9 @@ func (s *Server) runJob(st *execState, j *job) {
 	}
 	// A TRACE frame is traced because the client asked; with slow-op
 	// capture armed, everything is traced so a slow op's timeline is
-	// already in hand when it crosses the threshold. Tracing only selects
-	// DB.RunTraced over DB.Run: the request runs on the same exec state,
-	// into the span block that lives there.
+	// already in hand when it crosses the threshold. Tracing only hands
+	// DB.RunTraced a span block, the one in the exec state; a nil one runs
+	// the request untraced.
 	var sp *silo.TxnSpans
 	var t0 time.Duration
 	if j.req.Trace || slowAt > 0 {
@@ -322,13 +322,12 @@ func errResponse(err error) wire.Response {
 
 // execState is one executor's recycled scratch — the only memory a
 // request's execution touches besides its job and its response buffer:
-// value buffers, a response arena, resolved-table and result slices, the
-// span block of a traced request, the scan encoder, and the transaction
-// closures pre-bound once so s.run never allocates a closure per request.
-// Response slices built here alias the state and are valid only until the
-// worker's next exec; respond encodes them into a wire frame before that.
-// The recycling tests' golden server runs the same code on a fresh state
-// per job.
+// a response arena, resolved-table and result slices, the span block of a
+// traced request, the scan encoder, and the transaction closures pre-bound
+// once so no request allocates a closure. Response slices built here alias
+// the state and are valid only until the worker's next exec; respond
+// encodes them into a wire frame before that. The recycling tests' golden
+// server runs the same code on a fresh state per job.
 type execState struct {
 	s *Server
 	w int
@@ -342,11 +341,7 @@ type execState struct {
 	limit int
 	ops   []wire.Op
 
-	// val is the GET/ADD read buffer; after an ADD its first 8 bytes are
-	// the new counter.
-	val []byte
-
-	// arena backs every byte a TXN's results carry; resOff records
+	// arena backs every byte a transaction's results carry; resOff records
 	// offsets into it because the arena may move while growing, and the
 	// Response slices are materialized only after the transaction commits.
 	arena  []byte
@@ -362,35 +357,20 @@ type execState struct {
 	// connection writer will send (execScan).
 	enc wire.ScanEncoder
 
-	fnGet, fnPut, fnInsert, fnDelete, fnAdd, fnScan, fnTxn func(tx *silo.Tx) error
-	fnSnapshotScan                                         func(stx *silo.SnapTx) error
-	fnPair                                                 func(k, v []byte) bool
-	fnEntry                                                func(sk, pk, v []byte) bool
+	fnScan, fnTxn  func(tx *silo.Tx) error
+	fnSnapshotScan func(stx *silo.SnapTx) error
+	fnPair         func(k, v []byte) bool
+	fnEntry        func(sk, pk, v []byte) bool
 }
 
 func newExecState(s *Server, w int) *execState {
 	st := &execState{s: s, w: w}
-	st.fnGet = st.doGet
-	st.fnPut = st.doPut
-	st.fnInsert = st.doInsert
-	st.fnDelete = st.doDelete
-	st.fnAdd = st.doAdd
 	st.fnScan = func(tx *silo.Tx) error { return st.doScan(tx) }
 	st.fnTxn = st.doTxn
 	st.fnSnapshotScan = func(stx *silo.SnapTx) error { return st.doScan(stx) }
 	st.fnPair = st.visitPair
 	st.fnEntry = st.visitEntry
 	return st
-}
-
-// run executes fn as a one-shot transaction on worker w, timing its
-// phases into sp when the request is traced. Conflicts retry inside
-// DB.Run / DB.RunTraced; there is no retry policy here.
-func (s *Server) run(w int, sp *silo.TxnSpans, fn func(tx *silo.Tx) error) error {
-	if sp != nil {
-		return s.db.RunTraced(w, sp, fn)
-	}
-	return s.db.Run(w, fn)
 }
 
 // exec runs one decoded request on st's worker and builds its response: a
@@ -419,78 +399,24 @@ func (s *Server) exec(st *execState, req *wire.Request, sp *silo.TxnSpans) (wire
 	case wire.KindStats:
 		return s.execStats(), nil
 	}
-	t, err := s.table(op.Table)
-	if err != nil {
-		return errResponse(err), nil
-	}
-	st.op, st.t = op, t
-	var fn func(tx *silo.Tx) error
-	switch op.Kind {
-	case wire.KindGet:
-		fn = st.fnGet
-	case wire.KindPut:
-		fn = st.fnPut
-	case wire.KindInsert:
-		fn = st.fnInsert
-	case wire.KindDelete:
-		fn = st.fnDelete
-	case wire.KindAdd:
-		fn = st.fnAdd
-	default:
-		return wire.Err(wire.CodeProto, "unexecutable kind "+op.Kind.String()), nil
-	}
-	if op.Kind != wire.KindGet {
-		if err := s.writable(op.Table); err != nil {
-			return errResponse(err), nil
-		}
-	}
-	if err := s.run(st.w, sp, fn); err != nil {
-		return errResponse(err), nil
-	}
-	switch op.Kind {
-	case wire.KindGet:
-		return wire.Response{Kind: wire.KindValue, Value: st.val}, nil
-	case wire.KindAdd:
-		return wire.Response{Kind: wire.KindValue, Value: st.val[:8]}, nil
+	// GET, PUT, INSERT, DELETE and ADD run as a one-op transaction; its
+	// TXNR result maps back to the single-op reply.
+	resp := s.execTxn(st, req.Ops, sp)
+	switch {
+	case resp.Kind != wire.KindTxnR:
+		return resp, nil
+	case resp.Results[0].HasValue:
+		return wire.Response{Kind: wire.KindValue, Value: resp.Results[0].Value}, nil
 	}
 	return wire.Response{Kind: wire.KindOK}, nil
 }
 
-func (st *execState) doGet(tx *silo.Tx) error {
-	v, err := tx.GetAppend(st.t, st.op.Key, st.val[:0])
-	st.val = v
-	return err
-}
-
-func (st *execState) doPut(tx *silo.Tx) error {
-	return tx.Put(st.t, st.op.Key, st.op.Value)
-}
-
-func (st *execState) doInsert(tx *silo.Tx) error {
-	return tx.Insert(st.t, st.op.Key, st.op.Value)
-}
-
-func (st *execState) doDelete(tx *silo.Tx) error {
-	return tx.Delete(st.t, st.op.Key)
-}
-
-// doAdd applies an ADD: read the record, add delta to the big-endian
-// counter in its first 8 bytes (two's complement, so negative deltas
-// subtract), write the record back. Trailing bytes ride along unchanged,
-// so ADD doubles as YCSB's read-modify-write on 100-byte records.
-// Concurrent ADDs on the same key conflict and retry, making it a
-// serializable read-modify-write over the wire. The rewrite happens in
-// place in st.val and Put copies it into the write set.
-func (st *execState) doAdd(tx *silo.Tx) error {
-	v, err := tx.GetAppend(st.t, st.op.Key, st.val[:0])
-	st.val = v
-	if err != nil {
-		return err
-	}
-	return addInPlace(tx, st.t, st.op.Key, v, st.op.Delta)
-}
-
-// addInPlace is the ADD step on a record already read into v.
+// addInPlace applies an ADD to a record already read into v: add delta to
+// the big-endian counter in its first 8 bytes (two's complement, so
+// negative deltas subtract) and write the record back. Trailing bytes ride
+// along unchanged, so ADD doubles as YCSB's read-modify-write on 100-byte
+// records. Concurrent ADDs on the same key conflict and retry, making it a
+// serializable read-modify-write over the wire.
 func addInPlace(tx *silo.Tx, t *silo.Table, key, v []byte, delta int64) error {
 	if len(v) < 8 {
 		return errBadValue
@@ -595,7 +521,7 @@ func hiBound(op *wire.Op) []byte {
 	return op.Hi
 }
 
-// execTxn runs a multi-op frame as one serializable transaction. Any op
+// execTxn runs a frame's ops as one serializable transaction. Any op
 // error aborts the whole transaction (no partial effects) and is reported
 // as a single ERR frame; on commit, GET and ADD ops report values
 // positionally in a TXNR frame, accumulated in the exec state's arena.
@@ -623,7 +549,7 @@ func (s *Server) execTxn(st *execState, ops []wire.Op, sp *silo.TxnSpans) wire.R
 		st.tables[i] = t
 	}
 	st.ops = ops
-	if err := s.run(st.w, sp, st.fnTxn); err != nil {
+	if err := s.db.RunTraced(st.w, sp, st.fnTxn); err != nil {
 		return errResponse(err)
 	}
 	for i := range st.result {

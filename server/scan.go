@@ -19,7 +19,7 @@ var minKey = []byte{0}
 // one scan body (doScan); a snapshot ISCAN differs only in the reader
 // RunSnapshot hands it.
 //
-// s.run re-executes the scan after an OCC conflict, and an attempt that
+// DB.RunTraced re-executes the scan after an OCC conflict, and an attempt that
 // aborts — at commit, or in the scan itself when a resolved row went
 // missing — may already have framed part of its page: doScan resets the
 // encoder at the top of every attempt, and the frame that is sent holds
@@ -63,7 +63,7 @@ func (s *Server) execScan(st *execState, op *wire.Op, sp *silo.TxnSpans) (wire.R
 	if op.Snapshot {
 		err = s.db.RunSnapshot(st.w, st.fnSnapshotScan)
 	} else {
-		err = s.run(st.w, sp, st.fnScan)
+		err = s.db.RunTraced(st.w, sp, st.fnScan)
 	}
 	// A row the encoder refused stopped the scan early and cleanly; the
 	// refusal is the error.

@@ -44,7 +44,7 @@ func execFrame(t *testing.T, s *Server, st *execState, op wire.Op) wire.Response
 }
 
 // TestScanRetryFramesOnlyTheCommittedAttempt: an ISCAN frames rows as it
-// hands them out, and s.run re-executes it after an OCC conflict, so a
+// hands them out, and DB.RunTraced re-executes it after an OCC conflict, so a
 // failed attempt leaves rows in the buffer. A writer rewrites the page's
 // first row and deletes a later one while attempt 1 is in flight; the
 // retry must start the page over, so the frame holds the second attempt's

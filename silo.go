@@ -551,6 +551,11 @@ type Reader = core.Reader
 // returns nil and retrying automatically on conflict. fn must be
 // deterministic enough to re-execute. The call must not overlap another Run
 // on the same worker.
+//
+// An error (or panic) from fn is handed back only if the reads it came
+// from were consistent; an attempt whose reads do not validate was doomed
+// and is retried like any conflict. Otherwise a panic aborts the
+// transaction and continues, leaving the worker usable.
 func (db *DB) Run(worker int, fn func(tx *Tx) error) error {
 	err := db.store.Worker(worker).Run(fn)
 	db.heartbeat(worker)
@@ -558,7 +563,8 @@ func (db *DB) Run(worker int, fn func(tx *Tx) error) error {
 }
 
 // RunNoRetry executes one attempt; ErrConflict reports an abort that the
-// caller may retry.
+// caller may retry — a failed commit, or a doomed attempt whose error or
+// panic came from reads that do not validate (see Run).
 func (db *DB) RunNoRetry(worker int, fn func(tx *Tx) error) error {
 	err := db.store.Worker(worker).RunOnce(fn)
 	db.heartbeat(worker)
@@ -585,21 +591,14 @@ func (db *DB) RunSnapshot(worker int, fn func(stx *SnapTx) error) error {
 // frames carry, and what client.Txn.Trace returns.
 type TxnSpans = trace.Spans
 
-// RunTraced is Run with span capture: statement execution and the
-// commit phases are force-timed into sp (Exec accumulates across
-// conflict retries, which sp.Retries counts). It never waits for
-// durability — sp.Fsync belongs to whoever holds the result back until
-// its epoch is durable (package server's connection writer).
+// RunTraced is Run — errors and panics included — with span capture:
+// statement execution and the commit phases are force-timed into sp (Exec
+// accumulates across conflict retries, which sp.Retries counts). It never
+// waits for durability — sp.Fsync belongs to whoever holds the result back
+// until its epoch is durable (package server's connection writer). A nil
+// sp runs fn exactly as Run.
 func (db *DB) RunTraced(worker int, sp *TxnSpans, fn func(tx *Tx) error) error {
-	w := db.store.Worker(worker)
-	var err error
-	for {
-		err = w.RunOnceTraced(fn, sp)
-		if err != ErrConflict {
-			break
-		}
-		sp.Retries++
-	}
+	err := db.store.Worker(worker).RunTraced(fn, sp)
 	db.heartbeat(worker)
 	return err
 }
