@@ -44,6 +44,12 @@
 //     bumps both leaves and reports the right one Created, including the
 //     split that moves no key: the left leaf's range shrank all the same.
 //
+//   - Recovery does not insert a checkpoint key by key: Build lays sorted
+//     runs into packed leaves, builds the inner levels above them and
+//     publishes the root with one store. SplitKeys reads the inner
+//     separators back out, so the checkpoint writer cuts each table where
+//     its leaves are, whatever its keys look like.
+//
 // Keys are byte strings up to MaxKeyLen bytes, stored inline in fixed-size
 // slots so that racy (validated-after) readers can never tear a pointer.
 // Values are *record.Record pointers stored with atomic loads/stores.
@@ -505,12 +511,12 @@ func (t *Tree) InsertIfAbsent(key []byte, rec *record.Record) (cur *record.Recor
 }
 
 // GetOrInsert returns the record stored under key; if there is none it
-// inserts the one mk returns and reports inserted. It is the loading entry
-// point for recovery, which owns the store: one descent decides between
-// "compare with what is there" and "allocate and insert", mk runs only when
-// the key is missing, and no version changes are reported because no
-// transaction exists to track them. Concurrent callers must use distinct
-// keys.
+// inserts the one mk returns and reports inserted. It is log replay's entry
+// point (a checkpoint is loaded with Build), and recovery owns the store:
+// one descent decides between "compare with what is there" and "allocate
+// and insert", mk runs only when the key is missing, and no version changes
+// are reported because no transaction exists to track them. Concurrent
+// callers must use distinct keys.
 func (t *Tree) GetOrInsert(key []byte, mk func() *record.Record) (rec *record.Record, inserted bool) {
 	t.raceLock()
 	defer t.raceUnlock()

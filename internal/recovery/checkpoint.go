@@ -29,18 +29,35 @@
 //	    part.0 … part.<N−1>   one disjoint key-range slice of every table
 //	    MANIFEST              written and fsynced last
 //
-// Partition k covers the key range [bound(k), bound(k+1)) where bounds
-// split the 16-bit key-prefix space evenly; every part holds rows from all
-// tables. Part files and the manifest carry CRC32 footers. Because the
-// manifest is written only after every part is durable, a crash
-// mid-checkpoint leaves a directory without a manifest, which loading
-// ignores — recovery falls back to the previous complete set. Anything
-// else named checkpoint.* (a regular file, a temporary) is not a candidate.
+// Each table is cut into N key ranges where its own tree's leaves are: the
+// writer takes N−1 split keys from the inner nodes' separators
+// (btree.Tree.SplitKeys), so every range covers about as many leaves,
+// whatever the keys look like — 8-byte big-endian ids and
+// warehouse-prefixed TPC-C keys, which all start with zero bytes, included.
+// Part k holds range k of every table; a table of fewer than N leaves has
+// fewer ranges and leaves the last parts without rows of it. Part files and
+// the manifest carry CRC32 footers. Because the manifest is written only
+// after every part is durable, a crash mid-checkpoint leaves a directory
+// without a manifest, which loading ignores — recovery falls back to the
+// previous complete set. Anything else named checkpoint.* (a regular file,
+// a temporary) is not a candidate.
 //
 //	part.<k>:  "SPC1" | u64 CE | u32 part
 //	           rows: 'R' | u32 table | u16 klen | key | u64 tid-slot |
 //	                 u32 vlen | value
 //	           'E' | u32 crc32(everything before the footer)
+//
+// The rows obey an ordering rule: within a part, a table's rows are one
+// contiguous run with strictly ascending keys, and each table's keys go on
+// ascending from part to part. A set that breaks it is torn, like one whose
+// CRC does not match. The rule is what lets loading skip the search: every
+// part is verified and staged as one run per table, in parallel, and only
+// once the whole set has verified does btree.Tree.Build lay each table's
+// runs into packed leaves, building the inner levels above them and
+// publishing the root with one store. A torn set therefore installs
+// nothing. Part files are mapped (vfs.FS.Map), not read; a part is
+// released once Build has copied its keys, and its values are copied into
+// the records.
 //
 //	MANIFEST:  "SPM2" | u64 CE | u32 nparts
 //	           u32 ntables | ntables × (u32 id | u16 namelen | name)
@@ -60,6 +77,7 @@
 package recovery
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,23 +128,26 @@ type CheckpointResult struct {
 	Elapsed time.Duration
 }
 
-// partBound returns the lower bound key of partition k out of n: the
-// 16-bit prefix space is split evenly, with partition 0 anchored at the
-// minimum valid key {0}. bound(n) is nil (+∞).
-func partBound(k, n int) []byte {
-	if k <= 0 {
-		return []byte{0}
+// partRange returns the key range [lo, hi) of part k for a table cut by
+// splits (hi nil is +∞); ok is false when the table has no range k.
+func partRange(splits [][]byte, k int) (lo, hi []byte, ok bool) {
+	if k > len(splits) {
+		return nil, nil, false
 	}
-	if k >= n {
-		return nil
+	lo = []byte{0} // the least key
+	if k > 0 {
+		lo = splits[k-1]
 	}
-	b := uint32(uint64(k) * 65536 / uint64(n))
-	return []byte{byte(b >> 8), byte(b)}
+	if k < len(splits) {
+		hi = splits[k]
+	}
+	return lo, hi, true
 }
 
 // WriteCheckpoint takes a transactionally consistent checkpoint of every
 // table in the store using parts writer goroutines that each walk a
-// disjoint key-range slice at one snapshot epoch. The snapshot is pinned
+// disjoint key range of every table at one snapshot epoch, the ranges cut
+// where each table's leaves are (see the package doc). The snapshot is pinned
 // by a snapshot transaction on w, whose local epoch is refreshed
 // periodically so a long checkpoint never stalls the epoch advancer;
 // writers on other workers are not blocked (§4.9: snapshot reads never
@@ -213,13 +234,17 @@ func WriteCheckpoint(fs vfs.FS, s *core.Store, w *core.Worker, dir string, parts
 			}
 		}
 
+		splits := make([][][]byte, len(tables))
+		for i, tbl := range tables {
+			splits[i] = tbl.Tree.SplitKeys(parts)
+		}
 		// Concurrent part writers are a real-disk throughput optimization;
 		// on any other filesystem (the deterministic simulation's, notably)
 		// the parts are written sequentially so the byte stream reaching
 		// the filesystem is a pure function of the store state.
 		outs := make([]partOut, parts)
 		writeOne := func(k int) {
-			rows, n, err := writePart(fs, ckptDir, k, sew, tables, partBound(k, parts), partBound(k+1, parts))
+			rows, n, err := writePart(fs, ckptDir, k, sew, tables, splits)
 			outs[k] = partOut{rows, n, err}
 		}
 		if fs != vfs.OS {
@@ -274,9 +299,9 @@ func WriteCheckpoint(fs vfs.FS, s *core.Store, w *core.Worker, dir string, parts
 	return res, nil
 }
 
-// writePart writes one partition file: the rows of every table whose keys
-// fall in [lo, hi) at snapshot epoch sew, fsynced before return.
-func writePart(fs vfs.FS, ckptDir string, k int, sew uint64, tables []*core.Table, lo, hi []byte) (rows int, size int64, err error) {
+// writePart writes one partition file: range k of every table, cut by that
+// table's splits, at snapshot epoch sew, fsynced before return.
+func writePart(fs vfs.FS, ckptDir string, k int, sew uint64, tables []*core.Table, splits [][][]byte) (rows int, size int64, err error) {
 	f, err := fs.Create(filepath.Join(ckptDir, fmt.Sprintf("part.%d", k)))
 	if err != nil {
 		return 0, 0, err
@@ -301,7 +326,11 @@ func writePart(fs vfs.FS, ckptDir string, k int, sew uint64, tables []*core.Tabl
 	buf = append(buf, partMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, sew)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
-	for _, tbl := range tables {
+	for i, tbl := range tables {
+		lo, hi, ok := partRange(splits[i], k)
+		if !ok {
+			continue
+		}
 		var inner error
 		serr := core.SnapshotScanAt(tbl, sew, lo, hi, func(key, val []byte) bool {
 			buf = append(buf, 'R')
@@ -403,10 +432,11 @@ type manifestTable struct {
 }
 
 func readManifest(fs vfs.FS, path string) (*manifest, error) {
-	data, err := fs.ReadFile(path)
+	data, release, err := fs.Map(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errTorn, err)
 	}
+	defer release() // the schema rows are copied out
 	if len(data) < len(manifestMagic)+8+4+4+8+4+5 || string(data[:4]) != manifestMagic {
 		return nil, fmt.Errorf("%w: %s: bad manifest header", errTorn, path)
 	}
@@ -464,7 +494,10 @@ func readManifest(fs vfs.FS, path string) (*manifest, error) {
 		if off+vlen > len(body) {
 			return nil, fmt.Errorf("%w: %s: truncated schema section", errTorn, path)
 		}
-		m.schema = append(m.schema, schemaRow{key: key, val: body[off : off+vlen]})
+		m.schema = append(m.schema, schemaRow{
+			key: append([]byte(nil), key...),
+			val: append([]byte(nil), body[off:off+vlen]...),
+		})
 		off += vlen
 	}
 	if off != len(body) {
@@ -525,71 +558,101 @@ func partRow(body []byte, off int) (table uint32, key, val []byte, next int, ok 
 	return table, key, body[off : off+int(vlen)], off + int(vlen), true
 }
 
-// loadPart reads, verifies, and installs one partition file. Verification —
-// the footer CRC, then the shape of every row (a malformed one makes the
-// part torn), then the tables the rows name (an undeclared one is a schema
-// mismatch) — completes before any row is installed, so a part that is
-// rejected never contaminates the store. Rows are installed with a
-// synthetic TID at the last slot of epoch CE−1 — the checkpoint image holds
-// exactly the versions with epoch < CE, so a logged write with epoch ≥ CE
-// must win the replay's TID comparison and one with epoch < CE must lose.
-func loadPart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (rows int, err error) {
-	data, err := fs.ReadFile(path)
+// stagedPart is one verified part file: its rows as one run of items per
+// table, in file order. The keys alias the mapped file, which release
+// unmaps once Build has copied them.
+type stagedPart struct {
+	runs    []tableRun
+	release func()
+}
+
+type tableRun struct {
+	table uint32
+	items []btree.Item
+}
+
+// stagePart maps, verifies and stages one partition file. Verification —
+// the footer CRC, then the shape of every row and the ordering rule (a
+// malformed or misplaced row makes the part torn), then the tables the rows
+// name (an undeclared one is a schema mismatch) — completes before a record
+// is made. Rows are staged with a synthetic TID at the last slot of epoch
+// CE−1 — the checkpoint image holds exactly the versions with epoch < CE,
+// so a logged write with epoch ≥ CE must win the replay's TID comparison
+// and one with epoch < CE must lose. On an error the file is released.
+func stagePart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (p stagedPart, err error) {
+	data, release, err := fs.Map(path)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", errTorn, err)
+		return p, fmt.Errorf("%w: %v", errTorn, err)
 	}
+	defer func() {
+		if err != nil {
+			release()
+		}
+	}()
 	hdr := len(partMagic) + 8 + 4
 	if len(data) < hdr+5 || string(data[:4]) != partMagic {
-		return 0, fmt.Errorf("%w: %s: bad part header", errTorn, path)
+		return p, fmt.Errorf("%w: %s: bad part header", errTorn, path)
 	}
 	body, foot := data[:len(data)-5], data[len(data)-5:]
 	if foot[0] != 'E' || crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(foot[1:]) {
-		return 0, fmt.Errorf("%w: %s: bad part footer", errTorn, path)
+		return p, fmt.Errorf("%w: %s: bad part footer", errTorn, path)
 	}
 	epoch := binary.LittleEndian.Uint64(body[4:12])
 	if epoch != wantEpoch {
-		return 0, fmt.Errorf("%w: %s: part epoch %d, manifest %d", errTorn, path, epoch, wantEpoch)
+		return p, fmt.Errorf("%w: %s: part epoch %d, manifest %d", errTorn, path, epoch, wantEpoch)
 	}
-	// A part holds each table's rows contiguously: both passes resolve the
-	// table once per run of rows, not once per row.
-	var tbl *core.Table
+	var sizes []int // rows per run
+	rows := 0
 	undeclared := int64(-1)
-	for off := hdr; off < len(body); {
-		table, _, _, next, ok := partRow(body, off)
+	var prev []byte
+	for off := hdr; off < len(body); rows++ {
+		table, key, _, next, ok := partRow(body, off)
 		if !ok {
-			return 0, fmt.Errorf("%w: %s: malformed row at %d", errTorn, path, off)
+			return p, fmt.Errorf("%w: %s: malformed row at %d", errTorn, path, off)
 		}
-		if tbl == nil || tbl.ID != table {
-			if tbl = store.TableByID(table); tbl == nil && undeclared < 0 {
+		if n := len(p.runs); n > 0 && p.runs[n-1].table == table {
+			if bytes.Compare(prev, key) >= 0 {
+				return p, fmt.Errorf("%w: %s: row at %d does not ascend", errTorn, path, off)
+			}
+			sizes[n-1]++
+		} else {
+			for _, r := range p.runs {
+				if r.table == table {
+					return p, fmt.Errorf("%w: %s: table id %d's rows resume at %d", errTorn, path, table, off)
+				}
+			}
+			if store.TableByID(table) == nil && undeclared < 0 {
 				undeclared = int64(table)
 			}
+			p.runs = append(p.runs, tableRun{table: table})
+			sizes = append(sizes, 1)
 		}
+		prev = key
 		off = next
 	}
 	if undeclared >= 0 {
 		// The manifest catalog is checked before any part is loaded, so
 		// this indicates a part/manifest mismatch.
-		return 0, fmt.Errorf(
+		return p, fmt.Errorf(
 			"recovery: checkpoint part %s references table id %d, but the store has only %d tables",
 			path, undeclared, len(store.Tables()))
 	}
 
-	rowWord := tid.Make(max(epoch, 1)-1, tid.MaxSeq).WithLatest(true)
-	for off := hdr; off < len(body); {
-		table, key, val, next, _ := partRow(body, off)
-		off = next
-		if tbl.ID != table {
-			tbl = store.TableByID(table)
-		}
-		// The tree copies the key into its own slot; only the value needs
-		// a buffer that outlives the part file's.
-		if _, inserted := tbl.Tree.GetOrInsert(key, func() *record.Record {
-			return record.New(rowWord, append([]byte(nil), val...))
-		}); inserted {
-			rows++
-		}
+	items := make([]btree.Item, rows)
+	rest := items
+	for i, n := range sizes {
+		p.runs[i].items, rest = rest[:n], rest[n:]
 	}
-	return rows, nil
+	rowWord := tid.Make(max(epoch, 1)-1, tid.MaxSeq).WithLatest(true)
+	for i, off := 0, hdr; off < len(body); i++ {
+		_, key, val, next, _ := partRow(body, off)
+		off = next
+		// Build copies the key into its slot; the value must outlive the
+		// mapped file.
+		items[i] = btree.Item{Key: key, Rec: record.New(rowWord, append([]byte(nil), val...))}
+	}
+	p.release = release
+	return p, nil
 }
 
 // foundCheckpoint is one checkpoint candidate in a durability directory: a
@@ -624,11 +687,14 @@ func findCheckpoints(fs vfs.FS, dir string) ([]foundCheckpoint, error) {
 }
 
 // loadPartitioned verifies and installs one partitioned checkpoint set,
-// loading part files with up to workers goroutines. Integrity failures
-// return errTorn (callers fall back to an older set); schema mismatches
-// are hard errors. With a schema applier, the manifest's embedded catalog
-// rows are applied first — materializing the checkpointed schema — before
-// the table catalog is checked and any part is loaded.
+// staging part files with up to workers goroutines, then building the
+// tables' trees, as many at a time, from their runs. Integrity failures —
+// the ordering rule across parts included — return errTorn (callers fall
+// back to an older set); schema mismatches are hard errors. Either way no
+// row is installed, as no tree is built before every part has verified.
+// With a schema applier, the manifest's embedded catalog rows are applied
+// first — materializing the checkpointed schema — before the table catalog
+// is checked and any part is loaded.
 func loadPartitioned(fs vfs.FS, store *core.Store, ckptDir string, workers int, schema SchemaApplier) (epoch uint64, rows int, err error) {
 	m, err := readManifest(fs, filepath.Join(ckptDir, manifestName))
 	if err != nil {
@@ -647,21 +713,37 @@ func loadPartitioned(fs vfs.FS, store *core.Store, ckptDir string, workers int, 
 	if workers <= 0 {
 		workers = 1
 	}
-	type out struct {
-		rows int
-		err  error
-	}
-	outs := make([]out, m.parts)
+	parts := make([]stagedPart, m.parts)
+	errs := make([]error, m.parts)
 	each(m.parts, workers, func(k int) {
-		r, err := loadPart(fs, store, filepath.Join(ckptDir, fmt.Sprintf("part.%d", k)), m.epoch)
-		outs[k] = out{r, err}
+		parts[k], errs[k] = stagePart(fs, store, filepath.Join(ckptDir, fmt.Sprintf("part.%d", k)), m.epoch)
 	})
-	for k := range outs {
-		if outs[k].err != nil {
-			return m.epoch, rows, outs[k].err
+	defer func() {
+		for _, p := range parts {
+			if p.release != nil {
+				p.release()
+			}
 		}
-		rows += outs[k].rows
+	}()
+	for _, err := range errs {
+		if err != nil {
+			return m.epoch, 0, err
+		}
 	}
+	tables := store.Tables()
+	runs := make([][][]btree.Item, len(tables))
+	for k, p := range parts {
+		for _, r := range p.runs {
+			if prior := runs[r.table]; len(prior) > 0 {
+				if last := prior[len(prior)-1]; bytes.Compare(last[len(last)-1].Key, r.items[0].Key) >= 0 {
+					return m.epoch, 0, fmt.Errorf("%w: %s: part.%d's rows of table id %d do not ascend from the part before", errTorn, ckptDir, k, r.table)
+				}
+			}
+			runs[r.table] = append(runs[r.table], r.items)
+			rows += len(r.items)
+		}
+	}
+	each(len(tables), workers, func(i int) { tables[i].Tree.Build(runs[i]...) })
 	return m.epoch, rows, nil
 }
 

@@ -425,21 +425,30 @@ func TestCheckpointFailsWhenDirSyncFails(t *testing.T) {
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
 
-// TestPartBoundsCoverDisjoint checks the partition bounds tile the key
-// space: every key falls in exactly one [bound(k), bound(k+1)).
+// TestPartBoundsCoverDisjoint checks that the ranges partRange cuts from a
+// table's split keys tile the key space: every key — the split keys, and
+// the keys just above them, included — falls in exactly one part, for
+// tables of no leaf, one leaf and many, and for more parts than leaves.
 func TestPartBoundsCoverDisjoint(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7, 16, 64} {
-		keys := [][]byte{{0}, {0, 0}, {1}, {0x3f}, {0x3f, 0xff}, {0x40}, {0x80, 1, 2}, {0xff}, {0xff, 0xff, 0xff}}
-		for _, key := range keys {
-			in := 0
-			for k := 0; k < n; k++ {
-				lo, hi := partBound(k, n), partBound(k+1, n)
-				if cmp(key, lo) >= 0 && (hi == nil || cmp(key, hi) < 0) {
-					in++
-				}
+	for _, rows := range []int{0, 10, 100, 3000} {
+		_, tbl := ckptStore(t, rows)
+		for _, n := range []int{1, 2, 3, 4, 7, 16, 64} {
+			splits := tbl.Tree.SplitKeys(n)
+			keys := [][]byte{{0}, {0, 0}, {1}, {0x3f}, {0x3f, 0xff}, {0x40}, {0x80, 1, 2}, {0xff}, {0xff, 0xff, 0xff}}
+			for _, s := range splits {
+				keys = append(keys, s, append(s[:len(s):len(s)], 0))
 			}
-			if in != 1 {
-				t.Fatalf("n=%d key=%x in %d partitions", n, key, in)
+			for _, key := range keys {
+				in := 0
+				for k := 0; k < n; k++ {
+					lo, hi, ok := partRange(splits, k)
+					if ok && cmp(key, lo) >= 0 && (hi == nil || cmp(key, hi) < 0) {
+						in++
+					}
+				}
+				if in != 1 {
+					t.Fatalf("%d rows, n=%d: key %x in %d partitions", rows, n, key, in)
+				}
 			}
 		}
 	}

@@ -130,9 +130,35 @@ func refPart(data []byte, wantEpoch uint64) (rows []refRow, ok bool) {
 		if c.bad || klen < 1 || klen > btree.MaxKeyLen {
 			return nil, false
 		}
+		// The ordering rule inside a part: a table's rows are one run, and
+		// its keys ascend strictly.
+		if n := len(rows); n > 0 && rows[n-1].table == r.table && rows[n-1].key >= r.key {
+			return nil, false
+		} else if n > 0 && rows[n-1].table != r.table {
+			for _, prev := range rows {
+				if prev.table == r.table {
+					return nil, false
+				}
+			}
+		}
 		rows = append(rows, r)
 	}
 	return rows, true
+}
+
+// refAscendsAcrossParts is the ordering rule between parts: each table's
+// keys go on ascending from one part to the next.
+func refAscendsAcrossParts(parts [][]refRow) bool {
+	last := map[uint32]string{}
+	for _, rows := range parts {
+		for _, r := range rows {
+			if l, seen := last[r.table]; seen && l >= r.key {
+				return false
+			}
+			last[r.table] = r.key
+		}
+	}
+	return true
 }
 
 // readOnlyFS serves the files of one checkpoint set from memory.
@@ -141,11 +167,19 @@ type readOnlyFS struct {
 	files map[string][]byte
 }
 
-func (f readOnlyFS) ReadFile(path string) ([]byte, error) {
-	if data, ok := f.files[path]; ok {
-		return data, nil
+// Map hands out a copy and poisons it on release, as the simulation's FS
+// does, so a decoder that keeps a mapped byte past release is caught.
+func (f readOnlyFS) Map(path string) ([]byte, func(), error) {
+	data, ok := f.files[path]
+	if !ok {
+		return nil, nil, os.ErrNotExist
 	}
-	return nil, os.ErrNotExist
+	data = append([]byte(nil), data...)
+	return data, func() {
+		for i := range data {
+			data[i] = 0xDB
+		}
+	}, nil
 }
 
 // schemaLog is a SchemaApplier that records what it is fed.
@@ -159,11 +193,12 @@ func (l *schemaLog) ApplyCatalogRow(key, val []byte) error {
 var fuzzTables = []string{"a", "b", "cat"}
 
 // realSet checkpoints a small three-table store — the third table doubling
-// as the schema catalog — into two parts and returns the set's files.
+// as the schema catalog — into two parts and returns the set's files. Each
+// table spans two leaves, so each part holds a run of every table.
 func realSet(tb testing.TB) (manifest, part0, part1 []byte) {
 	s := manualStore(tb, fuzzTables...)
 	for ti, tbl := range s.Tables() {
-		for i := 0; i < 6; i++ {
+		for i := 0; i < 20; i++ {
 			val := []byte(fmt.Sprintf("%s-%d", tbl.Name, i))
 			if i == 3 {
 				val = nil
@@ -201,16 +236,16 @@ const (
 )
 
 // FuzzCheckpointSet fuzzes the checkpoint decoders, readManifest and
-// loadPart, through loadPartitioned. An input is the three files of a
+// stagePart, through loadPartitioned. An input is the three files of a
 // two-part set; unless flags says otherwise the harness recomputes each
 // file's CRC footer, so mutations reach the table, schema and row parsers
 // instead of dying at the checksum. For any input the decoders must not
 // panic or read out of bounds, must accept exactly the sets the plain
-// reading of the format (refManifest, refPart) accepts — telling a torn set,
-// which recovery falls back from, from a schema mismatch, which it must not
-// — must feed the applier exactly the manifest's schema rows, and must
-// install exactly the rows of the parts that reading accepts: a rejected
-// part leaves nothing behind.
+// reading of the format (refManifest, refPart, refAscendsAcrossParts)
+// accepts — ordering rule included, and telling a torn set, which recovery
+// falls back from, from a schema mismatch, which it must not — must feed
+// the applier exactly the manifest's schema rows, and must install all the
+// rows of an accepted set and none of a rejected one.
 func FuzzCheckpointSet(f *testing.F) {
 	manifest, part0, part1 := realSet(f)
 	f.Add(manifest, part0, part1, uint8(0))
@@ -247,7 +282,6 @@ func FuzzCheckpointSet(f *testing.F) {
 		if !ok {
 			want = torn
 		}
-		install := map[refRow]bool{} // rows of the parts the format accepts
 		if want == accepted {
 			for _, mt := range m.tables {
 				switch {
@@ -263,26 +297,31 @@ func FuzzCheckpointSet(f *testing.F) {
 				}
 			}
 		}
+		var parts [][]refRow
 		if want == accepted {
+			parts = make([][]refRow, m.parts)
 			for k := int(m.parts) - 1; k >= 0; k-- { // the first part to fail names the error
-				var rows []refRow
 				partOK := false
 				if k < 2 {
-					rows, partOK = refPart(files[1+k], m.epoch)
+					parts[k], partOK = refPart(files[1+k], m.epoch)
 				}
-				outcome := accepted
 				if !partOK {
-					outcome = torn
+					want = torn
 				}
-				for _, r := range rows {
-					if int(r.table) >= len(fuzzTables) {
-						outcome = mismatch
+				for _, r := range parts[k] {
+					if partOK && int(r.table) >= len(fuzzTables) {
+						want = mismatch
 					}
 				}
-				if outcome != accepted {
-					want = outcome
-					continue
-				}
+			}
+		}
+		if want == accepted && !refAscendsAcrossParts(parts) {
+			want = torn
+		}
+		// All rows of an accepted set, none of a rejected one.
+		install := map[refRow]bool{}
+		if want == accepted {
+			for _, rows := range parts {
 				for _, r := range rows {
 					install[r] = true
 				}

@@ -34,9 +34,9 @@ const CatalogTableID = 0
 // Options configures a parallel recovery pass.
 type Options struct {
 	// Workers is the number of replay applier goroutines, and the number
-	// of checkpoint parts loaded, and of log segments read or decoded, at
-	// a time. 1 is the least parallel replay: one segment after the other
-	// feeding one applier.
+	// of checkpoint parts staged, of tables built, and of log segments
+	// mapped or decoded, at a time. 1 is the least parallel replay: one
+	// segment after the other feeding one applier.
 	Workers int
 	// Schema, when non-nil, makes recovery self-describing: table
 	// CatalogTableID holds DDL records that are applied — manifest schema
@@ -158,7 +158,8 @@ func each(n, workers int, fn func(i int)) {
 
 // item is one in-range log entry on its way to the applier that owns its
 // key, and then that key's newest version in the applier's table. key and
-// value alias the segment buffer.
+// value alias the mapped segment (or an inflated frame), which replay
+// releases only after install has copied the winners into the store.
 type item struct {
 	hash  uint64
 	tid   uint64
@@ -170,18 +171,18 @@ type item struct {
 
 const applyBatch = 256
 
-// replay is the two-pass log replay. Pass 1 reads every segment and walks
-// its frame headers and CRCs, in parallel, which yields each segment's
-// usable prefix and durable bound — so D is known before a single entry is
-// decoded. Pass 2 decodes: each segment's goroutine walks its transactions
-// in place (wal.Segment.Walk: no TxnRecord, no copy), drops those outside
-// CE ≤ epoch ≤ D, and routes the rest by hash(table, key) straight to the
-// applier owning that hash. An applier keeps only the newest TID per key;
-// once every segment is decoded — and the schema pre-pass has run — it
-// installs each key's winner with one tree operation (wal.ApplyFinal). The
-// paper's recovery rule (§4.10) is what makes this sound: the recovered
-// state is, per record, the version with the largest TID ≤ D, so versions
-// that lose the comparison need never reach the tree.
+// replay is the two-pass log replay. Pass 1 maps every segment (no copy)
+// and walks its frame headers and CRCs, in parallel, which yields each
+// segment's usable prefix and durable bound — so D is known before a single
+// entry is decoded. Pass 2 decodes: each segment's goroutine walks its
+// transactions in place (wal.Segment.Walk: no TxnRecord, no copy), drops
+// those outside CE ≤ epoch ≤ D, and routes the rest by hash(table, key)
+// straight to the applier owning that hash. An applier keeps only the
+// newest TID per key; once every segment is decoded — and the schema
+// pre-pass has run — it installs each key's winner with one tree operation
+// (wal.ApplyFinal). The paper's recovery rule (§4.10) is what makes this
+// sound: the recovered state is, per record, the version with the largest
+// TID ≤ D, so versions that lose the comparison need never reach the tree.
 func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, res *Result) error {
 	infos, err := wal.ListLogFiles(opts.FS, logDir)
 	if err != nil {
@@ -189,17 +190,26 @@ func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, re
 	}
 	res.LogFiles = len(infos)
 
-	// Pass 1.
+	// Pass 1. The segments stay mapped until their winners are installed:
+	// the items routed in pass 2 alias them.
 	t0 := time.Now()
 	segs := make([]wal.Segment, len(infos))
+	releases := make([]func(), len(infos))
 	errs := make([]error, len(infos))
+	defer func() {
+		for _, release := range releases {
+			if release != nil {
+				release()
+			}
+		}
+	}()
 	each(len(infos), opts.Workers, func(i int) {
-		data, err := opts.FS.ReadFile(infos[i].Path)
+		data, release, err := opts.FS.Map(infos[i].Path)
 		if err != nil {
 			errs[i] = err
 			return
 		}
-		segs[i] = wal.ScanSegment(data)
+		segs[i], releases[i] = wal.ScanSegment(data), release
 	})
 	durables := make([]uint64, len(infos))
 	for i := range segs {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"silo/internal/core"
+	"silo/internal/vfs"
 	"silo/internal/wal"
 )
 
@@ -134,12 +135,14 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 // BenchmarkReplay prices a whole Recover (checkpoint load included, where
 // the shape has one) for each log shape and worker count. Beside txns/s and
 // MB/s (over the log bytes, the denominator of
-// silo_recovery_replay_bytes_per_sec) it reports allocs/entry — heap
-// allocations per decoded log entry — which is a count, repeats exactly,
-// and is what CI gates: under 1 on rewrite, where most entries never reach
-// the tree, and at most 4 on insert-only, where each entry costs its
-// record, the record's slice header, its value and an amortized share of a
-// leaf. Run with
+// silo_recovery_replay_bytes_per_sec) it reports two counts, which repeat
+// and are what CI gates: allocs/entry — heap allocations per decoded log
+// entry — under 1 on rewrite, where most entries never reach the tree, and
+// at most 4 on insert-only, where each entry costs its record, the record's
+// slice header, its value and an amortized share of a leaf; and
+// heapB/logB — heap bytes allocated per log byte, checkpoint load included —
+// to which a segment read into the heap instead of mapped would add 1. Run
+// with
 //
 //	go test -bench 'Replay$' -benchtime 5x -benchmem ./internal/recovery
 func BenchmarkReplay(b *testing.B) {
@@ -168,6 +171,7 @@ func BenchmarkReplay(b *testing.B) {
 				}
 				entries := float64(2 * sh.txns * b.N)
 				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/entries, "allocs/entry")
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(res.LogBytes*int64(b.N)), "heapB/logB")
 				b.ReportMetric(float64(sh.txns*b.N)/b.Elapsed().Seconds(), "txns/s")
 				b.ReportMetric(float64(res.LogBytes)*float64(b.N)/(1e6*b.Elapsed().Seconds()), "MB/s")
 			})
@@ -175,22 +179,16 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointWrite compares partition counts for checkpointing a
-// loaded store.
-func BenchmarkCheckpointWrite(b *testing.B) {
-	const n = 100000
-	opts := core.DefaultOptions(2)
-	opts.ManualEpochs = true
-	opts.SnapshotK = 2
-	s := core.NewStore(opts)
-	defer s.Close()
-	tbl := s.CreateTable("t")
-	w := s.Worker(0)
+// loadedStore is a store holding n rows of 100-byte values under keyOf(i),
+// inserted in batches of 512, with a snapshot epoch beyond them.
+func loadedStore(b *testing.B, n int, keyOf func(int) []byte) *core.Store {
+	s := manualStore(b, "t")
+	tbl := s.Tables()[0]
 	val := make([]byte, 100)
 	for i := 0; i < n; i += 512 {
-		if err := w.Run(func(tx *core.Tx) error {
+		if err := s.Worker(0).Run(func(tx *core.Tx) error {
 			for j := i; j < i+512 && j < n; j++ {
-				if err := tx.Insert(tbl, binKey(j), val); err != nil {
+				if err := tx.Insert(tbl, keyOf(j), val); err != nil {
 					return err
 				}
 			}
@@ -202,14 +200,64 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 	for i := 0; i < 10; i++ {
 		s.AdvanceEpoch()
 	}
-	for _, parts := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dir := b.TempDir()
-				if _, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, parts, nil); err != nil {
-					b.Fatal(err)
+	return s
+}
+
+// BenchmarkCheckpointWrite compares partition counts for checkpointing a
+// loaded store, with keys spread over the first byte and with 8-byte
+// big-endian ids, which all start with zero bytes.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	for _, shape := range []struct {
+		name  string
+		keyOf func(int) []byte
+	}{{"spread", binKey}, {"ids", benchKey}} {
+		s := loadedStore(b, 100000, shape.keyOf)
+		for _, parts := range []int{1, 4, 8} {
+			b.Run(fmt.Sprintf("%s/parts=%d", shape.name, parts), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					dir := b.TempDir()
+					if _, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, parts, nil); err != nil {
+						b.Fatal(err)
+					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkCheckpointLoad prices loading a four-part checkpoint of 100 000
+// ids with 100-byte values into a fresh store, by worker count. It reports
+// allocs/row and B/row, heap allocations and bytes per loaded row, which CI
+// gates: a row costs its record, the record's slice header and its value,
+// plus its share of the staged items and the packed leaves — the part files
+// themselves are mapped, not read into the heap. Run with
+//
+//	go test -bench 'CheckpointLoad$' -benchtime 5x -benchmem ./internal/recovery
+func BenchmarkCheckpointLoad(b *testing.B) {
+	const n = 100000
+	dir := b.TempDir()
+	s := loadedStore(b, n, benchKey)
+	if _, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil); err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				s := core.NewStore(core.DefaultOptions(1))
+				s.CreateTable("t")
+				if _, rows, err := loadNewestCheckpoint(vfs.OS, s, dir, workers, nil); err != nil || rows != n {
+					b.Fatalf("loaded %d rows (%v), want %d", rows, err, n)
+				}
+				s.Close()
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			rows := float64(n * b.N)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/rows, "B/row")
 		})
 	}
 }

@@ -289,15 +289,27 @@ func (f *FS) Create(path string) (vfs.File, error) {
 	return &simHandle{fs: f, path: path}, nil
 }
 
-func (f *FS) ReadFile(path string) ([]byte, error) {
+// poison is the byte release fills a Map copy with: a caller still reading
+// bytes it was handed after releasing them reads this instead of data.
+const poison = 0xDB
+
+// Map returns a copy of path's bytes, and a release that overwrites the copy
+// with poison, so that a caller which keeps a mapped key or value past
+// release corrupts what it kept, as it would fault on a real unmapped file.
+func (f *FS) Map(path string) ([]byte, func(), error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	sf, ok := f.files[path]
 	if !ok {
-		return nil, &os.PathError{Op: "open", Path: path, Err: os.ErrNotExist}
+		return nil, nil, &os.PathError{Op: "open", Path: path, Err: os.ErrNotExist}
 	}
 	// Reads see the page cache: buffered and durable bytes alike.
-	return append([]byte(nil), sf.data...), nil
+	data := append([]byte(nil), sf.data...)
+	return data, func() {
+		for i := range data {
+			data[i] = poison
+		}
+	}, nil
 }
 
 func (f *FS) Stat(path string) (int64, bool, error) {

@@ -38,8 +38,14 @@ type FS interface {
 	OpenAppend(path string) (File, int64, error)
 	// Create truncates or creates path for writing.
 	Create(path string) (File, error)
-	// ReadFile returns the entire contents of path.
-	ReadFile(path string) ([]byte, error)
+	// Map returns the entire contents of path, valid until release is
+	// called. The real filesystem maps the file where it can (mmap on
+	// unix), so reading a log segment or checkpoint part neither zeroes nor
+	// copies a buffer; the file must not shrink while mapped. The bytes are
+	// read-only. After release they may be unmapped, or overwritten (the
+	// simulation's FS poisons them), so a caller that keeps any of them —
+	// a key, a value, a name — copies it first. Call release exactly once.
+	Map(path string) (data []byte, release func(), err error)
 	// Stat returns the size of path and whether it is a directory.
 	Stat(path string) (size int64, isDir bool, err error)
 	// Remove deletes a file; RemoveAll deletes a tree.
@@ -127,8 +133,6 @@ func (osFS) OpenAppend(path string) (File, int64, error) {
 }
 
 func (osFS) Create(path string) (File, error) { return os.Create(path) }
-
-func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
 
 func (osFS) Stat(path string) (int64, bool, error) {
 	st, err := os.Stat(path)

@@ -747,13 +747,14 @@ func removeCovered(fs vfs.FS, infos []LogFileInfo, open map[int]uint64, ce uint6
 		}
 		last, cached := seen[fi.Path]
 		if !cached {
-			data, rerr := fs.ReadFile(fi.Path)
+			data, release, rerr := fs.Map(fi.Path)
 			if rerr != nil {
 				return removed, errors.Join(err, rerr)
 			}
 			if !ScanSegment(data).Walk(&last) {
 				last = unreadable
 			}
+			release()
 			if seen != nil {
 				seen[fi.Path] = last
 			}

@@ -149,10 +149,11 @@ func (s Segment) Walk(v Visitor) (complete bool) {
 // returns the segment's transactions, its durable epoch (see
 // Segment.Durable), and its size in bytes.
 func ParseLogFile(fs vfs.FS, path string) (txns []TxnRecord, durable uint64, size int64, err error) {
-	data, err := vfs.DefaultFS(fs).ReadFile(path)
+	data, release, err := vfs.DefaultFS(fs).Map(path)
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	defer release() // the collector copies what it keeps
 	seg := ScanSegment(data)
 	var c txnCollector
 	seg.Walk(&c)
