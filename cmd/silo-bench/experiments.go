@@ -437,13 +437,23 @@ func spaceOverhead(cfg config) {
 	tbl := ycsb.LoadSilo(s, wcfg)
 	baseBytes := uint64(wcfg.Keys) * uint64(wcfg.ValueSize+32)
 
-	var peak atomic.Uint64
+	// One sampler reads the retained-bytes gauge through db.Observe while
+	// the workers run; the workers only run transactions.
+	var peak uint64
+	var done atomic.Bool
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for !done.Load() {
+			peak = max(peak, db.Observe().Value("silo_core_snapshot_bytes_retained", ""))
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	r := run("MemSilo 100% RMW", workers, cfg.warmup, cfg.seconds,
 		func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
 			gen := ycsb.NewGenerator(wcfg, uint64(wid)+1)
 			w := s.Worker(wid)
 			var kb []byte
-			n := 0
 			for !stop.Load() {
 				var ok bool
 				ok, kb = ycsb.RunSiloOp(w, tbl, gen.Next(), kb)
@@ -452,20 +462,15 @@ func spaceOverhead(cfg config) {
 				} else {
 					aborts.Add(1)
 				}
-				if n++; n%1024 == 0 {
-					st := s.Stats()
-					for {
-						cur := peak.Load()
-						if st.SnapshotBytesRetained <= cur || peak.CompareAndSwap(cur, st.SnapshotBytesRetained) {
-							break
-						}
-					}
-				}
 			}
 		})
-	st := s.Stats()
+	done.Store(true)
+	<-sampled
+	snap := db.Observe()
 	fmt.Println(r)
 	fmt.Printf("database size ≈ %.1f MB; peak snapshot bytes retained = %.1f MB (%.1f%% overhead)\n",
-		float64(baseBytes)/1e6, float64(peak.Load())/1e6, 100*float64(peak.Load())/float64(baseBytes))
-	fmt.Printf("snapshot versions created=%d reaped=%d\n", st.SnapshotVersionsCreated, st.SnapshotVersionsReaped)
+		float64(baseBytes)/1e6, float64(peak)/1e6, 100*float64(peak)/float64(baseBytes))
+	fmt.Printf("snapshot versions created=%d reaped=%d\n",
+		snap.Value("silo_core_snapshot_versions_total", "created"),
+		snap.Value("silo_core_snapshot_versions_total", "reaped"))
 }

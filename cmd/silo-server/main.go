@@ -166,9 +166,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ss := srv.Stats()
+	var snap silo.ObsSnapshot
+	srv.CollectObs(&snap)
 	fmt.Printf("served %d requests on %d connections (%d errors)\n",
-		ss.Requests, ss.Conns, ss.Errors)
+		snap.Value("silo_server_requests_total", ""),
+		snap.Value("silo_server_conns_total", ""),
+		snap.Value("silo_server_errors_total", ""))
 }
 
 // parseAckMode maps -ack-mode to the server's ack mode. -sync promises

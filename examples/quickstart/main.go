@@ -101,6 +101,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := db.Stats()
-	fmt.Printf("commits=%d aborts=%d\n", st.Commits, st.Aborts)
+	// Every count is a metric family of one snapshot; aborts are per reason.
+	snap := db.Observe()
+	var aborts uint64
+	for _, s := range snap.Samples {
+		if s.Name == "silo_core_aborts_total" {
+			aborts += s.Value
+		}
+	}
+	fmt.Printf("commits=%d aborts=%d\n", snap.Value("silo_core_commits_total", ""), aborts)
 }

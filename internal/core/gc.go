@@ -28,15 +28,7 @@ import (
 // the bookkeeping — what is retained, how many bytes, and when it becomes
 // reclaimable — is exactly the paper's, and is what §5.6 measures.
 
-type gcKind uint8
-
-const (
-	gcSnapshotVersion gcKind = iota
-	gcUnhook
-)
-
 type gcItem struct {
-	kind      gcKind
 	epoch     uint64 // reclamation epoch
 	snapBased bool   // true: compare against snapshot horizon; false: tree horizon
 	table     *Table
@@ -53,27 +45,28 @@ type gcState struct {
 }
 
 // registerSnapshotVersion schedules the release of rec, a superseded
-// version just linked behind the live record head.
-func (g *gcState) registerSnapshotVersion(w *Worker, head, rec *record.Record, reclaimEpoch uint64) {
+// version just linked behind the live record head, and counts it into o
+// (nil under Options.DisableObs).
+func (g *gcState) registerSnapshotVersion(o *workerObs, head, rec *record.Record, reclaimEpoch uint64) {
 	n := rec.DataLen() + recordOverheadBytes
 	g.snapList = append(g.snapList, gcItem{
-		kind:  gcSnapshotVersion,
 		epoch: reclaimEpoch,
 		rec:   rec,
 		head:  head,
 		bytes: n,
 	})
-	w.stats.SnapshotBytesRetained += uint64(n)
-	w.stats.SnapshotVersionsCreated++
+	if o != nil {
+		o.snapBytes.Add(uint64(n))
+		o.snapCreated.Inc()
+	}
 }
 
 // registerUnhook schedules the removal of an absent record from the tree.
 // expect is the pure TID the record must still carry when the unhook runs;
 // if it changed, a later transaction superseded the record and owns its
 // cleanup (§4.9).
-func (g *gcState) registerUnhook(w *Worker, t *Table, key []byte, rec *record.Record, expect uint64, reclaimEpoch uint64, snapBased bool) {
+func (g *gcState) registerUnhook(t *Table, key []byte, rec *record.Record, expect uint64, reclaimEpoch uint64, snapBased bool) {
 	g.unhookList = append(g.unhookList, gcItem{
-		kind:      gcUnhook,
 		epoch:     reclaimEpoch,
 		snapBased: snapBased,
 		table:     t,
@@ -88,25 +81,33 @@ func (g *gcState) registerUnhook(w *Worker, t *Table, key []byte, rec *record.Re
 const recordOverheadBytes = 32
 
 // reap frees every ripe item. Items are registered in non-decreasing epoch
-// order per worker, so reaping pops prefixes.
+// order per worker, so reaping pops prefixes. Only the worker that
+// registered an item reaps it, so its shard's retained bytes never go
+// negative.
 func (g *gcState) reap(w *Worker) {
 	snapHorizon := w.store.epochs.SnapshotReclamation()
 	treeHorizon := w.store.epochs.TreeReclamation()
+	o := w.obs
 
 	i := 0
+	var freed uint64
 	for ; i < len(g.snapList) && g.snapList[i].epoch <= snapHorizon; i++ {
 		it := &g.snapList[i]
-		w.stats.SnapshotBytesRetained -= uint64(it.bytes)
-		w.stats.SnapshotVersionsReaped++
+		freed += uint64(it.bytes)
 		// Dropping the list's pointer frees nothing while the version is
 		// still linked behind its live record; cut the chain there.
 		it.head.CutVersion(it.rec)
 	}
 	if i > 0 {
 		g.snapList = sliceDrop(g.snapList, i)
+		if o != nil {
+			o.snapBytes.Add(-freed)
+			o.snapReaped.Add(uint64(i))
+		}
 	}
 
 	i = 0
+	var done uint64
 	for ; i < len(g.unhookList); i++ {
 		it := &g.unhookList[i]
 		horizon := treeHorizon
@@ -116,37 +117,41 @@ func (g *gcState) reap(w *Worker) {
 		if it.epoch > horizon {
 			break
 		}
-		unhook(w, it)
+		if unhook(it) {
+			done++
+		}
 	}
 	if i > 0 {
 		g.unhookList = sliceDrop(g.unhookList, i)
+		if o != nil {
+			o.unhooksDone.Add(done)
+			o.unhooksSkipped.Add(uint64(i) - done)
+		}
 	}
 }
 
 // unhook removes an absent record from its tree if it is still the latest
-// version for its key. The record is locked for the duration so the removal
-// cannot race with a committing insert that would supersede it; on success
-// the latest bit is cleared, so any in-flight transaction that read the
-// absent record fails its Phase 2 validation rather than committing against
-// a record no longer reachable from the tree.
-func unhook(w *Worker, it *gcItem) {
+// version for its key, and reports whether it did. The record is locked for
+// the duration so the removal cannot race with a committing insert that
+// would supersede it; on success the latest bit is cleared, so any in-flight
+// transaction that read the absent record fails its Phase 2 validation
+// rather than committing against a record no longer reachable from the tree.
+func unhook(it *gcItem) bool {
 	rec := it.rec
 	word, ok := rec.TryLock()
 	if !ok {
 		// A committing transaction holds the record; it is superseding the
 		// absent version, which transfers cleanup responsibility to it.
-		w.stats.UnhooksSkipped++
-		return
+		return false
 	}
 	if !word.Absent() || !word.Latest() || word.TID() != it.expect {
 		// Superseded (or re-deleted with a newer registration): not ours.
 		rec.Unlock(word)
-		w.stats.UnhooksSkipped++
-		return
+		return false
 	}
 	it.table.Tree.RemoveIf(it.key, func(r *record.Record) bool { return r == rec })
 	rec.Unlock(word.WithLatest(false))
-	w.stats.UnhooksDone++
+	return true
 }
 
 // sliceDrop removes the first n items, reusing the backing array.
@@ -157,12 +162,3 @@ func sliceDrop(s []gcItem, n int) []gcItem {
 	}
 	return s[:m]
 }
-
-// PendingGarbage reports the worker's currently registered, not yet reaped
-// garbage items (tests and the §5.6 space measurement).
-func (w *Worker) PendingGarbage() (snapshotVersions, unhooks int) {
-	return len(w.gc.snapList), len(w.gc.unhookList)
-}
-
-// ReapNow forces a GC pass outside the between-requests schedule (tests).
-func (w *Worker) ReapNow() { w.gc.reap(w) }

@@ -2,8 +2,39 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"silo/internal/obs"
 )
+
+// gcCounts are the garbage collector's families in one snapshot.
+type gcCounts struct {
+	created, reaped, retained, unhooked, skipped uint64
+}
+
+func collectGC(s *Store) gcCounts {
+	var snap obs.Snapshot
+	s.CollectObs(&snap)
+	return gcCounts{
+		created:  snap.Value("silo_core_snapshot_versions_total", "created"),
+		reaped:   snap.Value("silo_core_snapshot_versions_total", "reaped"),
+		retained: snap.Value("silo_core_snapshot_bytes_retained", ""),
+		unhooked: snap.Value("silo_core_unhooks_total", "done"),
+		skipped:  snap.Value("silo_core_unhooks_total", "skipped"),
+	}
+}
+
+// PendingGarbage reports the worker's registered, not yet reaped garbage
+// items.
+func (w *Worker) PendingGarbage() (snapshotVersions, unhooks int) {
+	return len(w.gc.snapList), len(w.gc.unhookList)
+}
+
+// ReapNow runs a GC pass outside the between-requests schedule.
+func (w *Worker) ReapNow() { w.gc.reap(w) }
 
 // advanceEpochs drives n manual epoch steps.
 func advanceEpochs(s *Store, n int) {
@@ -42,9 +73,8 @@ func TestDeleteUnhooksAfterReclamation(t *testing.T) {
 		t.Fatalf("absent record still hooked (len=%d, pending snap=%d unhook=%d, snapRecl=%d)",
 			tbl.Tree.Len(), sv, un, s.Epochs().SnapshotReclamation())
 	}
-	st := w.Stats()
-	if st.UnhooksDone != 1 {
-		t.Fatalf("unhooks done=%d", st.UnhooksDone)
+	if gc := collectGC(s); gc.unhooked != 1 {
+		t.Fatalf("unhooks done=%d", gc.unhooked)
 	}
 }
 
@@ -100,8 +130,8 @@ func TestSupersededPlaceholderNotUnhooked(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if st := w.Stats(); st.UnhooksSkipped == 0 {
-		t.Fatalf("expected a skipped unhook: %+v", st)
+	if gc := collectGC(s); gc.skipped == 0 {
+		t.Fatalf("expected a skipped unhook: %+v", gc)
 	}
 }
 
@@ -135,7 +165,7 @@ func TestUnhookClearsLatestAbortsReader(t *testing.T) {
 	// still advance while it refreshes; we drive reclamation directly.)
 	advanceEpochs(s, 20)
 	w0.ReapNow()
-	if st := w0.Stats(); st.UnhooksDone == 0 {
+	if gc := collectGC(s); gc.unhooked == 0 {
 		sv, un := w0.PendingGarbage()
 		t.Skipf("unhook did not run (active reader pins horizon): pending=%d/%d", sv, un)
 	}
@@ -161,21 +191,21 @@ func TestSnapshotVersionsReaped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := w.Stats()
-	if st.SnapshotVersionsCreated == 0 {
+	gc := collectGC(s)
+	if gc.created == 0 {
 		t.Fatal("no snapshot versions created across boundaries")
 	}
-	if st.SnapshotBytesRetained == 0 {
+	if gc.retained == 0 {
 		t.Fatal("no bytes retained")
 	}
 	advanceEpochs(s, 20)
 	w.ReapNow()
-	st = w.Stats()
-	if st.SnapshotVersionsReaped != st.SnapshotVersionsCreated {
-		t.Fatalf("reaped %d of %d versions", st.SnapshotVersionsReaped, st.SnapshotVersionsCreated)
+	gc = collectGC(s)
+	if gc.reaped != gc.created {
+		t.Fatalf("reaped %d of %d versions", gc.reaped, gc.created)
 	}
-	if st.SnapshotBytesRetained != 0 {
-		t.Fatalf("bytes retained=%d after full reap", st.SnapshotBytesRetained)
+	if gc.retained != 0 {
+		t.Fatalf("bytes retained=%d after full reap", gc.retained)
 	}
 }
 
@@ -215,8 +245,8 @@ func TestSnapshotsDisabledNoVersions(t *testing.T) {
 		advanceEpochs(s, 3)
 		w.Run(func(tx *Tx) error { return tx.Put(tbl, []byte("k"), []byte{byte(i)}) })
 	}
-	if st := w.Stats(); st.SnapshotVersionsCreated != 0 {
-		t.Fatalf("snapshot versions created with snapshots disabled: %d", st.SnapshotVersionsCreated)
+	if gc := collectGC(s); gc.created != 0 {
+		t.Fatalf("snapshot versions created with snapshots disabled: %d", gc.created)
 	}
 	// Deletes still unhook, now at the tree horizon.
 	w.Run(func(tx *Tx) error { return tx.Delete(tbl, []byte("k")) })
@@ -316,7 +346,7 @@ func chainLen(tbl *Table, key []byte) int {
 
 // TestReapCutsVersionChains: reaping a superseded version must unlink it
 // from its live record, or every version ever preserved stays reachable
-// and SnapshotBytesRetained falls while the bytes stay. A snapshot pinned
+// and the retained-bytes gauge falls while the bytes stay. A snapshot pinned
 // across several snapshot groups of updates keeps its version readable
 // (nothing is cut early); once it ends, a reap leaves at most one version
 // behind each key, where without the cut it leaves one per group.
@@ -382,7 +412,93 @@ func TestReapCutsVersionChains(t *testing.T) {
 			t.Errorf("%s: %d versions still reachable after reap, want at most 1", k, n)
 		}
 	}
-	if st := w.Stats(); st.SnapshotBytesRetained != 0 {
-		t.Errorf("SnapshotBytesRetained = %d after everything was reaped", st.SnapshotBytesRetained)
+	if gc := collectGC(s); gc.retained != 0 {
+		t.Errorf("%d snapshot bytes retained after everything was reaped", gc.retained)
+	}
+}
+
+// TestGCFamiliesUnderLiveScrape: two workers insert, overwrite and delete a
+// small key set across many snapshot boundaries while a scraper sums the
+// shards. Every scrape must show no more versions reaped than created, a
+// retained-bytes gauge that never wrapped below zero, and unhook counts that
+// only grow. Once the workers quiesce and every worker has reaped past the
+// horizon, the versions balance and no bytes remain retained.
+func TestGCFamiliesUnderLiveScrape(t *testing.T) {
+	s := manualStore(t, 2, func(o *Options) { o.SnapshotK = 2 })
+	tbl := s.CreateTable("t")
+	const keys, txns = 4, 3000
+
+	var stop atomic.Bool
+	started, scraped := make(chan struct{}), make(chan int)
+	go func() {
+		var prev gcCounts
+		n := 0
+		for !stop.Load() {
+			if n == 1 {
+				close(started)
+			}
+			gc := collectGC(s)
+			if gc.reaped > gc.created {
+				t.Errorf("scrape %d: %d versions reaped, %d created", n, gc.reaped, gc.created)
+			}
+			if gc.retained >= 1<<62 {
+				t.Errorf("scrape %d: retained bytes wrapped: %d", n, gc.retained)
+			}
+			if gc.unhooked < prev.unhooked || gc.skipped < prev.skipped {
+				t.Errorf("scrape %d: unhook counts went back: %+v after %+v", n, gc, prev)
+			}
+			prev = gc
+			n++
+			runtime.Gosched()
+		}
+		scraped <- n
+	}()
+
+	<-started
+	var wg sync.WaitGroup
+	for wid := 0; wid < 2; wid++ {
+		wg.Add(1)
+		go func(wid int) {
+			defer wg.Done()
+			w := s.Worker(wid)
+			for i := 0; i < txns; i++ {
+				runtime.Gosched() // interleave with the scraper on few cores
+				if wid == 0 && i%4 == 0 {
+					s.AdvanceEpoch() // the only advancer: every 4th transaction of worker 0
+				}
+				k := []byte{byte(i % keys)}
+				if err := w.Run(func(tx *Tx) error {
+					if _, err := tx.Get(tbl, k); err == ErrNotFound {
+						return tx.Insert(tbl, k, []byte{byte(wid), byte(i)})
+					} else if err != nil {
+						return err
+					}
+					if i%5 == 4 {
+						return tx.Delete(tbl, k)
+					}
+					return tx.Put(tbl, k, []byte{byte(wid), byte(i), 0})
+				}); err != nil {
+					t.Errorf("worker %d txn %d: %v", wid, i, err)
+					return
+				}
+			}
+		}(wid)
+	}
+	wg.Wait()
+	stop.Store(true)
+	if n := <-scraped; n == 0 {
+		t.Fatal("no scrape ran while the workers did")
+	}
+
+	advanceEpochs(s, 20)
+	for wid := 0; wid < 2; wid++ {
+		s.Worker(wid).ReapNow()
+	}
+	gc := collectGC(s)
+	if gc.created == 0 || gc.unhooked+gc.skipped == 0 {
+		t.Fatalf("the workload exercised nothing: %+v", gc)
+	}
+	if gc.reaped != gc.created || gc.retained != 0 {
+		t.Fatalf("after a full reap: %d of %d versions reaped, %d bytes retained", gc.reaped, gc.created, gc.retained)
 	}
 }

@@ -55,18 +55,27 @@ type tableObs struct {
 	writes obs.Counter
 }
 
-// workerObs is a worker's observability shard. Exactly one goroutine
-// (the worker's) records into it; snapshots read every cell atomically,
-// so a live scrape during a hammer run is race-clean without a single
-// lock or fence on the commit path. It deliberately duplicates the
-// commit/abort/read/write counts of the non-atomic Stats struct: Stats
-// stays the quiesce-then-read embedded API, workerObs is the
-// monitoring-grade copy a concurrent scraper may sum at any moment.
+// workerObs is a worker's observability shard and the engine's only
+// counter surface: CollectObs sums the shards, and nothing else reads a
+// count. Exactly one goroutine (the worker's) records into it, both on the
+// transaction path and in the garbage collector it runs between requests;
+// snapshots read every cell atomically, so a live scrape during a hammer
+// run is race-clean without a single lock or fence on the commit path.
 type workerObs struct {
 	commits obs.Counter
 	aborts  [len(trace.AbortReasonNames)]obs.Counter
 	phase   [numObsPhases]obs.Histogram
 	nodeset obs.Histogram // node-set length at commit, sampled with the phases
+
+	// The garbage collector's (§4.8–4.9): snapshot versions registered and
+	// reaped, the bytes the unreaped ones hold (§5.6's space overhead;
+	// never negative, as only the registering worker reaps), and absent
+	// records unhooked or skipped because a later write superseded them.
+	snapCreated    obs.Counter
+	snapReaped     obs.Counter
+	snapBytes      obs.Gauge
+	unhooksDone    obs.Counter
+	unhooksSkipped obs.Counter
 
 	tick   uint64 // owner-only sampling counter, never read by snapshots
 	tables atomic.Pointer[[]*tableObs]
@@ -111,9 +120,8 @@ func (tx *Tx) tallySlot(t *Table) *tableTally {
 	return &tx.tally[len(tx.tally)-1]
 }
 
-// tallyRead counts one value read from t (also the legacy Stats copy).
+// tallyRead counts one value read from t.
 func (tx *Tx) tallyRead(t *Table) {
-	tx.w.stats.Reads++
 	if tx.w.obs != nil {
 		tx.tallySlot(t).reads++
 	}
@@ -121,7 +129,6 @@ func (tx *Tx) tallyRead(t *Table) {
 
 // tallyWrite counts one staged write to t.
 func (tx *Tx) tallyWrite(t *Table) {
-	tx.w.stats.Writes++
 	if tx.w.obs != nil {
 		tx.tallySlot(t).writes++
 	}
@@ -171,10 +178,12 @@ func (s *Store) obsShards() []*workerObs {
 // CollectObs appends the engine's metric families to snap: commit and
 // abort-reason totals, per-table read/write counters and tree shape,
 // sampled commit-phase latency and node-set length histograms (1 in 64
-// commits per worker), the current global/snapshot epochs, and the
-// advancing thread's advances by cause (tick or demand). Safe to
-// call while workers run; the result is a racy-but-race-clean monitoring
-// view, not a consistent cut.
+// commits per worker), the garbage collector's snapshot versions, retained
+// bytes and unhooks, the current global/snapshot epochs, and the advancing
+// thread's advances by cause (tick or demand). Safe to call while workers
+// run; the result is a racy-but-race-clean monitoring view, not a
+// consistent cut. Each shard's reaped count is read before its created
+// count, so a scrape never shows more versions reaped than created.
 func (s *Store) CollectObs(snap *obs.Snapshot) {
 	shards := s.obsShards()
 
@@ -183,7 +192,13 @@ func (s *Store) CollectObs(snap *obs.Snapshot) {
 	var reads, writes uint64
 	var phase [numObsPhases]obs.HistSnapshot
 	var nodeset obs.HistSnapshot
+	var reaped, created, retained, unhooked, skipped uint64
 	for _, o := range shards {
+		reaped += o.snapReaped.Load()
+		created += o.snapCreated.Load()
+		retained += o.snapBytes.Load()
+		unhooked += o.unhooksDone.Load()
+		skipped += o.unhooksSkipped.Load()
 		commits += o.commits.Load()
 		for i := range aborts {
 			aborts[i] += o.aborts[i].Load()
@@ -209,6 +224,11 @@ func (s *Store) CollectObs(snap *obs.Snapshot) {
 		snap.Histogram("silo_core_commit_phase_ns", "phase", ObsPhaseNames[i], phase[i])
 	}
 	snap.Histogram("silo_core_nodeset_len", "", "", nodeset)
+	snap.Counter("silo_core_snapshot_versions_total", "event", "created", created)
+	snap.Counter("silo_core_snapshot_versions_total", "event", "reaped", reaped)
+	snap.Gauge("silo_core_snapshot_bytes_retained", "", "", retained)
+	snap.Counter("silo_core_unhooks_total", "result", "done", unhooked)
+	snap.Counter("silo_core_unhooks_total", "result", "skipped", skipped)
 
 	for _, t := range s.Tables() {
 		var tr, tw uint64

@@ -28,7 +28,6 @@ func (stx *SnapTx) Worker() *Worker { return stx.w }
 
 func (stx *SnapTx) finish() {
 	stx.active = false
-	stx.w.stats.SnapshotTxns++
 	stx.w.finishTx()
 }
 
@@ -92,7 +91,6 @@ func (stx *SnapTx) GetAppend(t *Table, key, buf []byte) ([]byte, error) {
 	}
 	val, ok := snapshotVersion(rec, stx.sew, stx.rbuf)
 	stx.rbuf = val[:0]
-	stx.w.stats.Reads++
 	if !ok {
 		return buf, ErrNotFound
 	}
@@ -116,7 +114,6 @@ func (stx *SnapTx) GetBatch(t *Table, keys [][]byte, fn func(i int, val []byte, 
 		}
 		val, ok := snapshotVersion(rec, stx.sew, stx.rbuf)
 		stx.rbuf = val[:0]
-		stx.w.stats.Reads++
 		if !ok {
 			return fn(i, nil, ErrNotFound)
 		}
@@ -137,8 +134,7 @@ func (stx *SnapTx) GetBatch(t *Table, keys [][]byte, fn func(i int, val []byte, 
 // Scanning at an unpinned epoch may miss versions that were reclaimed.
 func SnapshotScanAt(t *Table, sew uint64, lo, hi []byte, fn func(key, value []byte) bool) error {
 	var rbuf []byte
-	var reads uint64
-	return snapshotScan(t, sew, lo, hi, &rbuf, &reads, fn)
+	return snapshotScan(t, sew, lo, hi, &rbuf, fn)
 }
 
 // Scan visits keys in [lo, hi) at the snapshot epoch. Values are valid only
@@ -148,19 +144,17 @@ func (stx *SnapTx) Scan(t *Table, lo, hi []byte, fn func(key, value []byte) bool
 	if !stx.active {
 		return ErrTxDone
 	}
-	return snapshotScan(t, stx.sew, lo, hi, &stx.rbuf, &stx.w.stats.Reads, fn)
+	return snapshotScan(t, stx.sew, lo, hi, &stx.rbuf, fn)
 }
 
-// snapshotScan is the one snapshot range walk: it reads through *rbuf and
-// counts each record it examines in *reads.
-func snapshotScan(t *Table, sew uint64, lo, hi []byte, rbuf *[]byte, reads *uint64, fn func(key, value []byte) bool) error {
+// snapshotScan is the one snapshot range walk; it reads through *rbuf.
+func snapshotScan(t *Table, sew uint64, lo, hi []byte, rbuf *[]byte, fn func(key, value []byte) bool) error {
 	if !validKey(lo) || (hi != nil && len(hi) > btree.MaxKeyLen) {
 		return ErrKeyInvalid
 	}
 	t.Tree.Scan(lo, hi, nil, func(key []byte, rec *record.Record) bool {
 		val, ok := snapshotVersion(rec, sew, *rbuf)
 		*rbuf = val[:0]
-		*reads++
 		if !ok {
 			return true
 		}

@@ -377,15 +377,6 @@ func (s *Store) Maintenance() *Worker { return s.maint }
 // at most one goroutine at a time.
 func (s *Store) DDL() *Worker { return s.ddl }
 
-// Stats aggregates all workers' counters.
-func (s *Store) Stats() Stats {
-	var total Stats
-	for _, w := range s.workers {
-		total.add(&w.stats)
-	}
-	return total
-}
-
 // String implements fmt.Stringer for debugging.
 func (s *Store) String() string {
 	return fmt.Sprintf("core.Store{workers=%d tables=%d epoch=%d}", len(s.workers), len(s.byID), s.epochs.Global())

@@ -647,14 +647,13 @@ func (tx *Tx) abort(reason abortReason, t *Table, key []byte) {
 	w := tx.w
 	for i := range tx.writes {
 		if tx.writes[i].ours {
-			w.gc.registerUnhook(w, tx.writes[i].table, tx.writes[i].key, tx.writes[i].rec, 0, tx.epoch, false)
+			w.gc.registerUnhook(tx.writes[i].table, tx.writes[i].key, tx.writes[i].rec, 0, tx.epoch, false)
 		}
 	}
 	if reason == abortExplicit && tx.fail != nil {
 		reason = abortHookPoisoned
 	}
 	tx.active = false
-	w.stats.Aborts++
 	if o := w.obs; o != nil {
 		o.aborts[reason].Inc()
 	}
@@ -846,7 +845,6 @@ func (tx *Tx) Commit() error {
 	}
 
 	tx.active = false
-	w.stats.Commits++
 	if o := w.obs; o != nil {
 		o.commits.Inc()
 		if sample {
@@ -917,7 +915,7 @@ func (tx *Tx) installWrite(we *writeEntry, commit tid.Word, e uint64) {
 		// reclamation at snap(e).
 		snapCopy := rec.CopyForSnapshot(old)
 		rec.SetPrev(snapCopy)
-		w.gc.registerSnapshotVersion(w, rec, snapCopy, s.epochs.Snap(e))
+		w.gc.registerSnapshotVersion(w.obs, rec, snapCopy, s.epochs.Snap(e))
 	}
 
 	switch we.kind {
@@ -936,7 +934,7 @@ func (tx *Tx) installWrite(we *writeEntry, commit tid.Word, e uint64) {
 		} else {
 			reclaim = e
 		}
-		w.gc.registerUnhook(w, we.table, we.key, rec, commit.TID(), reclaim, snapBased)
+		w.gc.registerUnhook(we.table, we.key, rec, commit.TID(), reclaim, snapBased)
 	default:
 		tx.setRecordData(rec, we.value)
 		rec.Unlock(commit.WithLatest(true).WithAbsent(false))
@@ -963,7 +961,6 @@ func (tx *Tx) setRecordData(rec *record.Record, value []byte) {
 	}
 	copy(buf, value)
 	old := rec.SetDataPointerLocked(buf)
-	w.stats.BytesAllocated += uint64(len(value))
 	if opts.Arena && old != nil {
 		w.arena.free(old)
 	}

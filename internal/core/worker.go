@@ -19,7 +19,6 @@ type Worker struct {
 	gen   tid.Generator
 	gc    gcState
 	arena arena
-	stats Stats
 	obs   *workerObs  // nil when Options.DisableObs (benchmark baseline)
 	ring  *trace.Ring // flight-recorder shard; nil when Options.DisableTrace
 	logFn LogFunc
@@ -45,9 +44,6 @@ func (w *Worker) ID() int { return w.id }
 
 // Store returns the owning store.
 func (w *Worker) Store() *Store { return w.store }
-
-// Stats returns a copy of the worker's counters.
-func (w *Worker) Stats() Stats { return w.stats }
 
 // SetLogFunc installs the durability hook invoked after every commit. It
 // must be set before the worker runs transactions.

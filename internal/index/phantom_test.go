@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"silo/internal/core"
+	"silo/internal/obs"
 )
 
 // TestIndexScanPhantomProtection is the deterministic phantom regression
@@ -121,8 +122,16 @@ func TestBoundedScanObservesOnlyItsPrefix(t *testing.T) {
 				insertUser(t, w0, users, i, city(i), uint64(i), name(i))
 			}
 
+			// A transaction's read tally reaches silo_core_reads_total when
+			// it commits or aborts, so the scan's reads are the delta across
+			// the whole transaction less those of w1's interleaved insert.
+			reads := func() uint64 {
+				var snap obs.Snapshot
+				s.CollectObs(&snap)
+				return snap.Value("silo_core_reads_total", "")
+			}
+			before := reads()
 			tx := w0.Begin()
-			before := w0.Stats().Reads
 			n := 0
 			if err := Scan(tx, byCity, []byte("C000"), []byte("D"), tc.max, func(sk, pk, val []byte) bool {
 				n++
@@ -130,17 +139,19 @@ func TestBoundedScanObservesOnlyItsPrefix(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if reads := w0.Stats().Reads - before; reads != tc.wantReads || n != int(tc.wantReads/2) {
-				t.Fatalf("scan read %d records and emitted %d rows, want %d and %d", reads, n, tc.wantReads, tc.wantReads/2)
-			}
 
+			mid := reads()
 			insertUser(t, w1, users, 2000, city(999), 2000, "zed")
+			interleaved := reads() - mid
 			err := tx.Commit()
 			if tc.wantConflict && err != core.ErrConflict {
 				t.Fatalf("unbounded scan committed despite a phantom in its range: %v", err)
 			}
 			if !tc.wantConflict && err != nil {
 				t.Fatalf("max=1 scan aborted on a write outside its prefix: %v", err)
+			}
+			if got := reads() - before - interleaved; got != tc.wantReads || n != int(tc.wantReads/2) {
+				t.Fatalf("scan read %d records and emitted %d rows, want %d and %d", got, n, tc.wantReads, tc.wantReads/2)
 			}
 		})
 	}

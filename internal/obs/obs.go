@@ -2,9 +2,9 @@
 // gauges, and fixed-bucket latency histograms designed for zero cost on
 // transaction hot paths.
 //
-// The design mirrors the core.Stats philosophy — per-worker sharding so
-// the owner updates its own cache line and monitoring sums shards on
-// demand — but every cell is an atomic word, so a snapshot taken while
+// Cells are sharded per worker, so the owner updates its own cache line
+// and monitoring sums shards on demand, and every cell is an atomic word,
+// so a snapshot taken while
 // workers run is race-clean (the race detector stays quiet during a live
 // /metrics scrape) without being a consistent cut: each cell is read
 // independently, and totals may straddle an in-flight transaction. That

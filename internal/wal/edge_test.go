@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"silo/internal/core"
+	"silo/internal/obs"
 	"silo/internal/tid"
 )
 
@@ -25,8 +26,10 @@ func TestSmallBufferForcesPublish(t *testing.T) {
 	}
 	makeDurable(t, s, m, 1)
 	m.Stop()
-	if m.Stats().BuffersWritten.Load() < 10 {
-		t.Fatalf("expected many small buffers, wrote %d", m.Stats().BuffersWritten.Load())
+	var snap obs.Snapshot
+	m.CollectObs(&snap)
+	if n := snap.Value("silo_wal_buffers_written_total", ""); n < 10 {
+		t.Fatalf("expected many small buffers, wrote %d", n)
 	}
 	s.Close()
 

@@ -106,15 +106,7 @@ type Manager struct {
 
 	stopOnce sync.Once
 
-	stats ManagerStats
-	obs   managerObs
-}
-
-// ManagerStats aggregates logger-side counters.
-type ManagerStats struct {
-	BytesWritten   atomic.Uint64
-	BuffersWritten atomic.Uint64
-	TxnsLogged     atomic.Uint64
+	obs managerObs
 }
 
 // Attach creates a durability manager for the store and installs a LogFunc
@@ -244,9 +236,6 @@ func (m *Manager) WaitDurable(e uint64) {
 	}
 	m.dmu.Unlock()
 }
-
-// Stats returns logger-side counters.
-func (m *Manager) Stats() *ManagerStats { return &m.stats }
 
 // raiseDemand records that someone waits for epoch e to become durable.
 func (m *Manager) raiseDemand(e uint64) {
@@ -668,7 +657,7 @@ func (lg *logger) iterate() {
 	if delta := committed - lg.lastTxns; delta > 0 {
 		lg.lastTxns = committed
 		lg.m.obs.batchTxns.Observe(delta)
-		lg.m.stats.TxnsLogged.Add(delta)
+		lg.m.obs.txnsLogged.Add(delta)
 	}
 	// Rotate only right after a durable frame: the closed segment then ends
 	// with its final d_l, so recovery of any segment prefix sees a durable
@@ -689,8 +678,8 @@ func (lg *logger) writeBuffer(payload []byte) {
 	lg.segBytes += int64(len(payload)) + 9
 	lg.passBytes += int64(len(payload)) + 9
 	lg.segHasData = true
-	lg.m.stats.BytesWritten.Add(uint64(len(payload)) + 9)
-	lg.m.stats.BuffersWritten.Add(1)
+	lg.m.obs.bytesWritten.Add(uint64(len(payload)) + 9)
+	lg.m.obs.buffersWritten.Inc()
 }
 
 func (lg *logger) writeDurable(d uint64) {
@@ -700,7 +689,7 @@ func (lg *logger) writeDurable(d uint64) {
 	lg.wrote = true
 	lg.segBytes += 13
 	lg.passBytes += 13
-	lg.m.stats.BytesWritten.Add(13)
+	lg.m.obs.bytesWritten.Add(13)
 }
 
 // maxEpoch is the Visitor both truncation paths learn a segment's coverage

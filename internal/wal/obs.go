@@ -10,10 +10,13 @@ import (
 // path except the one per-commit txn-count increment in onCommit, which
 // lands on the worker's own WorkerLog cache line.
 type managerObs struct {
-	fsync     obs.Histogram // nanoseconds per file sync
-	passBytes obs.Histogram // bytes appended per logger pass that wrote
-	batchTxns obs.Histogram // transactions covered per durable-frame publish
-	rotations obs.Counter   // segments closed by rotation
+	fsync          obs.Histogram // nanoseconds per file sync
+	passBytes      obs.Histogram // bytes appended per logger pass that wrote
+	batchTxns      obs.Histogram // transactions covered per durable-frame publish
+	rotations      obs.Counter   // segments closed by rotation
+	bytesWritten   obs.Counter   // frame bytes appended, buffer and durable frames
+	buffersWritten obs.Counter   // buffer frames appended
+	txnsLogged     obs.Counter   // transactions covered by a durable frame
 }
 
 // CollectObs appends the durability layer's metric families to snap:
@@ -22,9 +25,9 @@ type managerObs struct {
 // commit window a crash would lose), fsync latency, bytes per durable
 // pass, and group-commit batch sizes.
 func (m *Manager) CollectObs(snap *obs.Snapshot) {
-	snap.Counter("silo_wal_bytes_written_total", "", "", m.stats.BytesWritten.Load())
-	snap.Counter("silo_wal_buffers_written_total", "", "", m.stats.BuffersWritten.Load())
-	snap.Counter("silo_wal_txns_logged_total", "", "", m.stats.TxnsLogged.Load())
+	snap.Counter("silo_wal_bytes_written_total", "", "", m.obs.bytesWritten.Load())
+	snap.Counter("silo_wal_buffers_written_total", "", "", m.obs.buffersWritten.Load())
+	snap.Counter("silo_wal_txns_logged_total", "", "", m.obs.txnsLogged.Load())
 	snap.Counter("silo_wal_rotations_total", "", "", m.obs.rotations.Load())
 	d := m.durable.Load()
 	e := m.epochs.Global()

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"silo/internal/core"
+	"silo/internal/obs"
 	"silo/internal/tid"
 )
 
@@ -232,7 +233,9 @@ func TestDurableEpochAdvances(t *testing.T) {
 		t.Fatalf("durable epoch %d after closing epoch %d", m.DurableEpoch(), e)
 	}
 	m.Stop()
-	if got := m.Stats().TxnsLogged.Load(); got != 50 {
+	var snap obs.Snapshot
+	m.CollectObs(&snap)
+	if got := snap.Value("silo_wal_txns_logged_total", ""); got != 50 {
 		t.Fatalf("%d transactions logged, want 50", got)
 	}
 }

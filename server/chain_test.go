@@ -121,8 +121,10 @@ func TestMalformedFrameMidBurst(t *testing.T) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		t.Fatalf("after the protocol error: read err = %v, want EOF", err)
 	}
-	if st := s.Stats(); st.Requests != good {
-		t.Errorf("%d requests executed, want the %d ahead of the bad frame", st.Requests, good)
+	var snap silo.ObsSnapshot
+	s.CollectObs(&snap)
+	if n := snap.Value("silo_server_requests_total", ""); n != good {
+		t.Errorf("%d requests executed, want the %d ahead of the bad frame", n, good)
 	}
 }
 

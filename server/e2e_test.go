@@ -174,11 +174,13 @@ func TestE2EBankInvariant(t *testing.T) {
 	}
 
 	// The server really did execute everybody's transactions.
-	if st := srv.Stats(); st.Requests < clients*txnsPer {
-		t.Errorf("server executed %d requests, want >= %d", st.Requests, clients*txnsPer)
+	var snap silo.ObsSnapshot
+	srv.CollectObs(&snap)
+	if n := snap.Value("silo_server_requests_total", ""); n < clients*txnsPer {
+		t.Errorf("server executed %d requests, want >= %d", n, clients*txnsPer)
 	}
-	if stats := db.Stats(); stats.Commits < clients*txnsPer {
-		t.Errorf("engine committed %d transactions, want >= %d", stats.Commits, clients*txnsPer)
+	if n := db.Observe().Value("silo_core_commits_total", ""); n < clients*txnsPer {
+		t.Errorf("engine committed %d transactions, want >= %d", n, clients*txnsPer)
 	}
 }
 

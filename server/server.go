@@ -99,13 +99,6 @@ type Options struct {
 	noReuse bool
 }
 
-// Stats are cumulative server counters, readable while serving.
-type Stats struct {
-	Conns    uint64 // connections accepted
-	Requests uint64 // frames executed (a TXN counts once)
-	Errors   uint64 // ERR responses sent
-}
-
 // Server serves a silo.DB over TCP.
 type Server struct {
 	db   *silo.DB
@@ -123,6 +116,8 @@ type Server struct {
 	connWG   sync.WaitGroup
 	workerWG sync.WaitGroup
 
+	// Connections accepted, frames executed (a TXN counts once) and ERR
+	// responses sent: the silo_server_{conns,requests,errors}_total families.
 	conns64    atomic.Uint64
 	requests64 atomic.Uint64
 	errors64   atomic.Uint64
@@ -264,15 +259,6 @@ func (s *Server) Close() error {
 // AckMode reports the server's effective ack mode (Options.Acks, degraded
 // to AckImmediate when the database has no durability).
 func (s *Server) AckMode() AckMode { return s.ackMode }
-
-// Stats returns a snapshot of the server's counters.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Conns:    s.conns64.Load(),
-		Requests: s.requests64.Load(),
-		Errors:   s.errors64.Load(),
-	}
-}
 
 // Addr returns the address of one active listener, or "".
 func (s *Server) Addr() string {

@@ -360,7 +360,9 @@ func TestPipelining(t *testing.T) {
 			t.Fatalf("get response %d out of order: %x", i, resp.Value)
 		}
 	}
-	if st := srv.Stats(); st.Requests != 2*n {
-		t.Errorf("requests = %d, want %d", st.Requests, 2*n)
+	var snap silo.ObsSnapshot
+	srv.CollectObs(&snap)
+	if got := snap.Value("silo_server_requests_total", ""); got != 2*n {
+		t.Errorf("requests = %d, want %d", got, 2*n)
 	}
 }

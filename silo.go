@@ -673,9 +673,6 @@ func (db *DB) FlushLog(worker int) {
 // Epoch returns the current global epoch E.
 func (db *DB) Epoch() uint64 { return db.store.Epochs().Global() }
 
-// Stats returns aggregate engine counters.
-func (db *DB) Stats() core.Stats { return db.store.Stats() }
-
 // RecoveryResult reports what a recovery pass did: the replay counters plus
 // checkpoint usage and per-stage timing (checkpoint load, log read, log
 // apply).

@@ -215,11 +215,25 @@ func TestDurableRoundTripAndRecover(t *testing.T) {
 	}
 }
 
+// waitSnapshotPast waits until the snapshot epoch passes worker's last
+// commit, so a snapshot begun now sees it (visibility is epoch < SE).
+func waitSnapshotPast(t *testing.T, db *silo.DB, worker int) {
+	t.Helper()
+	e := db.LastCommitEpoch(worker)
+	deadline := time.Now().Add(10 * time.Second)
+	for db.Observe().Value("silo_core_snapshot_epoch", "") <= e {
+		if time.Now().After(deadline) {
+			t.Fatalf("snapshot epoch never passed epoch %d", e)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSnapshotThroughPublicAPI(t *testing.T) {
 	db := openTestDB(t, silo.Options{SnapshotK: 2, EpochInterval: time.Millisecond})
 	tbl := db.CreateTable("t")
 	db.Run(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("old")) })
-	time.Sleep(30 * time.Millisecond) // several snapshot boundaries
+	waitSnapshotPast(t, db, 0) // the Put below lands in a later snapshot group
 	db.Run(0, func(tx *silo.Tx) error { return tx.Put(tbl, []byte("k"), []byte("new")) })
 
 	if err := db.RunSnapshot(0, func(stx *silo.SnapTx) error {
@@ -286,7 +300,7 @@ func TestCheckpointRecoverTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(20 * time.Millisecond) // let a snapshot cover the inserts
+	waitSnapshotPast(t, db, 0) // let a snapshot cover the inserts
 	ck, err := db.Checkpoint(0)
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +364,7 @@ func TestStatsThroughAPI(t *testing.T) {
 	db := openTestDB(t, silo.Options{})
 	tbl := db.CreateTable("t")
 	db.Run(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("v")) })
-	if st := db.Stats(); st.Commits == 0 {
+	if n := db.Observe().Value("silo_core_commits_total", ""); n == 0 {
 		t.Fatal("no commits counted")
 	}
 }
