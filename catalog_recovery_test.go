@@ -105,7 +105,7 @@ func TestSelfDescribingRecoverySchemaEquivalence(t *testing.T) {
 
 	// Checkpoint so part of the schema travels in the manifest's schema
 	// section; post-checkpoint DDL travels in the log.
-	time.Sleep(20 * time.Millisecond)
+	waitSnapshotPast(t, db, 0)
 	if _, err := db.Checkpoint(0); err != nil {
 		t.Fatal(err)
 	}

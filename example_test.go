@@ -2,6 +2,7 @@ package silo_test
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"silo"
@@ -104,7 +105,10 @@ func ExampleDB_RunSnapshot() {
 	db.Run(0, func(tx *silo.Tx) error {
 		return tx.Insert(tbl, []byte("k"), []byte("v"))
 	})
-	time.Sleep(50 * time.Millisecond) // let a snapshot boundary pass
+	// Let a snapshot boundary pass the insert.
+	for db.Observe().Value("silo_core_snapshot_epoch", "") <= db.LastCommitEpoch(0) {
+		runtime.Gosched()
+	}
 
 	db.RunSnapshot(0, func(stx *silo.SnapTx) error {
 		v, err := stx.Get(tbl, []byte("k"))

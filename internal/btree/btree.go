@@ -50,13 +50,21 @@
 //     separators back out, so the checkpoint writer cuts each table where
 //     its leaves are, whatever its keys look like.
 //
-// Keys are byte strings up to MaxKeyLen bytes, stored inline in fixed-size
-// slots so that racy (validated-after) readers can never tear a pointer.
-// Values are *record.Record pointers stored with atomic loads/stores.
+// Keys are byte strings up to MaxKeyLen bytes, kept in slot form (keys.go):
+// per node, a word array of every key's bytes 0–7, big-endian and
+// zero-padded, which a search reads first — two cache lines for sixteen
+// keys — a second word array for bytes 8–15, the key lengths, and for keys
+// longer than 16 bytes a pointer to an immutable suffix allocation that
+// carries its own length. bytes.Compare runs only on a 16-byte tie, and a
+// node with its records or children is 576 bytes. Racy (validated-after)
+// readers load the suffix pointer atomically and read only inside the one
+// allocation it points to, as far as that allocation's own length says; a
+// key length and suffix torn from different keys are memory-safe and
+// rejected by the node-version re-check. Values are *record.Record pointers
+// stored with atomic loads/stores.
 package btree
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -68,13 +76,13 @@ import (
 )
 
 const (
-	// MaxKeyLen is the largest supported key, chosen so a key slot plus its
-	// length fills one cache line. The paper treats all keys as strings;
-	// TPC-C's widest composite key is well under this.
+	// MaxKeyLen is the largest supported key, the bound every layer above
+	// checks. The paper treats all keys as strings; TPC-C's widest
+	// composite key is well under this.
 	MaxKeyLen = 62
 
-	// fanout is the maximum number of keys per node (~4 cache lines of key
-	// slots, following the paper's node sizing).
+	// fanout is the maximum number of keys per node: the first word of
+	// every key fills two cache lines.
 	fanout = 16
 )
 
@@ -142,36 +150,15 @@ func (n *node) unlock() {
 	n.version.Store(n.version.Load() &^ lockBit)
 }
 
-// ikey is an inline key slot. Fixed-size storage means racy readers copy
-// bytes, never pointers; a torn copy is caught by version validation and is
-// always memory-safe (the slice below is clamped to the array bounds).
-type ikey struct {
-	n uint16
-	b [MaxKeyLen]byte
-}
-
-func (k *ikey) set(key []byte) {
-	k.n = uint16(len(key))
-	copy(k.b[:], key)
-}
-
-func (k *ikey) get() []byte {
-	n := int(k.n)
-	if n > MaxKeyLen {
-		n = MaxKeyLen // torn read; validation will force a retry
-	}
-	return k.b[:n]
-}
-
 type inner struct {
 	node
-	keys     [fanout]ikey
+	slots
 	children [fanout + 1]unsafe.Pointer // *node
 }
 
 type leaf struct {
 	node
-	keys [fanout]ikey
+	slots
 	vals [fanout]unsafe.Pointer // *record.Record
 	next unsafe.Pointer         // *leaf
 	hint int32                  // slot after the last insert; see insertSplit
@@ -200,30 +187,30 @@ func clampKeys(n int32) int {
 	return int(n)
 }
 
-// search returns the child index to descend for key: the number of
-// separators ≤ key (children[i] covers [keys[i-1], keys[i])).
-func (in *inner) search(key []byte) int {
+// search returns the child index to descend for p: the number of
+// separators ≤ p (children[i] covers [keys[i-1], keys[i])).
+func (in *inner) search(p *probe) int {
 	nk := clampKeys(in.nkeys.Load())
 	i := 0
-	for i < nk && bytes.Compare(in.keys[i].get(), key) <= 0 {
+	for i < nk && in.cmpAt(i, p) <= 0 {
 		i++
 	}
 	return i
 }
 
-// search returns the position of the first slot ≥ key and whether it equals
-// key.
-func (lf *leaf) search(key []byte) (int, bool) {
+// search returns the position of the first slot ≥ p and whether it equals
+// p.
+func (lf *leaf) search(p *probe) (int, bool) {
 	nk := clampKeys(lf.nkeys.Load())
 	for i := 0; i < nk; i++ {
-		switch bytes.Compare(lf.keys[i].get(), key) {
+		switch lf.cmpAt(i, p) {
 		case 0:
 			return i, true
 		case 1:
 			return i, false
 		}
 	}
-	return clampKeys(lf.nkeys.Load()), false
+	return nk, false
 }
 
 // VersionChange describes a node whose version was bumped by an insert, so
@@ -327,8 +314,8 @@ func checkKey(key []byte) {
 }
 
 // descend walks optimistically from the root to the leaf responsible for
-// key, returning the leaf and its stable version.
-func (t *Tree) descend(key []byte) (*leaf, uint64) {
+// p, returning the leaf and its stable version.
+func (t *Tree) descend(p *probe) (*leaf, uint64) {
 retry:
 	n := t.loadRoot()
 	v := n.stable()
@@ -337,7 +324,7 @@ retry:
 	}
 	for n.level > 0 {
 		in := (*inner)(unsafe.Pointer(n))
-		idx := in.search(key)
+		idx := in.search(p)
 		c := in.child(idx)
 		if c == nil {
 			// Torn read of nkeys/keys; the validation below would catch it,
@@ -364,9 +351,10 @@ func (t *Tree) Get(key []byte) (rec *record.Record, n *Node, version uint64) {
 	t.raceRLock()
 	defer t.raceRUnlock()
 	checkKey(key)
+	p := probeOf(key)
 	for spins := 0; ; spins++ {
-		lf, v := t.descend(key)
-		idx, eq := lf.search(key)
+		lf, v := t.descend(&p)
+		idx, eq := lf.search(&p)
 		if eq {
 			rec = lf.val(idx)
 		} else {
@@ -416,9 +404,10 @@ func (t *Tree) GetBatch(keys [][]byte, fn func(i int, rec *record.Record, n *Nod
 		var lf *leaf
 		var v uint64
 		var run int
+		first := probeOf(keys[i])
 	retry:
 		for spins := 0; ; spins++ {
-			lf, v = t.descend(keys[i])
+			lf, v = t.descend(&first)
 			// The run extends while keys stay ≤ the leaf's last key: the
 			// leaf's separator range contains its own keys, so any sorted
 			// key between the descent key and the last key routes here.
@@ -426,15 +415,14 @@ func (t *Tree) GetBatch(keys [][]byte, fn func(i int, rec *record.Record, n *Nod
 			// the slots, so a concurrent split cannot extend a run into
 			// keys the leaf no longer owns.
 			nk := clampKeys(lf.nkeys.Load())
-			var last []byte
-			if nk > 0 {
-				last = lf.keys[nk-1].get()
-			}
 			for run = 0; run < fanout && i+run < len(keys); run++ {
-				if run > 0 && bytes.Compare(keys[i+run], last) > 0 {
-					break
+				p := first
+				if run > 0 {
+					if p = probeOf(keys[i+run]); nk == 0 || lf.cmpAt(nk-1, &p) < 0 {
+						break
+					}
 				}
-				idx, eq := lf.search(keys[i+run])
+				idx, eq := lf.search(&p)
 				recs[run], hits[run] = nil, eq
 				if eq {
 					recs[run] = lf.val(idx)
@@ -470,9 +458,11 @@ func (t *Tree) InsertIfAbsent(key []byte, rec *record.Record) (cur *record.Recor
 	t.raceLock()
 	defer t.raceUnlock()
 	checkKey(key)
+	p := probeOf(key)
+	var k skey
 	for spins := 0; ; spins++ {
-		lf, v := t.descend(key)
-		idx, eq := lf.search(key)
+		lf, v := t.descend(&p)
+		idx, eq := lf.search(&p)
 		if eq {
 			existing := lf.val(idx)
 			if lf.version.Load() == v && existing != nil {
@@ -480,6 +470,9 @@ func (t *Tree) InsertIfAbsent(key []byte, rec *record.Record) (cur *record.Recor
 			}
 			backoff(spins)
 			continue
+		}
+		if k.n == 0 {
+			k = makeKey(key, nil) // before any lock: a long key allocates its suffix
 		}
 		nk := int(lf.nkeys.Load())
 		if nk < fanout {
@@ -490,19 +483,19 @@ func (t *Tree) InsertIfAbsent(key []byte, rec *record.Record) (cur *record.Recor
 			}
 			// Re-search under the lock: the upgrade guarantees no change
 			// since v, so idx is still right, but recompute defensively.
-			idx, eq = lf.search(key)
+			idx, eq = lf.search(&p)
 			if eq {
 				existing := lf.val(idx)
 				lf.unlock()
 				return existing, false, nil
 			}
-			t.insertAt(lf, idx, key, rec)
+			t.insertAt(lf, idx, k, rec)
 			newV := (lf.version.Load() + versionInc) &^ lockBit
 			lf.unlockBump()
 			return rec, true, []VersionChange{{Node: &lf.node, Old: v, New: newV}}
 		}
 		// Leaf full: pessimistic split path.
-		cur, inserted, changes, ok := t.insertSplit(key, rec)
+		cur, inserted, changes, ok := t.insertSplit(&p, k, rec)
 		if ok {
 			return cur, inserted, changes
 		}
@@ -521,10 +514,12 @@ func (t *Tree) GetOrInsert(key []byte, mk func() *record.Record) (rec *record.Re
 	t.raceLock()
 	defer t.raceUnlock()
 	checkKey(key)
+	p := probeOf(key)
+	var k skey
 	var fresh *record.Record
 	for spins := 0; ; spins++ {
-		lf, v := t.descend(key)
-		idx, eq := lf.search(key)
+		lf, v := t.descend(&p)
+		idx, eq := lf.search(&p)
 		if eq {
 			existing := lf.val(idx)
 			if lf.version.Load() == v && existing != nil {
@@ -541,6 +536,7 @@ func (t *Tree) GetOrInsert(key []byte, mk func() *record.Record) (rec *record.Re
 				continue
 			}
 			fresh = mk()
+			k = makeKey(key, nil)
 		}
 		if int(lf.nkeys.Load()) < fanout {
 			// The upgrade succeeds only if the leaf is unchanged since v,
@@ -549,11 +545,11 @@ func (t *Tree) GetOrInsert(key []byte, mk func() *record.Record) (rec *record.Re
 				backoff(spins)
 				continue
 			}
-			t.insertAt(lf, idx, key, fresh)
+			t.insertAt(lf, idx, k, fresh)
 			lf.unlockBump()
 			return fresh, true
 		}
-		cur, inserted, _, ok := t.insertSplit(key, fresh)
+		cur, inserted, _, ok := t.insertSplit(&p, k, fresh)
 		if ok {
 			return cur, inserted
 		}
@@ -561,16 +557,16 @@ func (t *Tree) GetOrInsert(key []byte, mk func() *record.Record) (rec *record.Re
 	}
 }
 
-// insertAt shifts slots right and installs (key, rec) at position idx,
+// insertAt shifts slots right and installs (k, rec) at position idx,
 // leaving the leaf's hint on the slot after it. Caller holds the leaf lock
 // and has verified there is room.
-func (t *Tree) insertAt(lf *leaf, idx int, key []byte, rec *record.Record) {
+func (t *Tree) insertAt(lf *leaf, idx int, k skey, rec *record.Record) {
 	nk := int(lf.nkeys.Load())
 	for i := nk; i > idx; i-- {
-		lf.keys[i] = lf.keys[i-1]
+		lf.put(i, lf.get(i-1))
 		atomic.StorePointer(&lf.vals[i], atomic.LoadPointer(&lf.vals[i-1]))
 	}
-	lf.keys[idx].set(key)
+	lf.put(idx, k)
 	atomic.StorePointer(&lf.vals[idx], unsafe.Pointer(rec))
 	lf.nkeys.Store(int32(nk + 1))
 	lf.hint = int32(idx + 1)
@@ -584,7 +580,7 @@ func (t *Tree) insertAt(lf *leaf, idx int, key []byte, rec *record.Record) {
 // from the root down, releasing ancestors as soon as a child has room for a
 // promoted separator, then splits bottom-up. Returns ok=false if the
 // descent raced with a root change and must be retried.
-func (t *Tree) insertSplit(key []byte, rec *record.Record) (cur *record.Record, inserted bool, changes []VersionChange, ok bool) {
+func (t *Tree) insertSplit(p *probe, k skey, rec *record.Record) (cur *record.Record, inserted bool, changes []VersionChange, ok bool) {
 	n := t.loadRoot()
 	n.lock()
 	if t.loadRoot() != n {
@@ -598,7 +594,7 @@ func (t *Tree) insertSplit(key []byte, rec *record.Record) (cur *record.Record, 
 	preV := []uint64{n.version.Load() &^ lockBit}
 	for n.level > 0 {
 		in := (*inner)(unsafe.Pointer(n))
-		idx := in.search(key)
+		idx := in.search(p)
 		c := in.child(idx)
 		c.lock()
 		if int(c.nkeys.Load()) < fanout {
@@ -614,7 +610,7 @@ func (t *Tree) insertSplit(key []byte, rec *record.Record) (cur *record.Record, 
 		n = c
 	}
 	lf := (*leaf)(unsafe.Pointer(n))
-	idx, eq := lf.search(key)
+	idx, eq := lf.search(p)
 	if eq {
 		existing := lf.val(idx)
 		for _, a := range locked {
@@ -624,7 +620,7 @@ func (t *Tree) insertSplit(key []byte, rec *record.Record) (cur *record.Record, 
 	}
 	if int(lf.nkeys.Load()) < fanout {
 		// A concurrent remove made room; no split after all.
-		t.insertAt(lf, idx, key, rec)
+		t.insertAt(lf, idx, k, rec)
 		for i, a := range locked {
 			if a == n {
 				changes = append(changes, VersionChange{Node: a, Old: preV[i], New: (a.version.Load() + versionInc) &^ lockBit})
@@ -651,9 +647,10 @@ func (t *Tree) insertSplit(key []byte, rec *record.Record) (cur *record.Record, 
 	right.version.Store(lockBit)
 	t.leaves.Add(1)
 	for i := mid; i < fanout; i++ {
-		right.keys[i-mid] = lf.keys[i]
+		right.put(i-mid, lf.get(i))
 		atomic.StorePointer(&right.vals[i-mid], atomic.LoadPointer(&lf.vals[i]))
 		atomic.StorePointer(&lf.vals[i], nil)
+		lf.drop(i)
 	}
 	right.nkeys.Store(int32(fanout - mid))
 	lf.nkeys.Store(int32(mid))
@@ -664,11 +661,11 @@ func (t *Tree) insertSplit(key []byte, rec *record.Record) (cur *record.Record, 
 		t.empty.Add(1) // right is born empty; insertAt takes it back
 	}
 	if idx > mid || mid == fanout {
-		t.insertAt(right, idx-mid, key, rec)
+		t.insertAt(right, idx-mid, k, rec)
 	} else {
-		t.insertAt(lf, idx, key, rec)
+		t.insertAt(lf, idx, k, rec)
 	}
-	sep := append([]byte(nil), right.keys[0].get()...)
+	sep := right.get(0) // the separator shares the key's suffix
 
 	// Record changes for the two leaves; they are unlocked after the
 	// separator is linked into the parent chain.
@@ -690,7 +687,7 @@ type pendingUnlock struct {
 // inner nodes upward as needed, then unlocks every touched node and returns
 // the version changes. locked is the residual locked path (outermost
 // first); its final element is the leaf already handled by the caller.
-func (t *Tree) propagateSplit(locked []*node, preV []uint64, child *node, sep []byte, right *node, pending []pendingUnlock) []VersionChange {
+func (t *Tree) propagateSplit(locked []*node, preV []uint64, child *node, sep skey, right *node, pending []pendingUnlock) []VersionChange {
 	// Walk up the locked path from the leaf's parent.
 	pi := len(locked) - 2 // index of child's parent in locked
 	for {
@@ -698,7 +695,7 @@ func (t *Tree) propagateSplit(locked []*node, preV []uint64, child *node, sep []
 			// child was the root (everything above split away): new root.
 			nr := &inner{}
 			nr.level = child.level + 1
-			nr.keys[0].set(sep)
+			nr.put(0, sep)
 			atomic.StorePointer(&nr.children[0], unsafe.Pointer(child))
 			atomic.StorePointer(&nr.children[1], unsafe.Pointer(right))
 			nr.nkeys.Store(1)
@@ -707,13 +704,14 @@ func (t *Tree) propagateSplit(locked []*node, preV []uint64, child *node, sep []
 		}
 		parent := (*inner)(unsafe.Pointer(locked[pi]))
 		nk := int(parent.nkeys.Load())
-		idx := parent.search(sep)
+		sp := sep.probe()
+		idx := parent.search(&sp)
 		if nk < fanout {
 			for i := nk; i > idx; i-- {
-				parent.keys[i] = parent.keys[i-1]
+				parent.put(i, parent.get(i-1))
 				atomic.StorePointer(&parent.children[i+1], atomic.LoadPointer(&parent.children[i]))
 			}
-			parent.keys[idx].set(sep)
+			parent.put(idx, sep)
 			atomic.StorePointer(&parent.children[idx+1], unsafe.Pointer(right))
 			parent.nkeys.Store(int32(nk + 1))
 			pending = markBump(pending, &parent.node)
@@ -724,10 +722,11 @@ func (t *Tree) propagateSplit(locked []*node, preV []uint64, child *node, sep []
 		pright.level = parent.level
 		pright.version.Store(lockBit)
 		mid := fanout / 2
-		promoted := make([]byte, len(parent.keys[mid].get()))
-		copy(promoted, parent.keys[mid].get())
+		promoted := parent.get(mid)
+		parent.drop(mid)
 		for i := mid + 1; i < fanout; i++ {
-			pright.keys[i-mid-1] = parent.keys[i]
+			pright.put(i-mid-1, parent.get(i))
+			parent.drop(i)
 		}
 		for i := mid + 1; i <= fanout; i++ {
 			atomic.StorePointer(&pright.children[i-mid-1], atomic.LoadPointer(&parent.children[i]))
@@ -737,16 +736,16 @@ func (t *Tree) propagateSplit(locked []*node, preV []uint64, child *node, sep []
 		parent.nkeys.Store(int32(mid))
 		// Insert (sep, right) into the proper half.
 		target := parent
-		if bytes.Compare(sep, promoted) >= 0 {
+		if pp := promoted.probe(); compare(&sp, &pp) >= 0 {
 			target = pright
 		}
 		tnk := int(target.nkeys.Load())
-		tidx := target.search(sep)
+		tidx := target.search(&sp)
 		for i := tnk; i > tidx; i-- {
-			target.keys[i] = target.keys[i-1]
+			target.put(i, target.get(i-1))
 			atomic.StorePointer(&target.children[i+1], atomic.LoadPointer(&target.children[i]))
 		}
-		target.keys[tidx].set(sep)
+		target.put(tidx, sep)
 		atomic.StorePointer(&target.children[tidx+1], unsafe.Pointer(right))
 		target.nkeys.Store(int32(tnk + 1))
 
@@ -815,9 +814,10 @@ func (t *Tree) RemoveIf(key []byte, pred func(*record.Record) bool) (removed boo
 	t.raceLock()
 	defer t.raceUnlock()
 	checkKey(key)
+	p := probeOf(key)
 	for spins := 0; ; spins++ {
-		lf, v := t.descend(key)
-		idx, eq := lf.search(key)
+		lf, v := t.descend(&p)
+		idx, eq := lf.search(&p)
 		if !eq {
 			if lf.version.Load() == v {
 				return false, VersionChange{}
@@ -829,17 +829,18 @@ func (t *Tree) RemoveIf(key []byte, pred func(*record.Record) bool) (removed boo
 			backoff(spins)
 			continue
 		}
-		idx, eq = lf.search(key)
+		idx, eq = lf.search(&p)
 		if !eq || !pred(lf.val(idx)) {
 			lf.unlock()
 			return false, VersionChange{}
 		}
 		nk := int(lf.nkeys.Load())
 		for i := idx; i < nk-1; i++ {
-			lf.keys[i] = lf.keys[i+1]
+			lf.put(i, lf.get(i+1))
 			atomic.StorePointer(&lf.vals[i], atomic.LoadPointer(&lf.vals[i+1]))
 		}
 		atomic.StorePointer(&lf.vals[nk-1], nil)
+		lf.drop(nk - 1)
 		lf.nkeys.Store(int32(nk - 1))
 		if idx < int(lf.hint) {
 			lf.hint-- // the slot after the last insert moved down with it
@@ -854,19 +855,21 @@ func (t *Tree) RemoveIf(key []byte, pred func(*record.Record) bool) (removed boo
 	}
 }
 
-// scanEntry is one validated (key, record) pair copied out of a leaf.
-type scanEntry struct {
-	key ikey
-	rec *record.Record
+// scanBuf is Scan's per-leaf buffer: the validated (key, record) pairs
+// copied out of a leaf, and the bytes of the key being handed to the
+// callback.
+type scanBuf struct {
+	keys [fanout]skey
+	recs [fanout]*record.Record
+	key  [MaxKeyLen]byte
 }
 
-// scanBufPool recycles Scan's per-leaf entry buffer. The buffer cannot
-// live on Scan's stack: key slices handed to the callback alias the
-// inline key storage of its entries, so escape analysis (correctly)
-// heap-allocates it — one allocation per scan that this pool turns into
-// none. Re-entrant callbacks (a read on another table mid-scan) simply
-// draw a second buffer.
-var scanBufPool = sync.Pool{New: func() any { return new([fanout]scanEntry) }}
+// scanBufPool recycles Scan's buffers. A buffer cannot live on Scan's
+// stack: the key slices handed to the callback alias it, so escape analysis
+// (correctly) heap-allocates it — one allocation per scan that this pool
+// turns into none. Re-entrant callbacks (a read on another table mid-scan)
+// simply draw a second buffer.
+var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
 
 // Scan visits keys in [lo, hi) in order (hi nil means +∞). For every leaf
 // examined — including leaves that contribute no keys, which still guard
@@ -877,9 +880,10 @@ func (t *Tree) Scan(lo, hi []byte, nodeFn func(n *Node, version uint64), fn func
 	t.raceRLock()
 	defer t.raceRUnlock()
 	checkKey(lo)
-	entries := scanBufPool.Get().(*[fanout]scanEntry)
-	defer scanBufPool.Put(entries)
-	lf, v := t.descend(lo)
+	buf := scanBufPool.Get().(*scanBuf)
+	defer scanBufPool.Put(buf)
+	lop, hip := probeOf(lo), probeOf(hi)
+	lf, v := t.descend(&lop)
 	first := true
 	for lf != nil {
 		var cnt int
@@ -891,15 +895,11 @@ func (t *Tree) Scan(lo, hi []byte, nodeFn func(n *Node, version uint64), fn func
 			cnt = 0
 			nk := clampKeys(lf.nkeys.Load())
 			for i := 0; i < nk; i++ {
-				k := lf.keys[i].get()
-				if bytes.Compare(k, lo) < 0 {
+				if lf.cmpAt(i, &lop) < 0 || (hi != nil && lf.cmpAt(i, &hip) >= 0) {
 					continue
 				}
-				if hi != nil && bytes.Compare(k, hi) >= 0 {
-					continue
-				}
-				entries[cnt].key = lf.keys[i]
-				entries[cnt].rec = lf.val(i)
+				buf.keys[cnt] = lf.get(i)
+				buf.recs[cnt] = lf.val(i)
 				cnt++
 			}
 			next = lf.nextLeaf()
@@ -919,10 +919,10 @@ func (t *Tree) Scan(lo, hi []byte, nodeFn func(n *Node, version uint64), fn func
 			nodeFn(&lf.node, v)
 		}
 		for i := 0; i < cnt; i++ {
-			if entries[i].rec == nil {
+			if buf.recs[i] == nil {
 				continue // torn slot; its key will be revisited via validation upstream
 			}
-			if !fn(entries[i].key.get(), entries[i].rec) {
+			if !fn(buf.keys[i].appendTo(buf.key[:0]), buf.recs[i]) {
 				t.raceRLock() // pair with the deferred unlock
 				return
 			}
@@ -936,7 +936,7 @@ func (t *Tree) Scan(lo, hi []byte, nodeFn func(n *Node, version uint64), fn func
 			}
 		} else {
 			nk := clampKeys(lf.nkeys.Load())
-			if nk > 0 && bytes.Compare(lf.keys[nk-1].get(), hi) >= 0 {
+			if nk > 0 && lf.cmpAt(nk-1, &hip) >= 0 {
 				return
 			}
 			if next == nil {

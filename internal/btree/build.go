@@ -1,8 +1,7 @@
 package btree
 
 import (
-	"bytes"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -33,15 +32,19 @@ type Item struct {
 func (t *Tree) Build(runs ...[]Item) {
 	t.raceLock()
 	defer t.raceUnlock()
-	n := 0
-	var prev []byte
+	n, tails := 0, 0
+	var prev probe
 	for _, run := range runs {
 		for _, it := range run {
 			checkKey(it.Key)
-			if prev != nil && bytes.Compare(prev, it.Key) >= 0 {
+			p := probeOf(it.Key)
+			if prev.n > 0 && compare(&prev, &p) >= 0 {
 				panic("btree: Build keys do not ascend")
 			}
-			prev = it.Key
+			prev = p
+			if len(it.Key) > inlineBytes {
+				tails += 1 + len(it.Key) - inlineBytes
+			}
 		}
 		n += len(run)
 	}
@@ -53,19 +56,21 @@ func (t *Tree) Build(runs ...[]Item) {
 		panic("btree: Build on a tree that is not empty")
 	}
 
-	// The tree frees no node, so the leaves share one allocation.
+	// The tree frees no node, so the leaves share one allocation, and so do
+	// the suffixes of the keys longer than a slot's two words.
 	leaves := make([]leaf, (n+fanout-1)/fanout)
+	slab := make([]byte, tails)
 	i := 0
 	for _, run := range runs {
 		for _, it := range run {
 			lf := &leaves[i/fanout]
-			lf.keys[i%fanout].set(it.Key)
+			lf.put(i%fanout, makeKey(it.Key, &slab))
 			lf.vals[i%fanout] = unsafe.Pointer(it.Rec)
 			i++
 		}
 	}
 	level := make([]*node, len(leaves))
-	lows := make([][]byte, len(leaves)) // the smallest key under each node of level
+	lows := make([]skey, len(leaves)) // the smallest key under each node of level
 	for j := range leaves {
 		lf := &leaves[j]
 		nk := min(fanout, n-j*fanout)
@@ -74,11 +79,11 @@ func (t *Tree) Build(runs ...[]Item) {
 		if j+1 < len(leaves) {
 			lf.next = unsafe.Pointer(&leaves[j+1])
 		}
-		level[j], lows[j] = &lf.node, lf.keys[0].get()
+		level[j], lows[j] = &lf.node, lf.get(0)
 	}
 	for len(level) > 1 {
 		inners := make([]inner, (len(level)+fanout)/(fanout+1))
-		up, upLows := make([]*node, len(inners)), make([][]byte, len(inners))
+		up, upLows := make([]*node, len(inners)), make([]skey, len(inners))
 		for g := range inners {
 			in := &inners[g]
 			in.level = level[0].level + 1
@@ -86,7 +91,7 @@ func (t *Tree) Build(runs ...[]Item) {
 			for c := lo; c < hi; c++ {
 				in.children[c-lo] = unsafe.Pointer(level[c])
 				if c > lo {
-					in.keys[c-lo-1].set(lows[c])
+					in.put(c-lo-1, lows[c])
 				}
 			}
 			in.nkeys.Store(int32(hi - lo - 1))
@@ -117,18 +122,20 @@ func (t *Tree) SplitKeys(n int) [][]byte {
 	if n < 2 || root.level == 0 {
 		return nil
 	}
-	var out [][]byte
+	var cuts []skey
 	seen := 0 // leaves left of the walk
 	var walk func(nd *node)
 	walk = func(nd *node) {
 		in := (*inner)(unsafe.Pointer(nd))
-		var keys [fanout]ikey
+		var keys [fanout]skey
 		var kids [fanout + 1]*node
 		var nk int
 		for spins := 0; ; spins++ {
 			v := nd.stable()
 			nk = clampKeys(in.nkeys.Load())
-			copy(keys[:nk], in.keys[:nk])
+			for c := 0; c < nk; c++ {
+				keys[c] = in.get(c)
+			}
 			for c := 0; c <= nk; c++ {
 				kids[c] = in.child(c)
 			}
@@ -137,26 +144,27 @@ func (t *Tree) SplitKeys(n int) [][]byte {
 			}
 			backoff(spins)
 		}
-		for c := 0; c <= nk && len(out) < n-1; c++ {
+		for c := 0; c <= nk && len(cuts) < n-1; c++ {
 			if nd.level == 1 {
 				seen++
 			} else {
 				walk(kids[c])
 			}
 			// Separator c is the boundary after the leaves seen so far.
-			if c < nk && seen*n >= (len(out)+1)*leaves {
-				out = append(out, append([]byte(nil), keys[c].get()...))
+			if c < nk && seen*n >= (len(cuts)+1)*leaves {
+				cuts = append(cuts, keys[c])
 			}
 		}
 	}
 	walk(root)
 	// Only a concurrent split can put them out of order.
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i], out[j]) < 0 })
-	uniq := out[:0]
-	for _, k := range out {
-		if len(uniq) == 0 || !bytes.Equal(uniq[len(uniq)-1], k) {
-			uniq = append(uniq, k)
+	cmpKeys := func(a, b skey) int { pa, pb := a.probe(), b.probe(); return compare(&pa, &pb) }
+	slices.SortFunc(cuts, cmpKeys)
+	var out [][]byte
+	for i := range cuts {
+		if i == 0 || cmpKeys(cuts[i-1], cuts[i]) != 0 {
+			out = append(out, cuts[i].appendTo(nil))
 		}
 	}
-	return uniq
+	return out
 }

@@ -1,7 +1,6 @@
 package btree
 
 import (
-	"bytes"
 	"fmt"
 	"unsafe"
 
@@ -58,7 +57,9 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-func checkNode(n *node, lo, hi []byte, leaves *[]*leaf) error {
+// checkNode checks the subtree at n, whose keys must lie in [lo, hi) (nil
+// for no bound).
+func checkNode(n *node, lo, hi *probe, leaves *[]*leaf) error {
 	if n.version.Load()&lockBit != 0 {
 		return fmt.Errorf("node %p locked during single-threaded check", n)
 	}
@@ -66,18 +67,38 @@ func checkNode(n *node, lo, hi []byte, leaves *[]*leaf) error {
 	if nk < 0 || nk > fanout {
 		return fmt.Errorf("node %p has invalid key count %d", n, nk)
 	}
+	var s *slots
+	if n.level == 0 {
+		s = &(*leaf)(unsafe.Pointer(n)).slots
+	} else {
+		s = &(*inner)(unsafe.Pointer(n)).slots
+	}
+	var kp [fanout]probe
+	keys := kp[:nk]
+	for i := range keys {
+		k := s.get(i)
+		if err := k.check(); err != nil {
+			return fmt.Errorf("node %p slot %d: %v", n, i, err)
+		}
+		keys[i] = k.probe()
+	}
+	for i := nk; i < fanout; i++ {
+		if s.sfx[i] != nil {
+			return fmt.Errorf("node %p holds a suffix in vacated slot %d", n, i)
+		}
+	}
+	key := func(i int) []byte { k := s.get(i); return k.appendTo(nil) }
 	if n.level == 0 {
 		lf := (*leaf)(unsafe.Pointer(n))
-		for i := 0; i < nk; i++ {
-			k := lf.keys[i].get()
-			if i > 0 && bytes.Compare(lf.keys[i-1].get(), k) >= 0 {
+		for i := range keys {
+			if i > 0 && compare(&keys[i-1], &keys[i]) >= 0 {
 				return fmt.Errorf("leaf %p keys out of order at %d", lf, i)
 			}
-			if lo != nil && bytes.Compare(k, lo) < 0 {
-				return fmt.Errorf("leaf %p key %q below bound %q", lf, k, lo)
+			if lo != nil && compare(&keys[i], lo) < 0 {
+				return fmt.Errorf("leaf %p key %q below its bound", lf, key(i))
 			}
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				return fmt.Errorf("leaf %p key %q above bound %q", lf, k, hi)
+			if hi != nil && compare(&keys[i], hi) >= 0 {
+				return fmt.Errorf("leaf %p key %q above its bound", lf, key(i))
 			}
 			if lf.val(i) == nil {
 				return fmt.Errorf("leaf %p has nil record at %d", lf, i)
@@ -90,9 +111,8 @@ func checkNode(n *node, lo, hi []byte, leaves *[]*leaf) error {
 	if nk == 0 {
 		return fmt.Errorf("inner node %p has no keys", in)
 	}
-	for i := 0; i < nk; i++ {
-		k := in.keys[i].get()
-		if i > 0 && bytes.Compare(in.keys[i-1].get(), k) > 0 {
+	for i := 1; i < nk; i++ {
+		if compare(&keys[i-1], &keys[i]) > 0 {
 			return fmt.Errorf("inner %p separators out of order at %d", in, i)
 		}
 	}
@@ -106,10 +126,10 @@ func checkNode(n *node, lo, hi []byte, leaves *[]*leaf) error {
 		}
 		clo, chi := lo, hi
 		if i > 0 {
-			clo = in.keys[i-1].get()
+			clo = &keys[i-1]
 		}
 		if i < nk {
-			chi = in.keys[i].get()
+			chi = &keys[i]
 		}
 		if err := checkNode(c, clo, chi, leaves); err != nil {
 			return err
@@ -118,18 +138,20 @@ func checkNode(n *node, lo, hi []byte, leaves *[]*leaf) error {
 	return nil
 }
 
-// ApplyAll visits every (key, record) pair single-threadedly in key order.
-// Recovery and consistency checkers use it; it must not run concurrently
-// with writers.
+// ApplyAll visits every (key, record) pair single-threadedly in key order;
+// key slices passed to fn are valid only during the callback. Consistency
+// checkers use it; it must not run concurrently with writers.
 func (t *Tree) ApplyAll(fn func(key []byte, rec *record.Record) bool) {
 	t.raceRLock()
 	defer t.raceRUnlock()
+	var kb [MaxKeyLen]byte
 	var walk func(n *node) bool
 	walk = func(n *node) bool {
 		if n.level == 0 {
 			lf := (*leaf)(unsafe.Pointer(n))
 			for i := 0; i < int(lf.nkeys.Load()); i++ {
-				if !fn(lf.keys[i].get(), lf.val(i)) {
+				k := lf.get(i)
+				if !fn(k.appendTo(kb[:0]), lf.val(i)) {
 					return false
 				}
 			}

@@ -3,20 +3,23 @@ package btree
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 )
 
 // Leaf fill under the insert orders the split rule distinguishes. Each
-// filler inserts n keys into a fresh tree; the tests hold the fill to a
-// floor with CheckInvariants after every phase, BenchmarkTreeFill reports
-// it as a metric for the bench-tree gate.
+// filler inserts n keys into a fresh tree, all mapped to one record; the
+// tests hold the fill to a floor with CheckInvariants after every phase,
+// BenchmarkTreeFill reports it, and the node bytes per key, as metrics for
+// the bench-tree gate.
 
 // fillRuns inserts keys shaped like TPC-C's order-line key (w, d, o, ol) as
 // 20 interleaved ascending runs, one per (w, d): each step appends one
 // order of 5–15 lines to a run picked at random, so every run but the last
 // ends mid-tree, in a leaf it shares with the head of the next district.
 func fillRuns(tr *Tree, n int) {
+	rec := mkrec(1)
 	rng := rand.New(rand.NewSource(1))
 	var next [20]uint32
 	for done := 0; done < n; {
@@ -26,22 +29,26 @@ func fillRuns(tr *Tree, n int) {
 			k := binary.BigEndian.AppendUint16(nil, uint16(r/10))
 			k = append(k, byte(r%10))
 			k = binary.BigEndian.AppendUint32(k, next[r])
-			tr.InsertIfAbsent(append(k, byte(ol)), mkrec(1))
+			tr.InsertIfAbsent(append(k, byte(ol)), rec)
 			done++
 		}
 	}
 }
 
 func fillRandom(tr *Tree, n int) {
+	rec := mkrec(1)
 	rng := rand.New(rand.NewSource(1))
+	var k [8]byte
 	for tr.Len() < n {
-		tr.InsertIfAbsent(binary.BigEndian.AppendUint64(nil, rng.Uint64()), mkrec(1))
+		binary.BigEndian.PutUint64(k[:], rng.Uint64())
+		tr.InsertIfAbsent(k[:], rec)
 	}
 }
 
 func fillDescending(tr *Tree, n int) {
+	rec := mkrec(1)
 	for i := n; i > 0; i-- {
-		tr.InsertIfAbsent(key(i), mkrec(1))
+		tr.InsertIfAbsent(key(i), rec)
 	}
 }
 
@@ -133,8 +140,9 @@ func TestHintFollowsLastInsert(t *testing.T) {
 			continue
 		}
 		for i := 0; i < int(lf.nkeys.Load()); i++ {
-			if before := i < int(lf.hint); before != (string(lf.keys[i].get()) <= string(last)) {
-				t.Fatalf("step %d: hint %d, last insert %q, slot %d holds %q", step, lf.hint, last, i, lf.keys[i].get())
+			k := lf.get(i)
+			if before := i < int(lf.hint); before != (string(k.appendTo(nil)) <= string(last)) {
+				t.Fatalf("step %d: hint %d, last insert %q, slot %d holds %q", step, lf.hint, last, i, k.appendTo(nil))
 			}
 		}
 	}
@@ -143,6 +151,9 @@ func TestHintFollowsLastInsert(t *testing.T) {
 	}
 }
 
+// BenchmarkTreeFill reports, beside the fill and the leaf count, B/key: the
+// live heap a tree's nodes (and long keys' suffixes) hold per key, read as
+// a MemStats difference across the fill, whose keys all map to one record.
 func BenchmarkTreeFill(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -150,13 +161,25 @@ func BenchmarkTreeFill(b *testing.B) {
 	}{{"runs", fillRuns}, {"random", fillRandom}} {
 		b.Run(c.name, func(b *testing.B) {
 			var sh Shape
+			var held uint64
 			for i := 0; i < b.N; i++ {
+				before := liveHeap()
 				tr := New()
 				c.fill(tr, 100000)
+				held = liveHeap() - before
 				sh = tr.Shape()
+				runtime.KeepAlive(tr)
 			}
 			b.ReportMetric(sh.Fill(), "fill")
 			b.ReportMetric(float64(sh.Leaves), "leaves")
+			b.ReportMetric(float64(held)/float64(sh.Keys), "B/key")
 		})
 	}
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

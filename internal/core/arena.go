@@ -1,67 +1,52 @@
 package core
 
+import "silo/internal/record"
+
 // arena is the per-worker allocator standing in for the paper's NUMA-aware
 // allocator (§5.1): record data buffers are carved from worker-local slabs
-// and recycled through size-class free lists, so steady-state writes
+// and recycled through per-class free lists, so steady-state writes
 // allocate nothing from the shared heap. The Figure 11 "+Allocator" factor
 // toggles it.
 //
-// Size classes are powers of two from 16 bytes up; buffers larger than the
-// top class fall through to the heap.
+// The classes are record's (16-byte steps up to 256 bytes, then powers of
+// two up to 32 KiB); values beyond the top class get their own heap buffer.
+// A replaced buffer goes back on the list of the class its header names and
+// on no other, so a racy reader of a recycled buffer still reads inside it
+// (see package record).
 type arena struct {
-	classes [numSizeClasses][][]byte
+	classes [record.NumClasses][][]byte
 	slab    []byte
 }
 
-const (
-	minClassShift  = 4  // 16 B
-	numSizeClasses = 12 // up to 32 KiB
-	slabSize       = 1 << 20
-)
+const slabSize = 1 << 20
 
-func sizeClass(n int) int {
-	if n <= 1<<minClassShift {
-		return 0
-	}
-	c := 0
-	for s := 1 << minClassShift; s < n; s <<= 1 {
-		c++
-	}
-	return c
-}
-
-func classSize(c int) int { return 1 << (minClassShift + c) }
-
-// alloc returns a buffer of length n. The buffer's capacity is the size
-// class, so same-class reuse never reallocates.
+// alloc returns a buffer for an n-byte value, of exactly its class's size,
+// or nil when the value takes none from the arena (empty, or beyond the top
+// class).
 func (a *arena) alloc(n int) []byte {
-	c := sizeClass(n)
-	if c >= numSizeClasses {
-		return make([]byte, n)
+	c := record.BufClass(n)
+	if n == 0 || c >= record.NumClasses {
+		return nil
 	}
 	if l := a.classes[c]; len(l) > 0 {
 		buf := l[len(l)-1]
 		a.classes[c] = l[:len(l)-1]
-		return buf[:n]
+		return buf
 	}
-	sz := classSize(c)
+	sz := record.BufSize(c)
 	if len(a.slab) < sz {
 		a.slab = make([]byte, slabSize)
 	}
 	buf := a.slab[:sz:sz]
 	a.slab = a.slab[sz:]
-	return buf[:n]
+	return buf
 }
 
-// free returns a buffer to its size-class list. Buffers whose capacity is
-// not a class size (heap fallbacks) are dropped for the runtime to collect.
+// free returns a buffer a record handed back to its class's list.
 func (a *arena) free(buf []byte) {
-	c := sizeClass(cap(buf))
-	if c >= numSizeClasses || classSize(c) != cap(buf) {
-		return
-	}
+	c := record.ClassOf(buf)
 	if len(a.classes[c]) >= 4096 {
 		return // cap the free list; beyond this the runtime reclaims
 	}
-	a.classes[c] = append(a.classes[c], buf[:cap(buf)])
+	a.classes[c] = append(a.classes[c], buf)
 }

@@ -76,9 +76,10 @@ func (g *gcState) registerUnhook(t *Table, key []byte, rec *record.Record, expec
 	})
 }
 
-// recordOverheadBytes approximates the fixed per-record header cost (the
-// paper reports 32 bytes excluding data).
-const recordOverheadBytes = 32
+// recordOverheadBytes is a version's cost beyond its data: the 24-byte
+// record and its value buffer's 4-byte header (the paper reports 32 bytes
+// excluding data).
+const recordOverheadBytes = 28
 
 // reap frees every ripe item. Items are registered in non-decreasing epoch
 // order per worker, so reaping pops prefixes. Only the worker that

@@ -923,7 +923,7 @@ func (tx *Tx) installWrite(we *writeEntry, commit tid.Word, e uint64) {
 		// Mark absent; data is cleared. The record stays in the tree so
 		// snapshot transactions can reach the version chain; the GC unhooks
 		// it once the snapshot reclamation epoch passes (§4.9).
-		rec.SetDataLocked(nil, false)
+		tx.setRecordData(rec, nil)
 		newWord := commit.WithLatest(true).WithAbsent(true)
 		rec.Unlock(newWord)
 		var reclaim uint64
@@ -944,8 +944,9 @@ func (tx *Tx) installWrite(we *writeEntry, commit tid.Word, e uint64) {
 // setRecordData installs value into rec (lock held), honouring the
 // overwrite and arena options: in-place overwrite when the length matches
 // (+Overwrites), otherwise a fresh buffer from the worker's arena
-// (+Allocator) or the heap. Replaced buffers return to the arena free list;
-// a late racy reader of a recycled buffer is rejected by its TID-word
+// (+Allocator) or the heap. A delete installs the empty value. Replaced
+// buffers return to the arena's list for their class; a late racy reader
+// of a recycled buffer reads inside it and is rejected by its TID-word
 // validation, so immediate reuse is safe.
 func (tx *Tx) setRecordData(rec *record.Record, value []byte) {
 	w := tx.w
@@ -953,15 +954,11 @@ func (tx *Tx) setRecordData(rec *record.Record, value []byte) {
 	if opts.Overwrites && rec.TryOverwriteLocked(value) {
 		return
 	}
-	var buf []byte
+	var raw []byte
 	if opts.Arena {
-		buf = w.arena.alloc(len(value))
-	} else {
-		buf = make([]byte, len(value))
+		raw = w.arena.alloc(len(value))
 	}
-	copy(buf, value)
-	old := rec.SetDataPointerLocked(buf)
-	if opts.Arena && old != nil {
+	if old := rec.SetDataLocked(value, raw); opts.Arena && old != nil {
 		w.arena.free(old)
 	}
 }

@@ -58,14 +58,16 @@ func (s *Store) Put(key, value []byte) {
 	for {
 		rec, _, _ := s.tree.Get(key)
 		if rec == nil {
-			nr := record.New(tid.Make(1, 1).WithLatest(true), append([]byte(nil), value...))
+			nr := record.New(tid.Make(1, 1).WithLatest(true), value)
 			if _, inserted, _ := s.tree.InsertIfAbsent(key, nr); inserted {
 				return
 			}
 			continue // lost the race; write through the existing record
 		}
 		w := rec.Lock()
-		rec.SetDataLocked(value, true)
+		if !rec.TryOverwriteLocked(value) {
+			rec.SetDataLocked(value, nil)
+		}
 		rec.Unlock(tid.Word(uint64(w) + tid.SeqStep).WithLatest(true).WithAbsent(false))
 		return
 	}

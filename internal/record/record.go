@@ -1,9 +1,17 @@
 // Package record implements Silo's record layout and version-validated
 // access protocol (§4.3, §4.5).
 //
-// A record holds a TID word (which doubles as the record's latch), a
-// previous-version pointer supporting snapshot transactions, and the record
-// data. Committed transactions usually modify record data in place; readers
+// A record is three words: a TID word (which doubles as the record's latch),
+// a previous-version pointer supporting snapshot transactions, and a pointer
+// to the buffer holding the record's data — 24 bytes, where the paper reports
+// 32 on its system. The buffer is one allocation: a 4-byte header word, then
+// the value bytes. The header holds the value's length and the buffer's
+// class, which fixes the allocation's size for as long as it lives: a buffer
+// is only ever refilled with a value of its own class (see SetDataLocked), so
+// the length a header states never reaches past the allocation holding it.
+// An empty value (and an absent record) has no buffer at all.
+//
+// Committed transactions usually modify record data in place; readers
 // therefore run a seqlock-style validation protocol:
 //
 //	(a) read the TID word, spinning until the lock bit is clear,
@@ -17,13 +25,16 @@
 // reader that observes a released lock observes both the new data and the
 // new TID.
 //
-// Go specifics: the TID word and previous-version pointer use sync/atomic
-// (sequentially consistent — strictly stronger than the paper's compiler
-// fences on TSO). The data bytes themselves are deliberately read without
-// synchronization, exactly as in the paper; the double-read of the TID word
-// makes the race benign. When a new value has a different length than the
-// old, the data buffer is swapped through an atomic pointer rather than
-// overwritten, so slice headers are never torn.
+// Go specifics: the TID word, the previous-version pointer, the data pointer
+// and each buffer header use sync/atomic (sequentially consistent — strictly
+// stronger than the paper's compiler fences on TSO). The data bytes
+// themselves are deliberately read without synchronization, exactly as in
+// the paper. What keeps such a racy read memory-safe is one invariant: a
+// reader loads the data pointer once and reads only inside the allocation
+// it points to, as far as that allocation's own header says — so a buffer
+// swapped out, refilled in place or recycled to another record under the
+// reader yields, at worst, bytes of the wrong value, and the double-read of
+// the TID word rejects them.
 package record
 
 import (
@@ -34,31 +45,88 @@ import (
 	"silo/internal/tid"
 )
 
-// Record is a single record version. Excluding data, records are three words
-// plus the data pointer (the paper reports 32 bytes on its system).
+// Record is a single record version.
 type Record struct {
 	word atomic.Uint64          // TID word (latch + version + status)
 	prev atomic.Pointer[Record] // previous version (snapshots, §4.9)
-	data atomic.Pointer[[]byte] // current value bytes
+	data atomic.Pointer[uint32] // header of the value's buffer; nil for an empty value
 	_    [0]func()              // not comparable; records are identified by pointer
 }
 
-// New allocates a record with the given word and value. The value slice is
-// owned by the record afterwards.
+// Buffer classes. A header word holds the value length above classBits and
+// the buffer's class below. Classes step by 16 bytes up to 256, then double
+// up to 32 KiB; a value too long for the top class gets a buffer of its own
+// size, of exactClass, whose length — too wide for the header — sits in a
+// second word after it. Buffers of a class are recycled (by the engine's
+// per-worker arena); exact ones never are.
+const (
+	hdrBytes   = 4
+	classBits  = 5
+	classMask  = 1<<classBits - 1
+	exactClass = classMask
+	stepTop    = 256 // the last class of the 16-byte steps
+
+	// NumClasses is the number of recyclable buffer classes.
+	NumClasses = stepTop/16 + 7
+)
+
+// BufClass returns the class of the buffer that holds an n-byte value, or
+// NumClasses when the value is too long for every class.
+func BufClass(n int) int {
+	need := hdrBytes + n
+	if need <= stepTop {
+		return (need+15)/16 - 1
+	}
+	c := stepTop/16 - 1
+	for sz := stepTop; sz < need; sz <<= 1 {
+		c++
+	}
+	return min(c, NumClasses)
+}
+
+// BufSize returns the size in bytes, header included, of a class-c buffer.
+func BufSize(c int) int {
+	if c < stepTop/16 {
+		return 16 * (c + 1)
+	}
+	return stepTop << (c - (stepTop/16 - 1))
+}
+
+// ClassOf returns the class a recyclable buffer's header names.
+func ClassOf(buf []byte) int {
+	return int(atomic.LoadUint32((*uint32)(unsafe.Pointer(&buf[0]))) & classMask)
+}
+
+// view returns the value in the buffer whose header p points to. It reads
+// the header once and only as far as it says: every length a class-c header
+// ever states fits a class-c buffer, and an exact buffer is never reused.
+func view(p *uint32) []byte {
+	if p == nil {
+		return nil
+	}
+	h := atomic.LoadUint32(p)
+	data := unsafe.Add(unsafe.Pointer(p), hdrBytes)
+	n := h >> classBits
+	if h&classMask == exactClass {
+		n = *(*uint32)(data)
+		data = unsafe.Add(data, 4)
+	}
+	return unsafe.Slice((*byte)(data), n)
+}
+
+// New allocates a record with the given word and a copy of value.
 func New(w tid.Word, value []byte) *Record {
 	r := &Record{}
 	r.word.Store(uint64(w))
-	r.data.Store(&value)
+	r.SetDataLocked(value, nil)
 	return r
 }
 
 // NewAbsent allocates the placeholder installed by an insert before commit:
-// TID 0, absent and latest bits set (§4.5).
+// TID 0, absent and latest bits set (§4.5), and no data.
 func NewAbsent() *Record {
-	var empty []byte
 	r := &Record{}
 	r.word.Store(uint64(tid.Word(0).WithAbsent(true).WithLatest(true)))
-	r.data.Store(&empty)
 	return r
 }
 
@@ -71,10 +139,10 @@ func (r *Record) Prev() *Record { return r.prev.Load() }
 // SetPrev links the previous-version pointer.
 func (r *Record) SetPrev(p *Record) { r.prev.Store(p) }
 
-// DataUnsafe returns the current data buffer without validation. It is safe
-// only when the caller holds the record lock or the record is immutable
-// (e.g., a superseded snapshot version).
-func (r *Record) DataUnsafe() []byte { return *r.data.Load() }
+// DataUnsafe returns the current value without validation, aliasing the
+// record's buffer. It is safe only when the caller holds the record lock or
+// the record is immutable (e.g., a superseded snapshot version).
+func (r *Record) DataUnsafe() []byte { return view(r.data.Load()) }
 
 // Read performs the version-validated read protocol. It appends the record
 // data to buf (which may be nil) and returns the extended buffer along with
@@ -94,8 +162,7 @@ func (r *Record) Read(buf []byte) (val []byte, w tid.Word) {
 		if w1.Absent() {
 			return nil, w1
 		}
-		p := r.data.Load()
-		val = append(buf[:0], *p...)
+		val = append(buf[:0], view(r.data.Load())...)
 		w2 := tid.Word(r.word.Load())
 		if w1 == w2 {
 			return val, w1
@@ -149,41 +216,54 @@ func (r *Record) Unlock(w tid.Word) {
 	r.word.Store(uint64(w.WithoutLock()))
 }
 
-// SetDataLocked installs a new value while the caller holds the lock bit.
-// If overwrite is true and the new value has the same length as the old,
-// the bytes are copied in place (the paper's in-place overwrite
-// optimization); otherwise a fresh buffer is swapped in through the atomic
-// data pointer. It reports whether the update reused the existing buffer.
-func (r *Record) SetDataLocked(value []byte, overwrite bool) bool {
-	p := r.data.Load()
-	if overwrite && len(*p) == len(value) {
-		copy(*p, value)
-		return true
-	}
-	buf := make([]byte, len(value))
-	copy(buf, value)
-	r.data.Store(&buf)
-	return false
-}
-
 // TryOverwriteLocked copies value into the existing buffer if the lengths
-// match (the in-place overwrite fast path) and reports success. Caller must
+// match (the paper's in-place overwrite) and reports success. Caller must
 // hold the lock bit.
 func (r *Record) TryOverwriteLocked(value []byte) bool {
-	p := r.data.Load()
-	if len(*p) != len(value) {
+	cur := view(r.data.Load())
+	if len(cur) != len(value) {
 		return false
 	}
-	copy(*p, value)
+	copy(cur, value)
 	return true
 }
 
-// SetDataPointerLocked installs an already-allocated buffer and returns the
-// buffer it replaced (for allocator recycling). Caller must hold the lock
-// bit.
-func (r *Record) SetDataPointerLocked(buf []byte) (old []byte) {
-	old = *r.data.Load()
-	r.data.Store(&buf)
+// SetDataLocked installs a copy of value in a fresh buffer and returns the
+// buffer it replaced when that one can be recycled — whole, header
+// included — and nil otherwise. raw, when not nil, is the buffer to fill: of
+// exactly BufSize(BufClass(len(value))) bytes, and either never used or
+// returned by an earlier SetDataLocked, so that its allocation has always
+// been of that class; nil makes SetDataLocked allocate one. An empty value
+// takes no buffer. Caller must hold the lock bit (or own the record
+// outright, as New does).
+func (r *Record) SetDataLocked(value []byte, raw []byte) (old []byte) {
+	if p := r.data.Load(); p != nil {
+		if c := int(atomic.LoadUint32(p) & classMask); c < NumClasses {
+			old = unsafe.Slice((*byte)(unsafe.Pointer(p)), BufSize(c))
+		}
+	}
+	n := len(value)
+	if n == 0 {
+		r.data.Store(nil)
+		return old
+	}
+	c := BufClass(n)
+	var hdr uint32
+	if c < NumClasses {
+		if raw == nil {
+			raw = make([]byte, BufSize(c))
+		}
+		hdr = uint32(n)<<classBits | uint32(c)
+		copy(raw[hdrBytes:hdrBytes+n], value)
+	} else {
+		raw = make([]byte, hdrBytes+4+n)
+		hdr = exactClass
+		*(*uint32)(unsafe.Pointer(&raw[hdrBytes])) = uint32(n)
+		copy(raw[hdrBytes+4:], value)
+	}
+	p := (*uint32)(unsafe.Pointer(&raw[0]))
+	atomic.StoreUint32(p, hdr)
+	r.data.Store(p)
 	return old
 }
 
@@ -192,10 +272,7 @@ func (r *Record) SetDataPointerLocked(buf []byte) (old []byte) {
 // version chain, linking it to the record's current previous version. The
 // latest bit of the copy is cleared: it is superseded by construction.
 func (r *Record) CopyForSnapshot(w tid.Word) *Record {
-	data := *r.data.Load()
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	c := New(w.WithLatest(false).WithoutLock(), buf)
+	c := New(w.WithLatest(false).WithoutLock(), r.DataUnsafe())
 	c.prev.Store(r.prev.Load())
 	return c
 }
@@ -223,7 +300,7 @@ func (r *Record) CutVersion(v *Record) {
 }
 
 // DataLen returns the current value length (unvalidated; for statistics).
-func (r *Record) DataLen() int { return len(*r.data.Load()) }
+func (r *Record) DataLen() int { return len(view(r.data.Load())) }
 
 // Addr returns the record's address for the commit protocol's global lock
 // ordering (Silo uses pointer addresses of records).

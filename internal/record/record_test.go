@@ -69,18 +69,92 @@ func TestOverwriteSameLength(t *testing.T) {
 	}
 }
 
-func TestSetDataPointerReturnsOld(t *testing.T) {
+func TestSetDataReturnsOld(t *testing.T) {
 	r := New(tid.Make(1, 1), []byte("old!"))
 	r.Lock()
-	old := r.SetDataPointerLocked([]byte("newer"))
-	if string(old) != "old!" {
-		t.Fatalf("old=%q", old)
+	old := r.SetDataLocked([]byte("newer"), nil)
+	if len(old) != BufSize(BufClass(4)) || ClassOf(old) != BufClass(4) {
+		t.Fatalf("replaced buffer of %d bytes, class %d; want the whole class-%d buffer", len(old), ClassOf(old), BufClass(4))
 	}
 	r.Unlock(tid.Make(1, 2).WithLatest(true))
 	val, _ := r.Read(nil)
 	if string(val) != "newer" {
 		t.Fatalf("val=%q", val)
 	}
+	// The replaced buffer refills with any value of its class.
+	r.Lock()
+	if again := r.SetDataLocked([]byte("twelve bytes"), old); again == nil {
+		t.Fatal("the second buffer was not handed back")
+	}
+	r.Unlock(tid.Make(1, 3).WithLatest(true))
+	if val, _ := r.Read(nil); string(val) != "twelve bytes" {
+		t.Fatalf("val=%q", val)
+	}
+}
+
+// TestBufClasses pins the class table: 16-byte steps up to 256 bytes, a
+// 100-byte value in 112 (with its 4-byte header), doubling up to 32 KiB,
+// and beyond that no class.
+func TestBufClasses(t *testing.T) {
+	for _, c := range []struct{ n, size int }{
+		{1, 16}, {12, 16}, {13, 32}, {100, 112}, {252, 256}, {253, 512},
+		{1020, 1024}, {32764, 32768},
+	} {
+		if got := BufSize(BufClass(c.n)); got != c.size {
+			t.Errorf("a %d-byte value takes a %d-byte buffer, want %d", c.n, got, c.size)
+		}
+	}
+	if BufClass(32765) != NumClasses {
+		t.Errorf("a value beyond the top class has class %d, want %d", BufClass(32765), NumClasses)
+	}
+	for c := 1; c < NumClasses; c++ {
+		if BufSize(c) <= BufSize(c-1) || BufClass(BufSize(c)-hdrBytes) != c || BufClass(BufSize(c-1)-hdrBytes+1) != c {
+			t.Fatalf("class %d (%d bytes) does not follow class %d (%d bytes)", c, BufSize(c), c-1, BufSize(c-1))
+		}
+	}
+	if NumClasses > exactClass {
+		t.Fatalf("%d classes do not fit the header's %d class bits", NumClasses, classBits)
+	}
+}
+
+// TestValueSizes round-trips the edges of the buffer layout: an empty value
+// (no buffer, none handed back), a value filling its class exactly, and
+// values too long for any class, which are never handed back for reuse.
+func TestValueSizes(t *testing.T) {
+	for _, n := range []int{0, 1, 12, 13, 108, 252, 32764, 32765, 100 << 10} {
+		v := make([]byte, n)
+		for i := range v {
+			v[i] = byte(i * 7)
+		}
+		r := New(tid.Make(1, 1).WithLatest(true), v)
+		clear(v) // New copied it
+		if got, _ := r.Read(nil); len(got) != n || r.DataLen() != n {
+			t.Fatalf("%d-byte value read back as %d bytes (DataLen %d)", n, len(got), r.DataLen())
+		}
+		for i, b := range r.DataUnsafe() {
+			if b != byte(i*7) {
+				t.Fatalf("%d-byte value: byte %d is %d", n, i, b)
+			}
+		}
+		r.Lock()
+		old := r.SetDataLocked([]byte("x"), nil)
+		if wantOld := n > 0 && BufClass(n) < NumClasses; (old != nil) != wantOld {
+			t.Fatalf("%d-byte value: replaced buffer handed back %v, want %v", n, old != nil, wantOld)
+		}
+		r.Unlock(tid.Make(1, 2).WithLatest(true))
+	}
+}
+
+// TestWrongClassBufferPanics: a buffer smaller than the value's class — one
+// an arena recycled into a larger class — is refused rather than overrun.
+func TestWrongClassBufferPanics(t *testing.T) {
+	r := New(tid.Make(1, 1), nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 32-byte value went into a 16-byte buffer")
+		}
+	}()
+	r.SetDataLocked(make([]byte, 28), make([]byte, BufSize(0)))
 }
 
 func TestCopyForSnapshot(t *testing.T) {
@@ -163,7 +237,13 @@ func TestSeqlockConsistency(t *testing.T) {
 	}
 }
 
-// TestSeqlockWithResize mixes same-length overwrites with buffer swaps.
+// TestSeqlockWithResize swaps buffers of two classes under concurrent
+// readers, recycling each replaced buffer the next time its class comes
+// round — the way the engine's arena does — so a reader often holds a
+// buffer that is being refilled, or that already belongs to the other
+// value length. A validated read must still see one whole value. Race
+// builds, like the engine's, swap in fresh buffers only: a recycled one
+// races its validated readers by design.
 func TestSeqlockWithResize(t *testing.T) {
 	r := New(tid.Make(1, 1).WithLatest(true), bytes.Repeat([]byte{0}, 16))
 	var stop atomic.Bool
@@ -192,13 +272,20 @@ func TestSeqlockWithResize(t *testing.T) {
 		}()
 	}
 	seq := uint64(2)
+	free := map[int][][]byte{}
 	for i := 0; i < 10000; i++ {
 		w := r.Lock()
 		n := 16
 		if i%2 == 0 {
 			n = 64
 		}
-		r.SetDataPointerLocked(bytes.Repeat([]byte{byte(i)}, n))
+		var raw []byte
+		if l := free[BufClass(n)]; len(l) > 0 && !race.Enabled {
+			raw, free[BufClass(n)] = l[len(l)-1], l[:len(l)-1]
+		}
+		if old := r.SetDataLocked(bytes.Repeat([]byte{byte(i)}, n), raw); old != nil {
+			free[ClassOf(old)] = append(free[ClassOf(old)], old)
+		}
 		seq++
 		r.Unlock(tid.Make(w.Epoch(), seq).WithLatest(true))
 	}

@@ -647,9 +647,9 @@ func stagePart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (p s
 	for i, off := 0, hdr; off < len(body); i++ {
 		_, key, val, next, _ := partRow(body, off)
 		off = next
-		// Build copies the key into its slot; the value must outlive the
-		// mapped file.
-		items[i] = btree.Item{Key: key, Rec: record.New(rowWord, append([]byte(nil), val...))}
+		// Build copies the key into its slot and New the value, so neither
+		// outlives the mapped file.
+		items[i] = btree.Item{Key: key, Rec: record.New(rowWord, val)}
 	}
 	p.release = release
 	return p, nil

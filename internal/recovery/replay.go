@@ -392,15 +392,17 @@ func (r *router) flush() {
 
 // applier owns the keys whose hash routes to it. While segments are being
 // decoded it keeps, per key, the entry with the largest TID (absorb); then
-// it installs those winners (install). wins is append-only, so winners are
-// installed in the order their keys first appeared in the log — for a
-// loaded table, the order the rows were inserted in. index is an
-// open-addressing table over wins: a slot holds the position in wins plus
-// one, tagged with the hash's high half so that most mismatches are
-// rejected without touching wins.
+// it installs those winners (install). The winners are append-only, so
+// they are installed in the order their keys first appeared in the log —
+// for a loaded table, the order the rows were inserted in — and they are
+// kept in fixed chunks, so that growing never copies or zeroes what is
+// already there. index is an open-addressing table over the winners: a
+// slot holds a winner's position plus one, tagged with the hash's high half
+// so that most mismatches are rejected without touching the winner.
 type applier struct {
 	in    chan []item
-	wins  []item
+	wins  [][]item // winner i is wins[i/winChunk][i%winChunk]
+	n     int      // winners
 	index []uint64
 
 	superseded int // decoded in range, lost to a newer TID (here or in the store)
@@ -409,10 +411,15 @@ type applier struct {
 	err        error
 }
 
+// winChunk is the number of winners per chunk (72 KiB of items).
+const winChunk = 1024
+
+func (a *applier) win(i int) *item { return &a.wins[i/winChunk][i%winChunk] }
+
 func (a *applier) absorb(batch []item) {
 	for i := range batch {
 		it := &batch[i]
-		if 2*len(a.wins) >= len(a.index) {
+		if 2*a.n >= len(a.index) {
 			a.grow()
 		}
 		mask := uint64(len(a.index) - 1)
@@ -420,14 +427,18 @@ func (a *applier) absorb(batch []item) {
 		for p := (it.hash >> 16) & mask; ; p = (p + 1) & mask {
 			slot := a.index[p]
 			if slot == 0 {
-				a.wins = append(a.wins, *it)
-				a.index[p] = tag | uint64(len(a.wins))
+				if a.n%winChunk == 0 {
+					a.wins = append(a.wins, make([]item, winChunk))
+				}
+				*a.win(a.n) = *it
+				a.n++
+				a.index[p] = tag | uint64(a.n)
 				break
 			}
 			if slot&^0xffffffff != tag {
 				continue
 			}
-			w := &a.wins[uint32(slot)-1]
+			w := a.win(int(uint32(slot)) - 1)
 			if w.hash == it.hash && w.table == it.table && bytes.Equal(w.key, it.key) {
 				a.superseded++
 				if it.tid > w.tid {
@@ -447,8 +458,8 @@ func (a *applier) grow() {
 	}
 	a.index = make([]uint64, n)
 	mask := uint64(n - 1)
-	for i := range a.wins {
-		h := a.wins[i].hash
+	for i := 0; i < a.n; i++ {
+		h := a.win(i).hash
 		p := (h >> 16) & mask
 		for a.index[p] != 0 {
 			p = (p + 1) & mask
@@ -458,8 +469,8 @@ func (a *applier) grow() {
 }
 
 func (a *applier) install(store *core.Store, tables []*core.Table) {
-	for i := range a.wins {
-		w := &a.wins[i]
+	for i := 0; i < a.n; i++ {
+		w := a.win(i)
 		if int(w.table) >= len(tables) {
 			a.err = missingTableErr(store, w.table)
 			return

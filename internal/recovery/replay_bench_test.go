@@ -138,8 +138,8 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 // silo_recovery_replay_bytes_per_sec) it reports two counts, which repeat
 // and are what CI gates: allocs/entry — heap allocations per decoded log
 // entry — under 1 on rewrite, where most entries never reach the tree, and
-// at most 4 on insert-only, where each entry costs its record, the record's
-// slice header, its value and an amortized share of a leaf; and
+// at most 4 on insert-only, where each entry costs its record, its value
+// buffer and an amortized share of a leaf; and
 // heapB/logB — heap bytes allocated per log byte, checkpoint load included —
 // to which a segment read into the heap instead of mapped would add 1. Run
 // with
@@ -228,9 +228,9 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 // BenchmarkCheckpointLoad prices loading a four-part checkpoint of 100 000
 // ids with 100-byte values into a fresh store, by worker count. It reports
 // allocs/row and B/row, heap allocations and bytes per loaded row, which CI
-// gates: a row costs its record, the record's slice header and its value,
-// plus its share of the staged items and the packed leaves — the part files
-// themselves are mapped, not read into the heap. Run with
+// gates: a row costs its record and its value buffer, plus its share of the
+// staged items and the packed leaves — the part files themselves are
+// mapped, not read into the heap. Run with
 //
 //	go test -bench 'CheckpointLoad$' -benchtime 5x -benchmem ./internal/recovery
 func BenchmarkCheckpointLoad(b *testing.B) {

@@ -295,7 +295,7 @@ func ApplyFinal(tbl *core.Table, txnTID uint64, key, value []byte, del bool) Out
 	}
 	word := tid.Word(txnTID).WithLatest(true)
 	rec, inserted := tbl.Tree.GetOrInsert(key, func() *record.Record {
-		return record.New(word, append(make([]byte, 0, len(value)), value...))
+		return record.New(word, value)
 	})
 	if inserted {
 		return Applied
@@ -305,7 +305,9 @@ func ApplyFinal(tbl *core.Table, txnTID uint64, key, value []byte, del bool) Out
 		rec.Unlock(w)
 		return Superseded
 	}
-	rec.SetDataLocked(value, true)
+	if !rec.TryOverwriteLocked(value) {
+		rec.SetDataLocked(value, nil)
+	}
 	rec.Unlock(word)
 	return Applied
 }
