@@ -7,12 +7,12 @@ import (
 )
 
 // Spans is one traced transaction's span timeline: where the request
-// spent its life from the moment it left the connection reader to the
+// spent its life from the moment the connection reader decoded it to the
 // moment its response was handed back. Exec accumulates across OCC
 // retries (Retries counts them); Fsync is the group-commit durability
 // wait and is zero on non-durable servers.
 type Spans struct {
-	Queue    time.Duration // connection reader → executor pickup
+	Queue    time.Duration // burst decoded → request starts on a worker context
 	Exec     time.Duration // statement execution (all attempts)
 	Validate time.Duration // commit Phase 1+2: lock write-set, validate read/node sets
 	Log      time.Duration // commit Phase 3: install, unlock, redo-log handoff

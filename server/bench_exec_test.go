@@ -19,12 +19,12 @@ import (
 // bench-exec job gates on the benchmark output). BENCH_EXEC.json holds
 // the reference snapshot.
 
-// benchExec builds a paused-executor server over an in-memory database:
-// the server's own executors idle on the dispatch queue while the
-// benchmark drives worker 0's exec state directly, exactly the code a
-// dispatched job runs minus the channel hops. It returns once the snapshot
-// epoch covers the load, so snapshot ISCANs page the same rows as the
-// serializable ones.
+// benchExec builds a server with no connections over an in-memory
+// database and takes worker context 0 out of its pool, so the benchmark
+// drives that context directly: exactly the code a connection reader runs
+// per request, minus the socket. It returns once the snapshot epoch covers
+// the load, so snapshot ISCANs page the same rows as the serializable
+// ones.
 func benchExec(tb testing.TB) (*Server, *execState, func()) {
 	tb.Helper()
 	db, err := silo.Open(silo.Options{Workers: 2, EpochInterval: 2 * time.Millisecond})
@@ -74,39 +74,37 @@ func benchExec(tb testing.TB) (*Server, *execState, func()) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	st := newExecState(s, 0)
+	st := <-s.ctxs
+	if st.w != 0 {
+		tb.Fatalf("the pool handed out worker %d's context first", st.w)
+	}
 	return s, st, func() {
 		s.Close()
 		db.Close()
 	}
 }
 
-// newBenchJob is the job a benchmark cycle decodes into and runs, with
-// the buffered done channel a connection reader would have pooled.
-func newBenchJob() *job { return &job{done: make(chan *respBuf, 1)} }
-
 // runCycle is the decode → execute → encode → release cycle one request
-// pays between a connection's reader and its writer: exactly runJob, with
-// the response taken off the job's done channel and its buffer recycled
-// as the writer would. The returned frame length keeps the compiler
-// honest.
-func runCycle(tb testing.TB, s *Server, st *execState, j *job, frame []byte) int {
+// pays between a connection's reader and its writer: exactly runJob on
+// the first job of chain c, with the response buffer recycled as the
+// writer would. The returned frame length keeps the compiler honest.
+func runCycle(tb testing.TB, s *Server, st *execState, c *chain, frame []byte) int {
+	j := &c.jobs[0]
 	if err := wire.DecodeRequestInto(frame[4:], &j.req, &j.scratch); err != nil {
 		tb.Fatal(err)
 	}
-	s.runJob(st, j)
-	rb := <-j.done
-	n := len(rb.b)
-	s.putBuf(rb)
+	s.runJob(st, c, j, time.Now())
+	n := len(j.rb.b)
+	s.putBuf(j.rb)
 	return n
 }
 
 func benchLoop(b *testing.B, s *Server, st *execState, frame []byte) {
-	j := newBenchJob()
+	c := newChain()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runCycle(b, s, st, j, frame)
+		runCycle(b, s, st, c, frame)
 	}
 }
 
@@ -167,7 +165,7 @@ func BenchmarkServerExecTraceTxn(b *testing.B) {
 func BenchmarkServerExecSlowCaptureGet(b *testing.B) {
 	s, st, stop := benchExec(b)
 	defer stop()
-	s.opts.SlowThreshold = time.Hour // read per job; the server's own executors are idle
+	s.opts.SlowThreshold = time.Hour // read per request; the server has no connections
 	frame, _ := wire.AppendRequest(nil, &wire.Request{Ops: txnOps()[:1]})
 	benchLoop(b, s, st, frame)
 }
@@ -250,17 +248,17 @@ func TestServerExecAllocs(t *testing.T) {
 			}
 		}
 	}
-	j := newBenchJob()
+	c := newChain()
 	// Every shape runs twice: plain, and with slow-op capture armed (and
 	// never firing), which traces whatever the client did not.
 	for _, slowAt := range []time.Duration{0, time.Hour} {
-		s.opts.SlowThreshold = slowAt // read per job; the server's own executors are idle
+		s.opts.SlowThreshold = slowAt // read per request; the server has no connections
 		for _, sh := range shapes {
 			frame, err := wire.AppendRequest(nil, &sh.req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cycle := func() { runCycle(t, s, st, j, frame) }
+			cycle := func() { runCycle(t, s, st, c, frame) }
 			for i := 0; i < 32; i++ {
 				cycle() // warm scratch, arenas, and engine-side buffers
 			}

@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"io"
 	"net"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,10 +13,10 @@ import (
 	"silo/wire"
 )
 
-// chain_test.go covers the edges of burst dispatch: a reader links every
-// request already buffered into chains (server/conn.go), so what matters
+// chain_test.go covers the edges of burst runs: a reader runs every
+// request already buffered as one chain (server/conn.go), so what matters
 // is what happens where a burst is cut — by a bad frame, by a Pipeline
-// smaller than the burst, by a worker sharing its chain, by Close.
+// smaller than the burst, by a chain handed to a helper, by Close.
 
 // chainRows is the size of the test table: row i has the two-byte
 // big-endian key i and 100 bytes of byte(i).
@@ -128,10 +128,11 @@ func TestMalformedFrameMidBurst(t *testing.T) {
 	}
 }
 
-// TestBurstDeeperThanPipeline: the reader dispatches a chain before it
-// queues the chain's jobs for the writer, so a per-connection Pipeline
-// smaller than the burst — smaller than one chain — throttles the reader
-// without deadlocking it behind responses nobody is computing.
+// TestBurstDeeperThanPipeline: the reader runs a chain before it queues
+// it for the writer, and waits for room only before reading the next
+// burst, so a per-connection Pipeline smaller than the burst — smaller
+// than one chain — throttles the reader without deadlocking it behind
+// responses nobody is computing.
 func TestBurstDeeperThanPipeline(t *testing.T) {
 	for _, depth := range []int{1, 2} {
 		_, nc := startChainServer(t, 2, Options{Pipeline: depth})
@@ -150,9 +151,43 @@ func TestBurstDeeperThanPipeline(t *testing.T) {
 	}
 }
 
+// TestPipelineDepthCountsRequests: silo_server_pipeline_depth is observed
+// once per request, in requests, however the reader cut the burst into
+// chains; dispatches count the chains.
+func TestPipelineDepthCountsRequests(t *testing.T) {
+	s, nc := startChainServer(t, 2, Options{})
+	var before silo.ObsSnapshot
+	s.CollectObs(&before)
+	const n = 3*maxChain + 5
+	var out []byte
+	for i := 0; i < n; i++ {
+		out = getFrame(t, out, i)
+	}
+	if _, err := nc.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	for i := 0; i < n; i++ {
+		wantRow(t, readResponse(t, br, "response", i), i)
+	}
+	var after silo.ObsSnapshot
+	s.CollectObs(&after)
+	depth := after.Get("silo_server_pipeline_depth", "").Hist
+	if got := depth.Count - before.Get("silo_server_pipeline_depth", "").Hist.Count; got != n {
+		t.Errorf("%d pipeline-depth observations for %d requests", got, n)
+	}
+	if max := depth.Quantile(1); max < 1 || max > uint64(s.opts.Pipeline+maxChain) {
+		t.Errorf("deepest observation %d: not a request count within Pipeline + one chain", max)
+	}
+	chains := after.Value("silo_server_dispatches_total", "") - before.Value("silo_server_dispatches_total", "")
+	if chains < n/maxChain || chains >= n {
+		t.Errorf("%d dispatches for %d pipelined requests, want one per chain of up to %d", chains, n, maxChain)
+	}
+}
+
 // TestOneConnectionUsesEveryWorker: a chain of long requests from a
-// single deeply pipelined connection is passed on to idle workers rather
-// than serialized on the one that received it.
+// single deeply pipelined connection is passed on to free worker contexts
+// rather than serialized on the one its reader took.
 func TestOneConnectionUsesEveryWorker(t *testing.T) {
 	// One full chain of whole-table scans: unshared it would run on the
 	// one worker that received it.
@@ -212,7 +247,8 @@ func TestCloseMidBurst(t *testing.T) {
 	addr := first.RemoteAddr().String() // s.Addr() is empty until Serve has registered the listener
 	const conns, n = 8, 256
 	done := make(chan int, conns)
-	var answered atomic.Int64
+	answered := make(chan struct{})
+	var once sync.Once
 	for c := 0; c < conns; c++ {
 		nc := first
 		if c > 0 {
@@ -242,13 +278,15 @@ func TestCloseMidBurst(t *testing.T) {
 					done <- i
 					return
 				}
-				answered.Add(1)
+				once.Do(func() { close(answered) })
 			}
 			done <- n
 		}()
 	}
-	for answered.Load() == 0 {
-		time.Sleep(100 * time.Microsecond)
+	select {
+	case <-answered:
+	case <-time.After(20 * time.Second):
+		t.Fatal("no response arrived before Close")
 	}
 	closed := make(chan struct{})
 	go func() {

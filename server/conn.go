@@ -4,26 +4,24 @@ import (
 	"bufio"
 	"encoding/binary"
 	"net"
-	"time"
+	"sync/atomic"
 
 	"silo/internal/trace"
 	"silo/wire"
 )
 
-// maxChain caps how many requests of one pipelined burst travel as a
-// single chain: long enough that a burst costs one dispatch, short enough
-// that a deep pipeline is cut into several chains for several workers
-// from the start.
+// maxChain caps how many requests of one pipelined burst run as a single
+// chain: long enough that a burst costs one context hand-over and one
+// writer wake-up, short enough that a deep pipeline is cut into several
+// chains and its reader returns to its socket between them.
 const maxChain = 16
 
 // handleConn runs one connection: a reader loop (this goroutine) that
-// decodes frames and dispatches them a burst at a time, and a writer
-// goroutine that sends responses back in request order. A burst is every
-// request already sitting complete in the read buffer (a lone request is
-// a burst of one): its jobs are linked into a chain, handed to a worker
-// with one send, and then queued in order on the connection's pending
-// FIFO, so wire order always matches request order even though chains
-// complete on different workers.
+// decodes frames and runs them a burst at a time, and a writer goroutine
+// that sends responses back in request order. A burst is every request
+// already complete in the read buffer (a lone request is a burst of one).
+// The reader runs it on a free worker context (run) and only then queues
+// the finished chain for the writer, the one step that can block on it.
 func (s *Server) handleConn(c net.Conn, id uint64) {
 	defer s.connWG.Done()
 	s.db.Flight().RecordShared(trace.EvConnOpen, 0, 0, id, nil)
@@ -39,23 +37,24 @@ func (s *Server) handleConn(c net.Conn, id uint64) {
 		tc.SetNoDelay(true)
 	}
 
-	pending := make(chan *job, s.opts.Pipeline)
+	pending := make(chan *chain, s.opts.Pipeline)
+	win := &window{room: make(chan struct{}, 1)}
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		s.writeLoop(c, pending)
+		s.writeLoop(c, pending, win)
 	}()
 
 	br := bufio.NewReaderSize(c, 64<<10)
-	var burst [maxChain]*job
 	for open := true; open; {
-		n := 0
-		var refused *job // a malformed frame, already answered
-		for {
-			j := s.getJob()
+		// Room first: a reader runs at most Pipeline requests ahead of its
+		// writer, plus the burst it is about to read.
+		win.wait(int64(s.opts.Pipeline))
+		ch := s.getChain()
+		for ch.n < maxChain {
+			j := &ch.jobs[ch.n]
 			payload, err := wire.ReadFrameInto(br, s.opts.MaxFrame, j.payload)
 			if err != nil {
-				s.putJob(j)
 				open = false
 				break
 			}
@@ -65,33 +64,23 @@ func (s *Server) handleConn(c net.Conn, id uint64) {
 				// answer it, after the requests ahead of it, and hang up.
 				s.errors64.Add(1)
 				er := wire.Err(wire.CodeProto, derr.Error())
-				j.done <- s.encodeResp(&er)
-				refused, open = j, false
+				j.rb, ch.refused, open = s.encodeResp(&er), true, false
 				break
 			}
-			burst[n] = j
-			n++
-			if n == maxChain || !frameBuffered(br) {
+			if ch.n++; !frameBuffered(br) {
 				break
 			}
 		}
-		// Dispatch before queueing on pending: the chain must be runnable
-		// before this reader can block on a full pending queue, or a
-		// Pipeline smaller than the burst would wait on responses nobody
-		// is computing. After dispatch the jobs belong to the workers and
-		// the writer; only the pointers are used here. Both sends can
-		// block — jobs when all workers are busy, pending for
-		// per-connection backpressure — but never forever: executors
-		// outlive every connection handler, and the writer drains pending
-		// as long as they run.
-		s.dispatch(burst[:n])
-		for _, j := range burst[:n] {
-			pending <- j
-			s.obs.depth.Observe(uint64(len(pending)))
+		if ch.n == 0 && !ch.refused {
+			s.putChain(ch)
+			break
 		}
-		if refused != nil {
-			pending <- refused
+		s.run(ch)
+		depth := win.held.Add(int64(ch.n))
+		for d := depth - int64(ch.n) + 1; d <= depth; d++ {
+			s.obs.depth.Observe(uint64(d))
 		}
+		pending <- ch
 	}
 	close(pending)
 	<-writerDone
@@ -108,21 +97,31 @@ func frameBuffered(br *bufio.Reader) bool {
 	return uint64(br.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(hdr))
 }
 
-// dispatch hands one burst to the executors as a chain: one send,
-// whatever the burst's length.
-func (s *Server) dispatch(burst []*job) {
-	if len(burst) == 0 {
-		return
+// window counts the requests a reader has run ahead of its writer, for
+// Options.Pipeline. Each side publishes its own change before it looks at
+// the other's, so a wake-up is never lost; a spare one costs a recheck.
+type window struct {
+	held    atomic.Int64
+	waiting atomic.Bool
+	room    chan struct{}
+}
+
+func (w *window) wait(limit int64) {
+	for w.held.Load() >= limit {
+		if w.waiting.Store(true); w.held.Load() >= limit {
+			<-w.room
+		}
+		w.waiting.Store(false)
 	}
-	enq, enqTS := time.Now(), s.now()
-	for i, j := range burst {
-		j.enq, j.enqTS = enq, enqTS
-		if i+1 < len(burst) {
-			j.next = burst[i+1]
+}
+
+func (w *window) release(n int) {
+	if w.held.Add(-int64(n)); w.waiting.Load() {
+		select {
+		case w.room <- struct{}{}:
+		default:
 		}
 	}
-	s.obs.dispatches.Inc()
-	s.jobs <- burst[0]
 }
 
 // flushBytes caps how many encoded bytes the writer queues before
@@ -131,27 +130,27 @@ func (s *Server) dispatch(burst []*job) {
 // the whole burst in memory.
 const flushBytes = 1 << 20
 
-// writeLoop drains the pending queue in order. Each response arrives
-// already encoded in a recycled buffer and is queued as one scatter-gather
-// segment; the batch is flushed with a single writev when no further
-// response is immediately ready, so a pipelined burst costs one syscall
-// and large pages go to the socket without a coalescing copy. A group-acked
-// write whose epoch is not yet durable flushes the batch ahead of it and
-// waits for D right here (awaitDurable): delaying it delays that response
-// and everything behind it on this connection, never reorders. Buffers
-// return to the pool only after the writev that covered them. On a
-// write error it keeps draining so executors and the reader never block
-// on a dead connection.
-func (s *Server) writeLoop(c net.Conn, pending chan *job) {
+// writeLoop drains the pending queue in order, a chain at a time — one
+// handed off in part is waited for once — queueing each encoded response
+// as one writev segment and flushing when no further chain is ready, so a
+// pipelined burst costs one syscall. A group-acked write whose epoch is
+// not yet durable flushes the batch ahead of it and waits for D here
+// (awaitDurable): that delays it and everything behind it on this
+// connection, never reorders. On a write error it keeps draining so the
+// reader never blocks on a dead connection.
+func (s *Server) writeLoop(c net.Conn, pending chan *chain, win *window) {
 	var (
-		segs   = make([][]byte, 0, 64)
-		owned  = make([]*respBuf, 0, 64)
+		segs  = make([][]byte, 0, 64)
+		owned = make([]*respBuf, 0, 64)
+		// bufs is the writev argument, reset from segs per flush so a
+		// connection has one such header, not one per flush.
+		bufs   net.Buffers
 		queued int
 		broken bool
 	)
 	flush := func() {
 		if len(segs) > 0 && !broken {
-			bufs := net.Buffers(segs)
+			bufs = segs
 			if _, err := bufs.WriteTo(c); err != nil {
 				broken = true
 			}
@@ -164,20 +163,32 @@ func (s *Server) writeLoop(c net.Conn, pending chan *job) {
 		owned = owned[:0]
 		queued = 0
 	}
-	for j := range pending {
-		rb := <-j.done
-		s.putJob(j)
-		if rb.epoch != 0 {
-			s.awaitDurable(rb, flush)
+	for ch := range pending {
+		if ch.shared {
+			<-ch.done
 		}
-		if broken {
-			s.putBuf(rb)
-			continue
+		n := ch.n
+		if ch.refused {
+			n++
 		}
-		segs = append(segs, rb.b)
-		owned = append(owned, rb)
-		queued += len(rb.b)
-		if len(pending) == 0 || queued >= flushBytes {
+		for i := range ch.jobs[:n] {
+			rb := ch.jobs[i].rb
+			if rb.epoch != 0 {
+				s.awaitDurable(rb, flush)
+			}
+			if broken {
+				s.putBuf(rb)
+				continue
+			}
+			segs = append(segs, rb.b)
+			owned = append(owned, rb)
+			if queued += len(rb.b); queued >= flushBytes {
+				flush()
+			}
+		}
+		win.release(ch.n)
+		s.putChain(ch)
+		if len(pending) == 0 {
 			flush()
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // sum is conserved by every committed transfer, so any snapshot a scan
 // observes must total exactly accounts×initial — the same invariant
 // pattern as internal/core/serializability_test.go, here crossing the
-// wire protocol, the dispatch queue, and the per-worker executors. Run it
+// wire protocol, the connection readers and the pooled worker contexts. Run it
 // with -race to check the whole path for data races.
 func TestE2EBankInvariant(t *testing.T) {
 	const (

@@ -9,61 +9,74 @@ import (
 	"silo/wire"
 )
 
-// chainShare is how long a worker keeps a chain to itself. Handing the
-// rest of a chain to another worker costs a channel send and a wake-up,
-// a few microseconds: not worth it between point requests, which finish
-// a whole chain sooner than that, and well worth it once scans, large
-// transactions, retries or a durability wait have held the worker for
-// tens of microseconds while the requests behind them wait.
+// chainShare is how long a chain keeps one worker context to itself.
+// Handing the rest to a helper costs a goroutine start and a wake-up, a
+// few microseconds: not worth it between point requests, which finish a
+// whole chain sooner than that, and well worth it once scans, large
+// transactions or retries have held the context for tens of microseconds
+// while the requests behind them wait.
 const chainShare = 50 * time.Microsecond
 
-// workerLoop is the executor for worker w: it owns that worker context for
-// the server's lifetime and runs each dispatched chain, in order, every
-// request as a one-shot transaction — exactly the paper's model of
-// requests arriving over the network and executing to completion on a
-// worker core. While it waits for a chain it counts as idle; a worker
-// that has spent chainShare on its chain and sees an idle peer passes the
-// rest of the chain on, so one deeply pipelined connection still uses
-// every core.
-func (s *Server) workerLoop(w int) {
-	defer s.workerWG.Done()
-	st := newExecState(s, w)
-	for {
-		s.idle.Add(1)
-		j, ok := <-s.jobs
-		s.idle.Add(-1)
-		if !ok {
-			return
+// run executes a decoded chain on the calling reader's goroutine, one
+// dispatch: it takes a free worker context, waiting if all are busy.
+func (s *Server) run(c *chain) {
+	if c.n == 0 {
+		return
+	}
+	c.enq, c.enqTS = time.Now(), s.now()
+	s.obs.dispatches.Inc()
+	s.runSegment(<-s.ctxs, c, 0, time.Now())
+}
+
+// runSegment runs c's requests from the one at from on, in order, on
+// worker context st taken at start. Once st has run for chainShare while
+// two other contexts are free, the rest goes to a helper on one (a
+// dispatch too), so one deeply pipelined connection still uses every
+// core; the last free context stays for the next reader's burst, which
+// would otherwise wait behind the hand-off. Only the reader's segment can
+// share first. The segment returns st, then counts its requests off a
+// shared chain and lets go of c.
+func (s *Server) runSegment(st *execState, c *chain, from int, start time.Time) {
+	began, end := start, c.n
+	for i := from; i < end; i++ {
+		x := st
+		if s.opts.noReuse {
+			x = newExecState(s, st.w)
 		}
-		began := time.Now()
-		for j != nil {
-			// Responding hands j to the connection writer, which recycles
-			// it; the link is read first.
-			next := j.next
-			if s.opts.noReuse {
-				st = newExecState(s, w)
-			}
-			s.runJob(st, j)
-			if next != nil && s.idle.Load() > 0 && time.Since(began) >= chainShare {
-				select {
-				case s.jobs <- next:
-					s.obs.dispatches.Inc()
-					next = nil
-				default:
-				}
-			}
-			j = next
+		start = s.runJob(x, c, &c.jobs[i], start)
+		if i+1 == end || len(s.ctxs) < 2 || start.Sub(began) < chainShare {
+			continue
 		}
+		select {
+		case h := <-s.ctxs:
+			if !c.shared {
+				c.shared = true
+				c.left.Store(int32(c.n))
+			}
+			s.obs.dispatches.Inc()
+			s.helpers.Add(1)
+			go func(from int) {
+				defer s.helpers.Done()
+				s.runSegment(h, c, from, time.Now())
+			}(i + 1)
+			end = i + 1
+		default:
+		}
+	}
+	s.requests64.Add(uint64(end - from)) // one shared-counter update per segment
+	s.ctxs <- st
+	if c.shared && c.left.Add(-int32(end-from)) == 0 {
+		c.done <- struct{}{}
 	}
 }
 
-// runJob executes one request and responds to it.
-func (s *Server) runJob(st *execState, j *job) {
+// runJob executes one request of c, starting at start, leaves its encoded
+// response in j.rb, and returns when it finished: the next one's start.
+func (s *Server) runJob(st *execState, c *chain, j *job, start time.Time) time.Time {
 	o := s.wobs[st.w]
 	slowAt := s.opts.SlowThreshold
-	start := time.Now()
-	if !j.enq.IsZero() {
-		o.queue.ObserveDuration(start.Sub(j.enq).Nanoseconds())
+	if !c.enq.IsZero() {
+		o.queue.ObserveDuration(start.Sub(c.enq).Nanoseconds())
 	}
 	kind := wire.KindTxn
 	switch {
@@ -83,7 +96,7 @@ func (s *Server) runJob(st *execState, j *job) {
 		sp = &st.spans
 		*sp = silo.TxnSpans{}
 		t0 = s.now()
-		if q := t0 - j.enqTS; q > 0 && !j.enq.IsZero() {
+		if q := t0 - c.enqTS; q > 0 && !c.enq.IsZero() {
 			sp.Queue = q
 		}
 	}
@@ -121,27 +134,27 @@ func (s *Server) runJob(st *execState, j *job) {
 	// latency histogram prices the exec path (queue wait excluded,
 	// retries included), while the wait from commit to durable
 	// release is the writer's release-lag histogram.
-	o.latency[latIdx(kind)].ObserveDuration(time.Since(start).Nanoseconds())
+	end := time.Now()
+	o.latency[latIdx(kind)].ObserveDuration(end.Sub(start).Nanoseconds())
 	if resp.Kind == wire.KindErr {
 		s.errors64.Add(1)
 	}
-	s.requests64.Add(1)
-	s.respond(st.w, &j.req, &resp, rb, j.done)
+	j.rb = s.respond(st.w, &j.req, &resp, rb)
+	return end
 }
 
-// respond encodes one completed response and hands it to the connection
-// writer. Encoding happens here, on the executor, into a recycled buffer:
-// the response aliases the worker's exec state and the job's payload, both
-// reused for the next job, so the bytes must be captured before this
-// function returns (a scan arrives already framed in rb). Under AckGroup a
-// write's frame is stamped with its commit epoch, which the writer waits
-// on — no worker ever blocks on fsync. Reads, snapshot scans, and errors
+// respond encodes one completed response for the connection writer, on
+// the worker context, into a recycled buffer: the response aliases the
+// context's exec state, reused for the next request, so the bytes must be
+// captured before this function returns (a scan arrives already framed in
+// rb). Under AckGroup a write's frame is stamped with its commit epoch,
+// which the writer waits on. Reads, snapshot scans, and errors
 // are not stamped: an ERR frame acknowledges nothing (the transaction
 // aborted), and reads have nothing to make durable. Auto-created tables
 // are covered by the data epoch: the catalog record commits (on the DDL
 // worker) before the data write's commit, and epochs are monotone, so a
 // durable data epoch implies the creation record is durable too.
-func (s *Server) respond(w int, req *wire.Request, resp *wire.Response, rb *respBuf, done chan<- *respBuf) {
+func (s *Server) respond(w int, req *wire.Request, resp *wire.Response, rb *respBuf) *respBuf {
 	if rb == nil {
 		rb = s.encodeResp(resp)
 	}
@@ -156,7 +169,7 @@ func (s *Server) respond(w int, req *wire.Request, resp *wire.Response, rb *resp
 		rb.at = s.now()
 		s.obs.parked.Add(1)
 	}
-	done <- rb
+	return rb
 }
 
 // encodeResp frames resp into a pooled buffer.
@@ -180,11 +193,19 @@ func (s *Server) encodeResp(resp *wire.Response) *respBuf {
 // nothing to wait for.
 func writesData(req *wire.Request) bool {
 	for i := range req.Ops {
-		switch req.Ops[i].Kind {
-		case wire.KindPut, wire.KindInsert, wire.KindDelete, wire.KindAdd,
-			wire.KindCreateIndex, wire.KindDropIndex:
+		if isWrite(req.Ops[i].Kind) {
 			return true
 		}
+	}
+	return false
+}
+
+// isWrite reports an op kind whose success commits a write.
+func isWrite(k wire.Kind) bool {
+	switch k {
+	case wire.KindPut, wire.KindInsert, wire.KindDelete, wire.KindAdd,
+		wire.KindCreateIndex, wire.KindDropIndex:
+		return true
 	}
 	return false
 }
@@ -203,8 +224,7 @@ func isDDLFrame(req *wire.Request) bool {
 // latIdx maps a request kind to its latency histogram slot: every
 // assigned request kind gets its own slot (TestLatencySlotsDistinct
 // enforces it statically), and anything out of range — a malformed kind
-// that still reached execution — shares slot 0 instead of aliasing a
-// real opcode the way the historical low-nibble mask did for kinds ≥ 16.
+// that still reached execution — shares slot 0.
 func latIdx(k wire.Kind) int {
 	if k > wire.KindRequestMax {
 		return 0
@@ -215,16 +235,11 @@ func latIdx(k wire.Kind) int {
 // slowAttr summarizes a frame's ops for slow capture: per-kind counts,
 // the number of distinct tables touched, and the attributed table — the
 // one the frame wrote the most ops against (ties break toward the
-// earliest op), falling back to the first op's table or index name for
-// read-only frames. Multi-op TXN frames previously reported Ops[0]'s
-// table unconditionally, misattributing any transaction whose first op
-// happened to touch a side table.
+// earliest op), or else the first op's table or index name.
 func slowAttr(ops []wire.Op) (table string, tables int, counts opCounts) {
-	// Allocation is fine here: captures only happen past the slow
-	// threshold.
+	// Allocation is fine here: captures only happen past the slow threshold.
 	writes := make(map[string]int)
 	seen := make(map[string]struct{})
-	var domWrites int
 	for i := range ops {
 		op := &ops[i]
 		if k := int(op.Kind); k >= 0 && k < len(counts) {
@@ -234,21 +249,13 @@ func slowAttr(ops []wire.Op) (table string, tables int, counts opCounts) {
 		if name == "" {
 			name = op.Index
 		}
-		seen[name] = struct{}{}
-		switch op.Kind {
-		case wire.KindPut, wire.KindInsert, wire.KindDelete, wire.KindAdd,
-			wire.KindCreateIndex, wire.KindDropIndex:
-			writes[name]++
-			if writes[name] > domWrites {
-				domWrites = writes[name]
+		if seen[name] = struct{}{}; i == 0 {
+			table = name
+		}
+		if isWrite(op.Kind) {
+			if writes[name]++; writes[name] > writes[table] {
 				table = name
 			}
-		}
-	}
-	if table == "" && len(ops) > 0 {
-		table = ops[0].Table
-		if table == "" {
-			table = ops[0].Index
 		}
 	}
 	return table, len(seen), counts
@@ -256,7 +263,7 @@ func slowAttr(ops []wire.Op) (table string, tables int, counts opCounts) {
 
 // table resolves a table name, creating the table on first use unless
 // auto-creation is disabled. CreateTable is idempotent and safe against
-// concurrent executors.
+// concurrent worker contexts.
 func (s *Server) table(name string) (*silo.Table, error) {
 	if t := s.db.Table(name); t != nil {
 		return t, nil
@@ -320,14 +327,15 @@ func errResponse(err error) wire.Response {
 	return wire.Err(code, err.Error())
 }
 
-// execState is one executor's recycled scratch — the only memory a
-// request's execution touches besides its job and its response buffer:
-// a response arena, resolved-table and result slices, the span block of a
-// traced request, the scan encoder, and the transaction closures pre-bound
-// once so no request allocates a closure. Response slices built here alias
-// the state and are valid only until the worker's next exec; respond
-// encodes them into a wire frame before that. The recycling tests' golden
-// server runs the same code on a fresh state per job.
+// execState is one worker context: database worker w and its recycled
+// scratch — the only memory a request's execution touches besides its job
+// and its response buffer: a response arena, resolved-table and result
+// slices, the span block of a traced request, the scan encoder, and the
+// transaction closures pre-bound once so no request allocates a closure.
+// One goroutine at a time holds it (Server.ctxs hands it over). Response
+// slices built here alias the state and are valid only until its next
+// exec; respond encodes them into a wire frame before that. The recycling
+// tests' golden server runs the same code on a fresh state per request.
 type execState struct {
 	s *Server
 	w int

@@ -11,23 +11,19 @@ import (
 	"silo/wire"
 )
 
-// workerObs is one executor's metrics shard: per-opcode request latency
-// (measured around exec, so it includes transaction retries) and the time
-// each job spent queued between its connection reader and this executor.
-// One shard per worker keeps the recording side uncontended. The latency
-// array is sized from the real request-kind space (the historical [16]
-// low-nibble indexing silently aliased any opcode ≥ 16 onto an existing
-// slot); latIdx maps kinds to slots.
+// workerObs is one worker context's metrics shard, uncontended:
+// per-opcode request latency (measured around exec, so it includes
+// transaction retries) and queue time. The latency array is sized from
+// the real request-kind space; latIdx maps kinds to slots.
 type workerObs struct {
 	latency [int(wire.KindRequestMax) + 1]obs.Histogram // indexed by latIdx
-	queue   obs.Histogram                               // ns from enqueue to execution start
+	queue   obs.Histogram                               // ns from burst decode to execution start
 }
 
-// serverObs holds the cells shared across connections: the per-connection
-// pipeline depth observed at each enqueue (how far readers run ahead of
-// their writers — the wire's analogue of queue length), and the number of
-// chains readers sent to the executors (requests per dispatch is the
-// burst size the server actually saw). Under group acks, parked counts the
+// serverObs holds the cells shared across connections: pipeline depth,
+// observed per request as its chain is queued (how many requests readers
+// run ahead of their writers), and dispatches: bursts run plus remainders
+// handed to helpers. Under group acks, parked counts the
 // stamped write responses between their worker's finish and their
 // writer's release, released counts the releases, and releaseLag is the
 // wait between the two (ns).
@@ -48,8 +44,8 @@ var statsKinds = [...]wire.Kind{
 }
 
 // CollectObs appends the server's own metric families to snap: connection
-// and request totals, per-opcode latency histograms merged across
-// executors (series with zero observations are skipped), queue time, and
+// and request totals, per-opcode latency histograms merged across worker
+// contexts (series with zero observations are skipped), queue time, and
 // pipeline depth.
 func (s *Server) CollectObs(snap *obs.Snapshot) {
 	snap.Counter("silo_server_conns_total", "", "", s.conns64.Load())

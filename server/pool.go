@@ -2,72 +2,68 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"silo/internal/race"
 	"silo/wire"
 )
 
-// This file owns the hot path's recycled memory: pooled jobs (frame
-// payload, decode scratch, result channel) and pooled response buffers
-// (encoded frames on their way to a connection writer). The lifecycle is
-// strict single-ownership passed along the pipeline:
+// This file owns the hot path's recycled memory: pooled chains (a burst's
+// payloads, decode scratch and responses) and pooled response buffers.
+// Ownership passes strictly along the connection:
 //
-//	reader  — takes a job from the pool per frame already buffered, reads
-//	          the frame into its payload, decodes into its request/scratch,
-//	          links the burst's jobs into a chain (job.next), sends the
-//	          chain's head on the dispatch queue, then enqueues every job
-//	          on the connection's pending queue
-//	worker  — walks the chain in order; per job it reads the link, executes
-//	          the request on its exec state, encodes the response into a
-//	          pooled respBuf (stamped with its commit epoch under group
-//	          acks) and sends it on that job's done channel. The send
-//	          releases the job: a worker never touches a job it has
-//	          responded to
-//	writer  — takes jobs off pending in request order, waits on each done
-//	          (and, for a stamped buffer, on D, adding a TRACER's fsync
-//	          wait to the frame in place), queues the buffer as one writev
-//	          segment, and after the segments are flushed returns buffers
-//	          and job to their pools
+//	reader  — takes a chain per burst, decodes each frame in place into a
+//	          job, runs the chain on a worker context (each response
+//	          encoded into a pooled respBuf kept in its job, stamped with
+//	          its epoch under group acks), and queues it for the writer
+//	helper  — runs the rest of a chain handed to it; after its last
+//	          signal it never touches the chain
+//	writer  — queues each response as a writev segment (a stamped one
+//	          after D), recycles the chain, and returns the buffers after
+//	          the writev that covered them
 //
-// Race-enabled builds poison recycled memory on return to the pool, so
-// any stage that holds a view past its release reads garbage and the
-// byte-exact e2e tests fail loudly instead of silently serving another
-// request's bytes. A noReuse server (the tests' golden reference) runs the
-// same pipeline on fresh memory: a new job, response buffer and exec state
-// per request, nothing returned to a pool.
+// Race-enabled builds poison recycled memory on return to the pool, so a
+// stage that holds a view past its release serves garbage and the
+// byte-exact e2e tests fail loudly. A noReuse server (the tests' golden
+// reference) runs the same code on fresh memory: a new chain per burst,
+// response buffer and exec state per request; nothing is pooled.
 
-// job is one in-flight request. The reader owns it until its chain is
-// dispatched, the executor until the done send, the writer until it
-// returns it to the pool; the pooled pieces (payload backing, decode
-// scratch, the buffered done channel) are recycled across requests and
-// connections.
+// job is one request of a chain, recycled with it.
 type job struct {
 	req wire.Request
-	// next is the request after this one in the same dispatched chain, nil
-	// at the chain's end.
-	next *job
 	// payload is the frame payload backing req; key/value/table slices in
 	// req alias it until the response is encoded.
 	payload []byte
 	// scratch recycles the request's op-slice backing and table-name
 	// interning across frames decoded into this job.
 	scratch wire.DecodeScratch
-	// enq is when the connection reader dispatched the job; the executor
-	// records the difference as queue time.
-	enq time.Time
-	// enqTS is the same instant on the store clock, so a traced job's
-	// queue-wait span shares a clock with its commit-phase spans.
+	// rb is the encoded response.
+	rb *respBuf
+}
+
+// chain is one pipelined burst: up to maxChain requests a reader decoded
+// together, run in order, and queued whole for the writer.
+type chain struct {
+	jobs [maxChain]job
+	// n jobs hold requests; refused means jobs[n].rb answers a malformed
+	// frame that ended the burst.
+	n       int
+	refused bool
+	// enq is when the burst was decoded (enqTS on the store clock): every
+	// request's queue time starts there.
+	enq   time.Time
 	enqTS time.Duration
-	// done receives exactly one encoded response frame; it is buffered so
-	// the executor never blocks on a connection that died.
-	done chan *respBuf
+	// shared marks a chain the reader handed on in part; each run segment
+	// then takes its requests off left once, and the last one signals done.
+	shared bool
+	left   atomic.Int32
+	done   chan struct{}
 }
 
 // respBuf is a pooled response-frame buffer, the one form a response
-// takes between executor and connection writer. The wrapper (rather than
-// a bare []byte) keeps pool round trips allocation-free: the same *respBuf
-// travels worker → writer → pool with the byte slice updated in place.
+// takes on its way to the writer. The wrapper (rather than a bare []byte)
+// keeps pool round trips allocation-free.
 type respBuf struct {
 	b []byte
 	// epoch is the commit epoch a group-acked write's frame waits on in the
@@ -83,40 +79,44 @@ type respBuf struct {
 // are dropped and the next use re-allocates.
 const maxPooled = 256 << 10
 
-var jobPool = sync.Pool{New: func() any { return &job{done: make(chan *respBuf, 1)} }}
+func newChain() *chain { return &chain{done: make(chan struct{}, 1)} }
+
+var chainPool = sync.Pool{New: func() any { return newChain() }}
 
 var respBufPool = sync.Pool{New: func() any { return new(respBuf) }}
 
-// getJob returns a recycled job (noReuse builds get a fresh one, the
+// getChain returns a recycled chain (noReuse builds get a fresh one, the
 // golden baseline the recycling e2e test compares against).
-func (s *Server) getJob() *job {
+func (s *Server) getChain() *chain {
 	if s.opts.noReuse {
-		return &job{done: make(chan *respBuf, 1)}
+		return newChain()
 	}
-	return jobPool.Get().(*job)
+	return chainPool.Get().(*chain)
 }
 
-// putJob recycles a fully consumed job: its response was encoded and
-// handed to the writer, so nothing references the payload,
-// the scratch, or the request anymore.
-func (s *Server) putJob(j *job) {
+// putChain recycles a chain whose responses the writer holds: nothing
+// references its payloads, scratch or requests anymore.
+func (s *Server) putChain(c *chain) {
 	if s.opts.noReuse {
 		return
 	}
-	if race.Enabled {
-		poison(j.payload)
+	// The slot after the last request may hold a refused frame.
+	for i := range c.jobs[:min(c.n+1, maxChain)] {
+		j := &c.jobs[i]
+		if race.Enabled {
+			poison(j.payload)
+		}
+		if cap(j.payload) > maxPooled {
+			j.payload = nil
+			// The scratch's op backing aliases the dropped payload; release it
+			// too so the pool does not pin the oversized buffer.
+			j.scratch.Drop()
+		}
+		j.req, j.rb = wire.Request{}, nil
 	}
-	if cap(j.payload) > maxPooled {
-		j.payload = nil
-		// The scratch's op backing aliases the dropped payload; release it
-		// too so the pool does not pin the oversized buffer.
-		j.scratch.Drop()
-	}
-	j.req = wire.Request{}
-	j.next = nil
-	j.enq = time.Time{}
-	j.enqTS = 0
-	jobPool.Put(j)
+	c.n, c.refused, c.shared = 0, false, false
+	c.enq, c.enqTS = time.Time{}, 0
+	chainPool.Put(c)
 }
 
 func (s *Server) getBuf() *respBuf {

@@ -218,9 +218,11 @@ func TestPoolDropsOversizedBuffers(t *testing.T) {
 		t.Errorf("putBuf kept a %d-byte buffer past the %d cap", maxPooled+1, maxPooled)
 	}
 
-	j := s.getJob()
+	c := s.getChain()
+	c.n = 1
+	j := &c.jobs[0]
 	j.payload = make([]byte, maxPooled+1)
-	j.next = s.getJob() // a recycled job must not stay linked into its old chain
+	j.rb = &respBuf{} // a recycled chain must not keep its old responses
 	var req wire.Request
 	frame, err := wire.AppendRequest(nil, &wire.Request{Ops: []wire.Op{
 		{Kind: wire.KindGet, Table: "bench", Key: []byte("k")},
@@ -231,15 +233,15 @@ func TestPoolDropsOversizedBuffers(t *testing.T) {
 	if err := wire.DecodeRequestInto(frame[4:], &req, &j.scratch); err != nil {
 		t.Fatal(err)
 	}
-	s.putJob(j)
+	s.putChain(c)
 	if j.payload != nil {
-		t.Errorf("putJob kept a %d-byte payload past the %d cap", maxPooled+1, maxPooled)
+		t.Errorf("putChain kept a %d-byte payload past the %d cap", maxPooled+1, maxPooled)
 	}
-	if j.next != nil {
-		t.Error("putJob kept the chain link")
+	if j.rb != nil || c.n != 0 {
+		t.Error("putChain kept the chain's responses")
 	}
 	if !reflect.DeepEqual(j.scratch, wire.DecodeScratch{}) {
-		t.Error("putJob dropped the payload but kept the scratch aliasing it")
+		t.Error("putChain dropped the payload but kept the scratch aliasing it")
 	}
 }
 
@@ -262,13 +264,14 @@ func TestRecycledBuffersPoisoned(t *testing.T) {
 		}
 	}
 
-	j := s.getJob()
-	j.payload = []byte("frame payload the request aliased")
-	pview := j.payload
-	s.putJob(j)
+	c := s.getChain()
+	c.n = 1
+	c.jobs[0].payload = []byte("frame payload the request aliased")
+	pview := c.jobs[0].payload
+	s.putChain(c)
 	for i, b := range pview {
 		if b != poisonByte {
-			t.Fatalf("putJob left payload byte %d = %#x, want %#x poison", i, b, poisonByte)
+			t.Fatalf("putChain left payload byte %d = %#x, want %#x poison", i, b, poisonByte)
 		}
 	}
 }

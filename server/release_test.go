@@ -377,6 +377,57 @@ func TestReadAheadOfParkedWriteIsAnswered(t *testing.T) {
 	}
 }
 
+// TestReaderStopsAtPipeline: a reader runs at most Options.Pipeline
+// requests ahead of its writer, plus the one burst it read last. With D
+// held back the writer waits on the first PUT forever, so of 4 × Pipeline
+// PUT frames sent on one connection the server must execute at least
+// Pipeline — the reader does not stop early — and then stay at or under
+// Pipeline + one chain of 16.
+func TestReaderStopsAtPipeline(t *testing.T) {
+	const pipeline, maxChain = 128, 16 // the server's defaults
+	_, srv, addr := serveFrozen(t)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var out []byte
+	for i := 0; i < 4*pipeline; i++ {
+		out, err = wire.AppendRequest(out, &wire.Request{Ops: []wire.Op{{Kind: wire.KindPut, Table: "t", Key: []byte("k"), Value: []byte{byte(i)}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	go nc.Write(out)
+	executed := func() uint64 {
+		var snap obs.Snapshot
+		srv.CollectObs(&snap)
+		return snap.Value("silo_server_requests_total", "")
+	}
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(5 * time.Second)
+	for executed() < pipeline {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("the reader stopped after %d requests, short of Pipeline = %d", executed(), pipeline)
+		}
+	}
+	// Give a reader that ignored the bound time to run past it.
+	settle := time.After(100 * time.Millisecond)
+	for settled := false; !settled; {
+		if n := executed(); n > pipeline+maxChain {
+			t.Fatalf("%d requests executed ahead of a stalled writer, want at most %d", n, pipeline+maxChain)
+		}
+		select {
+		case <-tick.C:
+		case <-settle:
+			settled = true
+		}
+	}
+}
+
 // TestGroupAckCloseFirst: closing the database before the server never
 // strands a writer waiting for D. Its final log drain makes every
 // committed epoch durable, and WaitDurable returns once it has run — also

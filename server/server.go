@@ -1,47 +1,37 @@
 // Package server exposes a silo database over TCP, speaking the
 // length-prefixed binary protocol of package wire.
 //
-// Every request executes as a one-shot serializable transaction on one of
-// the database's workers. The server runs one executor goroutine per
-// worker (Silo's one-worker-per-core model); requests from all connections
-// funnel into a shared dispatch queue, so an idle worker picks up the next
-// work regardless of which connection it arrived on, and conflicts are
-// retried transparently by DB.Run before a response is sent.
+// Every request executes as a one-shot serializable transaction, run to
+// completion by the goroutine that read it on one of the database's
+// workers (Silo's requests-to-completion model, with no hop in between);
+// conflicts retry inside DB.Run, the only retry policy. The server pools
+// one worker context per database worker, and whichever connection has
+// work next takes a free one.
 //
-// The unit of work on that queue is a pipelined burst, not a request. A
-// connection's reader decodes every frame already complete in its read
-// buffer, links the jobs into a chain and hands the chain to a worker
-// with one send (a lone request is a chain of one; a chain holds at most
-// 16 jobs; a worker that a chain has kept busy for a while passes the
-// rest to an idle peer). The worker runs the chain in order and
-// completes each job individually, so everything
-// downstream still sees requests: the per-connection in-order queue the
-// writer drains, writev batching of ready responses, durable acks, TRACE
-// and slow-op capture. The path is
+// The unit of work is a pipelined burst: every frame already complete in
+// a connection's read buffer (at most 16; a lone request is a burst of
+// one). The reader takes a free context — waiting if all are busy — runs
+// the burst in order on it, returns it before anything can block, and
+// queues the finished chain for the connection's writer, which sends its
+// responses in request order with one writev when nothing else is ready:
 //
-//	reader → chain → worker → per-job done → writer
+//	reader (decode → run on a context) → pending → writer
 //
-// and a request's queue time (silo_server_queue_ns) runs from its
-// chain's dispatch to its own start, so it includes the time spent behind
-// earlier jobs of the same chain.
+// A chain that has held its context for a while (scans, big transactions,
+// retries) while two others are free hands its rest to a helper goroutine
+// on one, so one deeply pipelined connection still uses every core. A
+// dispatch (silo_server_dispatches_total) is a burst run or a remainder
+// handed off; queue time (silo_server_queue_ns) runs from the decode.
 //
-// There is one way through that path. Every request — plain, sent as a
-// TRACE frame, or force-traced by slow-op capture — runs on its worker's
-// recycled exec state (exec.go) and leaves the worker as an encoded frame
-// in a pooled buffer, the only form a response takes on its way to the
-// writer. Writes are acknowledged in one of two modes (AckMode): at
-// in-memory commit, or, on a durable database, once the commit epoch is
-// durable. In the second mode the worker stamps the finished frame with
-// its commit epoch and moves on; the connection writer, which owns
-// response order, sends the frames ahead of it and then waits for the
-// durable epoch to cover the stamp (release.go). No worker ever waits for
-// an fsync. A TRACER's Fsync span is therefore what its client waited,
-// not what a worker did: the time from stamp to release, added to the
-// frame in place, and zero under immediate acks. Conflicts retry inside
-// DB.Run; there is no other retry policy.
-//
-// Responses are written back on each connection in request order, which
-// lets clients pipeline.
+// Every request — plain, TRACE, or force-traced by slow-op capture — runs
+// on a context's recycled exec state (exec.go) and leaves it as an
+// encoded frame in a pooled buffer. Writes are acknowledged (AckMode) at
+// in-memory commit or, on a durable database, once their commit epoch is
+// durable: then the frame is stamped with its epoch and the writer, which
+// owns response order, sends the frames ahead of it and waits for D to
+// cover the stamp (release.go). No worker context waits for an fsync, so
+// a TRACER's Fsync span is what its client waited: stamp to release,
+// added to the frame in place, zero under immediate acks.
 package server
 
 import (
@@ -65,8 +55,8 @@ type Options struct {
 	// cap must reject (default wire.MaxFrame, the client's default too).
 	MaxFrame int
 	// Pipeline is the per-connection cap on in-flight requests; a reader
-	// that runs ahead of its writer by this many requests blocks (default
-	// 128).
+	// that runs ahead of its writer by this many requests blocks before
+	// reading its next burst (default 128).
 	Pipeline int
 	// MaxScan caps the rows returned by one SCAN or ISCAN; requests may
 	// ask for less, never more (default 65536).
@@ -92,7 +82,7 @@ type Options struct {
 	Acks AckMode
 	// noReuse selects memory, not code: a fresh job, response buffer and
 	// exec state per request instead of the recycled ones, so each
-	// request runs the one executor on memory nothing else has touched.
+	// request runs the one code path on memory nothing else has touched.
 	// It exists for the recycling safety tests, which compare a recycled
 	// server's response bytes against this build's, and is deliberately
 	// unexported.
@@ -103,18 +93,17 @@ type Options struct {
 type Server struct {
 	db   *silo.DB
 	opts Options
-	// jobs carries chains of requests (see job.next) from connection
-	// readers to executors; idle counts the executors blocked on it.
-	jobs chan *job
-	idle atomic.Int32
+	// ctxs pools the free worker contexts, one per database worker.
+	ctxs chan *execState
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
 	closed    bool
 
-	connWG   sync.WaitGroup
-	workerWG sync.WaitGroup
+	// connWG counts connection handlers, helpers the chains' helpers.
+	connWG  sync.WaitGroup
+	helpers sync.WaitGroup
 
 	// Connections accepted, frames executed (a TXN counts once) and ERR
 	// responses sent: the silo_server_{conns,requests,errors}_total families.
@@ -122,7 +111,7 @@ type Server struct {
 	requests64 atomic.Uint64
 	errors64   atomic.Uint64
 
-	// wobs are the per-executor metrics shards; obs holds the shared
+	// wobs are the per-context metrics shards; obs holds the shared
 	// cells. Both are scraped by STATS frames and the admin endpoint.
 	wobs []*workerObs
 	obs  serverObs
@@ -136,9 +125,10 @@ type Server struct {
 	ackMode AckMode
 }
 
-// New creates a server for db and starts its per-worker executors. The
-// caller still owns db and must not drive the workers concurrently with
-// the server (the server's executors are the worker goroutines).
+// New creates a server for db with one worker context per database
+// worker. The caller still owns db and must not drive the workers
+// concurrently with the server (its connections run requests on every
+// worker).
 func New(db *silo.DB, opts Options) *Server {
 	if opts.MaxFrame <= 0 {
 		opts.MaxFrame = wire.MaxFrame
@@ -152,22 +142,19 @@ func New(db *silo.DB, opts Options) *Server {
 	s := &Server{
 		db:        db,
 		opts:      opts,
-		jobs:      make(chan *job, db.Workers()),
+		ctxs:      make(chan *execState, db.Workers()),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
 	s.wobs = make([]*workerObs, db.Workers())
 	for i := range s.wobs {
 		s.wobs[i] = &workerObs{}
+		s.ctxs <- newExecState(s, i)
 	}
 	s.ackMode = opts.Acks
 	if _, err := db.Recover(); err != nil {
 		// Recover fails only without durability: no durable epoch to wait for.
 		s.ackMode = AckImmediate
-	}
-	for i := 0; i < db.Workers(); i++ {
-		s.workerWG.Add(1)
-		go s.workerLoop(i)
 	}
 	return s
 }
@@ -220,8 +207,8 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops the server: listeners and connections are closed, in-flight
-// requests finish, executors exit. The database is left open. It may also
+// Close stops the server: listeners and connections are closed and
+// in-flight requests finish. The database is left open. It may also
 // have been closed first: a writer waiting for a group-acked write's epoch
 // returns once the database's final log drain has run.
 func (s *Server) Close() error {
@@ -247,12 +234,10 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.Close()
 	}
-	// Executors keep draining until every connection handler has flushed
-	// its queued jobs, so readers blocked on a full dispatch queue make
-	// progress and exit.
+	// A handler returns once its writer has taken every chain, each only
+	// after its last helper signalled; those may still be exiting.
 	s.connWG.Wait()
-	close(s.jobs)
-	s.workerWG.Wait()
+	s.helpers.Wait()
 	return nil
 }
 

@@ -532,7 +532,7 @@ func LookupIndex(r Reader, ix *Index, sk []byte) (pk, value []byte, err error) {
 }
 
 // Workers returns the number of worker contexts. Networked front ends
-// (package server) use it to size their per-worker executor pools.
+// (package server) use it to size their pools of worker contexts.
 func (db *DB) Workers() int { return db.store.Workers() }
 
 // Tx is a serializable read/write transaction. See core.Tx for the

@@ -82,6 +82,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -386,16 +387,17 @@ func ReadFrame(r io.Reader, max int) ([]byte, error) {
 // ReadFrameInto is ReadFrame reusing buf's capacity for the payload when it
 // suffices (a fresh buffer is allocated otherwise). The returned slice
 // aliases buf on reuse, so the caller must not read the next frame into the
-// same buffer while decoded views of this one are still live.
+// same buffer while decoded views of this one are still live. From a
+// *bufio.Reader the length is read in place, so a frame read into a
+// buffer that fits allocates nothing.
 func ReadFrameInto(r io.Reader, max int, buf []byte) ([]byte, error) {
 	if max <= 0 {
 		max = MaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readLength(r)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 {
 		return nil, malformed("empty frame")
 	}
@@ -415,6 +417,31 @@ func ReadFrameInto(r io.Reader, max int, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// readLength reads a frame's 4-byte length prefix with io.ReadFull's
+// errors: io.EOF before the first byte, io.ErrUnexpectedEOF after it. A
+// header array handed to an io.Reader escapes to the heap, so a
+// *bufio.Reader is read through Peek and Discard instead.
+func readLength(r io.Reader) (uint32, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		var hdr [4]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return 0, err
+		}
+		return binary.BigEndian.Uint32(hdr[:]), nil
+	}
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	br.Discard(4)
+	return n, nil
 }
 
 // beginFrame reserves the 4-byte length prefix; endFrame fills it in.

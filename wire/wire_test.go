@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -460,27 +461,52 @@ func TestDecodeRejects(t *testing.T) {
 }
 
 func TestReadFrameLimits(t *testing.T) {
-	// Oversized length prefix is rejected without allocating the claim.
-	var hdr [4]byte
-	hdr[0] = 0xff
-	hdr[1] = 0xff
-	hdr[2] = 0xff
-	hdr[3] = 0xff
-	if _, err := ReadFrame(bytes.NewReader(hdr[:]), 1024); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized frame: err = %v, want ErrFrameTooLarge", err)
+	// A *bufio.Reader takes the length prefix in place; any other reader
+	// goes through io.ReadFull. Both must fail alike.
+	for _, rd := range []struct {
+		name string
+		of   func([]byte) io.Reader
+	}{
+		{"plain", func(b []byte) io.Reader { return bytes.NewReader(b) }},
+		{"bufio", func(b []byte) io.Reader { return bufio.NewReader(bytes.NewReader(b)) }},
+	} {
+		// Oversized length prefix is rejected without allocating the claim.
+		if _, err := ReadFrame(rd.of([]byte{0xff, 0xff, 0xff, 0xff}), 1024); !errors.Is(err, ErrFrameTooLarge) {
+			t.Errorf("%s: oversized frame: err = %v, want ErrFrameTooLarge", rd.name, err)
+		}
+		// Zero-length frames are malformed.
+		if _, err := ReadFrame(rd.of(make([]byte, 4)), 0); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: zero frame: err = %v, want ErrMalformed", rd.name, err)
+		}
+		// A truncated payload or length prefix reports unexpected EOF.
+		for _, torn := range [][]byte{{0, 0, 0, 10, 1, 2, 3}, {0, 0}} {
+			if _, err := ReadFrame(rd.of(torn), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("%s: truncated frame %x: err = %v, want ErrUnexpectedEOF", rd.name, torn, err)
+			}
+		}
+		// Clean EOF at a frame boundary is io.EOF, so servers can distinguish
+		// an orderly hangup from a torn frame.
+		if _, err := ReadFrame(rd.of(nil), 0); err != io.EOF {
+			t.Errorf("%s: empty stream: err = %v, want io.EOF", rd.name, err)
+		}
 	}
-	// Zero-length frames are malformed.
-	if _, err := ReadFrame(bytes.NewReader(make([]byte, 4)), 0); !errors.Is(err, ErrMalformed) {
-		t.Errorf("zero frame: err = %v, want ErrMalformed", err)
+}
+
+// TestReadFrameIntoAllocs: a frame read from a *bufio.Reader into a
+// buffer that fits allocates nothing — the length prefix included.
+func TestReadFrameIntoAllocs(t *testing.T) {
+	frame, err := AppendRequest(nil, &Request{Ops: []Op{{Kind: KindGet, Table: "t", Key: []byte("k")}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Truncated payload reports unexpected EOF.
-	frame := []byte{0, 0, 0, 10, 1, 2, 3}
-	if _, err := ReadFrame(bytes.NewReader(frame), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("truncated frame: err = %v, want ErrUnexpectedEOF", err)
-	}
-	// Clean EOF at a frame boundary is io.EOF, so servers can distinguish
-	// an orderly hangup from a torn frame.
-	if _, err := ReadFrame(bytes.NewReader(nil), 0); err != io.EOF {
-		t.Errorf("empty stream: err = %v, want io.EOF", err)
+	const frames = 128
+	br := bufio.NewReader(bytes.NewReader(bytes.Repeat(frame, frames+1)))
+	buf := make([]byte, len(frame))
+	if n := testing.AllocsPerRun(frames, func() {
+		if buf, err = ReadFrameInto(br, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadFrameInto allocates %.1f times per frame, want 0", n)
 	}
 }
