@@ -262,8 +262,8 @@ func (cl *Client) DropIndex(index string) error {
 
 // Schema returns the server's schema catalog: every table (id, name) and
 // every index declaration (uniqueness, key-spec segments with transforms,
-// covering include lists, or an opaque marker for indexes declared
-// embedded with a Go key function). One round trip reconstructs the full
+// covering include lists, or an opaque marker for an index whose segments
+// the wire cannot carry). One round trip reconstructs the full
 // DDL state — what CreateIndex calls would reproduce it elsewhere.
 func (cl *Client) Schema() (*wire.Schema, error) {
 	resp, err := cl.roundTrip(&wire.Request{Ops: []wire.Op{{Kind: wire.KindSchema}}})

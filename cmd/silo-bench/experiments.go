@@ -90,7 +90,7 @@ func fig4(cfg config) {
 			globalTID bool
 		}{{"MemSilo", false}, {"MemSilo+GlobalTID", true}} {
 			db := newDB(workers, func(o *silo.Options) { o.GlobalTID = sys.globalTID })
-			tbl := ycsb.LoadSilo(db.Store(), wcfg)
+			tbl := ycsb.LoadSilo(db, wcfg)
 			r := median(cfg.runs, func() result {
 				return run(sys.name, workers, cfg.warmup, cfg.seconds,
 					func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
@@ -247,7 +247,7 @@ func fig8(cfg config) {
 
 		// MemSilo+Split.
 		db := newDB(workers, nil)
-		st := tpcc.LoadSplit(db.Store(), sc)
+		st := tpcc.LoadSplit(db, sc)
 		r = median(cfg.runs, func() result {
 			return run("MemSilo+Split "+label, workers, cfg.warmup, cfg.seconds,
 				func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
@@ -433,8 +433,7 @@ func spaceOverhead(cfg config) {
 		o.SnapshotK = 2
 	})
 	defer db.Close()
-	s := db.Store()
-	tbl := ycsb.LoadSilo(s, wcfg)
+	tbl := ycsb.LoadSilo(db, wcfg)
 	baseBytes := uint64(wcfg.Keys) * uint64(wcfg.ValueSize+32)
 
 	// One sampler reads the retained-bytes gauge through db.Observe while
@@ -452,7 +451,7 @@ func spaceOverhead(cfg config) {
 	r := run("MemSilo 100% RMW", workers, cfg.warmup, cfg.seconds,
 		func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
 			gen := ycsb.NewGenerator(wcfg, uint64(wid)+1)
-			w := s.Worker(wid)
+			w := db.Store().Worker(wid)
 			var kb []byte
 			for !stop.Load() {
 				var ok bool

@@ -556,8 +556,7 @@ func setupEmbedded(cfg ycsb.Config, clients int, mode scanMode, snapScan bool, l
 	if err != nil {
 		fatal(err)
 	}
-	ycsb.LoadSilo(db.Store(), cfg)
-	tbl := db.Table(ycsb.TableName)
+	tbl := ycsb.LoadSilo(db, cfg)
 	fmt.Printf("loaded %d keys of %d bytes (embedded)\n", cfg.Keys, cfg.ValueSize)
 	var ix *silo.Index
 	if mode != scanPrimary {

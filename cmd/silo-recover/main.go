@@ -34,7 +34,6 @@ import (
 
 	"silo/internal/catalog"
 	"silo/internal/core"
-	"silo/internal/index"
 	"silo/internal/recovery"
 	"silo/internal/tid"
 	"silo/internal/wal"
@@ -110,8 +109,7 @@ func main() {
 	if *replay {
 		s := core.NewStore(core.DefaultOptions(1))
 		defer s.Close()
-		reg := index.NewRegistry()
-		cat := catalog.New(s, reg)
+		cat := catalog.New(s)
 		start := time.Now()
 		res, err := recovery.Recover(s, *dir, recovery.Options{
 			Workers: *parallel,
@@ -129,12 +127,12 @@ func main() {
 			switch {
 			case tbl.Name == catalog.TableName:
 				kind = "catalog"
-			case reg.Get(tbl.Name) != nil:
+			case cat.IsEntryTable(tbl.Name):
 				kind = "index"
 			}
 			fmt.Printf("  %-7s id=%-3d %-24s %d keys\n", kind, tbl.ID, tbl.Name, tbl.Tree.Len())
 		}
-		for _, ix := range reg.All() {
+		for _, ix := range cat.Indexes() {
 			attrs := ""
 			if ix.Unique {
 				attrs += " unique"
@@ -142,9 +140,7 @@ func main() {
 			if ix.Covering() {
 				attrs += fmt.Sprintf(" covering(%d segs)", len(ix.Include))
 			}
-			if ix.Spec != nil {
-				attrs += fmt.Sprintf(" spec(%d segs)", len(ix.Spec))
-			}
+			attrs += fmt.Sprintf(" spec(%d segs)", len(ix.Spec))
 			fmt.Printf("  index %s on %s:%s\n", ix.Name, ix.On.Name, attrs)
 		}
 		for _, name := range cat.Pending() {

@@ -1,59 +1,120 @@
 package catalog
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"silo/internal/core"
 	"silo/internal/index"
+	"silo/internal/obs"
 	"silo/internal/trace"
 )
 
-// Catalog owns one store's schema lifecycle: the reserved catalog table,
-// the replay path (ApplyCatalogRow, then FinishRecovery), and the DDL
-// append path that follows it. All entry points serialize on the
-// catalog's mutex; normal transactions are unaffected.
+// Catalog owns one store's schema: the reserved catalog table, the replay
+// path (ApplyCatalogRow, then FinishRecovery), the DDL append path that
+// follows it, and every index — declared, backfilled, named, dropped and
+// counted here and nowhere else. DDL entry points serialize on the
+// catalog's mutex; normal transactions are unaffected, and looking an
+// index up by name takes no lock.
 type Catalog struct {
 	mu    sync.Mutex
 	store *core.Store
-	reg   *index.Registry
 	table *core.Table
 
 	next uint64 // next record sequence number to assign or apply
 
-	// pending tracks index creates whose ready/drop marker has not been
-	// seen; dropped tracks indexes whose latest record is a drop (their
-	// entry tables may need a wipe after replay).
+	// set names the indexes; DDL replaces it whole under mu.
+	set atomic.Pointer[indexSet]
+	// pending names replayed index creates whose ready or drop record has
+	// not been seen: declared and named, but not known to be backfilled.
 	pending []string
-	dropped map[string]bool
 	// broken holds replayed index creates whose declaration no longer
 	// constructs (e.g. a corrupt record). The create is tolerated so a
 	// following drop record can resolve it — the live path appends a drop
 	// after every failed create — and only an UNRESOLVED broken create
 	// fails recovery (in FinishRecovery), naming the index.
 	broken map[string]error
+
+	// counters are the read counters every index of this catalog shares,
+	// so the totals never go backwards when an index is dropped.
+	counters index.Counters
+}
+
+// indexSet is an immutable view of a catalog's indexes. byName maps every
+// index entry-table name to its index — or to nil while a live create
+// backfills, and once a drop or a failed create has left the entry table
+// behind (tables cannot be dropped; their ids are part of the log format).
+// A later create of a left-behind name adopts its table.
+type indexSet struct {
+	byName map[string]*index.Index
+	all    []*index.Index // byName's non-nil values, in creation order
 }
 
 // New creates the catalog for a store, creating the reserved catalog table.
 // It must run before any other table is created (the catalog claims id 0 —
 // part of the on-disk format).
-func New(s *core.Store, reg *index.Registry) *Catalog {
+func New(s *core.Store) *Catalog {
 	t := s.CreateTable(TableName)
 	if t.ID != 0 {
 		panic(fmt.Sprintf("catalog: table %q created at id %d; the catalog must be the store's first table", TableName, t.ID))
 	}
-	return &Catalog{
-		store:   s,
-		reg:     reg,
-		table:   t,
-		next:    1,
-		dropped: map[string]bool{},
-		broken:  map[string]error{},
+	c := &Catalog{
+		store:  s,
+		table:  t,
+		next:   1,
+		broken: map[string]error{},
 	}
+	c.set.Store(&indexSet{byName: map[string]*index.Index{}})
+	return c
 }
 
 // Table returns the catalog's backing table (the reserved table id 0).
 func (c *Catalog) Table() *core.Table { return c.table }
+
+// Index returns the named index, or nil (also while its creation
+// backfills).
+func (c *Catalog) Index(name string) *index.Index { return c.set.Load().byName[name] }
+
+// Indexes returns the indexes in creation order.
+func (c *Catalog) Indexes() []*index.Index { return slices.Clone(c.set.Load().all) }
+
+// IsEntryTable reports whether the named table holds index entries: a
+// live index's, one still backfilling, or one a drop or a failed create
+// left behind. Only index maintenance may write such a table.
+func (c *Catalog) IsEntryTable(name string) bool {
+	_, ok := c.set.Load().byName[name]
+	return ok
+}
+
+// leftBehind reports whether the named entry table was left behind by a
+// drop or a failed create, so that a create of the name adopts it.
+func (c *Catalog) leftBehind(name string) bool {
+	ix, ok := c.set.Load().byName[name]
+	return ok && ix == nil
+}
+
+// CollectObs appends the index read counters to snap (see index.Counters).
+func (c *Catalog) CollectObs(snap *obs.Snapshot) { c.counters.CollectObs(snap) }
+
+// setLocked publishes a new index set in which name maps to ix. Caller
+// holds c.mu.
+func (c *Catalog) setLocked(name string, ix *index.Index) {
+	old := c.set.Load()
+	next := &indexSet{
+		byName: maps.Clone(old.byName),
+		all:    slices.DeleteFunc(slices.Clone(old.all), func(o *index.Index) bool { return o.Name == name }),
+	}
+	next.byName[name] = ix
+	if ix != nil {
+		next.all = append(next.all, ix)
+	}
+	c.set.Store(next)
+}
 
 // appendLocked writes one DDL record as a transactional insert on the
 // store's hidden DDL worker. Caller holds c.mu.
@@ -95,23 +156,34 @@ func (c *Catalog) CreateTable(name string) (*core.Table, error) {
 // crash in between is recoverable (roll forward or clean rollback); a
 // failed backfill appends a drop record so the half-create is resolved in
 // the log too. Re-declaring an existing index is idempotent when the
-// declaration is identical and an error naming the index otherwise.
+// declaration is identical — same table, uniqueness, spec and include
+// list — and an error naming the index otherwise.
+//
+// The backfill runs in batched transactions on worker w. Writes racing
+// the creation are handled: once the maintenance hook is in place,
+// CreateIndex waits out every transaction that began before it (see
+// waitPreRegistrationTxns), and only then scans; later writers see the
+// hook and maintain their own entries, which the backfill tolerates. If
+// the backfill fails (e.g. a unique violation between existing rows), the
+// hook is withdrawn and the partially built entries wiped, so the table
+// keeps working and the name can be retried.
 func (c *Catalog) CreateIndex(w *core.Worker, on *core.Table, name string, unique bool, spec, include []index.Seg) (*index.Index, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if ix := c.Index(name); ix != nil {
+		if ix.On == on && ix.Unique == unique && slices.Equal(ix.Spec, spec) && slices.Equal(ix.Include, include) {
+			return ix, nil
+		}
+		return nil, fmt.Errorf("index %q already exists with a different declaration", name)
+	}
+	// Everything a declaration can get wrong must be rejected BEFORE the
+	// create record is logged: a record that adopts an unrelated table's
+	// id — or that cannot be rebuilt at replay — would poison the
+	// directory (at worst, a replayed drop of the create would wipe the
+	// collided table's rows).
 	if name == TableName {
 		return nil, fmt.Errorf("catalog: index name %q is reserved", TableName)
 	}
-	if c.reg.Get(name) != nil {
-		// Re-creation of an existing name: the registry compares the
-		// declarations; nothing new to record.
-		return c.reg.Create(c.store, w, on, name, unique, spec, include)
-	}
-	// Everything the registry would reject must be rejected BEFORE the
-	// create record is logged: a record that adopts an unrelated table's
-	// id — or that cannot be re-compiled at replay — would poison the
-	// directory (at worst, a replayed drop of the create would wipe the
-	// collided table's rows).
 	if on == nil {
 		return nil, fmt.Errorf("index %q: no table to index", name)
 	}
@@ -123,15 +195,15 @@ func (c *Catalog) CreateIndex(w *core.Worker, on *core.Table, name string, uniqu
 			return nil, fmt.Errorf("index %q include list: %w", name, err)
 		}
 	}
-	if t := c.store.Table(name); t != nil && !c.reg.Orphan(name) {
-		return nil, fmt.Errorf("index %q: a table with that name already exists", name)
-	}
-	// Predict the entry table's id: an orphan retry reuses its table, a
-	// fresh create takes the next id. DDL is serialized on c.mu, so the
-	// only way the prediction can miss is a racing store-level (catalog-
-	// bypassing) CreateTable, which already voids catalog recovery.
+	// A left-behind entry table is adopted at its id; otherwise the entry
+	// table takes the next id. DDL is serialized on c.mu, so the only way
+	// the prediction can miss is a racing store-level (catalog-bypassing)
+	// CreateTable, which already voids catalog recovery.
 	entryID := uint32(len(c.store.Tables()))
 	if t := c.store.Table(name); t != nil {
+		if !c.leftBehind(name) {
+			return nil, fmt.Errorf("index %q: a table with that name already exists", name)
+		}
 		entryID = t.ID
 	}
 	rec := &Record{
@@ -141,27 +213,55 @@ func (c *Catalog) CreateIndex(w *core.Worker, on *core.Table, name string, uniqu
 	if err := c.appendLocked(rec); err != nil {
 		return nil, err
 	}
-	ix, err := c.reg.Create(c.store, w, on, name, unique, spec, include)
+	ix, err := c.declareLocked(rec)
 	if err != nil {
-		// Resolve the pending create in the log so recovery does not try
-		// to roll a known-failed backfill forward.
-		if aerr := c.appendLocked(&Record{Kind: KindDropIndex, Name: name}); aerr != nil {
-			return nil, fmt.Errorf("%w (and the rollback record failed too: %v)", err, aerr)
-		}
-		return nil, err
+		// Unreachable after the checks above; resolve the create all the same.
+		return nil, errors.Join(err, c.appendLocked(&Record{Kind: KindDropIndex, Name: name}))
 	}
-	if err := c.appendLocked(&Record{Kind: KindIndexReady, Name: name}); err != nil {
-		// Without a durable ready record the next recovery would re-run
-		// the (idempotent) backfill; the index itself is fine. Surface the
-		// logging failure but keep the index consistent by tearing it down.
-		c.reg.Remove(name)
-		if werr := index.WipeEntries(c.store.DDL(), ix.Entries); werr != nil {
-			return nil, fmt.Errorf("%w (cleanup also failed: %v)", err, werr)
+	// The entry table is the index's from here on: the network server
+	// refuses direct writes to it while it backfills.
+	c.setLocked(name, nil)
+	if on.Tree.Len() > 0 {
+		waitPreRegistrationTxns(c.store)
+	}
+	if failed, err := c.buildLocked(w, ix); failed != nil {
+		if err != nil {
+			return nil, fmt.Errorf("%w (and the rollback failed too: %v)", failed, err)
 		}
-		return nil, err
+		return nil, failed
 	}
 	c.store.Flight().RecordShared(trace.EvDDL, trace.DDLCreateIndex, ix.Entries.ID, 0, []byte(name))
 	return ix, nil
+}
+
+// declareLocked builds the index a create record declares — its entry
+// table at the id the caller checked, and its maintenance hook. Live and
+// replayed creates both declare here.
+func (c *Catalog) declareLocked(rec *Record) (*index.Index, error) {
+	return index.New(c.store, &c.counters, c.store.Table(rec.On), rec.Name, rec.Unique, rec.Spec, rec.Include...)
+}
+
+// buildLocked backfills a declared index on w and, once its ready record
+// is logged, names it. If either step fails the index is rolled back —
+// unhooked, its entries wiped, its entry table left behind, and a drop
+// record logged so the log resolves the create too. failed is why the
+// index was not built; err is why the rollback did not complete either.
+func (c *Catalog) buildLocked(w *core.Worker, ix *index.Index) (failed, err error) {
+	if ix.On.Tree.Len() > 0 {
+		failed = ix.Backfill(w)
+	}
+	if failed != nil {
+		failed = fmt.Errorf("index %q: backfill: %w", ix.Name, failed)
+	} else if failed = c.appendLocked(&Record{Kind: KindIndexReady, Name: ix.Name}); failed == nil {
+		c.setLocked(ix.Name, ix)
+		return nil, nil
+	}
+	ix.Unhook()
+	c.setLocked(ix.Name, nil)
+	if err = wipe(w, ix.Entries); err != nil {
+		return failed, fmt.Errorf("wiping its entries: %w", err)
+	}
+	return failed, c.appendLocked(&Record{Kind: KindDropIndex, Name: ix.Name})
 }
 
 // DropIndex withdraws the named index: maintenance unhooked, the drop
@@ -171,16 +271,88 @@ func (c *Catalog) CreateIndex(w *core.Worker, on *core.Table, name string, uniqu
 func (c *Catalog) DropIndex(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ix := c.reg.Get(name)
+	ix := c.Index(name)
 	if ix == nil {
 		return fmt.Errorf("%w: %q", index.ErrNoIndex, name)
 	}
 	if err := c.appendLocked(&Record{Kind: KindDropIndex, Name: name}); err != nil {
 		return err
 	}
-	c.reg.Remove(name)
+	c.withdrawLocked(name)
 	c.store.Flight().RecordShared(trace.EvDDL, trace.DDLDropIndex, ix.Entries.ID, 0, []byte(name))
-	return index.WipeEntries(c.store.DDL(), ix.Entries)
+	return wipe(c.store.DDL(), ix.Entries)
+}
+
+// withdrawLocked unhooks the named index, if there is one, and leaves its
+// entry table behind under the name. Entries are not wiped: a live drop
+// wipes them, and a replayed drop gets the wipe from the log.
+func (c *Catalog) withdrawLocked(name string) {
+	if ix := c.Index(name); ix != nil {
+		ix.Unhook()
+	}
+	c.removePending(name)
+	c.setLocked(name, nil)
+}
+
+// waitPreRegistrationTxns waits until every transaction that began before
+// the caller registered a write hook has finished. It relies on the epoch
+// invariant: the global epoch cannot advance past an active worker's
+// local epoch, and workers (re-)entering after two advances are ordered
+// after the registration, so they observe the hook. Skipped for
+// manually-stepped stores (tests drive their own concurrency). The one
+// caveat is Worker.RefreshEpoch, which lifts a still-running
+// transaction's local epoch; nothing in the tree uses it today.
+//
+// Rather than waiting out the background advancer's period, the loop
+// attempts the advance itself: Advance enforces the E ≤ e_w + 1 invariant,
+// so it succeeds exactly when every pre-registration transaction has
+// refreshed or finished — the condition being waited for. This keeps DDL
+// latency at the transaction horizon instead of two advancer ticks, and
+// it is what lets the deterministic simulation clock (whose advancer only
+// ticks when the — currently blocked — driving goroutine steps it) run
+// index DDL at all.
+func waitPreRegistrationTxns(s *core.Store) {
+	if s.Options().ManualEpochs {
+		return
+	}
+	target := s.Epochs().Global() + 2
+	for s.Epochs().Global() < target {
+		if !s.AdvanceEpoch() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// wipeBatch is the number of entries deleted per wipe transaction.
+const wipeBatch = 256
+
+// wipe deletes every row of an index entry table in batched transactions
+// on w. The index's maintenance hook must already be withdrawn.
+func wipe(w *core.Worker, t *core.Table) error {
+	var keys [][]byte
+	for {
+		err := w.Run(func(tx *core.Tx) error {
+			keys = keys[:0]
+			if err := tx.Scan(t, []byte{0}, nil, func(k, _ []byte) bool {
+				keys = append(keys, append([]byte(nil), k...))
+				return len(keys) < wipeBatch
+			}); err != nil {
+				return err
+			}
+			for _, k := range keys {
+				if err := tx.Delete(t, k); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if len(keys) == 0 {
+			return nil
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -230,12 +402,8 @@ func (c *Catalog) applyLocked(rec *Record) error {
 		c.removePending(rec.Name)
 		return nil
 	case KindDropIndex:
-		if c.reg.Get(rec.Name) != nil {
-			c.reg.Remove(rec.Name)
-		}
-		c.removePending(rec.Name)
+		c.withdrawLocked(rec.Name)
 		delete(c.broken, rec.Name)
-		c.dropped[rec.Name] = true
 		return nil
 	}
 	return fmt.Errorf("%w: unknown kind %d", ErrBadRecord, rec.Kind)
@@ -262,43 +430,36 @@ func (c *Catalog) checkNewTable(name string, id uint32) error {
 	return nil
 }
 
-// replayIndex materializes one recovered index declaration. Every create is
+// replayIndex declares and names one recovered index. Every create is
 // considered pending until its ready record arrives.
 func (c *Catalog) replayIndex(rec *Record) error {
 	if rec.Name == TableName {
 		return fmt.Errorf("index name %q is reserved", TableName)
 	}
-	on := c.store.Table(rec.On)
-	if on == nil {
+	if c.store.Table(rec.On) == nil {
 		return fmt.Errorf("index %q indexes table %q, which no earlier catalog record creates", rec.Name, rec.On)
 	}
 	if t := c.store.Table(rec.Name); t != nil {
 		// The entry table exists: an earlier create of this name was
-		// dropped, and this re-create adopts the orphan at its id.
-		if !c.dropped[rec.Name] || t.ID != rec.ID {
+		// dropped, and this re-create adopts the left-behind table at its id.
+		if !c.leftBehind(rec.Name) || t.ID != rec.ID {
 			return fmt.Errorf("index %q holds entry-table id %d in the catalog, but table %q already holds id %d", rec.Name, rec.ID, rec.Name, t.ID)
 		}
 	} else if err := c.checkNewTable(rec.Name, rec.ID); err != nil {
 		return err
 	}
-	key, err := index.CompileSpec(rec.Spec)
+	ix, err := c.declareLocked(rec)
 	if err != nil {
 		return c.markBroken(rec, err)
 	}
-	ix, err := index.New(c.store, on, rec.Name, rec.Unique, key, rec.Include...)
-	if err != nil {
-		return c.markBroken(rec, err)
-	}
-	ix.Spec = append([]index.Seg(nil), rec.Spec...)
-	c.reg.Register(ix)
+	c.setLocked(rec.Name, ix)
 	c.pending = append(c.pending, rec.Name)
-	delete(c.dropped, rec.Name)
 	return nil
 }
 
 // markBroken tolerates a create record that no longer constructs: the
 // entry table is still materialized (table-id accounting must not skew)
-// but no index is registered, and the name is held broken until a drop
+// but no index is declared, and the name is held broken until a drop
 // record resolves it. The live write path validates declarations before
 // logging them, so an unresolved broken create indicates a corrupt
 // record; FinishRecovery fails on it rather than silently dropping the
@@ -331,8 +492,8 @@ func (c *Catalog) Pending() []string {
 //     ready record is appended. If the backfill cannot complete (e.g. a
 //     unique violation between recovered rows) the index is rolled back
 //     cleanly: unhooked, entries wiped, drop record appended.
-//   - Dropped indexes get leftover entries wiped (a crash mid-wipe leaves
-//     some behind).
+//   - Left-behind entry tables get leftover entries wiped (a crash
+//     mid-wipe leaves some behind).
 //
 // It returns the names rolled forward and rolled back. The epoch counter
 // must already be restarted above the recovered epochs so the records and
@@ -350,34 +511,24 @@ func (c *Catalog) FinishRecovery(start func() error) (completed, rolledBack []st
 	}
 	w := c.store.DDL()
 
-	pending := append([]string(nil), c.pending...)
+	pending := c.pending
 	c.pending = nil
 	for _, name := range pending {
-		ix := c.reg.Get(name)
-		if ix == nil {
-			continue
-		}
-		if berr := ix.Backfill(w); berr != nil {
-			c.reg.Remove(name)
-			if werr := index.WipeEntries(w, ix.Entries); werr != nil {
-				return completed, rolledBack, fmt.Errorf("catalog: rolling back index %q: %v (wipe failed: %w)", name, berr, werr)
-			}
-			if aerr := c.appendLocked(&Record{Kind: KindDropIndex, Name: name}); aerr != nil {
-				return completed, rolledBack, aerr
-			}
+		failed, err := c.buildLocked(w, c.Index(name))
+		switch {
+		case err != nil:
+			return completed, rolledBack, fmt.Errorf("catalog: rolling back index %q: %v (%w)", name, failed, err)
+		case failed != nil:
 			rolledBack = append(rolledBack, name)
-			continue
+		default:
+			completed = append(completed, name)
 		}
-		if aerr := c.appendLocked(&Record{Kind: KindIndexReady, Name: name}); aerr != nil {
-			return completed, rolledBack, aerr
-		}
-		completed = append(completed, name)
 	}
 
-	for name := range c.dropped {
-		if t := c.store.Table(name); t != nil && t.Tree.Len() > 0 && c.reg.Get(name) == nil {
-			if werr := index.WipeEntries(w, t); werr != nil {
-				return completed, rolledBack, fmt.Errorf("catalog: wiping dropped index %q: %w", name, werr)
+	for name, ix := range c.set.Load().byName {
+		if t := c.store.Table(name); ix == nil && t != nil && t.Tree.Len() > 0 {
+			if err := wipe(w, t); err != nil {
+				return completed, rolledBack, fmt.Errorf("catalog: wiping dropped index %q: %w", name, err)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -11,14 +12,30 @@ import (
 	"silo/internal/index"
 )
 
-func newStore(t *testing.T) (*core.Store, *index.Registry, *Catalog) {
+func newStore(t *testing.T) (*core.Store, *Catalog) {
 	t.Helper()
 	opts := core.DefaultOptions(1)
 	opts.ManualEpochs = true
 	s := core.NewStore(opts)
 	t.Cleanup(s.Close)
-	reg := index.NewRegistry()
-	return s, reg, New(s, reg)
+	return s, New(s)
+}
+
+// userRow is a fixed-offset test row: [city:4][score:8][name...].
+func userRow(city string, score uint64, name string) []byte {
+	v := make([]byte, 12, 12+len(name))
+	copy(v, city)
+	binary.BigEndian.PutUint64(v[4:], score)
+	return append(v, name...)
+}
+
+func insertUser(t *testing.T, w *core.Worker, users *core.Table, id int, city string, score uint64, name string) {
+	t.Helper()
+	if err := w.Run(func(tx *core.Tx) error {
+		return tx.Insert(users, []byte(fmt.Sprintf("u%03d", id)), userRow(city, score, name))
+	}); err != nil {
+		t.Fatalf("insert user %d: %v", id, err)
+	}
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -76,7 +93,7 @@ func opaqueCreate(name string, id uint32, on string) []byte {
 // reconstructs the identical schema — ids, uniqueness, specs with
 // transforms, include lists, drops.
 func TestLiveDDLAndReplay(t *testing.T) {
-	s, reg, c := newStore(t)
+	s, c := newStore(t)
 	w := s.Worker(0)
 
 	users, err := c.CreateTable("users")
@@ -111,7 +128,7 @@ func TestLiveDDLAndReplay(t *testing.T) {
 	}
 
 	// Replay the recorded rows into a fresh store with zero declarations.
-	s2, reg2, c2 := newStore(t)
+	s2, c2 := newStore(t)
 	var rows [][2][]byte
 	if err := s.Worker(0).Run(func(tx *core.Tx) error {
 		rows = rows[:0]
@@ -138,7 +155,7 @@ func TestLiveDDLAndReplay(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"users_ix", "users_cov"} {
-		a, b := reg.Get(name), reg2.Get(name)
+		a, b := c.Index(name), c2.Index(name)
 		if b == nil {
 			t.Fatalf("index %q not reconstructed", name)
 		}
@@ -147,8 +164,120 @@ func TestLiveDDLAndReplay(t *testing.T) {
 			t.Fatalf("index %q declaration mismatch", name)
 		}
 	}
-	if reg2.Get("users_tmp") != nil {
+	if c2.Index("users_tmp") != nil {
 		t.Fatal("dropped index reconstructed")
+	}
+	if !c2.IsEntryTable("users_tmp") {
+		t.Fatal("the dropped index's entry table is not known as one after replay")
+	}
+}
+
+// TestCreateIndexDeclarations: CreateIndex backfills and names the index,
+// is idempotent for the identical declaration, and rejects a different
+// uniqueness, spec or include list under the name, a name a plain table
+// holds, and a spec that does not compile.
+func TestCreateIndexDeclarations(t *testing.T) {
+	s, c := newStore(t)
+	w := s.Worker(0)
+	users, _ := c.CreateTable("users")
+	insertUser(t, w, users, 1, "AMS", 1, "ada")
+
+	spec := []index.Seg{{FromValue: true, Off: 0, Len: 4}}
+	ix, err := c.CreateIndex(w, users, "users_by_city", false, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Entries.Tree.Len(); got != 1 {
+		t.Fatalf("backfilled entries = %d", got)
+	}
+	if c.Index("users_by_city") != ix {
+		t.Fatal("index lookup by name failed")
+	}
+	if c.Index("nope") != nil {
+		t.Fatal("lookup returned a ghost")
+	}
+	if again, err := c.CreateIndex(w, users, "users_by_city", false, spec, nil); err != nil || again != ix {
+		t.Fatalf("re-create = %v, %v", again, err)
+	}
+	if _, err := c.CreateIndex(w, users, "users_by_city", true, spec, nil); err == nil {
+		t.Fatal("mismatched uniqueness accepted")
+	}
+	other := []index.Seg{{FromValue: true, Off: 4, Len: 8}}
+	if _, err := c.CreateIndex(w, users, "users_by_city", false, other, nil); err == nil {
+		t.Fatal("mismatched spec accepted")
+	}
+	if _, err := c.CreateIndex(w, users, "users_by_city", false, spec, spec); err == nil {
+		t.Fatal("mismatched include list accepted")
+	}
+	if _, err := c.CreateIndex(w, users, "users", false, spec, nil); err == nil {
+		t.Fatal("index named after an existing table accepted")
+	}
+	if _, err := c.CreateIndex(w, users, "users_bad", false, nil, nil); err == nil {
+		t.Fatal("empty spec accepted")
+	}
+	if all := c.Indexes(); len(all) != 1 || all[0] != ix {
+		t.Fatalf("Indexes() = %v", all)
+	}
+}
+
+// TestCreateBackfillFailureCleansUp drives the failed-DDL path: a unique
+// index over rows that collide must fail, withdraw its maintenance hook,
+// wipe the partial entries, leave its entry table behind, and leave the
+// name retryable.
+func TestCreateBackfillFailureCleansUp(t *testing.T) {
+	s, c := newStore(t)
+	w := s.Worker(0)
+	users, _ := c.CreateTable("users")
+	insertUser(t, w, users, 1, "AMS", 1, "dup")
+	insertUser(t, w, users, 2, "BER", 2, "dup") // same name: unique violation
+
+	nameSpec := []index.Seg{{FromValue: true, Off: 12, Len: 3}}
+	if _, err := c.CreateIndex(w, users, "users_by_name", true, nameSpec, nil); err == nil {
+		t.Fatal("unique backfill over colliding rows succeeded")
+	}
+	if c.Index("users_by_name") != nil {
+		t.Fatal("failed index is named")
+	}
+	if !c.IsEntryTable("users_by_name") {
+		t.Fatal("the failed index's entry table is not known as one")
+	}
+	// The hook is withdrawn: ordinary writes work again (they would hit
+	// the 'out of sync' path if maintenance were still wired up).
+	insertUser(t, w, users, 3, "OSL", 3, "carl")
+	if err := w.Run(func(tx *core.Tx) error {
+		return tx.Delete(users, []byte("u003"))
+	}); err != nil {
+		t.Fatalf("table writes broken after failed create: %v", err)
+	}
+	// Partial entries were wiped.
+	orphan := s.Table("users_by_name")
+	if orphan == nil {
+		t.Fatal("entry table missing")
+	}
+	n := 0
+	if err := w.Run(func(tx *core.Tx) error {
+		n = 0
+		return tx.Scan(orphan, []byte{0}, nil, func(_, _ []byte) bool {
+			n++
+			return true
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("%d stale entries survive the failed create", n)
+	}
+	// The name is retryable with a workable declaration, adopting the
+	// entry table left behind.
+	ix, err := c.CreateIndex(w, users, "users_by_name", false, nameSpec, nil)
+	if err != nil {
+		t.Fatalf("retry after failed create: %v", err)
+	}
+	if ix.Entries != orphan {
+		t.Fatal("the retry did not adopt the left-behind entry table")
+	}
+	if got := ix.Entries.Tree.Len(); got < 2 {
+		t.Fatalf("retried backfill produced %d entries", got)
 	}
 }
 
@@ -158,7 +287,7 @@ func TestLiveDDLAndReplay(t *testing.T) {
 // index an earlier release declared with a Go key function (named too).
 func TestReplayRejectsBadRows(t *testing.T) {
 	users := Record{Kind: KindCreateTable, Name: "users", ID: 1}
-	_, _, c := newStore(t)
+	_, c := newStore(t)
 	if err := c.ApplyCatalogRow(SeqKey(1), users.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +310,7 @@ func TestReplayRejectsBadRows(t *testing.T) {
 // TestCatalogRecordsSurviveAsRows sanity-checks the storage shape: one row
 // per DDL action, keyed by sequence number, decodable in order.
 func TestCatalogRecordsSurviveAsRows(t *testing.T) {
-	s, _, c := newStore(t)
+	s, c := newStore(t)
 	if _, err := c.CreateTable("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +347,7 @@ func TestCatalogRecordsSurviveAsRows(t *testing.T) {
 // collided table's id would make the next recovery treat that table as a
 // dropped index's entry table and wipe its rows.
 func TestCreateIndexNameCollisionLogsNothing(t *testing.T) {
-	s, _, c := newStore(t)
+	s, c := newStore(t)
 	w := s.Worker(0)
 	users, _ := c.CreateTable("users")
 	orders, _ := c.CreateTable("orders")
@@ -261,7 +390,7 @@ func TestCreateIndexNameCollisionLogsNothing(t *testing.T) {
 	}
 
 	// Replaying this catalog must keep the orders table and its row.
-	s2, _, c2 := newStore(t)
+	s2, c2 := newStore(t)
 	var rows [][2][]byte
 	if err := w.Run(func(tx *core.Tx) error {
 		rows = rows[:0]
@@ -298,8 +427,7 @@ func TestReplayToleratesBrokenCreateResolvedByDrop(t *testing.T) {
 	tbl := Record{Kind: KindCreateTable, Name: "users", ID: 1}
 	drop := Record{Kind: KindDropIndex, Name: "bad_ix"}
 
-	s, reg, c := newStore(t)
-	_ = reg
+	s, c := newStore(t)
 	if err := c.ApplyCatalogRow(SeqKey(1), tbl.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +446,7 @@ func TestReplayToleratesBrokenCreateResolvedByDrop(t *testing.T) {
 	}
 
 	// Without the resolving drop, recovery fails naming the index.
-	_, _, c2 := newStore(t)
+	_, c2 := newStore(t)
 	if err := c2.ApplyCatalogRow(SeqKey(1), tbl.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func liveRows(tb testing.TB) []byte {
 	opts.ManualEpochs = true
 	s := core.NewStore(opts)
 	defer s.Close()
-	c := New(s, index.NewRegistry())
+	c := New(s)
 	w := s.Worker(0)
 	users, _ := c.CreateTable("users")
 	c.CreateTable("orders")
@@ -277,8 +277,7 @@ func FuzzCatalogRecord(f *testing.F) {
 		opts.ManualEpochs = true
 		s := core.NewStore(opts)
 		defer s.Close()
-		reg := index.NewRegistry()
-		c := New(s, reg)
+		c := New(s)
 		m := &refCatalog{next: 1, tables: []string{TableName}, dropped: map[string]bool{}, broken: map[string]bool{}}
 		for i := range keys {
 			seq := binary.BigEndian.Uint64(keys[i])
@@ -299,7 +298,7 @@ func FuzzCatalogRecord(f *testing.F) {
 			t.Fatalf("tables %q, the plain replay has %q", tables, m.tables)
 		}
 		var indexes []refIndex
-		for _, ix := range reg.All() {
+		for _, ix := range c.Indexes() {
 			r := asRef(Record{On: ix.On.Name, Spec: ix.Spec, Include: ix.Include})
 			indexes = append(indexes, refIndex{ix.Name, r.on, ix.Unique, r.spec, r.include})
 		}

@@ -35,17 +35,9 @@ func TestBatchedEmissionOrdersAgree(t *testing.T) {
 		s := newStore(t, 1)
 		tbl := s.CreateTable("rows")
 		w := s.Worker(0)
-		scrambled, err := CompileSpec(propSpec(rng, 3, 12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := CompileSpec([]Seg{{Off: 0, Len: 5}})
-		if err != nil {
-			t.Fatal(err)
-		}
 		indexes := []*Index{
-			mustNew(t, s, tbl, "rows_scrambled", false, scrambled),
-			mustNew(t, s, tbl, "rows_parallel", false, parallel),
+			mustNew(t, s, tbl, "rows_scrambled", false, propSpec(rng, 3, 12)),
+			mustNew(t, s, tbl, "rows_parallel", false, []Seg{{Off: 0, Len: 5}}),
 		}
 		for i := 0; i < 200; i++ {
 			k := []byte(fmt.Sprintf("p%04d", rng.Intn(60)))
@@ -116,16 +108,9 @@ func TestBatchedEmissionOrdersAgree(t *testing.T) {
 func allocSetup(t *testing.T) (w *core.Worker, tbl *core.Table, asc, desc, cov *Index) {
 	s, asc := benchSetup(t, nil, false)
 	tbl = asc.On
-	key, err := CompileSpec([]Seg{{FromValue: true, Off: 0, Len: 8, Xform: XformInvert}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc = mustNew(t, s, tbl, "rows_desc", false, key)
-	key, err = CompileSpec([]Seg{{FromValue: true, Off: 0, Len: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov, err = New(s, tbl, "rows_cov", false, key, Seg{FromValue: true, Off: 0, Len: 16}); err != nil {
+	desc = mustNew(t, s, tbl, "rows_desc", false, []Seg{{FromValue: true, Off: 0, Len: 8, Xform: XformInvert}})
+	var err error
+	if cov, err = New(s, new(Counters), tbl, "rows_cov", false, []Seg{{FromValue: true, Off: 0, Len: 8}}, Seg{FromValue: true, Off: 0, Len: 16}); err != nil {
 		t.Fatal(err)
 	}
 	w = s.Worker(0)

@@ -3,9 +3,11 @@
 // keys and whose values are primary keys; what this package adds over the
 // hand-maintained pattern is declarativity and automation:
 //
-//   - An Index is declared once (name, indexed table, uniqueness, a KeyFunc
-//     extracting the secondary key from a row) and registered as a
-//     core.WriteHook on its table. From then on every transactional
+//   - An Index is declared once (name, indexed table, uniqueness, and a key
+//     spec of fixed-position row segments, see Seg) and hooked onto its
+//     table as a core.WriteHook. The schema catalog (internal/catalog)
+//     declares, names, backfills and drops indexes; this package builds
+//     and maintains one. From then on every transactional
 //     Put/Insert/Delete on the table expands the transaction's write-set
 //     with the matching entry-table writes, so index consistency inherits
 //     Silo's serializability, epoch-based durability, and recovery for
@@ -47,6 +49,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"silo/internal/core"
 )
@@ -54,11 +57,9 @@ import (
 // ErrNoIndex reports a lookup of an index name that does not exist.
 var ErrNoIndex = errors.New("silo: no such index")
 
-// KeyFunc extracts the secondary key for a row, appending it to dst and
-// returning the extended buffer. Returning ok=false excludes the row from
-// the index (a partial index). The function must be pure: the same
-// (pk, val) must always yield the same key, and it must not retain pk/val.
-type KeyFunc func(dst, pk, val []byte) (key []byte, ok bool)
+// keyFunc extracts a compiled spec's bytes from a row, appending them to
+// dst; ok=false means the row is too short for a segment.
+type keyFunc func(dst, pk, val []byte) (key []byte, ok bool)
 
 // Index is a declared secondary index over one table.
 type Index struct {
@@ -66,53 +67,62 @@ type Index struct {
 	On      *core.Table // the indexed (primary) table
 	Entries *core.Table // the entry table: secondary key → primary key
 	Unique  bool
-	Key     KeyFunc
-	// Spec is the declarative segment spec Key was compiled from (nil for
-	// an index declared with New and a Go KeyFunc). Registries use it to
-	// decide whether a re-creation request matches the existing
-	// declaration.
+	// Spec is the declarative segment spec the secondary key is built
+	// from; the catalog compares it when the index is declared again.
 	Spec []Seg
 	// Include is the covering projection: fixed-position row segments whose
 	// bytes ride in every entry value so ScanCovering never resolves the
 	// primary tree. Nil for ordinary (non-covering) indexes.
 	Include []Seg
 
-	// include is the compiled projection extractor; width is the fixed
+	// key and include are Spec and Include compiled; width is the fixed
 	// total byte width of the projection (sum of Include segment lengths).
-	include KeyFunc
-	width   int
+	key, include keyFunc
+	width        int
 
-	// obs counts scans by resolution mode; Registry.CollectObs aggregates
-	// it across the registry's indexes.
-	obs indexObs
+	// obs counts reads through the index; the catalog shares one set of
+	// counters across its indexes.
+	obs *Counters
 }
 
-// New declares an index named name over table on: it creates the entry
-// table (under the index's name, so table-creation order — and with it the
-// log format — is explicit at the call site) and registers transactional
-// maintenance. It does not backfill; call Backfill if on already has rows.
-// Declare each index exactly once per store, before the table takes
-// writes that should be indexed.
+// New declares an index named name over table on, keyed by spec: it
+// creates the entry table (under the index's name, so table-creation order
+// — and with it the log format — is explicit at the call site) and hooks
+// transactional maintenance onto on. It does not backfill; call Backfill
+// if on already has rows. Reads through the index count in ctr. The schema
+// catalog declares each index exactly once per store.
 //
 // A non-nil include list makes the index covering: entry values
 // additionally carry the concatenated include segments of the row, kept
 // current by the maintenance hooks, so ScanCovering serves them without
 // primary-tree resolution. A row too short for any include segment is left
-// unindexed (exactly like a row too short for a declarative key segment),
-// keeping projection width fixed.
-func New(s *core.Store, on *core.Table, name string, unique bool, key KeyFunc, include ...Seg) (*Index, error) {
-	ix := &Index{Name: name, On: on, Unique: unique, Key: key}
+// unindexed (exactly like a row too short for a key segment), keeping
+// projection width fixed.
+func New(s *core.Store, ctr *Counters, on *core.Table, name string, unique bool, spec []Seg, include ...Seg) (*Index, error) {
+	key, err := compileSpec(spec)
+	if err != nil {
+		return nil, fmt.Errorf("index %q: %w", name, err)
+	}
+	ix := &Index{Name: name, On: on, Unique: unique, Spec: slices.Clone(spec), key: key, obs: ctr}
 	if include != nil {
-		proj, err := CompileSpec(include)
+		proj, err := compileSpec(include)
 		if err != nil {
 			return nil, fmt.Errorf("index %q include list: %w", name, err)
 		}
-		ix.Include, ix.include, ix.width = append([]Seg(nil), include...), proj, specWidth(include)
+		ix.Include, ix.include, ix.width = slices.Clone(include), proj, specWidth(include)
 	}
 	ix.Entries = s.CreateTable(name)
 	on.AddWriteHook(hook{ix})
 	return ix, nil
 }
+
+// Unhook withdraws the index's maintenance from its table: transactions
+// that begin afterwards no longer write its entries.
+func (ix *Index) Unhook() { ix.On.RemoveWriteHook(hook{ix}) }
+
+// Key appends the secondary key the spec extracts from a row to dst; ok is
+// false for a row too short for a segment, which the index leaves out.
+func (ix *Index) Key(dst, pk, val []byte) (key []byte, ok bool) { return ix.key(dst, pk, val) }
 
 // specWidth is the fixed byte width of a segment spec's concatenation.
 func specWidth(segs []Seg) int {
@@ -158,12 +168,11 @@ func (ix *Index) SecondaryKey(entryKey, pk []byte) []byte {
 }
 
 // extract computes the secondary key and entry value for a row, appending
-// them to skdst/evdst. ok=false leaves the row unindexed: the key
-// extractor declined, or — covering only — the row is too short for an
-// include segment (mirroring declarative key-segment semantics, so the
-// projection width stays fixed).
+// them to skdst/evdst. ok=false leaves the row unindexed: the row is too
+// short for a key segment or — covering only — for an include segment, so
+// the projection width stays fixed.
 func (ix *Index) extract(skdst, evdst, pk, val []byte) (sk, ev []byte, ok bool) {
-	sk, ok = ix.Key(skdst, pk, val)
+	sk, ok = ix.key(skdst, pk, val)
 	if !ok {
 		return sk, evdst, false
 	}
@@ -294,16 +303,13 @@ const backfillBatch = 256
 // already present. A unique-key violation among existing rows aborts the
 // backfill with an error.
 //
-// For an index declared by a segment spec (Spec non-nil), an existing row
-// too short for a spec segment fails the backfill with an error naming the
-// offending key: a declarative declaration states the row layout, so a row
-// that cannot satisfy it is a schema mismatch, not a partial-index choice
-// — silently skipping it would leave the index quietly missing rows the
-// caller believes are covered. (Rows written after creation keep the
-// partial-index semantics: a too-short future row is simply unindexed.)
-// An index declared with New and a Go KeyFunc keeps skip semantics
-// throughout — a KeyFunc declining a row is an intentional predicate,
-// indistinguishable from a length check.
+// An existing row too short for a segment of the spec or include list
+// fails the backfill with an error naming the offending key: the spec
+// states the row layout, so a row that cannot satisfy it is a schema
+// mismatch, not a partial-index choice — silently skipping it would leave
+// the index quietly missing rows the caller believes are covered. (Rows
+// written after creation keep the partial-index semantics: a too-short
+// future row is simply unindexed.)
 func (ix *Index) Backfill(w *core.Worker) error {
 	var cursor []byte // last key processed; next batch rescans from it
 	for {
@@ -323,16 +329,14 @@ func (ix *Index) Backfill(w *core.Worker) error {
 				if ix.Covering() {
 					evb = ev[:0]
 				}
-				if !ok && ix.Spec != nil {
+				if !ok {
 					ierr = fmt.Errorf("index %q: row %x (%d value bytes) is too short for the declared spec",
 						ix.Name, k, len(v))
 					return false
 				}
-				if ok {
-					ekb = ix.EntryKey(ekb[:0], sk, k)
-					if ierr = backfillOne(tx, ix, ekb, k, ev); ierr != nil {
-						return false
-					}
+				ekb = ix.EntryKey(ekb[:0], sk, k)
+				if ierr = backfillOne(tx, ix, ekb, k, ev); ierr != nil {
+					return false
 				}
 				n++
 				if n >= backfillBatch {

@@ -20,19 +20,12 @@ func userVal(city string, score uint64, name string) []byte {
 	return append(v, name...)
 }
 
-func cityKey(dst, pk, val []byte) ([]byte, bool) {
-	if len(val) < 4 {
-		return dst, false
-	}
-	return append(dst, val[:4]...), true
-}
-
-func nameKey(dst, pk, val []byte) ([]byte, bool) {
-	if len(val) <= 12 {
-		return dst, false
-	}
-	return append(dst, val[12:]...), true
-}
+// cityKey and nameKey are the test indexes' key specs: the row's city,
+// and the first three bytes of its name.
+var (
+	cityKey = []Seg{{FromValue: true, Off: 0, Len: 4}}
+	nameKey = []Seg{{FromValue: true, Off: 12, Len: 3}}
+)
 
 func newStore(t *testing.T, workers int) *core.Store {
 	t.Helper()
@@ -44,9 +37,9 @@ func newStore(t *testing.T, workers int) *core.Store {
 	return s
 }
 
-func mustNew(t *testing.T, s *core.Store, on *core.Table, name string, unique bool, key KeyFunc) *Index {
+func mustNew(t *testing.T, s *core.Store, on *core.Table, name string, unique bool, spec []Seg) *Index {
 	t.Helper()
-	ix, err := New(s, on, name, unique, key)
+	ix, err := New(s, new(Counters), on, name, unique, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +166,7 @@ func TestCoveringRewriteDuringBackfillWindow(t *testing.T) {
 	insertUser(t, w, users, 1, "AMS", 10, "ada")
 	insertUser(t, w, users, 2, "AMS", 20, "bob")
 
-	byCity, err := New(s, users, "users_by_city", false, cityKey,
+	byCity, err := New(s, new(Counters), users, "users_by_city", false, cityKey,
 		Seg{FromValue: true, Off: 4, Len: 8}) // the score field
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +393,7 @@ func TestSnapshotScan(t *testing.T) {
 }
 
 func TestCompileSpec(t *testing.T) {
-	fn, err := CompileSpec([]Seg{{FromValue: true, Off: 4, Len: 8}, {Off: 0, Len: 2}})
+	fn, err := compileSpec([]Seg{{FromValue: true, Off: 4, Len: 8}, {Off: 0, Len: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,117 +412,13 @@ func TestCompileSpec(t *testing.T) {
 		t.Fatal("short row was indexed")
 	}
 	// Invalid specs.
-	if _, err := CompileSpec(nil); err == nil {
+	if _, err := compileSpec(nil); err == nil {
 		t.Fatal("empty spec accepted")
 	}
-	if _, err := CompileSpec([]Seg{{Off: 0, Len: 0}}); err == nil {
+	if _, err := compileSpec([]Seg{{Off: 0, Len: 0}}); err == nil {
 		t.Fatal("zero-length segment accepted")
 	}
-	if _, err := CompileSpec(make([]Seg, MaxSpecSegs+1)); err == nil {
+	if _, err := compileSpec(make([]Seg, MaxSpecSegs+1)); err == nil {
 		t.Fatal("oversized spec accepted")
-	}
-}
-
-func TestRegistryCreate(t *testing.T) {
-	s := newStore(t, 1)
-	users := s.CreateTable("users")
-	w := s.Worker(0)
-	insertUser(t, w, users, 1, "AMS", 1, "ada")
-
-	r := NewRegistry()
-	spec := []Seg{{FromValue: true, Off: 0, Len: 4}}
-	ix, err := r.Create(s, w, users, "users_by_city", false, spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Entries.Tree.Len(); got != 1 {
-		t.Fatalf("backfilled entries = %d", got)
-	}
-	if r.Get("users_by_city") != ix {
-		t.Fatal("registry lookup failed")
-	}
-	if r.Get("nope") != nil {
-		t.Fatal("registry returned a ghost")
-	}
-	// Idempotent re-create with the identical declaration; any difference
-	// is rejected.
-	if again, err := r.Create(s, w, users, "users_by_city", false, spec, nil); err != nil || again != ix {
-		t.Fatalf("re-create = %v, %v", again, err)
-	}
-	if _, err := r.Create(s, w, users, "users_by_city", true, spec, nil); err == nil {
-		t.Fatal("mismatched uniqueness accepted")
-	}
-	other := []Seg{{FromValue: true, Off: 4, Len: 8}}
-	if _, err := r.Create(s, w, users, "users_by_city", false, other, nil); err == nil {
-		t.Fatal("mismatched spec accepted")
-	}
-	if _, err := r.Create(s, w, users, "users_by_city", false, spec, spec); err == nil {
-		t.Fatal("mismatched include list accepted")
-	}
-	// Name collisions with plain tables are rejected, and so is a spec
-	// that does not compile.
-	if _, err := r.Create(s, w, users, "users", false, spec, nil); err == nil {
-		t.Fatal("index named after an existing table accepted")
-	}
-	if _, err := r.Create(s, w, users, "users_bad", false, nil, nil); err == nil {
-		t.Fatal("empty spec accepted")
-	}
-	if all := r.All(); len(all) != 1 || all[0] != ix {
-		t.Fatalf("All() = %v", all)
-	}
-}
-
-// TestCreateBackfillFailureCleansUp drives the failed-DDL path: a unique
-// index over rows that collide must fail, withdraw its maintenance hook,
-// wipe the partial entries, and leave the name retryable.
-func TestCreateBackfillFailureCleansUp(t *testing.T) {
-	s := newStore(t, 1)
-	users := s.CreateTable("users")
-	w := s.Worker(0)
-	insertUser(t, w, users, 1, "AMS", 1, "dup")
-	insertUser(t, w, users, 2, "BER", 2, "dup") // same name: unique violation
-
-	r := NewRegistry()
-	nameSpec := []Seg{{FromValue: true, Off: 12, Len: 3}}
-	if _, err := r.Create(s, w, users, "users_by_name", true, nameSpec, nil); err == nil {
-		t.Fatal("unique backfill over colliding rows succeeded")
-	}
-	if r.Get("users_by_name") != nil {
-		t.Fatal("failed index left in registry")
-	}
-	// The hook is withdrawn: ordinary writes work again (they would hit
-	// the 'out of sync' path if maintenance were still wired up).
-	insertUser(t, w, users, 3, "OSL", 3, "carl")
-	if err := w.Run(func(tx *core.Tx) error {
-		return tx.Delete(users, []byte("u003"))
-	}); err != nil {
-		t.Fatalf("table writes broken after failed create: %v", err)
-	}
-	// Partial entries were wiped.
-	orphan := s.Table("users_by_name")
-	if orphan == nil {
-		t.Fatal("entry table missing")
-	}
-	n := 0
-	if err := w.Run(func(tx *core.Tx) error {
-		n = 0
-		return tx.Scan(orphan, []byte{0}, nil, func(_, _ []byte) bool {
-			n++
-			return true
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("%d stale entries survive the failed create", n)
-	}
-	// The name is retryable with a workable declaration, adopting the
-	// orphaned entry table.
-	ix, err := r.Create(s, w, users, "users_by_name", false, nameSpec, nil)
-	if err != nil {
-		t.Fatalf("retry after failed create: %v", err)
-	}
-	if got := ix.Entries.Tree.Len() - n; got < 2 {
-		t.Fatalf("retried backfill produced %d entries", got)
 	}
 }

@@ -21,13 +21,14 @@ var scanModeNames = [numModes]string{
 	"batched", "batched_streamed", "covering", "entries", "snapshot", "snapshot_covering",
 }
 
-// indexObs counts how each index's reads resolve. The interesting signal
-// is the resolution-mode mix — batched multi-get descents vs per-entry
-// point reads vs covering (no resolution at all) — which tells an
-// operator whether workloads are hitting the scan shape the index was
-// declared for. One counter increment per scan or lookup call (not per
-// entry), on the index the call targets.
-type indexObs struct {
+// Counters count how index reads resolve. The interesting signal is the
+// resolution-mode mix — batched multi-get descents vs per-entry point
+// reads vs covering (no resolution at all) — which tells an operator
+// whether workloads are hitting the scan shape their indexes were declared
+// for. One counter increment per scan or lookup call (not per entry). The
+// schema catalog shares one Counters across all its indexes, so the totals
+// outlive any one index.
+type Counters struct {
 	modes           [numModes]obs.Counter
 	lookups         obs.Counter // Lookup: unique point resolution
 	lookupConflicts obs.Counter // Lookup/Scan resolutions that hit ErrConflict
@@ -35,7 +36,7 @@ type indexObs struct {
 
 // count records one read in txMode, or in snapMode when r is a snapshot
 // transaction, and reports which.
-func (o *indexObs) count(r core.Reader, txMode, snapMode int) (snap bool) {
+func (o *Counters) count(r core.Reader, txMode, snapMode int) (snap bool) {
 	if _, snap = r.(*core.SnapTx); snap {
 		txMode = snapMode
 	}
@@ -43,24 +44,14 @@ func (o *indexObs) count(r core.Reader, txMode, snapMode int) (snap bool) {
 	return snap
 }
 
-// CollectObs appends the registry's scan-resolution metrics to snap,
-// aggregated across registered indexes: silo_index_scans_total broken
+// CollectObs appends the counters to snap: silo_index_scans_total broken
 // down by resolution mode, total unique lookups, and resolutions that
-// surfaced ErrConflict (a writer got between the two trees and the
-// caller had to retry).
-func (r *Registry) CollectObs(snap *obs.Snapshot) {
-	var modes [numModes]uint64
-	var lookups, conflicts uint64
-	for _, ix := range r.All() {
-		for i := range modes {
-			modes[i] += ix.obs.modes[i].Load()
-		}
-		lookups += ix.obs.lookups.Load()
-		conflicts += ix.obs.lookupConflicts.Load()
-	}
+// surfaced ErrConflict (a writer got between the two trees and the caller
+// had to retry).
+func (o *Counters) CollectObs(snap *obs.Snapshot) {
 	for i, name := range scanModeNames {
-		snap.Counter("silo_index_scans_total", "mode", name, modes[i])
+		snap.Counter("silo_index_scans_total", "mode", name, o.modes[i].Load())
 	}
-	snap.Counter("silo_index_lookups_total", "", "", lookups)
-	snap.Counter("silo_index_resolve_conflicts_total", "", "", conflicts)
+	snap.Counter("silo_index_lookups_total", "", "", o.lookups.Load())
+	snap.Counter("silo_index_resolve_conflicts_total", "", "", o.lookupConflicts.Load())
 }

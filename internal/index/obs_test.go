@@ -12,8 +12,6 @@ func TestCollectObsScanModes(t *testing.T) {
 	users := s.CreateTable("users")
 	w := s.Worker(0)
 	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
-	r := NewRegistry()
-	r.Register(byCity)
 
 	insertUser(t, w, users, 1, "AMS", 10, "ada")
 	insertUser(t, w, users, 2, "BER", 20, "bob")
@@ -33,7 +31,7 @@ func TestCollectObsScanModes(t *testing.T) {
 	}
 
 	var snap obs.Snapshot
-	r.CollectObs(&snap)
+	byCity.obs.CollectObs(&snap)
 	for mode, want := range map[string]uint64{
 		"batched": 2, "batched_streamed": 0, "entries": 1, "covering": 0, "snapshot": 1,
 	} {

@@ -71,19 +71,11 @@ func TestScanEquivalenceProperty(t *testing.T) {
 
 			keySpec := propSpec(rng, 3, 12)
 			include := propSpec(rng, 3, 12)
-			keyFn, err := CompileSpec(keySpec)
+			ix, err := New(s, new(Counters), tbl, "rows_ix", false, keySpec, include...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := New(s, tbl, "rows_ix", false, keyFn, include...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkFn, err := CompileSpec([]Seg{{Off: 0, Len: 5}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			byPK := mustNew(t, s, tbl, "rows_pk", true, pkFn)
+			byPK := mustNew(t, s, tbl, "rows_pk", true, []Seg{{Off: 0, Len: 5}})
 
 			// Random workload: inserts, updates, deletes over a small key
 			// space so updates and deletes hit existing rows often.
@@ -133,7 +125,7 @@ func TestScanEquivalenceProperty(t *testing.T) {
 				}
 			}
 
-			proj, err := CompileSpec(include)
+			proj, err := compileSpec(include)
 			if err != nil {
 				t.Fatal(err)
 			}

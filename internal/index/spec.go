@@ -63,11 +63,11 @@ func ValidateSpec(segs []Seg) error {
 	return nil
 }
 
-// CompileSpec turns a declarative spec into a KeyFunc: the secondary key is
+// compileSpec turns a declarative spec into a keyFunc: the secondary key is
 // the concatenation of the (transformed) segments. A row too short for any
 // segment is left unindexed (ok=false), which lets specs index optional
 // fixed-offset fields.
-func CompileSpec(segs []Seg) (KeyFunc, error) {
+func compileSpec(segs []Seg) (keyFunc, error) {
 	if err := ValidateSpec(segs); err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func TestSpecTransforms(t *testing.T) {
 		}, []byte{0xAA, 0xBB, 0x03, 0x02}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fn, err := CompileSpec(tc.segs)
+			fn, err := compileSpec(tc.segs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestSpecTransforms(t *testing.T) {
 func TestSpecTransformOrdering(t *testing.T) {
 	le := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
 
-	rev, err := CompileSpec([]Seg{{FromValue: true, Off: 0, Len: 4, Xform: XformReverse}})
+	rev, err := compileSpec([]Seg{{FromValue: true, Off: 0, Len: 4, Xform: XformReverse}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestSpecTransformOrdering(t *testing.T) {
 		t.Fatalf("reversed LE 255 %x does not sort below 256 %x", a, b)
 	}
 
-	inv, err := CompileSpec([]Seg{{Off: 0, Len: 4, Xform: XformInvert}})
+	inv, err := compileSpec([]Seg{{Off: 0, Len: 4, Xform: XformInvert}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestValidateSpecRejectsUnknownTransform(t *testing.T) {
 // TestBackfillShortRowFailsForSpecIndex pins the declarative-backfill
 // contract: a pre-existing row too short for the declared spec fails the
 // backfill with an error naming the offending key instead of silently
-// leaving the row unindexed. KeyFunc indexes keep skip semantics.
+// leaving the row unindexed, and once the row fits the backfill completes.
 func TestBackfillShortRowFailsForSpecIndex(t *testing.T) {
 	s := newStore(t, 1)
 	w := s.Worker(0)
@@ -100,21 +100,17 @@ func TestBackfillShortRowFailsForSpecIndex(t *testing.T) {
 		return tx.Insert(tbl, []byte("shrt"), []byte{1, 2})
 	})
 
-	spec := []Seg{{FromValue: true, Off: 0, Len: 4}}
-	r := NewRegistry()
-	if _, err := r.Create(s, w, tbl, "rows_ix", false, spec, nil); err == nil {
+	ix := mustNew(t, s, tbl, "rows_ix", false, []Seg{{FromValue: true, Off: 0, Len: 4}})
+	if err := ix.Backfill(w); err == nil {
 		t.Fatal("backfill over a too-short row succeeded for a spec index")
 	} else if !bytes.Contains([]byte(err.Error()), []byte("73687274")) && !bytes.Contains([]byte(err.Error()), []byte("shrt")) {
 		t.Fatalf("error does not name the offending key: %v", err)
 	}
-	// The failed create must have cleaned up: the table keeps working and
-	// the name is retryable once the row grows.
 	mustRun(t, w, func(tx *core.Tx) error {
 		return tx.Put(tbl, []byte("shrt"), []byte{9, 9, 9, 9})
 	})
-	ix, err := r.Create(s, w, tbl, "rows_ix", false, spec, nil)
-	if err != nil {
-		t.Fatalf("retry after fixing the row: %v", err)
+	if err := ix.Backfill(w); err != nil {
+		t.Fatalf("backfill after fixing the row: %v", err)
 	}
 	n := 0
 	mustRun(t, w, func(tx *core.Tx) error {
@@ -122,23 +118,6 @@ func TestBackfillShortRowFailsForSpecIndex(t *testing.T) {
 		return ScanEntries(tx, ix, []byte{0}, nil, func(_, _ []byte) bool { n++; return true })
 	})
 	if n != 2 {
-		t.Fatalf("retried backfill indexed %d rows, want 2", n)
-	}
-
-	// An index declared with New and a Go KeyFunc over the same shapes
-	// keeps skip semantics.
-	mustRun(t, w, func(tx *core.Tx) error { return tx.Put(tbl, []byte("shrt"), []byte{1}) })
-	keyFn := func(dst, pk, val []byte) ([]byte, bool) {
-		if len(val) < 4 {
-			return dst, false
-		}
-		return append(dst, val[:4]...), true
-	}
-	fnIx, err := New(s, tbl, "rows_fn", false, keyFn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fnIx.Backfill(w); err != nil {
-		t.Fatalf("KeyFunc backfill over a short row: %v", err)
+		t.Fatalf("backfill indexed %d rows, want 2", n)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"silo"
 	"silo/internal/catalog"
 	"silo/internal/core"
-	"silo/internal/index"
 	"silo/internal/obs"
 	"silo/internal/recovery"
 	"silo/internal/tid"
@@ -417,7 +416,7 @@ func recoverDump(fs *FS, dir string, workers int) (string, recovery.Result, erro
 	opts.ManualEpochs = true
 	st := core.NewStore(opts)
 	defer st.Close()
-	cat := catalog.New(st, index.NewRegistry())
+	cat := catalog.New(st)
 	rres, err := recovery.Recover(st, dir, recovery.Options{Workers: workers, Schema: cat, FS: fs})
 	if err != nil {
 		return "", rres, err

@@ -9,7 +9,6 @@ import (
 	"silo"
 	"silo/internal/catalog"
 	"silo/internal/core"
-	"silo/internal/index"
 	"silo/internal/recovery"
 	"silo/internal/tid"
 )
@@ -166,7 +165,7 @@ func TestTornLogTailSweep(t *testing.T) {
 		opts := core.DefaultOptions(1)
 		opts.ManualEpochs = true
 		st := core.NewStore(opts)
-		cat := catalog.New(st, index.NewRegistry())
+		cat := catalog.New(st)
 		rres, err := recovery.Recover(st, "db", recovery.Options{Workers: 1, Schema: cat, FS: img})
 		if err != nil {
 			t.Fatalf("log truncated to %d/%d bytes: recovery failed: %v", cut, size, err)

@@ -3,6 +3,7 @@ package tpcc
 import (
 	"fmt"
 
+	"silo"
 	"silo/internal/core"
 	"silo/internal/partition"
 )
@@ -242,15 +243,15 @@ type SplitTables struct {
 	Stock     []*core.Table
 }
 
-// LoadSplit populates a core store with per-warehouse tables.
-func LoadSplit(s *core.Store, sc Scale) *SplitTables {
+// LoadSplit creates per-warehouse tables on db (logged catalog records,
+// like Load's) and populates them.
+func LoadSplit(db *silo.DB, sc Scale) *SplitTables {
 	t := &SplitTables{SC: sc}
 	mk := func(name string, wh int) *core.Table {
-		return s.CreateTable(fmt.Sprintf("%s.%d", name, wh))
+		return db.CreateTable(fmt.Sprintf("%s.%d", name, wh))
 	}
 	rng := NewRNG(12345)
-	w0 := s.Worker(0)
-	batch := newBatcher(w0, 256)
+	batch := newBatcher(db.Store().Worker(0), 256)
 	var kb, vb []byte
 	for wh := 1; wh <= sc.Warehouses; wh++ {
 		t.Warehouse = append(t.Warehouse, mk(TWarehouse, wh))

@@ -19,15 +19,6 @@ func tinyScale(w int) Scale {
 	}
 }
 
-func newTestStore(t *testing.T, workers int) *core.Store {
-	t.Helper()
-	opts := core.DefaultOptions(workers)
-	opts.EpochInterval = time.Millisecond
-	s := core.NewStore(opts)
-	t.Cleanup(s.Close)
-	return s
-}
-
 // newTestDB opens a catalog-backed database: the loader declares the
 // TPC-C schema through logged DDL exactly as production callers do.
 func newTestDB(t *testing.T, workers int) *silo.DB {
@@ -158,9 +149,9 @@ func TestPartitionedNewOrder(t *testing.T) {
 
 func TestSplitNewOrder(t *testing.T) {
 	const workers = 2
-	s := newTestStore(t, workers)
+	db := newTestDB(t, workers)
 	sc := tinyScale(workers)
-	st := LoadSplit(s, sc)
+	st := LoadSplit(db, sc)
 	cfg := StandardConfig()
 	cfg.RemoteItemPct = 20
 
@@ -169,7 +160,7 @@ func TestSplitNewOrder(t *testing.T) {
 		wg.Add(1)
 		go func(wid int) {
 			defer wg.Done()
-			c := NewSplitClient(st, s.Worker(wid), wid+1, cfg, uint64(wid)+31)
+			c := NewSplitClient(st, db.Store().Worker(wid), wid+1, cfg, uint64(wid)+31)
 			for i := 0; i < 150; i++ {
 				for {
 					err := c.NewOrder()

@@ -10,6 +10,7 @@ package ycsb
 import (
 	"encoding/binary"
 
+	"silo"
 	"silo/internal/core"
 	"silo/internal/kvstore"
 )
@@ -159,11 +160,11 @@ func (g *Generator) RNG() *RNG { return g.rng }
 // TableName is the table the loaders create.
 const TableName = "usertable"
 
-// LoadSilo populates a core store with cfg.Keys records, split across the
-// store's workers. It returns the table.
-func LoadSilo(s *core.Store, cfg Config) *core.Table {
-	tbl := s.CreateTable(TableName)
-	w := s.Worker(0)
+// LoadSilo creates the table on db — a logged catalog record, so a
+// durable db recovers it — and fills it with cfg.Keys records in batched
+// transactions on worker 0. It returns the table.
+func LoadSilo(db *silo.DB, cfg Config) *silo.Table {
+	tbl := db.CreateTable(TableName)
 	val := make([]byte, cfg.ValueSize)
 	var kb []byte
 	const batch = 512
@@ -172,7 +173,7 @@ func LoadSilo(s *core.Store, cfg Config) *core.Table {
 		if hi > cfg.Keys {
 			hi = cfg.Keys
 		}
-		err := w.Run(func(tx *core.Tx) error {
+		err := db.Run(0, func(tx *silo.Tx) error {
 			for i := lo; i < hi; i++ {
 				kb = Key(uint64(i), kb)
 				// Vary the record in its LAST byte, like the wire

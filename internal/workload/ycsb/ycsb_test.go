@@ -9,7 +9,6 @@ import (
 
 	"silo"
 	"silo/client"
-	"silo/internal/core"
 	"silo/internal/kvstore"
 	"silo/server"
 )
@@ -82,20 +81,28 @@ func TestGeneratorMix(t *testing.T) {
 	}
 }
 
+// openDB opens an in-memory database for the loaders.
+func openDB(t *testing.T) *silo.DB {
+	t.Helper()
+	db, err := silo.Open(silo.Options{Workers: 1, EpochInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.Close)
+	return db
+}
+
 func TestLoadAndRunSilo(t *testing.T) {
-	opts := core.DefaultOptions(1)
-	opts.EpochInterval = time.Millisecond
-	s := core.NewStore(opts)
-	defer s.Close()
+	db := openDB(t)
 	cfg := DefaultConfig(500)
-	tbl := LoadSilo(s, cfg)
+	tbl := LoadSilo(db, cfg)
 	if tbl.Tree.Len() != cfg.Keys {
 		t.Fatalf("loaded %d keys", tbl.Tree.Len())
 	}
 	g := NewGenerator(cfg, 3)
 	var kb []byte
 	for i := 0; i < 500; i++ {
-		ok, kb2 := RunSiloOp(s.Worker(0), tbl, g.Next(), kb)
+		ok, kb2 := RunSiloOp(db.Store().Worker(0), tbl, g.Next(), kb)
 		kb = kb2
 		if !ok {
 			t.Fatal("single-worker op aborted")
@@ -119,12 +126,9 @@ func TestLoadAndRunKV(t *testing.T) {
 
 func TestRMWIncrements(t *testing.T) {
 	// A 100% RMW stream must leave counters equal to the per-key op count.
-	opts := core.DefaultOptions(1)
-	opts.EpochInterval = time.Millisecond
-	s := core.NewStore(opts)
-	defer s.Close()
+	db := openDB(t)
 	cfg := Config{Keys: 10, ValueSize: 100, ReadPct: 0}
-	tbl := LoadSilo(s, cfg)
+	tbl := LoadSilo(db, cfg)
 	counts := make(map[uint64]uint64)
 	g := NewGenerator(cfg, 8)
 	var kb []byte
@@ -132,7 +136,7 @@ func TestRMWIncrements(t *testing.T) {
 		op := g.Next()
 		counts[op.Key]++
 		var ok bool
-		ok, kb = RunSiloOp(s.Worker(0), tbl, op, kb)
+		ok, kb = RunSiloOp(db.Store().Worker(0), tbl, op, kb)
 		if !ok {
 			t.Fatal("op aborted")
 		}
@@ -140,7 +144,7 @@ func TestRMWIncrements(t *testing.T) {
 	for k, want := range counts {
 		// LoadSilo varies records in their last byte, so counters start
 		// at zero like the wire preloader's.
-		err := s.Worker(0).Run(func(tx *core.Tx) error {
+		err := db.Run(0, func(tx *silo.Tx) error {
 			v, err := tx.Get(tbl, Key(k, nil))
 			if err != nil {
 				return err
@@ -166,7 +170,7 @@ func TestRMWMatchesWireAdd(t *testing.T) {
 	}
 	defer db.Close()
 	cfg := Config{Keys: 2, ValueSize: 100, ReadPct: 0}
-	tbl := LoadSilo(db.Store(), cfg)
+	tbl := LoadSilo(db, cfg)
 	if ok, _ := RunSiloOp(db.Store().Worker(0), tbl, Op{Key: 0}, nil); !ok {
 		t.Fatal("RMW aborted")
 	}
@@ -200,5 +204,26 @@ func TestRMWMatchesWireAdd(t *testing.T) {
 	kvRMW, _ := kv.GetInto(nil, Key(0, nil))
 	if !bytes.Equal(rmw[:8], added[:8]) || !bytes.Equal(kvRMW[:8], added[:8]) {
 		t.Errorf("counter bytes after one RMW = %x (Key-Value %x), after one ADD of +1 = %x", rmw[:8], kvRMW[:8], added[:8])
+	}
+}
+
+// TestLoadSiloRecovers: LoadSilo creates its table through the schema
+// catalog, so a durable directory it loaded reopens with every row.
+func TestLoadSiloRecovers(t *testing.T) {
+	opts := silo.Options{Workers: 1, EpochInterval: time.Millisecond, Durability: &silo.DurabilityOptions{Dir: t.TempDir()}}
+	db, err := silo.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(1000)
+	LoadSilo(db, cfg)
+	db.Close()
+	db, err = silo.Open(opts)
+	if err != nil {
+		t.Fatalf("reopening the loaded directory: %v", err)
+	}
+	defer db.Close()
+	if tbl := db.Table(TableName); tbl == nil || tbl.Tree.Len() != cfg.Keys {
+		t.Fatalf("recovered table %v, want %d rows", tbl, cfg.Keys)
 	}
 }

@@ -34,7 +34,7 @@ type ObsHistSnapshot = obs.HistSnapshot
 func (db *DB) Observe() *ObsSnapshot {
 	snap := &obs.Snapshot{}
 	db.store.CollectObs(snap)
-	db.indexes.CollectObs(snap)
+	db.catalog.CollectObs(snap)
 	if db.wal != nil {
 		db.wal.CollectObs(snap)
 	}

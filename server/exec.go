@@ -281,16 +281,18 @@ var (
 	errCatalogTable = errors.New("server: table is the schema catalog; it is maintained by DDL operations only")
 )
 
-// writable rejects direct writes to index entry tables — which would
-// silently desynchronize the index from its primary table — and to the
-// schema catalog, whose rows recovery trusts to reconstruct the schema.
+// writable rejects direct writes to index entry tables — a live index's,
+// or one a drop left behind, whose rows the next create of that name
+// adopts — which would silently desynchronize an index from its primary
+// table, and to the schema catalog, whose rows recovery trusts to
+// reconstruct the schema.
 // Reads and scans of both remain allowed (they are harmless and
 // occasionally useful for debugging).
 func (s *Server) writable(name string) error {
 	if name == silo.CatalogTableName {
 		return errCatalogTable
 	}
-	if s.db.Index(name) != nil {
+	if s.db.IsEntryTable(name) {
 		return errIndexTable
 	}
 	return nil
@@ -449,7 +451,7 @@ func (s *Server) execCreateIndex(w int, op *wire.Op) wire.Response {
 }
 
 // execDropIndex drops a named index. The drop is logged DDL — the
-// registry removal and entry wipe replay from the WAL — so the index
+// catalog's withdrawal and entry wipe replay from the WAL — so the index
 // stays dropped across recovery. Unknown names map to CodeNoIndex.
 func (s *Server) execDropIndex(op *wire.Op) wire.Response {
 	if err := s.db.DropIndex(op.Index); err != nil {
@@ -489,7 +491,7 @@ func segsWire(in []silo.IndexSeg) ([]wire.IndexSeg, bool) {
 // A remote client can reconstruct the server's full DDL state from one
 // SCHEMA round trip — uniqueness, key specs with transforms, covering
 // include lists — or discover that an index is opaque (declared embedded
-// with a Go key function).
+// with segment offsets beyond the wire's u16 range).
 func (s *Server) execSchema() wire.Response {
 	sch := &wire.Schema{}
 	for _, t := range s.db.Tables() {
@@ -498,7 +500,7 @@ func (s *Server) execSchema() wire.Response {
 	for _, ix := range s.db.Indexes() {
 		si := wire.SchemaIndex{Name: ix.Name, Table: ix.On.Name, Unique: ix.Unique}
 		segs, ok := segsWire(ix.Spec)
-		if !ok || segs == nil {
+		if !ok {
 			si.Opaque = true
 		} else {
 			si.Segs = segs

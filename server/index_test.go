@@ -393,3 +393,30 @@ func TestTransformIndexAndSchemaOverTheWire(t *testing.T) {
 		t.Fatalf("direct catalog write not rejected: %v", err)
 	}
 }
+
+// TestDroppedEntryTableNotWritable: an entry table stays an entry table
+// after its index is dropped — the next create of the name adopts its
+// rows — so the server refuses a direct PUT into it exactly as it does
+// while the index is live.
+func TestDroppedEntryTableNotWritable(t *testing.T) {
+	_, _, cl := startServer(t, silo.Options{}, server.Options{}, client.Options{})
+	if err := cl.Insert("users", []byte("u0"), row("AMS", "x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.CreateIndex("users_by_city", "users", false, []wire.IndexSeg{{FromValue: true, Off: 0, Len: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	putEntry := func(state string) {
+		t.Helper()
+		err := cl.Put("users_by_city", []byte("ZZZZu9"), []byte("u9"))
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != wire.CodeIndexTable {
+			t.Fatalf("PUT into a %s index's entry table: %v, want CodeIndexTable", state, err)
+		}
+	}
+	putEntry("live")
+	if err := cl.DropIndex("users_by_city"); err != nil {
+		t.Fatal(err)
+	}
+	putEntry("dropped")
+}

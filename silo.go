@@ -214,7 +214,6 @@ type DurabilityOptions struct {
 type DB struct {
 	store   *core.Store
 	wal     *wal.Manager
-	indexes *index.Registry
 	catalog *catalog.Catalog
 	daemon  *recovery.Daemon
 	opts    Options
@@ -260,11 +259,11 @@ func Open(opts Options) (*DB, error) {
 	copts.GlobalTID = opts.GlobalTID
 	copts.Clock = opts.Clock
 
-	db := &DB{store: core.NewStore(copts), indexes: index.NewRegistry(), opts: opts}
+	db := &DB{store: core.NewStore(copts), opts: opts}
 	// The schema catalog claims table id 0 before any user table exists;
 	// every DDL action routed through this DB is recorded there as an
 	// ordinary logged row, which is what makes recovery self-describing.
-	db.catalog = catalog.New(db.store, db.indexes)
+	db.catalog = catalog.New(db.store)
 	if err := db.recoverDir(); err != nil {
 		db.Close()
 		return nil, err
@@ -462,11 +461,19 @@ func (db *DB) CreateIndexSpec(worker int, on *Table, name string, unique bool, s
 // later reuses it. Like other DDL, dropping is not transactional.
 func (db *DB) DropIndex(name string) error { return db.catalog.DropIndex(name) }
 
-// Index returns the named index, or nil.
-func (db *DB) Index(name string) *Index { return db.indexes.Get(name) }
+// Index returns the named index, or nil (also while its creation is
+// still backfilling). The lookup takes no lock.
+func (db *DB) Index(name string) *Index { return db.catalog.Index(name) }
 
 // Indexes returns all indexes in creation order.
-func (db *DB) Indexes() []*Index { return db.indexes.All() }
+func (db *DB) Indexes() []*Index { return db.catalog.Indexes() }
+
+// IsEntryTable reports whether the named table holds index entries: a
+// live index's, one still backfilling, or one a drop or a failed create
+// left behind (the next create of that name adopts it). Only index
+// maintenance may write such a table; the network server refuses direct
+// writes to it.
+func (db *DB) IsEntryTable(name string) bool { return db.catalog.IsEntryTable(name) }
 
 // ScanIndex visits index entries with keys in [lo, hi) in order, resolving
 // each to its primary row and calling fn(secondaryKey, primaryKey, value);

@@ -368,3 +368,48 @@ func TestStatsThroughAPI(t *testing.T) {
 		t.Fatal("no commits counted")
 	}
 }
+
+// TestIndexCountersSurviveDrop: the silo_index_* counters belong to the
+// schema catalog and are shared by all its indexes, so dropping an index
+// does not lower them, and a re-created index counts on from the totals.
+func TestIndexCountersSurviveDrop(t *testing.T) {
+	db := openTestDB(t, silo.Options{})
+	users := db.CreateTable("users")
+	if err := db.Run(0, func(tx *silo.Tx) error { return tx.Insert(users, []byte("u1"), []byte("AMS-ada")) }); err != nil {
+		t.Fatal(err)
+	}
+	createAndRead := func() {
+		t.Helper()
+		ix, err := db.CreateIndexSpec(0, users, "users_by_city", true, []silo.IndexSeg{{FromValue: true, Off: 0, Len: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Run(0, func(tx *silo.Tx) error {
+			if err := silo.ScanIndex(tx, ix, []byte("A"), []byte("B"), func(_, _, _ []byte) bool { return true }); err != nil {
+				return err
+			}
+			_, _, err := silo.LookupIndex(tx, ix, []byte("AMS"))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	createAndRead()
+	before := db.Observe()
+	if err := db.DropIndex("users_by_city"); err != nil {
+		t.Fatal(err)
+	}
+	after := db.Observe()
+	createAndRead()
+	again := db.Observe()
+	for _, c := range []struct{ name, label string }{
+		{"silo_index_scans_total", "batched"},
+		{"silo_index_lookups_total", ""},
+	} {
+		b, a, g := before.Value(c.name, c.label), after.Value(c.name, c.label), again.Value(c.name, c.label)
+		if b != 1 || a != 1 || g != 2 {
+			t.Errorf("%s{%s}: %d before the drop, %d after it, %d after a re-create and one more read; want 1, 1, 2",
+				c.name, c.label, b, a, g)
+		}
+	}
+}

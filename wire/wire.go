@@ -46,8 +46,8 @@
 // are rejected. SCHEMA asks the server for its schema catalog: the
 // SCHEMAR response lists every table (id, name) and every index
 // declaration — uniqueness, covering include list, key-spec segments with
-// transforms, or an opaque marker for indexes whose Go key function
-// cannot travel.
+// transforms, or an opaque marker for an index whose segments the frame
+// cannot carry (an embedded declaration with offsets beyond u16).
 //
 //	OK          (empty)
 //	VALUE       u32 vlen | value
@@ -314,8 +314,8 @@ type SchemaTable struct {
 }
 
 // SchemaIndex is one index declaration of a SCHEMAR response. Opaque
-// marks an index whose key function is a Go closure the server cannot
-// express as segments (Segs is then empty); Incs non-nil marks a covering
+// marks an index whose segments the frame cannot carry, an embedded
+// declaration with offsets beyond u16 (Segs is then empty); Incs non-nil marks a covering
 // index whose entry values carry those row segments.
 type SchemaIndex struct {
 	Name   string
