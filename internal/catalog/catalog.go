@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -105,11 +104,16 @@ func (c *Catalog) CollectObs(snap *obs.Snapshot) { c.counters.CollectObs(snap) }
 // holds c.mu.
 func (c *Catalog) setLocked(name string, ix *index.Index) {
 	old := c.set.Load()
-	next := &indexSet{
-		byName: maps.Clone(old.byName),
-		all:    slices.DeleteFunc(slices.Clone(old.all), func(o *index.Index) bool { return o.Name == name }),
-	}
+	next := &indexSet{byName: maps.Clone(old.byName)}
 	next.byName[name] = ix
+	for _, o := range old.all {
+		if o.Name == name {
+			o, ix = ix, nil // a re-published index keeps its place
+		}
+		if o != nil {
+			next.all = append(next.all, o)
+		}
+	}
 	if ix != nil {
 		next.all = append(next.all, ix)
 	}
@@ -184,17 +188,6 @@ func (c *Catalog) CreateIndex(w *core.Worker, on *core.Table, name string, uniqu
 	if name == TableName {
 		return nil, fmt.Errorf("catalog: index name %q is reserved", TableName)
 	}
-	if on == nil {
-		return nil, fmt.Errorf("index %q: no table to index", name)
-	}
-	if err := index.ValidateSpec(spec); err != nil {
-		return nil, fmt.Errorf("index %q: %w", name, err)
-	}
-	if include != nil {
-		if err := index.ValidateSpec(include); err != nil {
-			return nil, fmt.Errorf("index %q include list: %w", name, err)
-		}
-	}
 	// A left-behind entry table is adopted at its id; otherwise the entry
 	// table takes the next id. DDL is serialized on c.mu, so the only way
 	// the prediction can miss is a racing store-level (catalog-bypassing)
@@ -206,18 +199,19 @@ func (c *Catalog) CreateIndex(w *core.Worker, on *core.Table, name string, uniqu
 		}
 		entryID = t.ID
 	}
-	rec := &Record{
-		Kind: KindCreateIndex, Name: name, ID: entryID,
-		On: on.Name, Unique: unique, Spec: spec, Include: include,
-	}
-	if err := c.appendLocked(rec); err != nil {
+	// index.New checks and compiles the declaration; replay declares
+	// through it too.
+	ix, err := index.New(&c.counters, on, name, unique, spec, include...)
+	if err != nil {
 		return nil, err
 	}
-	ix, err := c.declareLocked(rec)
-	if err != nil {
-		// Unreachable after the checks above; resolve the create all the same.
-		return nil, errors.Join(err, c.appendLocked(&Record{Kind: KindDropIndex, Name: name}))
+	if err := c.appendLocked(&Record{
+		Kind: KindCreateIndex, Name: name, ID: entryID,
+		On: on.Name, Unique: unique, Spec: spec, Include: include,
+	}); err != nil {
+		return nil, err
 	}
+	ix.Attach(c.store)
 	// The entry table is the index's from here on: the network server
 	// refuses direct writes to it while it backfills.
 	c.setLocked(name, nil)
@@ -232,13 +226,6 @@ func (c *Catalog) CreateIndex(w *core.Worker, on *core.Table, name string, uniqu
 	}
 	c.store.Flight().RecordShared(trace.EvDDL, trace.DDLCreateIndex, ix.Entries.ID, 0, []byte(name))
 	return ix, nil
-}
-
-// declareLocked builds the index a create record declares — its entry
-// table at the id the caller checked, and its maintenance hook. Live and
-// replayed creates both declare here.
-func (c *Catalog) declareLocked(rec *Record) (*index.Index, error) {
-	return index.New(c.store, &c.counters, c.store.Table(rec.On), rec.Name, rec.Unique, rec.Spec, rec.Include...)
 }
 
 // buildLocked backfills a declared index on w and, once its ready record
@@ -410,12 +397,7 @@ func (c *Catalog) applyLocked(rec *Record) error {
 }
 
 func (c *Catalog) removePending(name string) {
-	for i, n := range c.pending {
-		if n == name {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			return
-		}
-	}
+	c.pending = slices.DeleteFunc(c.pending, func(n string) bool { return n == name })
 }
 
 // checkNewTable verifies that creating name now gives it the id its record
@@ -448,25 +430,18 @@ func (c *Catalog) replayIndex(rec *Record) error {
 	} else if err := c.checkNewTable(rec.Name, rec.ID); err != nil {
 		return err
 	}
-	ix, err := c.declareLocked(rec)
+	ix, err := index.New(&c.counters, c.store.Table(rec.On), rec.Name, rec.Unique, rec.Spec, rec.Include...)
 	if err != nil {
-		return c.markBroken(rec, err)
+		// The create no longer constructs. Its entry table is still
+		// materialized, so table ids do not skew, and the name is held
+		// broken until a drop record resolves it (see c.broken).
+		c.store.CreateTable(rec.Name)
+		c.broken[rec.Name] = err
+		return nil
 	}
+	ix.Attach(c.store)
 	c.setLocked(rec.Name, ix)
 	c.pending = append(c.pending, rec.Name)
-	return nil
-}
-
-// markBroken tolerates a create record that no longer constructs: the
-// entry table is still materialized (table-id accounting must not skew)
-// but no index is declared, and the name is held broken until a drop
-// record resolves it. The live write path validates declarations before
-// logging them, so an unresolved broken create indicates a corrupt
-// record; FinishRecovery fails on it rather than silently dropping the
-// index.
-func (c *Catalog) markBroken(rec *Record, cause error) error {
-	c.store.CreateTable(rec.Name)
-	c.broken[rec.Name] = cause
 	return nil
 }
 

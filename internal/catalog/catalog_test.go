@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"silo/internal/core"
@@ -459,5 +460,84 @@ func TestReplayToleratesBrokenCreateResolvedByDrop(t *testing.T) {
 	}
 	if started {
 		t.Fatal("FinishRecovery started logging before failing")
+	}
+}
+
+// TestRollForwardKeepsCreationOrder: an index whose ready record never
+// arrived is rolled forward by FinishRecovery and keeps its place in
+// creation order ahead of a later, ready index.
+func TestRollForwardKeepsCreationOrder(t *testing.T) {
+	spec := []index.Seg{{FromValue: true, Off: 0, Len: 4}}
+	_, c := newStore(t)
+	for i, rec := range []Record{
+		{Kind: KindCreateTable, Name: "users", ID: 1},
+		{Kind: KindCreateIndex, Name: "first", ID: 2, On: "users", Spec: spec},
+		{Kind: KindCreateIndex, Name: "second", ID: 3, On: "users", Spec: spec},
+		{Kind: KindIndexReady, Name: "second"},
+	} {
+		if err := c.ApplyCatalogRow(SeqKey(uint64(i+1)), rec.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	completed, _, err := c.FinishRecovery(nil)
+	if err != nil || !reflect.DeepEqual(completed, []string{"first"}) {
+		t.Fatalf("FinishRecovery = %v, %v; want [first] rolled forward", completed, err)
+	}
+	var names []string
+	for _, ix := range c.Indexes() {
+		names = append(names, ix.Name)
+	}
+	if !reflect.DeepEqual(names, []string{"first", "second"}) {
+		t.Fatalf("Indexes() = %v, want creation order [first second]", names)
+	}
+}
+
+// TestLookupsDuringDDL: name lookups take no lock, so they run beside
+// creates and drops (run it under -race). A named index is always an entry
+// table, and a name, once an entry table, stays one.
+func TestLookupsDuringDDL(t *testing.T) {
+	s, c := newStore(t)
+	w := s.Worker(0)
+	users, _ := c.CreateTable("users")
+	insertUser(t, w, users, 1, "AMS", 1, "ada")
+	spec := []index.Seg{{FromValue: true, Off: 0, Len: 4}}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() { close(stop); wg.Wait() }()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := false
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				entry := c.IsEntryTable("users_by_city")
+				if ix := c.Index("users_by_city"); ix != nil && (ix.Name != "users_by_city" || !entry) {
+					t.Errorf("Index returned %q, IsEntryTable %v", ix.Name, entry)
+				}
+				if seen && !entry {
+					t.Error("an entry table stopped being one")
+				}
+				seen = seen || entry
+				for _, ix := range c.Indexes() {
+					if ix.Entries == nil {
+						t.Error("Indexes listed an index without its entry table")
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := c.CreateIndex(w, users, "users_by_city", false, spec, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DropIndex("users_by_city"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -24,6 +24,10 @@
 // idempotent against the entries the log already replayed) or, if the
 // backfill cannot complete, rolls it back cleanly — entries wiped, drop
 // record logged — instead of serving a half-built index.
+//
+// A Catalog is also the one owner of its store's live indexes: it names
+// them (lookups take no lock), declares, backfills and drops them, and
+// keeps the read counters they share.
 package catalog
 
 import (

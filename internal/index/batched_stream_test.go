@@ -109,10 +109,7 @@ func allocSetup(t *testing.T) (w *core.Worker, tbl *core.Table, asc, desc, cov *
 	s, asc := benchSetup(t, nil, false)
 	tbl = asc.On
 	desc = mustNew(t, s, tbl, "rows_desc", false, []Seg{{FromValue: true, Off: 0, Len: 8, Xform: XformInvert}})
-	var err error
-	if cov, err = New(s, new(Counters), tbl, "rows_cov", false, []Seg{{FromValue: true, Off: 0, Len: 8}}, Seg{FromValue: true, Off: 0, Len: 16}); err != nil {
-		t.Fatal(err)
-	}
+	cov = mustNew(t, s, tbl, "rows_cov", false, []Seg{{FromValue: true, Off: 0, Len: 8}}, Seg{FromValue: true, Off: 0, Len: 16})
 	w = s.Worker(0)
 	for _, ix := range []*Index{desc, cov} {
 		if err := ix.Backfill(w); err != nil {

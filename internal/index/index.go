@@ -3,11 +3,11 @@
 // keys and whose values are primary keys; what this package adds over the
 // hand-maintained pattern is declarativity and automation:
 //
-//   - An Index is declared once (name, indexed table, uniqueness, and a key
-//     spec of fixed-position row segments, see Seg) and hooked onto its
-//     table as a core.WriteHook. The schema catalog (internal/catalog)
-//     declares, names, backfills and drops indexes; this package builds
-//     and maintains one. From then on every transactional
+//   - An Index is declared once (New: name, indexed table, uniqueness, and
+//     a key spec of fixed-position row segments, see Seg) and attached to
+//     its table as a core.WriteHook (Attach). The schema catalog
+//     (internal/catalog) declares, names, backfills and drops indexes; this
+//     package builds and maintains one. From then on every transactional
 //     Put/Insert/Delete on the table expands the transaction's write-set
 //     with the matching entry-table writes, so index consistency inherits
 //     Silo's serializability, epoch-based durability, and recovery for
@@ -85,12 +85,10 @@ type Index struct {
 	obs *Counters
 }
 
-// New declares an index named name over table on, keyed by spec: it
-// creates the entry table (under the index's name, so table-creation order
-// — and with it the log format — is explicit at the call site) and hooks
-// transactional maintenance onto on. It does not backfill; call Backfill
-// if on already has rows. Reads through the index count in ctr. The schema
-// catalog declares each index exactly once per store.
+// New declares an index named name over table on, keyed by spec: it checks
+// and compiles the declaration and creates nothing — Attach does. Reads
+// through the index count in ctr. The schema catalog declares each index
+// exactly once per store.
 //
 // A non-nil include list makes the index covering: entry values
 // additionally carry the concatenated include segments of the row, kept
@@ -98,7 +96,10 @@ type Index struct {
 // primary-tree resolution. A row too short for any include segment is left
 // unindexed (exactly like a row too short for a key segment), keeping
 // projection width fixed.
-func New(s *core.Store, ctr *Counters, on *core.Table, name string, unique bool, spec []Seg, include ...Seg) (*Index, error) {
+func New(ctr *Counters, on *core.Table, name string, unique bool, spec []Seg, include ...Seg) (*Index, error) {
+	if on == nil {
+		return nil, fmt.Errorf("index %q: no table to index", name)
+	}
 	key, err := compileSpec(spec)
 	if err != nil {
 		return nil, fmt.Errorf("index %q: %w", name, err)
@@ -111,9 +112,16 @@ func New(s *core.Store, ctr *Counters, on *core.Table, name string, unique bool,
 		}
 		ix.Include, ix.include, ix.width = slices.Clone(include), proj, specWidth(include)
 	}
-	ix.Entries = s.CreateTable(name)
-	on.AddWriteHook(hook{ix})
 	return ix, nil
+}
+
+// Attach creates the entry table (under the index's name, so
+// table-creation order — and with it the log format — is explicit at the
+// call site) and hooks transactional maintenance onto the indexed table.
+// It does not backfill; call Backfill if that table already has rows.
+func (ix *Index) Attach(s *core.Store) {
+	ix.Entries = s.CreateTable(ix.Name)
+	ix.On.AddWriteHook(hook{ix})
 }
 
 // Unhook withdraws the index's maintenance from its table: transactions

@@ -37,12 +37,14 @@ func newStore(t *testing.T, workers int) *core.Store {
 	return s
 }
 
-func mustNew(t *testing.T, s *core.Store, on *core.Table, name string, unique bool, spec []Seg) *Index {
+// mustNew declares an index and attaches it to the store.
+func mustNew(t testing.TB, s *core.Store, on *core.Table, name string, unique bool, spec []Seg, include ...Seg) *Index {
 	t.Helper()
-	ix, err := New(s, new(Counters), on, name, unique, spec)
+	ix, err := New(new(Counters), on, name, unique, spec, include...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.Attach(s)
 	return ix
 }
 
@@ -166,11 +168,8 @@ func TestCoveringRewriteDuringBackfillWindow(t *testing.T) {
 	insertUser(t, w, users, 1, "AMS", 10, "ada")
 	insertUser(t, w, users, 2, "AMS", 20, "bob")
 
-	byCity, err := New(s, new(Counters), users, "users_by_city", false, cityKey,
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey,
 		Seg{FromValue: true, Off: 4, Len: 8}) // the score field
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Hook live, zero entries: update u001's score (sk unchanged).
 	if err := w.Run(func(tx *core.Tx) error {
 		return tx.Put(users, []byte("u001"), userVal("AMS", 11, "ada"))

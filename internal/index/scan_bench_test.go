@@ -36,10 +36,7 @@ func benchSetup(b testing.TB, include []Seg, scattered bool) (*core.Store, *Inde
 	// Secondary key: the row's first 8 bytes (a big-endian counter equal
 	// to the row number, so secondary ranges resolve clustered runs of
 	// primary keys).
-	ix, err := New(s, new(Counters), tbl, "rows_ix", false, []Seg{{FromValue: true, Off: 0, Len: 8}}, include...)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := mustNew(b, s, tbl, "rows_ix", false, []Seg{{FromValue: true, Off: 0, Len: 8}}, include...)
 	w := s.Worker(0)
 	var kb []byte
 	row := make([]byte, benchRowSize)

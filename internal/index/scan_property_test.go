@@ -71,10 +71,7 @@ func TestScanEquivalenceProperty(t *testing.T) {
 
 			keySpec := propSpec(rng, 3, 12)
 			include := propSpec(rng, 3, 12)
-			ix, err := New(s, new(Counters), tbl, "rows_ix", false, keySpec, include...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ix := mustNew(t, s, tbl, "rows_ix", false, keySpec, include...)
 			byPK := mustNew(t, s, tbl, "rows_pk", true, []Seg{{Off: 0, Len: 5}})
 
 			// Random workload: inserts, updates, deletes over a small key

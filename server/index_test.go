@@ -408,10 +408,13 @@ func TestDroppedEntryTableNotWritable(t *testing.T) {
 	}
 	putEntry := func(state string) {
 		t.Helper()
-		err := cl.Put("users_by_city", []byte("ZZZZu9"), []byte("u9"))
-		var se *client.ServerError
-		if !errors.As(err, &se) || se.Code != wire.CodeIndexTable {
-			t.Fatalf("PUT into a %s index's entry table: %v, want CodeIndexTable", state, err)
+		// A dangling entry: primary row u9 does not exist.
+		for op, write := range map[string]func(string, []byte, []byte) error{"PUT": cl.Put, "INSERT": cl.Insert} {
+			err := write("users_by_city", []byte("ZZZZu9"), []byte("u9"))
+			var se *client.ServerError
+			if !errors.As(err, &se) || se.Code != wire.CodeIndexTable {
+				t.Fatalf("%s into a %s index's entry table: %v, want CodeIndexTable", op, state, err)
+			}
 		}
 	}
 	putEntry("live")

@@ -315,8 +315,8 @@ type SchemaTable struct {
 
 // SchemaIndex is one index declaration of a SCHEMAR response. Opaque
 // marks an index whose segments the frame cannot carry, an embedded
-// declaration with offsets beyond u16 (Segs is then empty); Incs non-nil marks a covering
-// index whose entry values carry those row segments.
+// declaration with offsets beyond u16 (Segs is then empty); Incs non-nil
+// marks a covering index whose entry values carry those row segments.
 type SchemaIndex struct {
 	Name   string
 	Table  string
