@@ -1,19 +1,16 @@
 package silo_test
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
+	"math/rand"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"silo"
+	"silo/internal/sim"
 )
 
 // schemaDump is a comparable rendering of a DB's full schema: tables in id
@@ -221,78 +218,31 @@ func TestSelfDescribingRecoverySchemaEquivalence(t *testing.T) {
 	}
 }
 
-// copyDurabilityDir snapshots a live durability directory the way a crash
-// would leave it: log segments first (torn tails are fine), then
-// checkpoint sets with their parts before the MANIFEST (the manifest is
-// the commit point on the real disk too). Files deleted mid-copy by the
-// daemon's truncation are skipped — the checkpoint covering them is
-// always on disk before they go and is copied afterwards.
-func copyDurabilityDir(t *testing.T, src, dst string) {
-	t.Helper()
-	cp := func(from, to string) {
-		in, err := os.Open(from)
-		if err != nil {
-			return // vanished under the daemon: covered by a checkpoint
-		}
-		defer in.Close()
-		out, err := os.Create(to)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer out.Close()
-		if _, err := io.Copy(out, in); err != nil {
-			t.Fatal(err)
-		}
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ckpts []string
-	for _, e := range entries {
-		if e.IsDir() {
-			ckpts = append(ckpts, e.Name())
-			continue
-		}
-		cp(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name()))
-	}
-	sort.Strings(ckpts)
-	for _, name := range ckpts {
-		sub := filepath.Join(dst, name)
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		parts, err := os.ReadDir(filepath.Join(src, name))
-		if err != nil {
-			continue // pruned under us
-		}
-		for _, p := range parts {
-			if p.Name() == "MANIFEST" {
-				continue
-			}
-			cp(filepath.Join(src, name, p.Name()), filepath.Join(sub, p.Name()))
-		}
-		cp(filepath.Join(src, name, "MANIFEST"), filepath.Join(sub, "MANIFEST"))
-	}
-}
-
-// TestCrashMidDDLRecovery kills a database (by snapshotting its durability
-// directory) between the catalog's index-create record becoming durable
-// and the backfill completing, with the checkpoint daemon churning
-// checkpoints and truncating segments throughout. Recovering each
-// snapshot must yield one of exactly two
-// states: the index absent (the create record was not durable yet), or
-// the index present and complete — recovery rolled the backfill forward,
-// and every row has exactly one consistent entry.
+// TestCrashMidDDLRecovery crashes a database between the catalog's
+// index-create record becoming durable and the backfill completing, with
+// the checkpoint daemon churning checkpoints and truncating segments
+// throughout. The database runs on a simulated filesystem, and each crash
+// image is what a power loss at that instant could leave: the disk at one
+// instant, unsynced tails torn and unsynced directory entries lost.
+// Recovering each image must yield one of exactly two states: the index
+// absent (the create record was not durable yet), or the index present and
+// complete — recovery rolled the backfill forward, and every row has
+// exactly one consistent entry. The image taken after the completed create
+// was made durable must hold the index.
 func TestCrashMidDDLRecovery(t *testing.T) {
 	const rows = 8192
-	dir := t.TempDir()
+	const dir = "mem/silo"
+	fs := sim.NewFS()
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
 	db, err := silo.Open(silo.Options{
 		Workers:       2,
 		EpochInterval: time.Millisecond,
 		SnapshotK:     2,
 		Durability: &silo.DurabilityOptions{
 			Dir:                  dir,
+			FS:                   fs,
+			Sync:                 true, // acks must survive a power loss
 			Loggers:              2,
 			SegmentBytes:         32 << 10,
 			CheckpointInterval:   5 * time.Millisecond,
@@ -325,9 +275,9 @@ func TestCrashMidDDLRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Start the DDL on worker 1 and snapshot the directory while the
-	// backfill runs: as soon as the entry table appears, then twice more
-	// shortly after, then once at completion.
+	// Start the DDL on worker 1 and crash the disk while the backfill
+	// runs: as soon as the entry table appears, then twice more shortly
+	// after, then once at completion.
 	ddlDone := make(chan error, 1)
 	go func() {
 		_, err := db.CreateIndexSpec(1, tbl, "rows_ix", false,
@@ -335,15 +285,12 @@ func TestCrashMidDDLRecovery(t *testing.T) {
 		ddlDone <- err
 	}()
 
-	var snaps []string
-	snap := func(label string) {
-		d := filepath.Join(t.TempDir(), label)
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		copyDurabilityDir(t, dir, d)
-		snaps = append(snaps, d)
+	type image struct {
+		label string
+		fs    *sim.FS
 	}
+	var snaps []image
+	snap := func(label string) { snaps = append(snaps, image{label, fs.Crash(rng)}) }
 	deadline := time.Now().Add(20 * time.Second)
 	for db.Table("rows_ix") == nil {
 		if time.Now().After(deadline) {
@@ -368,24 +315,30 @@ func TestCrashMidDDLRecovery(t *testing.T) {
 	snap("complete")
 	db.Close()
 
-	for _, d := range snaps {
-		label := filepath.Base(d)
+	for _, img := range snaps {
+		label := img.label
 		db2, err := silo.Open(silo.Options{
 			Workers:       2,
 			EpochInterval: time.Millisecond,
-			Durability:    &silo.DurabilityOptions{Dir: d, RecoveryWorkers: 4},
+			Durability:    &silo.DurabilityOptions{Dir: dir, FS: img.fs, RecoveryWorkers: 4},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := db2.Recover()
 		if err != nil {
-			t.Fatalf("%s: recover: %v", label, err)
+			t.Fatalf("%s: recover (crash seed %d): %v", label, seed, err)
 		}
 		ix := db2.Index("rows_ix")
 		if ix == nil {
+			if label == "complete" {
+				t.Fatalf("complete: index absent after recovery (crash seed %d)", seed)
+			}
 			// The create record was not durable at the snapshot. The data
 			// table must still be fully intact.
+			if db2.Table("rows") == nil {
+				t.Fatalf("%s: rows table lost (crash seed %d)\n%s", label, seed, img.fs.Dump())
+			}
 			n := 0
 			if err := db2.Run(0, func(tx *silo.Tx) error {
 				n = 0
@@ -394,8 +347,8 @@ func TestCrashMidDDLRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%s: index absent after recovery (create record beyond D); %d rows intact", label, n)
-			if n == 0 {
-				t.Fatalf("%s: rows table empty", label)
+			if n != rows {
+				t.Fatalf("%s: %d of %d rows recovered (crash seed %d)\n%s", label, n, rows, seed, img.fs.Dump())
 			}
 			db2.Close()
 			continue
@@ -422,15 +375,10 @@ func TestCrashMidDDLRecovery(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if nrows != nentries {
-			t.Fatalf("%s: %d rows but %d entries after recovery", label, nrows, nentries)
+		if nrows != rows || nentries != rows {
+			t.Fatalf("%s: %d rows and %d entries after recovery, want %d (crash seed %d)", label, nrows, nentries, rows, seed)
 		}
 		t.Logf("%s: index complete after recovery (%d rows)", label, nrows)
 		db2.Close()
-	}
-
-	// At least the final snapshot must recover the completed index.
-	if !bytes.Contains([]byte(strings.Join(snaps, " ")), []byte("complete")) {
-		t.Fatal("missing completion snapshot")
 	}
 }

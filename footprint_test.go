@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"silo"
-	"silo/internal/race"
 )
 
 // TestRowFootprint prices a stored row in live heap: 100 000 rows of 8-byte
@@ -20,9 +19,6 @@ import (
 // stored at their own size, the same rows took 275 and 311 bytes and 2.08
 // and 2.11 objects each.
 func TestRowFootprint(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race builds have no arena: every value is a heap object of its own")
-	}
 	const rows = 100_000
 	for _, c := range []struct {
 		name             string

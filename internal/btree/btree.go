@@ -62,6 +62,9 @@
 // key length and suffix torn from different keys are memory-safe and
 // rejected by the node-version re-check. Values are *record.Record pointers
 // stored with atomic loads/stores.
+//
+// The validated slot reads (slots.get, slots.cmpAt) are //go:norace, so
+// race builds run this protocol and check everything else (package race).
 package btree
 
 import (
@@ -71,7 +74,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"silo/internal/race"
 	"silo/internal/record"
 )
 
@@ -233,38 +235,6 @@ type Tree struct {
 	// when a leaf's key count crosses zero.
 	leaves atomic.Int64
 	empty  atomic.Int64
-
-	// raceMu serializes readers against structural writers in race-detector
-	// builds only. The hand-over-hand version protocol makes torn reads of
-	// key slots and counts memory-safe and retried, but the race detector
-	// cannot see past that design, so race builds fall back to coarse
-	// locking at the public API; normal builds never touch this mutex (the
-	// guards compile away behind a constant false).
-	raceMu sync.RWMutex
-}
-
-func (t *Tree) raceRLock() {
-	if race.Enabled {
-		t.raceMu.RLock()
-	}
-}
-
-func (t *Tree) raceRUnlock() {
-	if race.Enabled {
-		t.raceMu.RUnlock()
-	}
-}
-
-func (t *Tree) raceLock() {
-	if race.Enabled {
-		t.raceMu.Lock()
-	}
-}
-
-func (t *Tree) raceUnlock() {
-	if race.Enabled {
-		t.raceMu.Unlock()
-	}
 }
 
 // New returns an empty tree.
@@ -348,8 +318,6 @@ retry:
 // version — the (node, version) pair a transaction records in its node-set
 // when the key is missing (§4.6).
 func (t *Tree) Get(key []byte) (rec *record.Record, n *Node, version uint64) {
-	t.raceRLock()
-	defer t.raceRUnlock()
 	checkKey(key)
 	p := probeOf(key)
 	for spins := 0; ; spins++ {
@@ -387,8 +355,6 @@ func (t *Tree) Get(key []byte) (rec *record.Record, n *Node, version uint64) {
 // fn must not re-enter the tree (the transaction layer only records the
 // observation and copies the value out).
 func (t *Tree) GetBatch(keys [][]byte, fn func(i int, rec *record.Record, n *Node, version uint64) bool) {
-	t.raceRLock()
-	defer t.raceRUnlock()
 	for _, k := range keys {
 		checkKey(k)
 	}
@@ -455,8 +421,6 @@ func (t *Tree) GetBatch(keys [][]byte, fn func(i int, rec *record.Record, n *Nod
 // otherwise), whether the insert happened, and the version changes of every
 // node the insert structurally modified.
 func (t *Tree) InsertIfAbsent(key []byte, rec *record.Record) (cur *record.Record, inserted bool, changes []VersionChange) {
-	t.raceLock()
-	defer t.raceUnlock()
 	checkKey(key)
 	p := probeOf(key)
 	var k skey
@@ -511,8 +475,6 @@ func (t *Tree) InsertIfAbsent(key []byte, rec *record.Record) (cur *record.Recor
 // are reported because no transaction exists to track them. Concurrent
 // callers must use distinct keys.
 func (t *Tree) GetOrInsert(key []byte, mk func() *record.Record) (rec *record.Record, inserted bool) {
-	t.raceLock()
-	defer t.raceUnlock()
 	checkKey(key)
 	p := probeOf(key)
 	var k skey
@@ -811,8 +773,6 @@ func (t *Tree) Remove(key []byte) (removed bool, change VersionChange) {
 // with respect to the leaf. The GC unhook uses this to remove an absent
 // record only if it is still the latest version for its key (§4.9).
 func (t *Tree) RemoveIf(key []byte, pred func(*record.Record) bool) (removed bool, change VersionChange) {
-	t.raceLock()
-	defer t.raceUnlock()
 	checkKey(key)
 	p := probeOf(key)
 	for spins := 0; ; spins++ {
@@ -877,8 +837,6 @@ var scanBufPool = sync.Pool{New: func() any { return new(scanBuf) }}
 // version. fn receives each key and record; returning false stops the scan.
 // Key slices passed to fn are valid only during the callback.
 func (t *Tree) Scan(lo, hi []byte, nodeFn func(n *Node, version uint64), fn func(key []byte, rec *record.Record) bool) {
-	t.raceRLock()
-	defer t.raceRUnlock()
 	checkKey(lo)
 	buf := scanBufPool.Get().(*scanBuf)
 	defer scanBufPool.Put(buf)
@@ -910,11 +868,6 @@ func (t *Tree) Scan(lo, hi []byte, nodeFn func(n *Node, version uint64), fn func
 			backoff(spins)
 		}
 		first = false
-		// The callbacks run outside the race-build lock: entries are
-		// copies, and a callback that re-enters the tree (another read on
-		// the same table mid-scan) must not deadlock behind a writer
-		// queued on raceMu. No-ops in normal builds.
-		t.raceRUnlock()
 		if nodeFn != nil {
 			nodeFn(&lf.node, v)
 		}
@@ -923,11 +876,9 @@ func (t *Tree) Scan(lo, hi []byte, nodeFn func(n *Node, version uint64), fn func
 				continue // torn slot; its key will be revisited via validation upstream
 			}
 			if !fn(buf.keys[i].appendTo(buf.key[:0]), buf.recs[i]) {
-				t.raceRLock() // pair with the deferred unlock
 				return
 			}
 		}
-		t.raceRLock()
 		// Stop if this leaf's last key already reached hi; otherwise there
 		// may be more matching keys to the right.
 		if hi == nil {

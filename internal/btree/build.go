@@ -30,8 +30,6 @@ type Item struct {
 // split, and on keys out of order. Recovery loads a checkpoint with it,
 // into trees nothing else writes yet.
 func (t *Tree) Build(runs ...[]Item) {
-	t.raceLock()
-	defer t.raceUnlock()
 	n, tails := 0, 0
 	var prev probe
 	for _, run := range runs {
@@ -115,8 +113,6 @@ func (t *Tree) Build(runs ...[]Item) {
 // It runs beside writers; what they change meanwhile can only unbalance the
 // runs, since any ascending keys split the key space.
 func (t *Tree) SplitKeys(n int) [][]byte {
-	t.raceRLock()
-	defer t.raceRUnlock()
 	leaves := int(t.leaves.Load())
 	root := t.loadRoot()
 	if n < 2 || root.level == 0 {

@@ -13,8 +13,6 @@ import (
 // and the Shape counters agreeing with the walk. It exists for tests; it
 // must not run concurrently with writers.
 func (t *Tree) CheckInvariants() error {
-	t.raceRLock()
-	defer t.raceRUnlock()
 	root := t.loadRoot()
 	var leaves []*leaf
 	if err := checkNode(root, nil, nil, &leaves); err != nil {
@@ -142,8 +140,6 @@ func checkNode(n *node, lo, hi *probe, leaves *[]*leaf) error {
 // key slices passed to fn are valid only during the callback. Consistency
 // checkers use it; it must not run concurrently with writers.
 func (t *Tree) ApplyAll(fn func(key []byte, rec *record.Record) bool) {
-	t.raceRLock()
-	defer t.raceRUnlock()
 	var kb [MaxKeyLen]byte
 	var walk func(n *node) bool
 	walk = func(n *node) bool {

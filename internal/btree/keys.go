@@ -38,6 +38,9 @@ type skey struct {
 	sfx    unsafe.Pointer
 }
 
+// get reads slot i, racing put by design: readers validate it afterwards.
+//
+//go:norace
 func (s *slots) get(i int) skey {
 	return skey{s.w0[i], s.w1[i], s.n[i], atomic.LoadPointer(&s.sfx[i])}
 }
@@ -170,7 +173,9 @@ func compare(a, b *probe) int {
 }
 
 // cmpAt is compare of slot i against p, reading no more of the slot than
-// the comparison needs.
+// the comparison needs. Like get, it is a validated read.
+//
+//go:norace
 func (s *slots) cmpAt(i int, p *probe) int {
 	if w := s.w0[i]; w != p.w0 {
 		return cmp.Compare(w, p.w0)

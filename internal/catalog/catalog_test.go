@@ -516,8 +516,11 @@ func TestLookupsDuringDDL(t *testing.T) {
 					return
 				default:
 				}
+				// Index first: a create between the two reads must not
+				// pair a named index with an earlier "not an entry table".
+				ix := c.Index("users_by_city")
 				entry := c.IsEntryTable("users_by_city")
-				if ix := c.Index("users_by_city"); ix != nil && (ix.Name != "users_by_city" || !entry) {
+				if ix != nil && (ix.Name != "users_by_city" || !entry) {
 					t.Errorf("Index returned %q, IsEntryTable %v", ix.Name, entry)
 				}
 				if seen && !entry {

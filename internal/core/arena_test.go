@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"silo/internal/race"
 	"silo/internal/record"
 )
 
@@ -16,9 +15,6 @@ import (
 // a buffer filed one class up would be handed out for values it cannot
 // hold.
 func TestArenaRecyclesWithinClass(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race builds have no arena")
-	}
 	s := testStore(t, 1)
 	tbl := s.CreateTable("t")
 	w := s.Worker(0)

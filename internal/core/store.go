@@ -20,7 +20,6 @@ import (
 
 	"silo/internal/btree"
 	"silo/internal/epoch"
-	"silo/internal/race"
 	"silo/internal/tid"
 	"silo/internal/trace"
 	"silo/internal/vfs"
@@ -223,18 +222,6 @@ type Store struct {
 func NewStore(opts Options) *Store {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
-	}
-	if race.Enabled {
-		// Two engine mechanisms are sound only because the seqlock read
-		// protocol discards torn reads via TID-word validation — which the
-		// race detector cannot see past: the in-place overwrite fast path
-		// (§4.5) mutates bytes a doomed reader may be copying, and the
-		// arena (§4.8) recycles replaced buffers while such a reader still
-		// holds them. Race builds disable both (the paper's "Simple" write
-		// path), keeping -race meaningful for everything that is supposed
-		// to be race-free; see internal/race.
-		opts.Overwrites = false
-		opts.Arena = false
 	}
 	if opts.EpochInterval <= 0 {
 		opts.EpochInterval = epoch.DefaultInterval

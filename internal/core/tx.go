@@ -803,7 +803,7 @@ func (tx *Tx) Commit() error {
 		// closed now rather than at its tick, and let the retry commit in
 		// the next one. (A read-only transaction installs and logs nothing;
 		// its TID is only reported, so it commits regardless.)
-		s.epochs.AdvanceSoon()
+		s.epochs.AdvanceSoon(e)
 		return tx.abortCommit(abortEpochFull, nil, nil)
 	}
 	if timed {

@@ -213,10 +213,17 @@ func (s *Slot) Active() bool { return s.active.Load() != 0 }
 // the bump), it increments E; otherwise it leaves E alone, honouring the
 // invariant. Either way it recomputes SE and the reclamation horizons.
 // It reports whether E advanced.
-func (m *Manager) Advance() bool {
+func (m *Manager) Advance() bool { return m.advance(nil) }
+
+// advance is Advance, adding an advance to count, when not nil, before E
+// moves: whoever sees the new epoch sees it counted.
+func (m *Manager) advance(count *atomic.Uint64) bool {
 	e := m.global.Load()
 	advanced := false
 	if m.minLocal(e) >= e {
+		if count != nil {
+			count.Add(1)
+		}
 		m.global.Store(e + 1)
 		e++
 		advanced = true
@@ -235,23 +242,22 @@ func (m *Manager) Advance() bool {
 // not block.
 func (m *Manager) OnAdvance(fn func()) { m.onAdvance.Store(&fn) }
 
-// AdvanceSoon asks the advancing thread to close the open epoch now rather
-// than at its next tick: it kicks the thread, whose run is the ordinary
-// Advance — a worker still in the open epoch holds it open exactly as on a
-// tick, and there is never a second advancer. The tick schedule is left
-// alone. Only the first request for an epoch kicks (later ones, from other
-// waiters of the same epoch, would queue a run that closes the next epoch
-// before anyone asked), unless a straggler refused the kicked run, in which
-// case the next request kicks again. It is a no-op when epochs are driven
-// manually or the thread is stopped.
-func (m *Manager) AdvanceSoon() {
-	e := m.global.Load()
+// AdvanceSoon asks the advancing thread to close epoch e, the open epoch
+// the caller saw, now rather than at its next tick: it kicks the thread,
+// whose run is the ordinary Advance — a worker still in the open epoch
+// holds it open exactly as on a tick, and there is never a second
+// advancer. The tick schedule is left alone. Only the first request for an
+// epoch kicks, and none once e has closed (either would queue a run that
+// closes the next epoch before anyone asked), unless a straggler refused
+// the kicked run, in which case the next request kicks again. It is a
+// no-op when epochs are driven manually or the thread is stopped.
+func (m *Manager) AdvanceSoon(e uint64) {
 	if m.want.Load() >= e {
 		return // already asked for
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.running && m.want.Load() < e {
+	if m.running && m.want.Load() < e && m.global.Load() == e {
 		m.want.Store(e)
 		m.ticker.Kick()
 	}
@@ -269,9 +275,7 @@ func (m *Manager) step() {
 	if m.want.Load() >= e {
 		cause = CauseDemand
 	}
-	if m.Advance() {
-		m.advances[cause].Add(1)
-	} else if cause == CauseDemand {
+	if !m.advance(&m.advances[cause]) && cause == CauseDemand {
 		m.want.CompareAndSwap(e, e-1) // refused: let the next request kick again
 	}
 }

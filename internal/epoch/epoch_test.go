@@ -193,23 +193,24 @@ func (c *heldClock) Stop() {}
 func (c *heldClock) Kick() { c.kicks++ }
 
 // TestAdvanceSoon: a demand kick reaches the advancing thread only while
-// it runs and only once per epoch, the run it causes is the ordinary
-// Advance (a straggler refuses it exactly as it refuses a tick, and the
-// next request kicks again), every successful advance calls the OnAdvance
-// hook, and AdvancesBy attributes each advance to its cause.
+// it runs, only once per epoch and only while that epoch is open, the run
+// it causes is the ordinary Advance (a straggler refuses it exactly as it
+// refuses a tick, and the next request kicks again), every successful
+// advance calls the OnAdvance hook, and AdvancesBy attributes each advance
+// to its cause.
 func TestAdvanceSoon(t *testing.T) {
 	clk := &heldClock{}
 	m := NewManager(Config{Workers: 1, Interval: time.Hour, Clock: clk})
 	hooks := 0
 	m.OnAdvance(func() { hooks++ })
 
-	m.AdvanceSoon() // manual epochs: nothing to kick
+	m.AdvanceSoon(m.Global()) // manual epochs: nothing to kick
 	if clk.kicks != 0 || m.Global() != 1 {
 		t.Fatalf("AdvanceSoon before Start: %d kicks, E=%d", clk.kicks, m.Global())
 	}
 	m.Start()
-	m.AdvanceSoon()
-	m.AdvanceSoon() // a second waiter of the same epoch
+	m.AdvanceSoon(m.Global())
+	m.AdvanceSoon(m.Global()) // a second waiter of the same epoch
 	if clk.kicks != 1 {
 		t.Fatalf("two AdvanceSoon calls for one epoch kicked %d times, want 1", clk.kicks)
 	}
@@ -222,12 +223,16 @@ func TestAdvanceSoon(t *testing.T) {
 	if m.Global() != 3 || m.AdvancesBy(CauseTick) != 1 || hooks != 2 {
 		t.Fatalf("after a tick: E=%d tick=%d hooks=%d", m.Global(), m.AdvancesBy(CauseTick), hooks)
 	}
+	m.AdvanceSoon(2) // a waiter of an epoch that has closed since
+	if clk.kicks != 1 {
+		t.Fatalf("AdvanceSoon of a closed epoch kicked (%d kicks, want 1)", clk.kicks)
+	}
 
 	// A straggler holds E ≤ e_w + 1 against demand as against the tick.
 	s := m.Slot(0)
 	ew := s.Enter(m)
 	for i := 0; i < 3; i++ {
-		m.AdvanceSoon()
+		m.AdvanceSoon(m.Global())
 		clk.fn()
 	}
 	if m.Global() != ew+1 || m.AdvancesBy(CauseDemand) != 2 || hooks != 3 {
@@ -236,7 +241,7 @@ func TestAdvanceSoon(t *testing.T) {
 	s.Exit()
 
 	m.Stop()
-	m.AdvanceSoon()
+	m.AdvanceSoon(m.Global())
 	if clk.kicks != 4 {
 		t.Fatalf("AdvanceSoon after Stop kicked (%d kicks, want 4)", clk.kicks)
 	}

@@ -35,10 +35,11 @@ func batchedSetup(t *testing.T) (*core.Store, *core.Table, *Index) {
 }
 
 // TestBatchedResolveRowDeletedInGap: the concurrent writer deletes a
-// collected row; resolution finds the entry's row gone and must report
-// ErrConflict (retryable), not fabricate or skip a row. Rows are emitted
-// in entry order up to the first missing one: the callback has seen
-// exactly the rows before it when the conflict surfaces — the prefix a
+// collected row; resolution finds the entry's row gone and must not
+// fabricate or skip a row: the scan fails, and since the collected entry
+// changed, the transaction ends as ErrConflict (retryable). Rows are
+// emitted in entry order up to the first missing one: the callback has
+// seen exactly the rows before it when the scan fails — the prefix a
 // re-executed transaction body must discard.
 func TestBatchedResolveRowDeletedInGap(t *testing.T) {
 	s, users, byCity := batchedSetup(t)
@@ -52,13 +53,13 @@ func TestBatchedResolveRowDeletedInGap(t *testing.T) {
 		}
 	})
 
-	tx := w0.Begin()
 	var emitted []string
-	err := Scan(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(_, pk, _ []byte) bool {
-		emitted = append(emitted, string(pk))
-		return true
+	err := w0.RunOnce(func(tx *core.Tx) error {
+		return Scan(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(_, pk, _ []byte) bool {
+			emitted = append(emitted, string(pk))
+			return true
+		})
 	})
-	tx.Abort()
 	if err != core.ErrConflict {
 		t.Fatalf("batched scan over deleted row err = %v, want ErrConflict", err)
 	}

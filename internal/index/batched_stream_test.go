@@ -129,7 +129,7 @@ func TestMirroredIndexes(t *testing.T) {
 	})
 	t.Run("scans allocate nothing", func(t *testing.T) {
 		if race.Enabled {
-			t.Skip("race builds allocate in the engine's read path by design")
+			t.Skip("the race detector's instrumentation allocates")
 		}
 		testScansAllocateNothing(t, w, tbl, asc, desc, cov)
 	})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
+	"time"
 
 	"silo/internal/core"
 )
@@ -317,8 +318,9 @@ func TestHookFailurePoisonsCommit(t *testing.T) {
 // TestDanglingEntryConflicts plants an orphan entry (simulating a
 // concurrent writer between the two trees, or a corrupted index) and
 // checks the resolver's answer under each reader: a serializable scan
-// reports a conflict instead of fabricating a row, and a snapshot scan —
-// where no writer can be in between — skips the entry.
+// whose reads validate reports ErrDanglingEntry instead of fabricating a
+// row, and a snapshot scan — where no writer can be in between — skips the
+// entry.
 func TestDanglingEntryConflicts(t *testing.T) {
 	s := newStore(t, 1)
 	users := s.CreateTable("users")
@@ -341,14 +343,43 @@ func TestDanglingEntryConflicts(t *testing.T) {
 		})
 	}
 	err := w.RunOnce(func(tx *core.Tx) error { return scan(tx) })
-	if err != core.ErrConflict {
-		t.Fatalf("dangling entry scan err = %v, want ErrConflict", err)
+	if err != ErrDanglingEntry {
+		t.Fatalf("dangling entry scan err = %v, want ErrDanglingEntry", err)
 	}
 	if err := w.RunSnapshot(func(stx *core.SnapTx) error { return scan(stx) }); err != nil {
 		t.Fatalf("snapshot scan over a dangling entry: %v", err)
 	}
 	if fmt.Sprint(got) != "[u001]" {
 		t.Fatalf("snapshot scan over a dangling entry = %v, want [u001]", got)
+	}
+}
+
+// TestDanglingEntryEndsRun checks that Run, which retries ErrConflict
+// without bound, returns a dangling entry's error instead of retrying it:
+// the entry is still there on every attempt.
+func TestDanglingEntryEndsRun(t *testing.T) {
+	s := newStore(t, 1)
+	users := s.CreateTable("users")
+	w := s.Worker(0)
+	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
+	if err := w.Run(func(tx *core.Tx) error {
+		return tx.Insert(byCity.Entries, []byte("AMSu999"), []byte("u999"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(tx *core.Tx) error {
+			return Scan(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(_, _, _ []byte) bool { return true })
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != ErrDanglingEntry {
+			t.Fatalf("Run over a dangling entry = %v, want ErrDanglingEntry", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run over a dangling entry did not return")
 	}
 }
 

@@ -31,7 +31,7 @@ var scanModeNames = [numModes]string{
 type Counters struct {
 	modes           [numModes]obs.Counter
 	lookups         obs.Counter // Lookup: unique point resolution
-	lookupConflicts obs.Counter // Lookup/Scan resolutions that hit ErrConflict
+	lookupConflicts obs.Counter // Lookup/Scan resolutions that found no row
 }
 
 // count records one read in txMode, or in snapMode when r is a snapshot
@@ -45,9 +45,9 @@ func (o *Counters) count(r core.Reader, txMode, snapMode int) (snap bool) {
 }
 
 // CollectObs appends the counters to snap: silo_index_scans_total broken
-// down by resolution mode, total unique lookups, and resolutions that
-// surfaced ErrConflict (a writer got between the two trees and the caller
-// had to retry).
+// down by resolution mode, total unique lookups, and transactional
+// resolutions that found an entry without its row (almost always a writer
+// between the two trees, and the caller retried).
 func (o *Counters) CollectObs(snap *obs.Snapshot) {
 	for i, name := range scanModeNames {
 		snap.Counter("silo_index_scans_total", "mode", name, o.modes[i].Load())

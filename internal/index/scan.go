@@ -16,6 +16,11 @@ var ErrNotUnique = errors.New("silo: index lookup requires a unique index")
 // include list.
 var ErrNotCovering = errors.New("silo: index is not covering (declared without an include list)")
 
+// ErrDanglingEntry reports an index entry whose primary row does not exist
+// in a transaction whose reads validate: the index is damaged, and a retry
+// would meet the same entry.
+var ErrDanglingEntry = errors.New("silo: index entry has no primary row")
+
 // Every read here goes through a core.Reader, so the one body serves both
 // transaction kinds. Under a *core.Tx the entry-tree leaves join the
 // node-set and every entry and resolved row joins the read-set, so a
@@ -42,11 +47,9 @@ var ErrNotCovering = errors.New("silo: index is not covering (declared without a
 // passes max; fn returning false stops emission, not collection. All three
 // slices are valid only during the callback.
 //
-// An entry whose row is missing means, under a *core.Tx, that a concurrent
-// writer got between the two trees: Scan returns ErrConflict and the caller
-// retries. fn has then seen the entries before it, which a re-executed
-// transaction body must discard (as any output of an attempt that fails
-// commit). Under a snapshot the entry is skipped (see rowMissing).
+// An entry whose row is missing fails a *core.Tx scan (see rowMissing). fn
+// has then seen the entries before it, which a re-executed transaction body
+// must discard (as any output of an attempt that fails commit).
 func Scan(r core.Reader, ix *Index, lo, hi []byte, max int, fn func(sk, pk, val []byte) bool) error {
 	snap := ix.obs.count(r, modeBatched, modeSnapshot)
 	sc := getScratch()
@@ -176,8 +179,9 @@ func Lookup(r core.Reader, ix *Index, sk []byte) (pk, val []byte, err error) {
 }
 
 // rowMissing is the resolver's one answer to an entry whose primary row is
-// not there. Under a serializable transaction a concurrent writer got
-// between the two trees: ErrConflict, and the caller retries. A snapshot
+// not there. Under a serializable transaction it is ErrDanglingEntry, which
+// the transaction's epilogue turns into ErrConflict and a retry when a
+// writer got between the two trees and the reads fail validation. A snapshot
 // cannot see that race — maintenance is transactional, so an entry visible
 // at the snapshot has its row visible too — and a missing row can only
 // mean the index predates its table's rows (no Backfill): the entry is
@@ -187,7 +191,7 @@ func (ix *Index) rowMissing(snap bool) error {
 		return nil
 	}
 	ix.obs.lookupConflicts.Inc()
-	return core.ErrConflict
+	return ErrDanglingEntry
 }
 
 // testHookAfterCollect, when non-nil, runs between Scan's entry collection

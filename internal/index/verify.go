@@ -94,10 +94,10 @@ func (ix *Index) VerifyEntries() error {
 // first divergence — the freshness half of the covering contract (the
 // maintenance hooks must rewrite entries whenever included fields
 // change), checkable live by consistency audits and hammer tests. A row
-// that vanishes between the covering scan and its re-read is the usual
-// two-tree race and maps to ErrConflict so the caller's retry loop
-// handles it; only a divergence observed by a transaction that then
-// commits is a real maintenance bug.
+// missing at its re-read is ErrDanglingEntry, which the transaction's
+// epilogue turns into ErrConflict when it was the usual two-tree race;
+// only a divergence observed by a transaction that then commits is a real
+// maintenance bug.
 func VerifyCoveringFresh(tx *core.Tx, ix *Index, lo, hi []byte) error {
 	if !ix.Covering() {
 		return nil
@@ -107,7 +107,7 @@ func VerifyCoveringFresh(tx *core.Tx, ix *Index, lo, hi []byte) error {
 	if err := ScanCovering(tx, ix, lo, hi, 0, func(_, pk, fields []byte) bool {
 		row, fail = tx.GetAppend(ix.On, pk, row[:0])
 		if fail == core.ErrNotFound {
-			fail = core.ErrConflict
+			fail = ErrDanglingEntry
 		}
 		if fail != nil {
 			return false

@@ -1,16 +1,22 @@
 //go:build !race
 
-// Package race reports whether the Go race detector is compiled in, the
-// same trick the runtime uses. The engine consults it to avoid
-// benign-by-design data races that the detector cannot distinguish from
-// bugs: Silo's read protocol copies record data optimistically and
-// validates the TID word afterward (a seqlock), so an in-place overwrite
-// racing a doomed read is invisible to correctness but flagged by the
-// detector. Race-enabled builds therefore run with in-place overwrites
-// off — every write swaps a fresh buffer through an atomic pointer —
-// keeping -race runs meaningful for all the synchronization that is
-// supposed to be race-free.
+// Package race is the engine's one build-tagged pair for the Go race
+// detector. Race builds run the protocol normal builds ship. Silo's reads
+// are correct by validation, not by happens-before: a reader copies record
+// data or tree slots, then re-checks the TID word (§4.5) or node version
+// (§4.6), which the detector cannot see. Those copies alone are marked:
+// btree's slots.get and slots.cmpAt and trace's Ring.snapshot are
+// //go:norace (a no-op in normal builds, inlining included), and
+// Record.Read copies through AppendValidated — a loop under -race, since
+// append and copy call the runtime's instrumented slicecopy even from a
+// //go:norace function. runtime.RaceDisable would not do: it hides
+// synchronisation events, not memory accesses. Atomic slot loads would
+// not either: they add happens-before edges that hide real races.
 package race
 
 // Enabled is true when the build has the race detector compiled in.
 const Enabled = false
+
+// AppendValidated appends src, which a writer may be changing, to dst;
+// the caller validates the copy afterwards.
+func AppendValidated(dst, src []byte) []byte { return append(dst, src...) }

@@ -34,7 +34,8 @@
 // it points to, as far as that allocation's own header says — so a buffer
 // swapped out, refilled in place or recycled to another record under the
 // reader yields, at worst, bytes of the wrong value, and the double-read of
-// the TID word rejects them.
+// the TID word rejects them. The copy goes through race.AppendValidated, so
+// race builds run this same protocol.
 package record
 
 import (
@@ -42,6 +43,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"silo/internal/race"
 	"silo/internal/tid"
 )
 
@@ -162,7 +164,7 @@ func (r *Record) Read(buf []byte) (val []byte, w tid.Word) {
 		if w1.Absent() {
 			return nil, w1
 		}
-		val = append(buf[:0], view(r.data.Load())...)
+		val = race.AppendValidated(buf[:0], view(r.data.Load()))
 		w2 := tid.Word(r.word.Load())
 		if w1 == w2 {
 			return val, w1

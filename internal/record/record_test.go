@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"silo/internal/race"
 	"silo/internal/tid"
 )
 
@@ -189,13 +188,6 @@ func TestCopyForSnapshot(t *testing.T) {
 // repeatedly installs values whose bytes are all equal; concurrent
 // validated readers must never observe a torn (mixed-byte) value.
 func TestSeqlockConsistency(t *testing.T) {
-	if race.Enabled {
-		// The validated read of a buffer being overwritten in place is a
-		// data race by design, which is why race builds of the engine never
-		// overwrite in place (see internal/race). This test does, on
-		// purpose, so it has nothing to say under the detector.
-		t.Skip("in-place overwrites race their validated readers by design")
-	}
 	const size = 64
 	mk := func(b byte) []byte { return bytes.Repeat([]byte{b}, size) }
 	r := New(tid.Make(1, 1).WithLatest(true), mk(0))
@@ -241,9 +233,7 @@ func TestSeqlockConsistency(t *testing.T) {
 // readers, recycling each replaced buffer the next time its class comes
 // round — the way the engine's arena does — so a reader often holds a
 // buffer that is being refilled, or that already belongs to the other
-// value length. A validated read must still see one whole value. Race
-// builds, like the engine's, swap in fresh buffers only: a recycled one
-// races its validated readers by design.
+// value length. A validated read must still see one whole value.
 func TestSeqlockWithResize(t *testing.T) {
 	r := New(tid.Make(1, 1).WithLatest(true), bytes.Repeat([]byte{0}, 16))
 	var stop atomic.Bool
@@ -280,7 +270,7 @@ func TestSeqlockWithResize(t *testing.T) {
 			n = 64
 		}
 		var raw []byte
-		if l := free[BufClass(n)]; len(l) > 0 && !race.Enabled {
+		if l := free[BufClass(n)]; len(l) > 0 {
 			raw, free[BufClass(n)] = l[len(l)-1], l[:len(l)-1]
 		}
 		if old := r.SetDataLocked(bytes.Repeat([]byte{byte(i)}, n), raw); old != nil {

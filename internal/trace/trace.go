@@ -8,8 +8,8 @@
 // the STATS-adjacent dump, the sim oracle) copy the array and discard
 // any entries the writer may have overwritten during the copy, the same
 // validated-optimistic-read discipline as the engine's seqlock record
-// protocol; race-enabled builds serialize writer and reader on a mutex
-// instead so the detector stays meaningful (see internal/race).
+// protocol. The copy is the one racy read, and it is marked for the race
+// detector (see internal/race); race builds run the same ring.
 //
 // Timestamps come from vfs.Clock.Now: monotonic process time in
 // production, virtual time under internal/sim — which is what makes the
@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"silo/internal/race"
 	"silo/internal/vfs"
 )
 
@@ -172,7 +171,6 @@ type Ring struct {
 	rec  *Recorder
 	src  uint8
 	mask uint64
-	mu   sync.Mutex // race builds only: serializes Record vs snapshot
 	seq  atomic.Uint64
 	buf  [][4]uint64
 }
@@ -185,10 +183,6 @@ func (r *Ring) Record(kind Kind, aux uint16, table uint32, a uint64, key []byte)
 		return
 	}
 	e := Event{TS: r.rec.clock.Now(), Kind: kind, Src: r.src, Aux: aux, Table: table, A: a, Key: KeyPrefix(key)}
-	if race.Enabled {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	s := r.seq.Load()
 	w := &r.buf[s&r.mask]
 	w[0], w[1], w[2], w[3] = e.words()
@@ -196,12 +190,10 @@ func (r *Ring) Record(kind Kind, aux uint16, table uint32, a uint64, key []byte)
 }
 
 // snapshot copies the ring's current contents in record order, dropping
-// any entries the writer overwrote during the copy.
+// any entries the writer overwrote during the copy: a validated read.
+//
+//go:norace
 func (r *Ring) snapshot() []Event {
-	if race.Enabled {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
 	size := uint64(len(r.buf))
 	end := r.seq.Load()
 	start := uint64(0)

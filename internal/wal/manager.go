@@ -270,7 +270,7 @@ func (m *Manager) raiseDemand(e uint64) {
 func (m *Manager) closeIfDemanded() {
 	e := m.epochs.Global()
 	if m.demand.Load() >= e && m.durable.Load()+1 >= e {
-		m.epochs.AdvanceSoon()
+		m.epochs.AdvanceSoon(e)
 	}
 }
 

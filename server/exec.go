@@ -298,7 +298,8 @@ func (s *Server) writable(name string) error {
 	return nil
 }
 
-// errResponse maps an execution error to an ERR frame.
+// errResponse maps an execution error to an ERR frame. Anything else, such
+// as silo.ErrDanglingEntry (a damaged index), is CodeInternal with its text.
 func errResponse(err error) wire.Response {
 	code := wire.CodeInternal
 	switch {

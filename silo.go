@@ -100,6 +100,8 @@ var (
 	// ErrNotCovering reports a covering scan of an index declared without
 	// an include list.
 	ErrNotCovering = index.ErrNotCovering
+	// ErrDanglingEntry reports an index entry without its primary row.
+	ErrDanglingEntry = index.ErrDanglingEntry
 )
 
 // Options configures a database.
@@ -524,8 +526,9 @@ func ScanIndexEntries(r Reader, ix *Index, lo, hi []byte, fn func(sk, pk []byte)
 
 // VerifyIndexCovering re-derives the included fields of every covering
 // entry in [lo, hi) from its primary row, inside tx, and fails on the
-// first divergence (a row vanished mid-audit returns ErrConflict, the
-// usual two-tree race — retry). Consistency audits and tests use it to
+// first divergence (a row missing mid-audit returns ErrDanglingEntry,
+// which Run turns into ErrConflict and a retry when the reads were
+// doomed). Consistency audits and tests use it to
 // check covering freshness live.
 func VerifyIndexCovering(tx *Tx, ix *Index, lo, hi []byte) error {
 	return index.VerifyCoveringFresh(tx, ix, lo, hi)
