@@ -44,8 +44,8 @@
 //     bumps both leaves and reports the right one Created, including the
 //     split that moves no key: the left leaf's range shrank all the same.
 //
-//   - Recovery does not insert a checkpoint key by key: Build lays sorted
-//     runs into packed leaves, builds the inner levels above them and
+//   - Recovery does not insert key by key: Build lays the sorted rows it
+//     recovers (checkpoint and log merged) into packed leaves, builds the inner levels above them and
 //     publishes the root with one store. SplitKeys reads the inner
 //     separators back out, so the checkpoint writer cuts each table where
 //     its leaves are, whatever its keys look like.
@@ -462,58 +462,6 @@ func (t *Tree) InsertIfAbsent(key []byte, rec *record.Record) (cur *record.Recor
 		cur, inserted, changes, ok := t.insertSplit(&p, k, rec)
 		if ok {
 			return cur, inserted, changes
-		}
-		backoff(spins)
-	}
-}
-
-// GetOrInsert returns the record stored under key; if there is none it
-// inserts the one mk returns and reports inserted. It is log replay's entry
-// point (a checkpoint is loaded with Build), and recovery owns the store:
-// one descent decides between "compare with what is there" and "allocate
-// and insert", mk runs only when the key is missing, and no version changes
-// are reported because no transaction exists to track them. Concurrent
-// callers must use distinct keys.
-func (t *Tree) GetOrInsert(key []byte, mk func() *record.Record) (rec *record.Record, inserted bool) {
-	checkKey(key)
-	p := probeOf(key)
-	var k skey
-	var fresh *record.Record
-	for spins := 0; ; spins++ {
-		lf, v := t.descend(&p)
-		idx, eq := lf.search(&p)
-		if eq {
-			existing := lf.val(idx)
-			if lf.version.Load() == v && existing != nil {
-				return existing, false
-			}
-			backoff(spins)
-			continue
-		}
-		if fresh == nil {
-			// Validate the miss first, so that mk — caller code, run
-			// outside any node lock — is not called for a torn read.
-			if lf.version.Load() != v {
-				backoff(spins)
-				continue
-			}
-			fresh = mk()
-			k = makeKey(key, nil)
-		}
-		if int(lf.nkeys.Load()) < fanout {
-			// The upgrade succeeds only if the leaf is unchanged since v,
-			// so idx is still where key belongs.
-			if !lf.tryUpgrade(v) {
-				backoff(spins)
-				continue
-			}
-			t.insertAt(lf, idx, k, fresh)
-			lf.unlockBump()
-			return fresh, true
-		}
-		cur, inserted, _, ok := t.insertSplit(&p, k, fresh)
-		if ok {
-			return cur, inserted
 		}
 		backoff(spins)
 	}

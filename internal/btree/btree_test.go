@@ -469,48 +469,3 @@ func TestApplyAll(t *testing.T) {
 		t.Fatalf("ApplyAll visited %d", n)
 	}
 }
-
-// TestGetOrInsert covers recovery's loading entry point: a missing key is
-// inserted with the record mk builds (through leaf and inner splits, from
-// several goroutines on disjoint keys), a present key returns the record
-// already there without mk being called, and the tree ends up exactly as
-// InsertIfAbsent would have left it.
-func TestGetOrInsert(t *testing.T) {
-	tr := New()
-	const n, loaders = 4000, 4
-	var wg sync.WaitGroup
-	for g := 0; g < loaders; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Interleaved keys, so the loaders work the same leaves.
-			for i := g; i < n; i += loaders {
-				made := 0
-				rec, inserted := tr.GetOrInsert(key(i), func() *record.Record { made++; return mkrec(byte(i)) })
-				if !inserted || made != 1 || rec.DataUnsafe()[0] != byte(i) {
-					t.Errorf("key %d: inserted=%v, mk called %d times", i, inserted, made)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if tr.Len() != n {
-		t.Fatalf("Len=%d, want %d", tr.Len(), n)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		want, _, _ := tr.Get(key(i))
-		got, inserted := tr.GetOrInsert(key(i), func() *record.Record {
-			t.Errorf("mk called for present key %d", i)
-			return mkrec(0)
-		})
-		if inserted || got != want || want == nil {
-			t.Fatalf("key %d: GetOrInsert returned %p inserted=%v, tree holds %p", i, got, inserted, want)
-		}
-	}
-	if tr.Len() != n {
-		t.Fatalf("Len=%d after lookups, want %d", tr.Len(), n)
-	}
-}

@@ -27,8 +27,8 @@ type Item struct {
 //
 // Build copies the keys; the records become the tree's. Given no items it
 // changes nothing. Otherwise it panics on a tree that holds a key or has
-// split, and on keys out of order. Recovery loads a checkpoint with it,
-// into trees nothing else writes yet.
+// split, and on keys out of order. Recovery builds every table with it,
+// once, into trees nothing else writes yet.
 func (t *Tree) Build(runs ...[]Item) {
 	n, tails := 0, 0
 	var prev probe

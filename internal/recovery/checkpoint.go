@@ -16,9 +16,11 @@
 //   - Replay follows the paper's recovery rule: the recovered version of a
 //     record is the logged one with the largest TID ≤ D. Which segment or
 //     worker saw it first is irrelevant, so segments are decoded
-//     concurrently and only each key's newest version is installed
-//     (wal.ApplyFinal); workers need no coordination beyond the epoch ≤ D
-//     filter and the partition of keys among them.
+//     concurrently and only each key's newest version is kept; workers
+//     need no coordination beyond the epoch ≤ D filter and the partition
+//     of keys among them. Nor does the order rows reach the tree in
+//     matter: each table is built once (btree.Tree.Build) from its
+//     checkpoint rows merged with the log's winners.
 //
 // # Checkpoint layout
 //
@@ -51,13 +53,14 @@
 // contiguous run with strictly ascending keys, and each table's keys go on
 // ascending from part to part. A set that breaks it is torn, like one whose
 // CRC does not match. The rule is what lets loading skip the search: every
-// part is verified and staged as one run per table, in parallel, and only
-// once the whole set has verified does btree.Tree.Build lay each table's
-// runs into packed leaves, building the inner levels above them and
-// publishing the root with one store. A torn set therefore installs
-// nothing. Part files are mapped (vfs.FS.Map), not read; a part is
-// released once Build has copied its keys, and its values are copied into
-// the records.
+// part is verified and staged as one run per table, in parallel, and
+// loading builds nothing. Once the log is replayed, each table's runs are
+// merged with the log's winners and btree.Tree.Build lays the result into
+// packed leaves, building the inner levels above them and publishing the
+// root with one store (see replay). A torn set is never staged, so it
+// installs nothing. Part files are mapped (vfs.FS.Map), not read; a part
+// is released once Build has copied its keys, and a surviving row's value
+// is copied into its record.
 //
 //	MANIFEST:  "SPM2" | u64 CE | u32 nparts
 //	           u32 ntables | ntables × (u32 id | u16 namelen | name)
@@ -91,8 +94,6 @@ import (
 
 	"silo/internal/btree"
 	"silo/internal/core"
-	"silo/internal/record"
-	"silo/internal/tid"
 	"silo/internal/vfs"
 )
 
@@ -558,48 +559,42 @@ func partRow(body []byte, off int) (table uint32, key, val []byte, next int, ok 
 	return table, key, body[off : off+int(vlen)], off + int(vlen), true
 }
 
-// stagedPart is one verified part file: its rows as one run of items per
-// table, in file order. The keys alias the mapped file, which release
-// unmaps once Build has copied them.
-type stagedPart struct {
-	runs    []tableRun
-	release func()
-}
+// row is one staged checkpoint row. key and val alias the mapped part file.
+type row struct{ key, val []byte }
 
+// tableRun is the rows of one table in one part file, in file order.
 type tableRun struct {
 	table uint32
-	items []btree.Item
+	rows  []row
 }
 
 // stagePart maps, verifies and stages one partition file. Verification —
 // the footer CRC, then the shape of every row and the ordering rule (a
 // malformed or misplaced row makes the part torn), then the tables the rows
-// name (an undeclared one is a schema mismatch) — completes before a record
-// is made. Rows are staged with a synthetic TID at the last slot of epoch
-// CE−1 — the checkpoint image holds exactly the versions with epoch < CE,
-// so a logged write with epoch ≥ CE must win the replay's TID comparison
-// and one with epoch < CE must lose. On an error the file is released.
-func stagePart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (p stagedPart, err error) {
-	data, release, err := fs.Map(path)
+// name (an undeclared one is a schema mismatch) — completes before a row is
+// staged. The rows alias the mapped file, which release unmaps; on an error
+// it is released already.
+func stagePart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (runs []tableRun, release func(), err error) {
+	data, unmap, err := fs.Map(path)
 	if err != nil {
-		return p, fmt.Errorf("%w: %v", errTorn, err)
+		return nil, nil, fmt.Errorf("%w: %v", errTorn, err)
 	}
 	defer func() {
 		if err != nil {
-			release()
+			unmap()
 		}
 	}()
 	hdr := len(partMagic) + 8 + 4
 	if len(data) < hdr+5 || string(data[:4]) != partMagic {
-		return p, fmt.Errorf("%w: %s: bad part header", errTorn, path)
+		return nil, nil, fmt.Errorf("%w: %s: bad part header", errTorn, path)
 	}
 	body, foot := data[:len(data)-5], data[len(data)-5:]
 	if foot[0] != 'E' || crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(foot[1:]) {
-		return p, fmt.Errorf("%w: %s: bad part footer", errTorn, path)
+		return nil, nil, fmt.Errorf("%w: %s: bad part footer", errTorn, path)
 	}
 	epoch := binary.LittleEndian.Uint64(body[4:12])
 	if epoch != wantEpoch {
-		return p, fmt.Errorf("%w: %s: part epoch %d, manifest %d", errTorn, path, epoch, wantEpoch)
+		return nil, nil, fmt.Errorf("%w: %s: part epoch %d, manifest %d", errTorn, path, epoch, wantEpoch)
 	}
 	var sizes []int // rows per run
 	rows := 0
@@ -608,23 +603,23 @@ func stagePart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (p s
 	for off := hdr; off < len(body); rows++ {
 		table, key, _, next, ok := partRow(body, off)
 		if !ok {
-			return p, fmt.Errorf("%w: %s: malformed row at %d", errTorn, path, off)
+			return nil, nil, fmt.Errorf("%w: %s: malformed row at %d", errTorn, path, off)
 		}
-		if n := len(p.runs); n > 0 && p.runs[n-1].table == table {
+		if n := len(runs); n > 0 && runs[n-1].table == table {
 			if bytes.Compare(prev, key) >= 0 {
-				return p, fmt.Errorf("%w: %s: row at %d does not ascend", errTorn, path, off)
+				return nil, nil, fmt.Errorf("%w: %s: row at %d does not ascend", errTorn, path, off)
 			}
 			sizes[n-1]++
 		} else {
-			for _, r := range p.runs {
+			for _, r := range runs {
 				if r.table == table {
-					return p, fmt.Errorf("%w: %s: table id %d's rows resume at %d", errTorn, path, table, off)
+					return nil, nil, fmt.Errorf("%w: %s: table id %d's rows resume at %d", errTorn, path, table, off)
 				}
 			}
 			if store.TableByID(table) == nil && undeclared < 0 {
 				undeclared = int64(table)
 			}
-			p.runs = append(p.runs, tableRun{table: table})
+			runs = append(runs, tableRun{table: table})
 			sizes = append(sizes, 1)
 		}
 		prev = key
@@ -633,26 +628,40 @@ func stagePart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (p s
 	if undeclared >= 0 {
 		// The manifest catalog is checked before any part is loaded, so
 		// this indicates a part/manifest mismatch.
-		return p, fmt.Errorf(
+		return nil, nil, fmt.Errorf(
 			"recovery: checkpoint part %s references table id %d, but the store has only %d tables",
 			path, undeclared, len(store.Tables()))
 	}
 
-	items := make([]btree.Item, rows)
-	rest := items
+	staged := make([]row, rows)
+	rest := staged
 	for i, n := range sizes {
-		p.runs[i].items, rest = rest[:n], rest[n:]
+		runs[i].rows, rest = rest[:n], rest[n:]
 	}
-	rowWord := tid.Make(max(epoch, 1)-1, tid.MaxSeq).WithLatest(true)
 	for i, off := 0, hdr; off < len(body); i++ {
 		_, key, val, next, _ := partRow(body, off)
 		off = next
-		// Build copies the key into its slot and New the value, so neither
-		// outlives the mapped file.
-		items[i] = btree.Item{Key: key, Rec: record.New(rowWord, val)}
+		staged[i] = row{key, val}
 	}
-	p.release = release
-	return p, nil
+	return runs, unmap, nil
+}
+
+// checkpointSet is a verified, staged checkpoint set: each table's rows as
+// ascending runs, one per part that holds any. The rows alias the mapped
+// part files until release. The zero value is no checkpoint.
+type checkpointSet struct {
+	epoch    uint64
+	rows     int
+	runs     [][][]row // by table id
+	releases []func()
+}
+
+func (c *checkpointSet) release() {
+	for _, release := range c.releases {
+		if release != nil {
+			release()
+		}
+	}
 }
 
 // foundCheckpoint is one checkpoint candidate in a durability directory: a
@@ -686,85 +695,78 @@ func findCheckpoints(fs vfs.FS, dir string) ([]foundCheckpoint, error) {
 	return found, nil
 }
 
-// loadPartitioned verifies and installs one partitioned checkpoint set,
-// staging part files with up to workers goroutines, then building the
-// tables' trees, as many at a time, from their runs. Integrity failures —
+// loadPartitioned verifies and stages one partitioned checkpoint set,
+// staging part files with up to workers goroutines. Integrity failures —
 // the ordering rule across parts included — return errTorn (callers fall
-// back to an older set); schema mismatches are hard errors. Either way no
-// row is installed, as no tree is built before every part has verified.
-// With a schema applier, the manifest's embedded catalog rows are applied
-// first — materializing the checkpointed schema — before the table catalog
-// is checked and any part is loaded.
-func loadPartitioned(fs vfs.FS, store *core.Store, ckptDir string, workers int, schema SchemaApplier) (epoch uint64, rows int, err error) {
+// back to an older set); schema mismatches are hard errors. Either way
+// nothing stays staged. With a schema applier, the manifest's embedded catalog
+// rows are applied first — materializing the checkpointed schema — before
+// the table catalog is checked and any part is loaded.
+func loadPartitioned(fs vfs.FS, store *core.Store, ckptDir string, workers int, schema SchemaApplier) (ck checkpointSet, err error) {
 	m, err := readManifest(fs, filepath.Join(ckptDir, manifestName))
 	if err != nil {
-		return 0, 0, err
+		return ck, err
 	}
 	if schema != nil {
 		for i := range m.schema {
 			if err := schema.ApplyCatalogRow(m.schema[i].key, m.schema[i].val); err != nil {
-				return 0, 0, fmt.Errorf("recovery: %s schema section: %w", ckptDir, err)
+				return ck, fmt.Errorf("recovery: %s schema section: %w", ckptDir, err)
 			}
 		}
 	}
 	if err := checkSchema(store, ckptDir, m.tables, schema != nil); err != nil {
-		return 0, 0, err
+		return ck, err
 	}
-	if workers <= 0 {
-		workers = 1
-	}
-	parts := make([]stagedPart, m.parts)
+	parts := make([][]tableRun, m.parts)
+	ck.releases = make([]func(), m.parts)
 	errs := make([]error, m.parts)
 	each(m.parts, workers, func(k int) {
-		parts[k], errs[k] = stagePart(fs, store, filepath.Join(ckptDir, fmt.Sprintf("part.%d", k)), m.epoch)
+		parts[k], ck.releases[k], errs[k] = stagePart(fs, store, filepath.Join(ckptDir, fmt.Sprintf("part.%d", k)), m.epoch)
 	})
 	defer func() {
-		for _, p := range parts {
-			if p.release != nil {
-				p.release()
-			}
+		if err != nil {
+			ck.release()
 		}
 	}()
 	for _, err := range errs {
 		if err != nil {
-			return m.epoch, 0, err
+			return ck, err
 		}
 	}
-	tables := store.Tables()
-	runs := make([][][]btree.Item, len(tables))
+	ck.runs = make([][][]row, len(store.Tables()))
 	for k, p := range parts {
-		for _, r := range p.runs {
-			if prior := runs[r.table]; len(prior) > 0 {
-				if last := prior[len(prior)-1]; bytes.Compare(last[len(last)-1].Key, r.items[0].Key) >= 0 {
-					return m.epoch, 0, fmt.Errorf("%w: %s: part.%d's rows of table id %d do not ascend from the part before", errTorn, ckptDir, k, r.table)
+		for _, r := range p {
+			if prior := ck.runs[r.table]; len(prior) > 0 {
+				if last := prior[len(prior)-1]; bytes.Compare(last[len(last)-1].key, r.rows[0].key) >= 0 {
+					return ck, fmt.Errorf("%w: %s: part.%d's rows of table id %d do not ascend from the part before", errTorn, ckptDir, k, r.table)
 				}
 			}
-			runs[r.table] = append(runs[r.table], r.items)
-			rows += len(r.items)
+			ck.runs[r.table] = append(ck.runs[r.table], r.rows)
+			ck.rows += len(r.rows)
 		}
 	}
-	each(len(tables), workers, func(i int) { tables[i].Tree.Build(runs[i]...) })
-	return m.epoch, rows, nil
+	ck.epoch = m.epoch
+	return ck, nil
 }
 
-// loadNewestCheckpoint installs the newest complete checkpoint in dir,
-// falling back past torn or corrupt sets. It returns CE 0 when no usable
-// checkpoint exists. Schema mismatches abort immediately.
-func loadNewestCheckpoint(fs vfs.FS, store *core.Store, dir string, workers int, schema SchemaApplier) (epoch uint64, rows int, err error) {
+// loadNewestCheckpoint stages the newest complete checkpoint in dir,
+// falling back past torn or corrupt sets. It returns the zero set when no
+// usable checkpoint exists. Schema mismatches abort immediately.
+func loadNewestCheckpoint(fs vfs.FS, store *core.Store, dir string, workers int, schema SchemaApplier) (checkpointSet, error) {
 	found, err := findCheckpoints(fs, dir)
 	if err != nil {
-		return 0, 0, err
+		return checkpointSet{}, err
 	}
 	for i := len(found) - 1; i >= 0; i-- {
-		e, r, err := loadPartitioned(fs, store, found[i].path, workers, schema)
+		ck, err := loadPartitioned(fs, store, found[i].path, workers, schema)
 		if err == nil {
-			return e, r, nil
+			return ck, nil
 		}
 		if !errors.Is(err, errTorn) {
-			return 0, 0, err // schema mismatch or other hard failure
+			return checkpointSet{}, err // schema mismatch or other hard failure
 		}
 	}
-	return 0, 0, nil
+	return checkpointSet{}, nil
 }
 
 // PruneCheckpoints removes all checkpoint sets in dir except the keep

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"silo/internal/core"
+	"silo/internal/obs"
 	"silo/internal/vfs"
 	"silo/internal/wal"
 )
@@ -50,6 +52,13 @@ func ckptStore(t *testing.T, n int) (*core.Store, *core.Table) {
 		s.AdvanceEpoch()
 	}
 	return s, tbl
+}
+
+// loadCheckpoint recovers a directory that holds checkpoints and no log,
+// returning the epoch and row count of the set it loaded.
+func loadCheckpoint(s *core.Store, dir string, workers int) (ce uint64, rows int, err error) {
+	res, err := Recover(s, dir, Options{Workers: workers})
+	return res.CheckpointEpoch, res.CheckpointRows, err
 }
 
 // dump captures a table's logical contents.
@@ -132,7 +141,7 @@ func TestPartitionedCheckpointRoundTrip(t *testing.T) {
 			}
 
 			s2 := manualStore(t, names...)
-			ce, rows, err := loadNewestCheckpoint(vfs.OS, s2, dir, 4, nil)
+			ce, rows, err := loadCheckpoint(s2, dir, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +213,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	s2 := core.NewStore(core.DefaultOptions(1))
 	defer s2.Close()
 	s2.CreateTable("t")
-	ce, rows, err := loadNewestCheckpoint(vfs.OS, s2, dir, 4, nil)
+	ce, rows, err := loadCheckpoint(s2, dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +235,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	s3 := core.NewStore(core.DefaultOptions(1))
 	defer s3.Close()
 	s3.CreateTable("t")
-	if ce, _, err := loadNewestCheckpoint(vfs.OS, s3, dir, 4, nil); err != nil || ce != first.Epoch {
+	if ce, _, err := loadCheckpoint(s3, dir, 4); err != nil || ce != first.Epoch {
 		t.Fatalf("corrupt-part fallback: ce=%d err=%v", ce, err)
 	}
 }
@@ -242,7 +251,7 @@ func TestCheckpointSchemaMismatch(t *testing.T) {
 	s2 := core.NewStore(core.DefaultOptions(1))
 	defer s2.Close()
 	s2.CreateTable("wrong")
-	_, _, err := loadNewestCheckpoint(vfs.OS, s2, dir, 2, nil)
+	_, _, err := loadCheckpoint(s2, dir, 2)
 	if err == nil {
 		t.Fatal("schema mismatch not detected")
 	}
@@ -255,7 +264,7 @@ func TestCheckpointSchemaMismatch(t *testing.T) {
 	// Missing table entirely: hard error, not silent fallback.
 	s3 := core.NewStore(core.DefaultOptions(1))
 	defer s3.Close()
-	if _, _, err := loadNewestCheckpoint(vfs.OS, s3, dir, 2, nil); err == nil {
+	if _, _, err := loadCheckpoint(s3, dir, 2); err == nil {
 		t.Fatal("missing table not detected")
 	}
 }
@@ -369,6 +378,27 @@ func (f failSyncDirFS) SyncDir(dir string) error {
 	return f.FS.SyncDir(dir)
 }
 
+// TestDaemonCountsFailedTicks: a tick whose checkpoint fails shows in
+// silo_ckpt_failed_total, beside the error DaemonStats.LastErr keeps, and
+// not as a completed checkpoint.
+func TestDaemonCountsFailedTicks(t *testing.T) {
+	s, _ := ckptStore(t, 50)
+	dir := t.TempDir()
+	fs := failSyncDirFS{FS: vfs.OS, fail: func(string) bool { return true }}
+	d := NewDaemon(s, nil, DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2, FS: fs})
+	if err := d.RunOnce(); !errors.Is(err, errSyncDir) {
+		t.Fatalf("RunOnce: %v, want the directory sync failure", err)
+	}
+	var snap obs.Snapshot
+	d.CollectObs(&snap)
+	if m := snap.Get("silo_ckpt_failed_total", ""); m == nil || m.Value != 1 {
+		t.Fatalf("silo_ckpt_failed_total = %+v after one failed tick, want 1", m)
+	}
+	if got := snap.Value("silo_ckpt_completed_total", ""); got != 0 {
+		t.Fatalf("silo_ckpt_completed_total = %d after a failed tick, want 0", got)
+	}
+}
+
 // TestCheckpointFailsWhenDirSyncFails: a checkpoint set whose directory, or
 // whose entry in the durability directory, was not made durable is not a
 // checkpoint the log may be truncated against. Both syncs are part of the
@@ -442,7 +472,7 @@ func TestPartBoundsCoverDisjoint(t *testing.T) {
 				in := 0
 				for k := 0; k < n; k++ {
 					lo, hi, ok := partRange(splits, k)
-					if ok && cmp(key, lo) >= 0 && (hi == nil || cmp(key, hi) < 0) {
+					if ok && bytes.Compare(key, lo) >= 0 && (hi == nil || bytes.Compare(key, hi) < 0) {
 						in++
 					}
 				}
@@ -452,18 +482,6 @@ func TestPartBoundsCoverDisjoint(t *testing.T) {
 			}
 		}
 	}
-}
-
-func cmp(a, b []byte) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return len(a) - len(b)
 }
 
 // drainEpochs lets the time-based tests run with real epochs instead of

@@ -45,9 +45,11 @@ type DaemonStats struct {
 	// TruncatedSegments counts log segments deleted because a checkpoint
 	// covered them.
 	TruncatedSegments int
-	// LastErr is the most recent failure (nil when healthy). A failed
-	// tick never damages durability: the previous complete checkpoint set
-	// and the full log remain.
+	// Failed counts ticks that returned an error, and LastErr is the most
+	// recent one (nil when healthy). A failed tick never damages
+	// durability: the previous complete checkpoint set and the full log
+	// remain.
+	Failed  int
 	LastErr error
 }
 
@@ -145,6 +147,7 @@ func (d *Daemon) RunOnce() error {
 	res, err := WriteCheckpoint(d.opts.FS, d.store, d.store.Maintenance(), d.opts.Dir, d.opts.Partitions, d.opts.Catalog)
 	if err != nil {
 		d.mu.Lock()
+		d.stats.Failed++
 		d.stats.LastErr = err
 		d.mu.Unlock()
 		return err
@@ -177,6 +180,9 @@ func (d *Daemon) RunOnce() error {
 	d.stats.LastRows = res.Rows
 	d.stats.LastElapsed = res.Elapsed
 	d.stats.TruncatedSegments += truncated
+	if err != nil {
+		d.stats.Failed++
+	}
 	d.stats.LastErr = err
 	d.mu.Unlock()
 	return err

@@ -236,16 +236,17 @@ const (
 )
 
 // FuzzCheckpointSet fuzzes the checkpoint decoders, readManifest and
-// stagePart, through loadPartitioned. An input is the three files of a
-// two-part set; unless flags says otherwise the harness recomputes each
-// file's CRC footer, so mutations reach the table, schema and row parsers
-// instead of dying at the checksum. For any input the decoders must not
-// panic or read out of bounds, must accept exactly the sets the plain
-// reading of the format (refManifest, refPart, refAscendsAcrossParts)
-// accepts — ordering rule included, and telling a torn set, which recovery
-// falls back from, from a schema mismatch, which it must not — must feed
-// the applier exactly the manifest's schema rows, and must install all the
-// rows of an accepted set and none of a rejected one.
+// stagePart, through loadPartitioned and the build of what it staged. An
+// input is the three files of a two-part set; unless flags says otherwise
+// the harness recomputes each file's CRC footer, so mutations reach the
+// table, schema and row parsers instead of dying at the checksum. For any
+// input the decoders must not panic or read out of bounds, must accept
+// exactly the sets the plain reading of the format (refManifest, refPart,
+// refAscendsAcrossParts) accepts — ordering rule included, and telling a
+// torn set, which recovery falls back from, from a schema mismatch, which
+// it must not — must feed the applier exactly the manifest's schema rows,
+// and must install all the rows of an accepted set and none of a rejected
+// one.
 func FuzzCheckpointSet(f *testing.F) {
 	manifest, part0, part1 := realSet(f)
 	f.Add(manifest, part0, part1, uint8(0))
@@ -340,7 +341,12 @@ func FuzzCheckpointSet(f *testing.F) {
 		if !strict {
 			applier = &fed
 		}
-		epoch, rows, err := loadPartitioned(fs, s, "ck", 2, applier)
+		ck, err := loadPartitioned(fs, s, "ck", 2, applier)
+		if err == nil {
+			build(s, &ck, nil, 2, &Result{})
+			ck.release()
+		}
+		epoch, rows := ck.epoch, ck.rows
 		got := accepted
 		switch {
 		case errors.Is(err, errTorn):

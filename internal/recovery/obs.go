@@ -17,8 +17,8 @@ type daemonObs struct {
 }
 
 // CollectObs appends the checkpoint daemon's metric families to snap:
-// completed/skipped tick counts, covered-segment truncations, the newest
-// set's epoch and row count, and duration/size histograms across
+// completed/skipped/failed tick counts, covered-segment truncations, the
+// newest set's epoch and row count, and duration/size histograms across
 // completed checkpoints.
 func (d *Daemon) CollectObs(snap *obs.Snapshot) {
 	d.mu.Lock()
@@ -26,6 +26,7 @@ func (d *Daemon) CollectObs(snap *obs.Snapshot) {
 	d.mu.Unlock()
 	snap.Counter("silo_ckpt_completed_total", "", "", uint64(st.Checkpoints))
 	snap.Counter("silo_ckpt_skipped_total", "", "", uint64(st.Skipped))
+	snap.Counter("silo_ckpt_failed_total", "", "", uint64(st.Failed))
 	snap.Counter("silo_ckpt_truncated_segments_total", "", "", uint64(st.TruncatedSegments))
 	snap.Gauge("silo_ckpt_last_epoch", "", "", st.LastEpoch)
 	snap.Gauge("silo_ckpt_last_rows", "", "", uint64(st.LastRows))

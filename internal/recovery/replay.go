@@ -2,13 +2,17 @@ package recovery
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"silo/internal/btree"
 	"silo/internal/core"
+	"silo/internal/record"
 	"silo/internal/tid"
 	"silo/internal/vfs"
 	"silo/internal/wal"
@@ -17,9 +21,9 @@ import (
 // SchemaApplier reconstructs a store's schema from replayed DDL-catalog
 // rows (internal/catalog implements it). Recovery feeds it the checkpoint
 // manifest's schema section first, then the catalog-table entries found in
-// the log (CE ≤ epoch ≤ D), in sequence-key order, all before any data row
-// is installed — so every table and index exists, at its original id, by
-// the time the first logged data entry is installed. The applier must
+// the log (CE ≤ epoch ≤ D), in sequence-key order, all before any tree is
+// built — so every table and index exists, at its original id, by the time
+// the rows are laid into them. The applier must
 // tolerate overlap: when a set is abandoned for an older one after its
 // manifest was applied, the same rows reappear in the log and must be
 // skipped by sequence number.
@@ -59,7 +63,7 @@ type Result struct {
 	// CheckpointEpoch is the snapshot epoch CE of the loaded checkpoint
 	// (0 when recovery ran from logs alone).
 	CheckpointEpoch uint64
-	// CheckpointRows is the number of rows installed from the checkpoint.
+	// CheckpointRows is the number of rows the loaded checkpoint holds.
 	CheckpointRows int
 	// TxnsBelowCheckpoint counts logged transactions skipped because the
 	// loaded checkpoint already covers their epochs (epoch < CE).
@@ -73,20 +77,21 @@ type Result struct {
 
 	// EntriesSuperseded counts log entries that were decoded, in range
 	// (CE ≤ epoch ≤ D), and lost to a newer TID for the same key — in the
-	// log or, rarely, already in the store. EntriesApplied (in the embedded
-	// RecoveryResult) counts the distinct (table, key) installs that
-	// changed the store, so superseded / (applied + superseded) is the
+	// log or, rarely, in the checkpoint. EntriesApplied (in the embedded
+	// RecoveryResult) counts the distinct (table, key) winners that changed
+	// the checkpoint's image, so superseded / (applied + superseded) is the
 	// log's rewrite ratio: the share of replay work that coalescing
 	// removes. DeletesDropped counts the remaining case, a key whose newest
-	// logged version is a delete and which the store does not hold: nothing
-	// is installed for it. The three sum to the in-range entries decoded.
+	// logged version is a delete and which the checkpoint does not hold.
+	// The three sum to the in-range entries decoded.
 	EntriesSuperseded int
 	DeletesDropped    int
 
 	// CheckpointLoad, LogRead, and LogApply are the wall-clock durations
-	// of the three stages: installing the checkpoint image; pass 1 of
+	// of the three stages: verifying and staging the checkpoint; pass 1 of
 	// replay (reading the segments and verifying their frames, which
-	// yields D); and pass 2 (decoding, coalescing and installing entries).
+	// yields D); and pass 2 (decoding and coalescing entries, then building
+	// every table from them and the checkpoint's rows).
 	CheckpointLoad time.Duration
 	LogRead        time.Duration
 	LogApply       time.Duration
@@ -100,18 +105,10 @@ type Result struct {
 	IndexesRolledBack    []string
 }
 
-// missingTableErr names the table id a log record references that the
-// store does not have.
-func missingTableErr(store *core.Store, id uint32) error {
-	return fmt.Errorf("recovery: log references table id %d, but the store has only %d tables",
-		id, len(store.Tables()))
-}
-
 // Recover restores a store from the newest complete checkpoint in dir (if
-// any) plus the log segments in dir: checkpoint rows first (part files
-// loaded in parallel), then, of the log transactions with CE ≤ epoch ≤ D,
-// the newest version of every record they wrote (see replay). The store
-// must otherwise be empty and, without Options.Schema, must already hold
+// any) plus the log segments in dir: per record, the newest of its
+// checkpoint row and its versions logged with CE ≤ epoch ≤ D (see replay).
+// The store must otherwise be empty and, without Options.Schema, must already hold
 // the schema's tables in their original order; a log or checkpoint
 // referencing a table the store lacks fails with an error naming its id.
 // A directory with no log (empty, or not there yet) recovers to D = 0.
@@ -125,18 +122,17 @@ func Recover(store *core.Store, dir string, opts Options) (Result, error) {
 	opts.FS = vfs.DefaultFS(opts.FS)
 
 	t0 := time.Now()
-	ce, rows, err := loadNewestCheckpoint(opts.FS, store, dir, opts.Workers, opts.Schema)
+	ck, err := loadNewestCheckpoint(opts.FS, store, dir, opts.Workers, opts.Schema)
 	if err != nil {
 		return res, err
 	}
-	res.CheckpointEpoch = ce
-	res.CheckpointRows = rows
+	defer ck.release()
+	res.CheckpointEpoch = ck.epoch
+	res.CheckpointRows = ck.rows
 	res.CheckpointLoad = time.Since(t0)
 
-	if err := replay(store, dir, &opts, ce, &res); err != nil {
-		return res, err
-	}
-	return res, nil
+	err = replay(store, dir, &opts, &ck, &res)
+	return res, err
 }
 
 // each runs fn(0) … fn(n−1) on their own goroutines, at most workers at a
@@ -159,9 +155,9 @@ func each(n, workers int, fn func(i int)) {
 // item is one in-range log entry on its way to the applier that owns its
 // key, and then that key's newest version in the applier's table. key and
 // value alias the mapped segment (or an inflated frame), which replay
-// releases only after install has copied the winners into the store.
+// releases only after the trees are built.
 type item struct {
-	hash  uint64
+	hash  uint64 // entryHash; once absorbed, the index of build's span
 	tid   uint64
 	key   []byte
 	value []byte
@@ -178,20 +174,21 @@ const applyBatch = 256
 // transactions in place (wal.Segment.Walk: no TxnRecord, no copy), drops
 // those outside CE ≤ epoch ≤ D, and routes the rest by hash(table, key)
 // straight to the applier owning that hash. An applier keeps only the
-// newest TID per key; once every segment is decoded — and the schema
-// pre-pass has run — it installs each key's winner with one tree operation
-// (wal.ApplyFinal). The paper's recovery rule (§4.10) is what makes this
-// sound: the recovered state is, per record, the version with the largest
-// TID ≤ D, so versions that lose the comparison need never reach the tree.
-func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, res *Result) error {
+// newest TID per key. Once every segment is decoded and the schema pre-pass
+// has run, every table is built once from its checkpoint rows and the
+// appliers' winners (build). The paper's recovery rule (§4.10) is what
+// makes this sound: the recovered state is, per record, the version with
+// the largest TID ≤ D, so versions that lose the comparison need never
+// reach the tree, and the order the rest reach it in is free.
+func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, res *Result) error {
 	infos, err := wal.ListLogFiles(opts.FS, logDir)
 	if err != nil {
 		return err
 	}
 	res.LogFiles = len(infos)
 
-	// Pass 1. The segments stay mapped until their winners are installed:
-	// the items routed in pass 2 alias them.
+	// Pass 1. The segments stay mapped until the trees are built: the items
+	// routed in pass 2 alias them.
 	t0 := time.Now()
 	segs := make([]wal.Segment, len(infos))
 	releases := make([]func(), len(infos))
@@ -251,7 +248,7 @@ func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, re
 	routers := make([]router, len(infos))
 	each(len(infos), opts.Workers, func(i int) {
 		r := &routers[i]
-		*r = router{d: d, minEpoch: minEpoch, wantSchema: opts.Schema != nil,
+		*r = router{d: d, minEpoch: ck.epoch, wantSchema: opts.Schema != nil,
 			appliers: appliers, free: free, batches: make([][]item, len(appliers))}
 		segs[i].Walk(r)
 		r.flush()
@@ -262,6 +259,7 @@ func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, re
 	absorb.Wait()
 
 	var schema []schemaRow
+	var tables uint32 // one more than the largest table id an entry names
 	for i := range routers {
 		r := &routers[i]
 		if r.err != nil {
@@ -271,11 +269,12 @@ func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, re
 		res.TxnsSkipped += r.skipped
 		res.TxnsBelowCheckpoint += r.below
 		schema = append(schema, r.schema...)
+		tables = max(tables, r.tables)
 	}
 
 	// Schema pre-pass: apply the log's DDL-catalog entries (in sequence-
 	// key order, which is commit order — DDL appends are serialized) so
-	// every table a data entry references exists before the first install.
+	// every table a data entry references exists before the build.
 	// Entries beyond D were dropped like any other; entries the checkpoint
 	// manifest already applied are deduplicated by the applier.
 	sort.Slice(schema, func(i, j int) bool { return bytes.Compare(schema[i].key, schema[j].key) < 0 })
@@ -285,26 +284,139 @@ func replay(store *core.Store, logDir string, opts *Options, minEpoch uint64, re
 		}
 	}
 
-	// Install the winners.
-	tables := store.Tables()
-	var install sync.WaitGroup
-	for _, a := range appliers {
-		install.Add(1)
-		go func() {
-			defer install.Done()
-			a.install(store, tables)
-		}()
+	if have := len(store.Tables()); int(tables) > have {
+		return fmt.Errorf("recovery: log references table id %d, but the store has only %d tables", tables-1, have)
 	}
-	install.Wait()
-	for _, a := range appliers {
-		if a.err != nil {
-			return a.err
-		}
-		res.EntriesApplied += a.applied
-		res.EntriesSuperseded += a.superseded
-		res.DeletesDropped += a.dropped
-	}
+	build(store, ck, appliers, opts.Workers, res)
 	return nil
+}
+
+// span is one key range of one table on its way into the tree: the
+// checkpoint run that starts it (if any) and the log's winners in it.
+type span struct {
+	run                          []row
+	wins                         []winner
+	applied, superseded, dropped int
+}
+
+// winner is an absorbed item as build sorts it. prefix is the key's first
+// eight bytes, big-endian and zero-padded: keys order as their prefixes
+// do where those differ, so most comparisons read no key.
+type winner struct {
+	prefix uint64
+	*item
+}
+
+// build builds every table once, with btree.Tree.Build. A table's key
+// space is cut into spans at the first keys of its checkpoint runs. The
+// winners are dealt to their spans (counted first, so no array regrows),
+// and each span is sorted and merged with its run, spans in parallel.
+func build(store *core.Store, ck *checkpointSet, appliers []*applier, workers int, res *Result) {
+	tables := store.Tables()
+	runs := make([][][]row, len(tables)) // one empty run for a table the set lacks
+	first := make([]int, len(tables)+1)  // table t's spans are first[t] … first[t+1]−1
+	var spans []span
+	for t := range tables {
+		runs[t] = [][]row{nil}
+		if t < len(ck.runs) && len(ck.runs[t]) > 0 {
+			runs[t] = ck.runs[t]
+		}
+		for _, run := range runs[t] {
+			spans = append(spans, span{run: run})
+		}
+		first[t+1] = len(spans)
+	}
+	// A winner's span, the last whose run starts at or below its key (else
+	// the table's first), goes in its hash, appliers in parallel; then the
+	// winners are counted into their spans and dealt.
+	each(len(appliers), workers, func(a int) {
+		for i := 0; i < appliers[a].n; i++ {
+			w := appliers[a].win(i)
+			r := runs[w.table]
+			w.hash = uint64(first[w.table] + sort.Search(len(r)-1, func(k int) bool {
+				return bytes.Compare(r[k+1][0].key, w.key) > 0
+			}))
+		}
+	})
+	count := make([]int, len(spans))
+	for _, a := range appliers {
+		for i := 0; i < a.n; i++ {
+			count[a.win(i).hash]++
+		}
+		res.EntriesSuperseded += a.superseded
+	}
+	for s := range spans {
+		spans[s].wins = make([]winner, 0, count[s])
+	}
+	for _, a := range appliers {
+		for i := 0; i < a.n; i++ {
+			w := a.win(i)
+			spans[w.hash].wins = append(spans[w.hash].wins, winner{item: w})
+		}
+	}
+
+	// The rows of the checkpoint recover at the last TID of epoch CE−1: it
+	// holds exactly the versions of epoch < CE, so a logged write of epoch
+	// ≥ CE must win the comparison and one of epoch < CE must lose.
+	word := tid.Make(max(ck.epoch, 1)-1, tid.MaxSeq).WithLatest(true)
+	items := make([][]btree.Item, len(spans))
+	each(len(spans), workers, func(s int) { items[s] = spans[s].merge(word) })
+	for _, sp := range spans {
+		res.EntriesApplied += sp.applied
+		res.EntriesSuperseded += sp.superseded
+		res.DeletesDropped += sp.dropped
+	}
+	each(len(tables), workers, func(t int) { tables[t].Tree.Build(items[first[t]:first[t+1]]...) })
+}
+
+// merge sorts the span's winners and merges them with its run, in key
+// order. Where both hold a key the larger TID wins, and a winning delete
+// leaves no row. A record is made only for a row that survives.
+func (sp *span) merge(rowWord tid.Word) []btree.Item {
+	for i := range sp.wins {
+		var b [8]byte
+		copy(b[:], sp.wins[i].key)
+		sp.wins[i].prefix = binary.BigEndian.Uint64(b[:])
+	}
+	slices.SortFunc(sp.wins, func(a, b winner) int {
+		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.key, b.key)
+	})
+	out := make([]btree.Item, 0, len(sp.run)+len(sp.wins))
+	run, wins := sp.run, sp.wins
+	for len(run) > 0 || len(wins) > 0 {
+		c := -1 // run[0] against wins[0]
+		if len(run) == 0 {
+			c = 1
+		} else if len(wins) > 0 {
+			c = bytes.Compare(run[0].key, wins[0].key)
+		}
+		if c < 0 || c == 0 && wins[0].tid <= rowWord.TID() {
+			if c == 0 {
+				sp.superseded++
+				wins = wins[1:]
+			}
+			out = append(out, btree.Item{Key: run[0].key, Rec: record.New(rowWord, run[0].val)})
+			run = run[1:]
+			continue
+		}
+		w, key := wins[0], wins[0].key
+		wins = wins[1:]
+		switch {
+		case c == 0:
+			key, run = run[0].key, run[1:] // the same bytes, read in order by Build
+		case w.del:
+			sp.dropped++ // nothing to delete
+			continue
+		}
+		sp.applied++
+		if !w.del {
+			out = append(out, btree.Item{Key: key, Rec: record.New(tid.Word(w.tid).WithLatest(true), w.value)})
+		}
+	}
+	return out
 }
 
 // queuedBatches is the depth of an applier's input queue: enough that a
@@ -327,6 +439,7 @@ type router struct {
 	applied int
 	skipped int
 	below   int
+	tables  uint32 // one more than the largest table id routed
 	schema  []schemaRow
 	err     error
 }
@@ -362,6 +475,7 @@ func (r *router) Entry(table uint32, key, value []byte, del bool) {
 		}
 		return
 	}
+	r.tables = max(r.tables, table+1)
 	h := entryHash(table, key)
 	k := int(h % uint64(len(r.appliers)))
 	b := r.batches[k]
@@ -391,24 +505,20 @@ func (r *router) flush() {
 }
 
 // applier owns the keys whose hash routes to it. While segments are being
-// decoded it keeps, per key, the entry with the largest TID (absorb); then
-// it installs those winners (install). The winners are append-only, so
-// they are installed in the order their keys first appeared in the log —
-// for a loaded table, the order the rows were inserted in — and they are
+// decoded it keeps, per key, the entry with the largest TID (absorb); build
+// then merges those winners into the trees. The winners are append-only and
 // kept in fixed chunks, so that growing never copies or zeroes what is
-// already there. index is an open-addressing table over the winners: a
-// slot holds a winner's position plus one, tagged with the hash's high half
-// so that most mismatches are rejected without touching the winner.
+// already there, and build can point at them where they are. index is an
+// open-addressing table over the winners: a slot holds a winner's position
+// plus one, tagged with the hash's high half so that most mismatches are
+// rejected without touching the winner.
 type applier struct {
 	in    chan []item
 	wins  [][]item // winner i is wins[i/winChunk][i%winChunk]
 	n     int      // winners
 	index []uint64
 
-	superseded int // decoded in range, lost to a newer TID (here or in the store)
-	applied    int // winners that changed the store
-	dropped    int // delete winners with no row to delete
-	err        error
+	superseded int // decoded in range, lost to a newer TID in the log
 }
 
 // winChunk is the number of winners per chunk (72 KiB of items).
@@ -465,24 +575,6 @@ func (a *applier) grow() {
 			p = (p + 1) & mask
 		}
 		a.index[p] = h&^0xffffffff | uint64(i+1)
-	}
-}
-
-func (a *applier) install(store *core.Store, tables []*core.Table) {
-	for i := 0; i < a.n; i++ {
-		w := a.win(i)
-		if int(w.table) >= len(tables) {
-			a.err = missingTableErr(store, w.table)
-			return
-		}
-		switch wal.ApplyFinal(tables[w.table], w.tid, w.key, w.value, w.del) {
-		case wal.Applied:
-			a.applied++
-		case wal.Superseded:
-			a.superseded++
-		case wal.Dropped:
-			a.dropped++
-		}
 	}
 }
 

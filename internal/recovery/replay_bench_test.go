@@ -10,15 +10,14 @@ import (
 	"testing"
 
 	"silo/internal/core"
-	"silo/internal/vfs"
 	"silo/internal/wal"
 )
 
 // replayShape is one log shape BenchmarkReplay recovers. What separates the
 // shapes is the rewrite ratio — the share of logged entries that a newer
 // entry for the same key supersedes — because that is the property the
-// coalescing replay exploits: it decodes every entry but touches the tree
-// once per distinct key.
+// coalescing replay exploits: it decodes every entry but builds one row per
+// distinct key.
 type replayShape struct {
 	name string
 	// rows are checkpointed before the log starts; txns two-write
@@ -138,10 +137,11 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 // silo_recovery_replay_bytes_per_sec) it reports two counts, which repeat
 // and are what CI gates: allocs/entry — heap allocations per decoded log
 // entry — under 1 on rewrite, where most entries never reach the tree, and
-// at most 4 on insert-only, where each entry costs its record, its value
-// buffer and an amortized share of a leaf; and
+// about 2 on insert-only, where each entry costs its record and its value
+// buffer (the leaves Build packs them into are one allocation); and
 // heapB/logB — heap bytes allocated per log byte, checkpoint load included —
-// to which a segment read into the heap instead of mapped would add 1. Run
+// to which a segment read into the heap instead of mapped would add 1.
+// gcs/op, the garbage collections per Recover, is reported, not gated. Run
 // with
 //
 //	go test -bench 'Replay$' -benchtime 5x -benchmem ./internal/recovery
@@ -172,6 +172,7 @@ func BenchmarkReplay(b *testing.B) {
 				entries := float64(2 * sh.txns * b.N)
 				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/entries, "allocs/entry")
 				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(res.LogBytes*int64(b.N)), "heapB/logB")
+				b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 				b.ReportMetric(float64(sh.txns*b.N)/b.Elapsed().Seconds(), "txns/s")
 				b.ReportMetric(float64(res.LogBytes)*float64(b.N)/(1e6*b.Elapsed().Seconds()), "MB/s")
 			})
@@ -225,12 +226,13 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointLoad prices loading a four-part checkpoint of 100 000
-// ids with 100-byte values into a fresh store, by worker count. It reports
-// allocs/row and B/row, heap allocations and bytes per loaded row, which CI
-// gates: a row costs its record and its value buffer, plus its share of the
-// staged items and the packed leaves — the part files themselves are
-// mapped, not read into the heap. Run with
+// BenchmarkCheckpointLoad prices recovering a directory that holds a
+// four-part checkpoint of 100 000 ids with 100-byte values and no log into
+// a fresh store, by worker count. It reports allocs/row and B/row, heap
+// allocations and bytes per loaded row, which CI gates: a row costs its
+// record and its value buffer, plus its share of the staged rows, of the
+// items Build takes and of the packed leaves — the part files themselves
+// are mapped, not read into the heap. Run with
 //
 //	go test -bench 'CheckpointLoad$' -benchtime 5x -benchmem ./internal/recovery
 func BenchmarkCheckpointLoad(b *testing.B) {
@@ -248,8 +250,8 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := core.NewStore(core.DefaultOptions(1))
 				s.CreateTable("t")
-				if _, rows, err := loadNewestCheckpoint(vfs.OS, s, dir, workers, nil); err != nil || rows != n {
-					b.Fatalf("loaded %d rows (%v), want %d", rows, err, n)
+				if res, err := Recover(s, dir, Options{Workers: workers}); err != nil || res.CheckpointRows != n || s.Tables()[0].Tree.Len() != n {
+					b.Fatalf("loaded %d rows (%v), want %d", res.CheckpointRows, err, n)
 				}
 				s.Close()
 			}

@@ -657,6 +657,83 @@ func TestReplayLeavesNoTombstones(t *testing.T) {
 	}
 }
 
+// TestRecoveredTreesArePacked checks that recovery builds every table in
+// one piece: whatever order the log holds its keys in, and however a
+// checkpoint's rows and the log's winners interleave, the recovered tree
+// has packed leaves — every one full when the row count is a multiple of
+// the fanout — and passes its invariant check. Inserting the log's winners
+// one by one into split leaves left a log-only tree about 0.69 full.
+func TestRecoveredTreesArePacked(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	logOnly := t.TempDir()
+	{
+		const n = 4096
+		var logs [2][]logTxn
+		for i, k := range rng.Perm(n) {
+			logs[i%2] = append(logs[i%2], logTxn{tid: tidAt(1, uint64(i+1)),
+				entries: []wal.Entry{put(0, binKey(k), []byte("v"))}})
+		}
+		for l, txns := range logs {
+			writeSegment(t, logOnly, l, 0, appendDurableFrame(appendBufferFrame(nil, txns, 'B'), 1))
+		}
+	}
+
+	// 1 000 checkpointed rows; the log deletes 200 of them, overwrites 100
+	// and inserts 400 new keys between and after them: 1 200 rows.
+	mixed := t.TempDir()
+	src := manualStore(t, "t")
+	for i := 0; i < 1000; i++ {
+		if err := src.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(src.Tables()[0], binKey(4*i), []byte("ckpt")) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		src.AdvanceEpoch()
+	}
+	ck, err := WriteCheckpoint(nil, src, src.Maintenance(), mixed, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var es []wal.Entry
+	for i := 0; i < 200; i++ {
+		es = append(es, del(0, binKey(8*i)))
+	}
+	for i := 0; i < 100; i++ {
+		es = append(es, put(0, binKey(8*i+4), []byte("log")))
+	}
+	for i := 0; i < 400; i++ {
+		es = append(es, put(0, binKey(2*i+1+3000*(i%2)), []byte("log")))
+	}
+	rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+	var txns []logTxn
+	for i, e := range es {
+		txns = append(txns, logTxn{tid: tidAt(ck.Epoch, uint64(i+1)), entries: []wal.Entry{e}})
+	}
+	writeSegment(t, mixed, 0, 0, appendDurableFrame(appendBufferFrame(nil, txns, 'B'), ck.Epoch))
+
+	for _, c := range []struct {
+		name string
+		dir  string
+		rows int
+	}{{"log-only", logOnly, 4096}, {"checkpoint+log", mixed, 1200}} {
+		for _, workers := range []int{1, 2, 4} {
+			s := manualStore(t, "t")
+			if _, err := Recover(s, c.dir, Options{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			tree := s.Tables()[0].Tree
+			sh := tree.Shape()
+			if sh.Keys != c.rows || sh.Fill() != 1 {
+				t.Errorf("%s, workers=%d: %d keys in %d leaves, fill %.3f; want %d keys, fill 1",
+					c.name, workers, sh.Keys, sh.Leaves, sh.Fill(), c.rows)
+			}
+			if err := tree.CheckInvariants(); err != nil {
+				t.Errorf("%s, workers=%d: %v", c.name, workers, err)
+			}
+		}
+	}
+}
+
 // TestReplayAllocatesPerWinnerNotPerEntry checks the allocation shape of
 // pass 2: decoding and routing allocate nothing per entry (batches are
 // recycled, keys and values alias the segment buffer), so two logs that

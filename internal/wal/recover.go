@@ -22,7 +22,8 @@ type RecoveryResult struct {
 	// TxnsSkipped counts logged transactions beyond D, which must not be
 	// replayed (the serial order within an epoch is not recoverable, §4.10).
 	TxnsSkipped int
-	// EntriesApplied counts record modifications installed.
+	// EntriesApplied counts record modifications that changed the store:
+	// every put, and every delete of a key the store held.
 	EntriesApplied int
 }
 
@@ -239,75 +240,23 @@ func Recover(store *core.Store, dir string) (RecoveryResult, error) {
 			continue
 		}
 		res.TxnsApplied++
+		word := tid.Word(t.TID).WithLatest(true)
 		for j := range t.Entries {
 			e := &t.Entries[j]
 			tbl := store.TableByID(e.Table)
 			if tbl == nil {
 				continue // undeclared table: skipped, as the schema is the caller's
 			}
-			if ApplyFinal(tbl, t.TID, e.Key, e.Value, e.Delete) == Applied {
+			// In TID order every logged version is newer than the one in
+			// the store, so it replaces it: the old row goes, and a put
+			// inserts the new one.
+			if removed, _ := tbl.Tree.Remove(e.Key); removed || !e.Delete {
 				res.EntriesApplied++
+			}
+			if !e.Delete {
+				tbl.Tree.InsertIfAbsent(e.Key, record.New(word, e.Value))
 			}
 		}
 	}
 	return res, nil
-}
-
-// Outcome says what ApplyFinal did with a logged modification.
-type Outcome int
-
-const (
-	// Applied: the store changed — a row was inserted, overwritten or
-	// removed.
-	Applied Outcome = iota
-	// Superseded: the store already holds a version of the key at least as
-	// new; nothing changed.
-	Superseded
-	// Dropped: a delete of a key the store does not hold; nothing to do.
-	Dropped
-)
-
-// ApplyFinal installs a logged modification of key under the paper's
-// recovery rule — the newest TID per record wins — for a caller that knows
-// no older modification of the same key is still to come: the sequential
-// replay, which applies in TID order, and the parallel one, which hands over
-// only each key's newest logged version. That knowledge is what lets a
-// delete simply remove the row (or do nothing) where an order-free replay
-// would have to leave a tombstone behind to fend off a late-arriving older
-// insert — tombstones that nothing would ever collect.
-//
-// The key is looked up and its TID compared before anything is allocated;
-// only a put that wins allocates, and a put over a value of the same length
-// (a checkpoint row, typically) reuses the record's buffer. value is copied,
-// never retained. Recovery owns the store: callers may run concurrently for
-// different keys, not for the same one.
-func ApplyFinal(tbl *core.Table, txnTID uint64, key, value []byte, del bool) Outcome {
-	if del {
-		rec, _, _ := tbl.Tree.Get(key)
-		if rec == nil {
-			return Dropped
-		}
-		if rec.Word().TID() >= txnTID {
-			return Superseded
-		}
-		tbl.Tree.Remove(key)
-		return Applied
-	}
-	word := tid.Word(txnTID).WithLatest(true)
-	rec, inserted := tbl.Tree.GetOrInsert(key, func() *record.Record {
-		return record.New(word, value)
-	})
-	if inserted {
-		return Applied
-	}
-	w := rec.Lock()
-	if w.TID() >= txnTID {
-		rec.Unlock(w)
-		return Superseded
-	}
-	if !rec.TryOverwriteLocked(value) {
-		rec.SetDataLocked(value, nil)
-	}
-	rec.Unlock(word)
-	return Applied
 }
