@@ -204,14 +204,16 @@ func main() {
 	}
 	printAborts(db, *addr, *embedded)
 	if db != nil {
+		// Close stops the daemon and waits out a tick still checkpointing,
+		// so the counts read after it include every set on disk.
+		db.Close()
 		if ds, ok := db.CheckpointDaemon(); ok {
-			fmt.Printf("checkpoint daemon: %d checkpoints (last CE=%d, %d rows, %v), %d log segments truncated\n",
-				ds.Checkpoints, ds.LastEpoch, ds.LastRows, ds.LastElapsed.Round(time.Millisecond), ds.TruncatedSegments)
+			fmt.Printf("checkpoint daemon: %d checkpoints (last CE=%d, %d rows, %v), %d skipped, %d failed, %d log segments truncated\n",
+				ds.Checkpoints, ds.LastEpoch, ds.LastRows, ds.LastElapsed.Round(time.Millisecond), ds.Skipped, ds.Failed, ds.TruncatedSegments)
 			if ds.LastErr != nil {
 				fmt.Printf("checkpoint daemon error: %v\n", ds.LastErr)
 			}
 		}
-		db.Close()
 	}
 }
 

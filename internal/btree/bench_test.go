@@ -79,3 +79,23 @@ func BenchmarkTreeGetParallel(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBuild prices Build of 100 000 8-byte keys, in four runs as
+// recovery hands it a table of a four-part checkpoint, by the goroutines it
+// may fill leaves on.
+func BenchmarkBuild(b *testing.B) {
+	const n = 100000
+	items := make([]Item, n)
+	rec := record.New(tid.Make(1, 1).WithLatest(true), []byte{1})
+	for i := range items {
+		items[i] = Item{Key: benchKey(i, nil), Rec: rec}
+	}
+	runs := [][]Item{items[:n/4], items[n/4 : n/2], items[n/2 : 3*n/4], items[3*n/4:]}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				New().Build(workers, runs...)
+			}
+		})
+	}
+}

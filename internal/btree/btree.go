@@ -436,7 +436,7 @@ func (t *Tree) InsertIfAbsent(key []byte, rec *record.Record) (cur *record.Recor
 			continue
 		}
 		if k.n == 0 {
-			k = makeKey(key, nil) // before any lock: a long key allocates its suffix
+			k = makeKey(key) // before any lock: a long key allocates its suffix
 		}
 		nk := int(lf.nkeys.Load())
 		if nk < fanout {

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -25,25 +26,18 @@ type Item struct {
 // and the empty root leaf's version is bumped, so a transaction that saw it
 // empty fails node-set validation.
 //
+// The leaves are filled, and the keys checked as they go in, in up to
+// workers stretches of whole leaves at once, each on its own goroutine; a
+// stretch is at least buildStretch leaves, so a small tree is built on the
+// caller's.
+//
 // Build copies the keys; the records become the tree's. Given no items it
 // changes nothing. Otherwise it panics on a tree that holds a key or has
 // split, and on keys out of order. Recovery builds every table with it,
 // once, into trees nothing else writes yet.
-func (t *Tree) Build(runs ...[]Item) {
-	n, tails := 0, 0
-	var prev probe
+func (t *Tree) Build(workers int, runs ...[]Item) {
+	n := 0
 	for _, run := range runs {
-		for _, it := range run {
-			checkKey(it.Key)
-			p := probeOf(it.Key)
-			if prev.n > 0 && compare(&prev, &p) >= 0 {
-				panic("btree: Build keys do not ascend")
-			}
-			prev = p
-			if len(it.Key) > inlineBytes {
-				tails += 1 + len(it.Key) - inlineBytes
-			}
-		}
 		n += len(run)
 	}
 	if n == 0 {
@@ -55,29 +49,29 @@ func (t *Tree) Build(runs ...[]Item) {
 	}
 
 	// The tree frees no node, so the leaves share one allocation, and so do
-	// the suffixes of the keys longer than a slot's two words.
+	// each stretch's suffixes of the keys longer than a slot's two words.
 	leaves := make([]leaf, (n+fanout-1)/fanout)
-	slab := make([]byte, tails)
-	i := 0
-	for _, run := range runs {
-		for _, it := range run {
-			lf := &leaves[i/fanout]
-			lf.put(i%fanout, makeKey(it.Key, &slab))
-			lf.vals[i%fanout] = unsafe.Pointer(it.Rec)
-			i++
-		}
-	}
 	level := make([]*node, len(leaves))
 	lows := make([]skey, len(leaves)) // the smallest key under each node of level
-	for j := range leaves {
-		lf := &leaves[j]
-		nk := min(fanout, n-j*fanout)
-		lf.nkeys.Store(int32(nk))
-		lf.hint = int32(nk)
-		if j+1 < len(leaves) {
-			lf.next = unsafe.Pointer(&leaves[j+1])
+	parts := max(1, min(workers, len(leaves)/buildStretch))
+	sts := make([]stretch, parts)
+	for s := range sts {
+		sts[s].leaf0 = s * len(leaves) / parts
+		sts[s].runs = cut(runs, sts[s].leaf0*fanout, min((s+1)*len(leaves)/parts*fanout, n))
+	}
+	parallel(parts, func(s int) {
+		var prev []byte
+		if s > 0 {
+			last := sts[s-1].runs[len(sts[s-1].runs)-1]
+			prev = last[len(last)-1].Key
 		}
-		level[j], lows[j] = &lf.node, lf.get(0)
+		sts[s].fill(leaves, n, prev, level, lows)
+	})
+	for _, st := range sts {
+		if st.bad {
+			checkKey(st.badKey)
+			panic("btree: Build keys do not ascend")
+		}
 	}
 	for len(level) > 1 {
 		inners := make([]inner, (len(level)+fanout)/(fanout+1))
@@ -104,6 +98,95 @@ func (t *Tree) Build(runs ...[]Item) {
 	t.empty.Store(0)
 	atomic.StorePointer(&t.root, unsafe.Pointer(level[0]))
 	old.unlockBump()
+}
+
+// buildStretch is the fewest leaves Build fills on a goroutine of their
+// own: about 4 000 keys.
+const buildStretch = 256
+
+// stretch is the items of a run of whole leaves, which Build fills on one
+// goroutine.
+type stretch struct {
+	leaf0  int      // its first leaf
+	runs   [][]Item // its items: pieces of Build's runs
+	bad    bool     // a key out of range or out of order …
+	badKey []byte   // … the first one
+}
+
+// cut returns items lo … hi−1 of runs, taken as one sequence, as the
+// non-empty pieces of the runs that hold them.
+func cut(runs [][]Item, lo, hi int) [][]Item {
+	var out [][]Item
+	for _, run := range runs {
+		if lo < len(run) && hi > 0 {
+			out = append(out, run[max(lo, 0):min(hi, len(run))])
+		}
+		lo, hi = lo-len(run), hi-len(run)
+	}
+	return out
+}
+
+// fill lays the stretch's items into its leaves, checking each key's
+// length and its order after the one before (prev for the first: the key
+// before the stretch, nil for the first stretch), and finishes each leaf:
+// its count, its hint, its link to the next, and its entries in level and
+// lows. n is the items of every stretch. It stops at a bad key. Nothing
+// reaches the leaves but through the root Build publishes, so they take
+// plain stores, and a short key leaves its suffix pointer nil.
+func (st *stretch) fill(leaves []leaf, n int, prev []byte, level []*node, lows []skey) {
+	tails := 0
+	for _, run := range st.runs {
+		for _, it := range run {
+			if len(it.Key) > inlineBytes {
+				tails += 1 + len(it.Key) - inlineBytes
+			}
+		}
+	}
+	slab := make([]byte, tails)
+	p := probeOf(prev)
+	i := st.leaf0 * fanout
+	for _, run := range st.runs {
+		for _, it := range run {
+			q := probeOf(it.Key)
+			if q.n == 0 || q.n > MaxKeyLen || p.n > 0 && compare(&p, &q) >= 0 {
+				st.bad, st.badKey = true, it.Key
+				return
+			}
+			p = q
+			lf, j := &leaves[i/fanout], i%fanout
+			lf.w0[j], lf.w1[j], lf.n[j] = q.w0, q.w1, uint8(q.n)
+			if q.n > inlineBytes {
+				lf.sfx[j] = newSuffix(q.tail, &slab)
+			}
+			lf.vals[j] = unsafe.Pointer(it.Rec)
+			i++
+		}
+	}
+	for j := st.leaf0; j*fanout < i; j++ {
+		lf := &leaves[j]
+		nk := min(fanout, n-j*fanout)
+		lf.nkeys.Store(int32(nk))
+		lf.hint = int32(nk)
+		if j+1 < len(leaves) {
+			lf.next = unsafe.Pointer(&leaves[j+1])
+		}
+		level[j], lows[j] = &lf.node, lf.get(0)
+	}
+}
+
+// parallel runs fn(0) … fn(n−1), the last on the caller's goroutine and
+// the others each on its own, and waits for them all.
+func parallel(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 0; i < n-1; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	fn(n - 1)
+	wg.Wait()
 }
 
 // SplitKeys returns up to n−1 strictly ascending keys that cut the tree's

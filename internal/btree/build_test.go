@@ -51,11 +51,12 @@ func leavesOf(tr *Tree) []*leaf {
 // built by inserts does.
 func TestBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, fanout - 1, fanout, fanout + 1, fanout * (fanout + 1), fanout*(fanout+1) + 1, 100000} {
+	for i, n := range []int{1, fanout - 1, fanout, fanout + 1, fanout * (fanout + 1), fanout*(fanout+1) + 1, 100000} {
+		workers := 1 + i%4 // 100 000 keys fill 3 stretches
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			tr := New()
 			runs, recs := buildRuns(rng, n)
-			tr.Build(runs...)
+			tr.Build(workers, runs...)
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +145,7 @@ func TestBuildAppendKeepsFill(t *testing.T) {
 				items = append(items, Item{Key: k(r, i), Rec: mkrec(1)})
 			}
 		}
-		tr.Build(items)
+		tr.Build(1, items)
 		rng := rand.New(rand.NewSource(2))
 		next := make([]int, runs)
 		for i := range next {
@@ -171,7 +172,7 @@ func TestBuildPanics(t *testing.T) {
 		"non-empty tree": func() {
 			tr := New()
 			tr.InsertIfAbsent(key(1), mkrec(1))
-			tr.Build([]Item{{Key: key(2), Rec: mkrec(2)}})
+			tr.Build(1, []Item{{Key: key(2), Rec: mkrec(2)}})
 		},
 		"emptied tree that split": func() {
 			tr := New()
@@ -181,13 +182,24 @@ func TestBuildPanics(t *testing.T) {
 			for i := 0; i <= fanout; i++ {
 				tr.Remove(key(i))
 			}
-			tr.Build([]Item{{Key: key(2), Rec: mkrec(2)}})
+			tr.Build(1, []Item{{Key: key(2), Rec: mkrec(2)}})
 		},
 		"descending in a run": func() {
-			New().Build([]Item{{Key: key(2), Rec: mkrec(2)}, {Key: key(1), Rec: mkrec(1)}})
+			New().Build(1, []Item{{Key: key(2), Rec: mkrec(2)}, {Key: key(1), Rec: mkrec(1)}})
 		},
 		"duplicate across runs": func() {
-			New().Build([]Item{{Key: key(1), Rec: mkrec(1)}}, nil, []Item{{Key: key(1), Rec: mkrec(1)}})
+			New().Build(1, []Item{{Key: key(1), Rec: mkrec(1)}}, nil, []Item{{Key: key(1), Rec: mkrec(1)}})
+		},
+		"descending across stretches": func() {
+			items := stretchedItems(4)
+			b := stretchStarts(len(items), 4)[2]
+			items[b-1], items[b] = items[b], items[b-1]
+			New().Build(4, items)
+		},
+		"key too long in a stretch": func() {
+			items := stretchedItems(4)
+			items[len(items)-1].Key = bytes.Repeat([]byte{0xff}, MaxKeyLen+1)
+			New().Build(4, items)
 		},
 	} {
 		func() {
@@ -198,6 +210,64 @@ func TestBuildPanics(t *testing.T) {
 			}()
 			build()
 		}()
+	}
+}
+
+// stretchedItems is enough ascending items, of 1 to MaxKeyLen bytes, for
+// Build to fill stretches of leaves on that many goroutines.
+func stretchedItems(stretches int) []Item {
+	items := make([]Item, stretches*buildStretch*fanout)
+	for i := range items {
+		k := binary.BigEndian.AppendUint32(nil, uint32(i))
+		items[i] = Item{Key: append(k, bytes.Repeat([]byte{'k'}, i%(MaxKeyLen-3))...), Rec: mkrec(byte(i))}
+	}
+	return items
+}
+
+// stretchStarts is the first item of each stretch Build cuts n items into
+// on that many goroutines.
+func stretchStarts(n, stretches int) []int {
+	leaves := (n + fanout - 1) / fanout
+	var at []int
+	for s := 0; s < stretches; s++ {
+		at = append(at, s*leaves/stretches*fanout)
+	}
+	return at
+}
+
+// TestBuildStretches: a tree built on several goroutines, with keys long
+// enough to need suffixes and runs cut across the stretches' bounds, is the
+// tree one goroutine builds, key for key and record for record.
+func TestBuildStretches(t *testing.T) {
+	items := stretchedItems(3)
+	rng := rand.New(rand.NewSource(4))
+	var runs [][]Item
+	for rest := items; len(rest) > 0; {
+		k := min(len(rest), rng.Intn(len(items)/5))
+		runs, rest = append(runs, rest[:k]), rest[k:]
+	}
+	serial := New()
+	serial.Build(1, items)
+	for _, workers := range []int{2, 3, 8} {
+		tr := New()
+		tr.Build(workers, runs...)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if tr.Shape() != serial.Shape() {
+			t.Fatalf("workers=%d: shape %+v, one goroutine builds %+v", workers, tr.Shape(), serial.Shape())
+		}
+		next := 0
+		tr.Scan([]byte{0}, nil, nil, func(k []byte, rec *record.Record) bool {
+			if !bytes.Equal(k, items[next].Key) || rec != items[next].Rec {
+				t.Fatalf("workers=%d: scan position %d holds %q", workers, next, k)
+			}
+			next++
+			return true
+		})
+		if next != len(items) {
+			t.Fatalf("workers=%d: scan saw %d keys, want %d", workers, next, len(items))
+		}
 	}
 }
 
@@ -250,7 +320,7 @@ func TestBuildConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
-	tr.Build(items[:n/3], items[n/3:])
+	tr.Build(1, items[:n/3], items[n/3:])
 	built.Store(true)
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -314,7 +384,7 @@ func TestSplitKeys(t *testing.T) {
 	const total = 100000
 	built := New()
 	runs, _ := buildRuns(rand.New(rand.NewSource(3)), total)
-	built.Build(runs...)
+	built.Build(1, runs...)
 	for _, n := range []int{0, 1, 2, 3, 4, 7, 16, 64} {
 		keys := built.SplitKeys(n)
 		if want := max(n-1, 0); len(keys) != want {

@@ -54,18 +54,26 @@ func (s *slots) put(i int, k skey) {
 // a vacated slot holds no suffix alive.
 func (s *slots) drop(i int) { atomic.StorePointer(&s.sfx[i], nil) }
 
-// makeKey encodes key in slot form. A suffix is carved from *slab when it
-// has room (Build's one allocation for all of them) and allocated alone
-// otherwise.
-func makeKey(key []byte, slab *[]byte) skey {
+// makeKey encodes key in slot form, its suffix allocated alone.
+func makeKey(key []byte) skey {
 	k := skey{w0: word(key), n: uint8(len(key))}
 	if len(key) > 8 {
 		k.w1 = word(key[8:])
 	}
 	if len(key) > inlineBytes {
-		k.sfx = newSuffix(key[inlineBytes:], slab)
+		k.sfx = newSuffix(key[inlineBytes:], nil)
 	}
 	return k
+}
+
+// KeyWords returns bytes 0–15 of key as a slot keeps them: two big-endian
+// words, zero-padded. Keys order as their words do up to a tie on both,
+// and the lengths settle a tie unless both keys go on past 16 bytes.
+func KeyWords(key []byte) (w0, w1 uint64) {
+	if len(key) > 8 {
+		return word(key), word(key[8:])
+	}
+	return word(key), 0
 }
 
 // word loads up to eight bytes of b as a big-endian word, zero-padded.
@@ -81,7 +89,8 @@ func word(b []byte) uint64 {
 }
 
 // newSuffix copies tail into an allocation of one length byte followed by
-// the bytes.
+// the bytes, carved from *slab when it has room (a Build stretch's one
+// allocation for all of them) and made alone otherwise.
 func newSuffix(tail []byte, slab *[]byte) unsafe.Pointer {
 	sz := 1 + len(tail)
 	var b []byte

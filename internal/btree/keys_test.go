@@ -32,7 +32,7 @@ func TestSlotOrder(t *testing.T) {
 	for _, a := range keys {
 		for _, b := range keys {
 			pa, pb := probeOf(a), probeOf(b)
-			ka := makeKey(a, nil)
+			ka := makeKey(a)
 			var s slots
 			s.put(0, ka)
 			want := bytes.Compare(a, b)
@@ -43,7 +43,7 @@ func TestSlotOrder(t *testing.T) {
 				t.Fatalf("cmpAt(%x, %x) = %d, want %d", a, b, got, want)
 			}
 		}
-		k := makeKey(a, nil)
+		k := makeKey(a)
 		if err := k.check(); err != nil || !bytes.Equal(k.appendTo(nil), a) {
 			t.Fatalf("%x in slot form: %v, reads back %x", a, err, k.appendTo(nil))
 		}
@@ -204,7 +204,7 @@ func FuzzTreeKeys(f *testing.F) {
 		checkTornPairs(t, tr)
 
 		built := New()
-		built.Build(model)
+		built.Build(1, model)
 		checkTree(t, built, model)
 		checkTornPairs(t, built)
 		parts := 2 + len(model)%7
@@ -222,7 +222,7 @@ func FuzzTreeKeys(f *testing.F) {
 			runs, rest = append(runs, rest[:n]), rest[n:]
 		}
 		rebuilt := New()
-		rebuilt.Build(append(runs, rest)...)
+		rebuilt.Build(1, append(runs, rest)...)
 		checkTree(t, rebuilt, model)
 		if again := rebuilt.SplitKeys(parts); !slices.EqualFunc(again, cuts, bytes.Equal) {
 			t.Fatalf("a tree rebuilt from its split keys splits at %x, the first at %x", again, cuts)

@@ -12,6 +12,7 @@ import (
 	"silo"
 	"silo/internal/core"
 	"silo/internal/recovery"
+	"silo/internal/sim"
 	"silo/internal/workload/tpcc"
 )
 
@@ -112,7 +113,10 @@ func TestCheckpointBoundsRealisticKeys(t *testing.T) {
 	}
 
 	t.Run("tpcc-2wh", func(t *testing.T) {
-		db, err := silo.Open(silo.Options{Workers: 1, EpochInterval: time.Millisecond})
+		// Epochs advance only as the test steps the clock: one step per
+		// interval until a snapshot epoch has the whole load behind it.
+		clock := sim.NewClock()
+		db, err := silo.Open(silo.Options{Workers: 1, EpochInterval: time.Millisecond, Clock: clock})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +124,7 @@ func TestCheckpointBoundsRealisticKeys(t *testing.T) {
 		tpcc.Load(db, tpcc.DefaultScale(2))
 		s := db.Store()
 		for loaded := db.Epoch(); s.Epochs().SnapshotGlobal() <= loaded; {
-			time.Sleep(time.Millisecond)
+			clock.Advance(time.Millisecond)
 		}
 		res, err := recovery.WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), parts, nil)
 		if err != nil {

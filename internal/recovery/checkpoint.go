@@ -22,6 +22,16 @@
 //     matter: each table is built once (btree.Tree.Build) from its
 //     checkpoint rows merged with the log's winners.
 //
+// Once the log is walked, every decision replay makes on a key — is it one
+// already seen, which span of its table does it land in, where does it
+// sort — is made on fixed-size words: an entry travels as a pointer-free
+// item that holds its key's first 16 bytes as two big-endian words, its
+// length, and the offsets of its key and value in the log. Log bytes are
+// read only where two keys tie on both words and both go on past them, and
+// to copy a surviving row. A span's winners are radix-sorted on the bytes
+// of the words that vary, and Build fills a large table's leaves on several
+// goroutines.
+//
 // # Checkpoint layout
 //
 // There is one checkpoint format. A checkpoint at snapshot epoch CE is the

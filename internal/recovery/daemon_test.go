@@ -60,9 +60,9 @@ func TestDaemonCheckpointsTruncatesRecovers(t *testing.T) {
 	waitDurable(t, s, m)
 	d.Stop()
 
-	// One final manual tick after quiescing: the snapshot epoch soon
-	// covers every commit, so this checkpoint covers the whole log and
-	// the closed segments become truncatable.
+	// Manual ticks after quiescing, one per newly durable epoch: the
+	// snapshot epoch soon covers every commit, so a checkpoint then covers
+	// the whole log and the closed segments become truncatable.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if err := d.RunOnce(); err != nil {
@@ -75,7 +75,7 @@ func TestDaemonCheckpointsTruncatesRecovers(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("no segments truncated; stats %+v", st)
 		}
-		time.Sleep(5 * time.Millisecond)
+		m.WaitDurable(m.DurableEpoch() + 1)
 	}
 	st := d.Stats()
 	if st.Checkpoints == 0 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -193,9 +194,10 @@ func (l *schemaLog) ApplyCatalogRow(key, val []byte) error {
 var fuzzTables = []string{"a", "b", "cat"}
 
 // realSet checkpoints a small three-table store — the third table doubling
-// as the schema catalog — into two parts and returns the set's files. Each
-// table spans two leaves, so each part holds a run of every table.
-func realSet(tb testing.TB) (manifest, part0, part1 []byte) {
+// as the schema catalog — into two parts and returns the set's files. The
+// tables hold 20 rows each, under keys[ti], keys[ti+4], …, so each spans
+// two leaves and each part holds a run of every table.
+func realSet(tb testing.TB, keys [][]byte) (manifest, part0, part1 []byte) {
 	s := manualStore(tb, fuzzTables...)
 	for ti, tbl := range s.Tables() {
 		for i := 0; i < 20; i++ {
@@ -203,7 +205,7 @@ func realSet(tb testing.TB) (manifest, part0, part1 []byte) {
 			if i == 3 {
 				val = nil
 			}
-			if err := s.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(tbl, binKey(4*i+ti), val) }); err != nil {
+			if err := s.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(tbl, keys[4*i+ti], val) }); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -248,7 +250,7 @@ const (
 // and must install all the rows of an accepted set and none of a rejected
 // one.
 func FuzzCheckpointSet(f *testing.F) {
-	manifest, part0, part1 := realSet(f)
+	manifest, part0, part1 := realSet(f, binKeys(80))
 	f.Add(manifest, part0, part1, uint8(0))
 	f.Add(manifest, part0, part1, uint8(fuzzRawManifest|fuzzRawPart0|fuzzRawPart1|fuzzStrict))
 	for _, cut := range []int{5, 12, 21, 30, len(manifest) / 2, len(manifest) - 6} {
@@ -257,6 +259,11 @@ func FuzzCheckpointSet(f *testing.F) {
 	for _, cut := range []int{5, 16, 21, 24, 40, len(part0) / 2, len(part0) - 6} {
 		f.Add(manifest, part0[:cut], part1, uint8(0))
 		f.Add(manifest, part1, part0[:cut], uint8(fuzzRawPart1))
+	}
+	// Sets whose keys the words do not order alone (keyShapes).
+	for i, sh := range keyShapes {
+		m, p0, p1 := realSet(f, sh.keys(rand.New(rand.NewSource(int64(i))), 80))
+		f.Add(m, p0, p1, uint8(0))
 	}
 
 	f.Fuzz(func(t *testing.T, manifest, part0, part1 []byte, flags uint8) {
@@ -343,7 +350,7 @@ func FuzzCheckpointSet(f *testing.F) {
 		}
 		ck, err := loadPartitioned(fs, s, "ck", 2, applier)
 		if err == nil {
-			build(s, &ck, nil, 2, &Result{})
+			build(s, &ck, nil, nil, 2, &Result{})
 			ck.release()
 		}
 		epoch, rows := ck.epoch, ck.rows

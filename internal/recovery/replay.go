@@ -3,12 +3,12 @@ package recovery
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"silo/internal/btree"
 	"silo/internal/core"
@@ -38,9 +38,10 @@ const CatalogTableID = 0
 // Options configures a parallel recovery pass.
 type Options struct {
 	// Workers is the number of replay applier goroutines, and the number
-	// of checkpoint parts staged, of tables built, and of log segments
-	// mapped or decoded, at a time. 1 is the least parallel replay: one
-	// segment after the other feeding one applier.
+	// of checkpoint parts staged, of log segments mapped or decoded, of
+	// spans merged, and of stretches of a table's leaves built, at a time.
+	// 1 is the least parallel replay: one segment after the other feeding
+	// one applier.
 	Workers int
 	// Schema, when non-nil, makes recovery self-describing: table
 	// CatalogTableID holds DDL records that are applied — manifest schema
@@ -91,10 +92,13 @@ type Result struct {
 	// of the three stages: verifying and staging the checkpoint; pass 1 of
 	// replay (reading the segments and verifying their frames, which
 	// yields D); and pass 2 (decoding and coalescing entries, then building
-	// every table from them and the checkpoint's rows).
+	// every table from them and the checkpoint's rows). Build is the last
+	// part of LogApply: sorting the log's winners, merging them with the
+	// checkpoint's rows and building the trees.
 	CheckpointLoad time.Duration
 	LogRead        time.Duration
 	LogApply       time.Duration
+	Build          time.Duration
 
 	// IndexesRolledForward and IndexesRolledBack name indexes whose
 	// interrupted creation (a crash between the catalog's create record
@@ -115,9 +119,8 @@ type Result struct {
 // The caller should restart the epoch counter above max(D, CE).
 func Recover(store *core.Store, dir string, opts Options) (Result, error) {
 	var res Result
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
+	// A winner names its applier in 16 bits.
+	opts.Workers = min(max(opts.Workers, 1), 1<<16)
 	res.Workers = opts.Workers
 	opts.FS = vfs.DefaultFS(opts.FS)
 
@@ -153,19 +156,64 @@ func each(n, workers int, fn func(i int)) {
 }
 
 // item is one in-range log entry on its way to the applier that owns its
-// key, and then that key's newest version in the applier's table. key and
-// value alias the mapped segment (or an inflated frame), which replay
-// releases only after the trees are built.
+// key, and then that key's newest version in the applier's table. It holds
+// no pointer, so the collector scans neither the batches nor the winner
+// chunks. The key and value stay where the log holds them: src names the
+// buffer (see sources), off and voff their offsets in it. Every decision
+// replay makes on the key — is it the same key, which span does it land in,
+// where does it sort — reads w0 and w1, its first 16 bytes as big-endian,
+// zero-padded words (the form a tree slot keeps them in), and its length;
+// the bytes are read only when two keys tie on both words and both go on
+// past 16 bytes, and to copy a surviving row into its record and its tree.
 type item struct {
-	hash  uint64 // entryHash; once absorbed, the index of build's span
-	tid   uint64
-	key   []byte
-	value []byte
-	table uint32
-	del   bool
+	hash   uint64 // entryHash; once absorbed, the index of build's span
+	tid    uint64
+	w0, w1 uint64 // key bytes 0–7 and 8–15
+	off    uint64 // the key's offset in its source
+	voff   uint64 // the value's
+	vlen   uint32
+	src    uint32
+	table  uint32
+	klen   uint8
+	del    bool
 }
 
-const applyBatch = 256
+// sources are the buffers items point into: every mapped segment, by its
+// index in the directory listing, then every frame pass 2 inflates, in a
+// range reserved for each segment (Segment.Deflated). The slice never
+// grows: a router sets an inflated frame's entry before routing an item
+// from it, which the applier receives only after.
+type sources [][]byte
+
+func (s sources) key(it *item) []byte   { return s[it.src][it.off : it.off+uint64(it.klen)] }
+func (s sources) value(it *item) []byte { return s[it.src][it.voff : it.voff+uint64(it.vlen)] }
+
+// tail is what the words leave out of a key longer than 16 bytes.
+func (s sources) tail(it *item) []byte { return s.key(it)[inlineBytes:] }
+
+// inlineBytes is the key bytes an item's words hold (btree.KeyWords).
+const inlineBytes = 16
+
+// order compares two keys, given as their words and lengths, as
+// bytes.Compare orders them. Keys whose words tie differ only past them:
+// when either ends within 16 bytes it is a prefix of the other and the
+// shorter sorts first; when both go on, tie is true and their tails decide,
+// which only the caller can read.
+func order(a0, a1 uint64, an int, b0, b1 uint64, bn int) (c int, tie bool) {
+	switch {
+	case a0 != b0:
+		return cmp.Compare(a0, b0), false
+	case a1 != b1:
+		return cmp.Compare(a1, b1), false
+	case an > inlineBytes && bn > inlineBytes:
+		return 0, true
+	}
+	return cmp.Compare(an, bn), false
+}
+
+// applyBatch is the items a router gathers for an applier before sending
+// them (8 KiB).
+const applyBatch = 128
 
 // replay is the two-pass log replay. Pass 1 maps every segment (no copy)
 // and walks its frame headers and CRCs, in parallel, which yields each
@@ -188,9 +236,10 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 	res.LogFiles = len(infos)
 
 	// Pass 1. The segments stay mapped until the trees are built: the items
-	// routed in pass 2 alias them.
+	// routed in pass 2 hold offsets into them.
 	t0 := time.Now()
 	segs := make([]wal.Segment, len(infos))
+	srcs := make(sources, len(infos))
 	releases := make([]func(), len(infos))
 	errs := make([]error, len(infos))
 	defer func() {
@@ -206,15 +255,18 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 			errs[i] = err
 			return
 		}
-		segs[i], releases[i] = wal.ScanSegment(data), release
+		segs[i], srcs[i], releases[i] = wal.ScanSegment(data), data, release
 	})
 	durables := make([]uint64, len(infos))
+	inflated := make([]int, len(infos)) // segment i's first inflated source
 	for i := range segs {
 		if errs[i] != nil {
 			return errs[i]
 		}
 		res.LogBytes += segs[i].Size
 		durables[i] = segs[i].Durable
+		inflated[i] = len(srcs)
+		srcs = append(srcs, make(sources, segs[i].Deflated)...)
 	}
 	d := wal.DurableBound(infos, durables)
 	res.DurableEpoch = d
@@ -224,24 +276,25 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 	t1 := time.Now()
 	defer func() { res.LogApply = time.Since(t1) }()
 	appliers := make([]*applier, opts.Workers)
-	// Recycled batches: an applier offers each one back once it has copied
-	// the winners out, so the batches in flight are all pass 2 allocates
-	// for routing. Room for every applier's queue, so none is dropped while
-	// the decoders are the slower side.
-	free := make(chan []item, queuedBatches*len(appliers))
+	// The batches routing uses: a fixed number, each made when first taken
+	// (a nil in free stands for one not made yet) and handed back by the
+	// applier that absorbed it. There are more than the decoders can hold
+	// open at once, one per applier each, so that at any time some batch is
+	// free, queued, or being absorbed and about to be.
+	free := make(chan []item, len(appliers)*(opts.Workers+queuedBatches+1))
+	for range cap(free) {
+		free <- nil
+	}
 	var absorb sync.WaitGroup
 	for k := range appliers {
-		a := &applier{in: make(chan []item, queuedBatches)}
+		a := &applier{in: make(chan []item, queuedBatches), srcs: srcs}
 		appliers[k] = a
 		absorb.Add(1)
 		go func() {
 			defer absorb.Done()
 			for batch := range a.in {
 				a.absorb(batch)
-				select {
-				case free <- batch:
-				default:
-				}
+				free <- batch
 			}
 		}()
 	}
@@ -249,7 +302,8 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 	each(len(infos), opts.Workers, func(i int) {
 		r := &routers[i]
 		*r = router{d: d, minEpoch: ck.epoch, wantSchema: opts.Schema != nil,
-			appliers: appliers, free: free, batches: make([][]item, len(appliers))}
+			appliers: appliers, free: free, batches: make([][]item, len(appliers)),
+			srcs: srcs, seg: uint32(i), next: uint32(inflated[i])}
 		segs[i].Walk(r)
 		r.flush()
 	})
@@ -287,7 +341,9 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 	if have := len(store.Tables()); int(tables) > have {
 		return fmt.Errorf("recovery: log references table id %d, but the store has only %d tables", tables-1, have)
 	}
-	build(store, ck, appliers, opts.Workers, res)
+	t2 := time.Now()
+	build(store, ck, appliers, srcs, opts.Workers, res)
+	res.Build = time.Since(t2)
 	return nil
 }
 
@@ -299,19 +355,51 @@ type span struct {
 	applied, superseded, dropped int
 }
 
-// winner is an absorbed item as build sorts it. prefix is the key's first
-// eight bytes, big-endian and zero-padded: keys order as their prefixes
-// do where those differ, so most comparisons read no key.
+// winner is an absorbed item as build deals, sorts and merges it: what
+// ordering and counting the keys takes — the key's words and length, and
+// whether it is a delete — copied so that those read it in place, and where
+// the item is, appliers[a].win(i). Like the item it holds no pointer.
 type winner struct {
-	prefix uint64
-	*item
+	w0, w1 uint64
+	i      uint32
+	a      uint16
+	klen   uint8
+	del    bool
+}
+
+// winners finds build's winners' items and their keys.
+type winners struct {
+	appliers []*applier
+	srcs     sources
+}
+
+func (ws winners) item(w winner) *item { return ws.appliers[w.a].win(int(w.i)) }
+
+// tie orders two winners whose words are equal.
+func (ws winners) tie(a, b winner) int {
+	c, tie := order(a.w0, a.w1, int(a.klen), b.w0, b.w1, int(b.klen))
+	if tie {
+		c = bytes.Compare(ws.srcs.tail(ws.item(a)), ws.srcs.tail(ws.item(b)))
+	}
+	return c
+}
+
+// cmpRow orders a checkpoint row's key against a winner's.
+func (ws winners) cmpRow(key []byte, w winner) int {
+	w0, w1 := btree.KeyWords(key)
+	c, tie := order(w0, w1, len(key), w.w0, w.w1, int(w.klen))
+	if tie {
+		c = bytes.Compare(key[inlineBytes:], ws.srcs.tail(ws.item(w)))
+	}
+	return c
 }
 
 // build builds every table once, with btree.Tree.Build. A table's key
 // space is cut into spans at the first keys of its checkpoint runs. The
-// winners are dealt to their spans (counted first, so no array regrows),
-// and each span is sorted and merged with its run, spans in parallel.
-func build(store *core.Store, ck *checkpointSet, appliers []*applier, workers int, res *Result) {
+// winners are dealt to their spans (counted first, into one array), and
+// each span is sorted and merged with its run, spans in parallel; then each
+// table's Build fills its leaves in parallel.
+func build(store *core.Store, ck *checkpointSet, appliers []*applier, srcs sources, workers int, res *Result) {
 	tables := store.Tables()
 	runs := make([][][]row, len(tables)) // one empty run for a table the set lacks
 	first := make([]int, len(tables)+1)  // table t's spans are first[t] … first[t+1]−1
@@ -326,33 +414,46 @@ func build(store *core.Store, ck *checkpointSet, appliers []*applier, workers in
 		}
 		first[t+1] = len(spans)
 	}
-	// A winner's span, the last whose run starts at or below its key (else
-	// the table's first), goes in its hash, appliers in parallel; then the
-	// winners are counted into their spans and dealt.
+	// A winner's span is the last whose run starts at or below its key (else
+	// the table's first). The winners are dealt to their spans in two
+	// passes, appliers in parallel: each finds its winners' spans (kept in
+	// their hashes) and counts them; then, from where those counts say its
+	// share of each span starts, it copies them there.
+	ws := winners{appliers: appliers, srcs: srcs}
+	counts := make([][]int, len(appliers)) // applier a's winners in span s, then where they go
 	each(len(appliers), workers, func(a int) {
+		c := make([]int, len(spans))
 		for i := 0; i < appliers[a].n; i++ {
-			w := appliers[a].win(i)
-			r := runs[w.table]
-			w.hash = uint64(first[w.table] + sort.Search(len(r)-1, func(k int) bool {
-				return bytes.Compare(r[k+1][0].key, w.key) > 0
+			it := appliers[a].win(i)
+			w, r := it.winner(a, i), runs[it.table]
+			it.hash = uint64(first[it.table] + sort.Search(len(r)-1, func(k int) bool {
+				return ws.cmpRow(r[k+1][0].key, w) > 0
 			}))
+			c[it.hash]++
+		}
+		counts[a] = c
+	})
+	at := make([]int, len(spans)+1) // span s's winners are at[s] … at[s+1]−1
+	for s := range spans {
+		at[s+1] = at[s]
+		for _, c := range counts {
+			c[s], at[s+1] = at[s+1], at[s+1]+c[s]
+		}
+	}
+	dealt, tmp := make([]winner, at[len(spans)]), make([]winner, at[len(spans)])
+	each(len(appliers), workers, func(a int) {
+		c := counts[a]
+		for i := 0; i < appliers[a].n; i++ {
+			it := appliers[a].win(i)
+			dealt[c[it.hash]] = it.winner(a, i)
+			c[it.hash]++
 		}
 	})
-	count := make([]int, len(spans))
-	for _, a := range appliers {
-		for i := 0; i < a.n; i++ {
-			count[a.win(i).hash]++
-		}
-		res.EntriesSuperseded += a.superseded
-	}
 	for s := range spans {
-		spans[s].wins = make([]winner, 0, count[s])
+		spans[s].wins = dealt[at[s]:at[s+1]]
 	}
 	for _, a := range appliers {
-		for i := 0; i < a.n; i++ {
-			w := a.win(i)
-			spans[w.hash].wins = append(spans[w.hash].wins, winner{item: w})
-		}
+		res.EntriesSuperseded += a.superseded
 	}
 
 	// The rows of the checkpoint recover at the last TID of epoch CE−1: it
@@ -360,40 +461,52 @@ func build(store *core.Store, ck *checkpointSet, appliers []*applier, workers in
 	// ≥ CE must win the comparison and one of epoch < CE must lose.
 	word := tid.Make(max(ck.epoch, 1)-1, tid.MaxSeq).WithLatest(true)
 	items := make([][]btree.Item, len(spans))
-	each(len(spans), workers, func(s int) { items[s] = spans[s].merge(word) })
+	each(len(spans), workers, func(s int) { items[s] = spans[s].merge(word, ws, tmp[at[s]:at[s+1]]) })
 	for _, sp := range spans {
 		res.EntriesApplied += sp.applied
 		res.EntriesSuperseded += sp.superseded
 		res.DeletesDropped += sp.dropped
 	}
-	each(len(tables), workers, func(t int) { tables[t].Tree.Build(items[first[t]:first[t+1]]...) })
+	for t := range tables {
+		tables[t].Tree.Build(workers, items[first[t]:first[t+1]]...)
+	}
 }
 
-// merge sorts the span's winners and merges them with its run, in key
-// order. Where both hold a key the larger TID wins, and a winning delete
-// leaves no row. A record is made only for a row that survives.
-func (sp *span) merge(rowWord tid.Word) []btree.Item {
-	for i := range sp.wins {
-		var b [8]byte
-		copy(b[:], sp.wins[i].key)
-		sp.wins[i].prefix = binary.BigEndian.Uint64(b[:])
-	}
-	slices.SortFunc(sp.wins, func(a, b winner) int {
-		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
-			return c
-		}
-		return bytes.Compare(a.key, b.key)
-	})
-	out := make([]btree.Item, 0, len(sp.run)+len(sp.wins))
-	run, wins := sp.run, sp.wins
+// winner is item i of applier a as build deals it.
+func (it *item) winner(a, i int) winner {
+	return winner{w0: it.w0, w1: it.w1, klen: it.klen, del: it.del, a: uint16(a), i: uint32(i)}
+}
+
+// merge sorts the span's winners (tmp is the sort's other buffer) and
+// merges them with its run, in key order. Where both hold a key the larger
+// TID wins, and a winning delete leaves no row. A record is made only for a
+// row that survives, and only then is a winner's value read from the log.
+func (sp *span) merge(rowWord tid.Word, ws winners, tmp []winner) []btree.Item {
+	wins := sortWinners(sp.wins, tmp, ws.tie)
+	out := make([]btree.Item, 0, sp.rows(ws, wins))
+	run := sp.run
 	for len(run) > 0 || len(wins) > 0 {
-		c := -1 // run[0] against wins[0]
-		if len(run) == 0 {
-			c = 1
-		} else if len(wins) > 0 {
-			c = bytes.Compare(run[0].key, wins[0].key)
+		// The winners' items and values are at random places: ask for the
+		// item eight winners on, and for the value of the one four on,
+		// whose item was asked for four steps ago.
+		if len(wins) > 8 {
+			prefetch(uintptr(unsafe.Pointer(ws.item(wins[8]))))
+			if x := ws.item(wins[4]); x.vlen > 0 {
+				prefetch(addr(ws.srcs[x.src][x.voff:]))
+			}
 		}
-		if c < 0 || c == 0 && wins[0].tid <= rowWord.TID() {
+		c := -1 // run[0] against wins[0]
+		if len(wins) > 0 {
+			c = 1
+			if len(run) > 0 {
+				c = ws.cmpRow(run[0].key, wins[0])
+			}
+		}
+		var it *item
+		if c >= 0 {
+			it = ws.item(wins[0])
+		}
+		if c < 0 || c == 0 && it.tid <= rowWord.TID() {
 			if c == 0 {
 				sp.superseded++
 				wins = wins[1:]
@@ -402,21 +515,109 @@ func (sp *span) merge(rowWord tid.Word) []btree.Item {
 			run = run[1:]
 			continue
 		}
-		w, key := wins[0], wins[0].key
 		wins = wins[1:]
+		var key []byte
 		switch {
 		case c == 0:
 			key, run = run[0].key, run[1:] // the same bytes, read in order by Build
-		case w.del:
+		case it.del:
 			sp.dropped++ // nothing to delete
 			continue
+		default:
+			key = ws.srcs.key(it)
 		}
 		sp.applied++
-		if !w.del {
-			out = append(out, btree.Item{Key: key, Rec: record.New(tid.Word(w.tid).WithLatest(true), w.value)})
+		if !it.del {
+			out = append(out, btree.Item{Key: key, Rec: record.New(tid.Word(it.tid).WithLatest(true), ws.srcs.value(it))})
 		}
 	}
 	return out
+}
+
+// rows counts the rows merging the run with the sorted winners makes: a
+// row per key of either, less the deletes, which win wherever they meet a
+// row (a logged entry is of epoch CE or later). It reads the keys' words
+// and lengths only, so that merge allocates what it fills.
+func (sp *span) rows(ws winners, wins []winner) int {
+	n, run := len(sp.run)+len(wins), sp.run
+	for _, w := range wins {
+		c := 1
+		for len(run) > 0 {
+			if c = ws.cmpRow(run[0].key, w); c >= 0 {
+				break
+			}
+			run = run[1:]
+		}
+		if c == 0 {
+			n--
+		}
+		if w.del {
+			n--
+		}
+	}
+	return n
+}
+
+// sortWinners sorts ws by key, with tmp (as long) the other buffer of an
+// LSD radix sort: one stable counting pass per byte of the two words that
+// differs somewhere in ws, least significant first, so keys that share
+// their leading bytes cost no pass for them. Winners left with equal words
+// — keys that extend each other with zero bytes, or share 16 bytes and go
+// on — are then put in order by tie. The result is in ws or in tmp.
+func sortWinners(ws, tmp []winner, tie func(a, b winner) int) []winner {
+	if len(ws) < 2 {
+		return ws
+	}
+	var d0, d1 uint64 // the bits that differ somewhere
+	for _, w := range ws[1:] {
+		d0 |= w.w0 ^ ws[0].w0
+		d1 |= w.w1 ^ ws[0].w1
+	}
+	for shift := 0; shift < 128; shift += 8 {
+		d := d1 >> shift
+		if shift >= 64 {
+			d = d0 >> (shift - 64)
+		}
+		if byte(d) != 0 {
+			radixPass(ws, tmp, shift)
+			ws, tmp = tmp, ws
+		}
+	}
+	for i := 0; i < len(ws); {
+		j := i + 1
+		for j < len(ws) && ws[j].w0 == ws[i].w0 && ws[j].w1 == ws[i].w1 {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(ws[i:j], tie)
+		}
+		i = j
+	}
+	return ws
+}
+
+// radixPass deals src into dst by the byte at shift of the 128-bit key w0w1,
+// keeping the order of winners that share the byte.
+func radixPass(src, dst []winner, shift int) {
+	digit := func(w *winner) byte {
+		if shift >= 64 {
+			return byte(w.w0 >> (shift - 64))
+		}
+		return byte(w.w1 >> shift)
+	}
+	var at [256]int
+	for i := range src {
+		at[digit(&src[i])]++
+	}
+	sum := 0
+	for b, n := range at {
+		at[b], sum = sum, sum+n
+	}
+	for i := range src {
+		b := digit(&src[i])
+		dst[at[b]] = src[i]
+		at[b]++
+	}
 }
 
 // queuedBatches is the depth of an applier's input queue: enough that a
@@ -435,6 +636,12 @@ type router struct {
 	free        <-chan []item
 	batches     [][]item // open batch per applier
 
+	srcs sources
+	seg  uint32  // the segment's source
+	next uint32  // the next source reserved for an inflated frame
+	src  uint32  // the source of the frame being decoded
+	base uintptr // and its address
+
 	tid     uint64 // transaction being decoded (CE ≤ its epoch ≤ D)
 	applied int
 	skipped int
@@ -443,6 +650,19 @@ type router struct {
 	schema  []schemaRow
 	err     error
 }
+
+func (r *router) Frame(payload []byte, inflated bool) {
+	r.src = r.seg
+	if inflated {
+		r.src, r.next = r.next, r.next+1
+		r.srcs[r.src] = payload
+	}
+	r.base = addr(r.srcs[r.src])
+}
+
+// addr is the address of b's first byte. An entry is kept as its offset
+// from its frame's source (router.Frame), which holds the frame alive.
+func addr(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }
 
 func (r *router) Txn(t uint64, writes int) bool {
 	ep := tid.Word(t).Epoch()
@@ -476,18 +696,22 @@ func (r *router) Entry(table uint32, key, value []byte, del bool) {
 		return
 	}
 	r.tables = max(r.tables, table+1)
-	h := entryHash(table, key)
-	k := int(h % uint64(len(r.appliers)))
+	it := item{tid: r.tid, src: r.src, off: uint64(addr(key) - r.base),
+		vlen: uint32(len(value)), table: table, klen: uint8(len(key)), del: del}
+	if len(value) > 0 {
+		it.voff = uint64(addr(value) - r.base)
+	}
+	it.w0, it.w1 = btree.KeyWords(key)
+	it.hash = entryHash(table, key, it.w0, it.w1)
+	k := int(it.hash & 0xffff * uint64(len(r.appliers)) >> 16) // the low 16 bits scaled: no division
 	b := r.batches[k]
 	if b == nil {
-		select {
-		case b = <-r.free:
-			b = b[:0]
-		default:
+		if b = <-r.free; b == nil {
 			b = make([]item, 0, applyBatch)
 		}
+		b = b[:0]
 	}
-	b = append(b, item{hash: h, tid: r.tid, key: key, value: value, table: table, del: del})
+	b = append(b, it)
 	if len(b) == cap(b) {
 		r.appliers[k].in <- b
 		b = nil
@@ -514,6 +738,7 @@ func (r *router) flush() {
 // rejected without touching the winner.
 type applier struct {
 	in    chan []item
+	srcs  sources
 	wins  [][]item // winner i is wins[i/winChunk][i%winChunk]
 	n     int      // winners
 	index []uint64
@@ -521,10 +746,17 @@ type applier struct {
 	superseded int // decoded in range, lost to a newer TID in the log
 }
 
-// winChunk is the number of winners per chunk (72 KiB of items).
+// winChunk is the number of winners per chunk (64 KiB of items).
 const winChunk = 1024
 
 func (a *applier) win(i int) *item { return &a.wins[i/winChunk][i%winChunk] }
+
+// same reports whether two items hold the same key of the same table,
+// reading their bytes only when their words and lengths tie past 16 bytes.
+func (a *applier) same(x, y *item) bool {
+	return x.hash == y.hash && x.w0 == y.w0 && x.w1 == y.w1 && x.klen == y.klen && x.table == y.table &&
+		(x.klen <= inlineBytes || bytes.Equal(a.srcs.tail(x), a.srcs.tail(y)))
+}
 
 func (a *applier) absorb(batch []item) {
 	for i := range batch {
@@ -533,6 +765,17 @@ func (a *applier) absorb(batch []item) {
 			a.grow()
 		}
 		mask := uint64(len(a.index) - 1)
+		// Ask for the home slot of the entry eight on, and for the winner
+		// in the home slot of the one four on (asked for four steps ago)
+		// when its tag matches.
+		if j := i + 8; j < len(batch) {
+			prefetch(uintptr(unsafe.Pointer(&a.index[(batch[j].hash>>16)&mask])))
+		}
+		if j := i + 4; j < len(batch) {
+			if slot := a.index[(batch[j].hash>>16)&mask]; slot != 0 && slot&^0xffffffff == batch[j].hash&^0xffffffff {
+				prefetch(uintptr(unsafe.Pointer(a.win(int(uint32(slot)) - 1))))
+			}
+		}
 		tag := it.hash &^ 0xffffffff
 		for p := (it.hash >> 16) & mask; ; p = (p + 1) & mask {
 			slot := a.index[p]
@@ -548,11 +791,10 @@ func (a *applier) absorb(batch []item) {
 			if slot&^0xffffffff != tag {
 				continue
 			}
-			w := a.win(int(uint32(slot)) - 1)
-			if w.hash == it.hash && w.table == it.table && bytes.Equal(w.key, it.key) {
+			if w := a.win(int(uint32(slot)) - 1); a.same(w, it) {
 				a.superseded++
 				if it.tid > w.tid {
-					w.tid, w.value, w.del = it.tid, it.value, it.del
+					*w = *it
 				}
 				break
 			}
@@ -579,25 +821,27 @@ func (a *applier) grow() {
 }
 
 // entryHash routes an entry to an applier and places it in that applier's
-// table: FNV-1a over the table id and key, then a finalizer so that every
-// bit range of the result is usable (the applier is picked from the low
-// bits, the slot from the middle, the tag from the top).
-func entryHash(table uint32, key []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < 4; i++ {
-		h ^= uint64(byte(table >> (8 * i)))
-		h *= prime
+// table. It mixes the key's first word with the table id and key length,
+// then each further eight bytes of the key, each step through the
+// splitmix64 finalizer, so that every bit range of the result is usable
+// (the applier is picked from the low bits, the slot from the middle, the
+// tag from the top).
+func entryHash(table uint32, key []byte, w0, w1 uint64) uint64 {
+	h := mix(w0 ^ (uint64(table)<<8|uint64(len(key)))*0x9e3779b97f4a7c15)
+	if len(key) > 8 {
+		h = mix(h ^ w1)
 	}
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime
+	for rest := key[min(len(key), inlineBytes):]; len(rest) > 0; rest = rest[min(len(rest), 8):] {
+		w, _ := btree.KeyWords(rest[:min(len(rest), 8)])
+		h = mix(h ^ w)
 	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
 	return h
+}
+
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }

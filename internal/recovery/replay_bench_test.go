@@ -24,6 +24,15 @@ type replayShape struct {
 	// transactions are then logged, over the rows (rewriting them) or, with
 	// no rows, as inserts of fresh ascending keys.
 	rows, txns int
+	// key is key i; nil is benchKey.
+	key func(i int) []byte
+}
+
+func (sh replayShape) keyOf(i int) []byte {
+	if sh.key == nil {
+		return benchKey(i)
+	}
+	return sh.key(i)
 }
 
 var replayShapes = []replayShape{
@@ -34,6 +43,19 @@ var replayShapes = []replayShape{
 	// Every entry creates its key: rewrite ratio 0, nothing to coalesce.
 	// Replay must cost no more here than applying entry by entry would.
 	{name: "insert-only", rows: 0, txns: 50_000},
+	// rewrite's ratio over 20-byte composite keys whose first 12 bytes are
+	// shared by runs of 1 000 keys, as TPC-C's are by a district's orders:
+	// the keys of a run tie on both words, so the replay tells them apart
+	// by their last four bytes, read from the log.
+	{name: "composite", rows: 20_000, txns: 50_000, key: compositeKey},
+}
+
+// compositeKey is a 12-byte group prefix, the same for 1 000 keys, then the
+// key's place in its group as 8 big-endian bytes.
+func compositeKey(i int) []byte {
+	k := binary.BigEndian.AppendUint32([]byte("grp:"), 0)
+	k = binary.BigEndian.AppendUint32(k, uint32(i/1000))
+	return binary.BigEndian.AppendUint64(k, uint64(i%1000))
 }
 
 const (
@@ -72,7 +94,7 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 		for lo := 0; lo < sh.rows; lo += 512 {
 			if err := s.Worker(0).Run(func(tx *core.Tx) error {
 				for i := lo; i < min(lo+512, sh.rows); i++ {
-					if err := tx.Insert(tbl, benchKey(i), val); err != nil {
+					if err := tx.Insert(tbl, sh.keyOf(i), val); err != nil {
 						return err
 					}
 				}
@@ -116,7 +138,7 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 		binary.BigEndian.PutUint64(v1, rng.Uint64())
 		l := i % benchLoggers
 		frames[l] = append(frames[l], logTxn{tid: tidAt(epoch, uint64(i+1)),
-			entries: []wal.Entry{put(0, benchKey(k0), v0), put(0, benchKey(k1), v1)}})
+			entries: []wal.Entry{put(0, sh.keyOf(k0), v0), put(0, sh.keyOf(k1), v1)}})
 		if len(frames[l]) == benchFrameTxns {
 			flush(l, false)
 		}

@@ -26,12 +26,15 @@ func waitDurable(t *testing.T, s *core.Store, m *wal.Manager) {
 			target = e
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for m.DurableEpoch() < target {
-		if time.Now().After(deadline) {
-			t.Fatalf("durable epoch stuck at %d want %d", m.DurableEpoch(), target)
-		}
-		time.Sleep(time.Millisecond)
+	durable := make(chan struct{})
+	go func() {
+		m.WaitDurable(target)
+		close(durable)
+	}()
+	select {
+	case <-durable:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("durable epoch stuck at %d want %d", m.DurableEpoch(), target)
 	}
 }
 
@@ -98,7 +101,7 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 					// once a snapshot epoch covering the early rounds
 					// exists.
 					for s.Epochs().SnapshotGlobal() < 4 {
-						time.Sleep(time.Millisecond)
+						m.WaitDurable(m.DurableEpoch() + 1)
 					}
 					ckptRes, ckptErr = WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
 				}
@@ -383,19 +386,19 @@ type randomLog struct {
 
 // buildRandomLog writes a partitioned checkpoint at some epoch CE and,
 // around it, a log from three loggers: transactions below CE (the
-// checkpoint already holds their effect), in CE..D, and beyond D, over a
-// key space small enough that most keys are written many times, by
-// several loggers, with deletes and re-inserts. Within a logger the
+// checkpoint already holds their effect), in CE..D, and beyond D, over
+// keys few enough that most are written many times, by several loggers,
+// with deletes and re-inserts. Within a logger the
 // transactions are shuffled — replay may assume nothing about order — and
 // cut into segments and frames at random; durable frames are not monotone
 // (the largest is followed by small ones, as after a re-Open), and one
 // segment ends in a torn frame whose transaction must not be applied.
-func buildRandomLog(t *testing.T, rng *rand.Rand, kinds string) randomLog {
-	const nKeys = 40
+func buildRandomLog(t *testing.T, rng *rand.Rand, kinds string, keys [][]byte) randomLog {
 	const loggers = 3
 	lg := randomLog{dir: t.TempDir()}
 	model := [2]map[string]string{{}, {}}
-	key := func(i int) []byte { return binKey(i) }
+	nKeys := len(keys)
+	key := func(i int) []byte { return keys[i] }
 	valCounter := 0
 	// genTxn draws a transaction of 0–3 writes and applies it to the model.
 	genTxn := func(apply bool) []wal.Entry {
@@ -537,7 +540,7 @@ func TestReplayEquivalenceRandomLogs(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		kinds := []string{"C", "BC", "B"}[seed%3]
 		t.Run(fmt.Sprintf("seed=%d,frames=%s", seed, kinds), func(t *testing.T) {
-			lg := buildRandomLog(t, rand.New(rand.NewSource(seed)), kinds)
+			lg := buildRandomLog(t, rand.New(rand.NewSource(seed)), kinds, binKeys(40))
 			checkRows := func(label string, s *core.Store) {
 				t.Helper()
 				for ti, tbl := range s.Tables() {

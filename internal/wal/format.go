@@ -172,6 +172,15 @@ type Visitor interface {
 	Entry(table uint32, key, value []byte, del bool)
 }
 
+// A FrameVisitor is a Visitor that is also shown, before each buffer frame's
+// transactions, the payload their keys and values alias: a stretch of the
+// segment's buffer, or, when inflated, the copy Walk inflated a deflated
+// frame into. Replay keeps an entry as its offset in one or the other.
+type FrameVisitor interface {
+	Visitor
+	Frame(payload []byte, inflated bool)
+}
+
 // skipEntries hops over n entries starting at p[off], returning the offset
 // past them, or false if they run off the end of p.
 func skipEntries(p []byte, off int, n uint32) (int, bool) {

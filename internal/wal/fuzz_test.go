@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"silo/internal/core"
 	"silo/internal/tid"
@@ -118,12 +119,35 @@ func refPayload(p []byte, deflated bool) ([]TxnRecord, bool) {
 	return txns, true
 }
 
-// aliasRecorder is a Visitor that keeps what it is shown without copying,
-// as replay does, and checks the visitor contract as it goes.
+// aliasRecorder is a FrameVisitor that keeps what it is shown without
+// copying, as replay does, and checks the visitor contract as it goes:
+// every key and value lies in the payload last shown.
 type aliasRecorder struct {
-	t    *testing.T
-	txns []TxnRecord
-	left int // entries still owed for the last transaction
+	t        *testing.T
+	txns     []TxnRecord
+	left     int    // entries still owed for the last transaction
+	payload  []byte // the frame being walked
+	inflated int    // inflated payloads shown
+}
+
+func (r *aliasRecorder) Frame(payload []byte, inflated bool) {
+	if r.left != 0 {
+		r.t.Fatalf("frame shown with %d entries of the last transaction outstanding", r.left)
+	}
+	r.payload = payload
+	if inflated {
+		r.inflated++
+	}
+}
+
+// within reports whether b lies in the payload last shown.
+func (r *aliasRecorder) within(b []byte) bool {
+	if len(b) == 0 {
+		return true
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(r.payload)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return p >= lo && p+uintptr(len(b)) <= lo+uintptr(len(r.payload))
 }
 
 func (r *aliasRecorder) Txn(tid uint64, writes int) bool {
@@ -143,6 +167,9 @@ func (r *aliasRecorder) Entry(table uint32, key, value []byte, del bool) {
 	r.left--
 	if del != (value == nil) {
 		r.t.Fatalf("entry with delete=%v carries value %v", del, value)
+	}
+	if !r.within(key) || !r.within(value) {
+		r.t.Fatalf("entry %x=%x lies outside the frame it was shown in", key, value)
 	}
 	cur := &r.txns[len(r.txns)-1]
 	cur.Entries = append(cur.Entries, Entry{Table: table, Key: key, Value: value, Delete: del})
@@ -269,6 +296,9 @@ func FuzzWalkSegment(f *testing.F) {
 		}
 		if rec.left != 0 {
 			t.Fatalf("walk ended with %d entries outstanding", rec.left)
+		}
+		if complete && rec.inflated != seg.Deflated {
+			t.Fatalf("walk inflated %d frames, ScanSegment counted %d deflated", rec.inflated, seg.Deflated)
 		}
 		if len(rec.txns) != len(want.txns) {
 			t.Fatalf("walk yields %d transactions, the format holds %d", len(rec.txns), len(want.txns))

@@ -92,6 +92,9 @@ type Segment struct {
 	Durable uint64
 	// Size is the length of the whole file, torn tail included.
 	Size int64
+	// Deflated is the number of deflated frames in the prefix: how many
+	// payloads a Walk inflates.
+	Deflated int
 
 	data []byte
 }
@@ -108,8 +111,11 @@ func ScanSegment(data []byte) Segment {
 		if err != nil {
 			break
 		}
-		if kind == frameDurable && epoch > s.Durable {
+		switch {
+		case kind == frameDurable && epoch > s.Durable:
 			s.Durable = epoch
+		case kind == frameDeflated:
+			s.Deflated++
 		}
 		off = next
 	}
@@ -123,8 +129,10 @@ func ScanSegment(data []byte) Segment {
 // shown: such a frame cannot come from a torn write (its CRC matched), so
 // nothing after it is trusted either. complete reports whether the walk
 // reached the end of the verified prefix; when it is false the segment holds
-// transactions v was not shown.
+// transactions v was not shown. A FrameVisitor is shown each payload before
+// its transactions.
 func (s Segment) Walk(v Visitor) (complete bool) {
+	fv, _ := v.(FrameVisitor)
 	for off := 0; off < len(s.data); {
 		// The prefix is verified: no error, and no second checksum.
 		kind, payload, _, next, _ := frameAt(s.data, off, false)
@@ -140,6 +148,9 @@ func (s Segment) Walk(v Visitor) (complete bool) {
 		}
 		if !checkPayload(payload) {
 			return false
+		}
+		if fv != nil {
+			fv.Frame(payload, kind == frameDeflated)
 		}
 		walkPayload(payload, v)
 	}
