@@ -109,146 +109,62 @@ func BenchmarkCommitScanNodeSet(b *testing.B) {
 	}
 }
 
-// BenchmarkCommitObsOverhead prices the observability layer on the commit
-// hot path: the same read-modify-write transaction with full
-// instrumentation (per-worker sharded counters, batched table tallies,
-// 1-in-64 phase-latency sampling) and with Options.DisableObs. The
-// instrumented/disabled ratio is the number BENCH_COMMIT.json tracks; the
-// budget is 2%. workers=1 is the clean single-core path; workers=4 runs
+// BenchmarkCommit times the commit hot path as it ships, instruments
+// included (per-worker sharded counters, batched table tallies, 1-in-64
+// phase-latency sampling, one flight-recorder event per commit): a
+// read-modify-write transaction, 1 GET + 1 PUT of a 100-byte row in a
+// 100k-row table. workers=1 is the clean single-core path; workers=4 runs
 // four worker goroutines committing concurrently over disjoint key ranges,
-// so the sharded counters are exercised under real commit concurrency.
-func BenchmarkCommitObsOverhead(b *testing.B) {
-	modes := []struct {
-		name   string
-		mutate func(*Options)
-	}{
-		{"Instrumented", nil},
-		{"DisableObs", func(o *Options) { o.DisableObs = true }},
-	}
+// so the shards and rings are exercised under real commit concurrency
+// with no aborts.
+func BenchmarkCommit(b *testing.B) {
 	for _, workers := range []int{1, 4} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("workers=%d/%s", workers, mode.name), func(b *testing.B) {
-				opts := DefaultOptions(workers)
-				opts.EpochInterval = 10 * time.Millisecond
-				if mode.mutate != nil {
-					mode.mutate(&opts)
-				}
-				s := NewStore(opts)
-				b.Cleanup(s.Close)
-				tbl := s.CreateTable("t")
-				w0 := s.Worker(0)
-				var kb [8]byte
-				val := make([]byte, 100)
-				for lo := 0; lo < 100000; lo += 512 {
-					w0.Run(func(tx *Tx) error {
-						for i := lo; i < lo+512 && i < 100000; i++ {
-							binary.BigEndian.PutUint64(kb[:], uint64(i))
-							if err := tx.Insert(tbl, kb[:], val); err != nil {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := DefaultOptions(workers)
+			opts.EpochInterval = 10 * time.Millisecond
+			s := NewStore(opts)
+			b.Cleanup(s.Close)
+			tbl := s.CreateTable("t")
+			w0 := s.Worker(0)
+			var kb [8]byte
+			val := make([]byte, 100)
+			for lo := 0; lo < 100000; lo += 512 {
+				w0.Run(func(tx *Tx) error {
+					for i := lo; i < lo+512 && i < 100000; i++ {
+						binary.BigEndian.PutUint64(kb[:], uint64(i))
+						if err := tx.Insert(tbl, kb[:], val); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			}
+			per := b.N / workers
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for wid := 0; wid < workers; wid++ {
+				wg.Add(1)
+				go func(wid int) {
+					defer wg.Done()
+					w := s.Worker(wid)
+					span := 100000 / workers
+					base := wid * span
+					var kb [8]byte
+					val := make([]byte, 100)
+					for i := 0; i < per; i++ {
+						binary.BigEndian.PutUint64(kb[:], uint64(base+i%span))
+						val[0] = byte(i)
+						w.Run(func(tx *Tx) error {
+							if _, err := tx.Get(tbl, kb[:]); err != nil {
 								return err
 							}
-						}
-						return nil
-					})
-				}
-				per := b.N / workers
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for wid := 0; wid < workers; wid++ {
-					wg.Add(1)
-					go func(wid int) {
-						defer wg.Done()
-						w := s.Worker(wid)
-						span := 100000 / workers
-						base := wid * span
-						var kb [8]byte
-						val := make([]byte, 100)
-						for i := 0; i < per; i++ {
-							binary.BigEndian.PutUint64(kb[:], uint64(base+i%span))
-							val[0] = byte(i)
-							w.Run(func(tx *Tx) error {
-								if _, err := tx.Get(tbl, kb[:]); err != nil {
-									return err
-								}
-								return tx.Put(tbl, kb[:], val)
-							})
-						}
-					}(wid)
-				}
-				wg.Wait()
-			})
-		}
-	}
-}
-
-// BenchmarkCommitFlightRecorder prices the flight recorder on the commit
-// hot path: the same read-modify-write transaction with the recorder on
-// (one 32-byte ring event per commit or abort, plain stores plus one
-// atomic cursor publish, one clock read) and with Options.DisableTrace.
-// The instrumented/disabled ratio is the number BENCH_TRACE.json tracks;
-// the budget is 2%. workers=4 runs four workers over one shared keyspace
-// with interleaved strides, so commits contend and the abort path (with
-// its table-id/key-prefix forensic capture) is exercised too.
-func BenchmarkCommitFlightRecorder(b *testing.B) {
-	modes := []struct {
-		name   string
-		mutate func(*Options)
-	}{
-		{"Instrumented", nil},
-		{"DisableTrace", func(o *Options) { o.DisableTrace = true }},
-	}
-	for _, workers := range []int{1, 4} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("workers=%d/%s", workers, mode.name), func(b *testing.B) {
-				opts := DefaultOptions(workers)
-				opts.EpochInterval = 10 * time.Millisecond
-				if mode.mutate != nil {
-					mode.mutate(&opts)
-				}
-				s := NewStore(opts)
-				b.Cleanup(s.Close)
-				tbl := s.CreateTable("t")
-				w0 := s.Worker(0)
-				var kb [8]byte
-				val := make([]byte, 100)
-				for lo := 0; lo < 100000; lo += 512 {
-					w0.Run(func(tx *Tx) error {
-						for i := lo; i < lo+512 && i < 100000; i++ {
-							binary.BigEndian.PutUint64(kb[:], uint64(i))
-							if err := tx.Insert(tbl, kb[:], val); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
-				}
-				per := b.N / workers
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for wid := 0; wid < workers; wid++ {
-					wg.Add(1)
-					go func(wid int) {
-						defer wg.Done()
-						w := s.Worker(wid)
-						var kb [8]byte
-						val := make([]byte, 100)
-						for i := 0; i < per; i++ {
-							// Interleaved strides over one shared keyspace:
-							// workers collide on hot keys often enough to
-							// exercise the abort path under contention.
-							binary.BigEndian.PutUint64(kb[:], uint64((i*7+wid)%100000))
-							val[0] = byte(i)
-							w.Run(func(tx *Tx) error {
-								if _, err := tx.Get(tbl, kb[:]); err != nil {
-									return err
-								}
-								return tx.Put(tbl, kb[:], val)
-							})
-						}
-					}(wid)
-				}
-				wg.Wait()
-			})
-		}
+							return tx.Put(tbl, kb[:], val)
+						})
+					}
+				}(wid)
+			}
+			wg.Wait()
+		})
 	}
 }
 

@@ -205,13 +205,13 @@ func (c *countingClock) Now() time.Duration {
 	return c.Clock.Now()
 }
 
-// TestCommitClockReads: Commit reads the store clock only on a sampled or
-// traced commit, four times, and both the phase histograms and the spans
-// are cut from those reads. (The flight recorder stamps its events on the
-// same clock; it is off here.)
+// TestCommitClockReads: every commit reads the store clock once, for its
+// flight-recorder event's stamp; a sampled or traced commit reads it four
+// more times, and both the phase histograms and the spans are cut from
+// those four reads.
 func TestCommitClockReads(t *testing.T) {
 	clock := &countingClock{Clock: vfs.WallClock}
-	s := manualStore(t, 1, func(o *Options) { o.Clock = clock; o.DisableTrace = true })
+	s := manualStore(t, 1, func(o *Options) { o.Clock = clock })
 	tbl := s.CreateTable("t")
 	w := s.Worker(0)
 	key := 0
@@ -229,16 +229,16 @@ func TestCommitClockReads(t *testing.T) {
 		return clock.reads.Load() - before
 	}
 	for i := 1; i < phaseSampleInterval; i++ {
-		if n := commit(nil); n != 0 {
-			t.Fatalf("untraced, unsampled commit %d read the clock %d times, want 0", i, n)
+		if n := commit(nil); n != 1 {
+			t.Fatalf("untraced, unsampled commit %d read the clock %d times, want 1 (the ring's stamp)", i, n)
 		}
 	}
-	if n := commit(nil); n != 4 {
-		t.Errorf("sampled commit read the clock %d times, want 4", n)
+	if n := commit(nil); n != 5 {
+		t.Errorf("sampled commit read the clock %d times, want 5", n)
 	}
 	var sp trace.Spans
-	if n := commit(&sp); n != 4 {
-		t.Errorf("traced commit read the clock %d times, want 4", n)
+	if n := commit(&sp); n != 5 {
+		t.Errorf("traced commit read the clock %d times, want 5", n)
 	}
 	if sp.TID == 0 || sp.Validate < 0 || sp.Log < 0 {
 		t.Errorf("traced commit spans = %+v", sp)

@@ -45,8 +45,7 @@ type gcState struct {
 }
 
 // registerSnapshotVersion schedules the release of rec, a superseded
-// version just linked behind the live record head, and counts it into o
-// (nil under Options.DisableObs).
+// version just linked behind the live record head, and counts it into o.
 func (g *gcState) registerSnapshotVersion(o *workerObs, head, rec *record.Record, reclaimEpoch uint64) {
 	n := rec.DataLen() + recordOverheadBytes
 	g.snapList = append(g.snapList, gcItem{
@@ -55,10 +54,8 @@ func (g *gcState) registerSnapshotVersion(o *workerObs, head, rec *record.Record
 		head:  head,
 		bytes: n,
 	})
-	if o != nil {
-		o.snapBytes.Add(uint64(n))
-		o.snapCreated.Inc()
-	}
+	o.snapBytes.Add(uint64(n))
+	o.snapCreated.Inc()
 }
 
 // registerUnhook schedules the removal of an absent record from the tree.
@@ -101,10 +98,8 @@ func (g *gcState) reap(w *Worker) {
 	}
 	if i > 0 {
 		g.snapList = sliceDrop(g.snapList, i)
-		if o != nil {
-			o.snapBytes.Add(-freed)
-			o.snapReaped.Add(uint64(i))
-		}
+		o.snapBytes.Add(-freed)
+		o.snapReaped.Add(uint64(i))
 	}
 
 	i = 0
@@ -124,10 +119,8 @@ func (g *gcState) reap(w *Worker) {
 	}
 	if i > 0 {
 		g.unhookList = sliceDrop(g.unhookList, i)
-		if o != nil {
-			o.unhooksDone.Add(done)
-			o.unhooksSkipped.Add(uint64(i) - done)
-		}
+		o.unhooksDone.Add(done)
+		o.unhooksSkipped.Add(uint64(i) - done)
 	}
 }
 

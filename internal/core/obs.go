@@ -121,18 +121,10 @@ func (tx *Tx) tallySlot(t *Table) *tableTally {
 }
 
 // tallyRead counts one value read from t.
-func (tx *Tx) tallyRead(t *Table) {
-	if tx.w.obs != nil {
-		tx.tallySlot(t).reads++
-	}
-}
+func (tx *Tx) tallyRead(t *Table) { tx.tallySlot(t).reads++ }
 
 // tallyWrite counts one staged write to t.
-func (tx *Tx) tallyWrite(t *Table) {
-	if tx.w.obs != nil {
-		tx.tallySlot(t).writes++
-	}
-}
+func (tx *Tx) tallyWrite(t *Table) { tx.tallySlot(t).writes++ }
 
 // flushTally folds the transaction's per-table counts into the worker
 // shard: two atomic adds per touched table. The engine-wide read/write
@@ -140,10 +132,6 @@ func (tx *Tx) tallyWrite(t *Table) {
 // commit path pays nothing for them.
 func (tx *Tx) flushTally() {
 	o := tx.w.obs
-	if o == nil || len(tx.tally) == 0 {
-		tx.tally = tx.tally[:0]
-		return
-	}
 	for i := range tx.tally {
 		e := &tx.tally[i]
 		cell := o.table(e.t.ID)
@@ -163,16 +151,9 @@ func (tx *Tx) flushTally() {
 func (s *Store) obsShards() []*workerObs {
 	shards := make([]*workerObs, 0, len(s.workers)+2)
 	for _, w := range s.workers {
-		if w.obs != nil {
-			shards = append(shards, w.obs)
-		}
+		shards = append(shards, w.obs)
 	}
-	for _, w := range []*Worker{s.maint, s.ddl} {
-		if w != nil && w.obs != nil {
-			shards = append(shards, w.obs)
-		}
-	}
-	return shards
+	return append(shards, s.maint.obs, s.ddl.obs)
 }
 
 // CollectObs appends the engine's metric families to snap: commit and

@@ -75,53 +75,6 @@ func (h failingHook) OnInsert(tx *Tx, pk, val []byte) error            { return 
 func (h failingHook) OnUpdate(tx *Tx, pk, oldVal, newVal []byte) error { return h.err }
 func (h failingHook) OnDelete(tx *Tx, pk, oldVal []byte) error         { return h.err }
 
-// TestDisableObs: without shards the engine counts nothing, and the
-// garbage collector still does its work: superseded snapshot versions are
-// reaped and deleted keys unhooked while every family stays 0.
-func TestDisableObs(t *testing.T) {
-	s := manualStore(t, 1, func(o *Options) { o.DisableObs = true; o.SnapshotK = 2 })
-	tab := s.CreateTable("t")
-	w := s.Worker(0)
-	k := []byte{1}
-	if err := w.Run(func(tx *Tx) error { return tx.Insert(tab, k, []byte("v")) }); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		advanceEpochs(s, 3) // crosses a snapshot boundary (k=2)
-		if err := w.Run(func(tx *Tx) error { return tx.Put(tab, k, []byte{byte(i)}) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sv, _ := w.PendingGarbage(); sv == 0 {
-		t.Fatal("no snapshot versions registered across boundaries")
-	}
-	if err := w.Run(func(tx *Tx) error { return tx.Delete(tab, k) }); err != nil {
-		t.Fatal(err)
-	}
-	advanceEpochs(s, 20)
-	w.ReapNow()
-	if sv, un := w.PendingGarbage(); sv != 0 || un != 0 {
-		t.Errorf("garbage left with DisableObs: %d snapshot versions, %d unhooks", sv, un)
-	}
-	if tab.Tree.Len() != 0 {
-		t.Error("deleted key not unhooked with DisableObs")
-	}
-	var snap obs.Snapshot
-	s.CollectObs(&snap)
-	for _, f := range [][2]string{
-		{"silo_core_commits_total", ""},
-		{"silo_core_snapshot_versions_total", "created"},
-		{"silo_core_snapshot_versions_total", "reaped"},
-		{"silo_core_snapshot_bytes_retained", ""},
-		{"silo_core_unhooks_total", "done"},
-		{"silo_core_unhooks_total", "skipped"},
-	} {
-		if m := snap.Get(f[0], f[1]); m == nil || m.Value != 0 {
-			t.Errorf("%s{%s} with DisableObs = %+v, want a 0 sample", f[0], f[1], m)
-		}
-	}
-}
-
 func TestAbortBreakdownValidation(t *testing.T) {
 	s := NewStore(Options{Workers: 2, ManualEpochs: true})
 	defer s.Close()

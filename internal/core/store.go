@@ -69,14 +69,6 @@ type Options struct {
 	// ManualEpochs suppresses the epoch-advancing goroutine; tests drive
 	// epochs with Store.AdvanceEpoch.
 	ManualEpochs bool
-	// DisableObs turns off the per-worker observability shards (see
-	// internal/obs). It exists for the instrumentation-overhead
-	// benchmark baseline; production configurations leave it false.
-	DisableObs bool
-	// DisableTrace turns off the flight recorder (see internal/trace).
-	// Like DisableObs it exists for the overhead-benchmark baseline;
-	// production configurations leave the recorder always on.
-	DisableTrace bool
 	// Clock drives the epoch-advancing thread; nil means real time. The
 	// deterministic simulation harness (internal/sim) substitutes a
 	// manually stepped clock.
@@ -205,7 +197,7 @@ type Store struct {
 	opts   Options
 	epochs *epoch.Manager
 	clock  vfs.Clock
-	flight *trace.Recorder // nil when Options.DisableTrace
+	flight *trace.Recorder
 
 	mu      sync.Mutex
 	tables  map[string]*Table
@@ -234,9 +226,7 @@ func NewStore(opts Options) *Store {
 		tables: make(map[string]*Table),
 		clock:  vfs.DefaultClock(opts.Clock),
 	}
-	if !opts.DisableTrace {
-		s.flight = trace.New(s.clock)
-	}
+	s.flight = trace.New(s.clock)
 	// Two extra epoch slots back the hidden workers: background
 	// housekeeping (checkpointing) needs a snapshot pinned against
 	// reclamation without borrowing an application worker, and schema DDL
@@ -298,8 +288,7 @@ func (s *Store) CreateTable(name string) *Table {
 	return t
 }
 
-// Flight returns the store's flight recorder, or nil when
-// Options.DisableTrace. Other layers (the WAL, the server front end,
+// Flight returns the store's flight recorder. Other layers (the WAL, the server front end,
 // the checkpoint daemon) register their own rings on it so one dump
 // covers the whole process.
 func (s *Store) Flight() *trace.Recorder { return s.flight }

@@ -654,9 +654,7 @@ func (tx *Tx) abort(reason abortReason, t *Table, key []byte) {
 		reason = abortHookPoisoned
 	}
 	tx.active = false
-	if o := w.obs; o != nil {
-		o.aborts[reason].Inc()
-	}
+	w.obs.aborts[reason].Inc()
 	var tableID uint32
 	if t != nil {
 		tableID = t.ID
@@ -734,11 +732,9 @@ func (tx *Tx) Commit() error {
 	// per worker read the store clock (deterministic under simulation) at
 	// four points, t0–t3, from which both the sampled histograms and the
 	// spans are cut; all others pay one increment and a mask test.
-	sample := false
-	if o := w.obs; o != nil {
-		o.tick++
-		sample = o.tick&(phaseSampleInterval-1) == 0
-	}
+	o := w.obs
+	o.tick++
+	sample := o.tick&(phaseSampleInterval-1) == 0
 	timed := sample || tx.spans != nil
 	var t0, t1, t2, t3 time.Duration
 	if timed {
@@ -845,14 +841,12 @@ func (tx *Tx) Commit() error {
 	}
 
 	tx.active = false
-	if o := w.obs; o != nil {
-		o.commits.Inc()
-		if sample {
-			o.phase[obsPhaseLock].ObserveDuration(int64(t1 - t0))
-			o.phase[obsPhaseValidate].ObserveDuration(int64(t2 - t1))
-			o.phase[obsPhaseInstall].ObserveDuration(int64(t3 - t2))
-			o.nodeset.Observe(uint64(len(tx.nodes)))
-		}
+	o.commits.Inc()
+	if sample {
+		o.phase[obsPhaseLock].ObserveDuration(int64(t1 - t0))
+		o.phase[obsPhaseValidate].ObserveDuration(int64(t2 - t1))
+		o.phase[obsPhaseInstall].ObserveDuration(int64(t3 - t2))
+		o.nodeset.Observe(uint64(len(tx.nodes)))
 	}
 	if sp := tx.spans; sp != nil {
 		sp.Validate += t2 - t0

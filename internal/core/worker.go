@@ -19,8 +19,8 @@ type Worker struct {
 	gen   tid.Generator
 	gc    gcState
 	arena arena
-	obs   *workerObs  // nil when Options.DisableObs (benchmark baseline)
-	ring  *trace.Ring // flight-recorder shard; nil when Options.DisableTrace
+	obs   *workerObs  // observability shard (see obs.go)
+	ring  *trace.Ring // flight-recorder shard
 	logFn LogFunc
 
 	tx   Tx     // reusable transaction
@@ -29,11 +29,13 @@ type Worker struct {
 }
 
 func newWorker(s *Store, id int) *Worker {
-	w := &Worker{id: id, store: s, slot: s.epochs.Slot(id)}
-	if !s.opts.DisableObs {
-		w.obs = &workerObs{}
+	w := &Worker{
+		id:    id,
+		store: s,
+		slot:  s.epochs.Slot(id),
+		obs:   &workerObs{},
+		ring:  s.flight.NewRing(uint8(id), trace.DefaultRingEvents),
 	}
-	w.ring = s.flight.NewRing(uint8(id), trace.DefaultRingEvents)
 	w.tx.w = w
 	w.stx.w = w
 	return w

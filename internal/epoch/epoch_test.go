@@ -165,14 +165,19 @@ func TestAdvanceTo(t *testing.T) {
 
 func TestBackgroundAdvancer(t *testing.T) {
 	m := NewManager(Config{Workers: 1, Interval: time.Millisecond})
+	reached := make(chan struct{})
+	var once sync.Once
+	m.OnAdvance(func() {
+		if m.Global() >= 5 {
+			once.Do(func() { close(reached) })
+		}
+	})
 	m.Start()
 	defer m.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for m.Global() < 5 {
-		if time.Now().After(deadline) {
-			t.Fatal("epoch did not advance in background")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-reached:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("epoch did not advance in background: E = %d", m.Global())
 	}
 	m.Stop() // idempotent with deferred Stop
 }

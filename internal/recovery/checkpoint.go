@@ -193,7 +193,7 @@ func WriteCheckpoint(fs vfs.FS, s *core.Store, w *core.Worker, dir string, parts
 			return fmt.Errorf("recovery: no snapshot epoch available yet (epoch still warming up)")
 		}
 		res.Epoch = sew
-		ckptDir := filepath.Join(dir, fmt.Sprintf("checkpoint.%d", sew))
+		ckptDir := filepath.Join(dir, checkpointName(sew))
 		res.Path = ckptDir
 		// commit makes the set reachable after a crash: the entries of its
 		// files, then its own entry in dir.
@@ -681,9 +681,13 @@ type foundCheckpoint struct {
 	epoch uint64
 }
 
+// checkpointName is the name of the checkpoint set at epoch ce.
+func checkpointName(ce uint64) string { return fmt.Sprintf("checkpoint.%d", ce) }
+
 // findCheckpoints lists checkpoint candidates in dir, oldest first. Only a
-// directory can be a checkpoint set; whether one is complete is for its
-// manifest to say, never for its name.
+// directory whose name checkpointName gives back exactly can be a
+// checkpoint set (checkpoint.025 is not set 25); whether one is complete
+// is for its manifest to say, never for its name.
 func findCheckpoints(fs vfs.FS, dir string) ([]foundCheckpoint, error) {
 	names, err := fs.Glob(filepath.Join(dir, "checkpoint.*"))
 	if err != nil {
@@ -693,8 +697,8 @@ func findCheckpoints(fs vfs.FS, dir string) ([]foundCheckpoint, error) {
 	for _, n := range names {
 		suffix := strings.TrimPrefix(filepath.Base(n), "checkpoint.")
 		e, err := strconv.ParseUint(suffix, 10, 64)
-		if err != nil {
-			continue // temp or foreign file
+		if err != nil || filepath.Base(n) != checkpointName(e) {
+			continue // temp, foreign or alias name
 		}
 		if _, isDir, err := fs.Stat(n); err != nil || !isDir {
 			continue

@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -359,6 +361,164 @@ func TestStrayEntriesAreNotCheckpoints(t *testing.T) {
 				t.Errorf("daemon beside the stray entry: %+v, want one checkpoint beyond epoch %d", st, real.Epoch)
 			}
 		})
+	}
+}
+
+// TestAliasNamesAreIgnored: a file or directory whose name parses to a
+// real segment's or checkpoint's numbers but is not that name spelled the
+// one way the writers spell it (log.01, log.+1, log.1.0, log.1.01,
+// log.0.07, checkpoint.0<CE>) is foreign. Planted beside a real image, the
+// aliases change nothing: not what recovery returns, not what TruncateLogs
+// or PruneCheckpoints remove, and not the segment a reopened logger
+// resumes.
+func TestAliasNamesAreIgnored(t *testing.T) {
+	const n = 50
+	s, tbl := ckptStore(t, n)
+	src := t.TempDir()
+	older, err := WriteCheckpoint(nil, s, s.Maintenance(), src, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Worker(0).Run(func(tx *core.Tx) error { return tx.Put(tbl, binKey(0), []byte("later")) }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		s.AdvanceEpoch()
+	}
+	newer, err := WriteCheckpoint(nil, s, s.Maintenance(), src, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := newer.Epoch
+	logged := func(epoch uint64, key string) []byte {
+		return appendBufferFrame(nil, []logTxn{{tidAt(epoch, 1), []wal.Entry{put(0, []byte(key), []byte("v"))}}}, 'B')
+	}
+	// Logger 0 rotated twice: two closed segments below CE and an open
+	// one above it. Logger 1 never rotated.
+	writeSegment(t, src, 0, 0, appendDurableFrame(logged(1, "a"), 1))
+	writeSegment(t, src, 0, 1, appendDurableFrame(logged(2, "b"), 2))
+	writeSegment(t, src, 0, 2, appendDurableFrame(logged(ce+1, "c"), ce+1))
+	writeSegment(t, src, 1, 0, appendDurableFrame(logged(3, "d"), ce+1))
+
+	// Every alias holds a transaction recovery would apply if it read it.
+	stray := appendDurableFrame(logged(ce+1, "alias"), ce+1)
+	logAliases := []string{"log.01", "log.+1", "log.1.0", "log.1.01", "log.0.07"}
+	ckptAlias := fmt.Sprintf("checkpoint.0%d", ce)
+
+	image := func(aliases bool) string {
+		dir := filepath.Join(t.TempDir(), "img")
+		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		if aliases {
+			for _, name := range logAliases {
+				if err := os.WriteFile(filepath.Join(dir, name), stray, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.CopyFS(filepath.Join(dir, ckptAlias), os.DirFS(newer.Path)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	names := func(paths []string) (out []string) {
+		for _, p := range paths {
+			out = append(out, filepath.Base(p))
+		}
+		return out
+	}
+	listed := func(dir string) []string {
+		infos, err := wal.ListLogFiles(nil, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var paths []string
+		for _, fi := range infos {
+			paths = append(paths, fi.Path)
+		}
+		return names(paths)
+	}
+	entries := func(dir string) []string {
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, de := range des {
+			out = append(out, de.Name())
+		}
+		return out
+	}
+	plain, aliased := image(false), image(true)
+
+	if got, want := listed(aliased), listed(plain); !slices.Equal(got, want) {
+		t.Errorf("ListLogFiles with aliases = %v, want %v", got, want)
+	}
+
+	type outcome struct {
+		ce, d                        uint64
+		applied, skipped, rows, segs int
+		state                        map[string]string
+	}
+	recoverDir := func(dir string) outcome {
+		s2 := manualStore(t, "t")
+		res, err := Recover(s2, dir, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{res.CheckpointEpoch, res.DurableEpoch, res.TxnsApplied, res.TxnsSkipped,
+			res.CheckpointRows, res.LogFiles, dump(t, s2, s2.Table("t"))}
+	}
+	want := recoverDir(plain)
+	if want.ce != ce || want.d != ce+1 || want.applied != 1 {
+		t.Fatalf("recovery of the plain image = CE %d, D %d, %d applied; want CE %d, D %d, 1 applied", want.ce, want.d, want.applied, ce, ce+1)
+	}
+	if got := recoverDir(aliased); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovery with aliases = %+v, want %+v", got, want)
+	}
+
+	// A reopened logger appends to its newest real segment: opening the
+	// manager creates no file.
+	for _, dir := range []string{plain, aliased} {
+		before := entries(dir)
+		s3 := manualStore(t, "t")
+		m, err := wal.Attach(s3, wal.Config{Dir: dir, Loggers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Stop()
+		if after := entries(dir); !slices.Equal(after, before) {
+			t.Errorf("reopening the loggers over %v left %v", before, after)
+		}
+	}
+
+	for _, c := range []struct {
+		what string
+		run  func(dir string) ([]string, error)
+	}{
+		{"TruncateLogs", func(dir string) ([]string, error) { return wal.TruncateLogs(dir, ce) }},
+		{"PruneCheckpoints", func(dir string) ([]string, error) { return PruneCheckpoints(nil, dir, 1) }},
+	} {
+		wantRemoved, err := c.run(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRemoved, err := c.run(aliased)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := names(gotRemoved), names(wantRemoved); !slices.Equal(g, w) || len(w) == 0 {
+			t.Errorf("%s with aliases removed %v, want %v (not empty)", c.what, g, w)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(aliased, filepath.Base(older.Path))); err == nil {
+		t.Error("the older checkpoint survived pruning")
+	}
+	for _, name := range append(logAliases, ckptAlias) {
+		if _, err := os.Stat(filepath.Join(aliased, name)); err != nil {
+			t.Errorf("alias %s: %v", name, err)
+		}
 	}
 }
 

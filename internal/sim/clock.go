@@ -25,6 +25,7 @@ type Clock struct {
 	now     time.Duration
 	nextID  int
 	tickers []*simTicker
+	kicks   chan struct{} // one token after any Kick; see Kicked
 }
 
 type simTicker struct {
@@ -38,7 +39,15 @@ type simTicker struct {
 }
 
 // NewClock returns a clock at virtual time zero with no tickers.
-func NewClock() *Clock { return &Clock{} }
+func NewClock() *Clock { return &Clock{kicks: make(chan struct{}, 1)} }
+
+// Kicked returns a channel that holds a token once any ticker has been
+// kicked since the token was last taken. A test whose kicks come from real
+// goroutines (durability waiters, a worker in RunDurable) waits on it
+// between Advances instead of polling. The token may be stale — its kick
+// already served by an Advance — so the receiver re-checks after its next
+// Advance.
+func (c *Clock) Kicked() <-chan struct{} { return c.kicks }
 
 // Ticker implements vfs.Clock.
 func (c *Clock) Ticker(d time.Duration, fn func()) vfs.Ticker {
@@ -122,5 +131,9 @@ func (t *simTicker) Kick() {
 	defer t.c.mu.Unlock()
 	if !t.stopped {
 		t.kicked = true
+		select {
+		case t.c.kicks <- struct{}{}:
+		default:
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -32,11 +33,16 @@ func TestDemandRespectsStraggler(t *testing.T) {
 		done chan struct{}
 	}
 	var waiters []waiter
+	returned := make(chan struct{}, 1) // a token after any waiter returns
 	wait := func(e uint64) chan struct{} {
 		w := waiter{e, make(chan struct{})}
 		go func() {
 			db.WaitDurable(e)
 			close(w.done)
+			select {
+			case returned <- struct{}{}:
+			default:
+			}
 		}()
 		waiters = append(waiters, w)
 		return w.done
@@ -52,17 +58,23 @@ func TestDemandRespectsStraggler(t *testing.T) {
 		return r
 	}
 	// settle serves kicks until cond holds. Advance(0) never moves virtual
-	// time, so no tick or logger poll comes due: only kicks run. It repeats
-	// because the waiters are real goroutines whose kicks arrive in real
-	// time.
+	// time, so no tick or logger poll comes due: only kicks run. The
+	// waiters are real goroutines, so between Advances it waits for the
+	// next thing one of them does: raise a kick, or return.
 	settle := func(cond func() bool) bool {
-		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+		timeout := time.After(5 * time.Second)
+		for {
 			clock.Advance(0)
 			if cond() {
 				return true
 			}
+			select {
+			case <-clock.Kicked():
+			case <-returned:
+			case <-timeout:
+				return false
+			}
 		}
-		return false
 	}
 
 	straggler := db.Store().Worker(1).Begin()
@@ -113,5 +125,53 @@ func TestDemandRespectsStraggler(t *testing.T) {
 	}
 	if demand() == before {
 		t.Error("the straggler's epoch closed without a demand advance")
+	}
+}
+
+// TestRunDurableReturnsOnDemandPass: RunDurable needs no flush and no
+// poll. Its wait closes the commit's epoch on demand, the advance kicks
+// the logger, and that pass takes the worker's open buffer and makes the
+// epoch durable: a power cut right after RunDurable returns keeps the
+// write. Only kicks are served (Advance(0)), so virtual time never moves:
+// neither the epoch tick nor the 5 ms logger poll ever fires.
+func TestRunDurableReturnsOnDemandPass(t *testing.T) {
+	fs, clock := NewFS(), NewClock()
+	db := openSimDB(t, fs, clock)
+	defer db.Close()
+	tbl := db.CreateTable("t")
+	start := clock.Now()
+	demand := func() uint64 { return db.Observe().Value("silo_epoch_advances_total", "demand") }
+	before := demand()
+	done := make(chan error, 1)
+	go func() {
+		done <- db.RunDurable(0, func(tx *silo.Tx) error {
+			return tx.Insert(tbl, []byte("k"), []byte("v"))
+		})
+	}()
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if now := clock.Now(); now != start {
+				t.Errorf("virtual time moved %v: a tick or a poll was needed", now-start)
+			}
+			if d, e := db.DurableEpoch(), db.LastCommitEpoch(0); d < e {
+				t.Errorf("RunDurable returned with D = %d below its commit's epoch %d", d, e)
+			}
+			if demand() == before {
+				t.Error("the commit's epoch closed without a demand advance")
+			}
+			if v, ok := simGet(t, recoverSim(t, fs.Crash(rand.New(rand.NewSource(1)))), "t", "k"); !ok || v != "v" {
+				t.Errorf("after a crash the durable write reads %q, %v", v, ok)
+			}
+			return
+		case <-clock.Kicked():
+			clock.Advance(0)
+		case <-timeout:
+			t.Fatalf("RunDurable still waiting with only kicks served: D = %d, E = %d", db.DurableEpoch(), db.Epoch())
+		}
 	}
 }

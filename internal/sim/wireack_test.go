@@ -279,6 +279,7 @@ func TestWireAckHammerSync(t *testing.T) {
 	const writers, versions = 4, 40
 	var mu sync.Mutex
 	ackedVer := make(map[string]int)
+	firstAck := make(chan struct{}, writers) // one token per writer's first power-on ack
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
@@ -300,20 +301,22 @@ func TestWireAckHammerSync(t *testing.T) {
 					mu.Lock()
 					ackedVer[key] = v
 					mu.Unlock()
+					if v == 1 {
+						firstAck <- struct{}{}
+					}
 				}
 			}
 		}(g)
 	}
 	// Let the storm establish itself — every writer should have at least
 	// one power-on ack — then arm the cut mid-byte-stream.
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		mu.Lock()
-		n := len(ackedVer)
-		mu.Unlock()
-		if n >= writers || time.Now().After(deadline) {
-			break
+	timeout := time.After(10 * time.Second)
+	for n := 0; n < writers; n++ {
+		select {
+		case <-firstAck:
+		case <-timeout:
+			n = writers
 		}
-		time.Sleep(time.Millisecond)
 	}
 	fs.CutPowerAfter(2048)
 	wg.Wait()

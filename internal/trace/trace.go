@@ -175,13 +175,8 @@ type Ring struct {
 	buf  [][4]uint64
 }
 
-// Record appends one event, stamping it with the recorder's clock. A
-// nil ring is a disabled recorder and records nothing, so call sites
-// need no flag checks beyond the pointer test.
+// Record appends one event, stamping it with the recorder's clock.
 func (r *Ring) Record(kind Kind, aux uint16, table uint32, a uint64, key []byte) {
-	if r == nil {
-		return
-	}
 	e := Event{TS: r.rec.clock.Now(), Kind: kind, Src: r.src, Aux: aux, Table: table, A: a, Key: KeyPrefix(key)}
 	s := r.seq.Load()
 	w := &r.buf[s&r.mask]
@@ -221,9 +216,7 @@ func (r *Ring) snapshot() []Event {
 	return out
 }
 
-// Recorder owns the flight recorder's rings. A nil *Recorder is fully
-// disabled: NewRing returns a nil ring and Shared returns nil, both of
-// which Record into the void.
+// Recorder owns the flight recorder's rings.
 type Recorder struct {
 	clock vfs.Clock
 
@@ -240,20 +233,9 @@ func New(clock vfs.Clock) *Recorder {
 	return rec
 }
 
-// Now reads the recorder's clock.
-func (rec *Recorder) Now() time.Duration {
-	if rec == nil {
-		return 0
-	}
-	return rec.clock.Now()
-}
-
 // NewRing registers a single-writer ring of n events (rounded up to a
 // power of two) tagged with shard id src.
 func (rec *Recorder) NewRing(src uint8, n int) *Ring {
-	if rec == nil {
-		return nil
-	}
 	size := 1
 	for size < n {
 		size <<= 1
@@ -268,9 +250,6 @@ func (rec *Recorder) NewRing(src uint8, n int) *Ring {
 // RecordShared appends a low-rate event (DDL, checkpoint stage,
 // connection lifecycle) through the mutex-guarded shared ring.
 func (rec *Recorder) RecordShared(kind Kind, aux uint16, table uint32, a uint64, key []byte) {
-	if rec == nil {
-		return
-	}
 	rec.shmu.Lock()
 	rec.shared.Record(kind, aux, table, a, key)
 	rec.shmu.Unlock()
@@ -282,9 +261,6 @@ func (rec *Recorder) RecordShared(kind Kind, aux uint16, table uint32, a uint64,
 // the seeded history, which is what the replay-determinism oracle
 // fingerprints.
 func (rec *Recorder) Dump() []Event {
-	if rec == nil {
-		return nil
-	}
 	rec.mu.Lock()
 	rings := make([]*Ring, len(rec.rings))
 	copy(rings, rec.rings)

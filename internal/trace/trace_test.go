@@ -127,11 +127,13 @@ func (nopTicker) Kick() {}
 func TestConcurrentRecordAndDump(t *testing.T) {
 	rec := New(nil)
 	const writers = 4
+	const ringEvents = 64
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, wrapped sync.WaitGroup
 	for w := 0; w < writers; w++ {
-		ring := rec.NewRing(uint8(w), 64)
+		ring := rec.NewRing(uint8(w), ringEvents)
 		wg.Add(1)
+		wrapped.Add(1)
 		go func(w int, r *Ring) {
 			defer wg.Done()
 			for i := 0; ; i++ {
@@ -145,32 +147,27 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 				if i%17 == 0 {
 					rec.RecordShared(EvDDL, DDLCreateTable, uint32(w), 0, []byte("t"))
 				}
+				if i == 2*ringEvents {
+					wrapped.Done()
+				}
 			}
 		}(w, ring)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var sb strings.Builder
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	// Every ring has wrapped before the first dump, and the writers keep
+	// overwriting until the reader has taken its last one.
+	wrapped.Wait()
+	var sb strings.Builder
+	for i := 0; i < 50; i++ {
+		events := rec.Dump()
+		for _, e := range events {
+			if e.Kind == EvCommit && e.A>>32 != uint64(e.Aux) {
+				t.Errorf("torn event: src word %d inside A=%x, aux=%d", e.A>>32, e.A, e.Aux)
 			}
-			events := rec.Dump()
-			for _, e := range events {
-				if e.Kind == EvCommit && e.A>>32 != uint64(e.Aux) {
-					t.Errorf("torn event: src word %d inside A=%x, aux=%d", e.A>>32, e.A, e.Aux)
-					return
-				}
-			}
-			sb.Reset()
-			WriteText(&sb, events, nil)
-			AppendBinary(nil, events)
 		}
-	}()
-	time.Sleep(200 * time.Millisecond)
+		sb.Reset()
+		WriteText(&sb, events, nil)
+		AppendBinary(nil, events)
+	}
 	close(stop)
 	wg.Wait()
 }

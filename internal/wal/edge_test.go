@@ -10,8 +10,9 @@ import (
 	"silo/internal/tid"
 )
 
-// TestSmallBufferForcesPublish: a tiny worker buffer publishes to the
-// logger queue mid-epoch; everything still recovers.
+// TestSmallBufferForcesPublish: a tiny worker buffer closes mid-epoch,
+// many times between passes, and the pass writes every closed buffer from
+// the worker's list; everything still recovers.
 func TestSmallBufferForcesPublish(t *testing.T) {
 	dir := t.TempDir()
 	s, m := attachedStore(t, 1, Config{Dir: dir, BufferBytes: 64})
@@ -104,12 +105,14 @@ func TestMultiLoggerAssignment(t *testing.T) {
 	}
 }
 
-// TestDurableEpochAdvancesWithIdleWorker: the liveness refinement — one
-// worker commits, the other is permanently idle; the first pass after the
-// commit's epoch closes must make it durable, with no heartbeat from
-// either worker.
+// TestDurableEpochAdvancesWithIdleWorker: the liveness refinement — worker
+// 0 commits once and never runs again, worker 1 is permanently idle; the
+// first pass after the commit's epoch closes must make it durable. Nobody
+// flushes: the commit sits in worker 0's open buffer, and the pass takes
+// it, so it is on disk before Stop.
 func TestDurableEpochAdvancesWithIdleWorker(t *testing.T) {
-	s, m := attachedStore(t, 2, Config{})
+	dir := t.TempDir()
+	s, m := attachedStore(t, 2, Config{Dir: dir})
 	tbl := s.CreateTable("t")
 	w := s.Worker(0) // worker 1 never runs anything
 	if err := w.Run(func(tx *core.Tx) error {
@@ -117,10 +120,18 @@ func TestDurableEpochAdvancesWithIdleWorker(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	target := tid.Word(w.LastCommitTID()).Epoch()
+	commit := w.LastCommitTID()
+	target := tid.Word(commit).Epoch()
 	pass(s, m)
 	if m.DurableEpoch() < target {
 		t.Fatalf("D stuck at %d < %d with an idle worker (liveness regression)", m.DurableEpoch(), target)
+	}
+	_, files, _, err := readLogDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || len(files[0]) != 1 || files[0][0].TID != commit {
+		t.Fatalf("log after the pass = %+v, want the one commit %x", files, commit)
 	}
 	m.Stop()
 }
@@ -128,10 +139,19 @@ func TestDurableEpochAdvancesWithIdleWorker(t *testing.T) {
 // TestDurableNeverExceedsLogged: D must never claim an epoch whose
 // transactions are not on stable storage. Stress: commits race epoch
 // advances and logger passes; every transaction with epoch ≤ the published
-// D must be in the log.
+// D must be in the log. The 64-byte buffer closes after every commit, so
+// workers grow their closed lists while passes take them.
 func TestDurableNeverExceedsLogged(t *testing.T) {
+	for _, bufferBytes := range []int{0, 64} {
+		t.Run(fmt.Sprintf("buffer=%d", bufferBytes), func(t *testing.T) {
+			durableNeverExceedsLogged(t, bufferBytes)
+		})
+	}
+}
+
+func durableNeverExceedsLogged(t *testing.T, bufferBytes int) {
 	dir := t.TempDir()
-	s, m := attachedStore(t, 2, Config{Dir: dir})
+	s, m := attachedStore(t, 2, Config{Dir: dir, BufferBytes: bufferBytes})
 	tbl := s.CreateTable("t")
 
 	stop := runPasses(s, m)

@@ -7,12 +7,14 @@
 // Silo logs at record level (redo only, no undo: logging happens after
 // commit). A worker serializes each committed transaction — its TID and the
 // table/key/value of every modified record — into a local buffer in disk
-// format. When the buffer fills or a new epoch begins, the worker publishes
-// the buffer to its logger's queue and then publishes its last committed
-// TID (ctid_w). Loggers compute d = epoch(min ctid_w) − 1, append all
-// received buffers plus a final record containing d, wait for the writes to
-// complete, and publish d_l. Transactions in epochs ≤ D = min d_l are
-// durable; results are released to clients only then.
+// format. When the buffer fills or a new epoch begins, the worker closes it
+// onto a list. Each logger pass reads d from the epoch slots (the paper's
+// d = epoch(min ctid_w) − 1, without needing workers to keep committing),
+// takes every assigned worker's closed buffers and its open one, appends
+// them plus a final record containing d, waits for the writes to complete,
+// and publishes d_l. The pass is the only way a buffer reaches the log.
+// Transactions in epochs ≤ D = min d_l are durable; results are released
+// to clients only then.
 package wal
 
 import (
@@ -23,6 +25,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"silo/internal/core"
 )
 
 // On-disk format. A log file is a sequence of frames:
@@ -65,13 +69,9 @@ const (
 // with any write-ahead log).
 var ErrCorrupt = errors.New("wal: corrupt log frame")
 
-// Entry is one logged record modification.
-type Entry struct {
-	Table  uint32
-	Key    []byte
-	Value  []byte
-	Delete bool
-}
+// Entry is one logged record modification: the write a committing worker
+// hands over, so a worker serializes its writes as they come.
+type Entry = core.LoggedWrite
 
 // TxnRecord is one committed transaction in the log.
 type TxnRecord struct {

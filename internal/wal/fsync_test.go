@@ -71,7 +71,7 @@ func TestFailedFsyncNeverPublishesDurable(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		m.WorkerLog(0).Heartbeat()
+		m.WorkerLog(0).Flush()
 		s.Epochs().AdvanceTo(epoch + 1)
 		defer func() { failure = recover() }()
 		lg.iterate()

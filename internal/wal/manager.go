@@ -22,8 +22,8 @@ type Config struct {
 	// Loggers is the number of logger threads; workers are assigned
 	// round-robin (the paper uses 4 loggers for 32 workers). Default 1.
 	Loggers int
-	// BufferBytes is the worker buffer size before a forced publish.
-	// Default 64 KiB.
+	// BufferBytes is the size at which a worker closes its buffer for
+	// the logger's next pass. Default 64 KiB.
 	BufferBytes int
 	// PollInterval is the logger loop period. Default 5 ms.
 	PollInterval time.Duration
@@ -55,12 +55,11 @@ type Config struct {
 	FS    vfs.FS
 	Clock vfs.Clock
 
-	// LegacyStopDrain reverts Stop to its pre-fix behavior: flush worker
-	// buffers and run a final pass without advancing the epoch, so the
-	// final durable frame publishes d = E−1 and a clean shutdown loses the
-	// last epoch's commits. It exists only so the simulation harness's
-	// pinned regression seed keeps reproducing the historical bug; never
-	// set it.
+	// LegacyStopDrain reverts Stop to its pre-fix behavior: run the final
+	// pass without advancing the epoch first, so the final durable frame
+	// publishes d = E−1 and a clean shutdown loses the last epoch's
+	// commits. It exists only so the simulation harness's pinned
+	// regression seed keeps reproducing the historical bug; never set it.
 	LegacyStopDrain bool
 }
 
@@ -82,10 +81,9 @@ func (c *Config) fill() {
 type Manager struct {
 	cfg     Config
 	epochs  *epoch.Manager
-	flight  *trace.Recorder // the store's flight recorder; nil when disabled
+	flight  *trace.Recorder // the store's flight recorder
 	loggers []*logger
 	byWkr   []*WorkerLog
-	ddlLog  *WorkerLog
 
 	durable atomic.Uint64 // D = min d_l
 	// demand is the largest epoch a WaitDurable caller waits to see
@@ -138,7 +136,6 @@ func Attach(s *core.Store, cfg Config) (*Manager, error) {
 	// durable too — same epoch order, same D).
 	ddl := newWorkerLog(m, m.loggers[0], s.Workers()+1)
 	m.loggers[0].workers = append(m.loggers[0].workers, ddl)
-	m.ddlLog = ddl
 	s.DDL().SetLogFunc(ddl.onCommit)
 	return m, nil
 }
@@ -158,8 +155,8 @@ func (m *Manager) Start() {
 }
 
 // Stop drains and halts logging (callers must have quiesced the workers):
-// it flushes all worker buffers, advances the epoch once, and runs a final
-// durable pass on every logger before syncing and closing the files.
+// it advances the epoch once and runs a final durable pass on every logger,
+// which takes every worker's buffers, before syncing and closing the files.
 //
 // The epoch advance is what makes a clean shutdown lose nothing: a logger
 // pass can only publish d = E−1 (transactions of the current epoch E may
@@ -170,12 +167,6 @@ func (m *Manager) Start() {
 // every acknowledged commit: D ends at the last committed epoch.
 func (m *Manager) Stop() {
 	m.stopOnce.Do(func() {
-		for _, wl := range m.byWkr {
-			wl.Heartbeat()
-		}
-		if m.ddlLog != nil {
-			m.ddlLog.Heartbeat()
-		}
 		if !m.cfg.LegacyStopDrain {
 			m.epochs.AdvanceTo(m.epochs.Global() + 1)
 		}
@@ -198,7 +189,7 @@ func (m *Manager) Stop() {
 	})
 }
 
-// WorkerLog returns worker i's log handle (for heartbeats and waits).
+// WorkerLog returns worker i's log handle.
 func (m *Manager) WorkerLog(i int) *WorkerLog { return m.byWkr[i] }
 
 // RequestRotate asks every logger to rotate its open segment at the next
@@ -299,62 +290,52 @@ func (m *Manager) publishDurable() {
 	}
 }
 
-// WorkerLog is the worker-side logging state: the open buffer and the
-// published last-committed TID ctid_w. The buffer is normally touched only
-// by the worker goroutine; mu lets the logger steal a straggling buffer
-// from an idle worker, so group commit stays live without worker
-// cooperation.
+// WorkerLog is the worker-side logging state: the open buffer, and the
+// buffers closed since the logger's last pass (at an epoch change, when
+// full, or by Flush). The worker appends under mu; the logger's pass takes
+// the closed buffers and the open one under the same mu, in one critical
+// section, so that pass is the only way a buffer reaches the log, and
+// group commit stays live without worker cooperation.
 type WorkerLog struct {
-	m       *Manager
-	lg      *logger
-	id      int
-	mu      sync.Mutex
-	buf     []byte
-	bufEp   uint64 // epoch of the txns in buf (all equal), 0 if empty
-	ctid    atomic.Uint64
-	txns    atomic.Uint64 // transactions appended; loggers diff it per durable pass
-	queue   chan []byte
-	scratch []Entry
+	m      *Manager
+	lg     *logger
+	id     int
+	mu     sync.Mutex
+	buf    []byte
+	bufEp  uint64        // epoch of the txns in buf (all equal), 0 if empty
+	closed [][]byte      // closed buffers, oldest first, awaiting the next pass
+	txns   atomic.Uint64 // transactions appended; loggers diff it per durable pass
 	// epoch is the epoch of the worker's newest commit (worker goroutine
 	// only), so the demand bookkeeping runs once per epoch, not per commit.
 	epoch uint64
 }
 
 func newWorkerLog(m *Manager, lg *logger, id int) *WorkerLog {
-	return &WorkerLog{m: m, lg: lg, id: id, queue: make(chan []byte, 256)}
+	return &WorkerLog{m: m, lg: lg, id: id}
 }
 
 // onCommit is installed as the worker's core.LogFunc. It runs on the worker
 // goroutine immediately after Phase 3.
 func (wl *WorkerLog) onCommit(commit tid.Word, writes []core.LoggedWrite) {
 	e := commit.Epoch()
+	if wl.m.cfg.TIDOnly {
+		writes = nil
+	}
 	wl.mu.Lock()
-	// A new epoch or a full buffer publishes the current buffer first, so
-	// buffered transactions always share one epoch.
-	if wl.bufEp != 0 && (wl.bufEp != e || len(wl.buf) >= wl.m.cfg.BufferBytes) {
-		wl.publishLocked()
+	// A new epoch closes the open buffer first, so buffered transactions
+	// always share one epoch.
+	if wl.bufEp != e {
+		wl.closeLocked()
 	}
-	wl.scratch = wl.scratch[:0]
-	if !wl.m.cfg.TIDOnly {
-		for i := range writes {
-			wl.scratch = append(wl.scratch, Entry{
-				Table:  writes[i].Table,
-				Key:    writes[i].Key,
-				Value:  writes[i].Value,
-				Delete: writes[i].Delete,
-			})
-		}
-	}
-	wl.buf = appendTxn(wl.buf, commit.TID(), wl.scratch)
+	wl.buf = appendTxn(wl.buf, commit.TID(), writes)
 	wl.bufEp = e
-	// Counted under mu so a logger pass that drained this worker (steal
-	// also takes mu) has observed every counted transaction's bytes.
+	// Counted under mu so a logger pass that took this worker's buffers
+	// (take also holds mu) has observed every counted transaction's bytes.
 	wl.txns.Add(1)
 	if len(wl.buf) >= wl.m.cfg.BufferBytes {
-		wl.publishLocked()
+		wl.closeLocked()
 	}
 	wl.mu.Unlock()
-	wl.ctid.Store(commit.TID())
 	if e > wl.epoch {
 		wl.epoch = e
 		wl.firstInEpoch(e)
@@ -375,52 +356,35 @@ func (wl *WorkerLog) firstInEpoch(e uint64) {
 	}
 }
 
-// publishLocked hands the open buffer to the logger queue. Caller holds mu.
-// If the queue is full the buffer simply stays open — the logger's next
-// pass steals it — so a worker can never block on its own logger while
-// holding mu (which the logger also takes).
-func (wl *WorkerLog) publishLocked() {
-	if len(wl.buf) == 0 {
-		wl.bufEp = 0
-		return
+// closeLocked moves the open buffer, if any, onto the closed list. Caller
+// holds mu.
+func (wl *WorkerLog) closeLocked() {
+	if len(wl.buf) > 0 {
+		wl.closed = append(wl.closed, wl.buf)
 	}
-	select {
-	case wl.queue <- wl.buf:
-		wl.buf = nil
-		wl.bufEp = 0
-	default:
-	}
-}
-
-// steal takes the open buffer, if any (logger side).
-func (wl *WorkerLog) steal() []byte {
-	wl.mu.Lock()
-	buf := wl.buf
 	wl.buf = nil
 	wl.bufEp = 0
-	wl.mu.Unlock()
-	return buf
 }
 
-// MaybeHeartbeat and Heartbeat flush the open buffer eagerly. They are
-// optional: the logger steals straggling buffers and derives the durable
-// epoch from the epoch subsystem, so neither liveness nor safety depends on
-// workers calling these. They remain for callers that want a commit pushed
-// toward the log without waiting for the next logger pass.
-func (wl *WorkerLog) MaybeHeartbeat() {
-	e := wl.m.epochs.Global()
-	if c := wl.ctid.Load(); c != 0 && tid.Word(c).Epoch()+1 >= e {
-		return
-	}
-	wl.Heartbeat()
-}
-
-// Heartbeat flushes the open buffer to the logger queue. Safe from any
+// Flush closes the open buffer onto the closed list; the logger's next
+// pass takes it with the rest. It never runs a pass. Safe from any
 // goroutine.
-func (wl *WorkerLog) Heartbeat() {
+func (wl *WorkerLog) Flush() {
 	wl.mu.Lock()
-	wl.publishLocked()
+	wl.closeLocked()
 	wl.mu.Unlock()
+}
+
+// take appends the worker's closed buffers and its open one to bufs, in
+// append order, and leaves the worker with none (logger side).
+func (wl *WorkerLog) take(bufs [][]byte) [][]byte {
+	wl.mu.Lock()
+	wl.closeLocked()
+	bufs = append(bufs, wl.closed...)
+	clear(wl.closed)
+	wl.closed = wl.closed[:0]
+	wl.mu.Unlock()
+	return bufs
 }
 
 // logger owns one log file (or chain of segments) and a disjoint set of
@@ -433,7 +397,7 @@ type logger struct {
 	dl      atomic.Uint64
 	ticker  vfs.Ticker
 	wrote   bool
-	ring    *trace.Ring // flight-recorder shard; nil when tracing is disabled
+	ring    *trace.Ring // flight-recorder shard
 
 	// seq is the open segment's sequence number; segments below it are
 	// closed and immutable (TruncateCovered reads this from other
@@ -454,6 +418,9 @@ type logger struct {
 	// durable publish, so each publish observes its group-commit batch.
 	passBytes int64
 	lastTxns  uint64
+	// bufs holds one worker's buffers during a pass (logger goroutine
+	// only), reused so a pass allocates nothing.
+	bufs [][]byte
 }
 
 // syncFile is the instrumented fsync: every durability-critical Sync
@@ -587,10 +554,10 @@ func (lg *logger) maybeRotate() {
 //     e_w, so it constrains d to e_w − 1. A quiescent worker's next
 //     transaction enters at an epoch ≥ E0 (epochs are monotone and the
 //     slot read follows the E0 read), so it constrains d only to E0 − 1.
-//  3. Drain queued buffers and steal any open buffers, writing them out.
-//     Everything a worker appended before step 2's slot read is written by
-//     this step; anything appended after belongs to an epoch > d by the
-//     argument above.
+//  3. Take each worker's closed buffers and its open one (WorkerLog.take)
+//     and write them out. Everything a worker appended before step 2's
+//     slot read is written by this step; anything appended after belongs
+//     to an epoch > d by the argument above.
 //  4. d = min(E0 − 1, min over active workers of e_w − 1); append the
 //     durable frame and publish d_l.
 //
@@ -619,20 +586,12 @@ func (lg *logger) iterate() {
 			}
 		}
 	}
-	// Drain queues and steal open buffers.
 	for _, wl := range lg.workers {
-		for {
-			select {
-			case buf := <-wl.queue:
-				lg.writeBuffer(buf)
-			default:
-				goto stolen
-			}
-		}
-	stolen:
-		if buf := wl.steal(); len(buf) > 0 {
+		lg.bufs = wl.take(lg.bufs[:0])
+		for _, buf := range lg.bufs {
 			lg.writeBuffer(buf)
 		}
+		clear(lg.bufs)
 	}
 	if d == 0 || d <= lg.dl.Load() {
 		if lg.m.cfg.Sync && lg.wrote {

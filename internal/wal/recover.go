@@ -38,7 +38,9 @@ type LogFileInfo struct {
 }
 
 // ListLogFiles returns the log segments in dir sorted by (logger, seq).
-// Files not matching the log.<id>[.<seq>] naming are ignored. An empty
+// A file counts only if SegmentName gives its name back exactly, so an
+// alias of a real name (log.01, log.+1, log.1.0) is ignored like any other
+// foreign file. An empty
 // directory yields an empty slice and no error. A nil fs is the real
 // filesystem, here and in every function of this package that takes one.
 func ListLogFiles(fs vfs.FS, dir string) ([]LogFileInfo, error) {
@@ -63,6 +65,9 @@ func ListLogFiles(fs vfs.FS, dir string) ([]LogFileInfo, error) {
 			if err != nil {
 				continue
 			}
+		}
+		if filepath.Base(name) != SegmentName(id, seq) {
+			continue
 		}
 		infos = append(infos, LogFileInfo{Path: name, Logger: id, Seq: seq})
 	}

@@ -187,7 +187,7 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		m.WorkerLog(0).Heartbeat()
+		m.WorkerLog(0).Flush()
 		return durablePass()
 	}
 	segments := func() int {

@@ -567,18 +567,14 @@ type Reader = core.Reader
 // and is retried like any conflict. Otherwise a panic aborts the
 // transaction and continues, leaving the worker usable.
 func (db *DB) Run(worker int, fn func(tx *Tx) error) error {
-	err := db.store.Worker(worker).Run(fn)
-	db.heartbeat(worker)
-	return err
+	return db.store.Worker(worker).Run(fn)
 }
 
 // RunNoRetry executes one attempt; ErrConflict reports an abort that the
 // caller may retry — a failed commit, or a doomed attempt whose error or
 // panic came from reads that do not validate (see Run).
 func (db *DB) RunNoRetry(worker int, fn func(tx *Tx) error) error {
-	err := db.store.Worker(worker).RunOnce(fn)
-	db.heartbeat(worker)
-	return err
+	return db.store.Worker(worker).RunOnce(fn)
 }
 
 // RunSnapshot executes fn against a recent consistent snapshot. Snapshot
@@ -589,9 +585,7 @@ func (db *DB) RunSnapshot(worker int, fn func(stx *SnapTx) error) error {
 	if db.opts.DisableSnapshots {
 		return errors.New("silo: snapshots disabled by Options.DisableSnapshots")
 	}
-	err := db.store.Worker(worker).RunSnapshot(fn)
-	db.heartbeat(worker)
-	return err
+	return db.store.Worker(worker).RunSnapshot(fn)
 }
 
 // TxnSpans is one traced transaction's span timeline — queue wait,
@@ -608,9 +602,7 @@ type TxnSpans = trace.Spans
 // until its epoch is durable (package server's connection writer). A nil
 // sp runs fn exactly as Run.
 func (db *DB) RunTraced(worker int, sp *TxnSpans, fn func(tx *Tx) error) error {
-	err := db.store.Worker(worker).RunTraced(fn, sp)
-	db.heartbeat(worker)
-	return err
+	return db.store.Worker(worker).RunTraced(fn, sp)
 }
 
 // Flight returns the database's flight recorder. Dump it for the recent
@@ -627,20 +619,11 @@ func (db *DB) RunDurable(worker int, fn func(tx *Tx) error) error {
 		return errors.New("silo: RunDurable requires Options.Durability")
 	}
 	w := db.store.Worker(worker)
-	err := w.Run(fn)
-	if err != nil {
+	if err := w.Run(fn); err != nil {
 		return err
 	}
-	wl := db.wal.WorkerLog(worker)
-	wl.Heartbeat() // flush our own buffer so we never wait on ourselves
 	db.wal.WaitDurable(tidEpoch(w.LastCommitTID()))
 	return nil
-}
-
-func (db *DB) heartbeat(worker int) {
-	if db.wal != nil {
-		db.wal.WorkerLog(worker).MaybeHeartbeat()
-	}
 }
 
 // DurableEpoch returns the global durable epoch D (0 without durability).
@@ -662,8 +645,8 @@ func (db *DB) LastCommitEpoch(worker int) uint64 {
 // WaitDurable blocks until the durable epoch D covers e; without
 // durability it returns immediately, and once Close has drained the log it
 // returns whatever e is. The wait is demand (see EpochInterval). Combined
-// with FlushLog and LastCommitEpoch it is a per-request durability wait
-// (RunDurable is exactly that composition); a group-ack server's
+// with LastCommitEpoch it is a per-request durability wait (RunDurable is
+// exactly that composition); a group-ack server's
 // connection writers call it instead, so workers never block.
 func (db *DB) WaitDurable(e uint64) {
 	if db.wal != nil {
@@ -671,12 +654,13 @@ func (db *DB) WaitDurable(e uint64) {
 	}
 }
 
-// FlushLog pushes the worker's open log buffer to its logger so a
-// durability wait for its last commit cannot stall on the worker's own
-// unpublished buffer. Safe from any goroutine; no-op without durability.
+// FlushLog closes the worker's open log buffer; the logger's next pass
+// writes it with the buffers closed before it. It runs no pass, and no
+// durability wait needs it: every pass takes the open buffer too. Safe
+// from any goroutine; no-op without durability.
 func (db *DB) FlushLog(worker int) {
 	if db.wal != nil {
-		db.wal.WorkerLog(worker).Heartbeat()
+		db.wal.WorkerLog(worker).Flush()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"silo"
+	"silo/internal/sim"
 )
 
 func openTestDB(t *testing.T, opts silo.Options) *silo.DB {
@@ -215,25 +216,28 @@ func TestDurableRoundTripAndRecover(t *testing.T) {
 	}
 }
 
-// waitSnapshotPast waits until the snapshot epoch passes worker's last
-// commit, so a snapshot begun now sees it (visibility is epoch < SE).
-func waitSnapshotPast(t *testing.T, db *silo.DB, worker int) {
-	t.Helper()
-	e := db.LastCommitEpoch(worker)
-	deadline := time.Now().Add(10 * time.Second)
-	for db.Observe().Value("silo_core_snapshot_epoch", "") <= e {
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot epoch never passed epoch %d", e)
-		}
-		time.Sleep(time.Millisecond)
+// snapshotPast reports whether the snapshot epoch has passed worker's
+// last commit, so a snapshot begun now sees it (visibility is epoch < SE).
+func snapshotPast(db *silo.DB, worker int) bool {
+	return db.Observe().Value("silo_core_snapshot_epoch", "") > db.LastCommitEpoch(worker)
+}
+
+// waitSnapshotPast closes epochs until snapshotPast holds. db must be
+// durable: each wait for the open epoch closes it on demand.
+func waitSnapshotPast(db *silo.DB, worker int) {
+	for !snapshotPast(db, worker) {
+		db.WaitDurable(db.Epoch())
 	}
 }
 
 func TestSnapshotThroughPublicAPI(t *testing.T) {
-	db := openTestDB(t, silo.Options{SnapshotK: 2, EpochInterval: time.Millisecond})
+	clock := sim.NewClock()
+	db := openTestDB(t, silo.Options{SnapshotK: 2, EpochInterval: time.Millisecond, Clock: clock})
 	tbl := db.CreateTable("t")
 	db.Run(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("old")) })
-	waitSnapshotPast(t, db, 0) // the Put below lands in a later snapshot group
+	for !snapshotPast(db, 0) { // the Put below lands in a later snapshot group
+		clock.Advance(time.Millisecond) // one epoch tick
+	}
 	db.Run(0, func(tx *silo.Tx) error { return tx.Put(tbl, []byte("k"), []byte("new")) })
 
 	if err := db.RunSnapshot(0, func(stx *silo.SnapTx) error {
@@ -300,7 +304,7 @@ func TestCheckpointRecoverTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitSnapshotPast(t, db, 0) // let a snapshot cover the inserts
+	waitSnapshotPast(db, 0) // let a snapshot cover the inserts
 	ck, err := db.Checkpoint(0)
 	if err != nil {
 		t.Fatal(err)
