@@ -10,6 +10,7 @@ import (
 	"silo/internal/core"
 	"silo/internal/kvstore"
 	"silo/internal/obs"
+	"silo/internal/partition"
 	"silo/internal/sim"
 	"silo/internal/vfs"
 	"silo/internal/workload/tpcc"
@@ -119,18 +120,35 @@ func fig4(cfg config) {
 // tpccRun drives one TPC-C client per worker, home warehouse
 // wid%warehouses+1; next picks each transaction's type. A durable database
 // needs nothing more: its loggers collect the workers' buffers themselves.
+// t may be either layout: Load's shared tables or LoadSplit's.
 func tpccRun(name string, db *silo.DB, t *tpcc.Tables, sc tpcc.Scale, workers int,
 	ccfg tpcc.ClientConfig, cfg config, next func(*tpcc.Client) tpcc.TxnType) result {
 	return run(name, workers, cfg.warmup, cfg.seconds,
 		func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
 			home := wid%sc.Warehouses + 1
-			cl := tpcc.NewClient(t, sc, db.Store().Worker(wid), home, ccfg, uint64(wid)*7919+3)
+			cl := tpcc.NewClient(t, sc, db.Store().Worker(wid), home, ccfg, tpccSeed(wid))
 			for !stop.Load() {
 				tt := next(cl)
 				retry(ops, aborts, func() error { return cl.RunOnce(tt) })
 			}
 		})
 }
+
+// partRun is tpccRun's new-order-only run on a Partitioned-Store: the
+// same homes and seeds, so it places the same orders.
+func partRun(name string, ps *partition.Store, sc tpcc.Scale, workers int, ccfg tpcc.ClientConfig, cfg config) result {
+	return run(name, workers, cfg.warmup, cfg.seconds,
+		func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
+			cl := tpcc.NewPartClient(ps, sc, wid%sc.Warehouses+1, ccfg, tpccSeed(wid))
+			for !stop.Load() {
+				cl.NewOrder()
+				ops.Add(1)
+			}
+		})
+}
+
+// tpccSeed is worker wid's client seed.
+func tpccSeed(wid int) uint64 { return uint64(wid)*7919 + 3 }
 
 // The transaction mixes of the TPC-C experiments.
 var standardMix = (*tpcc.Client).NextType
@@ -231,43 +249,25 @@ func fig8(cfg config) {
 		crossTxn = 1 - crossTxn
 		label := fmt.Sprintf("[cross-txn≈%2.0f%%]", crossTxn*100)
 
-		// Partitioned-Store.
-		ps := tpcc.LoadPartitioned(sc)
-		r := median(cfg.runs, func() result {
-			return run("Partitioned-Store "+label, workers, cfg.warmup, cfg.seconds,
-				func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
-					cl := tpcc.NewPartClient(ps, sc, wid%sc.Warehouses+1, ccfg, uint64(wid)*17+1)
-					for !stop.Load() {
-						cl.NewOrder()
-						ops.Add(1)
-					}
-				})
-		})
-		fmt.Println(r)
+		// Partitioned-Store: one partition per warehouse.
+		ps := tpcc.LoadPartitioned(sc, sc.Warehouses)
+		fmt.Println(median(cfg.runs, func() result {
+			return partRun("Partitioned-Store "+label, ps, sc, workers, ccfg, cfg)
+		}))
 
-		// MemSilo+Split.
-		db := newDB(workers, nil)
-		st := tpcc.LoadSplit(db, sc)
-		r = median(cfg.runs, func() result {
-			return run("MemSilo+Split "+label, workers, cfg.warmup, cfg.seconds,
-				func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
-					cl := tpcc.NewSplitClient(st, db.Store().Worker(wid), wid%sc.Warehouses+1, ccfg, uint64(wid)*23+9)
-					for !stop.Load() {
-						retry(ops, aborts, cl.NewOrder)
-					}
-				})
-		})
-		fmt.Println(r)
-		db.Close()
-
-		// MemSilo (shared store).
-		db = newDB(workers, nil)
-		t := tpcc.Load(db, sc)
-		r = median(cfg.runs, func() result {
-			return tpccRun("MemSilo "+label, db, t, sc, workers, ccfg, cfg, newOrderOnly)
-		})
-		fmt.Println(r)
-		db.Close()
+		// MemSilo+Split, then MemSilo (shared tables): one client, two
+		// layouts.
+		for _, layout := range []struct {
+			name string
+			load func(*silo.DB, tpcc.Scale) *tpcc.Tables
+		}{{"MemSilo+Split", tpcc.LoadSplit}, {"MemSilo", tpcc.Load}} {
+			db := newDB(workers, nil)
+			t := layout.load(db, sc)
+			fmt.Println(median(cfg.runs, func() result {
+				return tpccRun(layout.name+" "+label, db, t, sc, workers, ccfg, cfg, newOrderOnly)
+			}))
+			db.Close()
+		}
 	}
 }
 
@@ -284,19 +284,10 @@ func fig9(cfg config) {
 		// Partitioned-Store: a single partition holding all four
 		// warehouses; every transaction takes the same lock, so extra
 		// workers cannot help (they serialize, as in the paper).
-		ps := tpcc.LoadSinglePartition(sc)
-		r := median(cfg.runs, func() result {
-			return run("Partitioned-Store", workers, cfg.warmup, cfg.seconds,
-				func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
-					cl := tpcc.NewPartClient(ps, sc, wid%warehouses+1, ccfg, uint64(wid)*37+2)
-					cl.SinglePartition = true
-					for !stop.Load() {
-						cl.NewOrder()
-						ops.Add(1)
-					}
-				})
-		})
-		fmt.Println(r)
+		ps := tpcc.LoadPartitioned(sc, 1)
+		fmt.Println(median(cfg.runs, func() result {
+			return partRun("Partitioned-Store", ps, sc, workers, ccfg, cfg)
+		}))
 
 		for _, variant := range []struct {
 			name    string

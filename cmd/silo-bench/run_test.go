@@ -14,6 +14,9 @@ func TestRunCountsOps(t *testing.T) {
 				if wid == 1 {
 					aborts.Add(1)
 				}
+				// run measures a wall-clock window; the sleep paces
+				// the fake workers so the counters stay small, not to
+				// wait for anything.
 				time.Sleep(100 * time.Microsecond)
 			}
 		})

@@ -41,16 +41,14 @@ func (l *spinlock) unlock() { l.v.Store(0) }
 
 // Store is a statically partitioned collection of tables.
 type Store struct {
-	nparts  int
-	ntables int
-	locks   []spinlock
+	locks []spinlock
 	// trees[p][t] is table t's tree in partition p.
 	trees [][]*plainbtree.Tree
 }
 
 // New creates a store with nparts partitions, each holding ntables tables.
 func New(nparts, ntables int) *Store {
-	s := &Store{nparts: nparts, ntables: ntables}
+	s := &Store{}
 	s.locks = make([]spinlock, nparts)
 	s.trees = make([][]*plainbtree.Tree, nparts)
 	for p := range s.trees {
@@ -63,12 +61,11 @@ func New(nparts, ntables int) *Store {
 }
 
 // Partitions returns the partition count.
-func (s *Store) Partitions() int { return s.nparts }
+func (s *Store) Partitions() int { return len(s.trees) }
 
 // Tx is a running partitioned transaction. It is valid only inside Run.
 type Tx struct {
-	s     *Store
-	parts []int
+	s *Store
 }
 
 // Run executes fn holding the locks of all partitions in parts (sorted
@@ -99,7 +96,7 @@ func (s *Store) Run(parts []int, fn func(tx *Tx)) {
 	for i := 0; i < n; i++ {
 		s.locks[held[i]].lock()
 	}
-	tx := Tx{s: s, parts: held[:n]}
+	tx := Tx{s: s}
 	fn(&tx)
 	for i := n - 1; i >= 0; i-- {
 		s.locks[held[i]].unlock()
@@ -116,11 +113,6 @@ func (tx *Tx) Put(part, table int, key, value []byte) {
 	tx.s.trees[part][table].Put(key, value)
 }
 
-// Delete removes key from (partition, table).
-func (tx *Tx) Delete(part, table int, key []byte) bool {
-	return tx.s.trees[part][table].Delete(key)
-}
-
 // Scan visits [lo, hi) in key order within one partition's table.
 func (tx *Tx) Scan(part, table int, lo, hi []byte, fn func(key, value []byte) bool) {
 	tx.s.trees[part][table].Scan(lo, hi, fn)
@@ -129,13 +121,4 @@ func (tx *Tx) Scan(part, table int, lo, hi []byte, fn func(key, value []byte) bo
 // Load bulk-inserts during single-threaded setup, bypassing locks.
 func (s *Store) Load(part, table int, key, value []byte) {
 	s.trees[part][table].Put(key, value)
-}
-
-// Len returns the total key count of table across partitions (setup/tests).
-func (s *Store) Len(table int) int {
-	n := 0
-	for p := 0; p < s.nparts; p++ {
-		n += s.trees[p][table].Len()
-	}
-	return n
 }

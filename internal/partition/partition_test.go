@@ -16,9 +16,6 @@ func TestSinglePartitionOps(t *testing.T) {
 		if tx.Get(0, 1, []byte("k")) != nil {
 			t.Error("table isolation broken")
 		}
-		if !tx.Delete(0, 0, []byte("k")) {
-			t.Error("delete failed")
-		}
 	})
 }
 

@@ -193,22 +193,6 @@ func (t *Tree) insertSep(path []*inner, idxs []int, sep []byte, right any) {
 	}
 }
 
-// Delete removes key, returning whether it was present. No rebalancing
-// (matching internal/btree).
-func (t *Tree) Delete(key []byte) bool {
-	lf, _, _ := t.findLeaf(key)
-	i, ok := lf.search(key)
-	if !ok {
-		return false
-	}
-	copy(lf.keys[i:lf.nkeys-1], lf.keys[i+1:lf.nkeys])
-	copy(lf.vals[i:lf.nkeys-1], lf.vals[i+1:lf.nkeys])
-	lf.keys[lf.nkeys-1], lf.vals[lf.nkeys-1] = nil, nil
-	lf.nkeys--
-	t.count--
-	return true
-}
-
 // Scan visits keys in [lo, hi) in order (hi nil = +∞).
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) {
 	lf, _, _ := t.findLeaf(lo)

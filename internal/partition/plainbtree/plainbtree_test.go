@@ -23,9 +23,6 @@ func TestBasic(t *testing.T) {
 	if string(tr.Get([]byte("x"))) != "2" || tr.Len() != 1 {
 		t.Fatal("overwrite")
 	}
-	if !tr.Delete([]byte("x")) || tr.Delete([]byte("x")) || tr.Len() != 0 {
-		t.Fatal("delete")
-	}
 }
 
 func TestManyOrdersAndSplits(t *testing.T) {
@@ -110,18 +107,12 @@ func TestAgainstModel(t *testing.T) {
 		model := map[string]byte{}
 		for op := 0; op < 600; op++ {
 			k := key(rng.Intn(150))
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0, 1:
 				v := byte(rng.Intn(256))
 				tr.Put(k, []byte{v})
 				model[string(k)] = v
 			case 2:
-				removed := tr.Delete(k)
-				if _, ok := model[string(k)]; ok != removed {
-					return false
-				}
-				delete(model, string(k))
-			case 3:
 				v := tr.Get(k)
 				mv, ok := model[string(k)]
 				if ok != (v != nil) {

@@ -709,14 +709,14 @@ func findCheckpoints(fs vfs.FS, dir string) ([]foundCheckpoint, error) {
 	return found, nil
 }
 
-// loadPartitioned verifies and stages one partitioned checkpoint set,
+// loadCheckpointSet verifies and stages one partitioned checkpoint set,
 // staging part files with up to workers goroutines. Integrity failures —
 // the ordering rule across parts included — return errTorn (callers fall
 // back to an older set); schema mismatches are hard errors. Either way
 // nothing stays staged. With a schema applier, the manifest's embedded catalog
 // rows are applied first — materializing the checkpointed schema — before
 // the table catalog is checked and any part is loaded.
-func loadPartitioned(fs vfs.FS, store *core.Store, ckptDir string, workers int, schema SchemaApplier) (ck checkpointSet, err error) {
+func loadCheckpointSet(fs vfs.FS, store *core.Store, ckptDir string, workers int, schema SchemaApplier) (ck checkpointSet, err error) {
 	m, err := readManifest(fs, filepath.Join(ckptDir, manifestName))
 	if err != nil {
 		return ck, err
@@ -772,7 +772,7 @@ func loadNewestCheckpoint(fs vfs.FS, store *core.Store, dir string, workers int,
 		return checkpointSet{}, err
 	}
 	for i := len(found) - 1; i >= 0; i-- {
-		ck, err := loadPartitioned(fs, store, found[i].path, workers, schema)
+		ck, err := loadCheckpointSet(fs, store, found[i].path, workers, schema)
 		if err == nil {
 			return ck, nil
 		}

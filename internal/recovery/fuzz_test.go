@@ -238,7 +238,7 @@ const (
 )
 
 // FuzzCheckpointSet fuzzes the checkpoint decoders, readManifest and
-// stagePart, through loadPartitioned and the build of what it staged. An
+// stagePart, through loadCheckpointSet and the build of what it staged. An
 // input is the three files of a two-part set; unless flags says otherwise
 // the harness recomputes each file's CRC footer, so mutations reach the
 // table, schema and row parsers instead of dying at the checksum. For any
@@ -348,7 +348,7 @@ func FuzzCheckpointSet(f *testing.F) {
 		if !strict {
 			applier = &fed
 		}
-		ck, err := loadPartitioned(fs, s, "ck", 2, applier)
+		ck, err := loadCheckpointSet(fs, s, "ck", 2, applier)
 		if err == nil {
 			build(s, &ck, nil, nil, 2, &Result{})
 			ck.release()
@@ -362,7 +362,7 @@ func FuzzCheckpointSet(f *testing.F) {
 			got = mismatch
 		}
 		if got != want {
-			t.Fatalf("loadPartitioned: outcome %d (err %v), the format says %d", got, err, want)
+			t.Fatalf("loadCheckpointSet: outcome %d (err %v), the format says %d", got, err, want)
 		}
 		if ok && !strict {
 			if len(fed) != len(m.schema) {

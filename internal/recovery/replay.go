@@ -41,7 +41,8 @@ type Options struct {
 	// of checkpoint parts staged, of log segments mapped or decoded, of
 	// spans merged, and of stretches of a table's leaves built, at a time.
 	// 1 is the least parallel replay: one segment after the other feeding
-	// one applier.
+	// one applier. Values below 1 mean 1, and values above 1<<16 mean
+	// 1<<16, because a log winner names its applier in 16 bits.
 	Workers int
 	// Schema, when non-nil, makes recovery self-describing: table
 	// CatalogTableID holds DDL records that are applied — manifest schema

@@ -10,7 +10,8 @@ import (
 // Consistency checks from TPC-C clause 3.3.2, adapted to the fields this
 // implementation carries. They run as single transactions against a
 // quiesced database; any violation indicates a serializability bug in the
-// engine or a logic bug in the transactions.
+// engine or a logic bug in the transactions. Each walks every warehouse's
+// handle set, so they check the split layout as they check the shared one.
 
 // CheckConsistency runs all implemented consistency conditions and returns
 // the first violation.
@@ -21,7 +22,7 @@ func CheckConsistency(s *core.Store, t *Tables, sc Scale) error {
 		fail = nil
 		for wh := 1; wh <= sc.Warehouses; wh++ {
 			for d := 1; d <= sc.DistrictsPerWH; d++ {
-				if err := checkDistrict(tx, t, sc, wh, d); err != nil {
+				if err := checkDistrict(tx, t.of(wh), wh, d); err != nil {
 					fail = err
 					return nil
 				}
@@ -35,7 +36,7 @@ func CheckConsistency(s *core.Store, t *Tables, sc Scale) error {
 	return fail
 }
 
-func checkDistrict(tx *core.Tx, t *Tables, sc Scale, wh, d int) error {
+func checkDistrict(tx *core.Tx, t *Tables, wh, d int) error {
 	var kb, kb2 []byte
 
 	// District next order id.
@@ -171,7 +172,11 @@ func CheckIndexes(s *core.Store, t *Tables) error {
 	var fail error
 	err := w.Run(func(tx *core.Tx) error {
 		fail = nil
-		for _, ix := range []*index.Index{t.CustomerName, t.OrderCust} {
+		var ixs []*index.Index
+		for _, set := range t.sets() {
+			ixs = append(ixs, set.CustomerName, set.OrderCust)
+		}
+		for _, ix := range ixs {
 			rows := 0
 			if err := tx.Scan(ix.On, []byte{0}, nil, func(_, _ []byte) bool {
 				rows++
@@ -234,6 +239,7 @@ func CheckMoney(s *core.Store, t *Tables, sc Scale) error {
 		fail = nil
 		var kb, kb2 []byte
 		for wh := 1; wh <= sc.Warehouses; wh++ {
+			t := t.of(wh)
 			var wr Warehouse
 			kb = WarehouseKey(kb, wh)
 			v, err := tx.Get(t.Warehouse, kb)

@@ -52,16 +52,12 @@ func TestDurableTPCCRecovery(t *testing.T) {
 	}
 	wg.Wait()
 
-	// A partitioned checkpoint once a snapshot epoch exists (the epoch
-	// thread is still advancing): parallel recovery must restore from it
-	// plus the log suffix to the same state sequential log-only replay
-	// reaches.
-	ckptDeadline := time.Now().Add(10 * time.Second)
+	// A partitioned checkpoint once a snapshot epoch exists: parallel
+	// recovery must restore from it plus the log suffix to the same state
+	// sequential log-only replay reaches. Each durability wait on the open
+	// epoch closes it on demand, stepping E until SE has moved off zero.
 	for s.Epochs().SnapshotGlobal() == 0 {
-		if time.Now().After(ckptDeadline) {
-			t.Fatal("no snapshot epoch")
-		}
-		time.Sleep(time.Millisecond)
+		db.WaitDurable(db.Epoch())
 	}
 	ck, err := db.Checkpoint(0)
 	if err != nil {
@@ -114,7 +110,7 @@ func TestDurableTPCCRecovery(t *testing.T) {
 	if res.TxnsApplied == 0 && res.CheckpointRows == 0 {
 		t.Fatal("nothing recovered")
 	}
-	tables2 := Handles(db2)
+	tables2 := Handles(db2, sc)
 	got := capture(db2.Store(), tables2)
 
 	for name, wantRows := range want {
@@ -160,7 +156,7 @@ func TestDurableTPCCRecovery(t *testing.T) {
 	if pres.CheckpointEpoch != ck.Epoch {
 		t.Errorf("parallel recovery used checkpoint %d, want %d", pres.CheckpointEpoch, ck.Epoch)
 	}
-	tables3 := Handles(db3)
+	tables3 := Handles(db3, sc)
 	got3 := capture(db3.Store(), tables3)
 	for name, wantRows := range want {
 		gotRows := got3[name]

@@ -2,9 +2,10 @@
 // paper): the nine-table schema plus two secondary indexes, a loader with
 // standard cardinalities (scalable for laptop runs), the NURand input
 // generation, all five transactions in the standard 45/43/4/4/4 mix, and
-// consistency checkers. Drivers exist for the Silo engine (internal/core)
-// and, for the new-order transaction, the Partitioned-Store baseline
-// (internal/partition).
+// consistency checkers. One loader and one input stream serve the three
+// stores of §5.4: the Silo engine (internal/core) on shared tables or on
+// tables split by warehouse, and, for the new-order transaction, the
+// Partitioned-Store baseline (internal/partition).
 //
 // Keys are big-endian composite integers so B+-tree order matches TPC-C's
 // natural clustering (warehouse, district, ...). Values use fixed-offset
@@ -42,6 +43,22 @@ var TableNames = []string{
 	TWarehouse, TDistrict, TCustomer, TCustomerName, THistory,
 	TNewOrder, TOrder, TOrderCust, TOrderLine, TItem, TStock,
 }
+
+// Positions in TableNames: the row generator's and Partitioned-Store's
+// table numbers.
+const (
+	ordWarehouse = iota
+	ordDistrict
+	ordCustomer
+	ordCustomerName
+	ordHistory
+	ordNewOrder
+	ordOrder
+	ordOrderCust
+	ordOrderLine
+	ordItem
+	ordStock
+)
 
 // Scale holds the dataset cardinalities. Standard TPC-C uses 100,000 items,
 // 10 districts per warehouse, 3,000 customers per district, and 3,000

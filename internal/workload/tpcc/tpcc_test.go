@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"silo"
-	"silo/internal/core"
 )
 
 func tinyScale(w int) Scale {
@@ -125,53 +124,6 @@ func TestTransactionsConcurrent(t *testing.T) {
 			t.Fatalf("tree %s: %v", name, err)
 		}
 	}
-}
-
-func TestPartitionedNewOrder(t *testing.T) {
-	sc := tinyScale(3)
-	ps := LoadPartitioned(sc)
-	cfg := StandardConfig()
-	cfg.RemoteItemPct = 30
-
-	var wg sync.WaitGroup
-	for wid := 0; wid < 3; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			c := NewPartClient(ps, sc, wid+1, cfg, uint64(wid)+5)
-			for i := 0; i < 200; i++ {
-				c.NewOrder()
-			}
-		}(wid)
-	}
-	wg.Wait()
-}
-
-func TestSplitNewOrder(t *testing.T) {
-	const workers = 2
-	db := newTestDB(t, workers)
-	sc := tinyScale(workers)
-	st := LoadSplit(db, sc)
-	cfg := StandardConfig()
-	cfg.RemoteItemPct = 20
-
-	var wg sync.WaitGroup
-	for wid := 0; wid < workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			c := NewSplitClient(st, db.Store().Worker(wid), wid+1, cfg, uint64(wid)+31)
-			for i := 0; i < 150; i++ {
-				for {
-					err := c.NewOrder()
-					if err != core.ErrConflict {
-						break
-					}
-				}
-			}
-		}(wid)
-	}
-	wg.Wait()
 }
 
 // TestFullScaleLoad loads one warehouse at the standard TPC-C

@@ -521,7 +521,7 @@ func TestKeyOrderingMatchesClustering(t *testing.T) {
 // byte-identical to OrderCustKey(w, d, c, ^o), so the prefix bounds and
 // most-recent-first scan order keep working.
 func TestOrderCustSpecMatchesKeyEncoding(t *testing.T) {
-	key := CreateTables(newTestDB(t, 1)).OrderCust.Key
+	key := createTables(newTestDB(t, 1), "").OrderCust.Key
 	for _, tc := range []struct{ w, d, c, o int }{
 		{1, 1, 1, 1},
 		{3, 9, 2999, 3000},

@@ -86,7 +86,9 @@ func (cs *ClientStats) Total() uint64 {
 // Client issues TPC-C transactions from one worker against one home
 // warehouse. Following the paper (§5.3), all clients with the same home
 // warehouse run on the same worker; the client embeds its workload
-// generator, mirroring the paper's combined worker/generator threads.
+// generator, mirroring the paper's combined worker/generator threads. It
+// reaches warehouse w's rows through T.of(w), so it runs unchanged on
+// Load's shared tables and on LoadSplit's per-warehouse ones.
 type Client struct {
 	T     *Tables
 	SC    Scale
@@ -182,32 +184,63 @@ type noItem struct {
 	remote  bool
 }
 
-// NewOrder runs one new-order transaction. With FastIDs configured, the
-// order id (and cached district tax) comes from a preliminary small
-// transaction so the body never touches the hot d_next_o_id counter.
-func (c *Client) NewOrder() error {
-	d := rnd(c.rng, 1, c.SC.DistrictsPerWH)
-	cid := CustomerID(c.rng, c.SC.CustomersPerDist)
-	olCnt := rnd(c.rng, 5, 15)
+// newOrderIn is one new-order's input (clause 2.4.1).
+type newOrderIn struct {
+	d, cid, olCnt int
+	allLocal      uint32
+	date          uint64
+	items         [15]noItem
+}
+
+// drawNewOrder draws the next new-order's input from the client's stream.
+// Every store's new-order draws here, so one seed gives one sequence of
+// orders on all of them.
+func (c *Client) drawNewOrder() (in newOrderIn) {
+	in.d = rnd(c.rng, 1, c.SC.DistrictsPerWH)
+	in.cid = CustomerID(c.rng, c.SC.CustomersPerDist)
+	in.olCnt = rnd(c.rng, 5, 15)
 	rollback := c.Cfg.RollbackPct > 0 && c.rng.Intn(100) < c.Cfg.RollbackPct
 
-	var items [15]noItem
-	allLocal := uint32(1)
-	for i := 0; i < olCnt; i++ {
-		it := &items[i]
+	in.allLocal = 1
+	for i := 0; i < in.olCnt; i++ {
+		it := &in.items[i]
 		it.id = ItemID(c.rng, c.SC.Items)
 		it.supplyW = c.Home
 		it.qty = rnd(c.rng, 1, 10)
 		if c.SC.Warehouses > 1 && c.rng.Intn(100) < c.Cfg.RemoteItemPct {
 			it.supplyW = c.otherWarehouse()
 			it.remote = true
-			allLocal = 0
+			in.allLocal = 0
 		}
 	}
 	if rollback {
-		items[olCnt-1].id = c.SC.Items + 1 // unused item number
+		in.items[in.olCnt-1].id = c.SC.Items + 1 // unused item number
 	}
 	c.date++
+	in.date = c.date
+	return in
+}
+
+// restock is the stock row after an order line takes qty of it.
+func (st *Stock) restock(qty int, remote bool) {
+	if st.Quantity >= int32(qty)+10 {
+		st.Quantity -= int32(qty)
+	} else {
+		st.Quantity = st.Quantity - int32(qty) + 91
+	}
+	st.YTD += uint64(qty)
+	st.OrderCnt++
+	if remote {
+		st.RemoteCnt++
+	}
+}
+
+// NewOrder runs one new-order transaction. With FastIDs configured, the
+// order id (and cached district tax) comes from a preliminary small
+// transaction so the body never touches the hot d_next_o_id counter.
+func (c *Client) NewOrder() error {
+	in := c.drawNewOrder()
+	d := in.d
 
 	var oid int
 	var dTax uint32
@@ -215,9 +248,10 @@ func (c *Client) NewOrder() error {
 		// Preliminary id-allocation transaction (its counter bump does not
 		// roll back with the body, by design).
 		err := c.W.Run(func(tx *core.Tx) error {
+			t := c.T.of(c.Home)
 			var di District
 			c.kb = DistrictKey(c.kb, c.Home, d)
-			v, err := tx.Get(c.T.District, c.kb)
+			v, err := tx.Get(t.District, c.kb)
 			if err != nil {
 				return err
 			}
@@ -226,7 +260,7 @@ func (c *Client) NewOrder() error {
 			dTax = di.Tax
 			di.NextOID++
 			c.vb = di.Marshal(c.vb)
-			return tx.Put(c.T.District, c.kb, c.vb)
+			return tx.Put(t.District, c.kb, c.vb)
 		})
 		if err != nil {
 			return err
@@ -234,10 +268,11 @@ func (c *Client) NewOrder() error {
 	}
 
 	return c.W.RunOnce(func(tx *core.Tx) error {
+		t := c.T.of(c.Home)
 		// Warehouse tax.
 		var wh Warehouse
 		c.kb = WarehouseKey(c.kb, c.Home)
-		v, err := tx.Get(c.T.Warehouse, c.kb)
+		v, err := tx.Get(t.Warehouse, c.kb)
 		if err != nil {
 			return err
 		}
@@ -246,7 +281,7 @@ func (c *Client) NewOrder() error {
 		if !c.Cfg.FastIDs {
 			var di District
 			c.kb = DistrictKey(c.kb, c.Home, d)
-			v, err := tx.Get(c.T.District, c.kb)
+			v, err := tx.Get(t.District, c.kb)
 			if err != nil {
 				return err
 			}
@@ -255,15 +290,15 @@ func (c *Client) NewOrder() error {
 			dTax = di.Tax
 			di.NextOID++
 			c.vb = di.Marshal(c.vb)
-			if err := tx.Put(c.T.District, c.kb, c.vb); err != nil {
+			if err := tx.Put(t.District, c.kb, c.vb); err != nil {
 				return err
 			}
 		}
 
 		// Customer discount.
 		var cu Customer
-		c.kb = CustomerKey(c.kb, c.Home, d, cid)
-		v, err = tx.Get(c.T.Customer, c.kb)
+		c.kb = CustomerKey(c.kb, c.Home, d, in.cid)
+		v, err = tx.Get(t.Customer, c.kb)
 		if err != nil {
 			return err
 		}
@@ -271,25 +306,25 @@ func (c *Client) NewOrder() error {
 
 		// Order and new-order; the customer-order index entry is added by
 		// the index subsystem inside this same transaction.
-		ord := Order{CID: uint32(cid), EntryDate: c.date, OLCount: uint32(olCnt), AllLocal: allLocal}
+		ord := Order{CID: uint32(in.cid), EntryDate: in.date, OLCount: uint32(in.olCnt), AllLocal: in.allLocal}
 		c.kb = OrderKey(c.kb, c.Home, d, oid)
 		c.vb = ord.Marshal(c.vb)
-		if err := tx.Insert(c.T.Order, c.kb, c.vb); err != nil {
+		if err := tx.Insert(t.Order, c.kb, c.vb); err != nil {
 			return err
 		}
 		c.kb = NewOrderKey(c.kb, c.Home, d, oid)
-		if err := tx.Insert(c.T.NewOrder, c.kb, NewOrderVal); err != nil {
+		if err := tx.Insert(t.NewOrder, c.kb, NewOrderVal); err != nil {
 			return err
 		}
 
 		var total uint64
-		for i := 0; i < olCnt; i++ {
-			it := &items[i]
+		for i := 0; i < in.olCnt; i++ {
+			it := &in.items[i]
 			// Item price; the unused item number triggers the intentional
 			// rollback.
 			var item Item
 			c.kb = ItemKey(c.kb, it.id)
-			v, err := tx.Get(c.T.Item, c.kb)
+			v, err := tx.Get(t.Item, c.kb)
 			if err == core.ErrNotFound {
 				return ErrRollback
 			}
@@ -298,26 +333,18 @@ func (c *Client) NewOrder() error {
 			}
 			item.Unmarshal(v)
 
-			// Stock update.
+			// Stock update, in the supplying warehouse's set.
 			var st Stock
+			stock := c.T.of(it.supplyW).Stock
 			c.kb = StockKey(c.kb, it.supplyW, it.id)
-			v, err = tx.Get(c.T.Stock, c.kb)
+			v, err = tx.Get(stock, c.kb)
 			if err != nil {
 				return err
 			}
 			st.Unmarshal(v)
-			if st.Quantity >= int32(it.qty)+10 {
-				st.Quantity -= int32(it.qty)
-			} else {
-				st.Quantity = st.Quantity - int32(it.qty) + 91
-			}
-			st.YTD += uint64(it.qty)
-			st.OrderCnt++
-			if it.remote {
-				st.RemoteCnt++
-			}
+			st.restock(it.qty, it.remote)
 			c.vb = st.Marshal(c.vb)
-			if err := tx.Put(c.T.Stock, c.kb, c.vb); err != nil {
+			if err := tx.Put(stock, c.kb, c.vb); err != nil {
 				return err
 			}
 
@@ -332,7 +359,7 @@ func (c *Client) NewOrder() error {
 			line.DistInfo = st.Dist[d-1]
 			c.kb = OrderLineKey(c.kb, c.Home, d, oid, i+1)
 			c.vb = line.Marshal(c.vb)
-			if err := tx.Insert(c.T.OrderLine, c.kb, c.vb); err != nil {
+			if err := tx.Insert(t.OrderLine, c.kb, c.vb); err != nil {
 				return err
 			}
 		}
@@ -376,29 +403,30 @@ func (c *Client) Payment() error {
 	seq := c.hseq
 
 	return c.W.RunOnce(func(tx *core.Tx) error {
+		t, ct := c.T.of(c.Home), c.T.of(cw)
 		var wh Warehouse
 		c.kb = WarehouseKey(c.kb, c.Home)
-		v, err := tx.Get(c.T.Warehouse, c.kb)
+		v, err := tx.Get(t.Warehouse, c.kb)
 		if err != nil {
 			return err
 		}
 		wh.Unmarshal(v)
 		wh.YTD += amount
 		c.vb = wh.Marshal(c.vb)
-		if err := tx.Put(c.T.Warehouse, c.kb, c.vb); err != nil {
+		if err := tx.Put(t.Warehouse, c.kb, c.vb); err != nil {
 			return err
 		}
 
 		var di District
 		c.kb = DistrictKey(c.kb, c.Home, d)
-		v, err = tx.Get(c.T.District, c.kb)
+		v, err = tx.Get(t.District, c.kb)
 		if err != nil {
 			return err
 		}
 		di.Unmarshal(v)
 		di.YTD += amount
 		c.vb = di.Marshal(c.vb)
-		if err := tx.Put(c.T.District, c.kb, c.vb); err != nil {
+		if err := tx.Put(t.District, c.kb, c.vb); err != nil {
 			return err
 		}
 
@@ -410,9 +438,11 @@ func (c *Client) Payment() error {
 			}
 		}
 
+		// The customer and their history row live in the customer's
+		// warehouse.
 		var cu Customer
 		c.kb = CustomerKey(c.kb, cw, cd, id)
-		v, err = tx.Get(c.T.Customer, c.kb)
+		v, err = tx.Get(ct.Customer, c.kb)
 		if err != nil {
 			return err
 		}
@@ -430,14 +460,14 @@ func (c *Client) Payment() error {
 			cu.Data = nd
 		}
 		c.vb = cu.Marshal(c.vb)
-		if err := tx.Put(c.T.Customer, c.kb, c.vb); err != nil {
+		if err := tx.Put(ct.Customer, c.kb, c.vb); err != nil {
 			return err
 		}
 
 		h := History{Amount: amount, Date: c.date}
 		c.kb = HistoryKey(c.kb, cw, cd, id, seq<<8|uint32(c.W.ID()))
 		c.vb = h.Marshal(c.vb)
-		return tx.Insert(c.T.History, c.kb, c.vb)
+		return tx.Insert(ct.History, c.kb, c.vb)
 	})
 }
 
@@ -449,7 +479,7 @@ func (c *Client) lookupByName(tx *core.Tx, w, d int, last string) (int, error) {
 	var ids []int
 	c.kb = CustomerNamePrefixLo(c.kb, w, d, last)
 	c.kb2 = CustomerNamePrefixHi(c.kb2, w, d, last)
-	err := index.ScanEntries(tx, c.T.CustomerName, c.kb, c.kb2, func(_, pk []byte) bool {
+	err := index.ScanEntries(tx, c.T.of(w).CustomerName, c.kb, c.kb2, func(_, pk []byte) bool {
 		// The entry value is the customer primary key (w,d,c).
 		ids = append(ids, int(bigEndianU32(pk[8:12])))
 		return true
@@ -477,9 +507,10 @@ func bigEndianU32(b []byte) uint32 {
 func (c *Client) lookupByNameCovering(tx *core.Tx, w, d int, last string) (int, CustomerNameFields, error) {
 	var ids []int
 	var fbuf []byte
+	names := c.T.of(w).CustomerName
 	c.kb = CustomerNamePrefixLo(c.kb, w, d, last)
 	c.kb2 = CustomerNamePrefixHi(c.kb2, w, d, last)
-	err := index.ScanCovering(tx, c.T.CustomerName, c.kb, c.kb2, 0, func(_, pk, fields []byte) bool {
+	err := index.ScanCovering(tx, names, c.kb, c.kb2, 0, func(_, pk, fields []byte) bool {
 		ids = append(ids, int(bigEndianU32(pk[8:12])))
 		fbuf = append(fbuf, fields...)
 		return true
@@ -491,7 +522,7 @@ func (c *Client) lookupByNameCovering(tx *core.Tx, w, d int, last string) (int, 
 		return 0, CustomerNameFields{}, core.ErrNotFound
 	}
 	mid := (len(ids)+1)/2 - 1
-	fw := c.T.CustomerName.IncludeWidth()
+	fw := names.IncludeWidth()
 	return ids[mid], UnmarshalCustomerNameFields(fbuf[mid*fw : (mid+1)*fw]), nil
 }
 
@@ -510,6 +541,7 @@ func (c *Client) OrderStatus() error {
 	}
 
 	return c.W.RunOnce(func(tx *core.Tx) error {
+		t := c.T.of(c.Home)
 		id := cid
 		var balance int64
 		if byName {
@@ -523,7 +555,7 @@ func (c *Client) OrderStatus() error {
 		} else {
 			var cu Customer
 			c.kb = CustomerKey(c.kb, c.Home, d, id)
-			v, err := tx.Get(c.T.Customer, c.kb)
+			v, err := tx.Get(t.Customer, c.kb)
 			if err != nil {
 				return err
 			}
@@ -538,7 +570,7 @@ func (c *Client) OrderStatus() error {
 		var ord Order
 		c.kb = OrderCustPrefixLo(c.kb, c.Home, d, id)
 		c.kb2 = OrderCustPrefixHi(c.kb2, c.Home, d, id)
-		err := index.Scan(tx, c.T.OrderCust, c.kb, c.kb2, 1, func(_, pk, v []byte) bool {
+		err := index.Scan(tx, t.OrderCust, c.kb, c.kb2, 1, func(_, pk, v []byte) bool {
 			oid = int(bigEndianU32(pk[8:12]))
 			ord.Unmarshal(v)
 			return false
@@ -553,7 +585,7 @@ func (c *Client) OrderStatus() error {
 		var line OrderLine
 		c.kb = OrderLinePrefixLo(c.kb, c.Home, d, oid)
 		c.kb2 = OrderLinePrefixHi(c.kb2, c.Home, d, oid+1)
-		return tx.Scan(c.T.OrderLine, c.kb, c.kb2, func(_, v []byte) bool {
+		return tx.Scan(t.OrderLine, c.kb, c.kb2, func(_, v []byte) bool {
 			line.Unmarshal(v)
 			return true
 		})
@@ -570,12 +602,13 @@ func (c *Client) Delivery() error {
 	date := c.date
 
 	return c.W.RunOnce(func(tx *core.Tx) error {
+		t := c.T.of(c.Home)
 		for d := 1; d <= c.SC.DistrictsPerWH; d++ {
 			// Oldest new-order entry.
 			oid := -1
 			c.kb = NewOrderKey(c.kb, c.Home, d, 0)
 			c.kb2 = NewOrderKey(c.kb2, c.Home, d+1, 0)
-			err := tx.Scan(c.T.NewOrder, c.kb, c.kb2, func(k, _ []byte) bool {
+			err := tx.Scan(t.NewOrder, c.kb, c.kb2, func(k, _ []byte) bool {
 				oid = int(bigEndianU32(k[8:12]))
 				return false
 			})
@@ -586,20 +619,20 @@ func (c *Client) Delivery() error {
 				continue // district fully delivered (allowed: 2.7.4.2)
 			}
 			c.kb = NewOrderKey(c.kb, c.Home, d, oid)
-			if err := tx.Delete(c.T.NewOrder, c.kb); err != nil {
+			if err := tx.Delete(t.NewOrder, c.kb); err != nil {
 				return err
 			}
 
 			var ord Order
 			c.kb = OrderKey(c.kb, c.Home, d, oid)
-			v, err := tx.Get(c.T.Order, c.kb)
+			v, err := tx.Get(t.Order, c.kb)
 			if err != nil {
 				return err
 			}
 			ord.Unmarshal(v)
 			ord.CarrierID = carrier
 			c.vb = ord.Marshal(c.vb)
-			if err := tx.Put(c.T.Order, c.kb, c.vb); err != nil {
+			if err := tx.Put(t.Order, c.kb, c.vb); err != nil {
 				return err
 			}
 
@@ -612,7 +645,7 @@ func (c *Client) Delivery() error {
 			var upds []olUpd
 			c.kb = OrderLinePrefixLo(c.kb, c.Home, d, oid)
 			c.kb2 = OrderLinePrefixHi(c.kb2, c.Home, d, oid+1)
-			err = tx.Scan(c.T.OrderLine, c.kb, c.kb2, func(k, v []byte) bool {
+			err = tx.Scan(t.OrderLine, c.kb, c.kb2, func(k, v []byte) bool {
 				var line OrderLine
 				line.Unmarshal(v)
 				sum += line.Amount
@@ -626,14 +659,14 @@ func (c *Client) Delivery() error {
 			for i := range upds {
 				c.kb = OrderLineKey(c.kb, c.Home, d, oid, upds[i].ol)
 				c.vb = upds[i].line.Marshal(c.vb)
-				if err := tx.Put(c.T.OrderLine, c.kb, c.vb); err != nil {
+				if err := tx.Put(t.OrderLine, c.kb, c.vb); err != nil {
 					return err
 				}
 			}
 
 			var cu Customer
 			c.kb = CustomerKey(c.kb, c.Home, d, int(ord.CID))
-			v, err = tx.Get(c.T.Customer, c.kb)
+			v, err = tx.Get(t.Customer, c.kb)
 			if err != nil {
 				return err
 			}
@@ -641,7 +674,7 @@ func (c *Client) Delivery() error {
 			cu.Balance += int64(sum)
 			cu.DeliveryCnt++
 			c.vb = cu.Marshal(c.vb)
-			if err := tx.Put(c.T.Customer, c.kb, c.vb); err != nil {
+			if err := tx.Put(t.Customer, c.kb, c.vb); err != nil {
 				return err
 			}
 		}
@@ -671,10 +704,11 @@ func (c *Client) StockLevel() error {
 }
 
 func (c *Client) stockLevelBody(r core.Reader, d int, threshold int32) error {
+	t := c.T.of(c.Home)
 	var di District
 	var err error
 	c.kb = DistrictKey(c.kb, c.Home, d)
-	c.vb, err = r.GetAppend(c.T.District, c.kb, c.vb[:0])
+	c.vb, err = r.GetAppend(t.District, c.kb, c.vb[:0])
 	if err == core.ErrNotFound {
 		// A snapshot taken before the initial load sees an empty database;
 		// the query legitimately reports no stock below threshold.
@@ -696,7 +730,7 @@ func (c *Client) stockLevelBody(r core.Reader, d int, threshold int32) error {
 	c.kb = OrderLinePrefixLo(c.kb, c.Home, d, lo)
 	c.kb2 = OrderLinePrefixHi(c.kb2, c.Home, d, next)
 	var line OrderLine
-	if err := r.Scan(c.T.OrderLine, c.kb, c.kb2, func(_, v []byte) bool {
+	if err := r.Scan(t.OrderLine, c.kb, c.kb2, func(_, v []byte) bool {
 		line.Unmarshal(v)
 		seen[line.ItemID] = struct{}{}
 		return true
@@ -708,7 +742,7 @@ func (c *Client) stockLevelBody(r core.Reader, d int, threshold int32) error {
 	var st Stock
 	for id := range seen {
 		c.kb = StockKey(c.kb, c.Home, int(id))
-		c.vb, err = r.GetAppend(c.T.Stock, c.kb, c.vb[:0])
+		c.vb, err = r.GetAppend(t.Stock, c.kb, c.vb[:0])
 		if err == core.ErrNotFound {
 			continue
 		}
