@@ -13,9 +13,10 @@ import (
 // keys and 100-byte values inserted through DB.Run, measured after a forced
 // collection. A row is its 24-byte record, its value in a 112-byte arena
 // buffer (4-byte header included) and its share of the tree nodes holding
-// its key (576 bytes for 16 keys in packed leaves): 181 bytes and 1.08
-// heap objects in ascending order, where leaves fill, and 197 bytes in
-// shuffled order, where they fill to about 0.7. Before keys and values were
+// its key (576 bytes for 16 keys in packed leaves): 173 bytes and 1.08
+// heap objects in ascending order, where leaves fill, and 189 bytes in
+// shuffled order, where they fill to about 0.7 (8 bytes more each while
+// the record's trailing zero-size field padded it to 32). Before keys and values were
 // stored at their own size, the same rows took 275 and 311 bytes and 2.08
 // and 2.11 objects each.
 func TestRowFootprint(t *testing.T) {

@@ -33,13 +33,7 @@ func (a *arena) alloc(n int) []byte {
 		a.classes[c] = l[:len(l)-1]
 		return buf
 	}
-	sz := record.BufSize(c)
-	if len(a.slab) < sz {
-		a.slab = make([]byte, slabSize)
-	}
-	buf := a.slab[:sz:sz]
-	a.slab = a.slab[sz:]
-	return buf
+	return record.Carve(&a.slab, c, slabSize)
 }
 
 // free returns a buffer a record handed back to its class's list.

@@ -4,12 +4,16 @@
 // A record is three words: a TID word (which doubles as the record's latch),
 // a previous-version pointer supporting snapshot transactions, and a pointer
 // to the buffer holding the record's data — 24 bytes, where the paper reports
-// 32 on its system. The buffer is one allocation: a 4-byte header word, then
-// the value bytes. The header holds the value's length and the buffer's
-// class, which fixes the allocation's size for as long as it lives: a buffer
-// is only ever refilled with a value of its own class (see SetDataLocked), so
-// the length a header states never reaches past the allocation holding it.
-// An empty value (and an absent record) has no buffer at all.
+// 32 on its system. A buffer is a 4-byte header word, then the value bytes.
+// The header holds the value's length and the buffer's class, which fixes
+// the buffer's size for as long as it lives: a buffer is only ever refilled
+// with a value of its own class (see SetDataLocked), so the length a header
+// states never reaches past the buffer holding it. A buffer of a class is a
+// class-sized piece of memory: either its own allocation, or one of many
+// pieces carved from a chunk (Carve) — the engine's per-worker arena carves
+// its slabs, and recovery the values of the rows it rebuilds — and a chunk
+// lives as long as any of its pieces does. An empty value (and an absent
+// record) has no buffer at all.
 //
 // Committed transactions usually modify record data in place; readers
 // therefore run a seqlock-style validation protocol:
@@ -47,12 +51,15 @@ import (
 	"silo/internal/tid"
 )
 
-// Record is a single record version.
+// Record is a single record version. Records may be laid out many to a
+// slice (recovery rebuilds a span of rows that way), so the zero-size field
+// that makes them incomparable comes first: trailing, it would pad the
+// record to 32 bytes.
 type Record struct {
+	_    [0]func()              // not comparable; records are identified by pointer
 	word atomic.Uint64          // TID word (latch + version + status)
 	prev atomic.Pointer[Record] // previous version (snapshots, §4.9)
 	data atomic.Pointer[uint32] // header of the value's buffer; nil for an empty value
-	_    [0]func()              // not comparable; records are identified by pointer
 }
 
 // Buffer classes. A header word holds the value length above classBits and
@@ -94,6 +101,20 @@ func BufSize(c int) int {
 	return stepTop << (c - (stepTop/16 - 1))
 }
 
+// Carve cuts a never-used class-c buffer (c < NumClasses) from the front of
+// *chunk, which it first replaces with a fresh chunk of next bytes — or of
+// the buffer's size, if larger — when too little is left. Every buffer size
+// is a multiple of 16, so each piece's header stays aligned.
+func Carve(chunk *[]byte, c, next int) []byte {
+	sz := BufSize(c)
+	if len(*chunk) < sz {
+		*chunk = make([]byte, max(next, sz))
+	}
+	buf := (*chunk)[:sz:sz]
+	*chunk = (*chunk)[sz:]
+	return buf
+}
+
 // ClassOf returns the class a recyclable buffer's header names.
 func ClassOf(buf []byte) int {
 	return int(atomic.LoadUint32((*uint32)(unsafe.Pointer(&buf[0]))) & classMask)
@@ -119,9 +140,16 @@ func view(p *uint32) []byte {
 // New allocates a record with the given word and a copy of value.
 func New(w tid.Word, value []byte) *Record {
 	r := &Record{}
-	r.word.Store(uint64(w))
-	r.SetDataLocked(value, nil)
+	r.Init(w, value, nil)
 	return r
+}
+
+// Init sets up a fresh record — a zero Record, allocated alone by New or
+// many to a slice — with the given word and a copy of value in raw, a
+// buffer as SetDataLocked takes it (nil allocates one).
+func (r *Record) Init(w tid.Word, value, raw []byte) {
+	r.word.Store(uint64(w))
+	r.SetDataLocked(value, raw)
 }
 
 // NewAbsent allocates the placeholder installed by an insert before commit:
@@ -237,7 +265,7 @@ func (r *Record) TryOverwriteLocked(value []byte) bool {
 // returned by an earlier SetDataLocked, so that its allocation has always
 // been of that class; nil makes SetDataLocked allocate one. An empty value
 // takes no buffer. Caller must hold the lock bit (or own the record
-// outright, as New does).
+// outright, as Init does).
 func (r *Record) SetDataLocked(value []byte, raw []byte) (old []byte) {
 	if p := r.data.Load(); p != nil {
 		if c := int(atomic.LoadUint32(p) & classMask); c < NumClasses {

@@ -28,9 +28,12 @@
 // item that holds its key's first 16 bytes as two big-endian words, its
 // length, and the offsets of its key and value in the log. Log bytes are
 // read only where two keys tie on both words and both go on past them, and
-// to copy a surviving row. A span's winners are radix-sorted on the bytes
-// of the words that vary, and Build fills a large table's leaves on several
-// goroutines.
+// to copy a surviving row. A staged checkpoint row is likewise offsets into
+// its mapped part. A span's winners are radix-sorted on the bytes of the
+// words that vary; its surviving rows are born together, their records one
+// slice and their values' buffers carved from shared chunks, so a recovery
+// allocates per span and per chunk, not per row; and Build fills a large
+// table's leaves on several goroutines.
 //
 // # Checkpoint layout
 //
@@ -569,21 +572,47 @@ func partRow(body []byte, off int) (table uint32, key, val []byte, next int, ok 
 	return table, key, body[off : off+int(vlen)], off + int(vlen), true
 }
 
-// row is one staged checkpoint row. key and val alias the mapped part file.
-type row struct{ key, val []byte }
+// row is one staged checkpoint row: the offset of its key in the mapped
+// part file and the lengths of its key and value (the value follows the
+// key's TID slot and value length; see partRow). Like a log item it holds
+// no pointer, so the collector scans none of the staged rows; the offset
+// is 64 bits wide, so a part may pass 4 GiB.
+type row struct {
+	off  uint64
+	vlen uint32
+	klen uint16
+}
 
-// tableRun is the rows of one table in one part file, in file order.
+// run is the rows of one table in one part file, in file order — ascending
+// keys — and the mapped part they lie in.
+type run struct {
+	part []byte
+	rows []row
+}
+
+func (r *run) key(i int) []byte {
+	x := r.rows[i]
+	return r.part[x.off : x.off+uint64(x.klen)]
+}
+
+func (r *run) value(i int) []byte {
+	x := r.rows[i]
+	v := x.off + uint64(x.klen) + 12
+	return r.part[v : v+uint64(x.vlen)]
+}
+
+// tableRun is a run and the table it belongs to.
 type tableRun struct {
 	table uint32
-	rows  []row
+	run
 }
 
 // stagePart maps, verifies and stages one partition file. Verification —
 // the footer CRC, then the shape of every row and the ordering rule (a
 // malformed or misplaced row makes the part torn), then the tables the rows
 // name (an undeclared one is a schema mismatch) — completes before a row is
-// staged. The rows alias the mapped file, which release unmaps; on an error
-// it is released already.
+// staged. The rows are offsets into the mapped file, which release unmaps;
+// on an error it is released already.
 func stagePart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (runs []tableRun, release func(), err error) {
 	data, unmap, err := fs.Map(path)
 	if err != nil {
@@ -646,23 +675,24 @@ func stagePart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (run
 	staged := make([]row, rows)
 	rest := staged
 	for i, n := range sizes {
-		runs[i].rows, rest = rest[:n], rest[n:]
+		runs[i].part, runs[i].rows, rest = data, rest[:n], rest[n:]
 	}
 	for i, off := 0, hdr; off < len(body); i++ {
 		_, key, val, next, _ := partRow(body, off)
+		// The key follows the row's marker, table id and key length.
+		staged[i] = row{off: uint64(off + 7), vlen: uint32(len(val)), klen: uint16(len(key))}
 		off = next
-		staged[i] = row{key, val}
 	}
 	return runs, unmap, nil
 }
 
 // checkpointSet is a verified, staged checkpoint set: each table's rows as
-// ascending runs, one per part that holds any. The rows alias the mapped
+// ascending runs, one per part that holds any. The runs read the mapped
 // part files until release. The zero value is no checkpoint.
 type checkpointSet struct {
 	epoch    uint64
 	rows     int
-	runs     [][][]row // by table id
+	runs     [][]run // by table id
 	releases []func()
 }
 
@@ -747,15 +777,15 @@ func loadCheckpointSet(fs vfs.FS, store *core.Store, ckptDir string, workers int
 			return ck, err
 		}
 	}
-	ck.runs = make([][][]row, len(store.Tables()))
+	ck.runs = make([][]run, len(store.Tables()))
 	for k, p := range parts {
 		for _, r := range p {
 			if prior := ck.runs[r.table]; len(prior) > 0 {
-				if last := prior[len(prior)-1]; bytes.Compare(last[len(last)-1].key, r.rows[0].key) >= 0 {
+				if last := &prior[len(prior)-1]; bytes.Compare(last.key(len(last.rows)-1), r.key(0)) >= 0 {
 					return ck, fmt.Errorf("%w: %s: part.%d's rows of table id %d do not ascend from the part before", errTorn, ckptDir, k, r.table)
 				}
 			}
-			ck.runs[r.table] = append(ck.runs[r.table], r.rows)
+			ck.runs[r.table] = append(ck.runs[r.table], r.run)
 			ck.rows += len(r.rows)
 		}
 	}

@@ -184,14 +184,15 @@ func TestSortWinners(t *testing.T) {
 	}
 }
 
-// TestReplayItemsHoldNoPointer: items and winners are what replay holds per
-// entry and per winner, so they stay small, and the collector must scan
-// neither the batches and winner chunks nor the dealt spans.
+// TestReplayItemsHoldNoPointer: items, winners and staged checkpoint rows
+// are what recovery holds per entry, per winner and per checkpoint row, so
+// they stay small, and the collector must scan neither the batches and
+// winner chunks, nor the dealt spans, nor the staged runs.
 func TestReplayItemsHoldNoPointer(t *testing.T) {
 	for _, c := range []struct {
 		v   any
 		max uintptr
-	}{{item{}, 64}, {winner{}, 24}} {
+	}{{item{}, 64}, {winner{}, 24}, {row{}, 16}} {
 		typ := reflect.TypeOf(c.v)
 		if typ.Size() > c.max {
 			t.Errorf("%v is %d bytes, want at most %d", typ, typ.Size(), c.max)

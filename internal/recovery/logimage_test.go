@@ -30,6 +30,11 @@ type logTxn struct {
 // appendBufferFrame appends one frame holding txns: a buffer frame (kind
 // 'B') or a deflated one (kind 'C').
 func appendBufferFrame(dst []byte, txns []logTxn, kind byte) []byte {
+	return appendFrame(dst, txnPayload(txns), kind)
+}
+
+// txnPayload is txns in the transaction-record format.
+func txnPayload(txns []logTxn) []byte {
 	var p []byte
 	for _, t := range txns {
 		p = binary.LittleEndian.AppendUint64(p, t.tid)
@@ -46,6 +51,12 @@ func appendBufferFrame(dst []byte, txns []logTxn, kind byte) []byte {
 			p = append(p, e.Value...)
 		}
 	}
+	return p
+}
+
+// appendFrame appends payload p as a frame of the given kind — deflated
+// first for kind 'C' — with a matching CRC, whatever p holds.
+func appendFrame(dst, p []byte, kind byte) []byte {
 	if kind == 'C' {
 		var cb bytes.Buffer
 		fw, _ := flate.NewWriter(&cb, flate.BestSpeed)

@@ -78,14 +78,15 @@ type Result struct {
 	Workers int
 
 	// EntriesSuperseded counts log entries that were decoded, in range
-	// (CE ≤ epoch ≤ D), and lost to a newer TID for the same key — in the
-	// log or, rarely, in the checkpoint. EntriesApplied (in the embedded
-	// RecoveryResult) counts the distinct (table, key) winners that changed
-	// the checkpoint's image, so superseded / (applied + superseded) is the
-	// log's rewrite ratio: the share of replay work that coalescing
-	// removes. DeletesDropped counts the remaining case, a key whose newest
-	// logged version is a delete and which the checkpoint does not hold.
-	// The three sum to the in-range entries decoded.
+	// (CE ≤ epoch ≤ D), and lost to a newer TID for the same key in the
+	// log (a checkpoint row is older than every entry in range).
+	// EntriesApplied (in the embedded RecoveryResult) counts the distinct
+	// (table, key) winners that changed the checkpoint's image, so
+	// superseded / (applied + superseded) is the log's rewrite ratio: the
+	// share of replay work that coalescing removes. DeletesDropped counts
+	// the remaining case, a key whose newest logged version is a delete and
+	// which the checkpoint does not hold. The three sum to the in-range
+	// entries decoded.
 	EntriesSuperseded int
 	DeletesDropped    int
 
@@ -288,7 +289,7 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 	}
 	var absorb sync.WaitGroup
 	for k := range appliers {
-		a := &applier{in: make(chan []item, queuedBatches), srcs: srcs}
+		a := &applier{in: make(chan []item, queuedBatches), srcs: srcs, wins: make([][]item, 0, winChunks)}
 		appliers[k] = a
 		absorb.Add(1)
 		go func() {
@@ -305,7 +306,9 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 		*r = router{d: d, minEpoch: ck.epoch, wantSchema: opts.Schema != nil,
 			appliers: appliers, free: free, batches: make([][]item, len(appliers)),
 			srcs: srcs, seg: uint32(i), next: uint32(inflated[i])}
-		segs[i].Walk(r)
+		if err := segs[i].Walk(r); err != nil {
+			r.err = err
+		}
 		r.flush()
 	})
 	for _, a := range appliers {
@@ -351,9 +354,9 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 // span is one key range of one table on its way into the tree: the
 // checkpoint run that starts it (if any) and the log's winners in it.
 type span struct {
-	run                          []row
-	wins                         []winner
-	applied, superseded, dropped int
+	run              run
+	wins             []winner
+	applied, dropped int
 }
 
 // winner is an absorbed item as build deals, sorts and merges it: what
@@ -402,11 +405,11 @@ func (ws winners) cmpRow(key []byte, w winner) int {
 // table's Build fills its leaves in parallel.
 func build(store *core.Store, ck *checkpointSet, appliers []*applier, srcs sources, workers int, res *Result) {
 	tables := store.Tables()
-	runs := make([][][]row, len(tables)) // one empty run for a table the set lacks
-	first := make([]int, len(tables)+1)  // table t's spans are first[t] … first[t+1]−1
+	runs := make([][]run, len(tables))  // one empty run for a table the set lacks
+	first := make([]int, len(tables)+1) // table t's spans are first[t] … first[t+1]−1
 	var spans []span
 	for t := range tables {
-		runs[t] = [][]row{nil}
+		runs[t] = []run{{}}
 		if t < len(ck.runs) && len(ck.runs[t]) > 0 {
 			runs[t] = ck.runs[t]
 		}
@@ -428,7 +431,7 @@ func build(store *core.Store, ck *checkpointSet, appliers []*applier, srcs sourc
 			it := appliers[a].win(i)
 			w, r := it.winner(a, i), runs[it.table]
 			it.hash = uint64(first[it.table] + sort.Search(len(r)-1, func(k int) bool {
-				return ws.cmpRow(r[k+1][0].key, w) > 0
+				return ws.cmpRow(r[k+1].key(0), w) > 0
 			}))
 			c[it.hash]++
 		}
@@ -458,14 +461,13 @@ func build(store *core.Store, ck *checkpointSet, appliers []*applier, srcs sourc
 	}
 
 	// The rows of the checkpoint recover at the last TID of epoch CE−1: it
-	// holds exactly the versions of epoch < CE, so a logged write of epoch
-	// ≥ CE must win the comparison and one of epoch < CE must lose.
+	// holds exactly the versions of epoch < CE, so every logged write in
+	// range (epoch ≥ CE) is newer than the row it meets.
 	word := tid.Make(max(ck.epoch, 1)-1, tid.MaxSeq).WithLatest(true)
 	items := make([][]btree.Item, len(spans))
 	each(len(spans), workers, func(s int) { items[s] = spans[s].merge(word, ws, tmp[at[s]:at[s+1]]) })
 	for _, sp := range spans {
 		res.EntriesApplied += sp.applied
-		res.EntriesSuperseded += sp.superseded
 		res.DeletesDropped += sp.dropped
 	}
 	for t := range tables {
@@ -479,14 +481,25 @@ func (it *item) winner(a, i int) winner {
 }
 
 // merge sorts the span's winners (tmp is the sort's other buffer) and
-// merges them with its run, in key order. Where both hold a key the larger
-// TID wins, and a winning delete leaves no row. A record is made only for a
-// row that survives, and only then is a winner's value read from the log.
+// merges them with its run, in key order. Where both hold a key the winner
+// wins: every item is of epoch CE or later (the routers drop the rest),
+// and the run's rows are older. A winning delete leaves no row. The span's
+// rows are born together: their records are one slice, and their values'
+// buffers are carved from shared chunks (rowBuf). Only a row that survives
+// gets either, and only then is a winner's value read from the log.
 func (sp *span) merge(rowWord tid.Word, ws winners, tmp []winner) []btree.Item {
 	wins := sortWinners(sp.wins, tmp, ws.tie)
-	out := make([]btree.Item, 0, sp.rows(ws, wins))
-	run := sp.run
-	for len(run) > 0 || len(wins) > 0 {
+	n := sp.rows(ws, wins)
+	out := make([]btree.Item, 0, n)
+	recs := make([]record.Record, n)
+	var chunk []byte
+	add := func(key, value []byte, w tid.Word) {
+		r := &recs[len(out)]
+		r.Init(w, value, rowBuf(&chunk, len(value), n-len(out)))
+		out = append(out, btree.Item{Key: key, Rec: r})
+	}
+	run, ri := &sp.run, 0
+	for ri < len(run.rows) || len(wins) > 0 {
 		// The winners' items and values are at random places: ask for the
 		// item eight winners on, and for the value of the one four on,
 		// whose item was asked for four steps ago.
@@ -496,31 +509,25 @@ func (sp *span) merge(rowWord tid.Word, ws winners, tmp []winner) []btree.Item {
 				prefetch(addr(ws.srcs[x.src][x.voff:]))
 			}
 		}
-		c := -1 // run[0] against wins[0]
+		c := -1 // the run's next row against wins[0]
 		if len(wins) > 0 {
 			c = 1
-			if len(run) > 0 {
-				c = ws.cmpRow(run[0].key, wins[0])
+			if ri < len(run.rows) {
+				c = ws.cmpRow(run.key(ri), wins[0])
 			}
 		}
-		var it *item
-		if c >= 0 {
-			it = ws.item(wins[0])
-		}
-		if c < 0 || c == 0 && it.tid <= rowWord.TID() {
-			if c == 0 {
-				sp.superseded++
-				wins = wins[1:]
-			}
-			out = append(out, btree.Item{Key: run[0].key, Rec: record.New(rowWord, run[0].val)})
-			run = run[1:]
+		if c < 0 {
+			add(run.key(ri), run.value(ri), rowWord)
+			ri++
 			continue
 		}
+		it := ws.item(wins[0])
 		wins = wins[1:]
 		var key []byte
 		switch {
 		case c == 0:
-			key, run = run[0].key, run[1:] // the same bytes, read in order by Build
+			key = run.key(ri) // the same bytes, read in order by Build
+			ri++
 		case it.del:
 			sp.dropped++ // nothing to delete
 			continue
@@ -529,10 +536,28 @@ func (sp *span) merge(rowWord tid.Word, ws winners, tmp []winner) []btree.Item {
 		}
 		sp.applied++
 		if !it.del {
-			out = append(out, btree.Item{Key: key, Rec: record.New(tid.Word(it.tid).WithLatest(true), ws.srcs.value(it))})
+			add(key, ws.srcs.value(it), tid.Word(it.tid).WithLatest(true))
 		}
 	}
 	return out
+}
+
+// rowChunk is the most a chunk of recovered values' buffers takes.
+const rowChunk = 1 << 20
+
+// rowBuf returns a buffer for a recovered n-byte value carved from *chunk,
+// for record.Record.Init: a whole class-sized buffer, header included, so
+// that the value's first overwrite hands it to the worker arena like any
+// other. A chunk is sized for the rows left to make (left, this one
+// included) if their values are all of this one's class, within rowChunk.
+// A value that takes no class buffer (empty, or beyond the top class) gets
+// nil: Init then allocates an exact one, or none.
+func rowBuf(chunk *[]byte, n, left int) []byte {
+	c := record.BufClass(n)
+	if n == 0 || c >= record.NumClasses {
+		return nil
+	}
+	return record.Carve(chunk, c, min(left*record.BufSize(c), rowChunk))
 }
 
 // rows counts the rows merging the run with the sorted winners makes: a
@@ -540,14 +565,14 @@ func (sp *span) merge(rowWord tid.Word, ws winners, tmp []winner) []btree.Item {
 // row (a logged entry is of epoch CE or later). It reads the keys' words
 // and lengths only, so that merge allocates what it fills.
 func (sp *span) rows(ws winners, wins []winner) int {
-	n, run := len(sp.run)+len(wins), sp.run
+	n, run, ri := len(sp.run.rows)+len(wins), &sp.run, 0
 	for _, w := range wins {
 		c := 1
-		for len(run) > 0 {
-			if c = ws.cmpRow(run[0].key, w); c >= 0 {
+		for ri < len(run.rows) {
+			if c = ws.cmpRow(run.key(ri), w); c >= 0 {
 				break
 			}
-			run = run[1:]
+			ri++
 		}
 		if c == 0 {
 			n--
@@ -629,13 +654,16 @@ const queuedBatches = 8
 
 // router is one segment's wal.Visitor in pass 2: it filters transactions
 // by epoch, collects DDL-catalog rows for the schema pre-pass, and batches
-// in-range entries to the appliers. One goroutine owns it.
+// in-range entries to the appliers — a frame's only once the whole frame
+// has decoded, so that an applier never absorbs part of a torn one. One
+// goroutine owns it.
 type router struct {
 	d, minEpoch uint64
 	wantSchema  bool
 	appliers    []*applier
 	free        <-chan []item
 	batches     [][]item // open batch per applier
+	frame       []item   // the open frame's entries, in range
 
 	srcs sources
 	seg  uint32  // the segment's source
@@ -659,6 +687,19 @@ func (r *router) Frame(payload []byte, inflated bool) {
 		r.srcs[r.src] = payload
 	}
 	r.base = addr(r.srcs[r.src])
+	r.frame = r.frame[:0]
+}
+
+// FrameEnd routes the frame's entries, or, when the frame is torn, drops
+// them: the walk fails, and with it the recovery (replay reports the
+// walk's error).
+func (r *router) FrameEnd(torn bool) {
+	if torn {
+		return
+	}
+	for i := range r.frame {
+		r.route(&r.frame[i])
+	}
 }
 
 // addr is the address of b's first byte. An entry is kept as its offset
@@ -704,6 +745,12 @@ func (r *router) Entry(table uint32, key, value []byte, del bool) {
 	}
 	it.w0, it.w1 = btree.KeyWords(key)
 	it.hash = entryHash(table, key, it.w0, it.w1)
+	r.frame = append(r.frame, it)
+}
+
+// route adds it to the open batch of the applier its hash names, sending
+// the batch once full.
+func (r *router) route(it *item) {
 	k := int(it.hash & 0xffff * uint64(len(r.appliers)) >> 16) // the low 16 bits scaled: no division
 	b := r.batches[k]
 	if b == nil {
@@ -712,7 +759,7 @@ func (r *router) Entry(table uint32, key, value []byte, del bool) {
 		}
 		b = b[:0]
 	}
-	b = append(b, it)
+	b = append(b, *it)
 	if len(b) == cap(b) {
 		r.appliers[k].in <- b
 		b = nil
@@ -747,8 +794,9 @@ type applier struct {
 	superseded int // decoded in range, lost to a newer TID in the log
 }
 
-// winChunk is the number of winners per chunk (64 KiB of items).
-const winChunk = 1024
+// winChunk is the number of winners per chunk (128 KiB of items), and
+// winChunks the chunks an applier makes room for at the start.
+const winChunk, winChunks = 2048, 64
 
 func (a *applier) win(i int) *item { return &a.wins[i/winChunk][i%winChunk] }
 

@@ -158,11 +158,11 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 // MB/s (over the log bytes, the denominator of
 // silo_recovery_replay_bytes_per_sec) it reports two counts, which repeat
 // and are what CI gates: allocs/entry — heap allocations per decoded log
-// entry — under 1 on rewrite, where most entries never reach the tree, and
-// about 2 on insert-only, where each entry costs its record and its value
-// buffer (the leaves Build packs them into are one allocation); and
-// heapB/logB — heap bytes allocated per log byte, checkpoint load included —
-// to which a segment read into the heap instead of mapped would add 1.
+// entry — a few thousandths on every shape, insert-only included, because
+// a span's records are one slice and its values' buffers pieces of shared
+// chunks (each recovered row was two allocations before); and heapB/logB —
+// heap bytes allocated per log byte, checkpoint load included — to which a
+// segment read into the heap instead of mapped would add 1.
 // gcs/op, the garbage collections per Recover, is reported, not gated. Run
 // with
 //
@@ -252,9 +252,10 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 // four-part checkpoint of 100 000 ids with 100-byte values and no log into
 // a fresh store, by worker count. It reports allocs/row and B/row, heap
 // allocations and bytes per loaded row, which CI gates: a row costs its
-// record and its value buffer, plus its share of the staged rows, of the
-// items Build takes and of the packed leaves — the part files themselves
-// are mapped, not read into the heap. Run with
+// share of its span's record slice and of a value chunk, of the staged
+// rows (offsets, not slices), of the items Build takes and of the packed
+// leaves — a few thousandths of an allocation — and the part files
+// themselves are mapped, not read into the heap. Run with
 //
 //	go test -bench 'CheckpointLoad$' -benchtime 5x -benchmem ./internal/recovery
 func BenchmarkCheckpointLoad(b *testing.B) {

@@ -1,10 +1,12 @@
 package recovery
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -737,6 +739,44 @@ func TestRecoveredTreesArePacked(t *testing.T) {
 	}
 }
 
+// TestUndecodableFrameFailsRecovery: a frame whose CRC matches but whose
+// payload does not decode cannot come from a torn write. Both recovery
+// paths used to end the segment's walk there and carry on. D, read from
+// the durable frame after it, still covered the transaction the walk never
+// reached, so that transaction's writes were lost while other loggers'
+// writes of its epoch were kept: not an epoch prefix. Now both fail, with
+// an error naming the segment and the frame's offset, whether the frame is
+// plain or deflated.
+func TestUndecodableFrameFailsRecovery(t *testing.T) {
+	for _, kind := range []byte{'B', 'C'} {
+		t.Run(string(kind), func(t *testing.T) {
+			dir := t.TempDir()
+			bad := txnPayload([]logTxn{{tid: tidAt(2, 2), entries: []wal.Entry{put(0, []byte("b"), []byte("2"))}}})
+			binary.LittleEndian.PutUint32(bad[8:], 2) // claims two entries, holds one
+			seg := appendBufferFrame(nil, []logTxn{{tid: tidAt(2, 1), entries: []wal.Entry{put(0, []byte("a"), []byte("1"))}}}, kind)
+			off := len(seg)
+			seg = appendFrame(seg, bad, kind)
+			seg = appendBufferFrame(seg, []logTxn{{tid: tidAt(2, 3), entries: []wal.Entry{put(0, []byte("c"), []byte("3"))}}}, kind)
+			writeSegment(t, dir, 0, 0, appendDurableFrame(seg, 2))
+			path := filepath.Join(dir, wal.SegmentName(0, 0))
+
+			for _, r := range []struct {
+				name string
+				run  func(s *core.Store) error
+			}{
+				{"recovery.Recover", func(s *core.Store) error { _, err := Recover(s, dir, Options{Workers: 2}); return err }},
+				{"wal.Recover", func(s *core.Store) error { _, err := wal.Recover(s, dir); return err }},
+			} {
+				err := r.run(manualStore(t, "t"))
+				if err == nil || !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), path) ||
+					!strings.Contains(err.Error(), fmt.Sprintf("offset %d", off)) {
+					t.Errorf("%s: error %v, want ErrCorrupt naming %s and offset %d", r.name, err, path, off)
+				}
+			}
+		})
+	}
+}
+
 // TestReplayAllocatesPerWinnerNotPerEntry checks the allocation shape of
 // pass 2: decoding and routing allocate nothing per entry (batches are
 // recycled, keys and values alias the segment buffer), so two logs that
@@ -779,5 +819,77 @@ func TestReplayAllocatesPerWinnerNotPerEntry(t *testing.T) {
 	t.Logf("%d entries: %.0f allocations; %d entries: %.0f", small, a, large, b)
 	if extra := b - a; extra > (large-small)/64 {
 		t.Errorf("%d more entries over the same %d keys cost %.0f more allocations", large-small, keys, extra)
+	}
+}
+
+// TestRecoveryAllocatesPerSpanNotPerRow checks the allocation shape of the
+// rows recovery makes: a span's records are one slice and its values'
+// buffers come from shared chunks, checkpoint rows are staged as offsets,
+// and log entries travel as items, so recovering ten times the rows costs
+// a handful more allocations — chunks — not a multiple of the extra rows.
+// It recovers a directory holding only a checkpoint, and one holding only a
+// log of inserts, each at two sizes.
+func TestRecoveryAllocatesPerSpanNotPerRow(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	val := make([]byte, 100)
+	checkpointOnly := func(n int) string {
+		dir := t.TempDir()
+		src := manualStore(t, "t")
+		for lo := 0; lo < n; lo += 500 {
+			if err := src.Worker(0).Run(func(tx *core.Tx) error {
+				for i := lo; i < min(lo+500, n); i++ {
+					if err := tx.Insert(src.Tables()[0], benchKey(i), val); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			src.AdvanceEpoch()
+		}
+		if _, err := WriteCheckpoint(nil, src, src.Maintenance(), dir, 4, nil); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	insertOnly := func(n int) string {
+		dir := t.TempDir()
+		var seg []byte
+		var frame []logTxn
+		for i := 0; i < n; i++ {
+			frame = append(frame, logTxn{tid: tidAt(1, uint64(i+1)), entries: []wal.Entry{put(0, benchKey(i), val)}})
+			if len(frame) == 100 || i == n-1 {
+				seg, frame = appendBufferFrame(seg, frame, 'B'), frame[:0]
+			}
+		}
+		writeSegment(t, dir, 0, 0, appendDurableFrame(seg, 1))
+		return dir
+	}
+	const small, large = 5_000, 50_000
+	for _, c := range []struct {
+		name string
+		dir  func(n int) string
+	}{{"checkpoint-only", checkpointOnly}, {"insert-only", insertOnly}} {
+		allocs := func(n int) float64 {
+			dir := c.dir(n)
+			return testing.AllocsPerRun(5, func() {
+				s := core.NewStore(core.DefaultOptions(1))
+				defer s.Close()
+				s.CreateTable("t")
+				if _, err := Recover(s, dir, Options{Workers: 2}); err != nil || s.Tables()[0].Tree.Len() != n {
+					t.Fatalf("%s: recovered %d rows (err %v), want %d", c.name, s.Tables()[0].Tree.Len(), err, n)
+				}
+			})
+		}
+		a, b := allocs(small), allocs(large)
+		t.Logf("%s: %d rows: %.0f allocations; %d rows: %.0f", c.name, small, a, large, b)
+		if extra := b - a; extra > (large-small)/1000 {
+			t.Errorf("%s: %d more rows cost %.0f more allocations, want at most %d", c.name, large-small, extra, (large-small)/1000)
+		}
 	}
 }

@@ -64,9 +64,11 @@ const (
 	maxInflated = 4 << 20
 )
 
-// ErrCorrupt reports a malformed or torn log frame; recovery treats it as
-// the end of the usable log (everything after a torn frame is discarded, as
-// with any write-ahead log).
+// ErrCorrupt reports a malformed log frame. A frame whose header or CRC is
+// bad is a torn write, and recovery treats it as the end of the usable log
+// (everything after it is discarded, as with any write-ahead log); one
+// whose CRC matches but whose payload does not decode fails recovery (see
+// Segment.Walk).
 var ErrCorrupt = errors.New("wal: corrupt log frame")
 
 // Entry is one logged record modification: the write a committing worker
@@ -158,52 +160,27 @@ func frameAt(data []byte, off int, verify bool) (kind byte, payload []byte, epoc
 	}
 }
 
-// Visitor receives a segment's decoded contents from Segment.Walk, in log
-// order. Txn is called once per transaction record, before its entries;
-// returning false skips them (replay's epoch filter never pays for
-// decoding what it discards). Entry is called once per logged record
-// modification of the transaction last announced. key and value alias the
-// segment's buffer (or, for a deflated frame, the inflated payload): they
-// stay valid as long as the visitor holds them, but must be copied before
-// they are stored anywhere that outlives recovery. value is nil for a
-// delete.
+// Visitor receives a segment's decoded contents from Segment.Walk, frame by
+// frame, in log order. Frame opens each buffer frame, showing the payload
+// its keys and values alias: a stretch of the segment's buffer or, when
+// inflated, the copy Walk inflated a deflated frame into. Txn is then
+// called once per transaction record, before its entries; returning false
+// skips them: Walk still checks them but shows none (replay's epoch filter
+// never pays for routing what it discards). Entry is called once per logged record modification of the
+// transaction last announced; value is nil for a delete. key and value stay
+// valid as long as the visitor holds them, but must be copied before they
+// are stored anywhere that outlives recovery. FrameEnd closes the frame.
+//
+// The frame is decoded as it is shown, each length checked before it is
+// used, so the visitor learns only at FrameEnd whether the whole frame was
+// well-formed: torn reports that it was not — its payload ran out or
+// overran mid-record — and that the walk stops there. What a visitor was
+// shown of a torn frame must not be kept.
 type Visitor interface {
+	Frame(payload []byte, inflated bool)
 	Txn(tid uint64, writes int) bool
 	Entry(table uint32, key, value []byte, del bool)
-}
-
-// A FrameVisitor is a Visitor that is also shown, before each buffer frame's
-// transactions, the payload their keys and values alias: a stretch of the
-// segment's buffer, or, when inflated, the copy Walk inflated a deflated
-// frame into. Replay keeps an entry as its offset in one or the other.
-type FrameVisitor interface {
-	Visitor
-	Frame(payload []byte, inflated bool)
-}
-
-// skipEntries hops over n entries starting at p[off], returning the offset
-// past them, or false if they run off the end of p.
-func skipEntries(p []byte, off int, n uint32) (int, bool) {
-	for ; n > 0; n-- {
-		if len(p)-off < 6 {
-			return 0, false
-		}
-		klen := int(binary.LittleEndian.Uint16(p[off+4:]))
-		off += 6
-		if len(p)-off < klen+4 {
-			return 0, false
-		}
-		vlen := binary.LittleEndian.Uint32(p[off+klen:])
-		off += klen + 4
-		if vlen == deleteMarker {
-			continue
-		}
-		if uint64(vlen) > uint64(len(p)-off) {
-			return 0, false
-		}
-		off += int(vlen)
-	}
-	return off, true
+	FrameEnd(torn bool)
 }
 
 // deflate compresses one buffer-frame payload (Config.Compress).
@@ -227,55 +204,74 @@ func inflate(p []byte) ([]byte, error) {
 	return out, err
 }
 
-// checkPayload reports whether p is a well-formed sequence of transaction
-// records. walkPayload runs only on payloads that passed, so a visitor never
-// sees part of a frame whose remainder is malformed.
-func checkPayload(p []byte) bool {
+// minEntry is the fewest bytes an entry takes: its table, key length and
+// value length (or delete marker).
+const minEntry = 10
+
+// walkPayload is the decoder of the transaction-record format: it feeds the
+// records of p to v without copying or allocating, checking every length
+// before it uses it, and reports whether p decoded to its end. A
+// transaction's write count is checked against the bytes left before v is
+// told it, so a visitor may size what it keeps by it. The entries of a
+// transaction v declines are decoded all the same, to check them and find
+// the next record, but not shown.
+func walkPayload(p []byte, v Visitor) bool {
 	for off := 0; off < len(p); {
 		if len(p)-off < 12 {
 			return false
 		}
-		var ok bool
-		if off, ok = skipEntries(p, off+12, binary.LittleEndian.Uint32(p[off+8:])); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// walkPayload is the decoder of the transaction-record format: it feeds
-// every record of a checked payload to v without copying or allocating.
-func walkPayload(p []byte, v Visitor) {
-	for off := 0; off < len(p); {
 		tid := binary.LittleEndian.Uint64(p[off:])
 		n := binary.LittleEndian.Uint32(p[off+8:])
 		off += 12
-		if !v.Txn(tid, int(n)) {
-			off, _ = skipEntries(p, off, n)
-			continue
+		if uint64(n)*minEntry > uint64(len(p)-off) {
+			return false
 		}
+		show := v.Txn(tid, int(n))
 		for ; n > 0; n-- {
+			if len(p)-off < 6 {
+				return false
+			}
 			table := binary.LittleEndian.Uint32(p[off:])
 			klen := int(binary.LittleEndian.Uint16(p[off+4:]))
-			key := p[off+6 : off+6+klen : off+6+klen]
-			off += 6 + klen
-			vlen := binary.LittleEndian.Uint32(p[off:])
-			off += 4
+			off += 6
+			if len(p)-off < klen+4 {
+				return false
+			}
+			key := p[off : off+klen : off+klen]
+			vlen := binary.LittleEndian.Uint32(p[off+klen:])
+			off += klen + 4
 			if vlen == deleteMarker {
-				v.Entry(table, key, nil, true)
+				if show {
+					v.Entry(table, key, nil, true)
+				}
 				continue
 			}
-			v.Entry(table, key, p[off:off+int(vlen):off+int(vlen)], false)
+			if uint64(vlen) > uint64(len(p)-off) {
+				return false
+			}
+			if show {
+				v.Entry(table, key, p[off:off+int(vlen):off+int(vlen)], false)
+			}
 			off += int(vlen)
 		}
 	}
+	return true
 }
 
 // txnCollector materializes what it is shown as TxnRecords that own their
 // bytes — the copying form of the decoder, for callers that keep records
 // beyond the segment buffer (ParseLogFile).
 type txnCollector struct {
-	txns []TxnRecord
+	txns  []TxnRecord
+	frame int // transactions before the open frame
+}
+
+func (c *txnCollector) Frame([]byte, bool) { c.frame = len(c.txns) }
+
+func (c *txnCollector) FrameEnd(torn bool) {
+	if torn {
+		c.txns = c.txns[:c.frame]
+	}
 }
 
 func (c *txnCollector) Txn(tid uint64, writes int) bool {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -29,7 +30,7 @@ type refSegment struct {
 // refParse is a second, deliberately plain reading of the on-disk format
 // (see the comment at the top of format.go) for the fuzz target to compare
 // the decoder with: it copies everything, checks every length before it
-// uses it, and shares no code with frameAt, checkPayload or walkPayload.
+// uses it, and shares no code with frameAt or walkPayload.
 // The segment's durable epoch is the largest durable frame before the
 // first frame with a bad header or CRC; its transactions are those of the
 // buffer ('B') and deflated ('C') frames before that point, up to the first
@@ -119,24 +120,43 @@ func refPayload(p []byte, deflated bool) ([]TxnRecord, bool) {
 	return txns, true
 }
 
-// aliasRecorder is a FrameVisitor that keeps what it is shown without
-// copying, as replay does, and checks the visitor contract as it goes:
-// every key and value lies in the payload last shown.
+// aliasRecorder is a Visitor that keeps what it is shown without copying,
+// as replay does, drops what it was shown of a torn frame, and checks the
+// visitor contract as it goes: every call but Frame comes inside an open
+// frame, every key and value lies in the payload last shown, and nothing
+// follows a torn frame's end.
 type aliasRecorder struct {
 	t        *testing.T
 	txns     []TxnRecord
 	left     int    // entries still owed for the last transaction
 	payload  []byte // the frame being walked
+	open     bool   // between Frame and FrameEnd
+	mark     int    // transactions kept before the open frame
 	inflated int    // inflated payloads shown
+	torn     int    // frames ended torn
 }
 
 func (r *aliasRecorder) Frame(payload []byte, inflated bool) {
-	if r.left != 0 {
-		r.t.Fatalf("frame shown with %d entries of the last transaction outstanding", r.left)
+	if r.open || r.torn > 0 {
+		r.t.Fatalf("frame shown inside another (open %v) or after a torn one (%d)", r.open, r.torn)
 	}
-	r.payload = payload
+	r.payload, r.open, r.mark = payload, true, len(r.txns)
 	if inflated {
 		r.inflated++
+	}
+}
+
+func (r *aliasRecorder) FrameEnd(torn bool) {
+	if !r.open {
+		r.t.Fatal("frame ended that was not open")
+	}
+	if !torn && r.left != 0 {
+		r.t.Fatalf("frame ended whole with %d entries of its last transaction outstanding", r.left)
+	}
+	r.open, r.left = false, 0
+	if torn {
+		r.torn++
+		r.txns = r.txns[:r.mark]
 	}
 }
 
@@ -151,6 +171,9 @@ func (r *aliasRecorder) within(b []byte) bool {
 }
 
 func (r *aliasRecorder) Txn(tid uint64, writes int) bool {
+	if !r.open {
+		r.t.Fatalf("transaction %x announced outside a frame", tid)
+	}
 	if r.left != 0 {
 		r.t.Fatalf("transaction %x announced with %d entries of the previous one outstanding", tid, r.left)
 	}
@@ -164,6 +187,9 @@ func (r *aliasRecorder) Txn(tid uint64, writes int) bool {
 }
 
 func (r *aliasRecorder) Entry(table uint32, key, value []byte, del bool) {
+	if !r.open || r.left == 0 {
+		r.t.Fatalf("entry %x shown outside a frame (%v) or beyond its transaction's count", key, r.open)
+	}
 	r.left--
 	if del != (value == nil) {
 		r.t.Fatalf("entry with delete=%v carries value %v", del, value)
@@ -255,11 +281,53 @@ func realSegments(tb testing.TB, compress bool) [][]byte {
 	return segs
 }
 
+// cutFrames returns seg with its first buffer frame's payload cut short
+// inside a transaction header, inside an entry header, and inside a value,
+// each framed again — as a plain frame and as a deflated one — with a
+// matching CRC: frames a torn write cannot produce, which the walk must
+// reject whole.
+func cutFrames(tb testing.TB, seg []byte) [][]byte {
+	off := 0
+	for seg[off] == frameDurable {
+		off += 13
+	}
+	_, payload, _, next, err := frameAt(seg, off, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if seg[off] == frameDeflated {
+		if payload, err = inflate(payload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	klen := int(binary.LittleEndian.Uint16(payload[16:]))
+	vlen := int(binary.LittleEndian.Uint32(payload[18+klen:]))
+	if vlen == 0 || vlen == int(deleteMarker) {
+		tb.Fatalf("the first entry has no value to cut (length %x)", vlen)
+	}
+	var out [][]byte
+	for _, cut := range []int{6, 15, 22 + klen + vlen/2} {
+		for _, kind := range []byte{frameBuffer, frameDeflated} {
+			p := payload[:cut]
+			if kind == frameDeflated {
+				p = deflate(p)
+			}
+			var b bytes.Buffer
+			b.Write(seg[:off])
+			writeBufferFrame(&b, kind, p)
+			b.Write(seg[next:])
+			out = append(out, b.Bytes())
+		}
+	}
+	return out
+}
+
 // FuzzWalkSegment fuzzes the log decoder — the first parser in the system
 // to read bytes from disk. Seeds are segments written by real loggers,
 // plain and compressed, whole and cut at and around every frame boundary,
-// and one of each glued together (a directory reopened with Compress
-// toggled appends to the same segment).
+// one of each glued together (a directory reopened with Compress toggled
+// appends to the same segment), and each with a frame whose CRC matches a
+// payload cut mid-header or mid-value (cutFrames).
 // For any input, ScanSegment and Segment.Walk must not panic or read out of
 // bounds, must report exactly the transactions, entries and durable epoch
 // that the plain reading of the format (refParse) finds — in particular
@@ -270,6 +338,9 @@ func FuzzWalkSegment(f *testing.F) {
 	for _, compress := range []bool{false, true} {
 		segs := realSegments(f, compress)
 		mixed = append(mixed, segs[0]...)
+		for _, seg := range cutFrames(f, segs[0]) {
+			f.Add(seg)
+		}
 		for _, seg := range segs {
 			f.Add(seg)
 			for _, end := range refParse(seg).ends {
@@ -290,14 +361,17 @@ func FuzzWalkSegment(f *testing.F) {
 		}
 
 		rec := &aliasRecorder{t: t}
-		complete := seg.Walk(rec)
-		if complete != want.decoded {
-			t.Fatalf("walk complete = %v, the format says %v", complete, want.decoded)
+		err := seg.Walk(rec)
+		if complete := err == nil; complete != want.decoded || !complete && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("walk error %v, the format says complete = %v", err, want.decoded)
 		}
-		if rec.left != 0 {
-			t.Fatalf("walk ended with %d entries outstanding", rec.left)
+		if rec.open || rec.left != 0 {
+			t.Fatalf("walk ended with a frame open (%v) or %d entries outstanding", rec.open, rec.left)
 		}
-		if complete && rec.inflated != seg.Deflated {
+		if rec.torn > 1 || rec.torn == 1 && err == nil {
+			t.Fatalf("%d frames ended torn, walk error %v", rec.torn, err)
+		}
+		if err == nil && rec.inflated != seg.Deflated {
 			t.Fatalf("walk inflated %d frames, ScanSegment counted %d deflated", rec.inflated, seg.Deflated)
 		}
 		if len(rec.txns) != len(want.txns) {
@@ -372,7 +446,7 @@ func TestCorpusDecodesAsPinned(t *testing.T) {
 		seg := ScanSegment([]byte(data))
 		var c txnCollector
 		got, entries := p, 0
-		got.complete = seg.Walk(&c)
+		got.complete = seg.Walk(&c) == nil
 		for _, txn := range c.txns {
 			entries += len(txn.Entries)
 		}

@@ -664,6 +664,8 @@ func (m *maxEpoch) Txn(t uint64, _ int) bool {
 }
 
 func (m *maxEpoch) Entry(uint32, []byte, []byte, bool) {}
+func (m *maxEpoch) Frame([]byte, bool)                 {}
+func (m *maxEpoch) FrameEnd(bool)                      {}
 
 // unreadable is what removeCovered remembers of a segment whose walk stopped
 // early: no checkpoint epoch covers it.
@@ -699,7 +701,7 @@ func removeCovered(fs vfs.FS, infos []LogFileInfo, open map[int]uint64, ce uint6
 			if rerr != nil {
 				return removed, errors.Join(err, rerr)
 			}
-			if !ScanSegment(data).Walk(&last) {
+			if ScanSegment(data).Walk(&last) != nil {
 				last = unreadable
 			}
 			release()

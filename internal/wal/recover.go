@@ -104,10 +104,10 @@ type Segment struct {
 	data []byte
 }
 
-// ScanSegment walks data's frame headers and CRCs — no payload is decoded —
-// and returns the prefix that is usable: everything before the first torn
-// or damaged frame (as with any write-ahead log, what follows one is
-// discarded).
+// ScanSegment walks data's frame headers and CRCs and returns the prefix
+// that is usable: everything before the first torn or damaged frame (as
+// with any write-ahead log, what follows one is discarded). No payload is
+// looked at: Walk checks a payload's structure as it decodes it.
 func ScanSegment(data []byte) Segment {
 	s := Segment{Size: int64(len(data))}
 	off := 0
@@ -128,43 +128,45 @@ func ScanSegment(data []byte) Segment {
 	return s
 }
 
-// Walk decodes the segment's transactions into v, in log order, without
-// copying or allocating (deflated frames are inflated first). A frame whose
-// payload does not inflate or decode ends the walk before any of it is
-// shown: such a frame cannot come from a torn write (its CRC matched), so
-// nothing after it is trusted either. complete reports whether the walk
-// reached the end of the verified prefix; when it is false the segment holds
-// transactions v was not shown. A FrameVisitor is shown each payload before
-// its transactions.
-func (s Segment) Walk(v Visitor) (complete bool) {
-	fv, _ := v.(FrameVisitor)
+// Walk decodes the segment's transactions into v, in log order, frame by
+// frame (see Visitor), without copying or allocating (deflated frames are
+// inflated first). It checks each frame's payload as it decodes it, once.
+// A frame that does not inflate, or whose payload does not decode to its
+// end, cannot come from a torn write — its CRC matched — so the walk stops
+// there and returns an ErrCorrupt error naming the frame's offset: the
+// segment holds transactions v was not shown, and since the durable bound
+// counts frames after the bad one, nothing recovered without them is an
+// epoch prefix. v is shown nothing of a frame that does not inflate, and
+// FrameEnd(true) ends one that does not decode.
+func (s Segment) Walk(v Visitor) error {
 	for off := 0; off < len(s.data); {
 		// The prefix is verified: no error, and no second checksum.
 		kind, payload, _, next, _ := frameAt(s.data, off, false)
-		off = next
 		switch kind {
 		case frameDurable:
+			off = next
 			continue
 		case frameDeflated:
 			var err error
 			if payload, err = inflate(payload); err != nil {
-				return false
+				return fmt.Errorf("%w: the deflated frame at offset %d has a valid checksum but does not inflate", ErrCorrupt, off)
 			}
 		}
-		if !checkPayload(payload) {
-			return false
+		v.Frame(payload, kind == frameDeflated)
+		ok := walkPayload(payload, v)
+		v.FrameEnd(!ok)
+		if !ok {
+			return fmt.Errorf("%w: the frame at offset %d has a valid checksum but does not decode", ErrCorrupt, off)
 		}
-		if fv != nil {
-			fv.Frame(payload, kind == frameDeflated)
-		}
-		walkPayload(payload, v)
+		off = next
 	}
-	return true
+	return nil
 }
 
 // ParseLogFile reads and parses one log segment, tolerating a torn tail. It
 // returns the segment's transactions, its durable epoch (see
-// Segment.Durable), and its size in bytes.
+// Segment.Durable), and its size in bytes. A frame with a valid checksum
+// that does not decode is an error naming the segment (see Segment.Walk).
 func ParseLogFile(fs vfs.FS, path string) (txns []TxnRecord, durable uint64, size int64, err error) {
 	data, release, err := vfs.DefaultFS(fs).Map(path)
 	if err != nil {
@@ -173,7 +175,9 @@ func ParseLogFile(fs vfs.FS, path string) (txns []TxnRecord, durable uint64, siz
 	defer release() // the collector copies what it keeps
 	seg := ScanSegment(data)
 	var c txnCollector
-	seg.Walk(&c)
+	if err := seg.Walk(&c); err != nil {
+		return nil, 0, 0, fmt.Errorf("wal: %s: %w", path, err)
+	}
 	return c.txns, seg.Durable, seg.Size, nil
 }
 

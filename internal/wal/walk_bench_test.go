@@ -13,6 +13,9 @@ type countingVisitor struct {
 	txns, entries, bytes int
 }
 
+func (c *countingVisitor) Frame([]byte, bool) {}
+func (c *countingVisitor) FrameEnd(bool)      {}
+
 func (c *countingVisitor) Txn(uint64, int) bool { c.txns++; return true }
 
 func (c *countingVisitor) Entry(_ uint32, key, value []byte, _ bool) {

@@ -3,6 +3,8 @@ package silo_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -163,4 +165,62 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 		t.Fatal(err)
 	}
 	return files
+}
+
+// TestOpenFailsOnUndecodableFrame: a log frame whose CRC matches but whose
+// payload does not decode is not a torn write, and recovering around it
+// would not give an epoch prefix. Open fails with an error naming the
+// segment and the frame's offset, and leaves the directory as it was.
+func TestOpenFailsOnUndecodableFrame(t *testing.T) {
+	dir := t.TempDir()
+	opts := silo.Options{EpochInterval: time.Millisecond, Durability: &silo.DurabilityOptions{Dir: dir, Loggers: 1}}
+	db, err := silo.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := db.CreateTable("t")
+	if err := db.RunDurable(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("v")) }); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	// One transaction that claims two entries and holds one, in a frame
+	// with a matching CRC, appended to the logger's segment.
+	seg := filepath.Join(dir, "log.0")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := len(data)
+	p := binary.LittleEndian.AppendUint64(nil, 1)
+	p = binary.LittleEndian.AppendUint32(p, 2)
+	p = binary.LittleEndian.AppendUint32(p, 1)
+	p = binary.LittleEndian.AppendUint16(p, 1)
+	p = append(p, 'k')
+	p = binary.LittleEndian.AppendUint32(p, 1)
+	p = append(p, 'w')
+	data = append(data, 'B')
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(p)))
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(p))
+	if err := os.WriteFile(seg, append(data, p...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := dirFiles(t, dir)
+	if db, err = silo.Open(opts); err == nil {
+		db.Close()
+		t.Fatal("Open recovered around the undecodable frame")
+	}
+	if want := fmt.Sprintf("offset %d", off); !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %s and %s", err, seg, want)
+	}
+	after := dirFiles(t, dir)
+	if len(after) != len(before) {
+		t.Errorf("%d files after the failed Open, %d before", len(after), len(before))
+	}
+	for name, data := range before {
+		if !bytes.Equal(after[name], data) {
+			t.Errorf("%s changed", name)
+		}
+	}
 }
