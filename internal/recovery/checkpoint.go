@@ -14,13 +14,15 @@
 //     partition files compose into exactly the sequential image.
 //
 //   - Replay follows the paper's recovery rule: the recovered version of a
-//     record is the logged one with the largest TID ≤ D. Which segment or
-//     worker saw it first is irrelevant, so segments are decoded
-//     concurrently and only each key's newest version is kept; workers
-//     need no coordination beyond the epoch ≤ D filter and the partition
-//     of keys among them. Nor does the order rows reach the tree in
-//     matter: each table is built once (btree.Tree.Build) from its
-//     checkpoint rows merged with the log's winners.
+//     record is the logged one with the largest TID ≤ D. Which segment,
+//     piece or worker saw it first is irrelevant, so the log is checked
+//     and decoded in frame ranges cut by bytes, not by file — as wide as
+//     the workers however the log is spread over loggers and segments —
+//     and only each key's newest version is kept; workers need no
+//     coordination beyond the epoch ≤ D filter and the partition of keys
+//     among them. Nor does the order rows reach the tree in matter: each
+//     table is built once (btree.Tree.Build) from its checkpoint rows
+//     merged with the log's winners.
 //
 // Once the log is walked, every decision replay makes on a key — is it one
 // already seen, which span of its table does it land in, where does it

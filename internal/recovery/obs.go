@@ -84,9 +84,9 @@ func (r Result) WriteReport(w io.Writer, total time.Duration) {
 	}
 	fmt.Fprintf(w, "  log: %d segments, %.1f MB, read and verified in %v\n",
 		r.LogFiles, float64(r.LogBytes)/(1<<20), r.LogRead.Round(time.Microsecond))
-	fmt.Fprintf(w, "  replay: D=%d, %d txns applied (%d beyond D, %d below checkpoint), %d keys installed (%d entries superseded), applied in %v (merge and build %v)\n",
+	fmt.Fprintf(w, "  replay: D=%d, %d txns applied (%d beyond D, %d below checkpoint), %d keys installed (%d entries superseded), decoded in %d pieces, applied in %v (merge and build %v)\n",
 		r.DurableEpoch, r.TxnsApplied, r.TxnsSkipped, r.TxnsBelowCheckpoint,
-		r.EntriesApplied, r.EntriesSuperseded, r.LogApply.Round(time.Microsecond), r.Build.Round(time.Microsecond))
+		r.EntriesApplied, r.EntriesSuperseded, r.LogPieces, r.LogApply.Round(time.Microsecond), r.Build.Round(time.Microsecond))
 	secs := total.Seconds()
 	if secs > 0 {
 		fmt.Fprintf(w, "  throughput: %.0f txns/s, %.1f MB/s over %v total (checkpoint %.0f%%, log %.0f%%)\n",

@@ -38,10 +38,13 @@ const CatalogTableID = 0
 // Options configures a parallel recovery pass.
 type Options struct {
 	// Workers is the number of replay applier goroutines, and the number
-	// of checkpoint parts staged, of log segments mapped or decoded, of
-	// spans merged, and of stretches of a table's leaves built, at a time.
-	// 1 is the least parallel replay: one segment after the other feeding
-	// one applier. Values below 1 mean 1, and values above 1<<16 mean
+	// of checkpoint parts staged, of log segments mapped, of log ranges
+	// checked or pieces decoded, of spans merged, and of stretches of a
+	// table's leaves built, at a time. It also sets the size of a piece: a
+	// Workers-th of the log's verified bytes, so that the log is decoded
+	// Workers wide however its bytes are spread over segments. 1 is the
+	// least parallel replay: one segment after the other feeding one
+	// applier. Values below 1 mean 1, and values above 1<<16 mean
 	// 1<<16, because a log winner names its applier in 16 bits.
 	Workers int
 	// Schema, when non-nil, makes recovery self-describing: table
@@ -74,6 +77,10 @@ type Result struct {
 	LogBytes int64
 	// LogFiles is the number of log segments parsed.
 	LogFiles int
+	// LogPieces is the number of pieces pass 2 decoded the segments in,
+	// each on its own goroutine (wal.Segment.Split): about Workers, plus
+	// one per segment at most.
+	LogPieces int
 	// Workers is the applier parallelism actually used.
 	Workers int
 
@@ -182,9 +189,10 @@ type item struct {
 
 // sources are the buffers items point into: every mapped segment, by its
 // index in the directory listing, then every frame pass 2 inflates, in a
-// range reserved for each segment (Segment.Deflated). The slice never
-// grows: a router sets an inflated frame's entry before routing an item
-// from it, which the applier receives only after.
+// range reserved for each piece (Segment.Deflated); an item from a piece's
+// plain frame keeps its offsets into the whole segment's source. The slice
+// never grows: a router sets an inflated frame's entry before routing an
+// item from it, which the applier receives only after.
 type sources [][]byte
 
 func (s sources) key(it *item) []byte   { return s[it.src][it.off : it.off+uint64(it.klen)] }
@@ -218,18 +226,23 @@ func order(a0, a1 uint64, an int, b0, b1 uint64, bn int) (c int, tie bool) {
 const applyBatch = 128
 
 // replay is the two-pass log replay. Pass 1 maps every segment (no copy)
-// and walks its frame headers and CRCs, in parallel, which yields each
-// segment's usable prefix and durable bound — so D is known before a single
-// entry is decoded. Pass 2 decodes: each segment's goroutine walks its
-// transactions in place (wal.Segment.Walk: no TxnRecord, no copy), drops
-// those outside CE ≤ epoch ≤ D, and routes the rest by hash(table, key)
-// straight to the applier owning that hash. An applier keeps only the
-// newest TID per key. Once every segment is decoded and the schema pre-pass
-// has run, every table is built once from its checkpoint rows and the
-// appliers' winners (build). The paper's recovery rule (§4.10) is what
-// makes this sound: the recovered state is, per record, the version with
-// the largest TID ≤ D, so versions that lose the comparison need never
-// reach the tree, and the order the rest reach it in is free.
+// and checks its frame headers and CRCs, which yields each segment's usable
+// prefix and durable bound — so D is known before a single entry is
+// decoded. A segment is checked by as many goroutines as its share of the
+// log's bytes is of Workers (wal.ScanSegment), so that one large segment
+// keeps every worker busy. Pass 2 decodes: the verified prefixes are cut at
+// frame boundaries into pieces of about a Workers-th of their bytes
+// (wal.Segment.Split), a piece never spanning two segments, and each
+// piece's goroutine walks its transactions in place (wal.Segment.Walk: no
+// TxnRecord, no copy), drops those outside CE ≤ epoch ≤ D, and routes the
+// rest by hash(table, key) straight to the applier owning that hash. An
+// applier keeps only the newest TID per key. Once every piece is decoded
+// and the schema pre-pass has run, every table is built once from its
+// checkpoint rows and the appliers' winners (build). The paper's recovery
+// rule (§4.10) is what makes this sound: the recovered state is, per
+// record, the version with the largest TID ≤ D, so versions that lose the
+// comparison need never reach the tree, and the order the rest reach it
+// in — which piece decodes which frame when — is free.
 func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, res *Result) error {
 	infos, err := wal.ListLogFiles(opts.FS, logDir)
 	if err != nil {
@@ -238,7 +251,8 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 	res.LogFiles = len(infos)
 
 	// Pass 1. The segments stay mapped until the trees are built: the items
-	// routed in pass 2 hold offsets into them.
+	// routed in pass 2 hold offsets into them. A segment's checkers are its
+	// share of the workers, rounded up.
 	t0 := time.Now()
 	segs := make([]wal.Segment, len(infos))
 	srcs := make(sources, len(infos))
@@ -252,41 +266,50 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 		}
 	}()
 	each(len(infos), opts.Workers, func(i int) {
-		data, release, err := opts.FS.Map(infos[i].Path)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		segs[i], srcs[i], releases[i] = wal.ScanSegment(data), data, release
+		srcs[i], releases[i], errs[i] = opts.FS.Map(infos[i].Path)
 	})
-	durables := make([]uint64, len(infos))
-	inflated := make([]int, len(infos)) // segment i's first inflated source
-	for i := range segs {
+	var mapped int
+	for i := range infos {
 		if errs[i] != nil {
 			return errs[i]
 		}
+		mapped += len(srcs[i])
+	}
+	each(len(infos), opts.Workers, func(i int) {
+		segs[i] = wal.ScanSegment(srcs[i], (opts.Workers*len(srcs[i])+mapped-1)/max(mapped, 1))
+	})
+	durables := make([]uint64, len(infos))
+	var verified, deflated int
+	for i := range segs {
 		res.LogBytes += segs[i].Size
 		durables[i] = segs[i].Durable
-		inflated[i] = len(srcs)
-		srcs = append(srcs, make(sources, segs[i].Deflated)...)
+		verified += segs[i].Len()
+		deflated += segs[i].Deflated
 	}
 	d := wal.DurableBound(infos, durables)
 	res.DurableEpoch = d
 	res.LogRead = time.Since(t0)
 
-	// Pass 2: decode and coalesce.
+	// Pass 2: decode and coalesce, a router per piece. A piece's inflated
+	// frames take the sources from next on.
 	t1 := time.Now()
 	defer func() { res.LogApply = time.Since(t1) }()
-	appliers := make([]*applier, opts.Workers)
-	// The batches routing uses: a fixed number, each made when first taken
-	// (a nil in free stands for one not made yet) and handed back by the
-	// applier that absorbed it. There are more than the decoders can hold
-	// open at once, one per applier each, so that at any time some batch is
-	// free, queued, or being absorbed and about to be.
-	free := make(chan []item, len(appliers)*(opts.Workers+queuedBatches+1))
-	for range cap(free) {
-		free <- nil
+	type piece struct {
+		wal.Segment
+		seg, next int
 	}
+	var pieces []piece
+	next := len(srcs)
+	srcs = append(srcs, make(sources, deflated)...)
+	for i := range segs {
+		for _, p := range segs[i].Split((verified + opts.Workers - 1) / opts.Workers) {
+			pieces = append(pieces, piece{p, i, next})
+			next += p.Deflated
+		}
+	}
+	res.LogPieces = len(pieces)
+	appliers := make([]*applier, opts.Workers)
+	free := batchPool(len(appliers), min(opts.Workers, len(pieces)))
 	var absorb sync.WaitGroup
 	for k := range appliers {
 		a := &applier{in: make(chan []item, queuedBatches), srcs: srcs, wins: make([][]item, 0, winChunks)}
@@ -296,17 +319,17 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 			defer absorb.Done()
 			for batch := range a.in {
 				a.absorb(batch)
-				free <- batch
+				free <- batch[:0]
 			}
 		}()
 	}
-	routers := make([]router, len(infos))
-	each(len(infos), opts.Workers, func(i int) {
+	routers := make([]router, len(pieces))
+	each(len(pieces), opts.Workers, func(i int) {
 		r := &routers[i]
 		*r = router{d: d, minEpoch: ck.epoch, wantSchema: opts.Schema != nil,
 			appliers: appliers, free: free, batches: make([][]item, len(appliers)),
-			srcs: srcs, seg: uint32(i), next: uint32(inflated[i])}
-		if err := segs[i].Walk(r); err != nil {
+			srcs: srcs, seg: uint32(pieces[i].seg), next: uint32(pieces[i].next)}
+		if err := pieces[i].Walk(r); err != nil {
 			r.err = err
 		}
 		r.flush()
@@ -321,7 +344,7 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 	for i := range routers {
 		r := &routers[i]
 		if r.err != nil {
-			return fmt.Errorf("%s: %w", infos[i].Path, r.err)
+			return fmt.Errorf("%s: %w", infos[pieces[i].seg].Path, r.err)
 		}
 		res.TxnsApplied += r.applied
 		res.TxnsSkipped += r.skipped
@@ -646,13 +669,32 @@ func radixPass(src, dst []winner, shift int) {
 	}
 }
 
-// queuedBatches is the depth of an applier's input queue: enough that a
-// decoder whose entries bunch on one applier keeps running while that
-// applier catches up, small enough that the batches in flight stay a few
-// hundred kilobytes.
-const queuedBatches = 8
+// queuedBatches is the depth of an applier's input queue, and the batches
+// the pool holds beyond what the routers keep open and the appliers absorb:
+// enough that a router keeps decoding while one applier catches up (at 8,
+// routers stalled on it), small enough that the pool stays a few hundred
+// kilobytes.
+const queuedBatches = 32
 
-// router is one segment's wal.Visitor in pass 2: it filters transactions
+// batchPool returns the batches routing uses, all free: enough for each of
+// routers at once to hold one open per applier and for each applier to
+// absorb one, and queuedBatches more. They are carved from one slab of
+// items, which holds no pointer: one allocation whatever their number, and
+// nothing for the collector to scan. An applier hands each batch back once
+// it has absorbed it. Since a router waiting for a batch holds fewer than
+// one per applier, some batch is then always free, queued, or being
+// absorbed and about to be.
+func batchPool(appliers, routers int) chan []item {
+	n := appliers*(routers+1) + queuedBatches
+	slab := make([]item, n*applyBatch)
+	free := make(chan []item, n)
+	for k := range n {
+		free <- slab[k*applyBatch : k*applyBatch : (k+1)*applyBatch]
+	}
+	return free
+}
+
+// router is one piece's wal.Visitor in pass 2: it filters transactions
 // by epoch, collects DDL-catalog rows for the schema pre-pass, and batches
 // in-range entries to the appliers — a frame's only once the whole frame
 // has decoded, so that an applier never absorbs part of a torn one. One
@@ -666,7 +708,7 @@ type router struct {
 	frame       []item   // the open frame's entries, in range
 
 	srcs sources
-	seg  uint32  // the segment's source
+	seg  uint32  // the source of the piece's segment
 	next uint32  // the next source reserved for an inflated frame
 	src  uint32  // the source of the frame being decoded
 	base uintptr // and its address
@@ -754,10 +796,7 @@ func (r *router) route(it *item) {
 	k := int(it.hash & 0xffff * uint64(len(r.appliers)) >> 16) // the low 16 bits scaled: no division
 	b := r.batches[k]
 	if b == nil {
-		if b = <-r.free; b == nil {
-			b = make([]item, 0, applyBatch)
-		}
-		b = b[:0]
+		b = <-r.free
 	}
 	b = append(b, *it)
 	if len(b) == cap(b) {

@@ -26,6 +26,11 @@ type replayShape struct {
 	rows, txns int
 	// key is key i; nil is benchKey.
 	key func(i int) []byte
+	// oneLogger logs every transaction to logger 0, in one segment, and
+	// only a durable frame per pass to logger 1, as an idle logger does.
+	// Otherwise the transactions are dealt to both loggers alternately,
+	// each rotating to a new segment every benchSegBytes.
+	oneLogger bool
 }
 
 func (sh replayShape) keyOf(i int) []byte {
@@ -36,10 +41,16 @@ func (sh replayShape) keyOf(i int) []byte {
 }
 
 var replayShapes = []replayShape{
-	// The shape of the repository benchmark's recovery.replay workload at a
-	// fifth of its size: five logged writes per checkpointed row, rewrite
-	// ratio about 0.8.
+	// The keys and values of the repository benchmark's recovery.replay
+	// workload at a fifth of its size — five logged writes per checkpointed
+	// row, rewrite ratio about 0.8 — spread evenly over two loggers' 2 MiB
+	// segments.
 	{name: "rewrite", rows: 20_000, txns: 50_000},
+	// rewrite's transactions laid out as recovery.replay lays them out: its
+	// image is written by one worker, so the whole log is one segment of
+	// logger 0, beside a logger 1 that holds durable frames only. Recovery
+	// must still decode it on every worker.
+	{name: "one-logger", rows: 20_000, txns: 50_000, oneLogger: true},
 	// Every entry creates its key: rewrite ratio 0, nothing to coalesce.
 	// Replay must cost no more here than applying entry by entry would.
 	{name: "insert-only", rows: 0, txns: 50_000},
@@ -74,8 +85,9 @@ var benchLogs struct {
 }
 
 // buildReplayShape writes the shape's checkpoint and log: two loggers, the
-// transactions dealt to them alternately, frames of benchFrameTxns
-// transactions, a new segment every benchSegBytes.
+// transactions dealt to them alternately (or all to logger 0, see
+// oneLogger), frames of benchFrameTxns transactions, a new segment every
+// benchSegBytes.
 func buildReplayShape(b *testing.B, sh replayShape) string {
 	benchLogs.Lock()
 	defer benchLogs.Unlock()
@@ -121,8 +133,11 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 			segs[l] = appendBufferFrame(segs[l], frames[l], 'B')
 			segs[l] = appendDurableFrame(segs[l], epoch)
 			frames[l] = frames[l][:0]
+			if sh.oneLogger {
+				segs[1] = appendDurableFrame(segs[1], epoch)
+			}
 		}
-		if end || len(segs[l]) >= benchSegBytes {
+		if end || len(segs[l]) >= benchSegBytes && !sh.oneLogger {
 			writeSegment(b, dir, l, seqs[l], segs[l])
 			seqs[l]++
 			segs[l] = nil
@@ -137,6 +152,9 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 		binary.BigEndian.PutUint64(v0, rng.Uint64())
 		binary.BigEndian.PutUint64(v1, rng.Uint64())
 		l := i % benchLoggers
+		if sh.oneLogger {
+			l = 0
+		}
 		frames[l] = append(frames[l], logTxn{tid: tidAt(epoch, uint64(i+1)),
 			entries: []wal.Entry{put(0, sh.keyOf(k0), v0), put(0, sh.keyOf(k1), v1)}})
 		if len(frames[l]) == benchFrameTxns {

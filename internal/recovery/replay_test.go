@@ -41,18 +41,33 @@ func waitDurable(t *testing.T, s *core.Store, m *wal.Manager) {
 }
 
 // TestParallelRecoveryEquivalence is the acceptance test for the parallel
-// path: a concurrent workload with segment rotation and a partitioned
-// checkpoint taken mid-run (while writers commit) must recover to the
-// same state through the sequential reference path (wal.Recover, log
-// only), the single-worker recovery path, and the 4-worker parallel path.
+// path: a concurrent workload with a partitioned checkpoint taken mid-run
+// (while writers commit) must recover to the same state through the
+// sequential reference path (wal.Recover, log only) and the parallel path
+// at 1, 2, 3, 4 and 8 workers. It runs on two log layouts: two loggers
+// rotating small segments, and the one segment one logger writes — plain
+// and compressed — which recovery checks in ranges and decodes in pieces,
+// with deflated frames on both sides of the cuts.
 func TestParallelRecoveryEquivalence(t *testing.T) {
+	for _, layout := range []struct {
+		name string
+		cfg  wal.Config
+	}{
+		{"two-loggers-rotating", wal.Config{Loggers: 2, SegmentBytes: 8 << 10}},
+		{"one-segment", wal.Config{Loggers: 1}},
+		{"one-segment-compressed", wal.Config{Loggers: 1, Compress: true}},
+	} {
+		t.Run(layout.name, func(t *testing.T) { testParallelRecoveryEquivalence(t, layout.cfg) })
+	}
+}
+
+func testParallelRecoveryEquivalence(t *testing.T, cfg wal.Config) {
 	const workers = 4
 	const rounds = 150
 	dir := t.TempDir()
 	s := core.NewStore(fastOpts(workers))
-	m, err := wal.Attach(s, wal.Config{
-		Dir: dir, Loggers: 2, PollInterval: time.Millisecond, SegmentBytes: 8 << 10,
-	})
+	cfg.Dir, cfg.PollInterval = dir, time.Millisecond
+	m, err := wal.Attach(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +138,8 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 	want := [2]map[string]string{dump(t, s, acct), dump(t, s, audit)}
 	s.Close()
 
-	// Segments must actually have rotated, or the test is not exercising
-	// grouped durable bounds.
+	// The layout must be what it claims: rotated segments, or the test is
+	// not exercising grouped durable bounds; or the one segment.
 	infos, err := wal.ListLogFiles(nil, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +150,11 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 			maxSeq = fi.Seq
 		}
 	}
-	if maxSeq == 0 {
+	if cfg.SegmentBytes > 0 && maxSeq == 0 {
 		t.Fatalf("no segment rotation happened across %d files", len(infos))
+	}
+	if cfg.Loggers == 1 && len(infos) != 1 {
+		t.Fatalf("%d segments, want the one", len(infos))
 	}
 
 	check := func(label string, recoverInto func(*core.Store) error) {
@@ -166,16 +184,23 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 		return err
 	})
 	var res1, res4 Result
-	check("recovery.Recover workers=1", func(s2 *core.Store) error {
-		var err error
-		res1, err = Recover(s2, dir, Options{Workers: 1})
-		return err
-	})
-	check("recovery.Recover workers=4", func(s2 *core.Store) error {
-		var err error
-		res4, err = Recover(s2, dir, Options{Workers: 4})
-		return err
-	})
+	for _, w := range []int{1, 2, 3, 4, 8} {
+		var res Result
+		check(fmt.Sprintf("recovery.Recover workers=%d", w), func(s2 *core.Store) error {
+			var err error
+			res, err = Recover(s2, dir, Options{Workers: w})
+			return err
+		})
+		if w > 1 && res.LogPieces < 2 {
+			t.Errorf("workers=%d: the log was decoded in %d piece", w, res.LogPieces)
+		}
+		switch w {
+		case 1:
+			res1 = res
+		case 4:
+			res4 = res
+		}
+	}
 	if res4.CheckpointEpoch != ckptRes.Epoch {
 		t.Errorf("parallel recovery used checkpoint %d, want %d", res4.CheckpointEpoch, ckptRes.Epoch)
 	}
@@ -745,35 +770,83 @@ func TestRecoveredTreesArePacked(t *testing.T) {
 // the durable frame after it, still covered the transaction the walk never
 // reached, so that transaction's writes were lost while other loggers'
 // writes of its epoch were kept: not an epoch prefix. Now both fail, with
-// an error naming the segment and the frame's offset, whether the frame is
-// plain or deflated.
+// an error naming the segment and the frame's offset in it, whether the
+// frame is plain or deflated, and whether it is the second frame of the
+// segment or the forty-first, past the first cut between the pieces that
+// recovery's workers decode.
 func TestUndecodableFrameFailsRecovery(t *testing.T) {
 	for _, kind := range []byte{'B', 'C'} {
 		t.Run(string(kind), func(t *testing.T) {
-			dir := t.TempDir()
-			bad := txnPayload([]logTxn{{tid: tidAt(2, 2), entries: []wal.Entry{put(0, []byte("b"), []byte("2"))}}})
-			binary.LittleEndian.PutUint32(bad[8:], 2) // claims two entries, holds one
-			seg := appendBufferFrame(nil, []logTxn{{tid: tidAt(2, 1), entries: []wal.Entry{put(0, []byte("a"), []byte("1"))}}}, kind)
-			off := len(seg)
-			seg = appendFrame(seg, bad, kind)
-			seg = appendBufferFrame(seg, []logTxn{{tid: tidAt(2, 3), entries: []wal.Entry{put(0, []byte("c"), []byte("3"))}}}, kind)
-			writeSegment(t, dir, 0, 0, appendDurableFrame(seg, 2))
-			path := filepath.Join(dir, wal.SegmentName(0, 0))
+			for _, before := range []int{1, 40} {
+				t.Run(fmt.Sprintf("after-%d", before), func(t *testing.T) {
+					dir := t.TempDir()
+					bad := txnPayload([]logTxn{{tid: tidAt(2, 2), entries: []wal.Entry{put(0, []byte("b"), []byte("2"))}}})
+					binary.LittleEndian.PutUint32(bad[8:], 2) // claims two entries, holds one
+					var seg []byte
+					for i := 0; i < before; i++ {
+						seg = appendBufferFrame(seg, []logTxn{{tid: tidAt(2, 1), entries: []wal.Entry{put(0, []byte("a"), []byte("1"))}}}, kind)
+					}
+					off := len(seg)
+					seg = appendFrame(seg, bad, kind)
+					seg = appendBufferFrame(seg, []logTxn{{tid: tidAt(2, 3), entries: []wal.Entry{put(0, []byte("c"), []byte("3"))}}}, kind)
+					writeSegment(t, dir, 0, 0, appendDurableFrame(seg, 2))
+					path := filepath.Join(dir, wal.SegmentName(0, 0))
 
-			for _, r := range []struct {
-				name string
-				run  func(s *core.Store) error
-			}{
-				{"recovery.Recover", func(s *core.Store) error { _, err := Recover(s, dir, Options{Workers: 2}); return err }},
-				{"wal.Recover", func(s *core.Store) error { _, err := wal.Recover(s, dir); return err }},
-			} {
-				err := r.run(manualStore(t, "t"))
-				if err == nil || !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), path) ||
-					!strings.Contains(err.Error(), fmt.Sprintf("offset %d", off)) {
-					t.Errorf("%s: error %v, want ErrCorrupt naming %s and offset %d", r.name, err, path, off)
-				}
+					type run struct {
+						name string
+						run  func(s *core.Store) error
+					}
+					runs := []run{{"wal.Recover", func(s *core.Store) error { _, err := wal.Recover(s, dir); return err }}}
+					for _, workers := range []int{1, 2, 3, 8} {
+						runs = append(runs, run{fmt.Sprintf("recovery.Recover workers=%d", workers),
+							func(s *core.Store) error { _, err := Recover(s, dir, Options{Workers: workers}); return err }})
+					}
+					for _, r := range runs {
+						err := r.run(manualStore(t, "t"))
+						if err == nil || !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), path) ||
+							!strings.Contains(err.Error(), fmt.Sprintf("offset %d", off)) {
+							t.Errorf("%s: error %v, want ErrCorrupt naming %s and offset %d", r.name, err, path, off)
+						}
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestOneSegmentDecodesOnEveryWorker: recovery is as wide as its workers,
+// not as the log's file count. A log that is one segment of 64 frames of
+// equal size, as one hot logger writes it, is decoded by exactly Workers
+// pieces, since pieces are cut by bytes; the two-segment case gets one
+// piece more at most.
+func TestOneSegmentDecodesOnEveryWorker(t *testing.T) {
+	var seg []byte
+	for f := 0; f < 64; f++ {
+		var txns []logTxn
+		for i := 16 * f; i < 16*(f+1); i++ {
+			txns = append(txns, logTxn{tid: tidAt(1, uint64(i+1)), entries: []wal.Entry{put(0, binKey(i), make([]byte, 32))}})
+		}
+		seg = appendBufferFrame(seg, txns, 'B')
+	}
+	seg = appendDurableFrame(seg, 1)
+	one, two := t.TempDir(), t.TempDir()
+	writeSegment(t, one, 0, 0, seg)
+	writeSegment(t, two, 0, 0, seg)
+	writeSegment(t, two, 1, 0, appendDurableFrame(nil, 1))
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		for _, dir := range []string{one, two} {
+			s := manualStore(t, "t")
+			res, err := Recover(s, dir, Options{Workers: workers})
+			if err != nil || res.TxnsApplied != 1024 || s.Tables()[0].Tree.Len() != 1024 {
+				t.Fatalf("workers=%d: recovered %d transactions into %d rows (err %v), want 1024", workers, res.TxnsApplied, s.Tables()[0].Tree.Len(), err)
+			}
+			if max := workers + res.LogFiles - 1; res.LogPieces < workers || res.LogPieces > max {
+				t.Errorf("workers=%d, %d segments: decoded in %d pieces, want %d to %d", workers, res.LogFiles, res.LogPieces, workers, max)
+			}
+			if dir == one && res.LogPieces != workers {
+				t.Errorf("workers=%d: one segment decoded in %d pieces, want %d", workers, res.LogPieces, workers)
+			}
+		}
 	}
 }
 

@@ -355,7 +355,7 @@ func FuzzWalkSegment(f *testing.F) {
 	f.Add(mixed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want := refParse(data)
-		seg := ScanSegment(data)
+		seg := ScanSegment(data, 1)
 		if seg.Durable != want.durable || seg.Size != int64(len(data)) {
 			t.Fatalf("ScanSegment: durable %d size %d, want %d and %d", seg.Durable, seg.Size, want.durable, len(data))
 		}
@@ -443,7 +443,7 @@ func TestCorpusDecodesAsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
-		seg := ScanSegment([]byte(data))
+		seg := ScanSegment([]byte(data), 1)
 		var c txnCollector
 		got, entries := p, 0
 		got.complete = seg.Walk(&c) == nil

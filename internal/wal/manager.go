@@ -701,7 +701,7 @@ func removeCovered(fs vfs.FS, infos []LogFileInfo, open map[int]uint64, ce uint6
 			if rerr != nil {
 				return removed, errors.Join(err, rerr)
 			}
-			if ScanSegment(data).Walk(&last) != nil {
+			if ScanSegment(data, 1).Walk(&last) != nil {
 				last = unreadable
 			}
 			release()

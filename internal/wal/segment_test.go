@@ -261,7 +261,7 @@ func TestSegmentDurableIsMaxFrame(t *testing.T) {
 	writeBufferFrame(&buf, frameBuffer, appendTxn(nil, uint64(tid.Make(99, 1)), []Entry{{Table: 0, Key: []byte("k"), Value: []byte("v")}}))
 	writeDurableFrame(&buf, 100)
 	writeDurableFrame(&buf, 1)
-	if seg := ScanSegment(buf.Bytes()); seg.Durable != 100 {
+	if seg := ScanSegment(buf.Bytes(), 1); seg.Durable != 100 {
 		t.Fatalf("segment …D100, D1 has durable epoch %d, want 100", seg.Durable)
 	}
 

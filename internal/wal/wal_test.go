@@ -19,7 +19,7 @@ import (
 // decode reads data the way recovery does: the verified prefix's
 // transactions, copied out, and its durable epoch.
 func decode(data []byte) ([]TxnRecord, uint64) {
-	seg := ScanSegment(data)
+	seg := ScanSegment(data, 1)
 	var c txnCollector
 	seg.Walk(&c)
 	return c.txns, seg.Durable

@@ -49,7 +49,7 @@ func BenchmarkWalkSegment(b *testing.B) {
 	var v countingVisitor
 	for i := 0; i < b.N; i++ {
 		v = countingVisitor{}
-		ScanSegment(data).Walk(&v)
+		ScanSegment(data, 1).Walk(&v)
 	}
 	if v.entries != 2*v.txns || v.txns == 0 {
 		b.Fatalf("walked %d transactions, %d entries", v.txns, v.entries)

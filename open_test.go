@@ -170,17 +170,22 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 // TestOpenFailsOnUndecodableFrame: a log frame whose CRC matches but whose
 // payload does not decode is not a torn write, and recovering around it
 // would not give an epoch prefix. Open fails with an error naming the
-// segment and the frame's offset, and leaves the directory as it was.
+// segment and the frame's offset in it, and leaves the directory as it
+// was. The frame ends a segment of twenty durable transactions, past the
+// first of the cuts that split the segment among four recovery workers, so
+// the piece that decodes it does not start the file.
 func TestOpenFailsOnUndecodableFrame(t *testing.T) {
 	dir := t.TempDir()
-	opts := silo.Options{EpochInterval: time.Millisecond, Durability: &silo.DurabilityOptions{Dir: dir, Loggers: 1}}
+	opts := silo.Options{EpochInterval: time.Millisecond, Durability: &silo.DurabilityOptions{Dir: dir, Loggers: 1, RecoveryWorkers: 4}}
 	db, err := silo.Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl := db.CreateTable("t")
-	if err := db.RunDurable(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte("k"), []byte("v")) }); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 20; i++ {
+		if err := db.RunDurable(0, func(tx *silo.Tx) error { return tx.Insert(tbl, []byte{'k', byte(i)}, []byte("v")) }); err != nil {
+			t.Fatal(err)
+		}
 	}
 	db.Close()
 
