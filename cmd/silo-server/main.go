@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"silo"
+	"silo/internal/recovery"
 	"silo/internal/trace"
 	"silo/server"
 )
@@ -51,7 +52,7 @@ func main() {
 		loggers   = flag.Int("loggers", 2, "logger threads when -logdir is set")
 		doSync    = flag.Bool("sync", false, "fsync log writes")
 		ckptEvery = flag.Duration("checkpoint-interval", 0, "background checkpoint daemon period (0 = off; requires -logdir)")
-		ckptParts = flag.Int("checkpoint-parts", 4, "partition writers per checkpoint")
+		ckptParts = flag.Int("checkpoint-parts", recovery.DefaultPartitions, "part files per checkpoint, written concurrently")
 		segBytes  = flag.Int64("segment-bytes", 64<<20, "log segment rotation size when the daemon runs (0 = no rotation)")
 		recovWkrs = flag.Int("recovery-workers", 0, "parallel recovery workers (0 = GOMAXPROCS)")
 		pipeline  = flag.Int("pipeline", 128, "per-connection in-flight request cap")

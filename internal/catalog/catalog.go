@@ -288,7 +288,10 @@ func (c *Catalog) withdrawLocked(name string) {
 // after the registration, so they observe the hook. Skipped for
 // manually-stepped stores (tests drive their own concurrency). The one
 // caveat is Worker.RefreshEpoch, which lifts a still-running
-// transaction's local epoch; nothing in the tree uses it today.
+// transaction's local epoch. Its one caller, recovery.WriteCheckpoint,
+// refreshes the maintenance worker every millisecond while a checkpoint's
+// parts are written — inside a snapshot transaction, which writes nothing,
+// so it has no write a maintenance hook could miss.
 //
 // Rather than waiting out the background advancer's period, the loop
 // attempts the advance itself: Advance enforces the E ≤ e_w + 1 invariant,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"silo"
+	"silo/internal/catalog"
 	"silo/internal/core"
 	"silo/internal/recovery"
 	"silo/internal/sim"
@@ -82,7 +83,10 @@ func TestCheckpointBoundsRealisticKeys(t *testing.T) {
 			opts.SnapshotK = 2
 			s := core.NewStore(opts)
 			defer s.Close()
-			tbl := s.CreateTable("ids")
+			tbl, err := catalog.New(s).CreateTable("ids")
+			if err != nil {
+				t.Fatal(err)
+			}
 			ids := rand.New(rand.NewSource(1)).Perm(100_000)
 			if order == "ascending" {
 				for i := range ids {
@@ -104,7 +108,7 @@ func TestCheckpointBoundsRealisticKeys(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				s.AdvanceEpoch()
 			}
-			res, err := recovery.WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), parts, nil)
+			res, err := recovery.WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), parts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +130,7 @@ func TestCheckpointBoundsRealisticKeys(t *testing.T) {
 		for loaded := db.Epoch(); s.Epochs().SnapshotGlobal() <= loaded; {
 			clock.Advance(time.Millisecond)
 		}
-		res, err := recovery.WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), parts, nil)
+		res, err := recovery.WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), parts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,15 +83,15 @@
 //	           u32 nschema | nschema × (u16 klen | key | u32 vlen | value)
 //	           'E' | u32 crc32(everything before the footer)
 //
-// The manifest records the table catalog (id → name) so that loading can
-// verify the declared schema matches the one checkpointed, and name the
-// offending table when it does not. The schema section embeds the rows of
-// the silo-level DDL catalog table as of CE: recovery applies them before
-// loading any part, which is what lets a checkpointed store reconstruct its
-// full schema — tables and index declarations — with zero re-declarations
-// even after the pre-checkpoint log segments carrying the original DDL
-// records have been truncated, and what lets replay skip the log below CE
-// without looking inside it.
+// The schema section is the schema: the rows of the DDL catalog, table
+// CatalogTableID, as of CE. Recovery applies them before loading any part,
+// which is what lets a checkpointed store reconstruct its full schema —
+// tables and index declarations — with zero re-declarations even after the
+// pre-checkpoint log segments carrying the original DDL records have been
+// truncated, and what lets replay skip the log below CE without looking
+// inside it. The table list is always empty: it is kept only so that the
+// magic stays SPM2, and a list an older writer left there is read past and
+// ignored.
 package recovery
 
 import (
@@ -108,6 +108,7 @@ import (
 	"time"
 
 	"silo/internal/btree"
+	"silo/internal/catalog"
 	"silo/internal/core"
 	"silo/internal/vfs"
 )
@@ -122,10 +123,15 @@ const (
 	maxParts = 64
 )
 
+// DefaultPartitions is the number of part files WriteCheckpoint writes
+// when asked for none.
+const DefaultPartitions = 4
+
 // errTorn marks an incomplete or corrupt checkpoint set; loading falls
-// back to the previous complete set. Schema mismatches are *not* torn —
-// they are hard errors naming the table, so a misdeclared schema cannot
-// silently recover from a stale checkpoint.
+// back to the previous complete set. A set whose schema section the catalog
+// refuses, or whose part names a table the schema does not create, is *not*
+// torn: that is a hard error, so recovery never skips a set it could read
+// for an older one.
 var errTorn = errors.New("recovery: torn or corrupt checkpoint")
 
 // CheckpointResult describes a completed partitioned checkpoint.
@@ -168,29 +174,40 @@ func partRange(splits [][]byte, k int) (lo, hi []byte, ok bool) {
 // periodically so a long checkpoint never stalls the epoch advancer;
 // writers on other workers are not blocked (§4.9: snapshot reads never
 // abort). The worker must be otherwise idle — the checkpoint daemon uses
-// the store's dedicated maintenance worker.
+// the store's dedicated maintenance worker. parts ≤ 0 means
+// DefaultPartitions. The parts are written concurrently on the real
+// filesystem and one after another on any other (see below).
 //
-// When catalog is non-nil, its rows as of the snapshot epoch are embedded in
-// the manifest's schema section, making the checkpoint self-describing
-// (recovery reconstructs tables and index declarations from the manifest
-// before loading a single part). silo.DB passes its DDL catalog table;
-// the raw-store harnesses below the silo layer pass nil and create their
-// tables themselves. A nil fs is the real filesystem (the simulation
-// harness passes its fault-injecting one).
+// The store's table CatalogTableID must be the DDL catalog (catalog.New):
+// its rows as of the snapshot epoch are the manifest's schema section,
+// which makes the checkpoint self-describing (recovery reconstructs tables
+// and index declarations from the manifest before loading a single part).
+// A store whose table 0 is anything else is refused, naming the table. A
+// nil fs is the real filesystem (the simulation harness passes its
+// fault-injecting one).
 //
 // The checkpoint is complete — and WriteCheckpoint returns nil — only once
 // the manifest, the set's directory and the entry for it in dir have all
 // been fsynced: callers go on to truncate the log the set covers.
-func WriteCheckpoint(fs vfs.FS, s *core.Store, w *core.Worker, dir string, parts int, catalog *core.Table) (CheckpointResult, error) {
+func WriteCheckpoint(fs vfs.FS, s *core.Store, w *core.Worker, dir string, parts int) (CheckpointResult, error) {
 	var res CheckpointResult
 	start := time.Now()
+	cat := s.TableByID(CatalogTableID)
+	if cat == nil {
+		return res, fmt.Errorf("recovery: the store has no table id %d, so no catalog %q to checkpoint", CatalogTableID, catalog.TableName)
+	}
+	if cat.Name != catalog.TableName {
+		return res, fmt.Errorf("recovery: table id %d is %q, not the catalog %q", CatalogTableID, cat.Name, catalog.TableName)
+	}
 	fs = vfs.DefaultFS(fs)
-	parts = min(max(parts, 1), maxParts)
+	if parts <= 0 {
+		parts = DefaultPartitions
+	}
+	parts = min(parts, maxParts)
 	res.Partitions = parts
 	if err := fs.MkdirAll(dir); err != nil {
 		return res, err
 	}
-	tables := s.Tables()
 
 	err := w.RunSnapshot(func(stx *core.SnapTx) error {
 		sew := stx.Epoch()
@@ -198,6 +215,10 @@ func WriteCheckpoint(fs vfs.FS, s *core.Store, w *core.Worker, dir string, parts
 			return fmt.Errorf("recovery: no snapshot epoch available yet (epoch still warming up)")
 		}
 		res.Epoch = sew
+		// Listed once sew is pinned: a table created from here on commits
+		// its catalog row and its rows at epochs above sew, so the parts
+		// miss no table the schema section creates.
+		tables := s.Tables()
 		ckptDir := filepath.Join(dir, checkpointName(sew))
 		res.Path = ckptDir
 		// commit makes the set reachable after a crash: the entries of its
@@ -237,17 +258,15 @@ func WriteCheckpoint(fs vfs.FS, s *core.Store, w *core.Worker, dir string, parts
 		// as the part writers, so the manifest's catalog rows describe
 		// exactly the schema the parts were cut under.
 		var schema []schemaRow
-		if catalog != nil {
-			serr := core.SnapshotScanAt(catalog, sew, []byte{0}, nil, func(key, val []byte) bool {
-				schema = append(schema, schemaRow{
-					key: append([]byte(nil), key...),
-					val: append([]byte(nil), val...),
-				})
-				return true
+		serr := core.SnapshotScanAt(cat, sew, []byte{0}, nil, func(key, val []byte) bool {
+			schema = append(schema, schemaRow{
+				key: append([]byte(nil), key...),
+				val: append([]byte(nil), val...),
 			})
-			if serr != nil {
-				return serr
-			}
+			return true
+		})
+		if serr != nil {
+			return serr
 		}
 
 		splits := make([][][]byte, len(tables))
@@ -301,7 +320,7 @@ func WriteCheckpoint(fs vfs.FS, s *core.Store, w *core.Worker, dir string, parts
 			res.Rows += outs[k].rows
 			res.Bytes += outs[k].bytes
 		}
-		n, err := writeManifest(fs, ckptDir, sew, parts, tables, uint64(res.Rows), schema)
+		n, err := writeManifest(fs, ckptDir, sew, parts, uint64(res.Rows), schema)
 		if err != nil {
 			return err
 		}
@@ -396,18 +415,13 @@ type schemaRow struct {
 }
 
 // writeManifest writes and fsyncs the manifest — the commit point of the
-// checkpoint.
-func writeManifest(fs vfs.FS, ckptDir string, sew uint64, parts int, tables []*core.Table, totalRows uint64, schema []schemaRow) (int64, error) {
+// checkpoint. Its table list is empty (see the package doc).
+func writeManifest(fs vfs.FS, ckptDir string, sew uint64, parts int, totalRows uint64, schema []schemaRow) (int64, error) {
 	buf := make([]byte, 0, 256)
 	buf = append(buf, manifestMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, sew)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(parts))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tables)))
-	for _, tbl := range tables {
-		buf = binary.LittleEndian.AppendUint32(buf, tbl.ID)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(tbl.Name)))
-		buf = append(buf, tbl.Name...)
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // ntables
 	buf = binary.LittleEndian.AppendUint64(buf, totalRows)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(schema)))
 	for i := range schema {
@@ -437,14 +451,8 @@ func writeManifest(fs vfs.FS, ckptDir string, sew uint64, parts int, tables []*c
 type manifest struct {
 	epoch  uint64
 	parts  int
-	tables []manifestTable
 	rows   uint64
 	schema []schemaRow // DDL catalog rows at CE
-}
-
-type manifestTable struct {
-	id   uint32
-	name string
 }
 
 func readManifest(fs vfs.FS, path string) (*manifest, error) {
@@ -469,20 +477,17 @@ func readManifest(fs vfs.FS, path string) (*manifest, error) {
 	if m.parts < 1 || m.parts > maxParts {
 		return nil, fmt.Errorf("%w: %s: manifest claims %d parts", errTorn, path, m.parts)
 	}
+	// The table list an older writer left: read past, not used.
 	ntables := int(binary.LittleEndian.Uint32(body[off:]))
 	off += 4
 	for i := 0; i < ntables; i++ {
 		if off+6 > len(body) {
-			return nil, fmt.Errorf("%w: %s: truncated table catalog", errTorn, path)
+			return nil, fmt.Errorf("%w: %s: truncated table list", errTorn, path)
 		}
-		id := binary.LittleEndian.Uint32(body[off:])
-		nlen := int(binary.LittleEndian.Uint16(body[off+4:]))
-		off += 6
-		if off+nlen > len(body) {
-			return nil, fmt.Errorf("%w: %s: truncated table catalog", errTorn, path)
+		off += 6 + int(binary.LittleEndian.Uint16(body[off+4:]))
+		if off > len(body) {
+			return nil, fmt.Errorf("%w: %s: truncated table list", errTorn, path)
 		}
-		m.tables = append(m.tables, manifestTable{id, string(body[off : off+nlen])})
-		off += nlen
 	}
 	if off+8 > len(body) {
 		return nil, fmt.Errorf("%w: %s: truncated manifest", errTorn, path)
@@ -520,35 +525,6 @@ func readManifest(fs vfs.FS, path string) (*manifest, error) {
 		return nil, fmt.Errorf("%w: %s: %d bytes after the schema section", errTorn, path, len(body)-off)
 	}
 	return m, nil
-}
-
-// checkSchema verifies that every table the manifest catalogued is
-// declared in the store under the same id and name, returning a
-// descriptive error naming the first missing or mismatched table. In
-// lenient mode (self-describing recovery) a missing table is not an
-// error: the manifest's table list is taken at checkpoint-write time, so
-// a table created after the snapshot epoch CE legitimately appears there
-// while its DDL record — and every row that could reference it — still
-// lives in the log suffix, which is replayed (schema records first) after
-// the checkpoint loads. Name mismatches stay hard errors in both modes.
-func checkSchema(store *core.Store, path string, tables []manifestTable, lenient bool) error {
-	for _, mt := range tables {
-		tbl := store.TableByID(mt.id)
-		if tbl == nil {
-			if lenient {
-				continue
-			}
-			return fmt.Errorf(
-				"recovery: checkpoint %s contains table id %d (%q), but the store has only %d tables",
-				path, mt.id, mt.name, len(store.Tables()))
-		}
-		if tbl.Name != mt.name {
-			return fmt.Errorf(
-				"recovery: checkpoint %s names table id %d %q, but the store names it %q",
-				path, mt.id, mt.name, tbl.Name)
-		}
-	}
-	return nil
 }
 
 // partRow decodes the row at body[off:] and returns the offset of the next
@@ -612,8 +588,8 @@ type tableRun struct {
 // stagePart maps, verifies and stages one partition file. Verification —
 // the footer CRC, then the shape of every row and the ordering rule (a
 // malformed or misplaced row makes the part torn), then the tables the rows
-// name (an undeclared one is a schema mismatch) — completes before a row is
-// staged. The rows are offsets into the mapped file, which release unmaps;
+// name (one the schema section did not create is a hard error) — completes
+// before a row is staged. The rows are offsets into the mapped file, which release unmaps;
 // on an error it is released already.
 func stagePart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (runs []tableRun, release func(), err error) {
 	data, unmap, err := fs.Map(path)
@@ -667,8 +643,8 @@ func stagePart(fs vfs.FS, store *core.Store, path string, wantEpoch uint64) (run
 		off = next
 	}
 	if undeclared >= 0 {
-		// The manifest catalog is checked before any part is loaded, so
-		// this indicates a part/manifest mismatch.
+		// The schema section was applied before any part is staged, so the
+		// part holds rows of a table the set's own schema does not create.
 		return nil, nil, fmt.Errorf(
 			"recovery: checkpoint part %s references table id %d, but the store has only %d tables",
 			path, undeclared, len(store.Tables()))
@@ -744,24 +720,19 @@ func findCheckpoints(fs vfs.FS, dir string) ([]foundCheckpoint, error) {
 // loadCheckpointSet verifies and stages one partitioned checkpoint set,
 // staging part files with up to workers goroutines. Integrity failures —
 // the ordering rule across parts included — return errTorn (callers fall
-// back to an older set); schema mismatches are hard errors. Either way
-// nothing stays staged. With a schema applier, the manifest's embedded catalog
-// rows are applied first — materializing the checkpointed schema — before
-// the table catalog is checked and any part is loaded.
+// back to an older set); a schema section the applier refuses, or a part
+// naming a table it did not create, is a hard error. Either way nothing
+// stays staged. The manifest's schema section is applied first —
+// materializing the checkpointed schema — before any part is loaded.
 func loadCheckpointSet(fs vfs.FS, store *core.Store, ckptDir string, workers int, schema SchemaApplier) (ck checkpointSet, err error) {
 	m, err := readManifest(fs, filepath.Join(ckptDir, manifestName))
 	if err != nil {
 		return ck, err
 	}
-	if schema != nil {
-		for i := range m.schema {
-			if err := schema.ApplyCatalogRow(m.schema[i].key, m.schema[i].val); err != nil {
-				return ck, fmt.Errorf("recovery: %s schema section: %w", ckptDir, err)
-			}
+	for i := range m.schema {
+		if err := schema.ApplyCatalogRow(m.schema[i].key, m.schema[i].val); err != nil {
+			return ck, fmt.Errorf("recovery: %s schema section: %w", ckptDir, err)
 		}
-	}
-	if err := checkSchema(store, ckptDir, m.tables, schema != nil); err != nil {
-		return ck, err
 	}
 	parts := make([][]tableRun, m.parts)
 	ck.releases = make([]func(), m.parts)
@@ -797,7 +768,8 @@ func loadCheckpointSet(fs vfs.FS, store *core.Store, ckptDir string, workers int
 
 // loadNewestCheckpoint stages the newest complete checkpoint in dir,
 // falling back past torn or corrupt sets. It returns the zero set when no
-// usable checkpoint exists. Schema mismatches abort immediately.
+// usable checkpoint exists. Hard errors (see loadCheckpointSet) abort
+// immediately.
 func loadNewestCheckpoint(fs vfs.FS, store *core.Store, dir string, workers int, schema SchemaApplier) (checkpointSet, error) {
 	found, err := findCheckpoints(fs, dir)
 	if err != nil {
@@ -809,7 +781,7 @@ func loadNewestCheckpoint(fs vfs.FS, store *core.Store, dir string, workers int,
 			return ck, nil
 		}
 		if !errors.Is(err, errTorn) {
-			return checkpointSet{}, err // schema mismatch or other hard failure
+			return checkpointSet{}, err // a hard failure: no fallback
 		}
 	}
 	return checkpointSet{}, nil

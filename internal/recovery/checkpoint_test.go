@@ -31,16 +31,17 @@ func binKey(i int) []byte {
 	return b
 }
 
-// ckptStore builds a store with manual epochs, loads n keys across the key
-// space, and pushes epochs far enough that a snapshot covers them.
+// ckptStore builds a catalogStore with manual epochs and the one table
+// "t", loads n keys across the key space, and pushes epochs far enough that
+// a snapshot covers them. A checkpoint of it holds n+1 rows: the keys and
+// the catalog's row creating "t".
 func ckptStore(t *testing.T, n int) (*core.Store, *core.Table) {
 	t.Helper()
-	opts := core.DefaultOptions(2)
-	opts.ManualEpochs = true
-	opts.SnapshotK = 2
-	s := core.NewStore(opts)
+	opts := manualOpts()
+	opts.Workers = 2
+	s, _ := catalogStore(t, opts, "t")
 	t.Cleanup(s.Close)
-	tbl := s.CreateTable("t")
+	tbl := s.Table("t")
 	w := s.Worker(0)
 	for i := 0; i < n; i++ {
 		i := i
@@ -58,14 +59,17 @@ func ckptStore(t *testing.T, n int) (*core.Store, *core.Table) {
 
 // loadCheckpoint recovers a directory that holds checkpoints and no log,
 // returning the epoch and row count of the set it loaded.
-func loadCheckpoint(s *core.Store, dir string, workers int) (ce uint64, rows int, err error) {
-	res, err := Recover(s, dir, Options{Workers: workers})
+func loadCheckpoint(t *testing.T, dir string, workers int) (ce uint64, rows int, err error) {
+	_, res, err := recoverDir(t, dir, Options{Workers: workers})
 	return res.CheckpointEpoch, res.CheckpointRows, err
 }
 
 // dump captures a table's logical contents.
 func dump(t *testing.T, s *core.Store, tbl *core.Table) map[string]string {
 	t.Helper()
+	if tbl == nil {
+		t.Fatal("dump of a table the store does not hold")
+	}
 	out := map[string]string{}
 	if err := s.Worker(0).Run(func(tx *core.Tx) error {
 		clear(out)
@@ -115,10 +119,12 @@ func TestPartitionedCheckpointRoundTrip(t *testing.T) {
 			total := 0
 			for ti := range img {
 				names = append(names, fmt.Sprintf("t%d", ti))
-				total += len(img[ti])
+				total += 1 + len(img[ti]) // its catalog row and its rows
 			}
-			s := manualStore(t, names...)
-			for ti, tbl := range s.Tables() {
+			s, _ := catalogStore(t, manualOpts(), names...)
+			defer s.Close()
+			for ti, name := range names {
+				tbl := s.Table(name)
 				for k, v := range img[ti] {
 					if err := s.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(tbl, []byte(k), []byte(v)) }); err != nil {
 						t.Fatal(err)
@@ -129,7 +135,7 @@ func TestPartitionedCheckpointRoundTrip(t *testing.T) {
 				s.AdvanceEpoch()
 			}
 			dir := t.TempDir()
-			res, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
+			res, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,16 +148,15 @@ func TestPartitionedCheckpointRoundTrip(t *testing.T) {
 				}
 			}
 
-			s2 := manualStore(t, names...)
-			ce, rows, err := loadCheckpoint(s2, dir, 4)
+			s2, res2, err := recoverDir(t, dir, Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ce != res.Epoch || rows != total {
-				t.Fatalf("loaded ce=%d rows=%d, want ce=%d rows=%d", ce, rows, res.Epoch, total)
+			if res2.CheckpointEpoch != res.Epoch || res2.CheckpointRows != total {
+				t.Fatalf("loaded ce=%d rows=%d, want ce=%d rows=%d", res2.CheckpointEpoch, res2.CheckpointRows, res.Epoch, total)
 			}
-			for ti, tbl := range s2.Tables() {
-				if got := dump(t, s2, tbl); !maps.Equal(got, img[ti]) {
+			for ti, name := range names {
+				if got := dump(t, s2, s2.Table(name)); !maps.Equal(got, img[ti]) {
 					t.Fatalf("table %d: loaded %d rows that differ from the %d checkpointed", ti, len(got), len(img[ti]))
 				}
 			}
@@ -160,13 +165,70 @@ func TestPartitionedCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointNoSnapshotEpochYet(t *testing.T) {
-	opts := core.DefaultOptions(1)
-	opts.ManualEpochs = true // E stays at 1; SE stays 0
-	s := core.NewStore(opts)
-	defer s.Close()
-	s.CreateTable("t")
-	if _, err := WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), 2, nil); err == nil {
+	s, _ := catalogStore(t, manualOpts(), "t") // E stays at 1; SE stays 0
+	if _, err := WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), 2); err == nil {
 		t.Fatal("checkpoint at snapshot epoch 0 succeeded")
+	}
+}
+
+// TestDefaultPartitions: asked for no partitions, WriteCheckpoint writes
+// DefaultPartitions (4) part files; asked for more than maxParts, it
+// writes maxParts.
+func TestDefaultPartitions(t *testing.T) {
+	s, _ := ckptStore(t, 500)
+	for _, c := range []struct{ ask, want int }{{0, 4}, {-1, 4}, {maxParts + 1, maxParts}} {
+		res, err := WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), c.ask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, _ := filepath.Glob(filepath.Join(res.Path, "part.*"))
+		if res.Partitions != c.want || len(parts) != c.want {
+			t.Errorf("asked for %d parts: result says %d, %d part files; want %d", c.ask, res.Partitions, len(parts), c.want)
+		}
+	}
+}
+
+// TestCheckpointNeedsTheCatalog: the schema section is read from the
+// store's table CatalogTableID, so a store whose table 0 is not the
+// catalog — or that has no table — is refused, naming what it holds, and
+// leaves no checkpoint behind.
+func TestCheckpointNeedsTheCatalog(t *testing.T) {
+	for _, c := range []struct {
+		tables []string
+		want   []string
+	}{
+		{[]string{"t", "u"}, []string{"table id 0", `"t"`, `"__catalog"`}},
+		{nil, []string{"no table id 0", `"__catalog"`}},
+	} {
+		s := core.NewStore(manualOpts())
+		for _, name := range c.tables {
+			s.CreateTable(name)
+		}
+		for i := 0; i < 10; i++ {
+			s.AdvanceEpoch()
+		}
+		dir := t.TempDir()
+		_, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2)
+		if err == nil {
+			t.Fatalf("tables %q: checkpoint without the catalog succeeded", c.tables)
+		}
+		for _, want := range c.want {
+			if !contains(err.Error(), want) {
+				t.Errorf("tables %q: error %q does not mention %s", c.tables, err, want)
+			}
+		}
+		if found, _ := findCheckpoints(vfs.OS, dir); len(found) != 0 {
+			t.Errorf("tables %q: the refused checkpoint left %v", c.tables, found)
+		}
+	}
+}
+
+// TestRecoverNeedsTheSchema: Recover has one source of schema, its
+// Options.Schema, and refuses to run without it.
+func TestRecoverNeedsTheSchema(t *testing.T) {
+	s, _ := catalogStore(t, manualOpts())
+	if _, err := Recover(s, t.TempDir(), Options{Workers: 2}); err == nil || !contains(err.Error(), "Schema") {
+		t.Fatalf("Recover without Options.Schema: err %v, want one naming Schema", err)
 	}
 }
 
@@ -177,7 +239,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	const n = 200
 	s, tbl := ckptStore(t, n)
 	dir := t.TempDir()
-	first, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
+	first, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +257,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.AdvanceEpoch()
 	}
-	second, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
+	second, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,18 +274,15 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	s2.CreateTable("t")
-	ce, rows, err := loadCheckpoint(s2, dir, 4)
+	ce, rows, err := loadCheckpoint(t, dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ce != first.Epoch {
 		t.Fatalf("loaded ce=%d, want fallback to %d", ce, first.Epoch)
 	}
-	if rows != n {
-		t.Fatalf("fallback loaded %d rows, want %d", rows, n)
+	if rows != n+1 {
+		t.Fatalf("fallback loaded %d rows, want %d and the catalog's", rows, n)
 	}
 
 	// A corrupt part (bad CRC) in an otherwise complete set also falls back.
@@ -234,41 +293,74 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	}
 	data[len(data)/2] ^= 0xFF
 	os.WriteFile(part, data, 0o644)
-	s3 := core.NewStore(core.DefaultOptions(1))
-	defer s3.Close()
-	s3.CreateTable("t")
-	if ce, _, err := loadCheckpoint(s3, dir, 4); err != nil || ce != first.Epoch {
+	if ce, _, err := loadCheckpoint(t, dir, 4); err != nil || ce != first.Epoch {
 		t.Fatalf("corrupt-part fallback: ce=%d err=%v", ce, err)
 	}
 }
 
-func TestCheckpointSchemaMismatch(t *testing.T) {
-	s, _ := ckptStore(t, 10)
-	dir := t.TempDir()
-	if _, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same id, different name: hard error naming both.
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	s2.CreateTable("wrong")
-	_, _, err := loadCheckpoint(s2, dir, 2)
-	if err == nil {
-		t.Fatal("schema mismatch not detected")
-	}
-	for _, want := range []string{`"t"`, `"wrong"`, "table id 0"} {
-		if !contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %s", err, want)
+// TestManifestTableListIsReadPast: a manifest as earlier writers made it
+// carries a table list (id and name per table) beside its schema section.
+// The list is read past and not used, so such a set recovers exactly the
+// rows it would without one. Two sets: testdata/spm2-table-list, a
+// directory silo.Open filled and checkpointed before the writer left the
+// list empty (tables accounts and orders, 40 rows each), and this writer's
+// own set with a list spliced in that names tables the store never had.
+func TestManifestTableListIsReadPast(t *testing.T) {
+	t.Run("written-with-the-list", func(t *testing.T) {
+		dir := filepath.Join("testdata", "spm2-table-list")
+		data, err := os.ReadFile(filepath.Join(dir, "checkpoint.25", manifestName))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// Missing table entirely: hard error, not silent fallback.
-	s3 := core.NewStore(core.DefaultOptions(1))
-	defer s3.Close()
-	if _, _, err := loadCheckpoint(s3, dir, 2); err == nil {
-		t.Fatal("missing table not detected")
-	}
+		if n := binary.LittleEndian.Uint32(data[16:]); n != 3 {
+			t.Fatalf("the manifest lists %d tables, want the 3 it was written with", n)
+		}
+		s, res, err := recoverDir(t, dir, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CheckpointEpoch != 25 || res.CheckpointRows != 82 {
+			t.Errorf("loaded checkpoint %d with %d rows, want 25 with 82", res.CheckpointEpoch, res.CheckpointRows)
+		}
+		accounts, orders := map[string]string{}, map[string]string{}
+		for i := 0; i < 40; i++ {
+			accounts[fmt.Sprintf("acct-%03d", i)] = fmt.Sprintf("balance-%d", 100*i)
+			orders[fmt.Sprintf("order-%03d", i)] = fmt.Sprintf("acct-%03d", 39-i)
+		}
+		if got := dump(t, s, s.Table("accounts")); !maps.Equal(got, accounts) {
+			t.Errorf("accounts = %v, want %v", got, accounts)
+		}
+		if got := dump(t, s, s.Table("orders")); !maps.Equal(got, orders) {
+			t.Errorf("orders = %v, want %v", got, orders)
+		}
+	})
+	t.Run("list-spliced-in", func(t *testing.T) {
+		s, _ := ckptStore(t, 200)
+		dir := t.TempDir()
+		ck, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dump(t, s, s.Table("t"))
+		path := filepath.Join(ck.Path, manifestName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, withTableList(data, []string{"__catalog", "renamed", "never-created"}), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2, res, err := recoverDir(t, dir, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CheckpointEpoch != ck.Epoch || res.CheckpointRows != ck.Rows {
+			t.Errorf("loaded checkpoint %d with %d rows, want %d with %d", res.CheckpointEpoch, res.CheckpointRows, ck.Epoch, ck.Rows)
+		}
+		if got := dump(t, s2, s2.Table("t")); !maps.Equal(got, want) {
+			t.Errorf("recovered %d rows that differ from the %d checkpointed", len(got), len(want))
+		}
+	})
 }
 
 func TestPruneCheckpoints(t *testing.T) {
@@ -276,7 +368,7 @@ func TestPruneCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	var epochs []uint64
 	for round := 0; round < 3; round++ {
-		res, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2, nil)
+		res, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +414,7 @@ func TestStrayEntriesAreNotCheckpoints(t *testing.T) {
 			const n = 50
 			s, tbl := ckptStore(t, n)
 			dir := t.TempDir()
-			real, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2, nil)
+			real, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,12 +423,12 @@ func TestStrayEntriesAreNotCheckpoints(t *testing.T) {
 			}
 			writeSegment(t, dir, 0, 0, appendDurableFrame(nil, 1))
 
-			res, err := Recover(manualStore(t, "t"), dir, Options{Workers: 2})
+			_, res, err := recoverDir(t, dir, Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.CheckpointEpoch != real.Epoch || res.CheckpointRows != n {
-				t.Errorf("recovery loaded checkpoint %d with %d rows, want the real set at %d with %d", res.CheckpointEpoch, res.CheckpointRows, real.Epoch, n)
+			if res.CheckpointEpoch != real.Epoch || res.CheckpointRows != n+1 {
+				t.Errorf("recovery loaded checkpoint %d with %d rows, want the real set at %d with %d", res.CheckpointEpoch, res.CheckpointRows, real.Epoch, n+1)
 			}
 
 			removed, err := PruneCheckpoints(nil, dir, 1)
@@ -353,7 +445,7 @@ func TestStrayEntriesAreNotCheckpoints(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				s.AdvanceEpoch()
 			}
-			d := NewDaemon(s, nil, DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2})
+			d := NewDaemon(s, attach(t, s, dir), DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2})
 			if err := d.RunOnce(); err != nil {
 				t.Fatal(err)
 			}
@@ -375,7 +467,7 @@ func TestAliasNamesAreIgnored(t *testing.T) {
 	const n = 50
 	s, tbl := ckptStore(t, n)
 	src := t.TempDir()
-	older, err := WriteCheckpoint(nil, s, s.Maintenance(), src, 2, nil)
+	older, err := WriteCheckpoint(nil, s, s.Maintenance(), src, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,13 +477,13 @@ func TestAliasNamesAreIgnored(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.AdvanceEpoch()
 	}
-	newer, err := WriteCheckpoint(nil, s, s.Maintenance(), src, 2, nil)
+	newer, err := WriteCheckpoint(nil, s, s.Maintenance(), src, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ce := newer.Epoch
 	logged := func(epoch uint64, key string) []byte {
-		return appendBufferFrame(nil, []logTxn{{tidAt(epoch, 1), []wal.Entry{put(0, []byte(key), []byte("v"))}}}, 'B')
+		return appendBufferFrame(nil, []logTxn{{tidAt(epoch, 1), []wal.Entry{put(1, []byte(key), []byte("v"))}}}, 'B')
 	}
 	// Logger 0 rotated twice: two closed segments below CE and an open
 	// one above it. Logger 1 never rotated.
@@ -462,8 +554,7 @@ func TestAliasNamesAreIgnored(t *testing.T) {
 		state                        map[string]string
 	}
 	recoverDir := func(dir string) outcome {
-		s2 := manualStore(t, "t")
-		res, err := Recover(s2, dir, Options{Workers: 2})
+		s2, res, err := recoverDir(t, dir, Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +573,7 @@ func TestAliasNamesAreIgnored(t *testing.T) {
 	// manager creates no file.
 	for _, dir := range []string{plain, aliased} {
 		before := entries(dir)
-		s3 := manualStore(t, "t")
+		s3, _ := catalogStore(t, manualOpts())
 		m, err := wal.Attach(s3, wal.Config{Dir: dir, Loggers: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -545,7 +636,7 @@ func TestDaemonCountsFailedTicks(t *testing.T) {
 	s, _ := ckptStore(t, 50)
 	dir := t.TempDir()
 	fs := failSyncDirFS{FS: vfs.OS, fail: func(string) bool { return true }}
-	d := NewDaemon(s, nil, DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2, FS: fs})
+	d := NewDaemon(s, attach(t, s, dir), DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2, FS: fs})
 	if err := d.RunOnce(); !errors.Is(err, errSyncDir) {
 		t.Fatalf("RunOnce: %v, want the directory sync failure", err)
 	}
@@ -574,7 +665,7 @@ func TestCheckpointFailsWhenDirSyncFails(t *testing.T) {
 			// manager has open.
 			covered := filepath.Join(dir, wal.SegmentName(0, 0))
 			writeSegment(t, dir, 0, 0, appendDurableFrame(appendBufferFrame(nil,
-				[]logTxn{{tid: tidAt(1, 1), entries: []wal.Entry{put(0, binKey(0), []byte("v"))}}}, 'B'), 1))
+				[]logTxn{{tid: tidAt(1, 1), entries: []wal.Entry{put(1, binKey(0), []byte("v"))}}}, 'B'), 1))
 			writeSegment(t, dir, 0, 1, appendDurableFrame(nil, 1))
 			m, err := wal.Attach(s, wal.Config{Dir: dir})
 			if err != nil {
@@ -587,7 +678,7 @@ func TestCheckpointFailsWhenDirSyncFails(t *testing.T) {
 				return failing && (d == dir) == (where == "the durability directory")
 			}}
 			d := NewDaemon(s, m, DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2, FS: fs})
-			if _, err := WriteCheckpoint(fs, s, s.Maintenance(), dir, 2, nil); !errors.Is(err, errSyncDir) {
+			if _, err := WriteCheckpoint(fs, s, s.Maintenance(), dir, 2); !errors.Is(err, errSyncDir) {
 				t.Fatalf("WriteCheckpoint: %v, want the directory sync failure", err)
 			}
 			for range 2 { // each tick finds the set already complete
@@ -614,6 +705,18 @@ func TestCheckpointFailsWhenDirSyncFails(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// attach attaches loggers over dir to s, unstarted, as a daemon's manager;
+// they stop when the test ends.
+func attach(t *testing.T, s *core.Store, dir string) *wal.Manager {
+	t.Helper()
+	m, err := wal.Attach(s, wal.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Stop)
+	return m
+}
 
 // TestPartBoundsCoverDisjoint checks that the ranges partRange cuts from a
 // table's split keys tile the key space: every key — the split keys, and

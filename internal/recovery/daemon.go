@@ -17,13 +17,9 @@ type DaemonOptions struct {
 	Dir string
 	// Interval is the period between checkpoint attempts.
 	Interval time.Duration
-	// Partitions is the partition count per checkpoint (default 4).
+	// Partitions is the partition count per checkpoint; ≤ 0 means
+	// DefaultPartitions.
 	Partitions int
-	// Catalog, when non-nil, is the silo-level DDL catalog table: its rows
-	// are embedded in each checkpoint manifest's schema section, keeping
-	// checkpoints self-describing so log truncation can never strand the
-	// schema.
-	Catalog *core.Table
 	// FS is the filesystem checkpoints are written to; nil means the real
 	// one. Clock drives the background loop; nil means real time. The
 	// simulation harness substitutes both.
@@ -75,13 +71,11 @@ type Daemon struct {
 }
 
 // NewDaemon creates a daemon without starting it; RunOnce drives it
-// manually (tests), Start launches the background loop. m may be nil when
-// no live logger manager exists (checkpoint-only operation) — log
-// truncation is then skipped.
+// manually (tests), Start launches the background loop. m is the store's
+// logger manager, which every tick asks to rotate and to truncate what the
+// new checkpoint covers; the store's table CatalogTableID must be its
+// catalog (see WriteCheckpoint).
 func NewDaemon(store *core.Store, m *wal.Manager, opts DaemonOptions) *Daemon {
-	if opts.Partitions <= 0 {
-		opts.Partitions = 4
-	}
 	opts.FS = vfs.DefaultFS(opts.FS)
 	opts.Clock = vfs.DefaultClock(opts.Clock)
 	d := &Daemon{store: store, wal: m, opts: opts}
@@ -144,7 +138,7 @@ func (d *Daemon) RunOnce() error {
 	// carry the completed checkpoint's epoch.
 	d.store.Flight().RecordShared(trace.EvCheckpoint, trace.CkptStageBegin, 0, sew, nil)
 
-	res, err := WriteCheckpoint(d.opts.FS, d.store, d.store.Maintenance(), d.opts.Dir, d.opts.Partitions, d.opts.Catalog)
+	res, err := WriteCheckpoint(d.opts.FS, d.store, d.store.Maintenance(), d.opts.Dir, d.opts.Partitions)
 	if err != nil {
 		d.mu.Lock()
 		d.stats.Failed++
@@ -155,7 +149,7 @@ func (d *Daemon) RunOnce() error {
 	d.store.Flight().RecordShared(trace.EvCheckpoint, trace.CkptStageWritten, 0, res.Epoch, nil)
 
 	var truncated int
-	if _, err = PruneCheckpoints(d.opts.FS, d.opts.Dir, 1); err == nil && d.wal != nil {
+	if _, err = PruneCheckpoints(d.opts.FS, d.opts.Dir, 1); err == nil {
 		// Checkpoint-triggered rotation: ask every logger to close its open
 		// segment so the pre-checkpoint prefix becomes truncatable on the
 		// next tick, tightening the log-space bound to roughly one

@@ -18,16 +18,16 @@ func TestDaemonCheckpointsTruncatesRecovers(t *testing.T) {
 	const workers = 2
 	const rounds = 400
 	dir := t.TempDir()
-	s := core.NewStore(fastOpts(workers))
+	s, cat := catalogStore(t, fastOpts(workers))
 	m, err := wal.Attach(s, wal.Config{
 		Dir: dir, Loggers: 2, PollInterval: time.Millisecond, SegmentBytes: 4 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := s.CreateTable("t")
 	m.Start()
 	t.Cleanup(func() { m.Stop(); s.Close() })
+	tbl := create(t, cat, "t")[0]
 
 	d := NewDaemon(s, m, DaemonOptions{Dir: dir, Interval: 3 * time.Millisecond, Partitions: 3})
 	d.Start()
@@ -97,17 +97,14 @@ func TestDaemonCheckpointsTruncatesRecovers(t *testing.T) {
 	t.Logf("daemon: %d checkpoints, %d skipped ticks, %d segments truncated, %d segments remain",
 		st.Checkpoints, st.Skipped, st.TruncatedSegments, len(infos))
 
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	tbl2 := s2.CreateTable("t")
-	res, err := Recover(s2, dir, Options{Workers: 4})
+	s2, res, err := recoverDir(t, dir, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CheckpointEpoch == 0 {
 		t.Fatal("recovery did not use a checkpoint")
 	}
-	got := dump(t, s2, tbl2)
+	got := dump(t, s2, s2.Table("t"))
 	if len(got) != len(want) {
 		t.Fatalf("recovered %d keys, want %d", len(got), len(want))
 	}
@@ -124,7 +121,8 @@ func TestDaemonCheckpointsTruncatesRecovers(t *testing.T) {
 func TestDaemonSkipsWithoutProgress(t *testing.T) {
 	s, _ := ckptStore(t, 50) // manual epochs: SE frozen between ticks
 	dir := t.TempDir()
-	d := NewDaemon(s, nil, DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2})
+	m := attach(t, s, dir)
+	d := NewDaemon(s, m, DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2})
 	if err := d.RunOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +137,7 @@ func TestDaemonSkipsWithoutProgress(t *testing.T) {
 	}
 
 	// A fresh daemon over the same dir resumes at the on-disk epoch.
-	d2 := NewDaemon(s, nil, DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2})
+	d2 := NewDaemon(s, m, DaemonOptions{Dir: dir, Interval: time.Hour, Partitions: 2})
 	if err := d2.RunOnce(); err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,11 @@ func TestRecoveredRowFootprint(t *testing.T) {
 	const rows = 100_000
 	dir := t.TempDir()
 	{
-		var seg []byte
+		seg := appendBufferFrame(nil, []logTxn{createTxn(tidAt(1, rows+1), "t")}, 'B')
 		var frame []logTxn
 		for i := 0; i < rows; i++ {
 			frame = append(frame, logTxn{tid: tidAt(1, uint64(i+1)),
-				entries: []wal.Entry{put(0, binary.BigEndian.AppendUint64(nil, uint64(i)), make([]byte, 100))}})
+				entries: []wal.Entry{put(1, binary.BigEndian.AppendUint64(nil, uint64(i)), make([]byte, 100))}})
 			if len(frame) == 100 {
 				seg, frame = appendBufferFrame(seg, frame, 'B'), frame[:0]
 			}
@@ -42,12 +42,13 @@ func TestRecoveredRowFootprint(t *testing.T) {
 		writeSegment(t, dir, 0, 0, appendDurableFrame(seg, 1))
 	}
 
-	s := manualStore(t, "t")
-	tbl, w := s.Tables()[0], s.Worker(0)
+	s, cat := catalogStore(t, manualOpts())
+	w := s.Worker(0)
 	before := liveHeap()
-	if _, err := Recover(s, dir, Options{Workers: 2}); err != nil {
+	if _, err := Recover(s, dir, Options{Workers: 2, Schema: cat}); err != nil {
 		t.Fatal(err)
 	}
+	tbl := s.Table("t")
 	s.Epochs().AdvanceTo(2) // above D, as Open restarts them
 	val := make([]byte, 200)
 	for lo := 0; lo < rows; lo += 1000 {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"silo/internal/btree"
+	"silo/internal/catalog"
 	"silo/internal/core"
 	"silo/internal/vfs"
 )
@@ -66,18 +67,12 @@ func refBody(data []byte, magic string) (*cursor, bool) {
 	return &cursor{p: body[len(magic):]}, true
 }
 
-type refTable struct {
-	id   uint32
-	name string
-}
-
 type refKV struct{ key, val string }
 
 // refManifestFile is what a MANIFEST holds according to refManifest.
 type refManifestFile struct {
 	epoch  uint64
 	parts  uint32
-	tables []refTable
 	schema []refKV
 }
 
@@ -93,8 +88,8 @@ func refManifest(data []byte) (m refManifestFile, ok bool) {
 	m.epoch = c.u64()
 	m.parts = c.u32()
 	for n := c.u32(); n > 0 && !c.bad; n-- {
-		id := c.u32()
-		m.tables = append(m.tables, refTable{id, string(c.take(c.u16()))})
+		c.u32()         // a table id and
+		c.take(c.u16()) // its name, from an older writer: not used
 	}
 	c.u64() // total rows: informational
 	for n := c.u32(); n > 0 && !c.bad; n-- {
@@ -191,15 +186,19 @@ func (l *schemaLog) ApplyCatalogRow(key, val []byte) error {
 	return nil
 }
 
-var fuzzTables = []string{"a", "b", "cat"}
+// fuzzTables are the tables of the store FuzzCheckpointSet stages into:
+// the catalog's and the two realSet creates through it.
+var fuzzTables = []string{catalog.TableName, "a", "b"}
 
-// realSet checkpoints a small three-table store — the third table doubling
-// as the schema catalog — into two parts and returns the set's files. The
-// tables hold 20 rows each, under keys[ti], keys[ti+4], …, so each spans
-// two leaves and each part holds a run of every table.
+// realSet checkpoints a small catalogStore of two tables into two parts
+// and returns the set's files. The tables hold 20 rows each, under
+// keys[ti], keys[ti+4], …, so each spans two leaves and each part holds a
+// run of both; the catalog's two rows are the schema section, and a run
+// of part 0.
 func realSet(tb testing.TB, keys [][]byte) (manifest, part0, part1 []byte) {
-	s := manualStore(tb, fuzzTables...)
-	for ti, tbl := range s.Tables() {
+	s, _ := catalogStore(tb, manualOpts(), fuzzTables[1:]...)
+	defer s.Close()
+	for ti, tbl := range s.Tables()[1:] {
 		for i := 0; i < 20; i++ {
 			val := []byte(fmt.Sprintf("%s-%d", tbl.Name, i))
 			if i == 3 {
@@ -213,7 +212,7 @@ func realSet(tb testing.TB, keys [][]byte) (manifest, part0, part1 []byte) {
 	for i := 0; i < 10; i++ {
 		s.AdvanceEpoch()
 	}
-	res, err := WriteCheckpoint(nil, s, s.Maintenance(), tb.TempDir(), 2, s.Tables()[2])
+	res, err := WriteCheckpoint(nil, s, s.Maintenance(), tb.TempDir(), 2)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -229,30 +228,33 @@ func realSet(tb testing.TB, keys [][]byte) (manifest, part0, part1 []byte) {
 	return files[0], files[1], files[2]
 }
 
-// Bits of FuzzCheckpointSet's flags argument.
+// Bits of FuzzCheckpointSet's flags argument: leave the file's footer as
+// the fuzzer made it. The other bits mean nothing (some corpus entries set
+// them).
 const (
-	fuzzRawManifest = 1 << iota // leave the file's footer as the fuzzer made it
+	fuzzRawManifest = 1 << iota
 	fuzzRawPart0
 	fuzzRawPart1
-	fuzzStrict // load without a SchemaApplier: every manifest table must be declared
 )
 
 // FuzzCheckpointSet fuzzes the checkpoint decoders, readManifest and
 // stagePart, through loadCheckpointSet and the build of what it staged. An
 // input is the three files of a two-part set; unless flags says otherwise
 // the harness recomputes each file's CRC footer, so mutations reach the
-// table, schema and row parsers instead of dying at the checksum. For any
-// input the decoders must not panic or read out of bounds, must accept
+// table-list, schema and row parsers instead of dying at the checksum. For
+// any input the decoders must not panic or read out of bounds, must accept
 // exactly the sets the plain reading of the format (refManifest, refPart,
 // refAscendsAcrossParts) accepts — ordering rule included, and telling a
-// torn set, which recovery falls back from, from a schema mismatch, which
-// it must not — must feed the applier exactly the manifest's schema rows,
-// and must install all the rows of an accepted set and none of a rejected
-// one.
+// torn set, which recovery falls back from, from one whose part names a
+// table the store does not hold, which it must not — must feed the applier
+// exactly the manifest's schema rows, and must install all the rows of an
+// accepted set and none of a rejected one. The seeds include the real set
+// with the table list the writer once filled in (withTableList).
 func FuzzCheckpointSet(f *testing.F) {
 	manifest, part0, part1 := realSet(f, binKeys(80))
 	f.Add(manifest, part0, part1, uint8(0))
-	f.Add(manifest, part0, part1, uint8(fuzzRawManifest|fuzzRawPart0|fuzzRawPart1|fuzzStrict))
+	f.Add(manifest, part0, part1, uint8(fuzzRawManifest|fuzzRawPart0|fuzzRawPart1))
+	f.Add(withTableList(manifest, fuzzTables), part0, part1, uint8(0))
 	for _, cut := range []int{5, 12, 21, 30, len(manifest) / 2, len(manifest) - 6} {
 		f.Add(manifest[:cut], part0, part1, uint8(0))
 	}
@@ -277,33 +279,17 @@ func FuzzCheckpointSet(f *testing.F) {
 				files[i] = data
 			}
 		}
-		strict := flags&fuzzStrict != 0
 
 		// What the format says.
 		const (
 			accepted = iota
 			torn
-			mismatch
+			undeclared
 		)
 		want := accepted
 		m, ok := refManifest(files[0])
 		if !ok {
 			want = torn
-		}
-		if want == accepted {
-			for _, mt := range m.tables {
-				switch {
-				case int(mt.id) >= len(fuzzTables):
-					if strict {
-						want = mismatch
-					}
-				case fuzzTables[mt.id] != mt.name:
-					want = mismatch
-				}
-				if want != accepted {
-					break
-				}
-			}
 		}
 		var parts [][]refRow
 		if want == accepted {
@@ -318,7 +304,7 @@ func FuzzCheckpointSet(f *testing.F) {
 				}
 				for _, r := range parts[k] {
 					if partOK && int(r.table) >= len(fuzzTables) {
-						want = mismatch
+						want = undeclared
 					}
 				}
 			}
@@ -336,19 +322,19 @@ func FuzzCheckpointSet(f *testing.F) {
 			}
 		}
 
-		// What the decoders do.
-		s := manualStore(t, fuzzTables...)
+		// What the decoders do. The applier only records, so the store
+		// holds the tables already, created directly.
+		s := core.NewStore(manualOpts())
+		for _, name := range fuzzTables {
+			s.CreateTable(name)
+		}
 		fs := readOnlyFS{files: map[string][]byte{
 			filepath.Join("ck", manifestName): files[0],
 			filepath.Join("ck", "part.0"):     files[1],
 			filepath.Join("ck", "part.1"):     files[2],
 		}}
 		var fed schemaLog
-		var applier SchemaApplier
-		if !strict {
-			applier = &fed
-		}
-		ck, err := loadCheckpointSet(fs, s, "ck", 2, applier)
+		ck, err := loadCheckpointSet(fs, s, "ck", 2, &fed)
 		if err == nil {
 			build(s, &ck, nil, nil, 2, &Result{})
 			ck.release()
@@ -359,12 +345,12 @@ func FuzzCheckpointSet(f *testing.F) {
 		case errors.Is(err, errTorn):
 			got = torn
 		case err != nil:
-			got = mismatch
+			got = undeclared
 		}
 		if got != want {
 			t.Fatalf("loadCheckpointSet: outcome %d (err %v), the format says %d", got, err, want)
 		}
-		if ok && !strict {
+		if ok {
 			if len(fed) != len(m.schema) {
 				t.Fatalf("applier fed %d schema rows, the manifest holds %d", len(fed), len(m.schema))
 			}
@@ -396,4 +382,21 @@ func FuzzCheckpointSet(f *testing.F) {
 			t.Fatalf("loaded epoch %d with %d rows, want %d with %d", epoch, rows, m.epoch, held)
 		}
 	})
+}
+
+// withTableList returns manifest, as the writer makes it, with the table
+// list filled in as older writers filled it — each of tables at its index
+// as id — and its footer recomputed.
+func withTableList(manifest []byte, tables []string) []byte {
+	const at = 4 + 8 + 4 // magic, CE, nparts
+	out := append([]byte(nil), manifest[:at]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(tables)))
+	for id, name := range tables {
+		out = binary.LittleEndian.AppendUint32(out, uint32(id))
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(name)))
+		out = append(out, name...)
+	}
+	out = append(out, manifest[at+4:len(manifest)-5]...)
+	out = append(out, 'E')
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[:len(out)-1]))
 }

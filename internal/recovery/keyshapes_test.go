@@ -3,7 +3,6 @@ package recovery
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -108,16 +107,11 @@ func TestReplayKeyShapes(t *testing.T) {
 		t.Run(sh.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + i)))
 			lg := buildRandomLog(t, rng, "BC", sh.keys(rng, 120))
-			ref := manualStore(t, "a", "b")
+			ref, _ := catalogStore(t, manualOpts(), randomTables...)
 			if _, err := wal.Recover(ref, lg.dir); err != nil {
 				t.Fatal(err)
 			}
-			var want [2]map[string]string
-			for ti, tbl := range ref.Tables() {
-				if want[ti] = dump(t, ref, tbl); !maps.Equal(want[ti], lg.want[ti]) {
-					t.Fatalf("wal.Recover: table %s diverges from the model", tbl.Name)
-				}
-			}
+			checkRandomLog(t, "wal.Recover", ref, lg)
 			for _, source := range []string{"checkpoint+log", "log-only"} {
 				if source == "log-only" {
 					sets, _ := filepath.Glob(filepath.Join(lg.dir, "checkpoint.*"))
@@ -129,22 +123,14 @@ func TestReplayKeyShapes(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 4} {
 					label := fmt.Sprintf("%s, workers=%d", source, workers)
-					s := manualStore(t, "a", "b")
-					res, err := Recover(s, lg.dir, Options{Workers: workers})
+					s, res, err := recoverDir(t, lg.dir, Options{Workers: workers})
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 					if (res.CheckpointEpoch != 0) != (source == "checkpoint+log") {
 						t.Fatalf("%s: recovered from checkpoint epoch %d", label, res.CheckpointEpoch)
 					}
-					for ti, tbl := range s.Tables() {
-						if got := dump(t, s, tbl); !maps.Equal(got, want[ti]) {
-							t.Fatalf("%s: table %s diverges from wal.Recover:\n got %q\nwant %q", label, tbl.Name, got, want[ti])
-						}
-						if err := tbl.Tree.CheckInvariants(); err != nil {
-							t.Fatalf("%s: table %s: %v", label, tbl.Name, err)
-						}
-					}
+					checkRandomLog(t, label, s, lg)
 				}
 			}
 		})

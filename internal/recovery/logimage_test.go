@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"silo/internal/catalog"
 	"silo/internal/core"
 	"silo/internal/tid"
 	"silo/internal/wal"
@@ -97,17 +98,62 @@ func del(table uint32, key []byte) wal.Entry {
 // tidAt is the TID with the given epoch and sequence number.
 func tidAt(epoch, seq uint64) uint64 { return uint64(tid.Make(epoch, seq)) }
 
-// manualStore is a store whose epochs only the test advances, with the
-// named tables created in order.
-func manualStore(tb testing.TB, tables ...string) *core.Store {
-	tb.Helper()
+// manualOpts are the options of a store of one worker whose epochs only
+// the test advances.
+func manualOpts() core.Options {
 	opts := core.DefaultOptions(1)
 	opts.ManualEpochs = true
 	opts.SnapshotK = 2
+	return opts
+}
+
+// catalogStore is a store laid out as silo.Open lays one out: the DDL
+// catalog at table CatalogTableID, then the named tables created through
+// it, in order, at ids 1, 2, … — each creation a catalog row, checkpointed
+// like any other row. Given no tables it is the store Recover fills, its
+// catalog Options.Schema. A test whose log must hold the creations
+// attaches its loggers first and then calls create. The caller closes the
+// store.
+func catalogStore(tb testing.TB, opts core.Options, tables ...string) (*core.Store, *catalog.Catalog) {
+	tb.Helper()
 	s := core.NewStore(opts)
-	tb.Cleanup(s.Close)
+	cat := catalog.New(s)
+	create(tb, cat, tables...)
+	return s, cat
+}
+
+// create creates the named tables through cat, in order.
+func create(tb testing.TB, cat *catalog.Catalog, tables ...string) []*core.Table {
+	tb.Helper()
+	var out []*core.Table
 	for _, name := range tables {
-		s.CreateTable(name)
+		t, err := cat.CreateTable(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, t)
 	}
-	return s
+	return out
+}
+
+// recoverDir recovers dir as silo.Open does: into a new catalogStore of
+// no tables, whose catalog is Options.Schema.
+func recoverDir(tb testing.TB, dir string, opts Options) (*core.Store, Result, error) {
+	tb.Helper()
+	s, cat := catalogStore(tb, manualOpts())
+	opts.Schema = cat
+	res, err := Recover(s, dir, opts)
+	return s, res, err
+}
+
+// createTxn is the transaction that creates the named tables through the
+// catalog, at ids 1, 2, …, as a log holds it: the catalog rows
+// catalogStore writes, in one transaction with the given TID.
+func createTxn(at uint64, tables ...string) logTxn {
+	txn := logTxn{tid: at}
+	for i, name := range tables {
+		rec := catalog.Record{Kind: catalog.KindCreateTable, Name: name, ID: uint32(i + 1)}
+		txn.entries = append(txn.entries, put(CatalogTableID, catalog.SeqKey(uint64(i+1)), rec.Encode(nil)))
+	}
+	return txn
 }

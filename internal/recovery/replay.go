@@ -3,6 +3,7 @@ package recovery
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -31,8 +32,10 @@ type SchemaApplier interface {
 	ApplyCatalogRow(key, val []byte) error
 }
 
-// CatalogTableID is the table id of the silo-level DDL catalog when a
-// SchemaApplier is in use: the catalog is always the store's first table.
+// CatalogTableID is the table id of the DDL catalog (catalog.New), the one
+// source of schema: checkpoints embed its rows as their schema section,
+// and recovery hands its logged rows to Options.Schema before building any
+// table. It is always the store's first table.
 const CatalogTableID = 0
 
 // Options configures a parallel recovery pass.
@@ -47,12 +50,10 @@ type Options struct {
 	// applier. Values below 1 mean 1, and values above 1<<16 mean
 	// 1<<16, because a log winner names its applier in 16 bits.
 	Workers int
-	// Schema, when non-nil, makes recovery self-describing: table
+	// Schema is the store's catalog, and is required: table
 	// CatalogTableID holds DDL records that are applied — manifest schema
 	// section first, then the log's catalog entries — before data replay,
-	// reconstructing the full schema. Nil is for the raw-store harnesses
-	// that write logs below the silo layer: the caller has created every
-	// table, in its original order, before recovering.
+	// reconstructing the full schema.
 	Schema SchemaApplier
 	// FS is the filesystem to recover from; nil means the real one. The
 	// simulation harness recovers from its fault-injected in-memory
@@ -121,13 +122,17 @@ type Result struct {
 // Recover restores a store from the newest complete checkpoint in dir (if
 // any) plus the log segments in dir: per record, the newest of its
 // checkpoint row and its versions logged with CE ≤ epoch ≤ D (see replay).
-// The store must otherwise be empty and, without Options.Schema, must already hold
-// the schema's tables in their original order; a log or checkpoint
-// referencing a table the store lacks fails with an error naming its id.
-// A directory with no log (empty, or not there yet) recovers to D = 0.
-// The caller should restart the epoch counter above max(D, CE).
+// The store must hold its catalog at table CatalogTableID, Options.Schema,
+// and nothing else: every other table comes back from the catalog's rows,
+// at its original id, and a log or checkpoint referencing a table they do
+// not create fails with an error naming its id. A directory with no log
+// (empty, or not there yet) recovers to D = 0. The caller should restart
+// the epoch counter above max(D, CE).
 func Recover(store *core.Store, dir string, opts Options) (Result, error) {
 	var res Result
+	if opts.Schema == nil {
+		return res, errors.New("recovery: Options.Schema is required: the catalog is the one source of schema")
+	}
 	// A winner names its applier in 16 bits.
 	opts.Workers = min(max(opts.Workers, 1), 1<<16)
 	res.Workers = opts.Workers
@@ -326,9 +331,9 @@ func replay(store *core.Store, logDir string, opts *Options, ck *checkpointSet, 
 	routers := make([]router, len(pieces))
 	each(len(pieces), opts.Workers, func(i int) {
 		r := &routers[i]
-		*r = router{d: d, minEpoch: ck.epoch, wantSchema: opts.Schema != nil,
-			appliers: appliers, free: free, batches: make([][]item, len(appliers)),
-			srcs: srcs, seg: uint32(pieces[i].seg), next: uint32(pieces[i].next)}
+		*r = router{d: d, minEpoch: ck.epoch, appliers: appliers, free: free,
+			batches: make([][]item, len(appliers)), srcs: srcs,
+			seg: uint32(pieces[i].seg), next: uint32(pieces[i].next)}
 		if err := pieces[i].Walk(r); err != nil {
 			r.err = err
 		}
@@ -701,7 +706,6 @@ func batchPool(appliers, routers int) chan []item {
 // goroutine owns it.
 type router struct {
 	d, minEpoch uint64
-	wantSchema  bool
 	appliers    []*applier
 	free        <-chan []item
 	batches     [][]item // open batch per applier
@@ -766,7 +770,7 @@ func (r *router) Txn(t uint64, writes int) bool {
 }
 
 func (r *router) Entry(table uint32, key, value []byte, del bool) {
-	if r.wantSchema && table == CatalogTableID && !del {
+	if table == CatalogTableID && !del {
 		// Copied: the catalog may keep what it is given.
 		r.schema = append(r.schema, schemaRow{
 			key: append([]byte(nil), key...),

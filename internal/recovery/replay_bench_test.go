@@ -87,7 +87,9 @@ var benchLogs struct {
 // buildReplayShape writes the shape's checkpoint and log: two loggers, the
 // transactions dealt to them alternately (or all to logger 0, see
 // oneLogger), frames of benchFrameTxns transactions, a new segment every
-// benchSegBytes.
+// benchSegBytes. Logger 0's first frame also holds the transaction that
+// creates the table, so the log recovers with or without the checkpoint
+// (whose schema section holds the same row).
 func buildReplayShape(b *testing.B, sh replayShape) string {
 	benchLogs.Lock()
 	defer benchLogs.Unlock()
@@ -101,8 +103,8 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 	val := make([]byte, benchValueBytes)
 	epoch := uint64(1)
 	if sh.rows > 0 {
-		s := manualStore(b, "t")
-		tbl := s.Tables()[0]
+		s, _ := catalogStore(b, manualOpts(), "t")
+		tbl := s.Table("t")
 		for lo := 0; lo < sh.rows; lo += 512 {
 			if err := s.Worker(0).Run(func(tx *core.Tx) error {
 				for i := lo; i < min(lo+512, sh.rows); i++ {
@@ -118,7 +120,7 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 		for i := 0; i < 10; i++ {
 			s.AdvanceEpoch()
 		}
-		ck, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
+		ck, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +129,7 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 	rng := rand.New(rand.NewSource(1))
 	var segs [benchLoggers][]byte
 	var seqs [benchLoggers]uint64
-	var frames [benchLoggers][]logTxn
+	frames := [benchLoggers][]logTxn{{createTxn(tidAt(epoch, uint64(sh.txns+1)), "t")}}
 	flush := func(l int, end bool) {
 		if len(frames[l]) > 0 {
 			segs[l] = appendBufferFrame(segs[l], frames[l], 'B')
@@ -156,7 +158,7 @@ func buildReplayShape(b *testing.B, sh replayShape) string {
 			l = 0
 		}
 		frames[l] = append(frames[l], logTxn{tid: tidAt(epoch, uint64(i+1)),
-			entries: []wal.Entry{put(0, sh.keyOf(k0), v0), put(0, sh.keyOf(k1), v1)}})
+			entries: []wal.Entry{put(1, sh.keyOf(k0), v0), put(1, sh.keyOf(k1), v1)}})
 		if len(frames[l]) == benchFrameTxns {
 			flush(l, false)
 		}
@@ -196,18 +198,17 @@ func BenchmarkReplay(b *testing.B) {
 				runtime.ReadMemStats(&before)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					s := core.NewStore(core.DefaultOptions(1))
-					s.CreateTable("t")
+					s, cat := catalogStore(b, core.DefaultOptions(1))
 					var err error
-					if res, err = Recover(s, dir, Options{Workers: workers}); err != nil {
+					if res, err = Recover(s, dir, Options{Workers: workers, Schema: cat}); err != nil {
 						b.Fatal(err)
 					}
 					s.Close()
 				}
 				b.StopTimer()
 				runtime.ReadMemStats(&after)
-				if res.TxnsApplied != sh.txns {
-					b.Fatalf("replayed %d transactions, logged %d", res.TxnsApplied, sh.txns)
+				if res.TxnsApplied != sh.txns+1 {
+					b.Fatalf("replayed %d transactions, logged %d and the table's", res.TxnsApplied, sh.txns)
 				}
 				entries := float64(2 * sh.txns * b.N)
 				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/entries, "allocs/entry")
@@ -223,8 +224,8 @@ func BenchmarkReplay(b *testing.B) {
 // loadedStore is a store holding n rows of 100-byte values under keyOf(i),
 // inserted in batches of 512, with a snapshot epoch beyond them.
 func loadedStore(b *testing.B, n int, keyOf func(int) []byte) *core.Store {
-	s := manualStore(b, "t")
-	tbl := s.Tables()[0]
+	s, _ := catalogStore(b, manualOpts(), "t")
+	tbl := s.Table("t")
 	val := make([]byte, 100)
 	for i := 0; i < n; i += 512 {
 		if err := s.Worker(0).Run(func(tx *core.Tx) error {
@@ -257,7 +258,7 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/parts=%d", shape.name, parts), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					dir := b.TempDir()
-					if _, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, parts, nil); err != nil {
+					if _, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, parts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -280,7 +281,7 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 	const n = 100000
 	dir := b.TempDir()
 	s := loadedStore(b, n, benchKey)
-	if _, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil); err != nil {
+	if _, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 4); err != nil {
 		b.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4} {
@@ -289,10 +290,9 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
-				s := core.NewStore(core.DefaultOptions(1))
-				s.CreateTable("t")
-				if res, err := Recover(s, dir, Options{Workers: workers}); err != nil || res.CheckpointRows != n || s.Tables()[0].Tree.Len() != n {
-					b.Fatalf("loaded %d rows (%v), want %d", res.CheckpointRows, err, n)
+				s, cat := catalogStore(b, core.DefaultOptions(1))
+				if res, err := Recover(s, dir, Options{Workers: workers, Schema: cat}); err != nil || res.CheckpointRows != n+1 || s.Table("t").Tree.Len() != n {
+					b.Fatalf("loaded %d rows (%v), want %d and the catalog's", res.CheckpointRows, err, n)
 				}
 				s.Close()
 			}

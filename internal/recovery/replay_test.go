@@ -65,16 +65,16 @@ func testParallelRecoveryEquivalence(t *testing.T, cfg wal.Config) {
 	const workers = 4
 	const rounds = 150
 	dir := t.TempDir()
-	s := core.NewStore(fastOpts(workers))
+	s, cat := catalogStore(t, fastOpts(workers))
 	cfg.Dir, cfg.PollInterval = dir, time.Millisecond
 	m, err := wal.Attach(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acct := s.CreateTable("acct")
-	audit := s.CreateTable("audit")
 	m.Start()
 	t.Cleanup(func() { m.Stop(); s.Close() }) // safe double-stop on failure paths
+	tbls := create(t, cat, "acct", "audit")
+	acct, audit := tbls[0], tbls[1]
 
 	var wg sync.WaitGroup
 	var ckptRes CheckpointResult
@@ -120,7 +120,7 @@ func testParallelRecoveryEquivalence(t *testing.T, cfg wal.Config) {
 					for s.Epochs().SnapshotGlobal() < 4 {
 						m.WaitDurable(m.DurableEpoch() + 1)
 					}
-					ckptRes, ckptErr = WriteCheckpoint(nil, s, s.Maintenance(), dir, 4, nil)
+					ckptRes, ckptErr = WriteCheckpoint(nil, s, s.Maintenance(), dir, 4)
 				}
 			}
 		}(wid)
@@ -157,16 +157,12 @@ func testParallelRecoveryEquivalence(t *testing.T, cfg wal.Config) {
 		t.Fatalf("%d segments, want the one", len(infos))
 	}
 
-	check := func(label string, recoverInto func(*core.Store) error) {
+	check := func(label string, s2 *core.Store, err error) {
 		t.Helper()
-		s2 := core.NewStore(core.DefaultOptions(1))
-		defer s2.Close()
-		a2 := s2.CreateTable("acct")
-		u2 := s2.CreateTable("audit")
-		if err := recoverInto(s2); err != nil {
+		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		got := [2]map[string]string{dump(t, s2, a2), dump(t, s2, u2)}
+		got := [2]map[string]string{dump(t, s2, s2.Table("acct")), dump(t, s2, s2.Table("audit"))}
 		for ti := range want {
 			if len(got[ti]) != len(want[ti]) {
 				t.Fatalf("%s: table %d has %d keys, want %d", label, ti, len(got[ti]), len(want[ti]))
@@ -179,18 +175,13 @@ func testParallelRecoveryEquivalence(t *testing.T, cfg wal.Config) {
 		}
 	}
 
-	check("sequential wal.Recover", func(s2 *core.Store) error {
-		_, err := wal.Recover(s2, dir)
-		return err
-	})
+	ref, _ := catalogStore(t, manualOpts(), "acct", "audit")
+	_, err = wal.Recover(ref, dir)
+	check("sequential wal.Recover", ref, err)
 	var res1, res4 Result
 	for _, w := range []int{1, 2, 3, 4, 8} {
-		var res Result
-		check(fmt.Sprintf("recovery.Recover workers=%d", w), func(s2 *core.Store) error {
-			var err error
-			res, err = Recover(s2, dir, Options{Workers: w})
-			return err
-		})
+		s2, res, err := recoverDir(t, dir, Options{Workers: w})
+		check(fmt.Sprintf("recovery.Recover workers=%d", w), s2, err)
 		if w > 1 && res.LogPieces < 2 {
 			t.Errorf("workers=%d: the log was decoded in %d piece", w, res.LogPieces)
 		}
@@ -219,14 +210,14 @@ func testParallelRecoveryEquivalence(t *testing.T, cfg wal.Config) {
 // that the older insert cannot resurrect the key.
 func TestReplayCrossLoggerDeleteOrder(t *testing.T) {
 	dir := t.TempDir()
-	s := core.NewStore(fastOpts(2))
+	s, cat := catalogStore(t, fastOpts(2))
 	m, err := wal.Attach(s, wal.Config{Dir: dir, Loggers: 2, PollInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := s.CreateTable("t")
 	m.Start()
 	t.Cleanup(func() { m.Stop(); s.Close() })
+	tbl := create(t, cat, "t")[0]
 
 	// Worker 1 (→ logger 1, log.1) inserts; worker 0 (→ logger 0, log.0)
 	// then deletes K and overwrites L: the delete and the overwrite sit in
@@ -254,11 +245,11 @@ func TestReplayCrossLoggerDeleteOrder(t *testing.T) {
 	s.Close()
 
 	for _, workers := range []int{1, 4} {
-		s2 := core.NewStore(core.DefaultOptions(1))
-		tbl2 := s2.CreateTable("t")
-		if _, err := Recover(s2, dir, Options{Workers: workers}); err != nil {
+		s2, _, err := recoverDir(t, dir, Options{Workers: workers})
+		if err != nil {
 			t.Fatal(err)
 		}
+		tbl2 := s2.Table("t")
 		if err := s2.Worker(0).Run(func(tx *core.Tx) error {
 			if _, err := tx.Get(tbl2, k); err != core.ErrNotFound {
 				t.Errorf("workers=%d: deleted key resurrected (err=%v)", workers, err)
@@ -271,7 +262,6 @@ func TestReplayCrossLoggerDeleteOrder(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		s2.Close()
 	}
 }
 
@@ -286,17 +276,14 @@ func TestReplayCrossLoggerDeleteOrder(t *testing.T) {
 // updates revert and deletes resurrect after recovery.
 func TestCheckpointEpochBoundaryReplay(t *testing.T) {
 	dir := t.TempDir()
-	opts := core.DefaultOptions(1)
-	opts.ManualEpochs = true
-	opts.SnapshotK = 2
-	s := core.NewStore(opts)
+	s, cat := catalogStore(t, manualOpts())
 	m, err := wal.Attach(s, wal.Config{Dir: dir, PollInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := s.CreateTable("t")
 	m.Start()
 	t.Cleanup(func() { m.Stop(); s.Close() })
+	tbl := create(t, cat, "t")[0]
 	w := s.Worker(0)
 
 	// Epoch 1: two keys.
@@ -323,28 +310,27 @@ func TestCheckpointEpochBoundaryReplay(t *testing.T) {
 	}
 	s.AdvanceEpoch() // 7
 	s.AdvanceEpoch() // 8: SE = snap(8−2) = 6
-	ck, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2, nil)
+	ck, err := WriteCheckpoint(nil, s, s.Maintenance(), dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Epoch != 6 || ck.Rows != 2 {
-		t.Fatalf("checkpoint at epoch %d with %d rows, want the two epoch-1 rows at epoch 6", ck.Epoch, ck.Rows)
+	if ck.Epoch != 6 || ck.Rows != 3 {
+		t.Fatalf("checkpoint at epoch %d with %d rows, want the epoch-1 catalog row and two rows at epoch 6", ck.Epoch, ck.Rows)
 	}
 	waitDurable(t, s, m)
 	m.Stop()
 
 	for _, workers := range []int{1, 4} {
-		s2 := manualStore(t, "t")
-		tbl2 := s2.Tables()[0]
-		res, err := Recover(s2, dir, Options{Workers: workers})
+		s2, res, err := recoverDir(t, dir, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.CheckpointEpoch != ck.Epoch || res.CheckpointRows != 2 {
-			t.Fatalf("workers=%d: loaded checkpoint %d with %d rows, want %d with 2", workers, res.CheckpointEpoch, res.CheckpointRows, ck.Epoch)
+		tbl2 := s2.Table("t")
+		if res.CheckpointEpoch != ck.Epoch || res.CheckpointRows != 3 {
+			t.Fatalf("workers=%d: loaded checkpoint %d with %d rows, want %d with 3", workers, res.CheckpointEpoch, res.CheckpointRows, ck.Epoch)
 		}
-		if res.TxnsApplied != 1 || res.TxnsBelowCheckpoint != 1 {
-			t.Errorf("workers=%d: %d transactions applied, %d below the checkpoint; want the epoch-6 one applied and the epoch-1 one covered", workers, res.TxnsApplied, res.TxnsBelowCheckpoint)
+		if res.TxnsApplied != 1 || res.TxnsBelowCheckpoint != 2 {
+			t.Errorf("workers=%d: %d transactions applied, %d below the checkpoint; want the epoch-6 one applied and the epoch-1 ones covered", workers, res.TxnsApplied, res.TxnsBelowCheckpoint)
 		}
 		if err := s2.Worker(0).Run(func(tx *core.Tx) error {
 			v, err := tx.Get(tbl2, []byte("k"))
@@ -364,22 +350,25 @@ func TestCheckpointEpochBoundaryReplay(t *testing.T) {
 	}
 }
 
+// TestRecoverMissingTableNamed: a table created behind the catalog's back
+// has no catalog row, so recovery cannot create it, and its logged rows
+// fail recovery with an error naming the table id.
 func TestRecoverMissingTableNamed(t *testing.T) {
 	dir := t.TempDir()
-	s := core.NewStore(fastOpts(1))
+	s, cat := catalogStore(t, fastOpts(1))
 	m, err := wal.Attach(s, wal.Config{Dir: dir, PollInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := s.CreateTable("alpha")
-	t1 := s.CreateTable("beta")
 	m.Start()
+	alpha := create(t, cat, "alpha")[0]
+	beta := s.CreateTable("beta") // not through the catalog
 	w := s.Worker(0)
 	if err := w.Run(func(tx *core.Tx) error {
-		if err := tx.Insert(t0, []byte("a"), []byte("1")); err != nil {
+		if err := tx.Insert(alpha, []byte("a"), []byte("1")); err != nil {
 			return err
 		}
-		return tx.Insert(t1, []byte("b"), []byte("2"))
+		return tx.Insert(beta, []byte("b"), []byte("2"))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -387,14 +376,11 @@ func TestRecoverMissingTableNamed(t *testing.T) {
 	m.Stop()
 	s.Close()
 
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	s2.CreateTable("alpha") // "beta" not declared
-	_, err = Recover(s2, dir, Options{Workers: 2})
+	_, _, err = recoverDir(t, dir, Options{Workers: 2})
 	if err == nil {
 		t.Fatal("recovery with missing table succeeded")
 	}
-	for _, wantSub := range []string{"table id 1", "only 1 tables"} {
+	for _, wantSub := range []string{"table id 2", "only 2 tables"} {
 		if !contains(err.Error(), wantSub) {
 			t.Errorf("error %q does not mention %q", err, wantSub)
 		}
@@ -411,9 +397,31 @@ type randomLog struct {
 	want                   [2]map[string]string // per table: the fold of every transaction ≤ D in TID order
 }
 
+// randomTables are the tables buildRandomLog writes, at ids 1 and 2.
+var randomTables = []string{"a", "b"}
+
+// checkRandomLog checks that s holds lg.want, and trees of live rows only.
+func checkRandomLog(t *testing.T, label string, s *core.Store, lg randomLog) {
+	t.Helper()
+	for ti, name := range randomTables {
+		tbl := s.Table(name)
+		if got := dump(t, s, tbl); !maps.Equal(got, lg.want[ti]) {
+			t.Fatalf("%s: table %s diverges from the model:\n got %q\nwant %q", label, name, got, lg.want[ti])
+		}
+		if tbl.Tree.Len() != len(lg.want[ti]) {
+			t.Errorf("%s: table %s tree holds %d keys for %d live rows", label, name, tbl.Tree.Len(), len(lg.want[ti]))
+		}
+		if err := tbl.Tree.CheckInvariants(); err != nil {
+			t.Fatalf("%s: table %s: %v", label, name, err)
+		}
+	}
+}
+
 // buildRandomLog writes a partitioned checkpoint at some epoch CE and,
 // around it, a log from three loggers: transactions below CE (the
-// checkpoint already holds their effect), in CE..D, and beyond D, over
+// checkpoint already holds their effect; the one creating the tables is
+// among them, so the log recovers without the checkpoint too), in CE..D,
+// and beyond D, over
 // keys few enough that most are written many times, by several loggers,
 // with deletes and re-inserts. Within a logger the
 // transactions are shuffled — replay may assume nothing about order — and
@@ -432,25 +440,25 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, kinds string, keys [][]byte) r
 		var es []wal.Entry
 		seen := map[string]bool{}
 		for n := rng.Intn(4); n > 0; n-- {
-			tbl := uint32(rng.Intn(2))
+			ti := rng.Intn(2)
 			k := key(rng.Intn(nKeys))
-			if id := fmt.Sprint(tbl, k); seen[id] {
+			if id := fmt.Sprint(ti, k); seen[id] {
 				continue // one write per key per transaction, as the engine logs
 			} else {
 				seen[id] = true
 			}
 			if rng.Intn(4) == 0 {
-				es = append(es, del(tbl, k))
+				es = append(es, del(uint32(ti+1), k))
 				if apply {
-					delete(model[tbl], string(k))
+					delete(model[ti], string(k))
 				}
 				continue
 			}
 			valCounter++
 			v := []byte(fmt.Sprintf("v%d-%s", valCounter, strings.Repeat("x", rng.Intn(3)*7)))
-			es = append(es, put(tbl, k, v))
+			es = append(es, put(uint32(ti+1), k, v))
 			if apply {
-				model[tbl][string(k)] = string(v)
+				model[ti][string(k)] = string(v)
 			}
 		}
 		return es
@@ -459,12 +467,14 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, kinds string, keys [][]byte) r
 	// Below the checkpoint: generate, then load the resulting state into a
 	// store and checkpoint it.
 	lg.below = 60 + rng.Intn(40)
-	var txns []logTxn
-	for i := 0; i < lg.below; i++ {
+	txns := []logTxn{createTxn(0, randomTables...)}
+	for i := 1; i < lg.below; i++ {
 		txns = append(txns, logTxn{entries: genTxn(true)})
 	}
-	src := manualStore(t, "a", "b")
-	for ti, tbl := range src.Tables() {
+	src, _ := catalogStore(t, manualOpts(), randomTables...)
+	defer src.Close()
+	for ti, name := range randomTables {
+		tbl := src.Table(name)
 		for k, v := range model[ti] {
 			if err := src.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(tbl, []byte(k), []byte(v)) }); err != nil {
 				t.Fatal(err)
@@ -474,7 +484,7 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, kinds string, keys [][]byte) r
 	for i := 0; i < 10; i++ {
 		src.AdvanceEpoch()
 	}
-	ck, err := WriteCheckpoint(nil, src, src.Maintenance(), lg.dir, 3, nil)
+	ck, err := WriteCheckpoint(nil, src, src.Maintenance(), lg.dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +555,7 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, kinds string, keys [][]byte) r
 			if l == tornLogger && s == nseg-1 {
 				seq++
 				torn := appendBufferFrame(nil, []logTxn{{tid: tidAt(d, seq), entries: []wal.Entry{
-					put(0, key(0), []byte("torn")), put(1, key(1), []byte("torn"))}}}, kinds[0])
+					put(1, key(0), []byte("torn")), put(2, key(1), []byte("torn"))}}}, kinds[0])
 				data = append(data, torn[:len(torn)-1-rng.Intn(len(torn)-10)]...)
 			}
 			writeSegment(t, lg.dir, l, uint64(s), data)
@@ -568,36 +578,23 @@ func TestReplayEquivalenceRandomLogs(t *testing.T) {
 		kinds := []string{"C", "BC", "B"}[seed%3]
 		t.Run(fmt.Sprintf("seed=%d,frames=%s", seed, kinds), func(t *testing.T) {
 			lg := buildRandomLog(t, rand.New(rand.NewSource(seed)), kinds, binKeys(40))
-			checkRows := func(label string, s *core.Store) {
-				t.Helper()
-				for ti, tbl := range s.Tables() {
-					if got := dump(t, s, tbl); !maps.Equal(got, lg.want[ti]) {
-						t.Fatalf("%s: table %s diverges from the model:\n got %v\nwant %v", label, tbl.Name, got, lg.want[ti])
-					}
-					if tbl.Tree.Len() != len(lg.want[ti]) {
-						t.Errorf("%s: table %s tree holds %d keys for %d live rows", label, tbl.Name, tbl.Tree.Len(), len(lg.want[ti]))
-					}
-				}
-			}
-
-			ref := manualStore(t, "a", "b")
+			ref, _ := catalogStore(t, manualOpts(), randomTables...)
 			rres, err := wal.Recover(ref, lg.dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkRows("wal.Recover", ref)
+			checkRandomLog(t, "wal.Recover", ref, lg)
 			if rres.TxnsApplied != lg.below+lg.inRange || rres.TxnsSkipped != lg.beyond {
 				t.Errorf("wal.Recover applied %d skipped %d, want %d and %d", rres.TxnsApplied, rres.TxnsSkipped, lg.below+lg.inRange, lg.beyond)
 			}
 
 			for _, workers := range []int{1, 2, 3, 8} {
 				label := fmt.Sprintf("workers=%d", workers)
-				s := manualStore(t, "a", "b")
-				res, err := Recover(s, lg.dir, Options{Workers: workers})
+				s, res, err := recoverDir(t, lg.dir, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				checkRows(label, s)
+				checkRandomLog(t, label, s, lg)
 				if res.DurableEpoch != rres.DurableEpoch || res.CheckpointEpoch != lg.ce {
 					t.Errorf("%s: D=%d CE=%d, want D=%d CE=%d", label, res.DurableEpoch, res.CheckpointEpoch, rres.DurableEpoch, lg.ce)
 				}
@@ -625,29 +622,30 @@ func TestReplayEquivalenceRandomLogs(t *testing.T) {
 // overwritten, and rows only the checkpoint or only the log knows.
 func TestReplayLeavesNoTombstones(t *testing.T) {
 	dir := t.TempDir()
-	src := manualStore(t, "t")
+	src, _ := catalogStore(t, manualOpts(), "t")
+	defer src.Close()
 	for _, k := range []string{"ckpt-deleted", "ckpt-kept", "ckpt-overwritten"} {
-		if err := src.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(src.Tables()[0], []byte(k), []byte("from-checkpoint")) }); err != nil {
+		if err := src.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(src.Table("t"), []byte(k), []byte("from-checkpoint")) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
 		src.AdvanceEpoch()
 	}
-	ck, err := WriteCheckpoint(nil, src, src.Maintenance(), dir, 2, nil)
+	ck, err := WriteCheckpoint(nil, src, src.Maintenance(), dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := ck.Epoch
 	// Logger 0 holds the deletes, logger 1 the inserts they supersede.
 	log0 := appendBufferFrame(nil, []logTxn{
-		{tid: tidAt(e, 5), entries: []wal.Entry{del(0, []byte("log-deleted")), del(0, []byte("ckpt-deleted"))}},
-		{tid: tidAt(e, 6), entries: []wal.Entry{del(0, []byte("log-reinserted"))}},
+		{tid: tidAt(e, 5), entries: []wal.Entry{del(1, []byte("log-deleted")), del(1, []byte("ckpt-deleted"))}},
+		{tid: tidAt(e, 6), entries: []wal.Entry{del(1, []byte("log-reinserted"))}},
 	}, 'B')
 	log1 := appendBufferFrame(nil, []logTxn{
-		{tid: tidAt(e, 1), entries: []wal.Entry{put(0, []byte("log-deleted"), []byte("doomed")), put(0, []byte("log-kept"), []byte("from-log"))}},
-		{tid: tidAt(e, 2), entries: []wal.Entry{put(0, []byte("log-reinserted"), []byte("first"))}},
-		{tid: tidAt(e, 7), entries: []wal.Entry{put(0, []byte("log-reinserted"), []byte("second")), put(0, []byte("ckpt-overwritten"), []byte("from-log"))}},
+		{tid: tidAt(e, 1), entries: []wal.Entry{put(1, []byte("log-deleted"), []byte("doomed")), put(1, []byte("log-kept"), []byte("from-log"))}},
+		{tid: tidAt(e, 2), entries: []wal.Entry{put(1, []byte("log-reinserted"), []byte("first"))}},
+		{tid: tidAt(e, 7), entries: []wal.Entry{put(1, []byte("log-reinserted"), []byte("second")), put(1, []byte("ckpt-overwritten"), []byte("from-log"))}},
 	}, 'B')
 	writeSegment(t, dir, 0, 0, appendDurableFrame(log0, e))
 	writeSegment(t, dir, 1, 0, appendDurableFrame(log1, e))
@@ -657,12 +655,11 @@ func TestReplayLeavesNoTombstones(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		s := manualStore(t, "t")
-		tbl := s.Tables()[0]
-		res, err := Recover(s, dir, Options{Workers: workers})
+		s, res, err := recoverDir(t, dir, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
+		tbl := s.Table("t")
 		if got := dump(t, s, tbl); !maps.Equal(got, want) {
 			t.Errorf("workers=%d: recovered %v, want %v", workers, got, want)
 		}
@@ -698,10 +695,10 @@ func TestRecoveredTreesArePacked(t *testing.T) {
 	logOnly := t.TempDir()
 	{
 		const n = 4096
-		var logs [2][]logTxn
+		logs := [2][]logTxn{{createTxn(tidAt(1, n+1), "t")}}
 		for i, k := range rng.Perm(n) {
 			logs[i%2] = append(logs[i%2], logTxn{tid: tidAt(1, uint64(i+1)),
-				entries: []wal.Entry{put(0, binKey(k), []byte("v"))}})
+				entries: []wal.Entry{put(1, binKey(k), []byte("v"))}})
 		}
 		for l, txns := range logs {
 			writeSegment(t, logOnly, l, 0, appendDurableFrame(appendBufferFrame(nil, txns, 'B'), 1))
@@ -711,28 +708,29 @@ func TestRecoveredTreesArePacked(t *testing.T) {
 	// 1 000 checkpointed rows; the log deletes 200 of them, overwrites 100
 	// and inserts 400 new keys between and after them: 1 200 rows.
 	mixed := t.TempDir()
-	src := manualStore(t, "t")
+	src, _ := catalogStore(t, manualOpts(), "t")
+	defer src.Close()
 	for i := 0; i < 1000; i++ {
-		if err := src.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(src.Tables()[0], binKey(4*i), []byte("ckpt")) }); err != nil {
+		if err := src.Worker(0).Run(func(tx *core.Tx) error { return tx.Insert(src.Table("t"), binKey(4*i), []byte("ckpt")) }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 10; i++ {
 		src.AdvanceEpoch()
 	}
-	ck, err := WriteCheckpoint(nil, src, src.Maintenance(), mixed, 4, nil)
+	ck, err := WriteCheckpoint(nil, src, src.Maintenance(), mixed, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var es []wal.Entry
 	for i := 0; i < 200; i++ {
-		es = append(es, del(0, binKey(8*i)))
+		es = append(es, del(1, binKey(8*i)))
 	}
 	for i := 0; i < 100; i++ {
-		es = append(es, put(0, binKey(8*i+4), []byte("log")))
+		es = append(es, put(1, binKey(8*i+4), []byte("log")))
 	}
 	for i := 0; i < 400; i++ {
-		es = append(es, put(0, binKey(2*i+1+3000*(i%2)), []byte("log")))
+		es = append(es, put(1, binKey(2*i+1+3000*(i%2)), []byte("log")))
 	}
 	rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
 	var txns []logTxn
@@ -747,11 +745,11 @@ func TestRecoveredTreesArePacked(t *testing.T) {
 		rows int
 	}{{"log-only", logOnly, 4096}, {"checkpoint+log", mixed, 1200}} {
 		for _, workers := range []int{1, 2, 4} {
-			s := manualStore(t, "t")
-			if _, err := Recover(s, c.dir, Options{Workers: workers}); err != nil {
+			s, _, err := recoverDir(t, c.dir, Options{Workers: workers})
+			if err != nil {
 				t.Fatal(err)
 			}
-			tree := s.Tables()[0].Tree
+			tree := s.Table("t").Tree
 			sh := tree.Shape()
 			if sh.Keys != c.rows || sh.Fill() != 1 {
 				t.Errorf("%s, workers=%d: %d keys in %d leaves, fill %.3f; want %d keys, fill 1",
@@ -780,29 +778,33 @@ func TestUndecodableFrameFailsRecovery(t *testing.T) {
 			for _, before := range []int{1, 40} {
 				t.Run(fmt.Sprintf("after-%d", before), func(t *testing.T) {
 					dir := t.TempDir()
-					bad := txnPayload([]logTxn{{tid: tidAt(2, 2), entries: []wal.Entry{put(0, []byte("b"), []byte("2"))}}})
+					bad := txnPayload([]logTxn{{tid: tidAt(2, 2), entries: []wal.Entry{put(1, []byte("b"), []byte("2"))}}})
 					binary.LittleEndian.PutUint32(bad[8:], 2) // claims two entries, holds one
-					var seg []byte
+					seg := appendBufferFrame(nil, []logTxn{createTxn(tidAt(1, 1), "t")}, kind)
 					for i := 0; i < before; i++ {
-						seg = appendBufferFrame(seg, []logTxn{{tid: tidAt(2, 1), entries: []wal.Entry{put(0, []byte("a"), []byte("1"))}}}, kind)
+						seg = appendBufferFrame(seg, []logTxn{{tid: tidAt(2, 1), entries: []wal.Entry{put(1, []byte("a"), []byte("1"))}}}, kind)
 					}
 					off := len(seg)
 					seg = appendFrame(seg, bad, kind)
-					seg = appendBufferFrame(seg, []logTxn{{tid: tidAt(2, 3), entries: []wal.Entry{put(0, []byte("c"), []byte("3"))}}}, kind)
+					seg = appendBufferFrame(seg, []logTxn{{tid: tidAt(2, 3), entries: []wal.Entry{put(1, []byte("c"), []byte("3"))}}}, kind)
 					writeSegment(t, dir, 0, 0, appendDurableFrame(seg, 2))
 					path := filepath.Join(dir, wal.SegmentName(0, 0))
 
 					type run struct {
 						name string
-						run  func(s *core.Store) error
+						run  func() error
 					}
-					runs := []run{{"wal.Recover", func(s *core.Store) error { _, err := wal.Recover(s, dir); return err }}}
+					runs := []run{{"wal.Recover", func() error {
+						s, _ := catalogStore(t, manualOpts(), "t")
+						_, err := wal.Recover(s, dir)
+						return err
+					}}}
 					for _, workers := range []int{1, 2, 3, 8} {
 						runs = append(runs, run{fmt.Sprintf("recovery.Recover workers=%d", workers),
-							func(s *core.Store) error { _, err := Recover(s, dir, Options{Workers: workers}); return err }})
+							func() error { _, _, err := recoverDir(t, dir, Options{Workers: workers}); return err }})
 					}
 					for _, r := range runs {
-						err := r.run(manualStore(t, "t"))
+						err := r.run()
 						if err == nil || !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), path) ||
 							!strings.Contains(err.Error(), fmt.Sprintf("offset %d", off)) {
 							t.Errorf("%s: error %v, want ErrCorrupt naming %s and offset %d", r.name, err, path, off)
@@ -818,13 +820,13 @@ func TestUndecodableFrameFailsRecovery(t *testing.T) {
 // not as the log's file count. A log that is one segment of 64 frames of
 // equal size, as one hot logger writes it, is decoded by exactly Workers
 // pieces, since pieces are cut by bytes; the two-segment case gets one
-// piece more at most.
+// piece more at most. (A small first frame creates the table.)
 func TestOneSegmentDecodesOnEveryWorker(t *testing.T) {
-	var seg []byte
+	seg := appendBufferFrame(nil, []logTxn{createTxn(tidAt(1, 1025), "t")}, 'B')
 	for f := 0; f < 64; f++ {
 		var txns []logTxn
 		for i := 16 * f; i < 16*(f+1); i++ {
-			txns = append(txns, logTxn{tid: tidAt(1, uint64(i+1)), entries: []wal.Entry{put(0, binKey(i), make([]byte, 32))}})
+			txns = append(txns, logTxn{tid: tidAt(1, uint64(i+1)), entries: []wal.Entry{put(1, binKey(i), make([]byte, 32))}})
 		}
 		seg = appendBufferFrame(seg, txns, 'B')
 	}
@@ -835,10 +837,9 @@ func TestOneSegmentDecodesOnEveryWorker(t *testing.T) {
 	writeSegment(t, two, 1, 0, appendDurableFrame(nil, 1))
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		for _, dir := range []string{one, two} {
-			s := manualStore(t, "t")
-			res, err := Recover(s, dir, Options{Workers: workers})
-			if err != nil || res.TxnsApplied != 1024 || s.Tables()[0].Tree.Len() != 1024 {
-				t.Fatalf("workers=%d: recovered %d transactions into %d rows (err %v), want 1024", workers, res.TxnsApplied, s.Tables()[0].Tree.Len(), err)
+			s, res, err := recoverDir(t, dir, Options{Workers: workers})
+			if err != nil || res.TxnsApplied != 1025 || s.Table("t").Tree.Len() != 1024 {
+				t.Fatalf("workers=%d: recovered %d transactions (err %v), want 1025: the table's and 1024 rows", workers, res.TxnsApplied, err)
 			}
 			if max := workers + res.LogFiles - 1; res.LogPieces < workers || res.LogPieces > max {
 				t.Errorf("workers=%d, %d segments: decoded in %d pieces, want %d to %d", workers, res.LogFiles, res.LogPieces, workers, max)
@@ -864,10 +865,10 @@ func TestReplayAllocatesPerWinnerNotPerEntry(t *testing.T) {
 	const keys = 200
 	build := func(entries int) string {
 		dir := t.TempDir()
-		var data []byte
+		data := appendBufferFrame(nil, []logTxn{createTxn(tidAt(1, uint64(entries+1)), "t")}, 'B')
 		var frame []logTxn
 		for i := 0; i < entries; i++ {
-			frame = append(frame, logTxn{tid: tidAt(1, uint64(i+1)), entries: []wal.Entry{put(0, binKey(i%keys), make([]byte, 64))}})
+			frame = append(frame, logTxn{tid: tidAt(1, uint64(i+1)), entries: []wal.Entry{put(1, binKey(i%keys), make([]byte, 64))}})
 			if len(frame) == 100 {
 				data = appendBufferFrame(data, frame, 'B')
 				frame = frame[:0]
@@ -878,11 +879,9 @@ func TestReplayAllocatesPerWinnerNotPerEntry(t *testing.T) {
 	}
 	allocs := func(dir string, entries int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			s := core.NewStore(core.DefaultOptions(1))
-			defer s.Close()
-			s.CreateTable("t")
-			res, err := Recover(s, dir, Options{Workers: 2})
-			if err != nil || res.EntriesApplied != keys || res.EntriesSuperseded != entries-keys {
+			// The catalog's one row is an entry like the others.
+			_, res, err := recoverDir(t, dir, Options{Workers: 2})
+			if err != nil || res.EntriesApplied != keys+1 || res.EntriesSuperseded != entries-keys {
 				t.Fatalf("recovered %+v, err %v", res.RecoveryResult, err)
 			}
 		})
@@ -909,11 +908,12 @@ func TestRecoveryAllocatesPerSpanNotPerRow(t *testing.T) {
 	val := make([]byte, 100)
 	checkpointOnly := func(n int) string {
 		dir := t.TempDir()
-		src := manualStore(t, "t")
+		src, _ := catalogStore(t, manualOpts(), "t")
+		defer src.Close()
 		for lo := 0; lo < n; lo += 500 {
 			if err := src.Worker(0).Run(func(tx *core.Tx) error {
 				for i := lo; i < min(lo+500, n); i++ {
-					if err := tx.Insert(src.Tables()[0], benchKey(i), val); err != nil {
+					if err := tx.Insert(src.Table("t"), benchKey(i), val); err != nil {
 						return err
 					}
 				}
@@ -925,17 +925,17 @@ func TestRecoveryAllocatesPerSpanNotPerRow(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			src.AdvanceEpoch()
 		}
-		if _, err := WriteCheckpoint(nil, src, src.Maintenance(), dir, 4, nil); err != nil {
+		if _, err := WriteCheckpoint(nil, src, src.Maintenance(), dir, 4); err != nil {
 			t.Fatal(err)
 		}
 		return dir
 	}
 	insertOnly := func(n int) string {
 		dir := t.TempDir()
-		var seg []byte
+		seg := appendBufferFrame(nil, []logTxn{createTxn(tidAt(1, uint64(n+1)), "t")}, 'B')
 		var frame []logTxn
 		for i := 0; i < n; i++ {
-			frame = append(frame, logTxn{tid: tidAt(1, uint64(i+1)), entries: []wal.Entry{put(0, benchKey(i), val)}})
+			frame = append(frame, logTxn{tid: tidAt(1, uint64(i+1)), entries: []wal.Entry{put(1, benchKey(i), val)}})
 			if len(frame) == 100 || i == n-1 {
 				seg, frame = appendBufferFrame(seg, frame, 'B'), frame[:0]
 			}
@@ -951,11 +951,12 @@ func TestRecoveryAllocatesPerSpanNotPerRow(t *testing.T) {
 		allocs := func(n int) float64 {
 			dir := c.dir(n)
 			return testing.AllocsPerRun(5, func() {
-				s := core.NewStore(core.DefaultOptions(1))
-				defer s.Close()
-				s.CreateTable("t")
-				if _, err := Recover(s, dir, Options{Workers: 2}); err != nil || s.Tables()[0].Tree.Len() != n {
-					t.Fatalf("%s: recovered %d rows (err %v), want %d", c.name, s.Tables()[0].Tree.Len(), err, n)
+				s, _, err := recoverDir(t, dir, Options{Workers: 2})
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if got := s.Table("t").Tree.Len(); got != n {
+					t.Fatalf("%s: recovered %d rows, want %d", c.name, got, n)
 				}
 			})
 		}

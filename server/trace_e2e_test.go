@@ -157,10 +157,10 @@ func TestSlowCaptureAndFlightEndpoints(t *testing.T) {
 }
 
 // TestConcurrentStatsAndFlightDump hammers commits from several client
-// goroutines while others continuously dump the flight recorder and
-// scrape STATS — the seqlock ring reader and the metric snapshots must
-// be race-clean against live writers (this is the test the -race CI
-// matrix leans on).
+// goroutines while others dump the flight recorder and scrape STATS, a
+// fixed number of rounds each — the seqlock ring reader and the metric
+// snapshots must be race-clean against live writers (this is the test the
+// -race CI matrix leans on).
 func TestConcurrentStatsAndFlightDump(t *testing.T) {
 	db, srv, cl := startServer(t, silo.Options{Workers: 4}, server.Options{}, client.Options{Conns: 2})
 	admin := httptest.NewServer(srv.AdminHandler())
@@ -204,38 +204,25 @@ func TestConcurrentStatsAndFlightDump(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(2)
+	// The STATS scraper and the flight reader — this goroutine, so that
+	// httpGet may fail the test — each complete a fixed number of rounds
+	// while the writers run; then the writers stop.
+	const rounds = 50
+	scraped := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if len(db.Flight().Dump()) == 0 {
-				// The ring fills within the first few commits; an empty
-				// dump mid-run would mean the reader lost everything.
-				continue
-			}
-			httpGet(t, admin.URL+"/debug/flight")
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		defer close(scraped)
+		for range rounds {
 			if _, err := cl.Stats(); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
-	time.Sleep(300 * time.Millisecond)
+	for range rounds {
+		db.Flight().Dump()
+		httpGet(t, admin.URL+"/debug/flight")
+	}
+	<-scraped
 	close(stop)
 	wg.Wait()
 

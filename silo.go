@@ -188,8 +188,9 @@ type DurabilityOptions struct {
 	// truncate data that has not been replayed. 0 disables the daemon
 	// (checkpoints are taken manually with DB.Checkpoint).
 	CheckpointInterval time.Duration
-	// CheckpointPartitions is the number of concurrent partition writers
-	// per checkpoint (both for the daemon and DB.Checkpoint). Default 4.
+	// CheckpointPartitions is the number of part files per checkpoint,
+	// both for the daemon and DB.Checkpoint; ≤ 0 means
+	// recovery.DefaultPartitions (4).
 	CheckpointPartitions int
 	// RecoveryWorkers is the parallelism of the recovery Open runs:
 	// checkpoint part loading and log replay both fan out across this many
@@ -345,7 +346,6 @@ func (db *DB) startDaemon() {
 		Dir:        d.Dir,
 		Interval:   d.CheckpointInterval,
 		Partitions: d.CheckpointPartitions,
-		Catalog:    db.catalog.Table(),
 		FS:         d.FS,
 		Clock:      db.opts.Clock,
 	})
@@ -691,9 +691,11 @@ type CheckpointResult = recovery.CheckpointResult
 
 // Checkpoint writes a transactionally consistent image of every table as
 // of a recent snapshot epoch into the durability directory: a partitioned
-// checkpoint set (checkpoint.<CE>/part.<k> under a manifest) produced by
-// Durability.CheckpointPartitions concurrent writers, each walking a
-// disjoint key range at the same snapshot epoch. The snapshot is pinned
+// checkpoint set (checkpoint.<CE>/part.<k> under a manifest) of
+// Durability.CheckpointPartitions parts, each a disjoint key range walked
+// at the same snapshot epoch; the parts are written concurrently on the
+// real filesystem and one after another on any other Durability.FS, so
+// that a simulated disk sees one byte stream. The snapshot is pinned
 // by a snapshot transaction on the given worker (§4.10: checkpoints take
 // advantage of snapshots to avoid interfering with read/write
 // transactions); the worker must be otherwise idle. Recovery prefers the
@@ -708,11 +710,8 @@ func (db *DB) Checkpoint(worker int) (CheckpointResult, error) {
 	if db.opts.DisableSnapshots {
 		return CheckpointResult{}, errors.New("silo: Checkpoint requires snapshots")
 	}
-	parts := db.opts.Durability.CheckpointPartitions
-	if parts <= 0 {
-		parts = 4
-	}
-	return recovery.WriteCheckpoint(db.opts.Durability.FS, db.store, db.store.Worker(worker), db.opts.Durability.Dir, parts, db.catalog.Table())
+	d := db.opts.Durability
+	return recovery.WriteCheckpoint(d.FS, db.store, db.store.Worker(worker), d.Dir, d.CheckpointPartitions)
 }
 
 // CheckpointDaemonStats is a snapshot of the background checkpoint
