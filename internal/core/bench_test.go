@@ -87,9 +87,10 @@ func BenchmarkCommitScanNodeSet(b *testing.B) {
 	// Range-query phantom tracking: cost of building and validating the
 	// node-set for scans of increasing width, up to the whole table. ns/row
 	// is what the bench-tree job gates: from 10000 rows to 100000 it must
-	// not grow. (Both of those re-grow the read-set in every transaction —
-	// past maxKeyArena a worker does not keep it — which the narrower scans
-	// do not pay for, so those are trajectory only.)
+	// not grow. (The 10000-row scan finds its read-set, key arena and
+	// node-set where the last one left them; the 100000-row scan's outgrow
+	// maxReadSet, maxKeyArena and maxNodeSet, so it re-grows them in every
+	// transaction. The narrower widths are trajectory only.)
 	const rows = 100000
 	s, tbl := benchStore(b, nil)
 	w := s.Worker(0)

@@ -224,79 +224,119 @@ func TestGetAppendSemantics(t *testing.T) {
 	}
 }
 
-// TestScannedKeysOutliveTheScanBuffer: the key a scan callback sees lives
-// in the tree's pooled leaf buffer, which the next scan — this worker's or
-// another's — rewrites. The read-set must hold its own copy, or the abort
-// that blames a scanned record names whatever key landed in that slot
-// later (and, across workers, reads it while it is being written). Range
-// and batched reads both copy, and the copy allocates nothing once the
-// arena has grown (a batched read's remaining allocations are the tree's
-// own leaf-run buffers).
-func TestScannedKeysOutliveTheScanBuffer(t *testing.T) {
-	s := manualStore(t, 2, nil)
-	tbl, other := s.CreateTable("t"), s.CreateTable("other")
-	w0, w1 := s.Worker(0), s.Worker(1)
+// TestAbortForensicsByEntryPoint: every operation that puts a record in
+// the read-set, or a leaf in the node-set, lets a failed validation name
+// it. The newest flight-recorder event is the abort, with its reason, the
+// table id, the key's 8-byte prefix and its hash (a leaf has no key). The
+// read-set keeps each key as an end offset into one arena, so every case
+// reads another key first: naming the failed entry by its neighbour's key
+// range fails here. A scanned or batched key lives in the tree's pooled
+// leaf buffer, which the next scan — this worker's or another's — rewrites,
+// so every case scans another table before it commits: the read-set must
+// hold its own copy.
+func TestAbortForensicsByEntryPoint(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("row%04d", i)) }
 	const rows = 200 // several leaves
-	if err := w0.Run(func(tx *Tx) error {
-		for i := 0; i < rows; i++ {
-			if err := tx.Insert(tbl, key(i), []byte("v")); err != nil {
-				return err
-			}
-			if err := tx.Insert(other, []byte(fmt.Sprintf("zzz%04d", i)), []byte("v")); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	victim, fresh, missing := key(150), []byte("row0150+new"), []byte("row0150+gap")
 	sorted := make([][]byte, rows)
 	for i := range sorted {
 		sorted[i] = key(i)
 	}
-	reads := map[string]func(tx *Tx) error{
-		"Scan": func(tx *Tx) error {
-			return tx.Scan(tbl, []byte{0}, nil, func(_, _ []byte) bool { return true })
-		},
-		"GetBatch": func(tx *Tx) error {
-			return tx.GetBatch(tbl, sorted, func(int, []byte, error) bool { return true })
-		},
+	put := func(k []byte) func(tx *Tx, tbl *Table) error {
+		return func(tx *Tx, tbl *Table) error { return tx.Put(tbl, k, []byte("w")) }
 	}
-	for name, read := range reads {
-		victim := key(150)
-		tx := w0.Begin()
-		if err := read(tx); err != nil {
-			t.Fatal(err)
-		}
-		// The same goroutine scans another table: the pool hands the same
-		// leaf buffer back and the scan fills it with other keys.
-		if err := tx.Scan(other, []byte{0}, nil, func(_, _ []byte) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-		if err := w1.Run(func(tx *Tx) error { return tx.Put(tbl, victim, []byte("w")) }); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != ErrConflict {
-			t.Fatalf("%s: commit over a concurrent update: %v, want ErrConflict", name, err)
-		}
-		// The flight recorder's newest event is that abort's forensics.
-		events := s.Flight().Dump()
-		if ev := events[len(events)-1]; ev.Kind != trace.EvAbort || ev.Table != tbl.ID || ev.A != trace.HashKey(victim) {
-			t.Errorf("%s: abort recorded as %v table %d key hash %#x; want abort, table %d, %q = %#x",
-				name, ev.Kind, ev.Table, ev.A, tbl.ID, victim, trace.HashKey(victim))
-		}
-		if name != "Scan" {
-			continue
-		}
-		if n := testing.AllocsPerRun(50, func() {
-			tx := w0.Begin()
-			if err := read(tx); err != nil {
+	insert := func(k []byte) func(tx *Tx, tbl *Table) error {
+		return func(tx *Tx, tbl *Table) error { return tx.Insert(tbl, k, []byte("w")) }
+	}
+	cases := []struct {
+		name   string
+		setup  func(tx *Tx, tbl *Table) error // committed before the transaction begins
+		read   func(tx *Tx, tbl *Table) error
+		clash  func(tx *Tx, tbl *Table) error // committed by another worker in between
+		key    []byte                         // nil: the abort names a leaf
+		reason abortReason
+	}{
+		{name: "Get", read: func(tx *Tx, tbl *Table) error {
+			_, err := tx.Get(tbl, victim)
+			return err
+		}, clash: put(victim), key: victim},
+		{name: "GetAppend", read: func(tx *Tx, tbl *Table) error {
+			_, err := tx.GetAppend(tbl, victim, make([]byte, 0, 8))
+			return err
+		}, clash: put(victim), key: victim},
+		{name: "GetBatch", read: func(tx *Tx, tbl *Table) error {
+			return tx.GetBatch(tbl, sorted, func(int, []byte, error) bool { return true })
+		}, clash: put(victim), key: victim},
+		{name: "Scan", read: func(tx *Tx, tbl *Table) error {
+			return tx.Scan(tbl, []byte{0}, nil, func(_, _ []byte) bool { return true })
+		}, clash: put(victim), key: victim},
+		{name: "Put", read: put(victim), clash: put(victim), key: victim},
+		{name: "Insert over a tombstone", setup: func(tx *Tx, tbl *Table) error {
+			return tx.Delete(tbl, victim)
+		}, read: insert(victim), clash: insert(victim), key: victim},
+		{name: "Insert of a new key", read: insert(fresh), clash: insert(fresh), key: fresh},
+		{name: "Delete", read: func(tx *Tx, tbl *Table) error {
+			return tx.Delete(tbl, victim)
+		}, clash: put(victim), key: victim},
+		{name: "missing key", read: func(tx *Tx, tbl *Table) error {
+			if _, err := tx.Get(tbl, missing); err != ErrNotFound {
+				return fmt.Errorf("Get of a missing key: %v", err)
+			}
+			return nil
+		}, clash: insert(missing), reason: abortNodeValidation},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := manualStore(t, 2, nil)
+			other, tbl := s.CreateTable("other"), s.CreateTable("t") // tbl.ID = 1
+			w0, w1 := s.Worker(0), s.Worker(1)
+			if err := w0.Run(func(tx *Tx) error {
+				for i := 0; i < rows; i++ {
+					if err := tx.Insert(tbl, key(i), []byte("v")); err != nil {
+						return err
+					}
+					if err := tx.Insert(other, []byte(fmt.Sprintf("zzz%04d", i)), []byte("v")); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
-			tx.Abort()
-		}); n != 0 {
-			t.Errorf("%s: %v allocations per transaction in steady state, want 0", name, n)
-		}
+			if c.setup != nil {
+				if err := w1.Run(func(tx *Tx) error { return c.setup(tx, tbl) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tx := w0.Begin()
+			if _, err := tx.Get(tbl, key(10)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.read(tx, tbl); err != nil {
+				t.Fatal(err)
+			}
+			// The same goroutine scans another table: the pool hands the
+			// same leaf buffer back and the scan fills it with other keys.
+			if err := tx.Scan(other, []byte{0}, nil, func(_, _ []byte) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+			if err := w1.Run(func(tx *Tx) error { return c.clash(tx, tbl) }); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != ErrConflict {
+				t.Fatalf("commit over a concurrent write: %v, want ErrConflict", err)
+			}
+			var hash uint64
+			if c.key != nil {
+				hash = trace.HashKey(c.key)
+			}
+			events := s.Flight().Dump()
+			ev := events[len(events)-1]
+			if ev.Kind != trace.EvAbort || ev.Aux != uint16(c.reason) || ev.Table != tbl.ID ||
+				ev.Key != trace.KeyPrefix(c.key) || ev.A != hash {
+				t.Errorf("abort recorded as %v reason %d table %d key %q hash %#x; want abort, reason %d, table %d, %q = %#x",
+					ev.Kind, ev.Aux, ev.Table, ev.Key, ev.A, c.reason, tbl.ID, c.key, hash)
+			}
+		})
 	}
 }

@@ -28,27 +28,39 @@ import (
 // the bookkeeping — what is retained, how many bytes, and when it becomes
 // reclaimable — is exactly the paper's, and is what §5.6 measures.
 
-type gcItem struct {
-	epoch     uint64 // reclamation epoch
-	snapBased bool   // true: compare against snapshot horizon; false: tree horizon
-	table     *Table
-	key       []byte
+// snapItem is a superseded version kept for snapshots: 32 bytes, freed
+// by cutting rec from behind head once epoch passes the snapshot horizon.
+type snapItem struct {
+	epoch uint64         // reclamation epoch
+	rec   *record.Record // the version
+	head  *record.Record // the live record rec hangs from
+	bytes int            // what the version holds, counted into snapBytes
+}
+
+// unhookItem is an absent record to remove from its tree. The table is
+// named by id and the key by where it ends in gcState.unhookKeys (it
+// starts where the previous item's ends), so the only pointer the GC
+// scans is the record.
+type unhookItem struct {
 	rec       *record.Record
-	head      *record.Record // snapshot version: the live record rec hangs from
-	expect    uint64         // pure TID the absent record must still carry to unhook
-	bytes     int
+	epoch     uint64 // reclamation epoch
+	expect    uint64 // pure TID the absent record must still carry to unhook
+	table     uint32
+	keyEnd    uint32
+	snapBased bool // true: compare against snapshot horizon; false: tree horizon
 }
 
 type gcState struct {
-	snapList   []gcItem
-	unhookList []gcItem
+	snapList   []snapItem
+	unhookList []unhookItem
+	unhookKeys []byte // the unhook items' keys, end to end
 }
 
 // registerSnapshotVersion schedules the release of rec, a superseded
 // version just linked behind the live record head, and counts it into o.
 func (g *gcState) registerSnapshotVersion(o *workerObs, head, rec *record.Record, reclaimEpoch uint64) {
 	n := rec.DataLen() + recordOverheadBytes
-	g.snapList = append(g.snapList, gcItem{
+	g.snapList = append(g.snapList, snapItem{
 		epoch: reclaimEpoch,
 		rec:   rec,
 		head:  head,
@@ -63,13 +75,14 @@ func (g *gcState) registerSnapshotVersion(o *workerObs, head, rec *record.Record
 // if it changed, a later transaction superseded the record and owns its
 // cleanup (§4.9).
 func (g *gcState) registerUnhook(t *Table, key []byte, rec *record.Record, expect uint64, reclaimEpoch uint64, snapBased bool) {
-	g.unhookList = append(g.unhookList, gcItem{
-		epoch:     reclaimEpoch,
-		snapBased: snapBased,
-		table:     t,
-		key:       append([]byte(nil), key...),
+	g.unhookKeys = append(g.unhookKeys, key...)
+	g.unhookList = append(g.unhookList, unhookItem{
 		rec:       rec,
+		epoch:     reclaimEpoch,
 		expect:    expect,
+		table:     t.ID,
+		keyEnd:    uint32(len(g.unhookKeys)),
+		snapBased: snapBased,
 	})
 }
 
@@ -104,6 +117,8 @@ func (g *gcState) reap(w *Worker) {
 
 	i = 0
 	var done uint64
+	var keyStart uint32
+	tables := w.store.tableList() // every pending unhook's table is in it
 	for ; i < len(g.unhookList); i++ {
 		it := &g.unhookList[i]
 		horizon := treeHorizon
@@ -113,24 +128,30 @@ func (g *gcState) reap(w *Worker) {
 		if it.epoch > horizon {
 			break
 		}
-		if unhook(it) {
+		if unhook(tables[it.table], g.unhookKeys[keyStart:it.keyEnd], it) {
 			done++
 		}
+		keyStart = it.keyEnd
 	}
 	if i > 0 {
 		g.unhookList = sliceDrop(g.unhookList, i)
+		g.unhookKeys = g.unhookKeys[:copy(g.unhookKeys, g.unhookKeys[keyStart:])]
+		for j := range g.unhookList {
+			g.unhookList[j].keyEnd -= keyStart
+		}
 		o.unhooksDone.Add(done)
 		o.unhooksSkipped.Add(uint64(i) - done)
 	}
 }
 
-// unhook removes an absent record from its tree if it is still the latest
-// version for its key, and reports whether it did. The record is locked for
-// the duration so the removal cannot race with a committing insert that
-// would supersede it; on success the latest bit is cleared, so any in-flight
-// transaction that read the absent record fails its Phase 2 validation
-// rather than committing against a record no longer reachable from the tree.
-func unhook(it *gcItem) bool {
+// unhook removes an absent record from t's tree under key if it is still
+// the latest version for its key, and reports whether it did. The record
+// is locked for the duration so the removal cannot race with a committing
+// insert that would supersede it; on success the latest bit is cleared, so
+// any in-flight transaction that read the absent record fails its Phase 2
+// validation rather than committing against a record no longer reachable
+// from the tree.
+func unhook(t *Table, key []byte, it *unhookItem) bool {
 	rec := it.rec
 	word, ok := rec.TryLock()
 	if !ok {
@@ -143,16 +164,14 @@ func unhook(it *gcItem) bool {
 		rec.Unlock(word)
 		return false
 	}
-	it.table.Tree.RemoveIf(it.key, func(r *record.Record) bool { return r == rec })
+	t.Tree.RemoveIf(key, func(r *record.Record) bool { return r == rec })
 	rec.Unlock(word.WithLatest(false))
 	return true
 }
 
 // sliceDrop removes the first n items, reusing the backing array.
-func sliceDrop(s []gcItem, n int) []gcItem {
+func sliceDrop[T any](s []T, n int) []T {
 	m := copy(s, s[n:])
-	for i := m; i < len(s); i++ {
-		s[i] = gcItem{}
-	}
+	clear(s[m:])
 	return s[:m]
 }

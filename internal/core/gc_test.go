@@ -78,6 +78,84 @@ func TestDeleteUnhooksAfterReclamation(t *testing.T) {
 	}
 }
 
+// TestUnhookKeysAcrossReaps: pending unhooks keep their keys end to end in
+// one arena that each reap compacts. Deletes of keys of different lengths
+// in two tables, registered in two batches that ripen at different
+// epochs, must each remove exactly their own key, before and after the
+// first batch's keys are cut from the front of the arena.
+func TestUnhookKeysAcrossReaps(t *testing.T) {
+	s := manualStore(t, 1, func(o *Options) { o.SnapshotK = 2 })
+	tabs := []*Table{s.CreateTable("a"), s.CreateTable("b")}
+	w := s.Worker(0)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%0*d", 1+i, i)) } // i+1 digits
+	const rows = 10
+	if err := w.Run(func(tx *Tx) error {
+		for _, tbl := range tabs {
+			for i := 0; i < rows; i++ {
+				if err := tx.Insert(tbl, key(i), []byte("v")); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	del := func(batch map[*Table][]int) {
+		t.Helper()
+		if err := w.Run(func(tx *Tx) error {
+			for tbl, keys := range batch {
+				for _, i := range keys {
+					if err := tx.Delete(tbl, key(i)); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, gone map[*Table][]int) {
+		t.Helper()
+		for _, tbl := range tabs {
+			want := map[string]bool{}
+			for _, i := range gone[tbl] {
+				want[string(key(i))] = true
+			}
+			for i := 0; i < rows; i++ {
+				rec, _, _ := tbl.Tree.Get(key(i))
+				if (rec == nil) != want[string(key(i))] {
+					t.Errorf("%s: table %s key %s hooked=%v, want %v", when, tbl.Name, key(i), rec != nil, !want[string(key(i))])
+				}
+			}
+		}
+	}
+	advanceEpochs(s, 5)
+	first := map[*Table][]int{tabs[0]: {1, 6}, tabs[1]: {2}}
+	del(first)
+	advanceEpochs(s, 6)
+	second := map[*Table][]int{tabs[0]: {4}, tabs[1]: {8, 0}}
+	del(second)
+	for n := 0; ; n++ {
+		if _, un := w.PendingGarbage(); un == 3 {
+			break
+		} else if un < 3 || n == 50 {
+			t.Fatalf("the two batches never reaped apart: %d unhooks pending", un)
+		}
+		advanceEpochs(s, 1)
+		w.ReapNow()
+	}
+	check("after the first batch", first)
+	advanceEpochs(s, 20)
+	w.ReapNow()
+	both := map[*Table][]int{tabs[0]: {1, 6, 4}, tabs[1]: {2, 8, 0}}
+	check("after both", both)
+	if gc := collectGC(s); gc.unhooked != 6 {
+		t.Errorf("unhooks done=%d, want 6", gc.unhooked)
+	}
+}
+
 // TestAbortedInsertPlaceholderCollected: an aborted insert's placeholder is
 // unhooked at the tree reclamation horizon (§4.5).
 func TestAbortedInsertPlaceholderCollected(t *testing.T) {

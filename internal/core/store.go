@@ -201,7 +201,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	tables  map[string]*Table
-	byID    []*Table
+	byID    atomic.Pointer[[]*Table] // grown under mu, read without it
 	workers []*Worker
 	maint   *Worker
 	ddl     *Worker
@@ -281,9 +281,13 @@ func (s *Store) CreateTable(name string) *Table {
 	if t, ok := s.tables[name]; ok {
 		return t
 	}
-	t := &Table{ID: uint32(len(s.byID)), Name: name, Tree: btree.New()}
+	byID := s.tableList()
+	t := &Table{ID: uint32(len(byID)), Name: name, Tree: btree.New()}
 	s.tables[name] = t
-	s.byID = append(s.byID, t)
+	// Readers of the old list never index past its length, so appending
+	// in place and then publishing the longer list is safe.
+	byID = append(byID, t)
+	s.byID.Store(&byID)
 	s.flight.RecordShared(trace.EvDDL, trace.DDLCreateTable, t.ID, 0, []byte(name))
 	return t
 }
@@ -310,21 +314,27 @@ func (s *Store) Table(name string) *Table {
 	return s.tables[name]
 }
 
+// tableList is every table in creation order, indexed by id. Tables are
+// never dropped, so the list only grows; it takes no lock, so a worker's
+// garbage collector can name each unhook's table by id (gcState.reap).
+func (s *Store) tableList() []*Table {
+	if p := s.byID.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // TableByID returns the table with the given id or nil.
 func (s *Store) TableByID(id uint32) *Table {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(id) >= len(s.byID) {
-		return nil
+	if byID := s.tableList(); int(id) < len(byID) {
+		return byID[id]
 	}
-	return s.byID[id]
+	return nil
 }
 
 // Tables returns all tables in creation order.
 func (s *Store) Tables() []*Table {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Table(nil), s.byID...)
+	return append([]*Table(nil), s.tableList()...)
 }
 
 // Worker returns worker i. Each worker must be used by one goroutine at a
@@ -355,5 +365,5 @@ func (s *Store) DDL() *Worker { return s.ddl }
 
 // String implements fmt.Stringer for debugging.
 func (s *Store) String() string {
-	return fmt.Sprintf("core.Store{workers=%d tables=%d epoch=%d}", len(s.workers), len(s.byID), s.epochs.Global())
+	return fmt.Sprintf("core.Store{workers=%d tables=%d epoch=%d}", len(s.workers), len(s.tableList()), s.epochs.Global())
 }

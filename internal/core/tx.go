@@ -32,18 +32,20 @@ const (
 	writeDelete                  // mark a present record absent
 )
 
-// readEntry is one read-set observation. table and key identify the
-// record for abort forensics: when Phase 2 validation fails on the
-// entry, the flight recorder captures the conflicting table id and key
-// prefix/hash from here. key is a copy in the transaction's key arena:
-// the caller's slice may be a view of a buffer that is recycled before
-// the transaction ends (a scan callback's key lives in the tree's pooled
-// leaf buffer, which another worker's scan rewrites).
+// readEntry is one read-set observation: the record and the TID word
+// observed, all Phase 2 validation needs (§4.4), plus what abort forensics
+// needs to name the record — its table's id and where its key ends in the
+// transaction's key arena (it starts where the previous entry's ends).
+// The arena holds a copy because the caller's slice may be a view of a
+// buffer that is recycled before the transaction ends (a scan callback's
+// key lives in the tree's pooled leaf buffer, which another worker's scan
+// rewrites). The record is the entry's one pointer: the GC scans 24 bytes
+// per read and never the keys.
 type readEntry struct {
-	rec   *record.Record
-	word  tid.Word
-	table *Table
-	key   []byte
+	rec    *record.Record
+	word   tid.Word
+	table  uint32
+	keyEnd uint32
 }
 
 type writeEntry struct {
@@ -63,7 +65,7 @@ type writeEntry struct {
 type nodeEntry struct {
 	n       *btree.Node
 	version uint64
-	table   *Table
+	table   uint32
 }
 
 // Reader is what both transaction kinds read through. A *Tx records what
@@ -88,7 +90,7 @@ type Tx struct {
 	reads  []readEntry
 	writes []writeEntry
 	nodes  []nodeEntry
-	keys   []byte       // arena backing the read-set's keys
+	keys   []byte       // the read-set's keys, end to end (see readEntry)
 	widx   posIndex     // open hash over writes, kept once the write-set outgrows a linear scan
 	nidx   posIndex     // the same over nodes
 	rbuf   []byte       // scratch buffer for record reads
@@ -112,29 +114,40 @@ func (tx *Tx) reset() {
 // Worker returns the executing worker.
 func (tx *Tx) Worker() *Worker { return tx.w }
 
-// maxKeyArena is the largest key arena a Tx keeps between transactions:
-// thousands of reads, so ordinary transactions never re-grow it, while one
-// whole-table scan does not pin its keys (and the read-set whose entries
-// point into them) to the worker for good. maxNodeSet is the same bound for
-// the node-set and its index, in entries. See Worker.finishTx.
+// maxKeyArena, maxReadSet and maxNodeSet bound what a worker keeps of a
+// finished transaction's key arena (bytes), read-set and node-set
+// (entries) for the next one: tens of thousands of reads — a TPC-C
+// Delivery that walks thousands of tombstones, a scan of that many rows —
+// run without re-growing either, while no worker holds more than 512 KiB
+// of keys and 768 KiB of read-set once a wider transaction ends (see
+// Worker.finishTx).
 const (
-	maxKeyArena = 64 << 10
+	maxKeyArena = 512 << 10
+	maxReadSet  = 32 << 10
 	maxNodeSet  = 4 << 10
 )
 
+// addRead appends one observation. The key copy goes to the arena, which
+// holds no pointers, so growing or keeping it costs the GC nothing.
 func (tx *Tx) addRead(t *Table, key []byte, rec *record.Record, w tid.Word) {
-	// When the arena grows, earlier entries keep the old backing array;
-	// at its high-water mark the copy allocates nothing.
-	n := len(tx.keys)
 	tx.keys = append(tx.keys, key...)
-	tx.reads = append(tx.reads, readEntry{rec: rec, word: w, table: t, key: tx.keys[n:len(tx.keys):len(tx.keys)]})
+	tx.reads = append(tx.reads, readEntry{rec: rec, word: w, table: t.ID, keyEnd: uint32(len(tx.keys))})
+}
+
+// readKey returns the key of read-set entry i, a view of the arena.
+func (tx *Tx) readKey(i int) []byte {
+	var start uint32
+	if i > 0 {
+		start = tx.reads[i-1].keyEnd
+	}
+	return tx.keys[start:tx.reads[i].keyEnd]
 }
 
 func (tx *Tx) addNode(t *Table, n *btree.Node, version uint64) {
 	// A re-observed leaf keeps its first version (the earliest dependency):
 	// if the version moved, commit-time validation would abort anyway.
 	if tx.findNode(n) < 0 {
-		tx.pushNode(nodeEntry{n: n, version: version, table: t})
+		tx.pushNode(nodeEntry{n: n, version: version, table: t.ID})
 	}
 }
 
@@ -188,7 +201,7 @@ func (tx *Tx) pushNode(e nodeEntry) {
 func (tx *Tx) applyNodeChanges(t *Table, changes []btree.VersionChange) error {
 	for _, ch := range changes {
 		if ch.Created {
-			tx.pushNode(nodeEntry{n: ch.Node, version: ch.New, table: t})
+			tx.pushNode(nodeEntry{n: ch.Node, version: ch.New, table: t.ID})
 		} else if i := tx.findNode(ch.Node); i >= 0 {
 			if tx.nodes[i].version != ch.Old {
 				return ErrConflict
@@ -632,7 +645,7 @@ func (tx *Tx) Scan(t *Table, lo, hi []byte, fn func(key, value []byte) bool) err
 // the absent record for future garbage collection").
 func (tx *Tx) Abort() {
 	if tx.active {
-		tx.abort(abortExplicit, nil, nil)
+		tx.abort(abortExplicit, 0, nil)
 	}
 }
 
@@ -640,10 +653,10 @@ func (tx *Tx) Abort() {
 // the placeholders its inserts installed for collection, counts the abort
 // under reason (an explicit abort of a transaction a WriteHook poisoned
 // counts as hook_poisoned), records it in the flight recorder with the
-// conflicting table and key (nil for keyless reasons), and finishes the
-// transaction. Commit's own aborts release their Phase 1 locks first
-// (abortCommit).
-func (tx *Tx) abort(reason abortReason, t *Table, key []byte) {
+// conflicting table id and key (0 and nil for keyless reasons), and
+// finishes the transaction. Commit's own aborts release their Phase 1
+// locks first (abortCommit).
+func (tx *Tx) abort(reason abortReason, table uint32, key []byte) {
 	w := tx.w
 	for i := range tx.writes {
 		if tx.writes[i].ours {
@@ -655,15 +668,11 @@ func (tx *Tx) abort(reason abortReason, t *Table, key []byte) {
 	}
 	tx.active = false
 	w.obs.aborts[reason].Inc()
-	var tableID uint32
-	if t != nil {
-		tableID = t.ID
-	}
 	var hash uint64
 	if len(key) > 0 {
 		hash = trace.HashKey(key)
 	}
-	w.ring.Record(trace.EvAbort, uint16(reason), tableID, hash, key)
+	w.ring.Record(trace.EvAbort, uint16(reason), table, hash, key)
 	tx.flushTally()
 	w.finishTx()
 }
@@ -679,12 +688,12 @@ func (tx *Tx) abandon(err error) error {
 	if !tx.active {
 		return err
 	}
-	reason, t, key := tx.validate(false)
+	reason, table, key := tx.validate(false)
 	if reason == valid && err != ErrConflict {
-		tx.abort(abortExplicit, nil, nil)
+		tx.abort(abortExplicit, 0, nil)
 		return err
 	}
-	tx.abort(abortDoomed, t, key)
+	tx.abort(abortDoomed, table, key)
 	return ErrConflict
 }
 
@@ -692,14 +701,15 @@ func (tx *Tx) abandon(err error) error {
 // observed, is latest and is unlocked, and every leaf observed still has
 // its version. A record this transaction locked itself passes only when
 // Phase 1 holds the locks (locked). It returns valid, or the reason and the
-// entry that failed (key nil for a node-set entry).
-func (tx *Tx) validate(locked bool) (reason abortReason, t *Table, key []byte) {
+// failed entry's table id and key (nil for a node-set entry), the key
+// rebuilt from the arena only now that it is needed.
+func (tx *Tx) validate(locked bool) (reason abortReason, table uint32, key []byte) {
 	for i := range tx.reads {
 		r := &tx.reads[i]
 		cur := r.rec.Word()
 		if cur.TID() != r.word.TID() || !cur.Latest() ||
 			(cur.Locked() && !(locked && tx.inWriteSet(r.rec))) {
-			return abortReadValidation, r.table, r.key
+			return abortReadValidation, r.table, tx.readKey(i)
 		}
 	}
 	for i := range tx.nodes {
@@ -707,7 +717,7 @@ func (tx *Tx) validate(locked bool) (reason abortReason, t *Table, key []byte) {
 			return abortNodeValidation, tx.nodes[i].table, nil
 		}
 	}
-	return valid, nil, nil
+	return valid, 0, nil
 }
 
 // Commit runs the paper's three-phase commit protocol (Figure 2). On
@@ -764,11 +774,11 @@ func (tx *Tx) Commit() error {
 	e := s.epochs.Global()
 
 	// Phase 2: validate the read-set and node-set. A failure hands the
-	// conflicting entry's table and key to abortCommit, which captures
+	// conflicting entry's table id and key to abortCommit, which captures
 	// them — reason, table id, key prefix, key hash — in the flight
 	// recorder at the moment the conflict is discovered.
-	if reason, t, key := tx.validate(true); reason != valid {
-		return tx.abortCommit(reason, t, key)
+	if reason, table, key := tx.validate(true); reason != valid {
+		return tx.abortCommit(reason, table, key)
 	}
 
 	// Choose the commit TID: larger than every record read or written,
@@ -800,7 +810,7 @@ func (tx *Tx) Commit() error {
 		// the next one. (A read-only transaction installs and logs nothing;
 		// its TID is only reported, so it commits regardless.)
 		s.epochs.AdvanceSoon(e)
-		return tx.abortCommit(abortEpochFull, nil, nil)
+		return tx.abortCommit(abortEpochFull, 0, nil)
 	}
 	if timed {
 		t2 = s.now()
@@ -881,15 +891,15 @@ func (tx *Tx) inWriteSet(rec *record.Record) bool {
 }
 
 // abortCommit releases all Phase 1 locks (restoring pre-lock words) and
-// aborts with ErrConflict. t and key name the conflicting entry (key nil
+// aborts with ErrConflict. table and key name the conflicting entry (key nil
 // for node-set conflicts and other keyless reasons); the flight recorder
 // captures them with the reason so the abort is attributable to a table
 // and key after the fact.
-func (tx *Tx) abortCommit(reason abortReason, t *Table, key []byte) error {
+func (tx *Tx) abortCommit(reason abortReason, table uint32, key []byte) error {
 	for i := range tx.writes {
 		tx.writes[i].rec.Unlock(tx.writes[i].prelock)
 	}
-	tx.abort(reason, t, key)
+	tx.abort(reason, table, key)
 	return ErrConflict
 }
 

@@ -164,11 +164,19 @@ func (w *Worker) RunSnapshot(fn func(stx *SnapTx) error) error {
 // finishTx is the common epilogue for commit and abort: quiesce the epoch
 // slot and let the garbage collector run between requests (§4.8: reaping in
 // the workers avoids helper threads and cross-core data movement).
+//
+// The transaction's key arena, read-set and node-set stay with the worker
+// for the next one up to their bounds (maxKeyArena, maxReadSet,
+// maxNodeSet); a set that grew past its bound is given back, so one wide
+// scan does not pin its sets to the worker.
 func (w *Worker) finishTx() {
 	w.slot.Exit()
 	if tx := &w.tx; !tx.active {
 		if cap(tx.keys) > maxKeyArena {
-			tx.keys, tx.reads = nil, nil
+			tx.keys = nil
+		}
+		if cap(tx.reads) > maxReadSet {
+			tx.reads = nil
 		}
 		if cap(tx.nodes) > maxNodeSet {
 			tx.nodes, tx.nidx = nil, nil

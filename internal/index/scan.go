@@ -204,8 +204,9 @@ var testHookAfterCollect func()
 // before it emits them.
 const resolveWindow = 256
 
-// Scratch given back to the pool is bounded like a transaction's key arena
-// (core's maxKeyArena): a whole-index scan must not pin its collection.
+// Scratch given back to the pool is bounded, as a worker's read-set is
+// (core's maxKeyArena and maxReadSet): a whole-index scan must not pin its
+// collection.
 const (
 	maxPooledBytes   = 1 << 20 // collected keys plus staged rows
 	maxPooledEntries = 1 << 14

@@ -176,9 +176,10 @@ func (r *Record) DataUnsafe() []byte { return view(r.data.Load()) }
 
 // Read performs the version-validated read protocol. It appends the record
 // data to buf (which may be nil) and returns the extended buffer along with
-// the TID word observed for validation. Absent records return a nil value
-// with the word; callers must still register the word in their read set so
-// Phase 2 catches a concurrent insert.
+// the TID word observed for validation. Absent records return buf emptied
+// (so a caller's scratch buffer survives a tombstone) with the word;
+// callers must still register the word in their read set so Phase 2
+// catches a concurrent insert.
 //
 // Read spins while the record is locked, as the paper prescribes for access
 // outside the commit protocol.
@@ -190,7 +191,7 @@ func (r *Record) Read(buf []byte) (val []byte, w tid.Word) {
 			continue
 		}
 		if w1.Absent() {
-			return nil, w1
+			return buf[:0], w1
 		}
 		val = race.AppendValidated(buf[:0], view(r.data.Load()))
 		w2 := tid.Word(r.word.Load())
