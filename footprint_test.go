@@ -11,14 +11,16 @@ import (
 
 // TestRowFootprint prices a stored row in live heap: 100 000 rows of 8-byte
 // keys and 100-byte values inserted through DB.Run, measured after a forced
-// collection. A row is its 24-byte record, its value in a 112-byte arena
+// collection. A row is its 24-byte record, its value in a 104-byte arena
 // buffer (4-byte header included) and its share of the tree nodes holding
-// its key (576 bytes for 16 keys in packed leaves): 173 bytes and 1.08
-// heap objects in ascending order, where leaves fill, and 189 bytes in
-// shuffled order, where they fill to about 0.7 (8 bytes more each while
-// the record's trailing zero-size field padded it to 32). Before keys and values were
-// stored at their own size, the same rows took 275 and 311 bytes and 2.08
-// and 2.11 objects each.
+// its key (448 bytes for 16 keys in packed leaves, whose keys of ≤ 16
+// bytes need no suffix block): 153 bytes and 1.08 heap objects in
+// ascending order, where leaves fill, and 166 bytes in shuffled order,
+// where they fill to about 0.7. With sixteen suffix pointers in every
+// 576-byte node and values in 112-byte buffers the same rows took 173 and
+// 189 bytes (8 bytes more each while the record's trailing zero-size field
+// padded it to 32); before keys and values were stored at their own size,
+// 275 and 311 bytes and 2.08 and 2.11 objects each.
 func TestRowFootprint(t *testing.T) {
 	const rows = 100_000
 	for _, c := range []struct {
@@ -26,8 +28,8 @@ func TestRowFootprint(t *testing.T) {
 		shuffle          bool
 		maxBytes, maxObj float64
 	}{
-		{"ascending", false, 200, 1.15},
-		{"shuffled", true, 225, 0},
+		{"ascending", false, 160, 1.15},
+		{"shuffled", true, 175, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ids := make([]uint64, rows)

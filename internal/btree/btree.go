@@ -53,15 +53,20 @@
 // Keys are byte strings up to MaxKeyLen bytes, kept in slot form (keys.go):
 // per node, a word array of every key's bytes 0–7, big-endian and
 // zero-padded, which a search reads first — two cache lines for sixteen
-// keys — a second word array for bytes 8–15, the key lengths, and for keys
-// longer than 16 bytes a pointer to an immutable suffix allocation that
-// carries its own length. bytes.Compare runs only on a 16-byte tie, and a
-// node with its records or children is 576 bytes. Racy (validated-after)
-// readers load the suffix pointer atomically and read only inside the one
-// allocation it points to, as far as that allocation's own length says; a
-// key length and suffix torn from different keys are memory-safe and
-// rejected by the node-version re-check. Values are *record.Record pointers
-// stored with atomic loads/stores.
+// keys — a second word array for bytes 8–15, and the key lengths.
+// bytes.Compare runs only on a 16-byte tie. The rest of a longer key is an
+// immutable suffix allocation that carries its own length, reached through
+// the node's suffix block — one pointer per slot, allocated under the node's
+// lock with the first long key the node holds and kept for life, as
+// Masstree keeps key suffixes out of line. A node of short keys has no
+// block, and a leaf with its records is 440 bytes (an inner node with its
+// children 432), Go's 448-byte size class. Racy (validated-after) readers
+// load the block pointer and then the slot's suffix pointer atomically and
+// read only inside the one allocation it points to, as far as that
+// allocation's own length says; a key length and suffix torn from
+// different keys (or a long key's length before its node's block is
+// published) are memory-safe and rejected by the node-version re-check.
+// Values are *record.Record pointers stored with atomic loads/stores.
 //
 // The validated slot reads (slots.get, slots.cmpAt) are //go:norace, so
 // race builds run this protocol and check everything else (package race).

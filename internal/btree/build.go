@@ -49,7 +49,8 @@ func (t *Tree) Build(workers int, runs ...[]Item) {
 	}
 
 	// The tree frees no node, so the leaves share one allocation, and so do
-	// each stretch's suffixes of the keys longer than a slot's two words.
+	// each stretch's suffixes of the keys longer than a slot's two words,
+	// each stretch's suffix blocks and each inner level's.
 	leaves := make([]leaf, (n+fanout-1)/fanout)
 	level := make([]*node, len(leaves))
 	lows := make([]skey, len(leaves)) // the smallest key under each node of level
@@ -76,15 +77,26 @@ func (t *Tree) Build(workers int, runs ...[]Item) {
 	for len(level) > 1 {
 		inners := make([]inner, (len(level)+fanout)/(fanout+1))
 		up, upLows := make([]*node, len(inners)), make([]skey, len(inners))
+		long := 0 // no node of the level holds more long separators than this
+		for _, k := range lows {
+			if k.sfx != nil {
+				long++
+			}
+		}
+		blks := make([]suffixes, min(long, len(inners)))
 		for g := range inners {
 			in := &inners[g]
 			in.level = level[0].level + 1
 			lo, hi := g*len(level)/len(inners), (g+1)*len(level)/len(inners)
 			for c := lo; c < hi; c++ {
 				in.children[c-lo] = unsafe.Pointer(level[c])
-				if c > lo {
-					in.put(c-lo-1, lows[c])
+				if c == lo {
+					continue
 				}
+				if lows[c].sfx != nil && in.sfx == nil {
+					in.sfx, blks = unsafe.Pointer(&blks[0]), blks[1:]
+				}
+				in.put(c-lo-1, lows[c])
 			}
 			in.nkeys.Store(int32(hi - lo - 1))
 			up[g], upLows[g] = &in.node, lows[lo]
@@ -132,19 +144,26 @@ func cut(runs [][]Item, lo, hi int) [][]Item {
 // its count, its hint, its link to the next, and its entries in level and
 // lows. n is the items of every stretch. It stops at a bad key. Nothing
 // reaches the leaves but through the root Build publishes, so they take
-// plain stores, and a short key leaves its suffix pointer nil.
+// plain stores, and a leaf whose keys are all short gets no suffix block.
+// The stretch's suffixes share one allocation, and so do its leaves'
+// blocks.
 func (st *stretch) fill(leaves []leaf, n int, prev []byte, level []*node, lows []skey) {
-	tails := 0
+	tails, blocks, last := 0, 0, -1
+	i := st.leaf0 * fanout
 	for _, run := range st.runs {
 		for _, it := range run {
 			if len(it.Key) > inlineBytes {
 				tails += 1 + len(it.Key) - inlineBytes
+				if i/fanout != last {
+					blocks, last = blocks+1, i/fanout
+				}
 			}
+			i++
 		}
 	}
-	slab := make([]byte, tails)
+	slab, blks := make([]byte, tails), make([]suffixes, blocks)
 	p := probeOf(prev)
-	i := st.leaf0 * fanout
+	i = st.leaf0 * fanout
 	for _, run := range st.runs {
 		for _, it := range run {
 			q := probeOf(it.Key)
@@ -156,7 +175,10 @@ func (st *stretch) fill(leaves []leaf, n int, prev []byte, level []*node, lows [
 			lf, j := &leaves[i/fanout], i%fanout
 			lf.w0[j], lf.w1[j], lf.n[j] = q.w0, q.w1, uint8(q.n)
 			if q.n > inlineBytes {
-				lf.sfx[j] = newSuffix(q.tail, &slab)
+				if lf.sfx == nil {
+					lf.sfx, blks = unsafe.Pointer(&blks[0]), blks[1:]
+				}
+				(*suffixes)(lf.sfx)[j] = newSuffix(q.tail, &slab)
 			}
 			lf.vals[j] = unsafe.Pointer(it.Rec)
 			i++

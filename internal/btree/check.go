@@ -81,7 +81,7 @@ func checkNode(n *node, lo, hi *probe, leaves *[]*leaf) error {
 		keys[i] = k.probe()
 	}
 	for i := nk; i < fanout; i++ {
-		if s.sfx[i] != nil {
+		if s.suffixAt(i) != nil {
 			return fmt.Errorf("node %p holds a suffix in vacated slot %d", n, i)
 		}
 	}

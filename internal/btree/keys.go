@@ -9,26 +9,49 @@ import (
 	"unsafe"
 )
 
-// Keys in slot form. A node keeps its keys in four parallel arrays: bytes
+// Keys in slot form. A node keeps its keys in three parallel arrays: bytes
 // 0–7 of every key as one big-endian, zero-padded word, bytes 8–15 as a
-// second, the key lengths, and, for keys longer than 16 bytes, a pointer to
-// the rest (the suffix). Comparing the words orders keys as bytes.Compare
-// orders them up to a tie on all 16 bytes, and a tie is settled by the
-// lengths unless both keys go on, so a search reads the first word array —
-// two cache lines — and touches a suffix only on a 16-byte tie.
+// second, and the key lengths. Comparing the words orders keys as
+// bytes.Compare orders them up to a tie on all 16 bytes, and a tie is settled
+// by the lengths unless both keys go on, so a search reads the first word
+// array — two cache lines — and touches a suffix only on a 16-byte tie.
+//
+// The rest of a key longer than 16 bytes (its suffix) lives out of line, as
+// Masstree keeps key suffixes in a block of their own: a node has one
+// pointer to a suffix block, an array of a suffix pointer per slot, which it
+// allocates under its lock when it first receives a long key and keeps for
+// life. A node that never holds one — every node of a tree whose keys fit 16
+// bytes, as YCSB's and TPC-C's do — pays one nil word for it.
 //
 // A suffix is an immutable allocation that carries its own length, and it
-// moves between slots, nodes and separators by pointer. A racy reader may
-// pair one key's length with another key's suffix; it reads the suffix only
-// as far as the suffix says, and the node-version re-check rejects the pair.
+// moves between slots, nodes and separators by pointer. A racy reader loads
+// the block pointer, then the slot's suffix pointer, both atomically. It may
+// pair one key's length with another key's suffix, or with none when the
+// block is not yet published; it reads a suffix only as far as the suffix
+// says, and the node-version re-check rejects the pair.
 const inlineBytes = 16
 
 // slots holds a node's keys; key i is slot i of every array.
 type slots struct {
-	w0  [fanout]uint64         // key bytes 0–7: what a search reads first
-	w1  [fanout]uint64         // key bytes 8–15
-	n   [fanout]uint8          // key length
-	sfx [fanout]unsafe.Pointer // bytes 16 on (see newSuffix); nil for keys of ≤ 16 bytes
+	w0  [fanout]uint64 // key bytes 0–7: what a search reads first
+	w1  [fanout]uint64 // key bytes 8–15
+	n   [fanout]uint8  // key length
+	sfx unsafe.Pointer // *suffixes; nil until the node first holds a key of more than 16 bytes
+}
+
+// suffixes is a node's suffix block: slot i's suffix (see newSuffix), nil
+// for a key of ≤ 16 bytes.
+type suffixes [fanout]unsafe.Pointer
+
+// block returns the node's suffix block, or nil if it has none.
+func (s *slots) block() *suffixes { return (*suffixes)(atomic.LoadPointer(&s.sfx)) }
+
+// suffixAt loads slot i's suffix pointer: the block pointer, then the slot.
+func (s *slots) suffixAt(i int) unsafe.Pointer {
+	if b := s.block(); b != nil {
+		return atomic.LoadPointer(&b[i])
+	}
+	return nil
 }
 
 // skey is one key as a slot holds it.
@@ -42,17 +65,32 @@ type skey struct {
 //
 //go:norace
 func (s *slots) get(i int) skey {
-	return skey{s.w0[i], s.w1[i], s.n[i], atomic.LoadPointer(&s.sfx[i])}
+	return skey{s.w0[i], s.w1[i], s.n[i], s.suffixAt(i)}
 }
 
+// put writes k into slot i, giving the node its suffix block if k is the
+// first long key it holds. Caller holds the node's lock, or the node is
+// not yet reachable.
 func (s *slots) put(i int, k skey) {
 	s.w0[i], s.w1[i], s.n[i] = k.w0, k.w1, k.n
-	atomic.StorePointer(&s.sfx[i], k.sfx)
+	b := s.block()
+	if b == nil {
+		if k.sfx == nil {
+			return
+		}
+		b = new(suffixes)
+		atomic.StorePointer(&s.sfx, unsafe.Pointer(b))
+	}
+	atomic.StorePointer(&b[i], k.sfx)
 }
 
 // drop clears slot i's suffix pointer once the key has moved out of it, so
 // a vacated slot holds no suffix alive.
-func (s *slots) drop(i int) { atomic.StorePointer(&s.sfx[i], nil) }
+func (s *slots) drop(i int) {
+	if b := s.block(); b != nil {
+		atomic.StorePointer(&b[i], nil)
+	}
+}
 
 // makeKey encodes key in slot form, its suffix allocated alone.
 func makeKey(key []byte) skey {
@@ -194,7 +232,7 @@ func (s *slots) cmpAt(i int, p *probe) int {
 	}
 	n := int(s.n[i])
 	if n > inlineBytes && p.n > inlineBytes {
-		return bytes.Compare(suffix(atomic.LoadPointer(&s.sfx[i])), p.tail)
+		return bytes.Compare(suffix(s.suffixAt(i)), p.tail)
 	}
 	return cmp.Compare(n, p.n)
 }

@@ -3,19 +3,168 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
 	"silo/internal/record"
+	"silo/internal/tid"
 )
 
-// TestNodeSize: sixteen keys in slot form and their records or children
-// fit a 576-byte allocation, where sixteen 64-byte inline key slots took
+// TestNodeSize: sixteen keys in slot form, their records or children and
+// one pointer to an out-of-line suffix block fit Go's 448-byte size class
+// (a leaf is 440 bytes, an inner node 432), where sixteen inline suffix
+// pointers took the 576-byte class and sixteen 64-byte inline key slots
 // 1 280 bytes.
 func TestNodeSize(t *testing.T) {
-	if l, i := unsafe.Sizeof(leaf{}), unsafe.Sizeof(inner{}); l > 576 || i > 576 {
-		t.Fatalf("leaf %d bytes, inner %d bytes; want both within 576", l, i)
+	if l, i := unsafe.Sizeof(leaf{}), unsafe.Sizeof(inner{}); l > 448 || i > 448 {
+		t.Fatalf("leaf %d bytes, inner %d bytes; want both within 448", l, i)
+	}
+}
+
+// TestSuffixBlockOnFirstLongKey: a node gets its suffix block with its first
+// key of more than 16 bytes, and only then; a split that moves long keys
+// into a fresh right sibling gives the sibling its own block, and one that
+// moves only short keys gives it none.
+func TestSuffixBlockOnFirstLongKey(t *testing.T) {
+	lowKey := func(i int, long bool) []byte { // "a<i>", sorting below every high key
+		if long {
+			return []byte(fmt.Sprintf("a%d-and-a-long-suffix", i))
+		}
+		return []byte(fmt.Sprintf("a%d", i))
+	}
+	highKey := func(i int, long bool) []byte {
+		if long {
+			return []byte(fmt.Sprintf("b%02d-and-a-long-suffix", i))
+		}
+		return []byte(fmt.Sprintf("b%02d", i))
+	}
+	for _, c := range []struct {
+		name      string
+		highsLong bool // the split moves the high keys right
+	}{{"long-keys-move", true}, {"short-keys-move", false}} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := New()
+			var order []Item // the low half descending, then the high half
+			for i := fanout/2 - 1; i >= 0; i-- {
+				order = append(order, Item{Key: lowKey(i, !c.highsLong), Rec: mkrec(byte(i))})
+			}
+			for i := fanout - 1; i >= fanout/2; i-- {
+				order = append(order, Item{Key: highKey(i, c.highsLong), Rec: mkrec(byte(i))})
+			}
+			hasBlock := false
+			for _, it := range order {
+				tr.InsertIfAbsent(it.Key, it.Rec)
+				hasBlock = hasBlock || len(it.Key) > inlineBytes
+				if got := leavesOf(tr)[0].block() != nil; got != hasBlock {
+					t.Fatalf("after inserting %q the leaf has a suffix block: %v, want %v", it.Key, got, hasBlock)
+				}
+			}
+			// A seventeenth low key, after every low key and away from the
+			// last insert: the full leaf halves, the high keys move right.
+			mid := Item{Key: []byte(fmt.Sprintf("a%d~", fanout/2-1)), Rec: mkrec(fanout)}
+			tr.InsertIfAbsent(mid.Key, mid.Rec)
+			lvs := leavesOf(tr)
+			if len(lvs) != 2 || lvs[1].nkeys.Load() != fanout/2 {
+				t.Fatalf("%d leaves after a split, want 2 with %d keys on the right", len(lvs), fanout/2)
+			}
+			if left, right := lvs[0].block() != nil, lvs[1].block() != nil; !left || right != c.highsLong {
+				t.Fatalf("left and right leaves have suffix blocks %v and %v, want true and %v", left, right, c.highsLong)
+			}
+			want := append(order, mid)
+			slices.SortFunc(want, func(a, b Item) int { return bytes.Compare(a.Key, b.Key) })
+			checkTree(t, tr, want)
+			for _, it := range want {
+				if rec, _, _ := tr.Get(it.Key); rec != it.Rec {
+					t.Fatalf("Get(%q) = %p, want %p", it.Key, rec, it.Rec)
+				}
+			}
+		})
+	}
+}
+
+// TestFirstLongKeyUnderReaders: readers Get and Scan a leaf of short keys
+// while a writer gives it its first long keys, so the suffix block is
+// published under them. Every read answers exactly, and race builds, which
+// check everything but the validated slot reads, report nothing.
+func TestFirstLongKeyUnderReaders(t *testing.T) {
+	short := func(i int) []byte { return []byte(fmt.Sprintf("k%02d", 2*i)) }
+	long := func(i int) []byte { return []byte(fmt.Sprintf("k%02d-and-a-long-suffix", 2*i+1)) }
+	for round := 0; round < 50; round++ {
+		tr := New()
+		var items []Item
+		for i := 0; i < fanout/2; i++ {
+			items = append(items, Item{Key: short(i), Rec: mkrec(byte(i))})
+			tr.InsertIfAbsent(short(i), items[i].Rec)
+		}
+		var stop atomic.Bool
+		var wg, running sync.WaitGroup
+		errs := make(chan error, 2) // the first error of each reader
+		fail := func(err error) {
+			select {
+			case errs <- err:
+			default: // one is enough
+			}
+		}
+		wg.Add(2)
+		running.Add(2)
+		go func() { // Get: short keys always there, long keys once inserted
+			defer wg.Done()
+			running.Done()
+			for i := 0; !stop.Load(); i++ {
+				if rec, _, _ := tr.Get(short(i % (fanout / 2))); rec != items[i%(fanout/2)].Rec {
+					fail(fmt.Errorf("Get(%q) = %p, want %p", short(i%(fanout/2)), rec, items[i%(fanout/2)].Rec))
+					return
+				}
+				if rec, _, _ := tr.Get(long(i % (fanout / 2))); rec != nil && rec.DataLen() != 1 {
+					fail(fmt.Errorf("Get(%q) found a record that is not its own", long(i%(fanout/2))))
+					return
+				}
+			}
+		}()
+		go func() { // Scan: the short keys in order, long keys only whole
+			defer wg.Done()
+			running.Done()
+			for !stop.Load() {
+				var prev []byte
+				n := 0
+				tr.Scan([]byte("k"), nil, nil, func(k []byte, rec *record.Record) bool {
+					if prev != nil && bytes.Compare(prev, k) >= 0 {
+						fail(fmt.Errorf("scan out of order: %q after %q", k, prev))
+					}
+					if len(k) > inlineBytes && !bytes.Equal(k, long(int(k[1]-'0')*5+int(k[2]-'0')/2)) {
+						fail(fmt.Errorf("scan read long key %q", k))
+					}
+					if len(k) <= inlineBytes {
+						n++
+					}
+					prev = append(prev[:0], k...)
+					return true
+				})
+				if n != fanout/2 {
+					fail(fmt.Errorf("scan saw %d short keys, want %d", n, fanout/2))
+				}
+				if len(errs) > 0 {
+					return
+				}
+			}
+		}()
+		running.Wait()
+		for i := 0; i < fanout/2; i++ {
+			tr.InsertIfAbsent(long(i), record.New(tid.Make(1, 1), []byte{byte(i)}))
+		}
+		stop.Store(true)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if lf := leavesOf(tr); len(lf) != 1 || lf[0].block() == nil {
+			t.Fatalf("round %d: %d leaves, the first with a suffix block: %v", round, len(lf), lf[0].block() != nil)
+		}
 	}
 }
 
@@ -94,6 +243,28 @@ func (f *keyFuzz) key() []byte {
 func FuzzTreeKeys(f *testing.F) {
 	f.Add([]byte{0, 0x80, 0, 0, 1, 0, 0x85, 1, 16, 2, 0, 0x85, 1, 16, 3, 5, 0x87, 1, 20, 9, 6, 0, 3, 0, 1})
 	f.Add(bytes.Repeat([]byte{7, 50, 0x85, 0, 16, 0xFF, 7, 40, 0x87, 1, 61, 0}, 8))
+	// Mixed widths: 8-byte keys fill leaves, then 17-byte keys that extend
+	// them arrive among them, ascending and descending, so nodes get their
+	// suffix blocks mid-life and splits move long keys into fresh siblings
+	// and short keys out of nodes that keep their blocks; then scans and
+	// removes over both.
+	for _, down := range []bool{false, true} {
+		var mixed []byte
+		for _, l := range []byte{0x81, 0x85} { // edge lengths 8 and 17
+			for i := 0; i < 40; i++ {
+				v := byte(i)
+				if down {
+					v = byte(39 - i)
+				}
+				mixed = append(mixed, 0, l, 2, 7, v) // insert "kkkkkkk"+v, padded with 'k' to the length
+			}
+		}
+		for i := 0; i < 40; i += 3 {
+			mixed = append(mixed, 6, 0x81, 2, 7, byte(i), 0x85, 2, 7, byte(i+9), 12) // scan 12 from a short key to a long one
+			mixed = append(mixed, 3, 0x85-byte(i%2)*4, 2, 7, byte(i))                // remove a long key or a short one
+		}
+		f.Add(mixed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fz := &keyFuzz{data: data}
 		tr := New()

@@ -8,8 +8,9 @@ import "silo/internal/record"
 // allocate nothing from the shared heap. The Figure 11 "+Allocator" factor
 // toggles it.
 //
-// The classes are record's (16-byte steps up to 256 bytes, then powers of
-// two up to 32 KiB); values beyond the top class get their own heap buffer.
+// The classes are record's (8-byte steps up to 256 bytes, then eight per
+// doubling up to 32 KiB); values beyond the top class get their own heap
+// buffer.
 // A replaced buffer goes back on the list of the class its header names and
 // on no other, so a racy reader of a recycled buffer still reads inside it
 // (see package record).

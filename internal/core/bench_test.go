@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"silo/internal/btree"
 )
 
 // Ablation microbenchmarks for the commit protocol itself: cost as a
@@ -85,12 +87,11 @@ func BenchmarkCommitWriteSetSize(b *testing.B) {
 
 func BenchmarkCommitScanNodeSet(b *testing.B) {
 	// Range-query phantom tracking: cost of building and validating the
-	// node-set for scans of increasing width, up to the whole table. ns/row
-	// is what the bench-tree job gates: from 10000 rows to 100000 it must
-	// not grow. (The 10000-row scan finds its read-set, key arena and
-	// node-set where the last one left them; the 100000-row scan's outgrow
-	// maxReadSet, maxKeyArena and maxNodeSet, so it re-grows them in every
-	// transaction. The narrower widths are trajectory only.)
+	// node-set for scans of increasing width, up to the whole table, as
+	// ns/row. Trajectory only: the 100000-row scan outgrows maxReadSet,
+	// maxKeyArena and maxNodeSet and re-grows all three in every
+	// transaction, so its ns/row carries that re-growth as well as the
+	// node-set's cost (BenchmarkCommitNodeSet prices the node-set alone).
 	const rows = 100000
 	s, tbl := benchStore(b, nil)
 	w := s.Worker(0)
@@ -106,6 +107,38 @@ func BenchmarkCommitScanNodeSet(b *testing.B) {
 					return tx.Scan(tbl, lo[:], hi[:], func(_, _ []byte) bool { return true })
 				})
 			}
+		})
+	}
+}
+
+// BenchmarkCommitNodeSet prices the node-set alone: a transaction observes
+// n distinct leaves, each twice (as a scan that re-reads its range does),
+// and commits, validating them. ns/node is what the bench-tree job gates:
+// a node-set that finds a leaf by linear search pays O(n) per observation,
+// so its ns/node at 2048 leaves is many times its ns/node at 128, where the
+// hashed set's stays flat. Both sizes sit within maxNodeSet, so the worker
+// keeps the set from one transaction to the next and neither re-grows it.
+func BenchmarkCommitNodeSet(b *testing.B) {
+	s := NewStore(DefaultOptions(1))
+	b.Cleanup(s.Close)
+	tbl := s.CreateTable("t")
+	w := s.Worker(0)
+	for _, n := range []int{128, maxNodeSet / 2} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			leaves := make([]btree.Node, n)
+			for i := 0; i < b.N; i++ {
+				if err := w.RunOnce(func(tx *Tx) error {
+					for pass := 0; pass < 2; pass++ {
+						for j := range leaves {
+							tx.addNode(tbl, &leaves[j], leaves[j].Version())
+						}
+					}
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
 		})
 	}
 }

@@ -30,7 +30,7 @@ func scanModes(ix *Index) (batched, streamed uint64) {
 func runBatched(t *testing.T, w *core.Worker, ix *Index, lo, hi []byte) []string {
 	t.Helper()
 	var got []string
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		got = got[:0]
 		return Scan(tx, ix, lo, hi, 0, func(sk, pk, val []byte) bool {
 			got = append(got, fmt.Sprintf("%s/%s=%s", sk, pk, val[12:]))
@@ -52,7 +52,7 @@ func TestBatchedScatteredFallsBackToStreaming(t *testing.T) {
 	w := s.Worker(0)
 	for i := 0; i < 32; i++ {
 		pk := scatterPK(i)
-		if err := w.Run(func(tx *core.Tx) error {
+		if err := runTx(w, func(tx *core.Tx) error {
 			return tx.Insert(users, pk, userVal("AMS", uint64(i), name(i)))
 		}); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
@@ -60,7 +60,7 @@ func TestBatchedScatteredFallsBackToStreaming(t *testing.T) {
 	}
 
 	var ref []string
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		ref = ref[:0]
 		return ScanEntries(tx, byCity, []byte("AMS"), []byte("AMT"), func(sk, pk []byte) bool {
 			val, err := tx.Get(users, pk)

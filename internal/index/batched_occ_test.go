@@ -46,7 +46,7 @@ func TestBatchedResolveRowDeletedInGap(t *testing.T) {
 	w0, w1 := s.Worker(0), s.Worker(1)
 
 	withCollectHook(t, func() {
-		if err := w1.Run(func(tx *core.Tx) error {
+		if err := runTx(w1, func(tx *core.Tx) error {
 			return tx.Delete(users, []byte("u003"))
 		}); err != nil {
 			t.Fatalf("concurrent delete: %v", err)
@@ -77,7 +77,7 @@ func TestBatchedResolveRowMovedInGap(t *testing.T) {
 	w0, w1 := s.Worker(0), s.Worker(1)
 
 	withCollectHook(t, func() {
-		if err := w1.Run(func(tx *core.Tx) error {
+		if err := runTx(w1, func(tx *core.Tx) error {
 			return tx.Put(users, []byte("u003"), userVal("BER", 3, name(3)))
 		}); err != nil {
 			t.Fatalf("concurrent move: %v", err)
@@ -116,7 +116,7 @@ func TestBatchedResolveSameKeyUpdateInGap(t *testing.T) {
 	w0, w1 := s.Worker(0), s.Worker(1)
 
 	withCollectHook(t, func() {
-		if err := w1.Run(func(tx *core.Tx) error {
+		if err := runTx(w1, func(tx *core.Tx) error {
 			return tx.Put(users, []byte("u003"), userVal("AMS", 333, name(3)))
 		}); err != nil {
 			t.Fatalf("concurrent update: %v", err)

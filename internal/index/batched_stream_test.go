@@ -43,7 +43,7 @@ func TestBatchedEmissionOrdersAgree(t *testing.T) {
 			k := []byte(fmt.Sprintf("p%04d", rng.Intn(60)))
 			v := make([]byte, propRowWidth)
 			rng.Read(v)
-			if err := w.Run(func(tx *core.Tx) error {
+			if err := runTx(w, func(tx *core.Tx) error {
 				if rng.Intn(5) == 0 {
 					if err := tx.Delete(tbl, k); err != core.ErrNotFound {
 						return err
@@ -60,7 +60,7 @@ func TestBatchedEmissionOrdersAgree(t *testing.T) {
 		}
 
 		for _, ix := range indexes {
-			if err := w.Run(func(tx *core.Tx) error {
+			if err := runTx(w, func(tx *core.Tx) error {
 				ref, err := propReference(tx, ix, tbl, []byte{0}, nil)
 				if err != nil {
 					return err
@@ -159,7 +159,7 @@ func testScansAllocateNothing(t *testing.T, w *core.Worker, tbl *core.Table, asc
 				if snapshot {
 					err = w.RunSnapshot(func(stx *core.SnapTx) error { return body(stx) })
 				} else {
-					err = w.Run(func(tx *core.Tx) error { return body(tx) })
+					err = runTx(w, func(tx *core.Tx) error { return body(tx) })
 				}
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -201,7 +201,7 @@ func testScansAllocateNothing(t *testing.T, w *core.Worker, tbl *core.Table, asc
 // ascending one's, reversed.
 func testBatchedStagedMatchesStreamed(t *testing.T, w *core.Worker, asc, desc *Index) {
 	page := func(ix *Index, lo, hi []byte) (pks [][]byte) {
-		if err := w.Run(func(tx *core.Tx) error {
+		if err := runTx(w, func(tx *core.Tx) error {
 			pks = pks[:0]
 			return Scan(tx, ix, lo, hi, 0, func(sk, pk, val []byte) bool {
 				if !bytes.Equal(pk, val[:8]) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"silo/internal/core"
+	"silo/internal/trace"
 )
 
 // Test schema: table "users" with primary key u<id> and a fixed-offset row
@@ -38,6 +39,32 @@ func newStore(t *testing.T, workers int) *core.Store {
 	return s
 }
 
+// maxAttempts bounds the attempts runTx makes of one transaction.
+// Worker.Run retries ErrConflict without bound, so a fault that fails
+// every attempt — say the GC unhooking the wrong key — would spin until
+// the test binary's timeout; runTx fails within a second or so instead.
+const maxAttempts = 1000
+
+// runTx is Worker.Run with at most maxAttempts attempts. Past them it
+// returns an ErrConflict naming the last abort's reason, table and key
+// hash, as the flight recorder has them.
+func runTx(w *core.Worker, fn func(tx *core.Tx) error) error {
+	for i := 0; i < maxAttempts; i++ {
+		if err := w.RunOnce(fn); err != core.ErrConflict {
+			return err
+		}
+	}
+	var last trace.Event
+	reason := "none recorded"
+	for _, e := range w.Store().Flight().Dump() {
+		if e.Kind == trace.EvAbort && int(e.Src) == w.ID() {
+			last, reason = e, trace.AbortReasonNames[e.Aux]
+		}
+	}
+	return fmt.Errorf("gave up after %d attempts (%w); the last aborted for %s on table %d, key hash %#x",
+		maxAttempts, core.ErrConflict, reason, last.Table, last.A)
+}
+
 // mustNew declares an index and attaches it to the store.
 func mustNew(t testing.TB, s *core.Store, on *core.Table, name string, unique bool, spec []Seg, include ...Seg) *Index {
 	t.Helper()
@@ -59,7 +86,7 @@ func coverWithSnapshot(s *core.Store) {
 
 func insertUser(t *testing.T, w *core.Worker, users *core.Table, id int, city string, score uint64, name string) {
 	t.Helper()
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		return tx.Insert(users, []byte(fmt.Sprintf("u%03d", id)), userVal(city, score, name))
 	}); err != nil {
 		t.Fatalf("insert user %d: %v", id, err)
@@ -70,7 +97,7 @@ func insertUser(t *testing.T, w *core.Worker, users *core.Table, id int, city st
 func collect(t *testing.T, w *core.Worker, ix *Index, lo, hi []byte) []string {
 	t.Helper()
 	var got []string
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		got = got[:0]
 		return Scan(tx, ix, lo, hi, 0, func(sk, pk, val []byte) bool {
 			if !bytes.Equal(sk, val[:len(sk)]) {
@@ -103,7 +130,7 @@ func TestMaintenanceAndScan(t *testing.T) {
 
 	// Update that moves the secondary key: the old entry vanishes, the new
 	// one appears, atomically.
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		return tx.Put(users, []byte("u001"), userVal("BER", 11, "ada"))
 	}); err != nil {
 		t.Fatal(err)
@@ -117,7 +144,7 @@ func TestMaintenanceAndScan(t *testing.T) {
 
 	// Update that keeps the secondary key must not touch entries (count is
 	// stable and the scan still resolves).
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		return tx.Put(users, []byte("u003"), userVal("AMS", 31, "cyd"))
 	}); err != nil {
 		t.Fatal(err)
@@ -127,7 +154,7 @@ func TestMaintenanceAndScan(t *testing.T) {
 	}
 
 	// Delete removes the entry.
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		return tx.Delete(users, []byte("u003"))
 	}); err != nil {
 		t.Fatal(err)
@@ -137,7 +164,7 @@ func TestMaintenanceAndScan(t *testing.T) {
 	}
 
 	// Insert+delete and delete+reinsert inside one transaction net out.
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		if err := tx.Insert(users, []byte("u009"), userVal("AMS", 1, "zed")); err != nil {
 			return err
 		}
@@ -172,7 +199,7 @@ func TestCoveringRewriteDuringBackfillWindow(t *testing.T) {
 	byCity := mustNew(t, s, users, "users_by_city", false, cityKey,
 		Seg{FromValue: true, Off: 4, Len: 8}) // the score field
 	// Hook live, zero entries: update u001's score (sk unchanged).
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		return tx.Put(users, []byte("u001"), userVal("AMS", 11, "ada"))
 	}); err != nil {
 		t.Fatalf("update during backfill window: %v", err)
@@ -185,7 +212,7 @@ func TestCoveringRewriteDuringBackfillWindow(t *testing.T) {
 	}
 	// Exactly one entry per row, each carrying the current score.
 	var got []string
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		got = got[:0]
 		return ScanCovering(tx, byCity, []byte("AMS"), []byte("AMT"), 0, func(_, pk, fields []byte) bool {
 			got = append(got, fmt.Sprintf("%s=%d", pk, binary.BigEndian.Uint64(fields)))
@@ -206,7 +233,7 @@ func TestBackfillAndIdempotence(t *testing.T) {
 
 	// More rows than one backfill batch, loaded before the index exists.
 	const n = backfillBatch*2 + 17
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		for i := 0; i < n; i++ {
 			city := fmt.Sprintf("C%02d", i%7)
 			if err := tx.Insert(users, []byte(fmt.Sprintf("u%04d", i)), userVal(city, uint64(i), fmt.Sprintf("name%04d", i))); err != nil {
@@ -254,7 +281,7 @@ func TestUniqueIndex(t *testing.T) {
 	insertUser(t, w, users, 2, "BER", 2, "bob")
 
 	// Lookup resolves through the entry to the row.
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		pk, val, err := Lookup(tx, byName, []byte("bob"))
 		if err != nil {
 			return err
@@ -284,7 +311,7 @@ func TestUniqueIndex(t *testing.T) {
 
 func getRow(w *core.Worker, tbl *core.Table, pk string) ([]byte, error) {
 	var out []byte
-	err := w.Run(func(tx *core.Tx) error {
+	err := runTx(w, func(tx *core.Tx) error {
 		v, err := tx.Get(tbl, []byte(pk))
 		out = v
 		return err
@@ -328,7 +355,7 @@ func TestDanglingEntryConflicts(t *testing.T) {
 	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
 
 	insertUser(t, w, users, 1, "AMS", 1, "ada")
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		return tx.Insert(byCity.Entries, []byte("AMSu999"), []byte("u999"))
 	}); err != nil {
 		t.Fatal(err)
@@ -362,7 +389,7 @@ func TestDanglingEntryEndsRun(t *testing.T) {
 	users := s.CreateTable("users")
 	w := s.Worker(0)
 	byCity := mustNew(t, s, users, "users_by_city", false, cityKey)
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		return tx.Insert(byCity.Entries, []byte("AMSu999"), []byte("u999"))
 	}); err != nil {
 		t.Fatal(err)
@@ -395,7 +422,7 @@ func TestSnapshotScan(t *testing.T) {
 	// Advance far enough that the snapshot epoch covers the inserts, then
 	// change the index; the snapshot must see the old index state.
 	coverWithSnapshot(s)
-	if err := w.Run(func(tx *core.Tx) error {
+	if err := runTx(w, func(tx *core.Tx) error {
 		if err := tx.Put(users, []byte("u001"), userVal("BER", 1, "ada")); err != nil {
 			return err
 		}

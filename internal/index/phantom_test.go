@@ -89,7 +89,7 @@ func TestIndexScanSeesConcurrentRowUpdate(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.Run(func(wtx *core.Tx) error {
+	if err := runTx(w1, func(wtx *core.Tx) error {
 		return wtx.Put(users, []byte("u001"), userVal("AMS", 99, "ada"))
 	}); err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func benchSetup(b testing.TB, include []Seg, scattered bool) (*core.Store, *Inde
 		if hi > benchRows {
 			hi = benchRows
 		}
-		if err := w.Run(func(tx *core.Tx) error {
+		if err := runTx(w, func(tx *core.Tx) error {
 			for i := lo; i < hi; i++ {
 				kb = binary.BigEndian.AppendUint64(kb[:0], uint64(i))
 				if scattered {
@@ -81,7 +81,7 @@ func BenchmarkScanResolvePerEntry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		lo = benchLo(lo, i)
-		if err := w.Run(func(tx *core.Tx) error {
+		if err := runTx(w, func(tx *core.Tx) error {
 			n = 0
 			return Scan(tx, ix, lo, nil, benchScanLen, func(_, _, _ []byte) bool {
 				n++
@@ -105,7 +105,7 @@ func BenchmarkScanResolveBatched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		lo = benchLo(lo, i)
-		if err := w.Run(func(tx *core.Tx) error {
+		if err := runTx(w, func(tx *core.Tx) error {
 			n = 0
 			return Scan(tx, ix, lo, nil, benchScanLen, func(_, _, _ []byte) bool {
 				n++
@@ -131,7 +131,7 @@ func BenchmarkScanResolveCovering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		lo = benchLo(lo, i)
-		if err := w.Run(func(tx *core.Tx) error {
+		if err := runTx(w, func(tx *core.Tx) error {
 			n = 0
 			return ScanCovering(tx, ix, lo, nil, benchScanLen, func(_, _, _ []byte) bool {
 				n++

@@ -86,7 +86,7 @@ func TestScanEquivalenceProperty(t *testing.T) {
 			}
 			for i := 0; i < ops; i++ {
 				k := pk(rng.Intn(keys))
-				if err := w.Run(func(tx *core.Tx) error {
+				if err := runTx(w, func(tx *core.Tx) error {
 					switch rng.Intn(5) {
 					case 0: // delete (missing is fine)
 						if err := tx.Delete(tbl, k); err != core.ErrNotFound {
@@ -188,7 +188,7 @@ func TestScanEquivalenceProperty(t *testing.T) {
 				}
 				return nil
 			}
-			if err := w.Run(func(tx *core.Tx) error { return check("tx", tx) }); err != nil {
+			if err := runTx(w, func(tx *core.Tx) error { return check("tx", tx) }); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.RunSnapshot(func(stx *core.SnapTx) error { return check("snapshot", stx) }); err != nil {

@@ -10,7 +10,7 @@ import (
 
 func mustRun(t *testing.T, w *core.Worker, fn func(tx *core.Tx) error) {
 	t.Helper()
-	if err := w.Run(fn); err != nil {
+	if err := runTx(w, fn); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -43,6 +43,7 @@
 package record
 
 import (
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 	"unsafe"
@@ -63,20 +64,26 @@ type Record struct {
 }
 
 // Buffer classes. A header word holds the value length above classBits and
-// the buffer's class below. Classes step by 16 bytes up to 256, then double
-// up to 32 KiB; a value too long for the top class gets a buffer of its own
-// size, of exactClass, whose length — too wide for the header — sits in a
-// second word after it. Buffers of a class are recycled (by the engine's
-// per-worker arena); exact ones never are.
+// the buffer's class below. Classes step by 8 bytes up to 256, then by an
+// eighth of each doubling — 288, 320, … 512, 576, … — up to 32 KiB, so a
+// buffer wastes at most 7 bytes or an eighth of what it holds (Go's own
+// size classes keep the same bound); a value too long for the top class
+// gets a buffer of its own size, of exactClass, whose length — too wide for
+// the header — sits in a second word after it. Buffers of a class are
+// recycled (by the engine's per-worker arena); exact ones never are.
 const (
 	hdrBytes   = 4
-	classBits  = 5
+	classBits  = 7
 	classMask  = 1<<classBits - 1
 	exactClass = classMask
-	stepTop    = 256 // the last class of the 16-byte steps
+	stepBytes  = 8 // the step of the classes up to stepTop
+	stepLog    = 8 // stepTop is 1<<stepLog bytes …
+	stepTop    = 1 << stepLog
+	topLog     = 15 // … and the top class 1<<topLog
+	eighthLog  = 3  // 1<<eighthLog classes per doubling above stepTop
 
 	// NumClasses is the number of recyclable buffer classes.
-	NumClasses = stepTop/16 + 7
+	NumClasses = stepTop/stepBytes + (topLog-stepLog)<<eighthLog
 )
 
 // BufClass returns the class of the buffer that holds an n-byte value, or
@@ -84,27 +91,29 @@ const (
 func BufClass(n int) int {
 	need := hdrBytes + n
 	if need <= stepTop {
-		return (need+15)/16 - 1
+		return (need+stepBytes-1)/stepBytes - 1
 	}
-	c := stepTop/16 - 1
-	for sz := stepTop; sz < need; sz <<= 1 {
-		c++
-	}
+	// need−1 lies in [2^e, 2^(e+1)); its top four bits pick the eighth.
+	m := uint(need - 1)
+	e := bits.Len(m) - 1
+	c := stepTop/stepBytes + (e-stepLog)<<eighthLog + int(m>>(e-eighthLog)) - 1<<eighthLog
 	return min(c, NumClasses)
 }
 
 // BufSize returns the size in bytes, header included, of a class-c buffer.
 func BufSize(c int) int {
-	if c < stepTop/16 {
-		return 16 * (c + 1)
+	if c < stepTop/stepBytes {
+		return stepBytes * (c + 1)
 	}
-	return stepTop << (c - (stepTop/16 - 1))
+	// Class k past the steps is (9 + k%8) eighths of 2^(stepLog + k/8).
+	k := c - stepTop/stepBytes
+	return (1<<eighthLog + k%(1<<eighthLog) + 1) << (stepLog + k>>eighthLog - eighthLog)
 }
 
 // Carve cuts a never-used class-c buffer (c < NumClasses) from the front of
 // *chunk, which it first replaces with a fresh chunk of next bytes — or of
 // the buffer's size, if larger — when too little is left. Every buffer size
-// is a multiple of 16, so each piece's header stays aligned.
+// is a multiple of 8, so each piece's header stays aligned.
 func Carve(chunk *[]byte, c, next int) []byte {
 	sz := BufSize(c)
 	if len(*chunk) < sz {

@@ -82,25 +82,32 @@ func TestSetDataReturnsOld(t *testing.T) {
 	}
 	// The replaced buffer refills with any value of its class.
 	r.Lock()
-	if again := r.SetDataLocked([]byte("twelve bytes"), old); again == nil {
+	if again := r.SetDataLocked([]byte("abc"), old); again == nil {
 		t.Fatal("the second buffer was not handed back")
 	}
 	r.Unlock(tid.Make(1, 3).WithLatest(true))
-	if val, _ := r.Read(nil); string(val) != "twelve bytes" {
+	if val, _ := r.Read(nil); string(val) != "abc" {
 		t.Fatalf("val=%q", val)
 	}
 }
 
-// TestBufClasses pins the class table: 16-byte steps up to 256 bytes, a
-// 100-byte value in 112 (with its 4-byte header), doubling up to 32 KiB,
-// and beyond that no class.
+// TestBufClasses pins the class table: 8-byte steps up to 256 bytes, a
+// 100-byte value in 104 (with its 4-byte header) and a 310-byte TPC-C stock
+// row in 320, eight classes per doubling up to 32 KiB, and beyond that no
+// class. Every value up to the top class wastes at most max(7, n/8) bytes
+// of its buffer.
 func TestBufClasses(t *testing.T) {
 	for _, c := range []struct{ n, size int }{
-		{1, 16}, {12, 16}, {13, 32}, {100, 112}, {252, 256}, {253, 512},
-		{1020, 1024}, {32764, 32768},
+		{1, 8}, {4, 8}, {5, 16}, {12, 16}, {13, 24}, {100, 104}, {252, 256}, {253, 288},
+		{310, 320}, {508, 512}, {509, 576}, {1020, 1024}, {1021, 1152}, {32764, 32768},
 	} {
 		if got := BufSize(BufClass(c.n)); got != c.size {
 			t.Errorf("a %d-byte value takes a %d-byte buffer, want %d", c.n, got, c.size)
+		}
+	}
+	for n := 1; n <= BufSize(NumClasses-1)-hdrBytes; n++ {
+		if slack := BufSize(BufClass(n)) - hdrBytes - n; slack < 0 || slack > max(7, n/8) {
+			t.Fatalf("a %d-byte value leaves %d bytes of its %d-byte buffer unused", n, slack, BufSize(BufClass(n)))
 		}
 	}
 	if BufClass(32765) != NumClasses {
@@ -120,7 +127,7 @@ func TestBufClasses(t *testing.T) {
 // (no buffer, none handed back), a value filling its class exactly, and
 // values too long for any class, which are never handed back for reuse.
 func TestValueSizes(t *testing.T) {
-	for _, n := range []int{0, 1, 12, 13, 108, 252, 32764, 32765, 100 << 10} {
+	for _, n := range []int{0, 1, 4, 5, 12, 13, 108, 252, 253, 1021, 32764, 32765, 100 << 10} {
 		v := make([]byte, n)
 		for i := range v {
 			v[i] = byte(i * 7)
