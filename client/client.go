@@ -4,10 +4,21 @@
 // A Client multiplexes requests over a small pool of TCP connections.
 // Each connection pipelines: any number of goroutines may issue requests
 // concurrently, requests are written back-to-back without waiting for
-// responses — frames from callers that arrive together leave in one
-// write — and the server answers in order, so one connection sustains
+// responses, and the server answers in order, so one connection sustains
 // many in-flight one-shot transactions. Calls block until their response
 // arrives (closed loop per calling goroutine).
+//
+// A connection's reader completes responses a burst at a time: every
+// response already complete in its read buffer, matched to the oldest
+// queued callers under one lock and woken in order. The callers of a
+// burst tend to send their next requests together, so the reader holds
+// the write for them: the last of them to append writes every follow-up
+// in one syscall, and if some do not come back, the reader writes what
+// the others appended. The reader writes only while the bytes of every
+// unanswered request fit well inside the socket's send buffer, so its
+// write can never block; otherwise a caller writes, as a caller always
+// may. A reader blocked in a write would deadlock against a server
+// blocked writing to it.
 //
 // All methods are safe for concurrent use. Returned byte slices are
 // freshly owned by the caller.
@@ -22,6 +33,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"silo"
@@ -450,23 +462,57 @@ func (t *Txn) Trace() ([]Result, *silo.TxnSpans, error) {
 // ---------------------------------------------------------------------------
 // Connection
 
-// conn is one pipelined TCP connection. Callers append their frame to
-// wbuf and enqueue their waiter under the mutex, so the FIFO of waiters
-// matches the order requests hit the wire; whichever caller finds no
-// flush running becomes the flusher and writes everything that has
-// accumulated — its own frame and any appended meanwhile — one nc.Write
-// per pass, so a burst of concurrent callers costs one syscall. A single
-// reader goroutine delivers responses to waiters in order.
-type conn struct {
-	nc net.Conn
+// maxDepth is the pipeline depth at which a call fails fast instead of
+// queueing deeper (see roundTrip): the capacity of a connection's ring of
+// waiters.
+const maxDepth = 1024
 
-	mu       sync.Mutex
-	wbuf     []byte // frames appended, not yet handed to nc.Write
-	spare    []byte // the other half of the double buffer
-	flushing bool   // a caller is in flush; it will write wbuf
-	pending  chan *waiter
-	broken   bool
-	err      error
+// maxBurst caps the responses the reader completes under one lock.
+const maxBurst = 64
+
+var errDepth = errors.New("client: pipeline depth exceeded")
+
+// conn is one pipelined TCP connection. Callers append their frame to
+// wbuf and their waiter to the ring under the mutex, so the ring's order
+// is the order requests hit the wire; whichever caller finds no write
+// under way becomes the flusher and writes everything that has
+// accumulated — its own frame and any appended meanwhile — one nc.Write
+// per pass.
+//
+// A single reader goroutine completes responses a burst at a time (see
+// readLoop). When a burst wakes several callers, the reader takes the
+// flusher's role before it wakes them, so their follow-up requests only
+// append, and owes the role to the last of them: the append that settles
+// the burst takes the role over and writes every follow-up in one pass. A
+// caller that does not come back leaves the reader to write what the
+// others appended (readerFlush).
+//
+// The reader must never block in Write: stuck there while the server's
+// writer is stuck on this connection's full receive buffer, neither side
+// would read again. So the reader writes only while the frames of every
+// unanswered request, those it is about to send included, fit in sendMax
+// bytes, a quarter of the send buffer the kernel reported at dial:
+// however little of them the server has read, the kernel holds them all.
+// An append that passes the bound takes the role over (after a write the
+// reader has under way ends); its caller, not the reader, writes.
+type conn struct {
+	nc      net.Conn
+	sendMax int // the reader's write bound; 0: the reader never writes
+
+	mu         sync.Mutex
+	wbuf       []byte    // frames appended, not yet handed to nc.Write
+	spare      []byte    // the other half of the double buffer
+	inbuf      int       // frames in wbuf
+	flushing   bool      // the flusher's role is taken: a caller's or the reader's
+	reader     bool      // the role is the reader's
+	owed       int       // while it is: appends until a caller takes it over
+	writing    bool      // the reader is in nc.Write
+	handback   sync.Cond // callers taking the role over, waiting for writing to end
+	ring       [maxDepth]*waiter
+	head, n    int // the queued waiters: ring[head], … n of them
+	unanswered int // frame bytes of the queued waiters
+	broken     bool
+	err        error
 }
 
 // waiter is one caller's parked round trip: the reader (or fail) fills
@@ -476,6 +522,7 @@ type waiter struct {
 	done chan struct{} // buffered, so the reader never blocks on a caller
 	resp wire.Response
 	err  error
+	size int // the request frame's bytes
 }
 
 var waiterPool = sync.Pool{New: func() any { return &waiter{done: make(chan struct{}, 1)} }}
@@ -492,11 +539,24 @@ func dialConn(addr string, opts Options) (*conn, error) {
 }
 
 func newConn(nc net.Conn, maxFrame int) *conn {
-	// 1024 waiters: the pipeline depth at which a call fails fast instead
-	// of queueing deeper (see roundTrip).
-	c := &conn{nc: nc, pending: make(chan *waiter, 1024)}
+	c := &conn{nc: nc, sendMax: sendBuffer(nc) / 4}
+	c.handback.L = &c.mu
 	go c.readLoop(maxFrame)
 	return c
+}
+
+// sendBuffer returns the send buffer size the kernel reports for nc's
+// socket, 0 for a connection without one.
+func sendBuffer(nc net.Conn) int {
+	sc, ok := nc.(syscall.Conn)
+	if !ok {
+		return 0
+	}
+	raw, err := sc.SyscallConn()
+	if err != nil {
+		return 0
+	}
+	return sockSendBuffer(raw)
 }
 
 func (c *conn) roundTrip(req *wire.Request) (wire.Response, error) {
@@ -506,26 +566,32 @@ func (c *conn) roundTrip(req *wire.Request) (wire.Response, error) {
 		c.mu.Unlock()
 		return wire.Response{}, err
 	}
+	// A full ring means a thousand in-flight requests on one connection,
+	// where failing fast — before the frame is appended, so the connection
+	// stays usable — beats queueing deeper.
+	if c.n == maxDepth {
+		c.mu.Unlock()
+		return wire.Response{}, errDepth
+	}
 	buf, err := wire.AppendRequest(c.wbuf, req)
 	if err != nil {
 		c.mu.Unlock()
 		return wire.Response{}, err
 	}
-	// The waiter must be enqueued before any request byte can reach the
-	// wire, or a fast server could respond while no waiter is queued. The
-	// send is non-blocking: hitting the cap means a thousand in-flight
-	// requests on one connection, where failing fast (without poisoning
-	// the connection — the frame is dropped from wbuf again) beats
-	// queueing deeper.
+	// The waiter is queued before any byte of the frame can reach the
+	// wire, or a fast server could respond while no waiter is queued.
 	w := waiterPool.Get().(*waiter)
-	select {
-	case c.pending <- w:
-	default:
-		c.mu.Unlock()
-		waiterPool.Put(w)
-		return wire.Response{}, errors.New("client: pipeline depth exceeded")
-	}
+	w.size = len(buf) - len(c.wbuf)
 	c.wbuf = buf
+	c.inbuf++
+	c.ring[(c.head+c.n)%maxDepth] = w
+	c.n++
+	c.unanswered += w.size
+	if c.reader {
+		if c.owed--; c.owed <= 0 || c.unanswered > c.sendMax {
+			c.takeOver()
+		}
+	}
 	if c.flushing {
 		c.mu.Unlock()
 	} else {
@@ -539,62 +605,138 @@ func (c *conn) roundTrip(req *wire.Request) (wire.Response, error) {
 	return resp, err
 }
 
-// flush writes wbuf until it is empty; called with c.mu held, returns
-// with it released. While the write runs outside the mutex, callers
-// append to the other buffer. When other requests are already in flight
-// their callers tend to wake together (the server answers a burst with
-// one write), so the flusher yields once to let the just-woken ones
-// append first; a lone request never pays the yield.
+// pop takes the oldest waiter off the ring; called with c.mu held.
+func (c *conn) pop() *waiter {
+	w := c.ring[c.head]
+	c.ring[c.head] = nil
+	c.head = (c.head + 1) % maxDepth
+	c.n--
+	c.unanswered -= w.size
+	return w
+}
+
+// flush writes wbuf until it is empty; called with c.mu held by a caller
+// that found no write under way, returns with it released. While a write
+// runs outside the mutex, callers append to the other buffer.
 func (c *conn) flush() {
 	c.flushing = true
-	if len(c.pending) > 1 {
-		c.mu.Unlock()
-		runtime.Gosched()
-		c.mu.Lock()
-	}
 	for len(c.wbuf) > 0 && !c.broken {
-		out := c.wbuf
-		c.wbuf = c.spare[:0]
-		c.mu.Unlock()
-		_, err := c.nc.Write(out)
-		if err != nil {
-			// Every queued waiter fails, this caller's own and those whose
-			// bytes were only buffered; fail pops each from pending once.
-			c.fail(err)
-		}
-		c.mu.Lock()
-		c.spare = out
+		c.writeOut()
 	}
 	c.flushing = false
 	c.mu.Unlock()
 }
 
+// takeOver frees the reader's role for the calling caller, which then
+// finds no flusher and writes: once the burst it was owed is settled, or
+// once the unanswered frames outgrow the reader's bound. A write the
+// reader has under way ends first. Called with c.mu held.
+func (c *conn) takeOver() {
+	for c.writing {
+		c.handback.Wait()
+	}
+	if c.reader {
+		c.reader, c.flushing = false, false
+	}
+}
+
+// readerFlush is the reader's write, after the callers of a burst it holds
+// the role for have had their turn: called with c.mu held, it writes what
+// they appended while the role is still its own and every unanswered
+// frame fits sendMax. It keeps the role for the callers still owed while
+// responses are due — the last of them takes it over, or the next burst
+// finds it — and gives it up otherwise, since no response would bring the
+// reader back to write what they append. Returns with c.mu released.
+func (c *conn) readerFlush() {
+	for c.reader && len(c.wbuf) > 0 && !c.broken && c.unanswered <= c.sendMax {
+		c.writing = true
+		c.writeOut()
+		c.writing = false
+		c.handback.Broadcast()
+	}
+	if c.reader && (c.n == c.inbuf || c.broken) {
+		c.reader, c.flushing = false, false
+	}
+	c.mu.Unlock()
+}
+
+// writeOut hands wbuf to one nc.Write outside the mutex; called and
+// returns with c.mu held.
+func (c *conn) writeOut() {
+	out := c.wbuf
+	c.wbuf, c.inbuf = c.spare[:0], 0
+	c.mu.Unlock()
+	if _, err := c.nc.Write(out); err != nil {
+		// Every queued waiter fails, the writer's own and those whose
+		// bytes were only buffered; fail takes each off the ring once.
+		c.fail(err)
+	}
+	c.mu.Lock()
+	c.spare = out
+}
+
+// readLoop completes responses a burst at a time: the frame it waited for
+// and every frame already complete behind it in the read buffer. It takes
+// the burst's waiters off the ring in one critical section and wakes each
+// in order. A burst that wakes several callers is one whose follow-ups
+// should leave together: the reader takes the flusher's role before the
+// wake-ups, owing it to the burst's callers, and yields once so those it
+// has just readied on its processor run and append; what the callers
+// still owed have not settled by then it writes itself (readerFlush).
 func (c *conn) readLoop(maxFrame int) {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
+	var (
+		resps []wire.Response
+		burst []*waiter
+	)
 	for {
-		payload, err := wire.ReadFrame(br, maxFrame)
-		if err != nil {
-			c.fail(fmt.Errorf("client: read: %w", err))
-			return
+		resps = resps[:0]
+		for len(resps) == 0 || len(resps) < maxBurst && wire.FrameBuffered(br) {
+			payload, err := wire.ReadFrame(br, maxFrame)
+			if err != nil {
+				c.fail(fmt.Errorf("client: read: %w", err))
+				return
+			}
+			resp, err := wire.DecodeResponse(payload)
+			if err != nil {
+				c.fail(fmt.Errorf("client: decode: %w", err))
+				return
+			}
+			resps = append(resps, resp)
 		}
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
-			c.fail(fmt.Errorf("client: decode: %w", err))
-			return
+		c.mu.Lock()
+		burst = burst[:0]
+		for len(burst) < len(resps) && c.n > 0 {
+			burst = append(burst, c.pop())
 		}
-		select {
-		case w := <-c.pending:
-			w.resp = resp
+		stray := len(burst) < len(resps)
+		// A role the reader still holds from an earlier burst is renewed:
+		// its frames go out with this burst's.
+		hold := !stray && c.sendMax > 0 && c.unanswered <= c.sendMax &&
+			(c.reader || !c.flushing && len(burst) > 1)
+		if hold {
+			c.flushing, c.reader, c.owed = true, true, len(burst)
+		}
+		c.mu.Unlock()
+		for i, w := range burst {
+			w.resp = resps[i]
 			w.done <- struct{}{}
-		default:
+			burst[i], resps[i] = nil, wire.Response{}
+		}
+		if stray {
 			c.fail(errors.New("client: response without matching request"))
 			return
+		}
+		if hold {
+			runtime.Gosched()
+			c.mu.Lock()
+			c.readerFlush()
 		}
 	}
 }
 
-// fail marks the connection broken, closes it, and wakes every waiter
-// with the connection's error.
+// fail marks the connection broken, closes it, and wakes every queued
+// waiter with the connection's error.
 func (c *conn) fail(err error) {
 	c.mu.Lock()
 	if c.broken {
@@ -603,17 +745,16 @@ func (c *conn) fail(err error) {
 	}
 	c.broken = true
 	c.err = err
+	// No waiter joins the ring once broken is set, and each leaves it here
+	// or in the reader's burst, never both: exactly one signal per waiter.
+	queued := make([]*waiter, 0, c.n)
+	for c.n > 0 {
+		queued = append(queued, c.pop())
+	}
 	c.mu.Unlock()
 	c.nc.Close()
-	// No waiter joins pending once broken is set, and each is received
-	// here or by the reader, never both: exactly one signal per waiter.
-	for {
-		select {
-		case w := <-c.pending:
-			w.err = err
-			w.done <- struct{}{}
-		default:
-			return
-		}
+	for _, w := range queued {
+		w.err = err
+		w.done <- struct{}{}
 	}
 }

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -13,15 +15,17 @@ import (
 	"silo/wire"
 )
 
-// countConn counts Write calls, the client's syscalls per request.
+// countConn counts Write calls, the client's syscalls per request. It
+// passes its socket on, so the connection's reader writes under the same
+// bound as on a dialed connection.
 type countConn struct {
-	net.Conn
+	*net.TCPConn
 	writes atomic.Int64
 }
 
 func (c *countConn) Write(p []byte) (int, error) {
 	c.writes.Add(1)
-	return c.Conn.Write(p)
+	return c.TCPConn.Write(p)
 }
 
 // wireEnv is an in-process server on loopback and one client whose
@@ -55,7 +59,7 @@ func newWireEnv(tb testing.TB, conns int) *wireEnv {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		cc := &countConn{Conn: nc}
+		cc := &countConn{TCPConn: nc.(*net.TCPConn)}
 		e.conns = append(e.conns, cc)
 		e.cl.conns = append(e.cl.conns, newConn(cc, wire.MaxFrame))
 	}
@@ -211,13 +215,20 @@ func park(t *testing.T, c *conn, n int) chan error {
 		}(i)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for len(c.pending) < n {
+	for c.queued() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d callers queued", len(c.pending), n)
+			t.Fatalf("%d of %d callers queued", c.queued(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	return errs
+}
+
+// queued is the number of waiters on c's ring.
+func (c *conn) queued() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
 }
 
 // TestWriteErrorFailsEveryWaiterOnce: when the flusher's write fails,
@@ -247,7 +258,7 @@ func TestWriteErrorFailsEveryWaiterOnce(t *testing.T) {
 			t.Fatalf("%d of %d callers never woke", callers-i, callers)
 		}
 	}
-	if n := len(c.pending); n != 0 {
+	if n := c.queued(); n != 0 {
 		t.Errorf("%d waiters still queued after the failure", n)
 	}
 	if _, err := c.roundTrip(&wire.Request{Ops: []wire.Op{{Kind: wire.KindGet, Table: "t", Key: []byte("k")}}}); err == nil {
@@ -268,7 +279,7 @@ func TestWriteErrorFailsEveryWaiterOnce(t *testing.T) {
 func TestPipelineDepthExceededAppendsNothing(t *testing.T) {
 	c, far := stalledConn()
 	defer far.Close()
-	errs := park(t, c, cap(c.pending))
+	errs := park(t, c, maxDepth)
 
 	c.mu.Lock()
 	before := len(c.wbuf)
@@ -287,12 +298,269 @@ func TestPipelineDepthExceededAppendsNothing(t *testing.T) {
 		t.Error("refused call broke the connection")
 	}
 
-	c.fail(ErrClosed)
-	for i := 0; i < cap(c.pending); i++ {
+	// The peer now answers every frame: the queued calls and a later one
+	// all succeed on the same connection.
+	go echoKeys(far, 0)
+	for i := 0; i < maxDepth; i++ {
 		select {
-		case <-errs:
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("queued call after the refusal: %v", err)
+			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%d callers never woke after close", cap(c.pending)-i)
+			t.Fatalf("%d queued callers never completed", maxDepth-i)
+		}
+	}
+	resp, err := c.roundTrip(&wire.Request{Ops: []wire.Op{{Kind: wire.KindGet, Table: "t", Key: []byte("after")}}})
+	if err != nil || string(resp.Value) != "after" {
+		t.Fatalf("call after the refusal: %q, %v", resp.Value, err)
+	}
+	c.fail(ErrClosed)
+}
+
+// echoKeys is a stub peer: it answers each request frame on nc with a
+// VALUE holding the request's first key, gathering up to burst frames
+// into one write (0: one write per frame), until the connection closes.
+func echoKeys(nc net.Conn, burst int) {
+	br := bufio.NewReader(nc)
+	var out []byte
+	var req wire.Request
+	for n := 0; ; {
+		payload, err := wire.ReadFrame(br, wire.MaxFrame)
+		if err != nil {
+			return
+		}
+		if err := wire.DecodeRequestInto(payload, &req, nil); err != nil {
+			return
+		}
+		out, _ = wire.AppendResponse(out, &wire.Response{Kind: wire.KindValue, Value: req.Ops[0].Key})
+		if n++; n < burst {
+			continue
+		}
+		if _, err := nc.Write(out); err != nil {
+			return
+		}
+		out, n = out[:0], 0
+	}
+}
+
+// TestBurstCompletesInOrder: a peer that answers k pipelined requests
+// with one write hands the reader a burst of k complete responses, which
+// it completes under one lock; each caller gets the response to its own
+// request, which only a ring kept in request order gives.
+func TestBurstCompletesInOrder(t *testing.T) {
+	const k = 16
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		echoKeys(nc, k)
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newConn(nc, wire.MaxFrame)
+	defer c.fail(ErrClosed)
+	for round := 0; round < 50; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				key := fmt.Sprintf("r%d-c%d", round, i)
+				resp, err := c.roundTrip(&wire.Request{Ops: []wire.Op{{Kind: wire.KindGet, Table: "t", Key: []byte(key)}}})
+				if err != nil || string(resp.Value) != key {
+					t.Errorf("caller %s got %q, %v", key, resp.Value, err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+}
+
+// TestReaderNeverBlocksInWrite: 64 callers pipeline 1 MiB PUTs, each
+// answered by a 1 MiB value, and small GETs, over socket buffers far
+// smaller than one frame, to a peer that reads a frame and then writes
+// its answer. Bursts of small answers make the reader take the
+// flusher's role, and the callers it wakes follow up with 1 MiB frames. A
+// reader that wrote those itself would block while the peer blocks on
+// writing to it, and neither would read again; under the reader's bound
+// the callers write them, and the pipeline completes.
+func TestReaderNeverBlocksInWrite(t *testing.T) {
+	const (
+		window = 64
+		rounds = 3
+		big    = 1 << 20
+		sock   = 16 << 10
+	)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		tc := nc.(*net.TCPConn)
+		tc.SetReadBuffer(sock)
+		tc.SetWriteBuffer(sock)
+		br := bufio.NewReader(nc)
+		value := make([]byte, big)
+		var req wire.Request
+		var out []byte
+		for {
+			payload, err := wire.ReadFrame(br, wire.MaxFrame)
+			if err != nil {
+				return
+			}
+			if err := wire.DecodeRequestInto(payload, &req, nil); err != nil {
+				return
+			}
+			v := value
+			if req.Ops[0].Kind == wire.KindGet {
+				v = req.Ops[0].Key
+			}
+			out, _ = wire.AppendResponse(out[:0], &wire.Response{Kind: wire.KindValue, Value: v})
+			if _, err := nc.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := nc.(*net.TCPConn)
+	tc.SetReadBuffer(sock)
+	tc.SetWriteBuffer(sock)
+	c := newConn(nc, wire.MaxFrame)
+	defer c.fail(ErrClosed)
+	if c.sendMax == 0 || c.sendMax >= big {
+		t.Fatalf("reader's write bound %d; want one below a frame", c.sendMax)
+	}
+
+	done := make(chan struct{})
+	errs := make(chan error, window)
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for g := 0; g < window; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				put := wire.Request{Ops: []wire.Op{{Kind: wire.KindPut, Table: "t", Key: []byte{byte(g)}, Value: make([]byte, big)}}}
+				get := wire.Request{Ops: []wire.Op{{Kind: wire.KindGet, Table: "t", Key: []byte{byte(g), 1}}}}
+				for r := 0; r < rounds; r++ {
+					resp, err := c.roundTrip(&put)
+					if err == nil && len(resp.Value) != big {
+						err = fmt.Errorf("PUT answered with %d bytes", len(resp.Value))
+					}
+					if err == nil {
+						resp, err = c.roundTrip(&get)
+					}
+					if err == nil && !bytes.Equal(resp.Value, get.Ops[0].Key) {
+						err = fmt.Errorf("GET answered with %d bytes", len(resp.Value))
+					}
+					if err != nil {
+						errs <- fmt.Errorf("caller %d round %d: %v", g, r, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("pipeline of 1 MiB frames stalled: a writer blocked against a peer that could not read")
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestFailWakesEachWaiterOnce: a peer answers half of the queued requests
+// in one write and hangs up. The reader completes the answered half, fail
+// the rest, and no waiter is signalled twice: the answered callers get
+// their own values, the others the connection's error, and every waiter
+// goes back to the pool drained.
+func TestFailWakesEachWaiterOnce(t *testing.T) {
+	const callers = 32
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		br := bufio.NewReader(nc)
+		var out []byte
+		var req wire.Request
+		for n := 0; n < callers; n++ {
+			payload, err := wire.ReadFrame(br, wire.MaxFrame)
+			if err != nil {
+				break
+			}
+			if n < callers/2 && wire.DecodeRequestInto(payload, &req, nil) == nil {
+				out, _ = wire.AppendResponse(out, &wire.Response{Kind: wire.KindValue, Value: req.Ops[0].Key})
+			}
+		}
+		nc.Write(out)
+		nc.Close()
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newConn(nc, wire.MaxFrame)
+	var ok, failed atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			key := []byte(fmt.Sprintf("k%02d", i))
+			resp, err := c.roundTrip(&wire.Request{Ops: []wire.Op{{Kind: wire.KindGet, Table: "t", Key: key}}})
+			switch {
+			case err != nil:
+				failed.Add(1)
+			case !bytes.Equal(resp.Value, key):
+				t.Errorf("caller %s got %q", key, resp.Value)
+			default:
+				ok.Add(1)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if ok.Load() != callers/2 || failed.Load() != callers/2 {
+		t.Errorf("%d calls answered and %d failed; want %d each", ok.Load(), failed.Load(), callers/2)
+	}
+	if n := c.queued(); n != 0 {
+		t.Errorf("%d waiters still queued after the failure", n)
+	}
+	for i := 0; i < 4*callers; i++ {
+		w := waiterPool.Get().(*waiter)
+		if len(w.done) != 0 || w.err != nil || w.resp.Kind != 0 {
+			t.Fatalf("pooled waiter holds a result: signal=%d err=%v resp=%v", len(w.done), w.err, w.resp.Kind)
 		}
 	}
 }

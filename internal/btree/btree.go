@@ -79,6 +79,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"silo/internal/prefetch"
 	"silo/internal/record"
 )
 
@@ -419,6 +420,107 @@ func (t *Tree) GetBatch(keys [][]byte, fn func(i int, rec *record.Record, n *Nod
 		}
 		i += run
 	}
+}
+
+// prefetchGroup is how many keys Prefetch descends in lockstep: a
+// pipelined chain's worth, few enough that the cursors live on the stack.
+const prefetchGroup = 16
+
+// Prefetch asks the CPU to bring close what lookups of keys will read —
+// each key's path of nodes, its leaf slot, its record and the record's
+// value — without waiting for any of it (group prefetching, as Masstree
+// hides DRAM latency by prefetching nodes). It descends the keys
+// together, a level at a time: it searches every key's node, which the
+// level above asked for, and asks for each key's child, so a level's k
+// misses overlap and k lookups wait about one memory latency per level,
+// not k. At the leaves it asks for each present key's record, then for
+// the record's value buffer.
+//
+// The pass is a pure hint: it writes nothing and returns nothing. It reads
+// nodes only as optimistic readers do — atomic loads and the validated
+// slot reads — and validates nothing, since a torn read costs a useless
+// prefetch, never a wrong answer. Keys no lookup accepts are skipped.
+func (t *Tree) Prefetch(keys [][]byte) {
+	for len(keys) > 0 {
+		n := min(len(keys), prefetchGroup)
+		t.prefetchGroup(keys[:n])
+		keys = keys[n:]
+	}
+}
+
+func (t *Tree) prefetchGroup(keys [][]byte) {
+	var (
+		ps   [prefetchGroup]probe
+		ns   [prefetchGroup]*node
+		idx  [prefetchGroup]int
+		recs [prefetchGroup]*record.Record
+	)
+	root := t.loadRoot()
+	for i, k := range keys {
+		if len(k) > 0 && len(k) <= MaxKeyLen {
+			ps[i], ns[i] = probeOf(k), root
+		}
+	}
+	// A child is always one level below its parent, so the cursors, which
+	// all start at one root, reach the leaves together; a nil child (a
+	// slot a split just cleared) ends its key's descent.
+	for level := root.level; level > 0; level-- {
+		for i := range keys {
+			if ns[i] != nil {
+				in := (*inner)(unsafe.Pointer(ns[i]))
+				idx[i] = in.search(&ps[i])
+				prefetch.Line(uintptr(unsafe.Pointer(&in.children[idx[i]])))
+			}
+		}
+		for i := range keys {
+			if ns[i] != nil {
+				ns[i] = (*inner)(unsafe.Pointer(ns[i])).child(idx[i])
+				prefetchSearch(ns[i])
+			}
+		}
+	}
+	for i := range keys {
+		if ns[i] != nil {
+			lf := (*leaf)(unsafe.Pointer(ns[i]))
+			if j, eq := lf.search(&ps[i]); eq {
+				idx[i] = j
+				prefetch.Line(uintptr(unsafe.Pointer(&lf.vals[j])))
+			} else {
+				ns[i] = nil
+			}
+		}
+	}
+	for i := range keys {
+		if ns[i] != nil {
+			if recs[i] = (*leaf)(unsafe.Pointer(ns[i])).val(idx[i]); recs[i] != nil {
+				// Its TID word and its data pointer, which a 24-byte record
+				// may keep on two lines.
+				prefetch.Line(recs[i].Addr())
+				prefetch.Line(recs[i].Addr() + 16)
+			}
+		}
+	}
+	for _, r := range recs[:len(keys)] {
+		if r != nil {
+			if b := r.BufAddr(); b != 0 {
+				// The header and a short value's bytes.
+				prefetch.Line(b)
+				prefetch.Line(b + 64)
+			}
+		}
+	}
+}
+
+// prefetchSearch asks for the lines a search of n reads: the version and
+// key count, and the first key words of all sixteen slots.
+func prefetchSearch(n *node) {
+	if n == nil {
+		return
+	}
+	p := uintptr(unsafe.Pointer(n))
+	prefetch.Line(p)
+	prefetch.Line(p + 64)
+	prefetch.Line(p + 128)
 }
 
 // InsertIfAbsent maps key to rec unless key is already present. It returns

@@ -116,14 +116,16 @@ func BenchmarkCommitScanNodeSet(b *testing.B) {
 // and commits, validating them. ns/node is what the bench-tree job gates:
 // a node-set that finds a leaf by linear search pays O(n) per observation,
 // so its ns/node at 2048 leaves is many times its ns/node at 128, where the
-// hashed set's stays flat. Both sizes sit within maxNodeSet, so the worker
-// keeps the set from one transaction to the next and neither re-grows it.
+// hashed set's stays flat. Every size sits within maxNodeSet, up to exactly
+// it, so the worker keeps the set from one transaction to the next and
+// none re-grows it: the 4096-leaf set fills its bound, and append rounds
+// its capacity past it.
 func BenchmarkCommitNodeSet(b *testing.B) {
 	s := NewStore(DefaultOptions(1))
 	b.Cleanup(s.Close)
 	tbl := s.CreateTable("t")
 	w := s.Worker(0)
-	for _, n := range []int{128, maxNodeSet / 2} {
+	for _, n := range []int{128, maxNodeSet / 2, 3 * maxNodeSet / 4, maxNodeSet} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			leaves := make([]btree.Node, n)
 			for i := 0; i < b.N; i++ {

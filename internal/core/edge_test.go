@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"silo/internal/trace"
@@ -338,5 +339,53 @@ func TestAbortForensicsByEntryPoint(t *testing.T) {
 					ev.Kind, ev.Aux, ev.Table, ev.Key, ev.A, c.reason, tbl.ID, c.key, hash)
 			}
 		})
+	}
+}
+
+// TestTableLookupDuringCreate: lookups by name and by id take no lock, so
+// they run while CreateTable publishes new tables. Under -race this
+// checks the copy-on-write publication; in any build it checks that a
+// lookup sees either nothing or the one table of that name, with the id
+// that indexes it, and that creation stays idempotent under contention.
+func TestTableLookupDuringCreate(t *testing.T) {
+	s := NewStore(DefaultOptions(1))
+	defer s.Close()
+	const tables = 200
+	name := func(i int) string { return fmt.Sprintf("t%03d", i) }
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < tables; i++ {
+				if tb := s.CreateTable(name(i)); tb.Name != name(i) {
+					t.Errorf("CreateTable(%s) returned %s", name(i), tb.Name)
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seen := 0; seen < tables; {
+				seen = 0
+				for i := 0; i < tables; i++ {
+					tb := s.Table(name(i))
+					if tb == nil {
+						continue
+					}
+					seen++
+					if tb.Name != name(i) || s.TableByID(tb.ID) != tb {
+						t.Errorf("lookup of %s: table %s id %d, by id %v", name(i), tb.Name, tb.ID, s.TableByID(tb.ID))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(s.Tables()); n != tables {
+		t.Errorf("%d tables after %d concurrent double creates", n, tables)
 	}
 }

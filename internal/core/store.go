@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,8 +201,8 @@ type Store struct {
 	flight *trace.Recorder
 
 	mu      sync.Mutex
-	tables  map[string]*Table
-	byID    atomic.Pointer[[]*Table] // grown under mu, read without it
+	byName  atomic.Pointer[map[string]*Table] // replaced under mu, read without it
+	byID    atomic.Pointer[[]*Table]          // grown under mu, read without it
 	workers []*Worker
 	maint   *Worker
 	ddl     *Worker
@@ -222,9 +223,8 @@ func NewStore(opts Options) *Store {
 		opts.SnapshotK = epoch.DefaultSnapshotK
 	}
 	s := &Store{
-		opts:   opts,
-		tables: make(map[string]*Table),
-		clock:  vfs.DefaultClock(opts.Clock),
+		opts:  opts,
+		clock: vfs.DefaultClock(opts.Clock),
 	}
 	s.flight = trace.New(s.clock)
 	// Two extra epoch slots back the hidden workers: background
@@ -278,12 +278,18 @@ func (s *Store) AdvanceEpoch() bool { return s.epochs.Advance() }
 func (s *Store) CreateTable(name string) *Table {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tables[name]; ok {
+	if t := s.Table(name); t != nil {
 		return t
 	}
 	byID := s.tableList()
 	t := &Table{ID: uint32(len(byID)), Name: name, Tree: btree.New()}
-	s.tables[name] = t
+	// Lookups by name read the map without the lock, so it is copied, not
+	// written: creation is rare, lookups come with every request.
+	byName := map[string]*Table{name: t}
+	if p := s.byName.Load(); p != nil {
+		maps.Copy(byName, *p)
+	}
+	s.byName.Store(&byName)
 	// Readers of the old list never index past its length, so appending
 	// in place and then publishing the longer list is safe.
 	byID = append(byID, t)
@@ -307,11 +313,12 @@ func (s *Store) now() time.Duration { return s.clock.Now() }
 // and deterministic under the simulation harness).
 func (s *Store) Now() time.Duration { return s.now() }
 
-// Table returns the named table or nil.
+// Table returns the named table or nil. It takes no lock.
 func (s *Store) Table(name string) *Table {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tables[name]
+	if p := s.byName.Load(); p != nil {
+		return (*p)[name]
+	}
+	return nil
 }
 
 // tableList is every table in creation order, indexed by id. Tables are

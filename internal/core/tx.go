@@ -118,9 +118,10 @@ func (tx *Tx) Worker() *Worker { return tx.w }
 // finished transaction's key arena (bytes), read-set and node-set
 // (entries) for the next one: tens of thousands of reads — a TPC-C
 // Delivery that walks thousands of tombstones, a scan of that many rows —
-// run without re-growing either, while no worker holds more than 512 KiB
-// of keys and 768 KiB of read-set once a wider transaction ends (see
-// Worker.finishTx).
+// run without re-growing either, while no worker holds more than about
+// 1.25 × 512 KiB of keys and 1.25 × 768 KiB of read-set — a full set and
+// the room append rounded its growth up to — once a wider transaction
+// ends (see Worker.finishTx).
 const (
 	maxKeyArena = 512 << 10
 	maxReadSet  = 32 << 10

@@ -167,18 +167,21 @@ func (w *Worker) RunSnapshot(fn func(stx *SnapTx) error) error {
 //
 // The transaction's key arena, read-set and node-set stay with the worker
 // for the next one up to their bounds (maxKeyArena, maxReadSet,
-// maxNodeSet); a set that grew past its bound is given back, so one wide
-// scan does not pin its sets to the worker.
+// maxNodeSet); a set that held more than its bound is given back, so one
+// wide scan does not pin its sets to the worker. The test is on what the
+// set held, not on its capacity: append rounds a set's growth up, so a set
+// that filled exactly its bound has more room than that, and giving it
+// back made every transaction of that size grow it again.
 func (w *Worker) finishTx() {
 	w.slot.Exit()
 	if tx := &w.tx; !tx.active {
-		if cap(tx.keys) > maxKeyArena {
+		if len(tx.keys) > maxKeyArena {
 			tx.keys = nil
 		}
-		if cap(tx.reads) > maxReadSet {
+		if len(tx.reads) > maxReadSet {
 			tx.reads = nil
 		}
-		if cap(tx.nodes) > maxNodeSet {
+		if len(tx.nodes) > maxNodeSet {
 			tx.nodes, tx.nidx = nil, nil
 		}
 	}
@@ -186,6 +189,11 @@ func (w *Worker) finishTx() {
 		w.gc.reap(w)
 	}
 }
+
+// NodeSetLen is the node-set size, in leaves, of the worker's last
+// transaction (a census figure: the set is kept until the next one
+// begins).
+func (w *Worker) NodeSetLen() int { return len(w.tx.nodes) }
 
 // RefreshEpoch re-reads the global epoch into the worker's slot. Workers
 // running very long transactions should call it periodically so the

@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// func prefetch(addr uintptr)
-TEXT ·prefetch(SB), NOSPLIT, $0-8
+// func Line(addr uintptr)
+TEXT ·Line(SB), NOSPLIT, $0-8
 	MOVQ addr+0(FP), AX
 	PREFETCHT0 (AX)
 	RET

@@ -342,6 +342,10 @@ func (r *Record) CutVersion(v *Record) {
 // DataLen returns the current value length (unvalidated; for statistics).
 func (r *Record) DataLen() int { return len(view(r.data.Load())) }
 
+// BufAddr returns the address of the record's value buffer, 0 for an
+// empty value: a prefetch hint, never turned back into a pointer.
+func (r *Record) BufAddr() uintptr { return uintptr(unsafe.Pointer(r.data.Load())) }
+
 // Addr returns the record's address for the commit protocol's global lock
 // ordering (Silo uses pointer addresses of records).
 func (r *Record) Addr() uintptr { return uintptr(unsafe.Pointer(r)) }

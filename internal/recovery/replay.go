@@ -13,6 +13,7 @@ import (
 
 	"silo/internal/btree"
 	"silo/internal/core"
+	"silo/internal/prefetch"
 	"silo/internal/record"
 	"silo/internal/tid"
 	"silo/internal/vfs"
@@ -532,9 +533,9 @@ func (sp *span) merge(rowWord tid.Word, ws winners, tmp []winner) []btree.Item {
 		// item eight winners on, and for the value of the one four on,
 		// whose item was asked for four steps ago.
 		if len(wins) > 8 {
-			prefetch(uintptr(unsafe.Pointer(ws.item(wins[8]))))
+			prefetch.Line(uintptr(unsafe.Pointer(ws.item(wins[8]))))
 			if x := ws.item(wins[4]); x.vlen > 0 {
-				prefetch(addr(ws.srcs[x.src][x.voff:]))
+				prefetch.Line(addr(ws.srcs[x.src][x.voff:]))
 			}
 		}
 		c := -1 // the run's next row against wins[0]
@@ -861,11 +862,11 @@ func (a *applier) absorb(batch []item) {
 		// in the home slot of the one four on (asked for four steps ago)
 		// when its tag matches.
 		if j := i + 8; j < len(batch) {
-			prefetch(uintptr(unsafe.Pointer(&a.index[(batch[j].hash>>16)&mask])))
+			prefetch.Line(uintptr(unsafe.Pointer(&a.index[(batch[j].hash>>16)&mask])))
 		}
 		if j := i + 4; j < len(batch) {
 			if slot := a.index[(batch[j].hash>>16)&mask]; slot != 0 && slot&^0xffffffff == batch[j].hash&^0xffffffff {
-				prefetch(uintptr(unsafe.Pointer(a.win(int(uint32(slot)) - 1))))
+				prefetch.Line(uintptr(unsafe.Pointer(a.win(int(uint32(slot)) - 1))))
 			}
 		}
 		tag := it.hash &^ 0xffffffff

@@ -31,7 +31,8 @@ const (
 // It also logs the Delivery census: reads per Delivery and the share of
 // them that are tombstones, the deleted new_order rows in front of each
 // district's oldest undelivered order that wait for the snapshot horizon
-// before the collector unhooks them.
+// before the collector unhooks them, and the leaves in each Delivery's
+// node-set, which its scans over those rows and their empty leaves fill.
 func TestAllocationsPerTransaction(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -83,7 +84,7 @@ func TestAllocationsPerTransaction(t *testing.T) {
 		t.Errorf("%.2f objects allocated per committed transaction, bound %.2f", objects, maxAllocObjectsPerTxn)
 	}
 
-	var deliveries, reads, tombstones uint64
+	var deliveries, reads, tombstones, nodes uint64
 	var lo, hi []byte
 	for i := 0; i < census; i++ {
 		tt := c.NextType()
@@ -104,11 +105,12 @@ func TestAllocationsPerTransaction(t *testing.T) {
 		r0 := db.Observe().Value("silo_core_reads_total", "")
 		run(tt)
 		reads += db.Observe().Value("silo_core_reads_total", "") - r0
+		nodes += uint64(db.Store().Worker(0).NodeSetLen())
 		deliveries++
 	}
 	if deliveries == 0 || reads == 0 {
 		t.Fatalf("census ran %d deliveries reading %d records", deliveries, reads)
 	}
-	t.Logf("Delivery census: %d deliveries, %.0f reads each, %.1f %% of them tombstones",
-		deliveries, float64(reads)/float64(deliveries), 100*float64(tombstones)/float64(reads))
+	t.Logf("Delivery census: %d deliveries, %.0f reads each, %.1f %% of them tombstones, %.0f node-set entries each",
+		deliveries, float64(reads)/float64(deliveries), 100*float64(tombstones)/float64(reads), float64(nodes)/float64(deliveries))
 }

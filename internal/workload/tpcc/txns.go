@@ -101,8 +101,15 @@ type Client struct {
 	hseq uint32
 	kb   []byte // key scratch
 	kb2  []byte
-	vb   []byte // value scratch
+	vb   []byte  // value scratch
+	upds []olUpd // Delivery's order-line updates for one district
 	date uint64
+}
+
+// olUpd is one order line a Delivery restamps: its number and new row.
+type olUpd struct {
+	ol   int
+	line OrderLine
 }
 
 // NewClient builds a client bound to worker w and home warehouse home.
@@ -638,11 +645,7 @@ func (c *Client) Delivery() error {
 
 			// Order lines: stamp delivery date, sum amounts.
 			var sum uint64
-			type olUpd struct {
-				ol   int
-				line OrderLine
-			}
-			var upds []olUpd
+			upds := c.upds[:0]
 			c.kb = OrderLinePrefixLo(c.kb, c.Home, d, oid)
 			c.kb2 = OrderLinePrefixHi(c.kb2, c.Home, d, oid+1)
 			err = tx.Scan(t.OrderLine, c.kb, c.kb2, func(k, v []byte) bool {
@@ -653,6 +656,7 @@ func (c *Client) Delivery() error {
 				upds = append(upds, olUpd{ol: int(bigEndianU32(k[12:16])), line: line})
 				return true
 			})
+			c.upds = upds
 			if err != nil {
 				return err
 			}

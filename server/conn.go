@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"net"
 	"sync/atomic"
 
@@ -67,7 +66,7 @@ func (s *Server) handleConn(c net.Conn, id uint64) {
 				j.rb, ch.refused, open = s.encodeResp(&er), true, false
 				break
 			}
-			if ch.n++; !frameBuffered(br) {
+			if ch.n++; !wire.FrameBuffered(br) {
 				break
 			}
 		}
@@ -84,17 +83,6 @@ func (s *Server) handleConn(c net.Conn, id uint64) {
 	}
 	close(pending)
 	<-writerDone
-}
-
-// frameBuffered reports whether the next frame is already complete in
-// br, so reading it cannot block. A length the frame reader will refuse
-// (zero, oversized) counts as buffered: the refusal needs no more bytes.
-func frameBuffered(br *bufio.Reader) bool {
-	if br.Buffered() < 4 {
-		return false
-	}
-	hdr, _ := br.Peek(4)
-	return uint64(br.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // window counts the requests a reader has run ahead of its writer, for

@@ -24,8 +24,48 @@ func (s *Server) run(c *chain) {
 		return
 	}
 	c.enq, c.enqTS = time.Now(), s.now()
+	s.prefetch(c)
 	s.obs.dispatches.Inc()
 	s.runSegment(<-s.ctxs, c, 0, time.Now())
+}
+
+// maxPrefetch caps the point keys one chain prefetches: every frame of a
+// full chain and then some for multi-op transactions, whose later keys a
+// bulk transaction would not reach before they left the cache again.
+const maxPrefetch = 2 * maxChain
+
+// prefetch warms what a chain's point operations will read — their tree
+// paths, records and values — with one lockstep pass over their keys
+// (btree.Tree.Prefetch), when at least two of them name one table: a lone
+// lookup has no miss to overlap with. Keys of tables other than the first
+// one named are left out. The pass runs after the chain's queue clock has
+// started, so the span ledger counts it in queue time.
+func (s *Server) prefetch(c *chain) {
+	var (
+		table string
+		buf   [maxPrefetch][]byte
+	)
+	keys := buf[:0]
+	for i := range c.jobs[:c.n] {
+		ops := c.jobs[i].req.Ops
+		for j := range ops {
+			op := &ops[j]
+			switch {
+			case !isPoint(op.Kind):
+			case len(keys) == 0:
+				table = op.Table
+				keys = append(keys, op.Key)
+			case op.Table == table && len(keys) < maxPrefetch:
+				keys = append(keys, op.Key)
+			}
+		}
+	}
+	if len(keys) < 2 {
+		return
+	}
+	if t := s.db.Table(table); t != nil {
+		t.Tree.Prefetch(keys)
+	}
 }
 
 // runSegment runs c's requests from the one at from on, in order, on
@@ -196,6 +236,15 @@ func writesData(req *wire.Request) bool {
 		if isWrite(req.Ops[i].Kind) {
 			return true
 		}
+	}
+	return false
+}
+
+// isPoint reports an op kind that looks one key up in its table.
+func isPoint(k wire.Kind) bool {
+	switch k {
+	case wire.KindGet, wire.KindPut, wire.KindInsert, wire.KindDelete, wire.KindAdd:
+		return true
 	}
 	return false
 }

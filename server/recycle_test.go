@@ -55,7 +55,8 @@ func startRecycleServer(t *testing.T, noReuse bool) (addr string, stop func()) {
 // recycleScript builds connection c's deterministic frame sequence: two
 // CREATE_INDEX frames (identical on every connection, so idempotent),
 // then rounds of TXN-insert, GET, PUT, ADD, SCAN, three ISCANs, a mixed
-// TXN, and a mixed TRACE, all within the connection's own key prefix so
+// TXN, a mixed TRACE, and a run of one-op GETs and ADDs (chains the
+// server prefetches), all within the connection's own key prefix so
 // concurrent connections never interact. The scans are the frames a worker builds
 // in place in a response buffer and hands to the writer as is; between
 // them the ISCANs cover the covering visitor and both batched emission
@@ -125,6 +126,17 @@ func recycleScript(c int) [][]byte {
 			{Kind: wire.KindGet, Table: "bench", Key: k1},
 			{Kind: wire.KindGet, Table: "bench", Key: k0},
 		}})
+		// A run of one-op GET and ADD frames, one of them of a key never
+		// inserted: the chains the server prefetches before running them.
+		for _, op := range []wire.Op{
+			{Kind: wire.KindGet, Table: "bench", Key: k2},
+			{Kind: wire.KindAdd, Table: "bench", Key: k0, Delta: 5},
+			{Kind: wire.KindGet, Table: "bench", Key: key(3*rounds + i)},
+			{Kind: wire.KindAdd, Table: "bench", Key: k1, Delta: -1},
+			{Kind: wire.KindGet, Table: "bench", Key: k0},
+		} {
+			add(&wire.Request{Ops: []wire.Op{op}})
+		}
 	}
 	return frames
 }

@@ -419,6 +419,19 @@ func ReadFrameInto(r io.Reader, max int, buf []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// FrameBuffered reports whether the next frame is already complete in br,
+// so reading it cannot block: both ends of a pipelined connection read a
+// burst as every frame buffered behind the first. A length ReadFrame will
+// refuse (zero, oversized) counts as buffered: the refusal needs no more
+// bytes.
+func FrameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(br.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(hdr))
+}
+
 // readLength reads a frame's 4-byte length prefix with io.ReadFull's
 // errors: io.EOF before the first byte, io.ErrUnexpectedEOF after it. A
 // header array handed to an io.Reader escapes to the heap, so a
