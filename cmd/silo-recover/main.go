@@ -9,6 +9,12 @@
 //	silo-recover -dir /path/to/logs -truncate CE   # delete the segments a
 //	                                               # checkpoint at CE covers
 //
+// The summary and -verbose read the log twice, one segment mapped at a
+// time, and hold no transaction past its frame, so their memory does not
+// grow with the log: the summary pass checks and walks every segment,
+// counting, which yields D; the -verbose pass walks them again and prints
+// each transaction with its status against D.
+//
 // Replay restores from the newest complete checkpoint set (a
 // checkpoint.<CE>/ directory whose manifest verifies — the one checkpoint
 // format) plus the log suffix and prints a recovery report — txns/s and
@@ -26,8 +32,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -36,6 +44,7 @@ import (
 	"silo/internal/core"
 	"silo/internal/recovery"
 	"silo/internal/tid"
+	"silo/internal/vfs"
 	"silo/internal/wal"
 )
 
@@ -49,61 +58,12 @@ func main() {
 	)
 	flag.Parse()
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "usage: silo-recover -dir <logdir> [-verbose] [-replay] [-parallel N]")
+		fmt.Fprintln(os.Stderr, "usage: silo-recover -dir <logdir> [-verbose] [-replay] [-parallel N] [-truncate CE]")
 		os.Exit(2)
 	}
 
-	infos, err := wal.ListLogFiles(nil, *dir)
-	if err != nil {
+	if err := summarize(os.Stdout, *dir, *verbose); err != nil {
 		fatal(err)
-	}
-	if len(infos) == 0 {
-		fatal(fmt.Errorf("no log files in %s", *dir))
-	}
-	files := make([][]wal.TxnRecord, len(infos))
-	durables := make([]uint64, len(infos))
-	var totalBytes int64
-	totalTxns, totalEntries := 0, 0
-	for i, fi := range infos {
-		var size int64
-		files[i], durables[i], size, err = wal.ParseLogFile(nil, fi.Path)
-		if err != nil {
-			fatal(err)
-		}
-		totalBytes += size
-		var maxTID uint64
-		for _, t := range files[i] {
-			totalTxns++
-			totalEntries += len(t.Entries)
-			if t.TID > maxTID {
-				maxTID = t.TID
-			}
-		}
-		fmt.Printf("%s: logger %d seq %d: %d txns, %.1f KB, durable epoch d=%d, max TID epoch=%d\n",
-			fi.Path, fi.Logger, fi.Seq, len(files[i]), float64(size)/1024, durables[i], tid.Word(maxTID).Epoch())
-	}
-	d := wal.DurableBound(infos, durables)
-	fmt.Printf("global durable epoch D=%d; %d txns, %d record writes, %.1f MB in %d segments\n",
-		d, totalTxns, totalEntries, float64(totalBytes)/(1<<20), len(infos))
-
-	if *verbose {
-		for i, f := range files {
-			for _, t := range f {
-				w := tid.Word(t.TID)
-				status := "replayable"
-				if w.Epoch() > d {
-					status = "beyond D (discarded on recovery)"
-				}
-				fmt.Printf("%s tid(e=%d,seq=%d) %d writes [%s]\n", infos[i].Path, w.Epoch(), w.Seq(), len(t.Entries), status)
-				for _, e := range t.Entries {
-					op := "put"
-					if e.Delete {
-						op = "del"
-					}
-					fmt.Printf("    %s table=%d key=%x vlen=%d\n", op, e.Table, e.Key, len(e.Value))
-				}
-			}
-		}
 	}
 
 	if *replay {
@@ -163,4 +123,106 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "silo-recover:", err)
 	os.Exit(1)
+}
+
+// summarize prints a line per log segment in dir, in (logger, seq) order,
+// then the global durable epoch D with the log's totals, and with verbose
+// then every logged transaction and its writes, marked against D.
+func summarize(w io.Writer, dir string, verbose bool) error {
+	infos, err := wal.ListLogFiles(nil, dir)
+	if err != nil {
+		return err
+	}
+	if len(infos) == 0 {
+		return fmt.Errorf("no log files in %s", dir)
+	}
+	durables := make([]uint64, len(infos))
+	var all lister
+	var totalBytes int64
+	for i, fi := range infos {
+		var l lister
+		var size int64
+		if durables[i], size, err = walkSegment(fi.Path, &l); err != nil {
+			return err
+		}
+		all.txns, all.writes = all.txns+l.txns, all.writes+l.writes
+		totalBytes += size
+		fmt.Fprintf(w, "%s: logger %d seq %d: %d txns, %.1f KB, durable epoch d=%d, max TID epoch=%d\n",
+			fi.Path, fi.Logger, fi.Seq, l.txns, float64(size)/1024, durables[i], tid.Word(l.maxTID).Epoch())
+	}
+	d := wal.DurableBound(infos, durables)
+	fmt.Fprintf(w, "global durable epoch D=%d; %d txns, %d record writes, %.1f MB in %d segments\n",
+		d, all.txns, all.writes, float64(totalBytes)/(1<<20), len(infos))
+	if !verbose {
+		return nil
+	}
+	for _, fi := range infos {
+		if _, _, err := walkSegment(fi.Path, &lister{out: w, path: fi.Path, d: d}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walkSegment maps the segment at path, checks its frames and walks the
+// verified prefix into v, returning the segment's durable epoch and size.
+// A frame with a valid checksum that does not decode is an error naming
+// the segment and the frame's offset (see wal.Segment.Walk).
+func walkSegment(path string, v wal.Visitor) (durable uint64, size int64, err error) {
+	data, release, err := vfs.DefaultFS(nil).Map(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer release()
+	seg := wal.ScanSegment(data, 1)
+	if err := seg.Walk(v); err != nil {
+		return 0, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	return seg.Durable, seg.Size, nil
+}
+
+// lister is the visitor of both passes over a segment: it counts the
+// transactions and record writes it is shown, and the largest TID. With out
+// set it also prints each transaction, with its status against D, and its
+// writes, holding a frame's lines until the frame has decoded to its end,
+// so that nothing of a frame that does not decode is printed.
+type lister struct {
+	txns, writes int
+	maxTID       uint64
+
+	out   io.Writer
+	path  string
+	d     uint64
+	frame bytes.Buffer
+}
+
+func (l *lister) Frame([]byte, bool) { l.frame.Reset() }
+
+func (l *lister) FrameEnd(torn bool) {
+	if l.out != nil && !torn {
+		l.out.Write(l.frame.Bytes())
+	}
+}
+
+func (l *lister) Txn(t uint64, writes int) bool {
+	l.txns++
+	l.writes += writes
+	l.maxTID = max(l.maxTID, t)
+	if l.out != nil {
+		w := tid.Word(t)
+		status := "replayable"
+		if w.Epoch() > l.d {
+			status = "beyond D (discarded on recovery)"
+		}
+		fmt.Fprintf(&l.frame, "%s tid(e=%d,seq=%d) %d writes [%s]\n", l.path, w.Epoch(), w.Seq(), writes, status)
+	}
+	return l.out != nil
+}
+
+func (l *lister) Entry(table uint32, key, value []byte, del bool) {
+	op := "put"
+	if del {
+		op = "del"
+	}
+	fmt.Fprintf(&l.frame, "    %s table=%d key=%x vlen=%d\n", op, table, key, len(value))
 }

@@ -449,23 +449,3 @@ func TestConcurrentMixed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestApplyAll(t *testing.T) {
-	tr := New()
-	for i := 0; i < 300; i++ {
-		tr.InsertIfAbsent(key(i), mkrec(byte(i)))
-	}
-	n := 0
-	prev := []byte(nil)
-	tr.ApplyAll(func(k []byte, rec *record.Record) bool {
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
-			t.Fatalf("ApplyAll out of order at %q", k)
-		}
-		prev = append(prev[:0], k...)
-		n++
-		return true
-	})
-	if n != 300 {
-		t.Fatalf("ApplyAll visited %d", n)
-	}
-}

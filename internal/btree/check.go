@@ -3,8 +3,6 @@ package btree
 import (
 	"fmt"
 	"unsafe"
-
-	"silo/internal/record"
 )
 
 // CheckInvariants walks the tree single-threadedly and verifies structural
@@ -134,32 +132,4 @@ func checkNode(n *node, lo, hi *probe, leaves *[]*leaf) error {
 		}
 	}
 	return nil
-}
-
-// ApplyAll visits every (key, record) pair single-threadedly in key order;
-// key slices passed to fn are valid only during the callback. Consistency
-// checkers use it; it must not run concurrently with writers.
-func (t *Tree) ApplyAll(fn func(key []byte, rec *record.Record) bool) {
-	var kb [MaxKeyLen]byte
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if n.level == 0 {
-			lf := (*leaf)(unsafe.Pointer(n))
-			for i := 0; i < int(lf.nkeys.Load()); i++ {
-				k := lf.get(i)
-				if !fn(k.appendTo(kb[:0]), lf.val(i)) {
-					return false
-				}
-			}
-			return true
-		}
-		in := (*inner)(unsafe.Pointer(n))
-		for i := 0; i <= int(in.nkeys.Load()); i++ {
-			if !walk(in.child(i)) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(t.loadRoot())
 }

@@ -5,9 +5,11 @@
 // both checkpointing and replay must be parallelized or recovery time
 // dwarfs runtime performance).
 //
-// The sequential reference replay lives in internal/wal (Recover);
-// recovery here must produce state identical to it, which the equivalence
-// tests assert. Two properties make the parallelism order-free:
+// Recover is the only replay: Open, silo-server and silo-recover -replay
+// all run it. The sequential reference it is held to — every logged
+// transaction materialized, sorted by TID and applied one by one — lives in
+// this package's tests (sequentialRecover), and the equivalence tests
+// assert identical state. Two properties make the parallelism order-free:
 //
 //   - Checkpoints are cut from one snapshot epoch CE: every partition
 //     writer reads the same consistent image (core.SnapshotScanAt), so the

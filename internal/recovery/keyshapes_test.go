@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"silo/internal/btree"
-	"silo/internal/wal"
 )
 
 // binKeys is binKey(0) … binKey(n−1).
@@ -98,7 +97,7 @@ var keyShapes = []keyShape{
 // TestReplayKeyShapes recovers generated logs (buildRandomLog) over each
 // key shape, from the checkpoint and the log and then from the log alone,
 // at 1, 2 and 4 workers. Every recovery must hold what the sequential
-// reference wal.Recover and the generator's model hold, in trees that pass
+// reference sequentialRecover and the generator's model hold, in trees that pass
 // their invariant check — so the words ordered the keys, in the deal, the
 // sort and the merge, exactly as bytes.Compare does (Build would refuse a
 // key out of order).
@@ -108,10 +107,10 @@ func TestReplayKeyShapes(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + i)))
 			lg := buildRandomLog(t, rng, "BC", sh.keys(rng, 120))
 			ref, _ := catalogStore(t, manualOpts(), randomTables...)
-			if _, err := wal.Recover(ref, lg.dir); err != nil {
+			if _, err := sequentialRecover(ref, lg.dir); err != nil {
 				t.Fatal(err)
 			}
-			checkRandomLog(t, "wal.Recover", ref, lg)
+			checkRandomLog(t, "sequentialRecover", ref, lg)
 			for _, source := range []string{"checkpoint+log", "log-only"} {
 				if source == "log-only" {
 					sets, _ := filepath.Glob(filepath.Join(lg.dir, "checkpoint.*"))

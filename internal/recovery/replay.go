@@ -65,7 +65,18 @@ type Options struct {
 // Result reports what a recovery pass did, with per-stage timing so
 // recovery speed can be tracked over time (cmd/silo-recover prints it).
 type Result struct {
-	wal.RecoveryResult
+	// DurableEpoch is D = min over loggers of the last logged d_l.
+	DurableEpoch uint64
+	// TxnsApplied counts the logged transactions replayed: CE ≤ epoch ≤ D.
+	TxnsApplied int
+	// TxnsSkipped counts logged transactions beyond D, which must not be
+	// replayed (the serial order within an epoch is not recoverable, §4.10).
+	TxnsSkipped int
+	// EntriesApplied counts the distinct (table, key) winners of the log
+	// that changed the checkpoint's image: the keys whose newest version in
+	// range is a put, and those whose newest is a delete of a checkpointed
+	// row.
+	EntriesApplied int
 
 	// CheckpointEpoch is the snapshot epoch CE of the loaded checkpoint
 	// (0 when recovery ran from logs alone).
@@ -88,9 +99,7 @@ type Result struct {
 
 	// EntriesSuperseded counts log entries that were decoded, in range
 	// (CE ≤ epoch ≤ D), and lost to a newer TID for the same key in the
-	// log (a checkpoint row is older than every entry in range).
-	// EntriesApplied (in the embedded RecoveryResult) counts the distinct
-	// (table, key) winners that changed the checkpoint's image, so
+	// log (a checkpoint row is older than every entry in range), so
 	// superseded / (applied + superseded) is the log's rewrite ratio: the
 	// share of replay work that coalescing removes. DeletesDropped counts
 	// the remaining case, a key whose newest logged version is a delete and
@@ -240,7 +249,7 @@ const applyBatch = 128
 // frame boundaries into pieces of about a Workers-th of their bytes
 // (wal.Segment.Split), a piece never spanning two segments, and each
 // piece's goroutine walks its transactions in place (wal.Segment.Walk: no
-// TxnRecord, no copy), drops those outside CE ≤ epoch ≤ D, and routes the
+// copy), drops those outside CE ≤ epoch ≤ D, and routes the
 // rest by hash(table, key) straight to the applier owning that hash. An
 // applier keeps only the newest TID per key. Once every piece is decoded
 // and the schema pre-pass has run, every table is built once from its

@@ -43,7 +43,7 @@ func waitDurable(t *testing.T, s *core.Store, m *wal.Manager) {
 // TestParallelRecoveryEquivalence is the acceptance test for the parallel
 // path: a concurrent workload with a partitioned checkpoint taken mid-run
 // (while writers commit) must recover to the same state through the
-// sequential reference path (wal.Recover, log only) and the parallel path
+// sequential reference (sequentialRecover, log only) and the parallel path
 // at 1, 2, 3, 4 and 8 workers. It runs on two log layouts: two loggers
 // rotating small segments, and the one segment one logger writes — plain
 // and compressed — which recovery checks in ranges and decodes in pieces,
@@ -176,8 +176,8 @@ func testParallelRecoveryEquivalence(t *testing.T, cfg wal.Config) {
 	}
 
 	ref, _ := catalogStore(t, manualOpts(), "acct", "audit")
-	_, err = wal.Recover(ref, dir)
-	check("sequential wal.Recover", ref, err)
+	_, err = sequentialRecover(ref, dir)
+	check("sequentialRecover", ref, err)
 	var res1, res4 Result
 	for _, w := range []int{1, 2, 3, 4, 8} {
 		s2, res, err := recoverDir(t, dir, Options{Workers: w})
@@ -199,7 +199,8 @@ func testParallelRecoveryEquivalence(t *testing.T, cfg wal.Config) {
 		t.Error("no transactions were below the checkpoint — checkpoint did not save replay work")
 	}
 	if res1.TxnsApplied != res4.TxnsApplied || res1.TxnsSkipped != res4.TxnsSkipped {
-		t.Errorf("worker counts diverge: 1-worker %+v vs 4-worker %+v", res1.RecoveryResult, res4.RecoveryResult)
+		t.Errorf("worker counts diverge: 1-worker applied %d skipped %d vs 4-worker applied %d skipped %d",
+			res1.TxnsApplied, res1.TxnsSkipped, res4.TxnsApplied, res4.TxnsSkipped)
 	}
 }
 
@@ -568,7 +569,7 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, kinds string, keys [][]byte) r
 // pipeline: on generated logs (see buildRandomLog) of buffer frames, of
 // deflated frames, and of both kinds alternating within every segment,
 // the coalescing replay at every worker count, the sequential reference
-// wal.Recover (which replays the whole log, in TID order, onto an empty
+// sequentialRecover (which replays the whole log, in TID order, onto an empty
 // store) and the generator's own model all agree on the recovered rows;
 // the transaction counters match the generated mix exactly; every in-range
 // entry is accounted for as installed, superseded or a dropped delete; and
@@ -579,13 +580,13 @@ func TestReplayEquivalenceRandomLogs(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d,frames=%s", seed, kinds), func(t *testing.T) {
 			lg := buildRandomLog(t, rand.New(rand.NewSource(seed)), kinds, binKeys(40))
 			ref, _ := catalogStore(t, manualOpts(), randomTables...)
-			rres, err := wal.Recover(ref, lg.dir)
+			rres, err := sequentialRecover(ref, lg.dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkRandomLog(t, "wal.Recover", ref, lg)
+			checkRandomLog(t, "sequentialRecover", ref, lg)
 			if rres.TxnsApplied != lg.below+lg.inRange || rres.TxnsSkipped != lg.beyond {
-				t.Errorf("wal.Recover applied %d skipped %d, want %d and %d", rres.TxnsApplied, rres.TxnsSkipped, lg.below+lg.inRange, lg.beyond)
+				t.Errorf("sequentialRecover applied %d skipped %d, want %d and %d", rres.TxnsApplied, rres.TxnsSkipped, lg.below+lg.inRange, lg.beyond)
 			}
 
 			for _, workers := range []int{1, 2, 3, 8} {
@@ -794,9 +795,9 @@ func TestUndecodableFrameFailsRecovery(t *testing.T) {
 						name string
 						run  func() error
 					}
-					runs := []run{{"wal.Recover", func() error {
+					runs := []run{{"sequentialRecover", func() error {
 						s, _ := catalogStore(t, manualOpts(), "t")
-						_, err := wal.Recover(s, dir)
+						_, err := sequentialRecover(s, dir)
 						return err
 					}}}
 					for _, workers := range []int{1, 2, 3, 8} {
@@ -882,7 +883,7 @@ func TestReplayAllocatesPerWinnerNotPerEntry(t *testing.T) {
 			// The catalog's one row is an entry like the others.
 			_, res, err := recoverDir(t, dir, Options{Workers: 2})
 			if err != nil || res.EntriesApplied != keys+1 || res.EntriesSuperseded != entries-keys {
-				t.Fatalf("recovered %+v, err %v", res.RecoveryResult, err)
+				t.Fatalf("recovered %d keys, %d entries superseded, err %v", res.EntriesApplied, res.EntriesSuperseded, err)
 			}
 		})
 	}

@@ -34,14 +34,8 @@ func TestSmallBufferForcesPublish(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	tbl2 := s2.CreateTable("t")
-	if _, err := Recover(s2, dir); err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.Tree.Len() != 100 {
-		t.Fatalf("recovered %d keys", tbl2.Tree.Len())
+	if n := len(replayLog(t, dir).rows[tbl.ID]); n != 100 {
+		t.Fatalf("the log recovers %d keys", n)
 	}
 }
 
@@ -74,10 +68,7 @@ func TestMultiLoggerAssignment(t *testing.T) {
 	m.Stop()
 	s.Close()
 
-	_, files, durables, err := readLogDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, files, durables := readLogDir(t, dir)
 	if len(files) != 3 {
 		t.Fatalf("%d log files, want 3", len(files))
 	}
@@ -94,14 +85,8 @@ func TestMultiLoggerAssignment(t *testing.T) {
 		t.Fatalf("only %d loggers received data", nonEmpty)
 	}
 
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	tbl2 := s2.CreateTable("t")
-	if _, err := Recover(s2, dir); err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.Tree.Len() != 200 {
-		t.Fatalf("recovered %d keys, want 200", tbl2.Tree.Len())
+	if n := len(replayLog(t, dir).rows[tbl.ID]); n != 200 {
+		t.Fatalf("the log recovers %d keys, want 200", n)
 	}
 }
 
@@ -126,10 +111,7 @@ func TestDurableEpochAdvancesWithIdleWorker(t *testing.T) {
 	if m.DurableEpoch() < target {
 		t.Fatalf("D stuck at %d < %d with an idle worker (liveness regression)", m.DurableEpoch(), target)
 	}
-	_, files, _, err := readLogDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, files, _ := readLogDir(t, dir)
 	if len(files) != 1 || len(files[0]) != 1 || files[0][0].TID != commit {
 		t.Fatalf("log after the pass = %+v, want the one commit %x", files, commit)
 	}
@@ -181,10 +163,7 @@ func durableNeverExceedsLogged(t *testing.T, bufferBytes int) {
 	// Read the log as the passes left it, before Stop's drain writes the
 	// rest.
 	d := m.DurableEpoch()
-	_, files, _, err := readLogDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, files, _ := readLogDir(t, dir)
 	m.Stop()
 	if d == 0 {
 		t.Fatal("no epoch became durable while the workers ran")

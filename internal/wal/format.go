@@ -2,7 +2,8 @@
 // per-worker redo-log buffers, logger threads each responsible for a
 // disjoint subset of workers and writing to its own log file, per-logger
 // durable epochs d_l, the global durable epoch D = min d_l, epoch-granular
-// group commit, and recovery.
+// group commit, and the log reader that recovery (internal/recovery)
+// replays from: ListLogFiles, ScanSegment, Segment.Walk and DurableBound.
 //
 // Silo logs at record level (redo only, no undo: logging happens after
 // commit). A worker serializes each committed transaction — its TID and the
@@ -74,12 +75,6 @@ var ErrCorrupt = errors.New("wal: corrupt log frame")
 // Entry is one logged record modification: the write a committing worker
 // hands over, so a worker serializes its writes as they come.
 type Entry = core.LoggedWrite
-
-// TxnRecord is one committed transaction in the log.
-type TxnRecord struct {
-	TID     uint64
-	Entries []Entry
-}
 
 // appendTxn serializes a transaction record onto buf.
 func appendTxn(buf []byte, tid uint64, entries []Entry) []byte {
@@ -256,39 +251,4 @@ func walkPayload(p []byte, v Visitor) bool {
 		}
 	}
 	return true
-}
-
-// txnCollector materializes what it is shown as TxnRecords that own their
-// bytes — the copying form of the decoder, for callers that keep records
-// beyond the segment buffer (ParseLogFile).
-type txnCollector struct {
-	txns  []TxnRecord
-	frame int // transactions before the open frame
-}
-
-func (c *txnCollector) Frame([]byte, bool) { c.frame = len(c.txns) }
-
-func (c *txnCollector) FrameEnd(torn bool) {
-	if torn {
-		c.txns = c.txns[:c.frame]
-	}
-}
-
-func (c *txnCollector) Txn(tid uint64, writes int) bool {
-	rec := TxnRecord{TID: tid}
-	if writes > 0 {
-		rec.Entries = make([]Entry, 0, writes)
-	}
-	c.txns = append(c.txns, rec)
-	return true
-}
-
-func (c *txnCollector) Entry(table uint32, key, value []byte, del bool) {
-	t := &c.txns[len(c.txns)-1]
-	t.Entries = append(t.Entries, Entry{
-		Table:  table,
-		Key:    append([]byte(nil), key...),
-		Value:  append([]byte(nil), value...),
-		Delete: del,
-	})
 }

@@ -21,7 +21,7 @@ import (
 
 // refSegment is what a segment holds according to refParse.
 type refSegment struct {
-	txns    []TxnRecord
+	txns    []txnRecord
 	durable uint64
 	ends    []int // offset after each well-formed frame
 	decoded bool  // every well-formed frame's payload decoded
@@ -74,7 +74,7 @@ func refParse(data []byte) refSegment {
 	return out
 }
 
-func refPayload(p []byte, deflated bool) ([]TxnRecord, bool) {
+func refPayload(p []byte, deflated bool) ([]txnRecord, bool) {
 	if deflated {
 		// One byte past the bound is enough to know it was exceeded.
 		out, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(p)), 4<<20+1))
@@ -83,12 +83,12 @@ func refPayload(p []byte, deflated bool) ([]TxnRecord, bool) {
 		}
 		p = out
 	}
-	var txns []TxnRecord
+	var txns []txnRecord
 	for len(p) > 0 {
 		if len(p) < 12 {
 			return nil, false
 		}
-		t := TxnRecord{TID: binary.LittleEndian.Uint64(p)}
+		t := txnRecord{TID: binary.LittleEndian.Uint64(p)}
 		n := binary.LittleEndian.Uint32(p[8:])
 		p = p[12:]
 		for ; n > 0; n-- {
@@ -127,7 +127,7 @@ func refPayload(p []byte, deflated bool) ([]TxnRecord, bool) {
 // follows a torn frame's end.
 type aliasRecorder struct {
 	t        *testing.T
-	txns     []TxnRecord
+	txns     []txnRecord
 	left     int    // entries still owed for the last transaction
 	payload  []byte // the frame being walked
 	open     bool   // between Frame and FrameEnd
@@ -178,7 +178,7 @@ func (r *aliasRecorder) Txn(tid uint64, writes int) bool {
 		r.t.Fatalf("transaction %x announced with %d entries of the previous one outstanding", tid, r.left)
 	}
 	// Every third transaction is skipped, which must not disturb the rest.
-	r.txns = append(r.txns, TxnRecord{TID: tid})
+	r.txns = append(r.txns, txnRecord{TID: tid})
 	if len(r.txns)%3 == 0 {
 		return false
 	}
@@ -332,7 +332,7 @@ func cutFrames(tb testing.TB, seg []byte) [][]byte {
 // bounds, must report exactly the transactions, entries and durable epoch
 // that the plain reading of the format (refParse) finds — in particular
 // nothing from the first corrupt frame on — and must agree with the copying
-// form built on top of them (ParseLogFile's collector).
+// form built on top of them (txnCollector).
 func FuzzWalkSegment(f *testing.F) {
 	var mixed []byte
 	for _, compress := range []bool{false, true} {

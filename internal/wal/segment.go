@@ -8,25 +8,8 @@ import (
 	"strings"
 	"sync"
 
-	"silo/internal/core"
-	"silo/internal/record"
-	"silo/internal/tid"
 	"silo/internal/vfs"
 )
-
-// RecoveryResult summarizes a recovery pass.
-type RecoveryResult struct {
-	// DurableEpoch is D = min over loggers of the last logged d_l.
-	DurableEpoch uint64
-	// TxnsApplied counts transactions replayed (epoch ≤ D).
-	TxnsApplied int
-	// TxnsSkipped counts logged transactions beyond D, which must not be
-	// replayed (the serial order within an epoch is not recoverable, §4.10).
-	TxnsSkipped int
-	// EntriesApplied counts record modifications that changed the store:
-	// every put, and every delete of a key the store held.
-	EntriesApplied int
-}
 
 // LogFileInfo identifies one log segment on disk. Loggers write log.<id>
 // for their first segment and log.<id>.<seq> after each rotation
@@ -253,24 +236,6 @@ func (s Segment) Walk(v Visitor) error {
 	return nil
 }
 
-// ParseLogFile reads and parses one log segment, tolerating a torn tail. It
-// returns the segment's transactions, its durable epoch (see
-// Segment.Durable), and its size in bytes. A frame with a valid checksum
-// that does not decode is an error naming the segment (see Segment.Walk).
-func ParseLogFile(fs vfs.FS, path string) (txns []TxnRecord, durable uint64, size int64, err error) {
-	data, release, err := vfs.DefaultFS(fs).Map(path)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer release() // the collector copies what it keeps
-	seg := ScanSegment(data, 1)
-	var c txnCollector
-	if err := seg.Walk(&c); err != nil {
-		return nil, 0, 0, fmt.Errorf("wal: %s: %w", path, err)
-	}
-	return c.txns, seg.Durable, seg.Size, nil
-}
-
 // DurableBound computes the global durable epoch D from per-segment
 // durable epochs (Segment.Durable): segments of one logger share that logger's bound (its
 // maximum — d_l only advances), and D is the minimum over loggers. With
@@ -292,81 +257,4 @@ func DurableBound(infos []LogFileInfo, durables []uint64) uint64 {
 		d = 0
 	}
 	return d
-}
-
-// readLogDir parses every log file in dir, tolerating a torn tail (a
-// truncated final frame is treated as end-of-log). It returns the segments
-// ordered by (logger, segment), each one's transaction records, and each
-// one's durable epoch.
-func readLogDir(dir string) (infos []LogFileInfo, files [][]TxnRecord, durables []uint64, err error) {
-	infos, err = ListLogFiles(nil, dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if len(infos) == 0 {
-		return nil, nil, nil, fmt.Errorf("wal: no log files in %s", dir)
-	}
-	for _, fi := range infos {
-		txns, d, _, err := ParseLogFile(nil, fi.Path)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		files = append(files, txns)
-		durables = append(durables, d)
-	}
-	return infos, files, durables, nil
-}
-
-// Recover replays the logs in dir into store, which must contain the
-// schema's tables (created in the same order as when the log was written,
-// so table IDs line up) and must otherwise be empty. It returns the durable
-// epoch D; the caller should restart the store's epoch counter above D
-// (§4.10: transactions with epochs after D are ignored — replaying a subset
-// of an epoch could produce an inconsistent state).
-//
-// Recover is the sequential reference implementation: it materializes every
-// transaction and applies them one by one in TID order, the paper's
-// description taken literally. internal/recovery provides the coalescing
-// parallel path, which must produce identical state.
-func Recover(store *core.Store, dir string) (RecoveryResult, error) {
-	var res RecoveryResult
-	infos, files, durables, err := readLogDir(dir)
-	if err != nil {
-		return res, err
-	}
-	res.DurableEpoch = DurableBound(infos, durables)
-	d := res.DurableEpoch
-
-	var all []TxnRecord
-	for _, f := range files {
-		all = append(all, f...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].TID < all[j].TID })
-
-	for i := range all {
-		t := &all[i]
-		if tid.Word(t.TID).Epoch() > d {
-			res.TxnsSkipped++
-			continue
-		}
-		res.TxnsApplied++
-		word := tid.Word(t.TID).WithLatest(true)
-		for j := range t.Entries {
-			e := &t.Entries[j]
-			tbl := store.TableByID(e.Table)
-			if tbl == nil {
-				continue // undeclared table: skipped, as the schema is the caller's
-			}
-			// In TID order every logged version is newer than the one in
-			// the store, so it replaces it: the old row goes, and a put
-			// inserts the new one.
-			if removed, _ := tbl.Tree.Remove(e.Key); removed || !e.Delete {
-				res.EntriesApplied++
-			}
-			if !e.Delete {
-				tbl.Tree.InsertIfAbsent(e.Key, record.New(word, e.Value))
-			}
-		}
-	}
-	return res, nil
 }

@@ -104,11 +104,7 @@ func TestSegmentRotationRecovery(t *testing.T) {
 	}
 	// The open segment keeps receiving durable frames, so D recomputed
 	// from it alone must not regress below the pre-truncation bound.
-	_, durable, _, err := ParseLogFile(nil, left[0].Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if durable == 0 {
+	if _, _, durables := readLogDir(t, dir); durables[0] == 0 {
 		t.Fatal("open segment carries no durable frame after truncation")
 	}
 	s.Close()
@@ -119,20 +115,15 @@ func TestSegmentRotationRecovery(t *testing.T) {
 	dir2 := t.TempDir()
 	s2, m2 := load(dir2)
 	m2.Stop()
+	tbl := s2.Table("t")
 	s2.Close()
 
-	s3 := core.NewStore(core.DefaultOptions(1))
-	defer s3.Close()
-	tbl3 := s3.CreateTable("t")
-	res, err := Recover(s3, dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TxnsApplied == 0 {
+	st := replayLog(t, dir2)
+	if st.applied == 0 {
 		t.Fatal("nothing recovered")
 	}
-	if got := tbl3.Tree.Len(); got != n {
-		t.Fatalf("recovered %d keys, want %d", got, n)
+	if got := len(st.rows[tbl.ID]); got != n {
+		t.Fatalf("the log recovers %d keys, want %d", got, n)
 	}
 }
 
@@ -237,15 +228,8 @@ func TestCheckpointTriggeredRotation(t *testing.T) {
 	if n := segments(); n != before+1 {
 		t.Fatalf("sticky rotation request not honoured after new data: %d -> %d segments", before, n)
 	}
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	s2.CreateTable("t")
-	res, err := Recover(s2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TxnsApplied != 1 {
-		t.Fatalf("recovered %d txns after truncation, want 1 (only the post-checkpoint write)", res.TxnsApplied)
+	if st := replayLog(t, dir); st.applied != 1 {
+		t.Fatalf("the log recovers %d txns after truncation, want 1 (only the post-checkpoint write)", st.applied)
 	}
 }
 
@@ -270,18 +254,8 @@ func TestSegmentDurableIsMaxFrame(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, durable, _, err := ParseLogFile(nil, path); err != nil || durable != 100 {
-		t.Fatalf("ParseLogFile: durable %d err %v, want 100", durable, err)
-	}
-	s := core.NewStore(core.DefaultOptions(1))
-	defer s.Close()
-	s.CreateTable("t")
-	res, err := Recover(s, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DurableEpoch != 100 || res.TxnsApplied != 1 || res.TxnsSkipped != 0 {
-		t.Fatalf("recovered D=%d applied=%d skipped=%d, want D=100 with the epoch-99 transaction applied", res.DurableEpoch, res.TxnsApplied, res.TxnsSkipped)
+	if st := replayLog(t, dir); st.D != 100 || st.applied != 1 || st.skipped != 0 {
+		t.Fatalf("the log recovers D=%d applied=%d skipped=%d, want D=100 with the epoch-99 transaction applied", st.D, st.applied, st.skipped)
 	}
 }
 

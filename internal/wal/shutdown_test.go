@@ -45,27 +45,12 @@ func stoppedStore(t *testing.T, legacy bool) (dir string, commitEpoch uint64) {
 func TestStopDrainsFinalEpoch(t *testing.T) {
 	dir, commitEpoch := stoppedStore(t, false)
 
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	tbl := s2.CreateTable("t")
-	res, err := Recover(s2, dir)
-	if err != nil {
-		t.Fatal(err)
+	st := replayLog(t, dir)
+	if st.D < commitEpoch {
+		t.Fatalf("clean shutdown left D=%d behind the last commit epoch %d", st.D, commitEpoch)
 	}
-	if res.DurableEpoch < commitEpoch {
-		t.Fatalf("clean shutdown left D=%d behind the last commit epoch %d", res.DurableEpoch, commitEpoch)
-	}
-	if err := s2.Worker(0).Run(func(tx *core.Tx) error {
-		v, err := tx.Get(tbl, []byte("last"))
-		if err != nil {
-			return err
-		}
-		if string(v) != "write" {
-			t.Fatalf("recovered %q", v)
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("final-epoch commit lost on clean shutdown: %v", err)
+	if v, ok := st.rows[0]["last"]; !ok || v != "write" {
+		t.Fatalf("final-epoch commit lost on clean shutdown: recovered %q, %v", v, ok)
 	}
 }
 
@@ -77,24 +62,15 @@ func TestStopDrainsFinalEpoch(t *testing.T) {
 func TestLegacyStopDrainLosesFinalEpoch(t *testing.T) {
 	dir, commitEpoch := stoppedStore(t, true)
 
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	tbl := s2.CreateTable("t")
-	res, err := Recover(s2, dir)
-	if err != nil {
-		t.Fatal(err)
+	st := replayLog(t, dir)
+	if st.D >= commitEpoch {
+		t.Fatalf("legacy drain unexpectedly durable: D=%d commit epoch %d", st.D, commitEpoch)
 	}
-	if res.DurableEpoch >= commitEpoch {
-		t.Fatalf("legacy drain unexpectedly durable: D=%d commit epoch %d", res.DurableEpoch, commitEpoch)
+	if st.skipped != 1 || st.applied != 0 {
+		t.Fatalf("legacy drain: applied=%d skipped=%d, want the commit skipped", st.applied, st.skipped)
 	}
-	if res.TxnsSkipped != 1 || res.TxnsApplied != 0 {
-		t.Fatalf("legacy drain: applied=%d skipped=%d, want the commit skipped", res.TxnsApplied, res.TxnsSkipped)
-	}
-	if err := s2.Worker(0).Run(func(tx *core.Tx) error {
-		_, err := tx.Get(tbl, []byte("last"))
-		return err
-	}); err != core.ErrNotFound {
-		t.Fatalf("want ErrNotFound under legacy drain, got %v", err)
+	if v, ok := st.rows[0]["last"]; ok {
+		t.Fatalf("legacy drain recovered %q, want the key absent", v)
 	}
 }
 

@@ -16,15 +16,6 @@ import (
 
 // ---- Format ----
 
-// decode reads data the way recovery does: the verified prefix's
-// transactions, copied out, and its durable epoch.
-func decode(data []byte) ([]TxnRecord, uint64) {
-	seg := ScanSegment(data, 1)
-	var c txnCollector
-	seg.Walk(&c)
-	return c.txns, seg.Durable
-}
-
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := appendTxn(nil, uint64(tid.Make(3, 7)), []Entry{
@@ -327,35 +318,18 @@ func TestCommitRecoverRoundTrip(t *testing.T) {
 	}
 	s.Close()
 
-	// Recover into a fresh store with the same schema order.
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	ta2 := s2.CreateTable("a")
-	s2.CreateTable("b")
-	res, err := Recover(s2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TxnsApplied == 0 {
+	st := replayLog(t, dir)
+	if st.applied == 0 {
 		t.Fatal("nothing replayed")
 	}
-
-	var got []kv
-	if err := s2.Worker(0).Run(func(tx *core.Tx) error {
-		return tx.Scan(ta2, []byte("w"), nil, func(k, v []byte) bool {
-			got = append(got, kv{string(k), string(v)})
-			return true
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
+	got := st.rows[ta.ID]
 	if len(got) != len(want) {
-		t.Fatalf("recovered %d rows, want %d (applied=%d skipped=%d)",
-			len(got), len(want), res.TxnsApplied, res.TxnsSkipped)
+		t.Fatalf("the log recovers %d rows, want %d (applied=%d skipped=%d)",
+			len(got), len(want), st.applied, st.skipped)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: got %+v want %+v", i, got[i], want[i])
+	for _, w := range want {
+		if got[w.k] != w.v {
+			t.Fatalf("row %q: the log recovers %q, want %q", w.k, got[w.k], w.v)
 		}
 	}
 }
@@ -376,20 +350,14 @@ func TestRecoveryIgnoresBeyondD(t *testing.T) {
 	writeBufferFrame(f, frameBuffer, p2)
 	f.Close()
 
-	s := core.NewStore(core.DefaultOptions(1))
-	defer s.Close()
-	tbl := s.CreateTable("t")
-	res, err := Recover(s, dir)
-	if err != nil {
-		t.Fatal(err)
+	st := replayLog(t, dir)
+	if st.D != 2 || st.applied != 1 || st.skipped != 1 {
+		t.Fatalf("D=%d applied=%d skipped=%d, want 2, 1 and 1", st.D, st.applied, st.skipped)
 	}
-	if res.DurableEpoch != 2 || res.TxnsApplied != 1 || res.TxnsSkipped != 1 {
-		t.Fatalf("res=%+v", res)
-	}
-	if rec, _, _ := tbl.Tree.Get([]byte("a")); rec == nil {
+	if _, ok := st.rows[0]["a"]; !ok {
 		t.Fatal("durable txn not recovered")
 	}
-	if rec, _, _ := tbl.Tree.Get([]byte("b")); rec != nil {
+	if _, ok := st.rows[0]["b"]; ok {
 		t.Fatal("beyond-D txn was recovered")
 	}
 }
@@ -408,22 +376,7 @@ func TestRecoveryTIDOrderPerKey(t *testing.T) {
 		writeDurableFrame(f, 1)
 		f.Close()
 	}
-	s := core.NewStore(core.DefaultOptions(1))
-	defer s.Close()
-	tbl := s.CreateTable("t")
-	if _, err := Recover(s, dir); err != nil {
-		t.Fatal(err)
-	}
-	var got string
-	s.Worker(0).Run(func(tx *core.Tx) error {
-		v, err := tx.Get(tbl, []byte("k"))
-		if err != nil {
-			return err
-		}
-		got = string(v)
-		return nil
-	})
-	if got != "seq20" {
+	if got := replayLog(t, dir).rows[0]["k"]; got != "seq20" {
 		t.Fatalf("final value %q, want seq20", got)
 	}
 }
@@ -438,18 +391,8 @@ func TestRecoveryDeleteReplay(t *testing.T) {
 	writeDurableFrame(f, 1)
 	f.Close()
 
-	s := core.NewStore(core.DefaultOptions(1))
-	defer s.Close()
-	tbl := s.CreateTable("t")
-	if _, err := Recover(s, dir); err != nil {
-		t.Fatal(err)
-	}
-	err := s.Worker(0).RunOnce(func(tx *core.Tx) error {
-		_, err := tx.Get(tbl, []byte("k"))
-		return err
-	})
-	if err != core.ErrNotFound {
-		t.Fatalf("deleted key visible after recovery: %v", err)
+	if v, ok := replayLog(t, dir).rows[0]["k"]; ok {
+		t.Fatalf("deleted key visible after recovery: %q", v)
 	}
 }
 
@@ -468,20 +411,14 @@ func TestTornTailRecovery(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	os.WriteFile(path, data[:len(data)-5], 0o644) // tear the tail
 
-	s := core.NewStore(core.DefaultOptions(1))
-	defer s.Close()
-	tbl := s.CreateTable("t")
-	res, err := Recover(s, dir)
-	if err != nil {
-		t.Fatal(err)
+	st := replayLog(t, dir)
+	if st.D != 1 {
+		t.Fatalf("D=%d", st.D)
 	}
-	if res.DurableEpoch != 1 {
-		t.Fatalf("D=%d", res.DurableEpoch)
-	}
-	if rec, _, _ := tbl.Tree.Get([]byte("good")); rec == nil {
+	if _, ok := st.rows[0]["good"]; !ok {
 		t.Fatal("durable txn lost")
 	}
-	if rec, _, _ := tbl.Tree.Get([]byte("lost")); rec != nil {
+	if _, ok := st.rows[0]["lost"]; ok {
 		t.Fatal("torn txn recovered")
 	}
 }
@@ -502,17 +439,11 @@ func TestCompressedRoundTrip(t *testing.T) {
 	m.Stop()
 	s.Close()
 
-	s2 := core.NewStore(core.DefaultOptions(1))
-	defer s2.Close()
-	tbl2 := s2.CreateTable("t")
-	res, err := Recover(s2, dir)
-	if err != nil {
-		t.Fatal(err)
+	st := replayLog(t, dir)
+	if st.applied < 50 {
+		t.Fatalf("applied=%d", st.applied)
 	}
-	if res.TxnsApplied < 50 {
-		t.Fatalf("applied=%d", res.TxnsApplied)
-	}
-	if tbl2.Tree.Len() != 50 {
-		t.Fatalf("recovered %d keys", tbl2.Tree.Len())
+	if n := len(st.rows[tbl.ID]); n != 50 {
+		t.Fatalf("the log recovers %d keys", n)
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"silo"
 	"silo/internal/catalog"
+	"silo/internal/tid"
 )
 
 // TestOpenRecoversBeforeFirstCommit is the lost-acknowledgement regression.
@@ -227,5 +228,90 @@ func TestOpenFailsOnUndecodableFrame(t *testing.T) {
 		if !bytes.Equal(after[name], data) {
 			t.Errorf("%s changed", name)
 		}
+	}
+}
+
+// TestRecoveryGaugesMatchResult: after a durable reopen, each
+// silo_recovery_* gauge that reports a field of the recovery's Result
+// equals that field of db.Recover(), and the report's replay line carries
+// the same D and counts. The directory is a checkpoint and two loggers'
+// rotated segments of overwritten rows, plus one transaction beyond D, so
+// that no count is 0.
+func TestRecoveryGaugesMatchResult(t *testing.T) {
+	dir := t.TempDir()
+	opts := silo.Options{Workers: 2, EpochInterval: time.Millisecond, SnapshotK: 2,
+		Durability: &silo.DurabilityOptions{Dir: dir, Loggers: 2, SegmentBytes: 4 << 10}}
+	db, err := silo.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := db.CreateTable("t")
+	for i := 0; i < 400; i++ {
+		if err := db.Run(i%2, func(tx *silo.Tx) error {
+			if i < 50 {
+				return tx.Insert(tbl, []byte{'k', byte(i)}, []byte(fmt.Sprint(i)))
+			}
+			return tx.Put(tbl, []byte{'k', byte(i % 50)}, []byte(fmt.Sprint(i)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 200 {
+			waitSnapshotPast(db, 0)
+			if _, err := db.Checkpoint(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	db.Close()
+
+	// A transaction of no writes in an epoch no durable frame reaches.
+	p := binary.LittleEndian.AppendUint64(nil, uint64(tid.Make(1<<20, 1)))
+	p = binary.LittleEndian.AppendUint32(p, 0)
+	frame := binary.LittleEndian.AppendUint32([]byte{'B'}, uint32(len(p)))
+	frame = append(binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(p)), p...)
+	f, err := os.OpenFile(filepath.Join(dir, "log.0"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	if db, err = silo.Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	res, err := db.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DurableEpoch == 0 || res.CheckpointEpoch == 0 || res.TxnsApplied == 0 || res.TxnsSkipped != 1 ||
+		res.TxnsBelowCheckpoint == 0 || res.EntriesApplied == 0 || res.EntriesSuperseded == 0 || res.LogBytes == 0 || res.LogFiles < 3 {
+		t.Fatalf("recovery result %+v: want a checkpoint, every count above 0, one transaction beyond D, a rotated log", res)
+	}
+	snap := db.Observe()
+	for _, g := range []struct {
+		name string
+		want uint64
+	}{
+		{"silo_recovery_durable_epoch", res.DurableEpoch},
+		{"silo_recovery_checkpoint_epoch", res.CheckpointEpoch},
+		{"silo_recovery_txns_applied", uint64(res.TxnsApplied)},
+		{"silo_recovery_txns_skipped", uint64(res.TxnsSkipped)},
+		{"silo_recovery_entries_applied", uint64(res.EntriesApplied)},
+		{"silo_recovery_log_bytes", uint64(res.LogBytes)},
+		{"silo_recovery_log_files", uint64(res.LogFiles)},
+	} {
+		if s := snap.Get(g.name, ""); s == nil || s.Value != g.want {
+			t.Errorf("%s is %v, the result says %d", g.name, s, g.want)
+		}
+	}
+	var report bytes.Buffer
+	res.WriteReport(&report, 0)
+	want := fmt.Sprintf("  replay: D=%d, %d txns applied (%d beyond D, %d below checkpoint), %d keys installed (%d entries superseded), ",
+		res.DurableEpoch, res.TxnsApplied, res.TxnsSkipped, res.TxnsBelowCheckpoint, res.EntriesApplied, res.EntriesSuperseded)
+	if !strings.Contains(report.String(), want) {
+		t.Errorf("report:\n%s\nholds no line starting %q", report.String(), want)
 	}
 }
