@@ -6,13 +6,15 @@ import (
 	"runtime"
 	"testing"
 	"unsafe"
+
+	"silo/internal/ledger"
 )
 
 // Leaf fill under the insert orders the split rule distinguishes. Each
 // filler inserts n keys into a fresh tree, all mapped to one record; the
 // tests hold the fill to a floor with CheckInvariants after every phase,
-// BenchmarkTreeFill reports it, and the node bytes per key, as metrics for
-// the bench-tree gate.
+// and TestLedger holds it, and the node bytes per key, to the ledger's
+// bounds.
 
 // fillRuns inserts keys shaped like TPC-C's order-line key (w, d, o, ol) as
 // 20 interleaved ascending runs, one per (w, d): each step appends one
@@ -151,9 +153,20 @@ func TestHintFollowsLastInsert(t *testing.T) {
 	}
 }
 
-// BenchmarkTreeFill reports, beside the fill and the leaf count, B/key: the
-// live heap a tree's nodes (and long keys' suffixes) hold per key, read as
-// a MemStats difference across the fill, whose keys all map to one record.
+// fillCounts fills a fresh tree with 100 000 keys, all mapped to one
+// record, and returns its shape and B/key: the live heap its nodes (and
+// long keys' suffixes) hold per key.
+func fillCounts(fill func(*Tree, int)) (Shape, float64) {
+	before := liveHeap()
+	tr := New()
+	fill(tr, 100000)
+	held := liveHeap() - before
+	sh := tr.Shape()
+	runtime.KeepAlive(tr)
+	return sh, float64(held) / float64(sh.Keys)
+}
+
+// BenchmarkTreeFill reports fillCounts' fill, leaf count and B/key.
 func BenchmarkTreeFill(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -161,20 +174,37 @@ func BenchmarkTreeFill(b *testing.B) {
 	}{{"runs", fillRuns}, {"random", fillRandom}} {
 		b.Run(c.name, func(b *testing.B) {
 			var sh Shape
-			var held uint64
+			var perKey float64
 			for i := 0; i < b.N; i++ {
-				before := liveHeap()
-				tr := New()
-				c.fill(tr, 100000)
-				held = liveHeap() - before
-				sh = tr.Shape()
-				runtime.KeepAlive(tr)
+				sh, perKey = fillCounts(c.fill)
 			}
 			b.ReportMetric(sh.Fill(), "fill")
 			b.ReportMetric(float64(sh.Leaves), "leaves")
-			b.ReportMetric(float64(held)/float64(sh.Keys), "B/key")
+			b.ReportMetric(perKey, "B/key")
 		})
 	}
+}
+
+// TestLedger holds the tree's shape after 100 000 inserts. Interleaved
+// ascending runs must pack (halving every split gives them 0.50); random
+// inserts must keep what halving gives them (0.70; the bound sits where a
+// run rule that misfires often would land). Keys in slot form in 448-byte
+// nodes hold 31.5 B/key on runs and 44.1 on random (40.5 and 56.6 with
+// sixteen suffix pointers in every node, 90.1 and 125.8 with 64-byte
+// inline key slots).
+func TestLedger(t *testing.T) {
+	runs := ledger.Once(func() [2]float64 { sh, b := fillCounts(fillRuns); return [2]float64{sh.Fill(), b} })
+	random := ledger.Once(func() [2]float64 { sh, b := fillCounts(fillRandom); return [2]float64{sh.Fill(), b} })
+	const how = "Tree.Shape and the HeapAlloc difference across fillRuns or fillRandom of 100 000 keys"
+	ledger.Check(t,
+		ledger.Row{Layer: "btree", Count: "leaf fill, interleaved ascending runs", Bound: ledger.AtLeast(0.90), How: how,
+			Claim: "a split at the end of an ascending run leaves the full leaf full", Got: func() float64 { return runs()[0] }},
+		ledger.Row{Layer: "btree", Count: "leaf fill, uniform random", Bound: ledger.AtLeast(0.60), How: how,
+			Claim: "the run rule leaves random inserts what halving gives", Got: func() float64 { return random()[0] }},
+		ledger.Row{Layer: "btree", Count: "B/key, interleaved ascending runs", Bound: ledger.AtMost(34), How: how,
+			Claim: "a node holds its keys at their own size", Got: func() float64 { return runs()[1] }},
+		ledger.Row{Layer: "btree", Count: "B/key, uniform random", Bound: ledger.AtMost(48), How: how,
+			Claim: "a node holds its keys at their own size", Got: func() float64 { return random()[1] }})
 }
 
 func liveHeap() uint64 {

@@ -113,7 +113,7 @@ func BenchmarkCommitScanNodeSet(b *testing.B) {
 
 // BenchmarkCommitNodeSet prices the node-set alone: a transaction observes
 // n distinct leaves, each twice (as a scan that re-reads its range does),
-// and commits, validating them. ns/node is what the bench-tree job gates:
+// and commits, validating them. ns/node is what CI's bench job gates:
 // a node-set that finds a leaf by linear search pays O(n) per observation,
 // so its ns/node at 2048 leaves is many times its ns/node at 128, where the
 // hashed set's stays flat. Every size sits within maxNodeSet, up to exactly

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"silo/internal/core"
-	"silo/internal/race"
 )
 
 // batched_stream_test.go covers Scan's two staging orders. A window whose
@@ -105,7 +104,7 @@ func TestBatchedEmissionOrdersAgree(t *testing.T) {
 // allocSetup is benchSetup's table under three indexes: ascending on the
 // row counter (windows resolve as collected), descending on it (windows
 // are reversed: sorted first), and covering.
-func allocSetup(t *testing.T) (w *core.Worker, tbl *core.Table, asc, desc, cov *Index) {
+func allocSetup(t testing.TB) (w *core.Worker, tbl *core.Table, asc, desc, cov *Index) {
 	s, asc := benchSetup(t, nil, false)
 	tbl = asc.On
 	desc = mustNew(t, s, tbl, "rows_desc", false, []Seg{{FromValue: true, Off: 0, Len: 8, Xform: XformInvert}})
@@ -120,80 +119,14 @@ func allocSetup(t *testing.T) (w *core.Worker, tbl *core.Table, asc, desc, cov *
 	return w, tbl, asc, desc, cov
 }
 
-// TestMirroredIndexes runs the two checks that need allocSetup's 100k-row
-// table on one load of it.
+// TestMirroredIndexes checks the staged order against the streamed one on
+// allocSetup's 100k-row table. (TestLedger counts the scans' allocations
+// on a table loaded the same way.)
 func TestMirroredIndexes(t *testing.T) {
-	w, tbl, asc, desc, cov := allocSetup(t)
+	w, _, asc, desc, _ := allocSetup(t)
 	t.Run("staged page is the streamed page reversed", func(t *testing.T) {
 		testBatchedStagedMatchesStreamed(t, w, asc, desc)
 	})
-	t.Run("scans allocate nothing", func(t *testing.T) {
-		if race.Enabled {
-			t.Skip("the race detector's instrumentation allocates")
-		}
-		testScansAllocateNothing(t, w, tbl, asc, desc, cov)
-	})
-}
-
-// testScansAllocateNothing: in steady state the scans allocate nothing,
-// under either reader, and neither does the engine's ordered multi-get —
-// whether the window resolves as collected or is sorted first.
-func testScansAllocateNothing(t *testing.T, w *core.Worker, tbl *core.Table, asc, desc, cov *Index) {
-	const start = 5000
-	lo := binary.BigEndian.AppendUint64(nil, start)
-	// The same rows through the descending index: ^i for i in [start, start+len).
-	loDesc := binary.BigEndian.AppendUint64(nil, ^uint64(start+benchScanLen-1))
-	hiDesc := binary.BigEndian.AppendUint64(nil, ^uint64(start-1))
-	var keys [][]byte
-	for i := start; i < start+benchScanLen; i++ {
-		keys = append(keys, binary.BigEndian.AppendUint64(nil, uint64(i)))
-	}
-	n := 0
-	visit := func(_, _, _ []byte) bool { n++; return true }
-	visitRow := func(int, []byte, error) bool { return true }
-	measure := func(name string, rows int, body func(r core.Reader) error) {
-		for _, snapshot := range []bool{false, true} {
-			run := func() {
-				n = 0
-				var err error
-				if snapshot {
-					err = w.RunSnapshot(func(stx *core.SnapTx) error { return body(stx) })
-				} else {
-					err = runTx(w, func(tx *core.Tx) error { return body(tx) })
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if n != rows {
-					t.Fatalf("%s (snapshot %v) visited %d rows, want %d", name, snapshot, n, rows)
-				}
-			}
-			for i := 0; i < 8; i++ {
-				run() // grow the pooled scratch and the transaction's buffers
-			}
-			if got := testing.AllocsPerRun(100, run); got != 0 {
-				t.Errorf("%s (snapshot %v): %.1f allocs per %d-row scan, want 0", name, snapshot, got, benchScanLen)
-			}
-		}
-	}
-	for _, c := range []struct {
-		name string
-		rows int
-		body func(r core.Reader) error
-	}{
-		{"GetBatch", 0, func(r core.Reader) error { return r.GetBatch(tbl, keys, visitRow) }},
-		{"Scan", benchScanLen, func(r core.Reader) error {
-			return Scan(r, asc, lo, nil, benchScanLen, func(_, _, _ []byte) bool { n++; return true })
-		}},
-		{"ScanCovering", benchScanLen, func(r core.Reader) error {
-			return ScanCovering(r, cov, lo, nil, benchScanLen, func(_, _, _ []byte) bool { n++; return true })
-		}},
-		{"Scan sorted first", benchScanLen, func(r core.Reader) error {
-			return Scan(r, desc, loDesc, hiDesc, 0, visit)
-		}},
-	} {
-		measure(c.name, c.rows, c.body)
-	}
 }
 
 // testBatchedStagedMatchesStreamed pins the two orders against each other

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"silo/internal/ledger"
 	"silo/internal/tid"
 )
 
@@ -23,12 +24,10 @@ func (c *countingVisitor) Entry(_ uint32, key, value []byte, _ bool) {
 	c.bytes += len(key) + len(value)
 }
 
-// BenchmarkWalkSegment prices the log decoder alone — ScanSegment (frame
-// headers and CRCs) plus Walk (every transaction and entry, in place) —
-// over a 4 MB segment of two-write transactions with 100-byte values, the
-// record shape of the repository benchmark's recovery.replay workload. It
-// reports MB/s and must stay at 0 allocs/op: decoding costs no memory.
-func BenchmarkWalkSegment(b *testing.B) {
+// walkSegment is a 4 MB segment of two-write transactions with 100-byte
+// values, the record shape of the repository benchmark's recovery.replay
+// workload.
+func walkSegment() []byte {
 	var seg bytes.Buffer
 	val := make([]byte, 100)
 	for i := 0; seg.Len() < 4<<20; {
@@ -42,16 +41,42 @@ func BenchmarkWalkSegment(b *testing.B) {
 		writeBufferFrame(&seg, frameBuffer, payload)
 		writeDurableFrame(&seg, 3)
 	}
-	data := seg.Bytes()
+	return seg.Bytes()
+}
+
+// walk decodes data into v, reset first.
+func walk(tb testing.TB, data []byte, v *countingVisitor) {
+	*v = countingVisitor{}
+	ScanSegment(data, 1).Walk(v)
+	if v.entries != 2*v.txns || v.txns == 0 {
+		tb.Fatalf("walked %d transactions, %d entries", v.txns, v.entries)
+	}
+}
+
+// BenchmarkWalkSegment prices the log decoder alone — ScanSegment (frame
+// headers and CRCs) plus Walk (every transaction and entry, in place) —
+// over walkSegment. It reports MB/s; TestLedger holds its allocations at 0.
+func BenchmarkWalkSegment(b *testing.B) {
+	data := walkSegment()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var v countingVisitor
 	for i := 0; i < b.N; i++ {
-		v = countingVisitor{}
-		ScanSegment(data, 1).Walk(&v)
+		walk(b, data, &v)
 	}
-	if v.entries != 2*v.txns || v.txns == 0 {
-		b.Fatalf("walked %d transactions, %d entries", v.txns, v.entries)
-	}
+}
+
+// TestLedger holds the log decoder's allocations: ScanSegment and Walk
+// read keys and values in place, so decoding costs no memory.
+func TestLedger(t *testing.T) {
+	ledger.Check(t, ledger.Row{
+		Layer: "wal", Count: "allocs/op ScanSegment+Walk of 4 MB", Bound: ledger.AtMost(0), Race: true,
+		Claim: "replay reads the log in place: the decoder allocates nothing",
+		How:   "testing.AllocsPerRun(10) of decoding walkSegment",
+		Got: func() float64 {
+			data, v := walkSegment(), new(countingVisitor)
+			return testing.AllocsPerRun(10, func() { walk(t, data, v) })
+		},
+	})
 }
