@@ -283,6 +283,12 @@ func (s *Store) CreateTable(name string) *Table {
 	}
 	byID := s.tableList()
 	t := &Table{ID: uint32(len(byID)), Name: name, Tree: btree.New()}
+	// Readers of the old list never index past its length, so appending
+	// in place and then publishing the longer list is safe. The id is
+	// published before the name, so a table found by name is always found
+	// by its id.
+	byID = append(byID, t)
+	s.byID.Store(&byID)
 	// Lookups by name read the map without the lock, so it is copied, not
 	// written: creation is rare, lookups come with every request.
 	byName := map[string]*Table{name: t}
@@ -290,10 +296,6 @@ func (s *Store) CreateTable(name string) *Table {
 		maps.Copy(byName, *p)
 	}
 	s.byName.Store(&byName)
-	// Readers of the old list never index past its length, so appending
-	// in place and then publishing the longer list is safe.
-	byID = append(byID, t)
-	s.byID.Store(&byID)
 	s.flight.RecordShared(trace.EvDDL, trace.DDLCreateTable, t.ID, 0, []byte(name))
 	return t
 }

@@ -326,11 +326,9 @@ var heapPerLogByte = map[string]float64{"rewrite": 1.5, "one-logger": 1.5, "inse
 // staged row and Build item).
 func TestLedger(t *testing.T) {
 	const (
-		n        = 5
-		claim    = "§4.10 recovery allocates per span and chunk, not per log entry or row"
-		replay   = "MemStats.Mallocs and TotalAlloc across 5 Recovers of the shape's checkpoint and 50 000 two-write transactions into fresh stores"
-		ckpt     = "MemStats.Mallocs and TotalAlloc across 5 Recovers of a four-part checkpoint of 100 000 rows into fresh stores"
-		marginal = "testing.AllocsPerRun(5) of Recover at two log or checkpoint sizes, difference over the extra entries or rows"
+		n      = 5
+		replay = "MemStats.Mallocs and TotalAlloc across 5 Recovers of the shape's checkpoint and 50 000 two-write transactions into fresh stores"
+		ckpt   = "MemStats.Mallocs and TotalAlloc across 5 Recovers of a four-part checkpoint of 100 000 rows into fresh stores"
 	)
 	var rows []ledger.Row
 	for _, sh := range replayShapes {
@@ -343,7 +341,7 @@ func TestLedger(t *testing.T) {
 			shape := fmt.Sprintf("%s, workers=%d", sh.name, workers)
 			rows = append(rows,
 				ledger.Row{Layer: "recovery", Count: "allocs/entry " + shape, Bound: ledger.AtMost(0.01), How: replay, Race: true,
-					Claim: claim, Got: func() float64 { return cost()[0] }},
+					Claim: recoveryClaim, Got: func() float64 { return cost()[0] }},
 				ledger.Row{Layer: "recovery", Count: "heapB/logB " + shape, Bound: ledger.AtMost(heapPerLogByte[sh.name]), How: replay, Race: true,
 					Claim: "segments are mapped, not read into the heap", Got: func() float64 { return cost()[1] }})
 		}
@@ -357,17 +355,34 @@ func TestLedger(t *testing.T) {
 		shape := fmt.Sprintf("checkpoint load, workers=%d", workers)
 		rows = append(rows,
 			ledger.Row{Layer: "recovery", Count: "allocs/row " + shape, Bound: ledger.AtMost(0.01), How: ckpt, Race: true,
-				Claim: claim, Got: func() float64 { return cost()[0] }},
+				Claim: recoveryClaim, Got: func() float64 { return cost()[0] }},
 			ledger.Row{Layer: "recovery", Count: "B/row " + shape, Bound: ledger.AtMost(250), How: ckpt, Race: true,
 				Claim: "part files are mapped, and a row costs its record, value piece, staged row and Build item",
 				Got:   func() float64 { return cost()[1] }})
 	}
-	rows = append(rows,
-		ledger.Row{Layer: "recovery", Count: "allocs/extra superseded entry, 4k → 40k", Bound: ledger.AtMost(1.0 / 64), How: marginal, Race: true,
-			Claim: "pass 2 allocates per winner, not per entry", Got: func() float64 { return supersededEntryAllocs(t) }},
-		ledger.Row{Layer: "recovery", Count: "allocs/extra row, checkpoint only, 5k → 50k", Bound: ledger.AtMost(0.001), How: marginal, Race: true,
-			Claim: claim, Got: func() float64 { return extraRowAllocs(t, true) }},
-		ledger.Row{Layer: "recovery", Count: "allocs/extra row, log of inserts, 5k → 50k", Bound: ledger.AtMost(0.001), How: marginal, Race: true,
-			Claim: claim, Got: func() float64 { return extraRowAllocs(t, false) }})
+	rows = append(rows, supersededEntryRow(t))
+	rows = append(rows, extraRowRows(t)...)
 	ledger.Check(t, rows...)
+}
+
+const (
+	recoveryClaim = "§4.10 recovery allocates per span and chunk, not per log entry or row"
+	marginalHow   = "testing.AllocsPerRun(5) of Recover at two log or checkpoint sizes, difference over the extra entries or rows"
+)
+
+// supersededEntryRow is the ledger row of supersededEntryAllocs.
+func supersededEntryRow(t *testing.T) ledger.Row {
+	return ledger.Row{Layer: "recovery", Count: "allocs/extra superseded entry, 4k → 40k", Bound: ledger.AtMost(1.0 / 64), How: marginalHow, Race: true,
+		Claim: "pass 2 allocates per winner, not per entry", Got: func() float64 { return supersededEntryAllocs(t) }}
+}
+
+// extraRowRows are the ledger rows of extraRowAllocs, checkpoint only and
+// log of inserts.
+func extraRowRows(t *testing.T) []ledger.Row {
+	return []ledger.Row{
+		{Layer: "recovery", Count: "allocs/extra row, checkpoint only, 5k → 50k", Bound: ledger.AtMost(0.001), How: marginalHow, Race: true,
+			Claim: recoveryClaim, Got: func() float64 { return extraRowAllocs(t, true) }},
+		{Layer: "recovery", Count: "allocs/extra row, log of inserts, 5k → 50k", Bound: ledger.AtMost(0.001), How: marginalHow, Race: true,
+			Claim: recoveryClaim, Got: func() float64 { return extraRowAllocs(t, false) }},
+	}
 }

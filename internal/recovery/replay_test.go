@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"silo/internal/core"
+	"silo/internal/ledger"
 	"silo/internal/tid"
 	"silo/internal/wal"
 )
@@ -849,6 +850,19 @@ func TestOneSegmentDecodesOnEveryWorker(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReplayAllocatesPerWinnerNotPerEntry checks supersededEntryAllocs
+// against its ledger row's bound (TestLedger prints the row beside the
+// rest of recovery's counts).
+func TestReplayAllocatesPerWinnerNotPerEntry(t *testing.T) {
+	ledger.Check(t, supersededEntryRow(t))
+}
+
+// TestRecoveryAllocatesPerSpanNotPerRow checks extraRowAllocs on a
+// checkpoint and on a log of inserts against their ledger rows' bounds.
+func TestRecoveryAllocatesPerSpanNotPerRow(t *testing.T) {
+	ledger.Check(t, extraRowRows(t)...)
 }
 
 // supersededEntryAllocs is the allocation shape of pass 2: decoding and
