@@ -82,6 +82,10 @@ func (e *wireEnv) dispatches() uint64 {
 	return snap.Value("silo_server_dispatches_total", "")
 }
 
+func (e *wireEnv) versions() uint64 {
+	return e.db.Observe().Value("silo_core_snapshot_versions_total", "created")
+}
+
 // pipelineShape is conns×window: window closed-loop callers per
 // connection issuing 80% GET / 20% ADD. serial is one caller on one
 // connection, where writes and dispatches are exactly one per request.
@@ -94,8 +98,12 @@ var pipelineShapes = []pipelineShape{{"serial", 1, 1}, {"1x8", 1, 8}, {"2x8", 2,
 
 // pipeline loads 1024 keys through a wire environment for shape, calls
 // start, and issues n requests from shape's callers. It returns the
-// client writes, server dispatches and process-wide allocations they took.
-func pipeline(tb testing.TB, shape pipelineShape, n int, start func()) (writes, dispatches, mallocs uint64) {
+// client writes, server dispatches and process-wide allocations they took,
+// and the snapshot versions the engine created meanwhile: the first ADD of
+// a key in each snapshot epoch (SnapshotK × EpochInterval, 1 s by default)
+// copies the version it overwrites for snapshot readers (§4.9), two
+// allocations, so their number follows the run's length, not n.
+func pipeline(tb testing.TB, shape pipelineShape, n int, start func()) (writes, dispatches, mallocs, versions uint64) {
 	e := newWireEnv(tb, shape.conns)
 	keys := make([][]byte, 1024)
 	for i := range keys {
@@ -108,8 +116,8 @@ func pipeline(tb testing.TB, shape pipelineShape, n int, start func()) (writes, 
 	var wg sync.WaitGroup
 	var before, after runtime.MemStats
 	start()
+	w0, d0, v0 := e.writes(), e.dispatches(), e.versions()
 	runtime.ReadMemStats(&before)
-	w0, d0 := e.writes(), e.dispatches()
 	for c := 0; c < shape.conns*shape.window; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -135,9 +143,8 @@ func pipeline(tb testing.TB, shape pipelineShape, n int, start func()) (writes, 
 		}(c)
 	}
 	wg.Wait()
-	writes, dispatches = uint64(e.writes()-w0), e.dispatches()-d0
 	runtime.ReadMemStats(&after)
-	return writes, dispatches, after.Mallocs - before.Mallocs
+	return uint64(e.writes() - w0), e.dispatches() - d0, after.Mallocs - before.Mallocs, e.versions() - v0
 }
 
 // BenchmarkPipelinedRoundTrip reports pipeline's counts per request as
@@ -147,7 +154,7 @@ func BenchmarkPipelinedRoundTrip(b *testing.B) {
 	for _, shape := range pipelineShapes {
 		b.Run(shape.name, func(b *testing.B) {
 			b.ReportAllocs()
-			w, d, _ := pipeline(b, shape, b.N, b.ResetTimer)
+			w, d, _, _ := pipeline(b, shape, b.N, b.ResetTimer)
 			b.StopTimer()
 			b.ReportMetric(float64(w)/float64(b.N), "writes/op")
 			b.ReportMetric(float64(d)/float64(b.N), "dispatch/op")
@@ -164,27 +171,26 @@ func TestLedger(t *testing.T) {
 	const n = 200_000
 	measure := func(shape pipelineShape) func() [3]float64 {
 		return ledger.Once(func() [3]float64 {
-			w, d, a := pipeline(t, shape, n, func() {})
-			// Allocations per request are truncated to a whole number, as
-			// testing reports allocs/op.
-			return [3]float64{float64(w) / n, float64(d) / n, float64(a / n)}
+			w, d, a, v := pipeline(t, shape, n, func() {})
+			return [3]float64{float64(w) / n, float64(d) / n, float64(a-2*v) / n}
 		})
 	}
 	serial, wide := measure(pipelineShapes[0]), measure(pipelineShapes[2])
-	const how = "200 000 requests on an in-process server over loopback: conn.Write calls, silo_server_dispatches_total, and MemStats.Mallocs as whole allocs/op"
+	const how = "200 000 requests on an in-process server over loopback: conn.Write calls, silo_server_dispatches_total, and MemStats.Mallocs less 2 per silo_core_snapshot_versions_total{created}"
+	const allocs = "the response payload the caller keeps, plus a per-run warm-up of pools, chains and goroutines (1.0004-1.0009 serial, 1.0011-1.0029 at 2x8 on 2 vCPUs)"
 	rows := []ledger.Row{
 		{Layer: "client", Count: "writes/op serial", Bound: ledger.Exactly(1), How: how,
 			Claim: "a lone request is a burst of one: one write", Got: func() float64 { return serial()[0] }},
 		{Layer: "server", Count: "dispatch/op serial", Bound: ledger.Exactly(1), How: how,
 			Claim: "a lone request is a burst of one: one dispatch", Got: func() float64 { return serial()[1] }},
-		{Layer: "wire", Count: "allocs/op serial", Bound: ledger.AtMost(1), How: how, Race: true,
-			Claim: "the only allocation is the response payload the caller keeps", Got: func() float64 { return serial()[2] }},
+		{Layer: "wire", Count: "allocs/op serial", Bound: ledger.AtMost(1.002), How: how, Race: true,
+			Claim: allocs, Got: func() float64 { return serial()[2] }},
 		{Layer: "client", Count: "writes/op 2x8", Bound: ledger.AtMost(0.27), How: how,
 			Claim: "a burst's follow-ups leave in one write (1.5 × the 0.176 measured on 2 vCPUs)", Got: func() float64 { return wide()[0] }},
 		{Layer: "server", Count: "dispatch/op 2x8", Bound: ledger.AtMost(0.5), How: how,
 			Claim: "a pipelined burst is one dispatch", Got: func() float64 { return wide()[1] }},
-		{Layer: "wire", Count: "allocs/op 2x8", Bound: ledger.AtMost(1), How: how, Race: true,
-			Claim: "the only allocation is the response payload the caller keeps", Got: func() float64 { return wide()[2] }},
+		{Layer: "wire", Count: "allocs/op 2x8", Bound: ledger.AtMost(1.005), How: how, Race: true,
+			Claim: allocs, Got: func() float64 { return wide()[2] }},
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -93,21 +93,7 @@ func fig4(cfg config) {
 			db := newDB(workers, func(o *silo.Options) { o.GlobalTID = sys.globalTID })
 			tbl := ycsb.LoadSilo(db, wcfg)
 			r := median(cfg.runs, func() result {
-				return run(sys.name, workers, cfg.warmup, cfg.seconds,
-					func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
-						gen := ycsb.NewGenerator(wcfg, uint64(wid)+1)
-						w := db.Store().Worker(wid)
-						var kb []byte
-						for !stop.Load() {
-							var ok bool
-							ok, kb = ycsb.RunSiloOp(w, tbl, gen.Next(), kb)
-							if ok {
-								ops.Add(1)
-							} else {
-								aborts.Add(1)
-							}
-						}
-					})
+				return run(sys.name, workers, cfg.warmup, cfg.seconds, siloWorker(db, tbl, wcfg, ycsb.Scans{}, nil))
 			})
 			fmt.Println(r)
 			db.Close()
@@ -219,7 +205,8 @@ func fig7(cfg config) {
 						}
 					}
 				})
-			r.lat = hist
+			lat := hist.Snapshot()
+			r.lat = &lat
 			fmt.Println(r)
 			cleanup()
 		}
@@ -439,21 +426,7 @@ func spaceOverhead(cfg config) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	r := run("MemSilo 100% RMW", workers, cfg.warmup, cfg.seconds,
-		func(wid int, stop *atomic.Bool, ops, aborts *atomic.Uint64) {
-			gen := ycsb.NewGenerator(wcfg, uint64(wid)+1)
-			w := db.Store().Worker(wid)
-			var kb []byte
-			for !stop.Load() {
-				var ok bool
-				ok, kb = ycsb.RunSiloOp(w, tbl, gen.Next(), kb)
-				if ok {
-					ops.Add(1)
-				} else {
-					aborts.Add(1)
-				}
-			}
-		})
+	r := run("MemSilo 100% RMW", workers, cfg.warmup, cfg.seconds, siloWorker(db, tbl, wcfg, ycsb.Scans{}, nil))
 	done.Store(true)
 	<-sampled
 	snap := db.Observe()

@@ -21,7 +21,8 @@ type result struct {
 	ops      uint64
 	aborts   uint64
 	duration time.Duration
-	lat      *obs.Histogram // nanoseconds; nil unless latency was sampled
+	lat      *obs.HistSnapshot // nanoseconds; nil unless latency was sampled
+	note     string            // ycsb's traced-span line, from a newline on
 }
 
 // tps returns operations per second.
@@ -35,8 +36,7 @@ func (r result) String() string {
 	s := fmt.Sprintf("%-28s workers=%-3d txns/sec=%-12.0f txns/sec/worker=%-10.0f aborts/sec=%.0f",
 		r.name, r.workers, r.tps(), r.tps()/float64(r.workers), r.abortRate())
 	if r.lat != nil {
-		lat := r.lat.Snapshot()
-		s += fmt.Sprintf("  lat p50=%v p99=%v", time.Duration(lat.Quantile(0.50)), time.Duration(lat.Quantile(0.99)))
+		s += fmt.Sprintf("  lat p50=%v p99=%v", time.Duration(r.lat.Quantile(0.50)), time.Duration(r.lat.Quantile(0.99)))
 	}
 	return s
 }
@@ -45,20 +45,24 @@ func (r result) String() string {
 // then stops them. Counters are deltas over the measurement window only.
 func run(name string, workers int, warmup, dur time.Duration, fn workerFn) result {
 	var stop atomic.Bool
-	ops := make([]atomic.Uint64, workers)
-	aborts := make([]atomic.Uint64, workers)
+	// Each worker's counters fill a cache line of their own: workers that
+	// shared one would pay for each other's counting on every operation.
+	counts := make([]struct {
+		ops, aborts atomic.Uint64
+		_           [48]byte
+	}, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range counts {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			fn(w, &stop, &ops[w], &aborts[w])
-		}(w)
+			fn(w, &stop, &counts[w].ops, &counts[w].aborts)
+		}()
 	}
 	total := func() (o, a uint64) {
-		for w := 0; w < workers; w++ {
-			o += ops[w].Load()
-			a += aborts[w].Load()
+		for w := range counts {
+			o += counts[w].ops.Load()
+			a += counts[w].aborts.Load()
 		}
 		return o, a
 	}

@@ -8,6 +8,7 @@
 package ycsb
 
 import (
+	"cmp"
 	"encoding/binary"
 
 	"silo"
@@ -49,19 +50,11 @@ func DefaultConfig(keys int) Config {
 }
 
 // Key encodes record i into an 8-byte big-endian key, overwriting buf.
-func Key(i uint64, buf []byte) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], i)
-	return append(buf[:0], b[:]...)
-}
+func Key(i uint64, buf []byte) []byte { return AppendKey(i, buf[:0]) }
 
 // AppendKey is Key appending to buf instead of overwriting it (for
 // composite bounds like entry-key prefixes).
-func AppendKey(i uint64, buf []byte) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], i)
-	return append(buf, b[:]...)
-}
+func AppendKey(i uint64, buf []byte) []byte { return binary.BigEndian.AppendUint64(buf, i) }
 
 // RNG is a per-worker SplitMix64 generator: cheap, decent quality, no
 // shared state.
@@ -122,20 +115,13 @@ func NewGenerator(cfg Config, seed uint64) *Generator {
 	if scanLen <= 0 {
 		scanLen = 100
 	}
-	hotKeys := uint64(cfg.HotKeys)
-	if hotKeys == 0 {
-		hotKeys = 8
-	}
-	if hotKeys > uint64(cfg.Keys) {
-		hotKeys = uint64(cfg.Keys)
-	}
 	return &Generator{
 		cfg:     cfg,
 		rng:     NewRNG(seed),
 		scanBps: int(cfg.ScanFrac * 10000),
 		scanLen: scanLen,
 		hotBps:  int(cfg.HotFrac * 10000),
-		hotKeys: hotKeys,
+		hotKeys: min(uint64(cmp.Or(cfg.HotKeys, 8)), uint64(cfg.Keys)),
 	}
 }
 
@@ -169,10 +155,7 @@ func LoadSilo(db *silo.DB, cfg Config) *silo.Table {
 	var kb []byte
 	const batch = 512
 	for lo := 0; lo < cfg.Keys; lo += batch {
-		hi := lo + batch
-		if hi > cfg.Keys {
-			hi = cfg.Keys
-		}
+		hi := min(lo+batch, cfg.Keys)
 		err := db.Run(0, func(tx *silo.Tx) error {
 			for i := lo; i < hi; i++ {
 				kb = Key(uint64(i), kb)
@@ -206,44 +189,71 @@ func LoadKV(kv *kvstore.Store, cfg Config) {
 	}
 }
 
-// RunSiloOp executes one operation transactionally against a core worker.
+// Scans says how RunSiloOp serves a scan: through Index when it is set —
+// resolving rows, or with Covering from the entries' included fields
+// alone, and with Snapshot at a consistent snapshot — and otherwise as a
+// range scan of the primary table.
+type Scans struct {
+	Index              *silo.Index
+	Covering, Snapshot bool
+}
+
+// Scratch is one caller's reusable buffers for RunSiloOp: the key (or an
+// index scan's lower bound) and the value a read appends to. A value that
+// outgrows its buffer leaves the larger one for the next operation.
+type Scratch struct{ key, val []byte }
+
+// RunSiloOp executes one operation as one transaction attempt on a core
+// worker and reports whether it committed (false = conflict abort). Reads
+// go through the allocation-free GetAppend path, as a tuned client would.
 // RMW reads the record, increments its first 8 bytes as a big-endian
 // counter — the wire ADD's encoding, so an embedded run moves the counter
 // and any index over it exactly as a wire run does — and writes it back in
-// the same transaction. It reports whether the
-// transaction committed (false = conflict abort). The key buffer is reused
-// across calls; reads go through the allocation-free GetAppend path, as a
-// tuned client would.
-func RunSiloOp(w *core.Worker, tbl *core.Table, op Op, kb []byte) (ok bool, keyBuf []byte) {
-	// One reusable buffer: bytes [0,8) hold the key, the rest is value
-	// scratch for GetAppend.
-	if cap(kb) < 8+256 {
-		kb = make([]byte, 0, 8+256)
-	}
-	kb = Key(op.Key, kb)
+// the same transaction. A scan reads op.Len rows or entries as sc says.
+func RunSiloOp(w *core.Worker, tbl *core.Table, sc Scans, op Op, s *Scratch) bool {
 	if op.Scan {
-		err := w.RunOnce(func(tx *core.Tx) error {
+		return runScan(w, tbl, sc, op, s) == nil
+	}
+	s.key = Key(op.Key, s.key)
+	err := w.RunOnce(func(tx *core.Tx) error {
+		v, err := tx.GetAppend(tbl, s.key, s.val[:0])
+		s.val = v[:0]
+		if err != nil || op.Read {
+			return err
+		}
+		binary.BigEndian.PutUint64(v, binary.BigEndian.Uint64(v)+1)
+		return tx.Put(tbl, s.key, v)
+	})
+	return err == nil
+}
+
+func runScan(w *core.Worker, tbl *core.Table, sc Scans, op Op, s *Scratch) error {
+	if sc.Index == nil {
+		s.key = Key(op.Key, s.key)
+		return w.RunOnce(func(tx *core.Tx) error {
 			n := 0
-			return tx.Scan(tbl, kb[:8], nil, func(_, _ []byte) bool {
+			return tx.Scan(tbl, s.key, nil, func(_, _ []byte) bool {
 				n++
 				return n < op.Len
 			})
 		})
-		return err == nil, kb[:8]
 	}
-	scratch := kb[8:8:cap(kb)]
-	err := w.RunOnce(func(tx *core.Tx) error {
-		v, err := tx.GetAppend(tbl, kb[:8], scratch)
-		if err != nil {
-			return err
+	// The counter index's entry keys are counter ‖ pk and counters start
+	// at zero, so (0 ‖ key) begins the scan at that row's entry: scan
+	// ranges spread across the index as YCSB-E's spread across the key
+	// space, instead of every scan reading the index head.
+	s.key = AppendKey(op.Key, append(s.key[:0], 0, 0, 0, 0, 0, 0, 0, 0))
+	visit := func(_, _, _ []byte) bool { return true }
+	read := func(r silo.Reader) error {
+		if sc.Covering {
+			return silo.ScanIndexCovering(r, sc.Index, s.key, nil, op.Len, visit)
 		}
-		if op.Read {
-			return nil
-		}
-		binary.BigEndian.PutUint64(v, binary.BigEndian.Uint64(v)+1)
-		return tx.Put(tbl, kb[:8], v)
-	})
-	return err == nil, kb[:8]
+		return silo.ScanIndexBatched(r, sc.Index, s.key, nil, op.Len, visit)
+	}
+	if sc.Snapshot {
+		return w.RunSnapshot(func(stx *core.SnapTx) error { return read(stx) })
+	}
+	return w.RunOnce(func(tx *core.Tx) error { return read(tx) })
 }
 
 // RunKVOp executes one operation against the Key-Value baseline; its RMW

@@ -10,6 +10,7 @@ import (
 	"silo"
 	"silo/client"
 	"silo/internal/kvstore"
+	"silo/internal/race"
 	"silo/server"
 )
 
@@ -100,12 +101,36 @@ func TestLoadAndRunSilo(t *testing.T) {
 		t.Fatalf("loaded %d keys", tbl.Tree.Len())
 	}
 	g := NewGenerator(cfg, 3)
-	var kb []byte
+	var s Scratch
 	for i := 0; i < 500; i++ {
-		ok, kb2 := RunSiloOp(db.Store().Worker(0), tbl, g.Next(), kb)
-		kb = kb2
-		if !ok {
+		if !RunSiloOp(db.Store().Worker(0), tbl, Scans{}, g.Next(), &s) {
 			t.Fatal("single-worker op aborted")
+		}
+	}
+}
+
+// TestRunSiloOpAllocsFlatInValueSize: a read or RMW of a 1 KiB record
+// allocates what one of a 100 B record does — nothing — because a read
+// buffer that had to grow is kept for the next operation.
+func TestRunSiloOpAllocsFlatInValueSize(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	allocs := func(valueSize int, read bool) float64 {
+		db := openDB(t)
+		tbl := LoadSilo(db, Config{Keys: 64, ValueSize: valueSize})
+		w, i := db.Store().Worker(0), uint64(0)
+		var s Scratch
+		return testing.AllocsPerRun(2000, func() {
+			i++
+			if !RunSiloOp(w, tbl, Scans{}, Op{Read: read, Key: i % 64}, &s) {
+				t.Fatal("single-worker op aborted")
+			}
+		})
+	}
+	for _, read := range []bool{true, false} {
+		if small, large := allocs(100, read), allocs(1024, read); large != small || small != 0 {
+			t.Errorf("read=%v: %.2f allocs/op at 1 KiB, %.2f at 100 B", read, large, small)
 		}
 	}
 }
@@ -131,13 +156,11 @@ func TestRMWIncrements(t *testing.T) {
 	tbl := LoadSilo(db, cfg)
 	counts := make(map[uint64]uint64)
 	g := NewGenerator(cfg, 8)
-	var kb []byte
+	var s Scratch
 	for i := 0; i < 300; i++ {
 		op := g.Next()
 		counts[op.Key]++
-		var ok bool
-		ok, kb = RunSiloOp(db.Store().Worker(0), tbl, op, kb)
-		if !ok {
+		if !RunSiloOp(db.Store().Worker(0), tbl, Scans{}, op, &s) {
 			t.Fatal("op aborted")
 		}
 	}
@@ -171,7 +194,7 @@ func TestRMWMatchesWireAdd(t *testing.T) {
 	defer db.Close()
 	cfg := Config{Keys: 2, ValueSize: 100, ReadPct: 0}
 	tbl := LoadSilo(db, cfg)
-	if ok, _ := RunSiloOp(db.Store().Worker(0), tbl, Op{Key: 0}, nil); !ok {
+	if !RunSiloOp(db.Store().Worker(0), tbl, Scans{}, Op{Key: 0}, &Scratch{}) {
 		t.Fatal("RMW aborted")
 	}
 	kv := kvstore.New()
