@@ -4,6 +4,11 @@
 // protocol (so single-key reads are atomic); writes lock the record for the
 // duration of the data copy. Figure 4 compares MemSilo against this to show
 // the cost of read/write-set maintenance.
+//
+// It is also every table of §5.4's Partitioned-Store (internal/partition),
+// which calls it under its partition locks. Both baselines thus run on the
+// same tree and records as MemSilo and differ from it only in concurrency
+// control.
 package kvstore
 
 import (
@@ -15,16 +20,12 @@ import (
 // Store is a non-transactional ordered key-value store.
 type Store struct {
 	tree *btree.Tree
-	seq  tid.GlobalGenerator // versions for record words (uncontended per record)
 }
 
 // New returns an empty store.
 func New() *Store {
 	return &Store{tree: btree.New()}
 }
-
-// Len returns the number of keys.
-func (s *Store) Len() int { return s.tree.Len() }
 
 // Get returns a copy of the value for key, or nil if missing.
 func (s *Store) Get(key []byte) []byte {
@@ -102,10 +103,4 @@ func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) {
 		}
 		return fn(key, val)
 	})
-}
-
-// Delete removes key, returning whether it was present.
-func (s *Store) Delete(key []byte) bool {
-	removed, _ := s.tree.Remove(key)
-	return removed
 }

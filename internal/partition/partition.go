@@ -1,12 +1,23 @@
 // Package partition implements the Partitioned-Store baseline of §5.4,
 // motivated by H-Store/VoltDB: the database is physically partitioned (by
-// warehouse, in TPC-C) into separate sets of single-threaded B+-trees, each
-// partition guarded by one whole-partition spinlock allocated on its own
-// cache line. A transaction declares the partitions it touches up front
-// (the paper assumes perfect knowledge of partition locks), acquires them
-// in sorted order, runs without any further concurrency control, and
-// releases them. Single-partition transactions are therefore extremely
-// fast; multi-partition transactions serialize on the coarse locks.
+// warehouse, in TPC-C) into separate sets of B+-trees, each partition
+// guarded by one whole-partition spinlock allocated on its own cache line.
+// A transaction declares the partitions it touches up front (the paper
+// assumes perfect knowledge of partition locks), acquires them in sorted
+// order, runs without any further concurrency control, and releases them.
+// Single-partition transactions are therefore extremely fast;
+// multi-partition transactions serialize on the coarse locks.
+//
+// Each table of each partition is a kvstore.Store, the Key-Value baseline's
+// non-transactional path over Silo's own B+-tree (internal/btree) and
+// records: §5.4 builds Partitioned-Store from Silo's tree, "remov[ing] the
+// concurrency control mechanisms in place in the B+-tree" and the
+// record-level concurrency control. What §5.4 removes is absent here: there
+// are no read-, write- or node-sets, no validation and no TIDs. What is
+// left of the tree's own concurrency control is an uncontended node-version
+// load per node visited, under the partition lock, and a record lock on an
+// overwrite. Those costs count against Partitioned-Store, so its lead over
+// MemSilo at 0% cross-partition transactions is a lower bound.
 //
 // Partitioned-Store supports neither snapshot transactions nor durability,
 // matching the paper's configuration.
@@ -16,7 +27,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"silo/internal/partition/plainbtree"
+	"silo/internal/kvstore"
 )
 
 // spinlock is a cache-line-padded test-and-set lock. The paper implements
@@ -42,31 +53,30 @@ func (l *spinlock) unlock() { l.v.Store(0) }
 // Store is a statically partitioned collection of tables.
 type Store struct {
 	locks []spinlock
-	// trees[p][t] is table t's tree in partition p.
-	trees [][]*plainbtree.Tree
+	// tables[p][t] is table t of partition p.
+	tables [][]*kvstore.Store
 }
 
 // New creates a store with nparts partitions, each holding ntables tables.
 func New(nparts, ntables int) *Store {
 	s := &Store{}
 	s.locks = make([]spinlock, nparts)
-	s.trees = make([][]*plainbtree.Tree, nparts)
-	for p := range s.trees {
-		s.trees[p] = make([]*plainbtree.Tree, ntables)
-		for t := range s.trees[p] {
-			s.trees[p][t] = plainbtree.New()
+	s.tables = make([][]*kvstore.Store, nparts)
+	for p := range s.tables {
+		s.tables[p] = make([]*kvstore.Store, ntables)
+		for t := range s.tables[p] {
+			s.tables[p][t] = kvstore.New()
 		}
 	}
 	return s
 }
 
 // Partitions returns the partition count.
-func (s *Store) Partitions() int { return len(s.trees) }
+func (s *Store) Partitions() int { return len(s.tables) }
 
-// Tx is a running partitioned transaction. It is valid only inside Run.
-type Tx struct {
-	s *Store
-}
+// Tx is the store as a running partitioned transaction sees it. It is
+// valid only inside Run.
+type Tx Store
 
 // Run executes fn holding the locks of all partitions in parts (sorted
 // order, duplicates ignored). Once the locks are held the transaction is
@@ -96,29 +106,31 @@ func (s *Store) Run(parts []int, fn func(tx *Tx)) {
 	for i := 0; i < n; i++ {
 		s.locks[held[i]].lock()
 	}
-	tx := Tx{s: s}
-	fn(&tx)
+	fn((*Tx)(s))
 	for i := n - 1; i >= 0; i-- {
 		s.locks[held[i]].unlock()
 	}
 }
 
-// Get returns the value for key in (partition, table), or nil.
-func (tx *Tx) Get(part, table int, key []byte) []byte {
-	return tx.s.trees[part][table].Get(key)
+// Get appends the value for key in (partition, table) to buf, returning
+// the extended buffer and whether the key was found. A buf with room for
+// the value makes the read allocation-free.
+func (tx *Tx) Get(part, table int, key, buf []byte) ([]byte, bool) {
+	return tx.tables[part][table].GetInto(buf, key)
 }
 
-// Put stores value under key in (partition, table).
+// Put stores a copy of value under key in (partition, table).
 func (tx *Tx) Put(part, table int, key, value []byte) {
-	tx.s.trees[part][table].Put(key, value)
+	tx.tables[part][table].Put(key, value)
 }
 
-// Scan visits [lo, hi) in key order within one partition's table.
+// Scan visits [lo, hi) in key order within one partition's table; lo must
+// not be empty. The value passed to fn is valid only during the callback.
 func (tx *Tx) Scan(part, table int, lo, hi []byte, fn func(key, value []byte) bool) {
-	tx.s.trees[part][table].Scan(lo, hi, fn)
+	tx.tables[part][table].Scan(lo, hi, fn)
 }
 
 // Load bulk-inserts during single-threaded setup, bypassing locks.
 func (s *Store) Load(part, table int, key, value []byte) {
-	s.trees[part][table].Put(key, value)
+	s.tables[part][table].Put(key, value)
 }

@@ -10,10 +10,10 @@ func TestSinglePartitionOps(t *testing.T) {
 	s := New(1, 2)
 	s.Run([]int{0}, func(tx *Tx) {
 		tx.Put(0, 0, []byte("k"), []byte("v"))
-		if string(tx.Get(0, 0, []byte("k"))) != "v" {
+		if v, _ := tx.Get(0, 0, []byte("k"), nil); string(v) != "v" {
 			t.Error("get after put")
 		}
-		if tx.Get(0, 1, []byte("k")) != nil {
+		if _, ok := tx.Get(0, 1, []byte("k"), nil); ok {
 			t.Error("table isolation broken")
 		}
 	})
@@ -36,7 +36,7 @@ func TestLockOrderingNoDeadlock(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				s.Run(sets[g], func(tx *Tx) {
 					for _, p := range sets[g] {
-						v := tx.Get(p, 0, key)
+						v, _ := tx.Get(p, 0, key, nil)
 						binary.LittleEndian.PutUint64(v, binary.LittleEndian.Uint64(v)+1)
 						tx.Put(p, 0, key, v)
 					}
@@ -65,7 +65,7 @@ func TestMutualExclusionCounts(t *testing.T) {
 			p := g % 2
 			for i := 0; i < per; i++ {
 				s.Run([]int{p}, func(tx *Tx) {
-					v := tx.Get(p, 0, key)
+					v, _ := tx.Get(p, 0, key, nil)
 					binary.LittleEndian.PutUint64(v, binary.LittleEndian.Uint64(v)+1)
 					tx.Put(p, 0, key, v)
 				})
@@ -76,7 +76,8 @@ func TestMutualExclusionCounts(t *testing.T) {
 	var total uint64
 	for p := 0; p < 2; p++ {
 		s.Run([]int{p}, func(tx *Tx) {
-			total += binary.LittleEndian.Uint64(tx.Get(p, 0, key))
+			v, _ := tx.Get(p, 0, key, nil)
+			total += binary.LittleEndian.Uint64(v)
 		})
 	}
 	if total != goroutines*per {
@@ -106,8 +107,8 @@ func TestMultiPartitionAtomicity(t *testing.T) {
 			default:
 			}
 			s.Run([]int{0, 1}, func(tx *Tx) {
-				a := tx.Get(0, 0, key)
-				b := tx.Get(1, 0, key)
+				a, _ := tx.Get(0, 0, key, nil)
+				b, _ := tx.Get(1, 0, key, nil)
 				av := binary.LittleEndian.Uint64(a)
 				bv := binary.LittleEndian.Uint64(b)
 				if av > 0 {
@@ -121,8 +122,10 @@ func TestMultiPartitionAtomicity(t *testing.T) {
 	}()
 	for i := 0; i < 2000; i++ {
 		s.Run([]int{0, 1}, func(tx *Tx) {
-			a := binary.LittleEndian.Uint64(tx.Get(0, 0, key))
-			b := binary.LittleEndian.Uint64(tx.Get(1, 0, key))
+			av, _ := tx.Get(0, 0, key, nil)
+			bv, _ := tx.Get(1, 0, key, nil)
+			a := binary.LittleEndian.Uint64(av)
+			b := binary.LittleEndian.Uint64(bv)
 			if a+b != 2000 {
 				t.Errorf("sum=%d", a+b)
 			}

@@ -16,9 +16,18 @@ import (
 // key arena the worker keeps. With 48-byte entries, a key slice per read
 // and a read-set given back past 64 KiB of keys, the same run allocated
 // 17 288 B and 56.57 objects.
+//
+// A committed Partitioned-Store new-order of the seeded run inserts 13.06
+// rows (order, order-cust, new-order and 10.06 order lines). Each costs a
+// Record, its value buffer and the one-entry version-change slice
+// btree.InsertIfAbsent returns, and leaf splits add the rest: 3.29 objects
+// per row, 42.95 per order. The bound is 3.5 per row. A read that copies
+// its value instead of appending to the client's scratch allocates 3 +
+// 2 × 10.06 more per order and fails it.
 const (
-	maxAllocBytesPerTxn   = 7_690
-	maxAllocObjectsPerTxn = 70.5
+	maxAllocBytesPerTxn    = 7_690
+	maxAllocObjectsPerTxn  = 70.5
+	maxPartObjectsPerOrder = 3.5 * 13.06
 )
 
 // TestLedger is the engine's allocation row for TPC-C: the bytes and
@@ -43,7 +52,45 @@ func TestLedger(t *testing.T) {
 		ledger.Row{Layer: "core", Count: "objects allocated/committed TPC-C txn", Bound: ledger.AtMost(maxAllocObjectsPerTxn), How: how, Race: true,
 			Claim: "a transaction's read-set, node-set and key copies reuse what its worker keeps",
 			Got:   func() float64 { return perTxn()[1] }},
+		ledger.Row{Layer: "partition", Count: "objects allocated/committed Partitioned-Store new-order", Bound: ledger.AtMost(maxPartObjectsPerOrder), Race: true,
+			How:   "MemStats.Mallocs across 10 000 seeded new-orders on a one-warehouse Partitioned-Store at DefaultScale, after 5 000 warm ones",
+			Claim: "a read appends to the client's scratch: only the rows an order inserts allocate",
+			Got:   func() float64 { return partObjectsPerOrder(t) }},
 	)
+}
+
+// partObjectsPerOrder returns the objects allocated per committed
+// Partitioned-Store new-order, and logs the rows each inserts.
+func partObjectsPerOrder(t *testing.T) float64 {
+	const warm, measured = 5_000, 10_000
+	sc := DefaultScale(1)
+	ps := LoadPartitioned(sc, 1)
+	pc := NewPartClient(ps, sc, 1, StandardConfig(), 52)
+	for i := 0; i < warm; i++ {
+		pc.NewOrder()
+	}
+	inserted := func() (orders, rows int) {
+		for _, tbl := range []int{ordOrder, ordOrderCust, ordNewOrder, ordOrderLine} {
+			n := len(partRows(ps, tbl))
+			if tbl == ordOrder {
+				orders = n
+			}
+			rows += n
+		}
+		return orders, rows
+	}
+	orders, rows := inserted()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < measured; i++ {
+		pc.NewOrder()
+	}
+	runtime.ReadMemStats(&after)
+	o, r := inserted()
+	committed := float64(o - orders)
+	t.Logf("Partitioned-Store: %.0f committed new-orders inserting %.2f rows each, %.2f objects per row",
+		committed, float64(r-rows)/committed, float64(after.Mallocs-before.Mallocs)/float64(r-rows))
+	return float64(after.Mallocs-before.Mallocs) / committed
 }
 
 // allocsPerTxn returns the bytes and objects allocated per committed

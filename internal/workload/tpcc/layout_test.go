@@ -94,12 +94,13 @@ func siloRows(t *testing.T, s *core.Store, sets []*Tables, ord int) []kv {
 }
 
 // partRows returns table tbl's rows across the partitions of ps, in
-// partition order.
+// partition order. Every key sorts at or after {0}, the smallest key the
+// tree accepts.
 func partRows(ps *partition.Store, tbl int) []kv {
 	var rows []kv
 	for p := 0; p < ps.Partitions(); p++ {
 		ps.Run([]int{p}, func(tx *partition.Tx) {
-			tx.Scan(p, tbl, nil, nil, func(k, v []byte) bool {
+			tx.Scan(p, tbl, []byte{0}, nil, func(k, v []byte) bool {
 				rows = append(rows, kv{string(k), string(v)})
 				return true
 			})

@@ -75,21 +75,23 @@ func (pc *PartClient) NewOrder() {
 		var item Item
 		for i := 0; i < in.olCnt; i++ {
 			c.kb = ItemKey(c.kb, in.items[i].id)
-			v := tx.Get(home, ordItem, c.kb)
-			if v == nil {
+			var ok bool
+			if c.vb, ok = tx.Get(home, ordItem, c.kb, c.vb[:0]); !ok {
 				return
 			}
-			item.Unmarshal(v)
+			item.Unmarshal(c.vb)
 			price[i] = item.Price
 		}
 
 		var wh Warehouse
 		c.kb = WarehouseKey(c.kb, c.Home)
-		wh.Unmarshal(tx.Get(home, ordWarehouse, c.kb))
+		c.vb, _ = tx.Get(home, ordWarehouse, c.kb, c.vb[:0])
+		wh.Unmarshal(c.vb)
 
 		var di District
 		c.kb = DistrictKey(c.kb, c.Home, d)
-		di.Unmarshal(tx.Get(home, ordDistrict, c.kb))
+		c.vb, _ = tx.Get(home, ordDistrict, c.kb, c.vb[:0])
+		di.Unmarshal(c.vb)
 		oid := int(di.NextOID)
 		di.NextOID++
 		c.vb = di.Marshal(c.vb)
@@ -97,7 +99,8 @@ func (pc *PartClient) NewOrder() {
 
 		var cu Customer
 		c.kb = CustomerKey(c.kb, c.Home, d, in.cid)
-		cu.Unmarshal(tx.Get(home, ordCustomer, c.kb))
+		c.vb, _ = tx.Get(home, ordCustomer, c.kb, c.vb[:0])
+		cu.Unmarshal(c.vb)
 
 		ord := Order{CID: uint32(in.cid), EntryDate: in.date, OLCount: uint32(in.olCnt), AllLocal: in.allLocal}
 		c.kb = OrderKey(c.kb, c.Home, d, oid)
@@ -114,7 +117,8 @@ func (pc *PartClient) NewOrder() {
 			var st Stock
 			sp := partOf(pc.S, it.supplyW)
 			c.kb = StockKey(c.kb, it.supplyW, it.id)
-			st.Unmarshal(tx.Get(sp, ordStock, c.kb))
+			c.vb, _ = tx.Get(sp, ordStock, c.kb, c.vb[:0])
+			st.Unmarshal(c.vb)
 			st.restock(it.qty, it.remote)
 			c.vb = st.Marshal(c.vb)
 			tx.Put(sp, ordStock, c.kb, c.vb)

@@ -139,8 +139,10 @@ func TestLoadAndRunKV(t *testing.T) {
 	kv := kvstore.New()
 	cfg := DefaultConfig(300)
 	LoadKV(kv, cfg)
-	if kv.Len() != cfg.Keys {
-		t.Fatalf("loaded %d", kv.Len())
+	n := 0
+	kv.Scan([]byte{0}, nil, func(_, _ []byte) bool { n++; return true })
+	if n != cfg.Keys {
+		t.Fatalf("loaded %d", n)
 	}
 	g := NewGenerator(cfg, 4)
 	var kb, vb []byte
