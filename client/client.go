@@ -382,13 +382,24 @@ type Result = wire.TxnResult
 // any op error (e.g. a Get of a missing key) aborts the whole
 // transaction. A Txn is not safe for concurrent use and must not be
 // reused after Exec.
+//
+// A Txn of up to inlineOps ops is one heap object: ops starts on the
+// inline array and grows onto the heap only past it.
 type Txn struct {
-	cl  *Client
-	ops []wire.Op
+	cl     *Client
+	ops    []wire.Op
+	inline [inlineOps]wire.Op
 }
 
+// inlineOps is the op count a Txn holds without a second allocation.
+const inlineOps = 4
+
 // Txn starts an empty transaction.
-func (cl *Client) Txn() *Txn { return &Txn{cl: cl} }
+func (cl *Client) Txn() *Txn {
+	t := &Txn{cl: cl}
+	t.ops = t.inline[:0]
+	return t
+}
 
 // Get reads a key; its value lands in the corresponding Result.
 func (t *Txn) Get(table string, key []byte) *Txn {

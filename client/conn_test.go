@@ -3,7 +3,9 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -163,10 +165,11 @@ func BenchmarkPipelinedRoundTrip(b *testing.B) {
 }
 
 // TestLedger holds the wire path's counts per request: pipeline's at
-// serial and 2x8, and what a Get or an Add allocates in the client (the
-// response payload its value aliases; no channel, no request on the heap,
-// no frame header) against a stub peer that answers every frame with one
-// canned VALUE and allocates nothing itself.
+// serial and 2x8, and what a Get, an Add or a 4-PUT Txn allocates in the
+// client (the response payload its value aliases, a Txn's one object and
+// its Results; no channel, no request on the heap, no frame header)
+// against a stub peer that answers every frame with one canned VALUE, or
+// TXNR for a TXN, and allocates nothing itself.
 func TestLedger(t *testing.T) {
 	const n = 200_000
 	measure := func(shape pipelineShape) func() [3]float64 {
@@ -204,13 +207,21 @@ func TestLedger(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		reply, _ := wire.AppendResponse(nil, &wire.Response{Kind: wire.KindValue, Value: make([]byte, 8)})
-		// Requests here are all shorter than the buffer, and arrive one at
-		// a time: one Read is one frame.
-		buf := make([]byte, 256)
+		value, _ := wire.AppendResponse(nil, &wire.Response{Kind: wire.KindValue, Value: make([]byte, 8)})
+		txnr, _ := wire.AppendResponse(nil, &wire.Response{Kind: wire.KindTxnR, Results: make([]wire.TxnResult, 4)})
+		// Requests arrive one at a time: read one frame, answer it.
+		buf := make([]byte, 64<<10)
 		for {
-			if _, err := nc.Read(buf); err != nil {
+			if _, err := io.ReadFull(nc, buf[:4]); err != nil {
 				return
+			}
+			n := binary.BigEndian.Uint32(buf)
+			if _, err := io.ReadFull(nc, buf[:n]); err != nil {
+				return
+			}
+			reply := value
+			if wire.Kind(buf[0]) == wire.KindTxn {
+				reply = txnr
 			}
 			if _, err := nc.Write(reply); err != nil {
 				return
@@ -242,6 +253,24 @@ func TestLedger(t *testing.T) {
 				})
 			}})
 	}
+	keys, value := make([][]byte, 4), make([]byte, 100)
+	for i := range keys {
+		keys[i] = []byte{'k', byte(i)}
+	}
+	rows = append(rows, ledger.Row{Layer: "client", Count: "allocs/call Txn.Exec of 4 PUTs", Bound: ledger.AtMost(3), Race: true,
+		How:   "testing.AllocsPerRun(2000) of one call on the stub peer",
+		Claim: "a Txn of up to 4 ops is one object; the caller keeps the response payload and its Results",
+		Got: func() float64 {
+			return testing.AllocsPerRun(2000, func() {
+				txn := cl.Txn()
+				for _, k := range keys {
+					txn.Put("t", k, value)
+				}
+				if _, err := txn.Exec(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}})
 	ledger.Check(t, rows...)
 }
 

@@ -103,6 +103,13 @@ type LoggedWrite struct {
 // reused. A nil LogFunc disables logging (MemSilo).
 type LogFunc func(commit tid.Word, writes []LoggedWrite)
 
+// ExitFunc runs on the worker's goroutine after each of its transactions
+// ends — a commit, read-only or not, an abort, or a snapshot transaction —
+// once the worker has left its epoch slot. entered is the local epoch e_w
+// the transaction held until then. The durability layer uses it to wake a
+// logger that a straggler held back.
+type ExitFunc func(entered uint64)
+
 // WriteHook observes the logical writes a transaction performs on a table,
 // from inside that transaction, before it commits. Hooks are how secondary
 // indexes are maintained (§4.7: index updates are ordinary writes folded

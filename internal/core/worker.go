@@ -13,15 +13,16 @@ import (
 // runs one transaction at a time; distinct workers run concurrently and
 // share the whole database.
 type Worker struct {
-	id    int
-	store *Store
-	slot  *epoch.Slot
-	gen   tid.Generator
-	gc    gcState
-	arena arena
-	obs   *workerObs  // observability shard (see obs.go)
-	ring  *trace.Ring // flight-recorder shard
-	logFn LogFunc
+	id     int
+	store  *Store
+	slot   *epoch.Slot
+	gen    tid.Generator
+	gc     gcState
+	arena  arena
+	obs    *workerObs  // observability shard (see obs.go)
+	ring   *trace.Ring // flight-recorder shard
+	logFn  LogFunc
+	exitFn ExitFunc
 
 	tx   Tx     // reusable transaction
 	stx  SnapTx // reusable snapshot transaction
@@ -50,6 +51,10 @@ func (w *Worker) Store() *Store { return w.store }
 // SetLogFunc installs the durability hook invoked after every commit. It
 // must be set before the worker runs transactions.
 func (w *Worker) SetLogFunc(fn LogFunc) { w.logFn = fn }
+
+// SetExitFunc installs the hook invoked after every transaction ends. It
+// must be set before the worker runs transactions.
+func (w *Worker) SetExitFunc(fn ExitFunc) { w.exitFn = fn }
 
 // LastCommitTID returns the pure TID of the worker's most recent commit.
 func (w *Worker) LastCommitTID() uint64 { return w.gen.Last() }
@@ -162,7 +167,7 @@ func (w *Worker) RunSnapshot(fn func(stx *SnapTx) error) error {
 }
 
 // finishTx is the common epilogue for commit and abort: quiesce the epoch
-// slot and let the garbage collector run between requests (§4.8: reaping in
+// slot, tell the exit hook the epoch the transaction held, and let the garbage collector run between requests (§4.8: reaping in
 // the workers avoids helper threads and cross-core data movement).
 //
 // The transaction's key arena, read-set and node-set stay with the worker
@@ -173,7 +178,11 @@ func (w *Worker) RunSnapshot(fn func(stx *SnapTx) error) error {
 // that filled exactly its bound has more room than that, and giving it
 // back made every transaction of that size grow it again.
 func (w *Worker) finishTx() {
+	entered := w.slot.Local()
 	w.slot.Exit()
+	if w.exitFn != nil {
+		w.exitFn(entered)
+	}
 	if tx := &w.tx; !tx.active {
 		if len(tx.keys) > maxKeyArena {
 			tx.keys = nil

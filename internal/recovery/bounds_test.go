@@ -75,6 +75,7 @@ func checkShares(t *testing.T, tables []*core.Table, res recovery.CheckpointResu
 // with the warehouse — are cut into four parts that each hold 15–35 % of
 // every table of at least two leaves per part.
 func TestCheckpointBoundsRealisticKeys(t *testing.T) {
+	t.Parallel()
 	const parts = 4
 	for _, order := range []string{"ascending", "shuffled"} {
 		t.Run("ids/"+order, func(t *testing.T) {

@@ -105,6 +105,7 @@ func randomImage(rng *rand.Rand) []map[string]string {
 // checkpoint round trip exactly — 500 keys spread over every partition,
 // then random images.
 func TestPartitionedCheckpointRoundTrip(t *testing.T) {
+	t.Parallel()
 	spread := map[string]string{}
 	for i := 0; i < 500; i++ {
 		spread[string(binKey(i))] = fmt.Sprintf("v%d", i)
@@ -165,6 +166,7 @@ func TestPartitionedCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointNoSnapshotEpochYet(t *testing.T) {
+	t.Parallel()
 	s, _ := catalogStore(t, manualOpts(), "t") // E stays at 1; SE stays 0
 	if _, err := WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), 2); err == nil {
 		t.Fatal("checkpoint at snapshot epoch 0 succeeded")
@@ -175,6 +177,7 @@ func TestCheckpointNoSnapshotEpochYet(t *testing.T) {
 // DefaultPartitions (4) part files; asked for more than maxParts, it
 // writes maxParts.
 func TestDefaultPartitions(t *testing.T) {
+	t.Parallel()
 	s, _ := ckptStore(t, 500)
 	for _, c := range []struct{ ask, want int }{{0, 4}, {-1, 4}, {maxParts + 1, maxParts}} {
 		res, err := WriteCheckpoint(nil, s, s.Maintenance(), t.TempDir(), c.ask)
@@ -193,6 +196,7 @@ func TestDefaultPartitions(t *testing.T) {
 // catalog — or that has no table — is refused, naming what it holds, and
 // leaves no checkpoint behind.
 func TestCheckpointNeedsTheCatalog(t *testing.T) {
+	t.Parallel()
 	for _, c := range []struct {
 		tables []string
 		want   []string
@@ -226,6 +230,7 @@ func TestCheckpointNeedsTheCatalog(t *testing.T) {
 // TestRecoverNeedsTheSchema: Recover has one source of schema, its
 // Options.Schema, and refuses to run without it.
 func TestRecoverNeedsTheSchema(t *testing.T) {
+	t.Parallel()
 	s, _ := catalogStore(t, manualOpts())
 	if _, err := Recover(s, t.TempDir(), Options{Workers: 2}); err == nil || !contains(err.Error(), "Schema") {
 		t.Fatalf("Recover without Options.Schema: err %v, want one naming Schema", err)
@@ -236,6 +241,7 @@ func TestRecoverNeedsTheSchema(t *testing.T) {
 // set with only a subset of its part files (and no manifest) must be
 // ignored in favor of the previous complete set.
 func TestTornCheckpointFallsBack(t *testing.T) {
+	t.Parallel()
 	const n = 200
 	s, tbl := ckptStore(t, n)
 	dir := t.TempDir()
@@ -306,6 +312,7 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 // list empty (tables accounts and orders, 40 rows each), and this writer's
 // own set with a list spliced in that names tables the store never had.
 func TestManifestTableListIsReadPast(t *testing.T) {
+	t.Parallel()
 	t.Run("written-with-the-list", func(t *testing.T) {
 		dir := filepath.Join("testdata", "spm2-table-list")
 		data, err := os.ReadFile(filepath.Join(dir, "checkpoint.25", manifestName))
@@ -364,6 +371,7 @@ func TestManifestTableListIsReadPast(t *testing.T) {
 }
 
 func TestPruneCheckpoints(t *testing.T) {
+	t.Parallel()
 	s, tbl := ckptStore(t, 20)
 	dir := t.TempDir()
 	var epochs []uint64
@@ -401,6 +409,7 @@ func TestPruneCheckpoints(t *testing.T) {
 // with a huge N beside one real set must not be what recovery loads, what
 // pruning keeps in the real set's place, or what the daemon resumes from.
 func TestStrayEntriesAreNotCheckpoints(t *testing.T) {
+	t.Parallel()
 	for _, c := range []struct {
 		name  string
 		plant func(path string) error
@@ -464,6 +473,7 @@ func TestStrayEntriesAreNotCheckpoints(t *testing.T) {
 // or PruneCheckpoints remove, and not the segment a reopened logger
 // resumes.
 func TestAliasNamesAreIgnored(t *testing.T) {
+	t.Parallel()
 	const n = 50
 	s, tbl := ckptStore(t, n)
 	src := t.TempDir()
@@ -633,6 +643,7 @@ func (f failSyncDirFS) SyncDir(dir string) error {
 // silo_ckpt_failed_total, beside the error DaemonStats.LastErr keeps, and
 // not as a completed checkpoint.
 func TestDaemonCountsFailedTicks(t *testing.T) {
+	t.Parallel()
 	s, _ := ckptStore(t, 50)
 	dir := t.TempDir()
 	fs := failSyncDirFS{FS: vfs.OS, fail: func(string) bool { return true }}
@@ -657,6 +668,7 @@ func TestDaemonCountsFailedTicks(t *testing.T) {
 // nothing, and a retry at the same epoch — which finds the set complete —
 // still has to get the syncs through.
 func TestCheckpointFailsWhenDirSyncFails(t *testing.T) {
+	t.Parallel()
 	for _, where := range []string{"the set's directory", "the durability directory"} {
 		t.Run(where, func(t *testing.T) {
 			s, _ := ckptStore(t, 50)

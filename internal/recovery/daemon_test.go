@@ -15,6 +15,7 @@ import (
 // (a) it took checkpoints and truncated covered segments, and (b) a crash
 // at that point recovers, in parallel, to exactly the live state.
 func TestDaemonCheckpointsTruncatesRecovers(t *testing.T) {
+	t.Parallel()
 	const workers = 2
 	const rounds = 400
 	dir := t.TempDir()
@@ -119,6 +120,7 @@ func TestDaemonCheckpointsTruncatesRecovers(t *testing.T) {
 // checkpoint when the snapshot epoch has not advanced past the newest set,
 // and that a restarted daemon resumes from the set on disk.
 func TestDaemonSkipsWithoutProgress(t *testing.T) {
+	t.Parallel()
 	s, _ := ckptStore(t, 50) // manual epochs: SE frozen between ticks
 	dir := t.TempDir()
 	m := attach(t, s, dir)

@@ -102,6 +102,7 @@ var keyShapes = []keyShape{
 // sort and the merge, exactly as bytes.Compare does (Build would refuse a
 // key out of order).
 func TestReplayKeyShapes(t *testing.T) {
+	t.Parallel()
 	for i, sh := range keyShapes {
 		t.Run(sh.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + i)))

@@ -49,6 +49,7 @@ func waitDurable(t *testing.T, s *core.Store, m *wal.Manager) {
 // and compressed — which recovery checks in ranges and decodes in pieces,
 // with deflated frames on both sides of the cuts.
 func TestParallelRecoveryEquivalence(t *testing.T) {
+	t.Parallel()
 	for _, layout := range []struct {
 		name string
 		cfg  wal.Config
@@ -210,6 +211,7 @@ func testParallelRecoveryEquivalence(t *testing.T, cfg wal.Config) {
 // TID order). The delete must win on its TID however the two arrive, so
 // that the older insert cannot resurrect the key.
 func TestReplayCrossLoggerDeleteOrder(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	s, cat := catalogStore(t, fastOpts(2))
 	m, err := wal.Attach(s, wal.Config{Dir: dir, Loggers: 2, PollInterval: time.Millisecond})
@@ -276,6 +278,7 @@ func TestReplayCrossLoggerDeleteOrder(t *testing.T) {
 // the end of CE itself silently discards every epoch-CE transaction —
 // updates revert and deletes resurrect after recovery.
 func TestCheckpointEpochBoundaryReplay(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	s, cat := catalogStore(t, manualOpts())
 	m, err := wal.Attach(s, wal.Config{Dir: dir, PollInterval: time.Millisecond})
@@ -355,6 +358,7 @@ func TestCheckpointEpochBoundaryReplay(t *testing.T) {
 // has no catalog row, so recovery cannot create it, and its logged rows
 // fail recovery with an error naming the table id.
 func TestRecoverMissingTableNamed(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	s, cat := catalogStore(t, fastOpts(1))
 	m, err := wal.Attach(s, wal.Config{Dir: dir, PollInterval: time.Millisecond})
@@ -575,6 +579,7 @@ func buildRandomLog(t *testing.T, rng *rand.Rand, kinds string, keys [][]byte) r
 // entry is accounted for as installed, superseded or a dropped delete; and
 // the trees hold live rows only.
 func TestReplayEquivalenceRandomLogs(t *testing.T) {
+	t.Parallel()
 	for seed := int64(1); seed <= 12; seed++ {
 		kinds := []string{"C", "BC", "B"}[seed%3]
 		t.Run(fmt.Sprintf("seed=%d,frames=%s", seed, kinds), func(t *testing.T) {
@@ -622,6 +627,7 @@ func TestReplayEquivalenceRandomLogs(t *testing.T) {
 // cases around them — a delete followed by a re-insert, a checkpointed row
 // overwritten, and rows only the checkpoint or only the log knows.
 func TestReplayLeavesNoTombstones(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	src, _ := catalogStore(t, manualOpts(), "t")
 	defer src.Close()
@@ -692,6 +698,7 @@ func TestReplayLeavesNoTombstones(t *testing.T) {
 // the fanout — and passes its invariant check. Inserting the log's winners
 // one by one into split leaves left a log-only tree about 0.69 full.
 func TestRecoveredTreesArePacked(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(43))
 	logOnly := t.TempDir()
 	{
@@ -774,6 +781,7 @@ func TestRecoveredTreesArePacked(t *testing.T) {
 // segment or the forty-first, past the first cut between the pieces that
 // recovery's workers decode.
 func TestUndecodableFrameFailsRecovery(t *testing.T) {
+	t.Parallel()
 	for _, kind := range []byte{'B', 'C'} {
 		t.Run(string(kind), func(t *testing.T) {
 			for _, before := range []int{1, 40} {
@@ -823,6 +831,7 @@ func TestUndecodableFrameFailsRecovery(t *testing.T) {
 // pieces, since pieces are cut by bytes; the two-segment case gets one
 // piece more at most. (A small first frame creates the table.)
 func TestOneSegmentDecodesOnEveryWorker(t *testing.T) {
+	t.Parallel()
 	seg := appendBufferFrame(nil, []logTxn{createTxn(tidAt(1, 1025), "t")}, 'B')
 	for f := 0; f < 64; f++ {
 		var txns []logTxn

@@ -19,6 +19,8 @@ import (
 )
 
 // File is the writable-file surface the WAL and checkpoint writers use.
+// Write must not retain p after it returns: a logger hands the buffer it
+// wrote back to its worker, which overwrites it with later commits.
 type File interface {
 	io.Writer
 	// Sync flushes written data to stable storage (fsync).

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"io"
 	"os"
 	"testing"
 
@@ -131,4 +132,14 @@ func replayLog(t testing.TB, dir string) logState {
 		st.rows[r.table][r.key] = string(v.e.Value)
 	}
 	return st
+}
+
+// writeBufferFrame writes payload to w as a frame of the given kind.
+func writeBufferFrame(w io.Writer, kind byte, payload []byte) error {
+	return new(frameHeader).writeBuffer(w, kind, payload)
+}
+
+// writeDurableFrame writes a durable-epoch frame to w.
+func writeDurableFrame(w io.Writer, epoch uint64) error {
+	return new(frameHeader).writeDurable(w, epoch)
 }

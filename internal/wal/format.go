@@ -16,6 +16,14 @@
 // and publishes d_l. The pass is the only way a buffer reaches the log.
 // Transactions in epochs ≤ D = min d_l are durable; results are released
 // to clients only then.
+//
+// Buffers are not garbage: a logger hands each buffer it has written back
+// to its worker at its next pass over that worker, and the worker starts
+// new buffers from those spares, so a steady-state commit allocates nothing
+// and never regrows a buffer. A worker keeps at most two spares, none with
+// a capacity above 2 × Config.BufferBytes, so what an idle worker retains
+// is bounded by 4 × BufferBytes; the cycle relies on vfs.File.Write not
+// retaining the bytes it is given.
 package wal
 
 import (
@@ -95,27 +103,31 @@ func appendTxn(buf []byte, tid uint64, entries []Entry) []byte {
 	return buf
 }
 
-// writeBufferFrame writes payload as a frame of the given kind: frameBuffer,
-// or frameDeflated for a payload that deflate produced.
-func writeBufferFrame(w io.Writer, kind byte, payload []byte) error {
-	var hdr [9]byte
-	hdr[0] = kind
-	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+// frameHeader is scratch for the header of the frame being written. A
+// header on the stack would escape to the heap through the io.Writer it is
+// written to, so a logger keeps one of these and writing a frame allocates
+// nothing.
+type frameHeader [13]byte
+
+// writeBuffer writes payload as a frame of the given kind: frameBuffer, or
+// frameDeflated for a payload that deflate produced.
+func (h *frameHeader) writeBuffer(w io.Writer, kind byte, payload []byte) error {
+	h[0] = kind
+	binary.LittleEndian.PutUint32(h[1:5], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(h[5:9], crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(h[:9]); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// writeDurableFrame writes a durable-epoch frame.
-func writeDurableFrame(w io.Writer, epoch uint64) error {
-	var f [13]byte
-	f[0] = frameDurable
-	binary.LittleEndian.PutUint64(f[1:9], epoch)
-	binary.LittleEndian.PutUint32(f[9:13], crc32.ChecksumIEEE(f[1:9]))
-	_, err := w.Write(f[:])
+// writeDurable writes a durable-epoch frame.
+func (h *frameHeader) writeDurable(w io.Writer, epoch uint64) error {
+	h[0] = frameDurable
+	binary.LittleEndian.PutUint64(h[1:9], epoch)
+	binary.LittleEndian.PutUint32(h[9:13], crc32.ChecksumIEEE(h[1:9]))
+	_, err := w.Write(h[:13])
 	return err
 }
 

@@ -23,7 +23,10 @@ type Config struct {
 	// round-robin (the paper uses 4 loggers for 32 workers). Default 1.
 	Loggers int
 	// BufferBytes is the size at which a worker closes its buffer for
-	// the logger's next pass. Default 64 KiB.
+	// the logger's next pass. Default 64 KiB. Written buffers return to
+	// their worker as spares (see WorkerLog): at most two per worker, each
+	// of capacity at most 2 × BufferBytes, so a worker retains at most
+	// 4 × BufferBytes of empty buffers.
 	BufferBytes int
 	// PollInterval is the logger loop period. Default 5 ms.
 	PollInterval time.Duration
@@ -128,6 +131,7 @@ func Attach(s *core.Store, cfg Config) (*Manager, error) {
 		lg.workers = append(lg.workers, wl)
 		m.byWkr[i] = wl
 		s.Worker(i).SetLogFunc(wl.onCommit)
+		s.Worker(i).SetExitFunc(wl.onExit)
 	}
 	// The hidden DDL worker logs through logger 0 like any worker: catalog
 	// records are ordinary transactional writes, so schema changes share
@@ -137,6 +141,7 @@ func Attach(s *core.Store, cfg Config) (*Manager, error) {
 	ddl := newWorkerLog(m, m.loggers[0], s.Workers()+1)
 	m.loggers[0].workers = append(m.loggers[0].workers, ddl)
 	s.DDL().SetLogFunc(ddl.onCommit)
+	s.DDL().SetExitFunc(ddl.onExit)
 	return m, nil
 }
 
@@ -257,7 +262,7 @@ func (m *Manager) raiseDemand(e uint64) {
 // the end of every logger pass — after the pass has published D, and
 // again after a pass that could not, because a straggler kept the epoch
 // thread from advancing (it retries then at every pass until the
-// straggler refreshes).
+// straggler leaves, and the straggler's exit kicks one: see onExit).
 func (m *Manager) closeIfDemanded() {
 	e := m.epochs.Global()
 	if m.demand.Load() >= e && m.durable.Load()+1 >= e {
@@ -296,6 +301,16 @@ func (m *Manager) publishDurable() {
 // the closed buffers and the open one under the same mu, in one critical
 // section, so that pass is the only way a buffer reaches the log, and
 // group commit stays live without worker cooperation.
+//
+// Buffers cycle between the worker and its logger. The pass writes what it
+// took and keeps it (written) until its next pass over the worker, whose
+// critical section hands those buffers back to the worker's spares; the
+// worker starts each new buffer from a spare. A steady state therefore
+// allocates nothing per commit and never regrows a buffer. The spares are
+// bounded: at most maxSpares per worker, none with a capacity above
+// 2 × Config.BufferBytes (a buffer one large transaction grew past that is
+// dropped), so an idle worker retains at most 4 × BufferBytes of them. Attach
+// allocates none; a worker's first buffers grow from empty.
 type WorkerLog struct {
 	m      *Manager
 	lg     *logger
@@ -304,11 +319,16 @@ type WorkerLog struct {
 	buf    []byte
 	bufEp  uint64        // epoch of the txns in buf (all equal), 0 if empty
 	closed [][]byte      // closed buffers, oldest first, awaiting the next pass
+	spares [][]byte      // empty buffers the logger handed back
 	txns   atomic.Uint64 // transactions appended; loggers diff it per durable pass
-	// epoch is the epoch of the worker's newest commit (worker goroutine
-	// only), so the demand bookkeeping runs once per epoch, not per commit.
-	epoch uint64
+	// written holds the buffers the logger's last pass took and wrote
+	// (logger goroutine only, and under mu when handed back).
+	written [][]byte
 }
+
+// maxSpares bounds the empty buffers a worker keeps. Two cover a pass per
+// epoch: while the logger writes one buffer the worker fills the next.
+const maxSpares = 2
 
 func newWorkerLog(m *Manager, lg *logger, id int) *WorkerLog {
 	return &WorkerLog{m: m, lg: lg, id: id}
@@ -327,6 +347,12 @@ func (wl *WorkerLog) onCommit(commit tid.Word, writes []core.LoggedWrite) {
 	if wl.bufEp != e {
 		wl.closeLocked()
 	}
+	if wl.buf == nil {
+		if n := len(wl.spares); n > 0 {
+			wl.buf, wl.spares[n-1] = wl.spares[n-1], nil
+			wl.spares = wl.spares[:n-1]
+		}
+	}
 	wl.buf = appendTxn(wl.buf, commit.TID(), writes)
 	wl.bufEp = e
 	// Counted under mu so a logger pass that took this worker's buffers
@@ -336,22 +362,20 @@ func (wl *WorkerLog) onCommit(commit tid.Word, writes []core.LoggedWrite) {
 		wl.closeLocked()
 	}
 	wl.mu.Unlock()
-	if e > wl.epoch {
-		wl.epoch = e
-		wl.firstInEpoch(e)
-	}
 }
 
-// firstInEpoch runs on the worker's first commit in epoch e. If the worker
-// entered this transaction before e opened, it was active through the
-// advance: every logger pass since then had to stop d_l below its entry
-// epoch, so epoch e−1 cannot have become durable through its logger. Its
-// commit is the moment that bound lifts (the worker leaves its slot right
-// after), so when someone waits for e−1 it wakes its logger now instead of
-// leaving the epoch to the next poll.
-func (wl *WorkerLog) firstInEpoch(e uint64) {
+// onExit is installed as the worker's core.ExitFunc: it runs on the worker
+// goroutine after every transaction ends, commit, abort or read-only, once
+// the worker has left its epoch slot. A worker that entered before the open
+// epoch E was active through the advance to E: every logger pass since then
+// had to stop d_l below its entry epoch, so epoch E−1 cannot have become
+// durable through its logger. Its exit is the moment that bound lifts, so
+// when someone waits for E−1 or later and E−1 is not durable yet it wakes
+// its logger now instead of leaving the epoch to the next poll.
+func (wl *WorkerLog) onExit(entered uint64) {
 	m := wl.m
-	if m.demand.Load()+1 >= e && m.durable.Load()+1 < e && m.epochs.Slot(wl.id).Local() < e {
+	e := m.epochs.Global()
+	if entered < e && m.demand.Load()+1 >= e && e > m.durable.Load()+1 {
 		wl.lg.ticker.Kick()
 	}
 }
@@ -361,8 +385,8 @@ func (wl *WorkerLog) firstInEpoch(e uint64) {
 func (wl *WorkerLog) closeLocked() {
 	if len(wl.buf) > 0 {
 		wl.closed = append(wl.closed, wl.buf)
+		wl.buf = nil
 	}
-	wl.buf = nil
 	wl.bufEp = 0
 }
 
@@ -375,16 +399,24 @@ func (wl *WorkerLog) Flush() {
 	wl.mu.Unlock()
 }
 
-// take appends the worker's closed buffers and its open one to bufs, in
-// append order, and leaves the worker with none (logger side).
-func (wl *WorkerLog) take(bufs [][]byte) [][]byte {
+// take is the logger's side of the cycle, in one critical section: it
+// hands the buffers its last pass wrote back to the worker's spares
+// (within their bounds), then takes the worker's closed buffers and its
+// open one into written, in append order, for this pass to write.
+func (wl *WorkerLog) take() {
+	limit := 2 * wl.m.cfg.BufferBytes
 	wl.mu.Lock()
+	for _, b := range wl.written {
+		if len(wl.spares) < maxSpares && cap(b) <= limit {
+			wl.spares = append(wl.spares, b[:0])
+		}
+	}
+	clear(wl.written)
 	wl.closeLocked()
-	bufs = append(bufs, wl.closed...)
+	wl.written = append(wl.written[:0], wl.closed...)
 	clear(wl.closed)
 	wl.closed = wl.closed[:0]
 	wl.mu.Unlock()
-	return bufs
 }
 
 // logger owns one log file (or chain of segments) and a disjoint set of
@@ -418,9 +450,7 @@ type logger struct {
 	// durable publish, so each publish observes its group-commit batch.
 	passBytes int64
 	lastTxns  uint64
-	// bufs holds one worker's buffers during a pass (logger goroutine
-	// only), reused so a pass allocates nothing.
-	bufs [][]byte
+	hdr       frameHeader // logger goroutine only
 }
 
 // syncFile is the instrumented fsync: every durability-critical Sync
@@ -587,11 +617,10 @@ func (lg *logger) iterate() {
 		}
 	}
 	for _, wl := range lg.workers {
-		lg.bufs = wl.take(lg.bufs[:0])
-		for _, buf := range lg.bufs {
+		wl.take()
+		for _, buf := range wl.written {
 			lg.writeBuffer(buf)
 		}
-		clear(lg.bufs)
 	}
 	if d == 0 || d <= lg.dl.Load() {
 		if lg.m.cfg.Sync && lg.wrote {
@@ -630,7 +659,7 @@ func (lg *logger) writeBuffer(payload []byte) {
 	if lg.m.cfg.Compress && len(payload) <= maxInflated {
 		kind, payload = frameDeflated, deflate(payload)
 	}
-	if err := writeBufferFrame(lg.file, kind, payload); err != nil {
+	if err := lg.hdr.writeBuffer(lg.file, kind, payload); err != nil {
 		panic(fmt.Sprintf("wal: log write failed: %v", err))
 	}
 	lg.wrote = true
@@ -642,7 +671,7 @@ func (lg *logger) writeBuffer(payload []byte) {
 }
 
 func (lg *logger) writeDurable(d uint64) {
-	if err := writeDurableFrame(lg.file, d); err != nil {
+	if err := lg.hdr.writeDurable(lg.file, d); err != nil {
 		panic(fmt.Sprintf("wal: log write failed: %v", err))
 	}
 	lg.wrote = true

@@ -67,8 +67,9 @@ func BenchmarkWalkSegment(b *testing.B) {
 	}
 }
 
-// TestLedger holds the log decoder's allocations: ScanSegment and Walk
-// read keys and values in place, so decoding costs no memory.
+// TestLedger holds the log's allocations: ScanSegment and Walk read keys
+// and values in place, so decoding costs no memory, and a worker's log
+// buffers cycle between it and its logger, so committing costs none either.
 func TestLedger(t *testing.T) {
 	ledger.Check(t, ledger.Row{
 		Layer: "wal", Count: "allocs/op ScanSegment+Walk of 4 MB", Bound: ledger.AtMost(0), Race: true,
@@ -78,5 +79,10 @@ func TestLedger(t *testing.T) {
 			data, v := walkSegment(), new(countingVisitor)
 			return testing.AllocsPerRun(10, func() { walk(t, data, v) })
 		},
+	}, ledger.Row{
+		Layer: "wal", Count: "allocs/txn group commit, 8 txns × 4 × 100 B PUTs per epoch", Bound: ledger.AtMost(0), Race: true,
+		Claim: "a logger hands each buffer it wrote back to its worker: a steady-state commit allocates nothing",
+		How:   "testing.AllocsPerRun(50) of one groupCommit epoch (8 onCommit calls, a WaitDurable whose demand closes the epoch and whose kicked pass writes, fsyncs and publishes D), over 8",
+		Got:   func() float64 { return walCommitAllocs(t) },
 	})
 }
