@@ -16,18 +16,6 @@ import (
 	ftrace "silo/internal/trace"
 )
 
-// Config tweaks an exploration run. The zero value is the normal
-// configuration; the fields exist so tests can reproduce historical bugs.
-type Config struct {
-	// LegacyStopDrain reverts clean shutdown to the pre-fix WAL drain that
-	// lost the final epoch's acknowledged commits. Runs with it set are
-	// expected to fail the clean-shutdown oracle.
-	LegacyStopDrain bool
-	// ForceClean pins the history's ending to a clean shutdown instead of
-	// letting the seed choose between shutdown and crash.
-	ForceClean bool
-}
-
 // Result summarizes one exploration, successful or not. Trace is the full
 // deterministic op history: running the same seed again produces the same
 // trace byte for byte, which is what makes any failure replayable.
@@ -76,10 +64,7 @@ type commitRec struct {
 // DDL, then a crash or clean shutdown — recovers the surviving disk image,
 // and checks every oracle. A nil error means all oracles held; a non-nil
 // error describes the violation, and the Result's trace replays it.
-func Explore(seed int64) (Result, error) { return ExploreConfig(seed, Config{}) }
-
-// ExploreConfig is Explore with an explicit configuration.
-func ExploreConfig(seed int64, cfg Config) (Result, error) {
+func Explore(seed int64) (Result, error) {
 	rng := rand.New(rand.NewSource(seed))
 	res := Result{Seed: seed}
 	var trace strings.Builder
@@ -103,7 +88,7 @@ func ExploreConfig(seed int64, cfg Config) (Result, error) {
 		ckptEvery = 20 * time.Millisecond
 	}
 	loggers := 1 + rng.Intn(2)
-	tracef("config loggers=%d segbytes=%d ckpt=%v legacy=%v", loggers, segBytes, ckptEvery, cfg.LegacyStopDrain)
+	tracef("config loggers=%d segbytes=%d ckpt=%v", loggers, segBytes, ckptEvery)
 
 	open := func(f *FS, c *Clock) (*silo.DB, error) {
 		return silo.Open(silo.Options{
@@ -120,7 +105,6 @@ func ExploreConfig(seed int64, cfg Config) (Result, error) {
 				CheckpointPartitions: 2,
 				RecoveryWorkers:      4,
 				FS:                   f,
-				LegacyStopDrain:      cfg.LegacyStopDrain,
 			},
 		})
 	}
@@ -150,7 +134,7 @@ func ExploreConfig(seed int64, cfg Config) (Result, error) {
 	liveIndexes := map[string]bool{}
 	idxCounter := 0
 
-	crash := !cfg.ForceClean && rng.Intn(2) == 0
+	crash := rng.Intn(2) == 0
 	steps := 40 + rng.Intn(40)
 	armStep := -1
 	var durableBeforeCut uint64

@@ -57,13 +57,6 @@ type Config struct {
 	// Figure 7).
 	FS    vfs.FS
 	Clock vfs.Clock
-
-	// LegacyStopDrain reverts Stop to its pre-fix behavior: run the final
-	// pass without advancing the epoch first, so the final durable frame
-	// publishes d = E−1 and a clean shutdown loses the last epoch's
-	// commits. It exists only so the simulation harness's pinned
-	// regression seed keeps reproducing the historical bug; never set it.
-	LegacyStopDrain bool
 }
 
 func (c *Config) fill() {
@@ -169,12 +162,12 @@ func (m *Manager) Start() {
 // would write the last epoch's buffers to disk yet leave D one short, and
 // recovery's epoch ≤ D filter would discard exactly those commits. With
 // the workers quiescent the bump is safe, and the final pass then covers
-// every acknowledged commit: D ends at the last committed epoch.
+// every acknowledged commit: D ends at the last committed epoch. The
+// mutant wal-stop-drain (internal/mutants) drops the advance, and the
+// drain's regression tests must fail on it.
 func (m *Manager) Stop() {
 	m.stopOnce.Do(func() {
-		if !m.cfg.LegacyStopDrain {
-			m.epochs.AdvanceTo(m.epochs.Global() + 1)
-		}
+		m.epochs.AdvanceTo(m.epochs.Global() + 1)
 		for _, lg := range m.loggers {
 			if lg.ticker != nil {
 				lg.ticker.Stop()

@@ -12,14 +12,14 @@ import (
 // the manager down cleanly, without any durability waiting in between —
 // exactly the shutdown path an embedded application takes. ManualEpochs
 // pins the commit at epoch 1, so the outcome is deterministic.
-func stoppedStore(t *testing.T, legacy bool) (dir string, commitEpoch uint64) {
+func stoppedStore(t *testing.T) (dir string, commitEpoch uint64) {
 	t.Helper()
 	dir = t.TempDir()
 	opts := core.DefaultOptions(1)
 	opts.ManualEpochs = true
 	s := core.NewStore(opts)
 	s.CreateTable("t")
-	m, err := Attach(s, Config{Dir: dir, LegacyStopDrain: legacy})
+	m, err := Attach(s, Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func stoppedStore(t *testing.T, legacy bool) (dir string, commitEpoch uint64) {
 // one epoch behind and recovery — correctly honouring D — discarded the
 // final epoch's acknowledged commits.
 func TestStopDrainsFinalEpoch(t *testing.T) {
-	dir, commitEpoch := stoppedStore(t, false)
+	dir, commitEpoch := stoppedStore(t)
 
 	st := replayLog(t, dir)
 	if st.D < commitEpoch {
@@ -51,26 +51,6 @@ func TestStopDrainsFinalEpoch(t *testing.T) {
 	}
 	if v, ok := st.rows[0]["last"]; !ok || v != "write" {
 		t.Fatalf("final-epoch commit lost on clean shutdown: recovered %q, %v", v, ok)
-	}
-}
-
-// TestLegacyStopDrainLosesFinalEpoch pins the historical behavior the fix
-// removed: with LegacyStopDrain the commit's bytes reach disk but the
-// durable marker stays at commitEpoch−1, so recovery must skip the
-// transaction. If this test ever starts failing, the legacy path no longer
-// reproduces the bug and the simulation corpus entry for it is stale.
-func TestLegacyStopDrainLosesFinalEpoch(t *testing.T) {
-	dir, commitEpoch := stoppedStore(t, true)
-
-	st := replayLog(t, dir)
-	if st.D >= commitEpoch {
-		t.Fatalf("legacy drain unexpectedly durable: D=%d commit epoch %d", st.D, commitEpoch)
-	}
-	if st.skipped != 1 || st.applied != 0 {
-		t.Fatalf("legacy drain: applied=%d skipped=%d, want the commit skipped", st.applied, st.skipped)
-	}
-	if v, ok := st.rows[0]["last"]; ok {
-		t.Fatalf("legacy drain recovered %q, want the key absent", v)
 	}
 }
 

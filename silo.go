@@ -203,14 +203,6 @@ type DurabilityOptions struct {
 	// armed that is also the paper's Silo+tmpfs configuration — the same
 	// logger without the device (Figure 7).
 	FS vfs.FS
-
-	// LegacyStopDrain reverts Close's log drain to its historical behavior,
-	// which could silently discard the final epoch's acknowledged commits
-	// on a clean shutdown (the drain flushed buffers but never advanced the
-	// epoch, so the last durable-epoch marker stayed one epoch behind).
-	// It exists only so the simulation harness can reproduce the bug it
-	// was built to catch; never set it.
-	LegacyStopDrain bool
 }
 
 // DB is a Silo database.
@@ -321,15 +313,14 @@ func (db *DB) recoverDir() error {
 func (db *DB) startLogging() error {
 	d := db.opts.Durability
 	m, err := wal.Attach(db.store, wal.Config{
-		Dir:             d.Dir,
-		Loggers:         d.Loggers,
-		Sync:            d.Sync,
-		TIDOnly:         d.TIDOnly,
-		Compress:        d.Compress,
-		SegmentBytes:    d.SegmentBytes,
-		FS:              d.FS,
-		Clock:           db.opts.Clock,
-		LegacyStopDrain: d.LegacyStopDrain,
+		Dir:          d.Dir,
+		Loggers:      d.Loggers,
+		Sync:         d.Sync,
+		TIDOnly:      d.TIDOnly,
+		Compress:     d.Compress,
+		SegmentBytes: d.SegmentBytes,
+		FS:           d.FS,
+		Clock:        db.opts.Clock,
 	})
 	if err != nil {
 		return err
